@@ -6,9 +6,11 @@
 //! milliseconds, keyed by **(scene name, resolution)**:
 //!
 //! * **Seeding.** An unseen key is predicted from its nominal probe-point
-//!   count — `resolution² rays × base_ns samples` at a calibrated
-//!   nanoseconds-per-sample constant — so admission has a sane relative
-//!   ordering (bigger frames cost more) before any request completes.
+//!   count — `resolution² rays × base_ns samples` — times the nanoseconds
+//!   per nominal sample this process has observed so far (an EWMA over
+//!   every completion of every key; a measured constant stands in until
+//!   the first one), so a new scene or resolution starts from what this
+//!   machine and build actually cost, not from a number in the source.
 //! * **Learning.** Every completion feeds the observed per-frame service
 //!   time (latency minus queue wait) into an exponentially-weighted moving
 //!   average for its key, so the model tracks the real machine, warm
@@ -26,10 +28,11 @@ use std::sync::Mutex;
 /// light enough not to chase one noisy outlier.
 const ALPHA: f64 = 0.3;
 
-/// Seed calibration: nanoseconds per nominal probe sample (a full-budget
-/// ray sample at tiny scale costs on the order of a microsecond in this
-/// reproduction; adaptive sampling renders fewer, the EWMA corrects).
-const SEED_NS_PER_SAMPLE: f64 = 1_500.0;
+/// Nanoseconds per nominal probe sample assumed until the first
+/// completion is observed: the median over six scenes at 16², 24² and 48²
+/// of a sequential tiny-profile frame on the 2-vCPU recording host
+/// (377–569 ns; adaptive sampling renders fewer samples than nominal).
+const SEED_NS_PER_SAMPLE: f64 = 450.0;
 
 /// One key's running estimate.
 #[derive(Debug, Clone, Copy)]
@@ -41,6 +44,9 @@ struct Ewma {
 #[derive(Debug, Default)]
 struct CostInner {
     keys: HashMap<(String, u32), Ewma>,
+    /// EWMA of observed ns per nominal sample over all keys: the seed of
+    /// keys not seen yet.
+    ns_per_sample: Option<f64>,
     observations: u64,
     seeded_predictions: u64,
     abs_pct_err_sum: f64,
@@ -73,11 +79,19 @@ impl CostModel {
         CostModel { base_ns: profile.base_ns, inner: Mutex::new(CostInner::default()) }
     }
 
+    fn nominal_samples(&self, resolution: u32) -> f64 {
+        (resolution as f64).powi(2) * self.base_ns as f64
+    }
+
     /// The probe-count seed: what a frame at `resolution` should cost
-    /// before any observation exists.
+    /// when its key has no observation yet.
     pub fn seed_ms(&self, resolution: u32) -> f64 {
-        let nominal_samples = (resolution as f64).powi(2) * self.base_ns as f64;
-        nominal_samples * SEED_NS_PER_SAMPLE / 1e6
+        self.seed_with(&self.inner.lock().unwrap(), resolution)
+    }
+
+    fn seed_with(&self, inner: &CostInner, resolution: u32) -> f64 {
+        let ns_per_sample = inner.ns_per_sample.unwrap_or(SEED_NS_PER_SAMPLE);
+        self.nominal_samples(resolution) * ns_per_sample / 1e6
     }
 
     /// Predicted service time for a `frames`-frame request, milliseconds.
@@ -87,7 +101,7 @@ impl CostModel {
             Some(e) => e.per_frame_ms,
             None => {
                 inner.seeded_predictions += 1;
-                self.seed_ms(resolution)
+                self.seed_with(&inner, resolution)
             }
         };
         per_frame * frames.max(1) as f64
@@ -108,11 +122,16 @@ impl CostModel {
             .keys
             .get(&key)
             .map(|e| e.per_frame_ms)
-            .unwrap_or_else(|| self.seed_ms(resolution));
+            .unwrap_or_else(|| self.seed_with(&inner, resolution));
         if actual_per_frame > 0.0 {
             inner.abs_pct_err_sum +=
                 (predicted_per_frame - actual_per_frame).abs() / actual_per_frame;
         }
+        let ns_per_sample = actual_per_frame * 1e6 / self.nominal_samples(resolution);
+        inner.ns_per_sample = Some(match inner.ns_per_sample {
+            Some(prev) => ALPHA * ns_per_sample + (1.0 - ALPHA) * prev,
+            None => ns_per_sample,
+        });
         inner.observations += 1;
         inner
             .keys
@@ -175,6 +194,26 @@ mod tests {
         assert!(stats.mean_abs_pct_error > 0.0, "seed-vs-actual error must be recorded");
         // a second key does not inherit the first's estimate
         assert!(m.predict("Mic", 96, 1) > pred * 2.0);
+    }
+
+    #[test]
+    fn unseen_keys_seed_from_what_other_keys_cost() {
+        let m = model();
+        let constant_seed = m.seed_ms(32);
+        // this machine turns out 4x cheaper per sample than the constant
+        let actual_16 = m.seed_ms(16) / 4.0;
+        for _ in 0..24 {
+            m.observe("Mic", 16, 1, actual_16);
+        }
+        let learned_seed = m.predict("Lego", 32, 1);
+        assert!(
+            (learned_seed / (constant_seed / 4.0) - 1.0).abs() < 0.05,
+            "an unseen key must seed from the observed ns/sample: {learned_seed} vs {constant_seed}"
+        );
+        // still quadratic in resolution, and a seen key keeps its own estimate
+        assert!((m.seed_ms(64) / m.seed_ms(32) - 4.0).abs() < 1e-9);
+        m.observe("Lego", 32, 1, 1.0);
+        assert!((m.predict("Lego", 32, 1) - 1.0).abs() < 1e-9);
     }
 
     #[test]

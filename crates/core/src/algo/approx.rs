@@ -34,30 +34,29 @@ pub fn interpolate_followers(ts: &[f32], colors: &mut [Rgb], is_leader: &[bool])
     if ts.is_empty() {
         return;
     }
-    assert!(is_leader.iter().any(|&l| l), "need at least one leader");
-    let leaders: Vec<usize> = (0..ts.len()).filter(|&i| is_leader[i]).collect();
-    let mut seg = 0usize; // current [leaders[seg], leaders[seg+1]] interval
-    for i in 0..ts.len() {
+    let n = ts.len();
+    let next_leader = |from: usize| (from..n).find(|&j| is_leader[j]);
+    // the bracketing pair: `lo` is the last leader before the follower (the
+    // first leader, for followers ahead of it), `hi` the leader after `lo`
+    let mut lo = next_leader(0).expect("need at least one leader");
+    let mut hi = next_leader(lo + 1);
+    for i in 0..n {
         if is_leader[i] {
-            while seg + 1 < leaders.len() && leaders[seg + 1] <= i {
-                seg += 1;
-            }
             continue;
         }
-        // advance segment so that leaders[seg] < i
-        while seg + 1 < leaders.len() && leaders[seg + 1] < i {
-            seg += 1;
+        while let Some(h) = hi.filter(|&h| h < i) {
+            lo = h;
+            hi = next_leader(h + 1);
         }
-        let lo = leaders[seg.min(leaders.len() - 1)];
-        if seg + 1 < leaders.len() {
-            let hi = leaders[seg + 1];
-            let span = (ts[hi] - ts[lo]).max(1e-12);
-            let w = ((ts[i] - ts[lo]) / span).clamp(0.0, 1.0);
-            colors[i] = colors[lo].lerp(colors[hi], w);
-        } else {
+        colors[i] = match hi {
+            Some(hi) => {
+                let span = (ts[hi] - ts[lo]).max(1e-12);
+                let w = ((ts[i] - ts[lo]) / span).clamp(0.0, 1.0);
+                colors[lo].lerp(colors[hi], w)
+            }
             // past the last leader: hold
-            colors[i] = colors[lo];
-        }
+            None => colors[lo],
+        };
     }
 }
 

@@ -21,7 +21,9 @@
 //! entirely between refreshes.
 
 use crate::algo::adaptive::SamplePlan;
-use crate::algo::renderer::{probe_plan, render_ray, RenderOptions, RenderOutput, RenderStats};
+use crate::algo::renderer::{
+    probe_plan, render_ray, RayScratch, RenderOptions, RenderOutput, RenderStats,
+};
 use asdr_math::{Camera, Image, Rgb};
 use asdr_nerf::model::RadianceModel;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -375,8 +377,9 @@ impl FrameEngine {
         match self.policy {
             ExecPolicy::Sequential => {
                 let tile = Tile { x0: 0, y0: 0, x1: cam.width(), y1: cam.height() };
-                let mut scratch = model.make_query_scratch();
-                let (pixels, local) = render_tile(model, cam, plan, &self.opts, tile, &mut scratch);
+                let (mut scratch, mut rays) = (model.make_query_scratch(), RayScratch::default());
+                let (pixels, local) =
+                    render_tile(model, cam, plan, &self.opts, tile, &mut scratch, &mut rays);
                 merge(tile, pixels, local);
             }
             ExecPolicy::StaticRows => {
@@ -407,7 +410,17 @@ impl FrameEngine {
                 .map(|&tile| {
                     scope.spawn(move || {
                         let mut scratch = model.make_query_scratch();
-                        (tile, render_tile(model, cam, plan, &self.opts, tile, &mut scratch))
+                        let mut rays = RayScratch::default();
+                        let out = render_tile(
+                            model,
+                            cam,
+                            plan,
+                            &self.opts,
+                            tile,
+                            &mut scratch,
+                            &mut rays,
+                        );
+                        (tile, out)
                     })
                 })
                 .collect();
@@ -436,6 +449,7 @@ impl FrameEngine {
                     let next = &next;
                     scope.spawn(move || {
                         let mut scratch = model.make_query_scratch();
+                        let mut rays = RayScratch::default();
                         let mut done = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -444,7 +458,15 @@ impl FrameEngine {
                             };
                             done.push((
                                 tile,
-                                render_tile(model, cam, plan, &self.opts, tile, &mut scratch),
+                                render_tile(
+                                    model,
+                                    cam,
+                                    plan,
+                                    &self.opts,
+                                    tile,
+                                    &mut scratch,
+                                    &mut rays,
+                                ),
                             ));
                         }
                     })
@@ -502,6 +524,7 @@ fn render_tile<M: RadianceModel>(
     opts: &RenderOptions,
     tile: Tile,
     scratch: &mut M::Scratch,
+    rays: &mut RayScratch,
 ) -> (Vec<Rgb>, Phase2Stats) {
     let w = tile.width();
     let mut pixels = vec![Rgb::BLACK; w * (tile.y1 - tile.y0) as usize];
@@ -510,7 +533,7 @@ fn render_tile<M: RadianceModel>(
         for px in tile.x0..tile.x1 {
             let ray = cam.ray_for_pixel(px, py);
             let count = plan.count(px, py) as usize;
-            let (color, work) = render_ray(model, &ray, count, opts, scratch);
+            let (color, work) = render_ray(model, &ray, count, opts, scratch, rays);
             local.density_points += work.density;
             local.color_points += work.color;
             local.interpolated_points += work.interpolated;

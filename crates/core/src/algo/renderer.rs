@@ -176,6 +176,7 @@ pub(crate) fn probe_plan<M: RadianceModel>(
         return SamplePlan::uniform(cam.width(), cam.height(), opts.base_ns);
     };
     let mut scratch = model.make_query_scratch();
+    let mut rays = RayScratch::default();
     let d = acfg.probe_stride;
     let gx = cam.width().div_ceil(d);
     let gy = cam.height().div_ceil(d);
@@ -185,39 +186,47 @@ pub(crate) fn probe_plan<M: RadianceModel>(
             let px = (jx * d).min(cam.width() - 1);
             let py = (jy * d).min(cam.height() - 1);
             let ray = cam.ray_for_pixel(px, py);
-            let pts = evaluate_full_ray(model, &ray, opts.base_ns, &mut scratch);
+            let pts = evaluate_full_ray(model, &ray, opts.base_ns, &mut scratch, &mut rays);
             stats.probe_rays += 1;
             stats.probe_points += pts.len() as u64;
-            probe_counts[jy as usize][jx as usize] = choose_count(&pts, acfg, opts.base_ns) as u32;
+            probe_counts[jy as usize][jx as usize] = choose_count(pts, acfg, opts.base_ns) as u32;
         }
     }
     SamplePlan::from_probes(cam.width(), cam.height(), opts.base_ns, d, &probe_counts)
 }
 
+/// One worker's per-ray sample buffers, kept beside the model's query
+/// scratch and reused from ray to ray so neither phase allocates per ray.
+#[derive(Debug, Default)]
+pub(crate) struct RayScratch {
+    /// Phase I: the fully evaluated samples of the current probe ray.
+    points: Vec<SamplePoint>,
+    /// Phase II: sample distances, densities, colors and group-leader marks
+    /// of the current ray.
+    ts: Vec<f32>,
+    sigmas: Vec<f32>,
+    colors: Vec<Rgb>,
+    is_leader: Vec<bool>,
+}
+
 /// Fully evaluates `count` samples (density + color) along a ray — the
 /// Phase-I probe path.
-fn evaluate_full_ray<M: RadianceModel>(
+fn evaluate_full_ray<'r, M: RadianceModel>(
     model: &M,
     ray: &Ray,
     count: usize,
     scratch: &mut M::Scratch,
-) -> Vec<SamplePoint> {
-    let Some(range) = model.model_bounds().intersect(ray) else {
-        return Vec::new();
-    };
-    if range.is_empty() {
-        return Vec::new();
-    }
-    range
-        .midpoints(count)
-        .into_iter()
-        .map(|t| {
-            let p = ray.at(t);
-            let sigma = model.density_into(p, scratch);
+    rays: &'r mut RayScratch,
+) -> &'r [SamplePoint] {
+    rays.points.clear();
+    if let Some(range) = model.model_bounds().intersect(ray).filter(|r| !r.is_empty()) {
+        rays.points.extend(range.midpoints_iter(count).map(|t| {
+            let sigma = model.density_into(ray.at(t), scratch);
             let color = model.color_into(ray.dir, scratch);
             SamplePoint { t, sigma, color }
-        })
-        .collect()
+        }));
+    }
+    &rays.points
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -236,6 +245,7 @@ pub(crate) fn render_ray<M: RadianceModel>(
     count: usize,
     opts: &RenderOptions,
     scratch: &mut M::Scratch,
+    rays: &mut RayScratch,
 ) -> (Rgb, RayWork) {
     let mut work = RayWork::default();
     let Some(range) = model.model_bounds().intersect(ray) else {
@@ -244,15 +254,19 @@ pub(crate) fn render_ray<M: RadianceModel>(
     if range.is_empty() || count == 0 {
         return (Rgb::BLACK, work);
     }
-    let ts = range.midpoints(count);
+    let RayScratch { ts, sigmas, colors, is_leader, .. } = rays;
+    ts.clear();
+    ts.extend(range.midpoints_iter(count));
+    sigmas.clear();
+    sigmas.resize(count, 0.0);
+    colors.clear();
+    colors.resize(count, Rgb::BLACK);
+    is_leader.clear();
+    is_leader.resize(count, false);
     let n = opts.approx_group;
 
     let mut acc = Rgb::BLACK;
     let mut transmittance = 1.0f32;
-    // evaluated samples of the current and previous group
-    let mut sigmas = vec![0.0f32; count];
-    let mut colors = vec![Rgb::BLACK; count];
-    let mut is_leader = vec![false; count];
 
     let groups = count.div_ceil(n);
     let mut evaluated_until = 0usize; // samples with density computed
@@ -274,13 +288,15 @@ pub(crate) fn render_ray<M: RadianceModel>(
         }
         evaluated_until = hi;
 
-        // the previous group's followers interpolate toward this leader;
-        // composite everything up to (excluding) this group's leader
+        // fill in the previous group's followers and composite everything
+        // up to (excluding) this group's leader. The span stops short of
+        // that leader, so the followers hold their own leader's color —
+        // kept as is: interpolating toward it would change every frame
         if g > 0 {
-            interpolate_span(&ts, &mut colors, &is_leader, composited_until, lo);
+            interpolate_span(ts, colors, is_leader, composited_until, lo);
             work.interpolated += (lo - composited_until).saturating_sub(1) as u64;
             let (c, t_new) =
-                composite_span(&ts, &sigmas, &colors, composited_until, lo, acc, transmittance);
+                composite_span(ts, sigmas, colors, composited_until, lo, acc, transmittance);
             acc = c;
             transmittance = t_new;
             composited_until = lo;
@@ -294,12 +310,12 @@ pub(crate) fn render_ray<M: RadianceModel>(
     // tail: composite the remaining evaluated samples (followers hold the
     // last leader's color)
     if composited_until < evaluated_until && !work.terminated {
-        interpolate_span(&ts, &mut colors, &is_leader, composited_until, evaluated_until);
+        interpolate_span(ts, colors, is_leader, composited_until, evaluated_until);
         work.interpolated += (evaluated_until - composited_until).saturating_sub(1) as u64;
         let (c, t_new) = composite_span(
-            &ts,
-            &sigmas,
-            &colors,
+            ts,
+            sigmas,
+            colors,
             composited_until,
             evaluated_until,
             acc,
@@ -312,13 +328,13 @@ pub(crate) fn render_ray<M: RadianceModel>(
     (acc.clamp01(), work)
 }
 
-/// Interpolates follower colors in `[lo, hi)` using all leaders present so
-/// far (delegates to [`interpolate_followers`] over the evaluated prefix).
-fn interpolate_span(ts: &[f32], colors: &mut [Rgb], is_leader: &[bool], _lo: usize, hi: usize) {
-    if hi == 0 {
-        return;
-    }
-    interpolate_followers(&ts[..hi], &mut colors[..hi], &is_leader[..hi]);
+/// Interpolates follower colors in `[lo, hi)` between the leaders inside
+/// that span. `lo` is always a group leader (spans start where compositing
+/// stopped, at a group boundary), so followers see the same bracketing
+/// leaders as they would over the whole evaluated prefix `[0, hi)`.
+fn interpolate_span(ts: &[f32], colors: &mut [Rgb], is_leader: &[bool], lo: usize, hi: usize) {
+    debug_assert!(lo >= hi || is_leader[lo], "a span starts at a group leader");
+    interpolate_followers(&ts[lo..hi], &mut colors[lo..hi], &is_leader[lo..hi]);
 }
 
 /// Composites samples `[lo, hi)` continuing from `(acc, transmittance)`.

@@ -69,8 +69,14 @@ impl TRange {
     /// sub-intervals (the stratified-midpoint rule Instant-NGP uses for
     /// deterministic inference).
     pub fn midpoints(&self, n: usize) -> Vec<f32> {
-        let dt = self.span() / n as f32;
-        (0..n).map(|i| self.near + dt * (i as f32 + 0.5)).collect()
+        self.midpoints_iter(n).collect()
+    }
+
+    /// [`Self::midpoints`] without the allocation, for callers that fill a
+    /// buffer of their own.
+    pub fn midpoints_iter(&self, n: usize) -> impl Iterator<Item = f32> {
+        let (near, dt) = (self.near, self.span() / n as f32);
+        (0..n).map(move |i| near + dt * (i as f32 + 0.5))
     }
 }
 

@@ -6,8 +6,7 @@
 //! vertices onto shared rows — the source of the high-frequency artifacts a
 //! trained Instant-NGP exhibits, reproduced here mechanically.
 
-use crate::grid::GridConfig;
-use crate::hash::{dense_index, spatial_hash};
+use crate::grid::{GridConfig, LevelPlan};
 
 /// How a level maps vertex coordinates to table rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,8 +21,7 @@ pub enum IndexMode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTable {
     level: usize,
-    vertex_res: u32,
-    mode: IndexMode,
+    plan: LevelPlan,
     feat_dim: usize,
     entries: u32,
     data: Vec<f32>,
@@ -32,12 +30,10 @@ pub struct EmbeddingTable {
 impl EmbeddingTable {
     /// Creates the zero-initialized table for `level` of `cfg`.
     pub fn new(cfg: &GridConfig, level: usize) -> Self {
-        let mode = if cfg.is_dense(level) { IndexMode::Dense } else { IndexMode::Hashed };
         let entries = cfg.level_entries(level);
         EmbeddingTable {
             level,
-            vertex_res: cfg.level_vertex_res(level),
-            mode,
+            plan: cfg.level_plan(level),
             feat_dim: cfg.feat_dim,
             entries,
             data: vec![0.0; entries as usize * cfg.feat_dim],
@@ -51,7 +47,16 @@ impl EmbeddingTable {
 
     /// Indexing mode (dense or hashed).
     pub fn mode(&self) -> IndexMode {
-        self.mode
+        if self.plan.is_dense() {
+            IndexMode::Dense
+        } else {
+            IndexMode::Hashed
+        }
+    }
+
+    /// The level's resolved geometry and index function.
+    pub fn plan(&self) -> &LevelPlan {
+        &self.plan
     }
 
     /// Number of rows.
@@ -66,7 +71,7 @@ impl EmbeddingTable {
 
     /// Vertices per axis at this level.
     pub fn vertex_res(&self) -> u32 {
-        self.vertex_res
+        self.plan.vertex_res()
     }
 
     /// Table row index for vertex `(x, y, z)`.
@@ -76,10 +81,7 @@ impl EmbeddingTable {
     /// Panics in debug builds if a dense coordinate is out of range.
     #[inline]
     pub fn row_of(&self, x: u32, y: u32, z: u32) -> u32 {
-        match self.mode {
-            IndexMode::Dense => dense_index(x, y, z, self.vertex_res),
-            IndexMode::Hashed => spatial_hash(x, y, z, self.entries),
-        }
+        self.plan.row_of(x, y, z)
     }
 
     /// Feature slice of table row `row`.
@@ -123,8 +125,8 @@ impl EmbeddingTable {
     /// Iterates all vertex coordinates of this level (dense levels only;
     /// hashed levels would enumerate the full fine grid).
     pub fn dense_vertices(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        let v = self.vertex_res;
-        debug_assert_eq!(self.mode, IndexMode::Dense);
+        let v = self.vertex_res();
+        debug_assert!(self.plan.is_dense());
         (0..v).flat_map(move |z| (0..v).flat_map(move |y| (0..v).map(move |x| (x, y, z))))
     }
 }

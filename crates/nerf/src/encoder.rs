@@ -61,34 +61,12 @@ impl HashEncoder {
         self.cfg.encoded_dim()
     }
 
-    /// The voxel (cell) containing normalized point `p01` at `level`, as the
-    /// integer coordinates of the cell's base vertex, plus the fractional
-    /// position inside the cell.
-    pub fn voxel_of(&self, p01: Vec3, level: usize) -> ((u32, u32, u32), Vec3) {
-        let res = self.cfg.level_resolution(level);
-        let scaled = p01.clamp(0.0, 1.0) * res as f32;
-        let clamp_hi = (res - 1) as f32;
-        let bx = scaled.x.floor().min(clamp_hi).max(0.0);
-        let by = scaled.y.floor().min(clamp_hi).max(0.0);
-        let bz = scaled.z.floor().min(clamp_hi).max(0.0);
-        let frac = Vec3::new(
-            (scaled.x - bx).clamp(0.0, 1.0),
-            (scaled.y - by).clamp(0.0, 1.0),
-            (scaled.z - bz).clamp(0.0, 1.0),
-        );
-        ((bx as u32, by as u32, bz as u32), frac)
-    }
-
     /// The eight vertex accesses of `p01` at `level`, in
     /// [`CORNER_OFFSETS`] order.
     pub fn vertex_accesses(&self, p01: Vec3, level: usize) -> [VertexAccess; 8] {
-        let ((bx, by, bz), _) = self.voxel_of(p01, level);
-        let table = self.tables.table(level);
-        std::array::from_fn(|i| {
-            let (dx, dy, dz) = CORNER_OFFSETS[i];
-            let v = (bx + dx, by + dy, bz + dz);
-            VertexAccess { level: level as u16, vertex: v, row: table.row_of(v.0, v.1, v.2) }
-        })
+        let plan = self.tables.table(level).plan();
+        let (base, _) = plan.voxel_of(p01);
+        corner_accesses(level, base, plan.corner_rows(base))
     }
 
     /// Encodes `p01 ∈ [0,1]^3` into `out` (length [`Self::encoded_dim`]).
@@ -105,25 +83,29 @@ impl HashEncoder {
         self.encode_impl(p01, out, Some(trace));
     }
 
+    #[inline]
     fn encode_impl(&self, p01: Vec3, out: &mut [f32], mut trace: Option<&mut Vec<VertexAccess>>) {
         assert_eq!(out.len(), self.encoded_dim(), "output buffer length mismatch");
         let f = self.cfg.feat_dim;
-        for level in 0..self.cfg.levels {
-            let ((bx, by, bz), frac) = self.voxel_of(p01, level);
+        let levels = self.tables.iter().zip(out.chunks_exact_mut(f));
+        for (level, (table, dst)) in levels.enumerate() {
+            // the level's geometry, resolved when the table was built
+            let plan = table.plan();
+            let (base, frac) = plan.voxel_of(p01);
             let w = trilinear_weights(frac.x, frac.y, frac.z);
-            let table = self.tables.table(level);
-            let dst = &mut out[level * f..(level + 1) * f];
-            dst.fill(0.0);
-            for (i, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
-                let v = (bx + dx, by + dy, bz + dz);
-                let row = table.row_of(v.0, v.1, v.2);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.push(VertexAccess { level: level as u16, vertex: v, row });
+            let rows = plan.corner_rows(base);
+            if let Some(t) = trace.as_deref_mut() {
+                t.extend(corner_accesses(level, base, rows));
+            }
+            // feature-outer so each sum lives in a register; per feature the
+            // corners still add in `CORNER_OFFSETS` order from zero
+            let feats = rows.map(|row| table.row(row));
+            for (d, o) in dst.iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for (feat, &wi) in feats.iter().zip(&w) {
+                    acc += wi * feat[d];
                 }
-                let feat = table.row(row);
-                for (d, &s) in dst.iter_mut().zip(feat) {
-                    *d += w[i] * s;
-                }
+                *o = acc;
             }
         }
     }
@@ -134,6 +116,18 @@ impl HashEncoder {
         let per_level = 24 + 8 * self.cfg.feat_dim as u64 * 2;
         self.cfg.levels as u64 * per_level
     }
+}
+
+/// The accesses of one voxel's corners, in [`CORNER_OFFSETS`] order.
+fn corner_accesses(level: usize, base: (u32, u32, u32), rows: [u32; 8]) -> [VertexAccess; 8] {
+    std::array::from_fn(|i| {
+        let (dx, dy, dz) = CORNER_OFFSETS[i];
+        VertexAccess {
+            level: level as u16,
+            vertex: (base.0 + dx, base.1 + dy, base.2 + dz),
+            row: rows[i],
+        }
+    })
 }
 
 #[cfg(test)]

@@ -92,27 +92,12 @@ fn decode_plans(cfg: &GridConfig) -> [DecodePlan; 4] {
 
 /// Trilinear reconstruction of one quantity at normalized point `p01` using
 /// only the given `(level, slot, weight)` lanes.
-fn recon_at(
-    enc_cfg: &GridConfig,
-    tables: &EmbeddingSet,
-    lanes: &[(usize, usize, f32)],
-    p01: Vec3,
-) -> f32 {
+fn recon_at(tables: &EmbeddingSet, lanes: &[(usize, usize, f32)], p01: Vec3) -> f32 {
     let mut acc = 0.0f32;
     for &(level, slot, w) in lanes {
         let table = tables.table(level);
-        let res = enc_cfg.level_resolution(level);
-        let scaled = p01.clamp(0.0, 1.0) * res as f32;
-        let hi = (res - 1) as f32;
-        let bx = scaled.x.floor().min(hi).max(0.0);
-        let by = scaled.y.floor().min(hi).max(0.0);
-        let bz = scaled.z.floor().min(hi).max(0.0);
-        let tw = trilinear_weights(
-            (scaled.x - bx).clamp(0.0, 1.0),
-            (scaled.y - by).clamp(0.0, 1.0),
-            (scaled.z - bz).clamp(0.0, 1.0),
-        );
-        let (bx, by, bz) = (bx as u32, by as u32, bz as u32);
+        let ((bx, by, bz), frac) = table.plan().voxel_of(p01);
+        let tw = trilinear_weights(frac.x, frac.y, frac.z);
         let mut v = 0.0;
         for (i, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
             v += tw[i] * table.lookup(bx + dx, by + dy, bz + dz)[slot];
@@ -243,7 +228,7 @@ fn fill_embeddings(field: &dyn SceneField, cfg: &GridConfig) -> EmbeddingSet {
                         for (slot, q) in quantities.iter().enumerate() {
                             let qi = Quantity::ALL.iter().position(|x| x == q).unwrap();
                             let target = q.eval(field, pw);
-                            let prior = recon_at(cfg, &set, &dense_filled[qi], p01);
+                            let prior = recon_at(&set, &dense_filled[qi], p01);
                             let row = set.table(level).row_of(x, y, z);
                             set.table_mut(level).row_mut(row)[slot] = target - prior;
                         }
@@ -272,7 +257,7 @@ fn fill_embeddings(field: &dyn SceneField, cfg: &GridConfig) -> EmbeddingSet {
                         for (slot, q) in quantities.iter().enumerate() {
                             let qi = Quantity::ALL.iter().position(|x| x == q).unwrap();
                             let target = q.eval(field, pw);
-                            let prior = recon_at(cfg, &set, &dense_filled[qi], p01);
+                            let prior = recon_at(&set, &dense_filled[qi], p01);
                             acc[row][slot] += (target - prior) as f64;
                         }
                         cnt[row] += 1;
@@ -497,25 +482,15 @@ pub fn refine_sgd(
         let pw = bounds.denormalize(p01);
         for (qi, q) in Quantity::ALL.iter().enumerate() {
             let target = q.eval(field, pw);
-            let pred = recon_at(&cfg, model.encoder().tables(), &plans[qi].lanes, p01);
+            let pred = recon_at(model.encoder().tables(), &plans[qi].lanes, p01);
             let grad = 2.0 * (pred - target);
             if grad == 0.0 {
                 continue;
             }
             for &(level, slot, w) in &plans[qi].lanes {
-                let res = cfg.level_resolution(level);
-                let scaled = p01.clamp(0.0, 1.0) * res as f32;
-                let hi = (res - 1) as f32;
-                let bx = scaled.x.floor().min(hi).max(0.0);
-                let by = scaled.y.floor().min(hi).max(0.0);
-                let bz = scaled.z.floor().min(hi).max(0.0);
-                let tw = trilinear_weights(
-                    (scaled.x - bx).clamp(0.0, 1.0),
-                    (scaled.y - by).clamp(0.0, 1.0),
-                    (scaled.z - bz).clamp(0.0, 1.0),
-                );
-                let (bx, by, bz) = (bx as u32, by as u32, bz as u32);
                 let table = model.encoder_mut().tables_mut().table_mut(level);
+                let ((bx, by, bz), frac) = table.plan().voxel_of(p01);
+                let tw = trilinear_weights(frac.x, frac.y, frac.z);
                 for (i, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
                     let row = table.row_of(bx + dx, by + dy, bz + dz);
                     table.row_mut(row)[slot] -= lr * grad * w * tw[i];

@@ -5,6 +5,14 @@
 //! grid fits in the table are stored densely (collision-free); finer levels
 //! are compressed through the spatial hash. The split between the two is
 //! what the ASDR hybrid address generator exploits (§5.2.1).
+//!
+//! [`GridConfig::level_resolution`] derives a level's resolution through
+//! `ln`/`exp`/`powi`; per-sample code reads a [`LevelPlan`] instead, which
+//! resolves each level's geometry once — as the address generator does.
+
+use crate::hash::{dense_index, spatial_hash, PRIMES};
+use asdr_math::interp::CORNER_OFFSETS;
+use asdr_math::Vec3;
 
 /// Configuration of the multi-resolution hash encoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,6 +93,21 @@ impl GridConfig {
         (r.round() as u32).max(self.base_res).min(self.max_res)
     }
 
+    /// The resolved geometry of `level` (see [`LevelPlan`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level >= levels`.
+    pub fn level_plan(&self, level: usize) -> LevelPlan {
+        let res = self.level_resolution(level);
+        LevelPlan {
+            res: res as f32,
+            max_cell: res - 1,
+            vertex_res: res + 1,
+            hash_mask: (!self.is_dense(level)).then(|| self.table_size - 1),
+        }
+    }
+
     /// Number of vertices per axis of `level` (resolution + 1).
     pub fn level_vertex_res(&self, level: usize) -> u32 {
         self.level_resolution(level) + 1
@@ -129,6 +152,80 @@ impl GridConfig {
     /// ≈60 MB for 16 × 2^19 × F=2 at half precision; we store f32).
     pub fn total_bytes(&self) -> usize {
         self.total_params() * std::mem::size_of::<f32>()
+    }
+}
+
+/// One level's geometry, resolved once: where a point falls and which table
+/// rows its voxel's corners map to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LevelPlan {
+    res: f32,
+    max_cell: u32,
+    vertex_res: u32,
+    hash_mask: Option<u32>,
+}
+
+impl LevelPlan {
+    /// Vertices per axis (`resolution + 1`), the stride of dense indexing.
+    pub fn vertex_res(&self) -> u32 {
+        self.vertex_res
+    }
+
+    /// Whether the level indexes its vertices densely (no hash).
+    pub fn is_dense(&self) -> bool {
+        self.hash_mask.is_none()
+    }
+
+    /// The voxel (cell) containing normalized point `p01`, as the integer
+    /// coordinates of the cell's base vertex, plus the fractional position
+    /// inside the cell. Points outside `[0,1]³` are clamped onto it.
+    #[inline]
+    pub fn voxel_of(&self, p01: Vec3) -> ((u32, u32, u32), Vec3) {
+        let scaled = p01.clamp(0.0, 1.0) * self.res;
+        // `scaled` is never negative, so the truncating cast is `floor` —
+        // which the baseline x86-64 target would call into libm for
+        let cell = |s: f32| (s as u32).min(self.max_cell);
+        let (bx, by, bz) = (cell(scaled.x), cell(scaled.y), cell(scaled.z));
+        let frac = Vec3::new(
+            (scaled.x - bx as f32).clamp(0.0, 1.0),
+            (scaled.y - by as f32).clamp(0.0, 1.0),
+            (scaled.z - bz as f32).clamp(0.0, 1.0),
+        );
+        ((bx, by, bz), frac)
+    }
+
+    /// Table row of vertex `(x, y, z)`: dense index or spatial hash.
+    #[inline]
+    pub fn row_of(&self, x: u32, y: u32, z: u32) -> u32 {
+        match self.hash_mask {
+            None => dense_index(x, y, z, self.vertex_res),
+            Some(mask) => spatial_hash(x, y, z, mask + 1),
+        }
+    }
+
+    /// [`Self::row_of`] for the eight corners of the voxel based at `base`,
+    /// in [`CORNER_OFFSETS`] order, with the `y` and `z` terms of the index
+    /// computed once per plane instead of once per corner.
+    #[inline]
+    pub fn corner_rows(&self, (bx, by, bz): (u32, u32, u32)) -> [u32; 8] {
+        let (xs, ys, zs) = ([bx, bx + 1], [by, by + 1], [bz, bz + 1]);
+        match self.hash_mask {
+            None => {
+                let v = self.vertex_res;
+                std::array::from_fn(|i| {
+                    let (dx, dy, dz) = CORNER_OFFSETS[i];
+                    xs[dx as usize] + v * (ys[dy as usize] + v * zs[dz as usize])
+                })
+            }
+            Some(mask) => {
+                let hy = ys.map(|y| y.wrapping_mul(PRIMES.1));
+                let hz = zs.map(|z| z.wrapping_mul(PRIMES.2));
+                std::array::from_fn(|i| {
+                    let (dx, dy, dz) = CORNER_OFFSETS[i];
+                    (xs[dx as usize] ^ hy[dy as usize] ^ hz[dz as usize]) & mask
+                })
+            }
+        }
     }
 }
 
@@ -203,6 +300,24 @@ mod tests {
         let mut c = GridConfig::tiny();
         c.max_res = 4; // below base
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn level_plan_agrees_with_the_config_and_the_index_functions() {
+        for cfg in [GridConfig::paper(), GridConfig::small(), GridConfig::tiny()] {
+            for l in 0..cfg.levels {
+                let plan = cfg.level_plan(l);
+                assert_eq!(plan.vertex_res(), cfg.level_vertex_res(l));
+                assert_eq!(plan.is_dense(), cfg.is_dense(l));
+                let hi = cfg.level_resolution(l) - 1;
+                for base in [(0, 0, 0), (hi, hi, hi), (hi / 2, 1, hi / 3)] {
+                    let rows = plan.corner_rows(base);
+                    for (row, (dx, dy, dz)) in rows.into_iter().zip(CORNER_OFFSETS) {
+                        assert_eq!(row, plan.row_of(base.0 + dx, base.1 + dy, base.2 + dz));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -128,7 +128,7 @@ fn write_mlp<W: Write>(w: &mut W, mlp: &Mlp) -> io::Result<()> {
         w_u32(w, layer.in_dim() as u32)?;
         w_u32(w, layer.out_dim() as u32)?;
         w_u32(w, matches!(layer.activation(), Activation::Relu) as u32)?;
-        w_f32s(w, layer.weights())?;
+        w_f32s(w, &layer.export_row_major())?;
         w_f32s(w, layer.bias())?;
     }
     Ok(())
@@ -153,7 +153,7 @@ fn read_mlp<R: Read>(r: &mut R) -> Result<Mlp, LoadError> {
             return Err(LoadError::Corrupt("layer payload size mismatch"));
         }
         let mut layer = Dense::zeros(in_dim, out_dim, act);
-        layer.weights_mut().copy_from_slice(&weights);
+        layer.import_row_major(&weights);
         layer.bias_mut().copy_from_slice(&bias);
         layers.push(layer);
     }

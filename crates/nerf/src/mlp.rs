@@ -1,9 +1,15 @@
 //! Dense multilayer perceptrons with FLOP accounting.
 //!
-//! The MLPs are executed as plain row-major matrix-vector products — the same
-//! arithmetic the CIM crossbars of the architecture model perform — and
-//! report their exact MAC counts so the FLOPs-breakdown experiment (Fig. 5)
-//! and the roofline GPU models measure the real workload.
+//! The MLPs are executed as matrix-vector products — the same arithmetic
+//! the CIM crossbars of the architecture model perform — and report their
+//! exact MAC counts so the FLOPs-breakdown experiment (Fig. 5) and the
+//! roofline GPU models measure the real workload.
+//!
+//! Like a crossbar, [`Dense::forward`] drives one input at a time while
+//! every output accumulates in parallel: weights are stored input-major and
+//! the vector lanes run across outputs, never across the reduction, so each
+//! output is the same left-to-right sum a scalar row dot product gives
+//! (DESIGN.md §8).
 
 use std::fmt;
 
@@ -26,11 +32,23 @@ impl Activation {
     }
 }
 
-/// One dense layer `y = act(W x + b)`, weights row-major `[out][in]`.
+/// Outputs accumulated side by side in [`Dense::forward`]: four 128-bit
+/// registers on the baseline x86-64 target. Measured, not guessed: a
+/// 32-wide block no longer stays in registers and runs 3–5× slower
+/// (DESIGN.md §8).
+const LANES: usize = 16;
+
+/// One dense layer `y = act(W x + b)`.
+///
+/// Weights are stored input-major, `[in][stride]` with `stride` the output
+/// count rounded up to a whole number of [`LANES`]-wide blocks; the padding
+/// columns (and padding biases) stay zero and are never written out, so
+/// every block of [`Self::forward`] is the same fixed-width loop.
 #[derive(Clone, PartialEq)]
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
+    stride: usize,
     weights: Vec<f32>,
     bias: Vec<f32>,
     act: Activation,
@@ -54,11 +72,13 @@ impl Dense {
     /// Panics if either dimension is zero.
     pub fn zeros(in_dim: usize, out_dim: usize, act: Activation) -> Self {
         assert!(in_dim > 0 && out_dim > 0);
+        let stride = out_dim.next_multiple_of(LANES);
         Dense {
             in_dim,
             out_dim,
-            weights: vec![0.0; in_dim * out_dim],
-            bias: vec![0.0; out_dim],
+            stride,
+            weights: vec![0.0; in_dim * stride],
+            bias: vec![0.0; stride],
             act,
         }
     }
@@ -78,37 +98,55 @@ impl Dense {
         self.act
     }
 
-    /// Row-major weight matrix `[out][in]`.
-    pub fn weights(&self) -> &[f32] {
-        &self.weights
+    /// The weight matrix in row-major `[out][in]` order — the checkpoint
+    /// layout, independent of how the layer stores it.
+    pub fn export_row_major(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.in_dim * self.out_dim);
+        for row in 0..self.out_dim {
+            out.extend(self.weights.iter().skip(row).step_by(self.stride));
+        }
+        out
     }
 
-    /// Mutable weights.
-    pub fn weights_mut(&mut self) -> &mut [f32] {
-        &mut self.weights
+    /// Replaces the weight matrix from row-major `[out][in]` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != in_dim × out_dim`.
+    pub fn import_row_major(&mut self, weights: &[f32]) {
+        assert_eq!(weights.len(), self.in_dim * self.out_dim, "weight count mismatch");
+        for (row, src) in weights.chunks_exact(self.in_dim).enumerate() {
+            for (col, &v) in src.iter().enumerate() {
+                self.weights[col * self.stride + row] = v;
+            }
+        }
     }
 
     /// Bias vector.
     pub fn bias(&self) -> &[f32] {
-        &self.bias
+        &self.bias[..self.out_dim]
     }
 
     /// Mutable bias.
     pub fn bias_mut(&mut self) -> &mut [f32] {
-        &mut self.bias
+        &mut self.bias[..self.out_dim]
     }
 
-    /// Sets weight `(row, col)`.
+    /// Sets weight `(row, col)`, i.e. from input `col` to output `row`.
     ///
     /// # Panics
     ///
     /// Panics if out of range.
     pub fn set(&mut self, row: usize, col: usize, v: f32) {
         assert!(row < self.out_dim && col < self.in_dim);
-        self.weights[row * self.in_dim + col] = v;
+        self.weights[col * self.stride + row] = v;
     }
 
     /// Forward pass into `out`.
+    ///
+    /// Every output is `bias + w₀x₀ + w₁x₁ + …` summed in input order with
+    /// separate multiplies and adds: the lanes of a block run across
+    /// outputs, never across the sum.
     ///
     /// # Panics
     ///
@@ -116,13 +154,19 @@ impl Dense {
     pub fn forward(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim, "input length mismatch");
         assert_eq!(out.len(), self.out_dim, "output length mismatch");
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.weights[r * self.in_dim..(r + 1) * self.in_dim];
-            let mut acc = self.bias[r];
-            for (w, v) in row.iter().zip(x) {
-                acc += w * v;
+        for (block, dst) in out.chunks_mut(LANES).enumerate() {
+            let o = block * LANES;
+            let mut acc = [0.0f32; LANES];
+            acc.copy_from_slice(&self.bias[o..o + LANES]);
+            for (w_in, &v) in self.weights.chunks_exact(self.stride).zip(x) {
+                for (a, &w) in acc.iter_mut().zip(&w_in[o..o + LANES]) {
+                    *a += w * v;
+                }
             }
-            *o = self.act.apply(acc);
+            // the last block may be narrower than its accumulator
+            for (d, &a) in dst.iter_mut().zip(&acc) {
+                *d = self.act.apply(a);
+            }
         }
     }
 
@@ -228,7 +272,7 @@ impl Mlp {
 
     /// Total parameter count (weights + biases).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.weights.len() + l.bias.len()).sum()
+        self.layers.iter().map(|l| (l.in_dim + 1) * l.out_dim).sum()
     }
 }
 
@@ -281,10 +325,13 @@ mod tests {
         let mut l3 = Dense::zeros(3, 2, Activation::None);
         let mut v = 0.1f32;
         for l in [&mut l1, &mut l2, &mut l3] {
-            for w in l.weights_mut() {
-                *w = v;
-                v = (v * 1.7 + 0.13) % 1.0 - 0.5;
-            }
+            let w: Vec<f32> = (0..l.in_dim() * l.out_dim())
+                .map(|_| {
+                    v = (v * 1.7 + 0.13) % 1.0 - 0.5;
+                    v
+                })
+                .collect();
+            l.import_row_major(&w);
         }
         let mlp = Mlp::new(vec![l1, l2, l3]);
         let x = [0.3, -0.7, 1.2, 0.05];

@@ -279,11 +279,10 @@ mod tests {
         }
         let w = m.density_mlp.clone();
         let mut layers = w.layers().to_vec();
-        for (i, v) in layers[0].weights_mut().iter_mut().enumerate() {
-            *v = ((i % 5) as f32 - 2.0) * 0.05;
-        }
-        for (i, v) in layers[1].weights_mut().iter_mut().enumerate() {
-            *v = ((i % 3) as f32 - 1.0) * 0.05;
+        for (layer, m) in layers.iter_mut().zip([5, 3]) {
+            let n = layer.in_dim() * layer.out_dim();
+            let w: Vec<f32> = (0..n).map(|i| ((i % m) as f32 - (m / 2) as f32) * 0.05).collect();
+            layer.import_row_major(&w);
         }
         m.density_mlp = Mlp::new(layers);
 

@@ -174,9 +174,8 @@ pub fn repetition_rates(
         let mut per_level = vec![Vec::with_capacity(samples_per_ray); levels];
         for t in tr.midpoints(samples_per_ray) {
             let p01 = model.bounds().normalize(ray.at(t));
-            for (l, lv) in per_level.iter_mut().enumerate() {
-                let (voxel, _) = model.encoder().voxel_of(p01, l);
-                lv.push(voxel);
+            for (lv, table) in per_level.iter_mut().zip(model.encoder().tables().iter()) {
+                lv.push(table.plan().voxel_of(p01).0);
             }
         }
         Some(per_level)

@@ -88,24 +88,13 @@ fn decode_quantities(
     plans: &[Vec<(usize, usize, f32)>; 4],
     p01: Vec3,
 ) -> [f32; 4] {
-    let cfg = model.encoder().config();
     let tables = model.encoder().tables();
     let mut out = [0.0f32; 4];
     for (qi, lanes) in plans.iter().enumerate() {
         for &(level, slot, w) in lanes {
-            let res = cfg.level_resolution(level);
-            let scaled = p01.clamp(0.0, 1.0) * res as f32;
-            let hi = (res - 1) as f32;
-            let bx = scaled.x.floor().min(hi).max(0.0);
-            let by = scaled.y.floor().min(hi).max(0.0);
-            let bz = scaled.z.floor().min(hi).max(0.0);
-            let tw = trilinear_weights(
-                (scaled.x - bx).clamp(0.0, 1.0),
-                (scaled.y - by).clamp(0.0, 1.0),
-                (scaled.z - bz).clamp(0.0, 1.0),
-            );
-            let (bx, by, bz) = (bx as u32, by as u32, bz as u32);
             let table = tables.table(level);
+            let ((bx, by, bz), frac) = table.plan().voxel_of(p01);
+            let tw = trilinear_weights(frac.x, frac.y, frac.z);
             for (i, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
                 out[qi] += w * tw[i] * table.lookup(bx + dx, by + dy, bz + dz)[slot];
             }
@@ -126,21 +115,10 @@ fn scatter_gradient(
     if grad == 0.0 {
         return;
     }
-    let cfg = model.encoder().config().clone();
     for &(level, slot, w) in &plans[qi] {
-        let res = cfg.level_resolution(level);
-        let scaled = p01.clamp(0.0, 1.0) * res as f32;
-        let hi = (res - 1) as f32;
-        let bx = scaled.x.floor().min(hi).max(0.0);
-        let by = scaled.y.floor().min(hi).max(0.0);
-        let bz = scaled.z.floor().min(hi).max(0.0);
-        let tw = trilinear_weights(
-            (scaled.x - bx).clamp(0.0, 1.0),
-            (scaled.y - by).clamp(0.0, 1.0),
-            (scaled.z - bz).clamp(0.0, 1.0),
-        );
-        let (bx, by, bz) = (bx as u32, by as u32, bz as u32);
         let table = model.encoder_mut().tables_mut().table_mut(level);
+        let ((bx, by, bz), frac) = table.plan().voxel_of(p01);
+        let tw = trilinear_weights(frac.x, frac.y, frac.z);
         for (i, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
             let row = table.row_of(bx + dx, by + dy, bz + dz);
             table.row_mut(row)[slot] -= lr * grad * w * tw[i];

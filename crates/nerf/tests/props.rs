@@ -1,26 +1,124 @@
 //! Property-based tests of the neural-rendering substrates.
 
+use asdr_math::interp::{trilinear_weights, CORNER_OFFSETS};
 use asdr_math::Vec3;
 use asdr_nerf::embedding::EmbeddingSet;
-use asdr_nerf::encoder::HashEncoder;
+use asdr_nerf::encoder::{HashEncoder, VertexAccess};
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::hash::{dense_index, spatial_hash};
 use asdr_nerf::mlp::{Activation, Dense, Mlp};
 use proptest::prelude::*;
 
-fn tiny_encoder_with(fill: u64) -> HashEncoder {
-    let cfg = GridConfig::tiny();
+/// Deterministic values in `[-1, 1)`.
+fn xorshift_unit(seed: u64) -> impl FnMut() -> f32 {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        ((state & 0xffff) as f32 / 32768.0) - 1.0
+    }
+}
+
+fn encoder_with(cfg: GridConfig, fill: u64) -> HashEncoder {
     let mut set = EmbeddingSet::new(&cfg);
-    let mut state = fill.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut next = xorshift_unit(fill);
     for l in 0..cfg.levels {
-        for v in set.table_mut(l).params_mut() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *v = ((state & 0xffff) as f32 / 32768.0) - 1.0;
-        }
+        set.table_mut(l).params_mut().fill_with(&mut next);
     }
     HashEncoder::new(cfg, set)
+}
+
+fn tiny_encoder_with(fill: u64) -> HashEncoder {
+    encoder_with(GridConfig::tiny(), fill)
+}
+
+/// The encoders the kernel-identity properties run against: the two shipped
+/// configurations and a four-feature one (built once; `small()` is 4 MB).
+fn oracle_encoders() -> &'static [HashEncoder] {
+    static ENCODERS: std::sync::OnceLock<Vec<HashEncoder>> = std::sync::OnceLock::new();
+    ENCODERS.get_or_init(|| {
+        let wide = GridConfig { feat_dim: 4, ..GridConfig::tiny() };
+        [GridConfig::tiny(), GridConfig::small(), wide]
+            .into_iter()
+            .zip(1..)
+            .map(|(cfg, fill)| encoder_with(cfg, fill))
+            .collect()
+    })
+}
+
+/// The encoder as it was before the level plan: resolution re-derived per
+/// level, `floor` for the cell, one `row_of` per corner, corners blended
+/// into the output in place. Kept as the scalar oracle of `encode`.
+fn encode_oracle(enc: &HashEncoder, p01: Vec3, out: &mut [f32], trace: &mut Vec<VertexAccess>) {
+    let cfg = enc.config();
+    for level in 0..cfg.levels {
+        let res = cfg.level_resolution(level);
+        let scaled = p01.clamp(0.0, 1.0) * res as f32;
+        let hi = (res - 1) as f32;
+        let bx = scaled.x.floor().min(hi).max(0.0);
+        let by = scaled.y.floor().min(hi).max(0.0);
+        let bz = scaled.z.floor().min(hi).max(0.0);
+        let w = trilinear_weights(
+            (scaled.x - bx).clamp(0.0, 1.0),
+            (scaled.y - by).clamp(0.0, 1.0),
+            (scaled.z - bz).clamp(0.0, 1.0),
+        );
+        let table = enc.tables().table(level);
+        let dst = &mut out[level * cfg.feat_dim..(level + 1) * cfg.feat_dim];
+        dst.fill(0.0);
+        for (i, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
+            let vertex = (bx as u32 + dx, by as u32 + dy, bz as u32 + dz);
+            let row = table.row_of(vertex.0, vertex.1, vertex.2);
+            trace.push(VertexAccess { level: level as u16, vertex, row });
+            for (d, &s) in dst.iter_mut().zip(table.row(row)) {
+                *d += w[i] * s;
+            }
+        }
+    }
+}
+
+/// `encode`, `encode_traced` and `vertex_accesses` against the oracle at
+/// one point, bit for bit.
+fn assert_encode_matches_oracle(enc: &HashEncoder, p: Vec3) {
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let (mut want, mut want_trace) = (vec![0.0; enc.encoded_dim()], Vec::new());
+    encode_oracle(enc, p, &mut want, &mut want_trace);
+    let mut got = vec![f32::NAN; enc.encoded_dim()];
+    enc.encode(p, &mut got);
+    assert_eq!(bits(&got), bits(&want), "encode differs from the oracle at {p:?}");
+    let (mut traced, mut trace) = (vec![f32::NAN; enc.encoded_dim()], Vec::new());
+    enc.encode_traced(p, &mut traced, &mut trace);
+    assert_eq!(bits(&traced), bits(&want), "encode_traced differs from the oracle at {p:?}");
+    assert_eq!(trace, want_trace, "traced accesses differ from the oracle at {p:?}");
+    for level in 0..enc.config().levels {
+        assert_eq!(
+            enc.vertex_accesses(p, level)[..],
+            want_trace[level * 8..(level + 1) * 8],
+            "vertex_accesses differ from the oracle at {p:?}, level {level}"
+        );
+    }
+}
+
+#[test]
+fn encode_matches_the_oracle_on_boundary_points() {
+    let edge = [-0.25, 0.0, 0.5, 1.0, 1.75];
+    for enc in oracle_encoders() {
+        for x in edge {
+            for y in edge {
+                for z in edge {
+                    assert_encode_matches_oracle(enc, Vec3::new(x, y, z));
+                }
+            }
+        }
+        // exactly on every level-0 and finest-level grid plane
+        for res in [enc.config().base_res, enc.config().max_res] {
+            for i in 0..=res {
+                let c = i as f32 / res as f32;
+                assert_encode_matches_oracle(enc, Vec3::new(c, 1.0 - c, c));
+            }
+        }
+    }
 }
 
 proptest! {
@@ -85,6 +183,56 @@ proptest! {
     }
 
     #[test]
+    fn encode_matches_the_oracle_on_random_points(
+        x in -0.2f32..1.2, y in -0.2f32..1.2, z in -0.2f32..1.2,
+    ) {
+        for enc in oracle_encoders() {
+            assert_encode_matches_oracle(enc, Vec3::new(x, y, z));
+        }
+    }
+
+    #[test]
+    fn dense_forward_matches_the_row_dot_oracle(in_dim in 1usize..65, seed in 0u64..1000) {
+        let mut next = xorshift_unit(seed);
+        let x: Vec<f32> = (0..in_dim).map(|_| next()).collect();
+        for out_dim in [1usize, 3, 15, 16, 17, 33, 64] {
+            let w: Vec<f32> = (0..in_dim * out_dim).map(|_| next()).collect();
+            let bias: Vec<f32> = (0..out_dim).map(|_| next()).collect();
+            for act in [Activation::None, Activation::Relu] {
+                let mut layer = Dense::zeros(in_dim, out_dim, act);
+                layer.import_row_major(&w);
+                layer.bias_mut().copy_from_slice(&bias);
+                prop_assert!(layer.export_row_major() == w, "export ∘ import is not the identity");
+                // the same matrix entered one weight at a time
+                let mut by_set = Dense::zeros(in_dim, out_dim, act);
+                for (i, &v) in w.iter().enumerate() {
+                    by_set.set(i / in_dim, i % in_dim, v);
+                }
+                by_set.bias_mut().copy_from_slice(&bias);
+                prop_assert!(by_set == layer, "set and import_row_major disagree");
+
+                // the oracle: one serial dot product per output row
+                let want: Vec<u32> = w
+                    .chunks_exact(in_dim)
+                    .zip(&bias)
+                    .map(|(row, &b)| {
+                        let acc = row.iter().zip(&x).fold(b, |acc, (w, v)| acc + w * v);
+                        match act {
+                            Activation::None => acc,
+                            Activation::Relu => acc.max(0.0),
+                        }
+                        .to_bits()
+                    })
+                    .collect();
+                let mut got = vec![f32::NAN; out_dim];
+                layer.forward(&x, &mut got);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert!(got == want, "{in_dim}x{out_dim} {act:?}: {got:?} vs {want:?}");
+            }
+        }
+    }
+
+    #[test]
     fn linear_mlp_is_additive(
         x1 in proptest::collection::vec(-1.0f32..1.0, 4),
         x2 in proptest::collection::vec(-1.0f32..1.0, 4),
@@ -92,7 +240,7 @@ proptest! {
     ) {
         // with Activation::None the MLP is a linear map: f(x1+x2) = f(x1)+f(x2)
         let mut layer = Dense::zeros(4, 3, Activation::None);
-        layer.weights_mut().copy_from_slice(&w);
+        layer.import_row_major(&w);
         let mlp = Mlp::new(vec![layer]);
         let sum: Vec<f32> = x1.iter().zip(&x2).map(|(a, b)| a + b).collect();
         let y12 = mlp.forward(&sum);
@@ -110,7 +258,7 @@ proptest! {
     ) {
         // ReLU outputs are within [0, Σ|w|·|x|]
         let mut layer = Dense::zeros(4, 2, Activation::Relu);
-        layer.weights_mut().copy_from_slice(&w);
+        layer.import_row_major(&w);
         let mlp = Mlp::new(vec![layer]);
         let y = mlp.forward(&x);
         let bound: f32 = w.iter().map(|v| v.abs()).sum::<f32>() * x.iter().map(|v| v.abs()).fold(0.0, f32::max);

@@ -1,0 +1,103 @@
+//! Byte-identity of the render kernels across kernel rewrites.
+//!
+//! The goldens below were recorded on the commit *before* the output-lane
+//! MLP kernel, the encoder level plan and `RayScratch` landed (PR 14's
+//! tree): any kernel change that reorders a float operation, moves a table
+//! access or changes the checkpoint layout shows up here as a different
+//! FNV-1a hash. To re-record after an intentional change, run the test and
+//! copy the "actual" side of the failure.
+
+use asdr::core::algo::{ExecPolicy, FrameEngine, RenderOptions};
+use asdr::math::Image;
+use asdr::nerf::fit::fit_ngp;
+use asdr::nerf::grid::GridConfig;
+use asdr::nerf::io::{load_model, save_model};
+use asdr::scenes::registry;
+use std::fmt::Write;
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+fn image_hash(image: &Image) -> u64 {
+    fnv1a(image.pixels().iter().flat_map(|p| [p.r, p.g, p.b]).flat_map(f32::to_le_bytes))
+}
+
+fn option_sets() -> [(&'static str, RenderOptions); 3] {
+    let mut et = RenderOptions::asdr_default(48);
+    et.early_termination = true;
+    [
+        ("instant_ngp", RenderOptions::instant_ngp(48)),
+        ("asdr_default", RenderOptions::asdr_default(48)),
+        ("asdr_default+et", et),
+    ]
+}
+
+const GOLDEN: &str = "\
+Lego instant_ngp image=7069240b85171492 rays=256 probe_rays=0 probe_points=0 density=11424 color=11424 interpolated=0 planned=12288 base=12288 et_rays=0\n\
+Lego asdr_default image=42418fef952b1f45 rays=256 probe_rays=16 probe_points=528 density=6546 color=3324 interpolated=3222 planned=6618 base=12288 et_rays=0\n\
+Lego asdr_default+et image=d8bcf4973d9938ed rays=256 probe_rays=16 probe_points=528 density=5393 color=2742 interpolated=2574 planned=6618 base=12288 et_rays=77\n\
+Mic instant_ngp image=f4cc9a18fd65a35c rays=256 probe_rays=0 probe_points=0 density=12192 color=12192 interpolated=0 planned=12288 base=12288 et_rays=0\n\
+Mic asdr_default image=1b3b250f66e40ec8 rays=256 probe_rays=16 probe_points=720 density=3012 color=1600 interpolated=1412 planned=3018 base=12288 et_rays=0\n\
+Mic asdr_default+et image=28065daee87bb1ab rays=256 probe_rays=16 probe_points=720 density=2770 color=1476 interpolated=1280 planned=3018 base=12288 et_rays=16\n\
+Mic checkpoint len=277599 bytes=e7f7f7a9ab302128\n\
+Cloud instant_ngp image=765d4a5d9c0a280a rays=256 probe_rays=0 probe_points=0 density=12240 color=12240 interpolated=0 planned=12288 base=12288 et_rays=0\n\
+Cloud asdr_default image=42ce3453c04f7373 rays=256 probe_rays=16 probe_points=720 density=5578 color=2858 interpolated=2720 planned=5581 base=12288 et_rays=0\n\
+Cloud asdr_default+et image=42ce3453c04f7373 rays=256 probe_rays=16 probe_points=720 density=5578 color=2858 interpolated=2720 planned=5581 base=12288 et_rays=0\n\
+";
+
+#[test]
+fn frames_stats_and_checkpoint_bytes_match_the_parent_commit() {
+    let mut actual = String::new();
+    for scene in ["Lego", "Mic", "Cloud"] {
+        let id = registry::handle(scene);
+        let model = fit_ngp(id.build().as_ref(), &GridConfig::tiny());
+        let cam = id.camera(16, 16);
+        for (name, opts) in option_sets() {
+            let engine = FrameEngine::new(opts, ExecPolicy::Sequential).unwrap();
+            let out = engine.render_frame(&model, &cam);
+            let s = out.stats;
+            writeln!(
+                actual,
+                "{scene} {name} image={:016x} rays={} probe_rays={} probe_points={} density={} \
+                 color={} interpolated={} planned={} base={} et_rays={}",
+                image_hash(&out.image),
+                s.rays,
+                s.probe_rays,
+                s.probe_points,
+                s.density_points,
+                s.color_points,
+                s.interpolated_points,
+                s.planned_points,
+                s.base_points,
+                s.et_terminated_rays,
+            )
+            .unwrap();
+        }
+        if scene == "Mic" {
+            // the checkpoint stores MLP weights row-major whatever the
+            // in-memory layout: its bytes, and what a reloaded model
+            // renders, must not move
+            let mut bytes = Vec::new();
+            save_model(&model, scene, &mut bytes).unwrap();
+            writeln!(
+                actual,
+                "Mic checkpoint len={} bytes={:016x}",
+                bytes.len(),
+                fnv1a(bytes.iter().copied())
+            )
+            .unwrap();
+            let reloaded = load_model(&mut bytes.as_slice()).unwrap().model;
+            let engine =
+                FrameEngine::new(RenderOptions::asdr_default(48), ExecPolicy::Sequential).unwrap();
+            assert_eq!(
+                engine.render_frame(&reloaded, &cam).image,
+                engine.render_frame(&model, &cam).image,
+                "a reloaded checkpoint renders different bytes"
+            );
+        }
+    }
+    assert_eq!(actual, GOLDEN, "kernel output moved (left: actual, right: golden)");
+}
