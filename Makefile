@@ -1,7 +1,6 @@
-# Local entry points, kept identical to .github/workflows/ci.yml and the
-# justfile (use whichever runner you have; the recipes are the same).
+# Local entry points, kept identical to .github/workflows/ci.yml.
 
-.PHONY: verify test-crates fmt fmt-check clippy check-extras bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke obs-overhead ci
+.PHONY: verify test-crates test-release fmt fmt-check clippy check-extras bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke obs-overhead ci
 
 # Tier-1 gate: what must stay green on every commit.
 verify:
@@ -11,6 +10,12 @@ verify:
 # The seven layer crates' own suites (tier-1 covers only the root package).
 test-crates:
 	cargo test --workspace --exclude asdr -q
+
+# Bit-identity of the kernels on the code generation the benchmark measures:
+# tier-1 runs these at the dev profile's opt-level 2, release is opt-level 3.
+test-release:
+	cargo test --release --test kernel_identity
+	cargo test --release -p asdr_nerf --test props
 
 fmt:
 	cargo fmt --all
@@ -88,4 +93,4 @@ obs-overhead:
 	scripts/obs_overhead_check.sh
 
 # Everything CI runs, in one shot.
-ci: fmt-check clippy verify test-crates check-extras
+ci: fmt-check clippy verify test-crates test-release check-extras

@@ -1,6 +1,8 @@
 //! Wall-clock benchmark of the multi-resolution hash encoding kernel.
 
 use asdr_math::Vec3;
+use asdr_nerf::embedding::EmbeddingSet;
+use asdr_nerf::encoder::HashEncoder;
 use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
 use asdr_scenes::registry;
@@ -23,6 +25,24 @@ fn bench_encoding(c: &mut Criterion) {
             enc.encode(black_box(points[i % points.len()]), &mut out);
             i += 1;
             black_box(&out);
+        })
+    });
+
+    // the four-feature instance of the blend (the fit only builds F = 2)
+    let wide = GridConfig { feat_dim: 4, ..GridConfig::tiny() };
+    let mut tables = EmbeddingSet::new(&wide);
+    for level in 0..wide.levels {
+        let params = tables.table_mut(level).params_mut();
+        (0..).zip(params).for_each(|(i, v)| *v = (i % 17) as f32 * 0.1 - 0.8);
+    }
+    let enc4 = HashEncoder::new(wide, tables);
+    let mut out4 = vec![0.0f32; enc4.encoded_dim()];
+    c.bench_function("encode_point_feat4", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            enc4.encode(black_box(points[i % points.len()]), &mut out4);
+            i += 1;
+            black_box(&out4);
         })
     });
 

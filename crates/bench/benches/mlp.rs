@@ -17,8 +17,21 @@ fn bench_mlp(c: &mut Criterion) {
         b.iter(|| black_box(model.query_density_into(black_box(p), &mut scratch)))
     });
 
+    // one direction throughout, as along a ray: every color query after the
+    // first resumes from the cached SH sums
     c.bench_function("density_plus_color_query", |b| {
         b.iter(|| black_box(model.query_point(black_box(p), black_box(dir), &mut scratch)))
+    });
+
+    // the once-per-ray miss: the direction changes on every query, so each
+    // recomputes the SH coefficients and their share of the first layer
+    let dirs = [dir, Vec3::new(-0.6, 0.1, 0.2).normalized()];
+    c.bench_function("color_query_new_direction", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i ^= 1;
+            black_box(model.query_color_into(black_box(dirs[i]), &mut scratch))
+        })
     });
 
     let density = model.density_mlp();
@@ -43,8 +56,9 @@ fn bench_mlp(c: &mut Criterion) {
         })
     });
 
-    // the narrow tail layer alone: three outputs, one block, a chain of 64
-    // dependent adds — the part of the color MLP wider lanes cannot help
+    // the narrow tail layer alone: three outputs in one 4-lane block, a
+    // chain of 64 dependent adds. Losing the narrow block (back to 16 lanes
+    // for three outputs) shows here as ≈ 4× the vector work
     let mut tail = Dense::zeros(64, 3, Activation::None);
     for row in 0..3 {
         for col in 0..64 {

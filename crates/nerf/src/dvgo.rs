@@ -8,11 +8,11 @@
 //! with coarse-to-fine residuals, exactly like the NGP fit but without the
 //! hash (so no aliasing artifacts and no irregular addressing).
 
-use crate::fit::SIGMA_SCALE;
-use crate::model::RadianceModel;
+use crate::fit::{eval_specular_sh, fit_specular_sh, SIGMA_SCALE};
+use crate::model::{next_model_id, DirCache, RadianceModel};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::interp::{trilinear_weights, CORNER_OFFSETS};
-use asdr_math::sh::{eval_sh4, SH_DEGREE4_COEFFS};
+use asdr_math::sh::SH_DEGREE4_COEFFS;
 use asdr_math::{Aabb, Rgb, Vec3};
 use asdr_scenes::SceneField;
 
@@ -124,7 +124,7 @@ impl DenseLevel {
 #[derive(Debug, Clone)]
 pub struct DvgoScratch {
     channels: [f32; DVGO_CHANNELS],
-    sh: [f32; SH_DEGREE4_COEFFS],
+    spec: DirCache<f32>,
 }
 
 /// A fitted DirectVoxGO-style model.
@@ -134,6 +134,7 @@ pub struct DvgoModel {
     spec_sh: [f32; SH_DEGREE4_COEFFS],
     bounds: Aabb,
     occupancy: OccupancyGrid,
+    id: u64,
 }
 
 impl DvgoModel {
@@ -181,9 +182,10 @@ impl DvgoModel {
         }
         DvgoModel {
             levels,
-            spec_sh: crate::fit::fit_specular_sh(),
+            spec_sh: fit_specular_sh(),
             bounds,
             occupancy: OccupancyGrid::build(field, OccupancyGrid::DEFAULT_RES),
+            id: next_model_id(),
         }
     }
 
@@ -208,7 +210,7 @@ impl RadianceModel for DvgoModel {
     type Scratch = DvgoScratch;
 
     fn make_query_scratch(&self) -> DvgoScratch {
-        DvgoScratch { channels: [0.0; DVGO_CHANNELS], sh: [0.0; SH_DEGREE4_COEFFS] }
+        DvgoScratch { channels: [0.0; DVGO_CHANNELS], spec: DirCache::new(0.0) }
     }
 
     fn model_bounds(&self) -> Aabb {
@@ -232,8 +234,9 @@ impl RadianceModel for DvgoModel {
     }
 
     fn color_into(&self, view_dir: Vec3, scratch: &mut DvgoScratch) -> Rgb {
-        eval_sh4(view_dir, &mut scratch.sh);
-        let spec: f32 = scratch.sh.iter().zip(&self.spec_sh).map(|(y, c)| y * c).sum();
+        let spec = *scratch.spec.get_or_fill(self.id, view_dir, |spec| {
+            *spec = eval_specular_sh(&self.spec_sh, view_dir);
+        });
         Rgb::new(scratch.channels[1] + spec, scratch.channels[2] + spec, scratch.channels[3] + spec)
             .clamp01()
     }
@@ -304,6 +307,13 @@ mod tests {
         let _ = model.density_into(p, &mut s);
         let c = model.color_into(Vec3::Z, &mut s);
         assert!(c.r > c.b, "body should be yellow-ish: {c}");
+    }
+
+    #[test]
+    fn alternating_directions_on_one_scratch_match_a_fresh_scratch() {
+        let scene = registry::handle("Chair").build();
+        let model = DvgoModel::fit(scene.as_ref(), &DvgoConfig::tiny());
+        crate::model::assert_kept_scratch_matches_fresh(&model, Vec3::new(0.0, -0.18, -0.05));
     }
 
     #[test]

@@ -35,9 +35,14 @@ impl HashEncoder {
     ///
     /// # Panics
     ///
-    /// Panics if the set's level count disagrees with the config.
+    /// Panics if the set's level count or feature width disagrees with the
+    /// config.
     pub fn new(cfg: GridConfig, tables: EmbeddingSet) -> Self {
         assert_eq!(cfg.levels, tables.levels(), "level count mismatch");
+        assert!(
+            tables.iter().all(|t| t.feat_dim() == cfg.feat_dim),
+            "feature width mismatch between config and tables"
+        );
         HashEncoder { cfg, tables }
     }
 
@@ -75,20 +80,37 @@ impl HashEncoder {
     ///
     /// Panics if `out` has the wrong length.
     pub fn encode(&self, p01: Vec3, out: &mut [f32]) {
-        self.encode_impl(p01, out, None);
+        self.encode_any_width(p01, out, None);
     }
 
     /// Like [`Self::encode`] but appends every table access to `trace`.
     pub fn encode_traced(&self, p01: Vec3, out: &mut [f32], trace: &mut Vec<VertexAccess>) {
-        self.encode_impl(p01, out, Some(trace));
+        self.encode_any_width(p01, out, Some(trace));
+    }
+
+    /// Picks the [`Self::encode_impl`] instance of the configured feature
+    /// width — one of those [`GridConfig::validate`] admits.
+    #[inline]
+    fn encode_any_width(&self, p01: Vec3, out: &mut [f32], trace: Option<&mut Vec<VertexAccess>>) {
+        match self.cfg.feat_dim {
+            1 => self.encode_impl::<1>(p01, out, trace),
+            2 => self.encode_impl::<2>(p01, out, trace),
+            4 => self.encode_impl::<4>(p01, out, trace),
+            8 => self.encode_impl::<8>(p01, out, trace),
+            f => unreachable!("feat_dim {f} passed GridConfig::validate"),
+        }
     }
 
     #[inline]
-    fn encode_impl(&self, p01: Vec3, out: &mut [f32], mut trace: Option<&mut Vec<VertexAccess>>) {
+    fn encode_impl<const F: usize>(
+        &self,
+        p01: Vec3,
+        out: &mut [f32],
+        mut trace: Option<&mut Vec<VertexAccess>>,
+    ) {
         assert_eq!(out.len(), self.encoded_dim(), "output buffer length mismatch");
-        let f = self.cfg.feat_dim;
-        let levels = self.tables.iter().zip(out.chunks_exact_mut(f));
-        for (level, (table, dst)) in levels.enumerate() {
+        let (levels, _) = out.as_chunks_mut::<F>();
+        for (level, (table, dst)) in self.tables.iter().zip(levels).enumerate() {
             // the level's geometry, resolved when the table was built
             let plan = table.plan();
             let (base, frac) = plan.voxel_of(p01);
@@ -97,16 +119,16 @@ impl HashEncoder {
             if let Some(t) = trace.as_deref_mut() {
                 t.extend(corner_accesses(level, base, rows));
             }
-            // feature-outer so each sum lives in a register; per feature the
-            // corners still add in `CORNER_OFFSETS` order from zero
-            let feats = rows.map(|row| table.row(row));
-            for (d, o) in dst.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for (feat, &wi) in feats.iter().zip(&w) {
-                    acc += wi * feat[d];
+            // each corner row is read whole, once; per feature the corners
+            // still add in `CORNER_OFFSETS` order from zero
+            let (feats, _) = table.params().as_chunks::<F>();
+            let mut acc = [0.0f32; F];
+            for (row, &wi) in rows.into_iter().zip(&w) {
+                for (a, &f) in acc.iter_mut().zip(&feats[row as usize]) {
+                    *a += wi * f;
                 }
-                *o = acc;
             }
+            *dst = acc;
         }
     }
 

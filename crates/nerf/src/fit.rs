@@ -287,6 +287,12 @@ pub fn decode_plans_for(cfg: &GridConfig) -> [Vec<(usize, usize, f32)>; 4] {
     std::array::from_fn(|i| plans[i].lanes.clone())
 }
 
+/// The specular term the fitted coefficients `spec_sh` give toward
+/// `view_dir`: `Σ yᵢ(view_dir)·cᵢ`, summed in coefficient order.
+pub(crate) fn eval_specular_sh(spec_sh: &[f32; SH_DEGREE4_COEFFS], view_dir: Vec3) -> f32 {
+    sh4(view_dir).iter().zip(spec_sh).map(|(y, c)| y * c).sum()
+}
+
 /// Least-squares projection of the global specular lobe onto the degree-4 SH
 /// basis (800 Fibonacci-sphere directions).
 pub fn fit_specular_sh() -> [f32; SH_DEGREE4_COEFFS] {

@@ -52,7 +52,8 @@ impl GridConfig {
     /// # Errors
     ///
     /// Returns `Err` if any field is degenerate (zero levels, non-power-of-
-    /// two table, resolutions out of order, …).
+    /// two table, resolutions out of order, a feature width other than 1, 2,
+    /// 4 or 8, …).
     pub fn validate(&self) -> Result<(), String> {
         if self.levels == 0 {
             return Err("levels must be >= 1".into());
@@ -66,8 +67,9 @@ impl GridConfig {
         if !self.table_size.is_power_of_two() {
             return Err(format!("table_size {} is not a power of two", self.table_size));
         }
-        if self.feat_dim == 0 {
-            return Err("feat_dim must be >= 1".into());
+        // Instant-NGP's own widths; the encoder has one instance per width
+        if ![1, 2, 4, 8].contains(&self.feat_dim) {
+            return Err(format!("feat_dim {} is not one of 1, 2, 4, 8", self.feat_dim));
         }
         Ok(())
     }

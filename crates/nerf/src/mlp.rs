@@ -32,18 +32,22 @@ impl Activation {
     }
 }
 
-/// Outputs accumulated side by side in [`Dense::forward`]: four 128-bit
-/// registers on the baseline x86-64 target. Measured, not guessed: a
-/// 32-wide block no longer stays in registers and runs 3–5× slower
+/// Outputs accumulated side by side in one block of [`Dense::forward_from`]:
+/// four 128-bit registers on the baseline x86-64 target. Measured, not
+/// guessed: a 32-wide block no longer stays in registers and runs 3–5× slower
 /// (DESIGN.md §8).
 const LANES: usize = 16;
+
+/// Block width when at most this many outputs are asked for (the 64→3 colour
+/// tail): one register instead of four, a quarter of the vector work.
+const NARROW_LANES: usize = 4;
 
 /// One dense layer `y = act(W x + b)`.
 ///
 /// Weights are stored input-major, `[in][stride]` with `stride` the output
 /// count rounded up to a whole number of [`LANES`]-wide blocks; the padding
 /// columns (and padding biases) stay zero and are never written out, so
-/// every block of [`Self::forward`] is the same fixed-width loop.
+/// every block of [`Self::forward_from`] is the same fixed-width loop.
 #[derive(Clone, PartialEq)]
 pub struct Dense {
     in_dim: usize,
@@ -142,6 +146,13 @@ impl Dense {
         self.weights[col * self.stride + row] = v;
     }
 
+    /// Length of a running-sum row ([`Self::prefix`] writes one,
+    /// [`Self::forward_from`] starts from one): the output count rounded up
+    /// to whole blocks.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// Forward pass into `out`.
     ///
     /// Every output is `bias + w₀x₀ + w₁x₁ + …` summed in input order with
@@ -152,20 +163,68 @@ impl Dense {
     ///
     /// Panics if buffer lengths mismatch.
     pub fn forward(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(x.len(), self.in_dim, "input length mismatch");
-        assert_eq!(out.len(), self.out_dim, "output length mismatch");
-        for (block, dst) in out.chunks_mut(LANES).enumerate() {
-            let o = block * LANES;
-            let mut acc = [0.0f32; LANES];
-            acc.copy_from_slice(&self.bias[o..o + LANES]);
-            for (w_in, &v) in self.weights.chunks_exact(self.stride).zip(x) {
-                for (a, &w) in acc.iter_mut().zip(&w_in[o..o + LANES]) {
+        self.forward_from(&self.bias, 0, x, out);
+    }
+
+    /// The running sums `bias + w₀x₀ + … ` after the first `x_head.len()`
+    /// inputs, before any activation: what [`Self::forward_from`] resumes
+    /// from when the head of the input repeats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x_head` is longer than the input or `sums` is not
+    /// [`Self::stride`] long.
+    pub fn prefix(&self, x_head: &[f32], sums: &mut [f32]) {
+        assert!(x_head.len() <= self.in_dim, "head longer than the input");
+        assert_eq!(sums.len(), self.stride, "running-sum row length mismatch");
+        self.accumulate::<LANES>(&self.bias, 0, x_head, Activation::None, sums);
+    }
+
+    /// Forward pass resumed after `skip` inputs: `init` holds the running
+    /// sums so far (the bias row when `skip` is 0, a [`Self::prefix`] row
+    /// otherwise) and `x_rest` the remaining inputs. The sums continue left
+    /// to right from where `init` stopped, so the result is bit-identical to
+    /// [`Self::forward`] over the whole input. `out` may ask for fewer
+    /// outputs than the layer has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if buffer lengths mismatch.
+    pub fn forward_from(&self, init: &[f32], skip: usize, x_rest: &[f32], out: &mut [f32]) {
+        assert_eq!(init.len(), self.stride, "running-sum row length mismatch");
+        assert_eq!(skip + x_rest.len(), self.in_dim, "input length mismatch");
+        assert!(out.len() <= self.out_dim, "more outputs asked for than the layer has");
+        if out.len() <= NARROW_LANES {
+            self.accumulate::<NARROW_LANES>(init, skip, x_rest, self.act, out);
+        } else {
+            self.accumulate::<LANES>(init, skip, x_rest, self.act, out);
+        }
+    }
+
+    /// The one kernel body: `out[j] = act(init[j] + Σ w[skip + i][j]·x[i])`
+    /// in blocks of `N` outputs.
+    #[inline(always)]
+    fn accumulate<const N: usize>(
+        &self,
+        init: &[f32],
+        skip: usize,
+        x: &[f32],
+        act: Activation,
+        out: &mut [f32],
+    ) {
+        let weights = &self.weights[skip * self.stride..];
+        for (block, dst) in out.chunks_mut(N).enumerate() {
+            let o = block * N;
+            let mut acc = [0.0f32; N];
+            acc.copy_from_slice(&init[o..o + N]);
+            for (w_in, &v) in weights.chunks_exact(self.stride).zip(x) {
+                for (a, &w) in acc.iter_mut().zip(&w_in[o..o + N]) {
                     *a += w * v;
                 }
             }
             // the last block may be narrower than its accumulator
             for (d, &a) in dst.iter_mut().zip(&acc) {
-                *d = self.act.apply(a);
+                *d = act.apply(a);
             }
         }
     }
@@ -229,27 +288,37 @@ impl Mlp {
     ///
     /// Panics if `x`, `out` or `scratch` have wrong lengths.
     pub fn forward_scratch(&self, x: &[f32], out: &mut [f32], scratch: &mut [f32]) {
+        self.forward_from(&self.layers[0].bias, 0, x, out, scratch);
+    }
+
+    /// [`Self::forward_scratch`] with the first layer resumed after `skip`
+    /// inputs from the running sums `init` (see [`Dense::forward_from`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any buffer has the wrong length.
+    pub(crate) fn forward_from(
+        &self,
+        init: &[f32],
+        skip: usize,
+        x_rest: &[f32],
+        out: &mut [f32],
+        scratch: &mut [f32],
+    ) {
         assert_eq!(out.len(), self.out_dim(), "output length mismatch");
         assert!(scratch.len() >= self.scratch_len * 2, "scratch too small");
-        let (a, b) = scratch.split_at_mut(self.scratch_len);
-        let n = self.layers.len();
-        if n == 1 {
-            self.layers[0].forward(x, out);
-            return;
+        let (first, rest) = self.layers.split_first().expect("an MLP has at least one layer");
+        let Some((last, hidden)) = rest.split_last() else {
+            return first.forward_from(init, skip, x_rest, out);
+        };
+        // activations ping-pong between the two halves of the scratch
+        let (mut src, mut dst) = scratch.split_at_mut(self.scratch_len);
+        first.forward_from(init, skip, x_rest, &mut src[..first.out_dim]);
+        for layer in hidden {
+            layer.forward(&src[..layer.in_dim], &mut dst[..layer.out_dim]);
+            std::mem::swap(&mut src, &mut dst);
         }
-        // first layer: x -> a
-        self.layers[0].forward(x, &mut a[..self.layers[0].out_dim]);
-        let mut cur_in_a = true;
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            let last = i == n - 1;
-            let (src, dst): (&[f32], &mut [f32]) = if cur_in_a {
-                (&a[..layer.in_dim], if last { &mut out[..] } else { &mut b[..layer.out_dim] })
-            } else {
-                (&b[..layer.in_dim], if last { &mut out[..] } else { &mut a[..layer.out_dim] })
-            };
-            layer.forward(src, dst);
-            cur_in_a = !cur_in_a;
-        }
+        last.forward(&src[..last.in_dim], out);
     }
 
     /// Forward pass with internal allocation (convenience).

@@ -14,8 +14,9 @@
 use crate::encoder::HashEncoder;
 use crate::mlp::Mlp;
 use crate::occupancy::OccupancyGrid;
-use asdr_math::sh::{eval_sh4, SH_DEGREE4_COEFFS};
+use asdr_math::sh::{sh4, SH_DEGREE4_COEFFS};
 use asdr_math::{Aabb, Rgb, Vec3};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A queryable radiance field with a decoupled density/color interface.
 ///
@@ -45,6 +46,51 @@ pub trait RadianceModel {
     fn stage_flops(&self) -> (u64, u64, u64);
 }
 
+/// A process-unique identity for a fitted model: what a [`DirCache`] is keyed
+/// on besides the direction. Never 0, so a new cache belongs to no model.
+pub(crate) fn next_model_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// What a model derives from the view direction alone, kept while the
+/// direction repeats — it is constant along a ray, so every sample after a
+/// ray's first reuses it (the software side of the paper's data reuse).
+///
+/// A hit needs the same model and the same direction bit for bit: `0.0` and
+/// `-0.0` have different SH coefficients, and a NaN never matches, itself
+/// included. A hit returns exactly what the miss stored, so caching cannot
+/// change a result.
+#[derive(Debug, Clone)]
+pub(crate) struct DirCache<V> {
+    model: u64,
+    dir: Vec3,
+    value: V,
+}
+
+impl<V> DirCache<V> {
+    /// An empty cache around the storage `value`.
+    pub(crate) fn new(value: V) -> Self {
+        DirCache { model: 0, dir: Vec3::ZERO, value }
+    }
+
+    /// The value for `dir` under model `model` (its [`next_model_id`]),
+    /// running `fill` on the stored value first unless both repeat.
+    #[inline]
+    pub(crate) fn get_or_fill(&mut self, model: u64, dir: Vec3, fill: impl FnOnce(&mut V)) -> &V {
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() && !a.is_nan();
+        let hit = self.model == model
+            && same(self.dir.x, dir.x)
+            && same(self.dir.y, dir.y)
+            && same(self.dir.z, dir.z);
+        if !hit {
+            fill(&mut self.value);
+            (self.model, self.dir) = (model, dir);
+        }
+        &self.value
+    }
+}
+
 /// Geometry-feature width handed from the density MLP to the color MLP.
 pub const GEO_FEAT_DIM: usize = 15;
 /// Density MLP output width (`1 + GEO_FEAT_DIM`).
@@ -59,7 +105,8 @@ pub const HIDDEN_DIM: usize = 64;
 pub struct Scratch {
     encoded: Vec<f32>,
     density_out: Vec<f32>,
-    color_in: Vec<f32>,
+    /// Running sums of the first color layer after its SH inputs.
+    sh_sums: DirCache<Vec<f32>>,
     color_out: Vec<f32>,
     mlp: Vec<f32>,
 }
@@ -72,6 +119,9 @@ pub struct NgpModel {
     color_mlp: Mlp,
     bounds: Aabb,
     occupancy: OccupancyGrid,
+    /// Keys [`Scratch`]'s direction cache; a clone shares it with its
+    /// (identical, immutable) color MLP.
+    id: u64,
 }
 
 impl NgpModel {
@@ -91,7 +141,7 @@ impl NgpModel {
         assert_eq!(density_mlp.out_dim(), DENSITY_OUT_DIM, "density MLP must emit 1+15");
         assert_eq!(color_mlp.in_dim(), COLOR_IN_DIM, "color MLP input mismatch");
         assert_eq!(color_mlp.out_dim(), 3, "color MLP must emit RGB");
-        NgpModel { encoder, density_mlp, color_mlp, bounds, occupancy }
+        NgpModel { encoder, density_mlp, color_mlp, bounds, occupancy, id: next_model_id() }
     }
 
     /// The occupancy grid masking empty space (see [`OccupancyGrid`]).
@@ -139,7 +189,7 @@ impl NgpModel {
         Scratch {
             encoded: vec![0.0; self.encoder.encoded_dim()],
             density_out: vec![0.0; DENSITY_OUT_DIM],
-            color_in: vec![0.0; COLOR_IN_DIM],
+            sh_sums: DirCache::new(vec![0.0; self.color_mlp.layers()[0].stride()]),
             color_out: vec![0.0; 3],
             mlp: vec![0.0; mlp_len],
         }
@@ -184,10 +234,23 @@ impl NgpModel {
 
     /// Color query using the geometry feature left in `scratch` by the last
     /// [`Self::query_density_into`] call.
+    ///
+    /// The first color layer sums its 16 SH inputs before the 15 geometry
+    /// inputs, so the sums after the SH part depend on `view_dir` alone:
+    /// they are computed once per direction and every later sample resumes
+    /// from them — same values, same order as a whole forward pass.
     pub fn query_color_into(&self, view_dir: Vec3, scratch: &mut Scratch) -> Rgb {
-        eval_sh4(view_dir, &mut scratch.color_in[..SH_DEGREE4_COEFFS]);
-        scratch.color_in[SH_DEGREE4_COEFFS..].copy_from_slice(&scratch.density_out[1..]);
-        self.color_mlp.forward_scratch(&scratch.color_in, &mut scratch.color_out, &mut scratch.mlp);
+        let first = &self.color_mlp.layers()[0];
+        let sh_sums = scratch
+            .sh_sums
+            .get_or_fill(self.id, view_dir, |sums| first.prefix(&sh4(view_dir), sums));
+        self.color_mlp.forward_from(
+            sh_sums,
+            SH_DEGREE4_COEFFS,
+            &scratch.density_out[1..],
+            &mut scratch.color_out,
+            &mut scratch.mlp,
+        );
         Rgb::new(scratch.color_out[0], scratch.color_out[1], scratch.color_out[2]).clamp01()
     }
 
@@ -229,12 +292,31 @@ impl RadianceModel for NgpModel {
     }
 }
 
+/// The direction-cache property every model pins: samples along `p + i·x̂`
+/// whose direction repeats, then changes, read bit for bit the same through
+/// one kept scratch as through a fresh scratch each time.
+#[cfg(test)]
+pub(crate) fn assert_kept_scratch_matches_fresh<M: RadianceModel>(model: &M, p: Vec3) {
+    let bits = |c: Rgb| [c.r, c.g, c.b].map(f32::to_bits);
+    let dirs = [Vec3::new(-0.5, -0.8, -0.3).normalized(), Vec3::Y];
+    let mut kept = model.make_query_scratch();
+    for i in 0..12 {
+        let (p, dir) = (p + Vec3::X * (0.01 * i as f32), dirs[(i / 2) % 2]);
+        let mut fresh = model.make_query_scratch();
+        assert_eq!(model.density_into(p, &mut kept), model.density_into(p, &mut fresh));
+        let (got, want) = (model.color_into(dir, &mut kept), model.color_into(dir, &mut fresh));
+        assert_eq!(bits(got), bits(want), "sample {i}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::embedding::EmbeddingSet;
     use crate::grid::GridConfig;
     use crate::mlp::{Activation, Dense};
+    use asdr_math::rng::seeded;
+    use rand::Rng;
 
     fn dummy_model() -> NgpModel {
         let cfg = GridConfig::tiny();
@@ -313,6 +395,94 @@ mod tests {
         m.color_mlp = Mlp::new(layers);
         let c = m.query_color(&[0.0; GEO_FEAT_DIM], Vec3::Z);
         assert_eq!(c, Rgb::new(1.0, 0.0, 0.5));
+    }
+
+    /// `dummy_model` with every MLP weight and bias drawn from `seed`.
+    fn seeded_model(seed: u64) -> NgpModel {
+        let mut m = dummy_model();
+        let mut rng = seeded("model-test", seed);
+        let mut fill = |mlp: &Mlp| {
+            let mut layers = mlp.layers().to_vec();
+            for layer in &mut layers {
+                let n = layer.in_dim() * layer.out_dim();
+                let w: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                layer.import_row_major(&w);
+                layer.bias_mut().fill_with(|| rng.gen_range(-0.5..0.5));
+            }
+            Mlp::new(layers)
+        };
+        m.density_mlp = fill(&m.density_mlp);
+        m.color_mlp = fill(&m.color_mlp);
+        m
+    }
+
+    fn geo_feat(seed: usize) -> [f32; GEO_FEAT_DIM] {
+        std::array::from_fn(|i| ((seed * 31 + i * 7) % 13) as f32 * 0.1 - 0.6)
+    }
+
+    /// The color through `scratch`, which keeps whatever direction it saw.
+    fn color_through(m: &NgpModel, geo: &[f32], dir: Vec3, scratch: &mut Scratch) -> [u32; 3] {
+        scratch.density_out[1..].copy_from_slice(geo);
+        let c = m.query_color_into(dir, scratch);
+        [c.r, c.g, c.b].map(f32::to_bits)
+    }
+
+    /// The color through a scratch that has seen nothing.
+    fn color_fresh(m: &NgpModel, geo: &[f32], dir: Vec3) -> [u32; 3] {
+        let c = m.query_color(geo, dir);
+        [c.r, c.g, c.b].map(f32::to_bits)
+    }
+
+    #[test]
+    fn alternating_directions_on_one_scratch_match_a_fresh_scratch() {
+        let mut m = seeded_model(1);
+        for l in 0..m.encoder().config().levels {
+            let params = m.encoder_mut().tables_mut().table_mut(l).params_mut();
+            (0..).zip(params).for_each(|(i, v)| *v = ((i % 7) as f32 - 3.0) * 0.1);
+        }
+        assert_kept_scratch_matches_fresh(&m, Vec3::new(0.2, -0.3, 0.4));
+    }
+
+    #[test]
+    fn a_scratch_that_crosses_models_never_returns_the_other_models_sums() {
+        let (a, b) = (seeded_model(2), seeded_model(3));
+        let (geo, dir) = (geo_feat(5), Vec3::new(0.1, 0.7, -0.7).normalized());
+        assert_ne!(color_fresh(&a, &geo, dir), color_fresh(&b, &geo, dir), "models must differ");
+        let mut s = a.make_scratch();
+        for m in [&a, &b, &b, &a, &a.clone()] {
+            assert_eq!(color_through(m, &geo, dir, &mut s), color_fresh(m, &geo, dir));
+        }
+    }
+
+    #[test]
+    fn dir_cache_hits_need_the_same_model_and_the_same_bits() {
+        let mut cache = DirCache::new(0u32);
+        let mut fills = 0;
+        let mut get = |model: u64, dir: Vec3| {
+            *cache.get_or_fill(model, dir, |v| {
+                fills += 1;
+                *v = fills;
+            })
+        };
+        assert_eq!(get(1, Vec3::ZERO), 1, "a new cache belongs to no model");
+        assert_eq!(get(1, Vec3::ZERO), 1, "same model, same direction: a hit");
+        assert_eq!(get(2, Vec3::ZERO), 2, "another model misses");
+        assert_eq!(get(2, Vec3::new(0.0, -0.0, 0.0)), 3, "-0.0 is not 0.0");
+        let nan = Vec3::new(0.0, f32::NAN, 1.0);
+        assert_eq!(get(2, nan), 4);
+        assert_eq!(get(2, nan), 5, "a NaN direction misses every time");
+        assert_eq!(get(2, Vec3::Z), 6);
+        assert_eq!(get(2, Vec3::Z), 6);
+    }
+
+    #[test]
+    fn a_nan_direction_leaves_nothing_behind() {
+        let m = seeded_model(4);
+        let (geo, dir) = (geo_feat(9), Vec3::new(0.0, 0.6, 0.8));
+        let mut s = m.make_scratch();
+        let nan = Vec3::new(f32::NAN, 0.0, 1.0);
+        assert_eq!(color_through(&m, &geo, nan, &mut s), color_fresh(&m, &geo, nan));
+        assert_eq!(color_through(&m, &geo, dir, &mut s), color_fresh(&m, &geo, dir));
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! have no closed-form fill — which also demonstrates the repo's end-to-end
 //! trainability.
 
-use crate::fit::{fit_specular_sh, SIGMA_SCALE};
-use crate::model::RadianceModel;
+use crate::fit::{eval_specular_sh, fit_specular_sh, SIGMA_SCALE};
+use crate::model::{next_model_id, DirCache, RadianceModel};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::interp::bilinear;
 use asdr_math::rng::seeded;
-use asdr_math::sh::{eval_sh4, SH_DEGREE4_COEFFS};
+use asdr_math::sh::SH_DEGREE4_COEFFS;
 use asdr_math::{Aabb, Rgb, Vec3};
 use asdr_scenes::SceneField;
 use rand::Rng;
@@ -179,11 +179,11 @@ impl VmFactor {
 }
 
 /// Query scratch for [`TensoRfModel`] (holds the diffuse color between the
-/// density and color queries plus the SH buffer).
+/// density and color queries plus the specular term of the last direction).
 #[derive(Debug, Clone)]
 pub struct TensoRfScratch {
     diffuse: [f32; 3],
-    sh: [f32; SH_DEGREE4_COEFFS],
+    spec: DirCache<f32>,
 }
 
 /// A fitted TensoRF model.
@@ -195,6 +195,7 @@ pub struct TensoRfModel {
     bounds: Aabb,
     occupancy: OccupancyGrid,
     cfg: TensoRfConfig,
+    id: u64,
 }
 
 impl TensoRfModel {
@@ -260,6 +261,7 @@ impl TensoRfModel {
             bounds,
             occupancy,
             cfg: cfg.clone(),
+            id: next_model_id(),
         }
     }
 
@@ -291,7 +293,7 @@ impl RadianceModel for TensoRfModel {
     type Scratch = TensoRfScratch;
 
     fn make_query_scratch(&self) -> TensoRfScratch {
-        TensoRfScratch { diffuse: [0.0; 3], sh: [0.0; SH_DEGREE4_COEFFS] }
+        TensoRfScratch { diffuse: [0.0; 3], spec: DirCache::new(0.0) }
     }
 
     fn model_bounds(&self) -> Aabb {
@@ -310,8 +312,9 @@ impl RadianceModel for TensoRfModel {
     }
 
     fn color_into(&self, view_dir: Vec3, scratch: &mut TensoRfScratch) -> Rgb {
-        eval_sh4(view_dir, &mut scratch.sh);
-        let spec: f32 = scratch.sh.iter().zip(&self.spec_sh).map(|(y, c)| y * c).sum();
+        let spec = *scratch.spec.get_or_fill(self.id, view_dir, |spec| {
+            *spec = eval_specular_sh(&self.spec_sh, view_dir);
+        });
         Rgb::new(scratch.diffuse[0] + spec, scratch.diffuse[1] + spec, scratch.diffuse[2] + spec)
             .clamp01()
     }
@@ -392,6 +395,13 @@ mod tests {
         let c1 = model.color_into(toward_light, &mut s);
         let c2 = model.color_into(away, &mut s);
         assert!(c1.luminance() > c2.luminance(), "specular should brighten {c1} vs {c2}");
+    }
+
+    #[test]
+    fn alternating_directions_on_one_scratch_match_a_fresh_scratch() {
+        let scene = registry::handle("Chair").build();
+        let model = TensoRfModel::fit(scene.as_ref(), &TensoRfConfig::tiny(), 0);
+        crate::model::assert_kept_scratch_matches_fresh(&model, Vec3::new(0.0, -0.1, 0.0));
     }
 
     #[test]

@@ -34,12 +34,13 @@ fn tiny_encoder_with(fill: u64) -> HashEncoder {
 }
 
 /// The encoders the kernel-identity properties run against: the two shipped
-/// configurations and a four-feature one (built once; `small()` is 4 MB).
+/// configurations and every other feature width `GridConfig::validate`
+/// admits (built once; `small()` is 4 MB).
 fn oracle_encoders() -> &'static [HashEncoder] {
     static ENCODERS: std::sync::OnceLock<Vec<HashEncoder>> = std::sync::OnceLock::new();
     ENCODERS.get_or_init(|| {
-        let wide = GridConfig { feat_dim: 4, ..GridConfig::tiny() };
-        [GridConfig::tiny(), GridConfig::small(), wide]
+        let width = |feat_dim| GridConfig { feat_dim, ..GridConfig::tiny() };
+        [GridConfig::tiny(), GridConfig::small(), width(1), width(4), width(8)]
             .into_iter()
             .zip(1..)
             .map(|(cfg, fill)| encoder_with(cfg, fill))
@@ -97,6 +98,16 @@ fn assert_encode_matches_oracle(enc: &HashEncoder, p: Vec3) {
             want_trace[level * 8..(level + 1) * 8],
             "vertex_accesses differ from the oracle at {p:?}, level {level}"
         );
+    }
+}
+
+#[test]
+fn the_encoder_has_an_instance_for_every_width_validate_admits() {
+    let widths: Vec<usize> = oracle_encoders().iter().map(|e| e.config().feat_dim).collect();
+    for feat_dim in 0..=9 {
+        let admitted = GridConfig { feat_dim, ..GridConfig::tiny() }.validate().is_ok();
+        assert_eq!(admitted, [1, 2, 4, 8].contains(&feat_dim), "feat_dim {feat_dim}");
+        assert_eq!(admitted, widths.contains(&feat_dim), "feat_dim {feat_dim} has no oracle run");
     }
 }
 
@@ -195,7 +206,7 @@ proptest! {
     fn dense_forward_matches_the_row_dot_oracle(in_dim in 1usize..65, seed in 0u64..1000) {
         let mut next = xorshift_unit(seed);
         let x: Vec<f32> = (0..in_dim).map(|_| next()).collect();
-        for out_dim in [1usize, 3, 15, 16, 17, 33, 64] {
+        for out_dim in [1usize, 3, 4, 5, 15, 16, 17, 33, 64] {
             let w: Vec<f32> = (0..in_dim * out_dim).map(|_| next()).collect();
             let bias: Vec<f32> = (0..out_dim).map(|_| next()).collect();
             for act in [Activation::None, Activation::Relu] {
@@ -224,10 +235,25 @@ proptest! {
                         .to_bits()
                     })
                     .collect();
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
                 let mut got = vec![f32::NAN; out_dim];
                 layer.forward(&x, &mut got);
-                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                prop_assert!(got == want, "{in_dim}x{out_dim} {act:?}: {got:?} vs {want:?}");
+                prop_assert!(bits(&got) == want, "{in_dim}x{out_dim} {act:?}: {got:?} vs {want:?}");
+
+                // stopped after any head and resumed, for the whole layer or
+                // for fewer outputs than it has (which picks the block width)
+                let mut sums = vec![f32::NAN; layer.stride()];
+                for k in 0..=in_dim {
+                    layer.prefix(&x[..k], &mut sums);
+                    for ask in [out_dim, out_dim.min(4), out_dim.min(5), 1] {
+                        let mut got = vec![f32::NAN; ask];
+                        layer.forward_from(&sums, k, &x[k..], &mut got);
+                        prop_assert!(
+                            bits(&got) == want[..ask],
+                            "{in_dim}x{out_dim} {act:?} split at {k}, {ask} outputs: {got:?} vs {want:?}"
+                        );
+                    }
+                }
             }
         }
     }
