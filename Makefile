@@ -1,6 +1,6 @@
 # Local entry points, kept identical to .github/workflows/ci.yml.
 
-.PHONY: verify test-crates test-release fmt fmt-check clippy check-extras bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke obs-overhead ci
+.PHONY: verify test-crates test-release fmt fmt-check clippy check-extras bench-build bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke obs-overhead ci
 
 # Tier-1 gate: what must stay green on every commit.
 verify:
@@ -30,6 +30,14 @@ clippy:
 # and examples can never silently rot.
 check-extras:
 	cargo build --workspace --benches --examples
+
+# Compile the stand-alone benchmark package (its own workspace, which no
+# other recipe builds) with the build line of benchmark/run.sh, so a changed
+# asdr_core signature fails here and not in the acceptance run.
+bench-build:
+	CARGO_TARGET_DIR=target/bench-build cargo build --release --offline \
+		--manifest-path benchmark/Cargo.toml \
+		-p asdr_benchmark -p asdr_cluster --bin asdr-benchmark --bin asdr-shardd
 
 # A fast taste of the wall-clock benchmarks.
 bench-smoke:
@@ -93,4 +101,4 @@ obs-overhead:
 	scripts/obs_overhead_check.sh
 
 # Everything CI runs, in one shot.
-ci: fmt-check clippy verify test-crates test-release check-extras
+ci: fmt-check clippy verify test-crates test-release check-extras bench-build

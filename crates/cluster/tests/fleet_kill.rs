@@ -30,8 +30,15 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];
-const REQUESTS: usize = 9;
+/// Sixteen requests a scene, and a scene has one home shard: whichever
+/// shard holds the most holds at least sixteen (thirty-two on today's ring,
+/// which homes two scenes together). Its worker answers three to seven of
+/// them before the client has seen the first reply and counted, so the
+/// kill always finds more than [`MIN_HELD`] unanswered.
+const REQUESTS: usize = 48;
 const RESOLUTION: u32 = 32;
+/// Unanswered requests the victim must hold at the kill.
+const MIN_HELD: usize = 10;
 
 fn blank_model(grid: &GridConfig) -> NgpModel {
     let encoder = HashEncoder::new(grid.clone(), EmbeddingSet::new(grid));
@@ -94,7 +101,7 @@ fn spawn_shardd(id: usize, sock: &Path, store: &Path, bundles: &Path) -> (Child,
             "--workers",
             "1",
             "--queue",
-            "16",
+            &REQUESTS.to_string(), // one shard can be home to every scene
             "--shard-id",
             &id.to_string(),
             "--store-dir",
@@ -163,26 +170,36 @@ fn killing_a_shard_mid_workload_loses_no_requests_and_no_bytes() {
         requests().into_iter().map(|req| fleet.submit(req).expect("fleet admits")).collect();
 
     // SIGKILL the shard holding the most queued work — no drain, no
-    // goodbye. At most one of its requests can have completed by now
-    // (single worker, ~hundreds of ms per render), so at least one must
-    // fail over.
+    // goodbye — on a condition, not a clock: when its first reply has
+    // arrived. Every request was acknowledged at submit, so the victim has
+    // admitted (and recorded spans for) all it holds, and its single worker
+    // is mid-workload with the rest still queued.
     let mut per_shard = [0usize; 3];
     for t in &tickets {
         per_shard[t.shard()] += 1;
     }
     let victim = (0..3).max_by_key(|&s| per_shard[s]).unwrap();
-    assert!(per_shard[victim] >= 2, "ticket spread {per_shard:?} leaves nothing to fail over");
-    // Let the victim admit (and so record spans for) its queued requests
-    // before dying — a single worker holds them for hundreds of ms, so
-    // this still kills mid-workload.
-    std::thread::sleep(Duration::from_millis(100));
+    let first = tickets.iter().position(|t| t.shard() == victim).unwrap();
+    let first_reply = tickets[first].wait().expect("the victim's first reply");
+    let answered = fleet.stats().shards[victim].serve.requests as usize;
+    let held = per_shard[victim].saturating_sub(answered);
+    assert!(
+        held >= MIN_HELD,
+        "the victim holds {held} unanswered requests of {per_shard:?} after {answered} replies: \
+         too few to fail over, raise REQUESTS or RESOLUTION"
+    );
     children[victim].kill().expect("SIGKILL the victim shard");
     children[victim].wait().expect("reap the victim");
 
     // Every request still completes, and every frame is byte-identical
     // to the single-process reference.
+    let mut first_reply = Some(first_reply);
     for (i, ticket) in tickets.iter().enumerate() {
-        let result = ticket.wait().unwrap_or_else(|e| panic!("request {i} lost: {e}"));
+        // a ticket yields its result once, and `first` already has
+        let result = match first_reply.take_if(|_| i == first) {
+            Some(result) => result,
+            None => ticket.wait().unwrap_or_else(|e| panic!("request {i} lost: {e}")),
+        };
         assert!(!result.images.is_empty(), "request {i} returned no frames");
         assert_eq!(
             image_bits(&result.images),

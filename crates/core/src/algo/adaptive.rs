@@ -85,6 +85,17 @@ impl AdaptiveConfig {
 /// Panics if the config fails validation against `base_ns`.
 pub fn choose_count(points: &[SamplePoint], cfg: &AdaptiveConfig, base_ns: usize) -> usize {
     cfg.validate(base_ns).expect("invalid adaptive config");
+    choose_count_validated(points, cfg, base_ns)
+}
+
+/// [`choose_count`] for a config the caller has already validated against
+/// `base_ns` (`FrameEngine::new` does, once per session): the per-probe-ray
+/// body, with no check and so no panic path of its own.
+pub(crate) fn choose_count_validated(
+    points: &[SamplePoint],
+    cfg: &AdaptiveConfig,
+    base_ns: usize,
+) -> usize {
     if points.is_empty() {
         return cfg.ladder.first().copied().unwrap_or(base_ns);
     }

@@ -15,7 +15,7 @@
 //! execution policies, sample-plan reuse, multi-frame sequences — lives in
 //! [`crate::algo::engine::FrameEngine`].
 
-use crate::algo::adaptive::{choose_count, AdaptiveConfig, SamplePlan};
+use crate::algo::adaptive::{choose_count_validated, AdaptiveConfig, SamplePlan};
 use crate::algo::approx::interpolate_followers;
 use crate::algo::engine::{ExecPolicy, FrameEngine, PhaseTimings};
 use crate::algo::volrend::{SamplePoint, EARLY_TERM_TRANSMITTANCE};
@@ -164,35 +164,25 @@ pub fn render<M: RadianceModel + Sync>(
         .render_frame(model, cam)
 }
 
-/// Phase I: probes the sparse pixel grid and derives the sample plan,
-/// charging probe work to `stats` (no-op plan when adaptivity is off).
-pub(crate) fn probe_plan<M: RadianceModel>(
+/// Phase I, one cell of the probe grid: fully evaluates the probe ray of
+/// cell `(jx, jy)` and returns its chosen sample count plus the sample
+/// points it cost. Cells are independent, so the engine may probe them on
+/// any thread in any order; `acfg` is the engine's validated config.
+pub(crate) fn probe_cell<M: RadianceModel>(
     model: &M,
     cam: &Camera,
-    opts: &RenderOptions,
-    stats: &mut RenderStats,
-) -> SamplePlan {
-    let Some(acfg) = &opts.adaptive else {
-        return SamplePlan::uniform(cam.width(), cam.height(), opts.base_ns);
-    };
-    let mut scratch = model.make_query_scratch();
-    let mut rays = RayScratch::default();
+    acfg: &AdaptiveConfig,
+    base_ns: usize,
+    (jx, jy): (u32, u32),
+    scratch: &mut M::Scratch,
+    rays: &mut RayScratch,
+) -> (u32, u64) {
     let d = acfg.probe_stride;
-    let gx = cam.width().div_ceil(d);
-    let gy = cam.height().div_ceil(d);
-    let mut probe_counts = vec![vec![opts.base_ns as u32; gx as usize]; gy as usize];
-    for jy in 0..gy {
-        for jx in 0..gx {
-            let px = (jx * d).min(cam.width() - 1);
-            let py = (jy * d).min(cam.height() - 1);
-            let ray = cam.ray_for_pixel(px, py);
-            let pts = evaluate_full_ray(model, &ray, opts.base_ns, &mut scratch, &mut rays);
-            stats.probe_rays += 1;
-            stats.probe_points += pts.len() as u64;
-            probe_counts[jy as usize][jx as usize] = choose_count(pts, acfg, opts.base_ns) as u32;
-        }
-    }
-    SamplePlan::from_probes(cam.width(), cam.height(), opts.base_ns, d, &probe_counts)
+    let px = (jx * d).min(cam.width() - 1);
+    let py = (jy * d).min(cam.height() - 1);
+    let ray = cam.ray_for_pixel(px, py);
+    let pts = evaluate_full_ray(model, &ray, base_ns, scratch, rays);
+    (choose_count_validated(pts, acfg, base_ns) as u32, pts.len() as u64)
 }
 
 /// One worker's per-ray sample buffers, kept beside the model's query

@@ -8,10 +8,11 @@
 //! copy the "actual" side of the failure.
 
 use asdr::core::algo::{ExecPolicy, FrameEngine, RenderOptions};
-use asdr::math::Image;
+use asdr::math::{Camera, Image};
 use asdr::nerf::fit::fit_ngp;
 use asdr::nerf::grid::GridConfig;
 use asdr::nerf::io::{load_model, save_model};
+use asdr::nerf::NgpModel;
 use asdr::scenes::registry;
 use std::fmt::Write;
 
@@ -48,6 +49,40 @@ Cloud asdr_default image=42ce3453c04f7373 rays=256 probe_rays=16 probe_points=72
 Cloud asdr_default+et image=42ce3453c04f7373 rays=256 probe_rays=16 probe_points=720 density=5578 color=2858 interpolated=2720 planned=5581 base=12288 et_rays=0\n\
 ";
 
+/// One golden row per option set: `scene` rendered under `policy` on
+/// `workers` threads.
+fn frame_rows(
+    scene: &str,
+    model: &NgpModel,
+    cam: &Camera,
+    policy: ExecPolicy,
+    workers: usize,
+) -> String {
+    let mut rows = String::new();
+    for (name, opts) in option_sets() {
+        let engine = FrameEngine::new(opts, policy).unwrap().with_workers(workers);
+        let out = engine.render_frame(model, cam);
+        let s = out.stats;
+        writeln!(
+            rows,
+            "{scene} {name} image={:016x} rays={} probe_rays={} probe_points={} density={} \
+             color={} interpolated={} planned={} base={} et_rays={}",
+            image_hash(&out.image),
+            s.rays,
+            s.probe_rays,
+            s.probe_points,
+            s.density_points,
+            s.color_points,
+            s.interpolated_points,
+            s.planned_points,
+            s.base_points,
+            s.et_terminated_rays,
+        )
+        .unwrap();
+    }
+    rows
+}
+
 #[test]
 fn frames_stats_and_checkpoint_bytes_match_the_parent_commit() {
     let mut actual = String::new();
@@ -55,27 +90,7 @@ fn frames_stats_and_checkpoint_bytes_match_the_parent_commit() {
         let id = registry::handle(scene);
         let model = fit_ngp(id.build().as_ref(), &GridConfig::tiny());
         let cam = id.camera(16, 16);
-        for (name, opts) in option_sets() {
-            let engine = FrameEngine::new(opts, ExecPolicy::Sequential).unwrap();
-            let out = engine.render_frame(&model, &cam);
-            let s = out.stats;
-            writeln!(
-                actual,
-                "{scene} {name} image={:016x} rays={} probe_rays={} probe_points={} density={} \
-                 color={} interpolated={} planned={} base={} et_rays={}",
-                image_hash(&out.image),
-                s.rays,
-                s.probe_rays,
-                s.probe_points,
-                s.density_points,
-                s.color_points,
-                s.interpolated_points,
-                s.planned_points,
-                s.base_points,
-                s.et_terminated_rays,
-            )
-            .unwrap();
-        }
+        actual += &frame_rows(scene, &model, &cam, ExecPolicy::Sequential, 1);
         if scene == "Mic" {
             // the checkpoint stores MLP weights row-major whatever the
             // in-memory layout: its bytes, and what a reloaded model
@@ -100,4 +115,26 @@ fn frames_stats_and_checkpoint_bytes_match_the_parent_commit() {
         }
     }
     assert_eq!(actual, GOLDEN, "kernel output moved (left: actual, right: golden)");
+}
+
+/// The same nine frames on threads — both phases fanned out, tiles claimed
+/// largest first — against the same recorded text. `make test-release`
+/// runs this on the opt-level-3 code the benchmark measures.
+#[test]
+fn threaded_policies_render_the_recorded_goldens() {
+    let golden: String =
+        GOLDEN.lines().filter(|l| !l.contains(" checkpoint ")).map(|l| format!("{l}\n")).collect();
+    let policies = [(ExecPolicy::TileStealing { tile_size: 8 }, 2), (ExecPolicy::StaticRows, 3)];
+    let mut actual = policies.map(|_| String::new());
+    for scene in ["Lego", "Mic", "Cloud"] {
+        let id = registry::handle(scene);
+        let model = fit_ngp(id.build().as_ref(), &GridConfig::tiny());
+        let cam = id.camera(16, 16);
+        for (&(policy, workers), rows) in policies.iter().zip(&mut actual) {
+            *rows += &frame_rows(scene, &model, &cam, policy, workers);
+        }
+    }
+    for ((policy, workers), rows) in policies.iter().zip(&actual) {
+        assert_eq!(*rows, golden, "{policy:?} × {workers} moved (left: actual, right: golden)");
+    }
 }
