@@ -7,9 +7,11 @@ verify:
 	cargo build --release
 	cargo test -q
 
-# The seven layer crates' own suites (tier-1 covers only the root package).
+# The layer crates' own suites (tier-1 covers only the root package).
+# --no-fail-fast: cargo otherwise stops at the first failing package and
+# hides every suite after it.
 test-crates:
-	cargo test --workspace --exclude asdr -q
+	cargo test --workspace --exclude asdr -q --no-fail-fast
 
 # Bit-identity of the kernels on the code generation the benchmark measures:
 # tier-1 runs these at the dev profile's opt-level 2, release is opt-level 3.
@@ -63,18 +65,17 @@ serve-smoke:
 	grep '"fits": 0' target/serve-stats.json
 
 # Replay the bundled clustered workload over 2 shards sharing one store
-# dir, cold then warm, pinning zero duplicate fits (what the nightly
-# cluster-smoke job runs).
+# dir, cold then warm, pinning zero duplicate fits — once over in-process
+# shards and once over spawned asdr-shardd daemons, one flag apart — then
+# once with the autoscaler and a cost budget driving remote shards (what
+# the nightly cluster-smoke job runs).
 cluster-smoke:
-	rm -rf target/cluster-store
+	scripts/cluster_smoke.sh --shards 2
+	scripts/cluster_smoke.sh --remote spawn:2
 	cargo run --release -p asdr_cluster --bin asdr-cluster -- \
-		--workload scripts/cluster-workload-tiny.jsonl --scale tiny --shards 2 \
-		--store-dir target/cluster-store --out target/cluster-stats-cold.json
-	grep '"total_fits": 3' target/cluster-stats-cold.json
-	cargo run --release -p asdr_cluster --bin asdr-cluster -- \
-		--workload scripts/cluster-workload-tiny.jsonl --scale tiny --shards 2 \
-		--store-dir target/cluster-store --out target/cluster-stats.json
-	grep '"total_fits": 0' target/cluster-stats.json
+		--workload scripts/cluster-workload-tiny.jsonl --scale tiny --remote spawn:2 \
+		--autoscale 1:2 --budget-ms 200 \
+		--store-dir target/cluster-store --out target/cluster-stats-autoscaled.json
 
 # Generate, sample, and replay a 120s synthetic diurnal trace, asserting
 # the sampled replay runs in < 10% of the full wall-clock with the full

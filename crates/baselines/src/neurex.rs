@@ -139,7 +139,7 @@ pub fn quantize_model_features(model: &NgpModel, bits: u32) -> NgpModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asdr_core::algo::{render_reference, ExecPolicy, FrameEngine, RenderOptions, RenderOutput};
+    use asdr_core::algo::{ExecPolicy, FrameEngine, RenderOptions, RenderOutput};
     use asdr_math::metrics::psnr;
     use asdr_nerf::fit::fit_ngp;
     use asdr_nerf::grid::GridConfig;
@@ -170,13 +170,14 @@ mod tests {
     #[test]
     fn quantized_model_loses_a_little_quality() {
         let (model, cam) = setup();
-        let reference = render_reference(&model, &cam, 48);
+        let fixed = RenderOptions::instant_ngp(48);
+        let reference = render(&model, &cam, &fixed).image;
         let nq = quantize_model_features(&model, 8);
-        let img8 = render_reference(&nq, &cam, 48);
+        let img8 = render(&nq, &cam, &fixed).image;
         let p8 = psnr(&img8, &reference);
         assert!(p8 > 30.0, "8-bit grid should be near-lossless: {p8}");
         let n4 = quantize_model_features(&model, 4);
-        let img4 = render_reference(&n4, &cam, 48);
+        let img4 = render(&n4, &cam, &fixed).image;
         let p4 = psnr(&img4, &reference);
         assert!(p4 < p8, "4-bit must hurt more: {p4} vs {p8}");
     }

@@ -41,7 +41,6 @@ pub fn render_renerf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asdr_core::algo::render_reference;
     use asdr_math::metrics::psnr;
     use asdr_nerf::fit::fit_ngp;
     use asdr_nerf::grid::GridConfig;
@@ -54,7 +53,10 @@ mod tests {
         let scene = registry::handle("Lego").build();
         let model = fit_ngp(&scene, &GridConfig::tiny());
         let cam = registry::handle("Lego").camera(24, 24);
-        let reference = render_reference(&model, &cam, 64);
+        let reference = FrameEngine::new(RenderOptions::instant_ngp(64), ExecPolicy::default())
+            .unwrap()
+            .render_frame(&model, &cam)
+            .image;
 
         let renerf = render_renerf(&model, &cam, 64, 2);
         let p_naive = psnr(&renerf.image, &reference);

@@ -1,20 +1,14 @@
-//! Wall-clock benchmarks of the cluster layer: routing-decision cost
-//! (the pure overhead the router adds to every submit), cost-model
-//! bookkeeping, the wire codec (the per-message tax every remote hop
-//! pays), and a warm mixed-scene burst through a 2-shard cluster
-//! (queue + router + budget admission + worker pools) to set against the
-//! single-service `serve_burst` number.
-//!
-//! Fits happen once in setup; the benches measure steady-state serving.
+//! Wall-clock benchmarks of the cluster layer's kernels: routing-decision
+//! cost (the pure overhead the router adds to every submit), cost-model
+//! bookkeeping, and the wire codec (the per-message tax every remote hop
+//! pays). The fleet end to end is `fleet_mix` in `benchmark/`.
 
 use asdr_cluster::wire::{Message, WireRequest, WireResult};
-use asdr_cluster::{CostModel, HashRing, ShardRouter};
+use asdr_cluster::{CostModel, HashRing};
 use asdr_math::image::Image;
 use asdr_nerf::grid::GridConfig;
-use asdr_scenes::registry;
-use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest};
+use asdr_serve::{Priority, RenderProfile};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::path::PathBuf;
 
 fn warm_profile() -> RenderProfile {
     RenderProfile { grid: GridConfig::tiny(), base_ns: 48, default_resolution: 24 }
@@ -96,47 +90,5 @@ fn bench_wire(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_warm_burst(c: &mut Criterion) {
-    let profile = warm_profile();
-    let scenes = [registry::handle("Mic"), registry::handle("Lego")];
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("asdr_cluster_bench_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let store = ModelStore::builder().dir(&dir).build();
-        for s in &scenes {
-            store.get_or_fit(s, &profile.grid); // pay the fits in setup
-        }
-    }
-    let cluster = ShardRouter::builder(profile)
-        .shards(2)
-        .workers(1)
-        .store_dir(&dir)
-        .build()
-        .expect("valid cluster configuration");
-    let mut g = c.benchmark_group("cluster_burst_2shard_24x24");
-    g.sample_size(10);
-    g.bench_function("warm_6req", |b| {
-        b.iter(|| {
-            let tickets: Vec<_> = scenes
-                .iter()
-                .flat_map(|s| {
-                    [
-                        RenderRequest::frame(s.clone(), 24).with_priority(Priority::High),
-                        RenderRequest::sequence(s.clone(), 24, 2),
-                        RenderRequest::frame(s.clone(), 24).with_priority(Priority::Low),
-                    ]
-                })
-                .map(|r| cluster.submit(r).expect("budget open"))
-                .collect();
-            for t in &tickets {
-                black_box(t.wait().expect("request completed"));
-            }
-        })
-    });
-    g.finish();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-criterion_group!(benches, bench_routing, bench_wire, bench_warm_burst);
+criterion_group!(benches, bench_routing, bench_wire);
 criterion_main!(benches);

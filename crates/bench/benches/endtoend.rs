@@ -3,7 +3,7 @@
 //! measurably faster in pure software too (this is the Fig. 24 effect, here
 //! measured rather than modelled).
 
-use asdr_core::algo::{render, RenderOptions};
+use asdr_core::algo::{ExecPolicy, FrameEngine, RenderOptions};
 use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
 use asdr_scenes::registry;
@@ -15,11 +15,14 @@ fn bench_endtoend(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("frame_32x32");
     g.sample_size(10);
+    let engine = |opts| FrameEngine::new(opts, ExecPolicy::default()).expect("valid options");
+    let fixed = engine(RenderOptions::instant_ngp(48));
     g.bench_function("instant_ngp_fixed48", |b| {
-        b.iter(|| black_box(render(&model, &cam, &RenderOptions::instant_ngp(48))))
+        b.iter(|| black_box(fixed.render_frame(&model, &cam)))
     });
+    let asdr = engine(RenderOptions::asdr_default(48));
     g.bench_function("asdr_adaptive_plus_decoupled", |b| {
-        b.iter(|| black_box(render(&model, &cam, &RenderOptions::asdr_default(48))))
+        b.iter(|| black_box(asdr.render_frame(&model, &cam)))
     });
     g.finish();
 }

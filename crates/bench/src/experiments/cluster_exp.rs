@@ -5,8 +5,8 @@
 //! story, throughput claims need a multi-worker, contention-aware
 //! harness).
 //!
-//! Both runs replay the identical workload through a 2-shard
-//! [`ShardRouter`] warmed from one checkpoint directory: per wave, every
+//! Both runs replay the identical workload through a [`Fleet`] of two
+//! in-process shards warmed from one checkpoint directory: per wave, every
 //! scene submits a burst of deadlined frames, with the deadline calibrated
 //! to 2.5× a measured warm single-frame latency — so a 1-worker shard
 //! serving a whole burst serially *must* miss its tail. The fixed run
@@ -19,7 +19,7 @@
 //! asserts the reduction.)
 
 use crate::{fmt_x, print_header, print_row, Harness};
-use asdr_cluster::{AutoscalerConfig, ShardRouter};
+use asdr_cluster::{AutoscalerConfig, Fleet, FleetConfig, LocalShards};
 use asdr_scenes::SceneHandle;
 use asdr_serve::{ModelStore, RenderProfile, RenderRequest};
 use std::path::PathBuf;
@@ -93,7 +93,7 @@ fn wave(scenes: &[SceneHandle], resolution: u32, deadline: Duration) -> Vec<Rend
         .collect()
 }
 
-fn replay(cluster: &ShardRouter, scenes: &[SceneHandle], resolution: u32, deadline: Duration) {
+fn replay(cluster: &Fleet, scenes: &[SceneHandle], resolution: u32, deadline: Duration) {
     for _ in 0..WAVES {
         let tickets: Vec<_> = wave(scenes, resolution, deadline)
             .into_iter()
@@ -129,10 +129,15 @@ pub fn run_cluster(h: &mut Harness, scenes: &[SceneHandle]) -> ClusterReport {
         }
     }
 
+    // two single-worker shards over that directory: where the fixed run
+    // stays and the autoscaled run starts
+    let warm_shards =
+        LocalShards { store: ModelStore::builder().dir(&dir), ..LocalShards::new(profile.clone()) };
+
     // calibrate the deadline against a measured warm single-frame latency
     let single_ms = {
-        let calib =
-            ShardRouter::builder(profile.clone()).shards(1).store_dir(&dir).build().unwrap();
+        let shard = LocalShards { shards: 1, ..warm_shards.clone() }.build().unwrap();
+        let calib = Fleet::new(shard, &profile, FleetConfig::default()).unwrap();
         let t0 = Instant::now();
         calib
             .submit(RenderRequest::frame(scenes[0].clone(), resolution))
@@ -155,13 +160,10 @@ pub fn run_cluster(h: &mut Harness, scenes: &[SceneHandle]) -> ClusterReport {
     };
     let mut cost_error = 0.0;
     let mut run = |autoscale: bool| -> ClusterRun {
-        let mut builder = ShardRouter::builder(profile.clone()).shards(2).store_dir(&dir);
-        builder = if autoscale {
-            builder.autoscale(scaler.clone())
-        } else {
-            builder.workers(scaler.workers_min)
-        };
-        let cluster = builder.build().expect("valid cluster configuration");
+        let shards = warm_shards.build().expect("valid render profile");
+        let cfg =
+            FleetConfig { autoscale: autoscale.then(|| scaler.clone()), ..FleetConfig::default() };
+        let cluster = Fleet::new(shards, &profile, cfg).expect("valid cluster configuration");
         let t0 = Instant::now();
         replay(&cluster, scenes, resolution, deadline);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -9,7 +9,7 @@
 use crate::{print_header, print_row, Harness};
 use asdr_baselines::neurex::quantize_model_features;
 use asdr_cim::XbarGeometry;
-use asdr_core::algo::render_reference;
+use asdr_core::algo::{ExecPolicy, FrameEngine, RenderOptions};
 use asdr_math::metrics::psnr;
 use asdr_math::rng::seeded;
 use asdr_scenes::SceneHandle;
@@ -29,11 +29,13 @@ pub fn run_feature_bits(h: &mut Harness, id: &SceneHandle, bits: &[u32]) -> Vec<
     let base_ns = h.scale().base_ns();
     let model = h.model(id);
     let cam = h.camera(id);
-    let reference = render_reference(&*model, &cam, base_ns);
+    let fixed = FrameEngine::new(RenderOptions::instant_ngp(base_ns), ExecPolicy::default())
+        .expect("a harness scale's sample count is valid");
+    let reference = fixed.render_frame(&*model, &cam).image;
     bits.iter()
         .map(|&b| {
             let q = quantize_model_features(&model, b);
-            let img = render_reference(&q, &cam, base_ns);
+            let img = fixed.render_frame(&q, &cam).image;
             FeatureBitsPoint { bits: b, fidelity_db: psnr(&img, &reference) }
         })
         .collect()

@@ -24,8 +24,8 @@
 //! controller only accumulates counters. The decision logic is a pure
 //! function of the fed counters (no clocks, no threads), so the unit
 //! tests below pin grow/shrink/hysteresis deterministically; the live
-//! loop in [`crate::router`] merely feeds it real [`ServeStats`] and
-//! applies the verdicts via `RenderService::set_workers`.
+//! loop in [`crate::fleet`] merely feeds it real [`ServeStats`] and
+//! applies the verdicts via [`Shard::set_workers`](crate::Shard::set_workers).
 //!
 //! [`ServeStats`]: asdr_serve::ServeStats
 

@@ -1,14 +1,21 @@
-//! `asdr-cluster` — replays a workload trace through a sharded
-//! [`ShardRouter`] cluster and reports cluster statistics.
+//! `asdr-cluster` — replays a workload trace through a [`Fleet`] and
+//! reports cluster statistics.
 //!
 //! ```text
 //! asdr-cluster (--workload FILE | --trace FILE | --synthetic SPEC)
-//!              [--shards N] [--scale tiny|small|paper]
-//!              [--workers N | --autoscale MIN:MAX] [--budget-ms X]
+//!              [--shards N | --remote (spawn:N | ADDR[,ADDR...])]
+//!              [--scale tiny|small|paper]
+//!              [--workers N | --autoscale MIN:MAX] [--budget-ms X] [--hedge-ms X]
 //!              [--store-dir DIR | --no-store] [--queue N]
 //!              [--speed X] [--record PATH]
 //!              [--out STATS.json] [--dump-images DIR] [--bundle DIR]
 //! ```
+//!
+//! The shards are `--shards N` [`LocalShard`](asdr_cluster::LocalShard)s in
+//! this process, or — with `--remote` — `asdr-shardd` daemons: `spawn:N`
+//! launches N on Unix sockets, a comma-separated list attaches to running
+//! ones. Everything after that choice is one path: the same router,
+//! budget, autoscaler and hedging serve either kind.
 //!
 //! With `--bundle DIR` the process writes its own diagnostic run bundle
 //! to `DIR/cluster` (config snapshot, span capture, periodic stats
@@ -23,43 +30,44 @@
 //! admitted request as a binary trace. The process waits for every
 //! ticket, prints a per-request table (including which shard served it)
 //! plus a machine-readable `TRACE_RESULT` line, and writes the
-//! [`ClusterStats`] JSON to `--out` — the artifact the nightly
-//! `cluster-smoke` job uploads and greps for zero duplicate fits
-//! (`"total_fits"` equals the workload's distinct scene count cold, zero
-//! warm).
+//! [`ClusterStats`](asdr_cluster::ClusterStats) JSON to `--out` — the
+//! artifact the nightly `cluster-smoke` job uploads and greps for zero
+//! duplicate fits (`"total_fits"` equals the workload's distinct scene
+//! count cold, zero warm).
 
-use asdr_cluster::remote::{FleetConfig, RemoteFleet};
-use asdr_cluster::{AutoscalerConfig, ShardAddr, ShardRouter};
-use asdr_serve::flags::{self, die, positive_usize, value, ReplayFlags};
-use asdr_serve::RenderProfile;
-use std::path::PathBuf;
-use std::time::Duration;
+use asdr_cluster::{AutoscalerConfig, Fleet, FleetConfig, LocalShards, ShardAddr};
+use asdr_serve::flags::{
+    self, die, positive_usize, value, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags,
+};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
+#[derive(Default)]
 struct Args {
     replay: ReplayFlags,
-    profile: RenderProfile,
-    scale: String,
-    shards: usize,
-    workers: usize,
+    output: OutputFlags,
+    service: ServiceFlags,
+    shards: Option<usize>,
     autoscale: Option<(usize, usize)>,
     budget_ms: Option<f64>,
-    store_dir: Option<PathBuf>,
-    no_store: bool,
-    queue: usize,
     remote: Option<String>,
     hedge_ms: Option<f64>,
-    out: Option<PathBuf>,
-    dump_images: Option<PathBuf>,
-    bundle: Option<PathBuf>,
+}
+
+impl Args {
+    /// Workers per shard, before any autoscaling.
+    fn workers(&self) -> usize {
+        self.service.workers.unwrap_or(1)
+    }
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: asdr-cluster (--workload FILE | --trace FILE | --synthetic SPEC)\n\
-         \u{20}                   [--shards N] [--scale tiny|small|paper]\n\
-         \u{20}                   [--workers N | --autoscale MIN:MAX] [--budget-ms X]\n\
+         \u{20}                   [--shards N | --remote (spawn:N | ADDR[,ADDR...])]\n\
+         \u{20}                   [--scale tiny|small|paper]\n\
+         \u{20}                   [--workers N | --autoscale MIN:MAX] [--budget-ms X] [--hedge-ms X]\n\
          \u{20}                   [--store-dir DIR | --no-store] [--queue N]\n\
-         \u{20}                   [--remote (spawn:N | ADDR[,ADDR...])] [--hedge-ms X]\n\
          \u{20}                   [--speed X] [--record PATH]\n\
          \u{20}                   [--out STATS.json] [--dump-images DIR] [--bundle DIR]\n\
          \n\
@@ -72,36 +80,18 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        replay: ReplayFlags::default(),
-        profile: RenderProfile::tiny(),
-        scale: "tiny".to_string(),
-        shards: 2,
-        workers: 1,
-        autoscale: None,
-        budget_ms: None,
-        store_dir: None,
-        no_store: false,
-        queue: 64,
-        remote: None,
-        hedge_ms: None,
-        out: None,
-        dump_images: None,
-        bundle: None,
-    };
+    let mut args = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
-        if !args.replay.accept(&argv, &mut i) {
+        let known = args.replay.accept(&argv, &mut i)
+            || args.output.accept(&argv, &mut i)
+            || args.service.accept(&argv, &mut i);
+        if !known {
             match argv[i].as_str() {
-                "--scale" => {
-                    let name = value(&argv, &mut i);
-                    args.profile = RenderProfile::parse(&name)
-                        .unwrap_or_else(|| die(&format!("unknown scale {name:?}")));
-                    args.scale = name.to_ascii_lowercase();
+                "--shards" => {
+                    args.shards = Some(positive_usize("--shards", &value(&argv, &mut i)));
                 }
-                "--shards" => args.shards = positive_usize("--shards", &value(&argv, &mut i)),
-                "--workers" => args.workers = positive_usize("--workers", &value(&argv, &mut i)),
                 "--autoscale" => {
                     let spec = value(&argv, &mut i);
                     let (min, max) = spec
@@ -116,16 +106,10 @@ fn parse_args() -> Args {
                     args.budget_ms =
                         Some(flags::positive_f64("--budget-ms", &value(&argv, &mut i)));
                 }
-                "--store-dir" => args.store_dir = Some(PathBuf::from(value(&argv, &mut i))),
-                "--no-store" => args.no_store = true,
-                "--queue" => args.queue = positive_usize("--queue", &value(&argv, &mut i)),
                 "--remote" => args.remote = Some(value(&argv, &mut i)),
                 "--hedge-ms" => {
                     args.hedge_ms = Some(flags::positive_f64("--hedge-ms", &value(&argv, &mut i)));
                 }
-                "--out" => args.out = Some(PathBuf::from(value(&argv, &mut i))),
-                "--dump-images" => args.dump_images = Some(PathBuf::from(value(&argv, &mut i))),
-                "--bundle" => args.bundle = Some(PathBuf::from(value(&argv, &mut i))),
                 "-h" | "--help" => usage(),
                 other => die(&format!("unknown argument {other:?} (see --help)")),
             }
@@ -135,21 +119,12 @@ fn parse_args() -> Args {
     if args.replay.input.is_none() {
         usage();
     }
-    if args.no_store && args.store_dir.is_some() {
-        die("--no-store and --store-dir are mutually exclusive");
-    }
-    if args.remote.is_none() && args.hedge_ms.is_some() {
-        die("--hedge-ms only applies to --remote fleets");
-    }
-    if args.remote.is_some() && (args.autoscale.is_some() || args.budget_ms.is_some()) {
-        die("--autoscale/--budget-ms apply to in-process shards, not --remote fleets");
-    }
     args
 }
 
 /// Launches `n` local `asdr-shardd` processes (the binary next to this
 /// one) on Unix sockets in a fresh temp dir, waiting for each to accept.
-fn spawn_shardds(n: usize, args: &Args) -> (Vec<std::process::Child>, Vec<ShardAddr>) {
+fn spawn_shardds(n: usize, args: &Args) -> (Vec<Child>, Vec<ShardAddr>) {
     let exe = std::env::current_exe()
         .ok()
         .and_then(|p| p.parent().map(|d| d.join("asdr-shardd")))
@@ -161,41 +136,40 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<std::process::Child>, Vec<ShardA
     let mut addrs = Vec::with_capacity(n);
     for i in 0..n {
         let sock = dir.join(format!("shard{i}.sock"));
-        let addr = ShardAddr::Unix(sock.clone());
-        let mut cmd = std::process::Command::new(&exe);
+        let mut cmd = Command::new(&exe);
         cmd.arg("--listen")
             .arg(format!("unix:{}", sock.display()))
             .arg("--scale")
-            .arg(&args.scale)
+            .arg(&args.service.scale)
             .arg("--workers")
-            .arg(args.workers.to_string())
+            .arg(args.workers().to_string())
             .arg("--queue")
-            .arg(args.queue.to_string())
+            .arg(args.service.queue.to_string())
             .arg("--shard-id")
             .arg(i.to_string())
-            .stdout(std::process::Stdio::null());
-        if let Some(bundle_root) = &args.bundle {
+            .stdout(Stdio::null());
+        if let Some(bundle_root) = &args.output.bundle {
             // each daemon gets its own bundle dir under the shared root,
             // which is what the merged report walks
             cmd.arg("--bundle").arg(bundle_root.join(format!("shard{i}")));
         }
-        if let Some(store) = &args.store_dir {
+        if let Some(store) = &args.service.store_dir {
             cmd.arg("--store-dir").arg(store);
-        } else if args.no_store {
+        } else if args.service.no_store {
             cmd.arg("--no-store");
         }
         let child =
             cmd.spawn().unwrap_or_else(|e| die(&format!("cannot spawn {}: {e}", exe.display())));
         children.push(child);
-        addrs.push(addr);
+        addrs.push(ShardAddr::Unix(sock));
     }
     // readiness: a successful connect means the daemon is accepting
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let deadline = Instant::now() + Duration::from_secs(20);
     for addr in &addrs {
         loop {
             match addr.connect() {
                 Ok(_) => break,
-                Err(_) if std::time::Instant::now() < deadline => {
+                Err(_) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(25));
                 }
                 Err(e) => {
@@ -212,253 +186,104 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<std::process::Child>, Vec<ShardA
     (children, addrs)
 }
 
-/// Replays the workload against a remote shardd fleet.
-fn run_remote(
-    args: &Args,
-    bundle: Option<&std::sync::Arc<asdr_obs::Bundle>>,
-    spec: &str,
-    source: &mut dyn asdr_serve::TraceSource,
-    input_name: &str,
-) {
-    let (mut children, addrs) = match spec.strip_prefix("spawn:") {
+/// Builds the fleet the flags describe — local shards or remote ones —
+/// returning the daemons it spawned and a description for the banner.
+fn build_fleet(args: &Args) -> (Fleet, Vec<Child>, String) {
+    let profile = &args.service.profile;
+    let cfg = FleetConfig {
+        hedge_after: match args.hedge_ms {
+            Some(ms) => Some(Duration::from_secs_f64(ms / 1e3)),
+            None => FleetConfig::default().hedge_after,
+        },
+        budget_ms: args.budget_ms.unwrap_or(f64::INFINITY),
+        autoscale: args.autoscale.map(|(workers_min, workers_max)| AutoscalerConfig {
+            workers_min,
+            workers_max,
+            ..AutoscalerConfig::default()
+        }),
+        ..FleetConfig::default()
+    };
+    let Some(spec) = &args.remote else {
+        let shards = LocalShards {
+            shards: args.shards.unwrap_or(2),
+            workers: args.workers(),
+            queue_capacity: args.service.queue,
+            store: args.service.store(),
+            ..LocalShards::new(profile.clone())
+        };
+        let shards = shards.build().unwrap_or_else(|e| die(&e));
+        let fleet = Fleet::new(shards, profile, cfg).unwrap_or_else(|e| die(&e));
+        return (fleet, Vec::new(), "in-process".to_string());
+    };
+    let (children, addrs) = match spec.strip_prefix("spawn:") {
         Some(n) => spawn_shardds(positive_usize("--remote spawn", n), args),
         None => {
-            let addrs: Vec<ShardAddr> = spec
+            let addrs = spec
                 .split(',')
                 .map(|s| ShardAddr::parse(s.trim()).unwrap_or_else(|e| die(&e)))
                 .collect();
             (Vec::new(), addrs)
         }
     };
-    let mut cfg = FleetConfig::default();
-    if let Some(ms) = args.hedge_ms {
-        cfg.hedge_after = Some(Duration::from_secs_f64(ms / 1e3));
-    }
-    let fleet =
-        RemoteFleet::connect(addrs.clone(), args.profile.clone(), cfg).unwrap_or_else(|e| die(&e));
-    println!(
-        "# asdr-cluster: {} requests over {} remote shards ({}), store {}",
-        source.len_hint().map_or_else(|| "streamed".to_string(), |n| n.to_string()),
-        fleet.shards(),
-        addrs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(", "),
-        args.store_dir.as_ref().map_or("in-memory".to_string(), |d| d.display().to_string()),
-    );
-
-    let driver = args.replay.driver(args.profile.clone());
-    if let Some(b) = bundle {
-        b.stage("replaying");
-    }
-    let replay = driver.run(source, &fleet).unwrap_or_else(|e| die(&format!("{input_name}: {e}")));
-    if replay.requests.is_empty() {
-        die("trace holds no requests");
-    }
-
-    let mut measurements = flags::ReplayMeasurements::default();
-    let mut last_sample = std::time::Instant::now();
-    println!("| req | scene | shard | frames | queue ms | latency ms | deadline |");
-    println!("|---|---|---|---|---|---|---|");
-    for req in &replay.requests {
-        let r = req
-            .ticket
-            .wait()
-            .unwrap_or_else(|e| die(&format!("request {} ({}): {e}", req.index, req.scene)));
-        println!(
-            "| {} | {} | {} | {} | {:.1} | {:.1} | {} |",
-            req.index,
-            req.scene,
-            req.ticket.shard(),
-            r.images.len(),
-            r.queue_wait_us as f64 / 1e3,
-            r.latency_us as f64 / 1e3,
-            match r.deadline_met {
-                Some(true) => "met",
-                Some(false) => "MISSED",
-                None => "-",
-            },
-        );
-        measurements.push(req.window, req.deadlined, r.deadline_met == Some(false), r.images.len());
-        if let Some(dir) = &args.dump_images {
-            flags::dump_frames(dir, req.index, &r.images);
-        }
-        if let Some(b) = bundle {
-            if last_sample.elapsed() >= Duration::from_secs(1) {
-                last_sample = std::time::Instant::now();
-                b.stats_sample("replay", &fleet.stats().to_json());
-            }
-        }
-    }
-    let wall = replay.started.elapsed();
-
-    if let Some(b) = bundle {
-        b.stage("shutdown");
-    }
-    let stats = fleet.shutdown();
-    println!(
-        "\n{} requests, {} frames over {} remote shards ({} home, {} spilled)",
-        stats.requests(),
-        stats.frames(),
-        stats.shards.len(),
-        stats.routed_home,
-        stats.spilled,
-    );
-    let fl = &stats.fleet;
-    println!(
-        "fleet: {} evictions, {} rejoins, {} hedges ({} won, {} cancelled), {} failovers, {} re-warms",
-        fl.evictions, fl.rejoins, fl.hedges, fl.hedge_wins, fl.hedge_cancels, fl.failovers, fl.rewarms,
-    );
-    for s in &stats.shards {
-        println!(
-            "shard {}: {} workers, {} req, {:.2} fps, p50 {:.1} ms / p95 {:.1} ms, {} fits, {} disk hits",
-            s.shard,
-            s.workers,
-            s.serve.requests,
-            s.serve.throughput_fps,
-            s.serve.p50_latency_ms,
-            s.serve.p95_latency_ms,
-            s.serve.store.fits,
-            s.serve.store.disk_hits,
-        );
-    }
-    println!(
-        "{}",
-        measurements.trace_result_line(wall, replay.plan.as_ref()).unwrap_or_else(|e| die(&e))
-    );
-    if let Some(out) = &args.out {
-        if let Some(parent) = out.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(out, stats.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-        println!("stats written to {}", out.display());
-    }
-    if let Some(b) = bundle {
-        b.finish(Some(&stats.to_json()));
-    }
-    // spawned daemons were asked to drain by fleet.shutdown(); give each a
-    // moment to exit on its own before forcing the issue
-    for child in &mut children {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-            }
-        }
-    }
+    let listed = addrs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(", ");
+    let fleet = Fleet::connect(addrs, profile.clone(), cfg).unwrap_or_else(|e| die(&e));
+    (fleet, children, listed)
 }
 
 fn main() {
     let args = parse_args();
-    let bundle = args.bundle.as_ref().map(|root| {
+    let bundle = args.output.bundle.as_ref().map(|root| {
         let config = [
-            ("scale", args.scale.clone()),
-            ("shards", args.shards.to_string()),
-            ("workers", args.workers.to_string()),
+            ("scale", args.service.scale.clone()),
+            ("shards", args.shards.unwrap_or(2).to_string()),
+            ("workers", args.workers().to_string()),
             ("remote", args.remote.clone().unwrap_or_else(|| "in-process".to_string())),
         ];
-        let b = asdr_obs::Bundle::create(&root.join("cluster"), "cluster", &config)
-            .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", root.display())));
-        b.activate();
-        b
+        flags::open_bundle(&root.join("cluster"), "cluster", &config)
     });
     let input = args.replay.input.clone().expect("checked in parse_args");
     let mut source = input.open().unwrap_or_else(|e| die(&e));
     if source.len_hint() == Some(0) {
         die("workload file holds no requests");
     }
-    if let Some(spec) = args.remote.clone() {
-        run_remote(&args, bundle.as_ref(), &spec, source.as_mut(), &input.describe());
-        return;
-    }
-
-    let mut builder =
-        ShardRouter::builder(args.profile.clone()).shards(args.shards).queue_capacity(args.queue);
-    if let Some(dir) = &args.store_dir {
-        builder = builder.store_dir(dir);
-    } else if args.no_store {
-        builder = builder.in_memory_stores();
-    }
-    if let Some(ms) = args.budget_ms {
-        builder = builder.budget_ms(ms);
-    }
-    builder = match args.autoscale {
-        Some((min, max)) => builder.autoscale(AutoscalerConfig {
-            workers_min: min,
-            workers_max: max,
-            ..AutoscalerConfig::default()
-        }),
-        None => builder.workers(args.workers),
-    };
-    let cluster = builder.build().unwrap_or_else(|e| die(&e));
+    let (fleet, mut children, listed) = build_fleet(&args);
     println!(
-        "# asdr-cluster: {} requests over {} shards ({}), store {}",
+        "# asdr-cluster: {} requests over {} shards ({listed}; {}), store {}",
         source.len_hint().map_or_else(|| "streamed".to_string(), |n| n.to_string()),
-        cluster.shards(),
+        fleet.shards(),
         match args.autoscale {
             Some((min, max)) => format!("autoscale {min}:{max} workers/shard"),
-            None => format!("{} workers/shard", args.workers),
+            None => format!("{} workers/shard", args.workers()),
         },
-        args.store_dir.as_ref().map_or("in-memory".to_string(), |d| d.display().to_string()),
+        args.service.store_label(),
     );
 
-    let driver = args.replay.driver(args.profile.clone());
+    let driver = args.replay.driver(args.service.profile.clone());
     if let Some(b) = &bundle {
         b.stage("replaying");
     }
-    let replay = driver
-        .run(source.as_mut(), &cluster)
-        .unwrap_or_else(|e| die(&format!("{}: {e}", input.describe())));
+    let replay = driver.run(source.as_mut(), &fleet);
+    let replay = replay.unwrap_or_else(|e| die(&format!("{}: {e}", input.describe())));
     if replay.requests.is_empty() {
         die("trace holds no requests");
     }
 
-    let mut measurements = flags::ReplayMeasurements::default();
-    let mut last_sample = std::time::Instant::now();
-    println!("| req | scene | shard | frames | queue ms | latency ms | deadline |");
-    println!("|---|---|---|---|---|---|---|");
+    let mut report = ReplayReport::begin(&args.output, bundle.as_deref(), "shard");
     for req in &replay.requests {
         let r = req
             .ticket
             .wait()
             .unwrap_or_else(|e| die(&format!("request {} ({}): {e}", req.index, req.scene)));
-        println!(
-            "| {} | {} | {} | {} | {:.1} | {:.1} | {} |",
-            req.index,
-            req.scene,
-            req.ticket.shard(),
-            r.images.len(),
-            r.queue_wait.as_secs_f64() * 1e3,
-            r.latency.as_secs_f64() * 1e3,
-            match r.deadline_met {
-                Some(true) => "met",
-                Some(false) => "MISSED",
-                None => "-",
-            },
-        );
-        measurements.push(req.window, req.deadlined, r.deadline_met == Some(false), r.images.len());
-        if let Some(dir) = &args.dump_images {
-            flags::dump_frames(dir, req.index, &r.images);
-        }
-        if let Some(b) = &bundle {
-            if last_sample.elapsed() >= Duration::from_secs(1) {
-                last_sample = std::time::Instant::now();
-                b.stats_sample("replay", &cluster.stats().to_json());
-            }
-        }
+        let waits_ms = (r.queue_wait_us as f64 / 1e3, r.latency_us as f64 / 1e3);
+        report.row(req, &req.ticket.shard(), &r.images, waits_ms, r.deadline_met);
+        report.sample(|| fleet.stats().to_json());
     }
     let wall = replay.started.elapsed();
 
     if let Some(b) = &bundle {
         b.stage("shutdown");
     }
-    let stats = cluster.shutdown();
+    let stats = fleet.shutdown();
     println!(
         "\n{} requests, {} frames over {} shards ({} home, {} spilled, {} rejected)",
         stats.requests(),
@@ -467,6 +292,11 @@ fn main() {
         stats.routed_home,
         stats.spilled,
         stats.rejected,
+    );
+    let fl = &stats.fleet;
+    println!(
+        "fleet: {} evictions, {} rejoins, {} hedges ({} won, {} cancelled), {} failovers, {} re-warms",
+        fl.evictions, fl.rejoins, fl.hedges, fl.hedge_wins, fl.hedge_cancels, fl.failovers, fl.rewarms,
     );
     for s in &stats.shards {
         println!(
@@ -497,33 +327,35 @@ fn main() {
             stats.miss_rate() * 100.0
         );
     }
-    if !stats.scale_events.is_empty() {
-        println!("scaling: {} events", stats.scale_events.len());
-        for e in &stats.scale_events {
-            println!(
-                "  t+{} ms shard {}: {} -> {} workers ({}, window miss rate {:.0}%)",
-                e.at_ms,
-                e.shard,
-                e.from,
-                e.to,
-                e.reason.as_str(),
-                e.miss_rate * 100.0
-            );
-        }
+    for e in &stats.scale_events {
+        println!(
+            "scaling: t+{} ms shard {}: {} -> {} workers ({}, window miss rate {:.0}%)",
+            e.at_ms,
+            e.shard,
+            e.from,
+            e.to,
+            e.reason.as_str(),
+            e.miss_rate * 100.0
+        );
     }
-    println!(
-        "{}",
-        measurements.trace_result_line(wall, replay.plan.as_ref()).unwrap_or_else(|e| die(&e))
-    );
-    if let Some(out) = &args.out {
-        if let Some(parent) = out.parent() {
-            let _ = std::fs::create_dir_all(parent);
+    report.finish(wall, replay.plan.as_ref(), &stats.to_json());
+
+    // spawned daemons were asked to drain by fleet.shutdown(); give each a
+    // moment to exit on its own before forcing the issue
+    for child in &mut children {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+                _ => {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    break;
+                }
+            }
         }
-        std::fs::write(out, stats.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-        println!("stats written to {}", out.display());
-    }
-    if let Some(b) = &bundle {
-        b.finish(Some(&stats.to_json()));
     }
 }

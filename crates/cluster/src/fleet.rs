@@ -1,0 +1,917 @@
+//! The router: [`Fleet`], over [`Shard`]s it never looks behind.
+//!
+//! Requests are consistent-hashed by scene over the *live* shard set
+//! ([`HashRing`]) and admitted by **predicted cost**, not request count:
+//! the home shard takes the request while its outstanding predicted
+//! milliseconds stay under [`FleetConfig::budget_ms`]; otherwise it spills
+//! to the least-loaded live shard, and only when every one is over budget
+//! or full does the fleet refuse ([`FleetError::Busy`]). A reservation is
+//! taken at submit and released when the shard reports the request
+//! terminal ([`Done`]) — result, failure or lost connection — whether or
+//! not anyone has waited on the ticket, so a driver that submits a whole
+//! trace before waiting on any of it can never wedge the budget shut.
+//!
+//! Around that one admission path, whichever backend serves:
+//!
+//! * **failure detection** — a health thread probes every shard each
+//!   interval; [`FleetConfig::health_misses`] consecutive misses evict
+//!   the shard from the ring ([`HashRing::without`]), and a later
+//!   successful probe rejoins it. Connection errors on the submit or
+//!   wait path evict immediately — a refused connect is better evidence
+//!   than a timer.
+//! * **hedging** — when a request has waited longer than
+//!   [`FleetConfig::hedge_after`], a duplicate is submitted to another
+//!   live shard. First response wins; the loser's reply is cancelled
+//!   shard-side and the race is counted in [`FleetStats`]. Requests are
+//!   deterministic, so the winner's frames are byte-identical either way.
+//! * **failover** — in-flight requests on a shard that dies are
+//!   resubmitted, which is what makes the kill −9 acceptance test pass:
+//!   the run completes with zero wrong bytes and the failure is visible
+//!   only in the counters.
+//! * **re-warm** — when the ring changes (eviction or rejoin), every
+//!   scene this fleet has routed whose home moved gets a prewarm on its
+//!   new home, pulling the model from the shared checkpoint directory
+//!   before traffic lands there.
+//! * **autoscaling** — with [`FleetConfig::autoscale`] set, a control
+//!   thread feeds each shard's deadline counters and outstanding
+//!   predicted cost to a [`ShardController`] and applies its verdicts
+//!   through [`Shard::set_workers`].
+
+use crate::autoscale::{AutoscalerConfig, ScaleEvent, ShardController};
+use crate::net::ShardAddr;
+use crate::remote::RemoteShard;
+use crate::ring::HashRing;
+use crate::shard::{Done, Shard, ShardError, ShardTicket};
+use crate::stats::{ClusterStats, FleetStats, ShardStats};
+use crate::wire::{WireResult, WireStats};
+use crate::CostModel;
+use asdr_obs::{Counter, Scope, TraceId};
+use asdr_serve::trace::replay::{ReplayTarget, SubmitOutcome};
+use asdr_serve::{RenderProfile, RenderRequest};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Tuning for the fleet.
+#[derive(Debug, Clone)]
+pub struct FleetConfig {
+    /// Pooled connections per shard ([`Fleet::connect`]).
+    pub connections_per_shard: usize,
+    /// Health-probe period.
+    pub health_interval: Duration,
+    /// Per-probe reply deadline.
+    pub health_timeout: Duration,
+    /// Consecutive misses before a shard is evicted from the ring.
+    pub health_misses: u32,
+    /// Hedge a request to a replica after this long without a result
+    /// (`None` disables hedging).
+    pub hedge_after: Option<Duration>,
+    /// Admission-decision deadline per submit attempt.
+    pub admit_timeout: Duration,
+    /// Per-shard predicted-cost admission budget, milliseconds. An idle
+    /// shard always admits one request regardless (a single request larger
+    /// than the budget must still be servable).
+    pub budget_ms: f64,
+    /// Turns the autoscaling control loop on; every shard starts at
+    /// [`AutoscalerConfig::workers_min`].
+    pub autoscale: Option<AutoscalerConfig>,
+}
+
+impl Default for FleetConfig {
+    fn default() -> Self {
+        FleetConfig {
+            connections_per_shard: 2,
+            health_interval: Duration::from_millis(250),
+            health_timeout: Duration::from_millis(1000),
+            health_misses: 3,
+            hedge_after: Some(Duration::from_millis(2000)),
+            admit_timeout: Duration::from_secs(10),
+            budget_ms: f64::INFINITY,
+            autoscale: None,
+        }
+    }
+}
+
+/// Why the fleet refused a submission.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FleetError {
+    /// Every live shard is momentarily full or over its cost budget;
+    /// retry after a completion.
+    Busy,
+    /// The request can never be admitted (no live shards, or every shard
+    /// refused it outright).
+    Fatal(String),
+}
+
+impl fmt::Display for FleetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetError::Busy => f.write_str("every live shard is full"),
+            FleetError::Fatal(why) => f.write_str(why),
+        }
+    }
+}
+
+/// Interruptible sleep for the control loops: shutdown must not wait out a
+/// full sampling interval (a 60 s interval would stall every drop by a
+/// minute).
+#[derive(Default)]
+struct Stop {
+    stopped: Mutex<bool>,
+    cond: Condvar,
+}
+
+impl Stop {
+    /// Sleeps for `interval` or until stopped; returns whether stopped.
+    fn wait_interval(&self, interval: Duration) -> bool {
+        let stopped = self.stopped.lock().unwrap();
+        *self.cond.wait_timeout_while(stopped, interval, |stopped| !*stopped).unwrap().0
+    }
+
+    fn stop(&self) {
+        *self.stopped.lock().unwrap() = true;
+        self.cond.notify_all();
+    }
+}
+
+/// One shard's admitted-but-unfinished work, in predicted milliseconds.
+#[derive(Debug, Default)]
+struct Load {
+    outstanding_ms: f64,
+    in_flight: usize,
+    spilled_in: u64,
+}
+
+/// The admission book: the cost model, every shard's [`Load`], and the
+/// completion pulse [`Fleet::wait_capacity`] parks on. Kept apart from the
+/// shards so a [`Reservation`] parked inside one holds no reference back
+/// to it.
+struct Book {
+    cost: CostModel,
+    budget_ms: f64,
+    loads: Vec<Mutex<Load>>,
+    completions: Mutex<u64>,
+    completed: Condvar,
+}
+
+impl Book {
+    /// Reserves `predicted_ms` of `shard`'s budget for `req`, or `None`
+    /// when that would exceed it. The returned [`Done`] is the
+    /// reservation: calling it teaches the cost model the actual service
+    /// time, and calling or dropping it releases the budget.
+    fn reserve(
+        self: &Arc<Self>,
+        shard: usize,
+        req: &RenderRequest,
+        predicted_ms: f64,
+    ) -> Option<Done> {
+        {
+            let mut load = self.loads[shard].lock().unwrap();
+            // an idle shard always admits; otherwise the predicted cost
+            // must fit the budget
+            if load.in_flight > 0 && load.outstanding_ms + predicted_ms > self.budget_ms {
+                return None;
+            }
+            load.outstanding_ms += predicted_ms;
+            load.in_flight += 1;
+        }
+        let reservation = Reservation { book: self.clone(), shard, predicted_ms };
+        let (scene, resolution, frames) =
+            (req.scene.name().to_string(), req.resolution, req.frames);
+        Some(Box::new(move |service_ms| {
+            if let Some(ms) = service_ms {
+                reservation.book.cost.observe(&scene, resolution, frames, ms);
+            }
+        }))
+    }
+
+    fn outstanding_ms(&self, shard: usize) -> f64 {
+        self.loads[shard].lock().unwrap().outstanding_ms
+    }
+
+    /// Waits until some reservation is released or `timeout` passes —
+    /// completions are the only events that free queue slots or budget.
+    fn wait_release(&self, timeout: Duration) {
+        let count = self.completions.lock().unwrap();
+        let seen = *count;
+        drop(self.completed.wait_timeout_while(count, timeout, |count| *count == seen).unwrap());
+    }
+}
+
+/// A claim on one shard's budget, released on drop.
+struct Reservation {
+    book: Arc<Book>,
+    shard: usize,
+    predicted_ms: f64,
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        {
+            let mut load = self.book.loads[self.shard].lock().unwrap();
+            load.in_flight -= 1;
+            // an empty book must read exactly idle, or float residue keeps
+            // the autoscaler's busy signal (and the budget) from clearing
+            load.outstanding_ms = match load.in_flight {
+                0 => 0.0,
+                _ => (load.outstanding_ms - self.predicted_ms).max(0.0),
+            };
+        }
+        *self.book.completions.lock().unwrap() += 1;
+        self.book.completed.notify_all();
+    }
+}
+
+struct FleetShard {
+    shard: Arc<dyn Shard>,
+    live: AtomicBool,
+    last_stats: Mutex<Option<WireStats>>,
+}
+
+/// Routing and failure counters, registry-backed under a unique
+/// `fleet.N.` scope so two fleets in one process (tests) never share.
+struct FleetCounters {
+    routed_home: Arc<Counter>,
+    spilled: Arc<Counter>,
+    rejected: Arc<Counter>,
+    evictions: Arc<Counter>,
+    rejoins: Arc<Counter>,
+    hedges: Arc<Counter>,
+    hedge_wins: Arc<Counter>,
+    hedge_cancels: Arc<Counter>,
+    failovers: Arc<Counter>,
+    rewarms: Arc<Counter>,
+}
+
+impl FleetCounters {
+    fn new(scope: &Scope) -> FleetCounters {
+        FleetCounters {
+            routed_home: scope.counter("routed_home"),
+            spilled: scope.counter("spilled"),
+            rejected: scope.counter("rejected"),
+            evictions: scope.counter("evictions"),
+            rejoins: scope.counter("rejoins"),
+            hedges: scope.counter("hedges"),
+            hedge_wins: scope.counter("hedge_wins"),
+            hedge_cancels: scope.counter("hedge_cancels"),
+            failovers: scope.counter("failovers"),
+            rewarms: scope.counter("rewarms"),
+        }
+    }
+}
+
+struct FleetInner {
+    shards: Vec<FleetShard>,
+    ring: Mutex<HashRing>,
+    scene_homes: Mutex<HashMap<String, usize>>,
+    book: Arc<Book>,
+    counters: FleetCounters,
+    scale_events: Mutex<Vec<ScaleEvent>>,
+    cfg: FleetConfig,
+    stop: Stop,
+    started: Instant,
+}
+
+impl FleetInner {
+    fn is_live(&self, id: usize) -> bool {
+        self.shards[id].live.load(Ordering::SeqCst)
+    }
+
+    fn live_ids(&self) -> Vec<usize> {
+        (0..self.shards.len()).filter(|&id| self.is_live(id)).collect()
+    }
+
+    /// Removes a failed shard from the ring and re-warms the scenes its
+    /// departure remapped. Idempotent per up-state.
+    fn evict(self: &Arc<Self>, id: usize, why: &str) {
+        if !self.shards[id].live.swap(false, Ordering::SeqCst) {
+            return;
+        }
+        self.counters.evictions.inc();
+        eprintln!("fleet: evicting shard {id}: {why}");
+        {
+            let mut ring = self.ring.lock().unwrap();
+            *ring = ring.without(id);
+        }
+        self.rewarm_remapped();
+    }
+
+    /// Returns a recovered shard to the ring (a no-op for one already on it).
+    fn rejoin(self: &Arc<Self>, id: usize) {
+        if self.shards[id].live.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.counters.rejoins.inc();
+        eprintln!("fleet: shard {id} rejoined");
+        {
+            let mut ring = self.ring.lock().unwrap();
+            *ring = HashRing::from_ids(self.live_ids());
+        }
+        self.rewarm_remapped();
+    }
+
+    /// Pre-fetches every routed scene whose home moved onto its new home
+    /// before traffic lands there. Runs the probes off-thread; the ring
+    /// is already updated, so racing traffic merely finds a warm (or
+    /// warming — the store single-flights) model.
+    fn rewarm_remapped(self: &Arc<Self>) {
+        let ring = self.ring.lock().unwrap().clone();
+        if ring.is_empty() {
+            return;
+        }
+        let mut homes = self.scene_homes.lock().unwrap();
+        for (scene, home) in homes.iter_mut() {
+            let now = ring.home(scene);
+            if now != *home {
+                *home = now;
+                self.counters.rewarms.inc();
+                let shard = self.shards[now].shard.clone();
+                let scene = scene.clone();
+                std::thread::spawn(move || {
+                    let _ = shard.prewarm(&scene, Duration::from_secs(30));
+                });
+            }
+        }
+    }
+
+    /// Routes one request: home shard first, then every other live shard,
+    /// least outstanding cost first.
+    fn route(self: &Arc<Self>, req: &RenderRequest, predicted_ms: f64) -> Result<Held, FleetError> {
+        let scene = req.scene.name();
+        let home = {
+            let ring = self.ring.lock().unwrap();
+            if ring.is_empty() {
+                return Err(FleetError::Fatal("no live shards".into()));
+            }
+            ring.home(scene)
+        };
+        self.scene_homes.lock().unwrap().entry(scene.to_string()).or_insert(home);
+        // snapshot the loads before sorting: completions mutate them
+        // concurrently, and a comparator reading live state can violate the
+        // total-order contract (a sort panic on the submit path)
+        let mut others: Vec<(usize, f64)> = self
+            .live_ids()
+            .into_iter()
+            .filter(|&id| id != home)
+            .map(|id| (id, self.book.outstanding_ms(id)))
+            .collect();
+        others.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let mut busy = false;
+        let mut last_final = None;
+        for id in std::iter::once(home).chain(others.into_iter().map(|(id, _)| id)) {
+            if !self.is_live(id) {
+                continue;
+            }
+            let Some(done) = self.book.reserve(id, req, predicted_ms) else {
+                busy = true;
+                continue;
+            };
+            match self.shards[id].shard.submit(req, done, self.cfg.admit_timeout) {
+                Ok(ticket) => {
+                    if id == home {
+                        self.counters.routed_home.inc();
+                    } else {
+                        self.counters.spilled.inc();
+                        self.book.loads[id].lock().unwrap().spilled_in += 1;
+                    }
+                    return Ok((id, ticket));
+                }
+                Err(ShardError::Refused { retryable: true, .. }) => busy = true,
+                Err(ShardError::Refused { retryable: false, why }) => last_final = Some(why),
+                Err(e @ (ShardError::Connection(_) | ShardError::Timeout)) => {
+                    self.evict(id, &e.to_string());
+                }
+                Err(e) => last_final = Some(e.to_string()),
+            }
+        }
+        if busy {
+            self.counters.rejected.inc();
+            return Err(FleetError::Busy);
+        }
+        Err(FleetError::Fatal(last_final.unwrap_or_else(|| "no live shards".into())))
+    }
+}
+
+/// The fleet handle (see the module docs). Dropping it stops the control
+/// threads; [`Fleet::shutdown`] also drains the shards and returns the
+/// final statistics.
+pub struct Fleet {
+    inner: Arc<FleetInner>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Fleet {
+    /// A fleet of remote shards: connects to every address in `addrs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first unreachable shard — starting a
+    /// fleet with a dead member is a deployment error, not a failure to
+    /// tolerate — or whatever [`Fleet::new`] rejects.
+    pub fn connect(
+        addrs: Vec<ShardAddr>,
+        profile: RenderProfile,
+        cfg: FleetConfig,
+    ) -> Result<Fleet, String> {
+        let mut shards = Vec::with_capacity(addrs.len());
+        for (id, addr) in addrs.into_iter().enumerate() {
+            let shard = RemoteShard::connect(addr.clone(), cfg.connections_per_shard)
+                .map_err(|e| format!("shard {id} ({addr}): {e}"))?;
+            shards.push(Arc::new(shard));
+        }
+        Fleet::new(shards, &profile, cfg)
+    }
+
+    /// A fleet over `shards` (ring ids are their positions), with the
+    /// health loop — and, when configured, the autoscaler — started.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `shards` is empty, the autoscaler
+    /// configuration fails validation, or a shard cannot be set to its
+    /// starting worker count.
+    pub fn new<S: Shard + 'static>(
+        shards: Vec<Arc<S>>,
+        profile: &RenderProfile,
+        cfg: FleetConfig,
+    ) -> Result<Fleet, String> {
+        if shards.is_empty() {
+            return Err("a fleet needs at least one shard".into());
+        }
+        if let Some(scaler) = &cfg.autoscale {
+            scaler.validate()?;
+            for (id, shard) in shards.iter().enumerate() {
+                shard
+                    .set_workers(scaler.workers_min, cfg.admit_timeout)
+                    .map_err(|e| format!("shard {id}: {e}"))?;
+            }
+        }
+        let budget_ms = if cfg.budget_ms > 0.0 { cfg.budget_ms } else { f64::INFINITY };
+        let inner = Arc::new(FleetInner {
+            ring: Mutex::new(HashRing::new(shards.len())),
+            book: Arc::new(Book {
+                cost: CostModel::new(profile),
+                budget_ms,
+                loads: shards.iter().map(|_| Mutex::default()).collect(),
+                completions: Mutex::new(0),
+                completed: Condvar::new(),
+            }),
+            shards: shards
+                .into_iter()
+                .map(|shard| FleetShard {
+                    shard,
+                    live: AtomicBool::new(true),
+                    last_stats: Mutex::new(None),
+                })
+                .collect(),
+            scene_homes: Mutex::new(HashMap::new()),
+            counters: FleetCounters::new(&Scope::instance("fleet")),
+            scale_events: Mutex::new(Vec::new()),
+            cfg,
+            stop: Stop::default(),
+            started: Instant::now(),
+        });
+        let spawn = |name: &str, run: fn(&Arc<FleetInner>)| {
+            let inner = inner.clone();
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || run(&inner))
+                .expect("spawn fleet control thread")
+        };
+        let mut threads = vec![spawn("asdr-fleet-health", health_loop)];
+        if inner.cfg.autoscale.is_some() {
+            threads.push(spawn("asdr-autoscaler", scaler_loop));
+        }
+        Ok(Fleet { inner, threads: Mutex::new(threads) })
+    }
+
+    /// Shards the fleet was configured with (live or not).
+    pub fn shards(&self) -> usize {
+        self.inner.shards.len()
+    }
+
+    /// Shards currently on the ring.
+    pub fn live_shards(&self) -> usize {
+        self.inner.live_ids().len()
+    }
+
+    /// The ring as it routes right now (for tooling and tests).
+    pub fn ring(&self) -> HashRing {
+        self.inner.ring.lock().unwrap().clone()
+    }
+
+    /// The shared cost model.
+    pub fn cost_model(&self) -> &CostModel {
+        &self.inner.book.cost
+    }
+
+    /// Submits a request to its home shard (spilling to other live shards
+    /// when it is full or over budget), returning a ticket that owns
+    /// hedging and failover.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Busy`] when every live shard is momentarily full or
+    /// over budget; [`FleetError::Fatal`] when the request can never be
+    /// admitted.
+    pub fn submit(&self, mut req: RenderRequest) -> Result<FleetTicket, FleetError> {
+        // the client is the trace root: the id travels with the request
+        // and joins this process's spans with the serving shard's
+        if asdr_obs::enabled() && !req.trace.is_set() {
+            req.trace = TraceId::fresh();
+        }
+        let predicted_ms =
+            self.inner.book.cost.predict(req.scene.name(), req.resolution, req.frames);
+        let held = self.inner.route(&req, predicted_ms)?;
+        asdr_obs::event!(req.trace, "remote-submit", format!("shard={}", held.0));
+        Ok(FleetTicket {
+            inner: self.inner.clone(),
+            req,
+            predicted_ms,
+            served_by: AtomicUsize::new(held.0),
+            admitted: Mutex::new(Some(held)),
+            outcome: Mutex::new(None),
+        })
+    }
+
+    /// A statistics snapshot: per-shard stats (last known for dead
+    /// shards — the work they completed before dying), the admission
+    /// book, routing and failure counters, and the cost model.
+    pub fn stats(&self) -> ClusterStats {
+        let inner = &self.inner;
+        let mut shards = Vec::with_capacity(inner.shards.len());
+        for (id, s) in inner.shards.iter().enumerate() {
+            if inner.is_live(id) {
+                if let Ok(fresh) = s.shard.stats(inner.cfg.health_timeout) {
+                    *s.last_stats.lock().unwrap() = Some(fresh);
+                }
+            }
+            let snap = s.last_stats.lock().unwrap().clone();
+            let load = inner.book.loads[id].lock().unwrap();
+            shards.push(ShardStats {
+                shard: id,
+                workers: snap.as_ref().map_or(0, |s| s.workers as usize),
+                outstanding_ms: load.outstanding_ms,
+                spilled_in: load.spilled_in,
+                serve: snap.map(|s| s.serve).unwrap_or_default(),
+            });
+        }
+        let c = &inner.counters;
+        ClusterStats {
+            shards,
+            routed_home: c.routed_home.get(),
+            spilled: c.spilled.get(),
+            rejected: c.rejected.get(),
+            scale_events: inner.scale_events.lock().unwrap().clone(),
+            cost: inner.book.cost.stats(),
+            fleet: FleetStats {
+                shards_lost: (inner.shards.len() - inner.live_ids().len()) as u64,
+                evictions: c.evictions.get(),
+                rejoins: c.rejoins.get(),
+                hedges: c.hedges.get(),
+                hedge_wins: c.hedge_wins.get(),
+                hedge_cancels: c.hedge_cancels.get(),
+                failovers: c.failovers.get(),
+                rewarms: c.rewarms.get(),
+            },
+        }
+    }
+
+    /// Stops the control threads, snapshots final statistics, and drains
+    /// every live shard (best effort).
+    pub fn shutdown(&self) -> ClusterStats {
+        self.stop_threads();
+        let stats = self.stats();
+        for id in self.inner.live_ids() {
+            self.inner.shards[id].shard.drain(Duration::from_secs(5));
+        }
+        stats
+    }
+
+    fn stop_threads(&self) {
+        // the control loops must never outlive the handle they act for
+        self.inner.stop.stop();
+        for thread in self.threads.lock().unwrap().drain(..) {
+            // reached from `Drop`: a second panic there would abort
+            if thread.join().is_err() {
+                eprintln!("fleet: a control thread panicked");
+            }
+        }
+    }
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        self.stop_threads();
+    }
+}
+
+fn health_loop(inner: &Arc<FleetInner>) {
+    let mut misses = vec![0u32; inner.shards.len()];
+    while !inner.stop.wait_interval(inner.cfg.health_interval) {
+        for (id, s) in inner.shards.iter().enumerate() {
+            match s.shard.health(inner.cfg.health_timeout) {
+                Ok(_) => {
+                    misses[id] = 0;
+                    inner.rejoin(id);
+                }
+                Err(e) if inner.is_live(id) => {
+                    misses[id] = misses[id].saturating_add(1);
+                    if misses[id] >= inner.cfg.health_misses {
+                        let why = format!("{} consecutive health misses ({e})", misses[id]);
+                        inner.evict(id, &why);
+                    }
+                }
+                Err(_) => {}
+            }
+        }
+    }
+}
+
+/// The autoscaler thread: sample every live shard, difference the deadline
+/// counters, apply verdicts (see [`crate::autoscale`]).
+fn scaler_loop(inner: &Arc<FleetInner>) {
+    let cfg = inner.cfg.autoscale.as_ref().expect("spawned only when configured");
+    let mut controllers: Vec<ShardController> =
+        inner.shards.iter().map(|_| ShardController::new(cfg.workers_min)).collect();
+    while !inner.stop.wait_interval(cfg.interval) {
+        for (id, s) in inner.shards.iter().enumerate() {
+            if !inner.is_live(id) {
+                continue;
+            }
+            let Ok(snap) = s.shard.stats(inner.cfg.health_timeout) else { continue };
+            // admitted-but-unfinished work (queued or rendering) makes an
+            // empty window "busy", not "idle" — see ShardController::tick;
+            // the same predicted-ms doubles as the controller's forecast
+            let outstanding_ms = inner.book.outstanding_ms(id);
+            let busy = outstanding_ms > 0.0 || snap.queue_len > 0;
+            let Some(v) = controllers[id].tick(
+                cfg,
+                snap.serve.deadlined_requests,
+                snap.serve.deadline_misses,
+                busy,
+                outstanding_ms,
+            ) else {
+                continue;
+            };
+            if let Ok(from) = s.shard.set_workers(v.target, inner.cfg.health_timeout) {
+                inner.scale_events.lock().unwrap().push(ScaleEvent {
+                    at_ms: inner.started.elapsed().as_millis() as u64,
+                    shard: id,
+                    from,
+                    to: v.target,
+                    miss_rate: v.miss_rate,
+                    reason: v.reason,
+                });
+            }
+        }
+    }
+}
+
+/// A shard's ticket and the ring id of the shard that issued it.
+type Held = (usize, Arc<dyn ShardTicket>);
+
+/// A fleet submission's completion handle. [`FleetTicket::wait`] owns the
+/// tail-tolerance machinery: hedging after the latency watermark,
+/// immediate eviction + resubmission when the serving shard dies, and
+/// first-response-wins arbitration between primary and hedge. The ticket
+/// keeps its outcome — waiting again returns it again — and dropping it
+/// un-waited drops the shard's ticket, which cancels.
+pub struct FleetTicket {
+    inner: Arc<FleetInner>,
+    req: RenderRequest,
+    predicted_ms: f64,
+    /// What `submit` was handed, until the first `wait` takes it.
+    admitted: Mutex<Option<Held>>,
+    served_by: AtomicUsize,
+    outcome: Mutex<Option<Result<WireResult, String>>>,
+}
+
+/// How long each arbitration poll waits once a hedge is in flight.
+const HEDGE_POLL: Duration = Duration::from_millis(25);
+
+/// How long a failover resubmission waits for a completion before trying
+/// again while every live shard is full.
+const FAILOVER_RETRY: Duration = Duration::from_millis(20);
+
+impl FleetTicket {
+    /// The shard that served (or is currently serving) the request.
+    pub fn shard(&self) -> usize {
+        self.served_by.load(Ordering::SeqCst)
+    }
+
+    /// The cost model's predicted service time at submit, milliseconds.
+    pub fn predicted_ms(&self) -> f64 {
+        self.predicted_ms
+    }
+
+    /// Blocks until some shard completes the request.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the request failed shard-side (render
+    /// panic) or no live shard remains to serve it.
+    pub fn wait(&self) -> Result<WireResult, String> {
+        // held across the arbitration: a second waiter gets the first's
+        // outcome instead of a spent shard ticket
+        let mut outcome = self.outcome.lock().unwrap();
+        outcome.get_or_insert_with(|| self.resolve()).clone()
+    }
+
+    fn resolve(&self) -> Result<WireResult, String> {
+        let wait_t0 = Instant::now();
+        let counters = &self.inner.counters;
+        let mut primary = self.admitted.lock().unwrap().take().expect("resolved once");
+        let mut hedge: Option<Held> = None;
+        let mut hedged = false;
+        loop {
+            let Some((h_shard, h_ticket)) = hedge.clone() else {
+                // no hedge in flight: wait for the watermark (or in steady
+                // slices once hedging is spent/disabled)
+                let watermark = match self.inner.cfg.hedge_after {
+                    Some(after) if !hedged => after,
+                    _ => Duration::from_millis(500),
+                };
+                match primary.1.wait_result(watermark) {
+                    Ok(result) => return Ok(self.win(primary.0, result, wait_t0)),
+                    Err(ShardError::Render(why)) => return Err(why),
+                    Err(ShardError::Timeout) => {
+                        if self.inner.cfg.hedge_after.is_some() && !hedged {
+                            hedged = true;
+                            hedge = self.spawn_hedge(primary.0);
+                        }
+                    }
+                    Err(e) => {
+                        self.inner.evict(primary.0, &e.to_string());
+                        primary = self.resubmit()?;
+                    }
+                }
+                continue;
+            };
+            match primary.1.wait_result(HEDGE_POLL) {
+                Ok(result) => {
+                    h_ticket.cancel();
+                    counters.hedge_cancels.inc();
+                    return Ok(self.win(primary.0, result, wait_t0));
+                }
+                Err(ShardError::Timeout) => {}
+                Err(ShardError::Render(why)) => {
+                    h_ticket.cancel();
+                    return Err(why);
+                }
+                Err(e) => {
+                    // primary died mid-request: the hedge is already the
+                    // replacement — promote it
+                    self.inner.evict(primary.0, &e.to_string());
+                    counters.failovers.inc();
+                    asdr_obs::event!(
+                        self.req.trace,
+                        "failover",
+                        format!("from={} to={h_shard} promoted_hedge=true", primary.0)
+                    );
+                    primary = (h_shard, h_ticket);
+                    hedge = None;
+                    continue;
+                }
+            }
+            match h_ticket.wait_result(HEDGE_POLL) {
+                Ok(result) => {
+                    primary.1.cancel();
+                    counters.hedge_wins.inc();
+                    counters.hedge_cancels.inc();
+                    return Ok(self.win(h_shard, result, wait_t0));
+                }
+                Err(ShardError::Timeout) => {}
+                Err(ShardError::Render(_)) | Err(ShardError::Protocol(_)) => hedge = None,
+                Err(e) => {
+                    self.inner.evict(h_shard, &e.to_string());
+                    hedge = None;
+                }
+            }
+        }
+    }
+
+    /// Submits the duplicate to the first other live shard that admits it.
+    fn spawn_hedge(&self, primary_shard: usize) -> Option<Held> {
+        let inner = &self.inner;
+        for id in inner.live_ids() {
+            if id == primary_shard {
+                continue;
+            }
+            let Some(done) = inner.book.reserve(id, &self.req, self.predicted_ms) else {
+                continue;
+            };
+            if let Ok(ticket) =
+                inner.shards[id].shard.submit(&self.req, done, inner.cfg.admit_timeout)
+            {
+                inner.counters.hedges.inc();
+                // the duplicate carries the same trace id, so the merged
+                // report sees both shards' server-side spans for this request
+                asdr_obs::event!(self.req.trace, "hedge", format!("shard={id}"));
+                return Some((id, ticket));
+            }
+        }
+        None
+    }
+
+    /// Replaces a dead primary by routing the request again (the hedge
+    /// path handles the has-hedge case). Rendering is deterministic, so
+    /// the replacement's frames are byte-identical to what the dead shard
+    /// would have produced; the dead shard's reservation went with its
+    /// connection and the new shard's is taken by the route.
+    fn resubmit(&self) -> Result<Held, String> {
+        loop {
+            match self.inner.route(&self.req, self.predicted_ms) {
+                Ok(held) => {
+                    self.inner.counters.failovers.inc();
+                    asdr_obs::event!(self.req.trace, "failover", format!("to={}", held.0));
+                    self.served_by.store(held.0, Ordering::SeqCst);
+                    return Ok(held);
+                }
+                Err(FleetError::Busy) => self.inner.book.wait_release(FAILOVER_RETRY),
+                Err(FleetError::Fatal(why)) => {
+                    return Err(format!("request lost its shard and cannot be replaced: {why}"))
+                }
+            }
+        }
+    }
+
+    fn win(&self, shard: usize, result: WireResult, wait_t0: Instant) -> WireResult {
+        self.served_by.store(shard, Ordering::SeqCst);
+        asdr_obs::span!(
+            self.req.trace,
+            "remote-wait",
+            wait_t0,
+            Instant::now(),
+            format!("shard={shard}")
+        );
+        result
+    }
+}
+
+impl ReplayTarget for Fleet {
+    type Ticket = FleetTicket;
+
+    /// A fleet replays like a single service: a full or over-budget fleet
+    /// is momentarily busy (the driver blocks the replay clock), every
+    /// other error is fatal.
+    fn try_submit(&self, req: RenderRequest) -> SubmitOutcome<FleetTicket> {
+        match self.submit(req) {
+            Ok(t) => SubmitOutcome::Admitted(t),
+            Err(FleetError::Busy) => SubmitOutcome::Busy,
+            Err(FleetError::Fatal(why)) => SubmitOutcome::Fatal(why),
+        }
+    }
+
+    fn wait_capacity(&self, timeout: Duration) {
+        self.inner.book.wait_release(timeout);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn book(budget_ms: f64) -> Arc<Book> {
+        Arc::new(Book {
+            cost: CostModel::new(&RenderProfile::tiny()),
+            budget_ms,
+            loads: vec![Mutex::default()],
+            completions: Mutex::new(0),
+            completed: Condvar::new(),
+        })
+    }
+
+    #[test]
+    fn reservations_round_trip_and_an_idle_shard_always_admits() {
+        let book = book(100.0);
+        let req = RenderRequest::frame(asdr_scenes::registry::handle("Mic"), 8);
+        let big = book.reserve(0, &req, 160.0).expect("idle: admitted although over budget");
+        assert!(book.reserve(0, &req, 1.0).is_none(), "a busy shard over budget refuses");
+        assert_eq!(book.outstanding_ms(0), 160.0);
+        big(Some(12.0)); // a result: the model learns, the budget is released
+        assert_eq!(book.cost.stats().observations, 1);
+        let (a, b) = (book.reserve(0, &req, 0.1).unwrap(), book.reserve(0, &req, 0.2).unwrap());
+        drop(a); // dropped uncalled (a refused submit) releases too
+        b(None); // a failure releases without teaching
+        assert_eq!(book.outstanding_ms(0), 0.0, "an empty book reads exactly idle");
+        assert_eq!(book.cost.stats().observations, 1);
+        assert_eq!(*book.completions.lock().unwrap(), 3, "every release pulses wait_capacity");
+    }
+
+    #[test]
+    fn errors_and_dead_fleets_are_named() {
+        assert_eq!(FleetError::Busy.to_string(), "every live shard is full");
+        assert_eq!(FleetError::Fatal("x".into()).to_string(), "x");
+        let dead = ShardAddr::Unix(std::env::temp_dir().join("asdr-no-such-shard.sock"));
+        let Err(e) = Fleet::connect(vec![dead], RenderProfile::tiny(), FleetConfig::default())
+        else {
+            panic!("connecting a fleet to a dead shard must fail");
+        };
+        assert!(e.starts_with("shard 0"), "{e}");
+        assert!(Fleet::connect(Vec::new(), RenderProfile::tiny(), FleetConfig::default()).is_err());
+    }
+}

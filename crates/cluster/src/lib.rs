@@ -1,58 +1,67 @@
-//! `asdr_cluster` — sharded multi-process serving over the PR-4
+//! `asdr_cluster` — sharded serving over the PR-4
 //! [`RenderService`](asdr_serve::RenderService) (ROADMAP "serving
 //! scale-out": the step from one warm process to a fleet).
 //!
 //! One process, one scheduler, one worker pool is not "heavy traffic from
-//! millions of users". This crate adds the cluster layer:
+//! millions of users". This crate adds the cluster layer, and it is one
+//! router whether the shards are threads or processes:
 //!
-//! * [`router::ShardRouter`] — consistent-hashes requests by scene name
-//!   over N `RenderService` shards (64 virtual nodes each), with
-//!   spill-over to the least-loaded shard when the home shard is full.
-//!   Shards run separate [`ModelStore`](asdr_serve::ModelStore)s over one
+//! * [`Fleet`] — consistent-hashes requests by scene name over the live
+//!   shards ([`HashRing`], 64 virtual nodes each), admits by predicted
+//!   cost against a per-shard budget, spills to the least-loaded shard,
+//!   and owns health/evict/rejoin, hedging, failover, ring re-warm and the
+//!   autoscaling control loop ([`autoscale`]).
+//! * [`Shard`] — the one seam the fleet reaches its members through, with
+//!   two backends: [`LocalShard`] (a `RenderService` in this process;
+//!   shards run separate [`ModelStore`](asdr_serve::ModelStore)s over one
 //!   checkpoint directory, so the store's cross-process lock-file
-//!   single-flight keeps fits deduplicated cluster-wide — and images stay
-//!   byte-identical to a single service.
+//!   single-flight keeps fits deduplicated fleet-wide) and [`RemoteShard`]
+//!   (the [`wire`] client of an `asdr-shardd`, whose [`server`] loop
+//!   drives a `LocalShard` through the same methods). Frames are
+//!   byte-identical whichever backend serves them.
 //! * [`cost::CostModel`] — learns per-(scene, resolution) render cost
 //!   online from completed request latencies (seeded from probe-point
-//!   counts) and replaces count-based admission with a predicted-cost
-//!   budget per shard; `ClusterStats` reports predicted-vs-actual error.
-//! * [`autoscale`] — a control loop that grows/shrinks each shard's
-//!   worker pool between configured bounds from its rolling
-//!   deadline-miss rate, with watermark-gap + cooldown hysteresis.
+//!   counts); `ClusterStats` reports predicted-vs-actual error.
 //! * [`stats::ClusterStats`] — per-shard throughput and latency
-//!   percentiles, miss rate, scaling events, and fit-dedup counters, with
-//!   the JSON artifact the `asdr-cluster` binary emits.
+//!   percentiles, miss rate, scaling events, fit-dedup and failure
+//!   counters, with the JSON artifact the `asdr-cluster` binary emits.
 //!
 //! ```no_run
-//! use asdr_cluster::{AutoscalerConfig, ShardRouter};
+//! use asdr_cluster::{AutoscalerConfig, Fleet, FleetConfig, LocalShards};
 //! use asdr_scenes::registry;
-//! use asdr_serve::{RenderProfile, RenderRequest};
+//! use asdr_serve::{ModelStore, RenderProfile, RenderRequest};
 //!
-//! let cluster = ShardRouter::builder(RenderProfile::tiny())
-//!     .shards(3)
-//!     .store_dir("/tmp/asdr-ckpts")
-//!     .autoscale(AutoscalerConfig::default())
-//!     .build()
-//!     .unwrap();
-//! let ticket = cluster.submit(RenderRequest::frame(registry::handle("Mic"), 48)).unwrap();
+//! let profile = RenderProfile::tiny();
+//! let store = ModelStore::builder().dir("/tmp/asdr-ckpts");
+//! let shards = LocalShards { shards: 3, store, ..LocalShards::new(profile.clone()) }.build().unwrap();
+//! let cfg = FleetConfig { autoscale: Some(AutoscalerConfig::default()), ..FleetConfig::default() };
+//! let fleet = Fleet::new(shards, &profile, cfg).unwrap();
+//! let ticket = fleet.submit(RenderRequest::frame(registry::handle("Mic"), 48)).unwrap();
 //! let result = ticket.wait().expect("request completed");
-//! println!("shard {} rendered {} in {:?}", ticket.shard(), result.scene, result.latency);
-//! println!("{}", cluster.shutdown().to_json());
+//! println!("shard {} rendered {} in {} us", ticket.shard(), result.scene, result.latency_us);
+//! println!("{}", fleet.shutdown().to_json());
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod autoscale;
 pub mod cost;
+pub mod fleet;
 pub mod net;
 pub mod remote;
-pub mod router;
+pub mod ring;
+pub mod server;
+pub mod shard;
 pub mod stats;
 pub mod wire;
 
 pub use autoscale::{AutoscalerConfig, ScaleEvent, ScaleReason, ShardController};
 pub use cost::{CostModel, CostStats};
+// `RemoteFleet` is the name the frozen `benchmark/` knows the fleet by
+pub use fleet::{Fleet, Fleet as RemoteFleet, FleetConfig, FleetError, FleetTicket};
 pub use net::{Listener, ShardAddr, Stream};
-pub use remote::{FleetConfig, FleetError, FleetTicket, RemoteFleet, RemoteShard, RemoteTicket};
-pub use router::{ClusterBuilder, ClusterError, ClusterTicket, HashRing, ShardRouter};
+pub use remote::{RemoteShard, RemoteTicket};
+pub use ring::HashRing;
+pub use server::Server;
+pub use shard::{Done, HealthInfo, LocalShard, LocalShards, Shard, ShardError, ShardTicket};
 pub use stats::{ClusterStats, FleetStats, ShardStats};

@@ -4,8 +4,8 @@
 //! The wire codec ([`crate::wire`]) is pure bytes; this module owns the
 //! sockets it travels over. Both transports present one [`Stream`] type
 //! (blocking reads/writes, cloneable for a reader/writer split) so the
-//! daemon and the [`RemoteShard`](crate::remote::RemoteShard) client are
-//! transport-agnostic.
+//! [`Server`](crate::Server) and the [`RemoteShard`](crate::RemoteShard)
+//! client are transport-agnostic.
 
 use std::fmt;
 use std::io::{self, Read, Write};

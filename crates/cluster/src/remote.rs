@@ -1,97 +1,33 @@
-//! The remote fleet front-end: per-shard connection pools, health checks
-//! with consecutive-miss eviction, request hedging, and ring re-warm.
+//! The wire client of one `asdr-shardd` process: [`RemoteShard`].
 //!
-//! [`RemoteShard`] is the client of one `asdr-shardd` process — a small
-//! pool of [`Stream`]s, each with a reader thread demultiplexing reply
-//! frames into per-request slots by correlation id, so any number of
+//! A small pool of [`Stream`]s, each with a reader thread demultiplexing
+//! reply frames into per-request slots by correlation id, so any number of
 //! requests, health probes, and stats polls share a connection without
-//! head-of-line blocking on the client side.
-//!
-//! [`RemoteFleet`] is the router: it consistent-hashes scenes over the
-//! *live* shard set (the same [`HashRing`] the in-process router uses),
-//! spills to other shards when the home refuses, and owns the three
-//! failure-handling mechanisms the in-process cluster could never
-//! exercise:
-//!
-//! * **failure detection** — a health thread probes every shard each
-//!   interval; [`FleetConfig::health_misses`] consecutive misses evict
-//!   the shard from the ring ([`HashRing::without`]), and a later
-//!   successful probe rejoins it. Connection errors on the submit or
-//!   wait path evict immediately — a refused connect is better evidence
-//!   than a timer.
-//! * **hedging** — when a request has waited longer than
-//!   [`FleetConfig::hedge_after`], a duplicate is submitted to another
-//!   live shard. First response wins; the loser's reply is cancelled
-//!   shard-side and the race is counted in [`FleetStats`]. Requests are
-//!   deterministic, so the winner's frames are byte-identical either way.
-//! * **re-warm** — when the ring changes (eviction or rejoin), every
-//!   scene this fleet has routed whose home moved gets a `Prewarm` sent
-//!   to its new home, pulling the model from the shared checkpoint
-//!   directory before traffic lands there.
-//!
-//! In-flight requests on a shard that dies are transparently resubmitted
-//! (a failover, also counted), which is what makes the kill-−9
-//! acceptance test pass: the run completes with zero wrong bytes and the
-//! failure is visible only in the counters.
+//! head-of-line blocking on the client side. The reader is also what
+//! reports a request terminal to the fleet ([`Done`]): the `Result` or
+//! `Failed` frame, or the connection dying under it, is observed when it
+//! happens, not when somebody waits.
 
 use crate::net::{ShardAddr, Stream};
-use crate::router::HashRing;
-use crate::stats::{ClusterStats, FleetStats, ShardStats};
+use crate::shard::{Done, HealthInfo, Shard, ShardError, ShardTicket};
 use crate::wire::{self, Message, WireRequest, WireResult, WireStats};
-use crate::CostModel;
-use asdr_obs::{Counter, Scope, TraceId};
-use asdr_serve::trace::replay::{ReplayTarget, SubmitOutcome};
-use asdr_serve::{RenderProfile, RenderRequest};
+use asdr_serve::RenderRequest;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Why a remote operation failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RemoteError {
-    /// The shard refused the request (`retryable` = queue full / draining).
-    Refused {
-        /// Whether retrying (elsewhere or later) can succeed.
-        retryable: bool,
-        /// The shard-side message.
-        why: String,
-    },
-    /// The shard rendered but failed (worker panic).
-    Render(String),
-    /// The connection died or could not be established.
-    Connection(String),
-    /// The peer broke the protocol.
-    Protocol(String),
-    /// No reply within the caller's deadline.
-    Timeout,
-}
-
-impl fmt::Display for RemoteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RemoteError::Refused { retryable, why } => {
-                write!(f, "refused ({}): {why}", if *retryable { "retryable" } else { "final" })
-            }
-            RemoteError::Render(why) => write!(f, "{why}"),
-            RemoteError::Connection(why) => write!(f, "connection: {why}"),
-            RemoteError::Protocol(why) => write!(f, "protocol: {why}"),
-            RemoteError::Timeout => f.write_str("timed out"),
-        }
-    }
-}
+use std::time::Duration;
 
 /// One correlation id's reply stream (a submit sees `Submitted` then
 /// `Result`; probes see a single reply).
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct SlotState {
     replies: VecDeque<Message>,
     dead: Option<String>,
+    /// A submit's terminal report, until it has been made.
+    done: Option<Done>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Slot {
     state: Mutex<SlotState>,
     cond: Condvar,
@@ -99,27 +35,44 @@ struct Slot {
 
 impl Slot {
     /// The next reply for this id, waiting up to `timeout`.
-    fn next(&self, timeout: Duration) -> Result<Message, RemoteError> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(msg) = st.replies.pop_front() {
-                return Ok(msg);
-            }
-            if let Some(why) = &st.dead {
-                return Err(RemoteError::Connection(why.clone()));
-            }
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return Err(RemoteError::Timeout);
-            };
-            st = self.cond.wait_timeout(st, left).unwrap().0;
+    fn next(&self, timeout: Duration) -> Result<Message, ShardError> {
+        let st = self.state.lock().unwrap();
+        let idle = |st: &mut SlotState| st.replies.is_empty() && st.dead.is_none();
+        let mut st = self.cond.wait_timeout_while(st, timeout, idle).unwrap().0;
+        match (st.replies.pop_front(), &st.dead) {
+            (Some(msg), _) => Ok(msg),
+            (None, Some(why)) => Err(ShardError::Connection(why.clone())),
+            (None, None) => Err(ShardError::Timeout),
         }
+    }
+
+    /// Makes the terminal report, if it is still owed.
+    fn finish(&self, service_ms: Option<f64>) {
+        let done = self.state.lock().unwrap().done.take();
+        if let Some(done) = done {
+            done(service_ms);
+        }
+    }
+
+    /// Queues a reply frame. A `Result` or `Failed` is reported terminal
+    /// before any waiter can wake on it, so whoever saw the reply also
+    /// sees the budget it released and the cost it taught.
+    fn deliver(&self, msg: Message) {
+        match &msg {
+            Message::Result { result, .. } => {
+                let service_us = result.latency_us.saturating_sub(result.queue_wait_us);
+                self.finish(Some(service_us as f64 / 1e3));
+            }
+            Message::Failed { .. } => self.finish(None),
+            _ => {}
+        }
+        self.state.lock().unwrap().replies.push_back(msg);
+        self.cond.notify_all();
     }
 }
 
 /// One pooled connection: a locked writer half plus a reader thread that
 /// routes reply frames into slots by id.
-#[derive(Debug)]
 struct Conn {
     writer: Mutex<Stream>,
     read_half: Stream,
@@ -128,27 +81,27 @@ struct Conn {
 }
 
 impl Conn {
-    fn open(addr: &ShardAddr) -> Result<Arc<Conn>, RemoteError> {
-        let stream = addr.connect().map_err(|e| RemoteError::Connection(e.to_string()))?;
-        let mut writer = stream.try_clone().map_err(|e| RemoteError::Connection(e.to_string()))?;
+    fn open(addr: &ShardAddr) -> Result<Arc<Conn>, ShardError> {
+        let stream = addr.connect().map_err(|e| ShardError::Connection(e.to_string()))?;
+        let mut writer = stream.try_clone().map_err(|e| ShardError::Connection(e.to_string()))?;
         // handshake synchronously, bounded, before the reader thread owns
         // the stream
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
-            .map_err(|e| RemoteError::Connection(e.to_string()))?;
+            .map_err(|e| ShardError::Connection(e.to_string()))?;
         wire::write_frame(&mut writer, &Message::Hello { version: wire::VERSION })
-            .map_err(|e| RemoteError::Connection(e.to_string()))?;
+            .map_err(|e| ShardError::Connection(e.to_string()))?;
         let mut read_half =
-            stream.try_clone().map_err(|e| RemoteError::Connection(e.to_string()))?;
+            stream.try_clone().map_err(|e| ShardError::Connection(e.to_string()))?;
         match wire::read_frame(&mut read_half) {
             Ok(Some(Message::HelloOk { .. })) => {}
             Ok(Some(other)) => {
-                return Err(RemoteError::Protocol(format!("expected HelloOk, got {other:?}")))
+                return Err(ShardError::Protocol(format!("expected HelloOk, got {other:?}")))
             }
-            Ok(None) => return Err(RemoteError::Connection("closed during handshake".into())),
-            Err(e) => return Err(RemoteError::Connection(e)),
+            Ok(None) => return Err(ShardError::Connection("closed during handshake".into())),
+            Err(e) => return Err(ShardError::Connection(e)),
         }
-        stream.set_read_timeout(None).map_err(|e| RemoteError::Connection(e.to_string()))?;
+        stream.set_read_timeout(None).map_err(|e| ShardError::Connection(e.to_string()))?;
         let conn = Arc::new(Conn {
             writer: Mutex::new(writer),
             read_half: stream,
@@ -160,21 +113,29 @@ impl Conn {
         Ok(conn)
     }
 
-    fn register(&self, id: u64) -> Arc<Slot> {
+    fn register(&self, id: u64, done: Option<Done>) -> Arc<Slot> {
         let slot = Arc::new(Slot::default());
+        slot.state.lock().unwrap().done = done;
         self.pending.lock().unwrap().insert(id, slot.clone());
         slot
     }
 
-    fn unregister(&self, id: u64) {
-        self.pending.lock().unwrap().remove(&id);
+    /// Forgets `id`, returning whether it was still registered. A submit
+    /// abandoned before its reply is terminal as far as this client will
+    /// ever know, and is reported so.
+    fn unregister(&self, id: u64) -> bool {
+        let slot = self.pending.lock().unwrap().remove(&id);
+        if let Some(slot) = &slot {
+            slot.finish(None);
+        }
+        slot.is_some()
     }
 
-    fn send(&self, msg: &Message) -> Result<(), RemoteError> {
+    fn send(&self, msg: &Message) -> Result<(), ShardError> {
         let mut w = self.writer.lock().unwrap();
         wire::write_frame(&mut *w, msg).map_err(|e| {
             self.fail(&e.to_string());
-            RemoteError::Connection(e.to_string())
+            ShardError::Connection(e.to_string())
         })
     }
 
@@ -186,8 +147,8 @@ impl Conn {
         }
         let slots: Vec<Arc<Slot>> = self.pending.lock().unwrap().drain().map(|(_, s)| s).collect();
         for slot in slots {
-            let mut st = slot.state.lock().unwrap();
-            st.dead = Some(why.to_string());
+            slot.finish(None);
+            slot.state.lock().unwrap().dead = Some(why.to_string());
             slot.cond.notify_all();
         }
     }
@@ -199,12 +160,11 @@ fn reader_loop(conn: &Conn, mut read_half: Stream) {
             Ok(Some(msg)) => {
                 let Some(id) = msg.id() else { continue };
                 let slot = conn.pending.lock().unwrap().get(&id).cloned();
+                // replies for unregistered ids (cancelled hedges, dropped
+                // tickets) are dropped
                 if let Some(slot) = slot {
-                    let mut st = slot.state.lock().unwrap();
-                    st.replies.push_back(msg);
-                    slot.cond.notify_all();
+                    slot.deliver(msg);
                 }
-                // replies for unregistered ids (cancelled hedges) are dropped
             }
             Ok(None) => return conn.fail("shard closed the connection"),
             Err(e) => return conn.fail(&e),
@@ -212,17 +172,7 @@ fn reader_loop(conn: &Conn, mut read_half: Stream) {
     }
 }
 
-/// A shard's health probe reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthInfo {
-    /// Queue depth at probe time.
-    pub queue_len: u64,
-    /// Whether the shard is draining.
-    pub draining: bool,
-}
-
 /// The client of one `asdr-shardd` process.
-#[derive(Debug)]
 pub struct RemoteShard {
     addr: ShardAddr,
     pool: Mutex<Vec<Option<Arc<Conn>>>>,
@@ -236,8 +186,8 @@ impl RemoteShard {
     ///
     /// # Errors
     ///
-    /// [`RemoteError::Connection`] when the shard is unreachable.
-    pub fn connect(addr: ShardAddr, connections: usize) -> Result<RemoteShard, RemoteError> {
+    /// [`ShardError::Connection`] when the shard is unreachable.
+    pub fn connect(addr: ShardAddr, connections: usize) -> Result<RemoteShard, ShardError> {
         let mut pool = vec![None; connections.max(1)];
         pool[0] = Some(Conn::open(&addr)?);
         Ok(RemoteShard {
@@ -248,14 +198,9 @@ impl RemoteShard {
         })
     }
 
-    /// The shard's address.
-    pub fn addr(&self) -> &ShardAddr {
-        &self.addr
-    }
-
     /// A live pooled connection (round-robin), re-dialing a dead or
     /// unopened pool slot — which is also how a restarted shard rejoins.
-    fn conn(&self) -> Result<Arc<Conn>, RemoteError> {
+    fn conn(&self) -> Result<Arc<Conn>, ShardError> {
         let mut pool = self.pool.lock().unwrap();
         let i = self.next_conn.fetch_add(1, Ordering::Relaxed) % pool.len();
         if let Some(conn) = &pool[i] {
@@ -270,11 +215,12 @@ impl RemoteShard {
 
     fn request(
         &self,
+        done: Option<Done>,
         build: impl FnOnce(u64) -> Message,
-    ) -> Result<(Arc<Conn>, Arc<Slot>, u64), RemoteError> {
+    ) -> Result<(Arc<Conn>, Arc<Slot>, u64), ShardError> {
         let conn = self.conn()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = conn.register(id);
+        let slot = conn.register(id, done);
         if let Err(e) = conn.send(&build(id)) {
             conn.unregister(id);
             return Err(e);
@@ -287,802 +233,190 @@ impl RemoteShard {
         &self,
         timeout: Duration,
         build: impl FnOnce(u64) -> Message,
-    ) -> Result<Message, RemoteError> {
-        let (conn, slot, id) = self.request(build)?;
+    ) -> Result<Message, ShardError> {
+        let (conn, slot, id) = self.request(None, build)?;
         let reply = slot.next(timeout);
         conn.unregister(id);
         reply
     }
 
-    /// Submits a request, waiting up to `admit_timeout` for the admission
-    /// decision.
-    ///
-    /// # Errors
-    ///
-    /// [`RemoteError::Refused`] (retryable = queue full),
-    /// [`RemoteError::Connection`]/[`RemoteError::Timeout`] when the shard
-    /// is unreachable or silent.
-    pub fn submit(
-        &self,
-        req: &RenderRequest,
-        admit_timeout: Duration,
-    ) -> Result<RemoteTicket, RemoteError> {
-        let wire_req = WireRequest::from_request(req);
-        let (conn, slot, id) = self.request(|id| Message::Submit { id, req: wire_req })?;
-        match slot.next(admit_timeout) {
-            Ok(Message::Submitted { .. }) => Ok(RemoteTicket { conn, slot, id }),
-            Ok(Message::Refused { retryable, why, .. }) => {
-                conn.unregister(id);
-                Err(RemoteError::Refused { retryable, why })
-            }
-            Ok(other) => {
-                conn.unregister(id);
-                Err(RemoteError::Protocol(format!("expected Submitted, got {other:?}")))
-            }
-            Err(e) => {
-                conn.unregister(id);
-                Err(e)
-            }
-        }
-    }
-
-    /// Probes liveness.
-    ///
-    /// # Errors
-    ///
-    /// Connection, protocol, or timeout errors — each a health miss.
-    pub fn health(&self, timeout: Duration) -> Result<HealthInfo, RemoteError> {
-        match self.roundtrip(timeout, |id| Message::Health { id })? {
-            Message::HealthOk { queue_len, draining, .. } => Ok(HealthInfo { queue_len, draining }),
-            other => Err(RemoteError::Protocol(format!("expected HealthOk, got {other:?}"))),
-        }
-    }
-
-    /// Polls the shard's statistics snapshot.
+    /// [`Shard::prewarm`], callable without the trait in scope.
     ///
     /// # Errors
     ///
     /// Connection, protocol, or timeout errors.
-    pub fn stats(&self, timeout: Duration) -> Result<WireStats, RemoteError> {
-        match self.roundtrip(timeout, |id| Message::StatsPoll { id })? {
-            Message::Stats { stats, .. } => Ok(stats),
-            other => Err(RemoteError::Protocol(format!("expected Stats, got {other:?}"))),
-        }
-    }
-
-    /// Pre-fetches `scene`'s model on the shard (ring re-warm), returning
-    /// whether the shard knew the scene.
-    ///
-    /// # Errors
-    ///
-    /// Connection, protocol, or timeout errors.
-    pub fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, RemoteError> {
+    pub fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ShardError> {
         let scene = scene.to_string();
         match self.roundtrip(timeout, |id| Message::Prewarm { id, scene })? {
             Message::Warmed { ok, .. } => Ok(ok),
-            other => Err(RemoteError::Protocol(format!("expected Warmed, got {other:?}"))),
+            other => Err(ShardError::Protocol(format!("expected Warmed, got {other:?}"))),
+        }
+    }
+}
+
+impl Shard for RemoteShard {
+    fn submit(
+        &self,
+        req: &RenderRequest,
+        done: Done,
+        timeout: Duration,
+    ) -> Result<Arc<dyn ShardTicket>, ShardError> {
+        let wire_req = WireRequest::from_request(req);
+        let (conn, slot, id) =
+            self.request(Some(done), |id| Message::Submit { id, req: wire_req })?;
+        let refusal = match slot.next(timeout) {
+            Ok(Message::Submitted { .. }) => return Ok(Arc::new(RemoteTicket { conn, slot, id })),
+            Ok(Message::Refused { retryable, why, .. }) => ShardError::Refused { retryable, why },
+            Ok(other) => ShardError::Protocol(format!("expected Submitted, got {other:?}")),
+            Err(e) => e,
+        };
+        conn.unregister(id);
+        Err(refusal)
+    }
+
+    fn health(&self, timeout: Duration) -> Result<HealthInfo, ShardError> {
+        match self.roundtrip(timeout, |id| Message::Health { id })? {
+            Message::HealthOk { queue_len, draining, .. } => Ok(HealthInfo { queue_len, draining }),
+            other => Err(ShardError::Protocol(format!("expected HealthOk, got {other:?}"))),
         }
     }
 
-    /// Asks the shard to drain and exit (best effort).
-    pub fn drain(&self, timeout: Duration) {
+    fn stats(&self, timeout: Duration) -> Result<WireStats, ShardError> {
+        match self.roundtrip(timeout, |id| Message::StatsPoll { id })? {
+            Message::Stats { stats, .. } => Ok(stats),
+            other => Err(ShardError::Protocol(format!("expected Stats, got {other:?}"))),
+        }
+    }
+
+    fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ShardError> {
+        RemoteShard::prewarm(self, scene, timeout)
+    }
+
+    fn set_workers(&self, workers: usize, timeout: Duration) -> Result<usize, ShardError> {
+        let workers = workers as u64;
+        match self.roundtrip(timeout, |id| Message::SetWorkers { id, workers })? {
+            Message::WorkersSet { previous, .. } => Ok(previous as usize),
+            other => Err(ShardError::Protocol(format!("expected WorkersSet, got {other:?}"))),
+        }
+    }
+
+    fn drain(&self, timeout: Duration) {
         let _ = self.roundtrip(timeout, |id| Message::Drain { id });
     }
 }
 
-/// A submitted remote request's completion handle.
-#[derive(Debug, Clone)]
+/// A submitted remote request's completion handle. Dropping it before its
+/// outcome arrived cancels the request: the slot leaves the connection and
+/// the shard is told to keep the reply.
 pub struct RemoteTicket {
     conn: Arc<Conn>,
     slot: Arc<Slot>,
     id: u64,
 }
 
-impl RemoteTicket {
-    /// Waits up to `timeout` for the result.
-    ///
-    /// # Errors
-    ///
-    /// [`RemoteError::Timeout`] with the request still in flight (wait
-    /// again, or hedge); [`RemoteError::Render`] when the shard's worker
-    /// failed; [`RemoteError::Connection`] when the shard died.
-    pub fn wait_result(&self, timeout: Duration) -> Result<WireResult, RemoteError> {
-        match self.slot.next(timeout) {
-            Ok(Message::Result { result, .. }) => {
-                self.conn.unregister(self.id);
-                Ok(result)
-            }
-            Ok(Message::Failed { why, .. }) => {
-                self.conn.unregister(self.id);
-                Err(RemoteError::Render(why))
-            }
-            Ok(other) => {
-                self.conn.unregister(self.id);
-                Err(RemoteError::Protocol(format!("expected Result, got {other:?}")))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Stops the shard from shipping this result (the hedge race's loser).
-    pub fn cancel(&self) {
-        self.conn.unregister(self.id);
-        let _ = self.conn.send(&Message::Cancel { id: self.id });
-    }
-}
-
-/// Tuning for the fleet front-end.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Pooled connections per shard.
-    pub connections_per_shard: usize,
-    /// Health-probe period.
-    pub health_interval: Duration,
-    /// Per-probe reply deadline.
-    pub health_timeout: Duration,
-    /// Consecutive misses before a shard is evicted from the ring.
-    pub health_misses: u32,
-    /// Hedge a request to a replica after this long without a result
-    /// (`None` disables hedging).
-    pub hedge_after: Option<Duration>,
-    /// Admission-decision deadline per submit attempt.
-    pub admit_timeout: Duration,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            connections_per_shard: 2,
-            health_interval: Duration::from_millis(250),
-            health_timeout: Duration::from_millis(1000),
-            health_misses: 3,
-            hedge_after: Some(Duration::from_millis(2000)),
-            admit_timeout: Duration::from_secs(10),
-        }
-    }
-}
-
-/// Why the fleet refused a submission.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FleetError {
-    /// Every live shard is momentarily full; retry after a poll.
-    Busy,
-    /// The request can never be admitted (no live shards, or every shard
-    /// refused it outright).
-    Fatal(String),
-}
-
-impl fmt::Display for FleetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetError::Busy => f.write_str("every live shard is full"),
-            FleetError::Fatal(why) => f.write_str(why),
-        }
-    }
-}
-
-struct Stop {
-    stopped: Mutex<bool>,
-    cond: Condvar,
-}
-
-impl Stop {
-    fn wait_interval(&self, interval: Duration) -> bool {
-        let deadline = Instant::now() + interval;
-        let mut stopped = self.stopped.lock().unwrap();
-        while !*stopped {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            stopped = self.cond.wait_timeout(stopped, left).unwrap().0;
-        }
-        true
-    }
-
-    fn stop(&self) {
-        *self.stopped.lock().unwrap() = true;
-        self.cond.notify_all();
-    }
-}
-
-struct FleetShard {
-    id: usize,
-    shard: RemoteShard,
-    live: AtomicBool,
-    misses: AtomicU32,
-    last_stats: Mutex<Option<WireStats>>,
-}
-
-/// Routing and failure counters, registry-backed under a unique
-/// `fleet.N.` scope so two fleets in one process (tests) never share.
-struct FleetCounters {
-    routed_home: Arc<Counter>,
-    spilled: Arc<Counter>,
-    rejected: Arc<Counter>,
-    evictions: Arc<Counter>,
-    rejoins: Arc<Counter>,
-    hedges: Arc<Counter>,
-    hedge_wins: Arc<Counter>,
-    hedge_cancels: Arc<Counter>,
-    failovers: Arc<Counter>,
-    rewarms: Arc<Counter>,
-}
-
-impl FleetCounters {
-    fn new(scope: &Scope) -> FleetCounters {
-        FleetCounters {
-            routed_home: scope.counter("routed_home"),
-            spilled: scope.counter("spilled"),
-            rejected: scope.counter("rejected"),
-            evictions: scope.counter("evictions"),
-            rejoins: scope.counter("rejoins"),
-            hedges: scope.counter("hedges"),
-            hedge_wins: scope.counter("hedge_wins"),
-            hedge_cancels: scope.counter("hedge_cancels"),
-            failovers: scope.counter("failovers"),
-            rewarms: scope.counter("rewarms"),
-        }
-    }
-}
-
-struct FleetInner {
-    shards: Vec<FleetShard>,
-    ring: Mutex<HashRing>,
-    scene_homes: Mutex<HashMap<String, usize>>,
-    cost: CostModel,
-    counters: FleetCounters,
-    cfg: FleetConfig,
-    stop: Stop,
-}
-
-impl FleetInner {
-    fn live_ids(&self) -> Vec<usize> {
-        self.shards.iter().filter(|s| s.live.load(Ordering::SeqCst)).map(|s| s.id).collect()
-    }
-
-    /// Removes a failed shard from the ring and re-warms the scenes its
-    /// departure remapped. Idempotent per up-state.
-    fn evict(self: &Arc<Self>, id: usize, why: &str) {
-        if !self.shards[id].live.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        self.counters.evictions.inc();
-        eprintln!("fleet: evicting shard {id} ({}): {why}", self.shards[id].shard.addr());
-        {
-            let mut ring = self.ring.lock().unwrap();
-            *ring = ring.without(id);
-        }
-        self.rewarm_remapped();
-    }
-
-    /// Returns a recovered shard to the ring.
-    fn rejoin(self: &Arc<Self>, id: usize) {
-        if self.shards[id].live.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.shards[id].misses.store(0, Ordering::SeqCst);
-        self.counters.rejoins.inc();
-        eprintln!("fleet: shard {id} rejoined ({})", self.shards[id].shard.addr());
-        {
-            let mut ring = self.ring.lock().unwrap();
-            *ring = HashRing::from_ids(self.live_ids());
-        }
-        self.rewarm_remapped();
-    }
-
-    /// Pre-fetches every routed scene whose home moved onto its new home
-    /// before traffic lands there. Runs the probes off-thread; the ring
-    /// is already updated, so racing traffic merely finds a warm (or
-    /// warming — the store single-flights) model.
-    fn rewarm_remapped(self: &Arc<Self>) {
-        let ring = self.ring.lock().unwrap().clone();
-        if ring.is_empty() {
-            return;
-        }
-        let mut homes = self.scene_homes.lock().unwrap();
-        for (scene, home) in homes.iter_mut() {
-            let now = ring.home(scene);
-            if now != *home {
-                *home = now;
-                self.counters.rewarms.inc();
-                let inner = self.clone();
-                let scene = scene.clone();
-                std::thread::spawn(move || {
-                    let _ = inner.shards[now].shard.prewarm(&scene, Duration::from_secs(30));
-                });
-            }
-        }
-    }
-
-    /// Routes one request: home shard first, then every other live shard.
-    fn route(self: &Arc<Self>, req: &RenderRequest) -> Result<(usize, RemoteTicket), FleetError> {
-        let scene = req.scene.name().to_string();
-        let home = {
-            let ring = self.ring.lock().unwrap();
-            if ring.is_empty() {
-                return Err(FleetError::Fatal("no live shards".into()));
-            }
-            ring.home(&scene)
+impl ShardTicket for RemoteTicket {
+    fn wait_result(&self, timeout: Duration) -> Result<WireResult, ShardError> {
+        let reply = match self.slot.next(timeout) {
+            Err(ShardError::Timeout) => return Err(ShardError::Timeout),
+            reply => reply,
         };
-        self.scene_homes.lock().unwrap().entry(scene).or_insert(home);
-        let mut candidates = vec![home];
-        candidates.extend(self.live_ids().into_iter().filter(|&id| id != home));
-        let mut busy = false;
-        let mut last_final = None;
-        for id in candidates {
-            if !self.shards[id].live.load(Ordering::SeqCst) {
-                continue;
-            }
-            match self.shards[id].shard.submit(req, self.cfg.admit_timeout) {
-                Ok(ticket) => {
-                    if id == home {
-                        self.counters.routed_home.inc();
-                    } else {
-                        self.counters.spilled.inc();
-                    }
-                    return Ok((id, ticket));
-                }
-                Err(RemoteError::Refused { retryable: true, .. }) => busy = true,
-                Err(RemoteError::Refused { retryable: false, why }) => last_final = Some(why),
-                Err(e @ (RemoteError::Connection(_) | RemoteError::Timeout)) => {
-                    self.evict(id, &e.to_string());
-                }
-                Err(e) => last_final = Some(e.to_string()),
-            }
-        }
-        if busy {
-            self.counters.rejected.inc();
-            return Err(FleetError::Busy);
-        }
-        Err(FleetError::Fatal(last_final.unwrap_or_else(|| "no live shards".into())))
-    }
-}
-
-/// The remote fleet router (see the module docs).
-pub struct RemoteFleet {
-    inner: Arc<FleetInner>,
-    health: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl RemoteFleet {
-    /// Connects to every shard in `addrs` and starts the health loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first unreachable shard — starting a
-    /// fleet with a dead member is a deployment error, not a failure to
-    /// tolerate.
-    pub fn connect(
-        addrs: Vec<ShardAddr>,
-        profile: RenderProfile,
-        cfg: FleetConfig,
-    ) -> Result<RemoteFleet, String> {
-        if addrs.is_empty() {
-            return Err("a fleet needs at least one shard address".into());
-        }
-        let mut shards = Vec::with_capacity(addrs.len());
-        for (id, addr) in addrs.into_iter().enumerate() {
-            let shard = RemoteShard::connect(addr.clone(), cfg.connections_per_shard)
-                .map_err(|e| format!("shard {id} ({addr}): {e}"))?;
-            shards.push(FleetShard {
-                id,
-                shard,
-                live: AtomicBool::new(true),
-                misses: AtomicU32::new(0),
-                last_stats: Mutex::new(None),
-            });
-        }
-        let ring = HashRing::from_ids(0..shards.len());
-        let inner = Arc::new(FleetInner {
-            shards,
-            ring: Mutex::new(ring),
-            scene_homes: Mutex::new(HashMap::new()),
-            cost: CostModel::new(&profile),
-            counters: FleetCounters::new(&Scope::instance("fleet")),
-            cfg,
-            stop: Stop { stopped: Mutex::new(false), cond: Condvar::new() },
-        });
-        let health_inner = inner.clone();
-        let health = std::thread::Builder::new()
-            .name("asdr-fleet-health".into())
-            .spawn(move || health_loop(&health_inner))
-            .expect("spawn health thread");
-        Ok(RemoteFleet { inner, health: Mutex::new(Some(health)) })
-    }
-
-    /// Shards the fleet was configured with (live or not).
-    pub fn shards(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Shards currently on the ring.
-    pub fn live_shards(&self) -> usize {
-        self.inner.live_ids().len()
-    }
-
-    /// Submits a request to its home shard (spilling to other live shards
-    /// when refused), returning a ticket that owns hedging and failover.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Busy`] when every live shard is momentarily full;
-    /// [`FleetError::Fatal`] when the request can never be admitted.
-    pub fn submit(&self, mut req: RenderRequest) -> Result<FleetTicket, FleetError> {
-        // the client is the trace root: the id travels in the Submit frame
-        // and joins this process's spans with the serving daemon's
-        if asdr_obs::enabled() && !req.trace.is_set() {
-            req.trace = TraceId::fresh();
-        }
-        let (shard, ticket) = self.inner.route(&req)?;
-        asdr_obs::event!(req.trace, "remote-submit", format!("shard={shard}"));
-        let scene = req.scene.name().to_string();
-        let predicted_ms = self.inner.cost.predict(&scene, req.resolution, req.frames);
-        Ok(FleetTicket {
-            inner: self.inner.clone(),
-            req,
-            scene,
-            predicted_ms,
-            state: Mutex::new(TicketState { primary: (shard, ticket), hedge: None }),
-            hedged: AtomicBool::new(false),
-            served_by: AtomicUsize::new(shard),
-        })
-    }
-
-    /// A statistics snapshot: per-shard wire stats (last known for dead
-    /// shards — the work they completed before dying), fleet routing and
-    /// failure counters, and the cost model.
-    pub fn stats(&self) -> ClusterStats {
-        let inner = &self.inner;
-        let mut shards = Vec::with_capacity(inner.shards.len());
-        for s in &inner.shards {
-            if s.live.load(Ordering::SeqCst) {
-                if let Ok(fresh) = s.shard.stats(inner.cfg.health_timeout) {
-                    *s.last_stats.lock().unwrap() = Some(fresh);
-                }
-            }
-            let snap = s.last_stats.lock().unwrap().clone().unwrap_or_else(|| WireStats {
-                workers: 0,
-                queue_len: 0,
-                serve: zero_serve_stats(),
-            });
-            shards.push(ShardStats {
-                shard: s.id,
-                workers: snap.workers as usize,
-                outstanding_ms: 0.0,
-                spilled_in: 0,
-                serve: snap.serve,
-            });
-        }
-        let c = &inner.counters;
-        ClusterStats {
-            shards,
-            routed_home: c.routed_home.get(),
-            spilled: c.spilled.get(),
-            rejected: c.rejected.get(),
-            scale_events: Vec::new(),
-            cost: inner.cost.stats(),
-            fleet: FleetStats {
-                shards_lost: (inner.shards.len() - inner.live_ids().len()) as u64,
-                evictions: c.evictions.get(),
-                rejoins: c.rejoins.get(),
-                hedges: c.hedges.get(),
-                hedge_wins: c.hedge_wins.get(),
-                hedge_cancels: c.hedge_cancels.get(),
-                failovers: c.failovers.get(),
-                rewarms: c.rewarms.get(),
-            },
+        self.conn.unregister(self.id);
+        match reply? {
+            Message::Result { result, .. } => Ok(result),
+            Message::Failed { why, .. } => Err(ShardError::Render(why)),
+            other => Err(ShardError::Protocol(format!("expected Result, got {other:?}"))),
         }
     }
 
-    /// Stops the health loop, snapshots final statistics, and drains
-    /// every live shard (best effort).
-    pub fn shutdown(&self) -> ClusterStats {
-        self.stop_health();
-        let stats = self.stats();
-        for s in &self.inner.shards {
-            if s.live.load(Ordering::SeqCst) {
-                s.shard.drain(Duration::from_secs(5));
-            }
-        }
-        stats
-    }
-
-    fn stop_health(&self) {
-        self.inner.stop.stop();
-        if let Some(h) = self.health.lock().unwrap().take() {
-            h.join().expect("fleet health thread panicked");
+    fn cancel(&self) {
+        if self.conn.unregister(self.id) {
+            let _ = self.conn.send(&Message::Cancel { id: self.id });
         }
     }
 }
 
-impl Drop for RemoteFleet {
+impl Drop for RemoteTicket {
     fn drop(&mut self) {
-        self.stop_health();
-    }
-}
-
-fn zero_serve_stats() -> asdr_serve::ServeStats {
-    asdr_serve::ServeStats {
-        requests: 0,
-        frames: 0,
-        reused_frames: 0,
-        deadlined_requests: 0,
-        deadline_misses: 0,
-        p50_latency_ms: 0.0,
-        p95_latency_ms: 0.0,
-        mean_queue_wait_ms: 0.0,
-        throughput_fps: 0.0,
-        probe_points: 0,
-        probe_points_avoided_est: 0.0,
-        store: asdr_serve::StoreStats::default(),
-    }
-}
-
-fn health_loop(inner: &Arc<FleetInner>) {
-    loop {
-        if inner.stop.wait_interval(inner.cfg.health_interval) {
-            return;
-        }
-        for s in &inner.shards {
-            let probe = s.shard.health(inner.cfg.health_timeout);
-            let live = s.live.load(Ordering::SeqCst);
-            match probe {
-                Ok(_) if live => {
-                    s.misses.store(0, Ordering::SeqCst);
-                }
-                Ok(_) => inner.rejoin(s.id),
-                Err(e) if live => {
-                    let misses = s.misses.fetch_add(1, Ordering::SeqCst) + 1;
-                    if misses >= inner.cfg.health_misses {
-                        inner.evict(s.id, &format!("{misses} consecutive health misses ({e})"));
-                    }
-                }
-                Err(_) => {}
-            }
-        }
-    }
-}
-
-struct TicketState {
-    primary: (usize, RemoteTicket),
-    hedge: Option<(usize, RemoteTicket)>,
-}
-
-/// A fleet submission's completion handle. [`FleetTicket::wait`] owns the
-/// tail-tolerance machinery: hedging after the latency watermark,
-/// immediate eviction + resubmission when the serving shard dies, and
-/// first-response-wins arbitration between primary and hedge.
-pub struct FleetTicket {
-    inner: Arc<FleetInner>,
-    req: RenderRequest,
-    scene: String,
-    predicted_ms: f64,
-    state: Mutex<TicketState>,
-    hedged: AtomicBool,
-    served_by: AtomicUsize,
-}
-
-/// How long each arbitration poll waits once a hedge is in flight.
-const HEDGE_POLL: Duration = Duration::from_millis(25);
-
-/// How long to sleep between failover resubmission attempts while every
-/// live shard is full.
-const FAILOVER_RETRY: Duration = Duration::from_millis(20);
-
-impl FleetTicket {
-    /// The shard that served (or is currently serving) the request.
-    pub fn shard(&self) -> usize {
-        self.served_by.load(Ordering::SeqCst)
-    }
-
-    /// The cost model's predicted service time at submit, milliseconds.
-    pub fn predicted_ms(&self) -> f64 {
-        self.predicted_ms
-    }
-
-    /// Blocks until some shard completes the request.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the request failed shard-side (render
-    /// panic) or no live shard remains to serve it.
-    pub fn wait(&self) -> Result<WireResult, String> {
-        let wait_t0 = Instant::now();
-        loop {
-            let (p_shard, p_ticket, hedge) = {
-                let st = self.state.lock().unwrap();
-                (st.primary.0, st.primary.1.clone(), st.hedge.clone())
-            };
-            if let Some((h_shard, h_ticket)) = hedge {
-                match p_ticket.wait_result(HEDGE_POLL) {
-                    Ok(result) => {
-                        h_ticket.cancel();
-                        self.inner.counters.hedge_cancels.inc();
-                        return Ok(self.win(p_shard, result, wait_t0));
-                    }
-                    Err(RemoteError::Timeout) => {}
-                    Err(RemoteError::Render(why)) => {
-                        h_ticket.cancel();
-                        return Err(why);
-                    }
-                    Err(e) => {
-                        // primary died mid-request: the hedge is already the
-                        // replacement — promote it
-                        self.inner.evict(p_shard, &e.to_string());
-                        self.inner.counters.failovers.inc();
-                        asdr_obs::event!(
-                            self.req.trace,
-                            "failover",
-                            format!("from={p_shard} to={h_shard} promoted_hedge=true")
-                        );
-                        let mut st = self.state.lock().unwrap();
-                        st.primary = (h_shard, h_ticket.clone());
-                        st.hedge = None;
-                        continue;
-                    }
-                }
-                match h_ticket.wait_result(HEDGE_POLL) {
-                    Ok(result) => {
-                        p_ticket.cancel();
-                        self.inner.counters.hedge_wins.inc();
-                        self.inner.counters.hedge_cancels.inc();
-                        return Ok(self.win(h_shard, result, wait_t0));
-                    }
-                    Err(RemoteError::Timeout) => {}
-                    Err(RemoteError::Render(_)) | Err(RemoteError::Protocol(_)) => {
-                        self.state.lock().unwrap().hedge = None;
-                    }
-                    Err(e) => {
-                        self.inner.evict(h_shard, &e.to_string());
-                        self.state.lock().unwrap().hedge = None;
-                    }
-                }
-                continue;
-            }
-            // no hedge yet: wait for the watermark (or in steady slices
-            // once hedging is spent/disabled)
-            let watermark = match self.inner.cfg.hedge_after {
-                Some(after) if !self.hedged.load(Ordering::SeqCst) => after,
-                _ => Duration::from_millis(500),
-            };
-            match p_ticket.wait_result(watermark) {
-                Ok(result) => return Ok(self.win(p_shard, result, wait_t0)),
-                Err(RemoteError::Render(why)) => return Err(why),
-                Err(RemoteError::Timeout) => {
-                    if self.inner.cfg.hedge_after.is_some()
-                        && !self.hedged.swap(true, Ordering::SeqCst)
-                    {
-                        self.spawn_hedge(p_shard);
-                    }
-                }
-                Err(e) => {
-                    self.inner.evict(p_shard, &e.to_string());
-                    self.resubmit()?;
-                }
-            }
-        }
-    }
-
-    /// Submits the duplicate to the first other live shard that admits it.
-    fn spawn_hedge(&self, primary_shard: usize) {
-        for id in self.inner.live_ids() {
-            if id == primary_shard {
-                continue;
-            }
-            if let Ok(ticket) =
-                self.inner.shards[id].shard.submit(&self.req, self.inner.cfg.admit_timeout)
-            {
-                self.inner.counters.hedges.inc();
-                // the duplicate carries the same trace id, so the merged
-                // report sees both shards' server-side spans for this request
-                asdr_obs::event!(self.req.trace, "hedge", format!("shard={id}"));
-                self.state.lock().unwrap().hedge = Some((id, ticket));
-                return;
-            }
-        }
-    }
-
-    /// Replaces a dead primary by routing the request again (the hedge
-    /// path handles the has-hedge case). Rendering is deterministic, so
-    /// the replacement's frames are byte-identical to what the dead shard
-    /// would have produced.
-    fn resubmit(&self) -> Result<(), String> {
-        loop {
-            match self.inner.route(&self.req) {
-                Ok((shard, ticket)) => {
-                    self.inner.counters.failovers.inc();
-                    asdr_obs::event!(self.req.trace, "failover", format!("to={shard}"));
-                    self.served_by.store(shard, Ordering::SeqCst);
-                    let mut st = self.state.lock().unwrap();
-                    st.primary = (shard, ticket);
-                    st.hedge = None;
-                    return Ok(());
-                }
-                Err(FleetError::Busy) => std::thread::sleep(FAILOVER_RETRY),
-                Err(FleetError::Fatal(why)) => {
-                    return Err(format!("request lost its shard and cannot be replaced: {why}"))
-                }
-            }
-        }
-    }
-
-    fn win(&self, shard: usize, result: WireResult, wait_t0: Instant) -> WireResult {
-        self.served_by.store(shard, Ordering::SeqCst);
-        asdr_obs::span!(
-            self.req.trace,
-            "remote-wait",
-            wait_t0,
-            Instant::now(),
-            format!("shard={shard}")
-        );
-        let service_ms = (result.latency_us.saturating_sub(result.queue_wait_us)) as f64 / 1e3;
-        self.inner.cost.observe(
-            &self.scene,
-            result.resolution,
-            result.images.len().max(1),
-            service_ms,
-        );
-        result
-    }
-}
-
-impl ReplayTarget for RemoteFleet {
-    type Ticket = FleetTicket;
-
-    fn try_submit(&self, req: RenderRequest) -> SubmitOutcome<FleetTicket> {
-        match self.submit(req) {
-            Ok(t) => SubmitOutcome::Admitted(t),
-            Err(FleetError::Busy) => SubmitOutcome::Busy,
-            Err(FleetError::Fatal(why)) => SubmitOutcome::Fatal(why),
-        }
+        self.cancel();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn errors_render_with_context() {
-        let e = RemoteError::Refused { retryable: true, why: "admission queue full".into() };
-        assert!(e.to_string().contains("retryable"));
-        assert_eq!(RemoteError::Timeout.to_string(), "timed out");
-        assert_eq!(FleetError::Busy.to_string(), "every live shard is full");
-        assert_eq!(FleetError::Fatal("x".into()).to_string(), "x");
-    }
+    use crate::net::Listener;
 
     #[test]
     fn connecting_to_a_dead_address_is_a_named_error() {
         let addr = ShardAddr::Unix(std::env::temp_dir().join("asdr-no-such-shard.sock"));
-        let e = RemoteShard::connect(addr, 1).unwrap_err();
-        assert!(matches!(e, RemoteError::Connection(_)), "{e}");
-        let Err(e) = RemoteFleet::connect(
-            vec![ShardAddr::Unix(std::env::temp_dir().join("asdr-no-such-shard.sock"))],
-            RenderProfile::tiny(),
-            FleetConfig::default(),
-        ) else {
-            panic!("connecting a fleet to a dead shard must fail");
+        let Err(e) = RemoteShard::connect(addr, 1) else {
+            panic!("connecting to a dead shard must fail");
         };
-        assert!(e.starts_with("shard 0"), "{e}");
-        assert!(RemoteFleet::connect(Vec::new(), RenderProfile::tiny(), FleetConfig::default())
-            .is_err());
+        assert!(matches!(e, ShardError::Connection(_)), "{e}");
     }
 
     #[test]
-    fn slots_deliver_in_order_and_fail_on_death() {
+    fn slots_deliver_in_order_report_once_and_fail_on_death() {
+        let reports = Arc::new(Mutex::new(Vec::new()));
         let slot = Slot::default();
-        {
-            let mut st = slot.state.lock().unwrap();
-            st.replies.push_back(Message::Submitted { id: 1 });
-            st.replies.push_back(Message::Failed { id: 1, why: "x".into() });
-        }
+        let seen = reports.clone();
+        slot.state.lock().unwrap().done = Some(Box::new(move |ms| seen.lock().unwrap().push(ms)));
+        slot.deliver(Message::Submitted { id: 1 });
+        assert!(reports.lock().unwrap().is_empty(), "an admission is not an end");
+        slot.deliver(Message::Failed { id: 1, why: "x".into() });
+        slot.finish(Some(1.0)); // nothing left to report
+        assert_eq!(*reports.lock().unwrap(), [None]);
         assert_eq!(slot.next(Duration::from_millis(1)).unwrap(), Message::Submitted { id: 1 });
         assert!(matches!(slot.next(Duration::from_millis(1)).unwrap(), Message::Failed { .. }));
-        assert_eq!(slot.next(Duration::from_millis(1)).unwrap_err(), RemoteError::Timeout);
+        assert_eq!(slot.next(Duration::from_millis(1)).unwrap_err(), ShardError::Timeout);
         slot.state.lock().unwrap().dead = Some("gone".into());
         assert!(matches!(
             slot.next(Duration::from_millis(1)).unwrap_err(),
-            RemoteError::Connection(_)
+            ShardError::Connection(_)
         ));
+    }
+
+    /// A ticket dropped un-waited must not leave its slot (and, later, the
+    /// frames the shard sent) in `Conn::pending` for the life of the
+    /// connection, must tell the shard to keep the reply, and must report
+    /// the request over. The peer is scripted: each step blocks on the
+    /// frame it expects, so nothing here waits on a clock.
+    #[test]
+    fn a_dropped_ticket_unregisters_cancels_and_reports() {
+        let sock = std::env::temp_dir().join(format!("asdr-drop-{}.sock", std::process::id()));
+        let (listener, addr) = Listener::bind(&ShardAddr::Unix(sock.clone())).unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut stream = listener.accept().unwrap();
+            let mut expect = |reply: Option<fn(u64) -> Message>| {
+                let msg = wire::read_frame(&mut stream).unwrap().expect("a frame");
+                if let Some(reply) = reply {
+                    wire::write_frame(&mut stream, &reply(msg.id().unwrap_or(0))).unwrap();
+                }
+                msg
+            };
+            expect(Some(|_| Message::HelloOk { shard: 0 }));
+            let submit = expect(Some(|id| Message::Submitted { id }));
+            let cancel = expect(None);
+            (submit.id(), cancel)
+        });
+        let shard = RemoteShard::connect(addr, 1).unwrap();
+        let reports = Arc::new(Mutex::new(Vec::new()));
+        let seen = reports.clone();
+        let req = RenderRequest::frame(asdr_scenes::registry::handle("Mic"), 8);
+        let ticket = shard
+            .submit(
+                &req,
+                Box::new(move |ms| seen.lock().unwrap().push(ms)),
+                Duration::from_secs(30),
+            )
+            .unwrap();
+        let conn = shard.conn().unwrap();
+        assert_eq!(conn.pending.lock().unwrap().len(), 1);
+        drop(ticket);
+        assert!(conn.pending.lock().unwrap().is_empty(), "the dropped ticket left its slot behind");
+        assert_eq!(*reports.lock().unwrap(), [None]);
+        let (submitted, cancel) = peer.join().unwrap();
+        assert_eq!(Some(cancel), submitted.map(|id| Message::Cancel { id }));
+        let _ = std::fs::remove_file(&sock);
     }
 }

@@ -1,0 +1,296 @@
+//! The seam between the router and whatever renders: [`Shard`].
+//!
+//! [`Fleet`](crate::Fleet) reaches its shards only through this trait, so
+//! ring, spill, cost budget, autoscale, hedge and failover are written
+//! once, over `dyn Shard`. Two backends ship: [`LocalShard`], a
+//! [`RenderService`] in this process, and
+//! [`RemoteShard`](crate::RemoteShard), the wire client of an
+//! `asdr-shardd` — whose connection loop ([`crate::server`]) in turn
+//! drives a `LocalShard` through the same methods. A third lives in
+//! `tests/fleet_seam.rs`: a fake whose tickets complete, stall or die on
+//! the test's command, which is what makes the hedge and failover
+//! arbitration testable without a process or a sleep.
+
+use crate::wire::{WireResult, WireStats};
+use asdr_serve::store::ModelStoreBuilder;
+use asdr_serve::{
+    ModelStore, RenderProfile, RenderRequest, RenderResult, RenderService, RenderTicket, ServeError,
+};
+use std::fmt;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Why a shard operation failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ShardError {
+    /// The shard refused the request (`retryable` = queue full / draining).
+    Refused {
+        /// Whether retrying (elsewhere or later) can succeed.
+        retryable: bool,
+        /// The shard-side message.
+        why: String,
+    },
+    /// The shard rendered but failed (worker panic).
+    Render(String),
+    /// The connection died or could not be established.
+    Connection(String),
+    /// The peer broke the protocol.
+    Protocol(String),
+    /// No reply within the caller's deadline.
+    Timeout,
+}
+
+impl fmt::Display for ShardError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShardError::Refused { retryable, why } => {
+                write!(f, "refused ({}): {why}", if *retryable { "retryable" } else { "final" })
+            }
+            ShardError::Render(why) => write!(f, "{why}"),
+            ShardError::Connection(why) => write!(f, "connection: {why}"),
+            ShardError::Protocol(why) => write!(f, "protocol: {why}"),
+            ShardError::Timeout => f.write_str("timed out"),
+        }
+    }
+}
+
+/// A shard's health probe reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HealthInfo {
+    /// Queue depth at probe time.
+    pub queue_len: u64,
+    /// Whether the shard is draining.
+    pub draining: bool,
+}
+
+/// How a shard reports that a submitted request is terminal on it: called
+/// once with `Some(service ms)` when the result exists, `None` when the
+/// request failed, was cancelled, or the connection to it was lost —
+/// whether or not anyone is waiting on the ticket. The fleet's budget
+/// reservation rides in it, so dropping it uncalled releases like `None`.
+pub type Done = Box<dyn FnOnce(Option<f64>) + Send>;
+
+/// A request admitted by a shard.
+pub trait ShardTicket: Send + Sync {
+    /// Waits up to `timeout` for the outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::Timeout`] with the request still in flight (wait
+    /// again, or hedge); [`ShardError::Render`] when the shard's worker
+    /// failed; [`ShardError::Connection`] when the shard died. Any answer
+    /// but `Timeout` spends the ticket.
+    fn wait_result(&self, timeout: Duration) -> Result<WireResult, ShardError>;
+
+    /// Tells the shard nobody wants the reply any more (the hedge race's
+    /// loser). The render may still run; only the reply is withheld.
+    fn cancel(&self);
+}
+
+/// One member of a fleet. The `timeout`s bound a remote round trip; a
+/// shard in this process answers at once and ignores them.
+pub trait Shard: Send + Sync {
+    /// Admits a request, reporting its end through `done`.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::Refused`] (retryable = momentarily full),
+    /// [`ShardError::Connection`] / [`ShardError::Timeout`] when the shard
+    /// is unreachable or silent. `done` is dropped uncalled on any error.
+    fn submit(
+        &self,
+        req: &RenderRequest,
+        done: Done,
+        timeout: Duration,
+    ) -> Result<Arc<dyn ShardTicket>, ShardError>;
+
+    /// Probes liveness.
+    ///
+    /// # Errors
+    ///
+    /// Connection, protocol, or timeout errors — each a health miss.
+    fn health(&self, timeout: Duration) -> Result<HealthInfo, ShardError>;
+
+    /// The shard's statistics snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Connection, protocol, or timeout errors.
+    fn stats(&self, timeout: Duration) -> Result<WireStats, ShardError>;
+
+    /// Pre-fetches `scene`'s model (ring re-warm), returning whether the
+    /// shard knew the scene.
+    ///
+    /// # Errors
+    ///
+    /// Connection, protocol, or timeout errors.
+    fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ShardError>;
+
+    /// Resizes the worker pool, returning the previous target.
+    ///
+    /// # Errors
+    ///
+    /// Connection, protocol, or timeout errors.
+    fn set_workers(&self, workers: usize, timeout: Duration) -> Result<usize, ShardError>;
+
+    /// Stops admissions and finishes what was admitted (best effort; a
+    /// remote shard exits afterwards).
+    fn drain(&self, timeout: Duration);
+}
+
+impl ShardTicket for RenderTicket {
+    fn wait_result(&self, timeout: Duration) -> Result<WireResult, ShardError> {
+        match self.wait_timeout(timeout) {
+            None => Err(ShardError::Timeout),
+            Some(Ok(result)) => Ok(WireResult::from_result(&result)),
+            Some(Err(e)) => Err(ShardError::Render(e.to_string())),
+        }
+    }
+
+    /// An admitted render runs to completion and its ticket holds nothing
+    /// shard-side: there is no reply to withhold.
+    fn cancel(&self) {}
+}
+
+/// A [`RenderService`] in this process, as a fleet member.
+///
+/// Shards deliberately get **separate [`ModelStore`]s over one checkpoint
+/// directory** — the topology of N processes — so the store's lock-file
+/// single-flight is exercised in-process too and a spilled request warms
+/// from its home shard's checkpoint instead of refitting.
+pub struct LocalShard {
+    service: RenderService,
+}
+
+impl LocalShard {
+    /// Unparks a [`paused`](LocalShards::paused) worker pool.
+    pub fn start(&self) {
+        self.service.start();
+    }
+}
+
+impl Shard for LocalShard {
+    fn submit(
+        &self,
+        req: &RenderRequest,
+        done: Done,
+        _timeout: Duration,
+    ) -> Result<Arc<dyn ShardTicket>, ShardError> {
+        // the service observes every end, failures too (or their budget
+        // reservation would leak shut); service time — latency minus queue
+        // wait — is what admission predicts
+        let on_done = Box::new(move |outcome: &Result<RenderResult, ServeError>| {
+            let served = outcome.as_ref().ok().map(|r| r.latency.saturating_sub(r.queue_wait));
+            done(served.map(|d| d.as_secs_f64() * 1e3));
+        });
+        match self.service.submit_observed(req.clone(), on_done) {
+            Ok(ticket) => Ok(Arc::new(ticket)),
+            Err(e) => {
+                // a draining shard is transient to the fleet, like a full one
+                let retryable =
+                    matches!(e, ServeError::QueueFull { .. } | ServeError::ShuttingDown);
+                Err(ShardError::Refused { retryable, why: e.to_string() })
+            }
+        }
+    }
+
+    fn health(&self, _timeout: Duration) -> Result<HealthInfo, ShardError> {
+        Ok(HealthInfo { queue_len: self.service.queue_len() as u64, draining: false })
+    }
+
+    fn stats(&self, _timeout: Duration) -> Result<WireStats, ShardError> {
+        Ok(WireStats {
+            workers: self.service.workers() as u64,
+            queue_len: self.service.queue_len() as u64,
+            serve: self.service.stats(),
+        })
+    }
+
+    fn prewarm(&self, scene: &str, _timeout: Duration) -> Result<bool, ShardError> {
+        let Some(handle) = asdr_scenes::registry::get(scene) else { return Ok(false) };
+        // the fit/load itself is the warm-up; the store's cross-process
+        // lock keeps it deduplicated
+        self.service.store().get_or_fit(&handle, &self.service.profile().grid);
+        Ok(true)
+    }
+
+    fn set_workers(&self, workers: usize, _timeout: Duration) -> Result<usize, ShardError> {
+        Ok(self.service.set_workers(workers))
+    }
+
+    fn drain(&self, _timeout: Duration) {
+        self.service.drain();
+    }
+}
+
+/// What N [`LocalShard`]s are built from: set the fields that differ from
+/// [`LocalShards::new`], then [`build`](LocalShards::build).
+#[derive(Debug, Clone)]
+pub struct LocalShards {
+    /// The render profile every shard serves.
+    pub profile: RenderProfile,
+    /// Number of shards (at least 1).
+    pub shards: usize,
+    /// Workers per shard (at least 1). An autoscaling fleet resets its
+    /// shards to [`AutoscalerConfig::workers_min`](crate::AutoscalerConfig).
+    pub workers: usize,
+    /// Per-shard admission-queue capacity (at least 1): the count-based
+    /// backstop behind the fleet's cost budget.
+    pub queue_capacity: usize,
+    /// What each shard's own [`ModelStore`] is built from. Point it at a
+    /// directory and all shards persist checkpoints there; the lock-file
+    /// protocol deduplicates their fits.
+    pub store: ModelStoreBuilder,
+    /// Starts every shard's worker pool parked: submissions queue (and
+    /// reserve budget) but nothing renders until [`LocalShard::start`].
+    /// Used to stage bursts and by the admission tests to make routing
+    /// decisions observable without racing completions.
+    pub paused: bool,
+}
+
+impl LocalShards {
+    /// Two single-worker shards with 64-deep queues over the store
+    /// `ASDR_STORE_DIR` names.
+    pub fn new(profile: RenderProfile) -> LocalShards {
+        LocalShards {
+            profile,
+            shards: 2,
+            workers: 1,
+            queue_capacity: 64,
+            store: ModelStore::builder(),
+            paused: false,
+        }
+    }
+
+    /// Builds the shards and spawns their worker pools.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the violated constraint if the profile
+    /// fails validation.
+    pub fn build(&self) -> Result<Vec<Arc<LocalShard>>, String> {
+        let build_one = |_| {
+            let mut service = RenderService::builder(self.profile.clone())
+                .store(Arc::new(self.store.clone().build()))
+                .workers(self.workers.max(1))
+                .queue_capacity(self.queue_capacity);
+            if self.paused {
+                service = service.paused();
+            }
+            Ok(Arc::new(LocalShard { service: service.build()? }))
+        };
+        (0..self.shards.max(1)).map(build_one).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn errors_render_with_context() {
+        let e = ShardError::Refused { retryable: true, why: "admission queue full".into() };
+        assert!(e.to_string().contains("retryable"));
+        assert_eq!(ShardError::Timeout.to_string(), "timed out");
+    }
+}

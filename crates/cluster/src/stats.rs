@@ -24,8 +24,8 @@ pub struct ShardStats {
     pub serve: ServeStats,
 }
 
-/// Remote-fleet failure-handling counters (all zero for the in-process
-/// [`ShardRouter`](crate::ShardRouter), which cannot lose a shard).
+/// Failure-handling counters (all zero while no shard was lost and no
+/// request outwaited the hedge watermark).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Shards currently off the ring (evicted and not yet rejoined).
@@ -63,7 +63,7 @@ pub struct ClusterStats {
     pub scale_events: Vec<ScaleEvent>,
     /// Cost-model accuracy (predicted vs. actual).
     pub cost: CostStats,
-    /// Remote-fleet failure-handling counters.
+    /// Failure-handling counters.
     pub fleet: FleetStats,
 }
 

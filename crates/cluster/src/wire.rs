@@ -1,6 +1,6 @@
 //! The fleet wire protocol — a hand-rolled length-prefixed binary codec
-//! carrying render requests, tickets, stats polls, and health probes
-//! between the router front-end and `asdr-shardd` daemons.
+//! carrying render requests, tickets, stats polls, health probes, and
+//! pool resizes between the router front-end and `asdr-shardd` daemons.
 //!
 //! Framing is a varint byte length followed by that many payload bytes;
 //! the payload is a one-byte message tag plus tag-specific fields in the
@@ -38,6 +38,10 @@ pub const MAX_FRAME_BYTES: u64 = 1 << 28;
 
 /// Longest scene name / error string on the wire.
 const MAX_STRING: u64 = 4096;
+
+/// Largest worker pool a peer may ask for: a resize spawns that many
+/// threads at once.
+const MAX_WORKERS: u64 = 1024;
 
 /// Deadline bound, microseconds (the trace codec's millisecond bound).
 const MAX_DEADLINE_US: u64 = MAX_DEADLINE_MS * 1000;
@@ -628,6 +632,20 @@ pub enum Message {
         /// Correlation id of the drain request.
         id: u64,
     },
+    /// Resize the shard's worker pool (the fleet's autoscaler).
+    SetWorkers {
+        /// Correlation id.
+        id: u64,
+        /// The new worker target.
+        workers: u64,
+    },
+    /// The pool was resized.
+    WorkersSet {
+        /// Correlation id of the resize.
+        id: u64,
+        /// The worker target before it.
+        previous: u64,
+    },
 }
 
 impl Message {
@@ -649,7 +667,9 @@ impl Message {
             | Message::Prewarm { id, .. }
             | Message::Warmed { id, .. }
             | Message::Drain { id }
-            | Message::Draining { id } => Some(*id),
+            | Message::Draining { id }
+            | Message::SetWorkers { id, .. }
+            | Message::WorkersSet { id, .. } => Some(*id),
         }
     }
 
@@ -731,6 +751,16 @@ impl Message {
                 out.push(15);
                 push_varint(&mut out, *id);
             }
+            Message::SetWorkers { id, workers } => {
+                out.push(16);
+                push_varint(&mut out, *id);
+                push_varint(&mut out, *workers);
+            }
+            Message::WorkersSet { id, previous } => {
+                out.push(17);
+                push_varint(&mut out, *id);
+                push_varint(&mut out, *previous);
+            }
         }
         out
     }
@@ -789,6 +819,14 @@ impl Message {
                 }
                 14 => Message::Drain { id: r.varint()? },
                 15 => Message::Draining { id: r.varint()? },
+                16 => {
+                    let id = r.varint()?;
+                    Message::SetWorkers { id, workers: r.bounded("workers", MAX_WORKERS)? }
+                }
+                17 => {
+                    let id = r.varint()?;
+                    Message::WorkersSet { id, previous: r.varint()? }
+                }
                 t => return Err(format!("unknown message tag {t}")),
             })
         })()
@@ -929,6 +967,8 @@ mod tests {
             Message::Warmed { id: 12, ok: true },
             Message::Drain { id: 13 },
             Message::Draining { id: 13 },
+            Message::SetWorkers { id: 14, workers: 3 },
+            Message::WorkersSet { id: 14, previous: 1 },
         ]
     }
 

@@ -3,10 +3,10 @@
 //! loop growing under deadline misses and shrinking when traffic quiets.
 //!
 //! The shards here warm from a directory pre-populated with cheap blank
-//! models, so no test pays for a real fit; admission tests run against a
-//! **paused** cluster so routing decisions cannot race completions.
+//! models, so no test pays for a real fit; admission tests run against
+//! **paused** shards so routing decisions cannot race completions.
 
-use asdr_cluster::{AutoscalerConfig, ClusterError, ShardRouter};
+use asdr_cluster::{AutoscalerConfig, Fleet, FleetConfig, FleetError, LocalShards};
 use asdr_math::{Aabb, Vec3};
 use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::grid::GridConfig;
@@ -55,13 +55,14 @@ fn warm_dir(name: &str, scenes: &[&str]) -> PathBuf {
 #[test]
 fn admission_goes_home_then_spills_then_rejects() {
     let dir = warm_dir("admission", &["Mic"]);
-    let cluster = ShardRouter::builder(test_profile())
-        .shards(2)
-        .store_dir(&dir)
-        .budget_ms(100.0)
-        .paused()
-        .build()
-        .unwrap();
+    let shards = LocalShards {
+        store: ModelStore::builder().dir(&dir),
+        paused: true,
+        ..LocalShards::new(test_profile())
+    };
+    let shards = shards.build().unwrap();
+    let cfg = FleetConfig { budget_ms: 100.0, ..FleetConfig::default() };
+    let cluster = Fleet::new(shards.clone(), &test_profile(), cfg).unwrap();
     // teach the cost model that a Mic frame is enormous, so one request
     // saturates a shard's budget deterministically
     cluster.cost_model().observe("Mic", 16, 1, 60_000.0);
@@ -76,19 +77,14 @@ fn admission_goes_home_then_spills_then_rejects() {
     assert_ne!(second.shard(), home, "a saturated home shard spills to the least-loaded");
 
     let third = cluster.submit(RenderRequest::frame(mic.clone(), 16));
-    match third {
-        Err(ClusterError::Overloaded { predicted_ms, budget_ms }) => {
-            assert!(predicted_ms > budget_ms);
-        }
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
+    assert_eq!(third.err(), Some(FleetError::Busy), "every shard is over budget");
 
     let staged = cluster.stats();
     assert_eq!((staged.routed_home, staged.spilled, staged.rejected), (1, 1, 1));
     assert_eq!(staged.shards[home].outstanding_ms, 60_000.0);
     assert_eq!(staged.shards[1 - home].spilled_in, 1);
 
-    cluster.start();
+    shards.iter().for_each(|s| s.start());
     assert!(first.wait().is_ok());
     assert!(second.wait().is_ok());
     let stats = cluster.shutdown();
@@ -104,19 +100,24 @@ fn admission_goes_home_then_spills_then_rejects() {
 #[test]
 fn autoscaler_grows_under_misses_and_shrinks_when_quiet() {
     let dir = warm_dir("autoscale", &["Mic"]);
-    let cluster = ShardRouter::builder(test_profile())
-        .shards(1)
-        .store_dir(&dir)
-        .autoscale(AutoscalerConfig {
-            workers_min: 1,
-            workers_max: 3,
-            interval: Duration::from_millis(40),
-            cooldown_intervals: 1,
-            ..AutoscalerConfig::default()
-        })
-        .build()
-        .unwrap();
-    assert_eq!(cluster.shard_workers(0), 1, "autoscaled shards start at workers_min");
+    let shards = LocalShards {
+        shards: 1,
+        workers: 2,
+        store: ModelStore::builder().dir(&dir),
+        ..LocalShards::new(test_profile())
+    };
+    let shards = shards.build().unwrap();
+    let autoscale = AutoscalerConfig {
+        workers_min: 1,
+        workers_max: 3,
+        interval: Duration::from_millis(40),
+        cooldown_intervals: 1,
+        ..AutoscalerConfig::default()
+    };
+    let cfg = FleetConfig { autoscale: Some(autoscale), ..FleetConfig::default() };
+    let cluster = Fleet::new(shards, &test_profile(), cfg).unwrap();
+    let shard_workers = || cluster.stats().shards[0].workers;
+    assert_eq!(shard_workers(), 1, "autoscaled shards start at workers_min");
 
     // hopeless deadlines: every request misses, the miss-rate window
     // saturates, and the controller must grow the pool
@@ -134,14 +135,14 @@ fn autoscaler_grows_under_misses_and_shrinks_when_quiet() {
         assert_eq!(t.wait().unwrap().deadline_met, Some(false));
     }
     let deadline = Instant::now() + Duration::from_secs(5);
-    while cluster.shard_workers(0) < 2 {
+    while shard_workers() < 2 {
         assert!(Instant::now() < deadline, "autoscaler never grew: {:?}", cluster.stats());
         std::thread::sleep(Duration::from_millis(20));
     }
 
     // traffic stops: quiet windows must shrink the pool back to the floor
     let deadline = Instant::now() + Duration::from_secs(5);
-    while cluster.shard_workers(0) > 1 {
+    while shard_workers() > 1 {
         assert!(Instant::now() < deadline, "autoscaler never shrank: {:?}", cluster.stats());
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -161,12 +162,13 @@ fn failed_requests_release_their_budget_reservation() {
     if registry::get("cluster-panics").is_none() {
         registry::register(SceneDef::new("cluster-panics", || panic!("builder exploded"))).unwrap();
     }
-    let cluster = ShardRouter::builder(test_profile())
-        .shards(2)
-        .in_memory_stores()
-        .budget_ms(50_000.0)
-        .build()
-        .unwrap();
+    let shards = LocalShards {
+        store: ModelStore::builder().in_memory_only(),
+        ..LocalShards::new(test_profile())
+    };
+    let shards = shards.build().unwrap();
+    let cfg = FleetConfig { budget_ms: 50_000.0, ..FleetConfig::default() };
+    let cluster = Fleet::new(shards, &test_profile(), cfg).unwrap();
     let doomed =
         cluster.submit(RenderRequest::frame(registry::handle("cluster-panics"), 16)).unwrap();
     assert!(doomed.wait().is_err(), "the panicking fit fails the ticket");

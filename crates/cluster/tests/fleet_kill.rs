@@ -15,7 +15,7 @@
 //! (the `cluster_sched.rs` idiom), so no process pays for a real fit —
 //! the test exercises the fleet machinery, not the renderer.
 
-use asdr_cluster::{FleetConfig, RemoteFleet, ShardAddr, ShardRouter};
+use asdr_cluster::{Fleet, FleetConfig, LocalShards, ShardAddr};
 use asdr_math::{Aabb, Image, Vec3};
 use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::grid::GridConfig;
@@ -127,10 +127,15 @@ fn spawn_shardd(id: usize, sock: &Path, store: &Path, bundles: &Path) -> (Child,
 fn killing_a_shard_mid_workload_loses_no_requests_and_no_bytes() {
     let dir = warm_dir();
 
-    // Reference: the same requests through one in-process service.
+    // Reference: the same requests through one in-process shard.
     let reference: Vec<Vec<u32>> = {
+        let shard = LocalShards {
+            shards: 1,
+            store: ModelStore::builder().dir(&dir),
+            ..LocalShards::new(RenderProfile::tiny())
+        };
         let single =
-            ShardRouter::builder(RenderProfile::tiny()).shards(1).store_dir(&dir).build().unwrap();
+            Fleet::new(shard.build().unwrap(), &shard.profile, FleetConfig::default()).unwrap();
         let frames = requests()
             .into_iter()
             .map(|req| {
@@ -164,7 +169,7 @@ fn killing_a_shard_mid_workload_loses_no_requests_and_no_bytes() {
         hedge_after: None, // failover alone must carry the kill
         ..FleetConfig::default()
     };
-    let fleet = RemoteFleet::connect(addrs, RenderProfile::tiny(), cfg).unwrap();
+    let fleet = Fleet::connect(addrs, RenderProfile::tiny(), cfg).unwrap();
 
     let tickets: Vec<_> =
         requests().into_iter().map(|req| fleet.submit(req).expect("fleet admits")).collect();
@@ -180,7 +185,7 @@ fn killing_a_shard_mid_workload_loses_no_requests_and_no_bytes() {
     }
     let victim = (0..3).max_by_key(|&s| per_shard[s]).unwrap();
     let first = tickets.iter().position(|t| t.shard() == victim).unwrap();
-    let first_reply = tickets[first].wait().expect("the victim's first reply");
+    tickets[first].wait().expect("the victim's first reply");
     let answered = fleet.stats().shards[victim].serve.requests as usize;
     let held = per_shard[victim].saturating_sub(answered);
     assert!(
@@ -193,13 +198,8 @@ fn killing_a_shard_mid_workload_loses_no_requests_and_no_bytes() {
 
     // Every request still completes, and every frame is byte-identical
     // to the single-process reference.
-    let mut first_reply = Some(first_reply);
     for (i, ticket) in tickets.iter().enumerate() {
-        // a ticket yields its result once, and `first` already has
-        let result = match first_reply.take_if(|_| i == first) {
-            Some(result) => result,
-            None => ticket.wait().unwrap_or_else(|e| panic!("request {i} lost: {e}")),
-        };
+        let result = ticket.wait().unwrap_or_else(|e| panic!("request {i} lost: {e}"));
         assert!(!result.images.is_empty(), "request {i} returned no frames");
         assert_eq!(
             image_bits(&result.images),

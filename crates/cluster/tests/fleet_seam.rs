@@ -1,0 +1,402 @@
+//! What the [`Shard`] seam makes testable: the fleet's hedge and failover
+//! arbitration against a fake shard whose tickets complete, stall or die
+//! when the test says so, and frames byte-identical whichever real backend
+//! serves them.
+//!
+//! No process is spawned and nothing sleeps: the fake hands the test a
+//! [`Handle`] over a channel for every request it admits, so each ordering
+//! is forced by a blocking receive; the only clocked waits are
+//! deadline-bounded polls on what the fleet's health thread does.
+
+use asdr_cluster::wire::{WireResult, WireStats};
+use asdr_cluster::{
+    Done, Fleet, FleetConfig, HealthInfo, Listener, LocalShards, RemoteShard, Server, Shard,
+    ShardAddr, ShardError, ShardTicket,
+};
+use asdr_math::{Image, Rgb};
+use asdr_scenes::registry;
+use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService, ServeStats};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+const PATIENCE: Duration = Duration::from_secs(30);
+
+/// What the test decides for one admitted request.
+enum Fate {
+    Complete(WireResult),
+    Die,
+}
+
+/// The test's end of one fake ticket. Keep it alive for as long as the
+/// ticket should stall.
+struct Handle {
+    shard: usize,
+    fate: Sender<Fate>,
+    cancelled: Arc<AtomicBool>,
+}
+
+struct FakeTicket {
+    fate: Mutex<Receiver<Fate>>,
+    done: Mutex<Option<Done>>,
+    cancelled: Arc<AtomicBool>,
+}
+
+impl ShardTicket for FakeTicket {
+    fn wait_result(&self, timeout: Duration) -> Result<WireResult, ShardError> {
+        let Ok(fate) = self.fate.lock().unwrap().recv_timeout(timeout) else {
+            return Err(ShardError::Timeout);
+        };
+        let done = self.done.lock().unwrap().take().expect("a ticket ends once");
+        match fate {
+            Fate::Complete(result) => {
+                done(Some(1.0));
+                Ok(result)
+            }
+            Fate::Die => {
+                done(None);
+                Err(ShardError::Connection("the test killed this shard".into()))
+            }
+        }
+    }
+
+    fn cancel(&self) {
+        self.cancelled.store(true, Ordering::SeqCst);
+    }
+}
+
+/// A shard that admits everything and renders nothing.
+struct FakeShard {
+    id: usize,
+    admitted: Mutex<Sender<Handle>>,
+    healthy: AtomicBool,
+    prewarmed: Arc<Mutex<Vec<(usize, String)>>>,
+}
+
+impl Shard for FakeShard {
+    fn submit(
+        &self,
+        _req: &RenderRequest,
+        done: Done,
+        _timeout: Duration,
+    ) -> Result<Arc<dyn ShardTicket>, ShardError> {
+        let (fate, fate_rx) = mpsc::channel();
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let handle = Handle { shard: self.id, fate, cancelled: cancelled.clone() };
+        self.admitted.lock().unwrap().send(handle).expect("the test outlives its fleet");
+        Ok(Arc::new(FakeTicket {
+            fate: Mutex::new(fate_rx),
+            done: Mutex::new(Some(done)),
+            cancelled,
+        }))
+    }
+
+    fn health(&self, _timeout: Duration) -> Result<HealthInfo, ShardError> {
+        if self.healthy.load(Ordering::SeqCst) {
+            Ok(HealthInfo { queue_len: 0, draining: false })
+        } else {
+            Err(ShardError::Timeout)
+        }
+    }
+
+    fn stats(&self, _timeout: Duration) -> Result<WireStats, ShardError> {
+        Ok(WireStats { workers: 1, queue_len: 0, serve: ServeStats::default() })
+    }
+
+    fn prewarm(&self, scene: &str, _timeout: Duration) -> Result<bool, ShardError> {
+        self.prewarmed.lock().unwrap().push((self.id, scene.to_string()));
+        Ok(true)
+    }
+
+    fn set_workers(&self, _workers: usize, _timeout: Duration) -> Result<usize, ShardError> {
+        Ok(1)
+    }
+
+    fn drain(&self, _timeout: Duration) {}
+}
+
+struct FakeFleet {
+    fleet: Fleet,
+    shards: Vec<Arc<FakeShard>>,
+    admitted: Receiver<Handle>,
+    prewarmed: Arc<Mutex<Vec<(usize, String)>>>,
+}
+
+fn fake_fleet(n: usize, cfg: FleetConfig) -> FakeFleet {
+    let (tx, admitted) = mpsc::channel();
+    let prewarmed = Arc::new(Mutex::new(Vec::new()));
+    let shards: Vec<Arc<FakeShard>> = (0..n)
+        .map(|id| {
+            Arc::new(FakeShard {
+                id,
+                admitted: Mutex::new(tx.clone()),
+                healthy: AtomicBool::new(true),
+                prewarmed: prewarmed.clone(),
+            })
+        })
+        .collect();
+    let fleet = Fleet::new(shards.clone(), &RenderProfile::tiny(), cfg).unwrap();
+    FakeFleet { fleet, shards, admitted, prewarmed }
+}
+
+impl FakeFleet {
+    /// The next request some fake shard admitted, blocking until one does.
+    fn next_admitted(&self) -> Handle {
+        self.admitted.recv_timeout(PATIENCE).expect("no shard admitted a request")
+    }
+}
+
+/// A result whose single pixel names who rendered it.
+fn frames_of(who: f32) -> WireResult {
+    let mut image = Image::new(1, 1);
+    image.pixels_mut()[0] = Rgb { r: who, g: 0.0, b: 0.0 };
+    WireResult {
+        scene: "Mic".into(),
+        resolution: 1,
+        reused_frames: 0,
+        queue_wait_us: 0,
+        latency_us: 1000,
+        deadline_met: None,
+        completed_seq: 0,
+        images: vec![image],
+        trace: asdr_obs::TraceId::UNSET,
+    }
+}
+
+fn mic() -> RenderRequest {
+    RenderRequest::frame(registry::handle("Mic"), 16)
+}
+
+/// Polls `done` until it holds; the fleet's health thread is the only
+/// thing these wait on.
+fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + PATIENCE;
+    while !done() {
+        assert!(Instant::now() < deadline, "never happened: {what}");
+        std::thread::yield_now();
+    }
+}
+
+fn hedging() -> FleetConfig {
+    FleetConfig { hedge_after: Some(Duration::from_millis(1)), ..FleetConfig::default() }
+}
+
+#[test]
+fn a_stalled_primary_loses_the_hedge_race_to_its_replica() {
+    let f = fake_fleet(3, hedging());
+    let ticket = f.fleet.submit(mic()).unwrap();
+    let primary = f.next_admitted();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| ticket.wait());
+        // the primary stalls past the watermark: a duplicate goes out
+        let replica = f.next_admitted();
+        assert_ne!(replica.shard, primary.shard);
+        replica.fate.send(Fate::Complete(frames_of(2.0))).unwrap();
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(2.0), "the replica's frames");
+        assert!(primary.cancelled.load(Ordering::SeqCst), "the loser was not cancelled");
+        assert!(!replica.cancelled.load(Ordering::SeqCst));
+    });
+    let fl = f.fleet.stats().fleet;
+    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 1, 1), "{fl:?}");
+    assert_eq!((fl.evictions, fl.failovers), (0, 0), "{fl:?}");
+}
+
+#[test]
+fn a_primary_that_answers_first_wins_and_the_replica_is_cancelled() {
+    let f = fake_fleet(3, hedging());
+    let ticket = f.fleet.submit(mic()).unwrap();
+    let primary = f.next_admitted();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| ticket.wait());
+        let replica = f.next_admitted();
+        primary.fate.send(Fate::Complete(frames_of(1.0))).unwrap();
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(1.0), "the primary's frames");
+        assert!(replica.cancelled.load(Ordering::SeqCst), "the loser was not cancelled");
+        assert!(!primary.cancelled.load(Ordering::SeqCst));
+    });
+    assert_eq!(ticket.shard(), primary.shard);
+    let fl = f.fleet.stats().fleet;
+    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 0, 1), "{fl:?}");
+}
+
+/// At the parent a second `wait()` found the slot gone, read that as a
+/// timeout and hedged — a duplicate render counted as a hedge win.
+#[test]
+fn a_ticket_answers_every_wait_with_its_one_outcome() {
+    let f = fake_fleet(2, hedging());
+    let ticket = f.fleet.submit(mic()).unwrap();
+    f.next_admitted().fate.send(Fate::Complete(frames_of(1.0))).unwrap();
+    assert_eq!(ticket.wait().unwrap(), frames_of(1.0));
+    assert_eq!(ticket.wait().unwrap(), frames_of(1.0), "the second wait lost the outcome");
+    assert!(f.admitted.try_recv().is_err(), "the second wait submitted a duplicate");
+    let stats = f.fleet.stats();
+    assert_eq!(stats.fleet.hedges, 0);
+    assert_eq!(stats.cost.observations, 1, "one request, one observation");
+}
+
+#[test]
+fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_moved() {
+    const SCENES: [&str; 8] =
+        ["Mic", "Lego", "Pulse", "Palace", "Fountain", "Family", "Chair", "Ship"];
+    let cfg = FleetConfig {
+        hedge_after: None,
+        health_interval: Duration::from_millis(1),
+        health_misses: u32::MAX, // only the ticket's connection error may evict
+        ..FleetConfig::default()
+    };
+    let f = fake_fleet(3, cfg);
+    // route every scene once, so each has a recorded home to re-warm from
+    for scene in SCENES {
+        let ticket = f.fleet.submit(RenderRequest::frame(registry::handle(scene), 16)).unwrap();
+        f.next_admitted().fate.send(Fate::Complete(frames_of(0.0))).unwrap();
+        ticket.wait().unwrap();
+    }
+    let ring = f.fleet.ring();
+    let victim = ring.home("Mic");
+    let moved: BTreeSet<String> =
+        SCENES.iter().filter(|s| ring.home(s) == victim).map(|s| s.to_string()).collect();
+    assert!(moved.len() < SCENES.len(), "every scene homes on one shard: nothing to tell apart");
+
+    // probes fail from here on, so the eviction below is not undone at once
+    f.shards[victim].healthy.store(false, Ordering::SeqCst);
+    let ticket = f.fleet.submit(mic()).unwrap();
+    let primary = f.next_admitted();
+    assert_eq!(primary.shard, victim);
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| ticket.wait());
+        primary.fate.send(Fate::Die).unwrap();
+        let replacement = f.next_admitted();
+        assert_ne!(replacement.shard, victim);
+        // between the resubmission and its answer: the victim is off the
+        // ring and the reservation sits on the shard that took over
+        let stats = f.fleet.stats();
+        assert_eq!(f.fleet.live_shards(), 2);
+        assert_eq!((stats.fleet.evictions, stats.fleet.shards_lost), (1, 1), "{:?}", stats.fleet);
+        assert_eq!(stats.shards[victim].outstanding_ms, 0.0, "the dead shard kept the budget");
+        assert_eq!(stats.shards[replacement.shard].outstanding_ms, ticket.predicted_ms());
+        replacement.fate.send(Fate::Complete(frames_of(3.0))).unwrap();
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(3.0));
+        assert_eq!(ticket.shard(), replacement.shard);
+    });
+    let stats = f.fleet.stats();
+    assert_eq!((stats.fleet.failovers, stats.fleet.rejoins), (1, 0), "{:?}", stats.fleet);
+    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+    // the eviction re-warmed exactly the victim's scenes, elsewhere
+    let moved_off = |log: &[(usize, String)]| -> BTreeSet<String> {
+        log.iter().filter(|(shard, _)| *shard != victim).map(|(_, s)| s.clone()).collect()
+    };
+    eventually("the evicted shard's scenes re-warm on their new homes", || {
+        moved_off(&f.prewarmed.lock().unwrap()) == moved
+    });
+
+    // a healthy probe returns the shard and re-warms the same scenes on it
+    f.shards[victim].healthy.store(true, Ordering::SeqCst);
+    eventually("the recovered shard rejoins", || f.fleet.stats().fleet.rejoins == 1);
+    assert_eq!(f.fleet.live_shards(), 3);
+    eventually("the scenes that moved back re-warm on the rejoined shard", || {
+        let log = f.prewarmed.lock().unwrap();
+        log.iter()
+            .filter(|(shard, _)| *shard == victim)
+            .map(|(_, s)| s.clone())
+            .collect::<BTreeSet<_>>()
+            == moved
+    });
+    let stats = f.fleet.stats();
+    assert_eq!(
+        stats.fleet.rewarms,
+        2 * moved.len() as u64,
+        "a scene whose home never moved was re-warmed"
+    );
+    assert_eq!(f.prewarmed.lock().unwrap().len(), 2 * moved.len());
+    assert_eq!((stats.fleet.evictions, stats.fleet.rejoins, stats.fleet.shards_lost), (1, 1, 0));
+}
+
+const E2E_SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];
+const E2E_RESOLUTION: u32 = 24;
+
+/// `tests/cluster_e2e.rs`'s workload: per scene, a prioritized frame and a
+/// short orbit sequence.
+fn e2e_workload() -> Vec<RenderRequest> {
+    E2E_SCENES
+        .iter()
+        .flat_map(|name| {
+            let scene = registry::handle(name);
+            [
+                RenderRequest::frame(scene.clone(), E2E_RESOLUTION).with_priority(Priority::High),
+                RenderRequest::sequence(scene, E2E_RESOLUTION, 2),
+            ]
+        })
+        .collect()
+}
+
+/// Runs the workload through `fleet` and holds it to what
+/// `tests/cluster_e2e.rs` asserts of a sharded run over a warm directory.
+fn assert_matches_reference(fleet: Fleet, reference: &[Vec<Image>], backend: &str) {
+    let tickets: Vec<_> = e2e_workload().into_iter().map(|r| fleet.submit(r)).collect();
+    let outcomes: Vec<_> =
+        tickets.iter().map(|t| t.as_ref().map_err(|e| e.to_string())?.wait()).collect();
+    // shut down before anything may panic: it is what stops the servers
+    let stats = fleet.shutdown();
+    let frames: Vec<Vec<Image>> =
+        outcomes.into_iter().map(|o| o.expect("request completed").images).collect();
+    assert_eq!(frames, reference, "{backend} shards changed pixels");
+    assert_eq!(stats.requests(), 6, "{backend}");
+    assert_eq!(
+        stats.total_fits(),
+        0,
+        "{backend}: every shard warms from the reference's checkpoints"
+    );
+    assert_eq!(stats.total_disk_hits(), 3, "{backend}: one checkpoint load per scene fleet-wide");
+    assert_eq!(stats.fleet, asdr_cluster::FleetStats::default(), "{backend}");
+}
+
+#[test]
+fn frames_are_byte_identical_local_remote_and_single_service() {
+    let dir = std::env::temp_dir().join(format!("asdr_fleet_seam_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let profile = RenderProfile::tiny();
+
+    let service = RenderService::builder(profile.clone())
+        .store(Arc::new(ModelStore::builder().dir(&dir).build()))
+        .workers(2)
+        .build()
+        .unwrap();
+    let tickets: Vec<_> = e2e_workload().into_iter().map(|r| service.submit(r).unwrap()).collect();
+    let reference: Vec<Vec<Image>> =
+        tickets.iter().map(|t| t.wait().expect("request completed").images.clone()).collect();
+    assert_eq!(service.shutdown().store.fits, 3, "the cold reference run fits each scene once");
+
+    let local_shards = || {
+        let store = ModelStore::builder().dir(&dir);
+        LocalShards { shards: 3, store, ..LocalShards::new(profile.clone()) }.build()
+    };
+    // no hedging: on a stalled host a duplicate would load a fourth
+    // checkpoint and count a seventh request
+    let cfg = FleetConfig { hedge_after: None, ..FleetConfig::default() };
+    let local = Fleet::new(local_shards().unwrap(), &profile, cfg.clone()).unwrap();
+    assert_matches_reference(local, &reference, "local");
+
+    // the same three shards again, each behind the library's connection
+    // loop on a Unix socket, reached by the wire client
+    std::thread::scope(|s| {
+        let mut remote_shards = Vec::new();
+        for (id, shard) in local_shards().unwrap().into_iter().enumerate() {
+            let addr = ShardAddr::Unix(dir.join(format!("shard{id}.sock")));
+            let (listener, addr) = Listener::bind(&addr).unwrap();
+            listener.set_nonblocking(true).unwrap();
+            let server = Server::new(shard, id as u64);
+            s.spawn(move || {
+                server.run(&listener, || ()).expect("accept");
+                server.drain();
+            });
+            remote_shards.push(Arc::new(RemoteShard::connect(addr, 1).unwrap()));
+        }
+        let remote = Fleet::new(remote_shards, &profile, cfg).unwrap();
+        // shutdown's wire `Drain` is also what ends the three server threads
+        assert_matches_reference(remote, &reference, "remote");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}

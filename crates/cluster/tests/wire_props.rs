@@ -139,13 +139,15 @@ fn build_message((kind, id, n, flag, req): MsgTuple) -> Message {
         12 => Message::Prewarm { id, scene: req.scene },
         13 => Message::Warmed { id, ok: flag },
         14 => Message::Drain { id },
-        _ => Message::Draining { id },
+        15 => Message::Draining { id },
+        16 => Message::SetWorkers { id, workers: n % 1024 },
+        _ => Message::WorkersSet { id, previous: n },
     }
 }
 
 fn arb_msg_tuple() -> impl Strategy<Value = MsgTuple> {
     (
-        0u8..16,
+        0u8..18,
         0u64..1_000_000_000,
         0u64..100_000,
         0u8..2,

@@ -8,8 +8,7 @@
 //!
 //! * [`ExecPolicy::Sequential`] — the whole frame, one thread: the
 //!   reference path;
-//! * [`ExecPolicy::StaticRows`] — contiguous row blocks, one per worker
-//!   (the historical `render()` split);
+//! * [`ExecPolicy::StaticRows`] — contiguous row blocks, one per worker;
 //! * [`ExecPolicy::TileStealing`] — square tiles. Adaptive sampling makes
 //!   per-tile cost wildly uneven, and workers that draw cheap background
 //!   tiles steal the remaining hard ones.
@@ -67,7 +66,7 @@ impl ExecPolicy {
 }
 
 impl Default for ExecPolicy {
-    /// The historical `render()` behavior.
+    /// Row blocks: the split that needs no tuning.
     fn default() -> Self {
         ExecPolicy::StaticRows
     }
@@ -651,7 +650,8 @@ mod tests {
         let m = model("Lego");
         let cam = registry::handle("Lego").camera(20, 20);
         let opts = RenderOptions::asdr_default(48);
-        let single = crate::algo::renderer::render(&m, &cam, &opts);
+        let single =
+            FrameEngine::new(opts.clone(), ExecPolicy::StaticRows).unwrap().render_frame(&m, &cam);
         let rows = FrameEngine::new(opts.clone(), ExecPolicy::StaticRows)
             .unwrap()
             .with_workers(4)
@@ -835,17 +835,6 @@ mod tests {
         assert_eq!(seq.image, steal.image);
         assert_eq!(seq.stats, steal.stats);
         assert!(seq.stats.et_terminated_rays > 0);
-    }
-
-    #[test]
-    fn shim_matches_engine() {
-        let m = model("Mic");
-        let cam = registry::handle("Mic").camera(16, 16);
-        let opts = RenderOptions::asdr_default(48);
-        let shim = crate::algo::renderer::render(&m, &cam, &opts);
-        let engine = FrameEngine::new(opts, ExecPolicy::StaticRows).unwrap().render_frame(&m, &cam);
-        assert_eq!(shim.image, engine.image);
-        assert_eq!(shim.stats, engine.stats);
     }
 
     #[test]

@@ -10,5 +10,5 @@ pub use adaptive::{AdaptiveConfig, SamplePlan};
 pub use engine::{
     ExecPolicy, FrameEngine, FrameRecord, PhaseTimings, PlanPolicy, SequenceFrame, SequenceOutput,
 };
-pub use renderer::{render, render_reference, RenderOptions, RenderOutput, RenderStats};
+pub use renderer::{RenderOptions, RenderOutput, RenderStats};
 pub use volrend::{composite, composite_early_term, CompositeResult, SamplePoint};

@@ -17,7 +17,7 @@
 
 use crate::algo::adaptive::{choose_count_validated, AdaptiveConfig, SamplePlan};
 use crate::algo::approx::interpolate_followers;
-use crate::algo::engine::{ExecPolicy, FrameEngine, PhaseTimings};
+use crate::algo::engine::PhaseTimings;
 use crate::algo::volrend::{SamplePoint, EARLY_TERM_TRANSMITTANCE};
 use asdr_math::{Camera, Image, Ray, Rgb};
 use asdr_nerf::model::RadianceModel;
@@ -142,26 +142,6 @@ pub struct RenderOutput {
     pub plan: SamplePlan,
     /// Wall-clock time spent in each phase.
     pub timings: PhaseTimings,
-}
-
-/// Renders a frame with the ASDR pipeline.
-///
-/// Thin shim over [`FrameEngine`] at the default execution policy
-/// ([`ExecPolicy::StaticRows`]), kept so pre-engine callers keep compiling.
-/// New code should build a [`FrameEngine`] and reuse it across frames.
-///
-/// # Panics
-///
-/// Panics if `opts` fail validation ([`FrameEngine::new`] returns the same
-/// message as an `Err` instead — this shim preserves the historical panic).
-pub fn render<M: RadianceModel + Sync>(
-    model: &M,
-    cam: &Camera,
-    opts: &RenderOptions,
-) -> RenderOutput {
-    FrameEngine::new(opts.clone(), ExecPolicy::StaticRows)
-        .expect("invalid render options")
-        .render_frame(model, cam)
 }
 
 /// Phase I, one cell of the probe grid: fully evaluates the probe ray of
@@ -353,15 +333,10 @@ fn composite_span(
     (acc, transmittance)
 }
 
-/// Convenience: renders the fixed-count baseline and returns only the image
-/// (used by quality references).
-pub fn render_reference<M: RadianceModel + Sync>(model: &M, cam: &Camera, base_ns: usize) -> Image {
-    render(model, cam, &RenderOptions::instant_ngp(base_ns)).image
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::engine::{ExecPolicy, FrameEngine};
     use asdr_math::metrics::psnr;
     use asdr_nerf::fit::fit_ngp;
     use asdr_nerf::grid::GridConfig;
@@ -370,6 +345,17 @@ mod tests {
 
     fn model(name: &str) -> NgpModel {
         fit_ngp(registry::handle(name).build().as_ref(), &GridConfig::tiny())
+    }
+
+    fn render(model: &NgpModel, cam: &Camera, opts: &RenderOptions) -> RenderOutput {
+        FrameEngine::new(opts.clone(), ExecPolicy::StaticRows)
+            .expect("options are valid")
+            .render_frame(model, cam)
+    }
+
+    /// The fixed-count baseline image quality is measured against.
+    fn render_reference(model: &NgpModel, cam: &Camera, base_ns: usize) -> Image {
+        render(model, cam, &RenderOptions::instant_ngp(base_ns)).image
     }
 
     #[test]
@@ -459,15 +445,5 @@ mod tests {
         assert!(s.density_points <= s.planned_points);
         assert!(s.total_density() >= s.density_points);
         assert!(s.density_workload_ratio() > 0.0);
-    }
-
-    #[test]
-    fn invalid_options_panic() {
-        let m = model("Mic");
-        let cam = registry::handle("Mic").camera(4, 4);
-        let mut opts = RenderOptions::instant_ngp(16);
-        opts.approx_group = 0;
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| render(&m, &cam, &opts)));
-        assert!(r.is_err());
     }
 }

@@ -16,7 +16,7 @@
 //! # Example
 //!
 //! ```
-//! use asdr_core::algo::{render, RenderOptions};
+//! use asdr_core::algo::{ExecPolicy, FrameEngine, RenderOptions};
 //! use asdr_nerf::{fit, grid::GridConfig};
 //! use asdr_scenes::registry;
 //!
@@ -24,7 +24,8 @@
 //! let scene = mic.build();
 //! let model = fit::fit_ngp(scene.as_ref(), &GridConfig::tiny());
 //! let cam = mic.camera(32, 32);
-//! let out = render(&model, &cam, &RenderOptions::asdr_default(64));
+//! let engine = FrameEngine::new(RenderOptions::asdr_default(64), ExecPolicy::default()).unwrap();
+//! let out = engine.render_frame(&model, &cam);
 //! assert!(out.stats.color_points < out.stats.density_points);
 //! ```
 
@@ -34,4 +35,4 @@
 pub mod algo;
 pub mod arch;
 
-pub use algo::{render, RenderOptions, RenderOutput, RenderStats};
+pub use algo::{RenderOptions, RenderOutput, RenderStats};

@@ -9,7 +9,8 @@
 //! right after the version word, so a checkpoint of any registered scene —
 //! including custom ones added via `asdr_scenes::registry::register` —
 //! round-trips with enough information to find its scene again. Version 1
-//! files (no name) still load, with [`Checkpoint::scene`] empty.
+//! (no name; last written by PR 1) is no longer read: such a file is a
+//! [`LoadError::BadVersion`], which a model store answers by refitting.
 
 use crate::embedding::EmbeddingSet;
 use crate::encoder::HashEncoder;
@@ -23,16 +24,14 @@ use std::path::Path;
 
 /// File magic: `ASDRNGP\0`.
 pub const MAGIC: [u8; 8] = *b"ASDRNGP\0";
-/// Current format version.
+/// The format version, written and read.
 pub const VERSION: u32 = 2;
-/// Oldest version the reader still accepts.
-pub const MIN_VERSION: u32 = 1;
 /// Longest scene name (bytes) a checkpoint may carry; the reader treats
 /// longer length fields as corruption and the writer refuses to emit them.
 pub const MAX_SCENE_NAME: usize = 256;
 
 /// A loaded checkpoint: the model plus the scene name the file was saved
-/// under (empty for v1 files, which predate the name field).
+/// under.
 #[derive(Debug)]
 pub struct Checkpoint {
     /// The reconstructed model.
@@ -174,24 +173,11 @@ pub fn save_model<W: Write>(model: &NgpModel, scene: &str, w: &mut W) -> io::Res
             format!("scene name exceeds {MAX_SCENE_NAME} bytes"),
         ));
     }
-    save_model_versioned(model, scene, VERSION, w)
-}
-
-/// Version-parameterized writer; `version` 1 omits the scene name (kept so
-/// the v1 read path stays testable).
-fn save_model_versioned<W: Write>(
-    model: &NgpModel,
-    scene: &str,
-    version: u32,
-    w: &mut W,
-) -> io::Result<()> {
     w.write_all(&MAGIC)?;
-    w_u32(w, version)?;
-    if version >= 2 {
-        let name = scene.as_bytes();
-        w_u32(w, name.len() as u32)?;
-        w.write_all(name)?;
-    }
+    w_u32(w, VERSION)?;
+    let name = scene.as_bytes();
+    w_u32(w, name.len() as u32)?;
+    w.write_all(name)?;
     // grid config
     let cfg = model.encoder().config();
     w_u32(w, cfg.levels as u32)?;
@@ -242,7 +228,7 @@ fn occupancy_bits(occ: &OccupancyGrid) -> Vec<u8> {
     out
 }
 
-/// Reads a model checkpoint (v1 or v2).
+/// Reads a model checkpoint.
 ///
 /// # Errors
 ///
@@ -254,26 +240,17 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
         return Err(LoadError::BadMagic);
     }
     let version = r_u32(r)?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(LoadError::BadVersion(version));
     }
-    let scene = if version >= 2 {
-        let n = r_u32(r)? as usize;
-        if n > MAX_SCENE_NAME {
-            return Err(LoadError::Corrupt("oversized scene name"));
-        }
-        let mut buf = vec![0u8; n];
-        r.read_exact(&mut buf)?;
-        let name =
-            String::from_utf8(buf).map_err(|_| LoadError::Corrupt("scene name is not UTF-8"))?;
-        if name.is_empty() {
-            None
-        } else {
-            Some(name)
-        }
-    } else {
-        None
-    };
+    let n = r_u32(r)? as usize;
+    if n > MAX_SCENE_NAME {
+        return Err(LoadError::Corrupt("oversized scene name"));
+    }
+    let mut buf = vec![0u8; n];
+    r.read_exact(&mut buf)?;
+    let name = String::from_utf8(buf).map_err(|_| LoadError::Corrupt("scene name is not UTF-8"))?;
+    let scene = (!name.is_empty()).then_some(name);
     let cfg = GridConfig {
         levels: r_u32(r)? as usize,
         base_res: r_u32(r)?,
@@ -399,19 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load_without_a_scene_name() {
-        let model = fitted("Mic");
-        let mut buf = Vec::new();
-        save_model_versioned(&model, "Mic", 1, &mut buf).unwrap();
-        let ckpt = load_model(&mut buf.as_slice()).unwrap();
-        assert_eq!(ckpt.scene, None, "v1 files carry no scene name");
-        let mut s1 = model.make_scratch();
-        let mut s2 = ckpt.model.make_scratch();
-        let p = Vec3::new(0.0, 0.45, 0.0);
-        assert_eq!(model.query_density_into(p, &mut s1), ckpt.model.query_density_into(p, &mut s2));
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let err = load_model(&mut &b"NOTANGP\0restoffile"[..]).unwrap_err();
         assert!(matches!(err, LoadError::BadMagic), "{err}");
@@ -432,9 +396,12 @@ mod tests {
         let model = fitted("Mic");
         let mut buf = Vec::new();
         save_model(&model, "Mic", &mut buf).unwrap();
-        buf[8] = 99; // clobber version
-        let err = load_model(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, LoadError::BadVersion(99)), "{err}");
+        // 1 is the retired nameless format, 99 one nobody has written yet
+        for version in [1u8, 99] {
+            buf[8] = version;
+            let err = load_model(&mut buf.as_slice()).unwrap_err();
+            assert!(matches!(err, LoadError::BadVersion(v) if v == u32::from(version)), "{err}");
+        }
     }
 
     #[test]

@@ -42,5 +42,3 @@ pub mod sdf;
 
 pub use field::SceneField;
 pub use registry::{OrbitCamera, SceneDef, SceneHandle, SceneKind, SceneRegistry};
-#[allow(deprecated)]
-pub use registry::{SceneId, SceneInfo};

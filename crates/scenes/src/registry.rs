@@ -593,134 +593,6 @@ pub fn perf_scenes() -> Vec<SceneHandle> {
     PERF_SCENE_NAMES.iter().map(|n| handle(n)).collect()
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated closed-enum shim
-// ---------------------------------------------------------------------------
-
-/// Identifier for each of the ten evaluation scenes (Table 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
-#[deprecated(note = "use `SceneHandle` via `registry::handle(name)`; the registry is open now")]
-pub enum SceneId {
-    Mic,
-    Hotdog,
-    Ship,
-    Chair,
-    Ficus,
-    Lego,
-    Palace,
-    Fountain,
-    Family,
-    Fox,
-}
-
-#[allow(deprecated)]
-impl SceneId {
-    /// All scenes in the order the paper lists them in Table 1.
-    pub const ALL: [SceneId; 10] = [
-        SceneId::Mic,
-        SceneId::Hotdog,
-        SceneId::Ship,
-        SceneId::Chair,
-        SceneId::Ficus,
-        SceneId::Lego,
-        SceneId::Palace,
-        SceneId::Fountain,
-        SceneId::Family,
-        SceneId::Fox,
-    ];
-
-    /// The five scenes used by the performance figures.
-    pub const PERF: [SceneId; 5] =
-        [SceneId::Palace, SceneId::Fountain, SceneId::Family, SceneId::Fox, SceneId::Mic];
-
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            SceneId::Mic => "Mic",
-            SceneId::Hotdog => "Hotdog",
-            SceneId::Ship => "Ship",
-            SceneId::Chair => "Chair",
-            SceneId::Ficus => "Ficus",
-            SceneId::Lego => "Lego",
-            SceneId::Palace => "Palace",
-            SceneId::Fountain => "Fountain",
-            SceneId::Family => "Family",
-            SceneId::Fox => "Fox",
-        }
-    }
-
-    /// Parses a case-insensitive scene name.
-    pub fn parse(s: &str) -> Option<SceneId> {
-        SceneId::ALL.iter().copied().find(|id| id.name().eq_ignore_ascii_case(s))
-    }
-
-    /// The registry handle for this builtin.
-    pub fn handle(self) -> SceneHandle {
-        handle(self.name())
-    }
-}
-
-#[allow(deprecated)]
-impl fmt::Display for SceneId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[allow(deprecated)]
-impl From<SceneId> for SceneHandle {
-    fn from(id: SceneId) -> Self {
-        id.handle()
-    }
-}
-
-/// Per-scene metadata reproducing Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[deprecated(note = "read metadata off a `SceneHandle` instead")]
-#[allow(deprecated)]
-pub struct SceneInfo {
-    /// Scene id.
-    pub id: SceneId,
-    /// Source dataset name.
-    pub dataset: &'static str,
-    /// Native evaluation resolution (width, height).
-    pub resolution: (u32, u32),
-    /// Synthetic vs real-world.
-    pub kind: SceneKind,
-}
-
-/// Table-1 metadata for a scene.
-#[deprecated(note = "read metadata off a `SceneHandle` instead")]
-#[allow(deprecated)]
-pub fn info(id: SceneId) -> SceneInfo {
-    let b = PAPER_SCENES.iter().find(|b| b.name == id.name()).expect("builtin");
-    SceneInfo { id, dataset: b.dataset, resolution: b.resolution, kind: b.kind }
-}
-
-/// Builds the procedural field for a builtin scene.
-#[deprecated(note = "use `registry::handle(name).build()`")]
-#[allow(deprecated)]
-pub fn build(id: SceneId) -> Box<dyn SceneField> {
-    id.handle().build()
-}
-
-/// Builds the concrete [`SdfScene`] of a builtin (exposes `distance` for
-/// tests).
-#[deprecated(note = "use `registry::handle(name).build()`")]
-#[allow(deprecated)]
-pub fn build_sdf(id: SceneId) -> SdfScene {
-    let b = PAPER_SCENES.iter().find(|b| b.name == id.name()).expect("builtin");
-    SdfScene::new(b.name, b.field, 50.0, 0.03)
-}
-
-/// The standard evaluation viewpoint for a builtin scene.
-#[deprecated(note = "use `registry::handle(name).camera(width, height)`")]
-#[allow(deprecated)]
-pub fn standard_camera(id: SceneId, width: u32, height: u32) -> Camera {
-    id.handle().camera(width, height)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,20 +684,5 @@ mod tests {
         assert_eq!(reg.len(), 10);
         assert!(reg.get("Pulse").is_none(), "builtin-only registry has no zoo scenes");
         assert!(get("Pulse").is_some(), "global registry has the zoo scenes");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn scene_id_shim_round_trips() {
-        for id in SceneId::ALL {
-            assert_eq!(SceneId::parse(id.name()), Some(id));
-            let h: SceneHandle = id.into();
-            assert_eq!(h.name(), id.name());
-            assert_eq!(info(id).dataset, h.dataset());
-            let cam_old = standard_camera(id, 16, 16);
-            let cam_new = h.camera(16, 16);
-            assert_eq!(cam_old.ray_for_pixel(3, 5).dir, cam_new.ray_for_pixel(3, 5).dir);
-        }
-        assert_eq!(SceneId::parse("nonexistent"), None);
     }
 }

@@ -27,21 +27,15 @@
 //! stats samples, the span timeline — that `asdr-trace report` can merge
 //! with other processes' bundles.
 
-use asdr_serve::flags::{self, die, value, ReplayFlags};
-use asdr_serve::{ModelStore, RenderProfile, RenderService};
-use std::path::PathBuf;
+use asdr_serve::flags::{self, die, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags};
+use asdr_serve::RenderService;
 use std::sync::Arc;
 
+#[derive(Default)]
 struct Args {
     replay: ReplayFlags,
-    profile: RenderProfile,
-    workers: Option<usize>,
-    store_dir: Option<PathBuf>,
-    no_store: bool,
-    queue: usize,
-    out: Option<PathBuf>,
-    dump_images: Option<PathBuf>,
-    bundle: Option<PathBuf>,
+    output: OutputFlags,
+    service: ServiceFlags,
 }
 
 fn usage() -> ! {
@@ -56,40 +50,15 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        replay: ReplayFlags::default(),
-        profile: RenderProfile::tiny(),
-        workers: None,
-        store_dir: None,
-        no_store: false,
-        queue: 64,
-        out: None,
-        dump_images: None,
-        bundle: None,
-    };
+    let mut args = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
-        if !args.replay.accept(&argv, &mut i) {
+        let known = args.replay.accept(&argv, &mut i)
+            || args.output.accept(&argv, &mut i)
+            || args.service.accept(&argv, &mut i);
+        if !known {
             match argv[i].as_str() {
-                "--scale" => {
-                    let name = value(&argv, &mut i);
-                    args.profile = RenderProfile::parse(&name)
-                        .unwrap_or_else(|| die(&format!("unknown scale {name:?}")));
-                }
-                "--workers" => {
-                    args.workers = Some(flags::positive_usize("--workers", &value(&argv, &mut i)));
-                }
-                "--store-dir" => args.store_dir = Some(PathBuf::from(value(&argv, &mut i))),
-                "--no-store" => args.no_store = true,
-                "--queue" => {
-                    args.queue = value(&argv, &mut i)
-                        .parse()
-                        .unwrap_or_else(|_| die("--queue needs a number"));
-                }
-                "--out" => args.out = Some(PathBuf::from(value(&argv, &mut i))),
-                "--dump-images" => args.dump_images = Some(PathBuf::from(value(&argv, &mut i))),
-                "--bundle" => args.bundle = Some(PathBuf::from(value(&argv, &mut i))),
                 "-h" | "--help" => usage(),
                 other => die(&format!("unknown argument {other:?} (see --help)")),
             }
@@ -99,29 +68,19 @@ fn parse_args() -> Args {
     if args.replay.input.is_none() {
         usage();
     }
-    if args.no_store && args.store_dir.is_some() {
-        die("--no-store and --store-dir are mutually exclusive");
-    }
     args
 }
 
 fn main() {
     let args = parse_args();
-    let bundle = args.bundle.as_ref().map(|dir| {
-        let store_setting = match (&args.store_dir, args.no_store) {
-            (Some(d), _) => d.display().to_string(),
-            (None, true) => "in-memory".to_string(),
-            (None, false) => "env".to_string(),
-        };
+    let sized = &args.service;
+    let bundle = args.output.bundle.as_ref().map(|dir| {
         let config = [
-            ("workers", args.workers.map_or_else(|| "auto".to_string(), |n| n.to_string())),
-            ("queue", args.queue.to_string()),
-            ("store", store_setting),
+            ("workers", sized.workers.map_or_else(|| "auto".to_string(), |n| n.to_string())),
+            ("queue", sized.queue.to_string()),
+            ("store", sized.store_label()),
         ];
-        let b = asdr_obs::Bundle::create(dir, "serve", &config)
-            .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", dir.display())));
-        b.activate();
-        b
+        flags::open_bundle(dir, "serve", &config)
     });
     let input = args.replay.input.clone().expect("checked in parse_args");
     let mut source = input.open().unwrap_or_else(|e| die(&e));
@@ -129,17 +88,12 @@ fn main() {
         die("workload file holds no requests");
     }
 
-    let mut store = ModelStore::builder();
-    if let Some(dir) = &args.store_dir {
-        store = store.dir(dir);
-    } else if args.no_store {
-        store = store.in_memory_only();
-    }
-    let mut builder = RenderService::builder(args.profile.clone()).store(Arc::new(store.build()));
-    if let Some(n) = args.workers {
+    let mut builder =
+        RenderService::builder(sized.profile.clone()).store(Arc::new(sized.store().build()));
+    if let Some(n) = sized.workers {
         builder = builder.workers(n);
     }
-    let service = builder.queue_capacity(args.queue).build().unwrap_or_else(|e| die(&e));
+    let service = builder.queue_capacity(sized.queue).build().unwrap_or_else(|e| die(&e));
     println!(
         "# asdr-serve: {} requests, {} workers, store {}",
         source.len_hint().map_or_else(|| "streamed".to_string(), |n| n.to_string()),
@@ -147,7 +101,7 @@ fn main() {
         service.store().dir().map_or("in-memory".to_string(), |d| d.display().to_string()),
     );
 
-    let driver = args.replay.driver(args.profile.clone());
+    let driver = args.replay.driver(sized.profile.clone());
     if let Some(b) = &bundle {
         b.stage("replaying");
     }
@@ -158,39 +112,15 @@ fn main() {
         die("trace holds no requests");
     }
 
-    let mut measurements = flags::ReplayMeasurements::default();
-    let mut last_sample = std::time::Instant::now();
-    println!("| req | scene | frames | reused | queue ms | latency ms | deadline |");
-    println!("|---|---|---|---|---|---|---|");
+    let mut report = ReplayReport::begin(&args.output, bundle.as_deref(), "reused");
     for req in &replay.requests {
         let r = req
             .ticket
             .wait()
             .unwrap_or_else(|e| die(&format!("request {} ({}): {e}", req.index, req.scene)));
-        println!(
-            "| {} | {} | {} | {} | {:.1} | {:.1} | {} |",
-            req.index,
-            req.scene,
-            r.images.len(),
-            r.reused_frames,
-            r.queue_wait.as_secs_f64() * 1e3,
-            r.latency.as_secs_f64() * 1e3,
-            match r.deadline_met {
-                Some(true) => "met",
-                Some(false) => "MISSED",
-                None => "-",
-            },
-        );
-        measurements.push(req.window, req.deadlined, r.deadline_met == Some(false), r.images.len());
-        if let Some(dir) = &args.dump_images {
-            flags::dump_frames(dir, req.index, &r.images);
-        }
-        if let Some(b) = &bundle {
-            if last_sample.elapsed() >= std::time::Duration::from_secs(1) {
-                last_sample = std::time::Instant::now();
-                b.stats_sample("replay", &service.stats().to_json());
-            }
-        }
+        let waits_ms = (r.queue_wait.as_secs_f64() * 1e3, r.latency.as_secs_f64() * 1e3);
+        report.row(req, &r.reused_frames, &r.images, waits_ms, r.deadline_met);
+        report.sample(|| service.stats().to_json());
     }
     let wall = replay.started.elapsed();
 
@@ -221,19 +151,5 @@ fn main() {
     if stats.deadlined_requests > 0 {
         println!("deadlines: {}/{} missed", stats.deadline_misses, stats.deadlined_requests);
     }
-    println!(
-        "{}",
-        measurements.trace_result_line(wall, replay.plan.as_ref()).unwrap_or_else(|e| die(&e))
-    );
-    if let Some(out) = &args.out {
-        if let Some(parent) = out.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(out, stats.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
-        println!("stats written to {}", out.display());
-    }
-    if let Some(b) = &bundle {
-        b.finish(Some(&stats.to_json()));
-    }
+    report.finish(wall, replay.plan.as_ref(), &stats.to_json());
 }

@@ -3,12 +3,20 @@
 //! `asdr-serve`, `asdr-cluster`, and `asdr-trace` parse argv by hand (no
 //! clap offline); this module keeps the shared pieces — fail-fast value
 //! parsing, the trace-input flag trio (`--workload` / `--trace` /
-//! `--synthetic`) with `--speed`/`--record`, and the PPM frame dumper —
-//! in one place so the binaries hold only their own flags.
+//! `--synthetic`) with `--speed`/`--record`, the output trio (`--out` /
+//! `--dump-images` / `--bundle`) and the per-request table, `TRACE_RESULT`
+//! line and artifacts a replay writes through them — in one place so the
+//! binaries hold only their own flags.
 
+use crate::profile::RenderProfile;
+use crate::store::{ModelStore, ModelStoreBuilder};
+use crate::trace::replay::ReplayedRequest;
 use crate::trace::{BinarySource, JsonlSource, ReplayDriver, SyntheticSource, TraceSource};
 use asdr_math::Image;
+use asdr_obs::Bundle;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Prints `error: msg` and exits 2 — the binaries' failure contract.
 pub fn die(msg: &str) -> ! {
@@ -118,21 +126,215 @@ impl ReplayFlags {
     }
 
     /// Builds the shared [`ReplayDriver`] these flags describe.
-    pub fn driver(&self, profile: crate::profile::RenderProfile) -> ReplayDriver {
+    pub fn driver(&self, profile: RenderProfile) -> ReplayDriver {
         ReplayDriver::new(profile).speed(self.speed.unwrap_or(1.0)).record(self.record.clone())
+    }
+}
+
+/// The flags that size a service and place its store, shared by every
+/// binary that builds one: `--scale`, `--workers`, `--queue`, and
+/// `--store-dir` / `--no-store`.
+#[derive(Debug)]
+pub struct ServiceFlags {
+    /// `--scale NAME`, resolved.
+    pub profile: RenderProfile,
+    /// `--scale NAME`, lowercased (for config snapshots and child processes).
+    pub scale: String,
+    /// `--workers N` (`None`: the binary's default).
+    pub workers: Option<usize>,
+    /// `--queue N`: admission-queue capacity.
+    pub queue: usize,
+    /// `--store-dir DIR`.
+    pub store_dir: Option<PathBuf>,
+    /// `--no-store`: in-memory only, whatever `ASDR_STORE_DIR` says.
+    pub no_store: bool,
+}
+
+impl Default for ServiceFlags {
+    fn default() -> Self {
+        ServiceFlags {
+            profile: RenderProfile::tiny(),
+            scale: "tiny".to_string(),
+            workers: None,
+            queue: 64,
+            store_dir: None,
+            no_store: false,
+        }
+    }
+}
+
+impl ServiceFlags {
+    /// Tries to consume `argv[*i]` (and its value) as a service flag;
+    /// returns whether it did. Dies on an unknown scale, a non-positive
+    /// count, or both store flags.
+    pub fn accept(&mut self, argv: &[String], i: &mut usize) -> bool {
+        match argv[*i].as_str() {
+            "--scale" => {
+                let name = value(argv, i);
+                self.profile = RenderProfile::parse(&name)
+                    .unwrap_or_else(|| die(&format!("unknown scale {name:?}")));
+                self.scale = name.to_ascii_lowercase();
+            }
+            "--workers" => self.workers = Some(positive_usize("--workers", &value(argv, i))),
+            "--queue" => self.queue = positive_usize("--queue", &value(argv, i)),
+            "--store-dir" => self.store_dir = Some(PathBuf::from(value(argv, i))),
+            "--no-store" => self.no_store = true,
+            _ => return false,
+        }
+        if self.no_store && self.store_dir.is_some() {
+            die("--no-store and --store-dir are mutually exclusive");
+        }
+        true
+    }
+
+    /// The store the flags place (unset: `ASDR_STORE_DIR` decides).
+    pub fn store(&self) -> ModelStoreBuilder {
+        match (&self.store_dir, self.no_store) {
+            (Some(dir), _) => ModelStore::builder().dir(dir),
+            (None, true) => ModelStore::builder().in_memory_only(),
+            (None, false) => ModelStore::builder(),
+        }
+    }
+
+    /// That placement in words, for banners and config snapshots.
+    pub fn store_label(&self) -> String {
+        match (&self.store_dir, self.no_store) {
+            (Some(dir), _) => dir.display().to_string(),
+            (None, true) => "in-memory".to_string(),
+            (None, false) => "env".to_string(),
+        }
+    }
+}
+
+/// Where a replay's results go, shared by `asdr-serve` and `asdr-cluster`.
+#[derive(Debug, Default)]
+pub struct OutputFlags {
+    /// `--out STATS.json`: the final statistics artifact.
+    pub out: Option<PathBuf>,
+    /// `--dump-images DIR`: every rendered frame as a PPM.
+    pub dump_images: Option<PathBuf>,
+    /// `--bundle DIR`: the diagnostic run bundle.
+    pub bundle: Option<PathBuf>,
+}
+
+impl OutputFlags {
+    /// Tries to consume `argv[*i]` (and its value) as an output flag;
+    /// returns whether it did.
+    pub fn accept(&mut self, argv: &[String], i: &mut usize) -> bool {
+        let slot = match argv[*i].as_str() {
+            "--out" => &mut self.out,
+            "--dump-images" => &mut self.dump_images,
+            "--bundle" => &mut self.bundle,
+            _ => return false,
+        };
+        *slot = Some(PathBuf::from(value(argv, i)));
+        true
+    }
+}
+
+/// Creates and activates a run bundle at `dir`, dying when it cannot.
+pub fn open_bundle(dir: &Path, kind: &str, config: &[(&str, String)]) -> Arc<Bundle> {
+    let bundle = Bundle::create(dir, kind, config)
+        .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", dir.display())));
+    bundle.activate();
+    bundle
+}
+
+/// What a replay binary prints and writes while and after it waits on its
+/// tickets: the per-request table, `--dump-images` frames, bundle stats
+/// samples, the `TRACE_RESULT` line and the `--out` artifact.
+#[derive(Debug)]
+pub struct ReplayReport<'a> {
+    output: &'a OutputFlags,
+    bundle: Option<&'a Bundle>,
+    measurements: ReplayMeasurements,
+    last_sample: Instant,
+}
+
+impl<'a> ReplayReport<'a> {
+    /// Prints the table header; `column` names the one column that is the
+    /// binary's own.
+    pub fn begin(output: &'a OutputFlags, bundle: Option<&'a Bundle>, column: &str) -> Self {
+        println!("| req | scene | frames | {column} | queue ms | latency ms | deadline |");
+        println!("|---|---|---|---|---|---|---|");
+        ReplayReport {
+            output,
+            bundle,
+            measurements: ReplayMeasurements::default(),
+            last_sample: Instant::now(),
+        }
+    }
+
+    /// Prints one completed request's row (`cell` fills the binary's own
+    /// column; the waits are shard-side milliseconds) and dumps its frames.
+    pub fn row<T>(
+        &mut self,
+        req: &ReplayedRequest<T>,
+        cell: &dyn std::fmt::Display,
+        images: &[Image],
+        (queue_ms, latency_ms): (f64, f64),
+        deadline_met: Option<bool>,
+    ) {
+        println!(
+            "| {} | {} | {} | {cell} | {queue_ms:.1} | {latency_ms:.1} | {} |",
+            req.index,
+            req.scene,
+            images.len(),
+            match deadline_met {
+                Some(true) => "met",
+                Some(false) => "MISSED",
+                None => "-",
+            },
+        );
+        self.measurements.push(
+            req.window,
+            req.deadlined,
+            deadline_met == Some(false),
+            images.len(),
+        );
+        if let Some(dir) = &self.output.dump_images {
+            dump_frames(dir, req.index, images);
+        }
+    }
+
+    /// Samples `stats_json` into the bundle, at most once a second.
+    pub fn sample(&mut self, stats_json: impl FnOnce() -> String) {
+        if let Some(b) = self.bundle {
+            if self.last_sample.elapsed() >= Duration::from_secs(1) {
+                self.last_sample = Instant::now();
+                b.stats_sample("replay", &stats_json());
+            }
+        }
+    }
+
+    /// Prints the `TRACE_RESULT` line, writes `stats_json` to `--out` and
+    /// seals it into the bundle.
+    pub fn finish(self, wall: Duration, plan: Option<&crate::trace::PlanMeta>, stats_json: &str) {
+        println!("{}", self.measurements.trace_result_line(wall, plan).unwrap_or_else(|e| die(&e)));
+        if let Some(out) = &self.output.out {
+            if let Some(parent) = out.parent() {
+                let _ = std::fs::create_dir_all(parent);
+            }
+            std::fs::write(out, stats_json)
+                .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", out.display())));
+            println!("stats written to {}", out.display());
+        }
+        if let Some(b) = self.bundle {
+            b.finish(Some(stats_json));
+        }
     }
 }
 
 /// Per-request observations collected while waiting on replayed tickets,
 /// and the machine-readable `TRACE_RESULT` summary both binaries print.
 #[derive(Debug, Default)]
-pub struct ReplayMeasurements {
+struct ReplayMeasurements {
     items: Vec<(Option<usize>, bool, bool, usize)>,
 }
 
 impl ReplayMeasurements {
     /// Records one completed request.
-    pub fn push(&mut self, window: Option<usize>, deadlined: bool, missed: bool, frames: usize) {
+    fn push(&mut self, window: Option<usize>, deadlined: bool, missed: bool, frames: usize) {
         self.items.push((window, deadlined, missed, frames));
     }
 
@@ -144,7 +346,7 @@ impl ReplayMeasurements {
     /// # Errors
     ///
     /// Propagates [`weighted_estimate`](crate::trace::sample::weighted_estimate) mismatches.
-    pub fn trace_result_line(
+    fn trace_result_line(
         &self,
         wall: std::time::Duration,
         plan: Option<&crate::trace::PlanMeta>,
@@ -183,7 +385,7 @@ impl ReplayMeasurements {
 
 /// Writes request `idx`'s frames as `reqNNN-fMM.ppm` under `dir`, dying
 /// on I/O errors — the `--dump-images` contract both binaries share.
-pub fn dump_frames(dir: &Path, idx: usize, images: &[Image]) {
+fn dump_frames(dir: &Path, idx: usize, images: &[Image]) {
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", dir.display())));
     for (f, image) in images.iter().enumerate() {

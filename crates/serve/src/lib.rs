@@ -56,8 +56,8 @@ pub mod workload;
 
 pub use profile::RenderProfile;
 pub use service::{
-    Completion, CompletionHook, Priority, RenderRequest, RenderResult, RenderService, RenderTicket,
-    ServeError, ServeStats,
+    OnDone, Priority, RenderRequest, RenderResult, RenderService, RenderTicket, ServeError,
+    ServeStats,
 };
 pub use store::{ModelStore, StoreKey, StoreStats};
 pub use trace::{

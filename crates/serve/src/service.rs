@@ -206,46 +206,41 @@ pub struct RenderResult {
     pub trace: TraceId,
 }
 
-/// What a completion hook observes: one finished (or failed) request.
-///
-/// The hook runs on the worker thread after the request's statistics are
-/// folded in and immediately before its ticket fills, so a cluster layer
-/// can release admission budget and feed its cost model without polling
-/// tickets. Hooks must be cheap and must not panic; a panic in a hook is
-/// caught and swallowed (tickets must always fill), so whatever
-/// bookkeeping the hook was doing is silently lost.
-#[derive(Debug)]
-pub struct Completion<'a> {
-    /// Scene name.
-    pub scene: &'a str,
-    /// Square frame resolution of the request.
-    pub resolution: u32,
-    /// Frames the request asked for.
-    pub frames: usize,
-    /// The result, or `None` when the request failed
-    /// ([`ServeError::RenderFailed`]).
-    pub result: Option<&'a RenderResult>,
-}
-
-/// Observes every request completion (see [`Completion`]).
-pub type CompletionHook = Arc<dyn Fn(&Completion<'_>) + Send + Sync>;
+/// Observes one request's outcome ([`RenderService::submit_observed`]):
+/// runs on the worker thread after the request's statistics are folded in
+/// and before its ticket fills, so a cluster layer can release admission
+/// budget and feed its cost model without polling tickets, and whoever a
+/// `wait` wakes also sees what the observer did. Failures are observed
+/// too. It must be cheap; a panic in it is caught and swallowed (tickets
+/// must always fill), so whatever bookkeeping it was doing is lost.
+pub type OnDone = Box<dyn FnOnce(&Result<RenderResult, ServeError>) + Send>;
 
 /// A handle to a submitted request's eventual [`RenderResult`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RenderTicket {
     inner: Arc<TicketInner>,
 }
 
-#[derive(Debug)]
 struct TicketInner {
     state: Mutex<Option<Result<Arc<RenderResult>, ServeError>>>,
     cond: Condvar,
+    on_done: Mutex<Option<OnDone>>,
+}
+
+impl fmt::Debug for RenderTicket {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RenderTicket").field("state", &self.inner.state).finish_non_exhaustive()
+    }
 }
 
 impl RenderTicket {
-    fn new() -> Self {
+    fn new(on_done: Option<OnDone>) -> Self {
         RenderTicket {
-            inner: Arc::new(TicketInner { state: Mutex::new(None), cond: Condvar::new() }),
+            inner: Arc::new(TicketInner {
+                state: Mutex::new(None),
+                cond: Condvar::new(),
+                on_done: Mutex::new(on_done),
+            }),
         }
     }
 
@@ -263,12 +258,25 @@ impl RenderTicket {
         state.as_ref().expect("loop exits only when filled").clone()
     }
 
-    /// The outcome, if the request has already completed or failed.
-    pub fn try_result(&self) -> Option<Result<Arc<RenderResult>, ServeError>> {
-        self.inner.state.lock().unwrap().clone()
+    /// [`wait`](Self::wait) with a bound: `None` when the request is still
+    /// in flight after `timeout` (what a caller that must also watch
+    /// something else — a hedge, a dying shard — waits in slices of).
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Arc<RenderResult>, ServeError>> {
+        let state = self.inner.state.lock().unwrap();
+        self.inner
+            .cond
+            .wait_timeout_while(state, timeout, |state| state.is_none())
+            .unwrap()
+            .0
+            .clone()
     }
 
     fn fill(&self, result: Result<RenderResult, ServeError>) {
+        if let Some(on_done) = self.inner.on_done.lock().unwrap().take() {
+            // guarded: an observer's panic escaping here would leave the
+            // ticket unfilled and hang its waiter forever
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_done(&result)));
+        }
         let mut state = self.inner.state.lock().unwrap();
         *state = Some(result.map(Arc::new));
         self.inner.cond.notify_all();
@@ -386,7 +394,7 @@ impl StatsAccum {
 }
 
 /// Aggregate service metrics; snapshot with [`RenderService::stats`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests completed.
     pub requests: u64,
@@ -471,7 +479,6 @@ pub struct RenderServiceBuilder {
     plan_refresh_every: usize,
     batch_max: usize,
     paused: bool,
-    on_complete: Option<CompletionHook>,
 }
 
 impl RenderServiceBuilder {
@@ -532,14 +539,6 @@ impl RenderServiceBuilder {
         self
     }
 
-    /// Registers a hook observing every request completion (see
-    /// [`Completion`] for the contract). One hook per service.
-    #[must_use]
-    pub fn on_complete(mut self, hook: CompletionHook) -> Self {
-        self.on_complete = Some(hook);
-        self
-    }
-
     /// Builds the service and spawns its worker pool.
     ///
     /// # Errors
@@ -572,7 +571,6 @@ impl RenderServiceBuilder {
             stats: Mutex::new(StatsAccum::default()),
             counters: ServeCounters::new(&Scope::instance("serve")),
             completed: AtomicU64::new(0),
-            on_complete: self.on_complete,
         });
         let mut handles = Vec::new();
         spawn_workers(&shared, &mut handles, workers);
@@ -614,7 +612,6 @@ struct Shared {
     stats: Mutex<StatsAccum>,
     counters: ServeCounters,
     completed: AtomicU64,
-    on_complete: Option<CompletionHook>,
 }
 
 /// The service handle. Dropping it drains the queue and joins the workers;
@@ -646,7 +643,6 @@ impl RenderService {
             plan_refresh_every: 3,
             batch_max: 4,
             paused: false,
-            on_complete: None,
         }
     }
 
@@ -724,7 +720,29 @@ impl RenderService {
     /// [`ServeError::InvalidRequest`] for malformed requests,
     /// [`ServeError::QueueFull`] at capacity, [`ServeError::ShuttingDown`]
     /// after shutdown began.
-    pub fn submit(&self, mut req: RenderRequest) -> Result<RenderTicket, ServeError> {
+    pub fn submit(&self, req: RenderRequest) -> Result<RenderTicket, ServeError> {
+        self.admit(req, RenderTicket::new(None))
+    }
+
+    /// [`submit`](Self::submit), with `on_done` observing the outcome (see
+    /// [`OnDone`]). A refused submission drops it uncalled.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](Self::submit).
+    pub fn submit_observed(
+        &self,
+        req: RenderRequest,
+        on_done: OnDone,
+    ) -> Result<RenderTicket, ServeError> {
+        self.admit(req, RenderTicket::new(Some(on_done)))
+    }
+
+    fn admit(
+        &self,
+        mut req: RenderRequest,
+        ticket: RenderTicket,
+    ) -> Result<RenderTicket, ServeError> {
         if req.frames == 0 {
             return Err(ServeError::InvalidRequest("frames must be >= 1".into()));
         }
@@ -746,7 +764,6 @@ impl RenderService {
             req.trace = TraceId::fresh();
         }
         asdr_obs::event!(req.trace, "admit", format!("scene={}", req.scene.name()));
-        let ticket = RenderTicket::new();
         {
             let mut q = self.shared.queue.lock().unwrap();
             if !q.accepting {
@@ -884,19 +901,6 @@ fn worker_loop(shared: &Shared) {
                 if let Err(panic) = outcome {
                     let why = ServeError::RenderFailed(panic_message(panic.as_ref()));
                     for item in batch.drain(..) {
-                        if let Some(hook) = &shared.on_complete {
-                            // budget released even for failed requests; a
-                            // hook panic here must not kill the worker
-                            let completion = Completion {
-                                scene: item.req.scene.name(),
-                                resolution: item.req.resolution,
-                                frames: item.req.frames,
-                                result: None,
-                            };
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                hook(&completion);
-                            }));
-                        }
                         item.ticket.fill(Err(why.clone()));
                     }
                 }
@@ -1005,18 +1009,6 @@ fn render_batch(shared: &Shared, batch: &mut Vec<Queued>) {
         acc.last_done = Some(acc.last_done.map_or(done, |t| t.max(done)));
         drop(acc);
         let item = batch.remove(0);
-        if let Some(hook) = &shared.on_complete {
-            // guarded: this item already left the batch, so a hook panic
-            // escaping here would drop its ticket unfilled and hang the
-            // waiter forever
-            let completion = Completion {
-                scene: &result.scene,
-                resolution,
-                frames: frame_count,
-                result: Some(&result),
-            };
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(&completion)));
-        }
         if deadline_met == Some(false) {
             asdr_obs::event!(
                 item.req.trace,

@@ -187,14 +187,14 @@ impl StoreStats {
 /// Configures and builds a [`ModelStore`]. Settings resolve with the
 /// documented precedence: explicit builder setting > environment > default
 /// (see [`crate::config`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ModelStoreBuilder {
     capacity: usize,
     dir: DirSetting,
     lock_stale_after: Duration,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum DirSetting {
     /// Unset: fall back to `ASDR_STORE_DIR`.
     FromEnv,

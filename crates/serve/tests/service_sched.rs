@@ -274,43 +274,43 @@ fn worker_pool_resizes_while_serving() {
 }
 
 #[test]
-fn completion_hook_sees_successes_and_failures() {
-    use asdr_serve::Completion;
-    use std::sync::atomic::{AtomicU64, Ordering};
+fn observers_see_successes_and_failures_before_the_ticket_fills() {
+    use asdr_serve::{RenderResult, ServeError};
     use std::sync::{Arc, Mutex};
     if registry::get("hook-panics").is_none() {
         use asdr_scenes::registry::SceneDef;
         registry::register(SceneDef::new("hook-panics", || panic!("builder exploded"))).unwrap();
     }
-    let done = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(Mutex::new(Vec::new()));
-    let hook = {
-        let (done, failed) = (done.clone(), failed.clone());
-        Arc::new(move |c: &Completion<'_>| match c.result {
-            Some(r) => {
-                assert_eq!(r.scene, c.scene);
-                assert_eq!(r.resolution, c.resolution, "result carries its resolution");
-                assert!(r.latency >= r.queue_wait, "hook sees a coherent latency split");
-                done.fetch_add(1, Ordering::SeqCst);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let observer = |tag: &'static str| {
+        let seen = seen.clone();
+        Box::new(move |outcome: &Result<RenderResult, ServeError>| {
+            if let Ok(r) = outcome {
+                assert_eq!((r.scene.as_str(), r.resolution, r.images.len()), ("Mic", 16, 2));
+                assert!(r.latency >= r.queue_wait, "the observer sees a coherent latency split");
             }
-            None => failed.lock().unwrap().push((c.scene.to_string(), c.frames)),
+            seen.lock().unwrap().push((tag, outcome.is_ok()));
         })
     };
     let service = RenderService::builder(test_profile())
         .store(warm_store(&["Mic"]))
         .workers(1)
-        .on_complete(hook)
         .build()
         .unwrap();
-    let ok = service.submit(RenderRequest::sequence(registry::handle("Mic"), 16, 2)).unwrap();
-    let doomed = service.submit(RenderRequest::frame(registry::handle("hook-panics"), 16)).unwrap();
+    let mic = RenderRequest::sequence(registry::handle("Mic"), 16, 2);
+    let ok = service.submit_observed(mic.clone(), observer("ok")).unwrap();
     assert!(ok.wait().is_ok());
+    assert_eq!(*seen.lock().unwrap(), [("ok", true)], "observed before the waiter woke");
+    let doomed = RenderRequest::frame(registry::handle("hook-panics"), 16);
+    let doomed = service.submit_observed(doomed, observer("doomed")).unwrap();
     assert!(doomed.wait().is_err());
-    service.shutdown();
-    assert_eq!(done.load(Ordering::SeqCst), 1, "one successful completion observed");
     assert_eq!(
-        failed.lock().unwrap().as_slice(),
-        &[("hook-panics".to_string(), 1)],
+        seen.lock().unwrap().last(),
+        Some(&("doomed", false)),
         "failures are observed too (budget release depends on it)"
     );
+    // an observer that panics loses its own bookkeeping, not the ticket
+    let rude = service.submit_observed(mic, Box::new(|_| panic!("observer exploded"))).unwrap();
+    assert!(rude.wait().is_ok());
+    assert_eq!(service.shutdown().requests, 2);
 }

@@ -183,6 +183,16 @@ fn corrupt_checkpoints_degrade_to_a_refit() {
     let store = ModelStore::builder().dir(&dir).build();
     store.get_or_fit_with(&scene, &grid, || blank_model(&grid, 9.0));
     assert_eq!(store.stats().disk_errors, 1);
+    // and so does a well-formed file of the retired version 1 (the word
+    // after the 8-byte magic): an unreadable format, not a crash
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    bytes[8] = 1;
+    std::fs::write(&ckpt, &bytes).unwrap();
+    let store = ModelStore::builder().dir(&dir).build();
+    let m = store.get_or_fit_with(&scene, &grid, || blank_model(&grid, 10.0));
+    assert_eq!(model_tag(&m), 10.0, "a v1 checkpoint must refit");
+    let stats = store.stats();
+    assert_eq!((stats.fits, stats.disk_hits, stats.disk_errors), (1, 0, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

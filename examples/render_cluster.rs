@@ -1,4 +1,4 @@
-//! Sharded serving demo: a 3-shard [`ShardRouter`] cluster with
+//! Sharded serving demo: a [`Fleet`] of three in-process shards with
 //! cost-based admission and the autoscaling control loop.
 //!
 //! ```text
@@ -11,26 +11,31 @@
 //! predicted-vs-actual error, and any scaling events the control loop
 //! recorded.
 
-use asdr::cluster::{AutoscalerConfig, ShardRouter};
+use asdr::cluster::{AutoscalerConfig, Fleet, FleetConfig, LocalShards};
 use asdr::scenes::registry;
-use asdr::serve::{RenderProfile, RenderRequest};
+use asdr::serve::{ModelStore, RenderProfile, RenderRequest};
 use std::time::Duration;
 
 const RESOLUTION: u32 = 32;
 const SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];
 
 fn main() {
-    let cluster = ShardRouter::builder(RenderProfile::tiny())
-        .shards(3)
-        .in_memory_stores()
-        .autoscale(AutoscalerConfig {
-            workers_min: 1,
-            workers_max: 3,
-            interval: Duration::from_millis(100),
-            ..AutoscalerConfig::default()
-        })
-        .build()
-        .expect("valid cluster configuration");
+    let profile = RenderProfile::tiny();
+    let shards = LocalShards {
+        shards: 3,
+        store: ModelStore::builder().in_memory_only(),
+        ..LocalShards::new(profile.clone())
+    }
+    .build()
+    .expect("valid render profile");
+    let autoscale = AutoscalerConfig {
+        workers_min: 1,
+        workers_max: 3,
+        interval: Duration::from_millis(100),
+        ..AutoscalerConfig::default()
+    };
+    let cfg = FleetConfig { autoscale: Some(autoscale), ..FleetConfig::default() };
+    let cluster = Fleet::new(shards, &profile, cfg).expect("valid cluster configuration");
     for name in SCENES {
         println!("{name:>6} -> home shard {}", cluster.ring().home(name));
     }
@@ -56,7 +61,7 @@ fn main() {
                 t.shard(),
                 r.scene,
                 r.images.len(),
-                r.latency.as_secs_f64() * 1e3,
+                r.latency_us as f64 / 1e3,
                 t.predicted_ms(),
                 match r.deadline_met {
                     Some(false) => "  MISSED",

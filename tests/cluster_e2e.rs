@@ -1,11 +1,12 @@
 //! Cluster acceptance: the same mixed workload through (a) one
-//! `RenderService` and (b) a 3-shard `ShardRouter` produces **byte-identical
-//! images** — sharding is a pure scale-out decision, never a quality one.
+//! `RenderService` and (b) a `Fleet` of 3 `LocalShard`s produces
+//! **byte-identical images** — sharding is a pure scale-out decision, never
+//! a quality one.
 //! The two runs share one checkpoint directory, so the test also pins the
 //! multi-store topology: the single service fits each scene once (cold),
 //! and every cluster shard warms from those checkpoints (zero fits).
 
-use asdr::cluster::ShardRouter;
+use asdr::cluster::{Fleet, FleetConfig, LocalShards};
 use asdr::math::Image;
 use asdr::scenes::registry;
 use asdr::serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService};
@@ -54,12 +55,19 @@ fn a_sharded_cluster_renders_byte_identical_to_one_service() {
     assert_eq!(single.store.fits, 3, "the cold reference run fits each scene once");
 
     // (b) the same workload over 3 shards sharing that checkpoint dir
-    let cluster =
-        ShardRouter::builder(RenderProfile::tiny()).shards(3).store_dir(&dir).build().unwrap();
+    let shards = LocalShards {
+        shards: 3,
+        store: ModelStore::builder().dir(&dir),
+        ..LocalShards::new(RenderProfile::tiny())
+    };
+    // no hedging: on a stalled host a duplicate would load a fourth
+    // checkpoint and count a seventh request
+    let cfg = FleetConfig { hedge_after: None, ..FleetConfig::default() };
+    let cluster = Fleet::new(shards.build().unwrap(), &shards.profile, cfg).unwrap();
     let tickets: Vec<_> = workload().into_iter().map(|r| cluster.submit(r).unwrap()).collect();
     let shards_used: Vec<usize> = tickets.iter().map(|t| t.shard()).collect();
     let sharded: Vec<Vec<Image>> =
-        tickets.iter().map(|t| t.wait().expect("request completed").images.clone()).collect();
+        tickets.iter().map(|t| t.wait().expect("request completed").images).collect();
     let stats = cluster.shutdown();
 
     assert_eq!(sharded, reference, "sharding changed pixels (shards used: {shards_used:?})");
@@ -71,8 +79,8 @@ fn a_sharded_cluster_renders_byte_identical_to_one_service() {
     for pair in shards_used.chunks(2) {
         assert_eq!(pair[0], pair[1], "one scene, one home shard: {shards_used:?}");
     }
-    // an in-process cluster never loses shards, but the fleet counters must
-    // still appear (zeroed) in the JSON artifact — scripts/fleet_smoke.sh
+    // nothing was lost or hedged here, but the fleet counters must still
+    // appear (zeroed) in the JSON artifact — scripts/fleet_smoke.sh
     // extracts evictions from exactly this shape
     assert_eq!(stats.fleet, asdr::cluster::FleetStats::default());
     assert!(

@@ -1,6 +1,6 @@
 //! End-to-end pipeline integration tests: scene → fit → render → quality.
 
-use asdr::core::algo::{render_reference, ExecPolicy, FrameEngine, RenderOptions, RenderOutput};
+use asdr::core::algo::{ExecPolicy, FrameEngine, RenderOptions, RenderOutput};
 use asdr::math::metrics::{psnr, quality};
 use asdr::nerf::fit::fit_ngp;
 use asdr::nerf::grid::GridConfig;
@@ -9,8 +9,7 @@ use asdr::scenes::gt::render_ground_truth;
 use asdr::scenes::registry::{self, OrbitCamera, SceneDef};
 
 /// Tier-1 frames go through the session engine under tile stealing so the
-/// work-stealing path is exercised end-to-end (the `render` shim keeps its
-/// own coverage in `asdr_core`).
+/// work-stealing path is exercised end-to-end.
 fn render<M: RadianceModel + Sync>(
     model: &M,
     cam: &asdr::math::Camera,
@@ -19,6 +18,15 @@ fn render<M: RadianceModel + Sync>(
     FrameEngine::new(opts.clone(), ExecPolicy::TileStealing { tile_size: 16 })
         .expect("valid options")
         .render_frame(model, cam)
+}
+
+/// The fixed-count baseline image quality is measured against.
+fn render_reference<M: RadianceModel + Sync>(
+    model: &M,
+    cam: &asdr::math::Camera,
+    base_ns: usize,
+) -> asdr::math::Image {
+    render(model, cam, &RenderOptions::instant_ngp(base_ns)).image
 }
 
 #[test]
