@@ -15,6 +15,7 @@ test-crates:
 
 # Bit-identity of the kernels on the code generation the benchmark measures:
 # tier-1 runs these at the dev profile's opt-level 2, release is opt-level 3.
+# The props run the MLP oracles once per kernel instantiation the CPU offers.
 test-release:
 	cargo test --release --test kernel_identity
 	cargo test --release -p asdr_nerf --test props

@@ -15,6 +15,7 @@
 //! The strawman CIM design (Fig. 20) lives in
 //! [`asdr_core::arch::chip::ChipOptions::strawman`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -17,6 +17,7 @@
 //! quality::print_fig16(&rows);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

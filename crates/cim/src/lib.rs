@@ -19,6 +19,7 @@
 //! *comparison* in the experiment harness is driven by event counts measured
 //! from the functional pipeline.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

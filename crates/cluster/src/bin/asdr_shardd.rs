@@ -48,6 +48,9 @@ fn install_signal_handlers() {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
     let handler = on_signal as *const () as usize;
+    // SAFETY: `signal` is declared as libc defines it (a handler is a
+    // pointer-sized value), both signal numbers are valid, and `on_signal`
+    // only stores to an atomic, which is async-signal-safe.
     unsafe {
         signal(SIGTERM, handler);
         signal(SIGINT, handler);

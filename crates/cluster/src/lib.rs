@@ -42,6 +42,7 @@
 //! println!("{}", fleet.shutdown().to_json());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod autoscale;

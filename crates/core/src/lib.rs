@@ -29,6 +29,7 @@
 //! assert!(out.stats.color_points < out.stats.density_points);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -22,6 +22,7 @@
 //! assert!((ray.dir.norm() - 1.0).abs() < 1e-6);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

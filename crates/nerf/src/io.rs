@@ -107,6 +107,10 @@ fn r_f32<R: Read>(r: &mut R) -> Result<f32, LoadError> {
     Ok(f32::from_le_bytes(b))
 }
 
+/// Reads a length-prefixed array of model parameters (embedding rows, MLP
+/// weights, biases). The format has no checksum, so a flipped bit can make
+/// any of them NaN or infinite, and `Activation::Relu` would quietly turn the
+/// NaNs that follow into black pixels: such a file is corrupt.
 fn r_f32s<R: Read>(r: &mut R, cap: usize) -> Result<Vec<f32>, LoadError> {
     let n = r_u32(r)? as usize;
     if n > cap {
@@ -117,6 +121,11 @@ fn r_f32s<R: Read>(r: &mut R, cap: usize) -> Result<Vec<f32>, LoadError> {
     r.read_exact(&mut buf)?;
     for (i, chunk) in buf.chunks_exact(4).enumerate() {
         out[i] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    // `fold`, not `all`: without the early exit the scan vectorises, +1 % of
+    // a load where `all` cost +15 %
+    if !out.iter().fold(true, |ok, v| ok & v.is_finite()) {
+        return Err(LoadError::Corrupt("non-finite parameter"));
     }
     Ok(out)
 }
@@ -273,6 +282,9 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
     for x in &mut v {
         *x = r_f32(r)?;
     }
+    if !v.iter().all(|x| x.is_finite()) || v[0] > v[3] || v[1] > v[4] || v[2] > v[5] {
+        return Err(LoadError::Corrupt("invalid bounds"));
+    }
     let bounds = Aabb::new(Vec3::new(v[0], v[1], v[2]), Vec3::new(v[3], v[4], v[5]));
     let res = r_u32(r)? as usize;
     if res == 0 || res > 1024 {
@@ -389,6 +401,47 @@ mod tests {
         buf.truncate(buf.len() / 2);
         let err = load_model(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, LoadError::Io(_) | LoadError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        let model = fitted("Mic");
+        let mut buf = Vec::new();
+        save_model(&model, "Mic", &mut buf).unwrap();
+        // where the first float of each kind of parameter sits in the file
+        let tables = model.encoder().tables();
+        let levels = model.encoder().config().levels;
+        let first_embedding = 8 + 4 + (4 + "Mic".len()) + 5 * 4 + 4;
+        let embeddings: usize = (0..levels).map(|l| 4 + 4 * tables.table(l).params().len()).sum();
+        let first_weight = first_embedding - 4 + embeddings + 4 + 3 * 4 + 4;
+        let layer = &model.density_mlp().layers()[0];
+        let first_bias = first_weight + 4 * layer.in_dim() * layer.out_dim() + 4;
+        let float_at =
+            |buf: &[u8], at: usize| f32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+        assert_eq!(float_at(&buf, first_embedding), tables.table(0).params()[0]);
+        assert_eq!(float_at(&buf, first_weight), layer.export_row_major()[0]);
+        assert_eq!(float_at(&buf, first_bias), layer.bias()[0]);
+        for at in [first_embedding, first_weight, first_bias] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut flipped = buf.clone();
+                flipped[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+                match load_model(&mut flipped.as_slice()) {
+                    Err(LoadError::Corrupt("non-finite parameter")) => {}
+                    other => panic!("{bad} at byte {at}: {:?}", other.map(|c| c.scene)),
+                }
+            }
+        }
+        // the six floats of the bounds are checked too: min ≤ max, all finite
+        let occupancy = 4 + 4 + model.occupancy().res().pow(3).div_ceil(8);
+        let bounds = buf.len() - occupancy - 6 * 4;
+        assert_eq!(float_at(&buf, bounds), model.bounds().min.x);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut flipped = buf.clone();
+            flipped[bounds..bounds + 4].copy_from_slice(&bad.to_le_bytes());
+            let err = load_model(&mut flipped.as_slice()).unwrap_err();
+            assert!(matches!(err, LoadError::Corrupt("invalid bounds")), "{bad}: {err}");
+        }
+        assert!(load_model(&mut buf.as_slice()).is_ok(), "the untouched file still loads");
     }
 
     #[test]

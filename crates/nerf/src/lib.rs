@@ -30,6 +30,10 @@
 //! assert!(sigma > 1.0); // inside the mic head
 //! ```
 
+// the one exception is `mlp::Dense::run`, the run-time choice of kernel
+// instantiation (DESIGN.md §8); its `unsafe` block must say why it is sound
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -33,14 +33,55 @@ impl Activation {
 }
 
 /// Outputs accumulated side by side in one block of [`Dense::forward_from`]:
-/// four 128-bit registers on the baseline x86-64 target. Measured, not
-/// guessed: a 32-wide block no longer stays in registers and runs 3–5× slower
-/// (DESIGN.md §8).
+/// four 128-bit registers on the baseline x86-64 target, two 256-bit ones
+/// under AVX2. Measured, not guessed: on either, a 32-wide block no longer
+/// stays in registers and runs 3–7× slower (DESIGN.md §8).
 const LANES: usize = 16;
 
 /// Block width when at most this many outputs are asked for (the 64→3 colour
 /// tail): one register instead of four, a quarter of the vector work.
 const NARROW_LANES: usize = 4;
+
+/// An instantiation of [`Dense`]'s one kernel body (DESIGN.md §8). Every
+/// product pass runs the widest; tests and benches name one through
+/// [`Dense::prefix_on`] / [`Dense::forward_on`] to hold each to the same oracle.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Compiled for the build's baseline target: all that exists off x86-64.
+    Portable,
+    /// The same body compiled with AVX2, never `fma`; a CPU without AVX2 runs `Portable` instead.
+    Avx2,
+}
+
+impl Kernel {
+    /// The instantiations this CPU runs, widest last.
+    pub fn available() -> &'static [Kernel] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return &[Kernel::Portable, Kernel::Avx2];
+        }
+        &[Kernel::Portable]
+    }
+}
+
+/// The instantiation of the kernel body every [`Dense`] pass runs on this
+/// host: `"avx2"` or `"portable"`.
+pub fn kernel_name() -> &'static str {
+    match Kernel::available() {
+        [.., Kernel::Avx2] => "avx2",
+        _ => "portable",
+    }
+}
+
+/// What one pass of the kernel body reads: the running sums `init` after the
+/// first `skip` inputs, the inputs `x` left to add, the activation on the way out.
+struct Pass<'a> {
+    init: &'a [f32],
+    skip: usize,
+    x: &'a [f32],
+    act: Activation,
+}
 
 /// One dense layer `y = act(W x + b)`.
 ///
@@ -175,9 +216,16 @@ impl Dense {
     /// Panics if `x_head` is longer than the input or `sums` is not
     /// [`Self::stride`] long.
     pub fn prefix(&self, x_head: &[f32], sums: &mut [f32]) {
+        self.prefix_on(Kernel::Avx2, x_head, sums);
+    }
+
+    /// [`Self::prefix`] on the instantiation named: for tests and benches, never the product.
+    #[doc(hidden)]
+    pub fn prefix_on(&self, kernel: Kernel, x_head: &[f32], sums: &mut [f32]) {
         assert!(x_head.len() <= self.in_dim, "head longer than the input");
         assert_eq!(sums.len(), self.stride, "running-sum row length mismatch");
-        self.accumulate::<LANES>(&self.bias, 0, x_head, Activation::None, sums);
+        let pass = Pass { init: &self.bias, skip: 0, x: x_head, act: Activation::None };
+        self.run::<LANES>(kernel, pass, sums);
     }
 
     /// Forward pass resumed after `skip` inputs: `init` holds the running
@@ -191,27 +239,48 @@ impl Dense {
     ///
     /// Panics if buffer lengths mismatch.
     pub fn forward_from(&self, init: &[f32], skip: usize, x_rest: &[f32], out: &mut [f32]) {
+        self.forward_on(Kernel::Avx2, init, skip, x_rest, out);
+    }
+
+    /// [`Self::forward_from`] on the instantiation named (see [`Self::prefix_on`]).
+    #[doc(hidden)]
+    pub fn forward_on(&self, k: Kernel, init: &[f32], skip: usize, x: &[f32], out: &mut [f32]) {
         assert_eq!(init.len(), self.stride, "running-sum row length mismatch");
-        assert_eq!(skip + x_rest.len(), self.in_dim, "input length mismatch");
+        assert_eq!(skip + x.len(), self.in_dim, "input length mismatch");
         assert!(out.len() <= self.out_dim, "more outputs asked for than the layer has");
+        let pass = Pass { init, skip, x, act: self.act };
         if out.len() <= NARROW_LANES {
-            self.accumulate::<NARROW_LANES>(init, skip, x_rest, self.act, out);
+            self.run::<NARROW_LANES>(k, pass, out);
         } else {
-            self.accumulate::<LANES>(init, skip, x_rest, self.act, out);
+            self.run::<LANES>(k, pass, out);
         }
+    }
+
+    /// Runs the kernel body on `kernel`, or on [`Kernel::Portable`] where the
+    /// CPU lacks it: the one `unsafe` of the renderer (DESIGN.md §8).
+    #[allow(unsafe_code)]
+    fn run<const N: usize>(&self, kernel: Kernel, pass: Pass<'_>, out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if kernel == Kernel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the line above saw AVX2, all `widened` enables, on this CPU.
+            return unsafe { self.widened::<N>(pass, out) };
+        }
+        self.accumulate::<N>(pass, out);
+    }
+
+    /// The kernel body again, inlined into a function whose vectors are 256
+    /// bits wide. AVX2 only: without `fma` no multiply and add can fuse.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn widened<const N: usize>(&self, pass: Pass<'_>, out: &mut [f32]) {
+        self.accumulate::<N>(pass, out);
     }
 
     /// The one kernel body: `out[j] = act(init[j] + Σ w[skip + i][j]·x[i])`
     /// in blocks of `N` outputs.
     #[inline(always)]
-    fn accumulate<const N: usize>(
-        &self,
-        init: &[f32],
-        skip: usize,
-        x: &[f32],
-        act: Activation,
-        out: &mut [f32],
-    ) {
+    fn accumulate<const N: usize>(&self, pass: Pass<'_>, out: &mut [f32]) {
+        let Pass { init, skip, x, act } = pass;
         let weights = &self.weights[skip * self.stride..];
         for (block, dst) in out.chunks_mut(N).enumerate() {
             let o = block * N;
@@ -355,6 +424,18 @@ mod tests {
             l.set(i, i, 1.0);
         }
         l
+    }
+
+    #[test]
+    fn the_dispatched_kernel_is_the_widest_the_host_reports() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(kernel_name() == "avx2", avx2);
+        assert_eq!(kernel_name() == "portable", !avx2);
+        assert_eq!(Kernel::available().first(), Some(&Kernel::Portable));
+        assert_eq!(Kernel::available().contains(&Kernel::Avx2), avx2);
     }
 
     #[test]

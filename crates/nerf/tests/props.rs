@@ -6,7 +6,7 @@ use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::encoder::{HashEncoder, VertexAccess};
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::hash::{dense_index, spatial_hash};
-use asdr_nerf::mlp::{Activation, Dense, Mlp};
+use asdr_nerf::mlp::{Activation, Dense, Kernel, Mlp};
 use proptest::prelude::*;
 
 /// Deterministic values in `[-1, 1)`.
@@ -99,6 +99,154 @@ fn assert_encode_matches_oracle(enc: &HashEncoder, p: Vec3) {
             "vertex_accesses differ from the oracle at {p:?}, level {level}"
         );
     }
+}
+
+/// Output widths of the `Dense` properties: one lane, around the 4-lane
+/// block, around the 16-lane block, and several blocks.
+const DENSE_WIDTHS: [usize; 9] = [1, 3, 4, 5, 15, 16, 17, 33, 64];
+
+fn dense_layer(in_dim: usize, out_dim: usize, act: Activation, w: &[f32], bias: &[f32]) -> Dense {
+    let mut layer = Dense::zeros(in_dim, out_dim, act);
+    layer.import_row_major(w);
+    layer.bias_mut().copy_from_slice(bias);
+    layer
+}
+
+/// The instantiations of the kernel body the `Dense` properties run on. A
+/// host without AVX2 cannot run that one; say so once instead of letting its
+/// rows pass unseen — straight to stderr, which the test harness does not
+/// capture, so a plain `cargo test` shows it.
+fn kernels_under_test() -> &'static [Kernel] {
+    use std::io::Write;
+    static SAY_ONCE: std::sync::Once = std::sync::Once::new();
+    SAY_ONCE.call_once(|| {
+        if !Kernel::available().contains(&Kernel::Avx2) {
+            let _ = writeln!(
+                std::io::stderr(),
+                "SKIPPED: this CPU reports no AVX2: no Kernel::Avx2 row of the Dense properties ran"
+            );
+        }
+    });
+    Kernel::available()
+}
+
+/// `got` is what the oracle computed: the same bits — or, where the oracle
+/// says NaN, any NaN. Which payload a NaN carries is the one thing here that
+/// neither IEEE 754 nor Rust pins down, so it is not compared.
+fn same_floats(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
+/// `layer` (built from row-major `w`) at `x` against the oracle — one serial
+/// dot product per output row, `bias + w₀x₀ + w₁x₁ + …` — which it returns:
+/// `forward` as the product dispatches it, then, on every instantiation the
+/// host offers, the sum stopped after any head and resumed, for the whole
+/// layer or for fewer outputs than it has (which picks the block width).
+fn assert_dense_matches_oracle(layer: &Dense, w: &[f32], x: &[f32]) -> Vec<f32> {
+    let (in_dim, out_dim, act) = (layer.in_dim(), layer.out_dim(), layer.activation());
+    let want: Vec<f32> = w
+        .chunks_exact(in_dim)
+        .zip(layer.bias())
+        .map(|(row, &b)| {
+            let acc = row.iter().zip(x).fold(b, |acc, (w, v)| acc + w * v);
+            match act {
+                Activation::None => acc,
+                Activation::Relu => acc.max(0.0),
+            }
+        })
+        .collect();
+    let shape = format!("{in_dim}x{out_dim} {act:?}");
+    let mut got = vec![f32::NAN; out_dim];
+    layer.forward(x, &mut got);
+    assert!(same_floats(&got, &want), "{shape} as dispatched: {got:?} vs {want:?}");
+    let mut sums = vec![f32::NAN; layer.stride()];
+    for k in 0..=in_dim {
+        layer.prefix(&x[..k], &mut sums);
+        layer.forward_from(&sums, k, &x[k..], &mut got);
+        assert!(
+            same_floats(&got, &want),
+            "{shape} as dispatched, split at {k}: {got:?} vs {want:?}"
+        );
+        for &kernel in kernels_under_test() {
+            layer.prefix_on(kernel, &x[..k], &mut sums);
+            for ask in [out_dim, out_dim.min(4), out_dim.min(5), 1] {
+                let mut got = vec![f32::NAN; ask];
+                layer.forward_on(kernel, &sums, k, &x[k..], &mut got);
+                assert!(
+                    same_floats(&got, &want[..ask]),
+                    "{shape} on {kernel:?}, split at {k}, {ask} outputs: {got:?} vs {want:?}"
+                );
+            }
+        }
+    }
+    want
+}
+
+/// The values arithmetic treats specially, among ordinary ones: subnormals,
+/// both zeros, both infinities, the largest and the smallest normal float.
+const SPECIALS: [f32; 12] = [
+    0.0,
+    -0.0,
+    1e-40,
+    -1e-40,
+    f32::MIN_POSITIVE,
+    f32::MAX,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1.5,
+    -0.75,
+    3e-20,
+    -2e19,
+];
+
+#[test]
+fn dense_kernels_match_the_oracle_on_subnormals_zeros_infinities_and_nan() {
+    // [infinite, NaN, subnormal, -0.0] outputs the oracle produced
+    let mut seen = [0usize; 4];
+    let mut check = |in_dim: usize, out_dim: usize, w: &[f32], bias: &[f32], x: &[f32]| {
+        for act in [Activation::None, Activation::Relu] {
+            let layer = dense_layer(in_dim, out_dim, act, w, bias);
+            for v in assert_dense_matches_oracle(&layer, w, x) {
+                let neg_zero = v.to_bits() == (-0.0f32).to_bits();
+                for (n, hit) in
+                    seen.iter_mut().zip([v.is_infinite(), v.is_nan(), v.is_subnormal(), neg_zero])
+                {
+                    *n += hit as usize;
+                }
+            }
+        }
+    };
+    // even rows sum to -0.0 = -0.0 + (-0.0)(1) + (0.0)(-1), odd rows to +0.0
+    let (w, bias): (Vec<[f32; 2]>, Vec<f32>) = (0..17)
+        .map(|row| if row % 2 == 0 { ([-0.0, 0.0], -0.0) } else { ([0.0, -0.0], 0.0) })
+        .unzip();
+    check(2, 17, w.as_flattened(), &bias, &[1.0, -1.0]);
+    for (with_nan, seed) in [(false, 1u64), (false, 2), (true, 3), (true, 4)] {
+        let mut unit = xorshift_unit(seed);
+        // three values in four are ordinary ones in [-1, 1), the fourth a special
+        let mut next = move || {
+            let pick = ((unit() + 1.0) * 32768.0) as usize; // the 16 bits behind a draw
+            match pick % 4 {
+                0 if with_nan && pick.is_multiple_of(28) => f32::NAN,
+                0 => SPECIALS[(pick / 4) % SPECIALS.len()],
+                _ => unit(),
+            }
+        };
+        for in_dim in [1usize, 2, 7, 16, 31, 64] {
+            let x: Vec<f32> = (0..in_dim).map(|_| next()).collect();
+            for out_dim in DENSE_WIDTHS {
+                let w: Vec<f32> = (0..in_dim * out_dim).map(|_| next()).collect();
+                let bias: Vec<f32> = (0..out_dim).map(|_| next()).collect();
+                check(in_dim, out_dim, &w, &bias, &x);
+            }
+        }
+    }
+    // comparing to the oracle says something only if every class reached an output
+    assert!(seen.iter().all(|&n| n > 0), "[infinite, NaN, subnormal, -0.0] outputs: {seen:?}");
 }
 
 #[test]
@@ -206,13 +354,11 @@ proptest! {
     fn dense_forward_matches_the_row_dot_oracle(in_dim in 1usize..65, seed in 0u64..1000) {
         let mut next = xorshift_unit(seed);
         let x: Vec<f32> = (0..in_dim).map(|_| next()).collect();
-        for out_dim in [1usize, 3, 4, 5, 15, 16, 17, 33, 64] {
+        for out_dim in DENSE_WIDTHS {
             let w: Vec<f32> = (0..in_dim * out_dim).map(|_| next()).collect();
             let bias: Vec<f32> = (0..out_dim).map(|_| next()).collect();
             for act in [Activation::None, Activation::Relu] {
-                let mut layer = Dense::zeros(in_dim, out_dim, act);
-                layer.import_row_major(&w);
-                layer.bias_mut().copy_from_slice(&bias);
+                let layer = dense_layer(in_dim, out_dim, act, &w, &bias);
                 prop_assert!(layer.export_row_major() == w, "export ∘ import is not the identity");
                 // the same matrix entered one weight at a time
                 let mut by_set = Dense::zeros(in_dim, out_dim, act);
@@ -221,39 +367,8 @@ proptest! {
                 }
                 by_set.bias_mut().copy_from_slice(&bias);
                 prop_assert!(by_set == layer, "set and import_row_major disagree");
-
-                // the oracle: one serial dot product per output row
-                let want: Vec<u32> = w
-                    .chunks_exact(in_dim)
-                    .zip(&bias)
-                    .map(|(row, &b)| {
-                        let acc = row.iter().zip(&x).fold(b, |acc, (w, v)| acc + w * v);
-                        match act {
-                            Activation::None => acc,
-                            Activation::Relu => acc.max(0.0),
-                        }
-                        .to_bits()
-                    })
-                    .collect();
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-                let mut got = vec![f32::NAN; out_dim];
-                layer.forward(&x, &mut got);
-                prop_assert!(bits(&got) == want, "{in_dim}x{out_dim} {act:?}: {got:?} vs {want:?}");
-
-                // stopped after any head and resumed, for the whole layer or
-                // for fewer outputs than it has (which picks the block width)
-                let mut sums = vec![f32::NAN; layer.stride()];
-                for k in 0..=in_dim {
-                    layer.prefix(&x[..k], &mut sums);
-                    for ask in [out_dim, out_dim.min(4), out_dim.min(5), 1] {
-                        let mut got = vec![f32::NAN; ask];
-                        layer.forward_from(&sums, k, &x[k..], &mut got);
-                        prop_assert!(
-                            bits(&got) == want[..ask],
-                            "{in_dim}x{out_dim} {act:?} split at {k}, {ask} outputs: {got:?} vs {want:?}"
-                        );
-                    }
-                }
+                let want = assert_dense_matches_oracle(&layer, &w, &x);
+                prop_assert!(want.iter().all(|v| v.is_finite()), "finite in, non-finite out");
             }
         }
     }

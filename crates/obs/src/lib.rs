@@ -41,6 +41,7 @@
 //! # asdr_obs::set_enabled(false);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bundle;

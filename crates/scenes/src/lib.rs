@@ -28,6 +28,7 @@
 //! assert_eq!(gt.width(), 32);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -44,6 +44,7 @@
 //! Environment variables (`ASDR_STORE_DIR`, `ASDR_SERVE_WORKERS`) are read
 //! once per process; explicit builder settings always win — see [`config`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

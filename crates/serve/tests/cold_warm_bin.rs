@@ -41,9 +41,15 @@ fn run(store_dir: &Path, images: &Path, out: &Path) -> String {
         .args(["--store-dir".as_ref(), store_dir.as_os_str()])
         .args(["--dump-images".as_ref(), images.as_os_str()])
         .args(["--out".as_ref(), out.as_os_str()])
+        .args(["--bundle".as_ref(), out.with_extension("bundle").as_os_str()])
         .status()
         .expect("spawn asdr-serve");
     assert!(status.success(), "asdr-serve exited with {status}");
+    // the run bundle says which MLP kernel produced these numbers
+    let config = std::fs::read_to_string(out.with_extension("bundle").join("config.json"))
+        .expect("bundle config written");
+    let kernel = format!("\"mlp_kernel\": \"{}\"", asdr_nerf::mlp::kernel_name());
+    assert!(config.contains(&kernel), "no {kernel} in {config}");
     std::fs::read_to_string(out).expect("stats artifact written")
 }
 

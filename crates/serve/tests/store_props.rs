@@ -193,6 +193,17 @@ fn corrupt_checkpoints_degrade_to_a_refit() {
     assert_eq!(model_tag(&m), 10.0, "a v1 checkpoint must refit");
     let stats = store.stats();
     assert_eq!((stats.fits, stats.disk_hits, stats.disk_errors), (1, 0, 1));
+    // and so does a file that is whole but for one flipped float: the tag
+    // the refit just wrote (the only 10.0 in a blank model) turned NaN
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    let tag = bytes.windows(4).rposition(|w| w == 10.0f32.to_le_bytes()).unwrap();
+    bytes[tag..tag + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    std::fs::write(&ckpt, &bytes).unwrap();
+    let store = ModelStore::builder().dir(&dir).build();
+    let m = store.get_or_fit_with(&scene, &grid, || blank_model(&grid, 11.0));
+    assert_eq!(model_tag(&m), 11.0, "a checkpoint with a NaN parameter must refit");
+    let stats = store.stats();
+    assert_eq!((stats.fits, stats.disk_hits, stats.disk_errors), (1, 0, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

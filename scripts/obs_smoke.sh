@@ -42,6 +42,8 @@ done
 stage=$(cat "$bundle/last-stage")
 [[ "$stage" == "exit" ]] \
     || { echo "FAIL: bundle ends at stage '$stage', not the clean-exit marker"; exit 1; }
+grep -Eq '"mlp_kernel": "(avx2|portable)"' "$bundle/config.json" \
+    || { echo "FAIL: config.json does not name the MLP kernel that ran"; exit 1; }
 diff "$bundle/stats.json" "$out/serve-stats.json" \
     || { echo "FAIL: bundle stats.json differs from the --out artifact"; exit 1; }
 spans=$(wc -l < "$bundle/spans.jsonl")

@@ -40,6 +40,8 @@
 //! assert!(out.stats.planned_points < out.stats.base_points);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use asdr_baselines as baselines;
 pub use asdr_cim as cim;
 pub use asdr_cluster as cluster;
