@@ -66,10 +66,11 @@ serve-smoke:
 	grep '"fits": 0' target/serve-stats.json
 
 # Replay the bundled clustered workload over 2 shards sharing one store
-# dir, cold then warm, pinning zero duplicate fits — once over in-process
-# shards and once over spawned asdr-shardd daemons, one flag apart — then
-# once with the autoscaler and a cost budget driving remote shards (what
-# the nightly cluster-smoke job runs).
+# dir, cold then warm, pinning zero duplicate fits, then a hot scene that
+# must spill to its replica with frames equal to one shard's — once over
+# in-process shards and once over spawned asdr-shardd daemons, one flag
+# apart — then once with the autoscaler and a cost budget driving remote
+# shards (what the nightly cluster-smoke job runs).
 cluster-smoke:
 	scripts/cluster_smoke.sh --shards 2
 	scripts/cluster_smoke.sh --remote spawn:2

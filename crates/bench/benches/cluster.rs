@@ -3,6 +3,7 @@
 //! bookkeeping, and the wire codec (the per-message tax every remote hop
 //! pays). The fleet end to end is `fleet_mix` in `benchmark/`.
 
+use asdr_cluster::fleet::{spill_order, ShardLoad};
 use asdr_cluster::wire::{Message, WireRequest, WireResult};
 use asdr_cluster::{CostModel, HashRing};
 use asdr_math::image::Image;
@@ -24,6 +25,19 @@ fn bench_routing(c: &mut Criterion) {
                 black_box(ring.home(n));
             }
         })
+    });
+    // the try-order runs on every submit: a busy home (shard 3) beside
+    // seven others, two of them idle and one of those warm
+    let loads: Vec<ShardLoad> = (0..8)
+        .map(|id| ShardLoad {
+            id,
+            in_flight: [2, 0, 1, 3, 1, 0, 4, 1][id],
+            outstanding_ms: [31.0, 0.0, 12.5, 48.0, 9.0, 0.0, 60.0, 14.0][id],
+            warm: id != 1,
+        })
+        .collect();
+    g.bench_function("spill_order_8shards", |b| {
+        b.iter(|| black_box(spill_order(3, black_box(&loads)).sum::<usize>()))
     });
     g.finish();
 

@@ -285,12 +285,13 @@ fn main() {
     }
     let stats = fleet.shutdown();
     println!(
-        "\n{} requests, {} frames over {} shards ({} home, {} spilled, {} rejected)",
+        "\n{} requests, {} frames over {} shards ({} home, {} spilled, {} replications, {} rejected)",
         stats.requests(),
         stats.frames(),
         stats.shards.len(),
         stats.routed_home,
         stats.spilled,
+        stats.fleet.replications,
         stats.rejected,
     );
     let fl = &stats.fleet;

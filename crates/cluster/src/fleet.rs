@@ -1,11 +1,17 @@
 //! The router: [`Fleet`], over [`Shard`]s it never looks behind.
 //!
 //! Requests are consistent-hashed by scene over the *live* shard set
-//! ([`HashRing`]) and admitted by **predicted cost**, not request count:
-//! the home shard takes the request while its outstanding predicted
-//! milliseconds stay under [`FleetConfig::budget_ms`]; otherwise it spills
-//! to the least-loaded live shard, and only when every one is over budget
-//! or full does the fleet refuse ([`FleetError::Busy`]). A reservation is
+//! ([`HashRing`]) and tried in one order, [`spill_order`]. It is
+//! **work-conserving**: a home with a request in flight yields to a shard
+//! with none that is *warm* for the scene — it has answered a prewarm or a
+//! request for it since it last joined — so no shard idles while another
+//! queues; beside an idle shard that is cold the request queues at home and
+//! a background prewarm makes the replica (counted in
+//! [`FleetStats::replications`], bounded by each shard's store LRU). Each
+//! try is admitted by **predicted cost**, not request count: a shard takes
+//! the request while its outstanding predicted milliseconds stay under
+//! [`FleetConfig::budget_ms`], and only when every one is over budget or
+//! full does the fleet refuse ([`FleetError::Busy`]). A reservation is
 //! taken at submit and released when the shard reports the request
 //! terminal ([`Done`]) — result, failure or lost connection — whether or
 //! not anyone has waited on the ticket, so a driver that submits a whole
@@ -31,7 +37,9 @@
 //! * **re-warm** — when the ring changes (eviction or rejoin), every
 //!   scene this fleet has routed whose home moved gets a prewarm on its
 //!   new home, pulling the model from the shared checkpoint directory
-//!   before traffic lands there.
+//!   before traffic lands there (the helper replicas use: a shard never has
+//!   two prewarms of one scene in flight). An evicted shard's replicas are
+//!   forgotten: whatever rejoins under its id is cold.
 //! * **autoscaling** — with [`FleetConfig::autoscale`] set, a control
 //!   thread feeds each shard's deadline counters and outstanding
 //!   predicted cost to a [`ShardController`] and applies its verdicts
@@ -48,7 +56,7 @@ use crate::CostModel;
 use asdr_obs::{Counter, Scope, TraceId};
 use asdr_serve::trace::replay::{ReplayTarget, SubmitOutcome};
 use asdr_serve::{RenderProfile, RenderRequest};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -73,7 +81,8 @@ pub struct FleetConfig {
     pub admit_timeout: Duration,
     /// Per-shard predicted-cost admission budget, milliseconds. An idle
     /// shard always admits one request regardless (a single request larger
-    /// than the budget must still be servable).
+    /// than the budget must still be servable). Unset (∞), a live home never
+    /// refuses, and a request leaves it only for an idle warm shard.
     pub budget_ms: f64,
     /// Turns the autoscaling control loop on; every shard starts at
     /// [`AutoscalerConfig::workers_min`].
@@ -137,12 +146,53 @@ impl Stop {
     }
 }
 
-/// One shard's admitted-but-unfinished work, in predicted milliseconds.
+/// A scene's model on one shard since the shard last joined: a prewarm is on
+/// its way, or the shard has answered a prewarm or a request for the scene.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Warmth {
+    Warming,
+    Warm,
+}
+
+/// One shard's admitted-but-unfinished work (predicted milliseconds) and warm scenes.
 #[derive(Debug, Default)]
 struct Load {
     outstanding_ms: f64,
     in_flight: usize,
     spilled_in: u64,
+    warm: HashMap<String, Warmth>,
+}
+
+/// One live shard's load as of one lock, for one scene: a row [`spill_order`] reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShardLoad {
+    /// Ring id.
+    pub id: usize,
+    /// Requests admitted and not yet terminal.
+    pub in_flight: usize,
+    /// Their predicted cost, milliseconds.
+    pub outstanding_ms: f64,
+    /// Whether the shard has answered for the routed scene since it last joined.
+    pub warm: bool,
+}
+
+/// The order [`Fleet::submit`] tries the live shards in, the one place it
+/// is decided. A busy home yields to an idle shard that is warm for the
+/// scene (the lowest id of several): two stations behind one queue serve
+/// 2 µ where two separate queues serve 1.6 µ. Then the home, then the
+/// rest by outstanding predicted cost, which is the budget spill. An idle
+/// home always keeps its scene, so one caller at a time never leaves it.
+pub fn spill_order(home: usize, loads: &[ShardLoad]) -> impl Iterator<Item = usize> + '_ {
+    let home_row = loads.iter().find(|l| l.id == home);
+    let home_busy = home_row.is_some_and(|l| l.in_flight > 0);
+    let idle = loads
+        .iter()
+        .find(|l| home_busy && l.id != home && l.in_flight == 0 && l.warm)
+        .map(|l| l.id);
+    let mut rest: Vec<&ShardLoad> =
+        loads.iter().filter(|l| l.id != home && Some(l.id) != idle).collect();
+    rest.sort_by(|a, b| a.outstanding_ms.total_cmp(&b.outstanding_ms));
+    idle.into_iter().chain(home_row.map(|l| l.id)).chain(rest.into_iter().map(|l| l.id))
 }
 
 /// The admission book: the cost model, every shard's [`Load`], and the
@@ -183,13 +233,29 @@ impl Book {
             (req.scene.name().to_string(), req.resolution, req.frames);
         Some(Box::new(move |service_ms| {
             if let Some(ms) = service_ms {
-                reservation.book.cost.observe(&scene, resolution, frames, ms);
+                let book = &reservation.book;
+                book.cost.observe(&scene, resolution, frames, ms);
+                book.loads[shard].lock().unwrap().warm.insert(scene, Warmth::Warm);
             }
         }))
     }
 
     fn outstanding_ms(&self, shard: usize) -> f64 {
         self.loads[shard].lock().unwrap().outstanding_ms
+    }
+
+    /// `shard`'s row for `scene`. A snapshot, because completions mutate the
+    /// loads concurrently and a comparator reading live state can violate the
+    /// total-order contract (a sort panic on the submit path); under one lock,
+    /// because a row read in two could pair an idle count with a busy cost.
+    fn snapshot(&self, shard: usize, scene: &str) -> ShardLoad {
+        let load = self.loads[shard].lock().unwrap();
+        ShardLoad {
+            id: shard,
+            in_flight: load.in_flight,
+            outstanding_ms: load.outstanding_ms,
+            warm: load.warm.get(scene) == Some(&Warmth::Warm),
+        }
     }
 
     /// Waits until some reservation is released or `timeout` passes —
@@ -244,6 +310,7 @@ struct FleetCounters {
     hedge_cancels: Arc<Counter>,
     failovers: Arc<Counter>,
     rewarms: Arc<Counter>,
+    replications: Arc<Counter>,
 }
 
 impl FleetCounters {
@@ -259,6 +326,7 @@ impl FleetCounters {
             hedge_cancels: scope.counter("hedge_cancels"),
             failovers: scope.counter("failovers"),
             rewarms: scope.counter("rewarms"),
+            replications: scope.counter("replications"),
         }
     }
 }
@@ -270,6 +338,8 @@ struct FleetInner {
     book: Arc<Book>,
     counters: FleetCounters,
     scale_events: Mutex<Vec<ScaleEvent>>,
+    /// The prewarm threads still to join; `None` once the fleet stopped.
+    prewarms: Mutex<Option<Vec<JoinHandle<()>>>>,
     cfg: FleetConfig,
     stop: Stop,
     started: Instant,
@@ -292,6 +362,8 @@ impl FleetInner {
         }
         self.counters.evictions.inc();
         eprintln!("fleet: evicting shard {id}: {why}");
+        // whatever comes back under this id (a restarted daemon) is cold
+        self.book.loads[id].lock().unwrap().warm.clear();
         {
             let mut ring = self.ring.lock().unwrap();
             *ring = ring.without(id);
@@ -327,18 +399,45 @@ impl FleetInner {
             let now = ring.home(scene);
             if now != *home {
                 *home = now;
-                self.counters.rewarms.inc();
-                let shard = self.shards[now].shard.clone();
-                let scene = scene.clone();
-                std::thread::spawn(move || {
-                    let _ = shard.prewarm(&scene, Duration::from_secs(30));
-                });
+                if self.prewarm(now, scene) {
+                    self.counters.rewarms.inc();
+                }
             }
         }
     }
 
-    /// Routes one request: home shard first, then every other live shard,
-    /// least outstanding cost first.
+    /// Pre-fetches `scene` on shard `id` off the caller's thread and returns
+    /// whether it did: not when the shard is warm or a prewarm is on its way (a
+    /// pair has at most one in flight; a failed one leaves it cold, to be retried).
+    fn prewarm(&self, id: usize, scene: &str) -> bool {
+        let mut handles = self.prewarms.lock().unwrap();
+        let Some(handles) = handles.as_mut() else { return false };
+        match self.book.loads[id].lock().unwrap().warm.entry(scene.to_string()) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(cold) => cold.insert(Warmth::Warming),
+        };
+        let (book, shard, scene) =
+            (self.book.clone(), self.shards[id].shard.clone(), scene.to_string());
+        handles.retain(|h| !h.is_finished());
+        handles.push(std::thread::spawn(move || {
+            let warmed = matches!(shard.prewarm(&scene, Duration::from_secs(30)), Ok(true));
+            let mut load = book.loads[id].lock().unwrap();
+            // gone: the shard was evicted meanwhile; `Warm`: a request got there first
+            if load.warm.get(&scene) == Some(&Warmth::Warming) {
+                if warmed {
+                    load.warm.insert(scene, Warmth::Warm);
+                } else {
+                    load.warm.remove(&scene);
+                }
+            }
+        }));
+        true
+    }
+
+    /// Routes one request over the live shards in [`spill_order`]. One that
+    /// queues at a busy home beside an idle shard (cold for the scene) has a
+    /// replica made there in the background: the next overlap finds it warm, and
+    /// no request waits for a load or a fit because of where the router sent it.
     fn route(self: &Arc<Self>, req: &RenderRequest, predicted_ms: f64) -> Result<Held, FleetError> {
         let scene = req.scene.name();
         let home = {
@@ -349,19 +448,19 @@ impl FleetInner {
             ring.home(scene)
         };
         self.scene_homes.lock().unwrap().entry(scene.to_string()).or_insert(home);
-        // snapshot the loads before sorting: completions mutate them
-        // concurrently, and a comparator reading live state can violate the
-        // total-order contract (a sort panic on the submit path)
-        let mut others: Vec<(usize, f64)> = self
-            .live_ids()
-            .into_iter()
-            .filter(|&id| id != home)
-            .map(|id| (id, self.book.outstanding_ms(id)))
-            .collect();
-        others.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let loads: Vec<ShardLoad> =
+            self.live_ids().into_iter().map(|id| self.book.snapshot(id, scene)).collect();
+        let mut order = spill_order(home, &loads).peekable();
+        let idle = order.peek().copied().filter(|&id| id != home);
+        if idle.is_none() && loads.iter().any(|l| l.id == home && l.in_flight > 0) {
+            let cold = loads.iter().find(|l| l.id != home && l.in_flight == 0 && !l.warm);
+            if cold.is_some_and(|l| self.prewarm(l.id, scene)) {
+                self.counters.replications.inc();
+            }
+        }
         let mut busy = false;
         let mut last_final = None;
-        for id in std::iter::once(home).chain(others.into_iter().map(|(id, _)| id)) {
+        for id in order {
             if !self.is_live(id) {
                 continue;
             }
@@ -377,6 +476,16 @@ impl FleetInner {
                         self.counters.spilled.inc();
                         self.book.loads[id].lock().unwrap().spilled_in += 1;
                     }
+                    let why = match id {
+                        _ if id == home => "home",
+                        _ if Some(id) == idle => "idle",
+                        _ => "budget",
+                    };
+                    asdr_obs::event!(
+                        req.trace,
+                        "remote-submit",
+                        format!("shard={id} home={home} why={why}")
+                    );
                     return Ok((id, ticket));
                 }
                 Err(ShardError::Refused { retryable: true, .. }) => busy = true,
@@ -470,6 +579,7 @@ impl Fleet {
             scene_homes: Mutex::new(HashMap::new()),
             counters: FleetCounters::new(&Scope::instance("fleet")),
             scale_events: Mutex::new(Vec::new()),
+            prewarms: Mutex::new(Some(Vec::new())),
             cfg,
             stop: Stop::default(),
             started: Instant::now(),
@@ -508,9 +618,9 @@ impl Fleet {
         &self.inner.book.cost
     }
 
-    /// Submits a request to its home shard (spilling to other live shards
-    /// when it is full or over budget), returning a ticket that owns
-    /// hedging and failover.
+    /// Submits a request to the first shard of [`spill_order`] that admits
+    /// it — its home, unless that is busy beside an idle warm shard, or full
+    /// or over budget — returning a ticket that owns hedging and failover.
     ///
     /// # Errors
     ///
@@ -526,7 +636,6 @@ impl Fleet {
         let predicted_ms =
             self.inner.book.cost.predict(req.scene.name(), req.resolution, req.frames);
         let held = self.inner.route(&req, predicted_ms)?;
-        asdr_obs::event!(req.trace, "remote-submit", format!("shard={}", held.0));
         Ok(FleetTicket {
             inner: self.inner.clone(),
             req,
@@ -556,6 +665,7 @@ impl Fleet {
                 workers: snap.as_ref().map_or(0, |s| s.workers as usize),
                 outstanding_ms: load.outstanding_ms,
                 spilled_in: load.spilled_in,
+                warm_scenes: load.warm.values().filter(|w| **w == Warmth::Warm).count(),
                 serve: snap.map(|s| s.serve).unwrap_or_default(),
             });
         }
@@ -576,6 +686,7 @@ impl Fleet {
                 hedge_cancels: c.hedge_cancels.get(),
                 failovers: c.failovers.get(),
                 rewarms: c.rewarms.get(),
+                replications: c.replications.get(),
             },
         }
     }
@@ -592,14 +703,17 @@ impl Fleet {
     }
 
     fn stop_threads(&self) {
-        // the control loops must never outlive the handle they act for
+        // no control loop or prewarm may outlive the handle it acts for
         self.inner.stop.stop();
-        for thread in self.threads.lock().unwrap().drain(..) {
-            // reached from `Drop`: a second panic there would abort
+        // reached from `Drop`: a second panic there would abort
+        let join = |thread: JoinHandle<()>| {
             if thread.join().is_err() {
                 eprintln!("fleet: a control thread panicked");
             }
-        }
+        };
+        // the control threads first: an eviction of theirs may still prewarm
+        self.threads.lock().unwrap().drain(..).for_each(join);
+        self.inner.prewarms.lock().unwrap().take().into_iter().flatten().for_each(join);
     }
 }
 
@@ -900,6 +1014,61 @@ mod tests {
         assert_eq!(book.outstanding_ms(0), 0.0, "an empty book reads exactly idle");
         assert_eq!(book.cost.stats().observations, 1);
         assert_eq!(*book.completions.lock().unwrap(), 3, "every release pulses wait_capacity");
+    }
+
+    fn row(id: usize, in_flight: usize, outstanding_ms: f64, warm: bool) -> ShardLoad {
+        ShardLoad { id, in_flight, outstanding_ms, warm }
+    }
+
+    fn order(home: usize, loads: &[ShardLoad]) -> Vec<usize> {
+        spill_order(home, loads).collect()
+    }
+
+    #[test]
+    fn a_busy_home_yields_only_to_an_idle_warm_shard() {
+        // an idle home keeps its scene whatever the others hold
+        let others_idle = [row(0, 0, 0.0, true), row(1, 0, 0.0, true), row(2, 0, 0.0, true)];
+        assert_eq!(order(1, &others_idle), [1, 0, 2]);
+        // a busy home beside an idle warm shard: that one first
+        let loads = [row(0, 1, 9.0, true), row(1, 2, 30.0, true), row(2, 0, 0.0, true)];
+        assert_eq!(order(1, &loads), [2, 1, 0]);
+        // … beside an idle cold one: home first, then the budget spill's order
+        let cold = [row(0, 1, 9.0, true), row(1, 2, 30.0, true), row(2, 0, 0.0, false)];
+        assert_eq!(order(1, &cold), [1, 2, 0]);
+        // … beside a warm one that has work: it does not count as idle
+        let working = [row(0, 1, 9.0, true), row(1, 2, 30.0, true), row(2, 1, 1.0, true)];
+        assert_eq!(order(1, &working), [1, 2, 0]);
+        // two idle warm others: the lower id, and the other keeps its place
+        let two = [
+            row(0, 3, 30.0, true),
+            row(1, 0, 0.0, false),
+            row(2, 0, 0.0, true),
+            row(3, 0, 0.0, true),
+        ];
+        assert_eq!(order(0, &two), [2, 0, 1, 3]);
+    }
+
+    #[test]
+    fn every_live_shard_is_tried_exactly_once() {
+        // ids are ring ids, not positions: shard 1 is off the ring here
+        for home in [0, 2, 3, 5] {
+            for busy in 0..16u32 {
+                let loads: Vec<ShardLoad> = [0usize, 2, 3, 5]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &id)| {
+                        let in_flight = (busy >> i & 1) as usize;
+                        row(id, in_flight, in_flight as f64 * (7 - i) as f64, i % 2 == 0)
+                    })
+                    .collect();
+                let mut tried = order(home, &loads);
+                tried.sort_unstable();
+                assert_eq!(tried, [0, 2, 3, 5], "home {home}, busy mask {busy:04b}");
+            }
+        }
+        // a home that left the ring between the lookup and the snapshot
+        assert_eq!(order(1, &[row(0, 1, 2.0, true), row(2, 0, 0.0, true)]), [2, 0]);
+        assert_eq!(order(0, &[]), [0usize; 0]);
     }
 
     #[test]

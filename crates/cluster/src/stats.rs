@@ -18,8 +18,12 @@ pub struct ShardStats {
     /// Predicted cost of the shard's admitted-but-unfinished requests,
     /// milliseconds (the quantity the admission budget bounds).
     pub outstanding_ms: f64,
-    /// Requests this shard took as spill-over from a full home shard.
+    /// Requests this shard took from another home: that home was busy
+    /// and this shard idle and warm, or that home was full or over budget.
     pub spilled_in: u64,
+    /// Scenes the fleet holds this shard warm for: it answered a prewarm
+    /// or a request for them since it last joined.
+    pub warm_scenes: usize,
     /// The shard service's own aggregate statistics.
     pub serve: ServeStats,
 }
@@ -45,6 +49,9 @@ pub struct FleetStats {
     pub failovers: u64,
     /// Scene models pre-fetched on a new home after a ring change.
     pub rewarms: u64,
+    /// Scene models pre-fetched on an idle shard because a request queued
+    /// at its busy home (the replica the next overlap spills to).
+    pub replications: u64,
 }
 
 /// A point-in-time snapshot of the whole cluster; serialize with
@@ -55,7 +62,8 @@ pub struct ClusterStats {
     pub shards: Vec<ShardStats>,
     /// Requests admitted to their consistent-hash home shard.
     pub routed_home: u64,
-    /// Requests spilled to another shard (home full or over budget).
+    /// Requests served off their home shard: the home was busy beside an
+    /// idle shard warm for the scene, or it was full or over budget.
     pub spilled: u64,
     /// Requests refused outright (every shard over its cost budget).
     pub rejected: u64,
@@ -156,6 +164,7 @@ impl ClusterStats {
         w.key("hedge_cancels").u64(fl.hedge_cancels);
         w.key("failovers").u64(fl.failovers);
         w.key("rewarms").u64(fl.rewarms);
+        w.key("replications").u64(fl.replications);
         w.close_obj();
         w.gap("\n  ").key("scale_events").arr();
         for e in &self.scale_events {
@@ -177,6 +186,7 @@ impl ClusterStats {
             w.key("workers").usize(s.workers);
             w.key("outstanding_ms").f64(s.outstanding_ms, 1);
             w.key("spilled_in").u64(s.spilled_in);
+            w.key("warm_scenes").usize(s.warm_scenes);
             w.key("requests").u64(v.requests);
             w.key("frames").u64(v.frames);
             w.key("throughput_fps").f64(v.throughput_fps, 3);
@@ -226,6 +236,7 @@ mod tests {
                     workers: 2,
                     outstanding_ms: 12.5,
                     spilled_in: 1,
+                    warm_scenes: 3,
                     serve: serve_stats(4, 2, 1, 2),
                 },
                 ShardStats {
@@ -233,6 +244,7 @@ mod tests {
                     workers: 1,
                     outstanding_ms: 0.0,
                     spilled_in: 0,
+                    warm_scenes: 1,
                     serve: serve_stats(2, 2, 0, 1),
                 },
             ],
@@ -282,6 +294,7 @@ mod tests {
             "\"mean_abs_pct_error\": 0.2500",
             "\"fleet\": {\"shards_lost\": 0, \"evictions\": 1",
             "\"hedge_wins\": 1",
+            "\"rewarms\": 0, \"replications\": 0}",
             "\"reason\": \"miss\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -10,14 +10,15 @@
 
 use asdr_cluster::wire::{WireResult, WireStats};
 use asdr_cluster::{
-    Done, Fleet, FleetConfig, HealthInfo, Listener, LocalShards, RemoteShard, Server, Shard,
-    ShardAddr, ShardError, ShardTicket,
+    Done, Fleet, FleetConfig, FleetStats, FleetTicket, HealthInfo, Listener, LocalShards,
+    RemoteShard, Server, Shard, ShardAddr, ShardError, ShardTicket,
 };
 use asdr_math::{Image, Rgb};
 use asdr_scenes::registry;
 use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService, ServeStats};
+use rand::Rng;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -72,7 +73,10 @@ struct FakeShard {
     id: usize,
     admitted: Mutex<Sender<Handle>>,
     healthy: AtomicBool,
+    /// Every prewarm that reached a fake shard, failed ones included.
     prewarmed: Arc<Mutex<Vec<(usize, String)>>>,
+    /// How many more prewarms this shard fails.
+    failing_prewarms: AtomicUsize,
 }
 
 impl Shard for FakeShard {
@@ -107,7 +111,11 @@ impl Shard for FakeShard {
 
     fn prewarm(&self, scene: &str, _timeout: Duration) -> Result<bool, ShardError> {
         self.prewarmed.lock().unwrap().push((self.id, scene.to_string()));
-        Ok(true)
+        let fail = |left: usize| left.checked_sub(1);
+        match self.failing_prewarms.fetch_update(Ordering::SeqCst, Ordering::SeqCst, fail) {
+            Ok(_) => Err(ShardError::Timeout),
+            Err(_) => Ok(true),
+        }
     }
 
     fn set_workers(&self, _workers: usize, _timeout: Duration) -> Result<usize, ShardError> {
@@ -134,6 +142,7 @@ fn fake_fleet(n: usize, cfg: FleetConfig) -> FakeFleet {
                 admitted: Mutex::new(tx.clone()),
                 healthy: AtomicBool::new(true),
                 prewarmed: prewarmed.clone(),
+                failing_prewarms: AtomicUsize::new(0),
             })
         })
         .collect();
@@ -145,6 +154,43 @@ impl FakeFleet {
     /// The next request some fake shard admitted, blocking until one does.
     fn next_admitted(&self) -> Handle {
         self.admitted.recv_timeout(PATIENCE).expect("no shard admitted a request")
+    }
+
+    /// Submits `req` and returns it in flight on whichever shard took it.
+    fn admit(&self, req: RenderRequest) -> InFlight {
+        let ticket = self.fleet.submit(req).unwrap();
+        InFlight { handle: self.next_admitted(), ticket }
+    }
+
+    fn prewarms(&self) -> usize {
+        self.prewarmed.lock().unwrap().len()
+    }
+
+    /// Waits until the fleet holds `shard` warm for `scenes` scenes: a
+    /// prewarm's answer is recorded just after the fake has logged it.
+    fn await_warm(&self, shard: usize, scenes: usize) {
+        eventually("the fleet records the prewarm's answer", || {
+            self.fleet.stats().shards[shard].warm_scenes == scenes
+        });
+    }
+}
+
+/// A request some fake shard admitted and the test has not yet answered.
+struct InFlight {
+    handle: Handle,
+    ticket: FleetTicket,
+}
+
+impl InFlight {
+    fn shard(&self) -> usize {
+        self.handle.shard
+    }
+
+    /// Answers the request; when this returns the fleet has released its
+    /// reservation and knows the shard warm for the scene.
+    fn complete(self) {
+        self.handle.fate.send(Fate::Complete(frames_of(0.0))).unwrap();
+        self.ticket.wait().unwrap();
     }
 }
 
@@ -313,6 +359,165 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
     assert_eq!((stats.fleet.evictions, stats.fleet.rejoins, stats.fleet.shards_lost), (1, 1, 0));
 }
 
+/// No hedging, and probes fast enough to evict and rejoin while a test waits.
+fn quiet() -> FleetConfig {
+    FleetConfig {
+        hedge_after: None,
+        health_interval: Duration::from_millis(1),
+        health_misses: 1,
+        ..FleetConfig::default()
+    }
+}
+
+#[test]
+fn a_busy_home_makes_a_replica_then_yields_to_it() {
+    let f = fake_fleet(2, quiet());
+    let home = f.fleet.ring().home("Mic");
+    let first = f.admit(mic());
+    assert_eq!(first.shard(), home);
+    // the first overlap: the idle shard is cold, so the request queues at
+    // home and the replica is made behind it
+    let second = f.admit(mic());
+    assert_eq!(second.shard(), home, "a request was sent to a cold shard");
+    eventually("one prewarm reaches the idle shard", || f.prewarms() == 1);
+    assert_eq!(*f.prewarmed.lock().unwrap(), [(1 - home, "Mic".to_string())]);
+    f.await_warm(1 - home, 1);
+    // the next overlap is served there
+    let third = f.admit(mic());
+    assert_eq!(third.shard(), 1 - home, "the home was busy beside an idle replica");
+    // … and with both at work the home takes the fourth: nothing is idle
+    let fourth = f.admit(mic());
+    assert_eq!(fourth.shard(), home);
+    let stats = f.fleet.stats();
+    assert_eq!((stats.routed_home, stats.spilled, stats.rejected), (3, 1, 0));
+    assert_eq!(stats.shards[1 - home].spilled_in, 1);
+    assert_eq!(stats.fleet, FleetStats { replications: 1, ..FleetStats::default() });
+    [first, second, third, fourth].into_iter().for_each(InFlight::complete);
+    assert_eq!(f.prewarms(), 1, "a warm shard was prewarmed again");
+}
+
+#[test]
+fn an_idle_home_keeps_its_scene() {
+    let f = fake_fleet(3, quiet());
+    let home = f.fleet.ring().home("Mic");
+    for _ in 0..20 {
+        let only = f.admit(mic());
+        assert_eq!(only.shard(), home);
+        only.complete();
+    }
+    let stats = f.fleet.stats();
+    assert_eq!((stats.routed_home, stats.spilled), (20, 0));
+    assert_eq!(stats.fleet, FleetStats::default());
+    assert_eq!(f.prewarms(), 0, "nothing queued, so nothing is replicated");
+}
+
+#[test]
+fn an_evicted_shard_rejoins_cold() {
+    let f = fake_fleet(2, quiet());
+    let home = f.fleet.ring().home("Mic");
+    let other = 1 - home;
+    let overlap = || [f.admit(mic()), f.admit(mic())];
+    overlap().into_iter().for_each(InFlight::complete);
+    f.await_warm(other, 1);
+
+    f.shards[other].healthy.store(false, Ordering::SeqCst);
+    eventually("the silent shard is evicted and its replica forgotten", || {
+        f.fleet.live_shards() == 1 && f.fleet.stats().shards[other].warm_scenes == 0
+    });
+    f.shards[other].healthy.store(true, Ordering::SeqCst);
+    eventually("it rejoins", || f.fleet.live_shards() == 2);
+
+    // whatever answers under that id now may be a new process: the overlap
+    // queues at home and the replica is made again
+    let pair = overlap();
+    assert_eq!([pair[0].shard(), pair[1].shard()], [home, home]);
+    pair.into_iter().for_each(InFlight::complete);
+    eventually("the rejoined shard is prewarmed again", || f.prewarms() == 2);
+    let stats = f.fleet.stats();
+    assert_eq!((stats.spilled, stats.fleet.replications, stats.fleet.rewarms), (0, 2, 0));
+}
+
+#[test]
+fn a_failed_replication_is_retried_and_never_doubles() {
+    let f = fake_fleet(2, quiet());
+    let home = f.fleet.ring().home("Mic");
+    f.shards[1 - home].failing_prewarms.store(1, Ordering::SeqCst);
+    // overlap after overlap goes home until the failed prewarm has been
+    // replaced by one that worked; while either is on its way none is added
+    let mut queued = vec![f.admit(mic())];
+    eventually("a second replication follows the failed one", || {
+        queued.push(f.admit(mic()));
+        let stats = f.fleet.stats();
+        assert_eq!(stats.spilled, 0, "a request followed a prewarm that had failed");
+        stats.fleet.replications == 2
+    });
+    f.await_warm(1 - home, 1);
+    assert_eq!(f.prewarms(), 2, "one failed, one worked: nothing else may reach the shard");
+    let spilled = f.admit(mic());
+    assert_eq!(spilled.shard(), 1 - home);
+    queued.into_iter().chain([spilled]).for_each(InFlight::complete);
+    assert_eq!((f.prewarms(), f.fleet.stats().fleet.replications), (2, 2));
+}
+
+/// A closed loop of four callers over two shards, each submitting or being
+/// answered in a seeded random order: whatever the interleaving, no request
+/// is sent to a shard with work in flight while a live shard the test knows
+/// warm for its scene has none. Three scenes start with a replica the test
+/// has waited for; the fourth gets its own whenever the loop first queues
+/// it, and counts as warm on a shard once that shard has answered for it.
+#[test]
+fn no_submit_queues_behind_work_while_a_warm_shard_is_idle() {
+    const SCENES: [&str; 4] = ["Mic", "Lego", "Pulse", "Chair"];
+    let f = fake_fleet(2, quiet());
+    let mut rng = asdr_math::rng::seeded("fleet-seam-closed-loop", 0);
+    let mut next = |below: usize| rng.gen_range(0..below);
+    let mut answered: BTreeSet<(usize, &str)> = BTreeSet::new();
+    for (replicas, scene) in SCENES[..3].iter().enumerate() {
+        let overlap = [(); 2].map(|()| f.admit(RenderRequest::frame(registry::handle(scene), 16)));
+        let home = overlap[0].shard();
+        overlap.into_iter().for_each(InFlight::complete);
+        eventually("the overlap's replica lands", || {
+            let warm: usize = f.fleet.stats().shards.iter().map(|s| s.warm_scenes).sum();
+            warm == 2 * (replicas + 1)
+        });
+        answered.extend([(home, *scene), (1 - home, *scene)]);
+    }
+    let mut in_flight: Vec<(InFlight, &str)> = Vec::new();
+    let (mut completions, mut yielded) = (0, 0);
+    while completions < 1000 {
+        if in_flight.is_empty() || (in_flight.len() < 4 && next(2) == 0) {
+            let scene = SCENES[next(SCENES.len())];
+            let busy = |shard: usize| in_flight.iter().any(|(r, _)| r.shard() == shard);
+            let idle_warm: Vec<usize> =
+                (0..2).filter(|&s| !busy(s) && answered.contains(&(s, scene))).collect();
+            let was_busy = [busy(0), busy(1)];
+            let admitted = f.admit(RenderRequest::frame(registry::handle(scene), 16));
+            let chosen = admitted.shard();
+            assert!(
+                !was_busy[chosen] || idle_warm.is_empty(),
+                "{scene} queued on shard {chosen} while {idle_warm:?} stood idle and warm"
+            );
+            yielded += usize::from(chosen != f.fleet.ring().home(scene));
+            in_flight.push((admitted, scene));
+            continue;
+        }
+        let (done, scene) = in_flight.swap_remove(next(in_flight.len()));
+        answered.insert((done.shard(), scene));
+        done.complete();
+        completions += 1;
+    }
+    let stats = f.fleet.stats();
+    assert_eq!(stats.spilled, yielded as u64);
+    assert!(yielded > 100, "only {yielded} of 1000 requests left a busy home");
+    assert!(stats.fleet.replications <= 2 * SCENES.len() as u64, "{:?}", stats.fleet);
+    eventually("every replication reaches its shard", || {
+        f.prewarms() as u64 == stats.fleet.replications
+    });
+    let log = f.prewarmed.lock().unwrap().clone();
+    assert_eq!(log.iter().collect::<BTreeSet<_>>().len(), log.len(), "doubled: {log:?}");
+    in_flight.into_iter().for_each(|(r, _)| r.complete());
+}
+
 const E2E_SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];
 const E2E_RESOLUTION: u32 = 24;
 
@@ -331,25 +536,42 @@ fn e2e_workload() -> Vec<RenderRequest> {
         .collect()
 }
 
-/// Runs the workload through `fleet` and holds it to what
-/// `tests/cluster_e2e.rs` asserts of a sharded run over a warm directory.
+/// Runs the workload through `fleet` — all six at once, again and again
+/// until some request has met a busy home beside a finished replica — and
+/// holds every round to what `tests/cluster_e2e.rs` asserts of a sharded
+/// run over a warm directory.
 fn assert_matches_reference(fleet: Fleet, reference: &[Vec<Image>], backend: &str) {
-    let tickets: Vec<_> = e2e_workload().into_iter().map(|r| fleet.submit(r)).collect();
-    let outcomes: Vec<_> =
-        tickets.iter().map(|t| t.as_ref().map_err(|e| e.to_string())?.wait()).collect();
+    let shards = fleet.shards() as u64;
+    let deadline = Instant::now() + PATIENCE;
+    let mut rounds = Vec::new();
+    while fleet.stats().spilled == 0 && Instant::now() < deadline {
+        let tickets: Vec<_> = e2e_workload().into_iter().map(|r| fleet.submit(r)).collect();
+        let outcomes: Vec<_> =
+            tickets.iter().map(|t| t.as_ref().map_err(|e| e.to_string())?.wait()).collect();
+        rounds.push(outcomes);
+    }
     // shut down before anything may panic: it is what stops the servers
     let stats = fleet.shutdown();
-    let frames: Vec<Vec<Image>> =
-        outcomes.into_iter().map(|o| o.expect("request completed").images).collect();
-    assert_eq!(frames, reference, "{backend} shards changed pixels");
-    assert_eq!(stats.requests(), 6, "{backend}");
+    assert!(stats.spilled > 0, "{backend}: no overlap ever found its replica: {stats:?}");
+    assert!(stats.fleet.replications > 0, "{backend}: a spill without a replica");
+    assert_eq!(stats.requests(), 6 * rounds.len() as u64, "{backend}");
+    for outcomes in rounds {
+        let frames: Vec<Vec<Image>> =
+            outcomes.into_iter().map(|o| o.expect("request completed").images).collect();
+        assert_eq!(frames, reference, "{backend} shards changed pixels");
+    }
     assert_eq!(
         stats.total_fits(),
         0,
         "{backend}: every shard warms from the reference's checkpoints"
     );
-    assert_eq!(stats.total_disk_hits(), 3, "{backend}: one checkpoint load per scene fleet-wide");
-    assert_eq!(stats.fleet, asdr_cluster::FleetStats::default(), "{backend}");
+    let loads = stats.total_disk_hits();
+    assert!(
+        (3..=3 * shards).contains(&loads),
+        "{backend}: {loads} checkpoint loads; a (scene, shard) pair loads at most once"
+    );
+    let replications = stats.fleet.replications;
+    assert_eq!(stats.fleet, FleetStats { replications, ..FleetStats::default() }, "{backend}");
 }
 
 #[test]

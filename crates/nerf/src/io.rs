@@ -211,30 +211,9 @@ pub fn save_model<W: Write>(model: &NgpModel, scene: &str, w: &mut W) -> io::Res
     // occupancy (re-derived on load would need the field; store the bits)
     let occ = model.occupancy();
     w_u32(w, occ.res() as u32)?;
-    let cells: Vec<u8> = occupancy_bits(occ);
-    w_u32(w, cells.len() as u32)?;
-    w.write_all(&cells)?;
+    w_u32(w, occ.bits().len() as u32)?;
+    w.write_all(occ.bits())?;
     Ok(())
-}
-
-fn occupancy_bits(occ: &OccupancyGrid) -> Vec<u8> {
-    let res = occ.res();
-    let n = res * res * res;
-    let mut out = vec![0u8; n.div_ceil(8)];
-    for i in 0..n {
-        let z = i / (res * res);
-        let y = (i / res) % res;
-        let x = i % res;
-        let u = Vec3::new(
-            (x as f32 + 0.5) / res as f32,
-            (y as f32 + 0.5) / res as f32,
-            (z as f32 + 0.5) / res as f32,
-        );
-        if occ.occupied01(u) {
-            out[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out
 }
 
 /// Reads a model checkpoint.
@@ -296,9 +275,7 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
     }
     let mut bits = vec![0u8; n_bytes];
     r.read_exact(&mut bits)?;
-    let cells: Vec<bool> =
-        (0..res * res * res).map(|i| bits[i / 8] & (1 << (i % 8)) != 0).collect();
-    let occupancy = OccupancyGrid::from_cells(res, bounds, cells)
+    let occupancy = OccupancyGrid::from_bits(res, bounds, bits)
         .map_err(|_| LoadError::Corrupt("occupancy rebuild failed"))?;
     let encoder = HashEncoder::new(cfg, set);
     Ok(Checkpoint { model: NgpModel::new(encoder, density, color, bounds, occupancy), scene })

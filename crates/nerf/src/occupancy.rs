@@ -11,12 +11,23 @@ use asdr_math::interp::CORNER_OFFSETS;
 use asdr_math::{Aabb, Vec3};
 use asdr_scenes::SceneField;
 
-/// A boolean voxel grid over a bounding box.
+/// A boolean voxel grid over a bounding box, one bit a cell in the
+/// checkpoint's own layout: cell `i = x + res·(y + res·z)` is bit `i % 8` of
+/// byte `i / 8`, spare bits of the last byte zero. (A byte a cell made the
+/// grid half of a resident model.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyGrid {
     res: usize,
     bounds: Aabb,
-    cells: Vec<bool>,
+    bits: Vec<u8>,
+}
+
+fn pack(cells: &[bool]) -> Vec<u8> {
+    let mut bits = vec![0u8; cells.len().div_ceil(8)];
+    for (i, _) in cells.iter().enumerate().filter(|(_, &c)| c) {
+        bits[i / 8] |= 1 << (i % 8);
+    }
+    bits
 }
 
 impl OccupancyGrid {
@@ -88,27 +99,47 @@ impl OccupancyGrid {
                 }
             }
         }
-        OccupancyGrid { res, bounds, cells }
+        OccupancyGrid { res, bounds, bits: pack(&cells) }
     }
 
     /// A grid that reports everything occupied (no masking).
     pub fn solid(bounds: Aabb) -> Self {
-        OccupancyGrid { res: 1, bounds, cells: vec![true] }
+        OccupancyGrid { res: 1, bounds, bits: vec![1] }
     }
 
-    /// Rebuilds a grid from raw cells (checkpoint loading).
+    /// Builds a grid from one `bool` a cell.
     ///
     /// # Errors
     ///
     /// Returns `Err` if `cells.len() != res³` or `res == 0`.
     pub fn from_cells(res: usize, bounds: Aabb, cells: Vec<bool>) -> Result<Self, String> {
-        if res == 0 {
-            return Err("resolution must be positive".into());
-        }
         if cells.len() != res * res * res {
             return Err(format!("expected {} cells, got {}", res * res * res, cells.len()));
         }
-        Ok(OccupancyGrid { res, bounds, cells })
+        Self::from_bits(res, bounds, pack(&cells))
+    }
+
+    /// Rebuilds a grid from its packed cells (checkpoint loading); spare
+    /// bits of the last byte are cleared.
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err` if `bits.len() != ⌈res³ / 8⌉` or `res == 0`.
+    pub fn from_bits(res: usize, bounds: Aabb, mut bits: Vec<u8>) -> Result<Self, String> {
+        let n = res * res * res;
+        if res == 0 {
+            return Err("resolution must be positive".into());
+        }
+        if bits.len() != n.div_ceil(8) {
+            return Err(format!("expected {} bytes, got {}", n.div_ceil(8), bits.len()));
+        }
+        bits[(n - 1) / 8] &= 0xff >> (bits.len() * 8 - n);
+        Ok(OccupancyGrid { res, bounds, bits })
+    }
+
+    /// The packed cells, as a checkpoint stores them.
+    pub fn bits(&self) -> &[u8] {
+        &self.bits
     }
 
     /// Cells per axis.
@@ -128,7 +159,8 @@ impl OccupancyGrid {
         let cx = ((p01.x.clamp(0.0, 1.0) * r) as usize).min(self.res - 1);
         let cy = ((p01.y.clamp(0.0, 1.0) * r) as usize).min(self.res - 1);
         let cz = ((p01.z.clamp(0.0, 1.0) * r) as usize).min(self.res - 1);
-        self.cells[cx + self.res * (cy + self.res * cz)]
+        let i = cx + self.res * (cy + self.res * cz);
+        self.bits[i / 8] & (1 << (i % 8)) != 0
     }
 
     /// Whether a world-space point lies in an occupied cell (points outside
@@ -143,7 +175,8 @@ impl OccupancyGrid {
 
     /// Fraction of occupied cells.
     pub fn occupied_fraction(&self) -> f32 {
-        self.cells.iter().filter(|&&c| c).count() as f32 / self.cells.len() as f32
+        let occupied: u32 = self.bits.iter().map(|b| b.count_ones()).sum();
+        occupied as f32 / (self.res * self.res * self.res) as f32
     }
 }
 
@@ -171,6 +204,63 @@ mod tests {
         assert!(!g.occupied_world(Vec3::new(0.9, 0.9, -0.9)));
         let f = g.occupied_fraction();
         assert!(f > 0.01 && f < 0.8, "fraction {f}");
+    }
+
+    #[test]
+    fn cells_pack_into_the_checkpoint_layout_and_back() {
+        let bounds = Aabb::centered(1.0);
+        for res in [1usize, 3, 4, 64] {
+            // every third cell, and the bytes a checkpoint would hold for them
+            let cells: Vec<_> = (0..res * res * res).map(|i| i % 3 == 0).collect();
+            let mut bits = vec![0u8; cells.len().div_ceil(8)];
+            for i in (0..cells.len()).step_by(3) {
+                bits[i / 8] |= 1 << (i % 8);
+            }
+            let g = OccupancyGrid::from_cells(res, bounds, cells.clone()).unwrap();
+            assert_eq!(g.bits(), bits, "res {res}");
+            assert_eq!(OccupancyGrid::from_bits(res, bounds, bits).unwrap(), g, "res {res}");
+            let r = res as f32;
+            for (i, &cell) in cells.iter().enumerate() {
+                let (x, y, z) = (i % res, (i / res) % res, i / (res * res));
+                let centre = Vec3::new(x as f32 + 0.5, y as f32 + 0.5, z as f32 + 0.5) / r;
+                assert_eq!(g.occupied01(centre), cell, "res {res} cell {i}");
+            }
+            let set = cells.iter().filter(|&&c| c).count();
+            assert_eq!(g.occupied_fraction(), set as f32 / cells.len() as f32, "res {res}");
+        }
+    }
+
+    #[test]
+    fn spare_bits_stay_zero_and_wrong_lengths_are_rejected() {
+        let bounds = Aabb::centered(1.0);
+        // 27 cells: five spare bits in the fourth byte
+        let full = OccupancyGrid::from_cells(3, bounds, vec![true; 27]).unwrap();
+        assert_eq!(full.bits(), [0xff, 0xff, 0xff, 0x07]);
+        let loaded = OccupancyGrid::from_bits(3, bounds, vec![0xff; 4]).unwrap();
+        assert_eq!(loaded, full, "a file's spare bits must not reach equality or the fraction");
+        assert_eq!(loaded.occupied_fraction(), 1.0);
+        assert!(OccupancyGrid::from_bits(3, bounds, vec![0; 3]).is_err());
+        assert!(OccupancyGrid::from_bits(3, bounds, vec![0; 5]).is_err());
+        assert!(OccupancyGrid::from_bits(0, bounds, Vec::new()).is_err());
+        assert!(OccupancyGrid::from_cells(3, bounds, vec![true; 26]).is_err());
+        assert!(OccupancyGrid::from_cells(0, bounds, Vec::new()).is_err());
+    }
+
+    #[test]
+    fn the_fraction_is_the_bool_count_on_a_real_scene() {
+        let scene = registry::handle("Mic").build();
+        let g = OccupancyGrid::build(scene.as_ref(), 32);
+        let r = 32.0;
+        let mut occupied = 0usize;
+        for z in 0..32 {
+            for y in 0..32 {
+                for x in 0..32 {
+                    let centre = Vec3::new(x as f32 + 0.5, y as f32 + 0.5, z as f32 + 0.5) / r;
+                    occupied += g.occupied01(centre) as usize;
+                }
+            }
+        }
+        assert_eq!(g.occupied_fraction(), occupied as f32 / 32768.0);
     }
 
     #[test]

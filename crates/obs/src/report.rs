@@ -71,6 +71,11 @@ pub struct MissAttribution {
     pub dominant_us: u64,
     /// Total measured phase time for the request, microseconds.
     pub total_us: u64,
+    /// Where the fleet sent the request and why — the last `remote-submit`
+    /// detail (`shard=N home=M why=home|idle|budget`), empty for a run
+    /// without a fleet. `why=home` under a dominant `queue` is a request
+    /// that waited at its home with no warm replica standing idle.
+    pub routed: String,
 }
 
 impl MissAttribution {
@@ -338,6 +343,11 @@ pub fn analyze(spans: &[ParsedSpan], skipped_lines: usize) -> BundleReport {
                 dominant_phase: dominant.0,
                 dominant_us: dominant.1,
                 total_us: total,
+                routed: trace_spans
+                    .iter()
+                    .rfind(|s| s.phase == "remote-submit")
+                    .map(|s| s.detail.clone())
+                    .unwrap_or_default(),
             });
         }
     }
@@ -406,7 +416,7 @@ impl BundleReport {
             out.push_str("none\n");
         }
         for m in &self.misses {
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "MISS_ATTRIBUTION trace={:016x} phase={} share={:.2} dominant_ms={:.3} total_ms={:.3}",
                 m.trace,
@@ -415,6 +425,10 @@ impl BundleReport {
                 m.dominant_us as f64 / 1e3,
                 m.total_us as f64 / 1e3
             );
+            if !m.routed.is_empty() {
+                let _ = write!(out, " routed=[{}]", m.routed);
+            }
+            out.push('\n');
         }
         out
     }
@@ -469,6 +483,7 @@ impl BundleReport {
             w.key("share").f64(m.share(), 2);
             w.key("dominant_us").u64(m.dominant_us);
             w.key("total_us").u64(m.total_us);
+            w.key("routed").str_val(&m.routed);
             w.close_obj();
         }
         w.raw("\n  ").close_arr();
@@ -539,6 +554,10 @@ mod tests {
     #[test]
     fn every_miss_gets_a_dominant_phase() {
         let spans = vec![
+            ParsedSpan {
+                detail: "shard=0 home=0 why=home".into(),
+                ..span(7, "client", "remote-submit", 0, 0)
+            },
             span(7, "shardd-0", "queue", 0, 9_000),
             span(7, "shardd-0", "render", 9_000, 1_000),
             span(7, "shardd-0", "deadline-miss", 10_000, 0),
@@ -555,6 +574,9 @@ mod tests {
         assert_eq!(by_trace[&8].dominant_phase, "render");
         let md = r.to_markdown();
         assert!(md.contains("MISS_ATTRIBUTION trace=0000000000000007 phase=queue share=0.90"));
+        // the fleet's routing decision rides along: this one queued at home
+        assert!(md.contains("total_ms=10.000 routed=[shard=0 home=0 why=home]\n"), "{md}");
+        assert!(md.contains("phase=render share=0.98 dominant_ms=5.000 total_ms=5.100\n"), "{md}");
     }
 
     #[test]

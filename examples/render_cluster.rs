@@ -73,12 +73,13 @@ fn main() {
 
     let stats = cluster.shutdown();
     println!(
-        "\n{} requests, {} frames, {} fits ({} home-routed, {} spilled)",
+        "\n{} requests, {} frames, {} fits ({} home-routed, {} spilled, {} replications)",
         stats.requests(),
         stats.frames(),
         stats.total_fits(),
         stats.routed_home,
         stats.spilled,
+        stats.fleet.replications,
     );
     println!(
         "cost model: {:.0}% mean abs prediction error over {} observations",

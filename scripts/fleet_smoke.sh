@@ -102,6 +102,11 @@ evictions=$(sed -n 's/.*"fleet": {"shards_lost": [0-9]*, "evictions": \([0-9]*\)
 [[ -n "$evictions" && "$evictions" -ge 1 ]] \
     || { echo "FAIL: stats artifact shows no eviction (got '${evictions:-none}')"; exit 1; }
 echo "failure visible in stats: $evictions eviction(s)"
+replications=$(sed -n 's/.*"rewarms": [0-9]*, "replications": \([0-9]*\)}.*/\1/p' \
+    "$out/fleet-stats.json")
+[[ -n "$replications" ]] \
+    || { echo "FAIL: the fleet block carries no replications counter"; exit 1; }
+echo "replicas made behind queued requests: $replications"
 
 echo "== report"
 trace report "ref=$out/ref.json" "fleet=$out/fleet.json" --out target/fleet-report.md
