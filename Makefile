@@ -1,6 +1,6 @@
 # Local entry points, kept identical to .github/workflows/ci.yml.
 
-.PHONY: verify test-crates test-release fmt fmt-check clippy check-extras bench-build bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke obs-overhead ci
+.PHONY: verify test-crates test-release fmt fmt-check clippy doc check-extras bench-build bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke obs-overhead ci
 
 # Tier-1 gate: what must stay green on every commit.
 verify:
@@ -28,6 +28,11 @@ fmt-check:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings as errors: a deleted item's doc links fail the PR
+# that deletes it.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Compile-check everything that is not exercised by `cargo test`, so benches
 # and examples can never silently rot.
@@ -104,4 +109,4 @@ obs-overhead:
 	scripts/obs_overhead_check.sh
 
 # Everything CI runs, in one shot.
-ci: fmt-check clippy verify test-crates test-release check-extras bench-build
+ci: fmt-check clippy doc verify test-crates test-release check-extras bench-build

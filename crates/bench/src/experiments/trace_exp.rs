@@ -1,7 +1,7 @@
 //! The `trace` experiment: representative replay — a full synthetic
 //! diurnal trace versus its SimPoint-style sampled reduction, replayed
-//! through the same warm [`RenderService`] (ROADMAP "trace capture,
-//! compression, and representative replay").
+//! through the same warm [`asdr_serve::RenderService`] (ROADMAP "trace
+//! capture, compression, and representative replay").
 //!
 //! A seeded diurnal arrival process (trough-to-peak sinusoid with a
 //! Zipf-skewed scene mix) is drained once into a concrete trace. The
@@ -9,7 +9,8 @@
 //! [`SPEED`]× time warp; the *sampled* run clusters the trace's
 //! fixed-size windows by (scene-mix, rate, resolution) fingerprint,
 //! replays only the weighted medoid windows, and extrapolates the
-//! full-trace miss rate with [`weighted_estimate`]'s 95% error bar. The
+//! full-trace miss rate with the 95% error bar of
+//! [`asdr_serve::trace::weighted_estimate`]. The
 //! report compares wall-clock (the compression the sampling buys) against
 //! estimate error (what it costs): the measured full-trace miss rate must
 //! land inside the sampled estimate's error bar. Both runs share one

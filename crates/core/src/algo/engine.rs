@@ -27,9 +27,8 @@
 //! entirely between refreshes.
 
 use crate::algo::adaptive::SamplePlan;
-use crate::algo::renderer::{
-    probe_cell, render_ray, RayScratch, RenderOptions, RenderOutput, RenderStats,
-};
+use crate::algo::renderer::{march, probe_cell, RenderOptions, RenderOutput, RenderStats};
+use crate::algo::volrend::SamplePoint;
 use asdr_math::{Camera, Image, Rgb};
 use asdr_nerf::model::RadianceModel;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -409,9 +408,9 @@ impl FrameEngine {
         let d = acfg.probe_stride;
         let (gx, gy) = (w.div_ceil(d) as usize, h.div_ceil(d) as usize);
         let mut probe_counts = vec![vec![base_ns as u32; gx]; gy];
-        let cells = drain(model, workers, gx * gy, |i, scratch, rays| {
+        let cells = drain(model, workers, gx * gy, |i, scratch, points| {
             let cell = ((i % gx) as u32, (i / gx) as u32);
-            probe_cell(model, cam, acfg, base_ns, cell, scratch, rays)
+            probe_cell(model, cam, acfg, base_ns, cell, scratch, points)
         });
         for (i, (count, points)) in cells {
             probe_counts[i / gx][i % gx] = count;
@@ -442,12 +441,12 @@ impl FrameEngine {
         // the frame, and placed after them it would pin the heap above their
         // holes (measured: +0.3 MiB peak RSS over 24 kept frames)
         let mut image = Image::new(cam.width(), cam.height());
-        let rendered = drain(model, workers, tiles.len(), |i, scratch, rays| {
-            render_tile(model, cam, plan, &self.opts, tiles[i], scratch, rays)
+        let rendered = drain(model, workers, tiles.len(), |i, scratch, points| {
+            render_tile(model, cam, plan, &self.opts, tiles[i], scratch, points)
         });
         for (i, (pixels, local)) in rendered {
             blit(&mut image, tiles[i], &pixels);
-            stats.accumulate_phase2(&local);
+            stats.accumulate(&local);
         }
         image
     }
@@ -469,26 +468,26 @@ fn fan_out<R: Send>(workers: usize, work: impl Fn() -> R + Sync) -> Vec<R> {
 }
 
 /// Hands the units `0..units` out to `workers` threads ([`fan_out`]), each
-/// with its own scratch, through a shared claim counter, and returns every
-/// `(unit, result)` in no particular order.
+/// with its own query scratch and ray sample buffer, through a shared claim
+/// counter, and returns every `(unit, result)` in no particular order.
 fn drain<M: RadianceModel + Sync, R: Send>(
     model: &M,
     workers: usize,
     units: usize,
-    run: impl Fn(usize, &mut M::Scratch, &mut RayScratch) -> R + Sync,
+    run: impl Fn(usize, &mut M::Scratch, &mut Vec<SamplePoint>) -> R + Sync,
 ) -> impl Iterator<Item = (usize, R)> {
     // Relaxed: a claim only has to be unique. The counter publishes no
     // data — what a worker computes returns through its `join`
     let next = AtomicUsize::new(0);
     let per_worker = fan_out(workers.min(units), || {
-        let (mut scratch, mut rays) = (model.make_query_scratch(), RayScratch::default());
+        let (mut scratch, mut points) = (model.make_query_scratch(), Vec::new());
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= units {
                 return done;
             }
-            done.push((i, run(i, &mut scratch, &mut rays)));
+            done.push((i, run(i, &mut scratch, &mut points)));
         }
     });
     per_worker.into_iter().flatten()
@@ -501,25 +500,6 @@ fn frame_stats(cam: &Camera, opts: &RenderOptions) -> RenderStats {
     RenderStats { rays, base_points: rays * opts.base_ns as u64, ..Default::default() }
 }
 
-/// Phase-II operation counters accumulated per tile.
-#[derive(Debug, Default, Clone, Copy)]
-struct Phase2Stats {
-    density_points: u64,
-    color_points: u64,
-    interpolated_points: u64,
-    et_terminated_rays: u64,
-}
-
-impl RenderStats {
-    /// Folds a tile's Phase-II counts into the frame stats.
-    fn accumulate_phase2(&mut self, p: &Phase2Stats) {
-        self.density_points += p.density_points;
-        self.color_points += p.color_points;
-        self.interpolated_points += p.interpolated_points;
-        self.et_terminated_rays += p.et_terminated_rays;
-    }
-}
-
 /// Renders one tile into a fresh row-major pixel buffer.
 fn render_tile<M: RadianceModel>(
     model: &M,
@@ -528,23 +508,18 @@ fn render_tile<M: RadianceModel>(
     opts: &RenderOptions,
     tile: Tile,
     scratch: &mut M::Scratch,
-    rays: &mut RayScratch,
-) -> (Vec<Rgb>, Phase2Stats) {
+    points: &mut Vec<SamplePoint>,
+) -> (Vec<Rgb>, RenderStats) {
     let w = tile.width();
     let mut pixels = vec![Rgb::BLACK; w * (tile.y1 - tile.y0) as usize];
-    let mut local = Phase2Stats::default();
+    let mut local = RenderStats::default();
+    let (group, et) = (opts.approx_group, opts.early_termination);
     for py in tile.y0..tile.y1 {
         for px in tile.x0..tile.x1 {
             let ray = cam.ray_for_pixel(px, py);
             let count = plan.count(px, py) as usize;
-            let (color, work) = render_ray(model, &ray, count, opts, scratch, rays);
-            local.density_points += work.density;
-            local.color_points += work.color;
-            local.interpolated_points += work.interpolated;
-            if work.terminated {
-                local.et_terminated_rays += 1;
-            }
-            pixels[(py - tile.y0) as usize * w + (px - tile.x0) as usize] = color;
+            pixels[(py - tile.y0) as usize * w + (px - tile.x0) as usize] =
+                march(model, &ray, count, group, et, scratch, points, &mut local);
         }
     }
     (pixels, local)

@@ -1,7 +1,6 @@
 //! The ASDR algorithm level (§4 of the paper).
 
 pub mod adaptive;
-pub mod approx;
 pub mod engine;
 pub mod renderer;
 pub mod volrend;

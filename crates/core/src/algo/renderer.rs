@@ -11,14 +11,13 @@
 //! operation counts (density executions, color executions, probe overhead,
 //! interpolations) that drive the architecture and baseline timing models.
 //!
-//! The [`render`] free function survives as a thin shim; the session API —
+//! Both phases walk a ray through the one `march` below; the session API —
 //! execution policies, sample-plan reuse, multi-frame sequences — lives in
 //! [`crate::algo::engine::FrameEngine`].
 
 use crate::algo::adaptive::{choose_count_validated, AdaptiveConfig, SamplePlan};
-use crate::algo::approx::interpolate_followers;
 use crate::algo::engine::PhaseTimings;
-use crate::algo::volrend::{SamplePoint, EARLY_TERM_TRANSMITTANCE};
+use crate::algo::volrend::{composite_span, SamplePoint, EARLY_TERM_TRANSMITTANCE};
 use asdr_math::{Camera, Image, Ray, Rgb};
 use asdr_nerf::model::RadianceModel;
 
@@ -144,10 +143,11 @@ pub struct RenderOutput {
     pub timings: PhaseTimings,
 }
 
-/// Phase I, one cell of the probe grid: fully evaluates the probe ray of
-/// cell `(jx, jy)` and returns its chosen sample count plus the sample
-/// points it cost. Cells are independent, so the engine may probe them on
-/// any thread in any order; `acfg` is the engine's validated config.
+/// Phase I, one cell of the probe grid: marches the probe ray of cell
+/// `(jx, jy)` at the full count with every colour evaluated, and returns its
+/// chosen sample count plus the sample points it cost. Cells are
+/// independent, so the engine may probe them on any thread in any order;
+/// `acfg` is the engine's validated config.
 pub(crate) fn probe_cell<M: RadianceModel>(
     model: &M,
     cam: &Camera,
@@ -155,182 +155,76 @@ pub(crate) fn probe_cell<M: RadianceModel>(
     base_ns: usize,
     (jx, jy): (u32, u32),
     scratch: &mut M::Scratch,
-    rays: &mut RayScratch,
+    points: &mut Vec<SamplePoint>,
 ) -> (u32, u64) {
     let d = acfg.probe_stride;
     let px = (jx * d).min(cam.width() - 1);
     let py = (jy * d).min(cam.height() - 1);
     let ray = cam.ray_for_pixel(px, py);
-    let pts = evaluate_full_ray(model, &ray, base_ns, scratch, rays);
-    (choose_count_validated(pts, acfg, base_ns) as u32, pts.len() as u64)
+    // the frame counts probe work as `probe_points`, not as Phase-II work
+    march(model, &ray, base_ns, 1, false, scratch, points, &mut RenderStats::default());
+    (choose_count_validated(points, acfg, base_ns) as u32, points.len() as u64)
 }
 
-/// One worker's per-ray sample buffers, kept beside the model's query
-/// scratch and reused from ray to ray so neither phase allocates per ray.
-#[derive(Debug, Default)]
-pub(crate) struct RayScratch {
-    /// Phase I: the fully evaluated samples of the current probe ray.
-    points: Vec<SamplePoint>,
-    /// Phase II: sample distances, densities, colors and group-leader marks
-    /// of the current ray.
-    ts: Vec<f32>,
-    sigmas: Vec<f32>,
-    colors: Vec<Rgb>,
-    is_leader: Vec<bool>,
-}
-
-/// Fully evaluates `count` samples (density + color) along a ray — the
-/// Phase-I probe path.
-fn evaluate_full_ray<'r, M: RadianceModel>(
-    model: &M,
-    ray: &Ray,
-    count: usize,
-    scratch: &mut M::Scratch,
-    rays: &'r mut RayScratch,
-) -> &'r [SamplePoint] {
-    rays.points.clear();
-    if let Some(range) = model.model_bounds().intersect(ray).filter(|r| !r.is_empty()) {
-        rays.points.extend(range.midpoints_iter(count).map(|t| {
-            let sigma = model.density_into(ray.at(t), scratch);
-            let color = model.color_into(ray.dir, scratch);
-            SamplePoint { t, sigma, color }
-        }));
-    }
-    &rays.points
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct RayWork {
-    pub(crate) density: u64,
-    pub(crate) color: u64,
-    pub(crate) interpolated: u64,
-    pub(crate) terminated: bool,
-}
-
-/// Phase-II per-ray pipeline: density for every sample, color for group
-/// leaders, follower interpolation, group-granular early termination.
-pub(crate) fn render_ray<M: RadianceModel>(
-    model: &M,
-    ray: &Ray,
-    count: usize,
-    opts: &RenderOptions,
-    scratch: &mut M::Scratch,
-    rays: &mut RayScratch,
-) -> (Rgb, RayWork) {
-    let mut work = RayWork::default();
-    let Some(range) = model.model_bounds().intersect(ray) else {
-        return (Rgb::BLACK, work);
-    };
-    if range.is_empty() || count == 0 {
-        return (Rgb::BLACK, work);
-    }
-    let RayScratch { ts, sigmas, colors, is_leader, .. } = rays;
-    ts.clear();
-    ts.extend(range.midpoints_iter(count));
-    sigmas.clear();
-    sigmas.resize(count, 0.0);
-    colors.clear();
-    colors.resize(count, Rgb::BLACK);
-    is_leader.clear();
-    is_leader.resize(count, false);
-    let n = opts.approx_group;
-
-    let mut acc = Rgb::BLACK;
-    let mut transmittance = 1.0f32;
-
-    let groups = count.div_ceil(n);
-    let mut evaluated_until = 0usize; // samples with density computed
-    let mut composited_until = 0usize;
-
-    'groups: for g in 0..groups {
-        let lo = g * n;
-        let hi = ((g + 1) * n).min(count);
-        // densities for this group
-        for (i, &t) in ts.iter().enumerate().take(hi).skip(lo) {
-            sigmas[i] = model.density_into(ray.at(t), scratch);
-            if i == lo {
-                // group leader: full color path
-                colors[i] = model.color_into(ray.dir, scratch);
-                is_leader[i] = true;
-                work.color += 1;
-            }
-            work.density += 1;
-        }
-        evaluated_until = hi;
-
-        // fill in the previous group's followers and composite everything
-        // up to (excluding) this group's leader. The span stops short of
-        // that leader, so the followers hold their own leader's color —
-        // kept as is: interpolating toward it would change every frame
-        if g > 0 {
-            interpolate_span(ts, colors, is_leader, composited_until, lo);
-            work.interpolated += (lo - composited_until).saturating_sub(1) as u64;
-            let (c, t_new) =
-                composite_span(ts, sigmas, colors, composited_until, lo, acc, transmittance);
-            acc = c;
-            transmittance = t_new;
-            composited_until = lo;
-            if opts.early_termination && transmittance < EARLY_TERM_TRANSMITTANCE {
-                work.terminated = true;
-                break 'groups;
-            }
-        }
-    }
-
-    // tail: composite the remaining evaluated samples (followers hold the
-    // last leader's color)
-    if composited_until < evaluated_until && !work.terminated {
-        interpolate_span(ts, colors, is_leader, composited_until, evaluated_until);
-        work.interpolated += (evaluated_until - composited_until).saturating_sub(1) as u64;
-        let (c, t_new) = composite_span(
-            ts,
-            sigmas,
-            colors,
-            composited_until,
-            evaluated_until,
-            acc,
-            transmittance,
-        );
-        acc = c;
-        transmittance = t_new;
-    }
-    let _ = transmittance;
-    (acc.clamp01(), work)
-}
-
-/// Interpolates follower colors in `[lo, hi)` between the leaders inside
-/// that span. `lo` is always a group leader (spans start where compositing
-/// stopped, at a group boundary), so followers see the same bracketing
-/// leaders as they would over the whole evaluated prefix `[0, hi)`.
-fn interpolate_span(ts: &[f32], colors: &mut [Rgb], is_leader: &[bool], lo: usize, hi: usize) {
-    debug_assert!(lo >= hi || is_leader[lo], "a span starts at a group leader");
-    interpolate_followers(&ts[lo..hi], &mut colors[lo..hi], &is_leader[lo..hi]);
-}
-
-/// Composites samples `[lo, hi)` continuing from `(acc, transmittance)`.
+/// The per-ray pipeline of both phases: `count` samples in colour groups of
+/// `group` — density for every sample, the colour MLP for each group's first
+/// (its leader), whose colour the rest of the group holds — composited by
+/// Eq. (1) with early termination at group granularity. Returns the pixel
+/// and charges the work to `stats`.
+///
+/// `points` is the calling worker's buffer, reused from ray to ray so no ray
+/// allocates; afterwards it holds the ray's samples as evaluated (past an
+/// early termination: the distance, no density, black).
 #[allow(clippy::too_many_arguments)]
-fn composite_span(
-    ts: &[f32],
-    sigmas: &[f32],
-    colors: &[Rgb],
-    lo: usize,
-    hi: usize,
-    mut acc: Rgb,
-    mut transmittance: f32,
-) -> (Rgb, f32) {
-    for i in lo..hi {
-        let d = if i + 1 < ts.len() {
-            ts[i + 1] - ts[i]
-        } else if ts.len() >= 2 {
-            ts[i] - ts[i - 1]
-        } else {
-            1.0
-        };
-        let alpha = 1.0 - (-sigmas[i].max(0.0) * d).exp();
-        acc += colors[i] * (transmittance * alpha);
-        transmittance *= 1.0 - alpha;
+pub(crate) fn march<M: RadianceModel>(
+    model: &M,
+    ray: &Ray,
+    count: usize,
+    group: usize,
+    early_termination: bool,
+    scratch: &mut M::Scratch,
+    points: &mut Vec<SamplePoint>,
+    stats: &mut RenderStats,
+) -> Rgb {
+    points.clear();
+    let Some(range) = model.model_bounds().intersect(ray).filter(|r| !r.is_empty()) else {
+        return Rgb::BLACK;
+    };
+    points.extend(range.midpoints_iter(count).map(|t| SamplePoint {
+        t,
+        sigma: 0.0,
+        color: Rgb::BLACK,
+    }));
+    let mut integral = (Rgb::BLACK, 1.0f32);
+    // `prev..lo` is the group evaluated by the previous turn and composited
+    // by this one, a group late: its followers' colours may then depend on
+    // the leader at `lo`, already evaluated. The turn at `lo == count`
+    // evaluates nothing and composites the last group
+    let mut prev = 0;
+    for lo in (0..count).step_by(group).chain([count]) {
+        for (k, p) in points[lo..(lo + group).min(count)].iter_mut().enumerate() {
+            p.sigma = model.density_into(ray.at(p.t), scratch);
+            stats.density_points += 1;
+            if k == 0 {
+                // the group's leader: the full colour path
+                p.color = model.color_into(ray.dir, scratch);
+                stats.color_points += 1;
+            }
+        }
+        // the colour approximation: followers hold their own leader's colour
+        if let Some((leader, followers)) = points[prev..lo].split_first_mut() {
+            followers.iter_mut().for_each(|f| f.color = leader.color);
+            stats.interpolated_points += followers.len() as u64;
+        }
+        integral = composite_span(points, prev..lo, integral);
+        prev = lo;
+        // tested between groups, never after the last: nothing is left to stop
+        if early_termination && lo < count && integral.1 < EARLY_TERM_TRANSMITTANCE {
+            stats.et_terminated_rays += 1;
+            break;
+        }
     }
-    (acc, transmittance)
+    integral.0.clamp01()
 }
 
 #[cfg(test)]
@@ -356,6 +250,55 @@ mod tests {
     /// The fixed-count baseline image quality is measured against.
     fn render_reference(model: &NgpModel, cam: &Camera, base_ns: usize) -> Image {
         render(model, cam, &RenderOptions::instant_ngp(base_ns)).image
+    }
+
+    /// What Phase I runs — `(base_ns, group 1, no ET)` — is the plain
+    /// per-point evaluation composited by Eq. (1): the buffer a probe ray
+    /// leaves is what `choose_count` judges, and its pixel is already final
+    /// wherever the plan keeps the base count.
+    #[test]
+    fn the_probe_march_is_query_point_at_the_midpoints_composited() {
+        use crate::algo::volrend::composite;
+        for name in ["Lego", "Mic", "Cloud"] {
+            let m = model(name);
+            let cam = registry::handle(name).camera(6, 6);
+            let (mut scratch, mut points) = (m.make_query_scratch(), Vec::new());
+            let mut hits = 0;
+            for (px, py) in (0..6).flat_map(|y| (0..6).map(move |x| (x, y))) {
+                let ray = cam.ray_for_pixel(px, py);
+                let mut stats = RenderStats::default();
+                let pixel = march(&m, &ray, 48, 1, false, &mut scratch, &mut points, &mut stats);
+                let expected: Vec<SamplePoint> = m
+                    .model_bounds()
+                    .intersect(&ray)
+                    .filter(|r| !r.is_empty())
+                    .map_or(Vec::new(), |r| r.midpoints(48))
+                    .into_iter()
+                    .map(|t| {
+                        let (sigma, color) = m.query_point(ray.at(t), ray.dir, &mut scratch);
+                        SamplePoint { t, sigma, color }
+                    })
+                    .collect();
+                let bits = |p: &SamplePoint| {
+                    [p.t, p.sigma, p.color.r, p.color.g, p.color.b].map(f32::to_bits)
+                };
+                assert!(
+                    points.iter().map(bits).eq(expected.iter().map(bits)),
+                    "{name} ({px}, {py})"
+                );
+                let reference = composite(&points).color;
+                assert_eq!(
+                    [pixel.r, pixel.g, pixel.b].map(f32::to_bits),
+                    [reference.r, reference.g, reference.b].map(f32::to_bits),
+                    "{name} ({px}, {py})"
+                );
+                let n = expected.len() as u64;
+                assert_eq!((stats.density_points, stats.color_points), (n, n));
+                assert_eq!((stats.interpolated_points, stats.et_terminated_rays), (0, 0));
+                hits += n / 48;
+            }
+            assert!(hits > 0, "{name}: no ray met the model");
+        }
     }
 
     #[test]

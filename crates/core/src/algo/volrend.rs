@@ -49,6 +49,30 @@ fn delta(points: &[SamplePoint], i: usize) -> f32 {
     }
 }
 
+/// Eq. (1)'s single term: sample `p`, over an interval of length `d`, joins
+/// the running `color` and `transmittance` of its ray.
+#[inline]
+fn add_sample(p: SamplePoint, d: f32, color: &mut Rgb, transmittance: &mut f32) {
+    let alpha = 1.0 - (-p.sigma.max(0.0) * d).exp();
+    *color += p.color * (*transmittance * alpha);
+    *transmittance *= 1.0 - alpha;
+}
+
+/// Continues a ray's integral over `points[span]` from the unclamped
+/// `(color, transmittance)` the samples before the span left. The intervals
+/// are those of the whole ray, so going over `0..n` span by span from
+/// `(Rgb::BLACK, 1.0)` is [`composite`] before its clamp, bit for bit.
+pub(crate) fn composite_span(
+    points: &[SamplePoint],
+    span: std::ops::Range<usize>,
+    (mut color, mut transmittance): (Rgb, f32),
+) -> (Rgb, f32) {
+    for i in span {
+        add_sample(points[i], delta(points, i), &mut color, &mut transmittance);
+    }
+    (color, transmittance)
+}
+
 /// Composites all samples (no early termination).
 pub fn composite(points: &[SamplePoint]) -> CompositeResult {
     composite_impl(points, 1, None)
@@ -89,9 +113,7 @@ fn composite_impl(points: &[SamplePoint], stride: usize, early_t: Option<f32>) -
                 delta(points, i) * stride as f32
             }
         };
-        let alpha = 1.0 - (-p.sigma.max(0.0) * d).exp();
-        color += p.color * (transmittance * alpha);
-        transmittance *= 1.0 - alpha;
+        add_sample(p, d, &mut color, &mut transmittance);
         consumed += 1;
         if let Some(thresh) = early_t {
             if transmittance < thresh {
@@ -182,6 +204,67 @@ mod tests {
         let full = composite(&pts);
         let half = composite_subsampled(&pts, 2);
         assert!(full.color.max_channel_abs_diff(half.color) > 0.05);
+    }
+
+    fn bits((c, t): (Rgb, f32)) -> [u32; 4] {
+        [c.r, c.g, c.b, t].map(f32::to_bits)
+    }
+
+    #[test]
+    fn any_split_into_spans_continues_to_the_same_integral() {
+        // uneven spacing, a negative density, colours beyond [0, 1] so the
+        // clamp matters
+        let pts: Vec<SamplePoint> = (0..13)
+            .map(|i| {
+                let x = i as f32;
+                SamplePoint {
+                    t: 0.1 * x + 0.003 * x * x,
+                    sigma: 9.0 * (x * 1.7).sin(),
+                    color: Rgb::new(1.0 + 0.2 * x, 0.07 * x, (x * 0.9).cos().abs()),
+                }
+            })
+            .collect();
+        let n = pts.len();
+        let start = (Rgb::BLACK, 1.0f32);
+        let whole = composite_span(&pts, 0..n, start);
+        let reference = composite(&pts);
+        assert_eq!(
+            bits((whole.0.clamp01(), whole.1)),
+            bits((reference.color, reference.transmittance))
+        );
+        assert_ne!(whole.0, whole.0.clamp01());
+        // every subset of the cut points 1..n
+        for cuts in 0u32..1 << (n - 1) {
+            let mut acc = start;
+            let mut lo = 0;
+            for hi in (1..=n).filter(|&hi| hi == n || cuts & (1 << (hi - 1)) != 0) {
+                acc = composite_span(&pts, lo..hi, acc);
+                lo = hi;
+            }
+            assert_eq!(bits(acc), bits(whole), "cuts {cuts:#b}");
+        }
+    }
+
+    #[test]
+    fn a_sample_without_density_adds_plus_zero_and_keeps_transmittance() {
+        let color = Rgb::new(0.3, 0.0, 1.0);
+        for sigma in [0.0, -0.0, -2.5, f32::MIN] {
+            let pts = [
+                SamplePoint { t: 0.2, sigma: 3.0, color: Rgb::new(0.9, 0.4, 0.0) },
+                SamplePoint { t: 0.5, sigma, color },
+                SamplePoint { t: 0.9, sigma: 1.0, color },
+            ];
+            for before in [(Rgb::BLACK, 1.0f32), composite_span(&pts, 0..1, (Rgb::BLACK, 1.0))] {
+                let after = composite_span(&pts, 1..2, before);
+                assert_eq!(bits(after), bits(before), "sigma {sigma}");
+                // the term itself is +0, not −0: it leaves a −0 channel as +0
+                let negative_zero = (Rgb::new(-0.0, -0.0, -0.0), before.1);
+                assert_eq!(
+                    bits(composite_span(&pts, 1..2, negative_zero)),
+                    bits((Rgb::BLACK, before.1))
+                );
+            }
+        }
     }
 
     #[test]

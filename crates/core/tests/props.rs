@@ -1,7 +1,6 @@
 //! Property-based tests of the ASDR algorithms and architecture components.
 
 use asdr_core::algo::adaptive::{choose_count, AdaptiveConfig, SamplePlan};
-use asdr_core::algo::approx::{interpolate_followers, leader_indices};
 use asdr_core::algo::volrend::{
     composite, composite_early_term, composite_subsampled, SamplePoint,
 };
@@ -96,39 +95,6 @@ proptest! {
             }
         }
         prop_assert!(plan.average() >= lo as f64 && plan.average() <= hi as f64);
-    }
-
-    #[test]
-    fn leaders_cover_and_never_exceed(n_points in 0usize..100, n in 1usize..9) {
-        let l = leader_indices(n_points, n);
-        prop_assert_eq!(l.len(), n_points.div_ceil(n));
-        if n_points > 0 {
-            prop_assert_eq!(l[0], 0);
-        }
-        prop_assert!(l.iter().all(|&i| i < n_points));
-    }
-
-    #[test]
-    fn interpolated_colors_stay_in_leader_hull(
-        leaders in proptest::collection::vec((0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0), 2..6),
-        n in 2usize..5,
-    ) {
-        let count = leaders.len() * n;
-        let ts: Vec<f32> = (0..count).map(|i| i as f32).collect();
-        let mut colors = vec![Rgb::BLACK; count];
-        let mut is_leader = vec![false; count];
-        for (k, &(r, g, b)) in leaders.iter().enumerate() {
-            is_leader[k * n] = true;
-            colors[k * n] = Rgb::new(r, g, b);
-        }
-        interpolate_followers(&ts, &mut colors, &is_leader);
-        let lo = leaders.iter().fold(1.0f32, |m, &(r, g, b)| m.min(r).min(g).min(b));
-        let hi = leaders.iter().fold(0.0f32, |m, &(r, g, b)| m.max(r).max(g).max(b));
-        for c in colors {
-            for ch in [c.r, c.g, c.b] {
-                prop_assert!(ch >= lo - 1e-5 && ch <= hi + 1e-5);
-            }
-        }
     }
 
     #[test]

@@ -278,15 +278,6 @@ fn fill_embeddings(field: &dyn SceneField, cfg: &GridConfig) -> EmbeddingSet {
     set
 }
 
-/// The linear decode plan of the fitted pyramid: for each of the four
-/// quantities (σ', diffuse r, g, b), the `(level, feature slot, weight)`
-/// lanes that carry it. Exposed for the volumetric trainer, which
-/// backpropagates through this decode.
-pub fn decode_plans_for(cfg: &GridConfig) -> [Vec<(usize, usize, f32)>; 4] {
-    let plans = decode_plans(cfg);
-    std::array::from_fn(|i| plans[i].lanes.clone())
-}
-
 /// The specular term the fitted coefficients `spec_sh` give toward
 /// `view_dir`: `Σ yᵢ(view_dir)·cᵢ`, summed in coefficient order.
 pub(crate) fn eval_specular_sh(spec_sh: &[f32; SH_DEGREE4_COEFFS], view_dir: Vec3) -> f32 {

@@ -49,7 +49,6 @@ pub mod model;
 pub mod occupancy;
 pub mod profile;
 pub mod tensorf;
-pub mod train;
 
 pub use encoder::HashEncoder;
 pub use model::NgpModel;

@@ -86,7 +86,7 @@ struct Pass<'a> {
 /// One dense layer `y = act(W x + b)`.
 ///
 /// Weights are stored input-major, `[in][stride]` with `stride` the output
-/// count rounded up to a whole number of [`LANES`]-wide blocks; the padding
+/// count rounded up to a whole number of `LANES`-wide blocks; the padding
 /// columns (and padding biases) stay zero and are never written out, so
 /// every block of [`Self::forward_from`] is the same fixed-width loop.
 #[derive(Clone, PartialEq)]

@@ -1,16 +1,21 @@
-//! The one shared hand-rolled JSON writer (no serde in this offline
-//! environment). Every stats artifact — `ServeStats`, `ClusterStats`, the
-//! metrics registry, bundle files — serializes through [`JsonWriter`], so
-//! comma discipline, string escaping, and number formatting live in
-//! exactly one place. The writers in `asdr_serve` and `asdr_cluster` had
-//! already drifted on float precision before this module existed.
+//! The one shared hand-rolled JSON writer and the one flat-object reader
+//! (no serde in this offline environment). Every stats artifact —
+//! `ServeStats`, `ClusterStats`, the metrics registry, bundle files —
+//! serializes through [`JsonWriter`], so comma discipline, string escaping,
+//! and number formatting live in exactly one place. The writers in
+//! `asdr_serve` and `asdr_cluster` had already drifted on float precision
+//! before this module existed.
 //!
 //! The writer is deliberately low-level: it tracks container nesting and
 //! commas, while the caller controls layout through [`JsonWriter::gap`]
 //! (the whitespace inserted before the next item) and
 //! [`JsonWriter::raw`], so the long-stable artifact shapes — greppable by
 //! `scripts/*.sh` — come out byte-identical.
+//!
+//! [`parse_flat_object`] reads back the one-object-per-line formats: the
+//! workload files of `asdr_serve` and the `spans.jsonl` of a run bundle.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// An incremental JSON writer over a growing `String`.
@@ -212,6 +217,158 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// A value of a flat JSON object.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A string, escapes resolved.
+    Str(String),
+    /// A number.
+    Num(f64),
+    /// `true` or `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+/// Parses one flat JSON object (no nesting, no arrays): strings with the
+/// escapes [`escape`] writes plus `\/`, numbers, `true`, `false`, `null`.
+///
+/// # Errors
+///
+/// Returns why, with the byte offset, for anything else — a duplicate key
+/// and content after the closing brace included.
+pub fn parse_flat_object(s: &str) -> Result<BTreeMap<String, Value>, String> {
+    let mut p = Parser { chars: s.char_indices().peekable(), src: s };
+    p.skip_ws();
+    p.expect('{')?;
+    let mut obj = BTreeMap::new();
+    p.skip_ws();
+    if p.eat('}') {
+        p.expect_end()?;
+        return Ok(obj);
+    }
+    loop {
+        p.skip_ws();
+        let key = p.string()?;
+        p.skip_ws();
+        p.expect(':')?;
+        p.skip_ws();
+        let value = p.value()?;
+        if obj.insert(key.clone(), value).is_some() {
+            return Err(format!("duplicate key {key:?}"));
+        }
+        p.skip_ws();
+        if p.eat(',') {
+            continue;
+        }
+        p.expect('}')?;
+        p.expect_end()?;
+        return Ok(obj);
+    }
+}
+
+struct Parser<'a> {
+    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
+    src: &'a str,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while self.chars.next_if(|(_, c)| c.is_ascii_whitespace()).is_some() {}
+    }
+
+    fn eat(&mut self, want: char) -> bool {
+        self.chars.next_if(|&(_, c)| c == want).is_some()
+    }
+
+    fn expect(&mut self, want: char) -> Result<(), String> {
+        match self.chars.next() {
+            Some((_, c)) if c == want => Ok(()),
+            Some((i, c)) => Err(format!("expected {want:?} at byte {i}, found {c:?}")),
+            None => Err(format!("expected {want:?}, found end of line")),
+        }
+    }
+
+    fn expect_end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        match self.chars.next() {
+            None => Ok(()),
+            Some((i, c)) => Err(format!("trailing content at byte {i}: {c:?}")),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect('"')?;
+        let mut out = String::new();
+        loop {
+            match self.chars.next() {
+                Some((_, '"')) => return Ok(out),
+                Some((i, '\\')) => match self.chars.next() {
+                    Some((_, '"')) => out.push('"'),
+                    Some((_, '\\')) => out.push('\\'),
+                    Some((_, '/')) => out.push('/'),
+                    Some((_, 'n')) => out.push('\n'),
+                    Some((_, 't')) => out.push('\t'),
+                    Some((_, 'r')) => out.push('\r'),
+                    Some((_, 'u')) => {
+                        let hex: String = self.chars.by_ref().take(4).map(|(_, c)| c).collect();
+                        let code = u32::from_str_radix(&hex, 16)
+                            .ok()
+                            .filter(|_| hex.len() == 4 && !hex.starts_with('+'))
+                            .and_then(char::from_u32);
+                        out.push(code.ok_or_else(|| format!("bad \\u escape at byte {i}"))?);
+                    }
+                    other => {
+                        return Err(format!("unsupported escape at byte {i}: {other:?}"));
+                    }
+                },
+                Some((_, c)) => out.push(c),
+                None => return Err("unterminated string".into()),
+            }
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        match self.chars.peek() {
+            Some((_, '"')) => Ok(Value::Str(self.string()?)),
+            Some((_, 't' | 'f' | 'n')) => self.keyword(),
+            Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
+                let mut end = start;
+                while let Some(&(i, c)) = self.chars.peek() {
+                    if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
+                        end = i + c.len_utf8();
+                        self.chars.next();
+                    } else {
+                        break;
+                    }
+                }
+                let text = &self.src[start..end];
+                text.parse::<f64>().map(Value::Num).map_err(|_| format!("bad number {text:?}"))
+            }
+            Some(&(i, c)) => Err(format!("unexpected {c:?} at byte {i}")),
+            None => Err("expected a value, found end of line".into()),
+        }
+    }
+
+    fn keyword(&mut self) -> Result<Value, String> {
+        for (word, value) in
+            [("true", Value::Bool(true)), ("false", Value::Bool(false)), ("null", Value::Null)]
+        {
+            if self.src[self.pos()..].starts_with(word) {
+                for _ in 0..word.len() {
+                    self.chars.next();
+                }
+                return Ok(value);
+            }
+        }
+        Err(format!("unknown keyword at byte {}", self.pos()))
+    }
+
+    fn pos(&mut self) -> usize {
+        self.chars.peek().map_or(self.src.len(), |&(i, _)| i)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,5 +417,25 @@ mod tests {
         w.str_val("a\"b\\c\nd\u{1}");
         assert_eq!(w.finish(), "\"a\\\"b\\\\c\\nd\\u0001\"");
         assert_eq!(escape("plain"), "plain");
+    }
+
+    #[test]
+    fn the_reader_resolves_every_escape_the_writer_emits() {
+        let obj = parse_flat_object(r#"{"scene": "a\"b\\c\/d", "ok": true, "n": null}"#).unwrap();
+        assert_eq!(obj["scene"], Value::Str("a\"b\\c/d".into()));
+        assert_eq!(obj["ok"], Value::Bool(true));
+        assert_eq!(obj["n"], Value::Null);
+
+        let raw = "q\"b\\n\nr\rt\tc\u{1}\u{1f}é";
+        let line = format!("{{\"k\": \"{}\", \"x\": -2.5e1}}", escape(raw));
+        let obj = parse_flat_object(&line).unwrap();
+        assert_eq!(obj["k"], Value::Str(raw.into()));
+        assert_eq!(obj["x"], Value::Num(-25.0));
+        for bad in [r#"{"k": "\u12"}"#, r#"{"k": "\u+123"}"#, r#"{"k": "\ud800"}"#] {
+            assert!(
+                parse_flat_object(bad).unwrap_err().contains("bad \\u escape at byte 7"),
+                "{bad}"
+            );
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! in the workspace DAG, so every layer from the model store up to the
 //! remote fleet can thread through it:
 //!
-//! * [`span`] — each request carries a [`TraceId`] and accumulates a span
+//! * [`mod@span`] — each request carries a [`TraceId`] and accumulates a span
 //!   timeline (admit → queue → batch-join → store → probe → render →
 //!   reply) into a bounded process-global ring. The [`span!`] / [`event!`]
 //!   macros are the only entry points: compiled out entirely without the
@@ -18,7 +18,8 @@
 //!   hand-plumbed fields.
 //! * [`json`] — the one shared hand-rolled JSON writer (no serde in this
 //!   environment) that every stats serializer and bundle file goes
-//!   through, so number formatting cannot drift between crates again.
+//!   through, so number formatting cannot drift between crates again, and
+//!   the one reader of the flat one-object-per-line formats it writes.
 //! * [`bundle`] — diagnostic run bundles: every binary writes a directory
 //!   on exit (config snapshot, periodic stats timeline, warnings ring,
 //!   last-stage marker, span dump). Spans write through to the bundle's

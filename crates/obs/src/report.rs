@@ -5,10 +5,11 @@
 //!
 //! Input is any directory tree holding bundle subdirectories (or a single
 //! bundle): every `spans.jsonl` one level deep — plus one in the root
-//! itself — is parsed line-by-line with a tolerant flat-JSON scanner, so
-//! a truncated last line from a killed daemon never sinks the report.
+//! itself — is parsed line-by-line and a line that does not parse is
+//! counted and skipped, so a truncated last line from a killed daemon
+//! never sinks the report.
 
-use crate::json::JsonWriter;
+use crate::json::{parse_flat_object, JsonWriter, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs;
@@ -178,13 +179,13 @@ pub fn load_bundles(root: &Path) -> Result<(Vec<ParsedSpan>, usize), String> {
 /// Parses one `spans.jsonl` line (a flat object of strings and numbers);
 /// `None` for anything malformed — a truncated tail from a killed daemon.
 pub fn parse_span_line(line: &str) -> Option<ParsedSpan> {
-    let fields = parse_flat_object(line)?;
+    let fields = parse_flat_object(line).ok()?;
     let get_str = |k: &str| match fields.get(k) {
-        Some(FlatValue::Str(s)) => Some(s.clone()),
+        Some(Value::Str(s)) => Some(s.clone()),
         _ => None,
     };
     let get_num = |k: &str| match fields.get(k) {
-        Some(FlatValue::Num(n)) => Some(*n),
+        Some(Value::Num(n)) => Some(*n),
         _ => None,
     };
     Some(ParsedSpan {
@@ -195,92 +196,6 @@ pub fn parse_span_line(line: &str) -> Option<ParsedSpan> {
         dur_us: get_num("dur_us")? as u64,
         detail: get_str("detail").unwrap_or_default(),
     })
-}
-
-enum FlatValue {
-    Str(String),
-    Num(f64),
-}
-
-/// A minimal flat-JSON-object scanner: `{"key": "str" | number, ...}`.
-/// Rejects (returns `None`) on nesting or malformed syntax.
-fn parse_flat_object(line: &str) -> Option<BTreeMap<String, FlatValue>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut out = BTreeMap::new();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                skip_ws(&mut chars);
-                return chars.next().is_none().then_some(out);
-            }
-            ',' => {
-                chars.next();
-                continue;
-            }
-            '"' => {}
-            _ => return None,
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek()? {
-            '"' => FlatValue::Str(parse_string(&mut chars)?),
-            c if c.is_ascii_digit() || *c == '-' => {
-                let mut num = String::new();
-                while let Some(c) = chars.peek() {
-                    if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                        num.push(*c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                FlatValue::Num(num.parse().ok()?)
-            }
-            _ => return None,
-        };
-        out.insert(key, value);
-    }
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
 }
 
 /// Builds the merged report from a parsed span set.

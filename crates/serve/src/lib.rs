@@ -65,4 +65,4 @@ pub use trace::{
     BinarySource, JsonlSource, ReplayDriver, ReplayTarget, SubmitOutcome, SyntheticSource,
     TimedRequest, TraceSource,
 };
-pub use workload::{parse_workload, WorkloadEntry};
+pub use workload::parse_workload;

@@ -4,7 +4,7 @@
 //! The subsystem turns the serving layer's 14-line JSONL fixtures into a
 //! real workload pipeline:
 //!
-//! * [`format`] — the compact VERSION-1 binary trace codec
+//! * [`mod@format`] — the compact VERSION-1 binary trace codec
 //!   (delta-encoded arrivals, interned scene names, varint fields);
 //! * [`source`] — the [`TraceSource`] trait and its three
 //!   implementations ([`JsonlSource`], [`BinarySource`],

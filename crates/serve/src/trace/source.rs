@@ -13,7 +13,7 @@
 use crate::profile::RenderProfile;
 use crate::service::{Priority, RenderRequest};
 use crate::trace::format::{self, DecodedTrace, PlanMeta};
-use crate::workload::{parse_workload, WorkloadEntry};
+use crate::workload::parse_workload;
 use std::path::Path;
 
 /// One render request with its arrival time — the unit every
@@ -65,22 +65,6 @@ impl TimedRequest {
             req.azimuth_step_deg = step;
         }
         Ok(req)
-    }
-}
-
-impl From<WorkloadEntry> for TimedRequest {
-    fn from(e: WorkloadEntry) -> Self {
-        TimedRequest {
-            at_ms: e.at_ms,
-            scene: e.scene,
-            frames: e.frames,
-            resolution: e.resolution,
-            priority: e.priority,
-            deadline_ms: e.deadline_ms,
-            azimuth_step_deg: e.azimuth_step_deg,
-            origin: e.line,
-            window: None,
-        }
     }
 }
 
@@ -136,8 +120,7 @@ impl JsonlSource {
     ///
     /// Returns `"line N: why"` for the first malformed line.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries: Vec<TimedRequest> =
-            parse_workload(text)?.into_iter().map(TimedRequest::from).collect();
+        let mut entries = parse_workload(text)?;
         entries.sort_by_key(|e| e.at_ms);
         Ok(JsonlSource { entries: entries.into_iter() })
     }

@@ -20,55 +20,23 @@
 //! `resolution` 1..=8192, `deadline_ms` up to ~28 hours, `at_ms` up to
 //! ~115 days.
 //!
-//! The environment has no registry access, hence no serde: the parser below
-//! covers exactly the flat string/number/bool objects this format needs,
-//! the same trade the in-tree `criterion` shim makes for its JSON dump.
+//! The environment has no registry access, hence no serde: the reader in
+//! [`asdr_obs::json`] covers exactly the flat string/number/bool objects
+//! this format needs, the same trade the in-tree `criterion` shim makes for
+//! its JSON dump.
 
-use crate::profile::RenderProfile;
-use crate::service::{Priority, RenderRequest};
+use crate::service::Priority;
 use crate::trace::format::{MAX_AT_MS, MAX_DEADLINE_MS, MAX_FRAMES, MAX_RESOLUTION};
-use std::collections::HashMap;
-
-/// One parsed workload line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadEntry {
-    /// Registry scene name.
-    pub scene: String,
-    /// Frames in the request.
-    pub frames: usize,
-    /// Frame resolution override.
-    pub resolution: Option<u32>,
-    /// Scheduling class.
-    pub priority: Priority,
-    /// Latency budget in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Arrival offset from replay start, milliseconds.
-    pub at_ms: u64,
-    /// Orbit step override, degrees per frame.
-    pub azimuth_step_deg: Option<f32>,
-    /// 1-based source line in the workload file, so resolution failures
-    /// (unknown scene at submit time) can name the offending line, not just
-    /// a request index.
-    pub line: usize,
-}
-
-impl WorkloadEntry {
-    /// Resolves the entry into a submit-ready request under `profile`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the scene is not registered.
-    pub fn to_request(&self, profile: &RenderProfile) -> Result<RenderRequest, String> {
-        crate::trace::TimedRequest::from(self.clone()).to_request(profile)
-    }
-}
+use crate::trace::TimedRequest;
+use asdr_obs::json::{parse_flat_object, Value};
+use std::collections::BTreeMap;
 
 /// Parses a workload file: one JSON object per non-blank, non-`#` line.
 ///
 /// # Errors
 ///
 /// Returns `"line N: why"` for the first malformed line.
-pub fn parse_workload(text: &str) -> Result<Vec<WorkloadEntry>, String> {
+pub fn parse_workload(text: &str) -> Result<Vec<TimedRequest>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -80,11 +48,11 @@ pub fn parse_workload(text: &str) -> Result<Vec<WorkloadEntry>, String> {
     Ok(out)
 }
 
-fn parse_entry(line: &str, line_no: usize) -> Result<WorkloadEntry, String> {
+fn parse_entry(line: &str, line_no: usize) -> Result<TimedRequest, String> {
     let obj = parse_flat_object(line)?;
     let known = |k: &str| obj.get(k).cloned();
     let scene = match known("scene") {
-        Some(Json::Str(s)) if !s.is_empty() => s,
+        Some(Value::Str(s)) if !s.is_empty() => s,
         Some(_) => return Err("\"scene\" must be a non-empty string".into()),
         None => return Err("missing required field \"scene\"".into()),
     };
@@ -103,7 +71,7 @@ fn parse_entry(line: &str, line_no: usize) -> Result<WorkloadEntry, String> {
         }
     }
     let priority = match known("priority") {
-        Some(Json::Str(s)) => {
+        Some(Value::Str(s)) => {
             Priority::parse(&s).ok_or_else(|| format!("unknown priority {s:?}"))?
         }
         Some(_) => return Err("\"priority\" must be a string".into()),
@@ -121,7 +89,7 @@ fn parse_entry(line: &str, line_no: usize) -> Result<WorkloadEntry, String> {
             Some(n) => Ok(Some(n as u64)),
         }
     };
-    Ok(WorkloadEntry {
+    Ok(TimedRequest {
         scene,
         frames: int_field("frames", 1, MAX_FRAMES)?.map_or(1, |n| n as usize),
         resolution: int_field("resolution", 1, MAX_RESOLUTION)?.map(|n| n as u32),
@@ -129,155 +97,23 @@ fn parse_entry(line: &str, line_no: usize) -> Result<WorkloadEntry, String> {
         deadline_ms: int_field("deadline_ms", 1, MAX_DEADLINE_MS)?,
         at_ms: int_field("at_ms", 0, MAX_AT_MS)?.unwrap_or(0),
         azimuth_step_deg: get_num(&obj, "azimuth_step_deg")?.map(|n| n as f32),
-        line: line_no,
+        origin: line_no,
+        window: None,
     })
 }
 
-fn get_num(obj: &HashMap<String, Json>, key: &str) -> Result<Option<f64>, String> {
+fn get_num(obj: &BTreeMap<String, Value>, key: &str) -> Result<Option<f64>, String> {
     match obj.get(key) {
         None => Ok(None),
-        Some(Json::Num(n)) if n.is_finite() && *n >= 0.0 => Ok(Some(*n)),
+        Some(Value::Num(n)) if n.is_finite() && *n >= 0.0 => Ok(Some(*n)),
         Some(_) => Err(format!("{key:?} must be a non-negative number")),
-    }
-}
-
-/// The value subset the workload format needs.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-/// Parses one flat JSON object (no nesting, no arrays).
-fn parse_flat_object(s: &str) -> Result<HashMap<String, Json>, String> {
-    let mut p = Parser { chars: s.char_indices().peekable(), src: s };
-    p.skip_ws();
-    p.expect('{')?;
-    let mut obj = HashMap::new();
-    p.skip_ws();
-    if p.eat('}') {
-        p.expect_end()?;
-        return Ok(obj);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
-        let value = p.value()?;
-        if obj.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        p.skip_ws();
-        if p.eat(',') {
-            continue;
-        }
-        p.expect('}')?;
-        p.expect_end()?;
-        return Ok(obj);
-    }
-}
-
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    src: &'a str,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.chars.next_if(|(_, c)| c.is_ascii_whitespace()).is_some() {}
-    }
-
-    fn eat(&mut self, want: char) -> bool {
-        self.chars.next_if(|&(_, c)| c == want).is_some()
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            Some((i, c)) => Err(format!("expected {want:?} at byte {i}, found {c:?}")),
-            None => Err(format!("expected {want:?}, found end of line")),
-        }
-    }
-
-    fn expect_end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.next() {
-            None => Ok(()),
-            Some((i, c)) => Err(format!("trailing content at byte {i}: {c:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((i, '\\')) => match self.chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    other => {
-                        return Err(format!("unsupported escape at byte {i}: {other:?}"));
-                    }
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.chars.peek() {
-            Some((_, '"')) => Ok(Json::Str(self.string()?)),
-            Some((_, 't' | 'f' | 'n')) => self.keyword(),
-            Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
-                let mut end = start;
-                while let Some(&(i, c)) = self.chars.peek() {
-                    if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                        end = i + c.len_utf8();
-                        self.chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let text = &self.src[start..end];
-                text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number {text:?}"))
-            }
-            Some(&(i, c)) => Err(format!("unexpected {c:?} at byte {i}")),
-            None => Err("expected a value, found end of line".into()),
-        }
-    }
-
-    fn keyword(&mut self) -> Result<Json, String> {
-        for (word, value) in
-            [("true", Json::Bool(true)), ("false", Json::Bool(false)), ("null", Json::Null)]
-        {
-            if self.src[self.pos()..].starts_with(word) {
-                for _ in 0..word.len() {
-                    self.chars.next();
-                }
-                return Ok(value);
-            }
-        }
-        Err(format!("unknown keyword at byte {}", self.pos()))
-    }
-
-    fn pos(&mut self) -> usize {
-        self.chars.peek().map_or(self.src.len(), |&(i, _)| i)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::RenderProfile;
 
     #[test]
     fn parses_a_mixed_workload() {
@@ -291,8 +127,9 @@ mod tests {
         let entries = parse_workload(text).unwrap();
         assert_eq!(entries.len(), 3);
         assert_eq!(entries[0].scene, "Mic");
-        assert_eq!(entries[0].line, 4, "entries remember their source line");
-        assert_eq!(entries[2].line, 6);
+        assert_eq!(entries[0].origin, 4, "entries remember their source line");
+        assert_eq!(entries[2].origin, 6);
+        assert!(entries.iter().all(|e| e.window.is_none()));
         assert_eq!(entries[0].frames, 2);
         assert_eq!(entries[0].priority, Priority::High);
         assert_eq!(entries[0].deadline_ms, Some(500));
@@ -368,13 +205,5 @@ mod tests {
         let missing =
             parse_workload(r#"{"scene": "no-such-scene"}"#).unwrap().remove(0).to_request(&profile);
         assert!(missing.is_err());
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let obj = parse_flat_object(r#"{"scene": "a\"b\\c\/d", "ok": true, "n": null}"#).unwrap();
-        assert_eq!(obj["scene"], Json::Str("a\"b\\c/d".into()));
-        assert_eq!(obj["ok"], Json::Bool(true));
-        assert_eq!(obj["n"], Json::Null);
     }
 }
