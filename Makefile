@@ -15,10 +15,12 @@ test-crates:
 
 # Bit-identity of the kernels on the code generation the benchmark measures:
 # tier-1 runs these at the dev profile's opt-level 2, release is opt-level 3.
-# The props run the MLP oracles once per kernel instantiation the CPU offers.
+# The props run the MLP oracles once per kernel instantiation the CPU offers;
+# the asdr_core pair is empty-space skipping against its kept no-skip oracle.
 test-release:
 	cargo test --release --test kernel_identity
 	cargo test --release -p asdr_nerf --test props
+	cargo test --release -p asdr_core --test empty_space --test props
 
 fmt:
 	cargo fmt --all

@@ -37,6 +37,12 @@ impl SceneSel {
         self.chosen.clone().unwrap_or_else(registry::perf_scenes)
     }
 
+    /// The scenes a whole-registry experiment iterates (default: every
+    /// registered scene, paper and zoo).
+    fn registered(&self) -> Vec<SceneHandle> {
+        self.chosen.clone().unwrap_or_else(registry::all)
+    }
+
     /// The scenes an experiment with a bespoke default subset iterates.
     fn subset(&self, defaults: &[&str]) -> Vec<SceneHandle> {
         self.chosen
@@ -250,6 +256,15 @@ const EXPERIMENTS: &[Experiment] = &[
         in_all: true,
         scene_aware: true,
         run: |h, sel| ablation::print_fig23(&ablation::run_fig23(h, &sel.perf())),
+    },
+    Experiment {
+        id: "empty_space",
+        describe: "samples the host skips as empty, and fixed / ASDR counted vs wall-clock",
+        in_all: true,
+        scene_aware: true,
+        run: |h, sel| {
+            empty_space::print_empty_space(&empty_space::run_empty_space(h, &sel.registered()))
+        },
     },
     Experiment {
         id: "fig24",

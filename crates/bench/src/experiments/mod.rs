@@ -3,6 +3,7 @@
 pub mod ablation;
 pub mod cluster_exp;
 pub mod dse;
+pub mod empty_space;
 pub mod gpu_sw;
 pub mod hwconfig;
 pub mod models_cmp;

@@ -29,10 +29,13 @@ use std::sync::Mutex;
 const ALPHA: f64 = 0.3;
 
 /// Nanoseconds per nominal probe sample assumed until the first
-/// completion is observed: the median over six scenes at 16², 24² and 48²
-/// of a sequential tiny-profile frame on the 2-vCPU recording host
-/// (377–569 ns; adaptive sampling renders fewer samples than nominal).
-const SEED_NS_PER_SAMPLE: f64 = 450.0;
+/// completion is observed: the median over six scenes (Lego, Mic, Ship,
+/// Chair, Hotdog, Cloud) at 16², 24² and 48² of a sequential tiny-profile
+/// frame, fastest of seven, on the 2-vCPU recording host (Xeon 2.10 GHz,
+/// `mlp_kernel` = avx2), 2026-10-05: 74 (Mic) – 247 (Ship) ns. Adaptive
+/// sampling renders fewer samples than nominal and the march skips the
+/// empty ones, so the spread between scenes is 3×, not noise.
+const SEED_NS_PER_SAMPLE: f64 = 145.0;
 
 /// One key's running estimate.
 #[derive(Debug, Clone, Copy)]

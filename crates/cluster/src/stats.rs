@@ -148,6 +148,13 @@ impl ClusterStats {
         w.key("total_disk_hits").u64(self.total_disk_hits());
         w.key("lock_waits").u64(self.lock_waits());
         w.key("lock_steals").u64(self.lock_steals());
+        // counted work beside what the shards' renderers skipped as empty
+        // space: why equal planned work costs scenes differently
+        let total = |f: fn(&ServeStats) -> u64| self.shards.iter().map(|s| f(&s.serve)).sum();
+        w.gap("\n  ").key("density_evals").u64(total(|v| v.density_evals));
+        w.key("skipped_density").u64(total(|v| v.skipped_density));
+        w.key("color_evals").u64(total(|v| v.color_evals));
+        w.key("skipped_color").u64(total(|v| v.skipped_color));
         w.gap("\n  ").key("cost").obj();
         w.key("tracked_keys").usize(self.cost.tracked_keys);
         w.key("observations").u64(self.cost.observations);
@@ -224,6 +231,10 @@ mod tests {
             throughput_fps: 12.0,
             probe_points: 100,
             probe_points_avoided_est: 50.0,
+            density_evals: 900 * requests,
+            color_evals: 500 * requests,
+            skipped_density: 700 * requests,
+            skipped_color: 300 * requests,
             store: StoreStats { fits, ..StoreStats::default() },
         }
     }
@@ -288,6 +299,8 @@ mod tests {
             "\"total_fits\": 3",
             "\"miss_rate\": 0.2500",
             "\"routed_home\": 5",
+            "\"density_evals\": 5400, \"skipped_density\": 4200",
+            "\"color_evals\": 3000, \"skipped_color\": 1800",
             "\"scale_events\": [{\"at_ms\": 40",
             "\"per_shard\": [",
             "\"cost\": {\"tracked_keys\": 2",

@@ -28,8 +28,9 @@ use asdr_serve::trace::format::{MAX_DEADLINE_MS, MAX_FRAMES, MAX_RESOLUTION};
 use asdr_serve::{ServeStats, StoreStats};
 use std::io::{Read, Write};
 
-/// Wire protocol version, exchanged in [`Message::Hello`].
-pub const VERSION: u8 = 1;
+/// Wire protocol version, exchanged in [`Message::Hello`]. 2: `Stats`
+/// carries the counted and skipped evaluation totals.
+pub const VERSION: u8 = 2;
 
 /// Largest frame payload a peer will read (a 4096-frame result of
 /// 8192² f32 pixels doesn't fit anyway — this bounds a hostile length
@@ -451,6 +452,10 @@ impl WireStats {
             s.deadlined_requests,
             s.deadline_misses,
             s.probe_points,
+            s.density_evals,
+            s.color_evals,
+            s.skipped_density,
+            s.skipped_color,
         ] {
             push_varint(out, v);
         }
@@ -480,7 +485,7 @@ impl WireStats {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<WireStats, String> {
-        let mut ints = [0u64; 8];
+        let mut ints = [0u64; 12];
         for v in &mut ints {
             *v = r.varint()?;
         }
@@ -502,6 +507,10 @@ impl WireStats {
                 deadlined_requests: ints[5],
                 deadline_misses: ints[6],
                 probe_points: ints[7],
+                density_evals: ints[8],
+                color_evals: ints[9],
+                skipped_density: ints[10],
+                skipped_color: ints[11],
                 p50_latency_ms: floats[0],
                 p95_latency_ms: floats[1],
                 mean_queue_wait_ms: floats[2],
@@ -957,6 +966,10 @@ mod tests {
                         throughput_fps: 12.0,
                         probe_points: 1000,
                         probe_points_avoided_est: 400.0,
+                        density_evals: 9000,
+                        color_evals: 5000,
+                        skipped_density: 7000,
+                        skipped_color: 3500,
                         store: StoreStats { fits: 2, disk_hits: 1, ..StoreStats::default() },
                     },
                 },

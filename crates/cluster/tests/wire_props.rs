@@ -89,6 +89,10 @@ fn build_stats(seed: u64) -> WireStats {
             mean_queue_wait_ms: f(37),
             throughput_fps: f(41),
             probe_points_avoided_est: f(43),
+            density_evals: n(83),
+            color_evals: n(89),
+            skipped_density: n(97),
+            skipped_color: n(101),
             store: StoreStats {
                 memory_hits: n(47),
                 disk_hits: n(53),

@@ -412,10 +412,9 @@ impl FrameEngine {
             let cell = ((i % gx) as u32, (i / gx) as u32);
             probe_cell(model, cam, acfg, base_ns, cell, scratch, points)
         });
-        for (i, (count, points)) in cells {
+        for (i, (count, cost)) in cells {
             probe_counts[i / gx][i % gx] = count;
-            stats.probe_rays += 1;
-            stats.probe_points += points;
+            stats.accumulate(&cost);
         }
         SamplePlan::from_probes(w, h, base_ns, d, &probe_counts)
     }
@@ -720,6 +719,12 @@ mod tests {
 
         fn model_bounds(&self) -> asdr_math::Aabb {
             self.inner.model_bounds()
+        }
+
+        // not the inner model's answer: a thread whose first rays are all
+        // empty space would never reach the barrier in `density_into`
+        fn occupied(&self, _: asdr_math::Vec3) -> bool {
+            true
         }
 
         fn density_into(&self, p: asdr_math::Vec3, scratch: &mut Self::Scratch) -> f32 {

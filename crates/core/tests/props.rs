@@ -1,13 +1,20 @@
 //! Property-based tests of the ASDR algorithms and architecture components.
 
+mod common;
+
 use asdr_core::algo::adaptive::{choose_count, AdaptiveConfig, SamplePlan};
 use asdr_core::algo::volrend::{
     composite, composite_early_term, composite_subsampled, SamplePoint,
 };
+use asdr_core::algo::RenderOptions;
 use asdr_core::arch::addrgen::{HybridAddressGenerator, MappingMode};
 use asdr_core::arch::RegCache;
-use asdr_math::Rgb;
+use asdr_math::{Camera, Rgb, Vec3};
+use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
+use asdr_nerf::NgpModel;
+use asdr_scenes::registry;
+use common::{assert_skipping_is_invisible, AllOccupied};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -32,7 +39,31 @@ fn points_strategy(n: usize) -> impl Strategy<Value = Vec<SamplePoint>> {
         .prop_map(|(s, c)| sample_points(s, c))
 }
 
+/// One fitted Lego for every case of the empty-space property.
+fn lego_oracle() -> &'static AllOccupied<NgpModel> {
+    static LEGO: std::sync::OnceLock<AllOccupied<NgpModel>> = std::sync::OnceLock::new();
+    LEGO.get_or_init(|| {
+        AllOccupied(fit_ngp(registry::handle("Lego").build().as_ref(), &GridConfig::tiny()))
+    })
+}
+
 proptest! {
+    #[test]
+    fn skipping_empty_space_is_invisible_for_any_count_group_and_ray(
+        count in 1usize..=48, group in 1usize..=6, et in 0u8..2,
+        az in 0.0f32..360.0, el in -80.0f32..80.0, radius in 0.5f32..5.0,
+    ) {
+        // 16 rays from anywhere around (or inside) the model, fixed count so
+        // the case's `count` and `group` are what every ray is marched at
+        let cam = Camera::orbit(Vec3::ZERO, radius, az, el, 50.0, 4, 4);
+        let opts = RenderOptions {
+            approx_group: group,
+            early_termination: et == 1,
+            ..RenderOptions::instant_ngp(count)
+        };
+        assert_skipping_is_invisible(lego_oracle(), &cam, &opts, "random rays");
+    }
+
     #[test]
     fn transmittance_is_in_unit_interval_and_monotone(pts in points_strategy(48)) {
         let r = composite(&pts);

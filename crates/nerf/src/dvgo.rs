@@ -217,6 +217,10 @@ impl RadianceModel for DvgoModel {
         self.bounds
     }
 
+    fn occupied(&self, p_world: Vec3) -> bool {
+        self.occupancy.occupied_world(p_world)
+    }
+
     fn density_into(&self, p_world: Vec3, scratch: &mut DvgoScratch) -> f32 {
         let p01 = self.bounds.normalize(p_world);
         let mut acc = [0.0f32; DVGO_CHANNELS];

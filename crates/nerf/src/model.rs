@@ -25,7 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// geometry feature in the scratch; [`RadianceModel::color_into`] then
 /// finishes the (expensive) color path for the *same* point. ASDR's
 /// color–density decoupling calls the former for every sample and the latter
-/// for only one sample per group.
+/// for only one sample per group — and [`RadianceModel::occupied`] lets a
+/// caller not pay for either where the answer is already known to be zero.
 pub trait RadianceModel {
     /// Reusable per-thread scratch for query state.
     type Scratch;
@@ -36,7 +37,15 @@ pub trait RadianceModel {
     /// World-space bounds of the modelled scene.
     fn model_bounds(&self) -> Aabb;
 
-    /// Density query; leaves the geometry feature in `scratch`.
+    /// Whether `p_world` lies in a cell of the model's empty-space mask that
+    /// may hold density. `false` is a promise: [`Self::density_into`] returns
+    /// exactly `0.0` there, so a caller that needs neither the point's
+    /// density nor its colour may skip both calls. Costs a bit test.
+    fn occupied(&self, p_world: Vec3) -> bool;
+
+    /// Density query — the full evaluation wherever it is asked, masked to
+    /// `0.0` where [`Self::occupied`] is false; leaves the geometry feature
+    /// in `scratch`.
     fn density_into(&self, p_world: Vec3, scratch: &mut Self::Scratch) -> f32;
 
     /// Color query for the point of the last [`Self::density_into`] call.
@@ -147,14 +156,6 @@ impl NgpModel {
     /// The occupancy grid masking empty space (see [`OccupancyGrid`]).
     pub fn occupancy(&self) -> &OccupancyGrid {
         &self.occupancy
-    }
-
-    /// Whether `p_world` lies in occupied space. Unoccupied samples always
-    /// predict zero density (the encode + MLP work is still performed, so
-    /// per-sample cost accounting stays uniform, matching the paper's fixed
-    /// per-ray sample budget).
-    pub fn is_occupied(&self, p_world: Vec3) -> bool {
-        self.occupancy.occupied_world(p_world)
     }
 
     /// The hash encoder.
@@ -277,6 +278,10 @@ impl RadianceModel for NgpModel {
 
     fn model_bounds(&self) -> Aabb {
         self.bounds
+    }
+
+    fn occupied(&self, p_world: Vec3) -> bool {
+        self.occupancy.occupied_world(p_world)
     }
 
     fn density_into(&self, p_world: Vec3, scratch: &mut Scratch) -> f32 {

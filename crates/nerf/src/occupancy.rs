@@ -2,10 +2,13 @@
 //!
 //! The reference Instant-NGP maintains a multiscale occupancy bitfield so
 //! that ray marching skips cells known to be empty. We keep a single-scale
-//! grid and use it to *mask* predicted density: without it, hash aliasing
-//! would smear residual energy from occupied vertices into empty space
-//! ("ghost density"), which the original system never renders because those
-//! cells are skipped.
+//! grid and use it twice. It *masks* predicted density: without it, hash
+//! aliasing would smear residual energy from occupied vertices into empty
+//! space ("ghost density"), which the original system never renders because
+//! those cells are skipped. And, through
+//! [`RadianceModel::occupied`](crate::model::RadianceModel::occupied), it
+//! lets the renderer skip those cells too: a masked sample is exactly zero,
+//! so not evaluating it cannot change a pixel.
 
 use asdr_math::interp::CORNER_OFFSETS;
 use asdr_math::{Aabb, Vec3};

@@ -300,6 +300,10 @@ impl RadianceModel for TensoRfModel {
         self.bounds
     }
 
+    fn occupied(&self, p_world: Vec3) -> bool {
+        self.occupancy.occupied_world(p_world)
+    }
+
     fn density_into(&self, p_world: Vec3, scratch: &mut TensoRfScratch) -> f32 {
         let p01 = self.bounds.normalize(p_world);
         for c in 0..3 {

@@ -420,6 +420,17 @@ pub struct ServeStats {
     /// Probe points plan reuse avoided (estimated from each request's
     /// probed-frame cost).
     pub probe_points_avoided_est: f64,
+    /// Density evaluations the sample plans asked for, probe included
+    /// (`RenderStats::total_density`): counted work, what a chip executes.
+    pub density_evals: u64,
+    /// Color evaluations the sample plans asked for, probe included.
+    pub color_evals: u64,
+    /// Of `density_evals`, those the renderer did not run: samples in
+    /// unoccupied cells. Why a mostly-empty scene costs a fraction of a
+    /// dense one at equal counted work.
+    pub skipped_density: u64,
+    /// Of `color_evals`, those the renderer did not run.
+    pub skipped_color: u64,
     /// Model-store activity (fits, hits, evictions).
     pub store: StoreStats,
 }
@@ -451,6 +462,10 @@ impl ServeStats {
         w.gap("\n  ").key("throughput_fps").f64(self.throughput_fps, 3);
         w.gap("\n  ").key("probe_points").u64(self.probe_points);
         w.key("probe_points_avoided_est").f64(self.probe_points_avoided_est, 0);
+        w.gap("\n  ").key("density_evals").u64(self.density_evals);
+        w.key("skipped_density").u64(self.skipped_density);
+        w.key("color_evals").u64(self.color_evals);
+        w.key("skipped_color").u64(self.skipped_color);
         w.gap("\n  ").key("store").obj();
         w.key("memory_hits").u64(s.memory_hits);
         w.key("disk_hits").u64(s.disk_hits);
@@ -818,6 +833,10 @@ impl RenderService {
             throughput_fps: if elapsed > 0.0 { frames as f64 / elapsed } else { 0.0 },
             probe_points: acc.agg.probe_points,
             probe_points_avoided_est: acc.probe_points_avoided_est,
+            density_evals: acc.agg.total_density(),
+            color_evals: acc.agg.total_color(),
+            skipped_density: acc.agg.skipped_density,
+            skipped_color: acc.agg.skipped_color,
             store: self.shared.store.stats(),
         }
     }
@@ -1079,6 +1098,10 @@ mod tests {
             throughput_fps: 8.0,
             probe_points: 1000,
             probe_points_avoided_est: 3000.0,
+            density_evals: 9000,
+            color_evals: 5000,
+            skipped_density: 7000,
+            skipped_color: 3500,
             store: StoreStats::default(),
         };
         let json = stats.to_json();
@@ -1086,6 +1109,8 @@ mod tests {
             "\"requests\"",
             "\"p95_latency_ms\"",
             "\"throughput_fps\"",
+            "\"density_evals\": 9000, \"skipped_density\": 7000",
+            "\"color_evals\": 5000, \"skipped_color\": 3500",
             "\"store\"",
             "\"fits\"",
             "\"lock_waits\"",

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// Metric names pinned to the top of the table, in this order; everything
 /// else follows alphabetically.
-const PREFERRED_ORDER: [&str; 12] = [
+const PREFERRED_ORDER: [&str; 16] = [
     "requests",
     "frames",
     "throughput_fps",
@@ -23,6 +23,11 @@ const PREFERRED_ORDER: [&str; 12] = [
     "deadline_misses",
     "miss_rate",
     "total_fits",
+    // counted evaluations, each beside what the renderer skipped of it
+    "density_evals",
+    "skipped_density",
+    "color_evals",
+    "skipped_color",
     "est_miss_rate",
     "miss_err",
 ];
@@ -151,7 +156,10 @@ mod tests {
 
     #[test]
     fn merged_table_aligns_runs_as_columns() {
-        let a = scan_metrics(r#"{"requests": 4, "miss_rate": 0.5, "zeta": 7}"#);
+        let a = scan_metrics(
+            r#"{"requests": 4, "miss_rate": 0.5, "zeta": 7,
+                "skipped_color": 2, "color_evals": 5, "skipped_density": 9, "density_evals": 12}"#,
+        );
         let b = scan_metrics(r#"{"requests": 4, "est_miss_rate": 0.45, "miss_err": 0.08}"#);
         let md = merge_report(&[("full".to_string(), a), ("sampled".to_string(), b)]);
         let lines: Vec<&str> = md.lines().collect();
@@ -160,6 +168,9 @@ mod tests {
         assert!(lines[2].starts_with("| requests | 4 | 4 |"), "{md}");
         assert!(md.contains("| miss_rate | 0.5000 | - |"), "{md}");
         assert!(md.contains("| est_miss_rate | - | 0.4500 |"), "{md}");
+        let at = |row: &str| lines.iter().position(|l| l.starts_with(row)).expect(row);
+        assert_eq!(at("| skipped_density | 9 |"), at("| density_evals | 12 |") + 1, "{md}");
+        assert_eq!(at("| skipped_color | 2 |"), at("| color_evals | 5 |") + 1, "{md}");
         assert_eq!(lines.last().unwrap(), &"| zeta | 7 | - |", "extras sort after preferred");
     }
 }

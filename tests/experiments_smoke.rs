@@ -32,6 +32,10 @@ fn every_experiment_runs_at_tiny_scale() {
     let f20 = ablation::run_fig20(&mut h, std::slice::from_ref(&mic));
     assert!(f20[0].full >= f20[0].strawman);
 
+    let empty = empty_space::run_empty_space(&mut h, std::slice::from_ref(&mic));
+    assert!(empty[0].fixed_skipped > 0.5, "Mic is mostly empty space: {:?}", empty[0]);
+    assert!(empty[0].counted_ratio > 1.0 && empty[0].host_ratio() > 0.0, "{:?}", empty[0]);
+
     let f21a = dse::run_fig21a(&mut h, &mic, &[1.0 / 2048.0]);
     assert_eq!(f21a.len(), 2);
     let f22 = dse::run_fig22(&mut h, &mic, &[0, 8]);
@@ -67,6 +71,8 @@ fn printers_do_not_panic() {
     let q = quality::run_fig16(&mut h, &[registry::handle("Mic")]);
     quality::print_fig16(&q);
     quality::print_table3(&q);
+    let empty = empty_space::run_empty_space(&mut h, &[registry::handle("Mic")]);
+    empty_space::print_empty_space(&empty);
 }
 
 #[test]
