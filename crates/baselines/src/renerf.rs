@@ -15,7 +15,7 @@ use asdr_nerf::NgpModel;
 
 /// Feature bit width of the compressed Re-NeRF model — calibrated so its
 /// quality loss lands near the paper's −2.06 PSNR while ASDR stays
-/// near-lossless (see EXPERIMENTS.md).
+/// near-lossless (`experiments quality` prints both).
 pub const RENERF_FEATURE_BITS: u32 = 4;
 
 /// Renders the Re-NeRF baseline: quantized features and uniform

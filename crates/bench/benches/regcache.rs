@@ -8,8 +8,13 @@ fn bench_regcache(c: &mut Criterion) {
     // van der Corput stream: realistic mixed reuse distances
     let stream: Vec<u64> = (1u64..4097).map(|i| i.trailing_zeros() as u64 * 131 + i % 7).collect();
 
-    for cap in [2usize, 8, 16] {
-        c.bench_function(&format!("regcache_access_cap{cap}"), |b| {
+    // names spelled out so `tests/baseline_names.rs` can find them
+    for (name, cap) in [
+        ("regcache_access_cap2", 2usize),
+        ("regcache_access_cap8", 8),
+        ("regcache_access_cap16", 16),
+    ] {
+        c.bench_function(name, |b| {
             let mut cache = RegCache::new(cap);
             let mut i = 0;
             b.iter(|| {

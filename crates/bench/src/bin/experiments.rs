@@ -337,36 +337,6 @@ const EXPERIMENTS: &[Experiment] = &[
         },
     },
     Experiment {
-        id: "serve",
-        describe: "multi-tenant serving: throughput, latency, cache hit rate",
-        in_all: true,
-        scene_aware: true,
-        run: |h, sel| {
-            serve_exp::print_serve(&serve_exp::run_serve(h, &sel.subset(&["Mic", "Lego", "Pulse"])))
-        },
-    },
-    Experiment {
-        id: "cluster",
-        describe: "sharded serving: autoscaling vs fixed workers under deadlines",
-        in_all: true,
-        scene_aware: true,
-        run: |h, sel| {
-            cluster_exp::print_cluster(&cluster_exp::run_cluster(
-                h,
-                &sel.subset(&["Mic", "Lego", "Pulse"]),
-            ))
-        },
-    },
-    Experiment {
-        id: "trace",
-        describe: "representative replay: full vs phase-sampled trace",
-        in_all: true,
-        scene_aware: true,
-        run: |h, sel| {
-            trace_exp::print_trace(&trace_exp::run_trace(h, &sel.subset(&["Mic", "Lego", "Pulse"])))
-        },
-    },
-    Experiment {
         id: "debug",
         describe: "raw per-stage cycle breakdown (simulator calibration)",
         in_all: false,

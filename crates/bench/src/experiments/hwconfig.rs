@@ -144,8 +144,9 @@ mod tests {
         assert!(r.reram_speedup >= r.sram_speedup * 0.99, "{r:?}");
         assert!(r.sram_speedup >= r.sa_speedup * 0.99, "{r:?}");
         // at the tiny test grid (8 levels) NeuRex fetches half the paper's
-        // lookups, flattering it; at evaluation scale SA overtakes it (see
-        // EXPERIMENTS.md). Here we only require the same order of magnitude.
+        // lookups, flattering it; at evaluation scale SA overtakes it
+        // (`experiments fig26`). Here we only require the same order of
+        // magnitude.
         assert!(r.sa_speedup > 0.5 * r.neurex_speedup, "{r:?}");
         // Fig. 27 ordering on energy
         assert!(r.energy_eff[3] >= r.energy_eff[2] * 0.99, "{r:?}");

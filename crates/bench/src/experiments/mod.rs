@@ -1,7 +1,7 @@
-//! One module per experiment family; see EXPERIMENTS.md for the index.
+//! One module per experiment family; `experiments --list` prints the index
+//! (the `EXPERIMENTS` table of the binary).
 
 pub mod ablation;
-pub mod cluster_exp;
 pub mod dse;
 pub mod empty_space;
 pub mod gpu_sw;
@@ -12,8 +12,6 @@ pub mod performance;
 pub mod precision;
 pub mod quality;
 pub mod sequence;
-pub mod serve_exp;
 pub mod tables;
 pub mod tensorf_exp;
-pub mod trace_exp;
 pub mod visuals;

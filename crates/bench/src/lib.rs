@@ -22,7 +22,6 @@
 
 pub mod experiments;
 
-use asdr_core::algo::adaptive::AdaptiveConfig;
 use asdr_core::algo::{ExecPolicy, FrameEngine, RenderOptions, RenderOutput};
 use asdr_math::{Camera, Image};
 use asdr_nerf::grid::GridConfig;
@@ -31,13 +30,13 @@ use asdr_nerf::tensorf::{TensoRfConfig, TensoRfModel};
 use asdr_nerf::NgpModel;
 use asdr_scenes::gt::render_ground_truth;
 use asdr_scenes::SceneHandle;
-use asdr_serve::ModelStore;
+use asdr_serve::{ModelStore, RenderProfile};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Experiment scale: `Tiny` for tests/smoke runs, `Small` for the default
-/// evaluation (the published numbers in EXPERIMENTS.md), `Paper` for the
-/// full-size grid (slow; hours).
+/// evaluation (what `experiments <id>` prints without `--scale`), `Paper`
+/// for the full-size grid (slow; hours).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// 48×48 frames, 8-level grid — seconds per experiment.
@@ -49,31 +48,30 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The serving profile of the same name: the one definition of what
+    /// `tiny` / `small` / `paper` mean, so the harness evaluates exactly
+    /// what `asdr-serve --scale` renders.
+    fn profile(self) -> RenderProfile {
+        match self {
+            Scale::Tiny => RenderProfile::tiny(),
+            Scale::Small => RenderProfile::small(),
+            Scale::Paper => RenderProfile::paper(),
+        }
+    }
+
     /// Grid configuration for this scale.
     pub fn grid(self) -> GridConfig {
-        match self {
-            Scale::Tiny => GridConfig::tiny(),
-            Scale::Small => GridConfig::small(),
-            Scale::Paper => GridConfig::paper(),
-        }
+        self.profile().grid
     }
 
     /// Frame resolution (square).
     pub fn resolution(self) -> u32 {
-        match self {
-            Scale::Tiny => 48,
-            Scale::Small => 96,
-            Scale::Paper => 192,
-        }
+        self.profile().default_resolution
     }
 
     /// Full per-ray sample count (the paper's 192, scaled).
     pub fn base_ns(self) -> usize {
-        match self {
-            Scale::Tiny => 48,
-            Scale::Small => 96,
-            Scale::Paper => 192,
-        }
+        self.profile().base_ns
     }
 
     /// TensoRF fitting configuration.
@@ -221,15 +219,11 @@ impl Harness {
     }
 
     /// The ASDR render options at this scale: adaptive sampling with a
-    /// resolution-scaled probe pitch plus group-2 color decoupling.
+    /// resolution-scaled probe pitch plus group-2 color decoupling — the
+    /// options the service renders a frame of this size with.
     pub fn asdr_options(&self) -> RenderOptions {
-        let base_ns = self.scale.base_ns();
-        RenderOptions {
-            base_ns,
-            adaptive: Some(AdaptiveConfig::for_resolution(base_ns, self.scale.resolution())),
-            approx_group: 2,
-            early_termination: false,
-        }
+        let profile = self.scale.profile();
+        profile.options_for(profile.default_resolution)
     }
 
     /// Adaptive sampling only (no color decoupling) at this scale.

@@ -15,8 +15,7 @@
 //!   full-size and dense, so every experiment executes the real MVM workload.
 //!
 //! The view-dependent specular term is projected onto the degree-4 SH basis
-//! by least squares ([`fit_specular_sh`]), and an optional SGD refinement
-//! pass ([`refine_sgd`]) polishes the embeddings against the field.
+//! by least squares ([`fit_specular_sh`]).
 
 use crate::embedding::EmbeddingSet;
 use crate::encoder::HashEncoder;
@@ -442,63 +441,6 @@ pub fn fit_ngp(field: &dyn SceneField, cfg: &GridConfig) -> NgpModel {
     NgpModel::new(encoder, density, color, field.bounds(), occupancy)
 }
 
-/// One SGD refinement pass over the embeddings: samples random points in
-/// occupied space and descends the squared error of the *linear decode*
-/// against the field. Returns the mean squared error before and after.
-///
-/// This exists to demonstrate that the pipeline is trainable end-to-end; the
-/// experiment harness uses the constructed fit directly.
-pub fn refine_sgd(
-    model: &mut NgpModel,
-    field: &dyn SceneField,
-    steps: usize,
-    lr: f32,
-    seed: u64,
-) -> (f64, f64) {
-    let cfg = model.encoder().config().clone();
-    let plans = decode_plans(&cfg);
-    let bounds = field.bounds();
-    let mut rng = seeded("refine-sgd", seed);
-    let eval_err = |model: &NgpModel, pts: &[Vec3]| -> f64 {
-        let mut s = model.make_scratch();
-        let mut acc = 0.0;
-        for &p in pts {
-            let sigma = model.query_density_into(p, &mut s);
-            let d = (sigma - field.density(p)) as f64 / SIGMA_SCALE as f64;
-            acc += d * d;
-        }
-        acc / pts.len() as f64
-    };
-    let probe: Vec<Vec3> = (0..256)
-        .map(|_| bounds.denormalize(Vec3::new(rng.gen::<f32>(), rng.gen(), rng.gen())))
-        .collect();
-    let before = eval_err(model, &probe);
-
-    for _ in 0..steps {
-        let p01 = Vec3::new(rng.gen::<f32>(), rng.gen(), rng.gen());
-        let pw = bounds.denormalize(p01);
-        for (qi, q) in Quantity::ALL.iter().enumerate() {
-            let target = q.eval(field, pw);
-            let pred = recon_at(model.encoder().tables(), &plans[qi].lanes, p01);
-            let grad = 2.0 * (pred - target);
-            if grad == 0.0 {
-                continue;
-            }
-            for &(level, slot, w) in &plans[qi].lanes {
-                let table = model.encoder_mut().tables_mut().table_mut(level);
-                let ((bx, by, bz), frac) = table.plan().voxel_of(p01);
-                let tw = trilinear_weights(frac.x, frac.y, frac.z);
-                for (i, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
-                    let row = table.row_of(bx + dx, by + dy, bz + dz);
-                    table.row_mut(row)[slot] -= lr * grad * w * tw[i];
-                }
-            }
-        }
-    }
-    let after = eval_err(model, &probe);
-    (before, after)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,14 +521,6 @@ mod tests {
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
         assert!((x[2] - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn refine_sgd_does_not_increase_error() {
-        let scene = registry::handle("Chair").build();
-        let mut model = fit_ngp(scene.as_ref(), &GridConfig::tiny());
-        let (before, after) = refine_sgd(&mut model, scene.as_ref(), 500, 0.05, 1);
-        assert!(after <= before * 1.05, "SGD made things worse: {before} -> {after}");
     }
 
     #[test]

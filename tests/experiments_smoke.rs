@@ -54,11 +54,6 @@ fn every_experiment_runs_at_tiny_scale() {
     assert_eq!(seq.frames, 3);
     assert!(seq.probe_savings() > 0.5, "plan reuse saved too little probe work");
     assert!(seq.min_psnr() > 20.0, "plan reuse diverged: {:?}", seq.psnr_vs_per_frame);
-
-    let srv = serve_exp::run_serve(&mut h, std::slice::from_ref(&mic));
-    assert_eq!(srv.stats.store.fits, 1, "the one scene fits exactly once");
-    assert!(srv.stats.throughput_fps > 0.0);
-    assert!(srv.stats.reused_frames > 0, "the sequence request must reuse its plan");
 }
 
 #[test]

@@ -34,7 +34,7 @@ fn burst() -> Vec<RenderRequest> {
         .collect()
 }
 
-fn serve_burst(dir: &PathBuf) -> (Vec<Vec<asdr::math::Image>>, asdr::serve::ServeStats) {
+fn run_burst(dir: &PathBuf) -> (Vec<Vec<asdr::math::Image>>, asdr::serve::ServeStats) {
     let service = RenderService::builder(RenderProfile::tiny())
         .store(Arc::new(ModelStore::builder().dir(dir).build()))
         .workers(2)
@@ -50,7 +50,7 @@ fn serve_burst(dir: &PathBuf) -> (Vec<Vec<asdr::math::Image>>, asdr::serve::Serv
 fn serving_is_fit_once_then_checkpoint_warm() {
     let dir = fresh_dir();
 
-    let (cold_images, cold) = serve_burst(&dir);
+    let (cold_images, cold) = run_burst(&dir);
     assert_eq!(cold.store.fits, 3, "cold store fits each scene exactly once: {:?}", cold.store);
     assert_eq!(cold.store.disk_hits, 0);
     assert_eq!(cold.requests, 6);
@@ -58,7 +58,7 @@ fn serving_is_fit_once_then_checkpoint_warm() {
     assert!(cold.reused_frames >= 3, "each 2-frame sequence reuses its plan");
 
     // a new service over the same directory: in spirit, the next process
-    let (warm_images, warm) = serve_burst(&dir);
+    let (warm_images, warm) = run_burst(&dir);
     assert_eq!(warm.store.fits, 0, "warm store must not fit: {:?}", warm.store);
     assert_eq!(warm.store.disk_hits, 3, "each scene reloads from its checkpoint once");
     assert_eq!(warm.store.disk_errors, 0);
