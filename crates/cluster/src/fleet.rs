@@ -58,7 +58,8 @@ use asdr_serve::trace::replay::{ReplayTarget, SubmitOutcome};
 use asdr_serve::{RenderProfile, RenderRequest};
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,8 +78,6 @@ pub struct FleetConfig {
     /// Hedge a request to a replica after this long without a result
     /// (`None` disables hedging).
     pub hedge_after: Option<Duration>,
-    /// Admission-decision deadline per submit attempt.
-    pub admit_timeout: Duration,
     /// Per-shard predicted-cost admission budget, milliseconds. An idle
     /// shard always admits one request regardless (a single request larger
     /// than the budget must still be servable). Unset (∞), a live home never
@@ -97,12 +96,14 @@ impl Default for FleetConfig {
             health_timeout: Duration::from_millis(1000),
             health_misses: 3,
             hedge_after: Some(Duration::from_millis(2000)),
-            admit_timeout: Duration::from_secs(10),
             budget_ms: f64::INFINITY,
             autoscale: None,
         }
     }
 }
+
+/// Admission-decision deadline per submit attempt.
+const ADMIT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Why the fleet refused a submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,19 +206,24 @@ struct Book {
     loads: Vec<Mutex<Load>>,
     completions: Mutex<u64>,
     completed: Condvar,
+    attempts: AtomicU64,
 }
 
 impl Book {
-    /// Reserves `predicted_ms` of `shard`'s budget for `req`, or `None`
-    /// when that would exceed it. The returned [`Done`] is the
-    /// reservation: calling it teaches the cost model the actual service
-    /// time, and calling or dropping it releases the budget.
+    /// Reserves `predicted_ms` of `shard`'s budget for one more submission
+    /// of `req`, or `None` when that would exceed it. The returned [`Done`]
+    /// owns the [`Reservation`] and is the submission's whole completion
+    /// path: the one call the shard makes teaches the cost model the actual
+    /// service time, releases the budget, and reports to `race` as the
+    /// returned attempt — in that order, so whoever the report wakes sees
+    /// the other two. Dropped uncalled it releases and reports a loss.
     fn reserve(
         self: &Arc<Self>,
         shard: usize,
         req: &RenderRequest,
         predicted_ms: f64,
-    ) -> Option<Done> {
+        race: &Race,
+    ) -> Option<(Attempt, Done)> {
         {
             let mut load = self.loads[shard].lock().unwrap();
             // an idle shard always admits; otherwise the predicted cost
@@ -228,16 +234,22 @@ impl Book {
             load.outstanding_ms += predicted_ms;
             load.in_flight += 1;
         }
-        let reservation = Reservation { book: self.clone(), shard, predicted_ms };
+        let attempt = self.attempts.fetch_add(1, Ordering::Relaxed);
+        let (book, race) = (self.clone(), race.clone());
+        let reservation = Reservation { book, shard, predicted_ms, race, attempt, end: None };
         let (scene, resolution, frames) =
             (req.scene.name().to_string(), req.resolution, req.frames);
-        Some(Box::new(move |service_ms| {
-            if let Some(ms) = service_ms {
+        let done = move |outcome: Outcome| {
+            if let Ok(result) = &outcome {
+                // service time — latency minus queue wait — is what admission predicts
+                let service_us = result.latency_us.saturating_sub(result.queue_wait_us);
                 let book = &reservation.book;
-                book.cost.observe(&scene, resolution, frames, ms);
+                book.cost.observe(&scene, resolution, frames, service_us as f64 / 1e3);
                 book.loads[shard].lock().unwrap().warm.insert(scene, Warmth::Warm);
             }
-        }))
+            reservation.settle(outcome);
+        };
+        Some((attempt, Box::new(done)))
     }
 
     fn outstanding_ms(&self, shard: usize) -> f64 {
@@ -267,11 +279,41 @@ impl Book {
     }
 }
 
-/// A claim on one shard's budget, released on drop.
+/// How one submission ended on its shard.
+type Outcome = Result<WireResult, ShardError>;
+
+/// Which submission a report is about — a ticket's primary, its hedge, a
+/// failover's replacement — numbered by the [`Book`] as they are made.
+type Attempt = u64;
+
+/// One submission's end, as its ticket's [`Race`] queues it.
+type Report = (Attempt, Outcome);
+
+/// Where every submission made for one ticket reports its end: one queue, in
+/// the order the ends were learned, that [`FleetTicket::wait`] blocks on. A
+/// report can arrive before `submit` has returned the ticket it is about (a
+/// shard that finishes at once), so it is queued under its attempt number
+/// and matched by the waiter, who by then knows which attempts it holds; one
+/// from a submission that was refused, replaced or has lost the race matches
+/// nothing and is skipped.
+type Race = Sender<Report>;
+
+/// A claim on one shard's budget and the report its submission owes the
+/// ticket's [`Race`], both settled on drop: the budget released, then the
+/// end posted — for a [`Done`] dropped uncalled, a lost connection.
 struct Reservation {
     book: Arc<Book>,
     shard: usize,
     predicted_ms: f64,
+    race: Race,
+    attempt: Attempt,
+    end: Option<Outcome>,
+}
+
+impl Reservation {
+    fn settle(mut self, end: Outcome) {
+        self.end = Some(end);
+    }
 }
 
 impl Drop for Reservation {
@@ -288,6 +330,9 @@ impl Drop for Reservation {
         }
         *self.book.completions.lock().unwrap() += 1;
         self.book.completed.notify_all();
+        let lost = || Err(ShardError::Connection("the shard dropped the request".into()));
+        // nobody listens once the ticket is gone
+        let _ = self.race.send((self.attempt, self.end.take().unwrap_or_else(lost)));
     }
 }
 
@@ -438,7 +483,12 @@ impl FleetInner {
     /// queues at a busy home beside an idle shard (cold for the scene) has a
     /// replica made there in the background: the next overlap finds it warm, and
     /// no request waits for a load or a fit because of where the router sent it.
-    fn route(self: &Arc<Self>, req: &RenderRequest, predicted_ms: f64) -> Result<Held, FleetError> {
+    fn route(
+        self: &Arc<Self>,
+        req: &RenderRequest,
+        predicted_ms: f64,
+        race: &Race,
+    ) -> Result<Held, FleetError> {
         let scene = req.scene.name();
         let home = {
             let ring = self.ring.lock().unwrap();
@@ -464,11 +514,11 @@ impl FleetInner {
             if !self.is_live(id) {
                 continue;
             }
-            let Some(done) = self.book.reserve(id, req, predicted_ms) else {
+            let Some((attempt, done)) = self.book.reserve(id, req, predicted_ms, race) else {
                 busy = true;
                 continue;
             };
-            match self.shards[id].shard.submit(req, done, self.cfg.admit_timeout) {
+            match self.shards[id].shard.submit(req, done, ADMIT_TIMEOUT) {
                 Ok(ticket) => {
                     if id == home {
                         self.counters.routed_home.inc();
@@ -486,7 +536,7 @@ impl FleetInner {
                         "remote-submit",
                         format!("shard={id} home={home} why={why}")
                     );
-                    return Ok((id, ticket));
+                    return Ok(Held { attempt, shard: id, ticket });
                 }
                 Err(ShardError::Refused { retryable: true, .. }) => busy = true,
                 Err(ShardError::Refused { retryable: false, why }) => last_final = Some(why),
@@ -554,7 +604,7 @@ impl Fleet {
             scaler.validate()?;
             for (id, shard) in shards.iter().enumerate() {
                 shard
-                    .set_workers(scaler.workers_min, cfg.admit_timeout)
+                    .set_workers(scaler.workers_min, ADMIT_TIMEOUT)
                     .map_err(|e| format!("shard {id}: {e}"))?;
             }
         }
@@ -567,6 +617,7 @@ impl Fleet {
                 loads: shards.iter().map(|_| Mutex::default()).collect(),
                 completions: Mutex::new(0),
                 completed: Condvar::new(),
+                attempts: AtomicU64::new(0),
             }),
             shards: shards
                 .into_iter()
@@ -635,13 +686,15 @@ impl Fleet {
         }
         let predicted_ms =
             self.inner.book.cost.predict(req.scene.name(), req.resolution, req.frames);
-        let held = self.inner.route(&req, predicted_ms)?;
+        let (race, reported) = mpsc::channel();
+        let held = self.inner.route(&req, predicted_ms, &race)?;
         Ok(FleetTicket {
             inner: self.inner.clone(),
             req,
             predicted_ms,
-            served_by: AtomicUsize::new(held.0),
-            admitted: Mutex::new(Some(held)),
+            race,
+            served_by: AtomicUsize::new(held.shard),
+            admitted: Mutex::new(Some((held, reported))),
             outcome: Mutex::new(None),
         })
     }
@@ -785,8 +838,13 @@ fn scaler_loop(inner: &Arc<FleetInner>) {
     }
 }
 
-/// A shard's ticket and the ring id of the shard that issued it.
-type Held = (usize, Arc<dyn ShardTicket>);
+/// One admitted submission: which of its ticket's attempts it is, the ring
+/// id of the shard that took it, and that shard's ticket.
+struct Held {
+    attempt: Attempt,
+    shard: usize,
+    ticket: Arc<dyn ShardTicket>,
+}
 
 /// A fleet submission's completion handle. [`FleetTicket::wait`] owns the
 /// tail-tolerance machinery: hedging after the latency watermark,
@@ -798,14 +856,14 @@ pub struct FleetTicket {
     inner: Arc<FleetInner>,
     req: RenderRequest,
     predicted_ms: f64,
-    /// What `submit` was handed, until the first `wait` takes it.
-    admitted: Mutex<Option<Held>>,
+    /// Where every submission made for this ticket reports.
+    race: Race,
+    /// What `submit` was handed and where `wait` hears of it, until the
+    /// first `wait` takes them.
+    admitted: Mutex<Option<(Held, Receiver<Report>)>>,
     served_by: AtomicUsize,
     outcome: Mutex<Option<Result<WireResult, String>>>,
 }
-
-/// How long each arbitration poll waits once a hedge is in flight.
-const HEDGE_POLL: Duration = Duration::from_millis(25);
 
 /// How long a failover resubmission waits for a completion before trying
 /// again while every live shard is full.
@@ -830,79 +888,86 @@ impl FleetTicket {
     /// panic) or no live shard remains to serve it.
     pub fn wait(&self) -> Result<WireResult, String> {
         // held across the arbitration: a second waiter gets the first's
-        // outcome instead of a spent shard ticket
+        // outcome instead of a race that has been run
         let mut outcome = self.outcome.lock().unwrap();
         outcome.get_or_insert_with(|| self.resolve()).clone()
     }
 
+    /// Runs the race: blocks on the ticket's [`Race`] and acts on each report
+    /// as it is made. The first result wins, whichever submission made it,
+    /// and the other is cancelled; a render failure on the primary is final;
+    /// a primary lost with its connection is replaced by the hedge if one is
+    /// in flight and re-routed if not. The one clocked wait is the hedge
+    /// watermark, and when it passes the duplicate joins the same race.
     fn resolve(&self) -> Result<WireResult, String> {
         let wait_t0 = Instant::now();
-        let counters = &self.inner.counters;
-        let mut primary = self.admitted.lock().unwrap().take().expect("resolved once");
+        let inner = &self.inner;
+        let counters = &inner.counters;
+        let watermark = |from: Instant| inner.cfg.hedge_after.map(|after| from + after);
+        let (mut primary, reported) = self.admitted.lock().unwrap().take().expect("resolved once");
         let mut hedge: Option<Held> = None;
-        let mut hedged = false;
+        // `None` once the one hedge has gone out (or with hedging off)
+        let mut hedge_at = watermark(wait_t0);
         loop {
-            let Some((h_shard, h_ticket)) = hedge.clone() else {
-                // no hedge in flight: wait for the watermark (or in steady
-                // slices once hedging is spent/disabled)
-                let watermark = match self.inner.cfg.hedge_after {
-                    Some(after) if !hedged => after,
-                    _ => Duration::from_millis(500),
-                };
-                match primary.1.wait_result(watermark) {
-                    Ok(result) => return Ok(self.win(primary.0, result, wait_t0)),
-                    Err(ShardError::Render(why)) => return Err(why),
-                    Err(ShardError::Timeout) => {
-                        if self.inner.cfg.hedge_after.is_some() && !hedged {
-                            hedged = true;
-                            hedge = self.spawn_hedge(primary.0);
-                        }
-                    }
-                    Err(e) => {
-                        self.inner.evict(primary.0, &e.to_string());
-                        primary = self.resubmit()?;
-                    }
-                }
+            // the ticket holds a sender: the queue cannot close under the wait
+            let report = match hedge_at {
+                Some(at) => reported.recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => reported.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            let Ok((attempt, outcome)) = report else {
+                hedge_at = None;
+                hedge = self.spawn_hedge(primary.shard);
                 continue;
             };
-            match primary.1.wait_result(HEDGE_POLL) {
-                Ok(result) => {
-                    h_ticket.cancel();
-                    counters.hedge_cancels.inc();
-                    return Ok(self.win(primary.0, result, wait_t0));
+            if attempt == primary.attempt {
+                match outcome {
+                    Ok(result) => {
+                        if let Some(hedge) = &hedge {
+                            hedge.ticket.cancel();
+                            counters.hedge_cancels.inc();
+                        }
+                        return Ok(self.win(primary.shard, result, wait_t0));
+                    }
+                    Err(ShardError::Render(why)) => {
+                        if let Some(hedge) = &hedge {
+                            hedge.ticket.cancel();
+                        }
+                        return Err(why);
+                    }
+                    Err(e) => {
+                        // the primary died mid-request
+                        inner.evict(primary.shard, &e.to_string());
+                        if let Some(hedge) = hedge.take() {
+                            // the hedge is already the replacement — promote it
+                            counters.failovers.inc();
+                            asdr_obs::event!(
+                                self.req.trace,
+                                "failover",
+                                format!(
+                                    "from={} to={} promoted_hedge=true",
+                                    primary.shard, hedge.shard
+                                )
+                            );
+                            primary = hedge;
+                        } else {
+                            primary = self.resubmit()?;
+                            // an unspent hedge is timed against the replacement
+                            hedge_at = hedge_at.and(watermark(Instant::now()));
+                        }
+                    }
                 }
-                Err(ShardError::Timeout) => {}
-                Err(ShardError::Render(why)) => {
-                    h_ticket.cancel();
-                    return Err(why);
-                }
-                Err(e) => {
-                    // primary died mid-request: the hedge is already the
-                    // replacement — promote it
-                    self.inner.evict(primary.0, &e.to_string());
-                    counters.failovers.inc();
-                    asdr_obs::event!(
-                        self.req.trace,
-                        "failover",
-                        format!("from={} to={h_shard} promoted_hedge=true", primary.0)
-                    );
-                    primary = (h_shard, h_ticket);
-                    hedge = None;
-                    continue;
-                }
-            }
-            match h_ticket.wait_result(HEDGE_POLL) {
-                Ok(result) => {
-                    primary.1.cancel();
-                    counters.hedge_wins.inc();
-                    counters.hedge_cancels.inc();
-                    return Ok(self.win(h_shard, result, wait_t0));
-                }
-                Err(ShardError::Timeout) => {}
-                Err(ShardError::Render(_)) | Err(ShardError::Protocol(_)) => hedge = None,
-                Err(e) => {
-                    self.inner.evict(h_shard, &e.to_string());
-                    hedge = None;
+            } else if hedge.as_ref().is_some_and(|hedge| hedge.attempt == attempt) {
+                let hedge = hedge.take().expect("matched above");
+                match outcome {
+                    Ok(result) => {
+                        primary.ticket.cancel();
+                        counters.hedge_wins.inc();
+                        counters.hedge_cancels.inc();
+                        return Ok(self.win(hedge.shard, result, wait_t0));
+                    }
+                    // the duplicate failed on its own: the primary races on alone
+                    Err(ShardError::Render(_) | ShardError::Protocol(_)) => {}
+                    Err(e) => inner.evict(hedge.shard, &e.to_string()),
                 }
             }
         }
@@ -915,17 +980,17 @@ impl FleetTicket {
             if id == primary_shard {
                 continue;
             }
-            let Some(done) = inner.book.reserve(id, &self.req, self.predicted_ms) else {
+            let Some((attempt, done)) =
+                inner.book.reserve(id, &self.req, self.predicted_ms, &self.race)
+            else {
                 continue;
             };
-            if let Ok(ticket) =
-                inner.shards[id].shard.submit(&self.req, done, inner.cfg.admit_timeout)
-            {
+            if let Ok(ticket) = inner.shards[id].shard.submit(&self.req, done, ADMIT_TIMEOUT) {
                 inner.counters.hedges.inc();
                 // the duplicate carries the same trace id, so the merged
                 // report sees both shards' server-side spans for this request
                 asdr_obs::event!(self.req.trace, "hedge", format!("shard={id}"));
-                return Some((id, ticket));
+                return Some(Held { attempt, shard: id, ticket });
             }
         }
         None
@@ -938,11 +1003,11 @@ impl FleetTicket {
     /// connection and the new shard's is taken by the route.
     fn resubmit(&self) -> Result<Held, String> {
         loop {
-            match self.inner.route(&self.req, self.predicted_ms) {
+            match self.inner.route(&self.req, self.predicted_ms, &self.race) {
                 Ok(held) => {
                     self.inner.counters.failovers.inc();
-                    asdr_obs::event!(self.req.trace, "failover", format!("to={}", held.0));
-                    self.served_by.store(held.0, Ordering::SeqCst);
+                    asdr_obs::event!(self.req.trace, "failover", format!("to={}", held.shard));
+                    self.served_by.store(held.shard, Ordering::SeqCst);
                     return Ok(held);
                 }
                 Err(FleetError::Busy) => self.inner.book.wait_release(FAILOVER_RETRY),
@@ -996,24 +1061,52 @@ mod tests {
             loads: vec![Mutex::default()],
             completions: Mutex::new(0),
             completed: Condvar::new(),
+            attempts: AtomicU64::new(0),
         })
+    }
+
+    fn served_in(latency_us: u64, queue_wait_us: u64) -> WireResult {
+        WireResult {
+            scene: "Mic".into(),
+            resolution: 8,
+            reused_frames: 0,
+            queue_wait_us,
+            latency_us,
+            deadline_met: None,
+            completed_seq: 0,
+            images: Vec::new(),
+            trace: TraceId::UNSET,
+        }
     }
 
     #[test]
     fn reservations_round_trip_and_an_idle_shard_always_admits() {
         let book = book(100.0);
+        let (race, reported) = mpsc::channel();
         let req = RenderRequest::frame(asdr_scenes::registry::handle("Mic"), 8);
-        let big = book.reserve(0, &req, 160.0).expect("idle: admitted although over budget");
-        assert!(book.reserve(0, &req, 1.0).is_none(), "a busy shard over budget refuses");
+        let reserve = |ms| book.reserve(0, &req, ms, &race);
+        let (first, big) = reserve(160.0).expect("idle: admitted although over budget");
+        assert!(reserve(1.0).is_none(), "a busy shard over budget refuses");
         assert_eq!(book.outstanding_ms(0), 160.0);
-        big(Some(12.0)); // a result: the model learns, the budget is released
+        // a result: the model learns service = latency - queue wait, the
+        // budget is released, the race hears of it
+        big(Ok(served_in(15_000, 3_000)));
         assert_eq!(book.cost.stats().observations, 1);
-        let (a, b) = (book.reserve(0, &req, 0.1).unwrap(), book.reserve(0, &req, 0.2).unwrap());
-        drop(a); // dropped uncalled (a refused submit) releases too
-        b(None); // a failure releases without teaching
+        assert_eq!(book.cost.predict("Mic", 8, 1), 12.0, "the one observation is the estimate");
+        let ((second, a), (third, b)) = (reserve(0.1).unwrap(), reserve(0.2).unwrap());
+        drop(a); // dropped uncalled (a refused submit, a cancel) releases too
+        b(Err(ShardError::Render("boom".into()))); // a failure releases without teaching
         assert_eq!(book.outstanding_ms(0), 0.0, "an empty book reads exactly idle");
         assert_eq!(book.cost.stats().observations, 1);
         assert_eq!(*book.completions.lock().unwrap(), 3, "every release pulses wait_capacity");
+        // each end was reported once, in the order it was learned, under its own attempt
+        let lost = ShardError::Connection("the shard dropped the request".into());
+        let ends = [
+            (first, Ok(served_in(15_000, 3_000))),
+            (second, Err(lost)),
+            (third, Err(ShardError::Render("boom".into()))),
+        ];
+        assert_eq!(reported.try_iter().collect::<Vec<_>>(), ends);
     }
 
     fn row(id: usize, in_flight: usize, outstanding_ms: f64, warm: bool) -> ShardLoad {

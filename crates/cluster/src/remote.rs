@@ -1,82 +1,53 @@
 //! The wire client of one `asdr-shardd` process: [`RemoteShard`].
 //!
 //! A small pool of [`Stream`]s, each with a reader thread demultiplexing
-//! reply frames into per-request slots by correlation id, so any number of
-//! requests, health probes, and stats polls share a connection without
-//! head-of-line blocking on the client side. The reader is also what
-//! reports a request terminal to the fleet ([`Done`]): the `Result` or
-//! `Failed` frame, or the connection dying under it, is observed when it
-//! happens, not when somebody waits.
+//! reply frames by correlation id, so any number of requests, health probes,
+//! and stats polls share a connection without head-of-line blocking on the
+//! client side. An id's first reply — a submit's `Submitted` or `Refused`,
+//! a probe's answer — goes to the caller parked on a one-shot channel. A
+//! request's end is nobody's to wait for: the reader reports the `Result`
+//! or `Failed` frame, or the connection dying under it, through the
+//! submission's [`Done`] when it happens.
 
 use crate::net::{ShardAddr, Stream};
 use crate::shard::{Done, HealthInfo, Shard, ShardError, ShardTicket};
-use crate::wire::{self, Message, WireRequest, WireResult, WireStats};
+use crate::wire::{self, Message, WireRequest, WireStats};
 use asdr_serve::RenderRequest;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// One correlation id's reply stream (a submit sees `Submitted` then
-/// `Result`; probes see a single reply).
-#[derive(Default)]
-struct SlotState {
-    replies: VecDeque<Message>,
-    dead: Option<String>,
-    /// A submit's terminal report, until it has been made.
+/// An id's first reply, or why there will be none.
+type FirstReply = Result<Message, String>;
+
+/// What the connection owes one registered id: its first reply, to the
+/// caller parked on the other end of `reply`, and — for a submit — the
+/// report of its end.
+struct Pending {
+    reply: SyncSender<FirstReply>,
     done: Option<Done>,
 }
 
-#[derive(Default)]
-struct Slot {
-    state: Mutex<SlotState>,
-    cond: Condvar,
-}
-
-impl Slot {
-    /// The next reply for this id, waiting up to `timeout`.
-    fn next(&self, timeout: Duration) -> Result<Message, ShardError> {
-        let st = self.state.lock().unwrap();
-        let idle = |st: &mut SlotState| st.replies.is_empty() && st.dead.is_none();
-        let mut st = self.cond.wait_timeout_while(st, timeout, idle).unwrap().0;
-        match (st.replies.pop_front(), &st.dead) {
-            (Some(msg), _) => Ok(msg),
-            (None, Some(why)) => Err(ShardError::Connection(why.clone())),
-            (None, None) => Err(ShardError::Timeout),
+/// Waits up to `timeout` for a registered id's first reply.
+fn first_reply(reply: &Receiver<FirstReply>, timeout: Duration) -> Result<Message, ShardError> {
+    match reply.recv_timeout(timeout) {
+        Ok(Ok(msg)) => Ok(msg),
+        Ok(Err(why)) => Err(ShardError::Connection(why)),
+        Err(RecvTimeoutError::Timeout) => Err(ShardError::Timeout),
+        Err(RecvTimeoutError::Disconnected) => {
+            Err(ShardError::Protocol("the request ended before it was acknowledged".into()))
         }
-    }
-
-    /// Makes the terminal report, if it is still owed.
-    fn finish(&self, service_ms: Option<f64>) {
-        let done = self.state.lock().unwrap().done.take();
-        if let Some(done) = done {
-            done(service_ms);
-        }
-    }
-
-    /// Queues a reply frame. A `Result` or `Failed` is reported terminal
-    /// before any waiter can wake on it, so whoever saw the reply also
-    /// sees the budget it released and the cost it taught.
-    fn deliver(&self, msg: Message) {
-        match &msg {
-            Message::Result { result, .. } => {
-                let service_us = result.latency_us.saturating_sub(result.queue_wait_us);
-                self.finish(Some(service_us as f64 / 1e3));
-            }
-            Message::Failed { .. } => self.finish(None),
-            _ => {}
-        }
-        self.state.lock().unwrap().replies.push_back(msg);
-        self.cond.notify_all();
     }
 }
 
 /// One pooled connection: a locked writer half plus a reader thread that
-/// routes reply frames into slots by id.
+/// routes reply frames by id.
 struct Conn {
     writer: Mutex<Stream>,
     read_half: Stream,
-    pending: Mutex<HashMap<u64, Arc<Slot>>>,
+    pending: Mutex<HashMap<u64, Pending>>,
     alive: AtomicBool,
 }
 
@@ -113,22 +84,20 @@ impl Conn {
         Ok(conn)
     }
 
-    fn register(&self, id: u64, done: Option<Done>) -> Arc<Slot> {
-        let slot = Arc::new(Slot::default());
-        slot.state.lock().unwrap().done = done;
-        self.pending.lock().unwrap().insert(id, slot.clone());
-        slot
+    fn register(&self, id: u64, done: Option<Done>) -> Receiver<FirstReply> {
+        // room for the one reply, so the reader never waits for its caller
+        let (reply, first) = mpsc::sync_channel(1);
+        self.pending.lock().unwrap().insert(id, Pending { reply, done });
+        first
     }
 
     /// Forgets `id`, returning whether it was still registered. A submit
-    /// abandoned before its reply is terminal as far as this client will
-    /// ever know, and is reported so.
+    /// abandoned before its end has its [`Done`] dropped uncalled: lost, as
+    /// far as this client will ever know.
     fn unregister(&self, id: u64) -> bool {
-        let slot = self.pending.lock().unwrap().remove(&id);
-        if let Some(slot) = &slot {
-            slot.finish(None);
-        }
-        slot.is_some()
+        // a statement of its own: the `Done` drops after the lock is released
+        let forgotten = self.pending.lock().unwrap().remove(&id);
+        forgotten.is_some()
     }
 
     fn send(&self, msg: &Message) -> Result<(), ShardError> {
@@ -139,17 +108,40 @@ impl Conn {
         })
     }
 
-    /// Marks the connection dead and wakes every pending waiter with the
-    /// reason — the client-side signal a kill −9 produces.
+    /// Routes one reply frame. A `Result` or `Failed` ends its request:
+    /// the id leaves the table and its [`Done`] is called here, on the
+    /// reader thread. Anything else is the id's first reply. Frames for
+    /// unregistered ids (cancelled hedges, dropped tickets) are dropped.
+    fn deliver(&self, id: u64, msg: Message) {
+        let outcome = match msg {
+            Message::Result { result, .. } => Ok(result),
+            Message::Failed { why, .. } => Err(ShardError::Render(why)),
+            reply => {
+                if let Some(pending) = self.pending.lock().unwrap().get(&id) {
+                    let _ = pending.reply.try_send(Ok(reply));
+                }
+                return;
+            }
+        };
+        let ended = self.pending.lock().unwrap().remove(&id);
+        if let Some(done) = ended.and_then(|pending| pending.done) {
+            done(outcome);
+        }
+    }
+
+    /// Marks the connection dead, ends every request in flight on it with
+    /// the reason and wakes every caller still parked — the client-side
+    /// signal a kill −9 produces.
     fn fail(&self, why: &str) {
         if self.alive.swap(false, Ordering::SeqCst) {
             self.read_half.shutdown();
         }
-        let slots: Vec<Arc<Slot>> = self.pending.lock().unwrap().drain().map(|(_, s)| s).collect();
-        for slot in slots {
-            slot.finish(None);
-            slot.state.lock().unwrap().dead = Some(why.to_string());
-            slot.cond.notify_all();
+        let lost: Vec<Pending> = self.pending.lock().unwrap().drain().map(|(_, p)| p).collect();
+        for Pending { reply, done } in lost {
+            if let Some(done) = done {
+                done(Err(ShardError::Connection(why.to_string())));
+            }
+            let _ = reply.try_send(Err(why.to_string()));
         }
     }
 }
@@ -158,12 +150,8 @@ fn reader_loop(conn: &Conn, mut read_half: Stream) {
     loop {
         match wire::read_frame(&mut read_half) {
             Ok(Some(msg)) => {
-                let Some(id) = msg.id() else { continue };
-                let slot = conn.pending.lock().unwrap().get(&id).cloned();
-                // replies for unregistered ids (cancelled hedges, dropped
-                // tickets) are dropped
-                if let Some(slot) = slot {
-                    slot.deliver(msg);
+                if let Some(id) = msg.id() {
+                    conn.deliver(id, msg);
                 }
             }
             Ok(None) => return conn.fail("shard closed the connection"),
@@ -217,15 +205,15 @@ impl RemoteShard {
         &self,
         done: Option<Done>,
         build: impl FnOnce(u64) -> Message,
-    ) -> Result<(Arc<Conn>, Arc<Slot>, u64), ShardError> {
+    ) -> Result<(Arc<Conn>, Receiver<FirstReply>, u64), ShardError> {
         let conn = self.conn()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = conn.register(id, done);
+        let first = conn.register(id, done);
         if let Err(e) = conn.send(&build(id)) {
             conn.unregister(id);
             return Err(e);
         }
-        Ok((conn, slot, id))
+        Ok((conn, first, id))
     }
 
     /// One-reply request/response helper.
@@ -234,8 +222,8 @@ impl RemoteShard {
         timeout: Duration,
         build: impl FnOnce(u64) -> Message,
     ) -> Result<Message, ShardError> {
-        let (conn, slot, id) = self.request(None, build)?;
-        let reply = slot.next(timeout);
+        let (conn, first, id) = self.request(None, build)?;
+        let reply = first_reply(&first, timeout);
         conn.unregister(id);
         reply
     }
@@ -262,10 +250,10 @@ impl Shard for RemoteShard {
         timeout: Duration,
     ) -> Result<Arc<dyn ShardTicket>, ShardError> {
         let wire_req = WireRequest::from_request(req);
-        let (conn, slot, id) =
+        let (conn, first, id) =
             self.request(Some(done), |id| Message::Submit { id, req: wire_req })?;
-        let refusal = match slot.next(timeout) {
-            Ok(Message::Submitted { .. }) => return Ok(Arc::new(RemoteTicket { conn, slot, id })),
+        let refusal = match first_reply(&first, timeout) {
+            Ok(Message::Submitted { .. }) => return Ok(Arc::new(RemoteTicket { conn, id })),
             Ok(Message::Refused { retryable, why, .. }) => ShardError::Refused { retryable, why },
             Ok(other) => ShardError::Protocol(format!("expected Submitted, got {other:?}")),
             Err(e) => e,
@@ -305,29 +293,15 @@ impl Shard for RemoteShard {
     }
 }
 
-/// A submitted remote request's completion handle. Dropping it before its
-/// outcome arrived cancels the request: the slot leaves the connection and
-/// the shard is told to keep the reply.
+/// A submitted remote request. Cancelling it — or dropping it — before its
+/// end arrived takes the id off the connection, which drops the request's
+/// [`Done`], and tells the shard to keep the reply.
 pub struct RemoteTicket {
     conn: Arc<Conn>,
-    slot: Arc<Slot>,
     id: u64,
 }
 
 impl ShardTicket for RemoteTicket {
-    fn wait_result(&self, timeout: Duration) -> Result<WireResult, ShardError> {
-        let reply = match self.slot.next(timeout) {
-            Err(ShardError::Timeout) => return Err(ShardError::Timeout),
-            reply => reply,
-        };
-        self.conn.unregister(self.id);
-        match reply? {
-            Message::Result { result, .. } => Ok(result),
-            Message::Failed { why, .. } => Err(ShardError::Render(why)),
-            other => Err(ShardError::Protocol(format!("expected Result, got {other:?}"))),
-        }
-    }
-
     fn cancel(&self) {
         if self.conn.unregister(self.id) {
             let _ = self.conn.send(&Message::Cancel { id: self.id });
@@ -345,6 +319,7 @@ impl Drop for RemoteTicket {
 mod tests {
     use super::*;
     use crate::net::Listener;
+    use crate::wire::WireResult;
 
     #[test]
     fn connecting_to_a_dead_address_is_a_named_error() {
@@ -355,68 +330,95 @@ mod tests {
         assert!(matches!(e, ShardError::Connection(_)), "{e}");
     }
 
-    #[test]
-    fn slots_deliver_in_order_report_once_and_fail_on_death() {
-        let reports = Arc::new(Mutex::new(Vec::new()));
-        let slot = Slot::default();
-        let seen = reports.clone();
-        slot.state.lock().unwrap().done = Some(Box::new(move |ms| seen.lock().unwrap().push(ms)));
-        slot.deliver(Message::Submitted { id: 1 });
-        assert!(reports.lock().unwrap().is_empty(), "an admission is not an end");
-        slot.deliver(Message::Failed { id: 1, why: "x".into() });
-        slot.finish(Some(1.0)); // nothing left to report
-        assert_eq!(*reports.lock().unwrap(), [None]);
-        assert_eq!(slot.next(Duration::from_millis(1)).unwrap(), Message::Submitted { id: 1 });
-        assert!(matches!(slot.next(Duration::from_millis(1)).unwrap(), Message::Failed { .. }));
-        assert_eq!(slot.next(Duration::from_millis(1)).unwrap_err(), ShardError::Timeout);
-        slot.state.lock().unwrap().dead = Some("gone".into());
-        assert!(matches!(
-            slot.next(Duration::from_millis(1)).unwrap_err(),
-            ShardError::Connection(_)
-        ));
+    /// A [`Done`] that tells `ends` how it ended: called with what, or
+    /// dropped uncalled.
+    fn recorded(name: &'static str, ends: &mpsc::Sender<(&'static str, String)>) -> Done {
+        struct Uncalled(&'static str, Option<mpsc::Sender<(&'static str, String)>>);
+        impl Drop for Uncalled {
+            fn drop(&mut self) {
+                if let Some(ends) = self.1.take() {
+                    ends.send((self.0, "dropped".into())).unwrap();
+                }
+            }
+        }
+        let mut guard = Uncalled(name, Some(ends.clone()));
+        Box::new(move |outcome| {
+            let how = match outcome {
+                Ok(result) => format!("result of {}", result.scene),
+                Err(e) => format!("error: {e}"),
+            };
+            guard.1.take().expect("called once").send((guard.0, how)).unwrap();
+        })
     }
 
-    /// A ticket dropped un-waited must not leave its slot (and, later, the
-    /// frames the shard sent) in `Conn::pending` for the life of the
-    /// connection, must tell the shard to keep the reply, and must report
-    /// the request over. The peer is scripted: each step blocks on the
-    /// frame it expects, so nothing here waits on a clock.
+    /// Every way a submitted request can end on this client reaches its
+    /// `Done` exactly once: a result, a render failure, a cancel, a dropped
+    /// ticket (which must also leave nothing in `Conn::pending` and tell the
+    /// shard to keep the reply), and the connection dying. The peer is
+    /// scripted — each step blocks on the frame it expects — and each end
+    /// is received from a channel, so nothing here waits on a clock.
     #[test]
-    fn a_dropped_ticket_unregisters_cancels_and_reports() {
-        let sock = std::env::temp_dir().join(format!("asdr-drop-{}.sock", std::process::id()));
+    fn every_end_of_a_request_reaches_its_done_exactly_once() {
+        const NAMES: [&str; 5] = ["rendered", "failed", "cancelled", "dropped", "orphaned"];
+        let sock = std::env::temp_dir().join(format!("asdr-ends-{}.sock", std::process::id()));
         let (listener, addr) = Listener::bind(&ShardAddr::Unix(sock.clone())).unwrap();
+        let (now, hang_up) = mpsc::channel();
         let peer = std::thread::spawn(move || {
             let mut stream = listener.accept().unwrap();
-            let mut expect = |reply: Option<fn(u64) -> Message>| {
-                let msg = wire::read_frame(&mut stream).unwrap().expect("a frame");
-                if let Some(reply) = reply {
-                    wire::write_frame(&mut stream, &reply(msg.id().unwrap_or(0))).unwrap();
-                }
-                msg
+            let send = |stream: &mut Stream, msg| wire::write_frame(stream, &msg).unwrap();
+            let expect = |stream: &mut Stream| wire::read_frame(stream).unwrap().expect("a frame");
+            assert!(matches!(expect(&mut stream), Message::Hello { .. }));
+            send(&mut stream, Message::HelloOk { shard: 0 });
+            let ids = NAMES.map(|_| {
+                let id = expect(&mut stream).id().expect("a submit");
+                send(&mut stream, Message::Submitted { id });
+                id
+            });
+            let result = WireResult {
+                scene: "Mic".into(),
+                resolution: 8,
+                reused_frames: 0,
+                queue_wait_us: 0,
+                latency_us: 1,
+                deadline_met: None,
+                completed_seq: 0,
+                images: Vec::new(),
+                trace: asdr_obs::TraceId::UNSET,
             };
-            expect(Some(|_| Message::HelloOk { shard: 0 }));
-            let submit = expect(Some(|id| Message::Submitted { id }));
-            let cancel = expect(None);
-            (submit.id(), cancel)
+            send(&mut stream, Message::Result { id: ids[0], result });
+            send(&mut stream, Message::Failed { id: ids[1], why: "boom".into() });
+            let cancels = [expect(&mut stream), expect(&mut stream)];
+            assert_eq!(cancels, [ids[2], ids[3]].map(|id| Message::Cancel { id }));
+            // returning closes the connection under the fifth request
+            hang_up.recv().unwrap();
         });
         let shard = RemoteShard::connect(addr, 1).unwrap();
-        let reports = Arc::new(Mutex::new(Vec::new()));
-        let seen = reports.clone();
+        let (ends, ended) = mpsc::channel();
         let req = RenderRequest::frame(asdr_scenes::registry::handle("Mic"), 8);
-        let ticket = shard
-            .submit(
-                &req,
-                Box::new(move |ms| seen.lock().unwrap().push(ms)),
-                Duration::from_secs(30),
-            )
-            .unwrap();
+        let mut tickets: Vec<_> = NAMES
+            .iter()
+            .map(|name| shard.submit(&req, recorded(name, &ends), Duration::from_secs(30)).unwrap())
+            .collect();
+        drop(ends);
+        let next = || ended.recv_timeout(Duration::from_secs(30)).expect("a request never ended");
+        let first_two = [next(), next()];
+        assert_eq!(first_two[0], ("rendered", "result of Mic".to_string()));
+        assert_eq!(first_two[1], ("failed", "error: boom".to_string()));
         let conn = shard.conn().unwrap();
-        assert_eq!(conn.pending.lock().unwrap().len(), 1);
-        drop(ticket);
-        assert!(conn.pending.lock().unwrap().is_empty(), "the dropped ticket left its slot behind");
-        assert_eq!(*reports.lock().unwrap(), [None]);
-        let (submitted, cancel) = peer.join().unwrap();
-        assert_eq!(Some(cancel), submitted.map(|id| Message::Cancel { id }));
+        assert_eq!(conn.pending.lock().unwrap().len(), 3, "an ended request kept its id");
+        tickets[2].cancel();
+        tickets[2].cancel(); // nothing left to cancel: the peer sees one frame
+        assert_eq!(next(), ("cancelled", "dropped".to_string()));
+        drop(tickets.remove(3));
+        assert_eq!(next(), ("dropped", "dropped".to_string()));
+        assert_eq!(conn.pending.lock().unwrap().len(), 1, "the dropped ticket left its id behind");
+        now.send(()).unwrap();
+        peer.join().unwrap();
+        let (name, how) = next();
+        assert_eq!(name, "orphaned");
+        assert!(how.starts_with("error: connection: "), "{how}");
+        drop(tickets);
+        assert!(ended.recv().is_err(), "a request ended twice");
         let _ = std::fs::remove_file(&sock);
     }
 }

@@ -3,16 +3,24 @@
 //! in-process fleet calls on it. `asdr-shardd` is this loop over a
 //! [`LocalShard`](crate::LocalShard) plus flags, a listener and signals.
 //!
+//! A connection is two threads: a reader that answers each frame, and a
+//! writer that drains the connection's `Outbox`. A request's end is queued
+//! there by whoever the shard has call its [`Done`] — for a
+//! `LocalShard` the service worker that rendered it — so no thread exists
+//! per request, a worker never waits on a peer's socket, and a peer that
+//! stops reading holds up nobody's frames but its own.
+//!
 //! Drain is graceful: the listener stops being polled, in-flight requests
-//! finish rendering, every pending `Result` frame is shipped, and only
-//! then does [`Server::drain`] return — so a router sees either a
-//! completed result or a closed connection, never a half-written frame.
+//! finish rendering, every queued frame is shipped, and only then does
+//! [`Server::drain`] return — so a router sees either a completed result or
+//! a closed connection, never a half-written frame.
 
 use crate::net::{Listener, Stream};
-use crate::shard::{Shard, ShardError};
+use crate::shard::{Done, Shard, ShardError, ShardTicket};
 use crate::wire::{self, Message};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -20,8 +28,8 @@ use std::time::Duration;
 /// is normally in this process and ignores it.
 const PATIENCE: Duration = Duration::from_secs(30);
 
-/// Counts in-flight response writers so drain can wait for the last
-/// `Result` frame to ship before the process exits.
+/// Counts what drain must wait for before the process exits: frames queued
+/// and not yet written, and prewarms still running.
 #[derive(Default)]
 struct WaitGroup {
     count: Mutex<usize>,
@@ -51,12 +59,36 @@ impl Drop for WaitGuard {
     }
 }
 
-/// Sends one frame under the connection's writer lock, ignoring errors —
-/// a vanished client is the fleet's problem, not the shard's.
-fn send(writer: &Mutex<Stream>, msg: &Message) {
-    let mut w = writer.lock().unwrap();
-    let _ = wire::write_frame(&mut *w, msg);
+/// One connection's way out: a queue its writer thread drains in order.
+/// Sending never blocks.
+#[derive(Clone)]
+struct Outbox {
+    frames: Sender<(Message, WaitGuard)>,
+    unsent: Arc<WaitGroup>,
 }
+
+impl Outbox {
+    fn send(&self, msg: Message) {
+        // the writer outlives every sender; a frame it can no longer write is
+        // dropped there — a vanished client is the fleet's problem, not the shard's
+        let _ = self.frames.send((msg, self.unsent.enter()));
+    }
+}
+
+/// Where one admitted request's reply stands on its connection.
+enum Reply {
+    /// `Shard::submit` has not returned: `Submitted` is not queued yet, and
+    /// an end that is reported first waits here for it.
+    Unacked(Option<Box<Message>>),
+    /// Acknowledged, its end owed. The shard's ticket is kept until then —
+    /// dropping one may cancel — and is how a client's cancel is passed on.
+    Owed(Arc<dyn ShardTicket>),
+    /// The client cancelled (a hedge won elsewhere): the end, when it
+    /// comes, is not sent.
+    Cancelled,
+}
+
+type Replies = Arc<Mutex<HashMap<u64, Reply>>>;
 
 /// One shard served over one listener.
 pub struct Server {
@@ -64,7 +96,7 @@ pub struct Server {
     shard_id: u64,
     /// Set by [`Server::stop`] or a wire `Drain`; the accept loop polls it.
     stopping: AtomicBool,
-    responders: Arc<WaitGroup>,
+    unsent: Arc<WaitGroup>,
 }
 
 impl Server {
@@ -76,7 +108,7 @@ impl Server {
             shard,
             shard_id,
             stopping: AtomicBool::new(false),
-            responders: Arc::default(),
+            unsent: Arc::default(),
         })
     }
 
@@ -113,20 +145,45 @@ impl Server {
         Ok(())
     }
 
-    /// Stops admissions, renders out what was admitted and ships every
-    /// pending reply.
+    /// Stops admissions, renders out what was admitted — which queues its
+    /// replies — and waits for every connection's writer to ship them.
     pub fn drain(&self) {
         self.shard.drain(PATIENCE);
-        self.responders.wait_idle(PATIENCE);
+        self.unsent.wait_idle(PATIENCE);
     }
 
     /// Serves one connection until EOF or protocol error.
     fn serve_connection(self: &Arc<Self>, stream: Stream) {
         let _ = stream.set_blocking();
-        let Ok(write_half) = stream.try_clone() else { return };
-        let writer = Arc::new(Mutex::new(write_half));
-        let cancelled: Arc<Mutex<HashSet<u64>>> = Arc::default();
+        let Ok(mut write_half) = stream.try_clone() else { return };
         let mut reader = stream;
+        // the handshake is answered from this thread, before the writer
+        // exists: a connecting client waits for the accept and nothing else
+        let version = match wire::read_frame(&mut reader) {
+            Ok(Some(Message::Hello { version })) => version,
+            // a probe that connected and left, or no fleet client
+            _ => return,
+        };
+        if version != wire::VERSION {
+            eprintln!(
+                "shardd: peer speaks wire version {version}, this shard speaks {}",
+                wire::VERSION
+            );
+            return;
+        }
+        if wire::write_frame(&mut write_half, &Message::HelloOk { shard: self.shard_id }).is_err() {
+            return;
+        }
+        let (frames, queued) = mpsc::channel::<(Message, WaitGuard)>();
+        let writer = std::thread::spawn(move || {
+            // after a failed write the rest of the queue is only released
+            let mut open = true;
+            for (msg, _unsent) in queued {
+                open = open && wire::write_frame(&mut write_half, &msg).is_ok();
+            }
+        });
+        let outbox = Outbox { frames, unsent: self.unsent.clone() };
+        let replies = Replies::default();
         loop {
             let msg = match wire::read_frame(&mut reader) {
                 Ok(Some(msg)) => msg,
@@ -137,20 +194,18 @@ impl Server {
                 }
             };
             let reply = match msg {
-                Message::Hello { version } if version != wire::VERSION => {
-                    eprintln!(
-                        "shardd: peer speaks wire version {version}, this shard speaks {}",
-                        wire::VERSION
-                    );
-                    break;
+                Message::Submit { id, req } => {
+                    self.submit(id, &req, &outbox, &replies);
+                    continue;
                 }
-                Message::Hello { .. } => Message::HelloOk { shard: self.shard_id },
-                Message::Submit { id, req } => match self.submit(id, &req, &writer, &cancelled) {
-                    Some(refusal) => refusal,
-                    None => continue,
-                },
                 Message::Cancel { id } => {
-                    cancelled.lock().unwrap().insert(id);
+                    let owed = match replies.lock().unwrap().get_mut(&id) {
+                        Some(reply @ Reply::Owed(_)) => std::mem::replace(reply, Reply::Cancelled),
+                        _ => continue,
+                    };
+                    if let Reply::Owed(ticket) = owed {
+                        ticket.cancel();
+                    }
                     continue;
                 }
                 Message::StatsPoll { id } => match self.shard.stats(PATIENCE) {
@@ -167,12 +222,12 @@ impl Server {
                 },
                 Message::Prewarm { id, scene } => {
                     // a cold scene fits for seconds: off the reader thread
-                    let (server, writer, guard) =
-                        (self.clone(), writer.clone(), self.responders.enter());
+                    let (server, outbox, guard) =
+                        (self.clone(), outbox.clone(), self.unsent.enter());
                     std::thread::spawn(move || {
                         let _guard = guard;
                         let ok = server.shard.prewarm(&scene, PATIENCE).unwrap_or(false);
-                        send(&writer, &Message::Warmed { id, ok });
+                        outbox.send(Message::Warmed { id, ok });
                     });
                     continue;
                 }
@@ -183,8 +238,8 @@ impl Server {
                     }
                 }
                 Message::Drain { id } => {
-                    // acknowledged first: once stopped, the process may be gone
-                    send(&writer, &Message::Draining { id });
+                    // queued first: drain, which follows the stop, waits for it
+                    outbox.send(Message::Draining { id });
                     self.stop();
                     continue;
                 }
@@ -196,54 +251,61 @@ impl Server {
                     continue;
                 }
             };
-            send(&writer, &reply);
+            outbox.send(reply);
+        }
+        // the writer ends with the last sender: this one, then those of the
+        // requests and prewarms still in flight
+        drop(outbox);
+        if writer.join().is_err() {
+            eprintln!("shardd: a connection's writer panicked");
         }
     }
 
-    /// Admits one request: acknowledges it and leaves a responder thread
-    /// waiting to ship its outcome, or returns the refusal to send.
-    fn submit(
-        &self,
-        id: u64,
-        req: &wire::WireRequest,
-        writer: &Arc<Mutex<Stream>>,
-        cancelled: &Arc<Mutex<HashSet<u64>>>,
-    ) -> Option<Message> {
-        let admitted = req
-            .to_request()
-            .map_err(|why| ShardError::Refused { retryable: false, why })
-            .and_then(|req| self.shard.submit(&req, Box::new(|_| ()), PATIENCE));
-        let ticket = match admitted {
-            Ok(ticket) => ticket,
-            Err(ShardError::Refused { retryable, why }) => {
-                return Some(Message::Refused { id, retryable, why })
-            }
-            Err(e) => return Some(Message::Refused { id, retryable: false, why: e.to_string() }),
+    /// Admits one request — acknowledging it, with its end to be queued by
+    /// whoever the shard has report it — or refuses it.
+    fn submit(&self, id: u64, req: &wire::WireRequest, outbox: &Outbox, replies: &Replies) {
+        let refuse = |retryable, why| outbox.send(Message::Refused { id, retryable, why });
+        let req = match req.to_request() {
+            Ok(req) => req,
+            Err(why) => return refuse(false, why),
         };
-        // acknowledged before the responder exists: the client must never
-        // see a `Result` ahead of its `Submitted`
-        send(writer, &Message::Submitted { id });
-        let (writer, cancelled, guard) =
-            (writer.clone(), cancelled.clone(), self.responders.enter());
-        std::thread::spawn(move || {
-            let _guard = guard;
-            let outcome = loop {
-                match ticket.wait_result(PATIENCE) {
-                    Err(ShardError::Timeout) => {}
-                    outcome => break outcome,
-                }
-            };
-            if cancelled.lock().unwrap().remove(&id) {
-                return; // a hedge won elsewhere; drop the reply
-            }
-            send(
-                &writer,
-                &match outcome {
+        replies.lock().unwrap().insert(id, Reply::Unacked(None));
+        let done: Done = {
+            let (outbox, replies) = (outbox.clone(), replies.clone());
+            Box::new(move |outcome| {
+                let end = match outcome {
                     Ok(result) => Message::Result { id, result },
                     Err(e) => Message::Failed { id, why: e.to_string() },
-                },
-            );
-        });
-        None
+                };
+                // queued under the lock `Submitted` is queued under: the
+                // client never sees a `Result` ahead of its `Submitted`,
+                // even when the request ends before `Shard::submit` returns
+                let mut replies = replies.lock().unwrap();
+                if let Some(Reply::Unacked(early)) = replies.get_mut(&id) {
+                    *early = Some(Box::new(end));
+                } else if let Some(Reply::Owed(_)) = replies.remove(&id) {
+                    outbox.send(end);
+                }
+            })
+        };
+        let admitted = self.shard.submit(&req, done, PATIENCE);
+        let mut replies = replies.lock().unwrap();
+        let early = match replies.remove(&id) {
+            Some(Reply::Unacked(early)) => early,
+            _ => None,
+        };
+        match admitted {
+            Ok(ticket) => {
+                outbox.send(Message::Submitted { id });
+                match early {
+                    Some(end) => outbox.send(*end),
+                    None => {
+                        replies.insert(id, Reply::Owed(ticket));
+                    }
+                }
+            }
+            Err(ShardError::Refused { retryable, why }) => refuse(retryable, why),
+            Err(e) => refuse(false, e.to_string()),
+        }
     }
 }

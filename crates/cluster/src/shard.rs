@@ -7,14 +7,14 @@
 //! [`RemoteShard`](crate::RemoteShard), the wire client of an
 //! `asdr-shardd` — whose connection loop ([`crate::server`]) in turn
 //! drives a `LocalShard` through the same methods. A third lives in
-//! `tests/fleet_seam.rs`: a fake whose tickets complete, stall or die on
+//! `tests/fleet_seam.rs`: a fake whose requests complete, stall or die on
 //! the test's command, which is what makes the hedge and failover
 //! arbitration testable without a process or a sleep.
 
 use crate::wire::{WireResult, WireStats};
 use asdr_serve::store::ModelStoreBuilder;
 use asdr_serve::{
-    ModelStore, RenderProfile, RenderRequest, RenderResult, RenderService, RenderTicket, ServeError,
+    ModelStore, RenderProfile, RenderRequest, RenderResult, RenderService, ServeError,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -64,24 +64,19 @@ pub struct HealthInfo {
 }
 
 /// How a shard reports that a submitted request is terminal on it: called
-/// once with `Some(service ms)` when the result exists, `None` when the
-/// request failed, was cancelled, or the connection to it was lost —
-/// whether or not anyone is waiting on the ticket. The fleet's budget
-/// reservation rides in it, so dropping it uncalled releases like `None`.
-pub type Done = Box<dyn FnOnce(Option<f64>) + Send>;
+/// once, with the result or with why there is none, by whoever learns it —
+/// the service worker that rendered it ([`LocalShard`]), the reader thread
+/// of the connection it came back on or died with
+/// ([`RemoteShard`](crate::RemoteShard)) — whether or not anyone is waiting.
+/// It must be cheap to call: the caller has a queue or a socket to get back
+/// to. Dropping it uncalled says the request was lost (a cancelled reply, a
+/// ticket nobody kept) and counts as an `Err`.
+pub type Done = Box<dyn FnOnce(Result<WireResult, ShardError>) + Send>;
 
-/// A request admitted by a shard.
+/// A request admitted by a shard. Its outcome arrives through the
+/// submission's [`Done`]; the ticket is only the way to say it is no
+/// longer wanted, which dropping it says too.
 pub trait ShardTicket: Send + Sync {
-    /// Waits up to `timeout` for the outcome.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Timeout`] with the request still in flight (wait
-    /// again, or hedge); [`ShardError::Render`] when the shard's worker
-    /// failed; [`ShardError::Connection`] when the shard died. Any answer
-    /// but `Timeout` spends the ticket.
-    fn wait_result(&self, timeout: Duration) -> Result<WireResult, ShardError>;
-
     /// Tells the shard nobody wants the reply any more (the hedge race's
     /// loser). The render may still run; only the reply is withheld.
     fn cancel(&self);
@@ -90,7 +85,8 @@ pub trait ShardTicket: Send + Sync {
 /// One member of a fleet. The `timeout`s bound a remote round trip; a
 /// shard in this process answers at once and ignores them.
 pub trait Shard: Send + Sync {
-    /// Admits a request, reporting its end through `done`.
+    /// Admits a request, reporting its end through `done` — which may run
+    /// before this returns, on a shard that finishes at once.
     ///
     /// # Errors
     ///
@@ -138,17 +134,11 @@ pub trait Shard: Send + Sync {
     fn drain(&self, timeout: Duration);
 }
 
-impl ShardTicket for RenderTicket {
-    fn wait_result(&self, timeout: Duration) -> Result<WireResult, ShardError> {
-        match self.wait_timeout(timeout) {
-            None => Err(ShardError::Timeout),
-            Some(Ok(result)) => Ok(WireResult::from_result(&result)),
-            Some(Err(e)) => Err(ShardError::Render(e.to_string())),
-        }
-    }
+/// A [`LocalShard`]'s ticket: an admitted render runs to completion and
+/// holds nothing shard-side, so there is no reply to withhold.
+struct Admitted;
 
-    /// An admitted render runs to completion and its ticket holds nothing
-    /// shard-side: there is no reply to withhold.
+impl ShardTicket for Admitted {
     fn cancel(&self) {}
 }
 
@@ -176,15 +166,17 @@ impl Shard for LocalShard {
         done: Done,
         _timeout: Duration,
     ) -> Result<Arc<dyn ShardTicket>, ShardError> {
-        // the service observes every end, failures too (or their budget
-        // reservation would leak shut); service time — latency minus queue
-        // wait — is what admission predicts
+        // the service observes every end, failures too, on the worker that
+        // reached it; the frames are copied there because the service's own
+        // ticket keeps the original
         let on_done = Box::new(move |outcome: &Result<RenderResult, ServeError>| {
-            let served = outcome.as_ref().ok().map(|r| r.latency.saturating_sub(r.queue_wait));
-            done(served.map(|d| d.as_secs_f64() * 1e3));
+            done(match outcome {
+                Ok(result) => Ok(WireResult::from_result(result)),
+                Err(e) => Err(ShardError::Render(e.to_string())),
+            });
         });
         match self.service.submit_observed(req.clone(), on_done) {
-            Ok(ticket) => Ok(Arc::new(ticket)),
+            Ok(_) => Ok(Arc::new(Admitted)),
             Err(e) => {
                 // a draining shard is transient to the fleet, like a full one
                 let retryable =

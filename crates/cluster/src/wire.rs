@@ -24,7 +24,10 @@ use asdr_math::{Image, Vec3};
 use asdr_obs::TraceId;
 use asdr_scenes::registry::OrbitCamera;
 use asdr_serve::service::{Priority, RenderRequest, RenderResult};
-use asdr_serve::trace::format::{MAX_DEADLINE_MS, MAX_FRAMES, MAX_RESOLUTION};
+use asdr_serve::trace::format::{
+    priority_code, priority_from_code, push_varint, Reader, MAX_DEADLINE_MS, MAX_FRAMES,
+    MAX_RESOLUTION,
+};
 use asdr_serve::{ServeStats, StoreStats};
 use std::io::{Read, Write};
 
@@ -47,19 +50,6 @@ const MAX_WORKERS: u64 = 1024;
 /// Deadline bound, microseconds (the trace codec's millisecond bound).
 const MAX_DEADLINE_US: u64 = MAX_DEADLINE_MS * 1000;
 
-/// Appends `v` LEB128-encoded (7 bits per byte, high bit = continue).
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 fn push_string(out: &mut Vec<u8>, s: &str) {
     push_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
@@ -71,97 +61,6 @@ fn push_f32(out: &mut Vec<u8>, v: f32) {
 
 fn push_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.bytes.len() {
-            return Err("unexpected end of message".into());
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 63 && byte > 1 {
-                return Err("varint overflows u64".into());
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn bounded(&mut self, what: &str, max: u64) -> Result<u64, String> {
-        let v = self.varint()?;
-        if v > max {
-            return Err(format!("{what} {v} out of range (max {max})"));
-        }
-        Ok(v)
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn finite_f32(&mut self, what: &str) -> Result<f32, String> {
-        let v = self.f32()?;
-        if !v.is_finite() {
-            return Err(format!("{what} is not finite"));
-        }
-        Ok(v)
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, String> {
-        let len = self.bounded(what, MAX_STRING)? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| format!("{what} is not UTF-8"))
-    }
-
-    fn boolean(&mut self, what: &str) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("{what} flag {b} is not 0/1")),
-        }
-    }
-}
-
-fn priority_code(p: Priority) -> u8 {
-    match p {
-        Priority::Low => 0,
-        Priority::Normal => 1,
-        Priority::High => 2,
-    }
-}
-
-fn priority_from(code: u8) -> Result<Priority, String> {
-    match code {
-        0 => Ok(Priority::Low),
-        1 => Ok(Priority::Normal),
-        2 => Ok(Priority::High),
-        c => Err(format!("unknown priority code {c}")),
-    }
 }
 
 /// A render request as it travels to a shard: the scene by registry name,
@@ -253,7 +152,7 @@ impl WireRequest {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<WireRequest, String> {
-        let scene = r.string("scene name")?;
+        let scene = r.string("scene name", MAX_STRING)?;
         if scene.is_empty() {
             return Err("scene name is empty".into());
         }
@@ -270,7 +169,7 @@ impl WireRequest {
         if flags & !0b11111 != 0 {
             return Err(format!("unknown request flag bits {flags:#x}"));
         }
-        let priority = priority_from((flags >> 2) & 0b11)?;
+        let priority = priority_from_code((flags >> 2) & 0b11)?;
         let deadline_us =
             if flags & 1 != 0 { Some(r.bounded("deadline_us", MAX_DEADLINE_US)?) } else { None };
         let camera = if flags & 2 != 0 {
@@ -378,7 +277,7 @@ impl WireResult {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<WireResult, String> {
-        let scene = r.string("scene name")?;
+        let scene = r.string("scene name", MAX_STRING)?;
         let resolution = r.bounded("resolution", MAX_RESOLUTION)? as u32;
         let reused_frames = r.bounded("reused frames", MAX_FRAMES)?;
         let queue_wait_us = r.varint()?;
@@ -782,7 +681,7 @@ impl Message {
     /// trailing-byte payloads — decoding never panics, whatever the bytes.
     pub fn decode(bytes: &[u8]) -> Result<Message, String> {
         let ctx = |e: String| format!("wire message: {e}");
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         let tag = r.u8().map_err(ctx)?;
         let msg = (|| -> Result<Message, String> {
             Ok(match tag {
@@ -796,7 +695,11 @@ impl Message {
                 4 => {
                     let id = r.varint()?;
                     let retryable = r.boolean("retryable")?;
-                    Message::Refused { id, retryable, why: r.string("refusal message")? }
+                    Message::Refused {
+                        id,
+                        retryable,
+                        why: r.string("refusal message", MAX_STRING)?,
+                    }
                 }
                 5 => {
                     let id = r.varint()?;
@@ -804,7 +707,7 @@ impl Message {
                 }
                 6 => {
                     let id = r.varint()?;
-                    Message::Failed { id, why: r.string("failure message")? }
+                    Message::Failed { id, why: r.string("failure message", MAX_STRING)? }
                 }
                 7 => Message::Cancel { id: r.varint()? },
                 8 => Message::StatsPoll { id: r.varint()? },
@@ -820,7 +723,7 @@ impl Message {
                 }
                 12 => {
                     let id = r.varint()?;
-                    Message::Prewarm { id, scene: r.string("scene name")? }
+                    Message::Prewarm { id, scene: r.string("scene name", MAX_STRING)? }
                 }
                 13 => {
                     let id = r.varint()?;
@@ -840,8 +743,8 @@ impl Message {
             })
         })()
         .map_err(ctx)?;
-        if r.pos != bytes.len() {
-            return Err(ctx(format!("{} trailing bytes after message", bytes.len() - r.pos)));
+        if r.remaining() != 0 {
+            return Err(ctx(format!("{} trailing bytes after message", r.remaining())));
         }
         Ok(msg)
     }
@@ -1104,7 +1007,7 @@ mod tests {
         // scene(1+3) + resolution(1) + frames(1) + azimuth(4) + flags(1)
         assert_eq!(bytes.len(), 11);
         assert_eq!(bytes[10] & 0b10000, 0, "trace flag set on a trace-free request");
-        let back = WireRequest::decode(&mut Reader { bytes: &bytes, pos: 0 }).unwrap();
+        let back = WireRequest::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(back, req);
 
         let res = WireResult {
@@ -1122,7 +1025,7 @@ mod tests {
         res.encode(&mut bytes);
         assert_eq!(*bytes.last().unwrap(), 0, "expected empty image count last");
         assert_eq!(bytes[bytes.len() - 3], 2, "deadline byte should stay a bare code 2");
-        let back = WireResult::decode(&mut Reader { bytes: &bytes, pos: 0 }).unwrap();
+        let back = WireResult::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(back, res);
     }
 
@@ -1141,7 +1044,7 @@ mod tests {
         };
         let mut bytes = Vec::new();
         req.encode(&mut bytes);
-        let back = WireRequest::decode(&mut Reader { bytes: &bytes, pos: 0 }).unwrap();
+        let back = WireRequest::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(back.trace, trace);
         // and through request resolution on the shard side
         assert_eq!(back.to_request().unwrap().trace, trace);
@@ -1159,7 +1062,7 @@ mod tests {
         };
         let mut bytes = Vec::new();
         res.encode(&mut bytes);
-        let back = WireResult::decode(&mut Reader { bytes: &bytes, pos: 0 }).unwrap();
+        let back = WireResult::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(back.trace, trace);
         assert_eq!(back.deadline_met, None);
     }

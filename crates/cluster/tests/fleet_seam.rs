@@ -1,17 +1,17 @@
 //! What the [`Shard`] seam makes testable: the fleet's hedge and failover
-//! arbitration against a fake shard whose tickets complete, stall or die
-//! when the test says so, and frames byte-identical whichever real backend
-//! serves them.
+//! arbitration, and the server's reply path, against a fake shard whose
+//! requests complete, stall or die when the test says so; and frames
+//! byte-identical whichever real backend serves them.
 //!
 //! No process is spawned and nothing sleeps: the fake hands the test a
 //! [`Handle`] over a channel for every request it admits, so each ordering
 //! is forced by a blocking receive; the only clocked waits are
 //! deadline-bounded polls on what the fleet's health thread does.
 
-use asdr_cluster::wire::{WireResult, WireStats};
+use asdr_cluster::wire::{self, Message, WireRequest, WireResult, WireStats};
 use asdr_cluster::{
     Done, Fleet, FleetConfig, FleetStats, FleetTicket, HealthInfo, Listener, LocalShards,
-    RemoteShard, Server, Shard, ShardAddr, ShardError, ShardTicket,
+    RemoteShard, Server, Shard, ShardAddr, ShardError, ShardTicket, Stream,
 };
 use asdr_math::{Image, Rgb};
 use asdr_scenes::registry;
@@ -25,44 +25,34 @@ use std::time::{Duration, Instant};
 
 const PATIENCE: Duration = Duration::from_secs(30);
 
-/// What the test decides for one admitted request.
-enum Fate {
-    Complete(WireResult),
-    Die,
-}
-
-/// The test's end of one fake ticket. Keep it alive for as long as the
-/// ticket should stall.
+/// The test's end of one request a fake shard admitted: the request's
+/// [`Done`] itself. Keep it alive for as long as the request should stall;
+/// dropping it un-ended loses the request, as a shard can.
 struct Handle {
     shard: usize,
-    fate: Sender<Fate>,
+    done: Option<Done>,
     cancelled: Arc<AtomicBool>,
 }
 
+impl Handle {
+    fn end(&mut self, outcome: Result<WireResult, ShardError>) {
+        self.done.take().expect("a request ends once")(outcome);
+    }
+
+    fn complete(&mut self, result: WireResult) {
+        self.end(Ok(result));
+    }
+
+    fn die(&mut self) {
+        self.end(Err(ShardError::Connection("the test killed this shard".into())));
+    }
+}
+
 struct FakeTicket {
-    fate: Mutex<Receiver<Fate>>,
-    done: Mutex<Option<Done>>,
     cancelled: Arc<AtomicBool>,
 }
 
 impl ShardTicket for FakeTicket {
-    fn wait_result(&self, timeout: Duration) -> Result<WireResult, ShardError> {
-        let Ok(fate) = self.fate.lock().unwrap().recv_timeout(timeout) else {
-            return Err(ShardError::Timeout);
-        };
-        let done = self.done.lock().unwrap().take().expect("a ticket ends once");
-        match fate {
-            Fate::Complete(result) => {
-                done(Some(1.0));
-                Ok(result)
-            }
-            Fate::Die => {
-                done(None);
-                Err(ShardError::Connection("the test killed this shard".into()))
-            }
-        }
-    }
-
     fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
     }
@@ -73,10 +63,29 @@ struct FakeShard {
     id: usize,
     admitted: Mutex<Sender<Handle>>,
     healthy: AtomicBool,
+    /// Ends every request inside `submit`, before the ticket exists.
+    instant: AtomicBool,
     /// Every prewarm that reached a fake shard, failed ones included.
     prewarmed: Arc<Mutex<Vec<(usize, String)>>>,
     /// How many more prewarms this shard fails.
     failing_prewarms: AtomicUsize,
+}
+
+impl FakeShard {
+    fn new(
+        id: usize,
+        admitted: Sender<Handle>,
+        prewarmed: Arc<Mutex<Vec<(usize, String)>>>,
+    ) -> Arc<FakeShard> {
+        Arc::new(FakeShard {
+            id,
+            admitted: Mutex::new(admitted),
+            healthy: AtomicBool::new(true),
+            instant: AtomicBool::new(false),
+            prewarmed,
+            failing_prewarms: AtomicUsize::new(0),
+        })
+    }
 }
 
 impl Shard for FakeShard {
@@ -86,15 +95,14 @@ impl Shard for FakeShard {
         done: Done,
         _timeout: Duration,
     ) -> Result<Arc<dyn ShardTicket>, ShardError> {
-        let (fate, fate_rx) = mpsc::channel();
         let cancelled = Arc::new(AtomicBool::new(false));
-        let handle = Handle { shard: self.id, fate, cancelled: cancelled.clone() };
-        self.admitted.lock().unwrap().send(handle).expect("the test outlives its fleet");
-        Ok(Arc::new(FakeTicket {
-            fate: Mutex::new(fate_rx),
-            done: Mutex::new(Some(done)),
-            cancelled,
-        }))
+        let mut handle = Handle { shard: self.id, done: Some(done), cancelled: cancelled.clone() };
+        if self.instant.load(Ordering::SeqCst) {
+            handle.complete(frames_of(self.id as f32));
+        } else {
+            self.admitted.lock().unwrap().send(handle).expect("the test outlives its fleet");
+        }
+        Ok(Arc::new(FakeTicket { cancelled }))
     }
 
     fn health(&self, _timeout: Duration) -> Result<HealthInfo, ShardError> {
@@ -135,17 +143,8 @@ struct FakeFleet {
 fn fake_fleet(n: usize, cfg: FleetConfig) -> FakeFleet {
     let (tx, admitted) = mpsc::channel();
     let prewarmed = Arc::new(Mutex::new(Vec::new()));
-    let shards: Vec<Arc<FakeShard>> = (0..n)
-        .map(|id| {
-            Arc::new(FakeShard {
-                id,
-                admitted: Mutex::new(tx.clone()),
-                healthy: AtomicBool::new(true),
-                prewarmed: prewarmed.clone(),
-                failing_prewarms: AtomicUsize::new(0),
-            })
-        })
-        .collect();
+    let shards: Vec<Arc<FakeShard>> =
+        (0..n).map(|id| FakeShard::new(id, tx.clone(), prewarmed.clone())).collect();
     let fleet = Fleet::new(shards.clone(), &RenderProfile::tiny(), cfg).unwrap();
     FakeFleet { fleet, shards, admitted, prewarmed }
 }
@@ -188,8 +187,8 @@ impl InFlight {
 
     /// Answers the request; when this returns the fleet has released its
     /// reservation and knows the shard warm for the scene.
-    fn complete(self) {
-        self.handle.fate.send(Fate::Complete(frames_of(0.0))).unwrap();
+    fn complete(mut self) {
+        self.handle.complete(frames_of(0.0));
         self.ticket.wait().unwrap();
     }
 }
@@ -237,9 +236,9 @@ fn a_stalled_primary_loses_the_hedge_race_to_its_replica() {
     std::thread::scope(|s| {
         let waiter = s.spawn(|| ticket.wait());
         // the primary stalls past the watermark: a duplicate goes out
-        let replica = f.next_admitted();
+        let mut replica = f.next_admitted();
         assert_ne!(replica.shard, primary.shard);
-        replica.fate.send(Fate::Complete(frames_of(2.0))).unwrap();
+        replica.complete(frames_of(2.0));
         assert_eq!(waiter.join().unwrap().unwrap(), frames_of(2.0), "the replica's frames");
         assert!(primary.cancelled.load(Ordering::SeqCst), "the loser was not cancelled");
         assert!(!replica.cancelled.load(Ordering::SeqCst));
@@ -253,11 +252,11 @@ fn a_stalled_primary_loses_the_hedge_race_to_its_replica() {
 fn a_primary_that_answers_first_wins_and_the_replica_is_cancelled() {
     let f = fake_fleet(3, hedging());
     let ticket = f.fleet.submit(mic()).unwrap();
-    let primary = f.next_admitted();
+    let mut primary = f.next_admitted();
     std::thread::scope(|s| {
         let waiter = s.spawn(|| ticket.wait());
         let replica = f.next_admitted();
-        primary.fate.send(Fate::Complete(frames_of(1.0))).unwrap();
+        primary.complete(frames_of(1.0));
         assert_eq!(waiter.join().unwrap().unwrap(), frames_of(1.0), "the primary's frames");
         assert!(replica.cancelled.load(Ordering::SeqCst), "the loser was not cancelled");
         assert!(!primary.cancelled.load(Ordering::SeqCst));
@@ -267,13 +266,64 @@ fn a_primary_that_answers_first_wins_and_the_replica_is_cancelled() {
     assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 0, 1), "{fl:?}");
 }
 
+/// The race is decided by the order the ends are learned, not by whose turn
+/// it is to be asked: the replica ends first and the primary right behind
+/// it, and the replica's frames come back. (A waiter that polled the two
+/// in turn found both answers at its next look and took the primary's.)
+#[test]
+fn the_first_end_reported_wins_the_race_whichever_submission_made_it() {
+    let f = fake_fleet(2, hedging());
+    let ticket = f.fleet.submit(mic()).unwrap();
+    let mut primary = f.next_admitted();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| ticket.wait());
+        let mut replica = f.next_admitted();
+        replica.complete(frames_of(2.0));
+        primary.complete(frames_of(1.0));
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(2.0), "the replica's frames");
+    });
+    assert_eq!(ticket.shard(), 1 - primary.shard);
+    let stats = f.fleet.stats();
+    let fl = stats.fleet;
+    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 1, 1), "{fl:?}");
+    // both ends were reported: both taught the model, both reservations are back
+    assert_eq!(stats.cost.observations, 2);
+    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+}
+
+/// The hedge is already the replacement when the primary dies under it.
+#[test]
+fn a_primary_that_dies_with_a_hedge_in_flight_is_replaced_by_it() {
+    let cfg = FleetConfig { health_misses: u32::MAX, ..hedging() };
+    let f = fake_fleet(3, cfg);
+    let ticket = f.fleet.submit(mic()).unwrap();
+    let mut primary = f.next_admitted();
+    f.shards[primary.shard].healthy.store(false, Ordering::SeqCst);
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| ticket.wait());
+        let mut replica = f.next_admitted();
+        primary.die();
+        eventually("the dead primary is evicted", || f.fleet.live_shards() == 2);
+        assert!(f.admitted.try_recv().is_err(), "a promoted hedge needs no resubmission");
+        replica.complete(frames_of(2.0));
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(2.0));
+        assert_eq!(ticket.shard(), replica.shard);
+        assert!(!replica.cancelled.load(Ordering::SeqCst));
+    });
+    let stats = f.fleet.stats();
+    let fl = stats.fleet;
+    assert_eq!((fl.evictions, fl.failovers), (1, 1), "{fl:?}");
+    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 0, 0), "{fl:?}");
+    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+}
+
 /// At the parent a second `wait()` found the slot gone, read that as a
 /// timeout and hedged — a duplicate render counted as a hedge win.
 #[test]
 fn a_ticket_answers_every_wait_with_its_one_outcome() {
     let f = fake_fleet(2, hedging());
     let ticket = f.fleet.submit(mic()).unwrap();
-    f.next_admitted().fate.send(Fate::Complete(frames_of(1.0))).unwrap();
+    f.next_admitted().complete(frames_of(1.0));
     assert_eq!(ticket.wait().unwrap(), frames_of(1.0));
     assert_eq!(ticket.wait().unwrap(), frames_of(1.0), "the second wait lost the outcome");
     assert!(f.admitted.try_recv().is_err(), "the second wait submitted a duplicate");
@@ -296,7 +346,7 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
     // route every scene once, so each has a recorded home to re-warm from
     for scene in SCENES {
         let ticket = f.fleet.submit(RenderRequest::frame(registry::handle(scene), 16)).unwrap();
-        f.next_admitted().fate.send(Fate::Complete(frames_of(0.0))).unwrap();
+        f.next_admitted().complete(frames_of(0.0));
         ticket.wait().unwrap();
     }
     let ring = f.fleet.ring();
@@ -308,12 +358,12 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
     // probes fail from here on, so the eviction below is not undone at once
     f.shards[victim].healthy.store(false, Ordering::SeqCst);
     let ticket = f.fleet.submit(mic()).unwrap();
-    let primary = f.next_admitted();
+    let mut primary = f.next_admitted();
     assert_eq!(primary.shard, victim);
     std::thread::scope(|s| {
         let waiter = s.spawn(|| ticket.wait());
-        primary.fate.send(Fate::Die).unwrap();
-        let replacement = f.next_admitted();
+        primary.die();
+        let mut replacement = f.next_admitted();
         assert_ne!(replacement.shard, victim);
         // between the resubmission and its answer: the victim is off the
         // ring and the reservation sits on the shard that took over
@@ -322,7 +372,7 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
         assert_eq!((stats.fleet.evictions, stats.fleet.shards_lost), (1, 1), "{:?}", stats.fleet);
         assert_eq!(stats.shards[victim].outstanding_ms, 0.0, "the dead shard kept the budget");
         assert_eq!(stats.shards[replacement.shard].outstanding_ms, ticket.predicted_ms());
-        replacement.fate.send(Fate::Complete(frames_of(3.0))).unwrap();
+        replacement.complete(frames_of(3.0));
         assert_eq!(waiter.join().unwrap().unwrap(), frames_of(3.0));
         assert_eq!(ticket.shard(), replacement.shard);
     });
@@ -349,6 +399,10 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
             .collect::<BTreeSet<_>>()
             == moved
     });
+    // a prewarm can reach the fake before the health thread has counted it
+    eventually("the last re-warm is counted", || {
+        f.fleet.stats().fleet.rewarms >= 2 * moved.len() as u64
+    });
     let stats = f.fleet.stats();
     assert_eq!(
         stats.fleet.rewarms,
@@ -357,6 +411,39 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
     );
     assert_eq!(f.prewarmed.lock().unwrap().len(), 2 * moved.len());
     assert_eq!((stats.fleet.evictions, stats.fleet.rejoins, stats.fleet.shards_lost), (1, 1, 0));
+}
+
+/// A failover that finds every surviving shard over budget waits for a
+/// completion, not for luck: the replacement goes out on the release.
+#[test]
+fn a_failover_waits_out_a_fleet_that_is_busy() {
+    let cfg = FleetConfig {
+        hedge_after: None,
+        health_misses: u32::MAX,
+        budget_ms: 1e-6, // nothing fits beside a request in flight
+        ..FleetConfig::default()
+    };
+    let f = fake_fleet(2, cfg);
+    let mut doomed = f.admit(mic());
+    let mut other = f.admit(mic());
+    assert_ne!(other.shard(), doomed.shard(), "the over-budget home spills");
+    f.shards[doomed.shard()].healthy.store(false, Ordering::SeqCst);
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| doomed.ticket.wait());
+        doomed.handle.die();
+        // the survivor is over budget: the resubmission is refused `Busy`
+        eventually("the failover meets a busy fleet", || f.fleet.stats().rejected >= 1);
+        assert!(f.admitted.try_recv().is_err(), "an over-budget shard admitted the failover");
+        other.handle.complete(frames_of(0.0));
+        let mut replacement = f.next_admitted();
+        assert_eq!(replacement.shard, other.shard());
+        replacement.complete(frames_of(3.0));
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(3.0));
+    });
+    other.ticket.wait().unwrap();
+    let stats = f.fleet.stats();
+    assert_eq!((stats.fleet.evictions, stats.fleet.failovers), (1, 1), "{:?}", stats.fleet);
+    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
 }
 
 /// No hedging, and probes fast enough to evict and rejoin while a test waits.
@@ -516,6 +603,160 @@ fn no_submit_queues_behind_work_while_a_warm_shard_is_idle() {
     let log = f.prewarmed.lock().unwrap().clone();
     assert_eq!(log.iter().collect::<BTreeSet<_>>().len(), log.len(), "doubled: {log:?}");
     in_flight.into_iter().for_each(|(r, _)| r.complete());
+}
+
+/// One fake shard behind the library's connection loop on a Unix socket.
+struct Served {
+    shard: Arc<FakeShard>,
+    admitted: Receiver<Handle>,
+    addr: ShardAddr,
+    server: Arc<Server>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+fn serve(name: &str) -> Served {
+    let sock = std::env::temp_dir().join(format!("asdr-seam-{name}-{}.sock", std::process::id()));
+    let (listener, addr) = Listener::bind(&ShardAddr::Unix(sock)).unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let (tx, admitted) = mpsc::channel();
+    let shard = FakeShard::new(0, tx, Arc::default());
+    let server = Server::new(shard.clone(), 0);
+    let running = server.clone();
+    let thread = std::thread::spawn(move || {
+        running.run(&listener, || ()).expect("accept");
+        running.drain();
+    });
+    Served { shard, admitted, addr, server, thread }
+}
+
+impl Served {
+    fn next_admitted(&self) -> Handle {
+        self.admitted.recv_timeout(PATIENCE).expect("the shard admitted no request")
+    }
+
+    /// A connection past its handshake, speaking raw frames.
+    fn dial(&self) -> Stream {
+        let mut stream = self.addr.connect().unwrap();
+        stream.set_read_timeout(Some(PATIENCE)).unwrap();
+        wire::write_frame(&mut stream, &Message::Hello { version: wire::VERSION }).unwrap();
+        assert_eq!(next_frame(&mut stream), Message::HelloOk { shard: 0 });
+        stream
+    }
+
+    fn stop(self) {
+        self.server.stop();
+        self.thread.join().unwrap();
+        if let ShardAddr::Unix(sock) = &self.addr {
+            let _ = std::fs::remove_file(sock);
+        }
+    }
+}
+
+fn next_frame(stream: &mut Stream) -> Message {
+    wire::read_frame(stream).unwrap().expect("the server closed the connection")
+}
+
+/// Submits `mic()` as `id` and returns once the server has acknowledged it.
+fn submit_acked(stream: &mut Stream, id: u64) {
+    let req = WireRequest::from_request(&mic());
+    wire::write_frame(stream, &Message::Submit { id, req }).unwrap();
+    assert_eq!(next_frame(stream), Message::Submitted { id });
+}
+
+#[test]
+fn a_request_that_ends_inside_submit_is_still_acknowledged_first() {
+    let served = serve("instant");
+    served.shard.instant.store(true, Ordering::SeqCst);
+    let mut client = served.dial();
+    for id in 1..=8 {
+        submit_acked(&mut client, id);
+        assert_eq!(next_frame(&mut client), Message::Result { id, result: frames_of(0.0) });
+    }
+    drop(client);
+    served.stop();
+}
+
+/// At the parent every admitted request parked a responder thread in the
+/// daemon until its render was done.
+#[cfg(target_os = "linux")]
+#[test]
+fn admitted_requests_cost_the_server_no_threads() {
+    fn threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("Threads:");
+        line.trim().parse().unwrap()
+    }
+    const STALLED: u64 = 64;
+    let served = serve("threads");
+    let mut client = served.dial();
+    // one request through and back, so the connection's two threads exist
+    submit_acked(&mut client, 0);
+    served.next_admitted().complete(frames_of(0.0));
+    assert!(matches!(next_frame(&mut client), Message::Result { id: 0, .. }));
+    let before = threads();
+    let mut stalled: Vec<Handle> = (1..=STALLED)
+        .map(|id| {
+            submit_acked(&mut client, id);
+            served.next_admitted()
+        })
+        .collect();
+    let after = threads();
+    // the other tests of this binary come and go meanwhile: what is ruled
+    // out is growth with the requests, and half of it is far beyond theirs
+    assert!(
+        after < before + STALLED as usize / 2,
+        "{STALLED} stalled requests took the process from {before} to {after} threads"
+    );
+    for (id, handle) in (1..=STALLED).zip(&mut stalled) {
+        handle.complete(frames_of(0.0));
+        assert!(matches!(next_frame(&mut client), Message::Result { id: got, .. } if got == id));
+    }
+    drop(client);
+    served.stop();
+}
+
+#[test]
+fn a_peer_that_stops_reading_delays_nobody_elses_reply() {
+    let served = serve("stalled-peer");
+    let (mut deaf, mut prompt) = (served.dial(), served.dial());
+    // far more reply bytes than a socket buffers: the deaf peer's writer blocks
+    let mut big = frames_of(0.0);
+    big.images = vec![Image::new(128, 128)];
+    let mut unread: Vec<Handle> = (1..=32)
+        .map(|id| {
+            submit_acked(&mut deaf, id);
+            served.next_admitted()
+        })
+        .collect();
+    submit_acked(&mut prompt, 1);
+    let mut wanted = served.next_admitted();
+    // ending a request must not wait for its peer either: these return
+    unread.iter_mut().for_each(|handle| handle.complete(big.clone()));
+    wanted.complete(frames_of(7.0));
+    assert_eq!(next_frame(&mut prompt), Message::Result { id: 1, result: frames_of(7.0) });
+    // the deaf peer hangs up: its writer fails and releases the queue,
+    // which is what lets the drain below finish
+    drop((deaf, prompt));
+    served.stop();
+}
+
+#[test]
+fn a_wire_cancel_withholds_the_reply_and_reaches_the_shard() {
+    let served = serve("cancel");
+    let mut client = served.dial();
+    submit_acked(&mut client, 1);
+    submit_acked(&mut client, 2);
+    let (mut loser, mut winner) = (served.next_admitted(), served.next_admitted());
+    wire::write_frame(&mut client, &Message::Cancel { id: 1 }).unwrap();
+    // frames are answered in order: the health reply proves the cancel was read
+    wire::write_frame(&mut client, &Message::Health { id: 3 }).unwrap();
+    assert!(matches!(next_frame(&mut client), Message::HealthOk { id: 3, .. }));
+    assert!(loser.cancelled.load(Ordering::SeqCst), "the shard's ticket was not cancelled");
+    loser.complete(frames_of(1.0));
+    winner.complete(frames_of(2.0));
+    assert_eq!(next_frame(&mut client), Message::Result { id: 2, result: frames_of(2.0) });
+    drop(client);
+    served.stop();
 }
 
 const E2E_SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];

@@ -123,24 +123,7 @@ pub fn simulate_chip(
 ) -> PerfReport {
     opts.config.validate().expect("invalid chip config");
     let cfg = model.encoder().config();
-    let cache_entries = opts
-        .cache_entries_per_table
-        .unwrap_or_else(|| opts.config.cache_entries_per_table(cfg.levels));
-    let lanes = opts.lane_override.unwrap_or(opts.config.addr_generators);
-    // each level's region spans its share of the chip's Mem-Xbar pool
-    // (2 bytes per entry: feat_dim 8-bit features)
-    let span = (opts.config.mem_xbar_bytes / cfg.feat_dim as u64 / cfg.levels as u64)
-        .max(cfg.table_size as u64);
-    let profile = simulate_encoding_with_span(
-        model,
-        cam,
-        &out.plan,
-        opts.mapping,
-        cache_entries,
-        lanes,
-        opts.trace_ray_stride,
-        span,
-    );
+    let profile = encoding_profile(model, cam, out, opts);
     let stats = &out.stats;
     let total_points = stats.total_encoded() as f64;
 
@@ -233,6 +216,8 @@ pub fn encoding_profile(
     let cache_entries = opts
         .cache_entries_per_table
         .unwrap_or_else(|| opts.config.cache_entries_per_table(cfg.levels));
+    // each level's region spans its share of the chip's Mem-Xbar pool
+    // (2 bytes per entry: feat_dim 8-bit features)
     let span = (opts.config.mem_xbar_bytes / cfg.feat_dim as u64 / cfg.levels as u64)
         .max(cfg.table_size as u64);
     simulate_encoding_with_span(

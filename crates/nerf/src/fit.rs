@@ -106,91 +106,6 @@ fn recon_at(tables: &EmbeddingSet, lanes: &[(usize, usize, f32)], p01: Vec3) -> 
     acc
 }
 
-/// Coarse occupancy mask marking cells that contain (or neighbour) any
-/// non-zero density — the fill only visits fine vertices inside the mask.
-#[derive(Debug)]
-struct OccupancyMask {
-    res: usize,
-    cells: Vec<bool>,
-}
-
-impl OccupancyMask {
-    fn build(field: &dyn SceneField, res: usize) -> Self {
-        let b = field.bounds();
-        let v = res + 1;
-        // density probes at mask vertices
-        let mut probe = vec![false; v * v * v];
-        for z in 0..v {
-            for y in 0..v {
-                for x in 0..v {
-                    let u = Vec3::new(
-                        x as f32 / res as f32,
-                        y as f32 / res as f32,
-                        z as f32 / res as f32,
-                    );
-                    probe[x + v * (y + v * z)] = field.density(b.denormalize(u)) > 0.0;
-                }
-            }
-        }
-        let mut cells = vec![false; res * res * res];
-        for z in 0..res {
-            for y in 0..res {
-                for x in 0..res {
-                    let mut occ = false;
-                    for &(dx, dy, dz) in &CORNER_OFFSETS {
-                        let i = (x + dx as usize) + v * ((y + dy as usize) + v * (z + dz as usize));
-                        occ |= probe[i];
-                    }
-                    cells[x + res * (y + res * z)] = occ;
-                }
-            }
-        }
-        // dilate by one cell so interpolation transition zones are covered
-        let mut dilated = cells.clone();
-        for z in 0..res {
-            for y in 0..res {
-                for x in 0..res {
-                    if cells[x + res * (y + res * z)] {
-                        for dz in -1i64..=1 {
-                            for dy in -1i64..=1 {
-                                for dx in -1i64..=1 {
-                                    let (nx, ny, nz) =
-                                        (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                                    if nx >= 0
-                                        && ny >= 0
-                                        && nz >= 0
-                                        && (nx as usize) < res
-                                        && (ny as usize) < res
-                                        && (nz as usize) < res
-                                    {
-                                        dilated[nx as usize
-                                            + res * (ny as usize + res * nz as usize)] = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        OccupancyMask { res, cells: dilated }
-    }
-
-    /// Whether the normalized point lies in an occupied cell.
-    #[inline]
-    fn occupied(&self, p01: Vec3) -> bool {
-        let r = self.res as f32;
-        let cx = ((p01.x * r) as usize).min(self.res - 1);
-        let cy = ((p01.y * r) as usize).min(self.res - 1);
-        let cz = ((p01.z * r) as usize).min(self.res - 1);
-        self.cells[cx + self.res * (cy + self.res * cz)]
-    }
-
-    fn occupied_fraction(&self) -> f32 {
-        self.cells.iter().filter(|&&c| c).count() as f32 / self.cells.len() as f32
-    }
-}
-
 /// Fits the embedding pyramid of `cfg` to `field`.
 ///
 /// Returned tables decode through [`decode_plans`]-weighted sums; use
@@ -198,7 +113,8 @@ impl OccupancyMask {
 fn fill_embeddings(field: &dyn SceneField, cfg: &GridConfig) -> EmbeddingSet {
     let mut set = EmbeddingSet::new(cfg);
     let bounds = field.bounds();
-    let mask = OccupancyMask::build(field, 48);
+    // the fill only visits fine vertices in (or next to) cells with density
+    let mask = OccupancyGrid::build(field, 48);
 
     // chains of already-filled dense lanes per quantity (for residuals)
     let mut dense_filled: [Vec<(usize, usize, f32)>; 4] = Default::default();
@@ -220,7 +136,7 @@ fn fill_embeddings(field: &dyn SceneField, cfg: &GridConfig) -> EmbeddingSet {
                 for y in 0..vres {
                     for x in 0..vres {
                         let p01 = Vec3::new(x as f32 / res, y as f32 / res, z as f32 / res);
-                        if !mask.occupied(p01.clamp(0.0, 0.999)) {
+                        if !mask.occupied01(p01.clamp(0.0, 0.999)) {
                             continue;
                         }
                         let pw = bounds.denormalize(p01);
@@ -248,7 +164,7 @@ fn fill_embeddings(field: &dyn SceneField, cfg: &GridConfig) -> EmbeddingSet {
                 for y in 0..vres {
                     for x in 0..vres {
                         let p01 = Vec3::new(x as f32 / res, y as f32 / res, z as f32 / res);
-                        if !mask.occupied(p01.clamp(0.0, 0.999)) {
+                        if !mask.occupied01(p01.clamp(0.0, 0.999)) {
                             continue;
                         }
                         let pw = bounds.denormalize(p01);

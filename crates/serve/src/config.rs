@@ -1,29 +1,17 @@
-//! Process-wide serving configuration: the `ASDR_STORE_DIR` and
-//! `ASDR_SERVE_WORKERS` environment variables.
+//! Process-wide serving configuration: the `ASDR_STORE_DIR` environment
+//! variable.
 //!
-//! Both variables are read **once per process** (the serving hot path must
-//! never call `getenv` — an unsynchronized `setenv` elsewhere would race
-//! it), mirroring how the frame engine treats `ASDR_WORKERS`. Every setting
-//! resolves with the same documented precedence:
-//!
-//! 1. an **explicit builder setting** ([`ModelStoreBuilder::dir`],
-//!    [`RenderServiceBuilder::workers`], …) always wins;
-//! 2. otherwise the **environment variable**, as cached at first use;
-//! 3. otherwise the **built-in default**.
-//!
-//! The precedence itself is the pure function [`resolve`], unit-tested
-//! below independently of the process environment.
+//! It is read **once per process** (the serving hot path must never call
+//! `getenv` — an unsynchronized `setenv` elsewhere would race it),
+//! mirroring how the frame engine treats `ASDR_WORKERS`, and an explicit
+//! builder setting ([`ModelStoreBuilder::dir`] or
+//! [`in_memory_only`](crate::store::ModelStoreBuilder::in_memory_only))
+//! always wins over it.
 //!
 //! [`ModelStoreBuilder::dir`]: crate::store::ModelStoreBuilder::dir
-//! [`RenderServiceBuilder::workers`]: crate::service::RenderServiceBuilder::workers
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
-
-/// Resolves one setting: explicit builder value > environment > default.
-pub fn resolve<T>(explicit: Option<T>, env: Option<T>, default: T) -> T {
-    explicit.or(env).unwrap_or(default)
-}
 
 /// `ASDR_STORE_DIR`: the on-disk checkpoint directory a [`ModelStore`]
 /// persists fits to when the builder does not set one. Empty or unset means
@@ -35,16 +23,8 @@ pub fn env_store_dir() -> Option<&'static PathBuf> {
     DIR.get_or_init(|| parse_store_dir(std::env::var("ASDR_STORE_DIR").ok().as_deref())).as_ref()
 }
 
-/// `ASDR_SERVE_WORKERS`: the render-service worker-pool size when the
-/// builder does not set one. Zero, empty, or unparsable means unset. Read
-/// once per process.
-pub fn env_serve_workers() -> Option<usize> {
-    static WORKERS: OnceLock<Option<usize>> = OnceLock::new();
-    *WORKERS.get_or_init(|| parse_workers(std::env::var("ASDR_SERVE_WORKERS").ok().as_deref()))
-}
-
-/// Default worker-pool size when neither the builder nor the environment
-/// says otherwise: the detected parallelism.
+/// Default worker-pool size when the builder does not set one: the
+/// detected parallelism.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -54,37 +34,9 @@ fn parse_store_dir(raw: Option<&str>) -> Option<PathBuf> {
     raw.filter(|s| !s.is_empty()).map(PathBuf::from)
 }
 
-/// Parses an `ASDR_SERVE_WORKERS` value; zero or garbage means "unset".
-fn parse_workers(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|s| s.parse::<usize>().ok()).filter(|&n| n > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn precedence_is_explicit_then_env_then_default() {
-        // all eight combinations of (explicit, env) for a numeric setting
-        assert_eq!(resolve(Some(3), Some(7), 1), 3, "explicit beats env");
-        assert_eq!(resolve(Some(3), None, 1), 3, "explicit beats default");
-        assert_eq!(resolve(None, Some(7), 1), 7, "env beats default");
-        assert_eq!(resolve::<usize>(None, None, 1), 1, "default is the floor");
-        // and for a path-like setting
-        let explicit = PathBuf::from("/explicit");
-        let env = PathBuf::from("/env");
-        assert_eq!(resolve(Some(explicit.clone()), Some(env.clone()), PathBuf::new()), explicit);
-        assert_eq!(resolve(None, Some(env.clone()), PathBuf::new()), env);
-    }
-
-    #[test]
-    fn worker_env_parsing_rejects_zero_and_garbage() {
-        assert_eq!(parse_workers(Some("4")), Some(4));
-        assert_eq!(parse_workers(Some("0")), None, "zero means auto, not zero workers");
-        assert_eq!(parse_workers(Some("many")), None);
-        assert_eq!(parse_workers(Some("")), None);
-        assert_eq!(parse_workers(None), None);
-    }
 
     #[test]
     fn store_dir_parsing_treats_empty_as_unset() {

@@ -41,8 +41,8 @@
 //! println!("{} in {:?} (cache: {:?})", result.scene, result.latency, service.store().stats());
 //! ```
 //!
-//! Environment variables (`ASDR_STORE_DIR`, `ASDR_SERVE_WORKERS`) are read
-//! once per process; explicit builder settings always win — see [`config`].
+//! The `ASDR_STORE_DIR` environment variable is read once per process; an
+//! explicit builder setting always wins — see [`config`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -258,19 +258,6 @@ impl RenderTicket {
         state.as_ref().expect("loop exits only when filled").clone()
     }
 
-    /// [`wait`](Self::wait) with a bound: `None` when the request is still
-    /// in flight after `timeout` (what a caller that must also watch
-    /// something else — a hedge, a dying shard — waits in slices of).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Arc<RenderResult>, ServeError>> {
-        let state = self.inner.state.lock().unwrap();
-        self.inner
-            .cond
-            .wait_timeout_while(state, timeout, |state| state.is_none())
-            .unwrap()
-            .0
-            .clone()
-    }
-
     fn fill(&self, result: Result<RenderResult, ServeError>) {
         if let Some(on_done) = self.inner.on_done.lock().unwrap().take() {
             // guarded: an observer's panic escaping here would leave the
@@ -282,6 +269,9 @@ impl RenderTicket {
         self.inner.cond.notify_all();
     }
 }
+
+/// How every worker's engine cuts a frame into tiles.
+const EXEC_POLICY: ExecPolicy = ExecPolicy::TileStealing { tile_size: 16 };
 
 /// One queued admission.
 struct Queued {
@@ -490,7 +480,6 @@ pub struct RenderServiceBuilder {
     workers: Option<usize>,
     queue_capacity: usize,
     store: Option<Arc<ModelStore>>,
-    exec_policy: ExecPolicy,
     plan_refresh_every: usize,
     batch_max: usize,
     paused: bool,
@@ -498,9 +487,8 @@ pub struct RenderServiceBuilder {
 
 impl RenderServiceBuilder {
     /// Initial worker-pool size (resizable later via
-    /// [`RenderService::set_workers`]). Precedence: this setting >
-    /// `ASDR_SERVE_WORKERS` > detected parallelism. Zero means "unset"
-    /// (fall through to env).
+    /// [`RenderService::set_workers`]). Default, and what zero means: the
+    /// detected parallelism.
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = (n > 0).then_some(n);
@@ -520,13 +508,6 @@ impl RenderServiceBuilder {
     #[must_use]
     pub fn store(mut self, store: Arc<ModelStore>) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Phase-II execution policy of the worker engines.
-    #[must_use]
-    pub fn exec_policy(mut self, policy: ExecPolicy) -> Self {
-        self.exec_policy = policy;
         self
     }
 
@@ -559,12 +540,10 @@ impl RenderServiceBuilder {
     /// # Errors
     ///
     /// Returns a message naming the violated constraint if the profile's
-    /// render options or the execution policy fail validation.
+    /// render options fail validation.
     pub fn build(self) -> Result<RenderService, String> {
         self.profile.options_for(self.profile.default_resolution).validate()?;
-        self.exec_policy.validate()?;
-        let workers =
-            config::resolve(self.workers, config::env_serve_workers(), config::default_workers());
+        let workers = self.workers.unwrap_or_else(config::default_workers);
         let store = self.store.unwrap_or_else(|| Arc::new(ModelStore::builder().build()));
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
@@ -579,7 +558,6 @@ impl RenderServiceBuilder {
             cond: Condvar::new(),
             store,
             profile: self.profile,
-            exec_policy: self.exec_policy,
             plan_refresh_every: self.plan_refresh_every,
             batch_max: self.batch_max,
             queue_capacity: self.queue_capacity,
@@ -620,7 +598,6 @@ struct Shared {
     cond: Condvar,
     store: Arc<ModelStore>,
     profile: RenderProfile,
-    exec_policy: ExecPolicy,
     plan_refresh_every: usize,
     batch_max: usize,
     queue_capacity: usize,
@@ -654,7 +631,6 @@ impl RenderService {
             workers: None,
             queue_capacity: 64,
             store: None,
-            exec_policy: ExecPolicy::TileStealing { tile_size: 16 },
             plan_refresh_every: 3,
             batch_max: 4,
             paused: false,
@@ -955,7 +931,7 @@ fn render_batch(shared: &Shared, batch: &mut Vec<Queued>) {
     let store_t0 = Instant::now();
     let model = shared.store.get_or_fit(&scene, &shared.profile.grid);
     asdr_obs::span!(batch[0].req.trace, "store", store_t0, Instant::now());
-    let engine = FrameEngine::new(shared.profile.options_for(resolution), shared.exec_policy)
+    let engine = FrameEngine::new(shared.profile.options_for(resolution), EXEC_POLICY)
         .expect("options validated at submit");
     while !batch.is_empty() {
         let item = &batch[0];

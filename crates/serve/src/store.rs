@@ -257,9 +257,7 @@ impl ModelStoreBuilder {
         let dir = match self.dir {
             DirSetting::Path(p) => Some(p),
             DirSetting::Disabled => None,
-            DirSetting::FromEnv => {
-                config::resolve(None, config::env_store_dir().cloned().map(Some), None)
-            }
+            DirSetting::FromEnv => config::env_store_dir().cloned(),
         };
         ModelStore {
             inner: Mutex::new(Inner::default()),

@@ -110,7 +110,8 @@ pub struct DecodedTrace {
     pub plan: Option<PlanMeta>,
 }
 
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` LEB128-encoded (7 bits per byte, high bit = continue).
+pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -122,7 +123,8 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn priority_code(p: Priority) -> u8 {
+/// The two-bit code a [`Priority`] is stored as, here and on the fleet wire.
+pub fn priority_code(p: Priority) -> u8 {
     match p {
         Priority::Low => 0,
         Priority::Normal => 1,
@@ -130,7 +132,8 @@ fn priority_code(p: Priority) -> u8 {
     }
 }
 
-fn priority_from_code(c: u8) -> Result<Priority, String> {
+/// The [`Priority`] a stored code names; any other code is an error.
+pub fn priority_from_code(c: u8) -> Result<Priority, String> {
     match c {
         0 => Ok(Priority::Low),
         1 => Ok(Priority::Normal),
@@ -204,27 +207,44 @@ pub fn encode(entries: &[TimedRequest], plan: Option<&PlanMeta>) -> Vec<u8> {
     out
 }
 
-/// Streaming byte reader with bounds-checked primitives.
-struct Reader<'a> {
+/// Streaming byte reader with bounds-checked primitives: the one decoder
+/// under this format and the fleet wire's. Every read fails with a bare
+/// message — the input ended, or the value broke the bound the method
+/// names — and each caller prefixes its own context (`"trace record N: …"`,
+/// `"wire message: …"`).
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.bytes.len() {
-            return Err("unexpected end of file".into());
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.remaining() {
+            return Err("unexpected end of input".into());
         }
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    fn varint(&mut self) -> Result<u64, String> {
+    /// The next LEB128 varint; one that overflows `u64` is an error.
+    pub fn varint(&mut self) -> Result<u64, String> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -240,12 +260,43 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn bounded(&mut self, what: &str, max: u64) -> Result<u64, String> {
+    /// The next varint, which must be at most `max`.
+    pub fn bounded(&mut self, what: &str, max: u64) -> Result<u64, String> {
         let v = self.varint()?;
         if v > max {
             return Err(format!("{what} {v} out of range (max {max})"));
         }
         Ok(v)
+    }
+
+    /// The next little-endian `f32`, which must be finite.
+    pub fn finite_f32(&mut self, what: &str) -> Result<f32, String> {
+        let v = f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes"));
+        if !v.is_finite() {
+            return Err(format!("{what} is not finite"));
+        }
+        Ok(v)
+    }
+
+    /// The next little-endian `f64`.
+    pub fn f64(&mut self) -> Result<f64, String> {
+        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// The next length-prefixed UTF-8 string, of at most `max` bytes.
+    pub fn string(&mut self, what: &str, max: u64) -> Result<String, String> {
+        let len = self.bounded(what, max)? as usize;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| format!("{what} is not UTF-8"))
+    }
+
+    /// The next byte, which must be 0 or 1.
+    pub fn boolean(&mut self, what: &str) -> Result<bool, String> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("{what} flag {b} is not 0/1")),
+        }
     }
 }
 
@@ -258,7 +309,7 @@ impl<'a> Reader<'a> {
 /// decoding never panics, whatever the input bytes.
 pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
     let header = |e: String| format!("trace header: {e}");
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let magic = r.take(MAGIC.len()).map_err(&header)?;
     if magic != MAGIC {
         return Err(header("bad magic (not an ASDR trace file)".into()));
@@ -274,14 +325,11 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
     let scene_count = r.bounded("scene count", 1 << 20).map_err(&header)?;
     let mut scenes = Vec::with_capacity(scene_count as usize);
     for i in 0..scene_count {
-        let len = r.bounded("scene name length", 4096).map_err(&header)?;
-        let raw = r.take(len as usize).map_err(&header)?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|_| header(format!("scene {i} is not valid utf-8")))?;
+        let name = r.string(&format!("scene {i} name"), 4096).map_err(&header)?;
         if name.is_empty() {
             return Err(header(format!("scene {i} has an empty name")));
         }
-        scenes.push(name.to_string());
+        scenes.push(name);
     }
     let plan = if flags & FLAG_PLAN != 0 {
         let window_ms = r.bounded("plan window_ms", MAX_AT_MS).map_err(&header)?;
@@ -347,12 +395,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
             None
         };
         let azimuth_step_deg = if rflags & RF_AZIMUTH != 0 {
-            let raw: [u8; 4] = r.take(4).map_err(&rec)?.try_into().expect("4 bytes");
-            let a = f32::from_le_bytes(raw);
-            if !a.is_finite() {
-                return Err(rec("azimuth step is not finite".into()));
-            }
-            Some(a)
+            Some(r.finite_f32("azimuth step").map_err(&rec)?)
         } else {
             None
         };
@@ -368,10 +411,10 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
             window: None,
         });
     }
-    if r.pos != bytes.len() {
+    if r.remaining() != 0 {
         return Err(format!(
             "trace record {record_count}: {} trailing bytes after the last record",
-            bytes.len() - r.pos
+            r.remaining()
         ));
     }
     Ok(DecodedTrace { entries, plan })
@@ -430,9 +473,9 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX] {
             let mut buf = Vec::new();
             push_varint(&mut buf, v);
-            let mut r = Reader { bytes: &buf, pos: 0 };
+            let mut r = Reader::new(&buf);
             assert_eq!(r.varint().unwrap(), v);
-            assert_eq!(r.pos, buf.len());
+            assert_eq!(r.remaining(), 0);
         }
     }
 

@@ -7,8 +7,10 @@
 #   fleet     — replay it again with --remote spawn:3 (three asdr-shardd
 #               daemons on Unix sockets), kill -9 one daemon mid-run,
 #               every process writing an asdr_obs run bundle
-#   asserts   — the fleet run completes, every dumped frame is
-#               byte-identical to the reference, the stats artifact
+#   asserts   — no daemon runs more threads mid-replay than its workers
+#               and connections account for, the fleet run completes,
+#               every dumped frame is byte-identical to the reference,
+#               the stats artifact
 #               records the failure (>= 1 eviction), exactly the two
 #               survivors finished their bundles (the victim's last
 #               recorded stage proves the SIGKILL), and the merged
@@ -66,6 +68,19 @@ for _ in $(seq 1 600); do
 done
 [[ $(echo "$fresh" | grep -c .) -ge 3 ]] || { echo "FAIL: three asdr-shardd daemons never appeared"; exit 1; }
 sleep 1.5
+# mid-replay, every daemon is its accept loop, its workers and a reader and
+# a writer per connection — plus a prewarm or the bundle's own, which the 4
+# allows. A thread per admitted request would grow past that under load.
+workers=1     # asdr-cluster's --workers default, handed to each daemon
+connections=2 # FleetConfig::connections_per_shard's default
+max_threads=$((workers + 2 * connections + 4))
+for pid in $fresh; do
+    threads=$(sed -n 's/^Threads:[[:space:]]*//p' "/proc/$pid/status" 2> /dev/null || true)
+    [[ -n "$threads" ]] || { echo "FAIL: shardd $pid exited before it could be sampled"; exit 1; }
+    [[ "$threads" -le "$max_threads" ]] \
+        || { echo "FAIL: shardd $pid runs $threads threads mid-replay (max $max_threads)"; exit 1; }
+    echo "shardd pid $pid: $threads threads (max $max_threads)"
+done
 victim=$(echo "$fresh" | tail -1)
 if kill -9 "$victim" 2> /dev/null; then
     echo "killed shardd pid $victim"
