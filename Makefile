@@ -16,11 +16,13 @@ test-crates:
 # Bit-identity of the kernels on the code generation the benchmark measures:
 # tier-1 runs these at the dev profile's opt-level 2, release is opt-level 3.
 # The props run the MLP oracles once per kernel instantiation the CPU offers;
-# the asdr_core pair is empty-space skipping against its kept no-skip oracle.
+# the asdr_core pair and the renderer unit tests (the occupancy-pattern sweep)
+# hold the march to its kept scalar reference.
 test-release:
 	cargo test --release --test kernel_identity
 	cargo test --release -p asdr_nerf --test props
 	cargo test --release -p asdr_core --test empty_space --test props
+	cargo test --release -p asdr_core --lib renderer
 
 fmt:
 	cargo fmt --all

@@ -3,7 +3,9 @@
 //!
 //! `RenderStats` counts the evaluations the sample plan asks for (what the
 //! chip model is fed); `skipped_density` / `skipped_color` say how many of
-//! them the host skipped because the sample sat in an unoccupied cell. Both
+//! them the host skipped because they could not change the pixel — mostly
+//! samples in unoccupied cells, also colourless groups and rays already
+//! saturated. Both
 //! renderers skip, and adaptive sampling's easy rays *are* the empty ones,
 //! so the two ratios differ: counted work (the paper's) and host wall-clock
 //! against an Instant-NGP that skips empty space too.

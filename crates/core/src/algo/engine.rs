@@ -27,7 +27,7 @@
 //! entirely between refreshes.
 
 use crate::algo::adaptive::SamplePlan;
-use crate::algo::renderer::{march, probe_cell, RenderOptions, RenderOutput, RenderStats};
+use crate::algo::renderer::{march, probe_cell, RenderOptions, RenderOutput, RenderStats, Stop};
 use crate::algo::volrend::SamplePoint;
 use asdr_math::{Camera, Image, Rgb};
 use asdr_nerf::model::RadianceModel;
@@ -512,13 +512,14 @@ fn render_tile<M: RadianceModel>(
     let w = tile.width();
     let mut pixels = vec![Rgb::BLACK; w * (tile.y1 - tile.y0) as usize];
     let mut local = RenderStats::default();
-    let (group, et) = (opts.approx_group, opts.early_termination);
+    let group = opts.approx_group;
+    let stop = if opts.early_termination { Stop::Threshold } else { Stop::Saturated };
     for py in tile.y0..tile.y1 {
         for px in tile.x0..tile.x1 {
             let ray = cam.ray_for_pixel(px, py);
             let count = plan.count(px, py) as usize;
             pixels[(py - tile.y0) as usize * w + (px - tile.x0) as usize] =
-                march(model, &ray, count, group, et, scratch, points, &mut local);
+                march(model, &ray, count, group, stop, scratch, points, &mut local);
         }
     }
     (pixels, local)

@@ -11,8 +11,8 @@
 //! operation counts (density executions, color executions, probe overhead,
 //! interpolations) that drive the architecture and baseline timing models.
 //! They count what the sample plan asks for; the software march itself does
-//! not evaluate samples in empty space (see `march`), and says how many it
-//! skipped.
+//! not evaluate samples that cannot change the pixel (see `march`), and says
+//! how many it skipped.
 //!
 //! Both phases walk a ray through the one `march` below; the session API —
 //! execution policies, sample-plan reuse, multi-frame sequences — lives in
@@ -20,7 +20,7 @@
 
 use crate::algo::adaptive::{choose_count_validated, AdaptiveConfig, SamplePlan};
 use crate::algo::engine::PhaseTimings;
-use crate::algo::volrend::{composite_span, SamplePoint, EARLY_TERM_TRANSMITTANCE};
+use crate::algo::volrend::{composite_span, saturated, SamplePoint, EARLY_TERM_TRANSMITTANCE};
 use asdr_math::{Camera, Image, Ray, Rgb};
 use asdr_nerf::model::RadianceModel;
 
@@ -79,8 +79,8 @@ impl RenderOptions {
 /// sample plan asks for* — what a chip without an occupancy grid executes,
 /// and what the chip simulator and the GPU / NeuRex baselines are fed. They
 /// do not depend on what the host skipped: the two `skipped_*` fields say
-/// how much of that counted work the software march did not run because the
-/// sample sat in empty space.
+/// how much of that counted work the software march did not run, because it
+/// could not change the pixel (see `march`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RenderStats {
     /// Primary rays (pixels).
@@ -101,11 +101,14 @@ pub struct RenderStats {
     pub base_points: u64,
     /// Rays stopped early by termination.
     pub et_terminated_rays: u64,
-    /// Of `probe_points + density_points`, the density evaluations the host
-    /// did not run: samples in cells the model calls unoccupied.
+    /// Of `probe_points + density_points`, the density evaluations counted
+    /// but not run by the host: samples in cells the model calls unoccupied
+    /// (unless a follower's density made the leader run), and every sample
+    /// after a ray stopped because nothing could change its pixel.
     pub skipped_density: u64,
-    /// Of `probe_points + color_points`, the color evaluations the host did
-    /// not run: leaders of groups with every sample unoccupied.
+    /// Of `probe_points + color_points`, the color evaluations counted but
+    /// not run by the host: leaders of groups without a sample of positive
+    /// density, and every group after such a stop.
     pub skipped_color: u64,
 }
 
@@ -162,7 +165,8 @@ pub struct RenderOutput {
 }
 
 /// Phase I, one cell of the probe grid: marches the probe ray of cell
-/// `(jx, jy)` at the full count with every colour evaluated, and returns its
+/// `(jx, jy)` at the full count, one colour per sample, to its last sample,
+/// and returns its
 /// chosen sample count plus what the ray cost the frame. Cells are
 /// independent, so the engine may probe them on any thread in any order;
 /// `acfg` is the engine's validated config.
@@ -180,7 +184,7 @@ pub(crate) fn probe_cell<M: RadianceModel>(
     let py = (jy * d).min(cam.height() - 1);
     let ray = cam.ray_for_pixel(px, py);
     let mut marched = RenderStats::default();
-    march(model, &ray, base_ns, 1, false, scratch, points, &mut marched);
+    march(model, &ray, base_ns, 1, Stop::Never, scratch, points, &mut marched);
     // the frame counts probe work as `probe_points`, not as Phase-II work
     let cost = RenderStats {
         probe_rays: 1,
@@ -192,33 +196,54 @@ pub(crate) fn probe_cell<M: RadianceModel>(
     (choose_count_validated(points, acfg, base_ns) as u32, cost)
 }
 
+/// When `march` stops a ray before its last group. Tested between groups,
+/// after each composited one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// Never: the probe, whose whole buffer `choose_count_validated` reads
+    /// through a subsampled integral with a transmittance of its own.
+    Never,
+    /// Once no later term can change the pixel's f32 ([`saturated`]) —
+    /// Phase II without early termination. Invisible in image and counts.
+    Saturated,
+    /// Early termination, once `T < EARLY_TERM_TRANSMITTANCE` — Phase II
+    /// with it. Saturation needs `T` below half an ulp of a channel ≤ 1
+    /// (≤ 6e-8), so this threshold always fires first.
+    Threshold,
+}
+
 /// The per-ray pipeline of both phases: `count` samples in colour groups of
 /// `group` — density for every sample, the colour MLP for each group's first
 /// (its leader), whose colour the rest of the group holds — composited by
-/// Eq. (1) with early termination at group granularity. Returns the pixel
-/// and charges the work to `stats`.
+/// Eq. (1), stopping between groups as `stop` says. Returns the pixel and
+/// charges the work to `stats`.
 ///
-/// Empty space is not evaluated. A sample in a cell the model calls
-/// unoccupied has `σ = 0`, adds exactly `+0` to the pixel and leaves the
-/// transmittance bit-equal, so the march asks [`RadianceModel::occupied`]
-/// before it pays: a group with every sample empty makes no model call (its
-/// leader's colour is read by nobody), an empty follower makes none, and in
-/// any other group the leader runs in full even from an empty cell, because
-/// an occupied follower holds its colour. The counted work (`density_points`,
-/// `color_points`, …) is charged regardless; what was not run is
+/// A sample that cannot change the pixel is not evaluated. A `σ ≤ 0` sample
+/// adds exactly `+0` and leaves the transmittance bit-equal, so within a
+/// group the followers go first and the leader last, each asking
+/// [`RadianceModel::occupied`] before it pays: an empty follower makes no
+/// call; the leader runs its density if its cell is occupied or a follower
+/// read `σ > 0` (its colour is then held by that follower), and
+/// `color_into`, straight after that density whose geometry feature it
+/// reads, only if some member of the group has `σ > 0`. A group without
+/// positive density thus makes no colour call, and with every cell empty no
+/// call at all. Only `σ > 0` samples are composited, and a `Stop::Saturated`
+/// ray marches no further once nothing can move the pixel. The counted work
+/// (`density_points`, `color_points`, …) is charged for every sample the
+/// plan asks for regardless; what the host did not run of it is
 /// `skipped_density` / `skipped_color`.
 ///
 /// `points` is the calling worker's buffer, reused from ray to ray so no ray
 /// allocates; afterwards it holds the ray's samples as evaluated (a skipped
-/// sample: the distance, `σ = 0`, black; past an early termination the
-/// same).
+/// density: the distance, `σ = 0`, black; a skipped colour: black; past a
+/// stop the same).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn march<M: RadianceModel>(
     model: &M,
     ray: &Ray,
     count: usize,
     group: usize,
-    early_termination: bool,
+    stop: Stop,
     scratch: &mut M::Scratch,
     points: &mut Vec<SamplePoint>,
     stats: &mut RenderStats,
@@ -239,27 +264,31 @@ pub(crate) fn march<M: RadianceModel>(
     // evaluates nothing and composites the last group
     let mut prev = 0;
     for lo in (0..count).step_by(group).chain([count]) {
-        let members = &mut points[lo..(lo + group).min(count)];
-        let any_occupied = members.iter().any(|p| model.occupied(ray.at(p.t)));
-        if let Some((leader, followers)) = members.split_first_mut() {
+        let hi = (lo + group).min(count);
+        if let Some((leader, followers)) = points[lo..hi].split_first_mut() {
             stats.density_points += 1 + followers.len() as u64;
             stats.color_points += 1;
-            if any_occupied {
-                // the full colour path, straight after the density query
-                // whose geometry feature it reads — from an empty cell too:
-                // an occupied follower holds this colour
-                leader.sigma = model.density_into(ray.at(leader.t), scratch);
-                leader.color = model.color_into(ray.dir, scratch);
-                for f in followers {
-                    let at = ray.at(f.t);
-                    if model.occupied(at) {
-                        f.sigma = model.density_into(at, scratch);
-                    } else {
-                        stats.skipped_density += 1;
-                    }
+            let mut dense = false;
+            for f in followers {
+                let at = ray.at(f.t);
+                if model.occupied(at) {
+                    f.sigma = model.density_into(at, scratch);
+                    dense |= f.sigma > 0.0;
+                } else {
+                    stats.skipped_density += 1;
                 }
+            }
+            // last, so its geometry feature is the one the colour query reads
+            let at = ray.at(leader.t);
+            if dense || model.occupied(at) {
+                leader.sigma = model.density_into(at, scratch);
+                dense |= leader.sigma > 0.0;
             } else {
-                stats.skipped_density += 1 + followers.len() as u64;
+                stats.skipped_density += 1;
+            }
+            if dense {
+                leader.color = model.color_into(ray.dir, scratch);
+            } else {
                 stats.skipped_color += 1;
             }
         }
@@ -270,14 +299,35 @@ pub(crate) fn march<M: RadianceModel>(
         }
         integral = composite_span(points, prev..lo, integral);
         prev = lo;
-        // tested between groups, never after the last: nothing is left to stop
-        if early_termination && lo < count && integral.1 < EARLY_TERM_TRANSMITTANCE {
-            stats.et_terminated_rays += 1;
+        // never after the last group: nothing is left to stop
+        if lo == count {
             break;
+        }
+        match stop {
+            Stop::Threshold if integral.1 < EARLY_TERM_TRANSMITTANCE => {
+                stats.et_terminated_rays += 1;
+                break;
+            }
+            Stop::Saturated if saturated(integral.0, integral.1) => {
+                // counted as the whole ray, run only up to the group at `lo`
+                let rest = (count - hi) as u64;
+                let rest_groups = (count - hi).div_ceil(group) as u64;
+                stats.density_points += rest;
+                stats.color_points += rest_groups;
+                stats.interpolated_points += (count - lo) as u64 - (1 + rest_groups);
+                stats.skipped_density += rest;
+                stats.skipped_color += rest_groups;
+                break;
+            }
+            _ => {}
         }
     }
     integral.0.clamp01()
 }
+
+#[cfg(test)]
+#[path = "../../tests/common/reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -289,6 +339,7 @@ mod tests {
     use asdr_nerf::grid::GridConfig;
     use asdr_nerf::NgpModel;
     use asdr_scenes::registry;
+    use reference::reference_ray;
 
     fn model(name: &str) -> NgpModel {
         fit_ngp(registry::handle(name).build().as_ref(), &GridConfig::tiny())
@@ -313,15 +364,17 @@ mod tests {
         [p.t, p.sigma, p.color.r, p.color.g, p.color.b].map(f32::to_bits)
     }
 
-    /// What Phase I runs — `(base_ns, group 1, no ET)` — is the plain
-    /// per-point evaluation composited by Eq. (1): the buffer a probe ray
-    /// leaves (what `choose_count` judges) is `query_point` wherever the
-    /// sample is occupied and `(t, σ = 0, black)` wherever it was skipped,
+    /// What Phase I runs — `(base_ns, group 1, never stopped)` — is the
+    /// plain per-point evaluation composited by Eq. (1): the buffer a probe
+    /// ray leaves (what `choose_count` judges) is `query_point` wherever
+    /// `σ > 0` and `(t, σ, black)` elsewhere (`σ = 0` where the cell was
+    /// skipped), to its last sample even where Phase II would have stopped,
     /// and its pixel is the composite of the *fully evaluated* samples — so
     /// it is already final wherever the plan keeps the base count.
     #[test]
     fn the_probe_march_is_query_point_at_the_midpoints_composited() {
         use crate::algo::volrend::composite;
+        let (mut without_density, mut would_stop) = (0, 0);
         for name in ["Lego", "Mic", "Cloud"] {
             let m = model(name);
             let cam = registry::handle(name).camera(6, 6);
@@ -329,8 +382,11 @@ mod tests {
             let (mut hits, mut skipped) = (0, 0);
             for (px, py) in (0..6).flat_map(|y| (0..6).map(move |x| (x, y))) {
                 let ray = cam.ray_for_pixel(px, py);
+                let mut phase2 = RenderStats::default();
+                march(&m, &ray, 48, 1, Stop::Saturated, &mut scratch, &mut points, &mut phase2);
                 let mut stats = RenderStats::default();
-                let pixel = march(&m, &ray, 48, 1, false, &mut scratch, &mut points, &mut stats);
+                let pixel =
+                    march(&m, &ray, 48, 1, Stop::Never, &mut scratch, &mut points, &mut stats);
                 let evaluated: Vec<SamplePoint> = m
                     .model_bounds()
                     .intersect(&ray)
@@ -343,14 +399,17 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(points.len(), evaluated.len(), "{name} ({px}, {py})");
-                let mut empty = 0;
+                let (mut empty, mut colourless) = (0, 0);
                 for (got, full) in points.iter().zip(&evaluated) {
-                    let expected = if m.occupied(ray.at(full.t)) {
-                        *full
-                    } else {
+                    if !m.occupied(ray.at(full.t)) {
                         empty += 1;
                         assert_eq!(full.sigma.to_bits(), 0.0f32.to_bits(), "the mask");
-                        SamplePoint { t: full.t, sigma: 0.0, color: Rgb::BLACK }
+                    }
+                    let expected = if full.sigma > 0.0 {
+                        *full
+                    } else {
+                        colourless += 1;
+                        SamplePoint { color: Rgb::BLACK, ..*full }
                     };
                     assert_eq!(sample_bits(got), sample_bits(&expected), "{name} ({px}, {py})");
                 }
@@ -358,14 +417,18 @@ mod tests {
                 assert_eq!(rgb_bits(pixel), rgb_bits(reference), "{name} ({px}, {py})");
                 let n = evaluated.len() as u64;
                 assert_eq!((stats.density_points, stats.color_points), (n, n));
-                assert_eq!((stats.skipped_density, stats.skipped_color), (empty, empty));
+                assert_eq!((stats.skipped_density, stats.skipped_color), (empty, colourless));
                 assert_eq!((stats.interpolated_points, stats.et_terminated_rays), (0, 0));
                 hits += n / 48;
                 skipped += empty;
+                without_density += colourless - empty;
+                would_stop += u64::from(phase2.skipped_density > empty);
             }
             assert!(hits > 0, "{name}: no ray met the model");
             assert!(skipped > 0, "{name}: no sample was skipped");
         }
+        assert!(without_density > 0, "no occupied sample had σ = 0");
+        assert!(would_stop > 0, "no ray saturated in Phase II");
     }
 
     /// What `march` asked a [`Cells`] model, in order.
@@ -376,20 +439,45 @@ mod tests {
         Color,
     }
 
-    /// Eight unit cells along x, marched by `cells_ray` at one sample a
-    /// cell. Density and colour are functions of the cell, masked like a
-    /// real model's; the colour of an *empty* cell is not black, as with
-    /// `TensoRfModel` and `DvgoModel`. `skip: false` is the no-skip oracle.
+    /// What one of [`Cells`]' cells holds.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Cell {
+        /// Unoccupied: σ is masked to 0.
+        Empty,
+        /// Occupied, with σ = 0.
+        Zero,
+        /// Occupied, with σ = 1 + the cell's index — or, at [`OPAQUE`], a σ
+        /// whose α rounds to 1.0, so the transmittance behind it is 0.
+        Dense,
+    }
+
+    const OPAQUE: usize = 3;
+
+    /// Eight unit cells along x, marched by `march_cells` at one sample a
+    /// cell. Density and colour are functions of the cell; the colour of an
+    /// *empty* cell is not black, as with `TensoRfModel` and `DvgoModel`.
     struct Cells {
-        occupied: [bool; 8],
-        skip: bool,
+        cells: [Cell; 8],
         calls: std::cell::RefCell<Vec<Call>>,
     }
 
     impl Cells {
-        fn new(pattern: u8, skip: bool) -> Self {
-            let occupied = std::array::from_fn(|i| pattern >> i & 1 == 1);
-            Cells { occupied, skip, calls: Default::default() }
+        fn new(cells: [Cell; 8]) -> Self {
+            Cells { cells, calls: Default::default() }
+        }
+
+        /// The `index`-th of the 3⁸ patterns: cell `i` is base-3 digit `i`.
+        fn pattern(index: u32) -> Self {
+            let digit = |i: usize| (index / 3u32.pow(i as u32) % 3) as usize;
+            Cells::new(std::array::from_fn(|i| [Cell::Empty, Cell::Zero, Cell::Dense][digit(i)]))
+        }
+
+        fn sigma(&self, cell: usize) -> f32 {
+            match self.cells[cell] {
+                Cell::Dense if cell == OPAQUE => 1e3,
+                Cell::Dense => 1.0 + cell as f32,
+                Cell::Empty | Cell::Zero => 0.0,
+            }
         }
     }
 
@@ -407,17 +495,13 @@ mod tests {
 
         fn occupied(&self, p: Vec3) -> bool {
             self.calls.borrow_mut().push(Call::Occupied(p.x as usize));
-            !self.skip || self.occupied[p.x as usize]
+            self.cells[p.x as usize] != Cell::Empty
         }
 
         fn density_into(&self, p: Vec3, cell: &mut usize) -> f32 {
             *cell = p.x as usize;
             self.calls.borrow_mut().push(Call::Density(*cell));
-            if self.occupied[*cell] {
-                1.0 + *cell as f32
-            } else {
-                0.0
-            }
+            self.sigma(*cell)
         }
 
         fn color_into(&self, _: Vec3, cell: &mut usize) -> Rgb {
@@ -430,70 +514,90 @@ mod tests {
         }
     }
 
-    fn march_cells(m: &Cells, group: usize, et: bool) -> (Rgb, Vec<SamplePoint>, RenderStats) {
-        let ray = Ray::new(Vec3::new(-1.0, 0.0, 0.0), Vec3::X);
+    fn cells_ray() -> Ray {
+        Ray::new(Vec3::new(-1.0, 0.0, 0.0), Vec3::X)
+    }
+
+    fn march_cells(m: &Cells, group: usize, stop: Stop) -> (Rgb, Vec<SamplePoint>, RenderStats) {
         let (mut points, mut stats) = (Vec::new(), RenderStats::default());
-        let pixel =
-            march(m, &ray, 8, group, et, &mut m.make_query_scratch(), &mut points, &mut stats);
+        let mut scratch = m.make_query_scratch();
+        let pixel = march(m, &cells_ray(), 8, group, stop, &mut scratch, &mut points, &mut stats);
         (pixel, points, stats)
     }
 
     #[test]
-    fn a_leader_in_an_empty_cell_runs_in_full_when_a_follower_is_occupied() {
+    fn colour_runs_for_a_group_with_positive_density_even_behind_an_empty_leader() {
         use Call::{Color, Density};
-        // groups of 2 — (empty, occupied) (empty, empty) (occupied, empty)
-        // (occupied, occupied)
-        let m = Cells::new(0b1101_0010, true);
-        let (_, points, stats) = march_cells(&m, 2, false);
+        use Cell::{Dense as D, Empty as E, Zero as Z};
+        // groups of 2: (empty, dense) (empty, empty) (zero, zero) (dense, zero)
+        let m = Cells::new([E, D, E, E, Z, Z, D, Z]);
+        let (_, points, stats) = march_cells(&m, 2, Stop::Saturated);
         let evaluated: Vec<Call> =
             m.calls.borrow().iter().copied().filter(|c| !matches!(c, Call::Occupied(_))).collect();
         assert_eq!(
             evaluated,
-            [Density(0), Color, Density(1), Density(4), Color, Density(6), Color, Density(7)]
+            [Density(1), Density(0), Color, Density(5), Density(4), Density(7), Density(6), Color]
         );
         assert_eq!(
             (stats.density_points, stats.color_points, stats.interpolated_points),
             (8, 4, 4)
         );
-        assert_eq!((stats.skipped_density, stats.skipped_color), (3, 1));
-        // the occupied follower holds the colour its empty leader computed
+        assert_eq!((stats.skipped_density, stats.skipped_color), (2, 2));
+        // the dense follower holds the colour its empty leader computed
         assert_eq!(points[0].sigma, 0.0);
         assert!(points[1].sigma > 0.0);
         assert_eq!(points[1].color, Rgb::new(0.1, 0.9, 0.5));
-        // the all-empty group was left as initialised
-        assert_eq!(sample_bits(&points[2])[1..], [0.0f32, 0.0, 0.0, 0.0].map(f32::to_bits));
+        // the all-empty group was left as initialised, the all-zero one
+        // has its densities (0) and no colour
+        for p in &points[2..6] {
+            assert_eq!(sample_bits(p)[1..], [0.0f32; 4].map(f32::to_bits));
+        }
     }
 
-    /// Every occupancy pattern of the eight cells × every group size × ET:
-    /// the colour query only ever follows the density query of a group's
-    /// leader, no bit is tested more than twice, and pixel, transmittance
-    /// path (ET count) and every counted field equal the no-skip oracle's.
+    /// Every pattern of empty, zero-density and dense cells × every group
+    /// size × ET, against the kept scalar reference: pixel and every counted
+    /// field are equal, the colour query runs only for a group with a
+    /// positive σ and only directly after its own leader's density, no bit
+    /// is tested twice, and calls + skipped = counted.
     #[test]
-    fn every_pattern_keeps_colour_after_its_own_density_and_equals_the_oracle() {
-        let mut terminated = 0;
-        for pattern in 0..=u8::MAX {
+    fn every_pattern_equals_the_reference_with_colour_only_after_positive_density() {
+        let (mut terminated, mut stopped) = (0, 0);
+        for index in 0..3u32.pow(8) {
             for (group, et) in (1..=8).flat_map(|g| [(g, false), (g, true)]) {
-                let what = format!("pattern {pattern:#010b} group {group} et {et}");
-                let (m, oracle) = (Cells::new(pattern, true), Cells::new(pattern, false));
-                let (pixel, _, stats) = march_cells(&m, group, et);
-                let (expected, _, counted) = march_cells(&oracle, group, et);
+                let what = format!("pattern {index} group {group} et {et}");
+                let m = Cells::pattern(index);
+                let stop = if et { Stop::Threshold } else { Stop::Saturated };
+                let (pixel, _, stats) = march_cells(&m, group, stop);
+                let reference = Cells::pattern(index);
+                let mut scratch = reference.make_query_scratch();
+                let (expected, _, counted) =
+                    reference_ray(&reference, &cells_ray(), 8, group, et, &mut scratch);
                 assert_eq!(rgb_bits(pixel), rgb_bits(expected), "{what}");
-                assert_eq!(RenderStats { skipped_density: 0, skipped_color: 0, ..stats }, counted);
+                let marched = RenderStats { skipped_density: 0, skipped_color: 0, ..stats };
+                assert_eq!(marched, counted, "{what}");
                 terminated += stats.et_terminated_rays;
                 let calls = m.calls.borrow();
                 for (i, call) in calls.iter().enumerate() {
                     if *call == Call::Color {
-                        assert!(
-                            matches!(calls[i - 1], Call::Density(cell) if cell % group == 0),
-                            "{what}: colour after {:?}",
-                            calls[i - 1]
-                        );
+                        let Call::Density(leader) = calls[i - 1] else {
+                            panic!("{what}: colour after {:?}", calls[i - 1]);
+                        };
+                        assert_eq!(leader % group, 0, "{what}: colour after a follower");
+                        let members = leader..(leader + group).min(8);
+                        assert!(members.clone().any(|c| m.sigma(c) > 0.0), "{what}: {members:?}");
                     }
                 }
                 for cell in 0..8 {
                     let tests = calls.iter().filter(|c| **c == Call::Occupied(cell)).count();
-                    assert!(tests <= 2, "{what}: cell {cell} tested {tests} times");
+                    assert!(tests <= 1, "{what}: cell {cell} tested {tests} times");
                 }
+                // an unstopped ray asks about every cell, by its bit or its density
+                let reached = |cell: usize| {
+                    calls
+                        .iter()
+                        .any(|c| matches!(c, Call::Occupied(x) | Call::Density(x) if *x == cell))
+                };
+                stopped += u64::from(!et && !(0..8).all(reached));
                 let ran = |want: fn(&Call) -> bool| calls.iter().filter(|c| want(c)).count() as u64;
                 assert_eq!(
                     ran(|c| matches!(c, Call::Density(_))) + stats.skipped_density,
@@ -508,6 +612,7 @@ mod tests {
             }
         }
         assert!(terminated > 0, "no pattern was dense enough to terminate early");
+        assert!(stopped > 0, "no pattern saturated a ray before its last group");
     }
 
     #[test]

@@ -62,15 +62,40 @@ fn add_sample(p: SamplePoint, d: f32, color: &mut Rgb, transmittance: &mut f32) 
 /// `(color, transmittance)` the samples before the span left. The intervals
 /// are those of the whole ray, so going over `0..n` span by span from
 /// `(Rgb::BLACK, 1.0)` is [`composite`] before its clamp, bit for bit.
+///
+/// Only samples with `σ > 0` are composited: the term of any other adds
+/// exactly `+0` and leaves the transmittance bit-equal, so passing over it
+/// changes nothing for a running colour that is not `-0.0` — and one that
+/// starts at `+0.0` and only ever adds terms never is.
 pub(crate) fn composite_span(
     points: &[SamplePoint],
     span: std::ops::Range<usize>,
     (mut color, mut transmittance): (Rgb, f32),
 ) -> (Rgb, f32) {
     for i in span {
-        add_sample(points[i], delta(points, i), &mut color, &mut transmittance);
+        if points[i].sigma > 0.0 {
+            add_sample(points[i], delta(points, i), &mut color, &mut transmittance);
+        }
     }
     (color, transmittance)
+}
+
+/// Whether no later Eq. (1) term can change the unclamped running `color`:
+/// `transmittance` is below half an ulp of every channel. A later term is
+/// `c·(T'·α)` with the sample's colour `c` and `α` in `[0, 1]` and `T' ≤ T`
+/// (transmittance never grows), so it is at most `T` and rounds away
+/// (round to nearest) — the exact form of stopping at `T == 0`. At exactly
+/// half an ulp a tie may round up to the even neighbour, so that is not
+/// saturated; a channel at `0.0` saturates only at `T == 0`.
+///
+/// Channels must be `≥ 0` and not NaN, as every running colour of
+/// non-negative terms is (debug-asserted); an infinite one never saturates.
+pub(crate) fn saturated(color: Rgb, transmittance: f32) -> bool {
+    [color.r, color.g, color.b].into_iter().all(|c| {
+        debug_assert!(c >= 0.0, "a running colour channel is never negative: {c}");
+        // `2T` is exact, and `ulp / 2` would round to 0 below the normals
+        2.0 * transmittance < c.next_up() - c
+    })
 }
 
 /// Composites all samples (no early termination).
@@ -257,14 +282,49 @@ mod tests {
             for before in [(Rgb::BLACK, 1.0f32), composite_span(&pts, 0..1, (Rgb::BLACK, 1.0))] {
                 let after = composite_span(&pts, 1..2, before);
                 assert_eq!(bits(after), bits(before), "sigma {sigma}");
-                // the term itself is +0, not −0: it leaves a −0 channel as +0
-                let negative_zero = (Rgb::new(-0.0, -0.0, -0.0), before.1);
-                assert_eq!(
-                    bits(composite_span(&pts, 1..2, negative_zero)),
-                    bits((Rgb::BLACK, before.1))
-                );
+                // the term itself, which `composite_span` passes over, is
+                // +0 and leaves T bit-equal: a −0 channel would become +0
+                let (mut c, mut t) = (Rgb::new(-0.0, -0.0, -0.0), before.1);
+                add_sample(pts[1], 0.4, &mut c, &mut t);
+                assert_eq!(bits((c, t)), bits((Rgb::BLACK, before.1)), "sigma {sigma}");
             }
         }
+    }
+
+    #[test]
+    fn below_half_an_ulp_no_later_term_moves_a_channel_and_a_tie_is_not_saturated() {
+        let gray = |c: f32| Rgb::new(c, c, c);
+        for c in [1e-20f32, 0.3, 0.5, 1.0f32.next_down(), 1.0, 1.0f32.next_up(), 1.7] {
+            // exact: the spacing above a normal c halves to a normal
+            let half = (c.next_up() - c) / 2.0;
+            let below = half.next_down();
+            assert!(saturated(gray(c), below), "{c}");
+            for later in [0.0, 1e-30, 0.5, 1.0] {
+                for alpha in [0.0, 1e-30, 0.5, 1.0] {
+                    let moved = c + later * (below * alpha);
+                    assert_eq!(moved.to_bits(), c.to_bits(), "{c} + {later}·({below}·{alpha})");
+                }
+            }
+            assert!(!saturated(gray(c), half), "{c}: half an ulp is a tie");
+        }
+        // the tie rounds to even: from an odd mantissa it moves the channel
+        let odd = 1.0f32.next_up();
+        assert_eq!(odd + 1.0 * ((odd.next_up() - odd) / 2.0), odd.next_up());
+        // a channel at 0 is moved by the smallest subnormal term
+        let tiny = f32::from_bits(1);
+        assert_ne!(0.0f32 + 1.0 * (tiny * 1.0), 0.0);
+        assert!(!saturated(Rgb::BLACK, tiny));
+        assert!(saturated(Rgb::BLACK, 0.0));
+        // every channel has to be saturated
+        assert!(!saturated(Rgb::new(1.0, 0.0, 0.5), 1e-30));
+        assert!(saturated(Rgb::new(1.0, 0.25, 0.5), 1e-30));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never negative")]
+    fn a_negative_running_channel_is_a_bug() {
+        saturated(Rgb::new(0.5, -1e-3, 0.5), 0.0);
     }
 
     #[test]

@@ -33,6 +33,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+// the kept scalar reference in `tests/common` names this crate as its
+// integration tests see it; `renderer.rs`'s unit tests compile it too
+#[cfg(test)]
+extern crate self as asdr_core;
+
 pub mod algo;
 pub mod arch;
 

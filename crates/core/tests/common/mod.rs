@@ -1,62 +1,94 @@
-//! The kept no-skip oracle: a model that calls every cell occupied is
-//! marched as every ray was before the march read the occupancy bit, so a
-//! frame through it is what empty-space skipping must reproduce.
+//! The kept scalar reference renderer: the two-phase dataflow written the
+//! plain way — every sample evaluated in full, every term composited, no
+//! stop but early termination — and the check that a frame through the
+//! engine is bit for bit what it renders.
 
-use asdr_core::algo::{ExecPolicy, FrameEngine, RenderOptions, RenderOutput, RenderStats};
-use asdr_math::{Aabb, Camera, Rgb, Vec3};
+mod reference;
+
+use asdr_core::algo::adaptive::choose_count;
+use asdr_core::algo::{
+    ExecPolicy, FrameEngine, RenderOptions, RenderOutput, RenderStats, SamplePlan,
+};
+use asdr_math::{Camera, Image};
 use asdr_nerf::model::RadianceModel;
+use reference::reference_ray;
 
-/// `M` with `occupied` answering `true` everywhere; everything else is `M`'s.
-pub struct AllOccupied<M>(pub M);
-
-impl<M: RadianceModel> RadianceModel for AllOccupied<M> {
-    type Scratch = M::Scratch;
-
-    fn make_query_scratch(&self) -> M::Scratch {
-        self.0.make_query_scratch()
+/// Renders `cam` without the engine: Phase I marches each probe-grid pixel
+/// at the base count with colour for every sample and picks its count with
+/// the public `choose_count`, the plan is `SamplePlan::from_probes`, and
+/// Phase II marches every pixel at its planned count ([`reference_ray`]).
+/// Returns the image, the plan and the counted work, with nothing skipped.
+pub fn reference_frame<M: RadianceModel>(
+    model: &M,
+    cam: &Camera,
+    opts: &RenderOptions,
+) -> (Image, SamplePlan, RenderStats) {
+    let (w, h, base_ns) = (cam.width(), cam.height(), opts.base_ns);
+    let mut scratch = model.make_query_scratch();
+    let rays = cam.pixel_count() as u64;
+    let mut stats = RenderStats { rays, base_points: rays * base_ns as u64, ..Default::default() };
+    let plan = match &opts.adaptive {
+        None => SamplePlan::uniform(w, h, base_ns),
+        Some(acfg) => {
+            let d = acfg.probe_stride;
+            let mut probe_counts = Vec::new();
+            for jy in 0..h.div_ceil(d) {
+                let mut row = Vec::new();
+                for jx in 0..w.div_ceil(d) {
+                    let ray = cam.ray_for_pixel((jx * d).min(w - 1), (jy * d).min(h - 1));
+                    let (_, points, probe) =
+                        reference_ray(model, &ray, base_ns, 1, false, &mut scratch);
+                    stats.probe_rays += 1;
+                    stats.probe_points += probe.density_points;
+                    row.push(choose_count(&points, acfg, base_ns) as u32);
+                }
+                probe_counts.push(row);
+            }
+            SamplePlan::from_probes(w, h, base_ns, d, &probe_counts)
+        }
+    };
+    stats.planned_points = plan.total();
+    let mut image = Image::new(w, h);
+    for y in 0..h {
+        for x in 0..w {
+            let ray = cam.ray_for_pixel(x, y);
+            let count = plan.count(x, y) as usize;
+            let (pixel, _, marched) = reference_ray(
+                model,
+                &ray,
+                count,
+                opts.approx_group,
+                opts.early_termination,
+                &mut scratch,
+            );
+            image.set(x, y, pixel);
+            stats.accumulate(&marched);
+        }
     }
-
-    fn model_bounds(&self) -> Aabb {
-        self.0.model_bounds()
-    }
-
-    fn occupied(&self, _: Vec3) -> bool {
-        true
-    }
-
-    fn density_into(&self, p_world: Vec3, scratch: &mut M::Scratch) -> f32 {
-        self.0.density_into(p_world, scratch)
-    }
-
-    fn color_into(&self, view_dir: Vec3, scratch: &mut M::Scratch) -> Rgb {
-        self.0.color_into(view_dir, scratch)
-    }
-
-    fn stage_flops(&self) -> (u64, u64, u64) {
-        self.0.stage_flops()
-    }
+    (image, plan, stats)
 }
 
-/// Renders `cam` through `oracle.0` (skipping) and through `oracle`
-/// (evaluating every sample) and checks the two frames agree bit for bit —
-/// image, sample plan, every counted field — with nothing skipped through
-/// the oracle. Returns the skipping frame.
-pub fn assert_skipping_is_invisible<M: RadianceModel + Sync>(
-    oracle: &AllOccupied<M>,
+/// Renders `cam` through the engine and through [`reference_frame`] and
+/// checks the two agree bit for bit — image, sample plan, every counted
+/// field — and that the host skipped no more than was counted. Returns the
+/// engine's frame.
+pub fn assert_matches_reference<M: RadianceModel + Sync>(
+    model: &M,
     cam: &Camera,
     opts: &RenderOptions,
     what: &str,
 ) -> RenderOutput {
     let engine = FrameEngine::new(opts.clone(), ExecPolicy::Sequential).expect("valid options");
-    let skipping = engine.render_frame(&oracle.0, cam);
-    let full = engine.render_frame(oracle, cam);
-    let bits = |out: &RenderOutput| -> Vec<[u32; 3]> {
-        out.image.pixels().iter().map(|c| [c.r, c.g, c.b].map(f32::to_bits)).collect()
+    let out = engine.render_frame(model, cam);
+    let (image, plan, counted) = reference_frame(model, cam, opts);
+    let bits = |image: &Image| -> Vec<[u32; 3]> {
+        image.pixels().iter().map(|c| [c.r, c.g, c.b].map(f32::to_bits)).collect()
     };
-    assert_eq!(bits(&skipping), bits(&full), "{what}: image");
-    assert_eq!(skipping.plan, full.plan, "{what}: sample plan");
-    let counted = RenderStats { skipped_density: 0, skipped_color: 0, ..skipping.stats };
-    assert_eq!(counted, full.stats, "{what}: counted work, and nothing skipped by the oracle");
-    assert!(skipping.stats.skipped_color <= skipping.stats.skipped_density, "{what}");
-    skipping
+    assert_eq!(bits(&out.image), bits(&image), "{what}: image");
+    assert_eq!(out.plan, plan, "{what}: sample plan");
+    let s = out.stats;
+    assert_eq!(RenderStats { skipped_density: 0, skipped_color: 0, ..s }, counted, "{what}");
+    assert!(s.skipped_density <= s.total_density(), "{what}: {s:?}");
+    assert!(s.skipped_color <= s.total_color(), "{what}: {s:?}");
+    out
 }

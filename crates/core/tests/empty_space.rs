@@ -1,7 +1,8 @@
-//! Empty-space skipping against the kept no-skip oracle (`common`): whole
-//! frames, on the benchmark's three scenes and on the two non-NGP models.
-//! `make test-release` runs this at opt-level 3, the code generation the
-//! benchmark measures.
+//! The march's elisions — empty space, colour without positive density,
+//! `σ = 0` terms, the saturated stop — against the kept scalar reference
+//! (`common`): whole frames, on the benchmark's three scenes and on the two
+//! non-NGP models. `make test-release` runs this at opt-level 3, the code
+//! generation the benchmark measures.
 
 mod common;
 
@@ -12,7 +13,7 @@ use asdr_nerf::grid::GridConfig;
 use asdr_nerf::model::RadianceModel;
 use asdr_nerf::tensorf::{TensoRfConfig, TensoRfModel};
 use asdr_scenes::{registry, SceneField};
-use common::{assert_skipping_is_invisible, AllOccupied};
+use common::assert_matches_reference;
 
 /// Fixed, the ASDR default with and without early termination, and colour
 /// groups 3 and 5 (48 = 9·5 + 3: an odd tail group).
@@ -32,38 +33,37 @@ fn option_sets() -> Vec<(&'static str, RenderOptions)> {
 }
 
 #[test]
-fn ngp_frames_equal_the_no_skip_oracle_bit_for_bit() {
+fn ngp_frames_equal_the_scalar_reference_bit_for_bit() {
     for scene in ["Lego", "Mic", "Cloud"] {
         let handle = registry::handle(scene);
-        let oracle = AllOccupied(fit_ngp(handle.build().as_ref(), &GridConfig::tiny()));
+        let model = fit_ngp(handle.build().as_ref(), &GridConfig::tiny());
         let cam = handle.camera(16, 16);
         for (name, opts) in option_sets() {
-            let out =
-                assert_skipping_is_invisible(&oracle, &cam, &opts, &format!("{scene} {name}"));
+            let out = assert_matches_reference(&model, &cam, &opts, &format!("{scene} {name}"));
             assert!(out.stats.skipped_density > 0, "{scene} {name}: nothing was skipped");
-            assert!(out.stats.skipped_color > 0, "{scene} {name}: no empty group");
+            assert!(out.stats.skipped_color > 0, "{scene} {name}: no colour was skipped");
         }
     }
 }
 
 /// `TensoRfModel` and `DvgoModel` fill their diffuse channels before the
 /// mask, so a leader's colour in an empty cell is not black: the frames
-/// agree only because the leader of a group with an occupied follower runs.
+/// agree only because the leader of a group with positive density runs.
 fn assert_on_lego<M: RadianceModel + Sync>(what: &str, fit: impl Fn(&dyn SceneField) -> M) {
     let handle = registry::handle("Lego");
-    let (oracle, cam) = (AllOccupied(fit(handle.build().as_ref())), handle.camera(16, 16));
+    let (model, cam) = (fit(handle.build().as_ref()), handle.camera(16, 16));
     for (name, opts) in option_sets() {
-        let out = assert_skipping_is_invisible(&oracle, &cam, &opts, &format!("{what} {name}"));
+        let out = assert_matches_reference(&model, &cam, &opts, &format!("{what} {name}"));
         assert!(out.stats.skipped_density > 0, "{what} {name}: nothing was skipped");
     }
 }
 
 #[test]
-fn tensorf_frames_equal_the_no_skip_oracle() {
+fn tensorf_frames_equal_the_scalar_reference() {
     assert_on_lego("TensoRF", |field| TensoRfModel::fit(field, &TensoRfConfig::tiny(), 7));
 }
 
 #[test]
-fn dvgo_frames_equal_the_no_skip_oracle() {
+fn dvgo_frames_equal_the_scalar_reference() {
     assert_on_lego("DVGO", |field| DvgoModel::fit(field, &DvgoConfig::tiny()));
 }

@@ -14,7 +14,7 @@ use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::NgpModel;
 use asdr_scenes::registry;
-use common::{assert_skipping_is_invisible, AllOccupied};
+use common::assert_matches_reference;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -39,17 +39,15 @@ fn points_strategy(n: usize) -> impl Strategy<Value = Vec<SamplePoint>> {
         .prop_map(|(s, c)| sample_points(s, c))
 }
 
-/// One fitted Lego for every case of the empty-space property.
-fn lego_oracle() -> &'static AllOccupied<NgpModel> {
-    static LEGO: std::sync::OnceLock<AllOccupied<NgpModel>> = std::sync::OnceLock::new();
-    LEGO.get_or_init(|| {
-        AllOccupied(fit_ngp(registry::handle("Lego").build().as_ref(), &GridConfig::tiny()))
-    })
+/// One fitted Lego for every case of the reference property.
+fn lego() -> &'static NgpModel {
+    static LEGO: std::sync::OnceLock<NgpModel> = std::sync::OnceLock::new();
+    LEGO.get_or_init(|| fit_ngp(registry::handle("Lego").build().as_ref(), &GridConfig::tiny()))
 }
 
 proptest! {
     #[test]
-    fn skipping_empty_space_is_invisible_for_any_count_group_and_ray(
+    fn the_march_equals_the_scalar_reference_for_any_count_group_and_ray(
         count in 1usize..=48, group in 1usize..=6, et in 0u8..2,
         az in 0.0f32..360.0, el in -80.0f32..80.0, radius in 0.5f32..5.0,
     ) {
@@ -61,7 +59,7 @@ proptest! {
             early_termination: et == 1,
             ..RenderOptions::instant_ngp(count)
         };
-        assert_skipping_is_invisible(lego_oracle(), &cam, &opts, "random rays");
+        assert_matches_reference(lego(), &cam, &opts, "random rays");
     }
 
     #[test]

@@ -49,6 +49,8 @@ pub trait RadianceModel {
     fn density_into(&self, p_world: Vec3, scratch: &mut Self::Scratch) -> f32;
 
     /// Color query for the point of the last [`Self::density_into`] call.
+    /// Every channel lies in `[0, 1]`: a renderer may rely on it to know
+    /// when no later sample can change a pixel.
     fn color_into(&self, view_dir: Vec3, scratch: &mut Self::Scratch) -> Rgb;
 
     /// Per-point FLOPs of `(encoding, density, color)` stages.

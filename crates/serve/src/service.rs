@@ -415,9 +415,10 @@ pub struct ServeStats {
     pub density_evals: u64,
     /// Color evaluations the sample plans asked for, probe included.
     pub color_evals: u64,
-    /// Of `density_evals`, those the renderer did not run: samples in
-    /// unoccupied cells. Why a mostly-empty scene costs a fraction of a
-    /// dense one at equal counted work.
+    /// Of `density_evals`, those the renderer did not run because they
+    /// could not change a pixel (unoccupied cells, rays already saturated).
+    /// Why a mostly-empty scene costs a fraction of a dense one at equal
+    /// counted work.
     pub skipped_density: u64,
     /// Of `color_evals`, those the renderer did not run.
     pub skipped_color: u64,
