@@ -164,12 +164,20 @@ pub struct RenderOutput {
     pub timings: PhaseTimings,
 }
 
+/// One worker's per-ray buffers, reused from ray to ray so no ray allocates.
+#[derive(Debug, Default)]
+pub(crate) struct RayBuffers {
+    /// The samples of the last ray marched, as `march` left them.
+    pub(crate) points: Vec<SamplePoint>,
+    /// Whether each of `points` lies in an occupied cell.
+    occupied: Vec<bool>,
+}
+
 /// Phase I, one cell of the probe grid: marches the probe ray of cell
 /// `(jx, jy)` at the full count, one colour per sample, to its last sample,
-/// and returns its
-/// chosen sample count plus what the ray cost the frame. Cells are
-/// independent, so the engine may probe them on any thread in any order;
-/// `acfg` is the engine's validated config.
+/// and returns its chosen sample count plus what the ray cost the frame.
+/// Cells are independent, so the engine may probe them on any thread in any
+/// order; `acfg` is the engine's validated config.
 pub(crate) fn probe_cell<M: RadianceModel>(
     model: &M,
     cam: &Camera,
@@ -177,14 +185,14 @@ pub(crate) fn probe_cell<M: RadianceModel>(
     base_ns: usize,
     (jx, jy): (u32, u32),
     scratch: &mut M::Scratch,
-    points: &mut Vec<SamplePoint>,
+    buffers: &mut RayBuffers,
 ) -> (u32, RenderStats) {
     let d = acfg.probe_stride;
     let px = (jx * d).min(cam.width() - 1);
     let py = (jy * d).min(cam.height() - 1);
     let ray = cam.ray_for_pixel(px, py);
     let mut marched = RenderStats::default();
-    march(model, &ray, base_ns, 1, Stop::Never, scratch, points, &mut marched);
+    march(model, &ray, base_ns, 1, Stop::Never, scratch, buffers, &mut marched);
     // the frame counts probe work as `probe_points`, not as Phase-II work
     let cost = RenderStats {
         probe_rays: 1,
@@ -193,7 +201,7 @@ pub(crate) fn probe_cell<M: RadianceModel>(
         skipped_color: marched.skipped_color,
         ..RenderStats::default()
     };
-    (choose_count_validated(points, acfg, base_ns) as u32, cost)
+    (choose_count_validated(&buffers.points, acfg, base_ns) as u32, cost)
 }
 
 /// When `march` stops a ray before its last group. Tested between groups,
@@ -218,25 +226,31 @@ pub(crate) enum Stop {
 /// Eq. (1), stopping between groups as `stop` says. Returns the pixel and
 /// charges the work to `stats`.
 ///
-/// A sample that cannot change the pixel is not evaluated. A `σ ≤ 0` sample
-/// adds exactly `+0` and leaves the transmittance bit-equal, so within a
-/// group the followers go first and the leader last, each asking
-/// [`RadianceModel::occupied`] before it pays: an empty follower makes no
-/// call; the leader runs its density if its cell is occupied or a follower
-/// read `σ > 0` (its colour is then held by that follower), and
-/// `color_into`, straight after that density whose geometry feature it
-/// reads, only if some member of the group has `σ > 0`. A group without
-/// positive density thus makes no colour call, and with every cell empty no
-/// call at all. Only `σ > 0` samples are composited, and a `Stop::Saturated`
-/// ray marches no further once nothing can move the pixel. The counted work
-/// (`density_points`, `color_points`, …) is charged for every sample the
-/// plan asks for regardless; what the host did not run of it is
+/// A sample that cannot change the pixel is not evaluated. The ray's samples
+/// are classified against the model's occupancy grid in one pass
+/// ([`RadianceModel::occupied_along`]) before any is evaluated. A `σ ≤ 0`
+/// sample adds exactly `+0` and leaves the transmittance bit-equal, so
+/// within a group the followers go first and the leader last: an empty
+/// follower makes no call; the leader runs its density if its cell is
+/// occupied or a follower read `σ > 0` (its colour is then held by that
+/// follower), and `color_into`, straight after that density whose geometry
+/// feature it reads, only if some member of the group has `σ > 0`. Only
+/// `σ > 0` samples are composited, and a `Stop::Saturated` ray marches no
+/// further once nothing can move the pixel.
+///
+/// Groups without an occupied sample are not even visited. While the group
+/// waiting to be composited has no `σ > 0`, compositing it adds `+0` and the
+/// stop test would repeat its last `false`, so the march jumps to the next
+/// group with an occupied sample and charges the ones in between
+/// arithmetically; the group right after one with `σ > 0` is always
+/// visited, so every stop is tested at the group it always was. The counted
+/// work (`density_points`, `color_points`, …) is charged for every sample
+/// the plan asks for regardless; what the host did not run of it is
 /// `skipped_density` / `skipped_color`.
 ///
-/// `points` is the calling worker's buffer, reused from ray to ray so no ray
-/// allocates; afterwards it holds the ray's samples as evaluated (a skipped
-/// density: the distance, `σ = 0`, black; a skipped colour: black; past a
-/// stop the same).
+/// `buffers` are the calling worker's; afterwards `buffers.points` holds the
+/// ray's samples as evaluated (a skipped density: the distance, `σ = 0`,
+/// black; a skipped colour: black; past a stop the same).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn march<M: RadianceModel>(
     model: &M,
@@ -245,9 +259,10 @@ pub(crate) fn march<M: RadianceModel>(
     group: usize,
     stop: Stop,
     scratch: &mut M::Scratch,
-    points: &mut Vec<SamplePoint>,
+    buffers: &mut RayBuffers,
     stats: &mut RenderStats,
 ) -> Rgb {
+    let RayBuffers { points, occupied } = buffers;
     points.clear();
     let Some(range) = model.model_bounds().intersect(ray).filter(|r| !r.is_empty()) else {
         return Rgb::BLACK;
@@ -257,31 +272,48 @@ pub(crate) fn march<M: RadianceModel>(
         sigma: 0.0,
         color: Rgb::BLACK,
     }));
+    model.occupied_along(ray, points.iter().map(|p| p.t), occupied);
     let mut integral = (Rgb::BLACK, 1.0f32);
     // `prev..lo` is the group evaluated by the previous turn and composited
     // by this one, a group late: its followers' colours may then depend on
-    // the leader at `lo`, already evaluated. The turn at `lo == count`
-    // evaluates nothing and composites the last group
-    let mut prev = 0;
-    for lo in (0..count).step_by(group).chain([count]) {
+    // the leader at `lo`, already evaluated. `pending` says whether it has a
+    // sample with σ > 0. The turn at `lo == count` evaluates nothing and
+    // composites the last group
+    let (mut prev, mut lo, mut pending) = (0, 0, false);
+    loop {
+        if !pending {
+            // `prev..lo` and every group from `lo` without an occupied
+            // sample make no call and add +0: charged here, not visited
+            let next =
+                occupied[lo..].iter().position(|&o| o).map_or(count, |i| (lo + i) / group * group);
+            let (samples, groups) = ((next - lo) as u64, (next - lo).div_ceil(group) as u64);
+            stats.density_points += samples;
+            stats.color_points += groups;
+            stats.skipped_density += samples;
+            stats.skipped_color += groups;
+            // their followers hold a black leader's black
+            stats.interpolated_points += (next - prev) as u64 - groups - u64::from(lo > prev);
+            (prev, lo) = (next, next);
+            if lo == count {
+                break;
+            }
+        }
         let hi = (lo + group).min(count);
+        let mut dense = false;
         if let Some((leader, followers)) = points[lo..hi].split_first_mut() {
             stats.density_points += 1 + followers.len() as u64;
             stats.color_points += 1;
-            let mut dense = false;
-            for f in followers {
-                let at = ray.at(f.t);
-                if model.occupied(at) {
-                    f.sigma = model.density_into(at, scratch);
+            for (f, &o) in followers.iter_mut().zip(&occupied[lo + 1..hi]) {
+                if o {
+                    f.sigma = model.density_into(ray.at(f.t), scratch);
                     dense |= f.sigma > 0.0;
                 } else {
                     stats.skipped_density += 1;
                 }
             }
             // last, so its geometry feature is the one the colour query reads
-            let at = ray.at(leader.t);
-            if dense || model.occupied(at) {
-                leader.sigma = model.density_into(at, scratch);
+            if dense || occupied[lo] {
+                leader.sigma = model.density_into(ray.at(leader.t), scratch);
                 dense |= leader.sigma > 0.0;
             } else {
                 stats.skipped_density += 1;
@@ -292,35 +324,38 @@ pub(crate) fn march<M: RadianceModel>(
                 stats.skipped_color += 1;
             }
         }
-        // the colour approximation: followers hold their own leader's colour
-        if let Some((leader, followers)) = points[prev..lo].split_first_mut() {
+        if pending {
+            // the colour approximation: followers hold their own leader's colour
+            let (leader, followers) = points[prev..lo].split_first_mut().expect("a group");
             followers.iter_mut().for_each(|f| f.color = leader.color);
             stats.interpolated_points += followers.len() as u64;
-        }
-        integral = composite_span(points, prev..lo, integral);
-        prev = lo;
-        // never after the last group: nothing is left to stop
-        if lo == count {
-            break;
-        }
-        match stop {
-            Stop::Threshold if integral.1 < EARLY_TERM_TRANSMITTANCE => {
-                stats.et_terminated_rays += 1;
+            integral = composite_span(points, prev..lo, integral);
+            // never after the last group: nothing is left to stop. And only
+            // here, where the integral may have moved: anywhere else the
+            // test would repeat its last `false`
+            if lo == count {
                 break;
             }
-            Stop::Saturated if saturated(integral.0, integral.1) => {
-                // counted as the whole ray, run only up to the group at `lo`
-                let rest = (count - hi) as u64;
-                let rest_groups = (count - hi).div_ceil(group) as u64;
-                stats.density_points += rest;
-                stats.color_points += rest_groups;
-                stats.interpolated_points += (count - lo) as u64 - (1 + rest_groups);
-                stats.skipped_density += rest;
-                stats.skipped_color += rest_groups;
-                break;
+            match stop {
+                Stop::Threshold if integral.1 < EARLY_TERM_TRANSMITTANCE => {
+                    stats.et_terminated_rays += 1;
+                    break;
+                }
+                Stop::Saturated if saturated(integral.0, integral.1) => {
+                    // counted as the whole ray, run only up to the group at `lo`
+                    let rest = (count - hi) as u64;
+                    let rest_groups = (count - hi).div_ceil(group) as u64;
+                    stats.density_points += rest;
+                    stats.color_points += rest_groups;
+                    stats.interpolated_points += (count - lo) as u64 - (1 + rest_groups);
+                    stats.skipped_density += rest;
+                    stats.skipped_color += rest_groups;
+                    break;
+                }
+                _ => {}
             }
-            _ => {}
         }
+        (prev, lo, pending) = (lo, hi, dense);
     }
     integral.0.clamp01()
 }
@@ -378,15 +413,16 @@ mod tests {
         for name in ["Lego", "Mic", "Cloud"] {
             let m = model(name);
             let cam = registry::handle(name).camera(6, 6);
-            let (mut scratch, mut points) = (m.make_query_scratch(), Vec::new());
+            let (mut scratch, mut buffers) = (m.make_query_scratch(), RayBuffers::default());
             let (mut hits, mut skipped) = (0, 0);
             for (px, py) in (0..6).flat_map(|y| (0..6).map(move |x| (x, y))) {
                 let ray = cam.ray_for_pixel(px, py);
                 let mut phase2 = RenderStats::default();
-                march(&m, &ray, 48, 1, Stop::Saturated, &mut scratch, &mut points, &mut phase2);
+                march(&m, &ray, 48, 1, Stop::Saturated, &mut scratch, &mut buffers, &mut phase2);
                 let mut stats = RenderStats::default();
                 let pixel =
-                    march(&m, &ray, 48, 1, Stop::Never, &mut scratch, &mut points, &mut stats);
+                    march(&m, &ray, 48, 1, Stop::Never, &mut scratch, &mut buffers, &mut stats);
+                let points = &buffers.points;
                 let evaluated: Vec<SamplePoint> = m
                     .model_bounds()
                     .intersect(&ray)
@@ -401,7 +437,7 @@ mod tests {
                 assert_eq!(points.len(), evaluated.len(), "{name} ({px}, {py})");
                 let (mut empty, mut colourless) = (0, 0);
                 for (got, full) in points.iter().zip(&evaluated) {
-                    if !m.occupied(ray.at(full.t)) {
+                    if !m.occupancy().occupied_world(ray.at(full.t)) {
                         empty += 1;
                         assert_eq!(full.sigma.to_bits(), 0.0f32.to_bits(), "the mask");
                     }
@@ -434,7 +470,7 @@ mod tests {
     /// What `march` asked a [`Cells`] model, in order.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Call {
-        Occupied(usize),
+        Occupancy,
         Density(usize),
         Color,
     }
@@ -453,23 +489,46 @@ mod tests {
 
     const OPAQUE: usize = 3;
 
-    /// Eight unit cells along x, marched by `march_cells` at one sample a
-    /// cell. Density and colour are functions of the cell; the colour of an
+    /// Unit cells along x, marched by `march_cells` at one sample a cell.
+    /// Density and colour are functions of the cell; the colour of an
     /// *empty* cell is not black, as with `TensoRfModel` and `DvgoModel`.
     struct Cells {
-        cells: [Cell; 8],
+        cells: Vec<Cell>,
         calls: std::cell::RefCell<Vec<Call>>,
     }
 
     impl Cells {
-        fn new(cells: [Cell; 8]) -> Self {
+        fn new(cells: Vec<Cell>) -> Self {
             Cells { cells, calls: Default::default() }
         }
 
-        /// The `index`-th of the 3⁸ patterns: cell `i` is base-3 digit `i`.
+        /// The `index`-th of the 3⁸ eight-cell patterns: cell `i` is base-3
+        /// digit `i`.
         fn pattern(index: u32) -> Self {
             let digit = |i: usize| (index / 3u32.pow(i as u32) % 3) as usize;
-            Cells::new(std::array::from_fn(|i| [Cell::Empty, Cell::Zero, Cell::Dense][digit(i)]))
+            Cells::new((0..8).map(|i| [Cell::Empty, Cell::Zero, Cell::Dense][digit(i)]).collect())
+        }
+
+        /// The `seed`-th 32-cell pattern: islands of one to four cells, each
+        /// zero or dense, after an empty run of 0–15 cells and then apart by
+        /// runs of 4–15.
+        fn islands(seed: u64) -> Self {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut below = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n) as usize
+            };
+            let mut cells = vec![Cell::Empty; below(16)];
+            while cells.len() < 32 {
+                for _ in 0..1 + below(4) {
+                    cells.push(if below(3) == 0 { Cell::Zero } else { Cell::Dense });
+                }
+                cells.extend(std::iter::repeat_n(Cell::Empty, 4 + below(12)));
+            }
+            cells.truncate(32);
+            Cells::new(cells)
         }
 
         fn sigma(&self, cell: usize) -> f32 {
@@ -478,6 +537,10 @@ mod tests {
                 Cell::Dense => 1.0 + cell as f32,
                 Cell::Empty | Cell::Zero => 0.0,
             }
+        }
+
+        fn occupied(&self, p: Vec3) -> bool {
+            self.cells[p.x as usize] != Cell::Empty
         }
     }
 
@@ -490,12 +553,19 @@ mod tests {
         }
 
         fn model_bounds(&self) -> asdr_math::Aabb {
-            asdr_math::Aabb::new(Vec3::new(0.0, -1.0, -1.0), Vec3::new(8.0, 1.0, 1.0))
+            let n = self.cells.len() as f32;
+            asdr_math::Aabb::new(Vec3::new(0.0, -1.0, -1.0), Vec3::new(n, 1.0, 1.0))
         }
 
-        fn occupied(&self, p: Vec3) -> bool {
-            self.calls.borrow_mut().push(Call::Occupied(p.x as usize));
-            self.cells[p.x as usize] != Cell::Empty
+        fn occupied_along(
+            &self,
+            ray: &Ray,
+            ts: impl IntoIterator<Item = f32>,
+            out: &mut Vec<bool>,
+        ) {
+            self.calls.borrow_mut().push(Call::Occupancy);
+            out.clear();
+            out.extend(ts.into_iter().map(|t| self.occupied(ray.at(t))));
         }
 
         fn density_into(&self, p: Vec3, cell: &mut usize) -> f32 {
@@ -506,7 +576,8 @@ mod tests {
 
         fn color_into(&self, _: Vec3, cell: &mut usize) -> Rgb {
             self.calls.borrow_mut().push(Call::Color);
-            Rgb::new(0.1 * (*cell + 1) as f32, 0.9 - 0.1 * *cell as f32, 0.5)
+            let c = (*cell % 8) as f32;
+            Rgb::new(0.1 * (c + 1.0), 0.9 - 0.1 * c, 0.5)
         }
 
         fn stage_flops(&self) -> (u64, u64, u64) {
@@ -519,24 +590,176 @@ mod tests {
     }
 
     fn march_cells(m: &Cells, group: usize, stop: Stop) -> (Rgb, Vec<SamplePoint>, RenderStats) {
-        let (mut points, mut stats) = (Vec::new(), RenderStats::default());
+        let (mut buffers, mut stats) = (RayBuffers::default(), RenderStats::default());
         let mut scratch = m.make_query_scratch();
-        let pixel = march(m, &cells_ray(), 8, group, stop, &mut scratch, &mut points, &mut stats);
-        (pixel, points, stats)
+        let n = m.cells.len();
+        let pixel = march(m, &cells_ray(), n, group, stop, &mut scratch, &mut buffers, &mut stats);
+        (pixel, buffers.points, stats)
+    }
+
+    /// `march` as it was before it classified a ray in one pass: the same
+    /// loop, but asking for each sample's bit as it comes to it and visiting
+    /// every group up to the stop. What `march` must call, in this order,
+    /// and charge.
+    fn march_cells_per_sample(
+        m: &Cells,
+        group: usize,
+        stop: Stop,
+    ) -> (Rgb, Vec<SamplePoint>, RenderStats) {
+        let (ray, count, mut scratch) = (cells_ray(), m.cells.len(), m.make_query_scratch());
+        let mut stats = RenderStats::default();
+        let range = m.model_bounds().intersect(&ray).expect("the ray runs along the cells");
+        let mut points: Vec<SamplePoint> = range
+            .midpoints_iter(count)
+            .map(|t| SamplePoint { t, sigma: 0.0, color: Rgb::BLACK })
+            .collect();
+        let mut integral = (Rgb::BLACK, 1.0f32);
+        let mut prev = 0;
+        for lo in (0..count).step_by(group).chain([count]) {
+            let hi = (lo + group).min(count);
+            if let Some((leader, followers)) = points[lo..hi].split_first_mut() {
+                stats.density_points += 1 + followers.len() as u64;
+                stats.color_points += 1;
+                let mut dense = false;
+                for f in followers {
+                    if m.occupied(ray.at(f.t)) {
+                        f.sigma = m.density_into(ray.at(f.t), &mut scratch);
+                        dense |= f.sigma > 0.0;
+                    } else {
+                        stats.skipped_density += 1;
+                    }
+                }
+                if dense || m.occupied(ray.at(leader.t)) {
+                    leader.sigma = m.density_into(ray.at(leader.t), &mut scratch);
+                    dense |= leader.sigma > 0.0;
+                } else {
+                    stats.skipped_density += 1;
+                }
+                if dense {
+                    leader.color = m.color_into(ray.dir, &mut scratch);
+                } else {
+                    stats.skipped_color += 1;
+                }
+            }
+            if let Some((leader, followers)) = points[prev..lo].split_first_mut() {
+                followers.iter_mut().for_each(|f| f.color = leader.color);
+                stats.interpolated_points += followers.len() as u64;
+            }
+            integral = composite_span(&points, prev..lo, integral);
+            prev = lo;
+            if lo == count {
+                break;
+            }
+            match stop {
+                Stop::Threshold if integral.1 < EARLY_TERM_TRANSMITTANCE => {
+                    stats.et_terminated_rays += 1;
+                    break;
+                }
+                Stop::Saturated if saturated(integral.0, integral.1) => {
+                    let rest = (count - hi) as u64;
+                    let rest_groups = (count - hi).div_ceil(group) as u64;
+                    stats.density_points += rest;
+                    stats.color_points += rest_groups;
+                    stats.interpolated_points += (count - lo) as u64 - (1 + rest_groups);
+                    stats.skipped_density += rest;
+                    stats.skipped_color += rest_groups;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        (integral.0.clamp01(), points, stats)
+    }
+
+    /// Marches `cells()` at `group`, with early termination or the saturated
+    /// stop, and checks it against the kept scalar reference (pixel and every
+    /// counted field) and against `march_cells_per_sample` (the same calls in
+    /// the same order, the same buffer, every field including `skipped_*`):
+    /// one occupancy pass, made first; no call into a group without an
+    /// occupied sample; colour only for a group with a positive σ and only
+    /// directly after its own leader's density; calls + skipped = counted.
+    /// Returns the march's stats and whether it stopped before its end.
+    fn assert_marches_like_the_reference(
+        cells: impl Fn() -> Cells,
+        group: usize,
+        et: bool,
+        what: &str,
+    ) -> (RenderStats, bool) {
+        let m = cells();
+        let stop = if et { Stop::Threshold } else { Stop::Saturated };
+        let (pixel, points, stats) = march_cells(&m, group, stop);
+        let reference = cells();
+        let (n, mut scratch) = (m.cells.len(), reference.make_query_scratch());
+        let (expected, _, counted) =
+            reference_ray(&reference, &cells_ray(), n, group, et, &mut scratch);
+        assert_eq!(rgb_bits(pixel), rgb_bits(expected), "{what}");
+        let marched = RenderStats { skipped_density: 0, skipped_color: 0, ..stats };
+        assert_eq!(marched, counted, "{what}");
+
+        let parent = cells();
+        let (parent_pixel, parent_points, parent_stats) =
+            march_cells_per_sample(&parent, group, stop);
+        assert_eq!(rgb_bits(pixel), rgb_bits(parent_pixel), "{what}");
+        assert_eq!(stats, parent_stats, "{what}");
+        let bits = |points: &[SamplePoint]| points.iter().map(sample_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&points), bits(&parent_points), "{what}");
+
+        let calls = m.calls.borrow();
+        assert_eq!(calls.first(), Some(&Call::Occupancy), "{what}: {calls:?}");
+        assert_eq!(calls[1..], parent.calls.borrow()[..], "{what}");
+        for (i, call) in calls.iter().enumerate() {
+            match *call {
+                Call::Occupancy => assert_eq!(i, 0, "{what}: a second occupancy pass"),
+                Call::Density(cell) => {
+                    let lo = cell / group * group;
+                    let members = lo..(lo + group).min(n);
+                    assert!(
+                        members.clone().any(|c| m.cells[c] != Cell::Empty),
+                        "{what}: a call into {members:?}, which has no occupied cell"
+                    );
+                }
+                Call::Color => {
+                    let Call::Density(leader) = calls[i - 1] else {
+                        panic!("{what}: colour after {:?}", calls[i - 1]);
+                    };
+                    assert_eq!(leader % group, 0, "{what}: colour after a follower");
+                    let members = leader..(leader + group).min(n);
+                    assert!(members.clone().any(|c| m.sigma(c) > 0.0), "{what}: {members:?}");
+                }
+            }
+        }
+        let ran = |want: fn(&Call) -> bool| calls.iter().filter(|c| want(c)).count() as u64;
+        assert_eq!(
+            ran(|c| matches!(c, Call::Density(_))) + stats.skipped_density,
+            stats.density_points,
+            "{what}"
+        );
+        assert_eq!(ran(|c| *c == Call::Color) + stats.skipped_color, stats.color_points, "{what}");
+        // a ray that stopped skipped what a never-stopped one evaluates
+        let (_, _, never) = march_cells(&cells(), group, Stop::Never);
+        (stats, stats.skipped_density > never.skipped_density)
     }
 
     #[test]
     fn colour_runs_for_a_group_with_positive_density_even_behind_an_empty_leader() {
-        use Call::{Color, Density};
+        use Call::{Color, Density, Occupancy};
         use Cell::{Dense as D, Empty as E, Zero as Z};
         // groups of 2: (empty, dense) (empty, empty) (zero, zero) (dense, zero)
-        let m = Cells::new([E, D, E, E, Z, Z, D, Z]);
+        let m = Cells::new(vec![E, D, E, E, Z, Z, D, Z]);
         let (_, points, stats) = march_cells(&m, 2, Stop::Saturated);
-        let evaluated: Vec<Call> =
-            m.calls.borrow().iter().copied().filter(|c| !matches!(c, Call::Occupied(_))).collect();
         assert_eq!(
-            evaluated,
-            [Density(1), Density(0), Color, Density(5), Density(4), Density(7), Density(6), Color]
+            m.calls.borrow()[..],
+            [
+                Occupancy,
+                Density(1),
+                Density(0),
+                Color,
+                Density(5),
+                Density(4),
+                Density(7),
+                Density(6),
+                Color
+            ]
         );
         assert_eq!(
             (stats.density_points, stats.color_points, stats.interpolated_points),
@@ -555,64 +778,39 @@ mod tests {
     }
 
     /// Every pattern of empty, zero-density and dense cells × every group
-    /// size × ET, against the kept scalar reference: pixel and every counted
-    /// field are equal, the colour query runs only for a group with a
-    /// positive σ and only directly after its own leader's density, no bit
-    /// is tested twice, and calls + skipped = counted.
+    /// size × ET, against the kept scalar reference and the per-sample march.
     #[test]
     fn every_pattern_equals_the_reference_with_colour_only_after_positive_density() {
         let (mut terminated, mut stopped) = (0, 0);
         for index in 0..3u32.pow(8) {
             for (group, et) in (1..=8).flat_map(|g| [(g, false), (g, true)]) {
                 let what = format!("pattern {index} group {group} et {et}");
-                let m = Cells::pattern(index);
-                let stop = if et { Stop::Threshold } else { Stop::Saturated };
-                let (pixel, _, stats) = march_cells(&m, group, stop);
-                let reference = Cells::pattern(index);
-                let mut scratch = reference.make_query_scratch();
-                let (expected, _, counted) =
-                    reference_ray(&reference, &cells_ray(), 8, group, et, &mut scratch);
-                assert_eq!(rgb_bits(pixel), rgb_bits(expected), "{what}");
-                let marched = RenderStats { skipped_density: 0, skipped_color: 0, ..stats };
-                assert_eq!(marched, counted, "{what}");
+                let (stats, stop) =
+                    assert_marches_like_the_reference(|| Cells::pattern(index), group, et, &what);
                 terminated += stats.et_terminated_rays;
-                let calls = m.calls.borrow();
-                for (i, call) in calls.iter().enumerate() {
-                    if *call == Call::Color {
-                        let Call::Density(leader) = calls[i - 1] else {
-                            panic!("{what}: colour after {:?}", calls[i - 1]);
-                        };
-                        assert_eq!(leader % group, 0, "{what}: colour after a follower");
-                        let members = leader..(leader + group).min(8);
-                        assert!(members.clone().any(|c| m.sigma(c) > 0.0), "{what}: {members:?}");
-                    }
-                }
-                for cell in 0..8 {
-                    let tests = calls.iter().filter(|c| **c == Call::Occupied(cell)).count();
-                    assert!(tests <= 1, "{what}: cell {cell} tested {tests} times");
-                }
-                // an unstopped ray asks about every cell, by its bit or its density
-                let reached = |cell: usize| {
-                    calls
-                        .iter()
-                        .any(|c| matches!(c, Call::Occupied(x) | Call::Density(x) if *x == cell))
-                };
-                stopped += u64::from(!et && !(0..8).all(reached));
-                let ran = |want: fn(&Call) -> bool| calls.iter().filter(|c| want(c)).count() as u64;
-                assert_eq!(
-                    ran(|c| matches!(c, Call::Density(_))) + stats.skipped_density,
-                    stats.density_points,
-                    "{what}"
-                );
-                assert_eq!(
-                    ran(|c| *c == Call::Color) + stats.skipped_color,
-                    stats.color_points,
-                    "{what}"
-                );
+                stopped += u64::from(!et && stop);
             }
         }
         assert!(terminated > 0, "no pattern was dense enough to terminate early");
         assert!(stopped > 0, "no pattern saturated a ray before its last group");
+    }
+
+    /// Islands of occupied cells apart by long empty runs — what the march
+    /// jumps over — × groups 1–3 × ET, against the same two.
+    #[test]
+    fn islands_apart_by_empty_runs_equal_the_reference_and_the_per_sample_calls() {
+        let (mut terminated, mut stopped) = (0, 0);
+        for seed in 0..2000 {
+            for (group, et) in (1..=3).flat_map(|g| [(g, false), (g, true)]) {
+                let what = format!("islands {seed} group {group} et {et}");
+                let (stats, stop) =
+                    assert_marches_like_the_reference(|| Cells::islands(seed), group, et, &what);
+                terminated += stats.et_terminated_rays;
+                stopped += u64::from(!et && stop);
+            }
+        }
+        assert!(terminated > 0, "no island terminated a ray early");
+        assert!(stopped > 0, "no island saturated a ray before its last group");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The kept scalar reference renderer: the two-phase dataflow written the
 //! plain way — every sample evaluated in full, every term composited, no
 //! stop but early termination — and the check that a frame through the
-//! engine is bit for bit what it renders.
+//! engine is bit for bit what it renders, and runs on the host exactly the
+//! counted work it did not skip.
 
 mod reference;
 
@@ -9,9 +10,47 @@ use asdr_core::algo::adaptive::choose_count;
 use asdr_core::algo::{
     ExecPolicy, FrameEngine, RenderOptions, RenderOutput, RenderStats, SamplePlan,
 };
-use asdr_math::{Camera, Image};
+use asdr_math::{Aabb, Camera, Image, Ray, Rgb, Vec3};
 use asdr_nerf::model::RadianceModel;
 use reference::reference_ray;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// `inner`, counting the density and colour queries made through it.
+struct Counting<'a, M> {
+    inner: &'a M,
+    density: AtomicU64,
+    color: AtomicU64,
+}
+
+impl<M: RadianceModel> RadianceModel for Counting<'_, M> {
+    type Scratch = M::Scratch;
+
+    fn make_query_scratch(&self) -> M::Scratch {
+        self.inner.make_query_scratch()
+    }
+
+    fn model_bounds(&self) -> Aabb {
+        self.inner.model_bounds()
+    }
+
+    fn occupied_along(&self, ray: &Ray, ts: impl IntoIterator<Item = f32>, out: &mut Vec<bool>) {
+        self.inner.occupied_along(ray, ts, out);
+    }
+
+    fn density_into(&self, p_world: Vec3, scratch: &mut M::Scratch) -> f32 {
+        self.density.fetch_add(1, Ordering::Relaxed);
+        self.inner.density_into(p_world, scratch)
+    }
+
+    fn color_into(&self, view_dir: Vec3, scratch: &mut M::Scratch) -> Rgb {
+        self.color.fetch_add(1, Ordering::Relaxed);
+        self.inner.color_into(view_dir, scratch)
+    }
+
+    fn stage_flops(&self) -> (u64, u64, u64) {
+        self.inner.stage_flops()
+    }
+}
 
 /// Renders `cam` without the engine: Phase I marches each probe-grid pixel
 /// at the base count with colour for every sample and picks its count with
@@ -70,8 +109,8 @@ pub fn reference_frame<M: RadianceModel>(
 
 /// Renders `cam` through the engine and through [`reference_frame`] and
 /// checks the two agree bit for bit — image, sample plan, every counted
-/// field — and that the host skipped no more than was counted. Returns the
-/// engine's frame.
+/// field — and that the engine's frame made exactly the density and colour
+/// queries it counted and did not skip. Returns the engine's frame.
 pub fn assert_matches_reference<M: RadianceModel + Sync>(
     model: &M,
     cam: &Camera,
@@ -79,7 +118,8 @@ pub fn assert_matches_reference<M: RadianceModel + Sync>(
     what: &str,
 ) -> RenderOutput {
     let engine = FrameEngine::new(opts.clone(), ExecPolicy::Sequential).expect("valid options");
-    let out = engine.render_frame(model, cam);
+    let counting = Counting { inner: model, density: AtomicU64::new(0), color: AtomicU64::new(0) };
+    let out = engine.render_frame(&counting, cam);
     let (image, plan, counted) = reference_frame(model, cam, opts);
     let bits = |image: &Image| -> Vec<[u32; 3]> {
         image.pixels().iter().map(|c| [c.r, c.g, c.b].map(f32::to_bits)).collect()
@@ -88,7 +128,8 @@ pub fn assert_matches_reference<M: RadianceModel + Sync>(
     assert_eq!(out.plan, plan, "{what}: sample plan");
     let s = out.stats;
     assert_eq!(RenderStats { skipped_density: 0, skipped_color: 0, ..s }, counted, "{what}");
-    assert!(s.skipped_density <= s.total_density(), "{what}: {s:?}");
-    assert!(s.skipped_color <= s.total_color(), "{what}: {s:?}");
+    let (density, color) = (counting.density.into_inner(), counting.color.into_inner());
+    assert_eq!(density + s.skipped_density, s.total_density(), "{what}: density calls, {s:?}");
+    assert_eq!(color + s.skipped_color, s.total_color(), "{what}: colour calls, {s:?}");
     out
 }

@@ -1,8 +1,10 @@
 //! The march's elisions — empty space, colour without positive density,
 //! `σ = 0` terms, the saturated stop — against the kept scalar reference
 //! (`common`): whole frames, on the benchmark's three scenes and on the two
-//! non-NGP models. `make test-release` runs this at opt-level 3, the code
-//! generation the benchmark measures.
+//! non-NGP models. Each frame also goes through a counting wrapper, so the
+//! host work is pinned too: density and colour calls + skipped = counted.
+//! `make test-release` runs this at opt-level 3, the code generation the
+//! benchmark measures.
 
 mod common;
 

@@ -13,7 +13,7 @@ use crate::model::{next_model_id, DirCache, RadianceModel};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::interp::{trilinear_weights, CORNER_OFFSETS};
 use asdr_math::sh::SH_DEGREE4_COEFFS;
-use asdr_math::{Aabb, Rgb, Vec3};
+use asdr_math::{Aabb, Ray, Rgb, Vec3};
 use asdr_scenes::SceneField;
 
 /// Channels stored per grid vertex: scaled density plus diffuse RGB.
@@ -217,8 +217,8 @@ impl RadianceModel for DvgoModel {
         self.bounds
     }
 
-    fn occupied(&self, p_world: Vec3) -> bool {
-        self.occupancy.occupied_world(p_world)
+    fn occupied_along(&self, ray: &Ray, ts: impl IntoIterator<Item = f32>, out: &mut Vec<bool>) {
+        self.occupancy.occupied_along(ray, ts, out);
     }
 
     fn density_into(&self, p_world: Vec3, scratch: &mut DvgoScratch) -> f32 {

@@ -15,7 +15,7 @@ use crate::encoder::HashEncoder;
 use crate::mlp::Mlp;
 use crate::occupancy::OccupancyGrid;
 use asdr_math::sh::{sh4, SH_DEGREE4_COEFFS};
-use asdr_math::{Aabb, Rgb, Vec3};
+use asdr_math::{Aabb, Ray, Rgb, Vec3};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A queryable radiance field with a decoupled density/color interface.
@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// geometry feature in the scratch; [`RadianceModel::color_into`] then
 /// finishes the (expensive) color path for the *same* point. ASDR's
 /// color–density decoupling calls the former for every sample and the latter
-/// for only one sample per group — and [`RadianceModel::occupied`] lets a
-/// caller not pay for either where the answer is already known to be zero.
+/// for only one sample per group — and [`RadianceModel::occupied_along`] lets
+/// a caller not pay for either where the answer is already known to be zero.
 pub trait RadianceModel {
     /// Reusable per-thread scratch for query state.
     type Scratch;
@@ -37,15 +37,20 @@ pub trait RadianceModel {
     /// World-space bounds of the modelled scene.
     fn model_bounds(&self) -> Aabb;
 
-    /// Whether `p_world` lies in a cell of the model's empty-space mask that
-    /// may hold density. `false` is a promise: [`Self::density_into`] returns
-    /// exactly `0.0` there, so a caller that needs neither the point's
-    /// density nor its colour may skip both calls. Costs a bit test.
-    fn occupied(&self, p_world: Vec3) -> bool;
+    /// For every `t` of `ts`, in order, whether `ray.at(t)` lies in a cell
+    /// of the model's empty-space mask that may hold density, into `out`
+    /// (cleared first) — one pass over a ray's samples, not a call per
+    /// sample. `false` is a promise: [`Self::density_into`] returns exactly
+    /// `0.0` at that point, so a caller that needs neither its density nor
+    /// its colour may skip both calls. The three grid models answer with
+    /// [`OccupancyGrid::occupied_along`], each entry bit-equal to
+    /// [`OccupancyGrid::occupied_world`] — the test their density is masked
+    /// with.
+    fn occupied_along(&self, ray: &Ray, ts: impl IntoIterator<Item = f32>, out: &mut Vec<bool>);
 
     /// Density query — the full evaluation wherever it is asked, masked to
-    /// `0.0` where [`Self::occupied`] is false; leaves the geometry feature
-    /// in `scratch`.
+    /// `0.0` where [`Self::occupied_along`] says the point is unoccupied;
+    /// leaves the geometry feature in `scratch`.
     fn density_into(&self, p_world: Vec3, scratch: &mut Self::Scratch) -> f32;
 
     /// Color query for the point of the last [`Self::density_into`] call.
@@ -282,8 +287,8 @@ impl RadianceModel for NgpModel {
         self.bounds
     }
 
-    fn occupied(&self, p_world: Vec3) -> bool {
-        self.occupancy.occupied_world(p_world)
+    fn occupied_along(&self, ray: &Ray, ts: impl IntoIterator<Item = f32>, out: &mut Vec<bool>) {
+        self.occupancy.occupied_along(ray, ts, out);
     }
 
     fn density_into(&self, p_world: Vec3, scratch: &mut Scratch) -> f32 {

@@ -6,12 +6,12 @@
 //! aliasing would smear residual energy from occupied vertices into empty
 //! space ("ghost density"), which the original system never renders because
 //! those cells are skipped. And, through
-//! [`RadianceModel::occupied`](crate::model::RadianceModel::occupied), it
-//! lets the renderer skip those cells too: a masked sample is exactly zero,
-//! so not evaluating it cannot change a pixel.
+//! [`RadianceModel::occupied_along`](crate::model::RadianceModel::occupied_along),
+//! it lets the renderer skip those cells too: a masked sample is exactly
+//! zero, so not evaluating it cannot change a pixel.
 
 use asdr_math::interp::CORNER_OFFSETS;
-use asdr_math::{Aabb, Vec3};
+use asdr_math::{Aabb, Ray, Vec3};
 use asdr_scenes::SceneField;
 
 /// A boolean voxel grid over a bounding box, one bit a cell in the
@@ -174,6 +174,35 @@ impl OccupancyGrid {
             return false;
         }
         self.occupied01(self.bounds.normalize(p))
+    }
+
+    /// [`Self::occupied_world`] at `ray.at(t)` for every `t` of `ts`, in
+    /// order, into `out` (cleared first): one pass over a ray's samples.
+    /// Each entry is the per-point answer bit for bit — the same `contains`
+    /// test and the same three divides, not a reciprocal and not a walk from
+    /// cell to cell; only what does not depend on `t` is read once, and the
+    /// bit is read whether or not the point is inside (its cell index is
+    /// clamped into the grid either way).
+    pub fn occupied_along(
+        &self,
+        ray: &Ray,
+        ts: impl IntoIterator<Item = f32>,
+        out: &mut Vec<bool>,
+    ) {
+        let (bounds, extent, res, r) =
+            (self.bounds, self.bounds.extent(), self.res, self.res as f32);
+        // the product is in [0, res] or NaN, where `as u32` truncates as
+        // `as usize` does (NaN to 0) at a fraction of the cost
+        let cell = |u: f32| ((u.clamp(0.0, 1.0) * r) as u32 as usize).min(res - 1);
+        out.clear();
+        out.extend(ts.into_iter().map(|t| {
+            let p = ray.at(t);
+            let x = cell((p.x - bounds.min.x) / extent.x);
+            let y = cell((p.y - bounds.min.y) / extent.y);
+            let z = cell((p.z - bounds.min.z) / extent.z);
+            let i = x + res * (y + res * z);
+            bounds.contains(p) & (self.bits[i / 8] & (1 << (i % 8)) != 0)
+        }));
     }
 
     /// Fraction of occupied cells.

@@ -18,7 +18,7 @@ use crate::occupancy::OccupancyGrid;
 use asdr_math::interp::bilinear;
 use asdr_math::rng::seeded;
 use asdr_math::sh::SH_DEGREE4_COEFFS;
-use asdr_math::{Aabb, Rgb, Vec3};
+use asdr_math::{Aabb, Ray, Rgb, Vec3};
 use asdr_scenes::SceneField;
 use rand::Rng;
 
@@ -300,8 +300,8 @@ impl RadianceModel for TensoRfModel {
         self.bounds
     }
 
-    fn occupied(&self, p_world: Vec3) -> bool {
-        self.occupancy.occupied_world(p_world)
+    fn occupied_along(&self, ray: &Ray, ts: impl IntoIterator<Item = f32>, out: &mut Vec<bool>) {
+        self.occupancy.occupied_along(ray, ts, out);
     }
 
     fn density_into(&self, p_world: Vec3, scratch: &mut TensoRfScratch) -> f32 {

@@ -1,12 +1,18 @@
 //! Property-based tests of the neural-rendering substrates.
 
 use asdr_math::interp::{trilinear_weights, CORNER_OFFSETS};
-use asdr_math::Vec3;
+use asdr_math::{Aabb, Ray, Vec3};
+use asdr_nerf::dvgo::{DvgoConfig, DvgoModel};
 use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::encoder::{HashEncoder, VertexAccess};
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::hash::{dense_index, spatial_hash};
 use asdr_nerf::mlp::{Activation, Dense, Kernel, Mlp};
+use asdr_nerf::model::{RadianceModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
+use asdr_nerf::occupancy::OccupancyGrid;
+use asdr_nerf::tensorf::{TensoRfConfig, TensoRfModel};
+use asdr_nerf::NgpModel;
+use asdr_scenes::registry;
 use proptest::prelude::*;
 
 /// Deterministic values in `[-1, 1)`.
@@ -410,6 +416,33 @@ proptest! {
     }
 
     #[test]
+    fn the_occupancy_pass_is_the_per_point_test_on_random_rays(
+        outside in (-3.0f32..3.0, -3.0f32..3.0, -3.0f32..3.0),
+        inside in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
+        d in (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
+        zeroed in 0u8..8,
+        starts_inside in 0u8..2,
+        ts in proptest::collection::vec(-1.0f32..7.0, 1..48),
+    ) {
+        // bit i zeroes direction component i (all three: only x is kept)
+        let keep = |i: u8, c: f32| if zeroed & (1 << i) != 0 && zeroed != 7 { 0.0 } else { c };
+        let dir = Vec3::new(keep(0, d.0), keep(1, d.1), keep(2, d.2));
+        prop_assume!(dir.norm() > 1e-3);
+        assert_every_pass_per_point(|grid| {
+            let b = grid.bounds();
+            let origin = if starts_inside == 1 {
+                b.denormalize(Vec3::new(inside.0, inside.1, inside.2))
+            } else {
+                Vec3::new(outside.0, outside.1, outside.2)
+            };
+            let ray = Ray::new(origin, dir);
+            let mut all = ts.clone();
+            all.extend(b.intersect(&ray).map_or(Vec::new(), |r| r.midpoints(48)));
+            vec![(ray, all)]
+        });
+    }
+
+    #[test]
     fn grid_resolution_is_monotone_for_random_configs(
         levels in 2usize..12, base in 4u32..32, growth in 1u32..6,
     ) {
@@ -428,4 +461,151 @@ proptest! {
             prev = r;
         }
     }
+}
+
+/// Boxes with extents that are not powers of two (so a reciprocal is not the
+/// divide), one with its faces at `0.0` (so `-0.0` coordinates sit on them).
+fn odd_boxes() -> [Aabb; 2] {
+    [
+        Aabb::new(Vec3::new(-0.7, -1.3, -0.9), Vec3::new(1.1, 0.6, 0.95)),
+        Aabb::new(Vec3::ZERO, Vec3::new(1.3, 0.7, 2.1)),
+    ]
+}
+
+/// Over each odd box: `OccupancyGrid::solid` (res 1), and res 7 and res 64
+/// grids with about half their cells set — each with an `NgpModel` of zero
+/// weights around it, whose trait method answers for the grid alone.
+fn odd_grids() -> &'static [(OccupancyGrid, NgpModel)] {
+    static GRIDS: std::sync::OnceLock<Vec<(OccupancyGrid, NgpModel)>> = std::sync::OnceLock::new();
+    GRIDS.get_or_init(|| {
+        let mut next = xorshift_unit(7);
+        let mut grids = Vec::new();
+        for b in odd_boxes() {
+            grids.push(OccupancyGrid::solid(b));
+            for res in [7, 64] {
+                let cells = (0..res * res * res).map(|_| next() > 0.0).collect();
+                grids.push(OccupancyGrid::from_cells(res, b, cells).expect("res³ cells"));
+            }
+        }
+        let enc = tiny_encoder_with(1);
+        let density = Mlp::new(vec![
+            Dense::zeros(enc.encoded_dim(), HIDDEN_DIM, Activation::Relu),
+            Dense::zeros(HIDDEN_DIM, DENSITY_OUT_DIM, Activation::None),
+        ]);
+        let color = Mlp::new(vec![
+            Dense::zeros(COLOR_IN_DIM, HIDDEN_DIM, Activation::Relu),
+            Dense::zeros(HIDDEN_DIM, HIDDEN_DIM, Activation::Relu),
+            Dense::zeros(HIDDEN_DIM, 3, Activation::None),
+        ]);
+        let around = |g: OccupancyGrid| {
+            let m =
+                NgpModel::new(enc.clone(), density.clone(), color.clone(), g.bounds(), g.clone());
+            (g, m)
+        };
+        grids.into_iter().map(around).collect()
+    })
+}
+
+/// The TensoRF and DVGO fits of Lego, made once.
+fn fitted_grid_models() -> &'static (TensoRfModel, DvgoModel) {
+    static MODELS: std::sync::OnceLock<(TensoRfModel, DvgoModel)> = std::sync::OnceLock::new();
+    MODELS.get_or_init(|| {
+        let lego = registry::handle("Lego").build();
+        let tensorf = TensoRfModel::fit(lego.as_ref(), &TensoRfConfig::tiny(), 7);
+        (tensorf, DvgoModel::fit(lego.as_ref(), &DvgoConfig::tiny()))
+    })
+}
+
+/// What `pass` leaves in a buffer that held stale entries, against
+/// `occupied_world(ray.at(t))` of `grid` for every `t` of `ts`.
+fn assert_per_point(
+    grid: &OccupancyGrid,
+    ray: &Ray,
+    ts: &[f32],
+    pass: impl FnOnce(&mut Vec<bool>),
+) {
+    let mut got = vec![true; 5];
+    pass(&mut got);
+    let want: Vec<bool> = ts.iter().map(|&t| grid.occupied_world(ray.at(t))).collect();
+    assert_eq!(got, want, "ray {ray:?} over {:?}, ts {ts:?}", grid.bounds());
+}
+
+/// The pass through `model`'s trait method, against `grid`, its own.
+fn assert_model_per_point(model: &impl RadianceModel, grid: &OccupancyGrid, ray: &Ray, ts: &[f32]) {
+    assert_per_point(grid, ray, ts, |out| model.occupied_along(ray, ts.iter().copied(), out));
+}
+
+/// The pass through each odd grid itself and through the `NgpModel` around
+/// it, and through the TensoRF and DVGO fits: `rays` makes the rays and
+/// samples for a grid.
+fn assert_every_pass_per_point(rays: impl Fn(&OccupancyGrid) -> Vec<(Ray, Vec<f32>)>) {
+    for (grid, ngp) in odd_grids() {
+        for (ray, ts) in rays(grid) {
+            assert_per_point(grid, &ray, &ts, |out| {
+                grid.occupied_along(&ray, ts.iter().copied(), out)
+            });
+            assert_model_per_point(ngp, grid, &ray, &ts);
+        }
+    }
+    let (tensorf, dvgo) = fitted_grid_models();
+    for (ray, ts) in rays(tensorf.occupancy()) {
+        assert_model_per_point(tensorf, tensorf.occupancy(), &ray, &ts);
+    }
+    for (ray, ts) in rays(dvgo.occupancy()) {
+        assert_model_per_point(dvgo, dvgo.occupancy(), &ray, &ts);
+    }
+}
+
+/// Rays along each axis, both ways, whose samples land exactly on the faces
+/// and cell planes of `grid` and one ulp to either side of them, from
+/// origins whose other coordinates are on faces, on a cell plane, inside
+/// the box, just or well outside it, or `-0.0` with a `-0.0` direction
+/// component.
+fn boundary_rays(grid: &OccupancyGrid) -> Vec<(Ray, Vec<f32>)> {
+    let (b, res) = (grid.bounds(), grid.res());
+    let planes = |axis: usize| -> Vec<f32> {
+        let on: Vec<f32> = (0..=res)
+            .map(|k| b.min[axis] + b.extent()[axis] * (k as f32 / res as f32))
+            .chain([b.min[axis], b.max[axis]])
+            .collect();
+        let beside = on.iter().flat_map(|c| [c.next_up(), c.next_down()]);
+        on.iter().copied().chain(beside).collect()
+    };
+    let across = |a: usize| {
+        let below_min = b.min[a].next_down();
+        vec![
+            b.min[a],
+            planes(a)[res / 2],
+            b.max[a],
+            below_min,
+            b.center()[a],
+            b.max[a] + 0.25,
+            -0.0,
+        ]
+    };
+    let mut rays = Vec::new();
+    for axis in 0..3 {
+        let (u, v) = ((axis + 1) % 3, (axis + 2) % 3);
+        for sign in [1.0f32, -1.0] {
+            // on the axis `0 + sign·t` is exact, so `t = sign·plane` lands on it
+            let ts: Vec<f32> = planes(axis).iter().map(|&c| sign * c).collect();
+            for &ou in &across(u) {
+                for &ov in &across(v) {
+                    let (mut origin, mut dir) = ([0.0f32; 3], [0.0f32; 3]);
+                    (origin[u], origin[v], dir[axis]) = (ou, ov, sign);
+                    // a -0.0 coordinate stays -0.0 along a -0.0 component
+                    dir[u] = 0.0f32.copysign(ou);
+                    dir[v] = 0.0f32.copysign(ov);
+                    let ray = Ray { origin: Vec3::from(origin), dir: Vec3::from(dir) };
+                    rays.push((ray, ts.clone()));
+                }
+            }
+        }
+    }
+    rays
+}
+
+#[test]
+fn the_occupancy_pass_is_the_per_point_test_on_faces_cell_planes_and_signed_zeros() {
+    assert_every_pass_per_point(boundary_rays);
 }
