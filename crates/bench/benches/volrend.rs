@@ -1,12 +1,9 @@
-//! Wall-clock benchmark of the volume-rendering (Eq. 1) kernels, and of the
-//! occupancy pass that decides which samples the march evaluates.
+//! Wall-clock benchmark of the volume-rendering (Eq. 1) kernels.
 
 use asdr_core::algo::volrend::{
     composite, composite_early_term, composite_subsampled, SamplePoint,
 };
 use asdr_math::Rgb;
-use asdr_nerf::occupancy::OccupancyGrid;
-use asdr_scenes::registry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn ray_points(n: usize) -> Vec<SamplePoint> {
@@ -28,19 +25,6 @@ fn bench_volrend(c: &mut Criterion) {
     });
     c.bench_function("composite_subsampled_192_stride4", |b| {
         b.iter(|| black_box(composite_subsampled(black_box(&pts), 4)))
-    });
-
-    // the centre ray of a 24×24 Lego view, its 48 fixed-count samples
-    let lego = registry::handle("Lego");
-    let grid = OccupancyGrid::build(lego.build().as_ref(), OccupancyGrid::DEFAULT_RES);
-    let ray = lego.camera(24, 24).ray_for_pixel(12, 12);
-    let ts = grid.bounds().intersect(&ray).expect("the centre ray meets Lego").midpoints(48);
-    let mut occupied = Vec::with_capacity(ts.len());
-    c.bench_function("occupied_along_48", |b| {
-        b.iter(|| {
-            grid.occupied_along(black_box(&ray), black_box(&ts).iter().copied(), &mut occupied);
-            black_box(&occupied);
-        })
     });
 }
 

@@ -159,50 +159,32 @@ impl OccupancyGrid {
     #[inline]
     pub fn occupied01(&self, p01: Vec3) -> bool {
         let r = self.res as f32;
-        let cx = ((p01.x.clamp(0.0, 1.0) * r) as usize).min(self.res - 1);
-        let cy = ((p01.y.clamp(0.0, 1.0) * r) as usize).min(self.res - 1);
-        let cz = ((p01.z.clamp(0.0, 1.0) * r) as usize).min(self.res - 1);
-        let i = cx + self.res * (cy + self.res * cz);
+        // the product is in [0, res] or NaN, where `as u32` truncates as
+        // `as usize` does (NaN to 0) at a fraction of the cost
+        let cell = |u: f32| ((u.clamp(0.0, 1.0) * r) as u32 as usize).min(self.res - 1);
+        let i = cell(p01.x) + self.res * (cell(p01.y) + self.res * cell(p01.z));
         self.bits[i / 8] & (1 << (i % 8)) != 0
     }
 
     /// Whether a world-space point lies in an occupied cell (points outside
-    /// the bounds are unoccupied).
+    /// the bounds are unoccupied). The cell's bit is read either way — its
+    /// index is clamped into the grid — so the answer has no branch.
     #[inline]
     pub fn occupied_world(&self, p: Vec3) -> bool {
-        if !self.bounds.contains(p) {
-            return false;
-        }
-        self.occupied01(self.bounds.normalize(p))
+        self.bounds.contains(p) & self.occupied01(self.bounds.normalize(p))
     }
 
     /// [`Self::occupied_world`] at `ray.at(t)` for every `t` of `ts`, in
-    /// order, into `out` (cleared first): one pass over a ray's samples.
-    /// Each entry is the per-point answer bit for bit — the same `contains`
-    /// test and the same three divides, not a reciprocal and not a walk from
-    /// cell to cell; only what does not depend on `t` is read once, and the
-    /// bit is read whether or not the point is inside (its cell index is
-    /// clamped into the grid either way).
+    /// order, into `out` (cleared first): one pass over a ray's samples,
+    /// each entry the per-point answer itself.
     pub fn occupied_along(
         &self,
         ray: &Ray,
         ts: impl IntoIterator<Item = f32>,
         out: &mut Vec<bool>,
     ) {
-        let (bounds, extent, res, r) =
-            (self.bounds, self.bounds.extent(), self.res, self.res as f32);
-        // the product is in [0, res] or NaN, where `as u32` truncates as
-        // `as usize` does (NaN to 0) at a fraction of the cost
-        let cell = |u: f32| ((u.clamp(0.0, 1.0) * r) as u32 as usize).min(res - 1);
         out.clear();
-        out.extend(ts.into_iter().map(|t| {
-            let p = ray.at(t);
-            let x = cell((p.x - bounds.min.x) / extent.x);
-            let y = cell((p.y - bounds.min.y) / extent.y);
-            let z = cell((p.z - bounds.min.z) / extent.z);
-            let i = x + res * (y + res * z);
-            bounds.contains(p) & (self.bits[i / 8] & (1 << (i % 8)) != 0)
-        }));
+        out.extend(ts.into_iter().map(|t| self.occupied_world(ray.at(t))));
     }
 
     /// Fraction of occupied cells.
