@@ -5,13 +5,16 @@
 //! chip model is fed); `skipped_density` / `skipped_color` say how many of
 //! them the host skipped because they could not change the pixel — mostly
 //! samples in unoccupied cells, also colourless groups and rays already
-//! saturated. Both
+//! saturated — and, in an ASDR frame, the samples of a probe pixel kept at
+//! the base count, which Phase II reads from the probe instead. Both
 //! renderers skip, and adaptive sampling's easy rays *are* the empty ones,
 //! so the two ratios differ: counted work (the paper's) and host wall-clock
 //! against an Instant-NGP that skips empty space too.
 
 use crate::{fmt_x, print_header, print_row, Harness};
-use asdr_core::algo::RenderOutput;
+use asdr_core::algo::{RenderOptions, RenderOutput};
+use asdr_math::Camera;
+use asdr_nerf::model::RadianceModel;
 use asdr_scenes::SceneHandle;
 
 /// Frames timed per side; the fastest counts (the rest is the host).
@@ -26,8 +29,12 @@ pub struct EmptySpaceRow {
     pub fixed_skipped: f64,
     /// Share of Phase-I (probe) samples skipped.
     pub probe_skipped: f64,
-    /// Share of Phase-II density evaluations skipped (ASDR frame).
+    /// Share of Phase-II density evaluations skipped as they would be
+    /// without a probe to read (ASDR frame).
     pub render_skipped: f64,
+    /// Share of Phase-II density evaluations read from a probe that kept
+    /// the base count instead of run (ASDR frame).
+    pub probe_reused: f64,
     /// Phase-II `skipped_color / color_points` (ASDR frame).
     pub color_skipped: f64,
     /// Fixed ÷ ASDR in counted density work (`density_workload_ratio`).
@@ -49,9 +56,31 @@ fn share(part: u64, whole: u64) -> f64 {
     part as f64 / whole.max(1) as f64
 }
 
+/// The density evaluations Phase I skips: a probe ray, marched at the base
+/// count to its end, runs one for each sample in an occupied cell and none
+/// elsewhere. Probe cell `(jx, jy)` is pixel `(jx·d, jy·d)`.
+fn probe_skipped<M: RadianceModel>(model: &M, cam: &Camera, opts: &RenderOptions) -> u64 {
+    let Some(d) = opts.adaptive.as_ref().map(|a| a.probe_stride) else {
+        return 0;
+    };
+    let mut occupied = Vec::new();
+    let mut skipped = 0;
+    for jy in 0..cam.height().div_ceil(d) {
+        for jx in 0..cam.width().div_ceil(d) {
+            let ray = cam.ray_for_pixel(jx * d, jy * d);
+            if let Some(range) = model.model_bounds().intersect(&ray).filter(|r| !r.is_empty()) {
+                model.occupied_along(&ray, range.midpoints_iter(opts.base_ns), &mut occupied);
+                skipped += occupied.iter().filter(|&&o| !o).count() as u64;
+            }
+        }
+    }
+    skipped
+}
+
 /// Runs the empty-space rows.
 pub fn run_empty_space(h: &mut Harness, scenes: &[SceneHandle]) -> Vec<EmptySpaceRow> {
-    let (fixed_engine, asdr_engine) = (h.engine(h.ngp_options()), h.engine(h.asdr_options()));
+    let asdr_options = h.asdr_options();
+    let (fixed_engine, asdr_engine) = (h.engine(h.ngp_options()), h.engine(asdr_options.clone()));
     scenes
         .iter()
         .map(|id| {
@@ -64,17 +93,21 @@ pub fn run_empty_space(h: &mut Harness, scenes: &[SceneHandle]) -> Vec<EmptySpac
             };
             let fixed = fastest(&|| fixed_engine.render_frame(&*model, &cam));
             let asdr = fastest(&|| asdr_engine.render_frame(&*model, &cam));
-            // the same plan without Phase I: what is left over is the probe's
+            // the same plan without Phase I, so with no probe to read
             let phase2 = asdr_engine
                 .render_planned(&*model, &cam, &asdr.plan)
                 .expect("the frame's own plan")
                 .stats;
             let (f, a) = (&fixed.stats, &asdr.stats);
+            let probe = probe_skipped(&*model, &cam, &asdr_options);
+            // what the frame skipped beyond its probes and the plain Phase II
+            let reused = a.skipped_density - probe - phase2.skipped_density;
             EmptySpaceRow {
                 id: id.clone(),
                 fixed_skipped: share(f.skipped_density, f.density_points),
-                probe_skipped: share(a.skipped_density - phase2.skipped_density, a.probe_points),
+                probe_skipped: share(probe, a.probe_points),
                 render_skipped: share(phase2.skipped_density, phase2.density_points),
+                probe_reused: share(reused, phase2.density_points),
                 color_skipped: share(phase2.skipped_color, phase2.color_points),
                 counted_ratio: f.density_workload_ratio() / a.density_workload_ratio(),
                 fixed_ms: fixed.timings.total_s() * 1e3,
@@ -92,6 +125,7 @@ pub fn print_empty_space(rows: &[EmptySpaceRow]) {
         "Fixed skipped",
         "Phase I skipped",
         "Phase II skipped",
+        "Read from probe",
         "Colour skipped",
         "Counted ratio",
         "Fixed ms",
@@ -105,6 +139,7 @@ pub fn print_empty_space(rows: &[EmptySpaceRow]) {
             pct(r.fixed_skipped),
             pct(r.probe_skipped),
             pct(r.render_skipped),
+            pct(r.probe_reused),
             pct(r.color_skipped),
             fmt_x(r.counted_ratio),
             format!("{:.2}", r.fixed_ms),
@@ -129,10 +164,29 @@ mod tests {
         let rows = run_empty_space(&mut h, &["Mic"].map(asdr_scenes::registry::handle));
         let r = &rows[0];
         assert!(r.fixed_skipped > 0.8, "Mic is mostly empty: {r:?}");
-        for share in [r.probe_skipped, r.render_skipped, r.color_skipped] {
+        for share in [r.probe_skipped, r.render_skipped, r.probe_reused, r.color_skipped] {
             assert!((0.0..=1.0).contains(&share), "{r:?}");
         }
         assert!(r.counted_ratio > 1.0, "adaptive sampling asks for less: {r:?}");
         assert!(r.fixed_ms > 0.0 && r.asdr_ms > 0.0, "{r:?}");
+    }
+
+    /// What a frame skips beyond the plain Phase II is the probe's empty
+    /// samples *plus* the samples Phase II read from kept probes: the probe
+    /// column holds the first alone, the reuse column the second.
+    #[test]
+    fn the_probe_column_is_the_probe_alone_and_the_reuse_has_its_own() {
+        let mut h = Harness::new(Scale::Tiny);
+        let lego = asdr_scenes::registry::handle("Lego");
+        let r = run_empty_space(&mut h, std::slice::from_ref(&lego)).remove(0);
+        let (model, cam, engine) = (h.model(&lego), h.camera(&lego), h.engine(h.asdr_options()));
+        let a = engine.render_frame(&*model, &cam);
+        let plain = engine.render_planned(&*model, &cam, &a.plan).expect("its own plan").stats;
+        let beyond = (a.stats.skipped_density - plain.skipped_density) as f64;
+        let probe = r.probe_skipped * a.stats.probe_points as f64;
+        let reused = r.probe_reused * plain.density_points as f64;
+        assert!(reused > 0.5, "Lego: Phase II read no probe: {r:?}");
+        assert!(probe < beyond - 0.5, "the probe column holds the reuse: {r:?}");
+        assert!((probe + reused - beyond).abs() < 1e-6 * beyond, "{beyond}: {r:?}");
     }
 }

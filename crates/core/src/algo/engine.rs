@@ -18,7 +18,9 @@
 //! one-tile frame — which claim work through an atomic counter: Phase I the
 //! probe-grid cells, Phase II the tiles, largest planned sample count
 //! first, because the plan Phase I just paid for is the frame's cost
-//! profile.
+//! profile. A probe that kept the base count also hands its ray's buffers
+//! to Phase II, which reads them at that pixel instead of asking the model
+//! again.
 //!
 //! [`FrameEngine::render_sequence`] renders N model/camera frames under a
 //! [`PlanPolicy`]: `PerFrame` re-probes Phase I for every frame, while
@@ -259,11 +261,11 @@ impl FrameEngine {
         let (tiles, workers) = self.frame_tiles(cam);
         let mut stats = frame_stats(cam, &self.opts);
         let t0 = Instant::now();
-        let plan = self.run_phase1(model, cam, workers, &mut stats);
+        let (plan, probes) = self.run_phase1(model, cam, workers, &mut stats);
         let probe_s = t0.elapsed().as_secs_f64();
         stats.planned_points = plan.total();
         let t1 = Instant::now();
-        let image = self.run_phase2(model, cam, &plan, tiles, workers, &mut stats);
+        let image = self.run_phase2(model, cam, &plan, &probes, tiles, workers, &mut stats);
         let timings = PhaseTimings { probe_s, render_s: t1.elapsed().as_secs_f64() };
         RenderOutput { image, stats, plan, timings }
     }
@@ -315,7 +317,8 @@ impl FrameEngine {
         let mut stats = frame_stats(cam, &self.opts);
         stats.planned_points = plan.total();
         let t1 = Instant::now();
-        let image = self.run_phase2(model, cam, plan, tiles, workers, &mut stats);
+        let image =
+            self.run_phase2(model, cam, plan, &KeptProbes::default(), tiles, workers, &mut stats);
         let timings = PhaseTimings { probe_s: 0.0, render_s: t1.elapsed().as_secs_f64() };
         FrameRecord { image, stats, timings, plan_reused: true }
     }
@@ -393,40 +396,54 @@ impl FrameEngine {
 
     /// Phase I: probes the sparse pixel grid, one cell per claim, and
     /// derives the sample plan, charging probe work to `stats` (no-op plan
-    /// when adaptivity is off). The grid and the counts are assembled here
-    /// from the returned cells, so neither depends on who probed what.
+    /// and no probes when adaptivity is off). The grid, the counts and the
+    /// kept probe buffers are assembled here from the returned cells, so
+    /// none depends on who probed what.
     fn run_phase1<M: RadianceModel + Sync>(
         &self,
         model: &M,
         cam: &Camera,
         workers: usize,
         stats: &mut RenderStats,
-    ) -> SamplePlan {
+    ) -> (SamplePlan, KeptProbes) {
         let (w, h, base_ns) = (cam.width(), cam.height(), self.opts.base_ns);
         let Some(acfg) = &self.opts.adaptive else {
-            return SamplePlan::uniform(w, h, base_ns);
+            return (SamplePlan::uniform(w, h, base_ns), KeptProbes::default());
         };
         let d = acfg.probe_stride;
         let (gx, gy) = (w.div_ceil(d) as usize, h.div_ceil(d) as usize);
         let mut probe_counts = vec![vec![base_ns as u32; gx]; gy];
-        let cells = drain(model, workers, gx * gy, |i, scratch, buffers| {
+        let cells: Vec<_> = drain(model, workers, gx * gy, |i, scratch, buffers| {
             let cell = ((i % gx) as u32, (i / gx) as u32);
             probe_cell(model, cam, acfg, base_ns, cell, scratch, buffers)
-        });
-        for (i, (count, cost)) in cells {
-            probe_counts[i / gx][i % gx] = count;
-            stats.accumulate(&cost);
+        })
+        .collect();
+        for (i, (count, cost, _)) in &cells {
+            probe_counts[i / gx][i % gx] = *count;
+            stats.accumulate(cost);
         }
-        SamplePlan::from_probes(w, h, base_ns, d, &probe_counts)
+        let plan = SamplePlan::from_probes(w, h, base_ns, d, &probe_counts);
+        // filed only once the plan is built: filed in the loop above, the
+        // plan's interpolation right after it ran about three times slower
+        // per pixel on the recording host (same code, same inputs)
+        let mut rays: Vec<Option<RayBuffers>> =
+            std::iter::repeat_with(|| None).take(gx * gy).collect();
+        for (i, (_, _, kept)) in cells {
+            rays[i] = kept;
+        }
+        (plan, KeptProbes { stride: d, columns: gx, rays })
     }
 
     /// Phase II: renders every pixel at its planned count, one tile per
-    /// claim. Returns the assembled image, charging the work to `stats`.
+    /// claim, reading a kept probe's buffers at its pixel. Returns the
+    /// assembled image, charging the work to `stats`.
+    #[allow(clippy::too_many_arguments)]
     fn run_phase2<M: RadianceModel + Sync>(
         &self,
         model: &M,
         cam: &Camera,
         plan: &SamplePlan,
+        probes: &KeptProbes,
         mut tiles: Vec<Tile>,
         workers: usize,
         stats: &mut RenderStats,
@@ -442,7 +459,7 @@ impl FrameEngine {
         // holes (measured: +0.3 MiB peak RSS over 24 kept frames)
         let mut image = Image::new(cam.width(), cam.height());
         let rendered = drain(model, workers, tiles.len(), |i, scratch, buffers| {
-            render_tile(model, cam, plan, &self.opts, tiles[i], scratch, buffers)
+            render_tile(model, cam, plan, probes, &self.opts, tiles[i], scratch, buffers)
         });
         for (i, (pixels, local)) in rendered {
             blit(&mut image, tiles[i], &pixels);
@@ -500,11 +517,39 @@ fn frame_stats(cam: &Camera, opts: &RenderOptions) -> RenderStats {
     RenderStats { rays, base_points: rays * opts.base_ns as u64, ..Default::default() }
 }
 
+/// What Phase I hands Phase II: the buffers of each probe ray that kept the
+/// base count, by probe cell. Probe cell `(jx, jy)` is pixel `(jx·d, jy·d)`
+/// (`jx < ⌈w/d⌉`, so `probe_cell`'s clamp never moves it), which Phase II
+/// marches along the same ray; at the base count, so over the same
+/// midpoints, it reads the probe's buffers instead of asking the model again.
+#[derive(Debug, Default)]
+struct KeptProbes {
+    /// The probe pitch `d`; 0 for a frame without Phase I.
+    stride: u32,
+    /// Probe cells per row.
+    columns: usize,
+    /// Row-major by cell: the probe's buffers if it kept the base count.
+    rays: Vec<Option<RayBuffers>>,
+}
+
+impl KeptProbes {
+    /// The kept buffers of the probe ray through pixel `(px, py)`, if any.
+    fn at(&self, px: u32, py: u32) -> Option<&RayBuffers> {
+        let d = self.stride;
+        if d == 0 || !px.is_multiple_of(d) || !py.is_multiple_of(d) {
+            return None;
+        }
+        self.rays[(py / d) as usize * self.columns + (px / d) as usize].as_ref()
+    }
+}
+
 /// Renders one tile into a fresh row-major pixel buffer.
+#[allow(clippy::too_many_arguments)]
 fn render_tile<M: RadianceModel>(
     model: &M,
     cam: &Camera,
     plan: &SamplePlan,
+    probes: &KeptProbes,
     opts: &RenderOptions,
     tile: Tile,
     scratch: &mut M::Scratch,
@@ -519,8 +564,9 @@ fn render_tile<M: RadianceModel>(
         for px in tile.x0..tile.x1 {
             let ray = cam.ray_for_pixel(px, py);
             let count = plan.count(px, py) as usize;
+            let probe = probes.at(px, py);
             pixels[(py - tile.y0) as usize * w + (px - tile.x0) as usize] =
-                march(model, &ray, count, group, stop, scratch, buffers, &mut local);
+                march(model, &ray, count, group, stop, probe, scratch, buffers, &mut local);
         }
     }
     (pixels, local)

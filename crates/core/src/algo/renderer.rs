@@ -14,8 +14,10 @@
 //! not evaluate samples that cannot change the pixel (see `march`), and says
 //! how many it skipped.
 //!
-//! Both phases walk a ray through the one `march` below; the session API —
-//! execution policies, sample-plan reuse, multi-frame sequences — lives in
+//! Both phases walk a ray through the one `march` below, and a probe pixel
+//! kept at the base count asks the model once: its Phase-II march reads
+//! what the probe's left. The session API — execution policies,
+//! sample-plan reuse, multi-frame sequences — lives in
 //! [`crate::algo::engine::FrameEngine`].
 
 use crate::algo::adaptive::{choose_count_validated, AdaptiveConfig, SamplePlan};
@@ -103,12 +105,15 @@ pub struct RenderStats {
     pub et_terminated_rays: u64,
     /// Of `probe_points + density_points`, the density evaluations counted
     /// but not run by the host: samples in cells the model calls unoccupied
-    /// (unless a follower's density made the leader run), and every sample
-    /// after a ray stopped because nothing could change its pixel.
+    /// (unless a follower's density made the leader run), every sample
+    /// after a ray stopped because nothing could change its pixel, and the
+    /// densities Phase II read from the probe of a pixel kept at the base
+    /// count instead of running them again.
     pub skipped_density: u64,
     /// Of `probe_points + color_points`, the color evaluations counted but
     /// not run by the host: leaders of groups without a sample of positive
-    /// density, and every group after such a stop.
+    /// density, every group after such a stop, and leaders whose colour
+    /// Phase II read from the probe of their pixel.
     pub skipped_color: u64,
 }
 
@@ -174,10 +179,13 @@ pub(crate) struct RayBuffers {
 }
 
 /// Phase I, one cell of the probe grid: marches the probe ray of cell
-/// `(jx, jy)` at the full count, one colour per sample, to its last sample,
-/// and returns its chosen sample count plus what the ray cost the frame.
-/// Cells are independent, so the engine may probe them on any thread in any
-/// order; `acfg` is the engine's validated config.
+/// `(jx, jy)` — pixel `(jx·d, jy·d)` — at the full count, one colour per
+/// sample, to its last sample, and returns its chosen sample count, what the
+/// ray cost the frame and, if it kept the base count, its buffers: Phase II
+/// marches that pixel at the same count and reads them instead of asking the
+/// model again (`march`'s `probe`). Cells are independent, so the engine may
+/// probe them on any thread in any order; `acfg` is the engine's validated
+/// config.
 pub(crate) fn probe_cell<M: RadianceModel>(
     model: &M,
     cam: &Camera,
@@ -186,13 +194,13 @@ pub(crate) fn probe_cell<M: RadianceModel>(
     (jx, jy): (u32, u32),
     scratch: &mut M::Scratch,
     buffers: &mut RayBuffers,
-) -> (u32, RenderStats) {
+) -> (u32, RenderStats, Option<RayBuffers>) {
     let d = acfg.probe_stride;
     let px = (jx * d).min(cam.width() - 1);
     let py = (jy * d).min(cam.height() - 1);
     let ray = cam.ray_for_pixel(px, py);
     let mut marched = RenderStats::default();
-    march(model, &ray, base_ns, 1, Stop::Never, scratch, buffers, &mut marched);
+    march(model, &ray, base_ns, 1, Stop::Never, None, scratch, buffers, &mut marched);
     // the frame counts probe work as `probe_points`, not as Phase-II work
     let cost = RenderStats {
         probe_rays: 1,
@@ -201,7 +209,8 @@ pub(crate) fn probe_cell<M: RadianceModel>(
         skipped_color: marched.skipped_color,
         ..RenderStats::default()
     };
-    (choose_count_validated(&buffers.points, acfg, base_ns) as u32, cost)
+    let count = choose_count_validated(&buffers.points, acfg, base_ns);
+    (count as u32, cost, (count == base_ns).then(|| std::mem::take(buffers)))
 }
 
 /// When `march` stops a ray before its last group. Tested between groups,
@@ -248,6 +257,17 @@ pub(crate) enum Stop {
 /// the plan asks for regardless; what the host did not run of it is
 /// `skipped_density` / `skipped_color`.
 ///
+/// `probe`, if given, is what a probe march of this same ray left in its
+/// buffers (group 1, `Stop::Never`); it is used only if it was marched at
+/// this `count`, so over the same midpoints. The model is then not asked
+/// again for what the probe already knows: its occupancy mask, an occupied
+/// sample's `σ`, and the colour of a leader with `σ > 0`. Only a leader with
+/// `σ ≤ 0` in a group with positive density — which the probe never
+/// coloured — still runs `density_into` and `color_into`. A model's answers
+/// depend only on the point and direction asked (`RadianceModel`), so the
+/// pixel, the buffer and every counted field are what they are without the
+/// probe; what was read from it is charged to `skipped_*`.
+///
 /// `buffers` are the calling worker's; afterwards `buffers.points` holds the
 /// ray's samples as evaluated (a skipped density: the distance, `σ = 0`,
 /// black; a skipped colour: black; past a stop the same).
@@ -258,6 +278,7 @@ pub(crate) fn march<M: RadianceModel>(
     count: usize,
     group: usize,
     stop: Stop,
+    probe: Option<&RayBuffers>,
     scratch: &mut M::Scratch,
     buffers: &mut RayBuffers,
     stats: &mut RenderStats,
@@ -272,7 +293,14 @@ pub(crate) fn march<M: RadianceModel>(
         sigma: 0.0,
         color: Rgb::BLACK,
     }));
-    model.occupied_along(ray, points.iter().map(|p| p.t), occupied);
+    let probe = probe.filter(|p| p.points.len() == count);
+    let occupied: &[bool] = match probe {
+        Some(probe) => &probe.occupied,
+        None => {
+            model.occupied_along(ray, points.iter().map(|p| p.t), occupied);
+            occupied
+        }
+    };
     let mut integral = (Rgb::BLACK, 1.0f32);
     // `prev..lo` is the group evaluated by the previous turn and composited
     // by this one, a group late: its followers' colours may then depend on
@@ -303,25 +331,45 @@ pub(crate) fn march<M: RadianceModel>(
         if let Some((leader, followers)) = points[lo..hi].split_first_mut() {
             stats.density_points += 1 + followers.len() as u64;
             stats.color_points += 1;
-            for (f, &o) in followers.iter_mut().zip(&occupied[lo + 1..hi]) {
-                if o {
-                    f.sigma = model.density_into(ray.at(f.t), scratch);
-                    dense |= f.sigma > 0.0;
-                } else {
+            let kept = probe.map(|probe| &probe.points[lo..hi]);
+            for (i, (f, &o)) in followers.iter_mut().zip(&occupied[lo + 1..hi]).enumerate() {
+                if !o {
                     stats.skipped_density += 1;
+                    continue;
                 }
+                f.sigma = match kept {
+                    Some(kept) => {
+                        stats.skipped_density += 1;
+                        kept[1 + i].sigma
+                    }
+                    None => model.density_into(ray.at(f.t), scratch),
+                };
+                dense |= f.sigma > 0.0;
             }
-            // last, so its geometry feature is the one the colour query reads
-            if dense || occupied[lo] {
-                leader.sigma = model.density_into(ray.at(leader.t), scratch);
-                dense |= leader.sigma > 0.0;
-            } else {
-                stats.skipped_density += 1;
-            }
-            if dense {
-                leader.color = model.color_into(ray.dir, scratch);
-            } else {
-                stats.skipped_color += 1;
+            match kept.map(|kept| kept[0]) {
+                // the sample as the probe left it: its σ, and its colour
+                // where σ > 0 (black elsewhere, as it is left here)
+                Some(k) if occupied[lo] && (k.sigma > 0.0 || !dense) => {
+                    *leader = k;
+                    dense |= k.sigma > 0.0;
+                    stats.skipped_density += 1;
+                    stats.skipped_color += 1;
+                }
+                _ => {
+                    // last, so its geometry feature is the one the colour
+                    // query reads
+                    if dense || occupied[lo] {
+                        leader.sigma = model.density_into(ray.at(leader.t), scratch);
+                        dense |= leader.sigma > 0.0;
+                    } else {
+                        stats.skipped_density += 1;
+                    }
+                    if dense {
+                        leader.color = model.color_into(ray.dir, scratch);
+                    } else {
+                        stats.skipped_color += 1;
+                    }
+                }
             }
         }
         if pending {
@@ -404,8 +452,8 @@ mod tests {
     /// ray leaves (what `choose_count` judges) is `query_point` wherever
     /// `σ > 0` and `(t, σ, black)` elsewhere (`σ = 0` where the cell was
     /// skipped), to its last sample even where Phase II would have stopped,
-    /// and its pixel is the composite of the *fully evaluated* samples — so
-    /// it is already final wherever the plan keeps the base count.
+    /// and its pixel is the composite of the *fully evaluated* samples. That
+    /// buffer is what Phase II reads wherever the plan keeps the base count.
     #[test]
     fn the_probe_march_is_query_point_at_the_midpoints_composited() {
         use crate::algo::volrend::composite;
@@ -418,10 +466,11 @@ mod tests {
             for (px, py) in (0..6).flat_map(|y| (0..6).map(move |x| (x, y))) {
                 let ray = cam.ray_for_pixel(px, py);
                 let mut phase2 = RenderStats::default();
-                march(&m, &ray, 48, 1, Stop::Saturated, &mut scratch, &mut buffers, &mut phase2);
+                let (s, b) = (&mut scratch, &mut buffers);
+                march(&m, &ray, 48, 1, Stop::Saturated, None, s, b, &mut phase2);
                 let mut stats = RenderStats::default();
-                let pixel =
-                    march(&m, &ray, 48, 1, Stop::Never, &mut scratch, &mut buffers, &mut stats);
+                let (s, b) = (&mut scratch, &mut buffers);
+                let pixel = march(&m, &ray, 48, 1, Stop::Never, None, s, b, &mut stats);
                 let points = &buffers.points;
                 let evaluated: Vec<SamplePoint> = m
                     .model_bounds()
@@ -589,11 +638,24 @@ mod tests {
         Ray::new(Vec3::new(-1.0, 0.0, 0.0), Vec3::X)
     }
 
-    fn march_cells(m: &Cells, group: usize, stop: Stop) -> (Rgb, Vec<SamplePoint>, RenderStats) {
+    /// Marches `m` at `count` samples, offering it `probe`.
+    fn march_cells_at(
+        m: &Cells,
+        count: usize,
+        group: usize,
+        stop: Stop,
+        probe: Option<&RayBuffers>,
+    ) -> (Rgb, RayBuffers, RenderStats) {
         let (mut buffers, mut stats) = (RayBuffers::default(), RenderStats::default());
-        let mut scratch = m.make_query_scratch();
-        let n = m.cells.len();
-        let pixel = march(m, &cells_ray(), n, group, stop, &mut scratch, &mut buffers, &mut stats);
+        let (ray, mut scratch) = (cells_ray(), m.make_query_scratch());
+        let pixel =
+            march(m, &ray, count, group, stop, probe, &mut scratch, &mut buffers, &mut stats);
+        (pixel, buffers, stats)
+    }
+
+    /// Marches `m` at one sample a cell.
+    fn march_cells(m: &Cells, group: usize, stop: Stop) -> (Rgb, Vec<SamplePoint>, RenderStats) {
+        let (pixel, buffers, stats) = march_cells_at(m, m.cells.len(), group, stop, None);
         (pixel, buffers.points, stats)
     }
 
@@ -678,13 +740,18 @@ mod tests {
     /// one occupancy pass, made first; no call into a group without an
     /// occupied sample; colour only for a group with a positive σ and only
     /// directly after its own leader's density; calls + skipped = counted.
-    /// Returns the march's stats and whether it stopped before its end.
+    /// Then marches the cells once more, offered the buffers a probe of them
+    /// left (group 1, `Stop::Never`): pixel, buffer and every counted field
+    /// repeat, and the only calls are a `Density(leader), Color` pair for each
+    /// leader with `σ ≤ 0` of a group with positive density; a probe at any
+    /// other count is not read. Returns the march's stats, whether it stopped
+    /// before its end, and how many leaders the reusing march coloured.
     fn assert_marches_like_the_reference(
         cells: impl Fn() -> Cells,
         group: usize,
         et: bool,
         what: &str,
-    ) -> (RenderStats, bool) {
+    ) -> (RenderStats, bool, u64) {
         let m = cells();
         let stop = if et { Stop::Threshold } else { Stop::Saturated };
         let (pixel, points, stats) = march_cells(&m, group, stop);
@@ -735,9 +802,43 @@ mod tests {
             "{what}"
         );
         assert_eq!(ran(|c| *c == Call::Color) + stats.skipped_color, stats.color_points, "{what}");
+
+        let (_, probe, _) = march_cells_at(&cells(), n, 1, Stop::Never, None);
+        let reusing = cells();
+        let (reused_pixel, reused, reused_stats) =
+            march_cells_at(&reusing, n, group, stop, Some(&probe));
+        assert_eq!(rgb_bits(reused_pixel), rgb_bits(pixel), "{what}: reusing the probe");
+        assert_eq!(bits(&reused.points), bits(&points), "{what}: reusing the probe");
+        let counted = RenderStats { skipped_density: 0, skipped_color: 0, ..reused_stats };
+        assert_eq!(counted, marched, "{what}: reusing the probe");
+        let reused_calls = reusing.calls.borrow();
+        for pair in reused_calls.chunks(2) {
+            let &[Call::Density(leader), Call::Color] = pair else {
+                panic!("{what}: reusing the probe made {reused_calls:?}");
+            };
+            let members = leader..(leader + group).min(n);
+            assert_eq!(leader % group, 0, "{what}: colour after a follower");
+            assert!(m.sigma(leader) <= 0.0, "{what}: the probe coloured {leader}");
+            assert!(members.clone().any(|c| m.sigma(c) > 0.0), "{what}: {members:?}");
+        }
+        let pairs = reused_calls.len() as u64 / 2;
+        assert_eq!(pairs + reused_stats.skipped_density, stats.density_points, "{what}");
+        assert_eq!(pairs + reused_stats.skipped_color, stats.color_points, "{what}");
+
+        // at another count the probe's samples are not this march's
+        let plain = cells();
+        let (half_pixel, half, half_stats) = march_cells_at(&plain, n / 2, group, stop, None);
+        let offered = cells();
+        let (pixel_offered, buffers_offered, stats_offered) =
+            march_cells_at(&offered, n / 2, group, stop, Some(&probe));
+        assert_eq!(rgb_bits(pixel_offered), rgb_bits(half_pixel), "{what}: half count");
+        assert_eq!(bits(&buffers_offered.points), bits(&half.points), "{what}: half count");
+        assert_eq!(stats_offered, half_stats, "{what}: half count");
+        assert_eq!(offered.calls.borrow()[..], plain.calls.borrow()[..], "{what}: half count");
+
         // a ray that stopped skipped what a never-stopped one evaluates
         let (_, _, never) = march_cells(&cells(), group, Stop::Never);
-        (stats, stats.skipped_density > never.skipped_density)
+        (stats, stats.skipped_density > never.skipped_density, pairs)
     }
 
     #[test]
@@ -778,39 +879,45 @@ mod tests {
     }
 
     /// Every pattern of empty, zero-density and dense cells × every group
-    /// size × ET, against the kept scalar reference and the per-sample march.
+    /// size × ET, against the kept scalar reference and the per-sample march,
+    /// and again reading a probe's buffers.
     #[test]
     fn every_pattern_equals_the_reference_with_colour_only_after_positive_density() {
-        let (mut terminated, mut stopped) = (0, 0);
+        let (mut terminated, mut stopped, mut recoloured) = (0, 0, 0);
         for index in 0..3u32.pow(8) {
             for (group, et) in (1..=8).flat_map(|g| [(g, false), (g, true)]) {
                 let what = format!("pattern {index} group {group} et {et}");
-                let (stats, stop) =
+                let (stats, stop, pairs) =
                     assert_marches_like_the_reference(|| Cells::pattern(index), group, et, &what);
                 terminated += stats.et_terminated_rays;
                 stopped += u64::from(!et && stop);
+                recoloured += pairs;
             }
         }
         assert!(terminated > 0, "no pattern was dense enough to terminate early");
         assert!(stopped > 0, "no pattern saturated a ray before its last group");
+        assert!(recoloured > 0, "no leader with σ ≤ 0 led a group with positive density");
     }
 
     /// Islands of occupied cells apart by long empty runs — what the march
-    /// jumps over — × groups 1–3 × ET, against the same two.
+    /// jumps over — × groups 1–3 × ET, against the same two, and again
+    /// reading a probe's buffers.
     #[test]
     fn islands_apart_by_empty_runs_equal_the_reference_and_the_per_sample_calls() {
-        let (mut terminated, mut stopped) = (0, 0);
+        let (mut terminated, mut stopped, mut recoloured) = (0, 0, 0);
         for seed in 0..2000 {
             for (group, et) in (1..=3).flat_map(|g| [(g, false), (g, true)]) {
                 let what = format!("islands {seed} group {group} et {et}");
-                let (stats, stop) =
+                let (stats, stop, pairs) =
                     assert_marches_like_the_reference(|| Cells::islands(seed), group, et, &what);
                 terminated += stats.et_terminated_rays;
                 stopped += u64::from(!et && stop);
+                recoloured += pairs;
             }
         }
         assert!(terminated > 0, "no island terminated a ray early");
         assert!(stopped > 0, "no island saturated a ray before its last group");
+        assert!(recoloured > 0, "no leader with σ ≤ 0 led a group with positive density");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! `σ = 0` terms, the saturated stop — against the kept scalar reference
 //! (`common`): whole frames, on the benchmark's three scenes and on the two
 //! non-NGP models. Each frame also goes through a counting wrapper, so the
-//! host work is pinned too: density and colour calls + skipped = counted.
+//! host work is pinned too: density and colour calls + skipped = counted,
+//! and fewer density calls than the probes plus the plan rendered without
+//! them wherever a probe pixel keeps the base count.
 //! `make test-release` runs this at opt-level 3, the code generation the
 //! benchmark measures.
 
@@ -15,7 +17,7 @@ use asdr_nerf::grid::GridConfig;
 use asdr_nerf::model::RadianceModel;
 use asdr_nerf::tensorf::{TensoRfConfig, TensoRfModel};
 use asdr_scenes::{registry, SceneField};
-use common::assert_matches_reference;
+use common::{assert_matches_reference, probes_at_base};
 
 /// Fixed, the ASDR default with and without early termination, and colour
 /// groups 3 and 5 (48 = 9·5 + 3: an odd tail group).
@@ -44,6 +46,11 @@ fn ngp_frames_equal_the_scalar_reference_bit_for_bit() {
             let out = assert_matches_reference(&model, &cam, &opts, &format!("{scene} {name}"));
             assert!(out.stats.skipped_density > 0, "{scene} {name}: nothing was skipped");
             assert!(out.stats.skipped_color > 0, "{scene} {name}: no colour was skipped");
+            if (scene, name) == ("Lego", "asdr_default") {
+                // so the frame's saving over its probes plus its plan is pinned
+                let kept = probes_at_base(&cam, &opts, &out.plan);
+                assert!(kept > 0, "Lego: no probe pixel kept the base count");
+            }
         }
     }
 }

@@ -27,6 +27,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// color–density decoupling calls the former for every sample and the latter
 /// for only one sample per group — and [`RadianceModel::occupied_along`] lets
 /// a caller not pay for either where the answer is already known to be zero.
+///
+/// The bits of an answer depend only on the question: `density_into` on the
+/// point, `color_into` on the direction and the point of the last
+/// `density_into` through the same scratch — never on what else was asked
+/// through that scratch before (a cache in it, such as a direction prefix,
+/// must return exactly what recomputing would). A renderer relies on it to
+/// keep an answer and use it again instead of asking twice: the probe's
+/// samples are read back when the same pixel is rendered, on any thread.
 pub trait RadianceModel {
     /// Reusable per-thread scratch for query state.
     type Scratch;
@@ -304,18 +312,23 @@ impl RadianceModel for NgpModel {
     }
 }
 
-/// The direction-cache property every model pins: samples along `p + i·x̂`
-/// whose direction repeats, then changes, read bit for bit the same through
-/// one kept scratch as through a fresh scratch each time.
+/// The contract every model pins ([`RadianceModel`]: an answer depends only
+/// on its question): samples along `p + i·x̂` whose direction repeats, then
+/// changes, and then `p` again after another point (`p, q, p`), read bit for
+/// bit the same through one kept scratch as through a fresh scratch each
+/// time.
 #[cfg(test)]
 pub(crate) fn assert_kept_scratch_matches_fresh<M: RadianceModel>(model: &M, p: Vec3) {
     let bits = |c: Rgb| [c.r, c.g, c.b].map(f32::to_bits);
     let dirs = [Vec3::new(-0.5, -0.8, -0.3).normalized(), Vec3::Y];
+    let along = (0..12).map(|i| (p + Vec3::X * (0.01 * i as f32), dirs[(i / 2) % 2]));
+    let q = p + Vec3::new(0.03, -0.02, 0.05);
+    let revisit = [(p, dirs[0]), (q, dirs[0]), (p, dirs[0]), (q, dirs[1]), (p, dirs[0])];
     let mut kept = model.make_query_scratch();
-    for i in 0..12 {
-        let (p, dir) = (p + Vec3::X * (0.01 * i as f32), dirs[(i / 2) % 2]);
+    for (i, (p, dir)) in along.chain(revisit).enumerate() {
         let mut fresh = model.make_query_scratch();
-        assert_eq!(model.density_into(p, &mut kept), model.density_into(p, &mut fresh));
+        let (got, want) = (model.density_into(p, &mut kept), model.density_into(p, &mut fresh));
+        assert_eq!(got.to_bits(), want.to_bits(), "sample {i}");
         let (got, want) = (model.color_into(dir, &mut kept), model.color_into(dir, &mut fresh));
         assert_eq!(bits(got), bits(want), "sample {i}");
     }

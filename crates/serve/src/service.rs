@@ -415,12 +415,14 @@ pub struct ServeStats {
     pub density_evals: u64,
     /// Color evaluations the sample plans asked for, probe included.
     pub color_evals: u64,
-    /// Of `density_evals`, those the renderer did not run because they
-    /// could not change a pixel (unoccupied cells, rays already saturated).
-    /// Why a mostly-empty scene costs a fraction of a dense one at equal
-    /// counted work.
+    /// Of `density_evals`, those the renderer did not run: they could not
+    /// change a pixel (unoccupied cells, rays already saturated), or Phase II
+    /// read them from the probe of a pixel kept at the base count. Why a
+    /// mostly-empty scene costs a fraction of a dense one at equal counted
+    /// work.
     pub skipped_density: u64,
-    /// Of `color_evals`, those the renderer did not run.
+    /// Of `color_evals`, those the renderer did not run (colourless groups,
+    /// saturated rays, leaders coloured by their pixel's probe).
     pub skipped_color: u64,
     /// Model-store activity (fits, hits, evictions).
     pub store: StoreStats,
