@@ -16,12 +16,14 @@ test-crates:
 # Bit-identity of the kernels on the code generation the benchmark measures:
 # tier-1 runs these at the dev profile's opt-level 2, release is opt-level 3.
 # The props run the MLP oracles once per kernel instantiation the CPU offers;
-# the asdr_core pair and the renderer unit tests (the occupancy-pattern sweep)
-# hold the march to its kept scalar reference; the engine unit tests hold
-# every policy x worker count to one frame, probe pixels read back included.
+# fit_workers holds the fit's checkpoint bytes on 2, 3 and 5 workers to one
+# worker's; the asdr_core pair and the renderer unit tests (the
+# occupancy-pattern sweep) hold the march to its kept scalar reference; the
+# engine unit tests hold every policy x worker count to one frame, probe
+# pixels read back included.
 test-release:
 	cargo test --release --test kernel_identity
-	cargo test --release -p asdr_nerf --test props
+	cargo test --release -p asdr_nerf --test props --test fit_workers
 	cargo test --release -p asdr_core --test empty_space --test props
 	cargo test --release -p asdr_core --lib renderer
 	cargo test --release -p asdr_core --lib engine

@@ -39,7 +39,9 @@ use asdr_cluster::{AutoscalerConfig, Fleet, FleetConfig, LocalShards, ShardAddr}
 use asdr_serve::flags::{
     self, die, positive_usize, value, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags,
 };
+use std::io::{BufRead as _, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 #[derive(Default)]
@@ -147,7 +149,7 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<Child>, Vec<ShardAddr>) {
             .arg(args.service.queue.to_string())
             .arg("--shard-id")
             .arg(i.to_string())
-            .stdout(Stdio::null());
+            .stdout(Stdio::piped());
         if let Some(bundle_root) = &args.output.bundle {
             // each daemon gets its own bundle dir under the shared root,
             // which is what the merged report walks
@@ -163,25 +165,41 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<Child>, Vec<ShardAddr>) {
         children.push(child);
         addrs.push(ShardAddr::Unix(sock));
     }
-    // readiness: a successful connect means the daemon is accepting
-    let deadline = Instant::now() + Duration::from_secs(20);
-    for addr in &addrs {
-        loop {
-            match addr.connect() {
-                Ok(_) => break,
-                Err(_) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(25));
+    // readiness: a daemon prints its ready line once it is accepting; each
+    // stdout is read on a thread of its own, so a hung one trips the deadline
+    let failed = std::thread::scope(|s| {
+        let (ready_tx, ready) = mpsc::channel();
+        for (i, child) in children.iter_mut().enumerate() {
+            let stdout = child.stdout.take().expect("stdout is piped");
+            let ready_tx = ready_tx.clone();
+            s.spawn(move || {
+                let mut line = String::new();
+                let _ = BufReader::new(stdout).read_line(&mut line);
+                let _ = ready_tx.send((i, line));
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let failed = (0..n).find_map(|_| {
+            match ready.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok((_, line)) if line.starts_with("SHARDD_READY ") => None,
+                Ok((i, line)) => {
+                    Some(format!("shard at {} did not come up: {:?}", addrs[i], line.trim()))
                 }
-                Err(e) => {
-                    // never leave half a fleet running behind a failed start
-                    for child in &mut children {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                    }
-                    die(&format!("shard at {addr} never came up: {e}"));
-                }
+                Err(_) => Some("a shard did not come up within 20 s".to_string()),
+            }
+        });
+        if failed.is_some() {
+            // never leave half a fleet running behind a failed start; the
+            // kill also ends a reader still waiting for its line
+            for child in &mut children {
+                let _ = child.kill();
+                let _ = child.wait();
             }
         }
+        failed
+    });
+    if let Some(why) = failed {
+        die(&why);
     }
     (children, addrs)
 }

@@ -25,32 +25,46 @@
 
 use asdr_cluster::{Listener, LocalShards, Server, Shard, ShardAddr};
 use asdr_serve::flags::{die, open_bundle, value, ServiceFlags};
-use std::io::Write as _;
+use std::io::{ErrorKind, Read as _, Write as _};
+use std::os::fd::AsRawFd as _;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Duration;
 
-/// Set by SIGTERM/SIGINT; the server's tick polls it.
-static DRAIN: AtomicBool = AtomicBool::new(false);
+/// How often a daemon with a bundle samples its stats into the timeline.
+const SAMPLE_EVERY: Duration = Duration::from_secs(1);
+
+/// The write end of the socket pair SIGTERM/SIGINT wake the watcher
+/// thread through; -1 until installed.
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
 extern "C" fn on_signal(_signum: i32) {
-    DRAIN.store(true, Ordering::SeqCst);
+    extern "C" {
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
+    // SAFETY: `write` is declared as libc defines it, the buffer is one
+    // static byte, and write(2) is async-signal-safe; a failed write (a
+    // full buffer already holds a wake-up) needs no handling.
+    unsafe {
+        write(WAKE_FD.load(Ordering::SeqCst), b"!".as_ptr(), 1);
+    }
 }
 
-/// Installs the drain handler with the always-linked libc `signal(2)` —
-/// no signal crate offline. BSD semantics imply `SA_RESTART`, which is
-/// why the accept loop polls a nonblocking listener instead of parking
-/// in `accept`.
-fn install_signal_handlers() {
+/// Routes SIGTERM and SIGINT to a byte on `wake`, through the
+/// always-linked libc `signal(2)` — no signal crate offline.
+fn install_signal_handlers(wake: &UnixStream) {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    WAKE_FD.store(wake.as_raw_fd(), Ordering::SeqCst);
     let handler = on_signal as *const () as usize;
     // SAFETY: `signal` is declared as libc defines it (a handler is a
     // pointer-sized value), both signal numbers are valid, and `on_signal`
-    // only stores to an atomic, which is async-signal-safe.
+    // only writes to a socket main keeps open until exit, which is
+    // async-signal-safe.
     unsafe {
         signal(SIGTERM, handler);
         signal(SIGINT, handler);
@@ -105,7 +119,10 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let Some(listen) = &args.listen else { usage() };
-    install_signal_handlers();
+    // a signal writes a byte into `signalled`; the watcher reads it from `watch`
+    let (mut watch, signalled) = UnixStream::pair()
+        .unwrap_or_else(|e| die(&format!("cannot open the signal socket pair: {e}")));
+    install_signal_handlers(&signalled);
 
     let sized = &args.service;
     let workers = sized.workers.unwrap_or(1);
@@ -132,7 +149,6 @@ fn main() {
 
     let (listener, actual) =
         Listener::bind(listen).unwrap_or_else(|e| die(&format!("cannot bind {listen}: {e}")));
-    listener.set_nonblocking(true).unwrap_or_else(|e| die(&format!("cannot poll {}: {e}", actual)));
     println!("SHARDD_READY {actual}");
     let _ = std::io::stdout().flush();
     if let Some(b) = &bundle {
@@ -144,20 +160,29 @@ fn main() {
         snap.serve.to_json()
     };
     let server = Server::new(shard.clone(), args.shard_id);
-    let mut last_sample = std::time::Instant::now();
-    server
-        .run(&listener, || {
-            if DRAIN.load(Ordering::SeqCst) {
-                server.stop();
-            }
-            if let Some(b) = &bundle {
-                if last_sample.elapsed() >= Duration::from_secs(1) {
-                    last_sample = std::time::Instant::now();
-                    b.stats_sample("periodic", &stats_json());
+    watch
+        .set_read_timeout(bundle.as_ref().map(|_| SAMPLE_EVERY))
+        .unwrap_or_else(|e| die(&format!("cannot time the signal socket: {e}")));
+    let served = std::thread::scope(|s| {
+        // the watcher: a byte is a signal (or the accept loop's end) and
+        // stops the server; a second without one is a bundle sample
+        s.spawn(|| loop {
+            match watch.read(&mut [0u8]) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if let Some(b) = &bundle {
+                        b.stats_sample("periodic", &stats_json());
+                    }
                 }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                _ => return server.stop(),
             }
-        })
-        .unwrap_or_else(|e| die(&format!("accept on {actual}: {e}")));
+        });
+        let served = server.run(&listener);
+        // however the server stopped, the watcher ends with it
+        let _ = (&signalled).write_all(b"!");
+        served
+    });
+    served.unwrap_or_else(|e| die(&format!("accept on {actual}: {e}")));
 
     if let Some(b) = &bundle {
         b.stage("draining");

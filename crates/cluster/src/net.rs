@@ -103,18 +103,6 @@ impl Stream {
         }
     }
 
-    /// Ensures blocking mode (accepted sockets differ by platform).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket error.
-    pub fn set_blocking(&self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_nonblocking(false),
-            Stream::Tcp(s) => s.set_nonblocking(false),
-        }
-    }
-
     /// Shuts both directions down, unblocking any reader.
     pub fn shutdown(&self) {
         let _ = match self {
@@ -167,39 +155,38 @@ impl Listener {
     ///
     /// Propagates the bind error.
     pub fn bind(addr: &ShardAddr) -> io::Result<(Listener, ShardAddr)> {
-        match addr {
+        let listener = match addr {
             ShardAddr::Unix(path) => {
                 let _ = std::fs::remove_file(path);
-                Ok((Listener::Unix(UnixListener::bind(path)?), addr.clone()))
+                Listener::Unix(UnixListener::bind(path)?)
             }
-            ShardAddr::Tcp(hostport) => {
-                let listener = TcpListener::bind(hostport.as_str())?;
-                let actual = ShardAddr::Tcp(listener.local_addr()?.to_string());
-                Ok((Listener::Tcp(listener), actual))
-            }
-        }
+            ShardAddr::Tcp(hostport) => Listener::Tcp(TcpListener::bind(hostport.as_str())?),
+        };
+        let actual = listener.local_addr()?;
+        Ok((listener, actual))
     }
 
-    /// Switches the accept loop to polling mode. Required for the
-    /// daemon's drain path: a `signal(2)`-installed handler implies
-    /// `SA_RESTART`, so a *blocking* accept would be transparently
-    /// restarted after SIGTERM and the drain flag never observed.
+    /// The address this listener accepts on, as a client dials it.
     ///
     /// # Errors
     ///
-    /// Propagates the socket error.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+    /// Propagates the socket error; a Unix socket bound to no path is
+    /// `InvalidInput`.
+    pub fn local_addr(&self) -> io::Result<ShardAddr> {
         match self {
-            Listener::Unix(l) => l.set_nonblocking(nonblocking),
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
+            Listener::Unix(l) => match l.local_addr()?.as_pathname() {
+                Some(path) => Ok(ShardAddr::Unix(path.to_path_buf())),
+                None => Err(io::Error::new(io::ErrorKind::InvalidInput, "unnamed Unix socket")),
+            },
+            Listener::Tcp(l) => Ok(ShardAddr::Tcp(l.local_addr()?.to_string())),
         }
     }
 
-    /// Accepts one connection.
+    /// Accepts one connection, blocking until a client dials.
     ///
     /// # Errors
     ///
-    /// `WouldBlock` when nonblocking and idle; otherwise the socket error.
+    /// The socket error.
     pub fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),

@@ -10,12 +10,15 @@
 //! per request, a worker never waits on a peer's socket, and a peer that
 //! stops reading holds up nobody's frames but its own.
 //!
-//! Drain is graceful: the listener stops being polled, in-flight requests
-//! finish rendering, every queued frame is shipped, and only then does
+//! [`Server::run`] blocks in `accept`, so a client is served the moment it
+//! dials; [`Server::stop`] wakes it by dialling the listener itself.
+//!
+//! Drain is graceful: the accept loop ends, in-flight requests finish
+//! rendering, every queued frame is shipped, and only then does
 //! [`Server::drain`] return — so a router sees either a completed result or
 //! a closed connection, never a half-written frame.
 
-use crate::net::{Listener, Stream};
+use crate::net::{Listener, ShardAddr, Stream};
 use crate::shard::{Done, Shard, ShardError, ShardTicket};
 use crate::wire::{self, Message};
 use std::collections::HashMap;
@@ -94,8 +97,12 @@ type Replies = Arc<Mutex<HashMap<u64, Reply>>>;
 pub struct Server {
     shard: Arc<dyn Shard>,
     shard_id: u64,
-    /// Set by [`Server::stop`] or a wire `Drain`; the accept loop polls it.
+    /// Set by [`Server::stop`] or a wire `Drain`; the accept loop reads it
+    /// after every accept.
     stopping: AtomicBool,
+    /// Where [`Server::run`] is accepting, while it is: what `stop` dials
+    /// to wake it.
+    accepting: Mutex<Option<ShardAddr>>,
     unsent: Arc<WaitGroup>,
 }
 
@@ -108,41 +115,52 @@ impl Server {
             shard,
             shard_id,
             stopping: AtomicBool::new(false),
+            accepting: Mutex::default(),
             unsent: Arc::default(),
         })
     }
 
-    /// Begins the drain (what SIGTERM and a wire `Drain` both do).
+    /// Begins the drain (what SIGTERM and a wire `Drain` both do): ends
+    /// [`Server::run`], waking its accept with a connection of its own.
     pub fn stop(&self) {
         self.stopping.store(true, Ordering::SeqCst);
+        // `run` publishes its address under this lock before it first reads
+        // the flag: either it sees the flag, or the address is here to dial
+        let accepting =
+            self.accepting.lock().expect("the address lock is never held across a panic");
+        if let Some(addr) = accepting.as_ref() {
+            // failing, the listener is gone, and so is the accept to wake
+            let _ = addr.connect();
+        }
     }
 
-    /// Serves `listener` (nonblocking: a blocking accept would sleep
-    /// through a signal) until stopped, calling `tick` between polls.
-    /// Follow with [`Server::drain`].
+    /// Serves `listener` until [`Server::stop`]: one blocking accept per
+    /// client, whose connection gets its own threads. Follow with
+    /// [`Server::drain`].
     ///
     /// # Errors
     ///
-    /// Propagates an accept error other than `WouldBlock`.
-    pub fn run(
-        self: &Arc<Self>,
-        listener: &Listener,
-        mut tick: impl FnMut(),
-    ) -> std::io::Result<()> {
-        while !self.stopping.load(Ordering::SeqCst) {
+    /// Propagates an accept error, or the listener's address error.
+    pub fn run(self: &Arc<Self>, listener: &Listener) -> std::io::Result<()> {
+        *self.accepting.lock().expect("the address lock is never held across a panic") =
+            Some(listener.local_addr()?);
+        let served = loop {
+            if self.stopping.load(Ordering::SeqCst) {
+                break Ok(());
+            }
             match listener.accept() {
-                Ok(stream) => {
+                // once stopping, what was accepted (the wake-up) is dropped
+                Ok(stream) if !self.stopping.load(Ordering::SeqCst) => {
                     let server = self.clone();
                     std::thread::spawn(move || server.serve_connection(stream));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
             }
-            tick();
-        }
-        Ok(())
+        };
+        *self.accepting.lock().expect("the address lock is never held across a panic") = None;
+        served
     }
 
     /// Stops admissions, renders out what was admitted — which queues its
@@ -154,7 +172,6 @@ impl Server {
 
     /// Serves one connection until EOF or protocol error.
     fn serve_connection(self: &Arc<Self>, stream: Stream) {
-        let _ = stream.set_blocking();
         let Ok(mut write_half) = stream.try_clone() else { return };
         let mut reader = stream;
         // the handshake is answered from this thread, before the writer

@@ -611,22 +611,23 @@ struct Served {
     admitted: Receiver<Handle>,
     addr: ShardAddr,
     server: Arc<Server>,
+    /// What `run` returned, once it has.
+    ran: Receiver<std::io::Result<()>>,
     thread: std::thread::JoinHandle<()>,
 }
 
 fn serve(name: &str) -> Served {
     let sock = std::env::temp_dir().join(format!("asdr-seam-{name}-{}.sock", std::process::id()));
     let (listener, addr) = Listener::bind(&ShardAddr::Unix(sock)).unwrap();
-    listener.set_nonblocking(true).unwrap();
     let (tx, admitted) = mpsc::channel();
     let shard = FakeShard::new(0, tx, Arc::default());
     let server = Server::new(shard.clone(), 0);
-    let running = server.clone();
+    let (running, (ran_tx, ran)) = (server.clone(), mpsc::channel());
     let thread = std::thread::spawn(move || {
-        running.run(&listener, || ()).expect("accept");
+        let _ = ran_tx.send(running.run(&listener));
         running.drain();
     });
-    Served { shard, admitted, addr, server, thread }
+    Served { shard, admitted, addr, server, ran, thread }
 }
 
 impl Served {
@@ -643,8 +644,12 @@ impl Served {
         stream
     }
 
+    /// Stops the server, whose `run` must then return at once — it sits
+    /// in a blocking `accept` that only `stop`'s own connection ends.
     fn stop(self) {
         self.server.stop();
+        let ran = self.ran.recv_timeout(PATIENCE).expect("stop left `run` blocked in accept");
+        ran.expect("accept");
         self.thread.join().unwrap();
         if let ShardAddr::Unix(sock) = &self.addr {
             let _ = std::fs::remove_file(sock);
@@ -661,6 +666,17 @@ fn submit_acked(stream: &mut Stream, id: u64) {
     let req = WireRequest::from_request(&mic());
     wire::write_frame(stream, &Message::Submit { id, req }).unwrap();
     assert_eq!(next_frame(stream), Message::Submitted { id });
+}
+
+/// The accept loop blocks in `accept`, which only a connection ends:
+/// `stop` must make one.
+#[test]
+fn stop_ends_a_run_blocked_in_accept_with_no_client() {
+    let served = serve("idle");
+    // a handshake answered: `run` has published its address, and with
+    // this client gone it is back in `accept` with nobody dialling
+    drop(served.dial());
+    served.stop();
 }
 
 #[test]
@@ -849,10 +865,9 @@ fn frames_are_byte_identical_local_remote_and_single_service() {
         for (id, shard) in local_shards().unwrap().into_iter().enumerate() {
             let addr = ShardAddr::Unix(dir.join(format!("shard{id}.sock")));
             let (listener, addr) = Listener::bind(&addr).unwrap();
-            listener.set_nonblocking(true).unwrap();
             let server = Server::new(shard, id as u64);
             s.spawn(move || {
-                server.run(&listener, || ()).expect("accept");
+                server.run(&listener).expect("accept");
                 server.drain();
             });
             remote_shards.push(Arc::new(RemoteShard::connect(addr, 1).unwrap()));

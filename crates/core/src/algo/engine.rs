@@ -14,7 +14,8 @@
 //!   tiles steal the remaining hard ones.
 //!
 //! Both phases then run on the same workers — the caller plus
-//! `workers − 1` scoped helpers (`fan_out`), nothing spawned for a
+//! `workers − 1` scoped helpers ([`asdr_math::par::fan_out`], which the
+//! fit shares), nothing spawned for a
 //! one-tile frame — which claim work through an atomic counter: Phase I the
 //! probe-grid cells, Phase II the tiles, largest planned sample count
 //! first, because the plan Phase I just paid for is the frame's cost
@@ -32,6 +33,7 @@ use crate::algo::adaptive::SamplePlan;
 use crate::algo::renderer::{
     march, probe_cell, RayBuffers, RenderOptions, RenderOutput, RenderStats, Stop,
 };
+use asdr_math::par::{detected_workers, fan_out};
 use asdr_math::{Camera, Image, Rgb};
 use asdr_nerf::model::RadianceModel;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -469,21 +471,6 @@ impl FrameEngine {
     }
 }
 
-/// Runs `work` on the caller plus `workers − 1` scoped helper threads and
-/// returns every worker's result, the caller's first. One worker (or none)
-/// spawns nothing. A helper's panic is re-raised here once the scope has
-/// joined the rest.
-fn fan_out<R: Send>(workers: usize, work: impl Fn() -> R + Sync) -> Vec<R> {
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(&work)).collect();
-        let mut results = vec![work()];
-        for h in helpers {
-            results.push(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
-        }
-        results
-    })
-}
-
 /// Hands the units `0..units` out to `workers` threads ([`fan_out`]), each
 /// with its own query scratch and ray buffers, through a shared claim
 /// counter, and returns every `(unit, result)` in no particular order.
@@ -578,21 +565,6 @@ fn blit(image: &mut Image, tile: Tile, pixels: &[Rgb]) {
     for (r, row) in pixels.chunks_exact(tile.width().max(1)).enumerate() {
         image.set_row_span(tile.x0, tile.y0 + r as u32, row);
     }
-}
-
-/// Default parallelism: `ASDR_WORKERS` (containers often misreport their
-/// CPU budget) or the detected hardware parallelism. Read once per process —
-/// the render hot path must never call `getenv` (unsynchronized `setenv`
-/// elsewhere would race it).
-fn detected_workers() -> usize {
-    static DETECTED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        std::env::var("ASDR_WORKERS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-    })
 }
 
 /// Full-width row-block tiles, one per worker (the static split); never
@@ -707,33 +679,6 @@ mod tests {
                 assert_eq!(out.stats, reference.stats, "{policy:?} × {workers}: stats");
             }
         }
-    }
-
-    #[test]
-    fn fan_out_returns_one_result_per_worker_and_propagates_a_helper_panic() {
-        use std::sync::atomic::AtomicBool;
-        for n in [1, 2, 5] {
-            let next = AtomicUsize::new(0);
-            let mut tickets = fan_out(n, || next.fetch_add(1, Ordering::Relaxed));
-            tickets.sort_unstable();
-            assert_eq!(tickets, (0..n).collect::<Vec<_>>());
-        }
-        // one helper (never the caller) panics; the panic surfaces only
-        // after the caller and the other two helpers have run to the end
-        let caller = std::thread::current().id();
-        let (panicked, finished) = (AtomicBool::new(false), AtomicUsize::new(0));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fan_out(4, || {
-                let helper = std::thread::current().id() != caller;
-                if helper && !panicked.swap(true, Ordering::Relaxed) {
-                    panic!("helper down");
-                }
-                finished.fetch_add(1, Ordering::Relaxed);
-            })
-        }));
-        let message = result.unwrap_err().downcast::<&str>().expect("the helper's own payload");
-        assert_eq!(*message, "helper down");
-        assert_eq!(finished.load(Ordering::Relaxed), 3);
     }
 
     /// A model that records which threads query it, and makes the first

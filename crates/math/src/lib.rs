@@ -10,7 +10,9 @@
 //! * [`interp`] — bilinear/trilinear interpolation helpers shared by the
 //!   encoder and the adaptive sampler,
 //! * [`sh`] — real spherical-harmonics basis for view-direction encoding,
-//! * [`rng`] — deterministic seeding helpers.
+//! * [`rng`] — deterministic seeding helpers,
+//! * [`par`] — the worker budget and the scoped-thread fan-out the frame
+//!   engine and the fit share.
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@ pub mod camera;
 pub mod image;
 pub mod interp;
 pub mod metrics;
+pub mod par;
 pub mod ray;
 pub mod rgb;
 pub mod rng;

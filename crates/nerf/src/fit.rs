@@ -23,13 +23,15 @@ use crate::grid::GridConfig;
 use crate::mlp::{Activation, Dense, Mlp};
 use crate::model::{NgpModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
 use crate::occupancy::OccupancyGrid;
-use asdr_math::interp::{trilinear_weights, CORNER_OFFSETS};
+use asdr_math::interp::trilinear_weights;
+use asdr_math::par::{self, detected_workers};
 use asdr_math::rng::seeded;
 use asdr_math::sh::{sh4, SH_DEGREE4_COEFFS};
 use asdr_math::Vec3;
 use asdr_scenes::field::specular_lobe;
 use asdr_scenes::SceneField;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Scale dividing stored density so features stay O(1).
 pub const SIGMA_SCALE: f32 = 50.0;
@@ -54,16 +56,20 @@ impl Quantity {
         }
     }
 
-    fn eval(self, field: &dyn SceneField, p: Vec3) -> f32 {
-        match self {
-            Quantity::Sigma => field.density(p) / SIGMA_SCALE,
-            Quantity::DiffR => field.diffuse(p).r,
-            Quantity::DiffG => field.diffuse(p).g,
-            Quantity::DiffB => field.diffuse(p).b,
-        }
-    }
-
     const ALL: [Quantity; 4] = [Quantity::Sigma, Quantity::DiffR, Quantity::DiffG, Quantity::DiffB];
+}
+
+/// The two quantities a level of `parity` stores at world point `p`, by
+/// slot ([`Quantity::placement`]), from one evaluation of each field term
+/// they need: `diffuse` costs six `density` calls and an `albedo`, so an
+/// odd level asks for it once, not once per channel.
+fn targets(field: &dyn SceneField, parity: usize, p: Vec3) -> [f32; 2] {
+    if parity == 0 {
+        [field.density(p) / SIGMA_SCALE, field.diffuse(p).r]
+    } else {
+        let d = field.diffuse(p);
+        [d.g, d.b]
+    }
 }
 
 /// Per-quantity decode plan: which `(level, slot)` lanes carry it and with
@@ -89,103 +95,128 @@ fn decode_plans(cfg: &GridConfig) -> [DecodePlan; 4] {
     plans
 }
 
-/// Trilinear reconstruction of one quantity at normalized point `p01` using
-/// only the given `(level, slot, weight)` lanes.
-fn recon_at(tables: &EmbeddingSet, lanes: &[(usize, usize, f32)], p01: Vec3) -> f32 {
-    let mut acc = 0.0f32;
-    for &(level, slot, w) in lanes {
-        let table = tables.table(level);
-        let ((bx, by, bz), frac) = table.plan().voxel_of(p01);
+/// The pair the filled dense `levels` of one parity reconstruct at `p01`,
+/// slot by slot: a level's voxel and trilinear weights are found once for
+/// both slots, and each slot sums corners, then levels, in order.
+fn dense_prior(set: &EmbeddingSet, levels: &[usize], p01: Vec3) -> [f32; 2] {
+    let mut acc = [0.0f32; 2];
+    for &level in levels {
+        let table = set.table(level);
+        let (base, frac) = table.plan().voxel_of(p01);
         let tw = trilinear_weights(frac.x, frac.y, frac.z);
-        let mut v = 0.0;
-        for (i, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
-            v += tw[i] * table.lookup(bx + dx, by + dy, bz + dz)[slot];
+        let mut v = [0.0f32; 2];
+        for (w, row) in tw.iter().zip(table.plan().corner_rows(base)) {
+            let f = table.row(row);
+            v[0] += w * f[0];
+            v[1] += w * f[1];
         }
-        acc += w * v;
+        acc[0] += v[0];
+        acc[1] += v[1];
     }
     acc
 }
 
-/// Fits the embedding pyramid of `cfg` to `field`.
+/// z-slices of a level's vertex grid in one band: the unit a fit worker
+/// claims.
+#[doc(hidden)]
+pub const BAND: u32 = 2;
+
+/// Bands each worker has in flight between two applications: what bounds
+/// the records the fit holds at once.
+const BANDS_PER_WORKER: usize = 4;
+
+/// A masked vertex's residual pair, bound for table row `.0`.
+type Record = (u32, [f32; 2]);
+
+/// What a worker reads to turn one band of a level into records.
+struct LevelFill<'a> {
+    field: &'a dyn SceneField,
+    mask: &'a OccupancyGrid,
+    set: &'a EmbeddingSet,
+    /// The dense levels of this level's parity already filled, whose
+    /// reconstruction each vertex's residual is taken against.
+    prior: &'a [usize],
+    level: usize,
+}
+
+impl LevelFill<'_> {
+    /// The records of band `band`'s masked vertices, in z, y, x order, into
+    /// `out` (cleared first).
+    fn band(&self, band: u32, out: &mut Vec<Record>) {
+        out.clear();
+        let plan = self.set.table(self.level).plan();
+        let vres = plan.vertex_res();
+        let res = (vres - 1) as f32;
+        let bounds = self.field.bounds();
+        for z in band * BAND..((band + 1) * BAND).min(vres) {
+            for y in 0..vres {
+                for x in 0..vres {
+                    let p01 = Vec3::new(x as f32 / res, y as f32 / res, z as f32 / res);
+                    if !self.mask.occupied01(p01.clamp(0.0, 0.999)) {
+                        continue;
+                    }
+                    let target = targets(self.field, self.level % 2, bounds.denormalize(p01));
+                    let prior = dense_prior(self.set, self.prior, p01);
+                    out.push((plan.row_of(x, y, z), [target[0] - prior[0], target[1] - prior[1]]));
+                }
+            }
+        }
+    }
+}
+
+/// Fits the embedding pyramid of `cfg` to `field` on `workers` threads.
+///
+/// A level's vertices are cut into z-bands of [`BAND`] slices; workers turn
+/// bands into records, a window of bands at a time, and the caller applies
+/// each window's records in band order — z, y, x over the level, the
+/// serial fit's order — so every worker count yields the same bytes.
 ///
 /// Returned tables decode through [`decode_plans`]-weighted sums; use
 /// [`fit_ngp`] for the assembled model.
-fn fill_embeddings(field: &dyn SceneField, cfg: &GridConfig) -> EmbeddingSet {
+fn fill_embeddings(field: &dyn SceneField, cfg: &GridConfig, workers: usize) -> EmbeddingSet {
     let mut set = EmbeddingSet::new(cfg);
-    let bounds = field.bounds();
     // the fill only visits fine vertices in (or next to) cells with density
-    let mask = OccupancyGrid::build(field, 48);
-
-    // chains of already-filled dense lanes per quantity (for residuals)
-    let mut dense_filled: [Vec<(usize, usize, f32)>; 4] = Default::default();
+    let mask = OccupancyGrid::build_on(field, 48, workers);
+    // the dense levels filled so far, by parity: the next levels' prior
+    let mut dense_filled: [Vec<usize>; 2] = Default::default();
+    // sized here, once: a worker writes into its band's buffer and
+    // allocates nothing (a thread that allocates grows the heap by an arena)
+    let finest = cfg.level_vertex_res(cfg.levels - 1);
+    let in_flight = BANDS_PER_WORKER * workers.max(1);
+    let mut window: Vec<Vec<Record>> =
+        (0..in_flight).map(|_| Vec::with_capacity((BAND * finest * finest) as usize)).collect();
 
     for level in 0..cfg.levels {
-        let parity = level % 2;
-        // the two quantities stored at this level, by slot
-        let quantities: [Quantity; 2] = if parity == 0 {
-            [Quantity::Sigma, Quantity::DiffR]
-        } else {
-            [Quantity::DiffG, Quantity::DiffB]
-        };
-        let vres = cfg.level_vertex_res(level);
-        let res = cfg.level_resolution(level) as f32;
         let dense = cfg.is_dense(level);
-
+        // a hashed level stores each row's mean residual over masked vertices
+        let rows = if dense { 0 } else { set.table(level).entries() as usize };
+        let (mut acc, mut cnt) = (vec![[0.0f64; 2]; rows], vec![0u32; rows]);
+        let bands = cfg.level_vertex_res(level).div_ceil(BAND) as usize;
+        for first in (0..bands).step_by(in_flight) {
+            let batch = &mut window[..(bands - first).min(in_flight)];
+            let fill =
+                LevelFill { field, mask: &mask, set: &set, prior: &dense_filled[level % 2], level };
+            par::for_each_mut(workers, batch, |i, out| fill.band((first + i) as u32, out));
+            for &(row, residual) in batch.iter().flatten() {
+                if dense {
+                    set.table_mut(level).row_mut(row)[..2].copy_from_slice(&residual);
+                } else {
+                    let (sum, n) = (&mut acc[row as usize], &mut cnt[row as usize]);
+                    sum[0] += residual[0] as f64;
+                    sum[1] += residual[1] as f64;
+                    *n += 1;
+                }
+            }
+        }
         if dense {
-            for z in 0..vres {
-                for y in 0..vres {
-                    for x in 0..vres {
-                        let p01 = Vec3::new(x as f32 / res, y as f32 / res, z as f32 / res);
-                        if !mask.occupied01(p01.clamp(0.0, 0.999)) {
-                            continue;
-                        }
-                        let pw = bounds.denormalize(p01);
-                        for (slot, q) in quantities.iter().enumerate() {
-                            let qi = Quantity::ALL.iter().position(|x| x == q).unwrap();
-                            let target = q.eval(field, pw);
-                            let prior = recon_at(&set, &dense_filled[qi], p01);
-                            let row = set.table(level).row_of(x, y, z);
-                            set.table_mut(level).row_mut(row)[slot] = target - prior;
-                        }
-                    }
-                }
-            }
-            for q in quantities {
-                let qi = Quantity::ALL.iter().position(|x| *x == q).unwrap();
-                let (_, slot) = q.placement();
-                dense_filled[qi].push((level, slot, 1.0));
-            }
-        } else {
-            // hashed level: accumulate residual means over masked vertices
-            let entries = set.table(level).entries() as usize;
-            let mut acc = vec![[0.0f64; 2]; entries];
-            let mut cnt = vec![0u32; entries];
-            for z in 0..vres {
-                for y in 0..vres {
-                    for x in 0..vres {
-                        let p01 = Vec3::new(x as f32 / res, y as f32 / res, z as f32 / res);
-                        if !mask.occupied01(p01.clamp(0.0, 0.999)) {
-                            continue;
-                        }
-                        let pw = bounds.denormalize(p01);
-                        let row = set.table(level).row_of(x, y, z) as usize;
-                        for (slot, q) in quantities.iter().enumerate() {
-                            let qi = Quantity::ALL.iter().position(|x| x == q).unwrap();
-                            let target = q.eval(field, pw);
-                            let prior = recon_at(&set, &dense_filled[qi], p01);
-                            acc[row][slot] += (target - prior) as f64;
-                        }
-                        cnt[row] += 1;
-                    }
-                }
-            }
-            let table = set.table_mut(level);
-            for (row, c) in cnt.iter().enumerate() {
-                if *c > 0 {
-                    let dst = table.row_mut(row as u32);
-                    dst[0] = (acc[row][0] / *c as f64) as f32;
-                    dst[1] = (acc[row][1] / *c as f64) as f32;
-                }
+            dense_filled[level % 2].push(level);
+        }
+        let table = set.table_mut(level);
+        for (row, c) in cnt.iter().enumerate() {
+            if *c > 0 {
+                let dst = table.row_mut(row as u32);
+                dst[0] = (acc[row][0] / *c as f64) as f32;
+                dst[1] = (acc[row][1] / *c as f64) as f32;
             }
         }
     }
@@ -200,8 +231,14 @@ pub(crate) fn eval_specular_sh(spec_sh: &[f32; SH_DEGREE4_COEFFS], view_dir: Vec
 }
 
 /// Least-squares projection of the global specular lobe onto the degree-4 SH
-/// basis (800 Fibonacci-sphere directions).
+/// basis (800 Fibonacci-sphere directions). The lobe is the same for every
+/// scene, so the projection runs once per process.
 pub fn fit_specular_sh() -> [f32; SH_DEGREE4_COEFFS] {
+    static FITTED: OnceLock<[f32; SH_DEGREE4_COEFFS]> = OnceLock::new();
+    *FITTED.get_or_init(project_specular_lobe)
+}
+
+fn project_specular_lobe() -> [f32; SH_DEGREE4_COEFFS] {
     let n = 800;
     let dirs: Vec<Vec3> = (0..n)
         .map(|i| {
@@ -341,19 +378,27 @@ fn build_color_mlp(spec_sh: &[f32; SH_DEGREE4_COEFFS]) -> Mlp {
     Mlp::new(vec![l1, l2, l3])
 }
 
-/// Fits a complete NGP model to `field` under `cfg`.
+/// Fits a complete NGP model to `field` under `cfg`, on the process's
+/// worker budget ([`detected_workers`]).
 ///
 /// # Panics
 ///
 /// Panics if `cfg` is invalid or too wide for the constructed decoder
 /// (`levels × feat_dim` must not exceed 32).
 pub fn fit_ngp(field: &dyn SceneField, cfg: &GridConfig) -> NgpModel {
+    fit_ngp_on(field, cfg, detected_workers())
+}
+
+/// [`fit_ngp`] on `workers` threads (0 counts as 1). The model, and so its
+/// checkpoint bytes, is the same for every worker count.
+#[doc(hidden)]
+pub fn fit_ngp_on(field: &dyn SceneField, cfg: &GridConfig, workers: usize) -> NgpModel {
     cfg.validate().expect("invalid grid config");
-    let tables = fill_embeddings(field, cfg);
+    let tables = fill_embeddings(field, cfg, workers);
     let encoder = HashEncoder::new(cfg.clone(), tables);
     let density = build_density_mlp(cfg);
     let color = build_color_mlp(&fit_specular_sh());
-    let occupancy = OccupancyGrid::build(field, OccupancyGrid::DEFAULT_RES);
+    let occupancy = OccupancyGrid::build_on(field, OccupancyGrid::DEFAULT_RES, workers);
     NgpModel::new(encoder, density, color, field.bounds(), occupancy)
 }
 

@@ -11,6 +11,7 @@
 //! zero, so not evaluating it cannot change a pixel.
 
 use asdr_math::interp::CORNER_OFFSETS;
+use asdr_math::par::{self, detected_workers};
 use asdr_math::{Aabb, Ray, Vec3};
 use asdr_scenes::SceneField;
 
@@ -25,10 +26,15 @@ pub struct OccupancyGrid {
     bits: Vec<u8>,
 }
 
+/// Sets cell `i` in the checkpoint's layout.
+fn set_bit(bits: &mut [u8], i: usize) {
+    bits[i / 8] |= 1 << (i % 8);
+}
+
 fn pack(cells: &[bool]) -> Vec<u8> {
     let mut bits = vec![0u8; cells.len().div_ceil(8)];
     for (i, _) in cells.iter().enumerate().filter(|(_, &c)| c) {
-        bits[i / 8] |= 1 << (i % 8);
+        set_bit(&mut bits, i);
     }
     bits
 }
@@ -40,61 +46,64 @@ impl OccupancyGrid {
 
     /// Builds the grid by probing `field.density` at cell corners and
     /// dilating by one cell (so interpolation transition zones count as
-    /// occupied).
+    /// occupied). The corners are probed on the process's worker budget
+    /// ([`detected_workers`]).
     ///
     /// # Panics
     ///
     /// Panics if `res == 0`.
     pub fn build(field: &dyn SceneField, res: usize) -> Self {
+        Self::build_on(field, res, detected_workers())
+    }
+
+    /// [`Self::build`] with the corners probed by z-slice on `workers`
+    /// threads; the grid is the same for every count.
+    pub(crate) fn build_on(field: &dyn SceneField, res: usize, workers: usize) -> Self {
         assert!(res > 0);
         let bounds = field.bounds();
         let v = res + 1;
         let mut probe = vec![false; v * v * v];
-        for z in 0..v {
-            for y in 0..v {
-                for x in 0..v {
+        let mut slices: Vec<&mut [bool]> = probe.chunks_mut(v * v).collect();
+        par::for_each_mut(workers, &mut slices, |z, slice| {
+            for (y, row) in slice.chunks_mut(v).enumerate() {
+                for (x, corner) in row.iter_mut().enumerate() {
                     let u = Vec3::new(
                         x as f32 / res as f32,
                         y as f32 / res as f32,
                         z as f32 / res as f32,
                     );
-                    probe[x + v * (y + v * z)] = field.density(bounds.denormalize(u)) > 0.0;
+                    *corner = field.density(bounds.denormalize(u)) > 0.0;
                 }
             }
-        }
-        let mut raw = vec![false; res * res * res];
+        });
+        // a cell is occupied when a corner is, then dilated by one cell, both
+        // packed: a byte a cell would make these the fit's largest buffers
+        let cell = |x: usize, y: usize, z: usize| x + res * (y + res * z);
+        let mut raw = vec![0u8; (res * res * res).div_ceil(8)];
         for z in 0..res {
             for y in 0..res {
                 for x in 0..res {
-                    let mut occ = false;
-                    for &(dx, dy, dz) in &CORNER_OFFSETS {
-                        occ |= probe
-                            [(x + dx as usize) + v * ((y + dy as usize) + v * (z + dz as usize))];
+                    let corner = |&(dx, dy, dz): &(u32, u32, u32)| {
+                        probe[(x + dx as usize) + v * ((y + dy as usize) + v * (z + dz as usize))]
+                    };
+                    if CORNER_OFFSETS.iter().any(corner) {
+                        set_bit(&mut raw, cell(x, y, z));
                     }
-                    raw[x + res * (y + res * z)] = occ;
                 }
             }
         }
-        let mut cells = raw.clone();
+        drop(probe);
+        let mut bits = vec![0u8; raw.len()];
+        let near = |c: usize| c.saturating_sub(1)..=(c + 1).min(res - 1);
         for z in 0..res {
             for y in 0..res {
                 for x in 0..res {
-                    if raw[x + res * (y + res * z)] {
-                        for dz in -1i64..=1 {
-                            for dy in -1i64..=1 {
-                                for dx in -1i64..=1 {
-                                    let (nx, ny, nz) =
-                                        (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                                    if nx >= 0
-                                        && ny >= 0
-                                        && nz >= 0
-                                        && (nx as usize) < res
-                                        && (ny as usize) < res
-                                        && (nz as usize) < res
-                                    {
-                                        cells[nx as usize
-                                            + res * (ny as usize + res * nz as usize)] = true;
-                                    }
+                    let i = cell(x, y, z);
+                    if raw[i / 8] & (1 << (i % 8)) != 0 {
+                        for nz in near(z) {
+                            for ny in near(y) {
+                                for nx in near(x) {
+                                    set_bit(&mut bits, cell(nx, ny, nz));
                                 }
                             }
                         }
@@ -102,7 +111,7 @@ impl OccupancyGrid {
                 }
             }
         }
-        OccupancyGrid { res, bounds, bits: pack(&cells) }
+        OccupancyGrid { res, bounds, bits }
     }
 
     /// A grid that reports everything occupied (no masking).

@@ -68,9 +68,10 @@ for _ in $(seq 1 600); do
 done
 [[ $(echo "$fresh" | grep -c .) -ge 3 ]] || { echo "FAIL: three asdr-shardd daemons never appeared"; exit 1; }
 sleep 1.5
-# mid-replay, every daemon is its accept loop, its workers and a reader and
-# a writer per connection — plus a prewarm or the bundle's own, which the 4
-# allows. A thread per admitted request would grow past that under load.
+# mid-replay, every daemon is its accept loop, its signal watcher, its
+# workers and a reader and a writer per connection — plus a prewarm or the
+# bundle's own, which the 4 allows. A thread per admitted request would grow
+# past that under load.
 workers=1     # asdr-cluster's --workers default, handed to each daemon
 connections=2 # FleetConfig::connections_per_shard's default
 max_threads=$((workers + 2 * connections + 4))

@@ -49,6 +49,25 @@ Cloud asdr_default image=42ce3453c04f7373 rays=256 probe_rays=16 probe_points=72
 Cloud asdr_default+et image=42ce3453c04f7373 rays=256 probe_rays=16 probe_points=720 density=5578 color=2858 interpolated=2720 planned=5581 base=12288 et_rays=0\n\
 ";
 
+/// The checkpoint of every scene the serving workloads fit, recorded on the
+/// commit before the cold fit ran on workers: a fit that reorders a
+/// residual sum or drops a vertex changes these bytes.
+const CHECKPOINTS: &str = "\
+Lego checkpoint len=277600 bytes=6c6328f8e1614f0c\n\
+Mic checkpoint len=277599 bytes=e7f7f7a9ab302128\n\
+Cloud checkpoint len=277601 bytes=6162526d045c381a\n\
+Pulse checkpoint len=277601 bytes=b2d786a20f40433f\n\
+Chair checkpoint len=277601 bytes=c273893d334ee3ef\n\
+Ship checkpoint len=277600 bytes=1242ad4a2bd7e610\n\
+";
+
+/// `scene`'s tiny-grid checkpoint as a golden row.
+fn checkpoint_row(scene: &str, model: &NgpModel) -> String {
+    let mut bytes = Vec::new();
+    save_model(model, scene, &mut bytes).unwrap();
+    format!("{scene} checkpoint len={} bytes={:016x}\n", bytes.len(), fnv1a(bytes.iter().copied()))
+}
+
 /// One golden row per option set: `scene` rendered under `policy` on
 /// `workers` threads.
 fn frame_rows(
@@ -85,25 +104,23 @@ fn frame_rows(
 
 #[test]
 fn frames_stats_and_checkpoint_bytes_match_the_parent_commit() {
-    let mut actual = String::new();
-    for scene in ["Lego", "Mic", "Cloud"] {
+    let (mut actual, mut checkpoints) = (String::new(), String::new());
+    for scene in ["Lego", "Mic", "Cloud", "Pulse", "Chair", "Ship"] {
         let id = registry::handle(scene);
         let model = fit_ngp(id.build().as_ref(), &GridConfig::tiny());
+        checkpoints += &checkpoint_row(scene, &model);
+        if !["Lego", "Mic", "Cloud"].contains(&scene) {
+            continue;
+        }
         let cam = id.camera(16, 16);
         actual += &frame_rows(scene, &model, &cam, ExecPolicy::Sequential, 1);
         if scene == "Mic" {
             // the checkpoint stores MLP weights row-major whatever the
             // in-memory layout: its bytes, and what a reloaded model
             // renders, must not move
+            actual += &checkpoint_row(scene, &model);
             let mut bytes = Vec::new();
             save_model(&model, scene, &mut bytes).unwrap();
-            writeln!(
-                actual,
-                "Mic checkpoint len={} bytes={:016x}",
-                bytes.len(),
-                fnv1a(bytes.iter().copied())
-            )
-            .unwrap();
             let reloaded = load_model(&mut bytes.as_slice()).unwrap().model;
             let engine =
                 FrameEngine::new(RenderOptions::asdr_default(48), ExecPolicy::Sequential).unwrap();
@@ -115,6 +132,7 @@ fn frames_stats_and_checkpoint_bytes_match_the_parent_commit() {
         }
     }
     assert_eq!(actual, GOLDEN, "kernel output moved (left: actual, right: golden)");
+    assert_eq!(checkpoints, CHECKPOINTS, "a fitted checkpoint moved (left: actual, right: golden)");
 }
 
 /// The same nine frames on threads — both phases fanned out, tiles claimed
