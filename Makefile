@@ -20,10 +20,12 @@ test-crates:
 # worker's; the asdr_core pair and the renderer unit tests (the
 # occupancy-pattern sweep) hold the march to its kept scalar reference; the
 # engine unit tests hold every policy x worker count to one frame, probe
-# pixels read back included.
+# pixels read back included; asdr_nerf's unit tests hold the MLP rows to their
+# 64-byte alignment and the checkpoint to its size.
 test-release:
 	cargo test --release --test kernel_identity
 	cargo test --release -p asdr_nerf --test props --test fit_workers
+	cargo test --release -p asdr_nerf --lib
 	cargo test --release -p asdr_core --test empty_space --test props
 	cargo test --release -p asdr_core --lib renderer
 	cargo test --release -p asdr_core --lib engine

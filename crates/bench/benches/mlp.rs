@@ -3,7 +3,7 @@
 use asdr_math::Vec3;
 use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
-use asdr_nerf::mlp::{Activation, Dense, Kernel};
+use asdr_nerf::mlp::{Activation, Dense, Kernel, Mlp};
 use asdr_scenes::registry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -56,33 +56,14 @@ fn bench_mlp(c: &mut Criterion) {
         })
     });
 
-    // the same three layers on the portable instantiation by name, so a run
-    // on an AVX2 host still fails when the baseline build loses its
-    // vectorisation — and, set beside `color_mlp_forward_raw`, shows whether
-    // the body still inlines into the AVX2 wrapper: if it stops, the two read
-    // the same and only these numbers say so
-    let bias_rows: Vec<Vec<f32>> = color
-        .layers()
-        .iter()
-        .map(|layer| {
-            let mut row = vec![0.0f32; layer.stride()];
-            layer.prefix_on(Kernel::Portable, &[], &mut row);
-            row
-        })
-        .collect();
-    let width = color.layers().iter().map(|l| l.in_dim().max(l.out_dim())).max().unwrap();
-    let (mut src, mut dst) = (vec![0.0f32; width], vec![0.0f32; width]);
-    c.bench_function("color_mlp_forward_portable", |b| {
-        b.iter(|| {
-            src[..x.len()].copy_from_slice(black_box(&x));
-            for (layer, bias) in color.layers().iter().zip(&bias_rows) {
-                let (input, output) = (&src[..layer.in_dim()], &mut dst[..layer.out_dim()]);
-                layer.forward_on(Kernel::Portable, bias, 0, input, output);
-                std::mem::swap(&mut src, &mut dst);
-            }
-            black_box(&src);
-        })
-    });
+    // the same layers on the portable instantiation by name, so a run on an
+    // AVX2 host still fails when the baseline build loses its vectorisation —
+    // and, set beside the `_raw` rows, shows whether the body still inlines
+    // into the AVX2 wrapper: if it stops, the two read the same and only
+    // these numbers say so. Density runs the 8-lane blocks, colour the 16-
+    // and 4-lane ones; each instantiation can lose vectorisation on its own
+    bench_portable(c, "density_mlp_forward_portable", density);
+    bench_portable(c, "color_mlp_forward_portable", color);
 
     // the narrow tail layer alone: three outputs in one 4-lane block, a
     // chain of 64 dependent adds. Losing the narrow block (back to 16 lanes
@@ -99,6 +80,33 @@ fn bench_mlp(c: &mut Criterion) {
         b.iter(|| {
             tail.forward(black_box(&x), &mut y);
             black_box(&y);
+        })
+    });
+}
+
+/// `mlp`'s forward pass at an input of 0.1s, every layer on [`Kernel::Portable`].
+fn bench_portable(c: &mut Criterion, name: &str, mlp: &Mlp) {
+    let bias_rows: Vec<Vec<f32>> = mlp
+        .layers()
+        .iter()
+        .map(|layer| {
+            let mut row = vec![0.0f32; layer.stride()];
+            layer.prefix_on(Kernel::Portable, &[], &mut row);
+            row
+        })
+        .collect();
+    let x = vec![0.1f32; mlp.in_dim()];
+    let width = mlp.layers().iter().map(|l| l.in_dim().max(l.out_dim())).max().unwrap();
+    let (mut src, mut dst) = (vec![0.0f32; width], vec![0.0f32; width]);
+    c.bench_function(name, |b| {
+        b.iter(|| {
+            src[..x.len()].copy_from_slice(black_box(&x));
+            for (layer, bias) in mlp.layers().iter().zip(&bias_rows) {
+                let (input, output) = (&src[..layer.in_dim()], &mut dst[..layer.out_dim()]);
+                layer.forward_on(Kernel::Portable, bias, 0, input, output);
+                std::mem::swap(&mut src, &mut dst);
+            }
+            black_box(&src);
         })
     });
 }

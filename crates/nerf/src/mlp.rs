@@ -32,15 +32,67 @@ impl Activation {
     }
 }
 
-/// Outputs accumulated side by side in one block of [`Dense::forward_from`]:
-/// four 128-bit registers on the baseline x86-64 target, two 256-bit ones
-/// under AVX2. Measured, not guessed: on either, a 32-wide block no longer
-/// stays in registers and runs 3–7× slower (DESIGN.md §8).
+/// Outputs of one block of [`Dense::forward_from`]; the kernel body advances
+/// a pair of blocks over each pass of the inputs. Two 256-bit registers
+/// under AVX2, so a pair is four independent add chains. Measured, not
+/// guessed: one 32-wide block no longer stays in registers and runs 3–7×
+/// slower (DESIGN.md §8).
 const LANES: usize = 16;
 
+/// Block width when at most this many outputs are asked for (the 64→16
+/// density tail): a pair covers the 16 outputs, still two add chains.
+const MID_LANES: usize = 8;
+
 /// Block width when at most this many outputs are asked for (the 64→3 colour
-/// tail): one register instead of four, a quarter of the vector work.
+/// tail): one register does the work. The pair's second block is all padding,
+/// nothing writes it out, and the compiler drops its loop.
 const NARROW_LANES: usize = 4;
+
+/// Weights and bias rows start on a boundary of this many bytes, so a row is
+/// never split across cache lines by where the allocator put it.
+const ROW_ALIGN: usize = 64;
+
+/// A zeroed `f32` buffer whose first element sits on a [`ROW_ALIGN`]-byte
+/// boundary: a padded `Vec` and the offset of its first such boundary. A
+/// clone re-aligns (the copy lives elsewhere); equality compares the
+/// elements only.
+struct AlignedRow {
+    buf: Vec<f32>,
+    start: usize,
+    len: usize,
+}
+
+impl AlignedRow {
+    fn zeros(len: usize) -> Self {
+        let slack = ROW_ALIGN / size_of::<f32>() - 1;
+        let buf = vec![0.0; len + slack];
+        let misalign = buf.as_ptr().addr() % ROW_ALIGN;
+        let start = (ROW_ALIGN - misalign) % ROW_ALIGN / size_of::<f32>();
+        AlignedRow { buf, start, len }
+    }
+
+    fn as_slice(&self) -> &[f32] {
+        &self.buf[self.start..self.start + self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl Clone for AlignedRow {
+    fn clone(&self) -> Self {
+        let mut row = AlignedRow::zeros(self.len);
+        row.as_mut_slice().copy_from_slice(self.as_slice());
+        row
+    }
+}
+
+impl PartialEq for AlignedRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
 
 /// An instantiation of [`Dense`]'s one kernel body (DESIGN.md §8). Every
 /// product pass runs the widest; tests and benches name one through
@@ -86,16 +138,19 @@ struct Pass<'a> {
 /// One dense layer `y = act(W x + b)`.
 ///
 /// Weights are stored input-major, `[in][stride]` with `stride` the output
-/// count rounded up to a whole number of `LANES`-wide blocks; the padding
-/// columns (and padding biases) stay zero and are never written out, so
-/// every block of [`Self::forward_from`] is the same fixed-width loop.
+/// count rounded up to a whole number of block pairs (16 up to 16 outputs,
+/// a multiple of 32 above); the padding columns (and padding biases) stay
+/// zero and are never written out, so every pair of [`Self::forward_from`]
+/// is the same fixed-width loop. The weights and the bias row each start on
+/// a 64-byte boundary, in a clone too; equal layers compare equal wherever
+/// they live.
 #[derive(Clone, PartialEq)]
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
     stride: usize,
-    weights: Vec<f32>,
-    bias: Vec<f32>,
+    weights: AlignedRow,
+    bias: AlignedRow,
     act: Activation,
 }
 
@@ -117,13 +172,18 @@ impl Dense {
     /// Panics if either dimension is zero.
     pub fn zeros(in_dim: usize, out_dim: usize, act: Activation) -> Self {
         assert!(in_dim > 0 && out_dim > 0);
-        let stride = out_dim.next_multiple_of(LANES);
+        // whole pairs of the widest block a pass over these outputs runs
+        let stride = if out_dim <= 2 * MID_LANES {
+            2 * MID_LANES
+        } else {
+            out_dim.next_multiple_of(2 * LANES)
+        };
         Dense {
             in_dim,
             out_dim,
             stride,
-            weights: vec![0.0; in_dim * stride],
-            bias: vec![0.0; stride],
+            weights: AlignedRow::zeros(in_dim * stride),
+            bias: AlignedRow::zeros(stride),
             act,
         }
     }
@@ -148,7 +208,7 @@ impl Dense {
     pub fn export_row_major(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.in_dim * self.out_dim);
         for row in 0..self.out_dim {
-            out.extend(self.weights.iter().skip(row).step_by(self.stride));
+            out.extend(self.weights.as_slice().iter().skip(row).step_by(self.stride));
         }
         out
     }
@@ -160,21 +220,22 @@ impl Dense {
     /// Panics if `weights.len() != in_dim × out_dim`.
     pub fn import_row_major(&mut self, weights: &[f32]) {
         assert_eq!(weights.len(), self.in_dim * self.out_dim, "weight count mismatch");
+        let dst = self.weights.as_mut_slice();
         for (row, src) in weights.chunks_exact(self.in_dim).enumerate() {
             for (col, &v) in src.iter().enumerate() {
-                self.weights[col * self.stride + row] = v;
+                dst[col * self.stride + row] = v;
             }
         }
     }
 
     /// Bias vector.
     pub fn bias(&self) -> &[f32] {
-        &self.bias[..self.out_dim]
+        &self.bias.as_slice()[..self.out_dim]
     }
 
     /// Mutable bias.
     pub fn bias_mut(&mut self) -> &mut [f32] {
-        &mut self.bias[..self.out_dim]
+        &mut self.bias.as_mut_slice()[..self.out_dim]
     }
 
     /// Sets weight `(row, col)`, i.e. from input `col` to output `row`.
@@ -184,12 +245,12 @@ impl Dense {
     /// Panics if out of range.
     pub fn set(&mut self, row: usize, col: usize, v: f32) {
         assert!(row < self.out_dim && col < self.in_dim);
-        self.weights[col * self.stride + row] = v;
+        self.weights.as_mut_slice()[col * self.stride + row] = v;
     }
 
     /// Length of a running-sum row ([`Self::prefix`] writes one,
     /// [`Self::forward_from`] starts from one): the output count rounded up
-    /// to whole blocks.
+    /// to whole block pairs.
     pub fn stride(&self) -> usize {
         self.stride
     }
@@ -204,7 +265,7 @@ impl Dense {
     ///
     /// Panics if buffer lengths mismatch.
     pub fn forward(&self, x: &[f32], out: &mut [f32]) {
-        self.forward_from(&self.bias, 0, x, out);
+        self.forward_from(self.bias.as_slice(), 0, x, out);
     }
 
     /// The running sums `bias + w₀x₀ + … ` after the first `x_head.len()`
@@ -224,8 +285,8 @@ impl Dense {
     pub fn prefix_on(&self, kernel: Kernel, x_head: &[f32], sums: &mut [f32]) {
         assert!(x_head.len() <= self.in_dim, "head longer than the input");
         assert_eq!(sums.len(), self.stride, "running-sum row length mismatch");
-        let pass = Pass { init: &self.bias, skip: 0, x: x_head, act: Activation::None };
-        self.run::<LANES>(kernel, pass, sums);
+        let pass = Pass { init: self.bias.as_slice(), skip: 0, x: x_head, act: Activation::None };
+        self.run(kernel, pass, sums);
     }
 
     /// Forward pass resumed after `skip` inputs: `init` holds the running
@@ -249,17 +310,26 @@ impl Dense {
         assert_eq!(skip + x.len(), self.in_dim, "input length mismatch");
         assert!(out.len() <= self.out_dim, "more outputs asked for than the layer has");
         let pass = Pass { init, skip, x, act: self.act };
+        self.run(k, pass, out);
+    }
+
+    /// Runs the kernel body over `out` at the narrowest block whose pair
+    /// covers it, up to `LANES`: chosen from `out.len()`, which the code
+    /// can see, never from an option.
+    fn run(&self, kernel: Kernel, pass: Pass<'_>, out: &mut [f32]) {
         if out.len() <= NARROW_LANES {
-            self.run::<NARROW_LANES>(k, pass, out);
+            self.run_on::<NARROW_LANES>(kernel, pass, out);
+        } else if out.len() <= 2 * MID_LANES {
+            self.run_on::<MID_LANES>(kernel, pass, out);
         } else {
-            self.run::<LANES>(k, pass, out);
+            self.run_on::<LANES>(kernel, pass, out);
         }
     }
 
     /// Runs the kernel body on `kernel`, or on [`Kernel::Portable`] where the
     /// CPU lacks it: the one `unsafe` of the renderer (DESIGN.md §8).
     #[allow(unsafe_code)]
-    fn run<const N: usize>(&self, kernel: Kernel, pass: Pass<'_>, out: &mut [f32]) {
+    fn run_on<const N: usize>(&self, kernel: Kernel, pass: Pass<'_>, out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         if kernel == Kernel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the line above saw AVX2, all `widened` enables, on this CPU.
@@ -277,23 +347,36 @@ impl Dense {
     }
 
     /// The one kernel body: `out[j] = act(init[j] + Σ w[skip + i][j]·x[i])`
-    /// in blocks of `N` outputs.
+    /// for a pair of `N`-output blocks per pass over the inputs — two blocks'
+    /// add chains in flight instead of one. The pair is two named arrays:
+    /// LLVM keeps those in registers, and scalarises `[[f32; N]; 2]` or
+    /// `[f32; 2 * N]` (DESIGN.md §8).
     #[inline(always)]
     fn accumulate<const N: usize>(&self, pass: Pass<'_>, out: &mut [f32]) {
         let Pass { init, skip, x, act } = pass;
-        let weights = &self.weights[skip * self.stride..];
-        for (block, dst) in out.chunks_mut(N).enumerate() {
-            let o = block * N;
-            let mut acc = [0.0f32; N];
-            acc.copy_from_slice(&init[o..o + N]);
+        let weights = &self.weights.as_slice()[skip * self.stride..];
+        for (pair, dst) in out.chunks_mut(2 * N).enumerate() {
+            let o = pair * 2 * N;
+            let (mut a, mut b) = ([0.0f32; N], [0.0f32; N]);
+            a.copy_from_slice(&init[o..o + N]);
+            b.copy_from_slice(&init[o + N..o + 2 * N]);
             for (w_in, &v) in weights.chunks_exact(self.stride).zip(x) {
-                for (a, &w) in acc.iter_mut().zip(&w_in[o..o + N]) {
-                    *a += w * v;
+                let (w_a, w_b) = w_in[o..o + 2 * N].split_at(N);
+                for (s, &w) in a.iter_mut().zip(w_a) {
+                    *s += w * v;
+                }
+                for (s, &w) in b.iter_mut().zip(w_b) {
+                    *s += w * v;
                 }
             }
-            // the last block may be narrower than its accumulator
-            for (d, &a) in dst.iter_mut().zip(&acc) {
-                *d = act.apply(a);
+            // the last pair may be narrower than its accumulators; each half
+            // is written through its own loop (a chained iterator scalarises)
+            let (dst_a, dst_b) = dst.split_at_mut(dst.len().min(N));
+            for (d, &s) in dst_a.iter_mut().zip(&a) {
+                *d = act.apply(s);
+            }
+            for (d, &s) in dst_b.iter_mut().zip(&b) {
+                *d = act.apply(s);
             }
         }
     }
@@ -357,7 +440,7 @@ impl Mlp {
     ///
     /// Panics if `x`, `out` or `scratch` have wrong lengths.
     pub fn forward_scratch(&self, x: &[f32], out: &mut [f32], scratch: &mut [f32]) {
-        self.forward_from(&self.layers[0].bias, 0, x, out, scratch);
+        self.forward_from(self.layers[0].bias.as_slice(), 0, x, out, scratch);
     }
 
     /// [`Self::forward_scratch`] with the first layer resumed after `skip`
@@ -436,6 +519,78 @@ mod tests {
         assert_eq!(kernel_name() == "portable", !avx2);
         assert_eq!(Kernel::available().first(), Some(&Kernel::Portable));
         assert_eq!(Kernel::available().contains(&Kernel::Avx2), avx2);
+    }
+
+    /// Whether both of a layer's rows start on a `ROW_ALIGN`-byte boundary.
+    fn rows_aligned(l: &Dense) -> bool {
+        [l.weights.as_slice(), l.bias.as_slice()].iter().all(|r| r.as_ptr().addr() % ROW_ALIGN == 0)
+    }
+
+    #[test]
+    fn weight_and_bias_rows_start_on_a_64_byte_boundary() {
+        // the odd-sized buffers kept alive between layers move where the next one lands
+        let mut keep = Vec::new();
+        for (in_dim, out_dim) in [(1, 1), (31, 64), (64, 16), (64, 3), (5, 33), (7, 65), (3, 17)] {
+            let mut l = Dense::zeros(in_dim, out_dim, Activation::Relu);
+            assert!(rows_aligned(&l), "zeros({in_dim}, {out_dim})");
+            let w: Vec<f32> = (0..in_dim * out_dim).map(|i| i as f32 * 0.25 - 1.0).collect();
+            l.import_row_major(&w);
+            assert!(rows_aligned(&l), "import_row_major on {in_dim}x{out_dim}");
+            let copy = l.clone();
+            assert!(rows_aligned(&copy), "clone of {in_dim}x{out_dim}");
+            assert_eq!(copy, l);
+            keep.push((l, copy, vec![0u8; 4 * in_dim + 4]));
+        }
+    }
+
+    #[test]
+    fn a_loaded_checkpoint_keeps_its_bytes_and_gets_aligned_rows() {
+        use crate::fit::fit_ngp;
+        use crate::grid::GridConfig;
+        use crate::io::{load_model, save_model};
+        let model =
+            fit_ngp(asdr_scenes::registry::handle("Lego").build().as_ref(), &GridConfig::tiny());
+        let mut bytes = Vec::new();
+        save_model(&model, "Lego", &mut bytes).unwrap();
+        // `nerf.ckpt_bytes`: how a layer is stored does not reach the file
+        assert_eq!(bytes.len(), 277_600);
+        let loaded = load_model(&mut bytes.as_slice()).unwrap().model;
+        for (fitted, read) in
+            [(model.density_mlp(), loaded.density_mlp()), (model.color_mlp(), loaded.color_mlp())]
+        {
+            assert_eq!(fitted, read);
+            assert!(read.layers().iter().all(rows_aligned));
+        }
+    }
+
+    #[test]
+    fn equal_layers_compare_equal_wherever_their_rows_start() {
+        let mut a = Dense::zeros(5, 33, Activation::Relu);
+        a.set(32, 4, 1.5);
+        a.set(0, 0, -0.25);
+        a.bias_mut()[32] = -0.5;
+        // the same rows one float past a 64-byte boundary
+        let misaligned = |row: &AlignedRow| {
+            let mut moved = AlignedRow::zeros(row.len + 1);
+            moved.start += 1;
+            moved.len = row.len;
+            moved.as_mut_slice().copy_from_slice(row.as_slice());
+            moved
+        };
+        let b = Dense { weights: misaligned(&a.weights), bias: misaligned(&a.bias), ..a.clone() };
+        assert!(rows_aligned(&a) && !rows_aligned(&b));
+        assert_eq!(a, b);
+        let x = [0.5, -1.0, 2.0, 0.125, 3.0];
+        let (mut ya, mut yb) = ([0.0f32; 33], [0.0f32; 33]);
+        a.forward(&x, &mut ya);
+        b.forward(&x, &mut yb);
+        assert_eq!(ya.map(f32::to_bits), yb.map(f32::to_bits));
+        // a clone of the misaligned layer is aligned again, and still equal
+        assert!(rows_aligned(&b.clone()));
+        assert_eq!(b.clone(), a);
+        let mut c = b.clone();
+        c.set(32, 4, 1.0);
+        assert_ne!(c, a);
     }
 
     #[test]

@@ -107,9 +107,22 @@ fn assert_encode_matches_oracle(enc: &HashEncoder, p: Vec3) {
     }
 }
 
-/// Output widths of the `Dense` properties: one lane, around the 4-lane
-/// block, around the 16-lane block, and several blocks.
-const DENSE_WIDTHS: [usize; 9] = [1, 3, 4, 5, 15, 16, 17, 33, 64];
+/// Output widths of the `Dense` properties. The kernel body advances a pair of
+/// blocks (4, 8 or 16 lanes each, picked by how many outputs are asked for),
+/// so these put the end of the outputs inside either half of a pair, on a
+/// pair's edge, and past it where the second block is all padding: one lane,
+/// around each block width, and several pairs.
+const DENSE_WIDTHS: [usize; 16] = [1, 3, 4, 5, 8, 9, 15, 16, 17, 24, 31, 32, 33, 48, 64, 65];
+
+/// The running-sum row length the kernel body needs: whole pairs of the
+/// widest block a pass over `out_dim` outputs runs.
+fn expected_stride(out_dim: usize) -> usize {
+    if out_dim <= 16 {
+        16
+    } else {
+        out_dim.next_multiple_of(32)
+    }
+}
 
 fn dense_layer(in_dim: usize, out_dim: usize, act: Activation, w: &[f32], bias: &[f32]) -> Dense {
     let mut layer = Dense::zeros(in_dim, out_dim, act);
@@ -151,7 +164,8 @@ fn same_floats(got: &[f32], want: &[f32]) -> bool {
 /// dot product per output row, `bias + w₀x₀ + w₁x₁ + …` — which it returns:
 /// `forward` as the product dispatches it, then, on every instantiation the
 /// host offers, the sum stopped after any head and resumed, for the whole
-/// layer or for fewer outputs than it has (which picks the block width).
+/// layer or for fewer outputs than it has (which picks the block width, and
+/// may end the outputs inside either half of a pair).
 fn assert_dense_matches_oracle(layer: &Dense, w: &[f32], x: &[f32]) -> Vec<f32> {
     let (in_dim, out_dim, act) = (layer.in_dim(), layer.out_dim(), layer.activation());
     let want: Vec<f32> = w
@@ -166,6 +180,8 @@ fn assert_dense_matches_oracle(layer: &Dense, w: &[f32], x: &[f32]) -> Vec<f32> 
         })
         .collect();
     let shape = format!("{in_dim}x{out_dim} {act:?}");
+    let asks: Vec<usize> =
+        DENSE_WIDTHS.into_iter().filter(|&n| n < out_dim).chain([out_dim - 1, out_dim]).collect();
     let mut got = vec![f32::NAN; out_dim];
     layer.forward(x, &mut got);
     assert!(same_floats(&got, &want), "{shape} as dispatched: {got:?} vs {want:?}");
@@ -179,7 +195,7 @@ fn assert_dense_matches_oracle(layer: &Dense, w: &[f32], x: &[f32]) -> Vec<f32> 
         );
         for &kernel in kernels_under_test() {
             layer.prefix_on(kernel, &x[..k], &mut sums);
-            for ask in [out_dim, out_dim.min(4), out_dim.min(5), 1] {
+            for &ask in &asks {
                 let mut got = vec![f32::NAN; ask];
                 layer.forward_on(kernel, &sums, k, &x[k..], &mut got);
                 assert!(
@@ -365,6 +381,8 @@ proptest! {
             let bias: Vec<f32> = (0..out_dim).map(|_| next()).collect();
             for act in [Activation::None, Activation::Relu] {
                 let layer = dense_layer(in_dim, out_dim, act, &w, &bias);
+                // up to 16 outputs the splits below run on a 16-float row
+                prop_assert_eq!(layer.stride(), expected_stride(out_dim));
                 prop_assert!(layer.export_row_major() == w, "export ∘ import is not the identity");
                 // the same matrix entered one weight at a time
                 let mut by_set = Dense::zeros(in_dim, out_dim, act);
