@@ -96,15 +96,14 @@ cluster-smoke:
 		--autoscale 1:2 --budget-ms 200 \
 		--store-dir target/cluster-store --out target/cluster-stats-autoscaled.json
 
-# Generate, sample, and replay a 120s synthetic diurnal trace, asserting
-# the sampled replay runs in < 10% of the full wall-clock with the full
-# miss rate inside the estimate's error bar (what the nightly trace-smoke
-# job runs).
+# Replay the bundled tiny workload with --record, replay the captured
+# binary trace, and assert the two frame dumps are byte-identical (what the
+# nightly trace-smoke job runs).
 trace-smoke:
 	scripts/trace_smoke.sh
 
-# Replay a synthetic trace against three asdr-shardd processes, kill -9
-# one mid-run, and assert completion with byte-identical frames and the
+# Replay scripts/fleet-workload-kill.jsonl against three asdr-shardd
+# processes, kill -9 one mid-run, and assert completion with byte-identical frames and the
 # eviction visible in stats (what the nightly fleet-smoke job runs).
 fleet-smoke:
 	scripts/fleet_smoke.sh

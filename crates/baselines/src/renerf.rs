@@ -33,9 +33,12 @@ pub fn render_renerf(
     assert!(reduction > 0, "reduction must be positive");
     assert_eq!(base_ns % reduction, 0, "reduction must divide base_ns");
     let compressed = quantize_model_features(model, RENERF_FEATURE_BITS);
-    FrameEngine::new(RenderOptions::instant_ngp(base_ns / reduction), ExecPolicy::default())
-        .expect("instant_ngp options are always valid")
-        .render_frame(&compressed, cam)
+    FrameEngine::new(
+        RenderOptions::instant_ngp(base_ns / reduction),
+        ExecPolicy::TileStealing { tile_size: 16 },
+    )
+    .expect("instant_ngp options are always valid")
+    .render_frame(&compressed, cam)
 }
 
 #[cfg(test)]
@@ -53,18 +56,22 @@ mod tests {
         let scene = registry::handle("Lego").build();
         let model = fit_ngp(&scene, &GridConfig::tiny());
         let cam = registry::handle("Lego").camera(24, 24);
-        let reference = FrameEngine::new(RenderOptions::instant_ngp(64), ExecPolicy::default())
-            .unwrap()
-            .render_frame(&model, &cam)
-            .image;
+        let reference = FrameEngine::new(
+            RenderOptions::instant_ngp(64),
+            ExecPolicy::TileStealing { tile_size: 16 },
+        )
+        .unwrap()
+        .render_frame(&model, &cam)
+        .image;
 
         let renerf = render_renerf(&model, &cam, 64, 2);
         let p_naive = psnr(&renerf.image, &reference);
 
         let mut asdr_opts = RenderOptions::instant_ngp(64);
         asdr_opts.approx_group = 2; // same color-budget reduction
-        let asdr =
-            FrameEngine::new(asdr_opts, ExecPolicy::default()).unwrap().render_frame(&model, &cam);
+        let asdr = FrameEngine::new(asdr_opts, ExecPolicy::TileStealing { tile_size: 16 })
+            .unwrap()
+            .render_frame(&model, &cam);
         let p_asdr = psnr(&asdr.image, &reference);
 
         assert!(p_asdr > p_naive, "ASDR {p_asdr} should beat naive {p_naive}");

@@ -29,8 +29,11 @@ pub fn run_feature_bits(h: &mut Harness, id: &SceneHandle, bits: &[u32]) -> Vec<
     let base_ns = h.scale().base_ns();
     let model = h.model(id);
     let cam = h.camera(id);
-    let fixed = FrameEngine::new(RenderOptions::instant_ngp(base_ns), ExecPolicy::default())
-        .expect("a harness scale's sample count is valid");
+    let fixed = FrameEngine::new(
+        RenderOptions::instant_ngp(base_ns),
+        ExecPolicy::TileStealing { tile_size: 16 },
+    )
+    .expect("a harness scale's sample count is valid");
     let reference = fixed.render_frame(&*model, &cam).image;
     bits.iter()
         .map(|&b| {

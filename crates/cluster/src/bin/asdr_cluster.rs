@@ -2,7 +2,7 @@
 //! reports cluster statistics.
 //!
 //! ```text
-//! asdr-cluster (--workload FILE | --trace FILE | --synthetic SPEC)
+//! asdr-cluster (--workload FILE | --trace FILE)
 //!              [--shards N | --remote (spawn:N | ADDR[,ADDR...])]
 //!              [--scale tiny|small|paper]
 //!              [--workers N | --autoscale MIN:MAX] [--budget-ms X] [--hedge-ms X]
@@ -65,7 +65,7 @@ impl Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: asdr-cluster (--workload FILE | --trace FILE | --synthetic SPEC)\n\
+        "usage: asdr-cluster (--workload FILE | --trace FILE)\n\
          \u{20}                   [--shards N | --remote (spawn:N | ADDR[,ADDR...])]\n\
          \u{20}                   [--scale tiny|small|paper]\n\
          \u{20}                   [--workers N | --autoscale MIN:MAX] [--budget-ms X] [--hedge-ms X]\n\
@@ -260,14 +260,14 @@ fn main() {
         flags::open_bundle(&root.join("cluster"), "cluster", &config)
     });
     let input = args.replay.input.clone().expect("checked in parse_args");
-    let mut source = input.open().unwrap_or_else(|e| die(&e));
-    if source.len_hint() == Some(0) {
-        die("workload file holds no requests");
+    let entries = input.load().unwrap_or_else(|e| die(&e));
+    if entries.is_empty() {
+        die(&format!("{} holds no requests", input.describe()));
     }
     let (fleet, mut children, listed) = build_fleet(&args);
     println!(
         "# asdr-cluster: {} requests over {} shards ({listed}; {}), store {}",
-        source.len_hint().map_or_else(|| "streamed".to_string(), |n| n.to_string()),
+        entries.len(),
         fleet.shards(),
         match args.autoscale {
             Some((min, max)) => format!("autoscale {min}:{max} workers/shard"),
@@ -280,11 +280,8 @@ fn main() {
     if let Some(b) = &bundle {
         b.stage("replaying");
     }
-    let replay = driver.run(source.as_mut(), &fleet);
+    let replay = driver.run(&entries, &fleet);
     let replay = replay.unwrap_or_else(|e| die(&format!("{}: {e}", input.describe())));
-    if replay.requests.is_empty() {
-        die("trace holds no requests");
-    }
 
     let mut report = ReplayReport::begin(&args.output, bundle.as_deref(), "shard");
     for req in &replay.requests {
@@ -357,7 +354,7 @@ fn main() {
             e.miss_rate * 100.0
         );
     }
-    report.finish(wall, replay.plan.as_ref(), &stats.to_json());
+    report.finish(wall, &stats.to_json());
 
     // spawned daemons were asked to drain by fleet.shutdown(); give each a
     // moment to exit on its own before forcing the issue

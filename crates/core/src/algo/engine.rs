@@ -8,7 +8,6 @@
 //!
 //! * [`ExecPolicy::Sequential`] — the whole frame, one thread: the
 //!   reference path;
-//! * [`ExecPolicy::StaticRows`] — contiguous row blocks, one per worker;
 //! * [`ExecPolicy::TileStealing`] — square tiles. Adaptive sampling makes
 //!   per-tile cost wildly uneven, and workers that draw cheap background
 //!   tiles steal the remaining hard ones.
@@ -44,8 +43,6 @@ use std::time::Instant;
 pub enum ExecPolicy {
     /// Single-threaded reference execution.
     Sequential,
-    /// Contiguous row blocks, one per worker (static split).
-    StaticRows,
     /// Square tiles pulled from a shared atomic counter, largest planned
     /// sample count first — work stealing without a scheduler, hand-rolled
     /// (no rayon in this environment).
@@ -66,13 +63,6 @@ impl ExecPolicy {
             ExecPolicy::TileStealing { tile_size: 0 } => Err("tile_size must be >= 1".into()),
             _ => Ok(()),
         }
-    }
-}
-
-impl Default for ExecPolicy {
-    /// Row blocks: the split that needs no tuning.
-    fn default() -> Self {
-        ExecPolicy::StaticRows
     }
 }
 
@@ -389,7 +379,6 @@ impl FrameEngine {
         let budget = self.workers.unwrap_or_else(detected_workers).max(1);
         let tiles = match self.policy {
             ExecPolicy::Sequential => return (vec![Tile { x0: 0, y0: 0, x1: w, y1: h }], 1),
-            ExecPolicy::StaticRows => row_tiles(w, h, budget),
             ExecPolicy::TileStealing { tile_size } => square_tiles(w, h, tile_size),
         };
         let workers = budget.min(tiles.len());
@@ -567,16 +556,6 @@ fn blit(image: &mut Image, tile: Tile, pixels: &[Rgb]) {
     }
 }
 
-/// Full-width row-block tiles, one per worker (the static split); never
-/// thinner than a row, so at most `height` of them.
-fn row_tiles(width: u32, height: u32, workers: usize) -> Vec<Tile> {
-    let rows_per_worker = (height as usize).div_ceil(workers.max(1)) as u32;
-    (0..height)
-        .step_by(rows_per_worker.max(1) as usize)
-        .map(|y0| Tile { x0: 0, y0, x1: width, y1: (y0 + rows_per_worker).min(height) })
-        .collect()
-}
-
 /// Square `tile_size`-pixel tiles in row-major order (edge tiles clipped).
 fn square_tiles(width: u32, height: u32, tile_size: u32) -> Vec<Tile> {
     let t = tile_size.max(1);
@@ -603,10 +582,9 @@ mod tests {
         fit_ngp(registry::handle(name).build().as_ref(), &GridConfig::tiny())
     }
 
-    fn all_policies() -> [ExecPolicy; 4] {
+    fn all_policies() -> [ExecPolicy; 3] {
         [
             ExecPolicy::Sequential,
-            ExecPolicy::StaticRows,
             // 5 does not divide 16/24: exercises ragged edge tiles
             ExecPolicy::TileStealing { tile_size: 5 },
             ExecPolicy::TileStealing { tile_size: 64 }, // single oversized tile
@@ -645,18 +623,12 @@ mod tests {
         let cam = registry::handle("Lego").camera(20, 20);
         let opts = RenderOptions::asdr_default(48);
         let single =
-            FrameEngine::new(opts.clone(), ExecPolicy::StaticRows).unwrap().render_frame(&m, &cam);
-        let rows = FrameEngine::new(opts.clone(), ExecPolicy::StaticRows)
-            .unwrap()
-            .with_workers(4)
-            .render_frame(&m, &cam);
+            FrameEngine::new(opts.clone(), ExecPolicy::Sequential).unwrap().render_frame(&m, &cam);
         let steal = FrameEngine::new(opts, ExecPolicy::TileStealing { tile_size: 6 })
             .unwrap()
             .with_workers(3)
             .render_frame(&m, &cam);
-        assert_eq!(rows.image, single.image);
         assert_eq!(steal.image, single.image);
-        assert_eq!(rows.stats, single.stats);
         assert_eq!(steal.stats, single.stats);
 
         // every policy × worker count, 64 being more than there are probe
@@ -791,8 +763,16 @@ mod tests {
                 engine(ExecPolicy::TileStealing { tile_size: 64 }).with_workers(8),
                 &square,
             ),
-            ("one worker", engine(ExecPolicy::StaticRows).with_workers(1), &square),
-            ("one row", engine(ExecPolicy::StaticRows).with_workers(8), &one_row),
+            (
+                "one worker",
+                engine(ExecPolicy::TileStealing { tile_size: 24 }).with_workers(1),
+                &square,
+            ),
+            (
+                "one row",
+                engine(ExecPolicy::TileStealing { tile_size: 24 }).with_workers(8),
+                &one_row,
+            ),
         ] {
             let out = engine.render_frame(&m, cam);
             assert!(out.stats.density_points > 0, "{what}: the frame queried the model");
@@ -921,7 +901,5 @@ mod tests {
             }
             assert!(covered.iter().all(|&c| c == 1), "{w}x{h}/{t}: coverage hole or overlap");
         }
-        let rows = row_tiles(10, 7, 3);
-        assert_eq!(rows.iter().map(|t| (t.y1 - t.y0) * 10).sum::<u32>(), 70);
     }
 }

@@ -429,7 +429,7 @@ mod tests {
     }
 
     fn render(model: &NgpModel, cam: &Camera, opts: &RenderOptions) -> RenderOutput {
-        FrameEngine::new(opts.clone(), ExecPolicy::StaticRows)
+        FrameEngine::new(opts.clone(), ExecPolicy::TileStealing { tile_size: 16 })
             .expect("options are valid")
             .render_frame(model, cam)
     }

@@ -24,7 +24,7 @@
 //! let scene = mic.build();
 //! let model = fit::fit_ngp(scene.as_ref(), &GridConfig::tiny());
 //! let cam = mic.camera(32, 32);
-//! let engine = FrameEngine::new(RenderOptions::asdr_default(64), ExecPolicy::default()).unwrap();
+//! let engine = FrameEngine::new(RenderOptions::asdr_default(64), ExecPolicy::Sequential).unwrap();
 //! let out = engine.render_frame(&model, &cam);
 //! assert!(out.stats.color_points < out.stats.density_points);
 //! ```

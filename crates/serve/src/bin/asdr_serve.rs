@@ -2,23 +2,22 @@
 //! and reports serving statistics.
 //!
 //! ```text
-//! asdr-serve (--workload FILE | --trace FILE | --synthetic SPEC)
+//! asdr-serve (--workload FILE | --trace FILE)
 //!            [--scale tiny|small|paper] [--workers N]
 //!            [--store-dir DIR | --no-store] [--queue N]
 //!            [--speed X] [--record PATH]
 //!            [--out STATS.json] [--dump-images DIR] [--bundle DIR]
 //! ```
 //!
-//! Any [`TraceSource`](asdr_serve::TraceSource) can feed the replay: a
-//! JSON-lines workload, a binary trace (full or sampled), or a seeded
-//! synthetic spec. Entries are submitted at their `at_ms` arrival offsets
-//! (optionally time-warped by `--speed`; equal offsets form a burst)
+//! The input is a JSON-lines workload or a binary trace (what `--record`
+//! writes), read whole before the replay starts. Entries are submitted at
+//! their `at_ms` arrival offsets (optionally time-warped by `--speed`;
+//! equal offsets form a burst)
 //! through the shared [`ReplayDriver`](asdr_serve::ReplayDriver);
 //! `--record` captures every admitted request as a binary trace. The
 //! process waits for every ticket, prints a per-request table plus the
 //! aggregate [`ServeStats`](asdr_serve::ServeStats) and a machine-readable
-//! `TRACE_RESULT` line (with the weighted estimate and error bars when
-//! replaying a sampled trace), and writes the stats as JSON to `--out`
+//! `TRACE_RESULT` line, and writes the stats as JSON to `--out`
 //! (the artifact the nightly workflow uploads). `--dump-images` writes
 //! every rendered frame as a PPM — two runs against the same
 //! `--store-dir` must produce byte-identical dumps (the store acceptance
@@ -40,7 +39,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: asdr-serve (--workload FILE | --trace FILE | --synthetic SPEC)\n\
+        "usage: asdr-serve (--workload FILE | --trace FILE)\n\
          \u{20}                 [--scale tiny|small|paper] [--workers N]\n\
          \u{20}                 [--store-dir DIR | --no-store] [--queue N]\n\
          \u{20}                 [--speed X] [--record PATH]\n\
@@ -83,9 +82,9 @@ fn main() {
         flags::open_bundle(dir, "serve", &config)
     });
     let input = args.replay.input.clone().expect("checked in parse_args");
-    let mut source = input.open().unwrap_or_else(|e| die(&e));
-    if source.len_hint() == Some(0) {
-        die("workload file holds no requests");
+    let entries = input.load().unwrap_or_else(|e| die(&e));
+    if entries.is_empty() {
+        die(&format!("{} holds no requests", input.describe()));
     }
 
     let mut builder =
@@ -96,7 +95,7 @@ fn main() {
     let service = builder.queue_capacity(sized.queue).build().unwrap_or_else(|e| die(&e));
     println!(
         "# asdr-serve: {} requests, {} workers, store {}",
-        source.len_hint().map_or_else(|| "streamed".to_string(), |n| n.to_string()),
+        entries.len(),
         service.workers(),
         service.store().dir().map_or("in-memory".to_string(), |d| d.display().to_string()),
     );
@@ -106,11 +105,8 @@ fn main() {
         b.stage("replaying");
     }
     let replay = driver
-        .run(source.as_mut(), &service)
+        .run(&entries, &service)
         .unwrap_or_else(|e| die(&format!("{}: {e}", input.describe())));
-    if replay.requests.is_empty() {
-        die("trace holds no requests");
-    }
 
     let mut report = ReplayReport::begin(&args.output, bundle.as_deref(), "reused");
     for req in &replay.requests {
@@ -151,5 +147,5 @@ fn main() {
     if stats.deadlined_requests > 0 {
         println!("deadlines: {}/{} missed", stats.deadline_misses, stats.deadlined_requests);
     }
-    report.finish(wall, replay.plan.as_ref(), &stats.to_json());
+    report.finish(wall, &stats.to_json());
 }

@@ -1,38 +1,25 @@
-//! `asdr-trace` — the trace toolbox: capture, generate, sample, report.
+//! `asdr-trace` — transcode a workload, merge run bundles.
 //!
 //! ```text
-//! asdr-trace record  (--workload FILE | --trace FILE | --synthetic SPEC) --out OUT.trace
-//! asdr-trace gen     SPEC --out OUT.trace
-//! asdr-trace sample  --trace FILE --window-ms N --clusters K [--seed S] [--closed-loop] --out OUT.trace
-//! asdr-trace report  [--out FILE] [LABEL=]STATS.json ...
+//! asdr-trace record  (--workload FILE | --trace FILE) --out OUT.trace
 //! asdr-trace report  --bundles DIR [--json] [--out FILE]
 //! ```
 //!
-//! `record` transcodes any trace input into the compact binary format
-//! without replaying it; `gen` materialises a synthetic spec (see
-//! `asdr_serve::trace::synth`); `sample` reduces a trace to weighted
-//! medoid windows SimPoint-style; `report` merges per-run stats JSON
-//! artifacts into one comparative markdown table — or, with `--bundles`,
-//! merges the [`asdr_obs`] run bundles of a fleet run into one report:
-//! per-phase latency breakdown, cross-process `SPAN_JOIN` lines (trace
-//! ids followed across hedges and failovers), and a `MISS_ATTRIBUTION`
-//! line naming the dominant phase of every deadline miss.
+//! `record` transcodes a workload into the compact binary format without
+//! replaying it; `report --bundles` merges the [`asdr_obs`] run bundles of
+//! a fleet run into one report: per-phase latency breakdown,
+//! cross-process `SPAN_JOIN` lines (trace ids followed across hedges and
+//! failovers), and a `MISS_ATTRIBUTION` line naming the dominant phase of
+//! every deadline miss.
 
-use asdr_serve::flags::{die, positive_usize, value, ReplayFlags};
-use asdr_serve::trace::{format, report, sample_trace_with, source};
+use asdr_serve::flags::{die, value, ReplayFlags};
+use asdr_serve::trace::format;
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: asdr-trace record  (--workload FILE | --trace FILE | --synthetic SPEC) --out OUT.trace\n\
-         \u{20}      asdr-trace gen     SPEC --out OUT.trace\n\
-         \u{20}      asdr-trace sample  --trace FILE --window-ms N --clusters K [--seed S] [--closed-loop] --out OUT.trace\n\
-         \u{20}      asdr-trace report  [--out FILE] [LABEL=]STATS.json ...\n\
-         \u{20}      asdr-trace report  --bundles DIR [--json] [--out FILE]\n\
-         \n\
-         SPEC examples:\n\
-         \u{20} poisson:rate=1.2,duration=120s,scenes=Mic+Lego+Pulse,zipf=1.1,seed=7\n\
-         \u{20} diurnal:base=0.5,peak=4,period=60s,duration=120s,deadline=400,resolution=32"
+        "usage: asdr-trace record  (--workload FILE | --trace FILE) --out OUT.trace\n\
+         \u{20}      asdr-trace report  --bundles DIR [--json] [--out FILE]"
     );
     std::process::exit(2);
 }
@@ -43,24 +30,10 @@ fn main() {
     let rest = &argv[1..];
     match cmd.as_str() {
         "record" => cmd_record(rest),
-        "gen" => cmd_gen(rest),
-        "sample" => cmd_sample(rest),
         "report" => cmd_report(rest),
         "-h" | "--help" => usage(),
         other => die(&format!("unknown subcommand {other:?} (see --help)")),
     }
-}
-
-/// Writes `entries` (and an optional plan) to `out`, announcing the size.
-fn write_trace(
-    out: &PathBuf,
-    entries: &[source::TimedRequest],
-    plan: Option<&format::PlanMeta>,
-    what: &str,
-) {
-    format::write_file(out, entries, plan).unwrap_or_else(|e| die(&e));
-    let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    println!("{}: {} requests, {} bytes -> {}", what, entries.len(), bytes, out.display());
 }
 
 fn cmd_record(argv: &[String]) {
@@ -79,97 +52,18 @@ fn cmd_record(argv: &[String]) {
     }
     let input = flags.input_or_usage(|| {});
     let out = out.unwrap_or_else(|| die("record needs --out OUT.trace"));
-    let mut src = input.open().unwrap_or_else(|e| die(&e));
-    let plan = src.plan().cloned();
-    let entries = source::drain(src.as_mut());
-    write_trace(&out, &entries, plan.as_ref(), "recorded");
+    let entries = input.load().unwrap_or_else(|e| die(&e));
+    format::write_file(&out, &entries).unwrap_or_else(|e| die(&e));
+    let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
+    println!("recorded: {} requests, {} bytes -> {}", entries.len(), bytes, out.display());
 }
 
-fn cmd_gen(argv: &[String]) {
-    let mut spec: Option<String> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--out" => out = Some(PathBuf::from(value(argv, &mut i))),
-            "-h" | "--help" => usage(),
-            s if !s.starts_with('-') && spec.is_none() => spec = Some(s.to_string()),
-            other => die(&format!("unknown argument {other:?} (see --help)")),
-        }
-        i += 1;
-    }
-    let spec = spec.unwrap_or_else(|| die("gen needs a SPEC (e.g. poisson:rate=1,duration=60s)"));
-    let out = out.unwrap_or_else(|| die("gen needs --out OUT.trace"));
-    let mut src = asdr_serve::SyntheticSource::from_spec(&spec).unwrap_or_else(|e| die(&e));
-    let entries = source::drain(&mut src);
-    if entries.is_empty() {
-        die("spec generated no arrivals (rate or duration too small)");
-    }
-    write_trace(&out, &entries, None, "generated");
-}
-
-fn cmd_sample(argv: &[String]) {
-    let mut trace: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut window_ms: Option<u64> = None;
-    let mut clusters: Option<usize> = None;
-    let mut seed = 0u64;
-    let mut closed_loop = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--trace" => trace = Some(PathBuf::from(value(argv, &mut i))),
-            "--out" => out = Some(PathBuf::from(value(argv, &mut i))),
-            "--window-ms" => {
-                window_ms = Some(positive_usize("--window-ms", &value(argv, &mut i)) as u64);
-            }
-            "--clusters" => clusters = Some(positive_usize("--clusters", &value(argv, &mut i))),
-            "--seed" => {
-                seed = value(argv, &mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed needs an unsigned integer"));
-            }
-            "--closed-loop" => closed_loop = true,
-            "-h" | "--help" => usage(),
-            other => die(&format!("unknown argument {other:?} (see --help)")),
-        }
-        i += 1;
-    }
-    let trace = trace.unwrap_or_else(|| die("sample needs --trace FILE"));
-    let out = out.unwrap_or_else(|| die("sample needs --out OUT.trace"));
-    let window_ms = window_ms.unwrap_or_else(|| die("sample needs --window-ms N"));
-    let clusters = clusters.unwrap_or_else(|| die("sample needs --clusters K"));
-    let decoded = format::read_file(&trace).unwrap_or_else(|e| die(&e));
-    if decoded.plan.is_some() {
-        die(&format!("{} is already a sampled trace", trace.display()));
-    }
-    let sampled = sample_trace_with(&decoded.entries, window_ms, clusters, seed, closed_loop)
-        .unwrap_or_else(|e| die(&e));
-    let plan = &sampled.plan;
-    println!(
-        "sampled ({}) {} windows of {} ms down to {} medoids ({} of {} requests, {:.1}x compression)",
-        if closed_loop { "closed-loop" } else { "open-loop" },
-        plan.total_windows,
-        plan.window_ms,
-        plan.picks.len(),
-        sampled.entries.len(),
-        decoded.entries.len(),
-        plan.equivalent_ms() as f64 / plan.replayed_ms().max(1) as f64,
-    );
-    for (i, p) in plan.picks.iter().enumerate() {
-        println!(
-            "  window {i}: t+{} ms, weight {}/{}",
-            p.start_ms, p.cluster_size, plan.total_windows
-        );
-    }
-    write_trace(&out, &sampled.entries, Some(plan), "sampled");
-}
-
+/// Merges every bundle under `--bundles DIR` into the cross-process span
+/// report (markdown by default, `--json` for the machine-readable artifact).
 fn cmd_report(argv: &[String]) {
     let mut out: Option<PathBuf> = None;
     let mut bundles: Option<PathBuf> = None;
     let mut json = false;
-    let mut artifacts: Vec<(String, std::collections::BTreeMap<String, f64>)> = Vec::new();
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -177,61 +71,12 @@ fn cmd_report(argv: &[String]) {
             "--bundles" => bundles = Some(PathBuf::from(value(argv, &mut i))),
             "--json" => json = true,
             "-h" | "--help" => usage(),
-            arg if !arg.starts_with('-') => {
-                let (label, path) = match arg.split_once('=') {
-                    Some((l, p)) => (l.to_string(), PathBuf::from(p)),
-                    None => {
-                        let p = PathBuf::from(arg);
-                        let stem = p
-                            .file_stem()
-                            .map(|s| s.to_string_lossy().into_owned())
-                            .unwrap_or_else(|| arg.to_string());
-                        (stem, p)
-                    }
-                };
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
-                let metrics = report::scan_metrics(&text);
-                if metrics.is_empty() {
-                    die(&format!("{}: no numeric metrics found", path.display()));
-                }
-                artifacts.push((label, metrics));
-            }
             other => die(&format!("unknown argument {other:?} (see --help)")),
         }
         i += 1;
     }
-    if let Some(root) = bundles {
-        if !artifacts.is_empty() {
-            die("--bundles and [LABEL=]STATS.json arguments are mutually exclusive");
-        }
-        return bundle_report(&root, json, out.as_deref());
-    }
-    if json {
-        die("--json only applies to --bundles reports");
-    }
-    if artifacts.is_empty() {
-        die("report needs at least one [LABEL=]STATS.json or --bundles DIR");
-    }
-    let md = report::merge_report(&artifacts);
-    match out {
-        Some(path) => {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            std::fs::write(&path, &md)
-                .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
-            println!("report ({} runs) written to {}", artifacts.len(), path.display());
-        }
-        None => print!("{md}"),
-    }
-}
-
-/// The `report --bundles` path: merge every bundle under `root` into the
-/// cross-process span report (markdown by default, `--json` for the
-/// machine-readable artifact).
-fn bundle_report(root: &std::path::Path, json: bool, out: Option<&std::path::Path>) {
-    let (spans, skipped) = asdr_obs::report::load_bundles(root).unwrap_or_else(|e| die(&e));
+    let root = bundles.unwrap_or_else(|| die("report needs --bundles DIR"));
+    let (spans, skipped) = asdr_obs::report::load_bundles(&root).unwrap_or_else(|e| die(&e));
     let merged = asdr_obs::report::analyze(&spans, skipped);
     let text = if json { merged.to_json() } else { merged.to_markdown() };
     match out {
@@ -239,7 +84,7 @@ fn bundle_report(root: &std::path::Path, json: bool, out: Option<&std::path::Pat
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            std::fs::write(path, &text)
+            std::fs::write(&path, &text)
                 .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
             println!(
                 "bundle report ({} spans, {} traces, {} processes) written to {}",

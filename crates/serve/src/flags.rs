@@ -2,16 +2,17 @@
 //!
 //! `asdr-serve`, `asdr-cluster`, and `asdr-trace` parse argv by hand (no
 //! clap offline); this module keeps the shared pieces — fail-fast value
-//! parsing, the trace-input flag trio (`--workload` / `--trace` /
-//! `--synthetic`) with `--speed`/`--record`, the output trio (`--out` /
-//! `--dump-images` / `--bundle`) and the per-request table, `TRACE_RESULT`
-//! line and artifacts a replay writes through them — in one place so the
-//! binaries hold only their own flags.
+//! parsing, the trace-input pair (`--workload` / `--trace`) with
+//! `--speed`/`--record`, the output trio (`--out` / `--dump-images` /
+//! `--bundle`) and the per-request table, `TRACE_RESULT` line and
+//! artifacts a replay writes through them — in one place so the binaries
+//! hold only their own flags.
 
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, ModelStoreBuilder};
 use crate::trace::replay::ReplayedRequest;
-use crate::trace::{BinarySource, JsonlSource, ReplayDriver, SyntheticSource, TraceSource};
+use crate::trace::{format, ReplayDriver, TimedRequest};
+use crate::workload::parse_workload;
 use asdr_math::Image;
 use asdr_obs::Bundle;
 use std::path::{Path, PathBuf};
@@ -47,29 +48,34 @@ pub fn positive_f64(flag: &str, s: &str) -> f64 {
         .unwrap_or_else(|| die(&format!("{flag} needs a positive number")))
 }
 
-/// Which of the three [`TraceSource`] forms a replay reads from.
+/// Which file a replay reads its requests from.
 #[derive(Debug, Clone)]
 pub enum TraceInput {
     /// `--workload FILE` — the JSON-lines workload format.
     Workload(PathBuf),
-    /// `--trace FILE` — a binary trace (full or sampled).
+    /// `--trace FILE` — a binary trace.
     Trace(PathBuf),
-    /// `--synthetic SPEC` — a seeded generator spec.
-    Synthetic(String),
 }
 
 impl TraceInput {
-    /// Opens the input as a boxed [`TraceSource`].
+    /// Reads the whole input, ordered by arrival offset (ties keep file
+    /// order).
     ///
     /// # Errors
     ///
-    /// Propagates the source's construction error (file, parse, or spec).
-    pub fn open(&self) -> Result<Box<dyn TraceSource>, String> {
-        Ok(match self {
-            TraceInput::Workload(path) => Box::new(JsonlSource::from_file(path)?),
-            TraceInput::Trace(path) => Box::new(BinarySource::from_file(path)?),
-            TraceInput::Synthetic(spec) => Box::new(SyntheticSource::from_spec(spec)?),
-        })
+    /// Returns `"path: why"` on I/O, parse or decode failure.
+    pub fn load(&self) -> Result<Vec<TimedRequest>, String> {
+        match self {
+            TraceInput::Workload(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                let mut entries =
+                    parse_workload(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+                entries.sort_by_key(|e| e.at_ms);
+                Ok(entries)
+            }
+            TraceInput::Trace(path) => format::read_file(path),
+        }
     }
 
     /// One-line description for the binaries' startup banner.
@@ -77,7 +83,6 @@ impl TraceInput {
         match self {
             TraceInput::Workload(p) => format!("workload {}", p.display()),
             TraceInput::Trace(p) => format!("trace {}", p.display()),
-            TraceInput::Synthetic(s) => format!("synthetic {s:?}"),
         }
     }
 }
@@ -86,7 +91,7 @@ impl TraceInput {
 /// one trace input plus `--speed` and `--record`.
 #[derive(Debug, Default)]
 pub struct ReplayFlags {
-    /// The selected input, once one of the trio has been seen.
+    /// The selected input, once one of the pair has been seen.
     pub input: Option<TraceInput>,
     /// `--speed FACTOR` time-warp (`None` = real time).
     pub speed: Option<f64>,
@@ -100,7 +105,7 @@ impl ReplayFlags {
     pub fn accept(&mut self, argv: &[String], i: &mut usize) -> bool {
         let set = |slot: &mut Option<TraceInput>, input: TraceInput| {
             if slot.is_some() {
-                die("--workload, --trace, and --synthetic are mutually exclusive");
+                die("--workload and --trace are mutually exclusive");
             }
             *slot = Some(input);
         };
@@ -109,7 +114,6 @@ impl ReplayFlags {
                 set(&mut self.input, TraceInput::Workload(PathBuf::from(value(argv, i))));
             }
             "--trace" => set(&mut self.input, TraceInput::Trace(PathBuf::from(value(argv, i)))),
-            "--synthetic" => set(&mut self.input, TraceInput::Synthetic(value(argv, i))),
             "--speed" => self.speed = Some(positive_f64("--speed", &value(argv, i))),
             "--record" => self.record = Some(PathBuf::from(value(argv, i))),
             _ => return false,
@@ -121,7 +125,7 @@ impl ReplayFlags {
     pub fn input_or_usage(&self, usage: impl FnOnce()) -> TraceInput {
         self.input.clone().unwrap_or_else(|| {
             usage();
-            die("one of --workload, --trace, or --synthetic is required");
+            die("one of --workload or --trace is required");
         })
     }
 
@@ -291,12 +295,7 @@ impl<'a> ReplayReport<'a> {
                 None => "-",
             },
         );
-        self.measurements.push(
-            req.window,
-            req.deadlined,
-            deadline_met == Some(false),
-            images.len(),
-        );
+        self.measurements.push(req.deadlined, deadline_met == Some(false), images.len());
         if let Some(dir) = &self.output.dump_images {
             dump_frames(dir, req.index, images);
         }
@@ -314,8 +313,8 @@ impl<'a> ReplayReport<'a> {
 
     /// Prints the `TRACE_RESULT` line, writes `stats_json` to `--out` and
     /// seals it into the bundle.
-    pub fn finish(self, wall: Duration, plan: Option<&crate::trace::PlanMeta>, stats_json: &str) {
-        println!("{}", self.measurements.trace_result_line(wall, plan).unwrap_or_else(|e| die(&e)));
+    pub fn finish(self, wall: Duration, stats_json: &str) {
+        println!("{}", self.measurements.trace_result_line(wall));
         if let Some(out) = &self.output.out {
             if let Some(parent) = out.parent() {
                 let _ = std::fs::create_dir_all(parent);
@@ -330,61 +329,40 @@ impl<'a> ReplayReport<'a> {
     }
 }
 
-/// Per-request observations collected while waiting on replayed tickets,
-/// and the machine-readable `TRACE_RESULT` summary both binaries print.
+/// Per-request counts collected while waiting on replayed tickets, and
+/// the machine-readable `TRACE_RESULT` summary both binaries print.
 #[derive(Debug, Default)]
 struct ReplayMeasurements {
-    items: Vec<(Option<usize>, bool, bool, usize)>,
+    requests: usize,
+    frames: usize,
+    deadlined: usize,
+    misses: usize,
 }
 
 impl ReplayMeasurements {
     /// Records one completed request.
-    fn push(&mut self, window: Option<usize>, deadlined: bool, missed: bool, frames: usize) {
-        self.items.push((window, deadlined, missed, frames));
+    fn push(&mut self, deadlined: bool, missed: bool, frames: usize) {
+        self.requests += 1;
+        self.frames += frames;
+        self.deadlined += usize::from(deadlined);
+        self.misses += usize::from(deadlined && missed);
     }
 
-    /// The one-line `TRACE_RESULT {json}` summary: wall clock, measured
-    /// miss rate, and — when the replay carried a sampled-trace plan —
-    /// the weighted full-trace estimate with its error bars. Smoke jobs
-    /// grep this line; `asdr-trace report` merges its JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`weighted_estimate`](crate::trace::sample::weighted_estimate) mismatches.
-    fn trace_result_line(
-        &self,
-        wall: std::time::Duration,
-        plan: Option<&crate::trace::PlanMeta>,
-    ) -> Result<String, String> {
-        let deadlined = self.items.iter().filter(|m| m.1).count();
-        let misses = self.items.iter().filter(|m| m.1 && m.2).count();
-        let frames: usize = self.items.iter().map(|m| m.3).sum();
-        let miss_rate = if deadlined > 0 { misses as f64 / deadlined as f64 } else { 0.0 };
-        let mut json = format!(
-            "{{\"wall_ms\": {}, \"requests\": {}, \"frames\": {}, \
-             \"deadlined_requests\": {deadlined}, \"deadline_misses\": {misses}, \
-             \"miss_rate\": {miss_rate:.6}",
+    /// The one-line `TRACE_RESULT {json}` summary: wall clock, request and
+    /// frame counts, and the measured deadline-miss rate. Smoke jobs grep
+    /// this line.
+    fn trace_result_line(&self, wall: Duration) -> String {
+        let miss_rate =
+            if self.deadlined > 0 { self.misses as f64 / self.deadlined as f64 } else { 0.0 };
+        format!(
+            "TRACE_RESULT {{\"wall_ms\": {}, \"requests\": {}, \"frames\": {}, \
+             \"deadlined_requests\": {}, \"deadline_misses\": {}, \"miss_rate\": {miss_rate:.6}}}",
             wall.as_millis(),
-            self.items.len(),
-            frames,
-        );
-        if let Some(plan) = plan {
-            let obs = crate::trace::sample::collect_window_obs(plan, self.items.iter().copied());
-            let est = crate::trace::sample::weighted_estimate(plan, &obs)?;
-            json.push_str(&format!(
-                ", \"est_miss_rate\": {:.6}, \"miss_err\": {:.6}, \
-                 \"est_fps\": {:.4}, \"fps_err\": {:.4}, \
-                 \"equivalent_ms\": {}, \"replayed_ms\": {}",
-                est.est_miss_rate,
-                est.miss_err,
-                est.est_fps,
-                est.fps_err,
-                est.equivalent_ms,
-                est.replayed_ms,
-            ));
-        }
-        json.push('}');
-        Ok(format!("TRACE_RESULT {json}"))
+            self.requests,
+            self.frames,
+            self.deadlined,
+            self.misses,
+        )
     }
 }
 
@@ -428,52 +406,44 @@ mod tests {
     }
 
     #[test]
-    fn trace_result_line_scans_back_as_metrics() {
-        use crate::trace::{PlanMeta, PlanPick};
+    fn trace_result_line_is_one_flat_json_object() {
         let mut m = ReplayMeasurements::default();
-        m.push(Some(0), true, false, 2);
-        m.push(Some(1), true, true, 2);
-        let wall = std::time::Duration::from_millis(120);
-        let line = m.trace_result_line(wall, None).unwrap();
-        assert!(line.starts_with("TRACE_RESULT {"), "{line}");
-        assert!(line.contains("\"miss_rate\": 0.5"), "{line}");
-        assert!(!line.contains("est_miss_rate"), "full runs carry no estimate: {line}");
-
-        let plan = PlanMeta {
-            window_ms: 1000,
-            total_windows: 4,
-            picks: vec![
-                PlanPick { start_ms: 0, cluster_size: 2 },
-                PlanPick { start_ms: 2000, cluster_size: 2 },
-            ],
+        m.push(true, false, 2);
+        m.push(true, true, 2);
+        m.push(false, false, 1);
+        let line = m.trace_result_line(Duration::from_millis(120));
+        let json = line.strip_prefix("TRACE_RESULT ").expect("prefixed line");
+        let obj = asdr_obs::json::parse_flat_object(json).unwrap();
+        let num = |k: &str| match obj.get(k) {
+            Some(asdr_obs::json::Value::Num(n)) => *n,
+            other => panic!("{k}: {other:?} in {line}"),
         };
-        let line = m.trace_result_line(wall, Some(&plan)).unwrap();
-        let metrics =
-            crate::trace::report::scan_metrics(line.strip_prefix("TRACE_RESULT ").unwrap());
-        assert_eq!(metrics.get("wall_ms"), Some(&120.0));
-        assert_eq!(metrics.get("est_miss_rate"), Some(&0.5));
-        assert_eq!(metrics.get("equivalent_ms"), Some(&4000.0));
-        assert_eq!(metrics.get("replayed_ms"), Some(&2000.0));
-        assert!(metrics.get("miss_err").unwrap() >= &0.05);
+        assert_eq!(num("wall_ms"), 120.0);
+        assert_eq!(num("requests"), 3.0);
+        assert_eq!(num("frames"), 5.0);
+        assert_eq!(num("deadlined_requests"), 2.0);
+        assert_eq!(num("deadline_misses"), 1.0);
+        assert_eq!(num("miss_rate"), 0.5);
     }
 
     #[test]
-    fn trace_input_opens_all_three_forms() {
+    fn trace_input_loads_both_forms_in_arrival_order() {
         let dir = std::env::temp_dir().join(format!("asdr-flags-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let wl = dir.join("w.jsonl");
-        std::fs::write(&wl, "{\"scene\": \"Mic\"}\n").unwrap();
-        let mut src = TraceInput::Workload(wl).open().unwrap();
-        assert_eq!(src.next().unwrap().scene, "Mic");
+        let text = "{\"scene\": \"Mic\", \"at_ms\": 50}\n{\"scene\": \"Lego\"}\n\
+                    {\"scene\": \"Pulse\", \"at_ms\": 10}\n";
+        std::fs::write(&wl, text).unwrap();
+        let entries = TraceInput::Workload(wl).load().unwrap();
+        let order = |e: &[TimedRequest]| e.iter().map(|e| e.scene.clone()).collect::<Vec<_>>();
+        assert_eq!(order(&entries), ["Lego", "Pulse", "Mic"]);
+        assert_eq!(entries[0].origin, 2, "origins keep pointing at source lines");
+        assert!(TraceInput::Workload(dir.join("missing.jsonl")).load().is_err());
 
         let tr = dir.join("t.trace");
-        let mut synth =
-            TraceInput::Synthetic("poisson:rate=5,duration=2s,seed=1".into()).open().unwrap();
-        crate::trace::format::write_file(&tr, &crate::trace::source::drain(synth.as_mut()), None)
-            .unwrap();
-        assert!(TraceInput::Trace(tr).open().unwrap().next().is_some());
-        assert!(TraceInput::Trace(dir.join("missing.trace")).open().is_err());
-        assert!(TraceInput::Synthetic("bogus:".into()).open().is_err());
+        format::write_file(&tr, &entries).unwrap();
+        assert_eq!(order(&TraceInput::Trace(tr).load().unwrap()), ["Lego", "Pulse", "Mic"]);
+        assert!(TraceInput::Trace(dir.join("missing.trace")).load().is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

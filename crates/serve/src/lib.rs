@@ -18,11 +18,10 @@
 //!   [`PlanPolicy::Reuse`](asdr_core::algo::PlanPolicy);
 //! * [`workload`] — the JSON-lines workload format the `asdr-serve` binary
 //!   replays, with [`service::ServeStats`] as its JSON artifact;
-//! * [`trace`] — trace capture, compression, and representative replay:
-//!   a compact binary trace format, seeded synthetic generators, and
-//!   SimPoint-style phase sampling, all consumed through the
-//!   [`TraceSource`] trait by the one shared [`ReplayDriver`] that both
-//!   `asdr-serve` and `asdr-cluster` submit through.
+//! * [`trace`] — trace record and replay: the compact binary trace codec,
+//!   `--record` capture, and the one shared [`ReplayDriver`] that both
+//!   `asdr-serve` and `asdr-cluster` submit a parsed `Vec<`[`TimedRequest`]`>`
+//!   through.
 //!
 //! ```no_run
 //! use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService};
@@ -61,8 +60,5 @@ pub use service::{
     ServeStats,
 };
 pub use store::{ModelStore, StoreKey, StoreStats};
-pub use trace::{
-    BinarySource, JsonlSource, ReplayDriver, ReplayTarget, SubmitOutcome, SyntheticSource,
-    TimedRequest, TraceSource,
-};
+pub use trace::{ReplayDriver, ReplayTarget, SubmitOutcome, TimedRequest};
 pub use workload::parse_workload;

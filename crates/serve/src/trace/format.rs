@@ -14,10 +14,8 @@
 //! ```text
 //! magic    7 bytes   b"ASDRTRC"
 //! version  u8        1
-//! flags    u8        bit0: weighted sample plan present
+//! flags    u8        0 (no flag is defined; a set bit is an error)
 //! scenes   varint n, then n x (varint len + utf-8 bytes)
-//! plan?    varint window_ms, varint total_windows,
-//!          varint picks, picks x (varint start_ms + varint cluster_size)
 //! records  varint n, then n x record
 //! record   varint delta_at_ms        (vs. the previous record)
 //!          varint scene index        (into the table)
@@ -27,6 +25,10 @@
 //!          [varint resolution] [varint deadline_ms] [f32-le azimuth]
 //! ```
 //!
+//! Flag bit 0 once marked a phase-sampled trace carrying a window plan
+//! after the scene table. Such a file fails with `"trace header: unknown
+//! flags 0x01"`; every full trace decodes as it always did.
+//!
 //! Records are stored sorted by arrival offset (the encoder sorts, stably,
 //! so ties keep submission order); the delta encoding makes any decoded
 //! trace monotonic by construction. Decoding is total: a truncated or
@@ -34,7 +36,7 @@
 //! message, never a panic.
 
 use crate::service::Priority;
-use crate::trace::source::TimedRequest;
+use crate::trace::replay::TimedRequest;
 use std::path::Path;
 
 /// File magic, followed by the one-byte version.
@@ -52,63 +54,10 @@ pub const MAX_FRAMES: u64 = 4096;
 /// Largest accepted square resolution.
 pub const MAX_RESOLUTION: u64 = 8192;
 
-const FLAG_PLAN: u8 = 1;
 const RF_RESOLUTION: u8 = 1;
 const RF_DEADLINE: u8 = 1 << 1;
 const RF_AZIMUTH: u8 = 1 << 2;
 const RF_PRIORITY_SHIFT: u8 = 3;
-
-/// One retained window of a sampled trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanPick {
-    /// Window start in the *original* trace's clock, milliseconds.
-    pub start_ms: u64,
-    /// Windows this medoid represents (its cluster's size); the window's
-    /// replay weight is `cluster_size / total_windows`.
-    pub cluster_size: u64,
-}
-
-/// The weighted-window sampling plan a sampled trace carries (SimPoint
-/// style: replay the medoid windows, weight their measurements by cluster
-/// size).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanMeta {
-    /// Fixed window length, milliseconds.
-    pub window_ms: u64,
-    /// Windows the full trace was split into.
-    pub total_windows: u64,
-    /// The medoid windows, in replay order.
-    pub picks: Vec<PlanPick>,
-}
-
-impl PlanMeta {
-    /// Milliseconds of original trace the plan stands for.
-    pub fn equivalent_ms(&self) -> u64 {
-        self.total_windows * self.window_ms
-    }
-
-    /// Milliseconds actually replayed (the medoid windows, back to back).
-    pub fn replayed_ms(&self) -> u64 {
-        self.picks.len() as u64 * self.window_ms
-    }
-
-    /// Replay weight of pick `i` (`cluster_size / total_windows`).
-    pub fn weight(&self, i: usize) -> f64 {
-        if self.total_windows == 0 {
-            return 0.0;
-        }
-        self.picks[i].cluster_size as f64 / self.total_windows as f64
-    }
-}
-
-/// A fully decoded trace: the records plus the optional sampling plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedTrace {
-    /// The request records, sorted by `at_ms`, `origin` = 1-based index.
-    pub entries: Vec<TimedRequest>,
-    /// The weighted-window plan, when this is a sampled trace.
-    pub plan: Option<PlanMeta>,
-}
 
 /// Appends `v` LEB128-encoded (7 bits per byte, high bit = continue).
 pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -142,9 +91,8 @@ pub fn priority_from_code(c: u8) -> Result<Priority, String> {
     }
 }
 
-/// Encodes a trace. The entries are sorted (stably) by arrival offset;
-/// `plan` marks the file as a sampled trace.
-pub fn encode(entries: &[TimedRequest], plan: Option<&PlanMeta>) -> Vec<u8> {
+/// Encodes a trace. The entries are sorted (stably) by arrival offset.
+pub fn encode(entries: &[TimedRequest]) -> Vec<u8> {
     let mut sorted: Vec<&TimedRequest> = entries.iter().collect();
     sorted.sort_by_key(|e| e.at_ms);
 
@@ -161,20 +109,11 @@ pub fn encode(entries: &[TimedRequest], plan: Option<&PlanMeta>) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + entries.len() * 4);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    out.push(if plan.is_some() { FLAG_PLAN } else { 0 });
+    out.push(0); // flags
     push_varint(&mut out, names.len() as u64);
     for name in &names {
         push_varint(&mut out, name.len() as u64);
         out.extend_from_slice(name.as_bytes());
-    }
-    if let Some(plan) = plan {
-        push_varint(&mut out, plan.window_ms);
-        push_varint(&mut out, plan.total_windows);
-        push_varint(&mut out, plan.picks.len() as u64);
-        for pick in &plan.picks {
-            push_varint(&mut out, pick.start_ms);
-            push_varint(&mut out, pick.cluster_size);
-        }
     }
     push_varint(&mut out, sorted.len() as u64);
     let mut prev_at = 0u64;
@@ -300,14 +239,15 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes a trace.
+/// Decodes a trace into its records, sorted by `at_ms`, each `origin` its
+/// 1-based record number.
 ///
 /// # Errors
 ///
-/// Returns `"trace header: why"` for a bad magic/version/table and
+/// Returns `"trace header: why"` for a bad magic/version/flags/table and
 /// `"trace record N: why"` (1-based) for a corrupt or truncated record —
 /// decoding never panics, whatever the input bytes.
-pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
+pub fn decode(bytes: &[u8]) -> Result<Vec<TimedRequest>, String> {
     let header = |e: String| format!("trace header: {e}");
     let mut r = Reader::new(bytes);
     let magic = r.take(MAGIC.len()).map_err(&header)?;
@@ -319,7 +259,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
         return Err(header(format!("unsupported version {version} (expected {VERSION})")));
     }
     let flags = r.u8().map_err(&header)?;
-    if flags & !FLAG_PLAN != 0 {
+    if flags != 0 {
         return Err(header(format!("unknown flags {flags:#04x}")));
     }
     let scene_count = r.bounded("scene count", 1 << 20).map_err(&header)?;
@@ -331,29 +271,6 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
         }
         scenes.push(name);
     }
-    let plan = if flags & FLAG_PLAN != 0 {
-        let window_ms = r.bounded("plan window_ms", MAX_AT_MS).map_err(&header)?;
-        if window_ms == 0 {
-            return Err(header("plan window_ms must be >= 1".into()));
-        }
-        let total_windows = r.bounded("plan total windows", 1 << 32).map_err(&header)?;
-        let picks = r.bounded("plan pick count", total_windows).map_err(&header)?;
-        let mut out = Vec::with_capacity(picks as usize);
-        for _ in 0..picks {
-            let start_ms = r.bounded("plan window start", MAX_AT_MS).map_err(&header)?;
-            let cluster_size = r.bounded("plan cluster size", total_windows).map_err(&header)?;
-            out.push(PlanPick { start_ms, cluster_size });
-        }
-        let covered: u64 = out.iter().map(|p| p.cluster_size).sum();
-        if covered != total_windows {
-            return Err(header(format!(
-                "plan cluster sizes cover {covered} of {total_windows} windows"
-            )));
-        }
-        Some(PlanMeta { window_ms, total_windows, picks: out })
-    } else {
-        None
-    };
     let record_count = r
         .bounded("record count", (bytes.len() as u64).saturating_add(1))
         .map_err(|e| header(format!("{e} (count exceeds file size)")))?;
@@ -408,7 +325,6 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
             deadline_ms,
             azimuth_step_deg,
             origin: (i + 1) as usize,
-            window: None,
         });
     }
     if r.remaining() != 0 {
@@ -417,7 +333,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
             r.remaining()
         ));
     }
-    Ok(DecodedTrace { entries, plan })
+    Ok(entries)
 }
 
 /// Encodes and writes a trace file (creating parent directories).
@@ -425,18 +341,14 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, String> {
 /// # Errors
 ///
 /// Returns a message naming the path on I/O failure.
-pub fn write_file(
-    path: &Path,
-    entries: &[TimedRequest],
-    plan: Option<&PlanMeta>,
-) -> Result<(), String> {
+pub fn write_file(path: &Path, entries: &[TimedRequest]) -> Result<(), String> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
         }
     }
-    std::fs::write(path, encode(entries, plan))
+    std::fs::write(path, encode(entries))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
@@ -445,7 +357,7 @@ pub fn write_file(
 /// # Errors
 ///
 /// Returns `"path: why"` on I/O or decode failure.
-pub fn read_file(path: &Path) -> Result<DecodedTrace, String> {
+pub fn read_file(path: &Path) -> Result<Vec<TimedRequest>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
@@ -464,7 +376,6 @@ mod tests {
             deadline_ms: None,
             azimuth_step_deg: None,
             origin: 0,
-            window: None,
         }
     }
 
@@ -481,9 +392,7 @@ mod tests {
 
     #[test]
     fn empty_trace_round_trips() {
-        let decoded = decode(&encode(&[], None)).unwrap();
-        assert!(decoded.entries.is_empty());
-        assert!(decoded.plan.is_none());
+        assert!(decode(&encode(&[])).unwrap().is_empty());
     }
 
     #[test]
@@ -496,56 +405,43 @@ mod tests {
         a.priority = Priority::High;
         let b = entry(5, "Lego");
         let c = entry(1000, "Mic");
-        let decoded = decode(&encode(&[a.clone(), b.clone(), c.clone()], None)).unwrap();
-        assert_eq!(decoded.entries.len(), 3);
-        assert_eq!(decoded.entries[0].scene, "Mic");
-        assert_eq!(decoded.entries[0].frames, 3);
-        assert_eq!(decoded.entries[0].resolution, Some(48));
-        assert_eq!(decoded.entries[0].deadline_ms, Some(500));
-        assert_eq!(decoded.entries[0].azimuth_step_deg, Some(0.75));
-        assert_eq!(decoded.entries[0].priority, Priority::High);
-        assert_eq!(decoded.entries[0].origin, 1, "origins are 1-based record numbers");
-        assert_eq!(decoded.entries[1].scene, "Lego");
-        assert_eq!(decoded.entries[1].at_ms, 5, "burst ties keep submission order");
-        assert_eq!(decoded.entries[2].at_ms, 1000);
+        let decoded = decode(&encode(&[a.clone(), b.clone(), c.clone()])).unwrap();
+        assert_eq!(decoded.len(), 3);
+        assert_eq!(decoded[0].scene, "Mic");
+        assert_eq!(decoded[0].frames, 3);
+        assert_eq!(decoded[0].resolution, Some(48));
+        assert_eq!(decoded[0].deadline_ms, Some(500));
+        assert_eq!(decoded[0].azimuth_step_deg, Some(0.75));
+        assert_eq!(decoded[0].priority, Priority::High);
+        assert_eq!(decoded[0].origin, 1, "origins are 1-based record numbers");
+        assert_eq!(decoded[1].scene, "Lego");
+        assert_eq!(decoded[1].at_ms, 5, "burst ties keep submission order");
+        assert_eq!(decoded[2].at_ms, 1000);
     }
 
     #[test]
     fn encoder_sorts_by_arrival_offset() {
-        let traced = encode(&[entry(90, "B"), entry(10, "A")], None);
-        let decoded = decode(&traced).unwrap();
-        assert_eq!(decoded.entries[0].scene, "A");
-        assert_eq!(decoded.entries[1].scene, "B");
+        let decoded = decode(&encode(&[entry(90, "B"), entry(10, "A")])).unwrap();
+        assert_eq!(decoded[0].scene, "A");
+        assert_eq!(decoded[1].scene, "B");
     }
 
     #[test]
     fn interning_makes_hot_scenes_cheap() {
         let hot: Vec<TimedRequest> = (0..1000).map(|i| entry(i, "OneHotScene")).collect();
-        let bytes = encode(&hot, None);
+        let bytes = encode(&hot);
         // one name + ~4 bytes per record; far below storing the name per record
         assert!(bytes.len() < 1000 * 8, "interned encoding too large: {} bytes", bytes.len());
     }
 
     #[test]
-    fn plan_round_trips() {
-        let plan = PlanMeta {
-            window_ms: 2000,
-            total_windows: 30,
-            picks: vec![
-                PlanPick { start_ms: 0, cluster_size: 12 },
-                PlanPick { start_ms: 8000, cluster_size: 18 },
-            ],
-        };
-        let decoded = decode(&encode(&[entry(1, "Mic")], Some(&plan))).unwrap();
-        assert_eq!(decoded.plan.as_ref(), Some(&plan));
-        assert_eq!(plan.equivalent_ms(), 60_000);
-        assert_eq!(plan.replayed_ms(), 4000);
-        assert!((plan.weight(0) - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
     fn header_corruption_degrades_to_errors() {
-        let good = encode(&[entry(0, "Mic")], None);
+        let good = encode(&[entry(0, "Mic")]);
+        let flagged = |flags: u8| {
+            let mut b = good.clone();
+            b[8] = flags;
+            b
+        };
         for (why, bytes) in [
             ("empty file", Vec::new()),
             ("bad magic", b"NOTTRACE".to_vec()),
@@ -555,20 +451,18 @@ mod tests {
                 b[7] = 9;
                 b
             }),
-            ("unknown flags", {
-                let mut b = good.clone();
-                b[8] = 0x80;
-                b
-            }),
+            ("unknown flags", flagged(0x80)),
+            ("a phase-sampled trace's plan flag", flagged(0x01)),
         ] {
             let err = decode(&bytes).unwrap_err();
             assert!(err.starts_with("trace header:"), "{why}: {err}");
         }
+        assert_eq!(decode(&flagged(0x01)).unwrap_err(), "trace header: unknown flags 0x01");
     }
 
     #[test]
     fn record_corruption_names_the_record() {
-        let good = encode(&[entry(0, "Mic"), entry(7, "Mic")], None);
+        let good = encode(&[entry(0, "Mic"), entry(7, "Mic")]);
         // truncate mid-way through the record section
         let err = decode(&good[..good.len() - 2]).unwrap_err();
         assert!(err.starts_with("trace record 2:"), "{err}");
@@ -584,9 +478,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("asdr_trace_fmt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("t.trace");
-        write_file(&path, &[entry(3, "Mic")], None).unwrap();
+        write_file(&path, &[entry(3, "Mic")]).unwrap();
         let decoded = read_file(&path).unwrap();
-        assert_eq!(decoded.entries[0].at_ms, 3);
+        assert_eq!(decoded[0].at_ms, 3);
         let missing = read_file(&dir.join("nope.trace")).unwrap_err();
         assert!(missing.contains("nope.trace"), "{missing}");
         std::fs::write(dir.join("junk.trace"), b"junk").unwrap();

@@ -1,8 +1,7 @@
-//! The shared replay driver — one submit loop for every binary and every
-//! [`TraceSource`].
+//! The shared replay driver — one submit loop for every binary.
 //!
-//! `asdr-serve` and `asdr-cluster` used to carry near-identical
-//! parse/sleep/submit loops; both now feed a [`ReplayDriver`], which owns
+//! `asdr-serve` and `asdr-cluster` both read their input whole into a
+//! `Vec<`[`TimedRequest`]`>` and hand it to a [`ReplayDriver`], which owns
 //! the open-loop clock (sleep until each request's arrival offset,
 //! optionally time-warped by `--speed`), the busy-retry policy (a full
 //! queue blocks the replay clock rather than dropping work), and `--record`
@@ -11,11 +10,58 @@
 //! [`RenderService`] and a sharded cluster router replay identically.
 
 use crate::profile::RenderProfile;
-use crate::service::{RenderRequest, RenderService, RenderTicket, ServeError};
-use crate::trace::format::{self, PlanMeta};
-use crate::trace::source::{TimedRequest, TraceSource};
+use crate::service::{Priority, RenderRequest, RenderService, RenderTicket, ServeError};
+use crate::trace::format;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// One render request with its arrival time: a line of a workload file or
+/// a record of a binary trace.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimedRequest {
+    /// Arrival offset from replay start, milliseconds.
+    pub at_ms: u64,
+    /// Registry scene name (resolved at submit time).
+    pub scene: String,
+    /// Frames in the request (>= 1).
+    pub frames: usize,
+    /// Frame resolution override (`None`: the profile's default).
+    pub resolution: Option<u32>,
+    /// Scheduling class.
+    pub priority: Priority,
+    /// Latency budget from submission, milliseconds.
+    pub deadline_ms: Option<u64>,
+    /// Orbit step override, degrees per frame.
+    pub azimuth_step_deg: Option<f32>,
+    /// 1-based line (JSONL) or record (binary) in the source, so
+    /// resolution failures name where the request came from.
+    pub origin: usize,
+}
+
+impl TimedRequest {
+    /// Resolves the entry into a submit-ready request under `profile`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the scene is not registered.
+    pub fn to_request(&self, profile: &RenderProfile) -> Result<RenderRequest, String> {
+        let scene = asdr_scenes::registry::get(&self.scene)
+            .ok_or_else(|| format!("unknown scene {:?} (see `experiments --list`)", self.scene))?;
+        let mut req = RenderRequest::sequence(
+            scene,
+            self.resolution.unwrap_or(profile.default_resolution),
+            self.frames,
+        )
+        .with_priority(self.priority);
+        if let Some(ms) = self.deadline_ms {
+            req = req.with_deadline(Duration::from_millis(ms));
+        }
+        if let Some(step) = self.azimuth_step_deg {
+            req.azimuth_step_deg = step;
+        }
+        Ok(req)
+    }
+}
 
 /// One admission attempt's outcome, as the driver sees it.
 #[derive(Debug)]
@@ -41,10 +87,9 @@ pub trait ReplayTarget {
 
     /// Parks until admission capacity *may* be available or `timeout`
     /// passes; called by the driver after [`SubmitOutcome::Busy`]. The
-    /// default is a plain sleep (identical behavior to the old poll
-    /// loop); targets with a completion signal override it so an idle
-    /// replay wakes the moment a slot frees instead of spinning the poll
-    /// interval out.
+    /// default is a plain sleep; targets with a completion signal override
+    /// it so an idle replay wakes the moment a slot frees instead of
+    /// sleeping the poll interval out.
     fn wait_capacity(&self, timeout: Duration) {
         std::thread::sleep(timeout);
     }
@@ -71,12 +116,8 @@ impl ReplayTarget for RenderService {
 pub struct ReplayedRequest<T> {
     /// 0-based submission index.
     pub index: usize,
-    /// 1-based line/record in the source (for error context).
-    pub origin: usize,
     /// Scene name, kept for the per-request table.
     pub scene: String,
-    /// Sampled-window index, when replaying a sampled trace.
-    pub window: Option<usize>,
     /// Whether the request carried a deadline.
     pub deadlined: bool,
     /// The target's completion handle.
@@ -88,13 +129,13 @@ pub struct ReplayedRequest<T> {
 pub struct Replay<T> {
     /// Admitted requests with their tickets; callers wait on these.
     pub requests: Vec<ReplayedRequest<T>>,
-    /// The sampled-trace plan, when the source carried one.
-    pub plan: Option<PlanMeta>,
     /// When the replay clock started (wall-clock measurements anchor here).
     pub started: Instant,
-    /// Wall time spent submitting (excludes waiting on tickets).
-    pub submit_wall: Duration,
 }
+
+/// How long the driver parks in [`ReplayTarget::wait_capacity`] after a
+/// [`SubmitOutcome::Busy`] before it tries again.
+const BUSY_WAIT: Duration = Duration::from_millis(5);
 
 /// The shared open-loop replay driver (see the module docs).
 #[derive(Debug, Clone)]
@@ -102,13 +143,12 @@ pub struct ReplayDriver {
     profile: RenderProfile,
     speed: f64,
     record: Option<PathBuf>,
-    poll: Duration,
 }
 
 impl ReplayDriver {
     /// A driver replaying in real time under `profile`, recording nothing.
     pub fn new(profile: RenderProfile) -> Self {
-        ReplayDriver { profile, speed: 1.0, record: None, poll: Duration::from_millis(5) }
+        ReplayDriver { profile, speed: 1.0, record: None }
     }
 
     /// Time-warps the replay clock: arrival offsets are divided by
@@ -125,15 +165,9 @@ impl ReplayDriver {
         self
     }
 
-    /// How long to sleep when the target reports [`SubmitOutcome::Busy`].
-    pub fn poll(mut self, poll: Duration) -> Self {
-        self.poll = poll;
-        self
-    }
-
-    /// Drains `source` into `target`: sleeps until each entry's (warped)
-    /// arrival offset, resolves it against the profile, and submits,
-    /// retrying while the target is busy.
+    /// Submits `entries`, ordered by arrival offset, into `target`: sleeps
+    /// until each entry's (warped) arrival offset, resolves it against the
+    /// profile, and submits, retrying while the target is busy.
     ///
     /// # Errors
     ///
@@ -141,20 +175,18 @@ impl ReplayDriver {
     /// `"request N: why"` on a fatal submit error, a speed-validation
     /// message, or a record-file write error. Any already-issued tickets
     /// are dropped (their requests still complete in the target).
-    pub fn run<S: TraceSource + ?Sized, T: ReplayTarget>(
+    pub fn run<T: ReplayTarget>(
         &self,
-        source: &mut S,
+        entries: &[TimedRequest],
         target: &T,
     ) -> Result<Replay<T::Ticket>, String> {
         if !self.speed.is_finite() || self.speed <= 0.0 {
             return Err(format!("--speed must be a positive number, got {}", self.speed));
         }
-        let plan = source.plan().cloned();
         let started = Instant::now();
-        let mut requests = Vec::with_capacity(source.len_hint().unwrap_or(0));
+        let mut requests = Vec::with_capacity(entries.len());
         let mut recorded: Vec<TimedRequest> = Vec::new();
-        while let Some(entry) = source.next() {
-            let index = requests.len();
+        for (index, entry) in entries.iter().enumerate() {
             let req = entry
                 .to_request(&self.profile)
                 .map_err(|e| format!("entry {}: {e}", entry.origin))?;
@@ -165,41 +197,36 @@ impl ReplayDriver {
             let ticket = loop {
                 match target.try_submit(req.clone()) {
                     SubmitOutcome::Admitted(t) => break t,
-                    SubmitOutcome::Busy => target.wait_capacity(self.poll),
+                    SubmitOutcome::Busy => target.wait_capacity(BUSY_WAIT),
                     SubmitOutcome::Fatal(e) => return Err(format!("request {index}: {e}")),
                 }
             };
             if self.record.is_some() {
-                // The capture is the *warped* schedule with window tags
-                // stripped — replaying it reproduces this run verbatim.
+                // The capture is the *warped* schedule — replaying it
+                // reproduces this run verbatim.
                 recorded.push(TimedRequest {
                     at_ms: warped_ms,
                     origin: index + 1,
-                    window: None,
                     ..entry.clone()
                 });
             }
             requests.push(ReplayedRequest {
                 index,
-                origin: entry.origin,
-                scene: entry.scene,
-                window: entry.window,
+                scene: entry.scene.clone(),
                 deadlined: entry.deadline_ms.is_some(),
                 ticket,
             });
         }
         if let Some(path) = &self.record {
-            format::write_file(path, &recorded, None)?;
+            format::write_file(path, &recorded)?;
         }
-        Ok(Replay { requests, plan, started, submit_wall: started.elapsed() })
+        Ok(Replay { requests, started })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::Priority;
-    use crate::trace::source::BinarySource;
     use std::sync::Mutex;
 
     /// A target that stays busy for the first `busy` submissions of each
@@ -252,7 +279,6 @@ mod tests {
             deadline_ms: Some(250),
             azimuth_step_deg: None,
             origin,
-            window: None,
         }
     }
 
@@ -263,17 +289,13 @@ mod tests {
     #[test]
     fn replays_through_busy_targets_in_order() {
         let target = MockTarget::new(2);
-        let mut source =
-            vec![entry(0, "Mic", 1), entry(1, "Lego", 2), entry(2, "Mic", 3)].into_iter();
-        let replay = driver().poll(Duration::from_millis(1)).run(&mut source, &target).unwrap();
+        let entries = [entry(0, "Mic", 1), entry(1, "Lego", 2), entry(2, "Mic", 3)];
+        let replay = driver().run(&entries, &target).unwrap();
         assert_eq!(replay.requests.len(), 3);
         assert_eq!(*target.admitted.lock().unwrap(), ["Mic", "Lego", "Mic"]);
         assert_eq!(replay.requests[1].scene, "Lego");
-        assert_eq!(replay.requests[1].origin, 2);
         assert!(replay.requests[0].deadlined);
-        assert!(replay.plan.is_none());
-        // every Busy outcome parked in wait_capacity exactly once — the
-        // condvar hook replaced the driver's old unconditional sleep
+        // every Busy outcome parked in wait_capacity exactly once
         assert_eq!(*target.waits.lock().unwrap(), 2);
     }
 
@@ -312,17 +334,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("asdr-replay-{}", std::process::id()));
         let path = dir.join("warped.trace");
         let target = MockTarget::new(0);
-        let mut source = vec![entry(0, "Mic", 1), entry(400, "Lego", 2)].into_iter();
+        let entries = [entry(0, "Mic", 1), entry(400, "Lego", 2)];
         let t0 = Instant::now();
         let replay =
-            driver().speed(100.0).record(Some(path.clone())).run(&mut source, &target).unwrap();
+            driver().speed(100.0).record(Some(path.clone())).run(&entries, &target).unwrap();
         assert!(t0.elapsed() < Duration::from_millis(300), "400ms warped 100x replays fast");
         assert_eq!(replay.requests.len(), 2);
         let decoded = format::read_file(&path).unwrap();
-        assert_eq!(decoded.entries.len(), 2);
-        assert_eq!(decoded.entries[1].at_ms, 4, "400ms / 100x");
-        assert_eq!(decoded.entries[1].scene, "Lego");
-        assert_eq!(decoded.entries[1].deadline_ms, Some(250));
+        assert_eq!(decoded.len(), 2);
+        assert_eq!(decoded[1].at_ms, 4, "400ms / 100x");
+        assert_eq!(decoded[1].scene, "Lego");
+        assert_eq!(decoded[1].deadline_ms, Some(250));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -330,12 +352,12 @@ mod tests {
     fn recorded_traces_replay_identically() {
         let dir = std::env::temp_dir().join(format!("asdr-replay2-{}", std::process::id()));
         let path = dir.join("capture.trace");
-        let entries = vec![entry(0, "Mic", 1), entry(2, "Lego", 2)];
+        let entries = [entry(0, "Mic", 1), entry(2, "Lego", 2)];
         let target = MockTarget::new(0);
-        driver().record(Some(path.clone())).run(&mut entries.clone().into_iter(), &target).unwrap();
-        let mut recorded = BinarySource::from_file(&path).unwrap();
+        driver().record(Some(path.clone())).run(&entries, &target).unwrap();
+        let recorded = format::read_file(&path).unwrap();
         let target2 = MockTarget::new(0);
-        let replay = driver().run(&mut recorded, &target2).unwrap();
+        let replay = driver().run(&recorded, &target2).unwrap();
         assert_eq!(*target2.admitted.lock().unwrap(), *target.admitted.lock().unwrap());
         assert_eq!(replay.requests.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -344,11 +366,21 @@ mod tests {
     #[test]
     fn bad_entries_and_bad_speeds_are_named() {
         let target = MockTarget::new(0);
-        let e =
-            driver().run(&mut vec![entry(0, "no-such-scene", 7)].into_iter(), &target).unwrap_err();
+        let e = driver().run(&[entry(0, "no-such-scene", 7)], &target).unwrap_err();
         assert!(e.starts_with("entry 7: "), "{e}");
-        let e = driver().speed(0.0).run(&mut Vec::new().into_iter(), &target).unwrap_err();
+        let e = driver().speed(0.0).run(&[], &target).unwrap_err();
         assert!(e.contains("--speed"), "{e}");
+    }
+
+    #[test]
+    fn timed_request_resolves_against_the_registry() {
+        let profile = RenderProfile::tiny();
+        let mut mic = entry(0, "Mic", 1);
+        mic.resolution = None;
+        let ok = mic.to_request(&profile).unwrap();
+        assert_eq!(ok.scene.name(), "Mic");
+        assert_eq!(ok.resolution, profile.default_resolution);
+        assert!(entry(0, "no-such-scene", 1).to_request(&profile).is_err());
     }
 
     #[test]
@@ -360,8 +392,7 @@ mod tests {
             .workers(1)
             .build()
             .unwrap();
-        let mut source = vec![entry(0, "Mic", 1)].into_iter();
-        let replay = driver().run(&mut source, &service).unwrap();
+        let replay = driver().run(&[entry(0, "Mic", 1)], &service).unwrap();
         let result = replay.requests.into_iter().next().unwrap().ticket.wait().unwrap();
         assert_eq!(result.images.len(), 1);
         service.shutdown();

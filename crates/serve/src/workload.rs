@@ -98,7 +98,6 @@ fn parse_entry(line: &str, line_no: usize) -> Result<TimedRequest, String> {
         at_ms: int_field("at_ms", 0, MAX_AT_MS)?.unwrap_or(0),
         azimuth_step_deg: get_num(&obj, "azimuth_step_deg")?.map(|n| n as f32),
         origin: line_no,
-        window: None,
     })
 }
 
@@ -129,7 +128,6 @@ mod tests {
         assert_eq!(entries[0].scene, "Mic");
         assert_eq!(entries[0].origin, 4, "entries remember their source line");
         assert_eq!(entries[2].origin, 6);
-        assert!(entries.iter().all(|e| e.window.is_none()));
         assert_eq!(entries[0].frames, 2);
         assert_eq!(entries[0].priority, Priority::High);
         assert_eq!(entries[0].deadline_ms, Some(500));

@@ -1,126 +1,42 @@
-//! The `asdr-trace` toolbox, exercised through the real binary:
-//! `gen` materialises a seeded spec, `sample` compresses it to weighted
-//! medoid windows, `record` transcodes JSONL, and `report` merges stats
-//! artifacts into one markdown table.
+//! The `asdr-trace` toolbox, exercised through the real binary: `record`
+//! transcodes a JSONL workload into the binary format, and every malformed
+//! invocation exits 2.
 
 use asdr_serve::trace::format;
-use std::path::{Path, PathBuf};
+use asdr_serve::{parse_workload, TimedRequest};
+use std::path::Path;
 use std::process::Command;
-
-fn fresh_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("asdr_trace_cli_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn trace_cmd(args: &[&std::ffi::OsStr]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_asdr-trace")).args(args).output().expect("spawn asdr-trace")
 }
 
-fn ok(args: &[&std::ffi::OsStr]) -> String {
-    let out = trace_cmd(args);
-    assert!(
-        out.status.success(),
-        "asdr-trace {:?} failed: {}",
-        args,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
 #[test]
-fn gen_sample_record_report_pipeline() {
-    let dir = fresh_dir();
-    let full = dir.join("full.trace");
-    let sampled = dir.join("sampled.trace");
-
-    // gen: a seeded 20s poisson trace
-    ok(&[
-        "gen".as_ref(),
-        "poisson:rate=3,duration=20s,seed=5,resolution=16,deadline=300".as_ref(),
-        "--out".as_ref(),
-        full.as_os_str(),
-    ]);
-    let decoded = format::read_file(&full).unwrap();
-    assert!(decoded.plan.is_none());
-    assert!(decoded.entries.len() > 20, "3 Hz for 20s yields ~60 arrivals");
-    assert!(decoded.entries.iter().all(|e| e.resolution == Some(16)));
-
-    // gen is deterministic: same spec, same bytes
-    let full2 = dir.join("full2.trace");
-    ok(&[
-        "gen".as_ref(),
-        "poisson:rate=3,duration=20s,seed=5,resolution=16,deadline=300".as_ref(),
-        "--out".as_ref(),
-        full2.as_os_str(),
-    ]);
-    assert_eq!(std::fs::read(&full).unwrap(), std::fs::read(&full2).unwrap());
-
-    // sample: 10 windows of 2s down to 3 medoids
-    let stdout = ok(&[
-        "sample".as_ref(),
-        "--trace".as_ref(),
-        full.as_os_str(),
-        "--window-ms".as_ref(),
-        "2000".as_ref(),
-        "--clusters".as_ref(),
-        "3".as_ref(),
-        "--out".as_ref(),
-        sampled.as_os_str(),
-    ]);
-    assert!(stdout.contains("down to 3 medoids"), "{stdout}");
-    let plan = format::read_file(&sampled).unwrap().plan.expect("sampled trace carries a plan");
-    assert_eq!(plan.total_windows, 10);
-    assert_eq!(plan.picks.len(), 3);
-    assert_eq!(plan.picks.iter().map(|p| p.cluster_size).sum::<u64>(), 10);
-
-    // sampling an already sampled trace is refused
-    let out = trace_cmd(&[
-        "sample".as_ref(),
-        "--trace".as_ref(),
-        sampled.as_os_str(),
-        "--window-ms".as_ref(),
-        "2000".as_ref(),
-        "--clusters".as_ref(),
-        "2".as_ref(),
-        "--out".as_ref(),
-        dir.join("x.trace").as_os_str(),
-    ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("already a sampled trace"));
-
-    // record: transcode the bundled JSONL workload
+fn record_transcodes_a_jsonl_workload() {
+    let dir = std::env::temp_dir().join(format!("asdr_trace_cli_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let workload =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scripts/serve-workload-tiny.jsonl");
     let transcoded = dir.join("workload.trace");
-    ok(&[
+    let out = trace_cmd(&[
         "record".as_ref(),
         "--workload".as_ref(),
         workload.as_os_str(),
         "--out".as_ref(),
         transcoded.as_os_str(),
     ]);
-    assert_eq!(format::read_file(&transcoded).unwrap().entries.len(), 5);
+    assert!(out.status.success(), "record failed: {}", String::from_utf8_lossy(&out.stderr));
 
-    // report: merge two stats artifacts into one table
-    let a = dir.join("full.json");
-    let b = dir.join("sampled.json");
-    std::fs::write(&a, r#"{"requests": 60, "miss_rate": 0.1}"#).unwrap();
-    std::fs::write(&b, r#"{"requests": 18, "est_miss_rate": 0.12, "miss_err": 0.07}"#).unwrap();
-    let report = dir.join("report.md");
-    ok(&[
-        "report".as_ref(),
-        "--out".as_ref(),
-        report.as_os_str(),
-        format!("full={}", a.display()).as_ref(),
-        format!("sampled={}", b.display()).as_ref(),
-    ]);
-    let md = std::fs::read_to_string(&report).unwrap();
-    assert!(md.starts_with("| metric | full | sampled |"), "{md}");
-    assert!(md.contains("| requests | 60 | 18 |"), "{md}");
-    assert!(md.contains("| est_miss_rate | - | 0.1200 |"), "{md}");
-
+    // the file holds the workload's requests in arrival order; only
+    // `origin` (source line vs record number) differs
+    let without_origin = |e: TimedRequest| TimedRequest { origin: 0, ..e };
+    let mut expect = parse_workload(&std::fs::read_to_string(&workload).unwrap()).unwrap();
+    expect.sort_by_key(|e| e.at_ms);
+    let expect: Vec<_> = expect.into_iter().map(without_origin).collect();
+    let got: Vec<_> =
+        format::read_file(&transcoded).unwrap().into_iter().map(without_origin).collect();
+    assert_eq!(got.len(), 5);
+    assert_eq!(got, expect);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -131,7 +47,9 @@ fn bad_invocations_exit_with_usage() {
         vec!["gen"],
         vec!["gen", "poisson:rate=1,duration=10s"],
         vec!["sample", "--window-ms", "1000"],
+        vec!["record", "--synthetic", "poisson:rate=1,duration=10s", "--out", "x.trace"],
         vec!["report"],
+        vec!["report", "full=stats.json"],
     ] {
         let argv: Vec<&std::ffi::OsStr> = args.iter().map(|s| s.as_ref()).collect();
         let out = trace_cmd(&argv);

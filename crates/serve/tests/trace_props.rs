@@ -42,7 +42,6 @@ proptest! {
                 deadline_ms: (deadline > 0).then_some(deadline),
                 azimuth_step_deg: (az > 0).then_some(az as f32 * 0.75),
                 origin: 0,
-                window: None,
             })
             .collect();
 
@@ -54,13 +53,12 @@ proptest! {
             e.origin = i + 1;
         }
 
-        let bytes = format::encode(&entries, None);
+        let bytes = format::encode(&entries);
         let decoded = match format::decode(&bytes) {
             Ok(d) => d,
             Err(e) => return Err(TestCaseError::Fail(format!("decode failed: {e}"))),
         };
-        prop_assert!(decoded.plan.is_none());
-        prop_assert_eq!(decoded.entries, expect);
+        prop_assert_eq!(decoded, expect);
     }
 
     #[test]
@@ -78,10 +76,9 @@ proptest! {
                 deadline_ms: Some(100 + i as u64),
                 azimuth_step_deg: None,
                 origin: 0,
-                window: None,
             })
             .collect();
-        let bytes = format::encode(&entries, None);
+        let bytes = format::encode(&entries);
         let cut = cut_seed % bytes.len();
         let err = match format::decode(&bytes[..cut]) {
             Ok(_) => return Err(TestCaseError::Fail(format!(
@@ -103,9 +100,8 @@ proptest! {
             deadline_ms: None,
             azimuth_step_deg: None,
             origin: 0,
-            window: None,
         }];
-        let mut bytes = format::encode(&entries, None);
+        let mut bytes = format::encode(&entries);
         bytes[flip] ^= mask;
         let err = match format::decode(&bytes) {
             Ok(_) => return Err(TestCaseError::Fail(

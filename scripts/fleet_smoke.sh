@@ -2,8 +2,9 @@
 # Fleet smoke: the multi-process survival contract, end to end through
 # the real binaries.
 #
-#   gen       — a seeded poisson trace over three scenes
-#   reference — replay it through one in-process shard, dumping frames
+#   reference — replay scripts/fleet-workload-kill.jsonl (24 requests over
+#               three scenes, about 6 s at the default speed) through one
+#               in-process shard, dumping frames
 #   fleet     — replay it again with --remote spawn:3 (three asdr-shardd
 #               daemons on Unix sockets), kill -9 one daemon mid-run,
 #               every process writing an asdr_obs run bundle
@@ -19,13 +20,11 @@
 # usage: scripts/fleet_smoke.sh
 #
 # Environment:
-#   FLEET_SMOKE_SPEC    generator spec (default: 12s poisson over the
-#                       three zoo scenes at 16px)
 #   FLEET_SMOKE_SPEED   replay time warp (default 2)
 #   FLEET_SMOKE_SCALE   render scale (default tiny)
 set -euo pipefail
 
-spec="${FLEET_SMOKE_SPEC:-poisson:rate=2,duration=12s,scenes=Mic+Lego+Pulse,seed=7,resolution=16,deadline=2000}"
+workload=scripts/fleet-workload-kill.jsonl
 speed="${FLEET_SMOKE_SPEED:-2}"
 scale="${FLEET_SMOKE_SCALE:-tiny}"
 out=target/fleet-smoke
@@ -40,18 +39,14 @@ mkdir -p "$out"
 echo "== build (spawn:N locates asdr-shardd next to asdr-cluster)"
 cargo build --release -q -p asdr_cluster --bin asdr-cluster --bin asdr-shardd
 
-echo "== gen"
-trace gen "$spec" --out "$out/workload.trace"
-
 echo "== reference replay (one in-process shard; fits warm the store)"
-cluster --trace "$out/workload.trace" --scale "$scale" --speed "$speed" \
+cluster --workload "$workload" --scale "$scale" --speed "$speed" \
     --shards 1 --store-dir "$store" --dump-images "$out/ref" \
     --out "$out/ref-stats.json" > "$out/ref.log"
-sed -n 's/^TRACE_RESULT //p' "$out/ref.log" > "$out/ref.json"
 
 echo "== fleet replay (spawn:3, killing one daemon mid-run)"
 stale=$(pgrep -f 'asdr-[s]hardd' || true)
-cluster --trace "$out/workload.trace" --scale "$scale" --speed "$speed" \
+cluster --workload "$workload" --scale "$scale" --speed "$speed" \
     --remote spawn:3 --store-dir "$store" --dump-images "$out/fleet" \
     --bundle "$out/bundles" \
     --out "$out/fleet-stats.json" > "$out/fleet.log" 2> "$out/fleet.err" &
@@ -91,7 +86,6 @@ else
 fi
 
 wait "$replay_pid" || { echo "FAIL: fleet replay did not survive the kill"; cat "$out/fleet.err"; exit 1; }
-sed -n 's/^TRACE_RESULT //p' "$out/fleet.log" > "$out/fleet.json"
 
 # a SIGKILLed daemon cannot say goodbye: all three daemons opened a run
 # bundle, but exactly the two survivors finished theirs (stats.json is
@@ -123,10 +117,6 @@ replications=$(sed -n 's/.*"rewarms": [0-9]*, "replications": \([0-9]*\)}.*/\1/p
 [[ -n "$replications" ]] \
     || { echo "FAIL: the fleet block carries no replications counter"; exit 1; }
 echo "replicas made behind queued requests: $replications"
-
-echo "== report"
-trace report "ref=$out/ref.json" "fleet=$out/fleet.json" --out target/fleet-report.md
-cat target/fleet-report.md
 
 echo "== merged bundle report"
 trace report --bundles "$out/bundles" --out target/fleet-bundle-report.md

@@ -2,8 +2,9 @@
 # Observability smoke: the run-bundle and merged-report contract through
 # the real binaries.
 #
-#   serve    — replay a seeded synthetic burst with unmeetable deadlines
-#              through asdr-serve, writing a run bundle
+#   serve    — replay scripts/serve-workload-miss.jsonl, a burst whose
+#              1 ms deadlines no request can meet, through asdr-serve,
+#              writing a run bundle
 #   asserts  — the bundle holds the full artifact set with the span
 #              timeline, its stats.json is byte-identical to the --out
 #              artifact (one JSON writer serves both), and the merged
@@ -11,13 +12,8 @@
 #              miss to a dominant phase
 #
 # usage: scripts/obs_smoke.sh
-#
-# Environment:
-#   OBS_SMOKE_SPEC   generator spec (default: a 3s poisson burst whose
-#                    1 ms deadlines every request must miss)
 set -euo pipefail
 
-spec="${OBS_SMOKE_SPEC:-poisson:rate=10,duration=3s,scenes=Mic+Lego,seed=7,resolution=16,deadline=1}"
 out=target/obs-smoke
 
 serve() { cargo run --release -q -p asdr_serve --bin asdr-serve -- "$@"; }
@@ -30,7 +26,7 @@ echo "== build"
 cargo build --release -q -p asdr_serve --bin asdr-serve --bin asdr-trace
 
 echo "== serve replay, bundle on"
-serve --synthetic "$spec" --scale tiny --no-store \
+serve --workload scripts/serve-workload-miss.jsonl --scale tiny --no-store \
     --bundle "$out/bundles/serve" --out "$out/serve-stats.json" > "$out/serve.log"
 
 echo "== bundle asserts"

@@ -1,95 +1,48 @@
 #!/usr/bin/env bash
-# Trace-subsystem smoke: the representative-replay contract, end to end
-# through the real binaries.
+# Trace smoke: the record -> replay contract, end to end through the real
+# binaries.
 #
-#   gen    — a seeded 120s diurnal trace (the "full day" of traffic)
-#   sample — phase-sample it down to 3 weighted medoid windows
-#   replay — both traces through asdr-serve against one pre-warmed store
-#   report — merge the two TRACE_RESULT lines into target/trace-report.md
+#   record — the bundled JSONL workload through asdr-serve with --record,
+#            dumping its frames
+#   replay — the captured binary trace through asdr-serve against the same
+#            store, dumping its frames
 #
-# and asserts the two claims the sampling makes:
-#   * compression: the sampled replay finishes in < 10% of the full
-#     replay's wall-clock (the trace is >= 60s-equivalent);
-#   * representativeness: the full replay's measured deadline-miss rate
-#     lands inside the sampled estimate's 95% error bar.
+# and asserts the two frame dumps are byte-identical and both TRACE_RESULT
+# lines count the same requests (the capture holds every one).
 #
 # usage: scripts/trace_smoke.sh
-#
-# Environment:
-#   TRACE_SMOKE_SPEC    generator spec (default: a 120s diurnal cycle over
-#                       the three zoo scenes with a 400 ms deadline)
-#   TRACE_SMOKE_SPEED   replay time warp (default 20)
-#   TRACE_SMOKE_SCALE   render scale (default tiny)
 set -euo pipefail
 
-# The rates are sized so a 1-worker tiny-scale service keeps up with the
-# warped arrivals: representative replay assumes each window reaches its
-# own steady state, which a cumulatively saturated queue (a closed-loop
-# backlog carried across windows) would break for any sampling method.
-spec="${TRACE_SMOKE_SPEC:-diurnal:base=0.3,peak=1.2,period=30s,duration=120s,seed=7,resolution=16,deadline=400,zipf=1.1}"
-speed="${TRACE_SMOKE_SPEED:-10}"
-scale="${TRACE_SMOKE_SCALE:-tiny}"
 out=target/trace-smoke
 store=target/trace-store
 
 serve() { cargo run --release -q -p asdr_serve --bin asdr-serve -- "$@"; }
-trace() { cargo run --release -q -p asdr_serve --bin asdr-trace -- "$@"; }
-
-# first match of a numeric "key": value pair in a JSON artifact
-metric() {
-    sed -n "s/.*\"$2\": \(-\{0,1\}[0-9.][0-9.eE+-]*\).*/\1/p" "$1" | head -1
-}
 
 rm -rf "$out" "$store"
 mkdir -p "$out"
 
-echo "== gen + sample"
-trace gen "$spec" --out "$out/full.trace"
-trace sample --trace "$out/full.trace" --window-ms 2000 --clusters 3 --seed 7 \
-    --out "$out/sampled.trace"
-
-echo "== warm the store (fits happen here, not in the measured replays)"
-serve --workload scripts/serve-workload-tiny.jsonl --scale "$scale" \
-    --store-dir "$store" > /dev/null
-
-replay() { # label trace-file
-    serve --trace "$2" --scale "$scale" --speed "$speed" --store-dir "$store" \
-        --out "$out/$1-stats.json" > "$out/$1.log"
-    sed -n 's/^TRACE_RESULT //p' "$out/$1.log" > "$out/$1.json"
-    [[ -s "$out/$1.json" ]] || { echo "error: no TRACE_RESULT line in $out/$1.log" >&2; exit 1; }
+run() { # label, then the input flags
+    local label=$1
+    shift
+    serve "$@" --scale tiny --store-dir "$store" --dump-images "$out/$label" \
+        --out "$out/$label-stats.json" > "$out/$label.log"
+    sed -n 's/^TRACE_RESULT //p' "$out/$label.log" > "$out/$label.json"
+    [[ -s "$out/$label.json" ]] || { echo "error: no TRACE_RESULT line in $out/$label.log" >&2; exit 1; }
 }
 
-echo "== full replay (${speed}x warp)"
-replay full "$out/full.trace"
-echo "== sampled replay (${speed}x warp)"
-replay sampled "$out/sampled.trace"
+echo "== record (JSONL workload, capturing a binary trace)"
+run jsonl --workload scripts/serve-workload-tiny.jsonl --record "$out/captured.trace"
+[[ -s "$out/captured.trace" ]] || { echo "FAIL: --record wrote no trace"; exit 1; }
 
-full_wall=$(metric "$out/full.json" wall_ms)
-full_miss=$(metric "$out/full.json" miss_rate)
-samp_wall=$(metric "$out/sampled.json" wall_ms)
-est=$(metric "$out/sampled.json" est_miss_rate)
-err=$(metric "$out/sampled.json" miss_err)
-equiv=$(metric "$out/sampled.json" equivalent_ms)
+echo "== replay (the captured trace)"
+run trace --trace "$out/captured.trace"
 
 echo "== asserts"
-awk -v e="$equiv" 'BEGIN {
-    printf "trace covers %.0f simulated ms\n", e
-    exit (e >= 60000) ? 0 : 1
-}' || { echo "FAIL: trace shorter than the 60s-equivalent the smoke promises"; exit 1; }
-
-awk -v f="$full_wall" -v s="$samp_wall" 'BEGIN {
-    r = s / f
-    printf "wall-clock: full %.0f ms, sampled %.0f ms (%.1f%% of full)\n", f, s, r * 100
-    exit (r < 0.10) ? 0 : 1
-}' || { echo "FAIL: sampled replay must run in < 10% of the full wall-clock"; exit 1; }
-
-awk -v m="$full_miss" -v e="$est" -v w="$err" 'BEGIN {
-    d = m - e; if (d < 0) d = -d
-    printf "miss rate: measured %.3f vs estimate %.3f +/- %.3f (error %.3f)\n", m, e, w, d
-    exit (d <= w) ? 0 : 1
-}' || { echo "FAIL: full miss rate outside the sampled estimate error bar"; exit 1; }
-
-echo "== report"
-trace report "full=$out/full.json" "sampled=$out/sampled.json" --out target/trace-report.md
-cat target/trace-report.md
+diff -r "$out/jsonl" "$out/trace" \
+    || { echo "FAIL: the captured trace rendered different frames"; exit 1; }
+echo "frames byte-identical: $(ls "$out/jsonl" | wc -l) files"
+requests() { sed -n 's/.*"requests": \([0-9]*\).*/\1/p' "$1"; }
+[[ "$(requests "$out/jsonl.json")" == "$(requests "$out/trace.json")" ]] \
+    || { echo "FAIL: the capture does not hold every request"; exit 1; }
+echo "requests replayed: $(requests "$out/trace.json")"
 echo "trace smoke OK"

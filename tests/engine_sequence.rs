@@ -11,22 +11,18 @@ use asdr::scenes::registry;
 
 #[test]
 fn exec_policies_are_byte_identical_on_two_scenes() {
-    // the determinism contract: pixels are independent, so Sequential,
-    // StaticRows, and TileStealing must agree to the byte — image AND op
-    // counts — on both a background-heavy and a geometry-heavy scene
+    // the determinism contract: pixels are independent, so Sequential and
+    // TileStealing must agree to the byte — image AND op counts — on both a
+    // background-heavy and a geometry-heavy scene
     for scene in ["Mic", "Lego"] {
         let id = registry::handle(scene);
         let model = fit_ngp(id.build().as_ref(), &GridConfig::tiny());
         let cam = id.camera(28, 28);
         let opts = RenderOptions::asdr_default(48);
-        let outs: Vec<_> = [
-            ExecPolicy::Sequential,
-            ExecPolicy::StaticRows,
-            ExecPolicy::TileStealing { tile_size: 9 },
-        ]
-        .into_iter()
-        .map(|p| FrameEngine::new(opts.clone(), p).unwrap().render_frame(&model, &cam))
-        .collect();
+        let outs: Vec<_> = [ExecPolicy::Sequential, ExecPolicy::TileStealing { tile_size: 9 }]
+            .into_iter()
+            .map(|p| FrameEngine::new(opts.clone(), p).unwrap().render_frame(&model, &cam))
+            .collect();
         for out in &outs[1..] {
             assert_eq!(out.image, outs[0].image, "{scene}: images diverged across policies");
             assert_eq!(out.stats, outs[0].stats, "{scene}: op counts diverged across policies");
@@ -45,7 +41,11 @@ fn plan_reuse_quality_tracks_per_frame_probing_on_a_slow_pulse() {
         (0..4).map(|i| fit_ngp(&PulseScene::at_phase(0.30 + i as f32 * 0.01), &grid)).collect();
     let frames: Vec<_> = models.iter().map(|m| SequenceFrame::new(m, cam.clone())).collect();
 
-    let engine = FrameEngine::new(RenderOptions::asdr_default(48), ExecPolicy::default()).unwrap();
+    let engine = FrameEngine::new(
+        RenderOptions::asdr_default(48),
+        ExecPolicy::TileStealing { tile_size: 16 },
+    )
+    .unwrap();
     let per_frame = engine.render_sequence(&frames, &PlanPolicy::PerFrame).unwrap();
     let reuse = engine.render_sequence(&frames, &PlanPolicy::Reuse { refresh_every: 4 }).unwrap();
 
@@ -56,8 +56,11 @@ fn plan_reuse_quality_tracks_per_frame_probing_on_a_slow_pulse() {
         reuse.probe_points(),
         per_frame.probe_points()
     );
-    let reference_engine =
-        FrameEngine::new(RenderOptions::instant_ngp(48), ExecPolicy::default()).unwrap();
+    let reference_engine = FrameEngine::new(
+        RenderOptions::instant_ngp(48),
+        ExecPolicy::TileStealing { tile_size: 16 },
+    )
+    .unwrap();
     for (i, (a, b)) in per_frame.frames.iter().zip(&reuse.frames).enumerate() {
         let reference = reference_engine.render_frame(&models[i], &cam).image;
         let p_probe = psnr(&a.image, &reference);
@@ -74,7 +77,11 @@ fn sequence_aggregates_add_up() {
     let id = registry::handle("Mic");
     let model = fit_ngp(id.build().as_ref(), &GridConfig::tiny());
     let cam = id.camera(16, 16);
-    let engine = FrameEngine::new(RenderOptions::asdr_default(48), ExecPolicy::default()).unwrap();
+    let engine = FrameEngine::new(
+        RenderOptions::asdr_default(48),
+        ExecPolicy::TileStealing { tile_size: 16 },
+    )
+    .unwrap();
     let frames: Vec<_> = (0..3).map(|_| SequenceFrame::new(&model, cam.clone())).collect();
     let out = engine.render_sequence(&frames, &PlanPolicy::Reuse { refresh_every: 2 }).unwrap();
     let sum: u64 = out.frames.iter().map(|f| f.stats.total_density()).sum();

@@ -142,7 +142,10 @@ fn frames_stats_and_checkpoint_bytes_match_the_parent_commit() {
 fn threaded_policies_render_the_recorded_goldens() {
     let golden: String =
         GOLDEN.lines().filter(|l| !l.contains(" checkpoint ")).map(|l| format!("{l}\n")).collect();
-    let policies = [(ExecPolicy::TileStealing { tile_size: 8 }, 2), (ExecPolicy::StaticRows, 3)];
+    let policies = [
+        (ExecPolicy::TileStealing { tile_size: 8 }, 2),
+        (ExecPolicy::TileStealing { tile_size: 5 }, 3),
+    ];
     let mut actual = policies.map(|_| String::new());
     for scene in ["Lego", "Mic", "Cloud"] {
         let id = registry::handle(scene);
