@@ -21,7 +21,9 @@ test-crates:
 # occupancy-pattern sweep) hold the march to its kept scalar reference; the
 # engine unit tests hold every policy x worker count to one frame, probe
 # pixels read back included; asdr_nerf's unit tests hold the MLP rows to their
-# 64-byte alignment and the checkpoint to its size.
+# 64-byte alignment and the checkpoint to its size. The cluster suites run the
+# wire's reader and writer threads and the fleet's race at the opt-level the
+# benchmark ships them at.
 test-release:
 	cargo test --release --test kernel_identity
 	cargo test --release -p asdr_nerf --test props --test fit_workers
@@ -29,6 +31,7 @@ test-release:
 	cargo test --release -p asdr_core --test empty_space --test props
 	cargo test --release -p asdr_core --lib renderer
 	cargo test --release -p asdr_core --lib engine
+	cargo test --release -p asdr_cluster --lib --test fleet_seam --test wire_props
 
 fmt:
 	cargo fmt --all

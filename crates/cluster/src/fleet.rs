@@ -13,9 +13,10 @@
 //! [`FleetConfig::budget_ms`], and only when every one is over budget or
 //! full does the fleet refuse ([`FleetError::Busy`]). A reservation is
 //! taken at submit and released when the shard reports the request
-//! terminal ([`Done`]) — result, failure or lost connection — whether or
-//! not anyone has waited on the ticket, so a driver that submits a whole
-//! trace before waiting on any of it can never wedge the budget shut.
+//! terminal ([`Done`]) — result, failure, refusal or lost connection —
+//! whether or not anyone has waited on the ticket, so a driver that submits
+//! a whole trace before waiting on any of it can never wedge the budget
+//! shut. A refusal reported so is routed again by the ticket ([`FleetTicket`]).
 //!
 //! Around that one admission path, whichever backend serves:
 //!
@@ -69,7 +70,8 @@ use std::time::{Duration, Instant};
 pub struct FleetConfig {
     /// Pooled connections per shard ([`Fleet::connect`]).
     pub connections_per_shard: usize,
-    /// Health-probe period.
+    /// Health-probe period; also the longest a request every shard has
+    /// refused waits between tries while nothing completes.
     pub health_interval: Duration,
     /// Per-probe reply deadline.
     pub health_timeout: Duration,
@@ -101,9 +103,6 @@ impl Default for FleetConfig {
         }
     }
 }
-
-/// Admission-decision deadline per submit attempt.
-const ADMIT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Why the fleet refused a submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,11 +269,11 @@ impl Book {
         }
     }
 
-    /// Waits until some reservation is released or `timeout` passes —
-    /// completions are the only events that free queue slots or budget.
-    fn wait_release(&self, timeout: Duration) {
+    /// Waits until more than `seen` reservations have been released or
+    /// `timeout` passes — completions are the only events that free queue
+    /// slots or budget.
+    fn wait_release(&self, seen: u64, timeout: Duration) {
         let count = self.completions.lock().unwrap();
-        let seen = *count;
         drop(self.completed.wait_timeout_while(count, timeout, |count| *count == seen).unwrap());
     }
 }
@@ -479,7 +478,8 @@ impl FleetInner {
         true
     }
 
-    /// Routes one request over the live shards in [`spill_order`]. One that
+    /// Routes one request over the live shards in [`spill_order`], passing
+    /// over those in `skip` (they refused it) as if they were full. One that
     /// queues at a busy home beside an idle shard (cold for the scene) has a
     /// replica made there in the background: the next overlap finds it warm, and
     /// no request waits for a load or a fit because of where the router sent it.
@@ -488,6 +488,7 @@ impl FleetInner {
         req: &RenderRequest,
         predicted_ms: f64,
         race: &Race,
+        skip: &[usize],
     ) -> Result<Held, FleetError> {
         let scene = req.scene.name();
         let home = {
@@ -514,11 +515,13 @@ impl FleetInner {
             if !self.is_live(id) {
                 continue;
             }
-            let Some((attempt, done)) = self.book.reserve(id, req, predicted_ms, race) else {
+            let reserved =
+                (!skip.contains(&id)).then(|| self.book.reserve(id, req, predicted_ms, race));
+            let Some((attempt, done)) = reserved.flatten() else {
                 busy = true;
                 continue;
             };
-            match self.shards[id].shard.submit(req, done, ADMIT_TIMEOUT) {
+            match self.shards[id].shard.submit(req, done) {
                 Ok(ticket) => {
                     if id == home {
                         self.counters.routed_home.inc();
@@ -547,7 +550,6 @@ impl FleetInner {
             }
         }
         if busy {
-            self.counters.rejected.inc();
             return Err(FleetError::Busy);
         }
         Err(FleetError::Fatal(last_final.unwrap_or_else(|| "no live shards".into())))
@@ -604,7 +606,7 @@ impl Fleet {
             scaler.validate()?;
             for (id, shard) in shards.iter().enumerate() {
                 shard
-                    .set_workers(scaler.workers_min, ADMIT_TIMEOUT)
+                    .set_workers(scaler.workers_min, cfg.health_timeout)
                     .map_err(|e| format!("shard {id}: {e}"))?;
             }
         }
@@ -687,7 +689,13 @@ impl Fleet {
         let predicted_ms =
             self.inner.book.cost.predict(req.scene.name(), req.resolution, req.frames);
         let (race, reported) = mpsc::channel();
-        let held = self.inner.route(&req, predicted_ms, &race)?;
+        let held = match self.inner.route(&req, predicted_ms, &race, &[]) {
+            Err(FleetError::Busy) => {
+                self.inner.counters.rejected.inc();
+                return Err(FleetError::Busy);
+            }
+            routed => routed?,
+        };
         Ok(FleetTicket {
             inner: self.inner.clone(),
             req,
@@ -848,10 +856,10 @@ struct Held {
 
 /// A fleet submission's completion handle. [`FleetTicket::wait`] owns the
 /// tail-tolerance machinery: hedging after the latency watermark,
-/// immediate eviction + resubmission when the serving shard dies, and
-/// first-response-wins arbitration between primary and hedge. The ticket
-/// keeps its outcome — waiting again returns it again — and dropping it
-/// un-waited drops the shard's ticket, which cancels.
+/// immediate eviction + resubmission when the serving shard dies, routing
+/// again when a shard refuses, and first-response-wins arbitration between
+/// primary and hedge. The ticket keeps its outcome — waiting again returns
+/// it again — and dropping it un-waited drops the shard's ticket, which cancels.
 pub struct FleetTicket {
     inner: Arc<FleetInner>,
     req: RenderRequest,
@@ -864,10 +872,6 @@ pub struct FleetTicket {
     served_by: AtomicUsize,
     outcome: Mutex<Option<Result<WireResult, String>>>,
 }
-
-/// How long a failover resubmission waits for a completion before trying
-/// again while every live shard is full.
-const FAILOVER_RETRY: Duration = Duration::from_millis(20);
 
 impl FleetTicket {
     /// The shard that served (or is currently serving) the request.
@@ -895,10 +899,12 @@ impl FleetTicket {
 
     /// Runs the race: blocks on the ticket's [`Race`] and acts on each report
     /// as it is made. The first result wins, whichever submission made it,
-    /// and the other is cancelled; a render failure on the primary is final;
-    /// a primary lost with its connection is replaced by the hedge if one is
-    /// in flight and re-routed if not. The one clocked wait is the hedge
-    /// watermark, and when it passes the duplicate joins the same race.
+    /// and the other is cancelled; a render failure or a final refusal of
+    /// the primary is final. A primary refused for now is replaced by the
+    /// hedge if one is in flight, or routed again past every shard that has
+    /// refused it; one lost with its connection evicts its shard, counts a
+    /// failover and is replaced the same way. The one clocked wait is the
+    /// hedge watermark, and when it passes the duplicate joins the same race.
     fn resolve(&self) -> Result<WireResult, String> {
         let wait_t0 = Instant::now();
         let inner = &self.inner;
@@ -908,6 +914,7 @@ impl FleetTicket {
         let mut hedge: Option<Held> = None;
         // `None` once the one hedge has gone out (or with hedging off)
         let mut hedge_at = watermark(wait_t0);
+        let mut refused: Vec<usize> = Vec::new();
         loop {
             // the ticket holds a sender: the queue cannot close under the wait
             let report = match hedge_at {
@@ -920,7 +927,7 @@ impl FleetTicket {
                 continue;
             };
             if attempt == primary.attempt {
-                match outcome {
+                let replacement = match outcome {
                     Ok(result) => {
                         if let Some(hedge) = &hedge {
                             hedge.ticket.cancel();
@@ -928,34 +935,42 @@ impl FleetTicket {
                         }
                         return Ok(self.win(primary.shard, result, wait_t0));
                     }
-                    Err(ShardError::Render(why)) => {
+                    Err(
+                        e @ (ShardError::Render(_) | ShardError::Refused { retryable: false, .. }),
+                    ) => {
                         if let Some(hedge) = &hedge {
                             hedge.ticket.cancel();
                         }
-                        return Err(why);
+                        return Err(e.to_string());
+                    }
+                    // nothing is evicted and no failover counted
+                    Err(ShardError::Refused { .. }) => {
+                        refused.retain(|&shard| shard != primary.shard);
+                        refused.push(primary.shard);
+                        match hedge.take() {
+                            Some(hedge) => hedge,
+                            None => self.reroute(&refused, "request refused")?,
+                        }
                     }
                     Err(e) => {
                         // the primary died mid-request
                         inner.evict(primary.shard, &e.to_string());
-                        if let Some(hedge) = hedge.take() {
-                            // the hedge is already the replacement — promote it
-                            counters.failovers.inc();
-                            asdr_obs::event!(
-                                self.req.trace,
-                                "failover",
-                                format!(
-                                    "from={} to={} promoted_hedge=true",
-                                    primary.shard, hedge.shard
-                                )
-                            );
-                            primary = hedge;
-                        } else {
-                            primary = self.resubmit()?;
-                            // an unspent hedge is timed against the replacement
-                            hedge_at = hedge_at.and(watermark(Instant::now()));
-                        }
+                        let replacement = match hedge.take() {
+                            Some(hedge) => hedge,
+                            None => self.reroute(&[], "request lost its shard")?,
+                        };
+                        counters.failovers.inc();
+                        asdr_obs::event!(
+                            self.req.trace,
+                            "failover",
+                            format!("from={} to={}", primary.shard, replacement.shard)
+                        );
+                        replacement
                     }
-                }
+                };
+                primary = replacement;
+                // an unspent hedge is timed against the replacement
+                hedge_at = hedge_at.and(watermark(Instant::now()));
             } else if hedge.as_ref().is_some_and(|hedge| hedge.attempt == attempt) {
                 let hedge = hedge.take().expect("matched above");
                 match outcome {
@@ -965,9 +980,11 @@ impl FleetTicket {
                         counters.hedge_cancels.inc();
                         return Ok(self.win(hedge.shard, result, wait_t0));
                     }
-                    // the duplicate failed on its own: the primary races on alone
-                    Err(ShardError::Render(_) | ShardError::Protocol(_)) => {}
-                    Err(e) => inner.evict(hedge.shard, &e.to_string()),
+                    Err(e @ (ShardError::Connection(_) | ShardError::Timeout)) => {
+                        inner.evict(hedge.shard, &e.to_string());
+                    }
+                    // failed or refused on its own: the primary races on alone
+                    Err(_) => {}
                 }
             }
         }
@@ -985,7 +1002,7 @@ impl FleetTicket {
             else {
                 continue;
             };
-            if let Ok(ticket) = inner.shards[id].shard.submit(&self.req, done, ADMIT_TIMEOUT) {
+            if let Ok(ticket) = inner.shards[id].shard.submit(&self.req, done) {
                 inner.counters.hedges.inc();
                 // the duplicate carries the same trace id, so the merged
                 // report sees both shards' server-side spans for this request
@@ -996,24 +1013,27 @@ impl FleetTicket {
         None
     }
 
-    /// Replaces a dead primary by routing the request again (the hedge
-    /// path handles the has-hedge case). Rendering is deterministic, so
-    /// the replacement's frames are byte-identical to what the dead shard
-    /// would have produced; the dead shard's reservation went with its
-    /// connection and the new shard's is taken by the route.
-    fn resubmit(&self) -> Result<Held, String> {
+    /// Routes the request again (rendering is deterministic: the frames do
+    /// not change), past the shards in `skip`. While none admits, each next
+    /// try, which skips nobody, waits for a release or a health interval: a
+    /// full fleet costs one try per completion and never spins.
+    fn reroute(&self, mut skip: &[usize], failing: &str) -> Result<Held, String> {
+        let inner = &self.inner;
         loop {
-            match self.inner.route(&self.req, self.predicted_ms, &self.race) {
+            match inner.route(&self.req, self.predicted_ms, &self.race, skip) {
                 Ok(held) => {
-                    self.inner.counters.failovers.inc();
-                    asdr_obs::event!(self.req.trace, "failover", format!("to={}", held.shard));
                     self.served_by.store(held.shard, Ordering::SeqCst);
                     return Ok(held);
                 }
-                Err(FleetError::Busy) => self.inner.book.wait_release(FAILOVER_RETRY),
-                Err(FleetError::Fatal(why)) => {
-                    return Err(format!("request lost its shard and cannot be replaced: {why}"))
+                Err(FleetError::Busy) => {
+                    // read before `rejected` moves: whoever sees it move and
+                    // then completes a request wakes this wait
+                    let seen = *inner.book.completions.lock().unwrap();
+                    inner.counters.rejected.inc();
+                    inner.book.wait_release(seen, inner.cfg.health_interval);
+                    skip = &[];
                 }
+                Err(FleetError::Fatal(why)) => return Err(format!("{failing}: {why}")),
             }
         }
     }
@@ -1046,7 +1066,8 @@ impl ReplayTarget for Fleet {
     }
 
     fn wait_capacity(&self, timeout: Duration) {
-        self.inner.book.wait_release(timeout);
+        let book = &self.inner.book;
+        book.wait_release(*book.completions.lock().unwrap(), timeout);
     }
 }
 

@@ -3,10 +3,11 @@
 //! A small pool of [`Stream`]s, each with a reader thread demultiplexing
 //! reply frames by correlation id, so any number of requests, health probes,
 //! and stats polls share a connection without head-of-line blocking on the
-//! client side. An id's first reply — a submit's `Submitted` or `Refused`,
-//! a probe's answer — goes to the caller parked on a one-shot channel. A
-//! request's end is nobody's to wait for: the reader reports the `Result`
-//! or `Failed` frame, or the connection dying under it, through the
+//! client side. A submit is one frame out and nothing waited for: its
+//! ticket is returned once the `Submit` is written. A probe's or command's
+//! one reply goes to the caller parked on a one-shot channel. A request's
+//! end is nobody's to wait for: the reader reports the `Result`, `Failed`
+//! or `Refused` frame, or the connection dying under it, through the
 //! submission's [`Done`] when it happens.
 
 use crate::net::{ShardAddr, Stream};
@@ -14,32 +15,19 @@ use crate::shard::{Done, HealthInfo, Shard, ShardError, ShardTicket};
 use crate::wire::{self, Message, WireRequest, WireStats};
 use asdr_serve::RenderRequest;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// An id's first reply, or why there will be none.
-type FirstReply = Result<Message, String>;
-
-/// What the connection owes one registered id: its first reply, to the
-/// caller parked on the other end of `reply`, and — for a submit — the
-/// report of its end.
-struct Pending {
-    reply: SyncSender<FirstReply>,
-    done: Option<Done>,
-}
-
-/// Waits up to `timeout` for a registered id's first reply.
-fn first_reply(reply: &Receiver<FirstReply>, timeout: Duration) -> Result<Message, ShardError> {
-    match reply.recv_timeout(timeout) {
-        Ok(Ok(msg)) => Ok(msg),
-        Ok(Err(why)) => Err(ShardError::Connection(why)),
-        Err(RecvTimeoutError::Timeout) => Err(ShardError::Timeout),
-        Err(RecvTimeoutError::Disconnected) => {
-            Err(ShardError::Protocol("the request ended before it was acknowledged".into()))
-        }
-    }
+/// What the connection owes one registered id.
+enum Pending {
+    /// A probe's or command's one reply, or why there will be none, to the
+    /// caller parked on the other end.
+    Reply(SyncSender<Result<Message, String>>),
+    /// A submitted request's end.
+    End(Done),
 }
 
 /// One pooled connection: a locked writer half plus a reader thread that
@@ -56,7 +44,7 @@ impl Conn {
         let stream = addr.connect().map_err(|e| ShardError::Connection(e.to_string()))?;
         let mut writer = stream.try_clone().map_err(|e| ShardError::Connection(e.to_string()))?;
         // handshake synchronously, bounded, before the reader thread owns
-        // the stream
+        // the stream; unbuffered, so no byte after `HelloOk` is read here
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .map_err(|e| ShardError::Connection(e.to_string()))?;
@@ -84,13 +72,6 @@ impl Conn {
         Ok(conn)
     }
 
-    fn register(&self, id: u64, done: Option<Done>) -> Receiver<FirstReply> {
-        // room for the one reply, so the reader never waits for its caller
-        let (reply, first) = mpsc::sync_channel(1);
-        self.pending.lock().unwrap().insert(id, Pending { reply, done });
-        first
-    }
-
     /// Forgets `id`, returning whether it was still registered. A submit
     /// abandoned before its end has its [`Done`] dropped uncalled: lost, as
     /// far as this client will ever know.
@@ -100,32 +81,35 @@ impl Conn {
         forgotten.is_some()
     }
 
-    fn send(&self, msg: &Message) -> Result<(), ShardError> {
-        let mut w = self.writer.lock().unwrap();
-        wire::write_frame(&mut *w, msg).map_err(|e| {
+    /// Writes one frame; a connection that cannot take it is failed.
+    fn send(&self, msg: &Message) {
+        let written = wire::write_frame(&mut *self.writer.lock().unwrap(), msg);
+        if let Err(e) = written {
             self.fail(&e.to_string());
-            ShardError::Connection(e.to_string())
-        })
+        }
     }
 
-    /// Routes one reply frame. A `Result` or `Failed` ends its request:
-    /// the id leaves the table and its [`Done`] is called here, on the
-    /// reader thread. Anything else is the id's first reply. Frames for
-    /// unregistered ids (cancelled hedges, dropped tickets) are dropped.
+    /// Routes one reply frame to its id, which it takes off the table:
+    /// every id is owed one frame. A `Result`, `Failed` or `Refused` ends a
+    /// request, and its [`Done`] is called here, on the reader thread.
+    /// Frames for unregistered ids (cancelled hedges, dropped tickets) are
+    /// dropped.
     fn deliver(&self, id: u64, msg: Message) {
-        let outcome = match msg {
-            Message::Result { result, .. } => Ok(result),
-            Message::Failed { why, .. } => Err(ShardError::Render(why)),
-            reply => {
-                if let Some(pending) = self.pending.lock().unwrap().get(&id) {
-                    let _ = pending.reply.try_send(Ok(reply));
-                }
-                return;
+        // a statement of its own: the `Done` runs after the lock is released
+        let pending = self.pending.lock().unwrap().remove(&id);
+        match pending {
+            Some(Pending::Reply(reply)) => {
+                let _ = reply.try_send(Ok(msg));
             }
-        };
-        let ended = self.pending.lock().unwrap().remove(&id);
-        if let Some(done) = ended.and_then(|pending| pending.done) {
-            done(outcome);
+            Some(Pending::End(done)) => done(match msg {
+                Message::Result { result, .. } => Ok(result),
+                Message::Failed { why, .. } => Err(ShardError::Render(why)),
+                Message::Refused { retryable, why, .. } => {
+                    Err(ShardError::Refused { retryable, why })
+                }
+                other => Err(ShardError::Protocol(format!("a request ended with {other:?}"))),
+            }),
+            None => {}
         }
     }
 
@@ -137,16 +121,21 @@ impl Conn {
             self.read_half.shutdown();
         }
         let lost: Vec<Pending> = self.pending.lock().unwrap().drain().map(|(_, p)| p).collect();
-        for Pending { reply, done } in lost {
-            if let Some(done) = done {
-                done(Err(ShardError::Connection(why.to_string())));
+        for pending in lost {
+            match pending {
+                Pending::Reply(reply) => {
+                    let _ = reply.try_send(Err(why.to_string()));
+                }
+                Pending::End(done) => done(Err(ShardError::Connection(why.to_string()))),
             }
-            let _ = reply.try_send(Err(why.to_string()));
         }
     }
 }
 
-fn reader_loop(conn: &Conn, mut read_half: Stream) {
+/// Reads through a buffer: a frame's length prefix is taken a byte at a
+/// time, so a frame is usually one `read` instead of one per prefix byte.
+fn reader_loop(conn: &Conn, read_half: Stream) {
+    let mut read_half = BufReader::new(read_half);
     loop {
         match wire::read_frame(&mut read_half) {
             Ok(Some(msg)) => {
@@ -201,19 +190,28 @@ impl RemoteShard {
         Ok(fresh)
     }
 
+    /// Registers what the next id is owed and sends the frame `build` makes
+    /// for it.
     fn request(
         &self,
-        done: Option<Done>,
+        owed: Pending,
         build: impl FnOnce(u64) -> Message,
-    ) -> Result<(Arc<Conn>, Receiver<FirstReply>, u64), ShardError> {
+    ) -> Result<(Arc<Conn>, u64), ShardError> {
         let conn = self.conn()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let first = conn.register(id, done);
-        if let Err(e) = conn.send(&build(id)) {
-            conn.unregister(id);
-            return Err(e);
+        conn.pending.lock().unwrap().insert(id, owed);
+        let msg = build(id);
+        let written = wire::write_frame(&mut *conn.writer.lock().unwrap(), &msg);
+        if let Err(e) = written {
+            // forgotten before the connection fails, so the `Err` is the only
+            // word of it; unless the reader failed it first and has reported
+            let forgotten = conn.unregister(id);
+            conn.fail(&e.to_string());
+            if forgotten {
+                return Err(ShardError::Connection(e.to_string()));
+            }
         }
-        Ok((conn, first, id))
+        Ok((conn, id))
     }
 
     /// One-reply request/response helper.
@@ -222,10 +220,19 @@ impl RemoteShard {
         timeout: Duration,
         build: impl FnOnce(u64) -> Message,
     ) -> Result<Message, ShardError> {
-        let (conn, first, id) = self.request(None, build)?;
-        let reply = first_reply(&first, timeout);
+        // room for the one reply, so the reader never waits for its caller
+        let (reply, first) = mpsc::sync_channel(1);
+        let (conn, id) = self.request(Pending::Reply(reply), build)?;
+        let answer = match first.recv_timeout(timeout) {
+            Ok(Ok(msg)) => Ok(msg),
+            Ok(Err(why)) => Err(ShardError::Connection(why)),
+            Err(RecvTimeoutError::Timeout) => Err(ShardError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => {
+                Err(ShardError::Protocol("the connection dropped the reply".into()))
+            }
+        };
         conn.unregister(id);
-        reply
+        answer
     }
 
     /// [`Shard::prewarm`], callable without the trait in scope.
@@ -243,23 +250,10 @@ impl RemoteShard {
 }
 
 impl Shard for RemoteShard {
-    fn submit(
-        &self,
-        req: &RenderRequest,
-        done: Done,
-        timeout: Duration,
-    ) -> Result<Arc<dyn ShardTicket>, ShardError> {
-        let wire_req = WireRequest::from_request(req);
-        let (conn, first, id) =
-            self.request(Some(done), |id| Message::Submit { id, req: wire_req })?;
-        let refusal = match first_reply(&first, timeout) {
-            Ok(Message::Submitted { .. }) => return Ok(Arc::new(RemoteTicket { conn, id })),
-            Ok(Message::Refused { retryable, why, .. }) => ShardError::Refused { retryable, why },
-            Ok(other) => ShardError::Protocol(format!("expected Submitted, got {other:?}")),
-            Err(e) => e,
-        };
-        conn.unregister(id);
-        Err(refusal)
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ShardError> {
+        let req = WireRequest::from_request(req);
+        let (conn, id) = self.request(Pending::End(done), |id| Message::Submit { id, req })?;
+        Ok(Arc::new(RemoteTicket { conn, id }))
     }
 
     fn health(&self, timeout: Duration) -> Result<HealthInfo, ShardError> {
@@ -304,7 +298,7 @@ pub struct RemoteTicket {
 impl ShardTicket for RemoteTicket {
     fn cancel(&self) {
         if self.conn.unregister(self.id) {
-            let _ = self.conn.send(&Message::Cancel { id: self.id });
+            self.conn.send(&Message::Cancel { id: self.id });
         }
     }
 }
@@ -352,14 +346,15 @@ mod tests {
     }
 
     /// Every way a submitted request can end on this client reaches its
-    /// `Done` exactly once: a result, a render failure, a cancel, a dropped
-    /// ticket (which must also leave nothing in `Conn::pending` and tell the
-    /// shard to keep the reply), and the connection dying. The peer is
-    /// scripted — each step blocks on the frame it expects — and each end
-    /// is received from a channel, so nothing here waits on a clock.
+    /// `Done` exactly once: a result, a render failure, a refusal, a cancel,
+    /// a dropped ticket (which must also leave nothing in `Conn::pending`
+    /// and tell the shard to keep the reply), and the connection dying. The
+    /// peer is scripted — each step blocks on the frame it expects — and
+    /// each end is received from a channel, so nothing here waits on a clock.
     #[test]
     fn every_end_of_a_request_reaches_its_done_exactly_once() {
-        const NAMES: [&str; 5] = ["rendered", "failed", "cancelled", "dropped", "orphaned"];
+        const NAMES: [&str; 6] =
+            ["rendered", "failed", "refused", "cancelled", "dropped", "orphaned"];
         let sock = std::env::temp_dir().join(format!("asdr-ends-{}.sock", std::process::id()));
         let (listener, addr) = Listener::bind(&ShardAddr::Unix(sock.clone())).unwrap();
         let (now, hang_up) = mpsc::channel();
@@ -369,11 +364,8 @@ mod tests {
             let expect = |stream: &mut Stream| wire::read_frame(stream).unwrap().expect("a frame");
             assert!(matches!(expect(&mut stream), Message::Hello { .. }));
             send(&mut stream, Message::HelloOk { shard: 0 });
-            let ids = NAMES.map(|_| {
-                let id = expect(&mut stream).id().expect("a submit");
-                send(&mut stream, Message::Submitted { id });
-                id
-            });
+            // nothing acknowledges a submit: the next frame is the next submit
+            let ids = NAMES.map(|_| expect(&mut stream).id().expect("a submit"));
             let result = WireResult {
                 scene: "Mic".into(),
                 resolution: 8,
@@ -387,29 +379,31 @@ mod tests {
             };
             send(&mut stream, Message::Result { id: ids[0], result });
             send(&mut stream, Message::Failed { id: ids[1], why: "boom".into() });
+            let why = "admission queue full".to_string();
+            send(&mut stream, Message::Refused { id: ids[2], retryable: true, why });
             let cancels = [expect(&mut stream), expect(&mut stream)];
-            assert_eq!(cancels, [ids[2], ids[3]].map(|id| Message::Cancel { id }));
-            // returning closes the connection under the fifth request
+            assert_eq!(cancels, [ids[3], ids[4]].map(|id| Message::Cancel { id }));
+            // returning closes the connection under the sixth request
             hang_up.recv().unwrap();
         });
         let shard = RemoteShard::connect(addr, 1).unwrap();
         let (ends, ended) = mpsc::channel();
         let req = RenderRequest::frame(asdr_scenes::registry::handle("Mic"), 8);
-        let mut tickets: Vec<_> = NAMES
-            .iter()
-            .map(|name| shard.submit(&req, recorded(name, &ends), Duration::from_secs(30)).unwrap())
-            .collect();
+        let mut tickets: Vec<_> =
+            NAMES.iter().map(|name| shard.submit(&req, recorded(name, &ends)).unwrap()).collect();
         drop(ends);
         let next = || ended.recv_timeout(Duration::from_secs(30)).expect("a request never ended");
-        let first_two = [next(), next()];
-        assert_eq!(first_two[0], ("rendered", "result of Mic".to_string()));
-        assert_eq!(first_two[1], ("failed", "error: boom".to_string()));
+        let first_three = [next(), next(), next()];
+        assert_eq!(first_three[0], ("rendered", "result of Mic".to_string()));
+        assert_eq!(first_three[1], ("failed", "error: boom".to_string()));
+        let refusal = "error: refused (retryable): admission queue full".to_string();
+        assert_eq!(first_three[2], ("refused", refusal));
         let conn = shard.conn().unwrap();
         assert_eq!(conn.pending.lock().unwrap().len(), 3, "an ended request kept its id");
-        tickets[2].cancel();
-        tickets[2].cancel(); // nothing left to cancel: the peer sees one frame
+        tickets[3].cancel();
+        tickets[3].cancel(); // nothing left to cancel: the peer sees one frame
         assert_eq!(next(), ("cancelled", "dropped".to_string()));
-        drop(tickets.remove(3));
+        drop(tickets.remove(4));
         assert_eq!(next(), ("dropped", "dropped".to_string()));
         assert_eq!(conn.pending.lock().unwrap().len(), 1, "the dropped ticket left its id behind");
         now.send(()).unwrap();

@@ -22,6 +22,7 @@ use crate::net::{Listener, ShardAddr, Stream};
 use crate::shard::{Done, Shard, ShardError, ShardTicket};
 use crate::wire::{self, Message};
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -80,12 +81,10 @@ impl Outbox {
 
 /// Where one admitted request's reply stands on its connection.
 enum Reply {
-    /// `Shard::submit` has not returned: `Submitted` is not queued yet, and
-    /// an end that is reported first waits here for it.
-    Unacked(Option<Box<Message>>),
-    /// Acknowledged, its end owed. The shard's ticket is kept until then —
-    /// dropping one may cancel — and is how a client's cancel is passed on.
-    Owed(Arc<dyn ShardTicket>),
+    /// Its end is owed. The shard's ticket, once `Shard::submit` has
+    /// returned it, is kept until then — dropping one may cancel — and is
+    /// how a client's cancel is passed on.
+    Owed(Option<Arc<dyn ShardTicket>>),
     /// The client cancelled (a hedge won elsewhere): the end, when it
     /// comes, is not sent.
     Cancelled,
@@ -170,10 +169,11 @@ impl Server {
         self.unsent.wait_idle(PATIENCE);
     }
 
-    /// Serves one connection until EOF or protocol error.
+    /// Serves one connection until EOF or protocol error. Frames are read
+    /// through a buffer, so one usually costs one `read`.
     fn serve_connection(self: &Arc<Self>, stream: Stream) {
         let Ok(mut write_half) = stream.try_clone() else { return };
-        let mut reader = stream;
+        let mut reader = BufReader::new(stream);
         // the handshake is answered from this thread, before the writer
         // exists: a connecting client waits for the accept and nothing else
         let version = match wire::read_frame(&mut reader) {
@@ -220,7 +220,7 @@ impl Server {
                         Some(reply @ Reply::Owed(_)) => std::mem::replace(reply, Reply::Cancelled),
                         _ => continue,
                     };
-                    if let Reply::Owed(ticket) = owed {
+                    if let Reply::Owed(Some(ticket)) = owed {
                         ticket.cancel();
                     }
                     continue;
@@ -278,51 +278,43 @@ impl Server {
         }
     }
 
-    /// Admits one request — acknowledging it, with its end to be queued by
-    /// whoever the shard has report it — or refuses it.
+    /// Admits one request, its end to be queued by whoever the shard has
+    /// report it, or refuses it. Either way the client's next word of it
+    /// is its end: `Result`, `Failed` or `Refused`.
     fn submit(&self, id: u64, req: &wire::WireRequest, outbox: &Outbox, replies: &Replies) {
         let refuse = |retryable, why| outbox.send(Message::Refused { id, retryable, why });
         let req = match req.to_request() {
             Ok(req) => req,
             Err(why) => return refuse(false, why),
         };
-        replies.lock().unwrap().insert(id, Reply::Unacked(None));
+        // owed before the shard has it: the end may come before `submit` returns
+        replies.lock().unwrap().insert(id, Reply::Owed(None));
         let done: Done = {
             let (outbox, replies) = (outbox.clone(), replies.clone());
             Box::new(move |outcome| {
-                let end = match outcome {
-                    Ok(result) => Message::Result { id, result },
-                    Err(e) => Message::Failed { id, why: e.to_string() },
-                };
-                // queued under the lock `Submitted` is queued under: the
-                // client never sees a `Result` ahead of its `Submitted`,
-                // even when the request ends before `Shard::submit` returns
-                let mut replies = replies.lock().unwrap();
-                if let Some(Reply::Unacked(early)) = replies.get_mut(&id) {
-                    *early = Some(Box::new(end));
-                } else if let Some(Reply::Owed(_)) = replies.remove(&id) {
-                    outbox.send(end);
+                let owed = matches!(replies.lock().unwrap().remove(&id), Some(Reply::Owed(_)));
+                if owed {
+                    outbox.send(match outcome {
+                        Ok(result) => Message::Result { id, result },
+                        Err(e) => Message::Failed { id, why: e.to_string() },
+                    });
                 }
             })
         };
-        let admitted = self.shard.submit(&req, done, PATIENCE);
-        let mut replies = replies.lock().unwrap();
-        let early = match replies.remove(&id) {
-            Some(Reply::Unacked(early)) => early,
-            _ => None,
-        };
-        match admitted {
+        match self.shard.submit(&req, done) {
             Ok(ticket) => {
-                outbox.send(Message::Submitted { id });
-                match early {
-                    Some(end) => outbox.send(*end),
-                    None => {
-                        replies.insert(id, Reply::Owed(ticket));
-                    }
+                // kept for a cancel, unless the request has ended already
+                if let Some(Reply::Owed(owed)) = replies.lock().unwrap().get_mut(&id) {
+                    *owed = Some(ticket);
                 }
             }
-            Err(ShardError::Refused { retryable, why }) => refuse(retryable, why),
-            Err(e) => refuse(false, e.to_string()),
+            Err(e) => {
+                replies.lock().unwrap().remove(&id);
+                match e {
+                    ShardError::Refused { retryable, why } => refuse(retryable, why),
+                    e => refuse(false, e.to_string()),
+                }
+            }
         }
     }
 }

@@ -66,7 +66,7 @@ pub struct HealthInfo {
 /// How a shard reports that a submitted request is terminal on it: called
 /// once, with the result or with why there is none, by whoever learns it —
 /// the service worker that rendered it ([`LocalShard`]), the reader thread
-/// of the connection it came back on or died with
+/// of the connection it came back on, was refused on or died with
 /// ([`RemoteShard`](crate::RemoteShard)) — whether or not anyone is waiting.
 /// It must be cheap to call: the caller has a queue or a socket to get back
 /// to. Dropping it uncalled says the request was lost (a cancelled reply, a
@@ -85,20 +85,19 @@ pub trait ShardTicket: Send + Sync {
 /// One member of a fleet. The `timeout`s bound a remote round trip; a
 /// shard in this process answers at once and ignores them.
 pub trait Shard: Send + Sync {
-    /// Admits a request, reporting its end through `done` — which may run
-    /// before this returns, on a shard that finishes at once.
+    /// Hands a request to the shard, reporting its end through `done` —
+    /// which may run before this returns, on a shard that finishes at once.
+    /// A refusal the shard decides later (a remote one answers only once
+    /// the request has crossed the wire) is one of those ends:
+    /// [`ShardError::Refused`], through `done`.
     ///
     /// # Errors
     ///
-    /// [`ShardError::Refused`] (retryable = momentarily full),
-    /// [`ShardError::Connection`] / [`ShardError::Timeout`] when the shard
-    /// is unreachable or silent. `done` is dropped uncalled on any error.
-    fn submit(
-        &self,
-        req: &RenderRequest,
-        done: Done,
-        timeout: Duration,
-    ) -> Result<Arc<dyn ShardTicket>, ShardError>;
+    /// Nothing was admitted, and `done` is dropped uncalled:
+    /// [`ShardError::Refused`] from a shard that decides at once
+    /// (retryable = momentarily full), [`ShardError::Connection`] when the
+    /// shard is unreachable.
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ShardError>;
 
     /// Probes liveness.
     ///
@@ -160,12 +159,7 @@ impl LocalShard {
 }
 
 impl Shard for LocalShard {
-    fn submit(
-        &self,
-        req: &RenderRequest,
-        done: Done,
-        _timeout: Duration,
-    ) -> Result<Arc<dyn ShardTicket>, ShardError> {
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ShardError> {
         // the service observes every end, failures too, on the worker that
         // reached it; the frames are copied there because the service's own
         // ticket keeps the original

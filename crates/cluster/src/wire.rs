@@ -32,8 +32,10 @@ use asdr_serve::{ServeStats, StoreStats};
 use std::io::{Read, Write};
 
 /// Wire protocol version, exchanged in [`Message::Hello`]. 2: `Stats`
-/// carries the counted and skipped evaluation totals.
-pub const VERSION: u8 = 2;
+/// carries the counted and skipped evaluation totals. 3: admission is
+/// one-way — a shard no longer acknowledges a `Submit` (tag 3, `Submitted`,
+/// is retired), and a `Refused` is one of the request's ends.
+pub const VERSION: u8 = 3;
 
 /// Largest frame payload a peer will read (a 4096-frame result of
 /// 8192² f32 pixels doesn't fit anyway — this bounds a hostile length
@@ -446,20 +448,16 @@ pub enum Message {
         /// router's own numbering).
         shard: u64,
     },
-    /// Admit one render request.
+    /// Admit one render request. Nothing acknowledges it: the next frame
+    /// with its id is its end.
     Submit {
         /// Correlation id.
         id: u64,
         /// The request.
         req: WireRequest,
     },
-    /// The request was admitted; a [`Message::Result`] (or
-    /// [`Message::Failed`]) with the same id follows eventually.
-    Submitted {
-        /// Correlation id.
-        id: u64,
-    },
-    /// The request was not admitted.
+    /// The request was not admitted: one of a submit's three ends, with
+    /// [`Message::Result`] and [`Message::Failed`].
     Refused {
         /// Correlation id.
         id: u64,
@@ -563,7 +561,6 @@ impl Message {
         match self {
             Message::Hello { .. } | Message::HelloOk { .. } => None,
             Message::Submit { id, .. }
-            | Message::Submitted { id }
             | Message::Refused { id, .. }
             | Message::Result { id, .. }
             | Message::Failed { id, .. }
@@ -597,10 +594,6 @@ impl Message {
                 out.push(2);
                 push_varint(&mut out, *id);
                 req.encode(&mut out);
-            }
-            Message::Submitted { id } => {
-                out.push(3);
-                push_varint(&mut out, *id);
             }
             Message::Refused { id, retryable, why } => {
                 out.push(4);
@@ -691,7 +684,6 @@ impl Message {
                     let id = r.varint()?;
                     Message::Submit { id, req: WireRequest::decode(&mut r)? }
                 }
-                3 => Message::Submitted { id: r.varint()? },
                 4 => {
                     let id = r.varint()?;
                     let retryable = r.boolean("retryable")?;
@@ -750,17 +742,18 @@ impl Message {
     }
 }
 
-/// Writes one framed message (varint length prefix + payload) and flushes.
+/// Writes one framed message (varint length prefix + payload) in one
+/// `write_all`, and flushes.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_frame(w: &mut impl Write, msg: &Message) -> std::io::Result<()> {
     let payload = msg.encode();
-    let mut head = Vec::with_capacity(10);
-    push_varint(&mut head, payload.len() as u64);
-    w.write_all(&head)?;
-    w.write_all(&payload)?;
+    let mut frame = Vec::with_capacity(payload.len() + 10);
+    push_varint(&mut frame, payload.len() as u64);
+    frame.extend_from_slice(&payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -774,7 +767,8 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> std::io::Result<()> {
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Message>, String> {
     let ctx = |e: String| format!("wire frame: {e}");
     // the length prefix is read byte-by-byte so a clean EOF before any
-    // byte means "peer closed", not "corrupt frame"
+    // byte means "peer closed", not "corrupt frame"; a socket's readers
+    // buffer, so these are not a syscall each
     let mut len = 0u64;
     let mut shift = 0u32;
     loop {
@@ -833,7 +827,6 @@ mod tests {
                     trace: TraceId::from_u64(0xdead_beef_cafe_f00d),
                 },
             },
-            Message::Submitted { id: 7 },
             Message::Refused { id: 8, retryable: true, why: "admission queue full".into() },
             Message::Result {
                 id: 7,

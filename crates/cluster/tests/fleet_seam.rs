@@ -46,6 +46,12 @@ impl Handle {
     fn die(&mut self) {
         self.end(Err(ShardError::Connection("the test killed this shard".into())));
     }
+
+    /// Refuses the request after `submit` has returned, as a remote shard
+    /// does.
+    fn refuse(&mut self, retryable: bool) {
+        self.end(Err(ShardError::Refused { retryable, why: "the test is full".into() }));
+    }
 }
 
 struct FakeTicket {
@@ -89,12 +95,7 @@ impl FakeShard {
 }
 
 impl Shard for FakeShard {
-    fn submit(
-        &self,
-        _req: &RenderRequest,
-        done: Done,
-        _timeout: Duration,
-    ) -> Result<Arc<dyn ShardTicket>, ShardError> {
+    fn submit(&self, _req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ShardError> {
         let cancelled = Arc::new(AtomicBool::new(false));
         let mut handle = Handle { shard: self.id, done: Some(done), cancelled: cancelled.clone() };
         if self.instant.load(Ordering::SeqCst) {
@@ -446,6 +447,116 @@ fn a_failover_waits_out_a_fleet_that_is_busy() {
     assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
 }
 
+/// No hedging, and no health probe while the test runs: nothing but the
+/// ticket's own routing can move a request.
+fn unprobed() -> FleetConfig {
+    FleetConfig { hedge_after: None, health_interval: PATIENCE, ..FleetConfig::default() }
+}
+
+/// A refusal reported after `submit` has returned (a remote shard's
+/// `Refused`) is a re-route: the request goes to the shard that did not
+/// refuse it, and nobody is evicted or failed over.
+#[test]
+fn a_request_refused_after_submit_completes_on_the_other_shard() {
+    let f = fake_fleet(2, unprobed());
+    let ticket = f.fleet.submit(mic()).unwrap();
+    let mut refuser = f.next_admitted();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| ticket.wait());
+        refuser.refuse(true);
+        let mut other = f.next_admitted();
+        assert_ne!(other.shard, refuser.shard, "the refusing shard was asked again");
+        other.complete(frames_of(2.0));
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(2.0));
+    });
+    assert_eq!(ticket.shard(), 1 - refuser.shard);
+    let stats = f.fleet.stats();
+    assert_eq!(f.fleet.live_shards(), 2);
+    assert_eq!(stats.fleet, FleetStats::default(), "a refusal counted as a failure");
+    assert_eq!(stats.rejected, 0, "the other shard admitted at once");
+    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+}
+
+#[test]
+fn a_final_refusal_fails_the_ticket_with_its_reason() {
+    let f = fake_fleet(2, unprobed());
+    let ticket = f.fleet.submit(mic()).unwrap();
+    f.next_admitted().refuse(false);
+    let why = ticket.wait().unwrap_err();
+    assert!(why.contains("the test is full"), "{why}");
+    assert!(f.admitted.try_recv().is_err(), "a final refusal was routed again");
+    let stats = f.fleet.stats();
+    assert_eq!((stats.fleet, f.fleet.live_shards()), (FleetStats::default(), 2));
+    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+}
+
+#[test]
+fn a_refused_hedge_leaves_the_race_and_evicts_nobody() {
+    let cfg = FleetConfig { health_interval: PATIENCE, ..hedging() };
+    let f = fake_fleet(2, cfg);
+    let ticket = f.fleet.submit(mic()).unwrap();
+    let mut primary = f.next_admitted();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| ticket.wait());
+        let mut replica = f.next_admitted();
+        replica.refuse(true);
+        primary.complete(frames_of(1.0));
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(1.0), "the primary's frames");
+    });
+    assert!(f.admitted.try_recv().is_err(), "the refused hedge was replaced");
+    assert_eq!(f.fleet.live_shards(), 2);
+    let fl = f.fleet.stats().fleet;
+    assert_eq!(fl, FleetStats { hedges: 1, ..FleetStats::default() });
+}
+
+/// With every shard refusing each try the moment it is made, a ticket asks
+/// each shard once, then waits for a release before each further try: its
+/// submits never outnumber the completions plus the shards, and it spins
+/// through none while nothing completes.
+#[test]
+fn a_fleet_that_refuses_everywhere_costs_one_try_per_completion() {
+    const SHARDS: usize = 2;
+    const COMPLETIONS: usize = 3;
+    let f = fake_fleet(SHARDS, unprobed());
+    let others: Vec<InFlight> = (0..COMPLETIONS).map(|_| f.admit(mic())).collect();
+    let FakeFleet { fleet, admitted, .. } = f;
+    let ticket = fleet.submit(mic()).unwrap();
+    let tries = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        // refuses every try but the last one the bound allows, which it answers
+        let refuser = s.spawn(|| {
+            let mut asked = Vec::new();
+            loop {
+                let mut handle = admitted.recv_timeout(PATIENCE).expect("no try was made");
+                asked.push(handle.shard);
+                if tries.fetch_add(1, Ordering::SeqCst) + 1 == SHARDS + COMPLETIONS {
+                    handle.complete(frames_of(5.0));
+                    return (asked, admitted);
+                }
+                handle.refuse(true);
+            }
+        });
+        let waiter = s.spawn(|| ticket.wait());
+        for (completed, other) in others.into_iter().enumerate() {
+            // the count moves just before the ticket parks for a release
+            eventually("the ticket waits for a release", || {
+                fleet.stats().rejected > completed as u64
+            });
+            let made = tries.load(Ordering::SeqCst);
+            assert_eq!(made, SHARDS + completed, "more tries than completions plus shards");
+            other.complete();
+        }
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(5.0));
+        let (asked, admitted) = refuser.join().unwrap();
+        assert_ne!(asked[0], asked[1], "a shard was asked twice before a release");
+        assert!(admitted.try_recv().is_err(), "a try after the ticket was answered");
+    });
+    let stats = fleet.stats();
+    assert_eq!(stats.rejected, COMPLETIONS as u64, "one wait per completion");
+    assert_eq!((stats.fleet.evictions, stats.fleet.failovers), (0, 0), "{:?}", stats.fleet);
+    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+}
+
 /// No hedging, and probes fast enough to evict and rejoin while a test waits.
 fn quiet() -> FleetConfig {
     FleetConfig {
@@ -661,11 +772,11 @@ fn next_frame(stream: &mut Stream) -> Message {
     wire::read_frame(stream).unwrap().expect("the server closed the connection")
 }
 
-/// Submits `mic()` as `id` and returns once the server has acknowledged it.
-fn submit_acked(stream: &mut Stream, id: u64) {
+/// Sends `mic()` as `id`. Nothing answers until the request ends: that the
+/// shard took it is seen on [`Served::next_admitted`].
+fn submit(stream: &mut Stream, id: u64) {
     let req = WireRequest::from_request(&mic());
     wire::write_frame(stream, &Message::Submit { id, req }).unwrap();
-    assert_eq!(next_frame(stream), Message::Submitted { id });
 }
 
 /// The accept loop blocks in `accept`, which only a connection ends:
@@ -679,15 +790,20 @@ fn stop_ends_a_run_blocked_in_accept_with_no_client() {
     served.stop();
 }
 
+/// Ended before `Shard::submit` has returned, a request is still answered
+/// exactly once, with its `Result`: the health reply queued after the eight
+/// ends is the next frame after the eighth.
 #[test]
-fn a_request_that_ends_inside_submit_is_still_acknowledged_first() {
+fn a_request_that_ends_inside_submit_is_answered_exactly_once_with_its_result() {
     let served = serve("instant");
     served.shard.instant.store(true, Ordering::SeqCst);
     let mut client = served.dial();
     for id in 1..=8 {
-        submit_acked(&mut client, id);
+        submit(&mut client, id);
         assert_eq!(next_frame(&mut client), Message::Result { id, result: frames_of(0.0) });
     }
+    wire::write_frame(&mut client, &Message::Health { id: 9 }).unwrap();
+    assert!(matches!(next_frame(&mut client), Message::HealthOk { id: 9, .. }), "a second end");
     drop(client);
     served.stop();
 }
@@ -706,13 +822,13 @@ fn admitted_requests_cost_the_server_no_threads() {
     let served = serve("threads");
     let mut client = served.dial();
     // one request through and back, so the connection's two threads exist
-    submit_acked(&mut client, 0);
+    submit(&mut client, 0);
     served.next_admitted().complete(frames_of(0.0));
     assert!(matches!(next_frame(&mut client), Message::Result { id: 0, .. }));
     let before = threads();
     let mut stalled: Vec<Handle> = (1..=STALLED)
         .map(|id| {
-            submit_acked(&mut client, id);
+            submit(&mut client, id);
             served.next_admitted()
         })
         .collect();
@@ -740,11 +856,11 @@ fn a_peer_that_stops_reading_delays_nobody_elses_reply() {
     big.images = vec![Image::new(128, 128)];
     let mut unread: Vec<Handle> = (1..=32)
         .map(|id| {
-            submit_acked(&mut deaf, id);
+            submit(&mut deaf, id);
             served.next_admitted()
         })
         .collect();
-    submit_acked(&mut prompt, 1);
+    submit(&mut prompt, 1);
     let mut wanted = served.next_admitted();
     // ending a request must not wait for its peer either: these return
     unread.iter_mut().for_each(|handle| handle.complete(big.clone()));
@@ -760,8 +876,8 @@ fn a_peer_that_stops_reading_delays_nobody_elses_reply() {
 fn a_wire_cancel_withholds_the_reply_and_reaches_the_shard() {
     let served = serve("cancel");
     let mut client = served.dial();
-    submit_acked(&mut client, 1);
-    submit_acked(&mut client, 2);
+    submit(&mut client, 1);
+    submit(&mut client, 2);
     let (mut loser, mut winner) = (served.next_admitted(), served.next_admitted());
     wire::write_frame(&mut client, &Message::Cancel { id: 1 }).unwrap();
     // frames are answered in order: the health reply proves the cancel was read

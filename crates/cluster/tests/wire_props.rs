@@ -6,13 +6,19 @@
 //! Mirrors `crates/serve/tests/trace_props.rs` for the trace codec.
 
 use asdr_cluster::wire::{self, Message, WireRequest, WireResult, WireStats};
+use asdr_cluster::{Listener, LocalShards, Server, ShardAddr};
 use asdr_math::Image;
 use asdr_obs::TraceId;
 use asdr_scenes::registry::OrbitCamera;
-use asdr_serve::{Priority, ServeStats, StoreStats};
+use asdr_serve::{Priority, RenderProfile, ServeStats, StoreStats};
 use proptest::{array, collection, prelude::*};
+use std::time::Duration;
 
 const SCENES: [&str; 4] = ["Mic", "Lego", "Pulse", "Palace"];
+
+/// `Submitted`'s tag until wire version 3, which stopped acknowledging a
+/// submit. No message has it now.
+const RETIRED_TAG: u8 = 3;
 
 /// (scene, resolution, frames, azimuth, priority, deadline_us, camera?,
 /// trace seed — even seeds give the unset id, which must encode as the
@@ -112,11 +118,11 @@ fn build_message((kind, id, n, flag, req): MsgTuple) -> Message {
     let flag = flag > 0;
     let req = build_request(req);
     let why = format!("shard said: {n}");
-    match kind {
+    // the kinds are the wire tags, less the retired tag 3
+    match kind + u8::from(kind >= RETIRED_TAG) {
         0 => Message::Hello { version: (id % 256) as u8 },
         1 => Message::HelloOk { shard: n },
         2 => Message::Submit { id, req },
-        3 => Message::Submitted { id },
         4 => Message::Refused { id, retryable: flag, why },
         5 => Message::Result {
             id,
@@ -151,7 +157,7 @@ fn build_message((kind, id, n, flag, req): MsgTuple) -> Message {
 
 fn arb_msg_tuple() -> impl Strategy<Value = MsgTuple> {
     (
-        0u8..18,
+        0u8..17,
         0u64..1_000_000_000,
         0u64..100_000,
         0u8..2,
@@ -330,6 +336,48 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #[test]
+    fn the_retired_tag_decodes_as_a_named_error(
+        tail in collection::vec(0u8..=255, 0..24),
+    ) {
+        let mut payload = vec![RETIRED_TAG];
+        payload.extend_from_slice(&tail);
+        let e = Message::decode(&payload).unwrap_err();
+        prop_assert!(e.contains("unknown message tag 3"), "{}", e);
+        let mut frame = Vec::new();
+        asdr_serve::trace::format::push_varint(&mut frame, payload.len() as u64);
+        frame.extend_from_slice(&payload);
+        let e = wire::read_frame(&mut &frame[..]).unwrap_err();
+        prop_assert!(e.starts_with("wire message: "), "{}", e);
+    }
+}
+
+/// A version-2 client waits for a `Submitted` no shard sends any more: the
+/// handshake turns it away, and a version-3 client on the same server is
+/// answered.
+#[test]
+fn a_hello_at_version_2_is_turned_away() {
+    let sock = std::env::temp_dir().join(format!("asdr-wire-v2-{}.sock", std::process::id()));
+    let (listener, addr) = Listener::bind(&ShardAddr::Unix(sock.clone())).unwrap();
+    let shards = LocalShards { shards: 1, ..LocalShards::new(RenderProfile::tiny()) };
+    let server = Server::new(shards.build().unwrap().remove(0), 0);
+    let running = server.clone();
+    let run = std::thread::spawn(move || running.run(&listener));
+    let hello = |version| {
+        let mut stream = addr.connect().unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        wire::write_frame(&mut stream, &Message::Hello { version }).unwrap();
+        wire::read_frame(&mut stream).unwrap()
+    };
+    assert_eq!(wire::VERSION, 3);
+    assert_eq!(hello(2), None, "a version-2 peer was let in");
+    assert_eq!(hello(wire::VERSION), Some(Message::HelloOk { shard: 0 }));
+    server.stop();
+    run.join().unwrap().unwrap();
+    let _ = std::fs::remove_file(&sock);
 }
 
 #[test]
