@@ -89,15 +89,15 @@ serve-smoke:
 # dir, cold then warm, pinning zero duplicate fits, then a hot scene that
 # must spill to its replica with frames equal to one shard's — once over
 # in-process shards and once over spawned asdr-shardd daemons, one flag
-# apart — then once with the autoscaler and a cost budget driving remote
-# shards (what the nightly cluster-smoke job runs).
+# apart — then once with a cost budget admitting over remote shards (what
+# the nightly cluster-smoke job runs).
 cluster-smoke:
 	scripts/cluster_smoke.sh --shards 2
 	scripts/cluster_smoke.sh --remote spawn:2
 	cargo run --release -p asdr_cluster --bin asdr-cluster -- \
 		--workload scripts/cluster-workload-tiny.jsonl --scale tiny --remote spawn:2 \
-		--autoscale 1:2 --budget-ms 200 \
-		--store-dir target/cluster-store --out target/cluster-stats-autoscaled.json
+		--budget-ms 200 \
+		--store-dir target/cluster-store --out target/cluster-stats-budgeted.json
 
 # Replay the bundled tiny workload with --record, replay the captured
 # binary trace, and assert the two frame dumps are byte-identical (what the

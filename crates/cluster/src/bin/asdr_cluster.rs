@@ -5,7 +5,7 @@
 //! asdr-cluster (--workload FILE | --trace FILE)
 //!              [--shards N | --remote (spawn:N | ADDR[,ADDR...])]
 //!              [--scale tiny|small|paper]
-//!              [--workers N | --autoscale MIN:MAX] [--budget-ms X] [--hedge-ms X]
+//!              [--workers N] [--budget-ms X] [--hedge-ms X]
 //!              [--store-dir DIR | --no-store] [--queue N]
 //!              [--speed X] [--record PATH]
 //!              [--out STATS.json] [--dump-images DIR] [--bundle DIR]
@@ -15,7 +15,7 @@
 //! this process, or — with `--remote` — `asdr-shardd` daemons: `spawn:N`
 //! launches N on Unix sockets, a comma-separated list attaches to running
 //! ones. Everything after that choice is one path: the same router,
-//! budget, autoscaler and hedging serve either kind.
+//! budget and hedging serve either kind, over `--workers N` per shard.
 //!
 //! With `--bundle DIR` the process writes its own diagnostic run bundle
 //! to `DIR/cluster` (config snapshot, span capture, periodic stats
@@ -35,7 +35,7 @@
 //! duplicate fits (`"total_fits"` equals the workload's distinct scene
 //! count cold, zero warm).
 
-use asdr_cluster::{AutoscalerConfig, Fleet, FleetConfig, LocalShards, ShardAddr};
+use asdr_cluster::{Fleet, FleetConfig, LocalShards, ShardAddr};
 use asdr_serve::flags::{
     self, die, positive_usize, value, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags,
 };
@@ -50,14 +50,13 @@ struct Args {
     output: OutputFlags,
     service: ServiceFlags,
     shards: Option<usize>,
-    autoscale: Option<(usize, usize)>,
     budget_ms: Option<f64>,
     remote: Option<String>,
     hedge_ms: Option<f64>,
 }
 
 impl Args {
-    /// Workers per shard, before any autoscaling.
+    /// Workers per shard.
     fn workers(&self) -> usize {
         self.service.workers.unwrap_or(1)
     }
@@ -68,7 +67,7 @@ fn usage() -> ! {
         "usage: asdr-cluster (--workload FILE | --trace FILE)\n\
          \u{20}                   [--shards N | --remote (spawn:N | ADDR[,ADDR...])]\n\
          \u{20}                   [--scale tiny|small|paper]\n\
-         \u{20}                   [--workers N | --autoscale MIN:MAX] [--budget-ms X] [--hedge-ms X]\n\
+         \u{20}                   [--workers N] [--budget-ms X] [--hedge-ms X]\n\
          \u{20}                   [--store-dir DIR | --no-store] [--queue N]\n\
          \u{20}                   [--speed X] [--record PATH]\n\
          \u{20}                   [--out STATS.json] [--dump-images DIR] [--bundle DIR]\n\
@@ -93,16 +92,6 @@ fn parse_args() -> Args {
             match argv[i].as_str() {
                 "--shards" => {
                     args.shards = Some(positive_usize("--shards", &value(&argv, &mut i)));
-                }
-                "--autoscale" => {
-                    let spec = value(&argv, &mut i);
-                    let (min, max) = spec
-                        .split_once(':')
-                        .unwrap_or_else(|| die("--autoscale needs MIN:MAX (e.g. 1:4)"));
-                    args.autoscale = Some((
-                        positive_usize("--autoscale MIN", min),
-                        positive_usize("--autoscale MAX", max),
-                    ));
                 }
                 "--budget-ms" => {
                     args.budget_ms =
@@ -214,11 +203,6 @@ fn build_fleet(args: &Args) -> (Fleet, Vec<Child>, String) {
             None => FleetConfig::default().hedge_after,
         },
         budget_ms: args.budget_ms.unwrap_or(f64::INFINITY),
-        autoscale: args.autoscale.map(|(workers_min, workers_max)| AutoscalerConfig {
-            workers_min,
-            workers_max,
-            ..AutoscalerConfig::default()
-        }),
         ..FleetConfig::default()
     };
     let Some(spec) = &args.remote else {
@@ -266,13 +250,10 @@ fn main() {
     }
     let (fleet, mut children, listed) = build_fleet(&args);
     println!(
-        "# asdr-cluster: {} requests over {} shards ({listed}; {}), store {}",
+        "# asdr-cluster: {} requests over {} shards ({listed}; {} workers/shard), store {}",
         entries.len(),
         fleet.shards(),
-        match args.autoscale {
-            Some((min, max)) => format!("autoscale {min}:{max} workers/shard"),
-            None => format!("{} workers/shard", args.workers()),
-        },
+        args.workers(),
         args.service.store_label(),
     );
 
@@ -341,17 +322,6 @@ fn main() {
             stats.deadline_misses(),
             stats.deadlined_requests(),
             stats.miss_rate() * 100.0
-        );
-    }
-    for e in &stats.scale_events {
-        println!(
-            "scaling: t+{} ms shard {}: {} -> {} workers ({}, window miss rate {:.0}%)",
-            e.at_ms,
-            e.shard,
-            e.from,
-            e.to,
-            e.reason.as_str(),
-            e.miss_rate * 100.0
         );
     }
     report.finish(wall, &stats.to_json());

@@ -41,12 +41,7 @@
 //!   before traffic lands there (the helper replicas use: a shard never has
 //!   two prewarms of one scene in flight). An evicted shard's replicas are
 //!   forgotten: whatever rejoins under its id is cold.
-//! * **autoscaling** — with [`FleetConfig::autoscale`] set, a control
-//!   thread feeds each shard's deadline counters and outstanding
-//!   predicted cost to a [`ShardController`] and applies its verdicts
-//!   through [`Shard::set_workers`].
 
-use crate::autoscale::{AutoscalerConfig, ScaleEvent, ShardController};
 use crate::net::ShardAddr;
 use crate::remote::RemoteShard;
 use crate::ring::HashRing;
@@ -85,9 +80,6 @@ pub struct FleetConfig {
     /// than the budget must still be servable). Unset (∞), a live home never
     /// refuses, and a request leaves it only for an idle warm shard.
     pub budget_ms: f64,
-    /// Turns the autoscaling control loop on; every shard starts at
-    /// [`AutoscalerConfig::workers_min`].
-    pub autoscale: Option<AutoscalerConfig>,
 }
 
 impl Default for FleetConfig {
@@ -99,7 +91,6 @@ impl Default for FleetConfig {
             health_misses: 3,
             hedge_after: Some(Duration::from_millis(2000)),
             budget_ms: f64::INFINITY,
-            autoscale: None,
         }
     }
 }
@@ -124,8 +115,8 @@ impl fmt::Display for FleetError {
     }
 }
 
-/// Interruptible sleep for the control loops: shutdown must not wait out a
-/// full sampling interval (a 60 s interval would stall every drop by a
+/// Interruptible sleep for the health loop: shutdown must not wait out a
+/// full probe interval (a 60 s interval would stall every drop by a
 /// minute).
 #[derive(Default)]
 struct Stop {
@@ -251,10 +242,6 @@ impl Book {
         Some((attempt, Box::new(done)))
     }
 
-    fn outstanding_ms(&self, shard: usize) -> f64 {
-        self.loads[shard].lock().unwrap().outstanding_ms
-    }
-
     /// `shard`'s row for `scene`. A snapshot, because completions mutate the
     /// loads concurrently and a comparator reading live state can violate the
     /// total-order contract (a sort panic on the submit path); under one lock,
@@ -321,7 +308,7 @@ impl Drop for Reservation {
             let mut load = self.book.loads[self.shard].lock().unwrap();
             load.in_flight -= 1;
             // an empty book must read exactly idle, or float residue keeps
-            // the autoscaler's busy signal (and the budget) from clearing
+            // the budget from clearing
             load.outstanding_ms = match load.in_flight {
                 0 => 0.0,
                 _ => (load.outstanding_ms - self.predicted_ms).max(0.0),
@@ -381,12 +368,10 @@ struct FleetInner {
     scene_homes: Mutex<HashMap<String, usize>>,
     book: Arc<Book>,
     counters: FleetCounters,
-    scale_events: Mutex<Vec<ScaleEvent>>,
     /// The prewarm threads still to join; `None` once the fleet stopped.
     prewarms: Mutex<Option<Vec<JoinHandle<()>>>>,
     cfg: FleetConfig,
     stop: Stop,
-    started: Instant,
 }
 
 impl FleetInner {
@@ -556,12 +541,13 @@ impl FleetInner {
     }
 }
 
-/// The fleet handle (see the module docs). Dropping it stops the control
-/// threads; [`Fleet::shutdown`] also drains the shards and returns the
-/// final statistics.
+/// The fleet handle (see the module docs). Dropping it stops the health
+/// and prewarm threads; [`Fleet::shutdown`] also drains the shards and
+/// returns the final statistics.
 pub struct Fleet {
     inner: Arc<FleetInner>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The health loop's thread; `None` once the fleet stopped.
+    health: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Fleet {
@@ -587,13 +573,11 @@ impl Fleet {
     }
 
     /// A fleet over `shards` (ring ids are their positions), with the
-    /// health loop — and, when configured, the autoscaler — started.
+    /// health loop started.
     ///
     /// # Errors
     ///
-    /// Returns a message when `shards` is empty, the autoscaler
-    /// configuration fails validation, or a shard cannot be set to its
-    /// starting worker count.
+    /// Returns a message when `shards` is empty.
     pub fn new<S: Shard + 'static>(
         shards: Vec<Arc<S>>,
         profile: &RenderProfile,
@@ -601,14 +585,6 @@ impl Fleet {
     ) -> Result<Fleet, String> {
         if shards.is_empty() {
             return Err("a fleet needs at least one shard".into());
-        }
-        if let Some(scaler) = &cfg.autoscale {
-            scaler.validate()?;
-            for (id, shard) in shards.iter().enumerate() {
-                shard
-                    .set_workers(scaler.workers_min, cfg.health_timeout)
-                    .map_err(|e| format!("shard {id}: {e}"))?;
-            }
         }
         let budget_ms = if cfg.budget_ms > 0.0 { cfg.budget_ms } else { f64::INFINITY };
         let inner = Arc::new(FleetInner {
@@ -631,24 +607,18 @@ impl Fleet {
                 .collect(),
             scene_homes: Mutex::new(HashMap::new()),
             counters: FleetCounters::new(&Scope::instance("fleet")),
-            scale_events: Mutex::new(Vec::new()),
             prewarms: Mutex::new(Some(Vec::new())),
             cfg,
             stop: Stop::default(),
-            started: Instant::now(),
         });
-        let spawn = |name: &str, run: fn(&Arc<FleetInner>)| {
+        let health = {
             let inner = inner.clone();
             std::thread::Builder::new()
-                .name(name.into())
-                .spawn(move || run(&inner))
-                .expect("spawn fleet control thread")
+                .name("asdr-fleet-health".into())
+                .spawn(move || health_loop(&inner))
+                .expect("spawn fleet health thread")
         };
-        let mut threads = vec![spawn("asdr-fleet-health", health_loop)];
-        if inner.cfg.autoscale.is_some() {
-            threads.push(spawn("asdr-autoscaler", scaler_loop));
-        }
-        Ok(Fleet { inner, threads: Mutex::new(threads) })
+        Ok(Fleet { inner, health: Mutex::new(Some(health)) })
     }
 
     /// Shards the fleet was configured with (live or not).
@@ -736,7 +706,6 @@ impl Fleet {
             routed_home: c.routed_home.get(),
             spilled: c.spilled.get(),
             rejected: c.rejected.get(),
-            scale_events: inner.scale_events.lock().unwrap().clone(),
             cost: inner.book.cost.stats(),
             fleet: FleetStats {
                 shards_lost: (inner.shards.len() - inner.live_ids().len()) as u64,
@@ -752,8 +721,8 @@ impl Fleet {
         }
     }
 
-    /// Stops the control threads, snapshots final statistics, and drains
-    /// every live shard (best effort).
+    /// Stops the health and prewarm threads, snapshots final statistics,
+    /// and drains every live shard (best effort).
     pub fn shutdown(&self) -> ClusterStats {
         self.stop_threads();
         let stats = self.stats();
@@ -764,7 +733,7 @@ impl Fleet {
     }
 
     fn stop_threads(&self) {
-        // no control loop or prewarm may outlive the handle it acts for
+        // no health probe or prewarm may outlive the handle it acts for
         self.inner.stop.stop();
         // reached from `Drop`: a second panic there would abort
         let join = |thread: JoinHandle<()>| {
@@ -772,8 +741,8 @@ impl Fleet {
                 eprintln!("fleet: a control thread panicked");
             }
         };
-        // the control threads first: an eviction of theirs may still prewarm
-        self.threads.lock().unwrap().drain(..).for_each(join);
+        // the health thread first: an eviction it makes may still prewarm
+        self.health.lock().unwrap().take().into_iter().for_each(join);
         self.inner.prewarms.lock().unwrap().take().into_iter().flatten().for_each(join);
     }
 }
@@ -801,46 +770,6 @@ fn health_loop(inner: &Arc<FleetInner>) {
                     }
                 }
                 Err(_) => {}
-            }
-        }
-    }
-}
-
-/// The autoscaler thread: sample every live shard, difference the deadline
-/// counters, apply verdicts (see [`crate::autoscale`]).
-fn scaler_loop(inner: &Arc<FleetInner>) {
-    let cfg = inner.cfg.autoscale.as_ref().expect("spawned only when configured");
-    let mut controllers: Vec<ShardController> =
-        inner.shards.iter().map(|_| ShardController::new(cfg.workers_min)).collect();
-    while !inner.stop.wait_interval(cfg.interval) {
-        for (id, s) in inner.shards.iter().enumerate() {
-            if !inner.is_live(id) {
-                continue;
-            }
-            let Ok(snap) = s.shard.stats(inner.cfg.health_timeout) else { continue };
-            // admitted-but-unfinished work (queued or rendering) makes an
-            // empty window "busy", not "idle" — see ShardController::tick;
-            // the same predicted-ms doubles as the controller's forecast
-            let outstanding_ms = inner.book.outstanding_ms(id);
-            let busy = outstanding_ms > 0.0 || snap.queue_len > 0;
-            let Some(v) = controllers[id].tick(
-                cfg,
-                snap.serve.deadlined_requests,
-                snap.serve.deadline_misses,
-                busy,
-                outstanding_ms,
-            ) else {
-                continue;
-            };
-            if let Ok(from) = s.shard.set_workers(v.target, inner.cfg.health_timeout) {
-                inner.scale_events.lock().unwrap().push(ScaleEvent {
-                    at_ms: inner.started.elapsed().as_millis() as u64,
-                    shard: id,
-                    from,
-                    to: v.target,
-                    miss_rate: v.miss_rate,
-                    reason: v.reason,
-                });
             }
         }
     }
@@ -1108,7 +1037,7 @@ mod tests {
         let reserve = |ms| book.reserve(0, &req, ms, &race);
         let (first, big) = reserve(160.0).expect("idle: admitted although over budget");
         assert!(reserve(1.0).is_none(), "a busy shard over budget refuses");
-        assert_eq!(book.outstanding_ms(0), 160.0);
+        assert_eq!(book.loads[0].lock().unwrap().outstanding_ms, 160.0);
         // a result: the model learns service = latency - queue wait, the
         // budget is released, the race hears of it
         big(Ok(served_in(15_000, 3_000)));
@@ -1117,7 +1046,8 @@ mod tests {
         let ((second, a), (third, b)) = (reserve(0.1).unwrap(), reserve(0.2).unwrap());
         drop(a); // dropped uncalled (a refused submit, a cancel) releases too
         b(Err(ShardError::Render("boom".into()))); // a failure releases without teaching
-        assert_eq!(book.outstanding_ms(0), 0.0, "an empty book reads exactly idle");
+        let idle = book.loads[0].lock().unwrap().outstanding_ms;
+        assert_eq!(idle, 0.0, "an empty book reads exactly idle");
         assert_eq!(book.cost.stats().observations, 1);
         assert_eq!(*book.completions.lock().unwrap(), 3, "every release pulses wait_capacity");
         // each end was reported once, in the order it was learned, under its own attempt

@@ -9,8 +9,8 @@
 //! * [`Fleet`] — consistent-hashes requests by scene name over the live
 //!   shards ([`HashRing`], 64 virtual nodes each), admits by predicted
 //!   cost against a per-shard budget, spills to the least-loaded shard,
-//!   and owns health/evict/rejoin, hedging, failover, ring re-warm and the
-//!   autoscaling control loop ([`autoscale`]).
+//!   and owns health/evict/rejoin, hedging, failover and ring re-warm.
+//!   Each shard's worker pool keeps the size it was built with.
 //! * [`Shard`] — the one seam the fleet reaches its members through, with
 //!   two backends: [`LocalShard`] (a `RenderService` in this process;
 //!   shards run separate [`ModelStore`](asdr_serve::ModelStore)s over one
@@ -23,18 +23,20 @@
 //!   online from completed request latencies (seeded from probe-point
 //!   counts); `ClusterStats` reports predicted-vs-actual error.
 //! * [`stats::ClusterStats`] — per-shard throughput and latency
-//!   percentiles, miss rate, scaling events, fit-dedup and failure
+//!   percentiles, miss rate, fit-dedup and failure
 //!   counters, with the JSON artifact the `asdr-cluster` binary emits.
 //!
 //! ```no_run
-//! use asdr_cluster::{AutoscalerConfig, Fleet, FleetConfig, LocalShards};
+//! use asdr_cluster::{Fleet, FleetConfig, LocalShards};
 //! use asdr_scenes::registry;
 //! use asdr_serve::{ModelStore, RenderProfile, RenderRequest};
 //!
 //! let profile = RenderProfile::tiny();
 //! let store = ModelStore::builder().dir("/tmp/asdr-ckpts");
-//! let shards = LocalShards { shards: 3, store, ..LocalShards::new(profile.clone()) }.build().unwrap();
-//! let cfg = FleetConfig { autoscale: Some(AutoscalerConfig::default()), ..FleetConfig::default() };
+//! let shards = LocalShards { shards: 3, workers: 2, store, ..LocalShards::new(profile.clone()) }
+//!     .build()
+//!     .unwrap();
+//! let cfg = FleetConfig { budget_ms: 200.0, ..FleetConfig::default() };
 //! let fleet = Fleet::new(shards, &profile, cfg).unwrap();
 //! let ticket = fleet.submit(RenderRequest::frame(registry::handle("Mic"), 48)).unwrap();
 //! let result = ticket.wait().expect("request completed");
@@ -45,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autoscale;
 pub mod cost;
 pub mod fleet;
 pub mod net;
@@ -56,7 +57,6 @@ pub mod shard;
 pub mod stats;
 pub mod wire;
 
-pub use autoscale::{AutoscalerConfig, ScaleEvent, ScaleReason, ShardController};
 pub use cost::{CostModel, CostStats};
 // `RemoteFleet` is the name the frozen `benchmark/` knows the fleet by
 pub use fleet::{Fleet, Fleet as RemoteFleet, FleetConfig, FleetError, FleetTicket};

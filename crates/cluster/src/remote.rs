@@ -274,14 +274,6 @@ impl Shard for RemoteShard {
         RemoteShard::prewarm(self, scene, timeout)
     }
 
-    fn set_workers(&self, workers: usize, timeout: Duration) -> Result<usize, ShardError> {
-        let workers = workers as u64;
-        match self.roundtrip(timeout, |id| Message::SetWorkers { id, workers })? {
-            Message::WorkersSet { previous, .. } => Ok(previous as usize),
-            other => Err(ShardError::Protocol(format!("expected WorkersSet, got {other:?}"))),
-        }
-    }
-
     fn drain(&self, timeout: Duration) {
         let _ = self.roundtrip(timeout, |id| Message::Drain { id });
     }

@@ -248,12 +248,6 @@ impl Server {
                     });
                     continue;
                 }
-                Message::SetWorkers { id, workers } => {
-                    match self.shard.set_workers(workers as usize, PATIENCE) {
-                        Ok(previous) => Message::WorkersSet { id, previous: previous as u64 },
-                        Err(_) => continue,
-                    }
-                }
                 Message::Drain { id } => {
                     // queued first: drain, which follows the stop, waits for it
                     outbox.send(Message::Draining { id });

@@ -1,8 +1,8 @@
 //! The seam between the router and whatever renders: [`Shard`].
 //!
 //! [`Fleet`](crate::Fleet) reaches its shards only through this trait, so
-//! ring, spill, cost budget, autoscale, hedge and failover are written
-//! once, over `dyn Shard`. Two backends ship: [`LocalShard`], a
+//! ring, spill, cost budget, hedge and failover are written once,
+//! over `dyn Shard`. Two backends ship: [`LocalShard`], a
 //! [`RenderService`] in this process, and
 //! [`RemoteShard`](crate::RemoteShard), the wire client of an
 //! `asdr-shardd` — whose connection loop ([`crate::server`]) in turn
@@ -121,13 +121,6 @@ pub trait Shard: Send + Sync {
     /// Connection, protocol, or timeout errors.
     fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ShardError>;
 
-    /// Resizes the worker pool, returning the previous target.
-    ///
-    /// # Errors
-    ///
-    /// Connection, protocol, or timeout errors.
-    fn set_workers(&self, workers: usize, timeout: Duration) -> Result<usize, ShardError>;
-
     /// Stops admissions and finishes what was admitted (best effort; a
     /// remote shard exits afterwards).
     fn drain(&self, timeout: Duration);
@@ -200,10 +193,6 @@ impl Shard for LocalShard {
         Ok(true)
     }
 
-    fn set_workers(&self, workers: usize, _timeout: Duration) -> Result<usize, ShardError> {
-        Ok(self.service.set_workers(workers))
-    }
-
     fn drain(&self, _timeout: Duration) {
         self.service.drain();
     }
@@ -217,8 +206,7 @@ pub struct LocalShards {
     pub profile: RenderProfile,
     /// Number of shards (at least 1).
     pub shards: usize,
-    /// Workers per shard (at least 1). An autoscaling fleet resets its
-    /// shards to [`AutoscalerConfig::workers_min`](crate::AutoscalerConfig).
+    /// Workers per shard (at least 1), fixed for the shard's lifetime.
     pub workers: usize,
     /// Per-shard admission-queue capacity (at least 1): the count-based
     /// backstop behind the fleet's cost budget.

@@ -1,9 +1,8 @@
 //! Cluster-wide statistics: per-shard serving snapshots, routing and
-//! admission counters, cost-model accuracy, and the scaling-event log —
-//! plus the hand-rolled JSON artifact the `asdr-cluster` binary writes
-//! (no serde in this environment, same trade as the criterion shim).
+//! admission counters, and cost-model accuracy — plus the hand-rolled
+//! JSON artifact the `asdr-cluster` binary writes (no serde in this
+//! environment, same trade as the criterion shim).
 
-use crate::autoscale::ScaleEvent;
 use crate::cost::CostStats;
 use asdr_obs::JsonWriter;
 use asdr_serve::ServeStats;
@@ -13,7 +12,7 @@ use asdr_serve::ServeStats;
 pub struct ShardStats {
     /// Shard index (the consistent-hash ring id).
     pub shard: usize,
-    /// Current worker-pool target.
+    /// Worker-pool size, fixed when the shard was built.
     pub workers: usize,
     /// Predicted cost of the shard's admitted-but-unfinished requests,
     /// milliseconds (the quantity the admission budget bounds).
@@ -67,8 +66,6 @@ pub struct ClusterStats {
     pub spilled: u64,
     /// Requests refused outright (every shard over its cost budget).
     pub rejected: u64,
-    /// Every autoscaler decision, in order.
-    pub scale_events: Vec<ScaleEvent>,
     /// Cost-model accuracy (predicted vs. actual).
     pub cost: CostStats,
     /// Failure-handling counters.
@@ -173,18 +170,6 @@ impl ClusterStats {
         w.key("rewarms").u64(fl.rewarms);
         w.key("replications").u64(fl.replications);
         w.close_obj();
-        w.gap("\n  ").key("scale_events").arr();
-        for e in &self.scale_events {
-            w.obj();
-            w.key("at_ms").u64(e.at_ms);
-            w.key("shard").usize(e.shard);
-            w.key("from").usize(e.from);
-            w.key("to").usize(e.to);
-            w.key("miss_rate").f64(e.miss_rate, 4);
-            w.key("reason").str_val(e.reason.as_str());
-            w.close_obj();
-        }
-        w.close_arr();
         w.gap("\n  ").key("per_shard").arr();
         for s in &self.shards {
             let v = &s.serve;
@@ -262,14 +247,6 @@ mod tests {
             routed_home: 5,
             spilled: 1,
             rejected: 0,
-            scale_events: vec![ScaleEvent {
-                at_ms: 40,
-                shard: 0,
-                from: 1,
-                to: 2,
-                miss_rate: 0.5,
-                reason: crate::autoscale::ScaleReason::Miss,
-            }],
             cost: CostStats {
                 tracked_keys: 2,
                 observations: 6,
@@ -301,14 +278,12 @@ mod tests {
             "\"routed_home\": 5",
             "\"density_evals\": 5400, \"skipped_density\": 4200",
             "\"color_evals\": 3000, \"skipped_color\": 1800",
-            "\"scale_events\": [{\"at_ms\": 40",
             "\"per_shard\": [",
             "\"cost\": {\"tracked_keys\": 2",
             "\"mean_abs_pct_error\": 0.2500",
             "\"fleet\": {\"shards_lost\": 0, \"evictions\": 1",
             "\"hedge_wins\": 1",
             "\"rewarms\": 0, \"replications\": 0}",
-            "\"reason\": \"miss\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -1,6 +1,6 @@
 //! The fleet wire protocol — a hand-rolled length-prefixed binary codec
 //! carrying render requests, tickets, stats polls, health probes, and
-//! pool resizes between the router front-end and `asdr-shardd` daemons.
+//! prewarms between the router front-end and `asdr-shardd` daemons.
 //!
 //! Framing is a varint byte length followed by that many payload bytes;
 //! the payload is a one-byte message tag plus tag-specific fields in the
@@ -34,8 +34,10 @@ use std::io::{Read, Write};
 /// Wire protocol version, exchanged in [`Message::Hello`]. 2: `Stats`
 /// carries the counted and skipped evaluation totals. 3: admission is
 /// one-way — a shard no longer acknowledges a `Submit` (tag 3, `Submitted`,
-/// is retired), and a `Refused` is one of the request's ends.
-pub const VERSION: u8 = 3;
+/// is retired), and a `Refused` is one of the request's ends. 4: worker
+/// pools are fixed when a shard is built (tags 16 and 17, the pool resize
+/// pair, are retired).
+pub const VERSION: u8 = 4;
 
 /// Largest frame payload a peer will read (a 4096-frame result of
 /// 8192² f32 pixels doesn't fit anyway — this bounds a hostile length
@@ -44,10 +46,6 @@ pub const MAX_FRAME_BYTES: u64 = 1 << 28;
 
 /// Longest scene name / error string on the wire.
 const MAX_STRING: u64 = 4096;
-
-/// Largest worker pool a peer may ask for: a resize spawns that many
-/// threads at once.
-const MAX_WORKERS: u64 = 1024;
 
 /// Deadline bound, microseconds (the trace codec's millisecond bound).
 const MAX_DEADLINE_US: u64 = MAX_DEADLINE_MS * 1000;
@@ -333,7 +331,7 @@ impl WireResult {
 /// plus the live pool/queue state a router needs for placement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireStats {
-    /// Worker-pool target size.
+    /// Worker-pool size, fixed when the shard was built.
     pub workers: u64,
     /// Requests waiting in the admission queue right now.
     pub queue_len: u64,
@@ -538,20 +536,6 @@ pub enum Message {
         /// Correlation id of the drain request.
         id: u64,
     },
-    /// Resize the shard's worker pool (the fleet's autoscaler).
-    SetWorkers {
-        /// Correlation id.
-        id: u64,
-        /// The new worker target.
-        workers: u64,
-    },
-    /// The pool was resized.
-    WorkersSet {
-        /// Correlation id of the resize.
-        id: u64,
-        /// The worker target before it.
-        previous: u64,
-    },
 }
 
 impl Message {
@@ -572,9 +556,7 @@ impl Message {
             | Message::Prewarm { id, .. }
             | Message::Warmed { id, .. }
             | Message::Drain { id }
-            | Message::Draining { id }
-            | Message::SetWorkers { id, .. }
-            | Message::WorkersSet { id, .. } => Some(*id),
+            | Message::Draining { id } => Some(*id),
         }
     }
 
@@ -652,16 +634,6 @@ impl Message {
                 out.push(15);
                 push_varint(&mut out, *id);
             }
-            Message::SetWorkers { id, workers } => {
-                out.push(16);
-                push_varint(&mut out, *id);
-                push_varint(&mut out, *workers);
-            }
-            Message::WorkersSet { id, previous } => {
-                out.push(17);
-                push_varint(&mut out, *id);
-                push_varint(&mut out, *previous);
-            }
         }
         out
     }
@@ -723,14 +695,6 @@ impl Message {
                 }
                 14 => Message::Drain { id: r.varint()? },
                 15 => Message::Draining { id: r.varint()? },
-                16 => {
-                    let id = r.varint()?;
-                    Message::SetWorkers { id, workers: r.bounded("workers", MAX_WORKERS)? }
-                }
-                17 => {
-                    let id = r.varint()?;
-                    Message::WorkersSet { id, previous: r.varint()? }
-                }
                 t => return Err(format!("unknown message tag {t}")),
             })
         })()
@@ -876,8 +840,6 @@ mod tests {
             Message::Warmed { id: 12, ok: true },
             Message::Drain { id: 13 },
             Message::Draining { id: 13 },
-            Message::SetWorkers { id: 14, workers: 3 },
-            Message::WorkersSet { id: 14, previous: 1 },
         ]
     }
 

@@ -127,10 +127,6 @@ impl Shard for FakeShard {
         }
     }
 
-    fn set_workers(&self, _workers: usize, _timeout: Duration) -> Result<usize, ShardError> {
-        Ok(1)
-    }
-
     fn drain(&self, _timeout: Duration) {}
 }
 

@@ -20,6 +20,10 @@ const SCENES: [&str; 4] = ["Mic", "Lego", "Pulse", "Palace"];
 /// submit. No message has it now.
 const RETIRED_TAG: u8 = 3;
 
+/// Every tag no message has now: [`RETIRED_TAG`], and the pool resize pair
+/// (16 and 17) until wire version 4 fixed each shard's pool at build.
+const RETIRED_TAGS: [u8; 3] = [RETIRED_TAG, 16, 17];
+
 /// (scene, resolution, frames, azimuth, priority, deadline_us, camera?,
 /// trace seed — even seeds give the unset id, which must encode as the
 /// pre-trace wire shape; odd seeds spread over the full 64-bit space)
@@ -149,15 +153,13 @@ fn build_message((kind, id, n, flag, req): MsgTuple) -> Message {
         12 => Message::Prewarm { id, scene: req.scene },
         13 => Message::Warmed { id, ok: flag },
         14 => Message::Drain { id },
-        15 => Message::Draining { id },
-        16 => Message::SetWorkers { id, workers: n % 1024 },
-        _ => Message::WorkersSet { id, previous: n },
+        _ => Message::Draining { id },
     }
 }
 
 fn arb_msg_tuple() -> impl Strategy<Value = MsgTuple> {
     (
-        0u8..17,
+        0u8..15,
         0u64..1_000_000_000,
         0u64..100_000,
         0u8..2,
@@ -343,20 +345,23 @@ proptest! {
     fn the_retired_tag_decodes_as_a_named_error(
         tail in collection::vec(0u8..=255, 0..24),
     ) {
-        let mut payload = vec![RETIRED_TAG];
-        payload.extend_from_slice(&tail);
-        let e = Message::decode(&payload).unwrap_err();
-        prop_assert!(e.contains("unknown message tag 3"), "{}", e);
-        let mut frame = Vec::new();
-        asdr_serve::trace::format::push_varint(&mut frame, payload.len() as u64);
-        frame.extend_from_slice(&payload);
-        let e = wire::read_frame(&mut &frame[..]).unwrap_err();
-        prop_assert!(e.starts_with("wire message: "), "{}", e);
+        for tag in RETIRED_TAGS {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&tail);
+            let e = Message::decode(&payload).unwrap_err();
+            prop_assert!(e.contains(&format!("unknown message tag {tag}")), "{}", e);
+            let mut frame = Vec::new();
+            asdr_serve::trace::format::push_varint(&mut frame, payload.len() as u64);
+            frame.extend_from_slice(&payload);
+            let e = wire::read_frame(&mut &frame[..]).unwrap_err();
+            prop_assert!(e.starts_with("wire message: "), "{}", e);
+        }
     }
 }
 
-/// A version-2 client waits for a `Submitted` no shard sends any more: the
-/// handshake turns it away, and a version-3 client on the same server is
+/// A version-2 client waits for a `Submitted` no shard sends any more, and
+/// a version-3 one may ask for a pool resize no shard answers: the
+/// handshake turns both away, and a current client on the same server is
 /// answered.
 #[test]
 fn a_hello_at_version_2_is_turned_away() {
@@ -372,8 +377,9 @@ fn a_hello_at_version_2_is_turned_away() {
         wire::write_frame(&mut stream, &Message::Hello { version }).unwrap();
         wire::read_frame(&mut stream).unwrap()
     };
-    assert_eq!(wire::VERSION, 3);
+    assert_eq!(wire::VERSION, 4);
     assert_eq!(hello(2), None, "a version-2 peer was let in");
+    assert_eq!(hello(3), None, "a version-3 peer was let in");
     assert_eq!(hello(wire::VERSION), Some(Message::HelloOk { shard: 0 }));
     server.stop();
     run.join().unwrap().unwrap();

@@ -293,13 +293,6 @@ struct QueueState {
     accepting: bool,
     paused: bool,
     next_seq: u64,
-    /// Worker-pool size the pool is converging to ([`RenderService::set_workers`]).
-    target_workers: usize,
-    /// Workers currently alive; drifts toward `target_workers` (growth
-    /// spawns immediately, shrink retires workers as they come off a batch).
-    alive_workers: usize,
-    /// Thread-name counter (worker ids are never reused).
-    next_worker_id: usize,
 }
 
 /// Pops the best-ranked request plus up to `batch_max - 1` same-scene,
@@ -489,9 +482,8 @@ pub struct RenderServiceBuilder {
 }
 
 impl RenderServiceBuilder {
-    /// Initial worker-pool size (resizable later via
-    /// [`RenderService::set_workers`]). Default, and what zero means: the
-    /// detected parallelism.
+    /// Worker-pool size, fixed for the service's lifetime. Default, and
+    /// what zero means: the detected parallelism.
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = (n > 0).then_some(n);
@@ -554,9 +546,6 @@ impl RenderServiceBuilder {
                 accepting: true,
                 paused: self.paused,
                 next_seq: 0,
-                target_workers: workers,
-                alive_workers: 0,
-                next_worker_id: 0,
             }),
             cond: Condvar::new(),
             store,
@@ -568,30 +557,16 @@ impl RenderServiceBuilder {
             counters: ServeCounters::new(&Scope::instance("serve")),
             completed: AtomicU64::new(0),
         });
-        let mut handles = Vec::new();
-        spawn_workers(&shared, &mut handles, workers);
-        Ok(RenderService { shared, workers: Mutex::new(handles) })
-    }
-}
-
-/// Spawns `n` fresh workers, registering them alive before any can observe
-/// the pool state.
-fn spawn_workers(shared: &Arc<Shared>, handles: &mut Vec<JoinHandle<()>>, n: usize) {
-    let first_id = {
-        let mut q = shared.queue.lock().unwrap();
-        q.alive_workers += n;
-        let first = q.next_worker_id;
-        q.next_worker_id += n;
-        first
-    };
-    for id in first_id..first_id + n {
-        let shared = shared.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("asdr-serve-{id}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn render worker"),
-        );
+        let handles = (0..workers)
+            .map(|id| {
+                let shared = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("asdr-serve-{id}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn render worker")
+            })
+            .collect();
+        Ok(RenderService { shared, pool_size: workers, workers: Mutex::new(handles) })
     }
 }
 
@@ -613,6 +588,8 @@ struct Shared {
 /// [`RenderService::shutdown`] does the same and returns the final stats.
 pub struct RenderService {
     shared: Arc<Shared>,
+    pool_size: usize,
+    /// The workers still to join; empty once the service drained.
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -650,34 +627,9 @@ impl RenderService {
         &self.shared.profile
     }
 
-    /// Current worker-pool target size (the pool converges to this:
-    /// growth spawns immediately, shrink retires workers between batches).
+    /// Worker-pool size the service was built with.
     pub fn workers(&self) -> usize {
-        self.shared.queue.lock().unwrap().target_workers
-    }
-
-    /// Resizes the worker pool (clamped to >= 1) and returns the previous
-    /// target. Growth spawns threads immediately; shrink lets excess
-    /// workers finish their current batch and retire. The autoscaling
-    /// control loop in `asdr_cluster` drives this against each shard's
-    /// rolling deadline-miss rate. No-op once shutdown has begun.
-    pub fn set_workers(&self, n: usize) -> usize {
-        let n = n.max(1);
-        let (prev, grow) = {
-            let mut q = self.shared.queue.lock().unwrap();
-            let prev = q.target_workers;
-            if !q.accepting {
-                return prev;
-            }
-            q.target_workers = n;
-            (prev, n.saturating_sub(q.alive_workers))
-        };
-        if grow > 0 {
-            spawn_workers(&self.shared, &mut self.workers.lock().unwrap(), grow);
-        }
-        // wake idle workers so a shrink retires them promptly
-        self.shared.cond.notify_all();
-        prev
+        self.pool_size
     }
 
     /// Blocks until the admission queue has a free slot, the service stops
@@ -840,16 +792,9 @@ impl RenderService {
             q.paused = false;
         }
         self.shared.cond.notify_all();
-        // loop: a concurrent set_workers may push a handle after the first
-        // sweep; the second sweep picks up any straggler
-        loop {
-            let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
-            if handles.is_empty() {
-                return;
-            }
-            for h in handles {
-                h.join().expect("render worker panicked");
-            }
+        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
+        for h in handles {
+            h.join().expect("render worker panicked");
         }
     }
 }
@@ -861,17 +806,12 @@ impl Drop for RenderService {
 }
 
 /// Worker thread: claim a batch, render it, repeat until shutdown drains
-/// the queue or a shrink retires this worker.
+/// the queue.
 fn worker_loop(shared: &Shared) {
     loop {
         let batch = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                if q.alive_workers > q.target_workers {
-                    // scaled down: retire between batches
-                    q.alive_workers -= 1;
-                    return;
-                }
                 if !q.paused {
                     if let Some(batch) = pop_batch(&mut q, shared.batch_max) {
                         // the claim just freed queue slots: wake anyone
@@ -880,7 +820,6 @@ fn worker_loop(shared: &Shared) {
                         break Some(batch);
                     }
                     if !q.accepting {
-                        q.alive_workers -= 1;
                         break None;
                     }
                 }

@@ -241,39 +241,6 @@ fn deadline_misses_are_counted() {
 }
 
 #[test]
-fn worker_pool_resizes_while_serving() {
-    let service = RenderService::builder(test_profile())
-        .store(warm_store(&["Mic"]))
-        .workers(1)
-        .paused()
-        .build()
-        .unwrap();
-    assert_eq!(service.workers(), 1);
-    let mic = registry::handle("Mic");
-    let tickets: Vec<_> =
-        (0..6).map(|_| service.submit(RenderRequest::frame(mic.clone(), 16)).unwrap()).collect();
-    assert_eq!(service.queue_len(), 6);
-    // grow while paused: the new threads park with the rest
-    assert_eq!(service.set_workers(3), 1, "set_workers returns the previous target");
-    assert_eq!(service.workers(), 3);
-    service.start();
-    for t in &tickets {
-        t.wait().unwrap();
-    }
-    // shrink below the live pool: excess workers retire between batches and
-    // the survivors keep serving
-    assert_eq!(service.set_workers(1), 3);
-    assert_eq!(service.workers(), 1);
-    let after = service.submit(RenderRequest::frame(mic.clone(), 16)).unwrap();
-    assert!(after.wait().is_ok(), "a shrunk pool must still serve");
-    // zero clamps to one: a pool can never scale itself to a standstill
-    service.set_workers(0);
-    assert_eq!(service.workers(), 1);
-    let stats = service.shutdown();
-    assert_eq!(stats.requests, 7);
-}
-
-#[test]
 fn observers_see_successes_and_failures_before_the_ticket_fills() {
     use asdr_serve::{RenderResult, ServeError};
     use std::sync::{Arc, Mutex};

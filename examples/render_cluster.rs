@@ -1,5 +1,5 @@
-//! Sharded serving demo: a [`Fleet`] of three in-process shards with
-//! cost-based admission and the autoscaling control loop.
+//! Sharded serving demo: a [`Fleet`] of three in-process shards, each
+//! with a fixed two-worker pool, behind cost-based admission.
 //!
 //! ```text
 //! cargo run --release --example render_cluster
@@ -8,10 +8,9 @@
 //! Submits two waves of deadlined traffic across three scenes, shows
 //! which home shard the consistent-hash ring gave each scene, then prints
 //! the cluster statistics: per-shard throughput, the cost model's
-//! predicted-vs-actual error, and any scaling events the control loop
-//! recorded.
+//! predicted-vs-actual error, and the fleet's deadline-miss rate.
 
-use asdr::cluster::{AutoscalerConfig, Fleet, FleetConfig, LocalShards};
+use asdr::cluster::{Fleet, FleetConfig, LocalShards};
 use asdr::scenes::registry;
 use asdr::serve::{ModelStore, RenderProfile, RenderRequest};
 use std::time::Duration;
@@ -23,19 +22,13 @@ fn main() {
     let profile = RenderProfile::tiny();
     let shards = LocalShards {
         shards: 3,
+        workers: 2,
         store: ModelStore::builder().in_memory_only(),
         ..LocalShards::new(profile.clone())
     }
     .build()
     .expect("valid render profile");
-    let autoscale = AutoscalerConfig {
-        workers_min: 1,
-        workers_max: 3,
-        interval: Duration::from_millis(100),
-        ..AutoscalerConfig::default()
-    };
-    let cfg = FleetConfig { autoscale: Some(autoscale), ..FleetConfig::default() };
-    let cluster = Fleet::new(shards, &profile, cfg).expect("valid cluster configuration");
+    let cluster = Fleet::new(shards, &profile, FleetConfig::default()).expect("at least one shard");
     for name in SCENES {
         println!("{name:>6} -> home shard {}", cluster.ring().home(name));
     }
@@ -86,14 +79,16 @@ fn main() {
         stats.cost.mean_abs_pct_error * 100.0,
         stats.cost.observations,
     );
-    for e in &stats.scale_events {
+    for s in &stats.shards {
         println!(
-            "scale event t+{} ms: shard {} {} -> {} workers (miss rate {:.0}%)",
-            e.at_ms,
-            e.shard,
-            e.from,
-            e.to,
-            e.miss_rate * 100.0
+            "shard {}: {} workers, {} requests, p50 {:.1} ms",
+            s.shard, s.workers, s.serve.requests, s.serve.p50_latency_ms,
         );
     }
+    println!(
+        "deadlines: {}/{} missed ({:.0}%)",
+        stats.deadline_misses(),
+        stats.deadlined_requests(),
+        stats.miss_rate() * 100.0,
+    );
 }

@@ -13,7 +13,7 @@
 //!   model store, and trace record/replay (binary capture of a run that
 //!   replays it verbatim),
 //! * [`cluster`] — sharded serving: consistent-hash routing, cost-based
-//!   admission, autoscaling worker pools, and the remote fleet (wire
+//!   admission, fixed worker pools, and the remote fleet (wire
 //!   protocol, `asdr-shardd` daemons, health-checked hedged clients),
 //! * [`baselines`] — GPU roofline models, NeuRex, Re-NeRF.
 //!
