@@ -100,7 +100,7 @@ cluster-smoke:
 		--store-dir target/cluster-store --out target/cluster-stats-budgeted.json
 
 # Replay the bundled tiny workload with --record, replay the captured
-# binary trace, and assert the two frame dumps are byte-identical (what the
+# workload file, and assert the two frame dumps are byte-identical (what the
 # nightly trace-smoke job runs).
 trace-smoke:
 	scripts/trace_smoke.sh

@@ -1,8 +1,8 @@
-//! `asdr-cluster` — replays a workload trace through a [`Fleet`] and
+//! `asdr-cluster` — replays a workload file through a [`Fleet`] and
 //! reports cluster statistics.
 //!
 //! ```text
-//! asdr-cluster (--workload FILE | --trace FILE)
+//! asdr-cluster --workload FILE
 //!              [--shards N | --remote (spawn:N | ADDR[,ADDR...])]
 //!              [--scale tiny|small|paper]
 //!              [--workers N] [--budget-ms X] [--hedge-ms X]
@@ -23,11 +23,11 @@
 //! spawned daemon `DIR/shard<i>` for its bundle, so one flag yields the
 //! whole fleet's bundle tree for `asdr-trace report --bundles DIR`.
 //!
-//! The trace inputs are `asdr-serve`'s (see `asdr_serve::trace`); the
+//! The workload input is `asdr-serve`'s (see `asdr_serve::workload`); the
 //! submit loop is the same shared [`ReplayDriver`](asdr_serve::ReplayDriver)
 //! — an overloaded cluster blocks the replay clock rather than dropping
 //! work, `--speed` warps arrival offsets, and `--record` captures every
-//! admitted request as a binary trace. The process waits for every
+//! admitted request as a workload file. The process waits for every
 //! ticket, prints a per-request table (including which shard served it)
 //! plus a machine-readable `TRACE_RESULT` line, and writes the
 //! [`ClusterStats`](asdr_cluster::ClusterStats) JSON to `--out` — the
@@ -39,6 +39,7 @@ use asdr_cluster::{Fleet, FleetConfig, LocalShards, ShardAddr};
 use asdr_serve::flags::{
     self, die, positive_usize, value, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags,
 };
+use asdr_serve::workload::read_workload;
 use std::io::{BufRead as _, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
@@ -64,7 +65,7 @@ impl Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: asdr-cluster (--workload FILE | --trace FILE)\n\
+        "usage: asdr-cluster --workload FILE\n\
          \u{20}                   [--shards N | --remote (spawn:N | ADDR[,ADDR...])]\n\
          \u{20}                   [--scale tiny|small|paper]\n\
          \u{20}                   [--workers N] [--budget-ms X] [--hedge-ms X]\n\
@@ -107,7 +108,7 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    if args.replay.input.is_none() {
+    if args.replay.workload.is_none() {
         usage();
     }
     args
@@ -243,10 +244,10 @@ fn main() {
         ];
         flags::open_bundle(&root.join("cluster"), "cluster", &config)
     });
-    let input = args.replay.input.clone().expect("checked in parse_args");
-    let entries = input.load().unwrap_or_else(|e| die(&e));
+    let workload = args.replay.workload.as_deref().expect("checked in parse_args");
+    let entries = read_workload(workload).unwrap_or_else(|e| die(&e));
     if entries.is_empty() {
-        die(&format!("{} holds no requests", input.describe()));
+        die(&format!("{} holds no requests", workload.display()));
     }
     let (fleet, mut children, listed) = build_fleet(&args);
     println!(
@@ -262,7 +263,7 @@ fn main() {
         b.stage("replaying");
     }
     let replay = driver.run(&entries, &fleet);
-    let replay = replay.unwrap_or_else(|e| die(&format!("{}: {e}", input.describe())));
+    let replay = replay.unwrap_or_else(|e| die(&format!("{}: {e}", workload.display())));
 
     let mut report = ReplayReport::begin(&args.output, bundle.as_deref(), "shard");
     for req in &replay.requests {

@@ -3,9 +3,9 @@
 //! prewarms between the router front-end and `asdr-shardd` daemons.
 //!
 //! Framing is a varint byte length followed by that many payload bytes;
-//! the payload is a one-byte message tag plus tag-specific fields in the
-//! style of the trace VERSION-1 codec (LEB128 varints, interned flag
-//! bits, little-endian float bits — no serde in this environment). Every
+//! the payload is a one-byte message tag plus tag-specific fields (LEB128
+//! varints, packed flag bits, little-endian float bits — no serde in this
+//! environment), read back by one bounds-checked `Reader`. Every
 //! request-shaped message carries a client-assigned correlation `id` and
 //! every response echoes it, so one connection multiplexes any number of
 //! in-flight operations and a reader thread can demultiplex replies by id
@@ -24,10 +24,7 @@ use asdr_math::{Image, Vec3};
 use asdr_obs::TraceId;
 use asdr_scenes::registry::OrbitCamera;
 use asdr_serve::service::{Priority, RenderRequest, RenderResult};
-use asdr_serve::trace::format::{
-    priority_code, priority_from_code, push_varint, Reader, MAX_DEADLINE_MS, MAX_FRAMES,
-    MAX_RESOLUTION,
-};
+use asdr_serve::workload::{MAX_DEADLINE_MS, MAX_FRAMES, MAX_RESOLUTION};
 use asdr_serve::{ServeStats, StoreStats};
 use std::io::{Read, Write};
 
@@ -47,8 +44,132 @@ pub const MAX_FRAME_BYTES: u64 = 1 << 28;
 /// Longest scene name / error string on the wire.
 const MAX_STRING: u64 = 4096;
 
-/// Deadline bound, microseconds (the trace codec's millisecond bound).
+/// Deadline bound, microseconds (the workload format's millisecond bound).
 const MAX_DEADLINE_US: u64 = MAX_DEADLINE_MS * 1000;
+
+/// Appends `v` LEB128-encoded (7 bits per byte, high bit = continue).
+pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// The two-bit code a [`Priority`] travels as.
+fn priority_code(p: Priority) -> u8 {
+    match p {
+        Priority::Low => 0,
+        Priority::Normal => 1,
+        Priority::High => 2,
+    }
+}
+
+/// The [`Priority`] a code names; any other code is an error.
+fn priority_from_code(c: u8) -> Result<Priority, String> {
+    match c {
+        0 => Ok(Priority::Low),
+        1 => Ok(Priority::Normal),
+        2 => Ok(Priority::High),
+        _ => Err(format!("unknown priority code {c}")),
+    }
+}
+
+/// Streaming byte reader with bounds-checked primitives, under every
+/// message decoder. Every read fails with a bare message — the input
+/// ended, or the value broke the bound the method names — and
+/// [`Message::decode`] prefixes `"wire message: "`.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.remaining() {
+            return Err("unexpected end of input".into());
+        }
+        let s = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    /// The next byte.
+    fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next LEB128 varint; one that overflows `u64` is an error.
+    fn varint(&mut self) -> Result<u64, String> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let byte = self.u8()?;
+            if shift >= 63 && byte > 1 {
+                return Err("varint overflows u64".into());
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// The next varint, which must be at most `max`.
+    fn bounded(&mut self, what: &str, max: u64) -> Result<u64, String> {
+        let v = self.varint()?;
+        if v > max {
+            return Err(format!("{what} {v} out of range (max {max})"));
+        }
+        Ok(v)
+    }
+
+    /// The next little-endian `f32`, which must be finite.
+    fn finite_f32(&mut self, what: &str) -> Result<f32, String> {
+        let v = f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes"));
+        if !v.is_finite() {
+            return Err(format!("{what} is not finite"));
+        }
+        Ok(v)
+    }
+
+    /// The next little-endian `f64`.
+    fn f64(&mut self) -> Result<f64, String> {
+        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// The next length-prefixed UTF-8 string, of at most `max` bytes.
+    fn string(&mut self, what: &str, max: u64) -> Result<String, String> {
+        let len = self.bounded(what, max)? as usize;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| format!("{what} is not UTF-8"))
+    }
+
+    /// The next byte, which must be 0 or 1.
+    fn boolean(&mut self, what: &str) -> Result<bool, String> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("{what} flag {b} is not 0/1")),
+        }
+    }
+}
 
 fn push_string(out: &mut Vec<u8>, s: &str) {
     push_varint(out, s.len() as u64);
@@ -83,8 +204,9 @@ pub struct WireRequest {
     /// Viewpoint override (`None`: the scene's standard orbit).
     pub camera: Option<OrbitCamera>,
     /// Distributed trace id, joining client-side and shard-side spans
-    /// ([`TraceId::UNSET`]: tracing off — encodes exactly as the
-    /// pre-trace protocol did, so old and new peers interoperate).
+    /// ([`TraceId::UNSET`]: tracing off — no id bytes follow). Peers of
+    /// another wire version never see either shape: a shard refuses any
+    /// [`Message::Hello`] whose version differs from [`VERSION`].
     pub trace: TraceId,
 }
 
@@ -224,8 +346,8 @@ pub struct WireResult {
     pub images: Vec<Image>,
     /// The trace id echoed from the originating submit
     /// ([`TraceId::UNSET`]: the request carried none). Encoded by folding
-    /// a trace-follows marker into the deadline byte (codes 3–5), so a
-    /// trace-free result is byte-identical to the pre-trace protocol.
+    /// a trace-follows marker into the deadline byte (codes 3–5); a
+    /// trace-free result uses codes 0–2 and carries no id bytes.
     pub trace: TraceId,
 }
 
@@ -257,8 +379,8 @@ impl WireResult {
             Some(false) => 2,
         };
         // codes 3-5 mean "met code minus 3, and a trace id varint follows
-        // after the images" — decoders predating traces reject them by
-        // name instead of misreading the payload
+        // after the images"; a peer of another wire version is refused at
+        // the `Hello`, so no decoder here ever meets a code it lacks
         out.push(if self.trace.is_set() { met_code + 3 } else { met_code });
         push_varint(out, self.completed_seq);
         push_varint(out, self.images.len() as u64);
@@ -841,6 +963,17 @@ mod tests {
             Message::Drain { id: 13 },
             Message::Draining { id: 13 },
         ]
+    }
+
+    #[test]
+    fn varint_round_trips_across_widths() {
+        for v in [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX] {
+            let mut buf = Vec::new();
+            push_varint(&mut buf, v);
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint().unwrap(), v);
+            assert_eq!(r.remaining(), 0);
+        }
     }
 
     #[test]

@@ -351,7 +351,7 @@ proptest! {
             let e = Message::decode(&payload).unwrap_err();
             prop_assert!(e.contains(&format!("unknown message tag {tag}")), "{}", e);
             let mut frame = Vec::new();
-            asdr_serve::trace::format::push_varint(&mut frame, payload.len() as u64);
+            wire::push_varint(&mut frame, payload.len() as u64);
             frame.extend_from_slice(&payload);
             let e = wire::read_frame(&mut &frame[..]).unwrap_err();
             prop_assert!(e.starts_with("wire message: "), "{}", e);

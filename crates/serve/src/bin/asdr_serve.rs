@@ -1,20 +1,20 @@
-//! `asdr-serve` — replays a workload trace through a [`RenderService`]
+//! `asdr-serve` — replays a workload file through a [`RenderService`]
 //! and reports serving statistics.
 //!
 //! ```text
-//! asdr-serve (--workload FILE | --trace FILE)
+//! asdr-serve --workload FILE
 //!            [--scale tiny|small|paper] [--workers N]
 //!            [--store-dir DIR | --no-store] [--queue N]
 //!            [--speed X] [--record PATH]
 //!            [--out STATS.json] [--dump-images DIR] [--bundle DIR]
 //! ```
 //!
-//! The input is a JSON-lines workload or a binary trace (what `--record`
-//! writes), read whole before the replay starts. Entries are submitted at
+//! The input is a JSON-lines workload (what `--record` writes too), read
+//! whole before the replay starts. Entries are submitted at
 //! their `at_ms` arrival offsets (optionally time-warped by `--speed`;
 //! equal offsets form a burst)
 //! through the shared [`ReplayDriver`](asdr_serve::ReplayDriver);
-//! `--record` captures every admitted request as a binary trace. The
+//! `--record` captures every admitted request as a workload file. The
 //! process waits for every ticket, prints a per-request table plus the
 //! aggregate [`ServeStats`](asdr_serve::ServeStats) and a machine-readable
 //! `TRACE_RESULT` line, and writes the stats as JSON to `--out`
@@ -27,6 +27,7 @@
 //! with other processes' bundles.
 
 use asdr_serve::flags::{self, die, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags};
+use asdr_serve::workload::read_workload;
 use asdr_serve::RenderService;
 use std::sync::Arc;
 
@@ -39,7 +40,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: asdr-serve (--workload FILE | --trace FILE)\n\
+        "usage: asdr-serve --workload FILE\n\
          \u{20}                 [--scale tiny|small|paper] [--workers N]\n\
          \u{20}                 [--store-dir DIR | --no-store] [--queue N]\n\
          \u{20}                 [--speed X] [--record PATH]\n\
@@ -64,7 +65,7 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    if args.replay.input.is_none() {
+    if args.replay.workload.is_none() {
         usage();
     }
     args
@@ -81,10 +82,10 @@ fn main() {
         ];
         flags::open_bundle(dir, "serve", &config)
     });
-    let input = args.replay.input.clone().expect("checked in parse_args");
-    let entries = input.load().unwrap_or_else(|e| die(&e));
+    let workload = args.replay.workload.as_deref().expect("checked in parse_args");
+    let entries = read_workload(workload).unwrap_or_else(|e| die(&e));
     if entries.is_empty() {
-        die(&format!("{} holds no requests", input.describe()));
+        die(&format!("{} holds no requests", workload.display()));
     }
 
     let mut builder =
@@ -106,7 +107,7 @@ fn main() {
     }
     let replay = driver
         .run(&entries, &service)
-        .unwrap_or_else(|e| die(&format!("{}: {e}", input.describe())));
+        .unwrap_or_else(|e| die(&format!("{}: {e}", workload.display())));
 
     let mut report = ReplayReport::begin(&args.output, bundle.as_deref(), "reused");
     for req in &replay.requests {

@@ -1,26 +1,19 @@
-//! `asdr-trace` — transcode a workload, merge run bundles.
+//! `asdr-trace` — merge run bundles.
 //!
 //! ```text
-//! asdr-trace record  (--workload FILE | --trace FILE) --out OUT.trace
-//! asdr-trace report  --bundles DIR [--json] [--out FILE]
+//! asdr-trace report --bundles DIR [--json] [--out FILE]
 //! ```
 //!
-//! `record` transcodes a workload into the compact binary format without
-//! replaying it; `report --bundles` merges the [`asdr_obs`] run bundles of
-//! a fleet run into one report: per-phase latency breakdown,
-//! cross-process `SPAN_JOIN` lines (trace ids followed across hedges and
-//! failovers), and a `MISS_ATTRIBUTION` line naming the dominant phase of
-//! every deadline miss.
+//! `report --bundles` merges the [`asdr_obs`] run bundles of a fleet run
+//! into one report: per-phase latency breakdown, cross-process `SPAN_JOIN`
+//! lines (trace ids followed across hedges and failovers), and a
+//! `MISS_ATTRIBUTION` line naming the dominant phase of every deadline miss.
 
-use asdr_serve::flags::{die, value, ReplayFlags};
-use asdr_serve::trace::format;
+use asdr_serve::flags::{die, value};
 use std::path::PathBuf;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: asdr-trace record  (--workload FILE | --trace FILE) --out OUT.trace\n\
-         \u{20}      asdr-trace report  --bundles DIR [--json] [--out FILE]"
-    );
+    eprintln!("usage: asdr-trace report --bundles DIR [--json] [--out FILE]");
     std::process::exit(2);
 }
 
@@ -29,33 +22,10 @@ fn main() {
     let Some(cmd) = argv.first() else { usage() };
     let rest = &argv[1..];
     match cmd.as_str() {
-        "record" => cmd_record(rest),
         "report" => cmd_report(rest),
         "-h" | "--help" => usage(),
         other => die(&format!("unknown subcommand {other:?} (see --help)")),
     }
-}
-
-fn cmd_record(argv: &[String]) {
-    let mut flags = ReplayFlags::default();
-    let mut out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        if !flags.accept(argv, &mut i) {
-            match argv[i].as_str() {
-                "--out" => out = Some(PathBuf::from(value(argv, &mut i))),
-                "-h" | "--help" => usage(),
-                other => die(&format!("unknown argument {other:?} (see --help)")),
-            }
-        }
-        i += 1;
-    }
-    let input = flags.input_or_usage(|| {});
-    let out = out.unwrap_or_else(|| die("record needs --out OUT.trace"));
-    let entries = input.load().unwrap_or_else(|e| die(&e));
-    format::write_file(&out, &entries).unwrap_or_else(|e| die(&e));
-    let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-    println!("recorded: {} requests, {} bytes -> {}", entries.len(), bytes, out.display());
 }
 
 /// Merges every bundle under `--bundles DIR` into the cross-process span

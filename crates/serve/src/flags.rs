@@ -2,17 +2,15 @@
 //!
 //! `asdr-serve`, `asdr-cluster`, and `asdr-trace` parse argv by hand (no
 //! clap offline); this module keeps the shared pieces — fail-fast value
-//! parsing, the trace-input pair (`--workload` / `--trace`) with
-//! `--speed`/`--record`, the output trio (`--out` / `--dump-images` /
-//! `--bundle`) and the per-request table, `TRACE_RESULT` line and
-//! artifacts a replay writes through them — in one place so the binaries
-//! hold only their own flags.
+//! parsing, the replay trio (`--workload` / `--speed` / `--record`), the
+//! output trio (`--out` / `--dump-images` / `--bundle`) and the
+//! per-request table, `TRACE_RESULT` line and artifacts a replay writes
+//! through them — in one place so the binaries hold only their own flags.
 
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, ModelStoreBuilder};
 use crate::trace::replay::ReplayedRequest;
-use crate::trace::{format, ReplayDriver, TimedRequest};
-use crate::workload::parse_workload;
+use crate::trace::ReplayDriver;
 use asdr_math::Image;
 use asdr_obs::Bundle;
 use std::path::{Path, PathBuf};
@@ -48,85 +46,29 @@ pub fn positive_f64(flag: &str, s: &str) -> f64 {
         .unwrap_or_else(|| die(&format!("{flag} needs a positive number")))
 }
 
-/// Which file a replay reads its requests from.
-#[derive(Debug, Clone)]
-pub enum TraceInput {
-    /// `--workload FILE` — the JSON-lines workload format.
-    Workload(PathBuf),
-    /// `--trace FILE` — a binary trace.
-    Trace(PathBuf),
-}
-
-impl TraceInput {
-    /// Reads the whole input, ordered by arrival offset (ties keep file
-    /// order).
-    ///
-    /// # Errors
-    ///
-    /// Returns `"path: why"` on I/O, parse or decode failure.
-    pub fn load(&self) -> Result<Vec<TimedRequest>, String> {
-        match self {
-            TraceInput::Workload(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let mut entries =
-                    parse_workload(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-                entries.sort_by_key(|e| e.at_ms);
-                Ok(entries)
-            }
-            TraceInput::Trace(path) => format::read_file(path),
-        }
-    }
-
-    /// One-line description for the binaries' startup banner.
-    pub fn describe(&self) -> String {
-        match self {
-            TraceInput::Workload(p) => format!("workload {}", p.display()),
-            TraceInput::Trace(p) => format!("trace {}", p.display()),
-        }
-    }
-}
-
 /// The replay flag set shared by `asdr-serve` and `asdr-cluster`:
-/// one trace input plus `--speed` and `--record`.
+/// `--workload` plus `--speed` and `--record`.
 #[derive(Debug, Default)]
 pub struct ReplayFlags {
-    /// The selected input, once one of the pair has been seen.
-    pub input: Option<TraceInput>,
+    /// `--workload FILE`: the JSON-lines requests to replay.
+    pub workload: Option<PathBuf>,
     /// `--speed FACTOR` time-warp (`None` = real time).
     pub speed: Option<f64>,
-    /// `--record PATH` capture of admitted requests.
+    /// `--record PATH` capture of admitted requests, as a workload file.
     pub record: Option<PathBuf>,
 }
 
 impl ReplayFlags {
     /// Tries to consume `argv[*i]` (and its value) as a replay flag;
-    /// returns whether it did. Dies on a repeated or conflicting input.
+    /// returns whether it did.
     pub fn accept(&mut self, argv: &[String], i: &mut usize) -> bool {
-        let set = |slot: &mut Option<TraceInput>, input: TraceInput| {
-            if slot.is_some() {
-                die("--workload and --trace are mutually exclusive");
-            }
-            *slot = Some(input);
-        };
         match argv[*i].as_str() {
-            "--workload" => {
-                set(&mut self.input, TraceInput::Workload(PathBuf::from(value(argv, i))));
-            }
-            "--trace" => set(&mut self.input, TraceInput::Trace(PathBuf::from(value(argv, i)))),
+            "--workload" => self.workload = Some(PathBuf::from(value(argv, i))),
             "--speed" => self.speed = Some(positive_f64("--speed", &value(argv, i))),
             "--record" => self.record = Some(PathBuf::from(value(argv, i))),
             _ => return false,
         }
         true
-    }
-
-    /// The input, or dies pointing at usage when none was given.
-    pub fn input_or_usage(&self, usage: impl FnOnce()) -> TraceInput {
-        self.input.clone().unwrap_or_else(|| {
-            usage();
-            die("one of --workload or --trace is required");
-        })
     }
 
     /// Builds the shared [`ReplayDriver`] these flags describe.
@@ -390,7 +332,7 @@ mod tests {
     #[test]
     fn replay_flags_consume_their_trio() {
         let mut flags = ReplayFlags::default();
-        let args = argv(&["--speed", "4", "--trace", "t.trace", "--record", "out.trace", "--x"]);
+        let args = argv(&["--speed", "4", "--workload", "w.jsonl", "--record", "out.jsonl", "--x"]);
         let mut i = 0;
         let mut taken = 0;
         while i < args.len() {
@@ -401,8 +343,20 @@ mod tests {
         }
         assert_eq!(taken, 3, "--x is left for the caller");
         assert_eq!(flags.speed, Some(4.0));
-        assert!(matches!(flags.input, Some(TraceInput::Trace(_))));
-        assert_eq!(flags.record.as_deref(), Some(Path::new("out.trace")));
+        assert_eq!(flags.workload.as_deref(), Some(Path::new("w.jsonl")));
+        assert_eq!(flags.record.as_deref(), Some(Path::new("out.jsonl")));
+    }
+
+    #[test]
+    fn replay_flags_leave_trace_to_the_caller() {
+        // a workload is JSON lines only: `--trace FILE` is an unknown
+        // argument the binaries die on, not a second input
+        let mut flags = ReplayFlags::default();
+        let args = argv(&["--trace", "t.trace"]);
+        let mut i = 0;
+        assert!(!flags.accept(&args, &mut i));
+        assert_eq!(i, 0, "nothing consumed");
+        assert!(flags.workload.is_none());
     }
 
     #[test]
@@ -424,26 +378,5 @@ mod tests {
         assert_eq!(num("deadlined_requests"), 2.0);
         assert_eq!(num("deadline_misses"), 1.0);
         assert_eq!(num("miss_rate"), 0.5);
-    }
-
-    #[test]
-    fn trace_input_loads_both_forms_in_arrival_order() {
-        let dir = std::env::temp_dir().join(format!("asdr-flags-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let wl = dir.join("w.jsonl");
-        let text = "{\"scene\": \"Mic\", \"at_ms\": 50}\n{\"scene\": \"Lego\"}\n\
-                    {\"scene\": \"Pulse\", \"at_ms\": 10}\n";
-        std::fs::write(&wl, text).unwrap();
-        let entries = TraceInput::Workload(wl).load().unwrap();
-        let order = |e: &[TimedRequest]| e.iter().map(|e| e.scene.clone()).collect::<Vec<_>>();
-        assert_eq!(order(&entries), ["Lego", "Pulse", "Mic"]);
-        assert_eq!(entries[0].origin, 2, "origins keep pointing at source lines");
-        assert!(TraceInput::Workload(dir.join("missing.jsonl")).load().is_err());
-
-        let tr = dir.join("t.trace");
-        format::write_file(&tr, &entries).unwrap();
-        assert_eq!(order(&TraceInput::Trace(tr).load().unwrap()), ["Lego", "Pulse", "Mic"]);
-        assert!(TraceInput::Trace(dir.join("missing.trace")).load().is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,12 +16,13 @@
 //!   requests batch onto one engine session, and multi-frame requests reuse
 //!   their sample plan via
 //!   [`PlanPolicy::Reuse`](asdr_core::algo::PlanPolicy);
-//! * [`workload`] — the JSON-lines workload format the `asdr-serve` binary
-//!   replays, with [`service::ServeStats`] as its JSON artifact;
-//! * [`trace`] — trace record and replay: the compact binary trace codec,
-//!   `--record` capture, and the one shared [`ReplayDriver`] that both
-//!   `asdr-serve` and `asdr-cluster` submit a parsed `Vec<`[`TimedRequest`]`>`
-//!   through.
+//! * [`workload`] — the JSON-lines workload format, with its one reader
+//!   and one writer: what the `asdr-serve` binary replays (with
+//!   [`service::ServeStats`] as its JSON artifact) and what `--record`
+//!   writes;
+//! * [`trace`] — trace record and replay: `--record` capture, and the one
+//!   shared [`ReplayDriver`] that both `asdr-serve` and `asdr-cluster`
+//!   submit a parsed `Vec<`[`TimedRequest`]`>` through.
 //!
 //! ```no_run
 //! use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService};

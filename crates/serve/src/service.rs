@@ -54,6 +54,15 @@ impl Priority {
             _ => None,
         }
     }
+
+    /// The lowercase name [`Priority::parse`] reads back.
+    pub fn name(self) -> &'static str {
+        match self {
+            Priority::Low => "low",
+            Priority::Normal => "normal",
+            Priority::High => "high",
+        }
+    }
 }
 
 /// One unit of client work: a scene, a viewpoint (or short sequence), and
@@ -694,6 +703,15 @@ impl RenderService {
         }
         if req.resolution == 0 {
             return Err(ServeError::InvalidRequest("resolution must be >= 1".into()));
+        }
+        // frame i orbits by i * step: an infinite step makes frame 0's
+        // 0 * inf a NaN azimuth, and a huge finite one overflows from
+        // frame 2 on — either way no camera exists for the frame
+        let step = req.azimuth_step_deg;
+        if !step.is_finite() || step.abs() > 360.0 {
+            return Err(ServeError::InvalidRequest(format!(
+                "azimuth_step_deg must be in -360..=360, got {step}"
+            )));
         }
         self.shared
             .profile

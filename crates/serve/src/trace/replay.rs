@@ -5,18 +5,16 @@
 //! the open-loop clock (sleep until each request's arrival offset,
 //! optionally time-warped by `--speed`), the busy-retry policy (a full
 //! queue blocks the replay clock rather than dropping work), and `--record`
-//! capture of every admitted request into the binary trace format. The
-//! driver is generic over a [`ReplayTarget`], so a single-node
+//! capture of every admitted request as a workload file. The driver is generic over a [`ReplayTarget`], so a single-node
 //! [`RenderService`] and a sharded cluster router replay identically.
 
 use crate::profile::RenderProfile;
 use crate::service::{Priority, RenderRequest, RenderService, RenderTicket, ServeError};
-use crate::trace::format;
+use crate::workload::write_workload;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// One render request with its arrival time: a line of a workload file or
-/// a record of a binary trace.
+/// One render request with its arrival time: a line of a workload file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedRequest {
     /// Arrival offset from replay start, milliseconds.
@@ -33,8 +31,8 @@ pub struct TimedRequest {
     pub deadline_ms: Option<u64>,
     /// Orbit step override, degrees per frame.
     pub azimuth_step_deg: Option<f32>,
-    /// 1-based line (JSONL) or record (binary) in the source, so
-    /// resolution failures name where the request came from.
+    /// 1-based line in the source workload file, so resolution failures
+    /// name where the request came from.
     pub origin: usize,
 }
 
@@ -74,7 +72,7 @@ pub enum SubmitOutcome<T> {
     Fatal(String),
 }
 
-/// Anything a trace can be replayed into.
+/// Anything a workload can be replayed into.
 ///
 /// Implementations map their own retryable-overload error to
 /// [`SubmitOutcome::Busy`]; everything else is fatal.
@@ -159,7 +157,7 @@ impl ReplayDriver {
     }
 
     /// Captures every admitted request (at its warped arrival offset)
-    /// into a binary trace at `path` when the replay finishes.
+    /// into a workload file at `path` when the replay finishes.
     pub fn record(mut self, path: Option<PathBuf>) -> Self {
         self.record = path;
         self
@@ -218,7 +216,12 @@ impl ReplayDriver {
             });
         }
         if let Some(path) = &self.record {
-            format::write_file(path, &recorded)?;
+            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+                std::fs::create_dir_all(parent)
+                    .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
+            }
+            std::fs::write(path, write_workload(&recorded))
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         }
         Ok(Replay { requests, started })
     }
@@ -227,6 +230,7 @@ impl ReplayDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::parse_workload;
     use std::sync::Mutex;
 
     /// A target that stays busy for the first `busy` submissions of each
@@ -332,7 +336,7 @@ mod tests {
     #[test]
     fn speed_warps_the_clock_and_the_recording() {
         let dir = std::env::temp_dir().join(format!("asdr-replay-{}", std::process::id()));
-        let path = dir.join("warped.trace");
+        let path = dir.join("warped.jsonl");
         let target = MockTarget::new(0);
         let entries = [entry(0, "Mic", 1), entry(400, "Lego", 2)];
         let t0 = Instant::now();
@@ -340,7 +344,7 @@ mod tests {
             driver().speed(100.0).record(Some(path.clone())).run(&entries, &target).unwrap();
         assert!(t0.elapsed() < Duration::from_millis(300), "400ms warped 100x replays fast");
         assert_eq!(replay.requests.len(), 2);
-        let decoded = format::read_file(&path).unwrap();
+        let decoded = parse_workload(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[1].at_ms, 4, "400ms / 100x");
         assert_eq!(decoded[1].scene, "Lego");
@@ -351,11 +355,12 @@ mod tests {
     #[test]
     fn recorded_traces_replay_identically() {
         let dir = std::env::temp_dir().join(format!("asdr-replay2-{}", std::process::id()));
-        let path = dir.join("capture.trace");
+        let path = dir.join("capture.jsonl");
         let entries = [entry(0, "Mic", 1), entry(2, "Lego", 2)];
         let target = MockTarget::new(0);
         driver().record(Some(path.clone())).run(&entries, &target).unwrap();
-        let recorded = format::read_file(&path).unwrap();
+        let recorded = parse_workload(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(recorded, entries, "line numbers are the 1-based submission order");
         let target2 = MockTarget::new(0);
         let replay = driver().run(&recorded, &target2).unwrap();
         assert_eq!(*target2.admitted.lock().unwrap(), *target.admitted.lock().unwrap());

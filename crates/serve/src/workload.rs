@@ -1,4 +1,5 @@
-//! Workload files: one JSON object per line, one render request each.
+//! Workload files: one JSON object per line, one render request each —
+//! the one format a replay reads and `--record` writes.
 //!
 //! ```text
 //! # mixed 3-scene burst (lines starting with '#' and blank lines skipped)
@@ -15,21 +16,47 @@
 //!
 //! Integer fields are strictly validated — duplicates, fractional values,
 //! and out-of-range numbers are line-numbered errors, with the ranges
-//! shared with the binary trace codec
-//! ([`trace::format`](crate::trace::format)): `frames` 1..=4096,
-//! `resolution` 1..=8192, `deadline_ms` up to ~28 hours, `at_ms` up to
-//! ~115 days.
+//! below ([`MAX_FRAMES`], [`MAX_RESOLUTION`], [`MAX_DEADLINE_MS`],
+//! [`MAX_AT_MS`]), which the fleet wire shares.
 //!
-//! The environment has no registry access, hence no serde: the reader in
-//! [`asdr_obs::json`] covers exactly the flat string/number/bool objects
-//! this format needs, the same trade the in-tree `criterion` shim makes for
-//! its JSON dump.
+//! [`write_workload`] is the parser's inverse: what it writes parses back
+//! to the same requests (`origin` aside), an orbit step bit for bit. A
+//! `--record` capture is such a file, so it replays with `--workload`.
+//!
+//! The environment has no registry access, hence no serde: the reader and
+//! the writer in [`asdr_obs::json`] cover exactly the flat
+//! string/number/bool objects this format needs, the same trade the
+//! in-tree `criterion` shim makes for its JSON dump.
 
 use crate::service::Priority;
-use crate::trace::format::{MAX_AT_MS, MAX_DEADLINE_MS, MAX_FRAMES, MAX_RESOLUTION};
 use crate::trace::TimedRequest;
 use asdr_obs::json::{parse_flat_object, Value};
+use asdr_obs::JsonWriter;
 use std::collections::BTreeMap;
+use std::path::Path;
+
+/// Largest accepted arrival offset, milliseconds (~115 days).
+pub const MAX_AT_MS: u64 = 10_000_000_000;
+/// Largest accepted deadline, milliseconds (~28 hours).
+pub const MAX_DEADLINE_MS: u64 = 100_000_000;
+/// Largest accepted frame count per request.
+pub const MAX_FRAMES: u64 = 4096;
+/// Largest accepted square resolution.
+pub const MAX_RESOLUTION: u64 = 8192;
+
+/// Reads a workload file whole, ordered by arrival offset (ties keep file
+/// order).
+///
+/// # Errors
+///
+/// Returns `"path: why"` on I/O or parse failure.
+pub fn read_workload(path: &Path) -> Result<Vec<TimedRequest>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let mut entries = parse_workload(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    entries.sort_by_key(|e| e.at_ms);
+    Ok(entries)
+}
 
 /// Parses a workload file: one JSON object per non-blank, non-`#` line.
 ///
@@ -46,6 +73,35 @@ pub fn parse_workload(text: &str) -> Result<Vec<TimedRequest>, String> {
         out.push(parse_entry(line, i + 1).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(out)
+}
+
+/// Writes `entries` as workload lines, in order, one per request. Fields
+/// that are `None` are left out; an orbit step is written as the shortest
+/// decimal of its `f64` widening, so parsing it back and narrowing to
+/// `f32` restores the same bits.
+pub fn write_workload(entries: &[TimedRequest]) -> String {
+    let mut out = String::new();
+    for e in entries {
+        let mut w = JsonWriter::new();
+        w.obj();
+        w.key("scene").str_val(&e.scene);
+        w.key("frames").usize(e.frames);
+        w.key("at_ms").u64(e.at_ms);
+        w.key("priority").str_val(e.priority.name());
+        if let Some(r) = e.resolution {
+            w.key("resolution").u64(u64::from(r));
+        }
+        if let Some(d) = e.deadline_ms {
+            w.key("deadline_ms").u64(d);
+        }
+        if let Some(step) = e.azimuth_step_deg {
+            w.key("azimuth_step_deg").raw_val(&f64::from(step).to_string());
+        }
+        w.close_obj();
+        out.push_str(&w.finish());
+        out.push('\n');
+    }
+    out
 }
 
 fn parse_entry(line: &str, line_no: usize) -> Result<TimedRequest, String> {
@@ -77,8 +133,8 @@ fn parse_entry(line: &str, line_no: usize) -> Result<TimedRequest, String> {
         Some(_) => return Err("\"priority\" must be a string".into()),
         None => Priority::Normal,
     };
-    // Integer fields share the binary trace format's bounds, so anything
-    // a workload file accepts is guaranteed to encode and replay.
+    // Integer fields share the fleet wire's bounds, so anything a workload
+    // file accepts can also be sent to a remote shard.
     let int_field = |key: &str, min: u64, max: u64| -> Result<Option<u64>, String> {
         match get_num(&obj, key)? {
             None => Ok(None),
@@ -187,6 +243,48 @@ mod tests {
         .unwrap();
         assert_eq!(ok[0].frames, 4096);
         assert_eq!(ok[0].at_ms, 10_000_000_000);
+    }
+
+    #[test]
+    fn written_lines_omit_unset_fields_and_parse_back() {
+        let mut full = parse_workload(r#"{"scene": "Mic"}"#).unwrap().remove(0);
+        let bare = full.clone();
+        full.frames = 2;
+        full.at_ms = 5;
+        full.priority = Priority::High;
+        full.resolution = Some(48);
+        full.deadline_ms = Some(500);
+        full.azimuth_step_deg = Some(0.1);
+        let text = write_workload(&[full.clone(), bare.clone()]);
+        assert_eq!(
+            text,
+            "{\"scene\": \"Mic\", \"frames\": 2, \"at_ms\": 5, \"priority\": \"high\", \
+             \"resolution\": 48, \"deadline_ms\": 500, \"azimuth_step_deg\": 0.10000000149011612}\n\
+             {\"scene\": \"Mic\", \"frames\": 1, \"at_ms\": 0, \"priority\": \"normal\"}\n"
+        );
+        let back = parse_workload(&text).unwrap();
+        assert_eq!(back[0], TimedRequest { origin: 1, ..full });
+        assert_eq!(back[1], TimedRequest { origin: 2, ..bare });
+    }
+
+    #[test]
+    fn read_workload_orders_by_arrival_and_names_the_file() {
+        let dir = std::env::temp_dir().join(format!("asdr-workload-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("w.jsonl");
+        let text = "{\"scene\": \"Mic\", \"at_ms\": 50}\n{\"scene\": \"Lego\"}\n\
+                    {\"scene\": \"Pulse\", \"at_ms\": 10}\n";
+        std::fs::write(&path, text).unwrap();
+        let entries = read_workload(&path).unwrap();
+        let order: Vec<_> = entries.iter().map(|e| e.scene.as_str()).collect();
+        assert_eq!(order, ["Lego", "Pulse", "Mic"]);
+        assert_eq!(entries[0].origin, 2, "origins keep pointing at source lines");
+        let missing = read_workload(&dir.join("missing.jsonl")).unwrap_err();
+        assert!(missing.contains("missing.jsonl"), "{missing}");
+        std::fs::write(&path, "{}\n").unwrap();
+        let bad = read_workload(&path).unwrap_err();
+        assert!(bad.contains("w.jsonl") && bad.contains("line 1:"), "{bad}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -120,8 +120,18 @@ fn invalid_requests_are_rejected_at_submit() {
     let mut zero_frames = RenderRequest::frame(mic.clone(), 16);
     zero_frames.frames = 0;
     assert!(matches!(service.submit(zero_frames), Err(ServeError::InvalidRequest(_))));
-    let zero_res = RenderRequest::frame(mic, 0);
+    let zero_res = RenderRequest::frame(mic.clone(), 0);
     assert!(matches!(service.submit(zero_res), Err(ServeError::InvalidRequest(_))));
+    // orbit steps that leave some frame without a camera (inf and NaN
+    // poison frame 0's azimuth, 2 x 3e38 overflows f32) or pass a full turn
+    for step in [f32::INFINITY, f32::NAN, 361.0, 3e38] {
+        let mut orbit = RenderRequest::sequence(mic.clone(), 16, 2);
+        orbit.azimuth_step_deg = step;
+        assert!(
+            matches!(service.submit(orbit), Err(ServeError::InvalidRequest(_))),
+            "azimuth_step_deg {step} must be refused at submit"
+        );
+    }
 }
 
 #[test]

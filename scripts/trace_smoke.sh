@@ -2,10 +2,10 @@
 # Trace smoke: the record -> replay contract, end to end through the real
 # binaries.
 #
-#   record — the bundled JSONL workload through asdr-serve with --record,
+#   record — the bundled workload through asdr-serve with --record,
 #            dumping its frames
-#   replay — the captured binary trace through asdr-serve against the same
-#            store, dumping its frames
+#   replay — the captured workload file through asdr-serve against the
+#            same store, dumping its frames
 #
 # and asserts the two frame dumps are byte-identical and both TRACE_RESULT
 # lines count the same requests (the capture holds every one).
@@ -30,16 +30,16 @@ run() { # label, then the input flags
     [[ -s "$out/$label.json" ]] || { echo "error: no TRACE_RESULT line in $out/$label.log" >&2; exit 1; }
 }
 
-echo "== record (JSONL workload, capturing a binary trace)"
-run jsonl --workload scripts/serve-workload-tiny.jsonl --record "$out/captured.trace"
-[[ -s "$out/captured.trace" ]] || { echo "FAIL: --record wrote no trace"; exit 1; }
+echo "== record (the bundled workload, capturing a workload file)"
+run jsonl --workload scripts/serve-workload-tiny.jsonl --record "$out/captured.jsonl"
+[[ -s "$out/captured.jsonl" ]] || { echo "FAIL: --record wrote no workload file"; exit 1; }
 
-echo "== replay (the captured trace)"
-run trace --trace "$out/captured.trace"
+echo "== replay (the capture)"
+run trace --workload "$out/captured.jsonl"
 
 echo "== asserts"
 diff -r "$out/jsonl" "$out/trace" \
-    || { echo "FAIL: the captured trace rendered different frames"; exit 1; }
+    || { echo "FAIL: the capture rendered different frames"; exit 1; }
 echo "frames byte-identical: $(ls "$out/jsonl" | wc -l) files"
 requests() { sed -n 's/.*"requests": \([0-9]*\).*/\1/p' "$1"; }
 [[ "$(requests "$out/jsonl.json")" == "$(requests "$out/trace.json")" ]] \

@@ -10,8 +10,8 @@
 //! * [`cim`] — ReRAM/SRAM crossbar, systolic array, energy models,
 //! * [`core`] — the ASDR algorithms and chip simulator,
 //! * [`serve`] — the multi-tenant render service, checkpoint-backed
-//!   model store, and trace record/replay (binary capture of a run that
-//!   replays it verbatim),
+//!   model store, and trace record/replay (a run captured as a JSON-lines
+//!   workload file that replays it verbatim),
 //! * [`cluster`] — sharded serving: consistent-hash routing, cost-based
 //!   admission, fixed worker pools, and the remote fleet (wire
 //!   protocol, `asdr-shardd` daemons, health-checked hedged clients),
