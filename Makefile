@@ -23,7 +23,8 @@ test-crates:
 # pixels read back included; asdr_nerf's unit tests hold the MLP rows to their
 # 64-byte alignment and the checkpoint to its size. The cluster suites run the
 # wire's reader and writer threads and the fleet's race at the opt-level the
-# benchmark ships them at.
+# benchmark ships them at. asdr_math's unit tests run the helper pool, whose
+# `unsafe` lends a job on the caller's stack to parked threads, at opt-level 3.
 test-release:
 	cargo test --release --test kernel_identity
 	cargo test --release -p asdr_nerf --test props --test fit_workers
@@ -32,6 +33,7 @@ test-release:
 	cargo test --release -p asdr_core --lib renderer
 	cargo test --release -p asdr_core --lib engine
 	cargo test --release -p asdr_cluster --lib --test fleet_seam --test wire_props
+	cargo test --release -p asdr_math --lib
 
 fmt:
 	cargo fmt --all

@@ -104,7 +104,6 @@ pub fn print_precision(id: &SceneHandle, feat: &[FeatureBitsPoint], dev: &[Devic
             format!("{:.4}", p.rel_rms_error),
         ]);
     }
-    println!("(the paper's 8-bit features / 5-bit ADC sit at the knee of both curves)");
 }
 
 #[cfg(test)]

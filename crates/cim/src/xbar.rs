@@ -151,8 +151,12 @@ impl XbarGeometry {
                             let wbit = (wrow[i] >> wb) & 1;
                             colsum += xbit & wbit;
                         }
-                        // ADC quantization of the analog column current
-                        let q = (colsum + step / 2).div_euclid(step) * step;
+                        // ADC quantization of the analog column current,
+                        // ties to even: half-up would lift every odd count
+                        // when `step` is 2
+                        let (level, rest) = (colsum.div_euclid(step), colsum.rem_euclid(step));
+                        let up = 2 * rest > step || (2 * rest == step && level % 2 == 1);
+                        let q = (level + i64::from(up)) * step;
                         analog += q << (ib + wb);
                     }
                 }

@@ -111,3 +111,35 @@ proptest! {
         prop_assert!(g.mvm_cycles(MemTech::Reram) <= g.mvm_cycles(MemTech::SramCim));
     }
 }
+
+/// More ADC bits never make the analog MVM worse: relative RMS error of a
+/// 64×64 layer over 16 inputs is non-increasing from 3 to 9 bits. Rounding
+/// the column sums half-up broke this at 6 bits, where the step is 2.
+#[test]
+fn quantized_mvm_error_does_not_grow_with_adc_bits() {
+    let mut state = 0x2545F4914F6CDD1Du64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+    };
+    let (out_dim, in_dim) = (64, 64);
+    let w: Vec<f32> = (0..out_dim * in_dim).map(|_| next() * 0.5).collect();
+    let inputs: Vec<Vec<f32>> = (0..16).map(|_| (0..in_dim).map(|_| next()).collect()).collect();
+    let errors: Vec<f64> = (3..=9)
+        .map(|adc_bits| {
+            let g = XbarGeometry { adc_bits, ..XbarGeometry::paper() };
+            let (mut num, mut den) = (0.0f64, 0.0f64);
+            for x in &inputs {
+                let exact = g.mvm_exact(&w, x, out_dim);
+                for (e, a) in exact.iter().zip(g.mvm_quantized(&w, x, out_dim)) {
+                    num += f64::from(e - a).powi(2);
+                    den += f64::from(*e).powi(2);
+                }
+            }
+            (num / den).sqrt()
+        })
+        .collect();
+    assert!(errors.windows(2).all(|p| p[1] <= p[0]), "error grew with ADC bits: {errors:?}");
+}

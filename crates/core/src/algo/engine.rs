@@ -13,8 +13,8 @@
 //!   tiles steal the remaining hard ones.
 //!
 //! Both phases then run on the same workers — the caller plus
-//! `workers − 1` scoped helpers ([`asdr_math::par::fan_out`], which the
-//! fit shares), nothing spawned for a
+//! `workers − 1` helpers parked between frames
+//! ([`asdr_math::par::fan_out`], which the fit shares), none woken for a
 //! one-tile frame — which claim work through an atomic counter: Phase I the
 //! probe-grid cells, Phase II the tiles, largest planned sample count
 //! first, because the plan Phase I just paid for is the frame's cost
@@ -460,9 +460,10 @@ impl FrameEngine {
     }
 }
 
-/// Hands the units `0..units` out to `workers` threads ([`fan_out`]), each
-/// with its own query scratch and ray buffers, through a shared claim
-/// counter, and returns every `(unit, result)` in no particular order.
+/// Hands the units `0..units` out to `workers` threads ([`fan_out`]: the
+/// caller and parked pool helpers), each with its own query scratch and ray
+/// buffers, through a shared claim counter, and returns every
+/// `(unit, result)` in no particular order.
 fn drain<M: RadianceModel + Sync, R: Send>(
     model: &M,
     workers: usize,
@@ -470,7 +471,8 @@ fn drain<M: RadianceModel + Sync, R: Send>(
     run: impl Fn(usize, &mut M::Scratch, &mut RayBuffers) -> R + Sync,
 ) -> impl Iterator<Item = (usize, R)> {
     // Relaxed: a claim only has to be unique. The counter publishes no
-    // data — what a worker computes returns through its `join`
+    // data — what a worker computes returns through `fan_out`, whose
+    // helpers report done under a lock the caller then takes
     let next = AtomicUsize::new(0);
     let per_worker = fan_out(workers.min(units), || {
         let (mut scratch, mut buffers) = (model.make_query_scratch(), RayBuffers::default());

@@ -11,8 +11,8 @@
 //!   encoder and the adaptive sampler,
 //! * [`sh`] — real spherical-harmonics basis for view-direction encoding,
 //! * [`rng`] — deterministic seeding helpers,
-//! * [`par`] — the worker budget and the scoped-thread fan-out the frame
-//!   engine and the fit share.
+//! * [`par`] — the worker budget and the fan-out onto parked helper threads
+//!   the frame engine and the fit share.
 //!
 //! # Example
 //!
@@ -24,7 +24,11 @@
 //! assert!((ray.dir.norm() - 1.0).abs() < 1e-6);
 //! ```
 
-#![forbid(unsafe_code)]
+// the one exception is `par::Join::hand`, which hands a job borrowed from
+// the caller's stack to a pooled helper (DESIGN.md §8); its `unsafe` block
+// must say why it is sound
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
