@@ -86,6 +86,7 @@ serve-smoke:
 		--workload scripts/serve-workload-tiny.jsonl --scale tiny \
 		--store-dir target/serve-store --out target/serve-stats.json
 	grep '"fits": 0' target/serve-stats.json
+	grep "\"requests\": `grep -c '^{' scripts/serve-workload-tiny.jsonl`," target/serve-stats.json
 
 # Replay the bundled clustered workload over 2 shards sharing one store
 # dir, cold then warm, pinning zero duplicate fits, then a hot scene that

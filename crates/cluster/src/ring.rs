@@ -2,8 +2,8 @@
 //!
 //! Requests are routed by **scene name** over 64 virtual nodes per shard,
 //! so one scene's traffic lands on one home shard — its fit stays resident
-//! in that shard's store and its requests batch onto shared engine
-//! sessions — and removing a shard remaps only that shard's scenes.
+//! in that shard's store, so its requests hit memory instead of loading or
+//! fitting — and removing a shard remaps only that shard's scenes.
 
 /// Virtual nodes per shard on the ring: enough that shard loads stay
 /// within a few tens of percent of even for realistic scene counts.

@@ -126,7 +126,7 @@ impl SamplePlan {
             width,
             height,
             base_ns,
-            counts: vec![base_ns as u32; (width * height) as usize],
+            counts: vec![base_ns as u32; width as usize * height as usize],
         }
     }
 
@@ -154,7 +154,7 @@ impl SamplePlan {
             let iy = iy.clamp(0, gy as i64 - 1) as usize;
             probe_counts[iy][ix] as f32
         };
-        let mut counts = vec![0u32; (width * height) as usize];
+        let mut counts = vec![0u32; width as usize * height as usize];
         for y in 0..height {
             for x in 0..width {
                 let fx = x as f32 / d as f32;

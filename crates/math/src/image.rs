@@ -39,7 +39,7 @@ impl Image {
     /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "image must be non-empty");
-        Image { width, height, data: vec![Rgb::BLACK; (width * height) as usize] }
+        Image { width, height, data: vec![Rgb::BLACK; width as usize * height as usize] }
     }
 
     /// Image width in pixels.

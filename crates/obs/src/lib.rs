@@ -6,8 +6,8 @@
 //! remote fleet can thread through it:
 //!
 //! * [`mod@span`] — each request carries a [`TraceId`] and accumulates a span
-//!   timeline (admit → queue → batch-join → store → probe → render →
-//!   reply) into a bounded process-global ring. The [`span!`] / [`event!`]
+//!   timeline (admit → queue → store → probe → render → reply) into a
+//!   bounded process-global ring. The [`span!`] / [`event!`]
 //!   macros are the only entry points: compiled out entirely without the
 //!   `span-capture` feature, and one relaxed atomic load when compiled in
 //!   but disabled at runtime (the default — [`set_enabled`] turns capture

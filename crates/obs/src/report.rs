@@ -111,10 +111,9 @@ pub struct BundleReport {
 
 /// The request lifecycle order phases are reported in; unknown phases
 /// sort after these, alphabetically.
-const PHASE_ORDER: [&str; 12] = [
+const PHASE_ORDER: [&str; 11] = [
     "admit",
     "queue",
-    "batch-join",
     "store",
     "probe",
     "render",

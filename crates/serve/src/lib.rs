@@ -12,10 +12,9 @@
 //!   over an optional on-disk directory of VERSION-2 checkpoints so fits
 //!   survive across processes;
 //! * [`service::RenderService`] — a bounded admission queue with
-//!   deadline-aware priority ordering feeding a worker pool; same-scene
-//!   requests batch onto one engine session, and multi-frame requests reuse
-//!   their sample plan via
-//!   [`PlanPolicy::Reuse`](asdr_core::algo::PlanPolicy);
+//!   deadline-aware priority ordering feeding a worker pool; a worker
+//!   claims one request at a time, and multi-frame requests reuse their
+//!   sample plan via [`PlanPolicy::Reuse`](asdr_core::algo::PlanPolicy);
 //! * [`workload`] — the JSON-lines workload format, with its one reader
 //!   and one writer: what the `asdr-serve` binary replays (with
 //!   [`service::ServeStats`] as its JSON artifact) and what `--record`

@@ -4,21 +4,21 @@
 //!
 //! Scheduling is **deadline-aware priority ordering**: the queue pops the
 //! highest [`Priority`] first, earliest absolute deadline within a
-//! priority, FIFO as the tie-break. When a worker claims a request it also
-//! drags along up to `batch_max - 1` queued requests for the **same scene
-//! and resolution** (per-scene batching), so the whole batch shares one
-//! model lookup and one [`FrameEngine`] session.
+//! priority, FIFO as the tie-break. A worker claims exactly one request —
+//! one model lookup, one [`FrameEngine`] session — so no request waits
+//! behind a worse-ranked one and no worker idles while another holds work.
 //!
 //! Within a request, consecutive frames reuse the engine's [`SamplePlan`]
 //! via [`PlanPolicy::Reuse`]; plan state never crosses a request boundary,
-//! so **images are byte-identical regardless of worker count, batching, or
-//! arrival order** — the property the end-to-end tests pin down.
+//! so **images are byte-identical regardless of worker count or arrival
+//! order** — the property the end-to-end tests pin down.
 //!
 //! [`SamplePlan`]: asdr_core::algo::SamplePlan
 
 use crate::config;
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, StoreStats};
+use crate::workload::{MAX_FRAMES, MAX_RESOLUTION};
 use asdr_core::algo::{ExecPolicy, FrameEngine, PlanPolicy, RenderStats, SequenceFrame};
 use asdr_math::Image;
 use asdr_nerf::NgpModel;
@@ -304,25 +304,10 @@ struct QueueState {
     next_seq: u64,
 }
 
-/// Pops the best-ranked request plus up to `batch_max - 1` same-scene,
-/// same-resolution riders (in submission order), or `None` when empty.
-fn pop_batch(q: &mut QueueState, batch_max: usize) -> Option<Vec<Queued>> {
+/// Pops the best-ranked request by [`sched_key`], or `None` when empty.
+fn pop(q: &mut QueueState) -> Option<Queued> {
     let best = q.queue.iter().enumerate().min_by_key(|(_, e)| sched_key(e)).map(|(i, _)| i)?;
-    let head = q.queue.remove(best).expect("index from enumerate");
-    let mut batch = vec![head];
-    let mut i = 0;
-    while i < q.queue.len() && batch.len() < batch_max {
-        let rider = &q.queue[i];
-        if rider.req.scene.name() == batch[0].req.scene.name()
-            && rider.req.scene.shares_def(&batch[0].req.scene)
-            && rider.req.resolution == batch[0].req.resolution
-        {
-            batch.push(q.queue.remove(i).expect("index in bounds"));
-        } else {
-            i += 1;
-        }
-    }
-    Some(batch)
+    q.queue.remove(best)
 }
 
 /// Most recent request latencies the percentile snapshot covers. Bounds
@@ -486,7 +471,6 @@ pub struct RenderServiceBuilder {
     queue_capacity: usize,
     store: Option<Arc<ModelStore>>,
     plan_refresh_every: usize,
-    batch_max: usize,
     paused: bool,
 }
 
@@ -523,13 +507,6 @@ impl RenderServiceBuilder {
         self
     }
 
-    /// Most requests one worker claims per batch (clamped to >= 1).
-    #[must_use]
-    pub fn batch_max(mut self, n: usize) -> Self {
-        self.batch_max = n.max(1);
-        self
-    }
-
     /// Starts with the worker pool parked: submissions queue up but nothing
     /// renders until [`RenderService::start`]. Used to stage bursts (and by
     /// the scheduler tests to make ordering observable).
@@ -560,7 +537,6 @@ impl RenderServiceBuilder {
             store,
             profile: self.profile,
             plan_refresh_every: self.plan_refresh_every,
-            batch_max: self.batch_max,
             queue_capacity: self.queue_capacity,
             stats: Mutex::new(StatsAccum::default()),
             counters: ServeCounters::new(&Scope::instance("serve")),
@@ -586,7 +562,6 @@ struct Shared {
     store: Arc<ModelStore>,
     profile: RenderProfile,
     plan_refresh_every: usize,
-    batch_max: usize,
     queue_capacity: usize,
     stats: Mutex<StatsAccum>,
     counters: ServeCounters,
@@ -621,7 +596,6 @@ impl RenderService {
             queue_capacity: 64,
             store: None,
             plan_refresh_every: 3,
-            batch_max: 4,
             paused: false,
         }
     }
@@ -698,11 +672,20 @@ impl RenderService {
         mut req: RenderRequest,
         ticket: RenderTicket,
     ) -> Result<RenderTicket, ServeError> {
-        if req.frames == 0 {
-            return Err(ServeError::InvalidRequest("frames must be >= 1".into()));
+        // the bounds the workload reader and the fleet wire enforce: past
+        // them a worker's image allocation aborts the process (which no
+        // catch_unwind survives) or one request holds a worker for hours
+        if req.frames == 0 || req.frames as u64 > MAX_FRAMES {
+            return Err(ServeError::InvalidRequest(format!(
+                "frames must be in 1..={MAX_FRAMES}, got {}",
+                req.frames
+            )));
         }
-        if req.resolution == 0 {
-            return Err(ServeError::InvalidRequest("resolution must be >= 1".into()));
+        if req.resolution == 0 || u64::from(req.resolution) > MAX_RESOLUTION {
+            return Err(ServeError::InvalidRequest(format!(
+                "resolution must be in 1..={MAX_RESOLUTION}, got {}",
+                req.resolution
+            )));
         }
         // frame i orbits by i * step: an infinite step makes frame 0's
         // 0 * inf a NaN azimuth, and a huge finite one overflows from
@@ -823,45 +806,36 @@ impl Drop for RenderService {
     }
 }
 
-/// Worker thread: claim a batch, render it, repeat until shutdown drains
-/// the queue.
+/// Worker thread: claim the best-ranked request, render it, repeat until
+/// shutdown drains the queue.
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let item = {
             let mut q = shared.queue.lock().unwrap();
             loop {
                 if !q.paused {
-                    if let Some(batch) = pop_batch(&mut q, shared.batch_max) {
-                        // the claim just freed queue slots: wake anyone
+                    if let Some(item) = pop(&mut q) {
+                        // the claim just freed a queue slot: wake anyone
                         // blocked in wait_capacity before going to render
                         shared.cond.notify_all();
-                        break Some(batch);
+                        break item;
                     }
                     if !q.accepting {
-                        break None;
+                        return;
                     }
                 }
                 q = shared.cond.wait(q).unwrap();
             }
         };
-        match batch {
-            Some(mut batch) => {
-                // a panicking fit or render (reachable: registered scene
-                // builders are arbitrary user code) fails the batch's
-                // tickets, never the worker — clients see RenderFailed
-                // instead of hanging on a ticket nobody will fill
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    render_batch(shared, &mut batch);
-                }));
-                if let Err(panic) = outcome {
-                    let why = ServeError::RenderFailed(panic_message(panic.as_ref()));
-                    for item in batch.drain(..) {
-                        item.ticket.fill(Err(why.clone()));
-                    }
-                }
-            }
-            None => return,
-        }
+        // a panicking fit or render (reachable: registered scene builders
+        // are arbitrary user code) fails the ticket, never the worker —
+        // the client sees RenderFailed instead of hanging on a ticket
+        // nobody will fill
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            render_request(shared, &item)
+        }))
+        .map_err(|panic| ServeError::RenderFailed(panic_message(panic.as_ref())));
+        item.ticket.fill(outcome);
     }
 }
 
@@ -874,106 +848,92 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "worker panicked".to_string())
 }
 
-/// Renders one same-scene batch: one store lookup, one engine session,
-/// per-request plan reuse. Items are removed as they complete, so a panic
-/// mid-batch leaves exactly the unserved tickets behind for the caller to
-/// fail.
-fn render_batch(shared: &Shared, batch: &mut Vec<Queued>) {
+/// Renders one claimed request: one store lookup, one engine session,
+/// plan reuse across its frames. Folds the outcome into the service
+/// statistics; the caller fills the ticket.
+fn render_request(shared: &Shared, item: &Queued) -> RenderResult {
     let claimed_at = Instant::now();
-    let scene = batch[0].req.scene.clone();
-    let resolution = batch[0].req.resolution;
-    for item in batch.iter() {
-        asdr_obs::span!(item.req.trace, "queue", item.submitted, claimed_at);
-        if batch.len() > 1 {
-            asdr_obs::event!(item.req.trace, "batch-join", format!("batch={}", batch.len()));
-        }
-    }
+    let req = &item.req;
+    asdr_obs::span!(req.trace, "queue", item.submitted, claimed_at);
     let store_t0 = Instant::now();
-    let model = shared.store.get_or_fit(&scene, &shared.profile.grid);
-    asdr_obs::span!(batch[0].req.trace, "store", store_t0, Instant::now());
-    let engine = FrameEngine::new(shared.profile.options_for(resolution), EXEC_POLICY)
+    let model = shared.store.get_or_fit(&req.scene, &shared.profile.grid);
+    asdr_obs::span!(req.trace, "store", store_t0, Instant::now());
+    let engine = FrameEngine::new(shared.profile.options_for(req.resolution), EXEC_POLICY)
         .expect("options validated at submit");
-    while !batch.is_empty() {
-        let item = &batch[0];
-        let cams: Vec<_> = (0..item.req.frames).map(|i| item.req.camera_for_frame(i)).collect();
-        let frames: Vec<SequenceFrame<'_, NgpModel>> =
-            cams.iter().map(|c| SequenceFrame::new(&*model, c.clone())).collect();
-        let render_t0 = Instant::now();
-        // plan reuse stays within this request: every request re-probes its
-        // first frame, so output is independent of batching and scheduling
-        let out = engine
-            .render_sequence(
-                &frames,
-                &PlanPolicy::Reuse { refresh_every: shared.plan_refresh_every },
-            )
-            .expect("frames >= 1 validated at submit");
-        let done = Instant::now();
-        let latency = done - item.submitted;
-        let deadline_met = item.req.deadline.map(|d| latency <= d);
-        let reused = out.reused_frames();
-        let frame_count = out.frames.len();
-        let probed = frame_count - reused;
-        let aggregate = out.aggregate;
-        // phase spans come from the engine's own phase timers, laid
-        // end-to-end from the render start
-        let probe_dur = Duration::from_secs_f64(out.timings.probe_s);
-        asdr_obs::span_at!(item.req.trace, "probe", render_t0, probe_dur);
-        asdr_obs::span_at!(
-            item.req.trace,
-            "render",
-            render_t0 + probe_dur,
-            Duration::from_secs_f64(out.timings.render_s),
-            format!("frames={frame_count} reused={reused}")
-        );
-        let result = RenderResult {
-            scene: scene.name().to_string(),
-            resolution,
-            // `out` is owned and done with: move the frames, don't clone
-            // O(frames x pixels) on the serving hot path
-            images: out.frames.into_iter().map(|f| f.image).collect(),
-            stats: aggregate,
-            reused_frames: reused,
-            queue_wait: claimed_at - item.submitted,
-            latency,
-            deadline_met,
-            completed_seq: shared.completed.fetch_add(1, Ordering::Relaxed),
-            trace: item.req.trace,
-        };
-        let mut acc = shared.stats.lock().unwrap();
-        // registry counters advance under the stats lock so a stats()
-        // snapshot (which also holds it) reads a coherent set
-        let c = &shared.counters;
-        c.requests.inc();
-        c.frames.add(frame_count as u64);
-        c.reused_frames.add(reused as u64);
-        c.latency_us.record(latency.as_micros() as u64);
-        c.queue_wait_us.record(result.queue_wait.as_micros() as u64);
-        acc.push_latency(latency.as_secs_f64() * 1e3);
-        acc.queue_wait_sum_ms += result.queue_wait.as_secs_f64() * 1e3;
-        if let Some(met) = deadline_met {
-            c.deadlined_requests.inc();
-            if !met {
-                c.deadline_misses.inc();
-            }
+    let cams: Vec<_> = (0..req.frames).map(|i| req.camera_for_frame(i)).collect();
+    let frames: Vec<SequenceFrame<'_, NgpModel>> =
+        cams.iter().map(|c| SequenceFrame::new(&*model, c.clone())).collect();
+    let render_t0 = Instant::now();
+    // plan reuse stays within this request: every request re-probes its
+    // first frame, so output is independent of scheduling
+    let out = engine
+        .render_sequence(&frames, &PlanPolicy::Reuse { refresh_every: shared.plan_refresh_every })
+        .expect("frames >= 1 validated at submit");
+    let done = Instant::now();
+    let latency = done - item.submitted;
+    let deadline_met = req.deadline.map(|d| latency <= d);
+    let reused = out.reused_frames();
+    let frame_count = out.frames.len();
+    let probed = frame_count - reused;
+    let aggregate = out.aggregate;
+    // phase spans come from the engine's own phase timers, laid
+    // end-to-end from the render start
+    let probe_dur = Duration::from_secs_f64(out.timings.probe_s);
+    asdr_obs::span_at!(req.trace, "probe", render_t0, probe_dur);
+    asdr_obs::span_at!(
+        req.trace,
+        "render",
+        render_t0 + probe_dur,
+        Duration::from_secs_f64(out.timings.render_s),
+        format!("frames={frame_count} reused={reused}")
+    );
+    let result = RenderResult {
+        scene: req.scene.name().to_string(),
+        resolution: req.resolution,
+        // `out` is owned and done with: move the frames, don't clone
+        // O(frames x pixels) on the serving hot path
+        images: out.frames.into_iter().map(|f| f.image).collect(),
+        stats: aggregate,
+        reused_frames: reused,
+        queue_wait: claimed_at - item.submitted,
+        latency,
+        deadline_met,
+        completed_seq: shared.completed.fetch_add(1, Ordering::Relaxed),
+        trace: req.trace,
+    };
+    let mut acc = shared.stats.lock().unwrap();
+    // registry counters advance under the stats lock so a stats()
+    // snapshot (which also holds it) reads a coherent set
+    let c = &shared.counters;
+    c.requests.inc();
+    c.frames.add(frame_count as u64);
+    c.reused_frames.add(reused as u64);
+    c.latency_us.record(latency.as_micros() as u64);
+    c.queue_wait_us.record(result.queue_wait.as_micros() as u64);
+    acc.push_latency(latency.as_secs_f64() * 1e3);
+    acc.queue_wait_sum_ms += result.queue_wait.as_secs_f64() * 1e3;
+    if let Some(met) = deadline_met {
+        c.deadlined_requests.inc();
+        if !met {
+            c.deadline_misses.inc();
         }
-        acc.agg.accumulate(&aggregate);
-        if probed > 0 && reused > 0 {
-            acc.probe_points_avoided_est +=
-                aggregate.probe_points as f64 / probed as f64 * reused as f64;
-        }
-        acc.last_done = Some(acc.last_done.map_or(done, |t| t.max(done)));
-        drop(acc);
-        let item = batch.remove(0);
-        if deadline_met == Some(false) {
-            asdr_obs::event!(
-                item.req.trace,
-                "deadline-miss",
-                format!("latency_ms={:.1}", latency.as_secs_f64() * 1e3)
-            );
-        }
-        asdr_obs::event!(item.req.trace, "reply");
-        item.ticket.fill(Ok(result));
     }
+    acc.agg.accumulate(&aggregate);
+    if probed > 0 && reused > 0 {
+        acc.probe_points_avoided_est +=
+            aggregate.probe_points as f64 / probed as f64 * reused as f64;
+    }
+    acc.last_done = Some(acc.last_done.map_or(done, |t| t.max(done)));
+    drop(acc);
+    if deadline_met == Some(false) {
+        asdr_obs::event!(
+            req.trace,
+            "deadline-miss",
+            format!("latency_ms={:.1}", latency.as_secs_f64() * 1e3)
+        );
+    }
+    asdr_obs::event!(req.trace, "reply");
+    result
 }
 
 /// Nearest-rank percentile over an unsorted sample (0 when empty).
@@ -997,6 +957,33 @@ mod tests {
         assert!(Priority::Normal < Priority::High);
         assert_eq!(Priority::parse("HIGH"), Some(Priority::High));
         assert_eq!(Priority::parse("nope"), None);
+    }
+
+    #[test]
+    fn a_pop_claims_exactly_one_request() {
+        use asdr_scenes::registry;
+        let now = Instant::now();
+        let queued = |seq: u64, scene: &str| Queued {
+            req: RenderRequest::frame(registry::handle(scene), 16),
+            ticket: RenderTicket::new(None),
+            submitted: now,
+            deadline_at: None,
+            seq,
+        };
+        let mut q = QueueState {
+            queue: ["Mic", "Lego", "Mic", "Mic"]
+                .into_iter()
+                .enumerate()
+                .map(|(i, scene)| queued(i as u64, scene))
+                .collect(),
+            accepting: true,
+            paused: false,
+            next_seq: 4,
+        };
+        let head = pop(&mut q).expect("queue holds four");
+        assert_eq!((head.seq, head.req.scene.name()), (0, "Mic"));
+        let left: Vec<_> = q.queue.iter().map(|e| (e.seq, e.req.scene.name())).collect();
+        assert_eq!(left, [(1, "Lego"), (2, "Mic"), (3, "Mic")], "no same-scene rider left with it");
     }
 
     #[test]

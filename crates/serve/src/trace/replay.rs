@@ -307,7 +307,7 @@ mod tests {
     fn full_service_queues_wake_on_freed_slots() {
         // capacity 1, workers parked: the queue fills with one request,
         // wait_capacity must block while full and wake once a worker
-        // claims the queued batch
+        // claims the queued request
         let service = RenderService::builder(RenderProfile::tiny())
             .store(std::sync::Arc::new(
                 crate::store::ModelStore::builder().in_memory_only().build(),
@@ -324,7 +324,7 @@ mod tests {
         let start = Instant::now();
         ReplayTarget::wait_capacity(&service, Duration::from_millis(30));
         assert!(start.elapsed() >= Duration::from_millis(25), "full queue must park");
-        // unpark: the worker claims the batch, freeing the slot and
+        // unpark: the worker claims the request, freeing the slot and
         // notifying the waiter well before the generous timeout
         service.start();
         ReplayTarget::wait_capacity(&service, Duration::from_secs(30));

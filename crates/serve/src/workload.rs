@@ -17,7 +17,8 @@
 //! Integer fields are strictly validated — duplicates, fractional values,
 //! and out-of-range numbers are line-numbered errors, with the ranges
 //! below ([`MAX_FRAMES`], [`MAX_RESOLUTION`], [`MAX_DEADLINE_MS`],
-//! [`MAX_AT_MS`]), which the fleet wire shares.
+//! [`MAX_AT_MS`]), which the fleet wire shares; `RenderService::submit`
+//! refuses frames and resolutions past the same bounds.
 //!
 //! [`write_workload`] is the parser's inverse: what it writes parses back
 //! to the same requests (`origin` aside), an orbit step bit for bit. A

@@ -1,5 +1,5 @@
-//! Scheduler contracts: deadline-aware priority ordering, per-scene
-//! batching, bounded admission, and schedule-independent output.
+//! Scheduler contracts: deadline-aware priority ordering, one request per
+//! claim, bounded admission, and schedule-independent output.
 //!
 //! The services here run over stores pre-populated with cheap blank models
 //! (the scheduler does not care what the model predicts), a paused worker
@@ -7,6 +7,7 @@
 //! `completed_seq` on each result as the observable execution order.
 
 use asdr_scenes::registry;
+use asdr_serve::workload::{MAX_FRAMES, MAX_RESOLUTION};
 use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService, ServeError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,7 +35,6 @@ fn queue_pops_priority_then_deadline_then_fifo() {
     let service = RenderService::builder(test_profile())
         .store(warm_store(&["Mic"]))
         .workers(1)
-        .batch_max(1) // no riders: ordering only
         .paused()
         .build()
         .unwrap();
@@ -59,11 +59,10 @@ fn queue_pops_priority_then_deadline_then_fifo() {
 }
 
 #[test]
-fn same_scene_requests_ride_the_batch() {
+fn a_same_scene_request_never_overtakes_a_better_ranked_one() {
     let service = RenderService::builder(test_profile())
         .store(warm_store(&["Mic", "Lego"]))
         .workers(1)
-        .batch_max(4)
         .paused()
         .build()
         .unwrap();
@@ -73,13 +72,12 @@ fn same_scene_requests_ride_the_batch() {
     let a2 = service.submit(RenderRequest::frame(mic, 16)).unwrap();
     service.start();
     let stats = service.shutdown();
-    // a2 rides a1's batch (same scene + resolution), overtaking b1
+    // a2 shares a1's scene and resolution but ranks behind b1 (FIFO)
     assert_eq!(a1.wait().unwrap().completed_seq, 0);
-    assert_eq!(a2.wait().unwrap().completed_seq, 1, "same-scene rider overtakes the other scene");
-    assert_eq!(b1.wait().unwrap().completed_seq, 2);
+    assert_eq!(b1.wait().unwrap().completed_seq, 1, "the other scene keeps its place");
+    assert_eq!(a2.wait().unwrap().completed_seq, 2);
     assert_eq!(stats.requests, 3);
-    // the Mic batch shared one store lookup; Lego made its own
-    assert_eq!(stats.store.memory_hits, 2, "one lookup per batch, not per request");
+    assert_eq!(stats.store.memory_hits, 3, "one lookup per request");
     assert_eq!(stats.store.fits, 2, "only the pre-warm fits");
 }
 
@@ -122,6 +120,19 @@ fn invalid_requests_are_rejected_at_submit() {
     assert!(matches!(service.submit(zero_frames), Err(ServeError::InvalidRequest(_))));
     let zero_res = RenderRequest::frame(mic.clone(), 0);
     assert!(matches!(service.submit(zero_res), Err(ServeError::InvalidRequest(_))));
+    // one past the bounds the workload reader and the fleet wire enforce:
+    // refused before a worker allocates the image or starts the frames
+    let mut too_many = RenderRequest::frame(mic.clone(), 16);
+    too_many.frames = MAX_FRAMES as usize + 1;
+    match service.submit(too_many) {
+        Err(ServeError::InvalidRequest(why)) => assert!(why.contains("frames"), "{why}"),
+        other => panic!("frames > MAX_FRAMES must be refused, got {other:?}"),
+    }
+    let too_wide = RenderRequest::frame(mic.clone(), MAX_RESOLUTION as u32 + 1);
+    match service.submit(too_wide) {
+        Err(ServeError::InvalidRequest(why)) => assert!(why.contains("resolution"), "{why}"),
+        other => panic!("resolution > MAX_RESOLUTION must be refused, got {other:?}"),
+    }
     // orbit steps that leave some frame without a camera (inf and NaN
     // poison frame 0's azimuth, 2 x 3e38 overflows f32) or pass a full turn
     for step in [f32::INFINITY, f32::NAN, 361.0, 3e38] {
@@ -157,14 +168,13 @@ fn multi_frame_requests_reuse_their_sample_plan() {
 }
 
 #[test]
-fn output_is_independent_of_workers_and_batching() {
+fn output_is_independent_of_workers_and_arrival_order() {
     // the determinism contract behind the cold/warm acceptance test: the
     // same request renders byte-identically no matter how it is scheduled
-    let render = |workers: usize, batch_max: usize, shuffle: bool| {
+    let render = |workers: usize, shuffle: bool| {
         let service = RenderService::builder(test_profile())
             .store(warm_store(&["Mic", "Lego"]))
             .workers(workers)
-            .batch_max(batch_max)
             .paused()
             .build()
             .unwrap();
@@ -185,9 +195,16 @@ fn output_is_independent_of_workers_and_batching() {
         service.shutdown();
         images
     };
-    let reference = render(1, 1, false);
-    assert_eq!(render(3, 4, false), reference, "worker count / batching changed pixels");
-    assert_eq!(render(2, 2, true), reference, "arrival order changed pixels");
+    let reference = render(1, false);
+    for workers in 1..=3 {
+        for shuffle in [false, true] {
+            assert_eq!(
+                render(workers, shuffle),
+                reference,
+                "{workers} workers, reversed arrival {shuffle}: pixels changed"
+            );
+        }
+    }
 }
 
 #[test]
@@ -214,7 +231,7 @@ fn a_panicking_scene_fails_its_ticket_not_the_service() {
     }
     // the same worker still serves healthy requests
     let ok = service.submit(RenderRequest::frame(registry::handle("Mic"), 16)).unwrap();
-    assert!(ok.wait().is_ok(), "worker must survive a panicked batch");
+    assert!(ok.wait().is_ok(), "worker must survive a panicked request");
     let stats = service.shutdown();
     assert_eq!(stats.requests, 1, "only the healthy request counts as completed");
 }

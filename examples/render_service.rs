@@ -33,7 +33,7 @@ fn burst() -> Vec<(&'static str, RenderRequest)> {
             "background frame (low)",
             RenderRequest::frame(pulse, RESOLUTION).with_priority(Priority::Low),
         ),
-        ("same scene again (batches with #1)", RenderRequest::frame(mic, RESOLUTION)),
+        ("same scene again (model already resident)", RenderRequest::frame(mic, RESOLUTION)),
     ]
 }
 
