@@ -15,7 +15,8 @@ test-crates:
 
 # Bit-identity of the kernels on the code generation the benchmark measures:
 # tier-1 runs these at the dev profile's opt-level 2, release is opt-level 3.
-# The props run the MLP oracles once per kernel instantiation the CPU offers;
+# The props run the MLP, encoder and occupancy-pass oracles once per kernel
+# instantiation the CPU offers;
 # fit_workers holds the fit's checkpoint bytes on 2, 3 and 5 workers to one
 # worker's; the asdr_core pair and the renderer unit tests (the
 # occupancy-pattern sweep) hold the march to its kept scalar reference; the

@@ -1,10 +1,12 @@
-//! Wall-clock benchmark of the multi-resolution hash encoding kernel.
+//! Wall-clock benchmark of the per-sample kernels in front of the MLPs: the
+//! multi-resolution hash encoding and the occupancy pass over a ray.
 
-use asdr_math::Vec3;
+use asdr_math::{Ray, Vec3};
 use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::encoder::HashEncoder;
 use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
+use asdr_nerf::kernel::Kernel;
 use asdr_scenes::registry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -65,6 +67,43 @@ fn bench_encoding(c: &mut Criterion) {
             black_box(a);
         })
     });
+
+    // `encode_point` on the baseline target: the AVX2 row reading the same
+    // means the lane body no longer inlines into the wrapper
+    c.bench_function("encode_point_portable", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let p = black_box(points[i % points.len()]);
+            enc.encode_on(Kernel::Portable, p, &mut out, None);
+            i += 1;
+            black_box(&out);
+        })
+    });
+
+    // the pass `march` makes over a fixed-48 ray, on 16 rays through Lego's box
+    let grid = model.occupancy();
+    let rays: Vec<(Ray, Vec<f32>)> = (0..16)
+        .filter_map(|i| {
+            let a = i as f32 * 0.39;
+            let origin = Vec3::new(4.0 * a.cos(), 0.3 + 0.05 * i as f32, 4.0 * a.sin());
+            let ray = Ray::new(origin, (Vec3::new(0.1, -0.2, 0.05) - origin).normalized());
+            Some((ray, grid.bounds().intersect(&ray)?.midpoints(48)))
+        })
+        .collect();
+    let mut mask = Vec::with_capacity(48);
+    for (name, kernel) in
+        [("occupied_along_48", Kernel::Avx2), ("occupied_along_48_portable", Kernel::Portable)]
+    {
+        c.bench_function(name, |b| {
+            let mut i = 0;
+            b.iter(|| {
+                let (ray, ts) = &rays[i % rays.len()];
+                grid.occupied_along_on(kernel, black_box(ray), ts.iter().copied(), &mut mask);
+                i += 1;
+                black_box(&mask);
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_encoding);

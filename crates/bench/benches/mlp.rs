@@ -3,7 +3,8 @@
 use asdr_math::Vec3;
 use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
-use asdr_nerf::mlp::{Activation, Dense, Kernel, Mlp};
+use asdr_nerf::kernel::Kernel;
+use asdr_nerf::mlp::{Activation, Dense, Mlp};
 use asdr_scenes::registry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

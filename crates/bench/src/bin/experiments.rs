@@ -442,10 +442,7 @@ fn main() {
     };
     let sel = SceneSel { chosen };
     let mut h = Harness::new(scale);
-    println!(
-        "# ASDR experiments (scale: {scale:?}, mlp kernel: {})",
-        asdr_nerf::mlp::kernel_name()
-    );
+    println!("# ASDR experiments (scale: {scale:?}, kernel: {})", asdr_nerf::kernel::kernel_name());
     for id in &ids {
         let e = find_experiment(id).expect("ids validated above");
         run_experiment(e, &mut h, &sel);

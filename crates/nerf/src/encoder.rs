@@ -2,14 +2,17 @@
 //!
 //! For a sample point the encoder locates the containing voxel at each
 //! resolution level, looks up the embeddings of the voxel's eight vertices,
-//! blends them trilinearly, and concatenates the per-level results. The
-//! encoder can additionally emit the exact sequence of `(level, vertex,
-//! table-row)` accesses it performed — that access trace is what drives the
-//! ASDR architecture simulator (cache, crossbar conflicts, Fig. 4).
+//! blends them trilinearly, and concatenates the per-level results. Like the
+//! paper's hybrid address generator (§5.2.1) it locates eight levels at once,
+//! one a vector lane, then reads and blends each level's rows. The encoder
+//! can additionally emit the exact sequence of `(level, vertex, table-row)`
+//! accesses it performed — that access trace is what drives the ASDR
+//! architecture simulator (cache, crossbar conflicts, Fig. 4).
 
 use crate::embedding::EmbeddingSet;
-use crate::grid::GridConfig;
-use asdr_math::interp::{trilinear_weights, CORNER_OFFSETS};
+use crate::grid::{GridConfig, PlanLanes};
+use crate::kernel::{run_on, Kernel, LANES};
+use asdr_math::interp::CORNER_OFFSETS;
 use asdr_math::Vec3;
 
 /// One embedding-table access performed during encoding.
@@ -28,6 +31,8 @@ pub struct VertexAccess {
 pub struct HashEncoder {
     cfg: GridConfig,
     tables: EmbeddingSet,
+    /// The tables' level plans in blocks of [`LANES`] levels.
+    blocks: Vec<PlanLanes>,
 }
 
 impl HashEncoder {
@@ -43,7 +48,8 @@ impl HashEncoder {
             tables.iter().all(|t| t.feat_dim() == cfg.feat_dim),
             "feature width mismatch between config and tables"
         );
-        HashEncoder { cfg, tables }
+        let blocks = PlanLanes::blocks(tables.iter().map(|t| t.plan()));
+        HashEncoder { cfg, tables, blocks }
     }
 
     /// Grid configuration.
@@ -67,11 +73,17 @@ impl HashEncoder {
     }
 
     /// The eight vertex accesses of `p01` at `level`, in
-    /// [`CORNER_OFFSETS`] order.
+    /// [`CORNER_OFFSETS`] order: the rows the encoder's lane for the level
+    /// computes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is out of range.
     pub fn vertex_accesses(&self, p01: Vec3, level: usize) -> [VertexAccess; 8] {
-        let plan = self.tables.table(level).plan();
-        let (base, _) = plan.voxel_of(p01);
-        corner_accesses(level, base, plan.corner_rows(base))
+        assert!(level < self.cfg.levels, "level {level} out of range");
+        let block = &self.blocks[level / LANES];
+        let (base, _, rows) = block.lane(level % LANES, p01.clamp(0.0, 1.0));
+        corner_accesses(level, base, rows)
     }
 
     /// Encodes `p01 ∈ [0,1]^3` into `out` (length [`Self::encoded_dim`]).
@@ -80,28 +92,57 @@ impl HashEncoder {
     ///
     /// Panics if `out` has the wrong length.
     pub fn encode(&self, p01: Vec3, out: &mut [f32]) {
-        self.encode_any_width(p01, out, None);
+        self.encode_on(Kernel::Avx2, p01, out, None);
     }
 
     /// Like [`Self::encode`] but appends every table access to `trace`.
     pub fn encode_traced(&self, p01: Vec3, out: &mut [f32], trace: &mut Vec<VertexAccess>) {
-        self.encode_any_width(p01, out, Some(trace));
+        self.encode_on(Kernel::Avx2, p01, out, Some(trace));
     }
 
-    /// Picks the [`Self::encode_impl`] instance of the configured feature
-    /// width — one of those [`GridConfig::validate`] admits.
-    #[inline]
-    fn encode_any_width(&self, p01: Vec3, out: &mut [f32], trace: Option<&mut Vec<VertexAccess>>) {
+    /// [`Self::encode`] or, with a `trace`, [`Self::encode_traced`] on the
+    /// instantiation named: for tests and benches, never the product. Picks
+    /// the [`Self::encode_impl`] instance of the configured feature width —
+    /// one of those [`GridConfig::validate`] admits.
+    #[doc(hidden)]
+    pub fn encode_on(
+        &self,
+        kernel: Kernel,
+        p01: Vec3,
+        out: &mut [f32],
+        trace: Option<&mut Vec<VertexAccess>>,
+    ) {
         match self.cfg.feat_dim {
-            1 => self.encode_impl::<1>(p01, out, trace),
-            2 => self.encode_impl::<2>(p01, out, trace),
-            4 => self.encode_impl::<4>(p01, out, trace),
-            8 => self.encode_impl::<8>(p01, out, trace),
+            1 => self.encode_at::<1>(kernel, p01, out, trace),
+            2 => self.encode_at::<2>(kernel, p01, out, trace),
+            4 => self.encode_at::<4>(kernel, p01, out, trace),
+            8 => self.encode_at::<8>(kernel, p01, out, trace),
             f => unreachable!("feat_dim {f} passed GridConfig::validate"),
         }
     }
 
-    #[inline]
+    /// [`Self::encode_impl`] at width `F` on `kernel` (see [`run_on`]).
+    fn encode_at<const F: usize>(
+        &self,
+        kernel: Kernel,
+        p01: Vec3,
+        out: &mut [f32],
+        trace: Option<&mut Vec<VertexAccess>>,
+    ) {
+        run_on(
+            kernel,
+            self,
+            (p01, trace),
+            out,
+            #[inline(always)]
+            |encoder, (p01, trace), out| encoder.encode_impl::<F>(p01, out, trace),
+        );
+    }
+
+    /// The encoder's one body: per block of [`LANES`] levels, the point
+    /// located in all of them at once ([`PlanLanes::locate`]), then each
+    /// level's eight corner rows read whole, once, and blended.
+    #[inline(always)]
     fn encode_impl<const F: usize>(
         &self,
         p01: Vec3,
@@ -110,25 +151,30 @@ impl HashEncoder {
     ) {
         assert_eq!(out.len(), self.encoded_dim(), "output buffer length mismatch");
         let (levels, _) = out.as_chunks_mut::<F>();
-        for (level, (table, dst)) in self.tables.iter().zip(levels).enumerate() {
-            // the level's geometry, resolved when the table was built
-            let plan = table.plan();
-            let (base, frac) = plan.voxel_of(p01);
-            let w = trilinear_weights(frac.x, frac.y, frac.z);
-            let rows = plan.corner_rows(base);
-            if let Some(t) = trace.as_deref_mut() {
-                t.extend(corner_accesses(level, base, rows));
-            }
-            // each corner row is read whole, once; per feature the corners
-            // still add in `CORNER_OFFSETS` order from zero
-            let (feats, _) = table.params().as_chunks::<F>();
-            let mut acc = [0.0f32; F];
-            for (row, &wi) in rows.into_iter().zip(&w) {
-                for (a, &f) in acc.iter_mut().zip(&feats[row as usize]) {
-                    *a += wi * f;
+        let mut tables = self.tables.iter().enumerate();
+        for (block, dsts) in self.blocks.iter().zip(levels.chunks_mut(LANES)) {
+            let voxels = block.locate(p01);
+            for (lane, (dst, (level, table))) in dsts.iter_mut().zip(&mut tables).enumerate() {
+                if let Some(t) = trace.as_deref_mut() {
+                    let [x, y, z] = &voxels.base;
+                    let mut rows = [0; 8];
+                    for (row, corner) in rows.iter_mut().zip(&voxels.rows) {
+                        *row = corner[lane];
+                    }
+                    t.extend(corner_accesses(level, (x[lane], y[lane], z[lane]), rows));
                 }
+                // per feature the corners still add in `CORNER_OFFSETS` order
+                // from zero
+                let (feats, _) = table.params().as_chunks::<F>();
+                let mut acc = [0.0f32; F];
+                for (rows, weights) in voxels.rows.iter().zip(&voxels.weights) {
+                    let (row, wi) = (&feats[rows[lane] as usize], weights[lane]);
+                    for (a, &f) in acc.iter_mut().zip(row) {
+                        *a += wi * f;
+                    }
+                }
+                *dst = acc;
             }
-            *dst = acc;
         }
     }
 

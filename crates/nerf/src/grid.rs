@@ -8,10 +8,13 @@
 //!
 //! [`GridConfig::level_resolution`] derives a level's resolution through
 //! `ln`/`exp`/`powi`; per-sample code reads a [`LevelPlan`] instead, which
-//! resolves each level's geometry once — as the address generator does.
+//! resolves each level's geometry once — as the address generator does —
+//! and the encoder reads eight levels' plans side by side, one level a
+//! vector lane, computing every level's dense and hashed rows at once.
 
 use crate::hash::{dense_index, spatial_hash, PRIMES};
-use asdr_math::interp::CORNER_OFFSETS;
+use crate::kernel::{floor_cell, LANES};
+use asdr_math::interp::{trilinear_weights, CORNER_OFFSETS};
 use asdr_math::Vec3;
 
 /// Configuration of the multi-resolution hash encoding.
@@ -30,6 +33,16 @@ pub struct GridConfig {
 }
 
 impl GridConfig {
+    /// Most levels a configuration may have (the paper's has 16).
+    pub const MAX_LEVELS: usize = 32;
+
+    /// Largest finest resolution: a scaled coordinate is then a float's exact
+    /// integer, and a vertex's coordinates and dense index fit a `u32`.
+    pub const MAX_RES: u32 = 1 << 16;
+
+    /// Longest table a level may have (the paper's is 2¹⁹).
+    pub const MAX_TABLE_SIZE: u32 = 1 << 24;
+
     /// The paper's configuration: 16 levels, 16→512, `T = 2^19`, `F = 2`.
     pub fn paper() -> Self {
         GridConfig { levels: 16, base_res: 16, max_res: 512, table_size: 1 << 19, feat_dim: 2 }
@@ -51,12 +64,13 @@ impl GridConfig {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if any field is degenerate (zero levels, non-power-of-
-    /// two table, resolutions out of order, a feature width other than 1, 2,
-    /// 4 or 8, …).
+    /// Returns `Err` if any field is degenerate or out of bounds (no levels
+    /// or more than [`Self::MAX_LEVELS`], resolutions out of order or above
+    /// [`Self::MAX_RES`], a table that is not a power of two or is longer than
+    /// [`Self::MAX_TABLE_SIZE`], a feature width other than 1, 2, 4 or 8, …).
     pub fn validate(&self) -> Result<(), String> {
-        if self.levels == 0 {
-            return Err("levels must be >= 1".into());
+        if !(1..=Self::MAX_LEVELS).contains(&self.levels) {
+            return Err(format!("levels {} is not in 1..={}", self.levels, Self::MAX_LEVELS));
         }
         if self.base_res < 2 {
             return Err("base_res must be >= 2".into());
@@ -64,8 +78,15 @@ impl GridConfig {
         if self.max_res < self.base_res {
             return Err(format!("max_res {} < base_res {}", self.max_res, self.base_res));
         }
-        if !self.table_size.is_power_of_two() {
-            return Err(format!("table_size {} is not a power of two", self.table_size));
+        if self.max_res > Self::MAX_RES {
+            return Err(format!("max_res {} > {}", self.max_res, Self::MAX_RES));
+        }
+        if !self.table_size.is_power_of_two() || self.table_size > Self::MAX_TABLE_SIZE {
+            return Err(format!(
+                "table_size {} is not a power of two up to {}",
+                self.table_size,
+                Self::MAX_TABLE_SIZE
+            ));
         }
         // Instant-NGP's own widths; the encoder has one instance per width
         if ![1, 2, 4, 8].contains(&self.feat_dim) {
@@ -184,14 +205,17 @@ impl LevelPlan {
     #[inline]
     pub fn voxel_of(&self, p01: Vec3) -> ((u32, u32, u32), Vec3) {
         let scaled = p01.clamp(0.0, 1.0) * self.res;
-        // `scaled` is never negative, so the truncating cast is `floor` —
-        // which the baseline x86-64 target would call into libm for
-        let cell = |s: f32| (s as u32).min(self.max_cell);
-        let (bx, by, bz) = (cell(scaled.x), cell(scaled.y), cell(scaled.z));
+        // the encoder's lanes find the cell with the same function
+        let max_cell = self.max_cell as f32;
+        let ((fx, bx), (fy, by), (fz, bz)) = (
+            floor_cell(scaled.x, max_cell),
+            floor_cell(scaled.y, max_cell),
+            floor_cell(scaled.z, max_cell),
+        );
         let frac = Vec3::new(
-            (scaled.x - bx as f32).clamp(0.0, 1.0),
-            (scaled.y - by as f32).clamp(0.0, 1.0),
-            (scaled.z - bz as f32).clamp(0.0, 1.0),
+            (scaled.x - fx).clamp(0.0, 1.0),
+            (scaled.y - fy).clamp(0.0, 1.0),
+            (scaled.z - fz).clamp(0.0, 1.0),
         );
         ((bx, by, bz), frac)
     }
@@ -228,6 +252,117 @@ impl LevelPlan {
                 })
             }
         }
+    }
+}
+
+/// Up to [`LANES`] levels' plans side by side, one level a lane — what the
+/// hybrid address generator (§5.2.1) latches for a block of levels. Each
+/// lane keeps the two multipliers its rows take per axis: `V` and `V²` for a
+/// dense level (`x + V·y + V²·z` is [`dense_index`]'s value), the hash primes
+/// for a hashed one. Lanes past the last level are padding nobody reads.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PlanLanes {
+    res: [f32; LANES],
+    max_cell: [f32; LANES],
+    y_mul: [u32; LANES],
+    z_mul: [u32; LANES],
+    hash_mask: [u32; LANES],
+    hashed: [bool; LANES],
+}
+
+/// One point located in a block of levels, lane by lane: the voxel's base
+/// vertex, the trilinear weights and the table rows of its eight corners,
+/// both in [`CORNER_OFFSETS`] order.
+#[derive(Debug, Clone)]
+pub(crate) struct Voxels {
+    pub(crate) base: [[u32; LANES]; 3],
+    pub(crate) weights: [[f32; LANES]; 8],
+    pub(crate) rows: [[u32; LANES]; 8],
+}
+
+impl PlanLanes {
+    /// `plans` in blocks of [`LANES`], the last block padded.
+    pub(crate) fn blocks<'a>(plans: impl IntoIterator<Item = &'a LevelPlan>) -> Vec<PlanLanes> {
+        let plans: Vec<&LevelPlan> = plans.into_iter().collect();
+        plans
+            .chunks(LANES)
+            .map(|block| {
+                // a padding lane: one cell, rows 0
+                let mut lanes = PlanLanes {
+                    res: [1.0; LANES],
+                    max_cell: [0.0; LANES],
+                    y_mul: [0; LANES],
+                    z_mul: [0; LANES],
+                    hash_mask: [0; LANES],
+                    hashed: [false; LANES],
+                };
+                for (lane, plan) in block.iter().enumerate() {
+                    let v = plan.vertex_res;
+                    lanes.res[lane] = plan.res;
+                    lanes.max_cell[lane] = plan.max_cell as f32;
+                    (lanes.y_mul[lane], lanes.z_mul[lane], lanes.hash_mask[lane]) =
+                        match plan.hash_mask {
+                            None => (v, v * v, u32::MAX),
+                            Some(mask) => (PRIMES.1, PRIMES.2, mask),
+                        };
+                    lanes.hashed[lane] = plan.hash_mask.is_some();
+                }
+                lanes
+            })
+            .collect()
+    }
+
+    /// Locates `p01` in every level of the block at once: [`Self::lane`]
+    /// side by side.
+    #[inline(always)]
+    pub(crate) fn locate(&self, p01: Vec3) -> Voxels {
+        let p = p01.clamp(0.0, 1.0);
+        // three arrays, not one struct: a 608-byte struct is zeroed by a call
+        let mut base = [[0; LANES]; 3];
+        let mut weights = [[0.0; LANES]; 8];
+        let mut rows = [[0; LANES]; 8];
+        for lane in 0..LANES {
+            let (b, w, r) = self.lane(lane, p);
+            (base[0][lane], base[1][lane], base[2][lane]) = b;
+            for corner in 0..8 {
+                (weights[corner][lane], rows[corner][lane]) = (w[corner], r[corner]);
+            }
+        }
+        Voxels { base, weights, rows }
+    }
+
+    /// Level `lane` of the block at `p`, a point in `[0,1]³`: what
+    /// [`LevelPlan::voxel_of`], `trilinear_weights` and
+    /// [`LevelPlan::corner_rows`] give that level — the voxel's base vertex,
+    /// then per corner its weight and its row, the dense and the hashed row
+    /// both computed and one kept.
+    #[inline(always)]
+    pub(crate) fn lane(&self, lane: usize, p: Vec3) -> ((u32, u32, u32), [f32; 8], [u32; 8]) {
+        let (res, max_cell) = (self.res[lane], self.max_cell[lane]);
+        let (sx, sy, sz) = (p.x * res, p.y * res, p.z * res);
+        let ((fx, bx), (fy, by), (fz, bz)) =
+            (floor_cell(sx, max_cell), floor_cell(sy, max_cell), floor_cell(sz, max_cell));
+        let w = trilinear_weights(
+            (sx - fx).clamp(0.0, 1.0),
+            (sy - fy).clamp(0.0, 1.0),
+            (sz - fz).clamp(0.0, 1.0),
+        );
+        // the y and z terms once per plane, as `corner_rows` does; the far
+        // plane's is the near one's plus the multiplier, an add for a multiply
+        let (y_mul, z_mul) = (self.y_mul[lane], self.z_mul[lane]);
+        let (y, z) = (by.wrapping_mul(y_mul), bz.wrapping_mul(z_mul));
+        let xs = [bx, bx + 1];
+        let ys = [y, y.wrapping_add(y_mul)];
+        let zs = [z, z.wrapping_add(z_mul)];
+        // a loop, not `CORNER_OFFSETS.map`: its closure is not always inlined
+        let mut rows = [0; 8];
+        for (row, (dx, dy, dz)) in rows.iter_mut().zip(CORNER_OFFSETS) {
+            let (x, y, z) = (xs[dx as usize], ys[dy as usize], zs[dz as usize]);
+            let dense = x.wrapping_add(y).wrapping_add(z);
+            let hashed = (x ^ y ^ z) & self.hash_mask[lane];
+            *row = if self.hashed[lane] { hashed } else { dense };
+        }
+        ((bx, by, bz), w, rows)
     }
 }
 
@@ -302,6 +437,22 @@ mod tests {
         let mut c = GridConfig::tiny();
         c.max_res = 4; // below base
         assert!(c.validate().is_err());
+        // the bounds themselves are admitted, one past them is not
+        let at = GridConfig {
+            levels: GridConfig::MAX_LEVELS,
+            max_res: GridConfig::MAX_RES,
+            table_size: GridConfig::MAX_TABLE_SIZE,
+            ..GridConfig::tiny()
+        };
+        at.validate().unwrap();
+        for past in [
+            GridConfig { levels: GridConfig::MAX_LEVELS + 1, ..at.clone() },
+            GridConfig { max_res: GridConfig::MAX_RES + 1, ..at.clone() },
+            GridConfig { max_res: u32::MAX, ..at.clone() },
+            GridConfig { table_size: GridConfig::MAX_TABLE_SIZE * 2, ..at.clone() },
+        ] {
+            assert!(past.validate().is_err(), "{past:?}");
+        }
     }
 
     #[test]

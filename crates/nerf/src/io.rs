@@ -266,7 +266,7 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
     }
     let bounds = Aabb::new(Vec3::new(v[0], v[1], v[2]), Vec3::new(v[3], v[4], v[5]));
     let res = r_u32(r)? as usize;
-    if res == 0 || res > 1024 {
+    if res == 0 || res > OccupancyGrid::MAX_RES {
         return Err(LoadError::Corrupt("implausible occupancy resolution"));
     }
     let n_bytes = r_u32(r)? as usize;
@@ -419,6 +419,34 @@ mod tests {
             assert!(matches!(err, LoadError::Corrupt("invalid bounds")), "{bad}: {err}");
         }
         assert!(load_model(&mut buf.as_slice()).is_ok(), "the untouched file still loads");
+    }
+
+    #[test]
+    fn grid_configs_out_of_bounds_are_rejected_as_corrupt() {
+        let model = fitted("Mic");
+        let mut buf = Vec::new();
+        save_model(&model, "Mic", &mut buf).unwrap();
+        // levels, base_res, max_res, table_size, feat_dim follow the name
+        let header = 8 + 4 + 4 + "Mic".len();
+        let tiny = GridConfig::tiny();
+        let (levels, base, max, table) = (8, tiny.base_res, tiny.max_res, tiny.table_size);
+        for fields in [
+            // loaded, then panicked at the first encode: a table of 0 rows
+            [2, 2, u32::MAX, table],
+            [levels, base, GridConfig::MAX_RES + 1, table],
+            [GridConfig::MAX_LEVELS as u32 + 1, base, max, table],
+            [u32::MAX, base, max, table],
+            [levels, base, max, GridConfig::MAX_TABLE_SIZE * 2],
+        ] {
+            let mut bad = buf.clone();
+            for (i, v) in fields.into_iter().enumerate() {
+                bad[header + 4 * i..header + 4 * i + 4].copy_from_slice(&v.to_le_bytes());
+            }
+            match load_model(&mut bad.as_slice()) {
+                Err(LoadError::Corrupt("invalid grid config")) => {}
+                other => panic!("{fields:?}: {:?}", other.map(|c| c.scene)),
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,162 @@
+//! The run-time choice of kernel instantiation, and what the lane bodies share.
+//!
+//! Three kernel bodies run with vector lanes across independent items:
+//! [`Dense`](crate::mlp::Dense) across a layer's outputs,
+//! [`HashEncoder`](crate::encoder::HashEncoder) across resolution levels and
+//! [`OccupancyGrid::occupied_along`](crate::occupancy::OccupancyGrid::occupied_along)
+//! across a ray's samples. Each is written once, as plain safe Rust that LLVM
+//! vectorises, and `run_on` compiles it twice: for the build's baseline
+//! target and inlined into a function with AVX2 enabled, picked per call from
+//! what the CPU reports (DESIGN.md §8).
+
+/// Lanes of the encoder's and the occupancy pass's blocks: one 256-bit
+/// register of `f32` or `u32` under AVX2, two under the baseline's SSE2.
+pub(crate) const LANES: usize = 8;
+
+/// An instantiation of the kernel bodies. The product runs the widest the
+/// CPU offers; tests and benches name one through the `_on` methods
+/// ([`Dense::forward_on`](crate::mlp::Dense::forward_on),
+/// [`HashEncoder::encode_on`](crate::encoder::HashEncoder::encode_on),
+/// [`OccupancyGrid::occupied_along_on`](crate::occupancy::OccupancyGrid::occupied_along_on))
+/// to hold each to the same oracle.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Compiled for the build's baseline target: all that exists off x86-64.
+    Portable,
+    /// The same bodies compiled with AVX2, never `fma`; a CPU without AVX2 runs `Portable` instead.
+    Avx2,
+}
+
+impl Kernel {
+    /// The instantiations this CPU runs, widest last.
+    pub fn available() -> &'static [Kernel] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return &[Kernel::Portable, Kernel::Avx2];
+        }
+        &[Kernel::Portable]
+    }
+}
+
+/// The instantiation every kernel body runs on this host: `"avx2"` or
+/// `"portable"`.
+pub fn kernel_name() -> &'static str {
+    match Kernel::available() {
+        [.., Kernel::Avx2] => "avx2",
+        _ => "portable",
+    }
+}
+
+/// Runs `body(this, args, out)` on `kernel`, or on [`Kernel::Portable`]
+/// where the CPU lacks it: the one `unsafe` of the renderer (DESIGN.md §8).
+/// `body` must be an `#[inline(always)]` closure around an
+/// `#[inline(always)]` kernel body, or the AVX2 instantiation is a call into
+/// baseline code. It captures nothing: what it reads and writes reaches it as
+/// arguments, as it would a plain function. (A `Dense` pass whose layer and
+/// inputs were captured ran 5–10 % slower: the compiler no longer knew that
+/// writing `out` leaves them unchanged.)
+#[allow(unsafe_code)]
+#[inline(always)]
+pub(crate) fn run_on<T: ?Sized, A, O: ?Sized, R>(
+    kernel: Kernel,
+    this: &T,
+    args: A,
+    out: &mut O,
+    body: impl FnOnce(&T, A, &mut O) -> R,
+) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the line above saw AVX2, all `widened` enables, on this CPU.
+        return unsafe { widened(this, args, out, body) };
+    }
+    body(this, args, out)
+}
+
+/// `body` inlined into a function whose vectors are 256 bits wide. AVX2
+/// only: without `fma` no multiply and add can fuse.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn widened<T: ?Sized, A, O: ?Sized, R>(
+    this: &T,
+    args: A,
+    out: &mut O,
+    body: impl FnOnce(&T, A, &mut O) -> R,
+) -> R {
+    body(this, args, out)
+}
+
+/// The cell a scaled coordinate `s` falls in, `⌊s⌋` clamped into
+/// `0..=max_cell`, as a float and as an integer; `NaN` is in cell 0.
+/// `max_cell` is a whole number below 2²³.
+///
+/// Both `floor` (a libm call on the baseline target) and a saturating `as`
+/// cast (a dozen instructions a lane) would keep the lanes scalar. Adding
+/// 2²³ rounds `s` to a whole number, whose value is then the float's low
+/// mantissa bits; a round up is corrected down by one.
+#[inline(always)]
+pub(crate) fn floor_cell(s: f32, max_cell: f32) -> (f32, u32) {
+    // 2²³: from here up, the unit in the last place is 1
+    const ROUND: f32 = 8_388_608.0;
+    // `NaN > 0.0` is false; ⌊min(s, max_cell)⌋ is min(⌊s⌋, max_cell) for a
+    // whole `max_cell`; written `a > b ? a : b` and `a < b ? a : b`, each is
+    // one vector max or min
+    let s = if s > 0.0 { s } else { 0.0 };
+    let s = if s < max_cell { s } else { max_cell };
+    let rounded = s + ROUND;
+    let near = rounded - ROUND;
+    let up = near > s;
+    let base = if up { near - 1.0 } else { near };
+    let cell = (rounded.to_bits() - ROUND.to_bits()) - up as u32;
+    (base, cell)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_dispatched_kernel_is_the_widest_the_host_reports() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(kernel_name() == "avx2", avx2);
+        assert_eq!(kernel_name() == "portable", !avx2);
+        assert_eq!(Kernel::available().first(), Some(&Kernel::Portable));
+        assert_eq!(Kernel::available().contains(&Kernel::Avx2), avx2);
+    }
+
+    /// What the cell was before: a truncating cast, clamped.
+    fn cast_cell(s: f32, max_cell: u32) -> (f32, u32) {
+        let c = (s as u32).min(max_cell);
+        (c as f32, c)
+    }
+
+    #[test]
+    fn the_cell_is_the_clamped_truncation_on_every_float_near_a_cell_plane() {
+        let bits = |(f, c): (f32, u32)| (f.to_bits(), c);
+        for max_cell in [0u32, 1, 6, 63, 1023, 65_535] {
+            let m = max_cell as f32;
+            let mut probes = vec![0.0, -0.0, f32::NAN, f32::MIN_POSITIVE, 1e-40, -1e-40, -0.5];
+            probes.extend([m + 0.5, 1e30, f32::INFINITY, f32::NEG_INFINITY, -1e30]);
+            for k in (0..=max_cell.min(2000) + 1).chain(max_cell.saturating_sub(2)..=max_cell + 1) {
+                let c = k as f32;
+                let mut below = c;
+                let mut above = c;
+                for _ in 0..4 {
+                    probes.extend([below, above, c + 0.5, c + 0.25]);
+                    (below, above) = (below.next_down(), above.next_up());
+                }
+            }
+            for s in probes {
+                assert_eq!(
+                    bits(floor_cell(s, m)),
+                    bits(cast_cell(s, max_cell)),
+                    "s {s} ({:#x}), max_cell {max_cell}",
+                    s.to_bits()
+                );
+            }
+        }
+    }
+}

@@ -11,6 +11,8 @@
 //!   interpolation, plus the vertex/address introspection the architecture
 //!   simulator consumes,
 //! * [`mlp`] — dense MLPs with FLOP accounting,
+//! * [`kernel`] — which instantiation of the kernel bodies (the MLP layer,
+//!   the encoder, the occupancy pass) this CPU runs,
 //! * [`model`] — the combined NGP model (density MLP + color MLP),
 //! * [`fit`] — building a model from an analytic [`asdr_scenes::SceneField`]
 //!   (the offline substitute for training; see DESIGN.md §1) and an SGD
@@ -30,7 +32,7 @@
 //! assert!(sigma > 1.0); // inside the mic head
 //! ```
 
-// the one exception is `mlp::Dense::run`, the run-time choice of kernel
+// the one exception is `kernel::run_on`, the run-time choice of kernel
 // instantiation (DESIGN.md §8); its `unsafe` block must say why it is sound
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -44,6 +46,7 @@ pub mod fit;
 pub mod grid;
 pub mod hash;
 pub mod io;
+pub mod kernel;
 pub mod mlp;
 pub mod model;
 pub mod occupancy;

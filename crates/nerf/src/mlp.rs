@@ -11,6 +11,7 @@
 //! output is the same left-to-right sum a scalar row dot product gives
 //! (DESIGN.md §8).
 
+use crate::kernel::{run_on, Kernel};
 use std::fmt;
 
 /// Activation applied after a layer.
@@ -91,38 +92,6 @@ impl Clone for AlignedRow {
 impl PartialEq for AlignedRow {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
-    }
-}
-
-/// An instantiation of [`Dense`]'s one kernel body (DESIGN.md §8). Every
-/// product pass runs the widest; tests and benches name one through
-/// [`Dense::prefix_on`] / [`Dense::forward_on`] to hold each to the same oracle.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Compiled for the build's baseline target: all that exists off x86-64.
-    Portable,
-    /// The same body compiled with AVX2, never `fma`; a CPU without AVX2 runs `Portable` instead.
-    Avx2,
-}
-
-impl Kernel {
-    /// The instantiations this CPU runs, widest last.
-    pub fn available() -> &'static [Kernel] {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return &[Kernel::Portable, Kernel::Avx2];
-        }
-        &[Kernel::Portable]
-    }
-}
-
-/// The instantiation of the kernel body every [`Dense`] pass runs on this
-/// host: `"avx2"` or `"portable"`.
-pub fn kernel_name() -> &'static str {
-    match Kernel::available() {
-        [.., Kernel::Avx2] => "avx2",
-        _ => "portable",
     }
 }
 
@@ -318,32 +287,35 @@ impl Dense {
     /// can see, never from an option.
     fn run(&self, kernel: Kernel, pass: Pass<'_>, out: &mut [f32]) {
         if out.len() <= NARROW_LANES {
-            self.run_on::<NARROW_LANES>(kernel, pass, out);
+            self.run_at::<NARROW_LANES, NARROW_LANES>(kernel, pass, out);
         } else if out.len() <= 2 * MID_LANES {
-            self.run_on::<MID_LANES>(kernel, pass, out);
+            self.run_at::<MID_LANES, { 2 * MID_LANES }>(kernel, pass, out);
         } else {
-            self.run_on::<LANES>(kernel, pass, out);
+            self.run_at::<LANES, { usize::MAX }>(kernel, pass, out);
         }
     }
 
-    /// Runs the kernel body on `kernel`, or on [`Kernel::Portable`] where the
-    /// CPU lacks it: the one `unsafe` of the renderer (DESIGN.md §8).
-    #[allow(unsafe_code)]
-    fn run_on<const N: usize>(&self, kernel: Kernel, pass: Pass<'_>, out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if kernel == Kernel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the line above saw AVX2, all `widened` enables, on this CPU.
-            return unsafe { self.widened::<N>(pass, out) };
-        }
-        self.accumulate::<N>(pass, out);
-    }
-
-    /// The kernel body again, inlined into a function whose vectors are 256
-    /// bits wide. AVX2 only: without `fma` no multiply and add can fuse.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn widened<const N: usize>(&self, pass: Pass<'_>, out: &mut [f32]) {
-        self.accumulate::<N>(pass, out);
+    /// The kernel body at block width `N` on `kernel` (see [`run_on`]), for
+    /// at most `MAX` outputs. The bound is stated again inside the dispatched
+    /// closure, where the body is compiled: at 4 outputs or fewer no output
+    /// reaches the pair's second block, and the compiler drops its loop.
+    fn run_at<const N: usize, const MAX: usize>(
+        &self,
+        kernel: Kernel,
+        pass: Pass<'_>,
+        out: &mut [f32],
+    ) {
+        run_on(
+            kernel,
+            self,
+            pass,
+            out,
+            #[inline(always)]
+            |layer, pass, out| {
+                let n = out.len().min(MAX);
+                layer.accumulate::<N>(pass, &mut out[..n]);
+            },
+        );
     }
 
     /// The one kernel body: `out[j] = act(init[j] + Σ w[skip + i][j]·x[i])`
@@ -507,18 +479,6 @@ mod tests {
             l.set(i, i, 1.0);
         }
         l
-    }
-
-    #[test]
-    fn the_dispatched_kernel_is_the_widest_the_host_reports() {
-        #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        assert_eq!(kernel_name() == "avx2", avx2);
-        assert_eq!(kernel_name() == "portable", !avx2);
-        assert_eq!(Kernel::available().first(), Some(&Kernel::Portable));
-        assert_eq!(Kernel::available().contains(&Kernel::Avx2), avx2);
     }
 
     /// Whether both of a layer's rows start on a `ROW_ALIGN`-byte boundary.

@@ -10,6 +10,7 @@
 //! it lets the renderer skip those cells too: a masked sample is exactly
 //! zero, so not evaluating it cannot change a pixel.
 
+use crate::kernel::{floor_cell, run_on, Kernel, LANES};
 use asdr_math::interp::CORNER_OFFSETS;
 use asdr_math::par::{self, detected_workers};
 use asdr_math::{Aabb, Ray, Vec3};
@@ -31,6 +32,66 @@ fn set_bit(bits: &mut [u8], i: usize) {
     bits[i / 8] |= 1 << (i % 8);
 }
 
+/// Samples the pass takes at a time: four blocks of [`LANES`]. One block is
+/// one chain of dependent vector operations, a divide and two integer
+/// multiplies long; four in flight overlap, and read 4.3 ns a sample on the
+/// 24 `render_fixed` views where one block read 7.4 (DESIGN.md §8).
+const CHUNK: usize = 4 * LANES;
+
+/// The box and the cells of a grid, as a point test reads them: loaded once
+/// for a pass, so a block of samples is straight-line arithmetic.
+#[derive(Clone, Copy)]
+struct Lookup {
+    min: Vec3,
+    max: Vec3,
+    extent: Vec3,
+    scale: f32,
+    max_cell: f32,
+    /// Cells per row and per plane: the strides of `y` and `z`.
+    strides: (u32, u32),
+}
+
+impl Lookup {
+    /// Where the answer for world point `p` is kept: the byte of its cell
+    /// ([`Aabb::normalize`], then [`Self::cell_of`]) and the cell's bit in
+    /// it — or bit 8, which no byte has, when `p` is outside the box
+    /// ([`Aabb::contains`], every comparison made).
+    #[inline(always)]
+    fn locate(&self, p: Vec3) -> (u32, u32) {
+        let (min, max, e) = (self.min, self.max, self.extent);
+        let inside = (p.x >= min.x)
+            & (p.y >= min.y)
+            & (p.z >= min.z)
+            & (p.x <= max.x)
+            & (p.y <= max.y)
+            & (p.z <= max.z);
+        let p01 = Vec3::new((p.x - min.x) / e.x, (p.y - min.y) / e.y, (p.z - min.z) / e.z);
+        let cell = self.cell_of(p01);
+        (cell / 8, if inside { cell % 8 } else { 8 })
+    }
+
+    /// Index of the cell holding normalized `p01`, clamped into the grid:
+    /// the one definition of "which cell" the per-point tests and the pass
+    /// share. The three coordinates combine in integers (`res³` may pass
+    /// 2²⁴, where floats stop being exact), `x + res·y + res²·z`: the two
+    /// products are independent, unlike `x + res·(y + res·z)`'s.
+    #[inline(always)]
+    fn cell_of(&self, p01: Vec3) -> u32 {
+        // `floor_cell` clamps, so outside [0, 1] (and NaN) needs no clamp first
+        let cell = |u: f32| floor_cell(u * self.scale, self.max_cell).1;
+        let (row, plane) = self.strides;
+        cell(p01.x) + row * cell(p01.y) + plane * cell(p01.z)
+    }
+}
+
+/// `Err` unless `1 <= res <= MAX_RES`.
+fn check_res(res: usize) -> Result<(), String> {
+    if !(1..=OccupancyGrid::MAX_RES).contains(&res) {
+        return Err(format!("resolution {res} is not in 1..={}", OccupancyGrid::MAX_RES));
+    }
+    Ok(())
+}
+
 fn pack(cells: &[bool]) -> Vec<u8> {
     let mut bits = vec![0u8; cells.len().div_ceil(8)];
     for (i, _) in cells.iter().enumerate().filter(|(_, &c)| c) {
@@ -44,6 +105,10 @@ impl OccupancyGrid {
     /// scaled down to our single level.
     pub const DEFAULT_RES: usize = 64;
 
+    /// Largest resolution a grid may have: a cell index then fits a `u32`
+    /// (1024³ = 2³⁰) and a scaled coordinate a float's exact integers.
+    pub const MAX_RES: usize = 1024;
+
     /// Builds the grid by probing `field.density` at cell corners and
     /// dilating by one cell (so interpolation transition zones count as
     /// occupied). The corners are probed on the process's worker budget
@@ -51,7 +116,7 @@ impl OccupancyGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `res == 0`.
+    /// Panics if `res` is 0 or above [`Self::MAX_RES`].
     pub fn build(field: &dyn SceneField, res: usize) -> Self {
         Self::build_on(field, res, detected_workers())
     }
@@ -59,7 +124,7 @@ impl OccupancyGrid {
     /// [`Self::build`] with the corners probed by z-slice on `workers`
     /// threads; the grid is the same for every count.
     pub(crate) fn build_on(field: &dyn SceneField, res: usize, workers: usize) -> Self {
-        assert!(res > 0);
+        assert!((1..=Self::MAX_RES).contains(&res), "occupancy resolution {res}");
         let bounds = field.bounds();
         let v = res + 1;
         let mut probe = vec![false; v * v * v];
@@ -123,8 +188,10 @@ impl OccupancyGrid {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if `cells.len() != res³` or `res == 0`.
+    /// Returns `Err` if `cells.len() != res³` or `res` is 0 or above
+    /// [`Self::MAX_RES`].
     pub fn from_cells(res: usize, bounds: Aabb, cells: Vec<bool>) -> Result<Self, String> {
+        check_res(res)?;
         if cells.len() != res * res * res {
             return Err(format!("expected {} cells, got {}", res * res * res, cells.len()));
         }
@@ -136,12 +203,11 @@ impl OccupancyGrid {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if `bits.len() != ⌈res³ / 8⌉` or `res == 0`.
+    /// Returns `Err` if `bits.len() != ⌈res³ / 8⌉` or `res` is 0 or above
+    /// [`Self::MAX_RES`].
     pub fn from_bits(res: usize, bounds: Aabb, mut bits: Vec<u8>) -> Result<Self, String> {
+        check_res(res)?;
         let n = res * res * res;
-        if res == 0 {
-            return Err("resolution must be positive".into());
-        }
         if bits.len() != n.div_ceil(8) {
             return Err(format!("expected {} bytes, got {}", n.div_ceil(8), bits.len()));
         }
@@ -167,12 +233,8 @@ impl OccupancyGrid {
     /// Whether a normalized `[0,1]^3` point lies in an occupied cell.
     #[inline]
     pub fn occupied01(&self, p01: Vec3) -> bool {
-        let r = self.res as f32;
-        // the product is in [0, res] or NaN, where `as u32` truncates as
-        // `as usize` does (NaN to 0) at a fraction of the cost
-        let cell = |u: f32| ((u.clamp(0.0, 1.0) * r) as u32 as usize).min(self.res - 1);
-        let i = cell(p01.x) + self.res * (cell(p01.y) + self.res * cell(p01.z));
-        self.bits[i / 8] & (1 << (i % 8)) != 0
+        let cell = self.lookup().cell_of(p01);
+        self.read((cell / 8, cell % 8))
     }
 
     /// Whether a world-space point lies in an occupied cell (points outside
@@ -180,7 +242,7 @@ impl OccupancyGrid {
     /// index is clamped into the grid — so the answer has no branch.
     #[inline]
     pub fn occupied_world(&self, p: Vec3) -> bool {
-        self.bounds.contains(p) & self.occupied01(self.bounds.normalize(p))
+        self.read(self.lookup().locate(p))
     }
 
     /// [`Self::occupied_world`] at `ray.at(t)` for every `t` of `ts`, in
@@ -192,8 +254,77 @@ impl OccupancyGrid {
         ts: impl IntoIterator<Item = f32>,
         out: &mut Vec<bool>,
     ) {
+        self.occupied_along_on(Kernel::Avx2, ray, ts, out);
+    }
+
+    /// [`Self::occupied_along`] on the instantiation named: for tests and
+    /// benches, never the product.
+    #[doc(hidden)]
+    pub fn occupied_along_on(
+        &self,
+        kernel: Kernel,
+        ray: &Ray,
+        ts: impl IntoIterator<Item = f32>,
+        out: &mut Vec<bool>,
+    ) {
+        run_on(
+            kernel,
+            self,
+            (*ray, ts),
+            out,
+            #[inline(always)]
+            |grid, (ray, ts), out| grid.pass(ray, ts, out),
+        );
+    }
+
+    /// The pass's one body: the samples in chunks of [`CHUNK`], each chunk's
+    /// points located side by side ([`Lookup::locate`]), [`LANES`] a vector,
+    /// then its bits read one by one — [`Self::occupied_world`] split at the
+    /// read.
+    #[inline(always)]
+    fn pass(&self, ray: Ray, ts: impl IntoIterator<Item = f32>, out: &mut Vec<bool>) {
         out.clear();
-        out.extend(ts.into_iter().map(|t| self.occupied_world(ray.at(t))));
+        let lookup = self.lookup();
+        let mut ts = ts.into_iter();
+        loop {
+            let mut chunk = [0.0f32; CHUNK];
+            let n = chunk.iter_mut().zip(&mut ts).map(|(slot, t)| *slot = t).count();
+            let (mut bytes, mut shifts) = ([0u32; CHUNK], [0u32; CHUNK]);
+            for ((&t, byte), shift) in chunk.iter().zip(&mut bytes).zip(&mut shifts) {
+                (*byte, *shift) = lookup.locate(ray.at(t));
+            }
+            let mut occupied = [false; CHUNK];
+            for ((o, &byte), &shift) in occupied.iter_mut().zip(&bytes).zip(&shifts) {
+                *o = self.read((byte, shift));
+            }
+            // a whole chunk is a fixed-size copy, the tail cut off after it
+            let len = out.len();
+            out.extend_from_slice(&occupied);
+            out.truncate(len + n);
+            if n < CHUNK {
+                return;
+            }
+        }
+    }
+
+    /// What a point test reads of the grid.
+    #[inline(always)]
+    fn lookup(&self) -> Lookup {
+        let res = self.res as u32;
+        Lookup {
+            min: self.bounds.min,
+            max: self.bounds.max,
+            extent: self.bounds.extent(),
+            scale: res as f32,
+            max_cell: (res - 1) as f32,
+            strides: (res, res * res),
+        }
+    }
+
+    /// Bit `shift` of byte `byte`: 0 when `shift` is 8.
+    #[inline(always)]
+    fn read(&self, (byte, shift): (u32, u32)) -> bool {
+        (u32::from(self.bits[byte as usize]) >> shift) & 1 != 0
     }
 
     /// Fraction of occupied cells.

@@ -7,7 +7,8 @@ use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::encoder::{HashEncoder, VertexAccess};
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::hash::{dense_index, spatial_hash};
-use asdr_nerf::mlp::{Activation, Dense, Kernel, Mlp};
+use asdr_nerf::kernel::Kernel;
+use asdr_nerf::mlp::{Activation, Dense, Mlp};
 use asdr_nerf::model::{RadianceModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
 use asdr_nerf::occupancy::OccupancyGrid;
 use asdr_nerf::tensorf::{TensoRfConfig, TensoRfModel};
@@ -39,18 +40,37 @@ fn tiny_encoder_with(fill: u64) -> HashEncoder {
     encoder_with(GridConfig::tiny(), fill)
 }
 
-/// The encoders the kernel-identity properties run against: the two shipped
-/// configurations and every other feature width `GridConfig::validate`
-/// admits (built once; `small()` is 4 MB).
+/// The encoders the kernel-identity properties run against: the three
+/// shipped configurations, every other feature width `GridConfig::validate`
+/// admits, and at every width a level count that leaves the last block of 8
+/// lanes part padding (built once; `paper()` is 60 MB).
 fn oracle_encoders() -> &'static [HashEncoder] {
     static ENCODERS: std::sync::OnceLock<Vec<HashEncoder>> = std::sync::OnceLock::new();
     ENCODERS.get_or_init(|| {
         let width = |feat_dim| GridConfig { feat_dim, ..GridConfig::tiny() };
-        [GridConfig::tiny(), GridConfig::small(), width(1), width(4), width(8)]
-            .into_iter()
-            .zip(1..)
-            .map(|(cfg, fill)| encoder_with(cfg, fill))
-            .collect()
+        let padded = |levels, max_res, feat_dim| GridConfig {
+            levels,
+            max_res,
+            feat_dim,
+            ..GridConfig::tiny()
+        };
+        [
+            GridConfig::tiny(),
+            GridConfig::small(),
+            GridConfig::paper(),
+            width(1),
+            width(4),
+            width(8),
+            padded(1, 8, 2),
+            padded(5, 64, 1),
+            padded(9, 128, 2),
+            padded(13, 512, 4),
+            padded(31, 1024, 8),
+        ]
+        .into_iter()
+        .zip(1..)
+        .map(|(cfg, fill)| encoder_with(cfg, fill))
+        .collect()
     })
 }
 
@@ -86,24 +106,36 @@ fn encode_oracle(enc: &HashEncoder, p01: Vec3, out: &mut [f32], trace: &mut Vec<
 }
 
 /// `encode`, `encode_traced` and `vertex_accesses` against the oracle at
-/// one point, bit for bit.
+/// one point, bit for bit, and both forms of `encode` on every
+/// instantiation the host offers.
 fn assert_encode_matches_oracle(enc: &HashEncoder, p: Vec3) {
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     let (mut want, mut want_trace) = (vec![0.0; enc.encoded_dim()], Vec::new());
     encode_oracle(enc, p, &mut want, &mut want_trace);
+    let (levels, f) = (enc.config().levels, enc.config().feat_dim);
+    let shape = format!("{levels} levels x F = {f} at {p:?}");
     let mut got = vec![f32::NAN; enc.encoded_dim()];
     enc.encode(p, &mut got);
-    assert_eq!(bits(&got), bits(&want), "encode differs from the oracle at {p:?}");
+    assert_eq!(bits(&got), bits(&want), "encode differs from the oracle, {shape}");
     let (mut traced, mut trace) = (vec![f32::NAN; enc.encoded_dim()], Vec::new());
     enc.encode_traced(p, &mut traced, &mut trace);
-    assert_eq!(bits(&traced), bits(&want), "encode_traced differs from the oracle at {p:?}");
-    assert_eq!(trace, want_trace, "traced accesses differ from the oracle at {p:?}");
-    for level in 0..enc.config().levels {
+    assert_eq!(bits(&traced), bits(&want), "encode_traced differs from the oracle, {shape}");
+    assert_eq!(trace, want_trace, "traced accesses differ from the oracle, {shape}");
+    for level in 0..levels {
         assert_eq!(
             enc.vertex_accesses(p, level)[..],
             want_trace[level * 8..(level + 1) * 8],
-            "vertex_accesses differ from the oracle at {p:?}, level {level}"
+            "vertex_accesses differ from the oracle, {shape}, level {level}"
         );
+    }
+    for &kernel in kernels_under_test() {
+        let mut got = vec![f32::NAN; enc.encoded_dim()];
+        enc.encode_on(kernel, p, &mut got, None);
+        assert_eq!(bits(&got), bits(&want), "encode on {kernel:?} differs, {shape}");
+        let (mut traced, mut trace) = (vec![f32::NAN; enc.encoded_dim()], Vec::new());
+        enc.encode_on(kernel, p, &mut traced, Some(&mut trace));
+        assert_eq!(bits(&traced), bits(&want), "encode_traced on {kernel:?} differs, {shape}");
+        assert_eq!(trace, want_trace, "traced accesses on {kernel:?} differ, {shape}");
     }
 }
 
@@ -131,10 +163,11 @@ fn dense_layer(in_dim: usize, out_dim: usize, act: Activation, w: &[f32], bias: 
     layer
 }
 
-/// The instantiations of the kernel body the `Dense` properties run on. A
-/// host without AVX2 cannot run that one; say so once instead of letting its
-/// rows pass unseen — straight to stderr, which the test harness does not
-/// capture, so a plain `cargo test` shows it.
+/// The instantiations of the kernel bodies the `Dense`, encoder and
+/// occupancy-pass properties run on. A host without AVX2 cannot run that
+/// one; say so once instead of letting its rows pass unseen — straight to
+/// stderr, which the test harness does not capture, so a plain `cargo test`
+/// shows it.
 fn kernels_under_test() -> &'static [Kernel] {
     use std::io::Write;
     static SAY_ONCE: std::sync::Once = std::sync::Once::new();
@@ -142,7 +175,7 @@ fn kernels_under_test() -> &'static [Kernel] {
         if !Kernel::available().contains(&Kernel::Avx2) {
             let _ = writeln!(
                 std::io::stderr(),
-                "SKIPPED: this CPU reports no AVX2: no Kernel::Avx2 row of the Dense properties ran"
+                "SKIPPED: this CPU reports no AVX2: no Kernel::Avx2 row of the kernel properties ran"
             );
         }
     });
@@ -524,6 +557,27 @@ fn odd_grids() -> &'static [(OccupancyGrid, NgpModel)] {
     })
 }
 
+/// A res-1024 grid (the largest a grid may be: `res³` is 2³⁰, past the 2²⁴
+/// where floats stop counting cells exactly) over the first odd box, about
+/// half its cells set. Written as bits, 128 MiB, built once and with no
+/// model around it.
+fn wide_grid() -> &'static OccupancyGrid {
+    static GRID: std::sync::OnceLock<OccupancyGrid> = std::sync::OnceLock::new();
+    GRID.get_or_init(|| {
+        let res = OccupancyGrid::MAX_RES;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bits = (0..(res * res * res).div_ceil(8))
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        OccupancyGrid::from_bits(res, odd_boxes()[0], bits).expect("⌈res³ / 8⌉ bytes")
+    })
+}
+
 /// The TensoRF and DVGO fits of Lego, made once.
 fn fitted_grid_models() -> &'static (TensoRfModel, DvgoModel) {
     static MODELS: std::sync::OnceLock<(TensoRfModel, DvgoModel)> = std::sync::OnceLock::new();
@@ -534,8 +588,21 @@ fn fitted_grid_models() -> &'static (TensoRfModel, DvgoModel) {
     })
 }
 
-/// What `pass` leaves in a buffer that held stale entries, against
-/// `occupied_world(ray.at(t))` of `grid` for every `t` of `ts`.
+/// The per-point test as it was before the pass ran in lanes: `contains`,
+/// `normalize`, then per axis a clamped truncating cast, the cells combined
+/// in `usize`. Kept as the scalar oracle of the pass and of
+/// `occupied_world`.
+fn occupied_oracle(grid: &OccupancyGrid, p: Vec3) -> bool {
+    let (b, res) = (grid.bounds(), grid.res());
+    let u = b.normalize(p);
+    let cell = |u: f32| ((u.clamp(0.0, 1.0) * res as f32) as usize).min(res - 1);
+    let i = cell(u.x) + res * (cell(u.y) + res * cell(u.z));
+    b.contains(p) && grid.bits()[i / 8] & (1 << (i % 8)) != 0
+}
+
+/// What `pass` leaves in a buffer that held stale entries, against the
+/// oracle at `ray.at(t)` for every `t` of `ts` — which `occupied_world`
+/// must also give.
 fn assert_per_point(
     grid: &OccupancyGrid,
     ray: &Ray,
@@ -544,8 +611,21 @@ fn assert_per_point(
 ) {
     let mut got = vec![true; 5];
     pass(&mut got);
-    let want: Vec<bool> = ts.iter().map(|&t| grid.occupied_world(ray.at(t))).collect();
+    let want: Vec<bool> = ts.iter().map(|&t| occupied_oracle(grid, ray.at(t))).collect();
+    let world: Vec<bool> = ts.iter().map(|&t| grid.occupied_world(ray.at(t))).collect();
+    assert_eq!(world, want, "occupied_world: ray {ray:?} over {:?}, ts {ts:?}", grid.bounds());
     assert_eq!(got, want, "ray {ray:?} over {:?}, ts {ts:?}", grid.bounds());
+}
+
+/// The pass through `grid` as the product dispatches it and on every
+/// instantiation the host offers.
+fn assert_grid_per_point(grid: &OccupancyGrid, ray: &Ray, ts: &[f32]) {
+    assert_per_point(grid, ray, ts, |out| grid.occupied_along(ray, ts.iter().copied(), out));
+    for &kernel in kernels_under_test() {
+        assert_per_point(grid, ray, ts, |out| {
+            grid.occupied_along_on(kernel, ray, ts.iter().copied(), out)
+        });
+    }
 }
 
 /// The pass through `model`'s trait method, against `grid`, its own.
@@ -559,11 +639,12 @@ fn assert_model_per_point(model: &impl RadianceModel, grid: &OccupancyGrid, ray:
 fn assert_every_pass_per_point(rays: impl Fn(&OccupancyGrid) -> Vec<(Ray, Vec<f32>)>) {
     for (grid, ngp) in odd_grids() {
         for (ray, ts) in rays(grid) {
-            assert_per_point(grid, &ray, &ts, |out| {
-                grid.occupied_along(&ray, ts.iter().copied(), out)
-            });
+            assert_grid_per_point(grid, &ray, &ts);
             assert_model_per_point(ngp, grid, &ray, &ts);
         }
+    }
+    for (ray, ts) in rays(wide_grid()) {
+        assert_grid_per_point(wide_grid(), &ray, &ts);
     }
     let (tensorf, dvgo) = fitted_grid_models();
     for (ray, ts) in rays(tensorf.occupancy()) {
@@ -626,4 +707,35 @@ fn boundary_rays(grid: &OccupancyGrid) -> Vec<(Ray, Vec<f32>)> {
 #[test]
 fn the_occupancy_pass_is_the_per_point_test_on_faces_cell_planes_and_signed_zeros() {
     assert_every_pass_per_point(boundary_rays);
+}
+
+/// Rays with a NaN in the origin, the direction or a sample, and rays whose
+/// points have `±0.0` coordinates (on the faces of the odd box whose
+/// minimum is the origin, and just inside it), with ordinary samples between:
+/// a NaN point is unoccupied and its cell is cell 0, read all the same.
+fn nan_and_signed_zero_rays(grid: &OccupancyGrid) -> Vec<(Ray, Vec<f32>)> {
+    let (b, nan) = (grid.bounds(), f32::NAN);
+    let c = b.center();
+    let ts: Vec<f32> = [0.0, -0.0, nan, 0.25, 0.5, nan, 1.0, 2.0, -0.5].repeat(3);
+    let mut rays = Vec::new();
+    for (origin, dir) in [
+        (Vec3::new(nan, c.y, c.z), Vec3::X),
+        (Vec3::new(c.x, nan, c.z), Vec3::new(0.3, 0.4, -0.2)),
+        (c, Vec3::new(0.0, nan, 1.0)),
+        (c, Vec3::new(nan, nan, nan)),
+        (Vec3::ZERO, Vec3::X),
+        (Vec3::new(-0.0, -0.0, -0.0), Vec3::new(-0.0, 1.0, -0.0)),
+        (Vec3::new(-0.0, c.y, 0.0), Vec3::new(0.0, -0.0, 1.0)),
+        (Vec3::new(0.0, -0.0, c.z), Vec3::new(1.0, -0.0, 0.0)),
+        (b.min, Vec3::new(0.5, 0.25, 0.125)),
+        (b.max, Vec3::new(-0.5, -0.25, -0.125)),
+    ] {
+        rays.push((Ray { origin, dir }, ts.clone()));
+    }
+    rays
+}
+
+#[test]
+fn the_occupancy_pass_is_the_per_point_test_on_nan_and_signed_zero_points() {
+    assert_every_pass_per_point(nan_and_signed_zero_rays);
 }

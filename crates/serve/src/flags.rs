@@ -179,12 +179,13 @@ impl OutputFlags {
 }
 
 /// Creates and activates a run bundle at `dir`, dying when it cannot. Its
-/// `config.json` also names the MLP kernel this host runs (`"mlp_kernel"`),
+/// `config.json` also names the kernel instantiation this host runs (the
+/// MLP layer, the encoder and the occupancy pass; `"mlp_kernel"`),
 /// which the caller cannot set: a process slower than its neighbour, or a
 /// number recorded on another machine, is explained by what was written.
 pub fn open_bundle(dir: &Path, kind: &str, config: &[(&str, String)]) -> Arc<Bundle> {
     let mut config = config.to_vec();
-    config.push(("mlp_kernel", asdr_nerf::mlp::kernel_name().to_string()));
+    config.push(("mlp_kernel", asdr_nerf::kernel::kernel_name().to_string()));
     let bundle = Bundle::create(dir, kind, &config)
         .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", dir.display())));
     bundle.activate();

@@ -48,7 +48,7 @@ fn run(store_dir: &Path, images: &Path, out: &Path) -> String {
     // the run bundle says which MLP kernel produced these numbers
     let config = std::fs::read_to_string(out.with_extension("bundle").join("config.json"))
         .expect("bundle config written");
-    let kernel = format!("\"mlp_kernel\": \"{}\"", asdr_nerf::mlp::kernel_name());
+    let kernel = format!("\"mlp_kernel\": \"{}\"", asdr_nerf::kernel::kernel_name());
     assert!(config.contains(&kernel), "no {kernel} in {config}");
     std::fs::read_to_string(out).expect("stats artifact written")
 }
