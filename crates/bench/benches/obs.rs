@@ -1,9 +1,9 @@
 //! Wall-clock benchmark of what observability costs a request that nobody
 //! is observing: a `span!` site with capture off (one relaxed load, its
-//! arguments never evaluated) and a resolved counter handle's `inc`. The
+//! arguments never evaluated) and a counter's `inc`. The
 //! cost with capture *on* is `obs.span_overhead_pct` in `benchmark/`.
 
-use asdr_obs::{Scope, TraceId};
+use asdr_obs::{Counter, TraceId};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
@@ -18,7 +18,7 @@ fn bench_obs(c: &mut Criterion) {
     });
     assert!(asdr_obs::span::snapshot().is_empty(), "a disabled span! recorded something");
 
-    let counter = Scope::instance("bench").counter("incs");
+    let counter = Counter::default();
     c.bench_function("obs_counter_inc", |b| b.iter(|| black_box(&counter).inc()));
 }
 

@@ -53,7 +53,7 @@ struct Args {
     shards: Option<usize>,
     budget_ms: Option<f64>,
     remote: Option<String>,
-    hedge_ms: Option<f64>,
+    hedge_after: Option<Duration>,
 }
 
 impl Args {
@@ -100,7 +100,10 @@ fn parse_args() -> Args {
                 }
                 "--remote" => args.remote = Some(value(&argv, &mut i)),
                 "--hedge-ms" => {
-                    args.hedge_ms = Some(flags::positive_f64("--hedge-ms", &value(&argv, &mut i)));
+                    let ms = flags::positive_f64("--hedge-ms", &value(&argv, &mut i));
+                    let after = Duration::try_from_secs_f64(ms / 1e3)
+                        .unwrap_or_else(|_| die("--hedge-ms is too large for a duration"));
+                    args.hedge_after = Some(after);
                 }
                 "-h" | "--help" => usage(),
                 other => die(&format!("unknown argument {other:?} (see --help)")),
@@ -199,10 +202,7 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<Child>, Vec<ShardAddr>) {
 fn build_fleet(args: &Args) -> (Fleet, Vec<Child>, String) {
     let profile = &args.service.profile;
     let cfg = FleetConfig {
-        hedge_after: match args.hedge_ms {
-            Some(ms) => Some(Duration::from_secs_f64(ms / 1e3)),
-            None => FleetConfig::default().hedge_after,
-        },
+        hedge_after: args.hedge_after.or(FleetConfig::default().hedge_after),
         budget_ms: args.budget_ms.unwrap_or(f64::INFINITY),
         ..FleetConfig::default()
     };

@@ -49,7 +49,7 @@ use crate::shard::{Done, Shard, ShardError, ShardTicket};
 use crate::stats::{ClusterStats, FleetStats, ShardStats};
 use crate::wire::{WireResult, WireStats};
 use crate::CostModel;
-use asdr_obs::{Counter, Scope, TraceId};
+use asdr_obs::{Counter, TraceId};
 use asdr_serve::trace::replay::{ReplayTarget, SubmitOutcome};
 use asdr_serve::{RenderProfile, RenderRequest};
 use std::collections::hash_map::{Entry, HashMap};
@@ -328,38 +328,20 @@ struct FleetShard {
     last_stats: Mutex<Option<WireStats>>,
 }
 
-/// Routing and failure counters, registry-backed under a unique
-/// `fleet.N.` scope so two fleets in one process (tests) never share.
+/// Routing and failure counters; snapshot with [`Fleet::stats`].
+#[derive(Default)]
 struct FleetCounters {
-    routed_home: Arc<Counter>,
-    spilled: Arc<Counter>,
-    rejected: Arc<Counter>,
-    evictions: Arc<Counter>,
-    rejoins: Arc<Counter>,
-    hedges: Arc<Counter>,
-    hedge_wins: Arc<Counter>,
-    hedge_cancels: Arc<Counter>,
-    failovers: Arc<Counter>,
-    rewarms: Arc<Counter>,
-    replications: Arc<Counter>,
-}
-
-impl FleetCounters {
-    fn new(scope: &Scope) -> FleetCounters {
-        FleetCounters {
-            routed_home: scope.counter("routed_home"),
-            spilled: scope.counter("spilled"),
-            rejected: scope.counter("rejected"),
-            evictions: scope.counter("evictions"),
-            rejoins: scope.counter("rejoins"),
-            hedges: scope.counter("hedges"),
-            hedge_wins: scope.counter("hedge_wins"),
-            hedge_cancels: scope.counter("hedge_cancels"),
-            failovers: scope.counter("failovers"),
-            rewarms: scope.counter("rewarms"),
-            replications: scope.counter("replications"),
-        }
-    }
+    routed_home: Counter,
+    spilled: Counter,
+    rejected: Counter,
+    evictions: Counter,
+    rejoins: Counter,
+    hedges: Counter,
+    hedge_wins: Counter,
+    hedge_cancels: Counter,
+    failovers: Counter,
+    rewarms: Counter,
+    replications: Counter,
 }
 
 struct FleetInner {
@@ -606,7 +588,7 @@ impl Fleet {
                 })
                 .collect(),
             scene_homes: Mutex::new(HashMap::new()),
-            counters: FleetCounters::new(&Scope::instance("fleet")),
+            counters: FleetCounters::default(),
             prewarms: Mutex::new(Some(Vec::new())),
             cfg,
             stop: Stop::default(),
@@ -838,7 +820,9 @@ impl FleetTicket {
         let wait_t0 = Instant::now();
         let inner = &self.inner;
         let counters = &inner.counters;
-        let watermark = |from: Instant| inner.cfg.hedge_after.map(|after| from + after);
+        // a watermark past what an `Instant` can hold never passes: no hedge
+        let watermark =
+            |from: Instant| inner.cfg.hedge_after.and_then(|after| from.checked_add(after));
         let (mut primary, reported) = self.admitted.lock().unwrap().take().expect("resolved once");
         let mut hedge: Option<Held> = None;
         // `None` once the one hedge has gone out (or with hedging off)

@@ -329,6 +329,24 @@ fn a_ticket_answers_every_wait_with_its_one_outcome() {
     assert_eq!(stats.cost.observations, 1, "one request, one observation");
 }
 
+/// A watermark past what an `Instant` can hold never passes: at the parent
+/// `wait()` panicked adding `Duration::MAX` to its start.
+#[test]
+fn an_unrepresentable_watermark_never_hedges() {
+    let f =
+        fake_fleet(2, FleetConfig { hedge_after: Some(Duration::MAX), ..FleetConfig::default() });
+    let ticket = f.fleet.submit(mic()).unwrap();
+    let mut primary = f.next_admitted();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| ticket.wait());
+        primary.complete(frames_of(1.0));
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(1.0));
+    });
+    assert!(f.admitted.try_recv().is_err(), "a duplicate went out");
+    let fl = f.fleet.stats().fleet;
+    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (0, 0, 0), "{fl:?}");
+}
+
 #[test]
 fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_moved() {
     const SCENES: [&str; 8] =

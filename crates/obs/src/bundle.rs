@@ -9,7 +9,6 @@
 //! <dir>/spans.jsonl          # span dump, write-through (one line per span)
 //! <dir>/stats-timeline.jsonl # periodic stats samples, appended
 //! <dir>/stats.json           # final stats artifact (at finish)
-//! <dir>/metrics.json         # global metrics-registry dump (at finish)
 //! <dir>/warnings.log         # bounded warnings ring (at finish)
 //! <dir>/meta.json            # pid, timing, clean-exit marker (at finish)
 //! ```
@@ -197,9 +196,9 @@ impl Bundle {
         let _ = f.flush();
     }
 
-    /// Seals the bundle: final stats artifact, global metrics dump,
-    /// warnings ring, and the `meta.json` clean-exit marker. Idempotent;
-    /// also releases the active-bundle slot if this bundle held it.
+    /// Seals the bundle: final stats artifact, warnings ring, and the
+    /// `meta.json` clean-exit marker. Idempotent; also releases the
+    /// active-bundle slot if this bundle held it.
     pub fn finish(&self, final_stats: Option<&str>) {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
@@ -207,7 +206,6 @@ impl Bundle {
         if let Some(stats) = final_stats {
             let _ = fs::write(self.dir.join("stats.json"), stats);
         }
-        let _ = fs::write(self.dir.join("metrics.json"), crate::Registry::global().to_json());
         // a bundle that never streamed still gets the ring's view
         if !self.streamed.load(Ordering::Relaxed) {
             for rec in span::snapshot() {

@@ -1,6 +1,6 @@
 //! The one shared hand-rolled JSON writer and the one flat-object reader
 //! (no serde in this offline environment). Every stats artifact —
-//! `ServeStats`, `ClusterStats`, the metrics registry, bundle files —
+//! `ServeStats`, `ClusterStats`, bundle files —
 //! serializes through [`JsonWriter`], so comma discipline, string escaping,
 //! and number formatting live in exactly one place. The writers in
 //! `asdr_serve` and `asdr_cluster` had already drifted on float precision
@@ -144,13 +144,6 @@ impl JsonWriter {
     /// A `usize` value.
     pub fn usize(&mut self, v: usize) -> &mut Self {
         self.u64(v as u64)
-    }
-
-    /// A signed integer value.
-    pub fn i64(&mut self, v: i64) -> &mut Self {
-        self.value();
-        let _ = write!(self.out, "{v}");
-        self
     }
 
     /// A float with a fixed number of decimals — the precision is part of

@@ -1,5 +1,5 @@
 //! `asdr_obs` — the observability layer under every serving crate: request
-//! spans, a metrics registry, and diagnostic run bundles.
+//! spans, counters, and diagnostic run bundles.
 //!
 //! The crate is **zero-dependency** (std only) and sits below `asdr_serve`
 //! in the workspace DAG, so every layer from the model store up to the
@@ -12,10 +12,9 @@
 //!   `span-capture` feature, and one relaxed atomic load when compiled in
 //!   but disabled at runtime (the default — [`set_enabled`] turns capture
 //!   on, usually via a run bundle).
-//! * [`metrics`] — named counters, gauges, and log-bucketed histograms
-//!   behind one process-global [`Registry`]; `ServeStats`/`ClusterStats`
-//!   read their counters from per-instance [`Scope`]s of it instead of
-//!   hand-plumbed fields.
+//! * [`metrics`] — the relaxed-atomic [`Counter`] that the store and the
+//!   fleet keep as plain fields and read back into `StoreStats` /
+//!   `ClusterStats`.
 //! * [`json`] — the one shared hand-rolled JSON writer (no serde in this
 //!   environment) that every stats serializer and bundle file goes
 //!   through, so number formatting cannot drift between crates again, and
@@ -53,5 +52,5 @@ pub mod span;
 
 pub use bundle::Bundle;
 pub use json::JsonWriter;
-pub use metrics::{Counter, Gauge, Histogram, Registry, Scope};
+pub use metrics::Counter;
 pub use span::{enabled, set_enabled, SpanRecord, TraceId};

@@ -1,19 +1,8 @@
-//! The metrics registry: named counters, gauges, and log-bucketed
-//! histograms behind one process-global [`Registry`].
-//!
-//! Handles are resolved **once** at construction time ([`Registry::counter`]
-//! returns an `Arc` that the owner stores in a field) so hot paths pay a
-//! plain relaxed `AtomicU64` operation — never a name lookup. A process
-//! can host several service instances (the in-process cluster runs N
-//! shards), so instanced owners take a [`Scope`] — a unique
-//! `kind.N.`-prefixed view of the global registry — and per-instance
-//! snapshots like `ServeStats` read back their own scoped handles while
-//! the registry dump in a run bundle still sees everything.
+//! Counters: the one metric type. Each is a plain field of whatever it
+//! counts, read back by that owner's stats snapshot (`StoreStats`,
+//! `ClusterStats`); there is no registry and no name lookup.
 
-use crate::json::JsonWriter;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -36,334 +25,5 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Power-of-two bucket count: bucket 0 holds exactly 0, bucket `i >= 1`
-/// holds `[2^(i-1), 2^i)` — 64 buckets cover the whole `u64` range.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A log-bucketed histogram of `u64` samples (typically microseconds).
-///
-/// Recording is lock-free: one relaxed add into the sample's bucket plus
-/// count and sum. Quantiles interpolate inside the winning bucket, so the
-/// error is bounded by the bucket's 2x width.
-#[derive(Debug)]
-pub struct Histogram {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: [(); HISTOGRAM_BUCKETS].map(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Histogram {
-    /// The bucket index for a sample: 0 for 0, else its bit width, so
-    /// `v` lands in `[2^(i-1), 2^i)`.
-    pub fn bucket_index(v: u64) -> usize {
-        (u64::BITS - v.leading_zeros()) as usize
-    }
-
-    /// The inclusive lower bound of bucket `i` (0 for bucket 0).
-    pub fn bucket_lower(i: usize) -> u64 {
-        match i {
-            0 => 0,
-            i => 1u64 << (i - 1),
-        }
-    }
-
-    /// The inclusive upper bound of bucket `i`.
-    pub fn bucket_upper(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples (wrapping on overflow).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// An estimated quantile (`q` in `[0, 1]`): linear interpolation
-    /// inside the bucket where the cumulative count crosses `q * total`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).max(1.0);
-        let mut seen = 0u64;
-        for i in 0..HISTOGRAM_BUCKETS {
-            let c = self.buckets[i].load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            if seen as f64 + c as f64 >= rank {
-                let lo = Self::bucket_lower(i) as f64;
-                let hi = Self::bucket_upper(i) as f64;
-                let into = (rank - seen as f64) / c as f64;
-                return lo + (hi - lo) * into;
-            }
-            seen += c;
-        }
-        Self::bucket_upper(HISTOGRAM_BUCKETS - 1) as f64
-    }
-
-    /// The non-empty buckets as `(lower_bound, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        (0..HISTOGRAM_BUCKETS)
-            .filter_map(|i| {
-                let c = self.buckets[i].load(Ordering::Relaxed);
-                (c > 0).then(|| (Self::bucket_lower(i), c))
-            })
-            .collect()
-    }
-}
-
-/// A named-metric registry. [`Registry::global`] is the process-wide one
-/// every scope and bundle dump goes through; fresh instances exist for
-/// tests.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl Registry {
-    /// A fresh, empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// The process-global registry.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
-    }
-
-    /// The counter named `name`, created on first use. Resolve once and
-    /// store the handle; never call this on a hot path.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.counters.lock().unwrap().entry(name.to_string()).or_default().clone()
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.gauges.lock().unwrap().entry(name.to_string()).or_default().clone()
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histograms.lock().unwrap().entry(name.to_string()).or_default().clone()
-    }
-
-    /// Serializes every metric (counters and gauges as numbers,
-    /// histograms as count/sum/quantiles plus non-empty buckets) — the
-    /// `metrics.json` artifact of a run bundle.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.obj();
-        w.gap("\n  ").key("counters").obj();
-        for (name, c) in self.counters.lock().unwrap().iter() {
-            w.gap("\n    ").key(name).u64(c.get());
-        }
-        w.raw("\n  ").close_obj();
-        w.gap("\n  ").key("gauges").obj();
-        for (name, g) in self.gauges.lock().unwrap().iter() {
-            w.gap("\n    ").key(name).i64(g.get());
-        }
-        w.raw("\n  ").close_obj();
-        w.gap("\n  ").key("histograms").obj();
-        for (name, h) in self.histograms.lock().unwrap().iter() {
-            w.gap("\n    ").key(name).obj();
-            w.key("count").u64(h.count());
-            w.key("sum").u64(h.sum());
-            w.key("mean").f64(h.mean(), 1);
-            w.key("p50").f64(h.quantile(0.50), 1);
-            w.key("p95").f64(h.quantile(0.95), 1);
-            w.key("buckets").arr();
-            for (lo, c) in h.nonzero_buckets() {
-                w.arr();
-                w.u64(lo);
-                w.u64(c);
-                w.close_arr();
-            }
-            w.close_arr();
-            w.close_obj();
-        }
-        w.raw("\n  ").close_obj();
-        w.raw("\n");
-        w.close_obj();
-        w.raw("\n");
-        w.finish()
-    }
-}
-
-/// A `kind.N.`-prefixed view of the global registry for one owner
-/// instance (one `ModelStore`, one `RenderService`, one fleet client).
-/// Instance numbers are process-unique, so parallel tests and in-process
-/// multi-shard clusters never share a metric by accident.
-#[derive(Debug, Clone)]
-pub struct Scope {
-    registry: &'static Registry,
-    prefix: String,
-}
-
-impl Scope {
-    /// A fresh instance scope: prefix `"{kind}.{n}."` on the global
-    /// registry, with `n` drawn from a process-wide counter.
-    pub fn instance(kind: &str) -> Scope {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        Scope { registry: Registry::global(), prefix: format!("{kind}.{n}.") }
-    }
-
-    /// The scope's name prefix (`"store.3."`).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
-    /// The scoped counter `"{prefix}{name}"`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.registry.counter(&format!("{}{name}", self.prefix))
-    }
-
-    /// The scoped gauge.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.registry.gauge(&format!("{}{name}", self.prefix))
-    }
-
-    /// The scoped histogram.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.registry.histogram(&format!("{}{name}", self.prefix))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bucket_boundaries_are_powers_of_two() {
-        // bucket 0 is exactly zero
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_lower(0), 0);
-        assert_eq!(Histogram::bucket_upper(0), 0);
-        // bucket i >= 1 covers [2^(i-1), 2^i - 1]
-        for i in 1..64usize {
-            let lo = Histogram::bucket_lower(i);
-            let hi = Histogram::bucket_upper(i);
-            assert_eq!(lo, 1u64 << (i - 1));
-            assert_eq!(Histogram::bucket_index(lo), i, "lower bound of bucket {i}");
-            assert_eq!(Histogram::bucket_index(hi), i, "upper bound of bucket {i}");
-            if i < 63 {
-                assert_eq!(Histogram::bucket_index(hi + 1), i + 1, "first value past bucket {i}");
-            }
-        }
-        // extremes
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
-        assert_eq!(Histogram::bucket_upper(64), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_count_sum_and_quantiles() {
-        let h = Histogram::default();
-        for v in [1u64, 2, 3, 100, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1106);
-        assert!((h.mean() - 221.2).abs() < 1e-9);
-        // p50 of 5 samples lands in the bucket holding the 3rd sample
-        // (value 3, bucket [2, 3]); interpolation stays within the bucket
-        let p50 = h.quantile(0.5);
-        assert!((2.0..=3.0).contains(&p50), "p50 {p50} outside its bucket");
-        // quantiles are monotone and bounded by the max bucket
-        assert!(h.quantile(0.95) >= p50);
-        assert!(h.quantile(1.0) <= 1023.0);
-        assert_eq!(Histogram::default().quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn registry_returns_shared_handles() {
-        let r = Registry::new();
-        let a = r.counter("x");
-        let b = r.counter("x");
-        a.add(2);
-        b.inc();
-        assert_eq!(r.counter("x").get(), 3);
-        r.gauge("g").set(-4);
-        assert_eq!(r.gauge("g").get(), -4);
-        r.histogram("h").record(7);
-        assert_eq!(r.histogram("h").count(), 1);
-        let json = r.to_json();
-        assert!(json.contains("\"x\": 3"), "{json}");
-        assert!(json.contains("\"g\": -4"), "{json}");
-        assert!(json.contains("\"count\": 1"), "{json}");
-    }
-
-    #[test]
-    fn scopes_are_instance_unique() {
-        let a = Scope::instance("store");
-        let b = Scope::instance("store");
-        assert_ne!(a.prefix(), b.prefix());
-        a.counter("hits").inc();
-        assert_eq!(b.counter("hits").get(), 0);
-        assert_eq!(a.counter("hits").get(), 1);
     }
 }

@@ -16,7 +16,9 @@ use asdr_math::{Aabb, Rgb, Vec3};
 /// and a soft quadratic envelope instead of a surface shell.
 #[derive(Debug, Clone, Copy)]
 pub struct CloudScene {
-    /// Peak density at a lobe center.
+    /// Peak density at a lobe center (8, chosen so a ray through a lobe
+    /// center accumulates opacity gradually over dozens of samples rather
+    /// than saturating at a shell).
     sigma_peak: f32,
 }
 
@@ -27,14 +29,6 @@ impl Default for CloudScene {
 }
 
 impl CloudScene {
-    /// A cloud with the given peak density (the default is 8, chosen so a
-    /// ray through a lobe center accumulates opacity gradually over dozens
-    /// of samples rather than saturating at a shell).
-    pub fn with_peak(sigma_peak: f32) -> Self {
-        assert!(sigma_peak > 0.0);
-        CloudScene { sigma_peak }
-    }
-
     /// The smooth `[0, 1]` envelope: sum of three squared-falloff lobes,
     /// eroded by two octaves of value noise.
     fn envelope(p: Vec3) -> f32 {

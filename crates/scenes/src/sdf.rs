@@ -72,12 +72,6 @@ pub fn cone_y(p: Vec3, base: Vec3, r: f32, h: f32) -> f32 {
     lateral.max(below).max(above) * 0.85 // slight conservative shrink
 }
 
-/// Distance to the horizontal plane `y = level` (negative below).
-#[inline]
-pub fn plane_y(p: Vec3, level: f32) -> f32 {
-    p.y - level
-}
-
 /// Union (minimum distance).
 #[inline]
 pub fn union(a: f32, b: f32) -> f32 {

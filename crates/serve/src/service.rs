@@ -22,7 +22,7 @@ use crate::workload::{MAX_FRAMES, MAX_RESOLUTION};
 use asdr_core::algo::{ExecPolicy, FrameEngine, PlanPolicy, RenderStats, SequenceFrame};
 use asdr_math::Image;
 use asdr_nerf::NgpModel;
-use asdr_obs::{Counter, Histogram, JsonWriter, Scope, TraceId};
+use asdr_obs::{JsonWriter, TraceId};
 use asdr_scenes::registry::OrbitCamera;
 use asdr_scenes::SceneHandle;
 use std::cmp::Reverse;
@@ -134,14 +134,6 @@ impl RenderRequest {
     #[must_use]
     pub fn with_camera(mut self, camera: OrbitCamera) -> Self {
         self.camera = Some(camera);
-        self
-    }
-
-    /// Sets the observability trace id (cluster layers propagate it over
-    /// the wire; most callers let [`RenderService::submit`] assign one).
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceId) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -316,12 +308,16 @@ fn pop(q: &mut QueueState) -> Option<Queued> {
 /// requests the service has served.
 const LATENCY_WINDOW: usize = 4096;
 
-/// Latency/throughput accumulators, folded under one lock. The scalar
-/// request/frame counters that used to live here are registry-backed now
-/// (see [`ServeCounters`]); this holds only what needs the lock anyway —
-/// the percentile ring and non-atomic aggregates.
+/// Every serve counter and latency accumulator, folded under one lock:
+/// workers advance them together and [`RenderService::stats`] reads them
+/// together, so a snapshot is coherent.
 #[derive(Default)]
 struct StatsAccum {
+    requests: u64,
+    frames: u64,
+    reused_frames: u64,
+    deadlined_requests: u64,
+    deadline_misses: u64,
     /// Ring of the last [`LATENCY_WINDOW`] request latencies.
     latencies_ms: Vec<f64>,
     latency_next: usize,
@@ -330,33 +326,6 @@ struct StatsAccum {
     probe_points_avoided_est: f64,
     first_submit: Option<Instant>,
     last_done: Option<Instant>,
-}
-
-/// The service's slice of the process-global metrics registry: handles
-/// resolved once at build under a unique `serve.N.` scope, read back by
-/// [`RenderService::stats`], and dumped wholesale into run bundles.
-struct ServeCounters {
-    requests: Arc<Counter>,
-    frames: Arc<Counter>,
-    reused_frames: Arc<Counter>,
-    deadlined_requests: Arc<Counter>,
-    deadline_misses: Arc<Counter>,
-    latency_us: Arc<Histogram>,
-    queue_wait_us: Arc<Histogram>,
-}
-
-impl ServeCounters {
-    fn new(scope: &Scope) -> ServeCounters {
-        ServeCounters {
-            requests: scope.counter("requests"),
-            frames: scope.counter("frames"),
-            reused_frames: scope.counter("reused_frames"),
-            deadlined_requests: scope.counter("deadlined_requests"),
-            deadline_misses: scope.counter("deadline_misses"),
-            latency_us: scope.histogram("latency_us"),
-            queue_wait_us: scope.histogram("queue_wait_us"),
-        }
-    }
 }
 
 impl StatsAccum {
@@ -539,7 +508,6 @@ impl RenderServiceBuilder {
             plan_refresh_every: self.plan_refresh_every,
             queue_capacity: self.queue_capacity,
             stats: Mutex::new(StatsAccum::default()),
-            counters: ServeCounters::new(&Scope::instance("serve")),
             completed: AtomicU64::new(0),
         });
         let handles = (0..workers)
@@ -564,7 +532,6 @@ struct Shared {
     plan_refresh_every: usize,
     queue_capacity: usize,
     stats: Mutex<StatsAccum>,
-    counters: ServeCounters,
     completed: AtomicU64,
 }
 
@@ -736,33 +703,29 @@ impl RenderService {
         self.shared.cond.notify_all();
     }
 
-    /// A statistics snapshot (completed requests only). The scalar
-    /// counters read back from this service's registry scope; workers
-    /// update them under the stats lock held here, so the snapshot is
+    /// A statistics snapshot (completed requests only). Workers update
+    /// the accumulator under the stats lock held here, so the snapshot is
     /// coherent.
     pub fn stats(&self) -> ServeStats {
         let acc = self.shared.stats.lock().unwrap();
-        let c = &self.shared.counters;
         let elapsed = match (acc.first_submit, acc.last_done) {
             (Some(t0), Some(t1)) => (t1 - t0).as_secs_f64(),
             _ => 0.0,
         };
-        let requests = c.requests.get();
-        let frames = c.frames.get();
         ServeStats {
-            requests,
-            frames,
-            reused_frames: c.reused_frames.get(),
-            deadlined_requests: c.deadlined_requests.get(),
-            deadline_misses: c.deadline_misses.get(),
+            requests: acc.requests,
+            frames: acc.frames,
+            reused_frames: acc.reused_frames,
+            deadlined_requests: acc.deadlined_requests,
+            deadline_misses: acc.deadline_misses,
             p50_latency_ms: percentile(&acc.latencies_ms, 50.0),
             p95_latency_ms: percentile(&acc.latencies_ms, 95.0),
-            mean_queue_wait_ms: if requests > 0 {
-                acc.queue_wait_sum_ms / requests as f64
+            mean_queue_wait_ms: if acc.requests > 0 {
+                acc.queue_wait_sum_ms / acc.requests as f64
             } else {
                 0.0
             },
-            throughput_fps: if elapsed > 0.0 { frames as f64 / elapsed } else { 0.0 },
+            throughput_fps: if elapsed > 0.0 { acc.frames as f64 / elapsed } else { 0.0 },
             probe_points: acc.agg.probe_points,
             probe_points_avoided_est: acc.probe_points_avoided_est,
             density_evals: acc.agg.total_density(),
@@ -902,20 +865,15 @@ fn render_request(shared: &Shared, item: &Queued) -> RenderResult {
         trace: req.trace,
     };
     let mut acc = shared.stats.lock().unwrap();
-    // registry counters advance under the stats lock so a stats()
-    // snapshot (which also holds it) reads a coherent set
-    let c = &shared.counters;
-    c.requests.inc();
-    c.frames.add(frame_count as u64);
-    c.reused_frames.add(reused as u64);
-    c.latency_us.record(latency.as_micros() as u64);
-    c.queue_wait_us.record(result.queue_wait.as_micros() as u64);
+    acc.requests += 1;
+    acc.frames += frame_count as u64;
+    acc.reused_frames += reused as u64;
     acc.push_latency(latency.as_secs_f64() * 1e3);
     acc.queue_wait_sum_ms += result.queue_wait.as_secs_f64() * 1e3;
     if let Some(met) = deadline_met {
-        c.deadlined_requests.inc();
+        acc.deadlined_requests += 1;
         if !met {
-            c.deadline_misses.inc();
+            acc.deadline_misses += 1;
         }
     }
     acc.agg.accumulate(&aggregate);

@@ -108,41 +108,20 @@ impl Inner {
     }
 }
 
-/// Monotonic counters; snapshot with [`ModelStore::stats`]. Registry-backed
-/// under a unique `store.N.` scope of the process-global
-/// [`Registry`](asdr_obs::Registry): handles resolve once at build, so the
-/// hot path stays a plain relaxed atomic add (`obs_counter_inc` in
-/// `crates/bench/benches/obs.rs`, ≈ 7 ns). The ≤ 1 % budget is arithmetic,
-/// not a gate of its own: were a request to pass every one of the three
-/// dozen counter updates `asdr_serve` and `asdr_cluster` contain, that is
-/// 0.25 µs of a 3.2 ms `serve_mix` p50 (0.008 %), so a name lookup or a
-/// lock on this path — what the 2× cliff detector on that row catches —
-/// comes two orders of magnitude before 1 % does.
-#[derive(Debug)]
+/// Monotonic counters; snapshot with [`ModelStore::stats`]. Each is a
+/// plain relaxed atomic add (`obs_counter_inc` in
+/// `crates/bench/benches/obs.rs`, ≈ 7 ns); DESIGN.md §7 "Counters" has the
+/// arithmetic that keeps them inside the ≤ 1 % budget.
+#[derive(Debug, Default)]
 struct Counters {
-    memory_hits: Arc<asdr_obs::Counter>,
-    disk_hits: Arc<asdr_obs::Counter>,
-    fits: Arc<asdr_obs::Counter>,
-    evictions: Arc<asdr_obs::Counter>,
-    disk_errors: Arc<asdr_obs::Counter>,
-    single_flight_waits: Arc<asdr_obs::Counter>,
-    lock_waits: Arc<asdr_obs::Counter>,
-    lock_steals: Arc<asdr_obs::Counter>,
-}
-
-impl Counters {
-    fn new(scope: &asdr_obs::Scope) -> Counters {
-        Counters {
-            memory_hits: scope.counter("memory_hits"),
-            disk_hits: scope.counter("disk_hits"),
-            fits: scope.counter("fits"),
-            evictions: scope.counter("evictions"),
-            disk_errors: scope.counter("disk_errors"),
-            single_flight_waits: scope.counter("single_flight_waits"),
-            lock_waits: scope.counter("lock_waits"),
-            lock_steals: scope.counter("lock_steals"),
-        }
-    }
+    memory_hits: asdr_obs::Counter,
+    disk_hits: asdr_obs::Counter,
+    fits: asdr_obs::Counter,
+    evictions: asdr_obs::Counter,
+    disk_errors: asdr_obs::Counter,
+    single_flight_waits: asdr_obs::Counter,
+    lock_waits: asdr_obs::Counter,
+    lock_steals: asdr_obs::Counter,
 }
 
 /// A point-in-time snapshot of store activity.
@@ -265,7 +244,7 @@ impl ModelStoreBuilder {
             capacity: self.capacity,
             dir,
             lock_stale_after: self.lock_stale_after,
-            counters: Counters::new(&asdr_obs::Scope::instance("store")),
+            counters: Counters::default(),
         }
     }
 }

@@ -81,6 +81,36 @@ fn a_same_scene_request_never_overtakes_a_better_ranked_one() {
     assert_eq!(stats.store.fits, 2, "only the pre-warm fits");
 }
 
+/// Counters are fields of the instance that counts: two services in one
+/// process, each over its own store, see only their own work.
+#[test]
+fn instances_count_only_their_own_work() {
+    let build = || {
+        RenderService::builder(test_profile())
+            .store(warm_store(&["Mic"]))
+            .workers(1)
+            .paused()
+            .build()
+            .unwrap()
+    };
+    let (a, b) = (build(), build());
+    let mic = registry::handle("Mic");
+    let tickets = [
+        a.submit(RenderRequest::sequence(mic.clone(), 16, 2)).unwrap(),
+        b.submit(RenderRequest::frame(mic.clone(), 16)).unwrap(),
+        a.submit(RenderRequest::frame(mic, 16)).unwrap(),
+    ];
+    a.start();
+    b.start();
+    for t in &tickets {
+        t.wait().unwrap();
+    }
+    let (a, b) = (a.shutdown(), b.shutdown());
+    // each store's one pre-warm fit, then one memory hit per request
+    assert_eq!((a.requests, a.frames, a.store.fits + a.store.memory_hits), (2, 3, 3), "{a:?}");
+    assert_eq!((b.requests, b.frames, b.store.fits + b.store.memory_hits), (1, 1, 2), "{b:?}");
+}
+
 #[test]
 fn admission_queue_is_bounded() {
     let service = RenderService::builder(test_profile())

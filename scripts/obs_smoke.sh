@@ -6,7 +6,8 @@
 #              1 ms deadlines no request can meet, through asdr-serve,
 #              writing a run bundle
 #   asserts  — the bundle holds the full artifact set with the span
-#              timeline, its stats.json is byte-identical to the --out
+#              timeline and no file the layout doc in
+#              crates/obs/src/bundle.rs does not list, its stats.json is byte-identical to the --out
 #              artifact (one JSON writer serves both), and the merged
 #              `asdr-trace report --bundles` attributes every deadline
 #              miss to a dominant phase
@@ -34,6 +35,13 @@ bundle="$out/bundles/serve"
 for f in config.json meta.json spans.jsonl stats.json stats-timeline.jsonl last-stage; do
     [[ -s "$bundle/$f" || "$f" == "stats-timeline.jsonl" && -f "$bundle/$f" ]] \
         || { echo "FAIL: bundle is missing $f"; exit 1; }
+done
+# the layout doc's `//! <dir>/NAME` lines are the whole artifact set
+documented=$(sed -n 's|^//! <dir>/\([^ ]*\) .*|\1|p' crates/obs/src/bundle.rs)
+[[ -n "$documented" ]] || { echo "FAIL: no layout lines in crates/obs/src/bundle.rs"; exit 1; }
+for f in "$bundle"/*; do
+    grep -qxF "$(basename "$f")" <<< "$documented" \
+        || { echo "FAIL: bundle holds $(basename "$f"), which the bundle.rs layout does not list"; exit 1; }
 done
 stage=$(cat "$bundle/last-stage")
 [[ "$stage" == "exit" ]] \
