@@ -1,6 +1,6 @@
 # Local entry points, kept identical to .github/workflows/ci.yml.
 
-.PHONY: verify test-crates test-release fmt fmt-check clippy doc check-extras bench-build bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke ci
+.PHONY: verify test-crates test-release fmt fmt-check clippy doc check-extras examples bench-build bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke ci
 
 # Tier-1 gate: what must stay green on every commit.
 verify:
@@ -54,6 +54,13 @@ doc:
 # and examples can never silently rot.
 check-extras:
 	cargo build --workspace --benches --examples
+
+# Run the examples CI's extras job runs (quickstart is the slow one, ~40 s).
+examples:
+	cargo run --release --example quickstart
+	cargo run --release --example scene_zoo
+	cargo run --release --example render_service
+	cargo run --release --example render_cluster
 
 # Compile the stand-alone benchmark package (its own workspace, which no
 # other recipe builds) with the build line of benchmark/run.sh, so a changed
@@ -116,10 +123,10 @@ fleet-smoke:
 	scripts/fleet_smoke.sh
 
 # Replay a deadline-missing burst with a run bundle on and assert the
-# bundle artifact set plus the merged `asdr-trace report --bundles`
+# bundle artifact set plus the merged `asdr-cluster report --bundles`
 # attribution (what the nightly obs-smoke job runs).
 obs-smoke:
 	scripts/obs_smoke.sh
 
 # Everything CI runs, in one shot.
-ci: fmt-check clippy doc verify test-crates test-release check-extras bench-build
+ci: fmt-check clippy doc verify test-crates test-release check-extras examples bench-build

@@ -1,5 +1,5 @@
 //! `asdr-cluster` — replays a workload file through a [`Fleet`] and
-//! reports cluster statistics.
+//! reports cluster statistics, or merges the run bundles a run wrote.
 //!
 //! ```text
 //! asdr-cluster --workload FILE
@@ -9,6 +9,7 @@
 //!              [--store-dir DIR | --no-store] [--queue N]
 //!              [--speed X] [--record PATH]
 //!              [--out STATS.json] [--dump-images DIR] [--bundle DIR]
+//! asdr-cluster report --bundles DIR [--json] [--out FILE]
 //! ```
 //!
 //! The shards are `--shards N` [`LocalShard`](asdr_cluster::LocalShard)s in
@@ -21,7 +22,12 @@
 //! to `DIR/cluster` (config snapshot, span capture, periodic stats
 //! samples, final stats) and — under `--remote spawn:N` — hands each
 //! spawned daemon `DIR/shard<i>` for its bundle, so one flag yields the
-//! whole fleet's bundle tree for `asdr-trace report --bundles DIR`.
+//! whole fleet's bundle tree for `asdr-cluster report --bundles DIR`, which
+//! merges the [`asdr_obs`] bundles under `DIR` (`asdr-serve`'s too) into one
+//! report: per-phase latency breakdown, cross-process `SPAN_JOIN` lines
+//! (trace ids followed across hedges and failovers), and a
+//! `MISS_ATTRIBUTION` line naming the dominant phase of every deadline
+//! miss — markdown, or the JSON artifact with `--json`.
 //!
 //! The workload input is `asdr-serve`'s (see `asdr_serve::workload`); the
 //! submit loop is the same shared [`ReplayDriver`](asdr_serve::ReplayDriver)
@@ -41,6 +47,7 @@ use asdr_serve::flags::{
 };
 use asdr_serve::workload::read_workload;
 use std::io::{BufRead as _, BufReader};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -72,6 +79,7 @@ fn usage() -> ! {
          \u{20}                   [--store-dir DIR | --no-store] [--queue N]\n\
          \u{20}                   [--speed X] [--record PATH]\n\
          \u{20}                   [--out STATS.json] [--dump-images DIR] [--bundle DIR]\n\
+         \u{20}      asdr-cluster report --bundles DIR [--json] [--out FILE]\n\
          \n\
          --remote runs the workload against asdr-shardd processes instead of\n\
          in-process shards: spawn:N launches N local daemons on Unix sockets;\n\
@@ -81,26 +89,24 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut args = Args::default();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
-        let known = args.replay.accept(&argv, &mut i)
-            || args.output.accept(&argv, &mut i)
-            || args.service.accept(&argv, &mut i);
+        let known = args.replay.accept(argv, &mut i)
+            || args.output.accept(argv, &mut i)
+            || args.service.accept(argv, &mut i);
         if !known {
             match argv[i].as_str() {
                 "--shards" => {
-                    args.shards = Some(positive_usize("--shards", &value(&argv, &mut i)));
+                    args.shards = Some(positive_usize("--shards", &value(argv, &mut i)));
                 }
                 "--budget-ms" => {
-                    args.budget_ms =
-                        Some(flags::positive_f64("--budget-ms", &value(&argv, &mut i)));
+                    args.budget_ms = Some(flags::positive_f64("--budget-ms", &value(argv, &mut i)));
                 }
-                "--remote" => args.remote = Some(value(&argv, &mut i)),
+                "--remote" => args.remote = Some(value(argv, &mut i)),
                 "--hedge-ms" => {
-                    let ms = flags::positive_f64("--hedge-ms", &value(&argv, &mut i));
+                    let ms = flags::positive_f64("--hedge-ms", &value(argv, &mut i));
                     let after = Duration::try_from_secs_f64(ms / 1e3)
                         .unwrap_or_else(|_| die("--hedge-ms is too large for a duration"));
                     args.hedge_after = Some(after);
@@ -233,8 +239,46 @@ fn build_fleet(args: &Args) -> (Fleet, Vec<Child>, String) {
     (fleet, children, listed)
 }
 
+/// `report --bundles DIR [--json] [--out FILE]`: the merged span report
+/// of every bundle under `DIR`, printed or written to `--out`.
+fn report(argv: &[String]) {
+    let (mut bundles, mut out, mut json) = (None, None::<PathBuf>, false);
+    let mut i = 0;
+    while i < argv.len() {
+        match argv[i].as_str() {
+            "--bundles" => bundles = Some(PathBuf::from(value(argv, &mut i))),
+            "--out" => out = Some(PathBuf::from(value(argv, &mut i))),
+            "--json" => json = true,
+            "-h" | "--help" => usage(),
+            other => die(&format!("unknown argument {other:?} (see --help)")),
+        }
+        i += 1;
+    }
+    let root = bundles.unwrap_or_else(|| die("report needs --bundles DIR"));
+    let (spans, skipped) = asdr_obs::report::load_bundles(&root).unwrap_or_else(|e| die(&e));
+    let merged = asdr_obs::report::analyze(&spans, skipped);
+    let text = if json { merged.to_json() } else { merged.to_markdown() };
+    let Some(path) = out else { return print!("{text}") };
+    if let Some(parent) = path.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    std::fs::write(&path, &text)
+        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
+    println!(
+        "bundle report ({} spans, {} traces, {} processes) written to {}",
+        merged.spans,
+        merged.traces,
+        merged.processes.len(),
+        path.display()
+    );
+}
+
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|cmd| cmd == "report") {
+        return report(&argv[1..]);
+    }
+    let args = parse_args(&argv);
     let bundle = args.output.bundle.as_ref().map(|root| {
         let config = [
             ("scale", args.service.scale.clone()),

@@ -11,7 +11,7 @@
 //! try is admitted by **predicted cost**, not request count: a shard takes
 //! the request while its outstanding predicted milliseconds stay under
 //! [`FleetConfig::budget_ms`], and only when every one is over budget or
-//! full does the fleet refuse ([`FleetError::Busy`]). A reservation is
+//! full does the fleet refuse ([`ServeError::QueueFull`]). A reservation is
 //! taken at submit and released when the shard reports the request
 //! terminal ([`Done`]) — result, failure, refusal or lost connection —
 //! whether or not anyone has waited on the ticket, so a driver that submits
@@ -45,15 +45,13 @@
 use crate::net::ShardAddr;
 use crate::remote::RemoteShard;
 use crate::ring::HashRing;
-use crate::shard::{Done, Shard, ShardError, ShardTicket};
+use crate::shard::{Done, Shard, ShardTicket};
 use crate::stats::{ClusterStats, FleetStats, ShardStats};
 use crate::wire::{WireResult, WireStats};
 use crate::CostModel;
 use asdr_obs::{Counter, TraceId};
-use asdr_serve::trace::replay::{ReplayTarget, SubmitOutcome};
-use asdr_serve::{RenderProfile, RenderRequest};
+use asdr_serve::{RenderProfile, RenderRequest, ReplayTarget, ServeError};
 use std::collections::hash_map::{Entry, HashMap};
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -91,26 +89,6 @@ impl Default for FleetConfig {
             health_misses: 3,
             hedge_after: Some(Duration::from_millis(2000)),
             budget_ms: f64::INFINITY,
-        }
-    }
-}
-
-/// Why the fleet refused a submission.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FleetError {
-    /// Every live shard is momentarily full or over its cost budget;
-    /// retry after a completion.
-    Busy,
-    /// The request can never be admitted (no live shards, or every shard
-    /// refused it outright).
-    Fatal(String),
-}
-
-impl fmt::Display for FleetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetError::Busy => f.write_str("every live shard is full"),
-            FleetError::Fatal(why) => f.write_str(why),
         }
     }
 }
@@ -266,7 +244,7 @@ impl Book {
 }
 
 /// How one submission ended on its shard.
-type Outcome = Result<WireResult, ShardError>;
+type Outcome = Result<WireResult, ServeError>;
 
 /// Which submission a report is about — a ticket's primary, its hedge, a
 /// failover's replacement — numbered by the [`Book`] as they are made.
@@ -316,7 +294,7 @@ impl Drop for Reservation {
         }
         *self.book.completions.lock().unwrap() += 1;
         self.book.completed.notify_all();
-        let lost = || Err(ShardError::Connection("the shard dropped the request".into()));
+        let lost = || Err(ServeError::Connection("the shard dropped the request".into()));
         // nobody listens once the ticket is gone
         let _ = self.race.send((self.attempt, self.end.take().unwrap_or_else(lost)));
     }
@@ -450,18 +428,24 @@ impl FleetInner {
     /// queues at a busy home beside an idle shard (cold for the scene) has a
     /// replica made there in the background: the next overlap finds it warm, and
     /// no request waits for a load or a fit because of where the router sent it.
+    ///
+    /// A shard that is full or draining is passed over, one whose connection
+    /// is lost evicted; when none admits, the fleet is full
+    /// ([`ServeError::QueueFull`]) if any was passed over, and otherwise
+    /// fails with the last shard's own error.
     fn route(
         self: &Arc<Self>,
         req: &RenderRequest,
         predicted_ms: f64,
         race: &Race,
         skip: &[usize],
-    ) -> Result<Held, FleetError> {
+    ) -> Result<Held, ServeError> {
         let scene = req.scene.name();
+        let no_shard = || ServeError::Connection("no live shards".into());
         let home = {
             let ring = self.ring.lock().unwrap();
             if ring.is_empty() {
-                return Err(FleetError::Fatal("no live shards".into()));
+                return Err(no_shard());
             }
             ring.home(scene)
         };
@@ -508,18 +492,16 @@ impl FleetInner {
                     );
                     return Ok(Held { attempt, shard: id, ticket });
                 }
-                Err(ShardError::Refused { retryable: true, .. }) => busy = true,
-                Err(ShardError::Refused { retryable: false, why }) => last_final = Some(why),
-                Err(e @ (ShardError::Connection(_) | ShardError::Timeout)) => {
-                    self.evict(id, &e.to_string());
-                }
-                Err(e) => last_final = Some(e.to_string()),
+                Err(ServeError::QueueFull { .. } | ServeError::ShuttingDown) => busy = true,
+                Err(ServeError::Connection(why)) => self.evict(id, &why),
+                Err(e) => last_final = Some(e),
             }
         }
         if busy {
-            return Err(FleetError::Busy);
+            let capacity = loads.iter().map(|l| l.in_flight).sum();
+            return Err(ServeError::QueueFull { capacity });
         }
-        Err(FleetError::Fatal(last_final.unwrap_or_else(|| "no live shards".into())))
+        Err(last_final.unwrap_or_else(no_shard))
     }
 }
 
@@ -629,10 +611,10 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Busy`] when every live shard is momentarily full or
-    /// over budget; [`FleetError::Fatal`] when the request can never be
-    /// admitted.
-    pub fn submit(&self, mut req: RenderRequest) -> Result<FleetTicket, FleetError> {
+    /// [`ServeError::QueueFull`] when every live shard is momentarily full,
+    /// draining or over budget; otherwise why the request cannot be admitted
+    /// (the last shard's refusal, or no live shard).
+    pub fn submit(&self, mut req: RenderRequest) -> Result<FleetTicket, ServeError> {
         // the client is the trace root: the id travels with the request
         // and joins this process's spans with the serving shard's
         if asdr_obs::enabled() && !req.trace.is_set() {
@@ -641,13 +623,11 @@ impl Fleet {
         let predicted_ms =
             self.inner.book.cost.predict(req.scene.name(), req.resolution, req.frames);
         let (race, reported) = mpsc::channel();
-        let held = match self.inner.route(&req, predicted_ms, &race, &[]) {
-            Err(FleetError::Busy) => {
+        let held = self.inner.route(&req, predicted_ms, &race, &[]).inspect_err(|e| {
+            if matches!(e, ServeError::QueueFull { .. }) {
                 self.inner.counters.rejected.inc();
-                return Err(FleetError::Busy);
             }
-            routed => routed?,
-        };
+        })?;
         Ok(FleetTicket {
             inner: self.inner.clone(),
             req,
@@ -848,16 +828,14 @@ impl FleetTicket {
                         }
                         return Ok(self.win(primary.shard, result, wait_t0));
                     }
-                    Err(
-                        e @ (ShardError::Render(_) | ShardError::Refused { retryable: false, .. }),
-                    ) => {
+                    Err(e @ (ServeError::RenderFailed(_) | ServeError::InvalidRequest(_))) => {
                         if let Some(hedge) = &hedge {
                             hedge.ticket.cancel();
                         }
                         return Err(e.to_string());
                     }
                     // nothing is evicted and no failover counted
-                    Err(ShardError::Refused { .. }) => {
+                    Err(ServeError::QueueFull { .. } | ServeError::ShuttingDown) => {
                         refused.retain(|&shard| shard != primary.shard);
                         refused.push(primary.shard);
                         match hedge.take() {
@@ -893,9 +871,7 @@ impl FleetTicket {
                         counters.hedge_cancels.inc();
                         return Ok(self.win(hedge.shard, result, wait_t0));
                     }
-                    Err(e @ (ShardError::Connection(_) | ShardError::Timeout)) => {
-                        inner.evict(hedge.shard, &e.to_string());
-                    }
+                    Err(ServeError::Connection(why)) => inner.evict(hedge.shard, &why),
                     // failed or refused on its own: the primary races on alone
                     Err(_) => {}
                 }
@@ -938,7 +914,7 @@ impl FleetTicket {
                     self.served_by.store(held.shard, Ordering::SeqCst);
                     return Ok(held);
                 }
-                Err(FleetError::Busy) => {
+                Err(ServeError::QueueFull { .. }) => {
                     // read before `rejected` moves: whoever sees it move and
                     // then completes a request wakes this wait
                     let seen = *inner.book.completions.lock().unwrap();
@@ -946,7 +922,7 @@ impl FleetTicket {
                     inner.book.wait_release(seen, inner.cfg.health_interval);
                     skip = &[];
                 }
-                Err(FleetError::Fatal(why)) => return Err(format!("{failing}: {why}")),
+                Err(e) => return Err(format!("{failing}: {e}")),
             }
         }
     }
@@ -968,14 +944,9 @@ impl ReplayTarget for Fleet {
     type Ticket = FleetTicket;
 
     /// A fleet replays like a single service: a full or over-budget fleet
-    /// is momentarily busy (the driver blocks the replay clock), every
-    /// other error is fatal.
-    fn try_submit(&self, req: RenderRequest) -> SubmitOutcome<FleetTicket> {
-        match self.submit(req) {
-            Ok(t) => SubmitOutcome::Admitted(t),
-            Err(FleetError::Busy) => SubmitOutcome::Busy,
-            Err(FleetError::Fatal(why)) => SubmitOutcome::Fatal(why),
-        }
+    /// is [`ServeError::QueueFull`] (the driver blocks the replay clock).
+    fn try_submit(&self, req: RenderRequest) -> Result<FleetTicket, ServeError> {
+        self.submit(req)
     }
 
     fn wait_capacity(&self, timeout: Duration) {
@@ -1029,17 +1000,17 @@ mod tests {
         assert_eq!(book.cost.predict("Mic", 8, 1), 12.0, "the one observation is the estimate");
         let ((second, a), (third, b)) = (reserve(0.1).unwrap(), reserve(0.2).unwrap());
         drop(a); // dropped uncalled (a refused submit, a cancel) releases too
-        b(Err(ShardError::Render("boom".into()))); // a failure releases without teaching
+        b(Err(ServeError::RenderFailed("boom".into()))); // a failure releases without teaching
         let idle = book.loads[0].lock().unwrap().outstanding_ms;
         assert_eq!(idle, 0.0, "an empty book reads exactly idle");
         assert_eq!(book.cost.stats().observations, 1);
         assert_eq!(*book.completions.lock().unwrap(), 3, "every release pulses wait_capacity");
         // each end was reported once, in the order it was learned, under its own attempt
-        let lost = ShardError::Connection("the shard dropped the request".into());
+        let lost = ServeError::Connection("the shard dropped the request".into());
         let ends = [
             (first, Ok(served_in(15_000, 3_000))),
             (second, Err(lost)),
-            (third, Err(ShardError::Render("boom".into()))),
+            (third, Err(ServeError::RenderFailed("boom".into()))),
         ];
         assert_eq!(reported.try_iter().collect::<Vec<_>>(), ends);
     }
@@ -1100,9 +1071,7 @@ mod tests {
     }
 
     #[test]
-    fn errors_and_dead_fleets_are_named() {
-        assert_eq!(FleetError::Busy.to_string(), "every live shard is full");
-        assert_eq!(FleetError::Fatal("x".into()).to_string(), "x");
+    fn dead_fleets_are_named() {
         let dead = ShardAddr::Unix(std::env::temp_dir().join("asdr-no-such-shard.sock"));
         let Err(e) = Fleet::connect(vec![dead], RenderProfile::tiny(), FleetConfig::default())
         else {

@@ -18,7 +18,8 @@
 //!   single-flight keeps fits deduplicated fleet-wide) and [`RemoteShard`]
 //!   (the [`wire`] client of an `asdr-shardd`, whose [`server`] loop
 //!   drives a `LocalShard` through the same methods). Frames are
-//!   byte-identical whichever backend serves them.
+//!   byte-identical whichever backend serves them, and every layer fails
+//!   with the service's own [`ServeError`](asdr_serve::ServeError).
 //! * [`cost::CostModel`] — learns per-(scene, resolution) render cost
 //!   online from completed request latencies (seeded from probe-point
 //!   counts); `ClusterStats` reports predicted-vs-actual error.
@@ -59,10 +60,10 @@ pub mod wire;
 
 pub use cost::{CostModel, CostStats};
 // `RemoteFleet` is the name the frozen `benchmark/` knows the fleet by
-pub use fleet::{Fleet, Fleet as RemoteFleet, FleetConfig, FleetError, FleetTicket};
+pub use fleet::{Fleet, Fleet as RemoteFleet, FleetConfig, FleetTicket};
 pub use net::{Listener, ShardAddr, Stream};
 pub use remote::{RemoteShard, RemoteTicket};
 pub use ring::HashRing;
 pub use server::Server;
-pub use shard::{Done, HealthInfo, LocalShard, LocalShards, Shard, ShardError, ShardTicket};
+pub use shard::{Done, LocalShard, LocalShards, Shard, ShardTicket};
 pub use stats::{ClusterStats, FleetStats, ShardStats};

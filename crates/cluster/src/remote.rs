@@ -6,14 +6,14 @@
 //! client side. A submit is one frame out and nothing waited for: its
 //! ticket is returned once the `Submit` is written. A probe's or command's
 //! one reply goes to the caller parked on a one-shot channel. A request's
-//! end is nobody's to wait for: the reader reports the `Result`, `Failed`
-//! or `Refused` frame, or the connection dying under it, through the
+//! end is nobody's to wait for: the reader reports the `Result` or
+//! `Failed` frame, or the connection dying under it, through the
 //! submission's [`Done`] when it happens.
 
 use crate::net::{ShardAddr, Stream};
-use crate::shard::{Done, HealthInfo, Shard, ShardError, ShardTicket};
+use crate::shard::{Done, Shard, ShardTicket};
 use crate::wire::{self, Message, WireRequest, WireStats};
-use asdr_serve::RenderRequest;
+use asdr_serve::{RenderRequest, ServeError};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,27 +40,24 @@ struct Conn {
 }
 
 impl Conn {
-    fn open(addr: &ShardAddr) -> Result<Arc<Conn>, ShardError> {
-        let stream = addr.connect().map_err(|e| ShardError::Connection(e.to_string()))?;
-        let mut writer = stream.try_clone().map_err(|e| ShardError::Connection(e.to_string()))?;
+    fn open(addr: &ShardAddr) -> Result<Arc<Conn>, ServeError> {
+        let lost = |e: std::io::Error| ServeError::Connection(e.to_string());
+        let stream = addr.connect().map_err(lost)?;
+        let mut writer = stream.try_clone().map_err(lost)?;
         // handshake synchronously, bounded, before the reader thread owns
         // the stream; unbuffered, so no byte after `HelloOk` is read here
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .map_err(|e| ShardError::Connection(e.to_string()))?;
-        wire::write_frame(&mut writer, &Message::Hello { version: wire::VERSION })
-            .map_err(|e| ShardError::Connection(e.to_string()))?;
-        let mut read_half =
-            stream.try_clone().map_err(|e| ShardError::Connection(e.to_string()))?;
+        stream.set_read_timeout(Some(Duration::from_secs(5))).map_err(lost)?;
+        wire::write_frame(&mut writer, &Message::Hello { version: wire::VERSION }).map_err(lost)?;
+        let mut read_half = stream.try_clone().map_err(lost)?;
         match wire::read_frame(&mut read_half) {
             Ok(Some(Message::HelloOk { .. })) => {}
             Ok(Some(other)) => {
-                return Err(ShardError::Protocol(format!("expected HelloOk, got {other:?}")))
+                return Err(ServeError::Protocol(format!("expected HelloOk, got {other:?}")))
             }
-            Ok(None) => return Err(ShardError::Connection("closed during handshake".into())),
-            Err(e) => return Err(ShardError::Connection(e)),
+            Ok(None) => return Err(ServeError::Connection("closed during handshake".into())),
+            Err(e) => return Err(ServeError::Connection(e)),
         }
-        stream.set_read_timeout(None).map_err(|e| ShardError::Connection(e.to_string()))?;
+        stream.set_read_timeout(None).map_err(lost)?;
         let conn = Arc::new(Conn {
             writer: Mutex::new(writer),
             read_half: stream,
@@ -90,8 +87,8 @@ impl Conn {
     }
 
     /// Routes one reply frame to its id, which it takes off the table:
-    /// every id is owed one frame. A `Result`, `Failed` or `Refused` ends a
-    /// request, and its [`Done`] is called here, on the reader thread.
+    /// every id is owed one frame. A `Result` or `Failed` ends a request,
+    /// and its [`Done`] is called here, on the reader thread.
     /// Frames for unregistered ids (cancelled hedges, dropped tickets) are
     /// dropped.
     fn deliver(&self, id: u64, msg: Message) {
@@ -103,11 +100,8 @@ impl Conn {
             }
             Some(Pending::End(done)) => done(match msg {
                 Message::Result { result, .. } => Ok(result),
-                Message::Failed { why, .. } => Err(ShardError::Render(why)),
-                Message::Refused { retryable, why, .. } => {
-                    Err(ShardError::Refused { retryable, why })
-                }
-                other => Err(ShardError::Protocol(format!("a request ended with {other:?}"))),
+                Message::Failed { error, .. } => Err(error),
+                other => Err(ServeError::Protocol(format!("a request ended with {other:?}"))),
             }),
             None => {}
         }
@@ -126,7 +120,7 @@ impl Conn {
                 Pending::Reply(reply) => {
                     let _ = reply.try_send(Err(why.to_string()));
                 }
-                Pending::End(done) => done(Err(ShardError::Connection(why.to_string()))),
+                Pending::End(done) => done(Err(ServeError::Connection(why.to_string()))),
             }
         }
     }
@@ -163,8 +157,8 @@ impl RemoteShard {
     ///
     /// # Errors
     ///
-    /// [`ShardError::Connection`] when the shard is unreachable.
-    pub fn connect(addr: ShardAddr, connections: usize) -> Result<RemoteShard, ShardError> {
+    /// [`ServeError::Connection`] when the shard is unreachable.
+    pub fn connect(addr: ShardAddr, connections: usize) -> Result<RemoteShard, ServeError> {
         let mut pool = vec![None; connections.max(1)];
         pool[0] = Some(Conn::open(&addr)?);
         Ok(RemoteShard {
@@ -177,7 +171,7 @@ impl RemoteShard {
 
     /// A live pooled connection (round-robin), re-dialing a dead or
     /// unopened pool slot — which is also how a restarted shard rejoins.
-    fn conn(&self) -> Result<Arc<Conn>, ShardError> {
+    fn conn(&self) -> Result<Arc<Conn>, ServeError> {
         let mut pool = self.pool.lock().unwrap();
         let i = self.next_conn.fetch_add(1, Ordering::Relaxed) % pool.len();
         if let Some(conn) = &pool[i] {
@@ -196,7 +190,7 @@ impl RemoteShard {
         &self,
         owed: Pending,
         build: impl FnOnce(u64) -> Message,
-    ) -> Result<(Arc<Conn>, u64), ShardError> {
+    ) -> Result<(Arc<Conn>, u64), ServeError> {
         let conn = self.conn()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         conn.pending.lock().unwrap().insert(id, owed);
@@ -208,7 +202,7 @@ impl RemoteShard {
             let forgotten = conn.unregister(id);
             conn.fail(&e.to_string());
             if forgotten {
-                return Err(ShardError::Connection(e.to_string()));
+                return Err(ServeError::Connection(e.to_string()));
             }
         }
         Ok((conn, id))
@@ -219,16 +213,18 @@ impl RemoteShard {
         &self,
         timeout: Duration,
         build: impl FnOnce(u64) -> Message,
-    ) -> Result<Message, ShardError> {
+    ) -> Result<Message, ServeError> {
         // room for the one reply, so the reader never waits for its caller
         let (reply, first) = mpsc::sync_channel(1);
         let (conn, id) = self.request(Pending::Reply(reply), build)?;
         let answer = match first.recv_timeout(timeout) {
             Ok(Ok(msg)) => Ok(msg),
-            Ok(Err(why)) => Err(ShardError::Connection(why)),
-            Err(RecvTimeoutError::Timeout) => Err(ShardError::Timeout),
+            Ok(Err(why)) => Err(ServeError::Connection(why)),
+            Err(RecvTimeoutError::Timeout) => {
+                Err(ServeError::Connection(format!("no reply within {timeout:?}")))
+            }
             Err(RecvTimeoutError::Disconnected) => {
-                Err(ShardError::Protocol("the connection dropped the reply".into()))
+                Err(ServeError::Protocol("the connection dropped the reply".into()))
             }
         };
         conn.unregister(id);
@@ -239,38 +235,38 @@ impl RemoteShard {
     ///
     /// # Errors
     ///
-    /// Connection, protocol, or timeout errors.
-    pub fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ShardError> {
+    /// Connection or protocol errors.
+    pub fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ServeError> {
         let scene = scene.to_string();
         match self.roundtrip(timeout, |id| Message::Prewarm { id, scene })? {
             Message::Warmed { ok, .. } => Ok(ok),
-            other => Err(ShardError::Protocol(format!("expected Warmed, got {other:?}"))),
+            other => Err(ServeError::Protocol(format!("expected Warmed, got {other:?}"))),
         }
     }
 }
 
 impl Shard for RemoteShard {
-    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ShardError> {
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError> {
         let req = WireRequest::from_request(req);
         let (conn, id) = self.request(Pending::End(done), |id| Message::Submit { id, req })?;
         Ok(Arc::new(RemoteTicket { conn, id }))
     }
 
-    fn health(&self, timeout: Duration) -> Result<HealthInfo, ShardError> {
+    fn health(&self, timeout: Duration) -> Result<(), ServeError> {
         match self.roundtrip(timeout, |id| Message::Health { id })? {
-            Message::HealthOk { queue_len, draining, .. } => Ok(HealthInfo { queue_len, draining }),
-            other => Err(ShardError::Protocol(format!("expected HealthOk, got {other:?}"))),
+            Message::HealthOk { .. } => Ok(()),
+            other => Err(ServeError::Protocol(format!("expected HealthOk, got {other:?}"))),
         }
     }
 
-    fn stats(&self, timeout: Duration) -> Result<WireStats, ShardError> {
+    fn stats(&self, timeout: Duration) -> Result<WireStats, ServeError> {
         match self.roundtrip(timeout, |id| Message::StatsPoll { id })? {
             Message::Stats { stats, .. } => Ok(stats),
-            other => Err(ShardError::Protocol(format!("expected Stats, got {other:?}"))),
+            other => Err(ServeError::Protocol(format!("expected Stats, got {other:?}"))),
         }
     }
 
-    fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ShardError> {
+    fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ServeError> {
         RemoteShard::prewarm(self, scene, timeout)
     }
 
@@ -313,7 +309,7 @@ mod tests {
         let Err(e) = RemoteShard::connect(addr, 1) else {
             panic!("connecting to a dead shard must fail");
         };
-        assert!(matches!(e, ShardError::Connection(_)), "{e}");
+        assert!(matches!(e, ServeError::Connection(_)), "{e}");
     }
 
     /// A [`Done`] that tells `ends` how it ended: called with what, or
@@ -370,9 +366,10 @@ mod tests {
                 trace: asdr_obs::TraceId::UNSET,
             };
             send(&mut stream, Message::Result { id: ids[0], result });
-            send(&mut stream, Message::Failed { id: ids[1], why: "boom".into() });
-            let why = "admission queue full".to_string();
-            send(&mut stream, Message::Refused { id: ids[2], retryable: true, why });
+            let error = ServeError::RenderFailed("boom".into());
+            send(&mut stream, Message::Failed { id: ids[1], error });
+            let error = ServeError::QueueFull { capacity: 64 };
+            send(&mut stream, Message::Failed { id: ids[2], error });
             let cancels = [expect(&mut stream), expect(&mut stream)];
             assert_eq!(cancels, [ids[3], ids[4]].map(|id| Message::Cancel { id }));
             // returning closes the connection under the sixth request
@@ -387,8 +384,8 @@ mod tests {
         let next = || ended.recv_timeout(Duration::from_secs(30)).expect("a request never ended");
         let first_three = [next(), next(), next()];
         assert_eq!(first_three[0], ("rendered", "result of Mic".to_string()));
-        assert_eq!(first_three[1], ("failed", "error: boom".to_string()));
-        let refusal = "error: refused (retryable): admission queue full".to_string();
+        assert_eq!(first_three[1], ("failed", "error: render failed: boom".to_string()));
+        let refusal = "error: admission queue full (64 pending)".to_string();
         assert_eq!(first_three[2], ("refused", refusal));
         let conn = shard.conn().unwrap();
         assert_eq!(conn.pending.lock().unwrap().len(), 3, "an ended request kept its id");

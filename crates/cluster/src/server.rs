@@ -19,8 +19,9 @@
 //! a closed connection, never a half-written frame.
 
 use crate::net::{Listener, ShardAddr, Stream};
-use crate::shard::{Done, Shard, ShardError, ShardTicket};
+use crate::shard::{Done, Shard, ShardTicket};
 use crate::wire::{self, Message};
+use asdr_serve::ServeError;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -230,11 +231,7 @@ impl Server {
                     Err(_) => continue,
                 },
                 Message::Health { id } => match self.shard.health(PATIENCE) {
-                    Ok(h) => Message::HealthOk {
-                        id,
-                        queue_len: h.queue_len,
-                        draining: h.draining || self.stopping.load(Ordering::SeqCst),
-                    },
+                    Ok(()) => Message::HealthOk { id },
                     Err(_) => continue,
                 },
                 Message::Prewarm { id, scene } => {
@@ -274,12 +271,14 @@ impl Server {
 
     /// Admits one request, its end to be queued by whoever the shard has
     /// report it, or refuses it. Either way the client's next word of it
-    /// is its end: `Result`, `Failed` or `Refused`.
+    /// is its end: `Result` or `Failed`.
     fn submit(&self, id: u64, req: &wire::WireRequest, outbox: &Outbox, replies: &Replies) {
-        let refuse = |retryable, why| outbox.send(Message::Refused { id, retryable, why });
         let req = match req.to_request() {
             Ok(req) => req,
-            Err(why) => return refuse(false, why),
+            Err(why) => {
+                let error = ServeError::InvalidRequest(why);
+                return outbox.send(Message::Failed { id, error });
+            }
         };
         // owed before the shard has it: the end may come before `submit` returns
         replies.lock().unwrap().insert(id, Reply::Owed(None));
@@ -290,7 +289,7 @@ impl Server {
                 if owed {
                     outbox.send(match outcome {
                         Ok(result) => Message::Result { id, result },
-                        Err(e) => Message::Failed { id, why: e.to_string() },
+                        Err(error) => Message::Failed { id, error },
                     });
                 }
             })
@@ -302,12 +301,9 @@ impl Server {
                     *owed = Some(ticket);
                 }
             }
-            Err(e) => {
+            Err(error) => {
                 replies.lock().unwrap().remove(&id);
-                match e {
-                    ShardError::Refused { retryable, why } => refuse(retryable, why),
-                    e => refuse(false, e.to_string()),
-                }
+                outbox.send(Message::Failed { id, error });
             }
         }
     }

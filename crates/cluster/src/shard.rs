@@ -10,58 +10,18 @@
 //! `tests/fleet_seam.rs`: a fake whose requests complete, stall or die on
 //! the test's command, which is what makes the hedge and failover
 //! arbitration testable without a process or a sleep.
+//!
+//! Every method fails with the service's own [`ServeError`]: a shard in
+//! this process passes its service's error through untouched, a remote
+//! one adds [`ServeError::Connection`] and [`ServeError::Protocol`].
 
 use crate::wire::{WireResult, WireStats};
 use asdr_serve::store::ModelStoreBuilder;
 use asdr_serve::{
     ModelStore, RenderProfile, RenderRequest, RenderResult, RenderService, ServeError,
 };
-use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Why a shard operation failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardError {
-    /// The shard refused the request (`retryable` = queue full / draining).
-    Refused {
-        /// Whether retrying (elsewhere or later) can succeed.
-        retryable: bool,
-        /// The shard-side message.
-        why: String,
-    },
-    /// The shard rendered but failed (worker panic).
-    Render(String),
-    /// The connection died or could not be established.
-    Connection(String),
-    /// The peer broke the protocol.
-    Protocol(String),
-    /// No reply within the caller's deadline.
-    Timeout,
-}
-
-impl fmt::Display for ShardError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardError::Refused { retryable, why } => {
-                write!(f, "refused ({}): {why}", if *retryable { "retryable" } else { "final" })
-            }
-            ShardError::Render(why) => write!(f, "{why}"),
-            ShardError::Connection(why) => write!(f, "connection: {why}"),
-            ShardError::Protocol(why) => write!(f, "protocol: {why}"),
-            ShardError::Timeout => f.write_str("timed out"),
-        }
-    }
-}
-
-/// A shard's health probe reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthInfo {
-    /// Queue depth at probe time.
-    pub queue_len: u64,
-    /// Whether the shard is draining.
-    pub draining: bool,
-}
 
 /// How a shard reports that a submitted request is terminal on it: called
 /// once, with the result or with why there is none, by whoever learns it —
@@ -71,7 +31,7 @@ pub struct HealthInfo {
 /// It must be cheap to call: the caller has a queue or a socket to get back
 /// to. Dropping it uncalled says the request was lost (a cancelled reply, a
 /// ticket nobody kept) and counts as an `Err`.
-pub type Done = Box<dyn FnOnce(Result<WireResult, ShardError>) + Send>;
+pub type Done = Box<dyn FnOnce(Result<WireResult, ServeError>) + Send>;
 
 /// A request admitted by a shard. Its outcome arrives through the
 /// submission's [`Done`]; the ticket is only the way to say it is no
@@ -88,38 +48,37 @@ pub trait Shard: Send + Sync {
     /// Hands a request to the shard, reporting its end through `done` —
     /// which may run before this returns, on a shard that finishes at once.
     /// A refusal the shard decides later (a remote one answers only once
-    /// the request has crossed the wire) is one of those ends:
-    /// [`ShardError::Refused`], through `done`.
+    /// the request has crossed the wire) is one of those ends, through
+    /// `done`.
     ///
     /// # Errors
     ///
-    /// Nothing was admitted, and `done` is dropped uncalled:
-    /// [`ShardError::Refused`] from a shard that decides at once
-    /// (retryable = momentarily full), [`ShardError::Connection`] when the
-    /// shard is unreachable.
-    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ShardError>;
+    /// Nothing was admitted, and `done` is dropped uncalled: the service's
+    /// refusal from a shard that decides at once,
+    /// [`ServeError::Connection`] when the shard is unreachable.
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError>;
 
     /// Probes liveness.
     ///
     /// # Errors
     ///
-    /// Connection, protocol, or timeout errors — each a health miss.
-    fn health(&self, timeout: Duration) -> Result<HealthInfo, ShardError>;
+    /// Connection or protocol errors — each a health miss.
+    fn health(&self, timeout: Duration) -> Result<(), ServeError>;
 
     /// The shard's statistics snapshot.
     ///
     /// # Errors
     ///
-    /// Connection, protocol, or timeout errors.
-    fn stats(&self, timeout: Duration) -> Result<WireStats, ShardError>;
+    /// Connection or protocol errors.
+    fn stats(&self, timeout: Duration) -> Result<WireStats, ServeError>;
 
     /// Pre-fetches `scene`'s model (ring re-warm), returning whether the
     /// shard knew the scene.
     ///
     /// # Errors
     ///
-    /// Connection, protocol, or timeout errors.
-    fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ShardError>;
+    /// Connection or protocol errors.
+    fn prewarm(&self, scene: &str, timeout: Duration) -> Result<bool, ServeError>;
 
     /// Stops admissions and finishes what was admitted (best effort; a
     /// remote shard exits afterwards).
@@ -152,40 +111,26 @@ impl LocalShard {
 }
 
 impl Shard for LocalShard {
-    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ShardError> {
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError> {
         // the service observes every end, failures too, on the worker that
         // reached it; the frames are copied there because the service's own
         // ticket keeps the original
         let on_done = Box::new(move |outcome: &Result<RenderResult, ServeError>| {
-            done(match outcome {
-                Ok(result) => Ok(WireResult::from_result(result)),
-                Err(e) => Err(ShardError::Render(e.to_string())),
-            });
+            done(outcome.as_ref().map(WireResult::from_result).map_err(Clone::clone));
         });
-        match self.service.submit_observed(req.clone(), on_done) {
-            Ok(_) => Ok(Arc::new(Admitted)),
-            Err(e) => {
-                // a draining shard is transient to the fleet, like a full one
-                let retryable =
-                    matches!(e, ServeError::QueueFull { .. } | ServeError::ShuttingDown);
-                Err(ShardError::Refused { retryable, why: e.to_string() })
-            }
-        }
+        self.service.submit_observed(req.clone(), on_done)?;
+        Ok(Arc::new(Admitted))
     }
 
-    fn health(&self, _timeout: Duration) -> Result<HealthInfo, ShardError> {
-        Ok(HealthInfo { queue_len: self.service.queue_len() as u64, draining: false })
+    fn health(&self, _timeout: Duration) -> Result<(), ServeError> {
+        Ok(())
     }
 
-    fn stats(&self, _timeout: Duration) -> Result<WireStats, ShardError> {
-        Ok(WireStats {
-            workers: self.service.workers() as u64,
-            queue_len: self.service.queue_len() as u64,
-            serve: self.service.stats(),
-        })
+    fn stats(&self, _timeout: Duration) -> Result<WireStats, ServeError> {
+        Ok(WireStats { workers: self.service.workers() as u64, serve: self.service.stats() })
     }
 
-    fn prewarm(&self, scene: &str, _timeout: Duration) -> Result<bool, ShardError> {
+    fn prewarm(&self, scene: &str, _timeout: Duration) -> Result<bool, ServeError> {
         let Some(handle) = asdr_scenes::registry::get(scene) else { return Ok(false) };
         // the fit/load itself is the warm-up; the store's cross-process
         // lock keeps it deduplicated
@@ -254,17 +199,5 @@ impl LocalShards {
             Ok(Arc::new(LocalShard { service: service.build()? }))
         };
         (0..self.shards.max(1)).map(build_one).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn errors_render_with_context() {
-        let e = ShardError::Refused { retryable: true, why: "admission queue full".into() };
-        assert!(e.to_string().contains("retryable"));
-        assert_eq!(ShardError::Timeout.to_string(), "timed out");
     }
 }

@@ -25,7 +25,7 @@ use asdr_obs::TraceId;
 use asdr_scenes::registry::OrbitCamera;
 use asdr_serve::service::{Priority, RenderRequest, RenderResult};
 use asdr_serve::workload::{MAX_DEADLINE_MS, MAX_FRAMES, MAX_RESOLUTION};
-use asdr_serve::{ServeStats, StoreStats};
+use asdr_serve::{ServeError, ServeStats, StoreStats};
 use std::io::{Read, Write};
 
 /// Wire protocol version, exchanged in [`Message::Hello`]. 2: `Stats`
@@ -33,8 +33,10 @@ use std::io::{Read, Write};
 /// one-way — a shard no longer acknowledges a `Submit` (tag 3, `Submitted`,
 /// is retired), and a `Refused` is one of the request's ends. 4: worker
 /// pools are fixed when a shard is built (tags 16 and 17, the pool resize
-/// pair, are retired).
-pub const VERSION: u8 = 4;
+/// pair, are retired). 5: a request that ends without a result ends with
+/// one `Failed` carrying the [`ServeError`] itself (tag 4, `Refused`, is
+/// retired); `HealthOk` carries only its id, `Stats` no queue length.
+pub const VERSION: u8 = 5;
 
 /// Largest frame payload a peer will read (a 4096-frame result of
 /// 8192² f32 pixels doesn't fit anyway — this bounds a hostile length
@@ -182,6 +184,41 @@ fn push_f32(out: &mut Vec<u8>, v: f32) {
 
 fn push_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A [`ServeError`] as a one-byte code, then a full queue's capacity or
+/// any other variant's message.
+fn push_error(out: &mut Vec<u8>, e: &ServeError) {
+    let (code, why) = match e {
+        ServeError::QueueFull { capacity } => {
+            out.push(0);
+            return push_varint(out, *capacity as u64);
+        }
+        ServeError::ShuttingDown => return out.push(1),
+        ServeError::InvalidRequest(why) => (2, why),
+        ServeError::RenderFailed(why) => (3, why),
+        ServeError::Connection(why) => (4, why),
+        ServeError::Protocol(why) => (5, why),
+    };
+    out.push(code);
+    push_string(out, why);
+}
+
+/// The [`ServeError`] [`push_error`] wrote.
+fn read_error(r: &mut Reader<'_>) -> Result<ServeError, String> {
+    let code = r.u8()?;
+    let why = |r: &mut Reader<'_>| r.string("error message", MAX_STRING);
+    Ok(match code {
+        0 => {
+            ServeError::QueueFull { capacity: r.bounded("capacity", u64::from(u32::MAX))? as usize }
+        }
+        1 => ServeError::ShuttingDown,
+        2 => ServeError::InvalidRequest(why(r)?),
+        3 => ServeError::RenderFailed(why(r)?),
+        4 => ServeError::Connection(why(r)?),
+        5 => ServeError::Protocol(why(r)?),
+        c => return Err(format!("unknown error code {c}")),
+    })
 }
 
 /// A render request as it travels to a shard: the scene by registry name,
@@ -450,13 +487,11 @@ impl WireResult {
 }
 
 /// A shard's statistics snapshot on the wire: the full [`ServeStats`]
-/// plus the live pool/queue state a router needs for placement.
+/// plus the shard's pool size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireStats {
     /// Worker-pool size, fixed when the shard was built.
     pub workers: u64,
-    /// Requests waiting in the admission queue right now.
-    pub queue_len: u64,
     /// The service snapshot.
     pub serve: ServeStats,
 }
@@ -466,7 +501,6 @@ impl WireStats {
         let s = &self.serve;
         for v in [
             self.workers,
-            self.queue_len,
             s.requests,
             s.frames,
             s.reused_frames,
@@ -506,7 +540,7 @@ impl WireStats {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<WireStats, String> {
-        let mut ints = [0u64; 12];
+        let mut ints = [0u64; 11];
         for v in &mut ints {
             *v = r.varint()?;
         }
@@ -520,18 +554,17 @@ impl WireStats {
         }
         Ok(WireStats {
             workers: ints[0],
-            queue_len: ints[1],
             serve: ServeStats {
-                requests: ints[2],
-                frames: ints[3],
-                reused_frames: ints[4],
-                deadlined_requests: ints[5],
-                deadline_misses: ints[6],
-                probe_points: ints[7],
-                density_evals: ints[8],
-                color_evals: ints[9],
-                skipped_density: ints[10],
-                skipped_color: ints[11],
+                requests: ints[1],
+                frames: ints[2],
+                reused_frames: ints[3],
+                deadlined_requests: ints[4],
+                deadline_misses: ints[5],
+                probe_points: ints[6],
+                density_evals: ints[7],
+                color_evals: ints[8],
+                skipped_density: ints[9],
+                skipped_color: ints[10],
                 p50_latency_ms: floats[0],
                 p95_latency_ms: floats[1],
                 mean_queue_wait_ms: floats[2],
@@ -576,17 +609,6 @@ pub enum Message {
         /// The request.
         req: WireRequest,
     },
-    /// The request was not admitted: one of a submit's three ends, with
-    /// [`Message::Result`] and [`Message::Failed`].
-    Refused {
-        /// Correlation id.
-        id: u64,
-        /// `true` for momentary overload (queue full — retry after a
-        /// poll), `false` for never-admissible requests.
-        retryable: bool,
-        /// The shard-side error message.
-        why: String,
-    },
     /// A completed request's result.
     Result {
         /// Correlation id of the originating submit.
@@ -594,12 +616,14 @@ pub enum Message {
         /// The measurements and bit-exact frames.
         result: WireResult,
     },
-    /// A submitted request failed shard-side (render panic).
+    /// A submitted request ended without a result: the shard refused it
+    /// (full, draining, invalid) or its render failed. One of a submit's
+    /// two ends, with [`Message::Result`].
     Failed {
         /// Correlation id of the originating submit.
         id: u64,
-        /// The shard-side error message.
-        why: String,
+        /// Why, as the shard's service said it.
+        error: ServeError,
     },
     /// Stop shipping the response for `id` (a hedge lost the race). The
     /// render may still complete shard-side; only the reply is dropped.
@@ -628,10 +652,6 @@ pub enum Message {
     HealthOk {
         /// Correlation id of the probe.
         id: u64,
-        /// Queue depth at probe time.
-        queue_len: u64,
-        /// Whether the shard is draining (stops admitting soon).
-        draining: bool,
     },
     /// Pre-fetch a scene's model from the checkpoint directory (ring
     /// re-warm before remapped traffic lands).
@@ -667,14 +687,13 @@ impl Message {
         match self {
             Message::Hello { .. } | Message::HelloOk { .. } => None,
             Message::Submit { id, .. }
-            | Message::Refused { id, .. }
             | Message::Result { id, .. }
             | Message::Failed { id, .. }
             | Message::Cancel { id }
             | Message::StatsPoll { id }
             | Message::Stats { id, .. }
             | Message::Health { id }
-            | Message::HealthOk { id, .. }
+            | Message::HealthOk { id }
             | Message::Prewarm { id, .. }
             | Message::Warmed { id, .. }
             | Message::Drain { id }
@@ -699,21 +718,15 @@ impl Message {
                 push_varint(&mut out, *id);
                 req.encode(&mut out);
             }
-            Message::Refused { id, retryable, why } => {
-                out.push(4);
-                push_varint(&mut out, *id);
-                out.push(u8::from(*retryable));
-                push_string(&mut out, why);
-            }
             Message::Result { id, result } => {
                 out.push(5);
                 push_varint(&mut out, *id);
                 result.encode(&mut out);
             }
-            Message::Failed { id, why } => {
+            Message::Failed { id, error } => {
                 out.push(6);
                 push_varint(&mut out, *id);
-                push_string(&mut out, why);
+                push_error(&mut out, error);
             }
             Message::Cancel { id } => {
                 out.push(7);
@@ -732,11 +745,9 @@ impl Message {
                 out.push(10);
                 push_varint(&mut out, *id);
             }
-            Message::HealthOk { id, queue_len, draining } => {
+            Message::HealthOk { id } => {
                 out.push(11);
                 push_varint(&mut out, *id);
-                push_varint(&mut out, *queue_len);
-                out.push(u8::from(*draining));
             }
             Message::Prewarm { id, scene } => {
                 out.push(12);
@@ -778,22 +789,13 @@ impl Message {
                     let id = r.varint()?;
                     Message::Submit { id, req: WireRequest::decode(&mut r)? }
                 }
-                4 => {
-                    let id = r.varint()?;
-                    let retryable = r.boolean("retryable")?;
-                    Message::Refused {
-                        id,
-                        retryable,
-                        why: r.string("refusal message", MAX_STRING)?,
-                    }
-                }
                 5 => {
                     let id = r.varint()?;
                     Message::Result { id, result: WireResult::decode(&mut r)? }
                 }
                 6 => {
                     let id = r.varint()?;
-                    Message::Failed { id, why: r.string("failure message", MAX_STRING)? }
+                    Message::Failed { id, error: read_error(&mut r)? }
                 }
                 7 => Message::Cancel { id: r.varint()? },
                 8 => Message::StatsPoll { id: r.varint()? },
@@ -802,11 +804,7 @@ impl Message {
                     Message::Stats { id, stats: WireStats::decode(&mut r)? }
                 }
                 10 => Message::Health { id: r.varint()? },
-                11 => {
-                    let id = r.varint()?;
-                    let queue_len = r.varint()?;
-                    Message::HealthOk { id, queue_len, draining: r.boolean("draining")? }
-                }
+                11 => Message::HealthOk { id: r.varint()? },
                 12 => {
                     let id = r.varint()?;
                     Message::Prewarm { id, scene: r.string("scene name", MAX_STRING)? }
@@ -913,7 +911,11 @@ mod tests {
                     trace: TraceId::from_u64(0xdead_beef_cafe_f00d),
                 },
             },
-            Message::Refused { id: 8, retryable: true, why: "admission queue full".into() },
+            Message::Failed { id: 8, error: ServeError::QueueFull { capacity: 64 } },
+            Message::Failed { id: 8, error: ServeError::ShuttingDown },
+            Message::Failed { id: 8, error: ServeError::InvalidRequest("resolution 0".into()) },
+            Message::Failed { id: 8, error: ServeError::Connection("reset".into()) },
+            Message::Failed { id: 8, error: ServeError::Protocol("tag 4".into()) },
             Message::Result {
                 id: 7,
                 result: WireResult {
@@ -928,14 +930,13 @@ mod tests {
                     trace: TraceId::from_u64(0xdead_beef_cafe_f00d),
                 },
             },
-            Message::Failed { id: 9, why: "render failed: boom".into() },
+            Message::Failed { id: 9, error: ServeError::RenderFailed("boom".into()) },
             Message::Cancel { id: 7 },
             Message::StatsPoll { id: 10 },
             Message::Stats {
                 id: 10,
                 stats: WireStats {
                     workers: 2,
-                    queue_len: 1,
                     serve: ServeStats {
                         requests: 5,
                         frames: 9,
@@ -957,7 +958,7 @@ mod tests {
                 },
             },
             Message::Health { id: 11 },
-            Message::HealthOk { id: 11, queue_len: 0, draining: false },
+            Message::HealthOk { id: 11 },
             Message::Prewarm { id: 12, scene: "Lego".into() },
             Message::Warmed { id: 12, ok: true },
             Message::Drain { id: 13 },
@@ -1073,6 +1074,8 @@ mod tests {
         push_f32(&mut out, 0.0);
         out.push(0b1100); // priority code 3
         assert!(Message::decode(&out).unwrap_err().contains("priority"));
+        // unknown error code
+        assert!(Message::decode(&[6, 1, 6]).unwrap_err().contains("unknown error code 6"));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Cluster scheduling contracts: cost-budget admission (home → spill →
-//! reject), reservation release on completion, and the fleet-wide
-//! deadline-miss rate over the requests that carried a deadline.
+//! reject), the retry classes a fleet reads off the service's own error,
+//! reservation release on completion, and the fleet-wide deadline-miss
+//! rate over the requests that carried a deadline.
 //!
 //! The shards here warm from a directory pre-populated with cheap blank
 //! models, so no test pays for a real fit; admission tests run against
 //! **paused** shards so routing decisions cannot race completions.
 
-use asdr_cluster::{Fleet, FleetConfig, FleetError, LocalShards};
+use asdr_cluster::{Fleet, FleetConfig, LocalShards, Shard};
 use asdr_math::{Aabb, Vec3};
 use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::grid::GridConfig;
@@ -15,7 +16,7 @@ use asdr_nerf::model::{COLOR_IN_DIM, DENSITY_OUT_DIM};
 use asdr_nerf::occupancy::OccupancyGrid;
 use asdr_nerf::{HashEncoder, NgpModel};
 use asdr_scenes::registry;
-use asdr_serve::{ModelStore, RenderProfile, RenderRequest};
+use asdr_serve::{ModelStore, RenderProfile, RenderRequest, ServeError};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -79,7 +80,8 @@ fn admission_goes_home_then_spills_then_rejects() {
     assert_ne!(second.shard(), home, "a saturated home shard spills to the least-loaded");
 
     let third = cluster.submit(RenderRequest::frame(mic.clone(), 16));
-    assert_eq!(third.err(), Some(FleetError::Busy), "every shard is over budget");
+    let full = ServeError::QueueFull { capacity: 2 };
+    assert_eq!(third.err(), Some(full), "every shard is over budget");
 
     let staged = cluster.stats();
     assert_eq!((staged.routed_home, staged.spilled, staged.rejected), (1, 1, 1));
@@ -98,6 +100,35 @@ fn admission_goes_home_then_spills_then_rejects() {
     }
     assert_eq!(stats.total_fits(), 0, "everything warmed from the shared checkpoint dir");
     assert!(stats.cost.observations >= 3, "completions feed the cost model");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A draining shard is passed over like a full one, and a fleet of them
+/// is full rather than failed; an invalid request is final on every
+/// shard, and nobody is evicted for either.
+#[test]
+fn a_draining_home_is_passed_over_and_an_invalid_request_is_final() {
+    let dir = warm_dir("draining", &["Mic"]);
+    let shards =
+        LocalShards { store: ModelStore::builder().dir(&dir), ..LocalShards::new(test_profile()) };
+    let shards = shards.build().unwrap();
+    let cluster = Fleet::new(shards.clone(), &test_profile(), FleetConfig::default()).unwrap();
+    let mic = registry::handle("Mic");
+    let Err(e) = cluster.submit(RenderRequest::frame(mic.clone(), 0)) else {
+        panic!("a resolution-0 request was admitted");
+    };
+    assert!(e.to_string().contains("resolution"), "{e}");
+    let home = cluster.ring().home("Mic");
+    shards[home].drain(Duration::from_secs(5));
+    let ticket = cluster.submit(RenderRequest::frame(mic.clone(), 16)).unwrap();
+    assert_eq!(ticket.shard(), 1 - home, "the draining home kept the request");
+    ticket.wait().unwrap();
+    // every shard draining: the fleet is full for now, not failed
+    shards[1 - home].drain(Duration::from_secs(5));
+    let refused = cluster.submit(RenderRequest::frame(mic, 16)).err();
+    assert!(matches!(refused, Some(ServeError::QueueFull { .. })), "{refused:?}");
+    assert_eq!((cluster.stats().fleet.evictions, cluster.live_shards()), (0, 2));
+    cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -10,12 +10,14 @@
 
 use asdr_cluster::wire::{self, Message, WireRequest, WireResult, WireStats};
 use asdr_cluster::{
-    Done, Fleet, FleetConfig, FleetStats, FleetTicket, HealthInfo, Listener, LocalShards,
-    RemoteShard, Server, Shard, ShardAddr, ShardError, ShardTicket, Stream,
+    Done, Fleet, FleetConfig, FleetStats, FleetTicket, Listener, LocalShards, RemoteShard, Server,
+    Shard, ShardAddr, ShardTicket, Stream,
 };
 use asdr_math::{Image, Rgb};
 use asdr_scenes::registry;
-use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService, ServeStats};
+use asdr_serve::{
+    ModelStore, Priority, RenderProfile, RenderRequest, RenderService, ServeError, ServeStats,
+};
 use rand::Rng;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -35,7 +37,7 @@ struct Handle {
 }
 
 impl Handle {
-    fn end(&mut self, outcome: Result<WireResult, ShardError>) {
+    fn end(&mut self, outcome: Result<WireResult, ServeError>) {
         self.done.take().expect("a request ends once")(outcome);
     }
 
@@ -44,13 +46,16 @@ impl Handle {
     }
 
     fn die(&mut self) {
-        self.end(Err(ShardError::Connection("the test killed this shard".into())));
+        self.end(Err(ServeError::Connection("the test killed this shard".into())));
     }
 
     /// Refuses the request after `submit` has returned, as a remote shard
     /// does.
     fn refuse(&mut self, retryable: bool) {
-        self.end(Err(ShardError::Refused { retryable, why: "the test is full".into() }));
+        self.end(Err(match retryable {
+            true => ServeError::QueueFull { capacity: 1 },
+            false => ServeError::InvalidRequest("the test is full".into()),
+        }));
     }
 }
 
@@ -95,7 +100,7 @@ impl FakeShard {
 }
 
 impl Shard for FakeShard {
-    fn submit(&self, _req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ShardError> {
+    fn submit(&self, _req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError> {
         let cancelled = Arc::new(AtomicBool::new(false));
         let mut handle = Handle { shard: self.id, done: Some(done), cancelled: cancelled.clone() };
         if self.instant.load(Ordering::SeqCst) {
@@ -106,23 +111,23 @@ impl Shard for FakeShard {
         Ok(Arc::new(FakeTicket { cancelled }))
     }
 
-    fn health(&self, _timeout: Duration) -> Result<HealthInfo, ShardError> {
+    fn health(&self, _timeout: Duration) -> Result<(), ServeError> {
         if self.healthy.load(Ordering::SeqCst) {
-            Ok(HealthInfo { queue_len: 0, draining: false })
+            Ok(())
         } else {
-            Err(ShardError::Timeout)
+            Err(ServeError::Connection("timed out".into()))
         }
     }
 
-    fn stats(&self, _timeout: Duration) -> Result<WireStats, ShardError> {
-        Ok(WireStats { workers: 1, queue_len: 0, serve: ServeStats::default() })
+    fn stats(&self, _timeout: Duration) -> Result<WireStats, ServeError> {
+        Ok(WireStats { workers: 1, serve: ServeStats::default() })
     }
 
-    fn prewarm(&self, scene: &str, _timeout: Duration) -> Result<bool, ShardError> {
+    fn prewarm(&self, scene: &str, _timeout: Duration) -> Result<bool, ServeError> {
         self.prewarmed.lock().unwrap().push((self.id, scene.to_string()));
         let fail = |left: usize| left.checked_sub(1);
         match self.failing_prewarms.fetch_update(Ordering::SeqCst, Ordering::SeqCst, fail) {
-            Ok(_) => Err(ShardError::Timeout),
+            Ok(_) => Err(ServeError::Connection("timed out".into())),
             Err(_) => Ok(true),
         }
     }
@@ -468,7 +473,7 @@ fn unprobed() -> FleetConfig {
 }
 
 /// A refusal reported after `submit` has returned (a remote shard's
-/// `Refused`) is a re-route: the request goes to the shard that did not
+/// `Failed` with a full queue) is a re-route: the request goes to the shard that did not
 /// refuse it, and nobody is evicted or failed over.
 #[test]
 fn a_request_refused_after_submit_completes_on_the_other_shard() {

@@ -2,27 +2,26 @@
 //! kind round-trip exactly (down to pixel bit patterns), every proper
 //! prefix of a frame or payload is a named error, and byte corruption
 //! anywhere in a stream degrades to a named error — never a panic.
-//!
-//! Mirrors `crates/serve/tests/trace_props.rs` for the trace codec.
 
 use asdr_cluster::wire::{self, Message, WireRequest, WireResult, WireStats};
 use asdr_cluster::{Listener, LocalShards, Server, ShardAddr};
 use asdr_math::Image;
 use asdr_obs::TraceId;
 use asdr_scenes::registry::OrbitCamera;
-use asdr_serve::{Priority, RenderProfile, ServeStats, StoreStats};
+use asdr_serve::{Priority, RenderProfile, ServeError, ServeStats, StoreStats};
 use proptest::{array, collection, prelude::*};
 use std::time::Duration;
 
 const SCENES: [&str; 4] = ["Mic", "Lego", "Pulse", "Palace"];
 
-/// `Submitted`'s tag until wire version 3, which stopped acknowledging a
-/// submit. No message has it now.
-const RETIRED_TAG: u8 = 3;
+/// Every tag no message has now: `Submitted` (3) until wire version 3
+/// stopped acknowledging a submit, the pool resize pair (16 and 17) until
+/// version 4 fixed each shard's pool at build, and `Refused` (4) until
+/// version 5 ended every request without a result with one `Failed`.
+const RETIRED_TAGS: [u8; 4] = [3, 4, 16, 17];
 
-/// Every tag no message has now: [`RETIRED_TAG`], and the pool resize pair
-/// (16 and 17) until wire version 4 fixed each shard's pool at build.
-const RETIRED_TAGS: [u8; 3] = [RETIRED_TAG, 16, 17];
+/// The tags messages have now, one per kind [`build_message`] makes.
+const LIVE_TAGS: [u8; 14] = [0, 1, 2, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
 
 /// (scene, resolution, frames, azimuth, priority, deadline_us, camera?,
 /// trace seed — even seeds give the unset id, which must encode as the
@@ -86,7 +85,6 @@ fn build_stats(seed: u64) -> WireStats {
     let f = |k: u64| (seed.wrapping_mul(k) % 10_000) as f64 / 16.0;
     WireStats {
         workers: n(3),
-        queue_len: n(5),
         serve: ServeStats {
             requests: n(7),
             frames: n(11),
@@ -122,12 +120,10 @@ fn build_message((kind, id, n, flag, req): MsgTuple) -> Message {
     let flag = flag > 0;
     let req = build_request(req);
     let why = format!("shard said: {n}");
-    // the kinds are the wire tags, less the retired tag 3
-    match kind + u8::from(kind >= RETIRED_TAG) {
+    match LIVE_TAGS[kind as usize] {
         0 => Message::Hello { version: (id % 256) as u8 },
         1 => Message::HelloOk { shard: n },
         2 => Message::Submit { id, req },
-        4 => Message::Refused { id, retryable: flag, why },
         5 => Message::Result {
             id,
             result: WireResult {
@@ -144,12 +140,22 @@ fn build_message((kind, id, n, flag, req): MsgTuple) -> Message {
                     .collect(),
             },
         },
-        6 => Message::Failed { id, why },
+        6 => Message::Failed {
+            id,
+            error: match n % 6 {
+                0 => ServeError::QueueFull { capacity: id as usize },
+                1 => ServeError::ShuttingDown,
+                2 => ServeError::InvalidRequest(why),
+                3 => ServeError::RenderFailed(why),
+                4 => ServeError::Connection(why),
+                _ => ServeError::Protocol(why),
+            },
+        },
         7 => Message::Cancel { id },
         8 => Message::StatsPoll { id },
         9 => Message::Stats { id, stats: build_stats(n) },
         10 => Message::Health { id },
-        11 => Message::HealthOk { id, queue_len: n, draining: flag },
+        11 => Message::HealthOk { id },
         12 => Message::Prewarm { id, scene: req.scene },
         13 => Message::Warmed { id, ok: flag },
         14 => Message::Drain { id },
@@ -159,7 +165,7 @@ fn build_message((kind, id, n, flag, req): MsgTuple) -> Message {
 
 fn arb_msg_tuple() -> impl Strategy<Value = MsgTuple> {
     (
-        0u8..15,
+        0u8..LIVE_TAGS.len() as u8,
         0u64..1_000_000_000,
         0u64..100_000,
         0u8..2,
@@ -342,7 +348,7 @@ proptest! {
 
 proptest! {
     #[test]
-    fn the_retired_tag_decodes_as_a_named_error(
+    fn the_retired_tags_decode_as_named_errors(
         tail in collection::vec(0u8..=255, 0..24),
     ) {
         for tag in RETIRED_TAGS {
@@ -359,10 +365,11 @@ proptest! {
     }
 }
 
-/// A version-2 client waits for a `Submitted` no shard sends any more, and
-/// a version-3 one may ask for a pool resize no shard answers: the
-/// handshake turns both away, and a current client on the same server is
-/// answered.
+/// A version-2 client waits for a `Submitted` no shard sends any more, a
+/// version-3 one may ask for a pool resize no shard answers, and a
+/// version-4 one expects a longer `HealthOk` than a shard sends: the
+/// handshake turns all three away, and a current client on the same server
+/// is answered.
 #[test]
 fn a_hello_at_version_2_is_turned_away() {
     let sock = std::env::temp_dir().join(format!("asdr-wire-v2-{}.sock", std::process::id()));
@@ -377,9 +384,10 @@ fn a_hello_at_version_2_is_turned_away() {
         wire::write_frame(&mut stream, &Message::Hello { version }).unwrap();
         wire::read_frame(&mut stream).unwrap()
     };
-    assert_eq!(wire::VERSION, 4);
+    assert_eq!(wire::VERSION, 5);
     assert_eq!(hello(2), None, "a version-2 peer was let in");
     assert_eq!(hello(3), None, "a version-3 peer was let in");
+    assert_eq!(hello(4), None, "a version-4 peer was let in");
     assert_eq!(hello(wire::VERSION), Some(Message::HelloOk { shard: 0 }));
     server.stop();
     run.join().unwrap().unwrap();

@@ -5,7 +5,8 @@
 //!
 //! Input is any directory tree holding bundle subdirectories (or a single
 //! bundle): every `spans.jsonl` one level deep — plus one in the root
-//! itself — is parsed line-by-line and a line that does not parse is
+//! itself — is parsed line-by-line and a line that does not parse, or is
+//! not UTF-8 (a kill −9 can cut a scene name inside a character), is
 //! counted and skipped, so a truncated last line from a killed daemon
 //! never sinks the report.
 
@@ -160,9 +161,12 @@ pub fn load_bundles(root: &Path) -> Result<(Vec<ParsedSpan>, usize), String> {
     let mut spans = Vec::new();
     let mut skipped = 0usize;
     for file in files {
-        let text = fs::read_to_string(&file)
-            .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        for line in text.lines() {
+        let bytes = fs::read(&file).map_err(|e| format!("cannot read {}: {e}", file.display()))?;
+        for line in bytes.split(|&b| b == b'\n') {
+            let Ok(line) = std::str::from_utf8(line) else {
+                skipped += 1;
+                continue;
+            };
             if line.trim().is_empty() {
                 continue;
             }
@@ -443,6 +447,23 @@ mod tests {
         ] {
             assert!(parse_span_line(bad).is_none(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn a_line_cut_inside_a_character_is_skipped_not_fatal() {
+        let dir = std::env::temp_dir().join(format!("asdr-report-utf8-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let mut bytes = b"{\"trace\": \"0000000000000001\", \"process\": \"serve\", \
+                          \"phase\": \"admit\", \"start_us\": 1, \"dur_us\": 0}\n"
+            .to_vec();
+        // a kill -9 mid-write: the scene name `Café` ends inside its `é`
+        let cut = "{\"trace\": \"0000000000000002\", \"detail\": \"scene=Café";
+        bytes.extend_from_slice(&cut.as_bytes()[..cut.len() - 1]);
+        fs::write(dir.join("spans.jsonl"), bytes).unwrap();
+        let (spans, skipped) = load_bundles(&dir).expect("one bad line must not sink the report");
+        assert_eq!((spans.len(), skipped), (1, 1));
+        assert_eq!(spans[0].phase, "admit");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

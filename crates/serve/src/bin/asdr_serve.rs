@@ -23,7 +23,7 @@
 //! `--store-dir` must produce byte-identical dumps (the store acceptance
 //! contract, pinned by `tests/serve_e2e.rs`). `--bundle DIR` writes an
 //! [`asdr_obs`] run bundle — config snapshot, stage markers, periodic
-//! stats samples, the span timeline — that `asdr-trace report` can merge
+//! stats samples, the span timeline — that `asdr-cluster report` can merge
 //! with other processes' bundles.
 
 use asdr_serve::flags::{self, die, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags};

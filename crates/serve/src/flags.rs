@@ -1,6 +1,6 @@
 //! Small shared CLI helpers for the workspace binaries.
 //!
-//! `asdr-serve`, `asdr-cluster`, and `asdr-trace` parse argv by hand (no
+//! `asdr-serve` and `asdr-cluster` parse argv by hand (no
 //! clap offline); this module keeps the shared pieces — fail-fast value
 //! parsing, the replay trio (`--workload` / `--speed` / `--record`), the
 //! output trio (`--out` / `--dump-images` / `--bundle`) and the
@@ -9,10 +9,9 @@
 
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, ModelStoreBuilder};
-use crate::trace::replay::ReplayedRequest;
-use crate::trace::ReplayDriver;
+use crate::workload::{ReplayDriver, ReplayedRequest};
 use asdr_math::Image;
-use asdr_obs::Bundle;
+use asdr_obs::{Bundle, JsonWriter};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -297,15 +296,16 @@ impl ReplayMeasurements {
     fn trace_result_line(&self, wall: Duration) -> String {
         let miss_rate =
             if self.deadlined > 0 { self.misses as f64 / self.deadlined as f64 } else { 0.0 };
-        format!(
-            "TRACE_RESULT {{\"wall_ms\": {}, \"requests\": {}, \"frames\": {}, \
-             \"deadlined_requests\": {}, \"deadline_misses\": {}, \"miss_rate\": {miss_rate:.6}}}",
-            wall.as_millis(),
-            self.requests,
-            self.frames,
-            self.deadlined,
-            self.misses,
-        )
+        let mut w = JsonWriter::new();
+        w.obj();
+        w.key("wall_ms").u64(wall.as_millis() as u64);
+        w.key("requests").usize(self.requests);
+        w.key("frames").usize(self.frames);
+        w.key("deadlined_requests").usize(self.deadlined);
+        w.key("deadline_misses").usize(self.misses);
+        w.key("miss_rate").f64(miss_rate, 6);
+        w.close_obj();
+        format!("TRACE_RESULT {}", w.finish())
     }
 }
 
@@ -367,6 +367,12 @@ mod tests {
         m.push(true, true, 2);
         m.push(false, false, 1);
         let line = m.trace_result_line(Duration::from_millis(120));
+        // byte for byte: the smoke scripts `sed` fields out of this line
+        assert_eq!(
+            line,
+            "TRACE_RESULT {\"wall_ms\": 120, \"requests\": 3, \"frames\": 5, \
+             \"deadlined_requests\": 2, \"deadline_misses\": 1, \"miss_rate\": 0.500000}"
+        );
         let json = line.strip_prefix("TRACE_RESULT ").expect("prefixed line");
         let obj = asdr_obs::json::parse_flat_object(json).unwrap();
         let num = |k: &str| match obj.get(k) {

@@ -16,12 +16,13 @@
 //!   claims one request at a time, and multi-frame requests reuse their
 //!   sample plan via [`PlanPolicy::Reuse`](asdr_core::algo::PlanPolicy);
 //! * [`workload`] — the JSON-lines workload format, with its one reader
-//!   and one writer: what the `asdr-serve` binary replays (with
-//!   [`service::ServeStats`] as its JSON artifact) and what `--record`
-//!   writes;
-//! * [`trace`] — trace record and replay: `--record` capture, and the one
-//!   shared [`ReplayDriver`] that both `asdr-serve` and `asdr-cluster`
-//!   submit a parsed `Vec<`[`TimedRequest`]`>` through.
+//!   and one writer (what `--record` captures), and the one shared
+//!   [`ReplayDriver`] that both `asdr-serve` and `asdr-cluster` submit a
+//!   parsed `Vec<`[`TimedRequest`]`>` through;
+//! * [`ServeError`] — the one error vocabulary of the serving stack: the
+//!   service, the cluster's shard seam and its fleet all return it, and
+//!   each layer reads its own decision (wait, retry elsewhere, evict,
+//!   fail) off the variant.
 //!
 //! ```no_run
 //! use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService};
@@ -51,7 +52,6 @@ pub mod flags;
 pub mod profile;
 pub mod service;
 pub mod store;
-pub mod trace;
 pub mod workload;
 
 pub use profile::RenderProfile;
@@ -60,5 +60,4 @@ pub use service::{
     ServeStats,
 };
 pub use store::{ModelStore, StoreKey, StoreStats};
-pub use trace::{ReplayDriver, ReplayTarget, SubmitOutcome, TimedRequest};
-pub use workload::parse_workload;
+pub use workload::{parse_workload, ReplayDriver, ReplayTarget, TimedRequest};

@@ -145,12 +145,20 @@ impl RenderRequest {
     }
 }
 
-/// Why a submission was refused, or a submitted request failed.
+/// Why a submission was refused, or a submitted request failed: the one
+/// error of the serving stack. The service returns the first four; a
+/// fleet's shard seam adds the two a wire can cause. Each caller reads its
+/// own decision off the variant — a replay waits out only `QueueFull`, a
+/// fleet tries another shard on `QueueFull` and `ShuttingDown` and evicts
+/// one whose connection is lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The admission queue is at capacity; retry after completions drain.
+    /// Momentarily at capacity — the admission queue, or every live shard
+    /// of a fleet (over its cost budget or full); retry after completions
+    /// drain.
     QueueFull {
-        /// The configured queue capacity.
+        /// The requests pending: the queue's configured capacity, or the
+        /// fleet's requests in flight.
         capacity: usize,
     },
     /// The service is shutting down and no longer accepts work.
@@ -162,6 +170,11 @@ pub enum ServeError {
     /// builder is arbitrary user code — so it fails the ticket, never the
     /// service: the worker survives and keeps serving.
     RenderFailed(String),
+    /// A remote shard could not be reached, did not answer in time, or its
+    /// connection died under the request (or a fleet has no live shard).
+    Connection(String),
+    /// A remote peer broke the wire protocol.
+    Protocol(String),
 }
 
 impl fmt::Display for ServeError {
@@ -173,6 +186,8 @@ impl fmt::Display for ServeError {
             ServeError::ShuttingDown => f.write_str("service is shutting down"),
             ServeError::InvalidRequest(why) => write!(f, "invalid request: {why}"),
             ServeError::RenderFailed(why) => write!(f, "render failed: {why}"),
+            ServeError::Connection(why) => write!(f, "connection: {why}"),
+            ServeError::Protocol(why) => write!(f, "protocol: {why}"),
         }
     }
 }
@@ -597,11 +612,6 @@ impl RenderService {
             };
             q = self.shared.cond.wait_timeout(q, left).unwrap().0;
         }
-    }
-
-    /// Requests currently waiting in the admission queue.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().unwrap().queue.len()
     }
 
     /// The admission-queue capacity.

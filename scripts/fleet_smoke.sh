@@ -31,7 +31,7 @@ out=target/fleet-smoke
 store=target/fleet-store
 
 cluster() { cargo run --release -q -p asdr_cluster --bin asdr-cluster -- "$@"; }
-trace() { cargo run --release -q -p asdr_serve --bin asdr-trace -- "$@"; }
+report() { cargo run --release -q -p asdr_cluster --bin asdr-cluster -- report "$@"; }
 
 rm -rf "$out" "$store"
 mkdir -p "$out"
@@ -119,7 +119,7 @@ replications=$(sed -n 's/.*"rewarms": [0-9]*, "replications": \([0-9]*\)}.*/\1/p
 echo "replicas made behind queued requests: $replications"
 
 echo "== merged bundle report"
-trace report --bundles "$out/bundles" --out target/fleet-bundle-report.md
+report --bundles "$out/bundles" --out target/fleet-bundle-report.md
 joins=$(grep -c '^SPAN_JOIN' target/fleet-bundle-report.md || true)
 [[ "$joins" -ge 1 ]] \
     || { echo "FAIL: no request's spans joined across processes"; exit 1; }

@@ -9,7 +9,7 @@
 #              timeline and no file the layout doc in
 #              crates/obs/src/bundle.rs does not list, its stats.json is byte-identical to the --out
 #              artifact (one JSON writer serves both), and the merged
-#              `asdr-trace report --bundles` attributes every deadline
+#              `asdr-cluster report --bundles` attributes every deadline
 #              miss to a dominant phase
 #
 # usage: scripts/obs_smoke.sh
@@ -18,13 +18,14 @@ set -euo pipefail
 out=target/obs-smoke
 
 serve() { cargo run --release -q -p asdr_serve --bin asdr-serve -- "$@"; }
-trace() { cargo run --release -q -p asdr_serve --bin asdr-trace -- "$@"; }
+report() { cargo run --release -q -p asdr_cluster --bin asdr-cluster -- report "$@"; }
 
 rm -rf "$out"
 mkdir -p "$out"
 
 echo "== build"
-cargo build --release -q -p asdr_serve --bin asdr-serve --bin asdr-trace
+cargo build --release -q -p asdr_serve --bin asdr-serve
+cargo build --release -q -p asdr_cluster --bin asdr-cluster
 
 echo "== serve replay, bundle on"
 serve --workload scripts/serve-workload-miss.jsonl --scale tiny --no-store \
@@ -54,7 +55,7 @@ spans=$(wc -l < "$bundle/spans.jsonl")
 echo "bundle complete: $spans span lines, final stage '$stage', stats byte-identical to --out"
 
 echo "== merged report asserts"
-trace report --bundles "$out/bundles" --out "$out/report.md"
+report --bundles "$out/bundles" --out "$out/report.md"
 grep -q '^| render |' "$out/report.md" \
     || { echo "FAIL: per-phase table has no render row"; exit 1; }
 misses=$(grep -c '^MISS_ATTRIBUTION' "$out/report.md" || true)
@@ -64,7 +65,7 @@ if grep '^MISS_ATTRIBUTION' "$out/report.md" | grep -q 'phase=unattributed'; the
     echo "FAIL: a deadline miss has no dominant phase"
     exit 1
 fi
-trace report --bundles "$out/bundles" --json --out "$out/report.json"
+report --bundles "$out/bundles" --json --out "$out/report.json"
 grep -q '"phases"' "$out/report.json" \
     || { echo "FAIL: JSON report has no phases array"; exit 1; }
 echo "merged report: $misses deadline misses, every one attributed"
