@@ -57,14 +57,18 @@ fn bench_mlp(c: &mut Criterion) {
         })
     });
 
-    // the same layers on the portable instantiation by name, so a run on an
-    // AVX2 host still fails when the baseline build loses its vectorisation —
-    // and, set beside the `_raw` rows, shows whether the body still inlines
-    // into the AVX2 wrapper: if it stops, the two read the same and only
-    // these numbers say so. Density runs the 8-lane blocks, colour the 16-
-    // and 4-lane ones; each instantiation can lose vectorisation on its own
-    bench_portable(c, "density_mlp_forward_portable", density);
-    bench_portable(c, "color_mlp_forward_portable", color);
+    // the same layers on the narrower instantiations by name, so a run on an
+    // AVX-512 host still fails when the AVX2 or the baseline build loses its
+    // vectorisation — and, set beside the `_raw` rows, shows whether the body
+    // still inlines into the wider wrappers: if it stops, the rows read the
+    // same and only these numbers say so. Each instantiation can lose
+    // vectorisation on its own, and each runs the 8- and 4-lane blocks of
+    // the tails; the 64-output layers run 8-lane blocks here, 16-lane ones
+    // in `_raw` on AVX-512
+    bench_on(c, "density_mlp_forward_avx2", density, Kernel::Avx2);
+    bench_on(c, "color_mlp_forward_avx2", color, Kernel::Avx2);
+    bench_on(c, "density_mlp_forward_portable", density, Kernel::Portable);
+    bench_on(c, "color_mlp_forward_portable", color, Kernel::Portable);
 
     // the narrow tail layer alone: three outputs in one 4-lane block, a
     // chain of 64 dependent adds. Losing the narrow block (back to 16 lanes
@@ -85,14 +89,15 @@ fn bench_mlp(c: &mut Criterion) {
     });
 }
 
-/// `mlp`'s forward pass at an input of 0.1s, every layer on [`Kernel::Portable`].
-fn bench_portable(c: &mut Criterion, name: &str, mlp: &Mlp) {
+/// `mlp`'s forward pass at an input of 0.1s, every layer on `kernel` (or the
+/// widest the CPU has below it).
+fn bench_on(c: &mut Criterion, name: &str, mlp: &Mlp, kernel: Kernel) {
     let bias_rows: Vec<Vec<f32>> = mlp
         .layers()
         .iter()
         .map(|layer| {
             let mut row = vec![0.0f32; layer.stride()];
-            layer.prefix_on(Kernel::Portable, &[], &mut row);
+            layer.prefix_on(kernel, &[], &mut row);
             row
         })
         .collect();
@@ -104,7 +109,7 @@ fn bench_portable(c: &mut Criterion, name: &str, mlp: &Mlp) {
             src[..x.len()].copy_from_slice(black_box(&x));
             for (layer, bias) in mlp.layers().iter().zip(&bias_rows) {
                 let (input, output) = (&src[..layer.in_dim()], &mut dst[..layer.out_dim()]);
-                layer.forward_on(Kernel::Portable, bias, 0, input, output);
+                layer.forward_on(kernel, bias, 0, input, output);
                 std::mem::swap(&mut src, &mut dst);
             }
             black_box(&src);

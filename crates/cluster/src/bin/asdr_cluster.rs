@@ -43,7 +43,7 @@
 
 use asdr_cluster::{Fleet, FleetConfig, LocalShards, ShardAddr};
 use asdr_serve::flags::{
-    self, die, positive_usize, value, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags,
+    self, die, value, worker_count, OutputFlags, ReplayFlags, ReplayReport, ServiceFlags,
 };
 use asdr_serve::workload::read_workload;
 use std::io::{BufRead as _, BufReader};
@@ -60,6 +60,8 @@ struct Args {
     shards: Option<usize>,
     budget_ms: Option<f64>,
     remote: Option<String>,
+    /// `N` of `--remote spawn:N`, checked when the flag is read.
+    spawn: Option<usize>,
     hedge_after: Option<Duration>,
 }
 
@@ -84,7 +86,8 @@ fn usage() -> ! {
          --remote runs the workload against asdr-shardd processes instead of\n\
          in-process shards: spawn:N launches N local daemons on Unix sockets;\n\
          a comma-separated list attaches to already-running shards\n\
-         (unix:PATH or tcp:HOST:PORT)."
+         (unix:PATH or tcp:HOST:PORT). --shards, spawn:N and --workers\n\
+         each take 1 to 256."
     );
     std::process::exit(2);
 }
@@ -99,12 +102,18 @@ fn parse_args(argv: &[String]) -> Args {
         if !known {
             match argv[i].as_str() {
                 "--shards" => {
-                    args.shards = Some(positive_usize("--shards", &value(argv, &mut i)));
+                    args.shards = Some(worker_count("--shards", &value(argv, &mut i)));
                 }
                 "--budget-ms" => {
                     args.budget_ms = Some(flags::positive_f64("--budget-ms", &value(argv, &mut i)));
                 }
-                "--remote" => args.remote = Some(value(argv, &mut i)),
+                "--remote" => {
+                    let spec = value(argv, &mut i);
+                    if let Some(n) = spec.strip_prefix("spawn:") {
+                        args.spawn = Some(worker_count("--remote spawn:N", n));
+                    }
+                    args.remote = Some(spec);
+                }
                 "--hedge-ms" => {
                     let ms = flags::positive_f64("--hedge-ms", &value(argv, &mut i));
                     let after = Duration::try_from_secs_f64(ms / 1e3)
@@ -224,8 +233,8 @@ fn build_fleet(args: &Args) -> (Fleet, Vec<Child>, String) {
         let fleet = Fleet::new(shards, profile, cfg).unwrap_or_else(|e| die(&e));
         return (fleet, Vec::new(), "in-process".to_string());
     };
-    let (children, addrs) = match spec.strip_prefix("spawn:") {
-        Some(n) => spawn_shardds(positive_usize("--remote spawn", n), args),
+    let (children, addrs) = match args.spawn {
+        Some(n) => spawn_shardds(n, args),
         None => {
             let addrs = spec
                 .split(',')

@@ -34,7 +34,10 @@ const ALPHA: f64 = 0.3;
 /// frame, fastest of seven, on the 2-vCPU recording host (Xeon 2.10 GHz,
 /// `mlp_kernel` = avx2), 2026-10-05: 74 (Mic) – 247 (Ship) ns. Adaptive
 /// sampling renders fewer samples than nominal and the march skips the
-/// empty ones, so the spread between scenes is 3×, not noise.
+/// empty ones, so the spread between scenes is 3×, not noise. The same
+/// host now runs the MLP layers as `mlp_kernel` = avx512, a sample about a
+/// tenth cheaper: well inside that spread, and the first completion
+/// replaces the seed anyway, so it was not measured again.
 const SEED_NS_PER_SAMPLE: f64 = 145.0;
 
 /// One key's running estimate.

@@ -57,3 +57,30 @@ fn an_unknown_subcommand_exits_2() {
     let stderr = exit_2(&cluster(&["frobnicate"]));
     assert!(stderr.contains("frobnicate"), "{stderr}");
 }
+
+/// A count of threads or processes above the bound exits 2 naming its flag
+/// while the arguments are read. Each case ends in an unknown flag, so a
+/// binary that took the count would exit 2 on that flag instead, naming
+/// something else, before anything started: the over-bound value is never
+/// run.
+#[test]
+fn a_thread_or_process_count_above_the_bound_exits_2_at_parse() {
+    for (flag, value, named) in [
+        ("--workers", "257", "--workers"),
+        ("--workers", "100000", "--workers"),
+        ("--shards", "257", "--shards"),
+        ("--shards", "100000", "--shards"),
+        ("--remote", "spawn:257", "spawn"),
+        ("--remote", "spawn:100000", "spawn"),
+        ("--remote", "spawn:0", "spawn"),
+    ] {
+        let stderr = exit_2(&cluster(&[flag, value, "--not-a-flag"]));
+        assert!(stderr.contains(named), "{flag} {value}: the message names no flag: {stderr}");
+        assert!(!stderr.contains("--not-a-flag"), "{flag} {value} was taken: {stderr}");
+    }
+    // the bound itself is taken, and the next argument is read
+    for (flag, value) in [("--workers", "256"), ("--shards", "256"), ("--remote", "spawn:256")] {
+        let stderr = exit_2(&cluster(&[flag, value, "--not-a-flag"]));
+        assert!(stderr.contains("--not-a-flag"), "{flag} {value} was refused: {stderr}");
+    }
+}

@@ -18,17 +18,27 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
+/// The most workers a count given from outside the program may ask for:
+/// `ASDR_WORKERS`, or a binary's `--workers`, `--shards` or
+/// `--remote spawn:N` — threads or processes, each of which is started.
+pub const MAX_WORKERS: usize = 256;
+
+/// `s` as a count of workers given from outside the program: a whole number
+/// from 1 to [`MAX_WORKERS`], else `None`.
+pub fn parse_workers(s: &str) -> Option<usize> {
+    s.parse::<usize>().ok().filter(|n| (1..=MAX_WORKERS).contains(n))
+}
+
 /// Default parallelism: `ASDR_WORKERS` (containers often misreport their
-/// CPU budget) or the detected hardware parallelism. Read once per process —
-/// the render hot path must never call `getenv` (unsynchronized `setenv`
-/// elsewhere would race it).
+/// CPU budget; ignored unless [`parse_workers`] takes it) or the detected
+/// hardware parallelism. Read once per process — the render hot path must
+/// never call `getenv` (unsynchronized `setenv` elsewhere would race it).
 pub fn detected_workers() -> usize {
     static DETECTED: OnceLock<usize> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         std::env::var("ASDR_WORKERS")
             .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
+            .and_then(|s| parse_workers(&s))
             .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     })
 }
@@ -236,6 +246,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread;
+
+    #[test]
+    fn a_worker_count_from_outside_is_a_whole_number_up_to_the_bound() {
+        for (s, n) in [("1", Some(1)), ("2", Some(2)), ("256", Some(MAX_WORKERS))] {
+            assert_eq!(parse_workers(s), n, "{s:?}");
+        }
+        for s in ["0", "257", "100000", "-1", "2.5", "", " 2", "lots", "99999999999999999999999"] {
+            assert_eq!(parse_workers(s), None, "{s:?}");
+        }
+    }
 
     #[test]
     fn fan_out_returns_one_result_per_worker_and_propagates_a_helper_panic() {

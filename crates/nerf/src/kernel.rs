@@ -5,27 +5,34 @@
 //! [`HashEncoder`](crate::encoder::HashEncoder) across resolution levels and
 //! [`OccupancyGrid::occupied_along`](crate::occupancy::OccupancyGrid::occupied_along)
 //! across a ray's samples. Each is written once, as plain safe Rust that LLVM
-//! vectorises, and `run_on` compiles it twice: for the build's baseline
-//! target and inlined into a function with AVX2 enabled, picked per call from
-//! what the CPU reports (DESIGN.md §8).
+//! vectorises, and `run_on` compiles it for the build's baseline target and
+//! inlined into a function with AVX2 enabled; the MLP body also into one with
+//! AVX-512 enabled. Which runs is picked per call from what the CPU reports
+//! (DESIGN.md §8).
 
 /// Lanes of the encoder's and the occupancy pass's blocks: one 256-bit
 /// register of `f32` or `u32` under AVX2, two under the baseline's SSE2.
 pub(crate) const LANES: usize = 8;
 
-/// An instantiation of the kernel bodies. The product runs the widest the
-/// CPU offers; tests and benches name one through the `_on` methods
+/// An instantiation of the kernel bodies, narrowest first. The product runs
+/// the widest the CPU offers up to the one its call site names; tests and
+/// benches name one through the `_on` methods
 /// ([`Dense::forward_on`](crate::mlp::Dense::forward_on),
 /// [`HashEncoder::encode_on`](crate::encoder::HashEncoder::encode_on),
 /// [`OccupancyGrid::occupied_along_on`](crate::occupancy::OccupancyGrid::occupied_along_on))
 /// to hold each to the same oracle.
 #[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Kernel {
     /// Compiled for the build's baseline target: all that exists off x86-64.
     Portable,
     /// The same bodies compiled with AVX2, never `fma`; a CPU without AVX2 runs `Portable` instead.
     Avx2,
+    /// The MLP body compiled with AVX2 and AVX-512F, never `fma`: a 64-output
+    /// layer in one pass. Only layers above 16 outputs name it; the MLP's
+    /// tails, the encoder and the occupancy pass measured slower under it
+    /// and stop at `Avx2`. A CPU without AVX-512F runs `Avx2` instead.
+    Avx512,
 }
 
 impl Kernel {
@@ -33,29 +40,40 @@ impl Kernel {
     pub fn available() -> &'static [Kernel] {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return &[Kernel::Portable, Kernel::Avx2, Kernel::Avx512];
+            }
             return &[Kernel::Portable, Kernel::Avx2];
         }
         &[Kernel::Portable]
     }
-}
 
-/// The instantiation every kernel body runs on this host: `"avx2"` or
-/// `"portable"`.
-pub fn kernel_name() -> &'static str {
-    match Kernel::available() {
-        [.., Kernel::Avx2] => "avx2",
-        _ => "portable",
+    /// The widest instantiation this CPU runs, up to `self`.
+    pub fn here(self) -> Kernel {
+        let widest = *Kernel::available().last().expect("Portable runs everywhere");
+        self.min(widest)
     }
 }
 
-/// Runs `body(this, args, out)` on `kernel`, or on [`Kernel::Portable`]
-/// where the CPU lacks it: the one `unsafe` of the renderer (DESIGN.md §8).
-/// `body` must be an `#[inline(always)]` closure around an
-/// `#[inline(always)]` kernel body, or the AVX2 instantiation is a call into
-/// baseline code. It captures nothing: what it reads and writes reaches it as
-/// arguments, as it would a plain function. (A `Dense` pass whose layer and
-/// inputs were captured ran 5–10 % slower: the compiler no longer knew that
-/// writing `out` leaves them unchanged.)
+/// The instantiation the MLP layers run on this host: `"avx512"`, `"avx2"`
+/// or `"portable"`. The encoder and the occupancy pass run the same one,
+/// except that they stop at AVX2: on an AVX-512 host they run `"avx2"`.
+pub fn kernel_name() -> &'static str {
+    match Kernel::Avx512.here() {
+        Kernel::Avx512 => "avx512",
+        Kernel::Avx2 => "avx2",
+        Kernel::Portable => "portable",
+    }
+}
+
+/// Runs `body(this, args, out)` on [`Kernel::here`] of `kernel`, the widest
+/// instantiation the CPU has up to the one named: the one `unsafe` of the
+/// renderer (DESIGN.md §8). `body` must be an `#[inline(always)]` closure
+/// around an `#[inline(always)]` kernel body, or a wide instantiation is a
+/// call into baseline code. It captures nothing: what it reads and writes
+/// reaches it as arguments, as it would a plain function. (A `Dense` pass
+/// whose layer and inputs were captured ran 5–10 % slower: the compiler no
+/// longer knew that writing `out` leaves them unchanged.)
 #[allow(unsafe_code)]
 #[inline(always)]
 pub(crate) fn run_on<T: ?Sized, A, O: ?Sized, R>(
@@ -66,9 +84,17 @@ pub(crate) fn run_on<T: ?Sized, A, O: ?Sized, R>(
     body: impl FnOnce(&T, A, &mut O) -> R,
 ) -> R {
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the line above saw AVX2, all `widened` enables, on this CPU.
-        return unsafe { widened(this, args, out, body) };
+    match kernel.here() {
+        Kernel::Portable => {}
+        // SAFETY: `here` returns only instantiations whose every feature
+        // `available` detected on this CPU, and each wrapper enables only
+        // the features of its own instantiation.
+        wide => unsafe {
+            return match wide {
+                Kernel::Avx512 => widened_512(this, args, out, body),
+                _ => widened(this, args, out, body),
+            };
+        },
     }
     body(this, args, out)
 }
@@ -78,6 +104,19 @@ pub(crate) fn run_on<T: ?Sized, A, O: ?Sized, R>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn widened<T: ?Sized, A, O: ?Sized, R>(
+    this: &T,
+    args: A,
+    out: &mut O,
+    body: impl FnOnce(&T, A, &mut O) -> R,
+) -> R {
+    body(this, args, out)
+}
+
+/// `body` inlined into a function whose vectors are 512 bits wide. AVX2 and
+/// AVX-512F only: without `fma` no multiply and add can fuse.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn widened_512<T: ?Sized, A, O: ?Sized, R>(
     this: &T,
     args: A,
     out: &mut O,
@@ -118,13 +157,23 @@ mod tests {
     #[test]
     fn the_dispatched_kernel_is_the_widest_the_host_reports() {
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let (avx2, avx512) = (
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("avx512f"),
+        );
         #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        assert_eq!(kernel_name() == "avx2", avx2);
+        let (avx2, avx512) = (false, false);
+        assert_eq!(kernel_name() == "avx512", avx512);
+        assert_eq!(kernel_name() == "avx2", avx2 && !avx512);
         assert_eq!(kernel_name() == "portable", !avx2);
         assert_eq!(Kernel::available().first(), Some(&Kernel::Portable));
         assert_eq!(Kernel::available().contains(&Kernel::Avx2), avx2);
+        assert_eq!(Kernel::available().contains(&Kernel::Avx512), avx512);
+        assert!(Kernel::available().is_sorted(), "{:?}", Kernel::available());
+        // a call site that names AVX2 (the encoder, the pass) never runs wider
+        assert_eq!(Kernel::Avx2.here(), if avx2 { Kernel::Avx2 } else { Kernel::Portable });
+        assert_eq!(Kernel::Portable.here(), Kernel::Portable);
     }
 
     /// What the cell was before: a truncating cast, clamped.

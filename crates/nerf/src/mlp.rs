@@ -33,20 +33,25 @@ impl Activation {
     }
 }
 
-/// Outputs of one block of [`Dense::forward_from`]; the kernel body advances
-/// a pair of blocks over each pass of the inputs. Two 256-bit registers
-/// under AVX2, so a pair is four independent add chains. Measured, not
-/// guessed: one 32-wide block no longer stays in registers and runs 3–7×
-/// slower (DESIGN.md §8).
-const LANES: usize = 16;
+/// Blocks the kernel body advances over each pass of the inputs: four
+/// independent add chains, each in one register.
+const BLOCKS: usize = 4;
 
-/// Block width when at most this many outputs are asked for (the 64→16
-/// density tail): a pair covers the 16 outputs, still two add chains.
-const MID_LANES: usize = 8;
+/// Outputs of one block of [`Dense::forward_from`] on the portable and AVX2
+/// instantiations, and on every instantiation for at most `2 * LANES`
+/// outputs (the 64→16 density tail, where two blocks cover the layer): one
+/// 256-bit register under AVX2, so a pass covers 32 outputs.
+const LANES: usize = 8;
+
+/// Block width on the AVX-512 instantiation above `2 * LANES` outputs: one
+/// 512-bit register, so a 64-output layer is one pass. Measured, not
+/// guessed: 32-wide blocks there no longer stay in registers, and a
+/// density plus a colour query ran over ten times slower (DESIGN.md §8).
+const WIDE_LANES: usize = 16;
 
 /// Block width when at most this many outputs are asked for (the 64→3 colour
-/// tail): one register does the work. The pair's second block is all padding,
-/// nothing writes it out, and the compiler drops its loop.
+/// tail): one register does the work. The other three blocks are all
+/// padding, nothing writes them out, and the compiler drops their loops.
 const NARROW_LANES: usize = 4;
 
 /// Weights and bias rows start on a boundary of this many bytes, so a row is
@@ -107,12 +112,12 @@ struct Pass<'a> {
 /// One dense layer `y = act(W x + b)`.
 ///
 /// Weights are stored input-major, `[in][stride]` with `stride` the output
-/// count rounded up to a whole number of block pairs (16 up to 16 outputs,
-/// a multiple of 32 above); the padding columns (and padding biases) stay
-/// zero and are never written out, so every pair of [`Self::forward_from`]
-/// is the same fixed-width loop. The weights and the bias row each start on
-/// a 64-byte boundary, in a clone too; equal layers compare equal wherever
-/// they live.
+/// count rounded up to whole passes of the widest blocks any instantiation
+/// runs over them (16 up to 16 outputs, a multiple of 64 above); the padding
+/// columns (and padding biases) stay zero and are never written out, so
+/// every pass of [`Self::forward_from`] is the same fixed-width loop. The
+/// weights and the bias row each start on a 64-byte boundary, in a clone
+/// too; equal layers compare equal wherever they live.
 #[derive(Clone, PartialEq)]
 pub struct Dense {
     in_dim: usize,
@@ -141,11 +146,11 @@ impl Dense {
     /// Panics if either dimension is zero.
     pub fn zeros(in_dim: usize, out_dim: usize, act: Activation) -> Self {
         assert!(in_dim > 0 && out_dim > 0);
-        // whole pairs of the widest block a pass over these outputs runs
-        let stride = if out_dim <= 2 * MID_LANES {
-            2 * MID_LANES
+        // whole passes of the widest blocks any instantiation runs on these outputs
+        let stride = if out_dim <= 2 * LANES {
+            2 * LANES
         } else {
-            out_dim.next_multiple_of(2 * LANES)
+            out_dim.next_multiple_of(BLOCKS * WIDE_LANES)
         };
         Dense {
             in_dim,
@@ -219,7 +224,7 @@ impl Dense {
 
     /// Length of a running-sum row ([`Self::prefix`] writes one,
     /// [`Self::forward_from`] starts from one): the output count rounded up
-    /// to whole block pairs.
+    /// to whole passes.
     pub fn stride(&self) -> usize {
         self.stride
     }
@@ -246,7 +251,7 @@ impl Dense {
     /// Panics if `x_head` is longer than the input or `sums` is not
     /// [`Self::stride`] long.
     pub fn prefix(&self, x_head: &[f32], sums: &mut [f32]) {
-        self.prefix_on(Kernel::Avx2, x_head, sums);
+        self.prefix_on(Kernel::Avx512, x_head, sums);
     }
 
     /// [`Self::prefix`] on the instantiation named: for tests and benches, never the product.
@@ -269,7 +274,7 @@ impl Dense {
     ///
     /// Panics if buffer lengths mismatch.
     pub fn forward_from(&self, init: &[f32], skip: usize, x_rest: &[f32], out: &mut [f32]) {
-        self.forward_on(Kernel::Avx2, init, skip, x_rest, out);
+        self.forward_on(Kernel::Avx512, init, skip, x_rest, out);
     }
 
     /// [`Self::forward_from`] on the instantiation named (see [`Self::prefix_on`]).
@@ -282,23 +287,26 @@ impl Dense {
         self.run(k, pass, out);
     }
 
-    /// Runs the kernel body over `out` at the narrowest block whose pair
-    /// covers it, up to `LANES`: chosen from `out.len()`, which the code
-    /// can see, never from an option.
+    /// Runs the kernel body over `out` at the narrowest block width whose
+    /// blocks cover it, up to the widest `kernel` runs on this CPU: chosen from
+    /// `out.len()` and what the CPU reports, never from an option. The tails
+    /// (16 outputs or fewer) stop at AVX2: compiled for AVX-512 the 64→16
+    /// density tail measured 74 ns against 58 (DESIGN.md §8).
     fn run(&self, kernel: Kernel, pass: Pass<'_>, out: &mut [f32]) {
+        let tail = kernel.min(Kernel::Avx2);
         if out.len() <= NARROW_LANES {
-            self.run_at::<NARROW_LANES, NARROW_LANES>(kernel, pass, out);
-        } else if out.len() <= 2 * MID_LANES {
-            self.run_at::<MID_LANES, { 2 * MID_LANES }>(kernel, pass, out);
+            self.run_at::<NARROW_LANES, NARROW_LANES>(tail, pass, out);
+        } else if out.len() <= 2 * LANES {
+            self.run_at::<LANES, { 2 * LANES }>(tail, pass, out);
+        } else if kernel.here() == Kernel::Avx512 {
+            self.run_at::<WIDE_LANES, { usize::MAX }>(kernel, pass, out);
         } else {
             self.run_at::<LANES, { usize::MAX }>(kernel, pass, out);
         }
     }
 
     /// The kernel body at block width `N` on `kernel` (see [`run_on`]), for
-    /// at most `MAX` outputs. The bound is stated again inside the dispatched
-    /// closure, where the body is compiled: at 4 outputs or fewer no output
-    /// reaches the pair's second block, and the compiler drops its loop.
+    /// at most `MAX` outputs.
     fn run_at<const N: usize, const MAX: usize>(
         &self,
         kernel: Kernel,
@@ -311,44 +319,44 @@ impl Dense {
             pass,
             out,
             #[inline(always)]
-            |layer, pass, out| {
-                let n = out.len().min(MAX);
-                layer.accumulate::<N>(pass, &mut out[..n]);
-            },
+            |layer, pass, out| layer.accumulate::<N, MAX>(pass, out),
         );
     }
 
     /// The one kernel body: `out[j] = act(init[j] + Σ w[skip + i][j]·x[i])`
-    /// for a pair of `N`-output blocks per pass over the inputs — two blocks'
-    /// add chains in flight instead of one. The pair is two named arrays:
-    /// LLVM keeps those in registers, and scalarises `[[f32; N]; 2]` or
-    /// `[f32; 2 * N]` (DESIGN.md §8).
+    /// for four `N`-output blocks per pass over the inputs — four add chains
+    /// in flight instead of one. The blocks are four named arrays: LLVM keeps
+    /// those in registers, and scalarises `[[f32; N]; 4]` or `[f32; 4 * N]`
+    /// (DESIGN.md §8). At most `MAX` outputs are written, a bound the
+    /// compiler sees: the blocks past it read no weights, and their loops go.
     #[inline(always)]
-    fn accumulate<const N: usize>(&self, pass: Pass<'_>, out: &mut [f32]) {
+    fn accumulate<const N: usize, const MAX: usize>(&self, pass: Pass<'_>, out: &mut [f32]) {
         let Pass { init, skip, x, act } = pass;
+        let n = out.len().min(MAX);
+        // the columns a pass reads: four blocks, or fewer where `MAX` ends first
+        let span = (BLOCKS * N).min(MAX);
         let weights = &self.weights.as_slice()[skip * self.stride..];
-        for (pair, dst) in out.chunks_mut(2 * N).enumerate() {
-            let o = pair * 2 * N;
-            let (mut a, mut b) = ([0.0f32; N], [0.0f32; N]);
-            a.copy_from_slice(&init[o..o + N]);
-            b.copy_from_slice(&init[o + N..o + 2 * N]);
+        for (quad, dst) in out[..n].chunks_mut(BLOCKS * N).enumerate() {
+            let o = quad * BLOCKS * N;
+            let init = &init[o..o + span];
+            let [mut a, mut b, mut c, mut d] = [[0.0f32; N]; BLOCKS];
+            load(&mut a, block::<N>(init, 0));
+            load(&mut b, block::<N>(init, 1));
+            load(&mut c, block::<N>(init, 2));
+            load(&mut d, block::<N>(init, 3));
             for (w_in, &v) in weights.chunks_exact(self.stride).zip(x) {
-                let (w_a, w_b) = w_in[o..o + 2 * N].split_at(N);
-                for (s, &w) in a.iter_mut().zip(w_a) {
-                    *s += w * v;
-                }
-                for (s, &w) in b.iter_mut().zip(w_b) {
-                    *s += w * v;
-                }
+                let w = &w_in[o..o + span];
+                mac(&mut a, block::<N>(w, 0), v);
+                mac(&mut b, block::<N>(w, 1), v);
+                mac(&mut c, block::<N>(w, 2), v);
+                mac(&mut d, block::<N>(w, 3), v);
             }
-            // the last pair may be narrower than its accumulators; each half
-            // is written through its own loop (a chained iterator scalarises)
-            let (dst_a, dst_b) = dst.split_at_mut(dst.len().min(N));
-            for (d, &s) in dst_a.iter_mut().zip(&a) {
-                *d = act.apply(s);
-            }
-            for (d, &s) in dst_b.iter_mut().zip(&b) {
-                *d = act.apply(s);
+            // out through one loop over the blocks laid end to end (the last
+            // pass may be narrower than its blocks): a loop per block was
+            // written with masked stores under AVX2, 5–15 % slower a layer
+            let sums = [a, b, c, d];
+            for (y, &s) in dst.iter_mut().zip(sums.as_flattened()) {
+                *y = act.apply(s);
             }
         }
     }
@@ -356,6 +364,29 @@ impl Dense {
     /// Multiply-accumulate count of one forward pass.
     pub fn macs(&self) -> u64 {
         (self.in_dim * self.out_dim) as u64
+    }
+}
+
+/// Block `k` of the `N`-lane blocks `row` splits into: empty past its end,
+/// a whole block wherever the kernel body reads one.
+#[inline(always)]
+fn block<const N: usize>(row: &[f32], k: usize) -> &[f32] {
+    &row[(k * N).min(row.len())..((k + 1) * N).min(row.len())]
+}
+
+/// The running sums of a block start from `init`.
+#[inline(always)]
+fn load<const N: usize>(acc: &mut [f32; N], init: &[f32]) {
+    for (s, &v) in acc.iter_mut().zip(init) {
+        *s = v;
+    }
+}
+
+/// One input's step of a block: `acc[j] += w[j] · v`, a multiply then an add.
+#[inline(always)]
+fn mac<const N: usize>(acc: &mut [f32; N], w: &[f32], v: f32) {
+    for (s, &w) in acc.iter_mut().zip(w) {
+        *s += w * v;
     }
 }
 

@@ -139,20 +139,22 @@ fn assert_encode_matches_oracle(enc: &HashEncoder, p: Vec3) {
     }
 }
 
-/// Output widths of the `Dense` properties. The kernel body advances a pair of
-/// blocks (4, 8 or 16 lanes each, picked by how many outputs are asked for),
-/// so these put the end of the outputs inside either half of a pair, on a
-/// pair's edge, and past it where the second block is all padding: one lane,
-/// around each block width, and several pairs.
-const DENSE_WIDTHS: [usize; 16] = [1, 3, 4, 5, 8, 9, 15, 16, 17, 24, 31, 32, 33, 48, 64, 65];
+/// Output widths of the `Dense` properties. The kernel body advances four
+/// blocks a pass (4, 8 or 16 lanes each, picked by how many outputs are asked
+/// for and by the instantiation: 16 only on AVX-512, above 16 outputs), so
+/// these end the outputs inside each of the four blocks, on a block's edge
+/// and past it where later blocks are all padding, at 8 lanes and at 16: one
+/// lane, around each block width, and a second pass of either.
+const DENSE_WIDTHS: [usize; 23] =
+    [1, 3, 4, 5, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 48, 56, 63, 64, 65, 80, 96, 127, 128];
 
-/// The running-sum row length the kernel body needs: whole pairs of the
-/// widest block a pass over `out_dim` outputs runs.
+/// The running-sum row length the kernel body needs: whole passes of the
+/// widest blocks any instantiation runs over `out_dim` outputs.
 fn expected_stride(out_dim: usize) -> usize {
     if out_dim <= 16 {
         16
     } else {
-        out_dim.next_multiple_of(32)
+        out_dim.next_multiple_of(64)
     }
 }
 
@@ -164,22 +166,31 @@ fn dense_layer(in_dim: usize, out_dim: usize, act: Activation, w: &[f32], bias: 
 }
 
 /// The instantiations of the kernel bodies the `Dense`, encoder and
-/// occupancy-pass properties run on. A host without AVX2 cannot run that
-/// one; say so once instead of letting its rows pass unseen — straight to
-/// stderr, which the test harness does not capture, so a plain `cargo test`
-/// shows it.
+/// occupancy-pass properties run on (the encoder and the pass never run
+/// wider than AVX2, so their `Avx512` rows repeat the `Avx2` ones). A host
+/// without AVX2 or AVX-512 cannot run those; say so once instead of letting
+/// their rows pass unseen — straight to stderr, which the test harness does
+/// not capture, so a plain `cargo test` shows it.
 fn kernels_under_test() -> &'static [Kernel] {
     use std::io::Write;
     static SAY_ONCE: std::sync::Once = std::sync::Once::new();
     SAY_ONCE.call_once(|| {
-        if !Kernel::available().contains(&Kernel::Avx2) {
-            let _ = writeln!(
-                std::io::stderr(),
-                "SKIPPED: this CPU reports no AVX2: no Kernel::Avx2 row of the kernel properties ran"
-            );
+        for (kernel, name) in [(Kernel::Avx2, "AVX2"), (Kernel::Avx512, "AVX-512F")] {
+            if !Kernel::available().contains(&kernel) {
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "SKIPPED: this CPU reports no {name}: no Kernel::{kernel:?} row of the kernel properties ran"
+                );
+            }
         }
     });
     Kernel::available()
+}
+
+thread_local! {
+    /// The instantiations [`assert_dense_matches_oracle`] ran the row-dot,
+    /// prefix and resume checks on, in this thread.
+    static DENSE_RAN: std::cell::RefCell<Vec<Kernel>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// `got` is what the oracle computed: the same bits — or, where the oracle
@@ -227,6 +238,7 @@ fn assert_dense_matches_oracle(layer: &Dense, w: &[f32], x: &[f32]) -> Vec<f32> 
             "{shape} as dispatched, split at {k}: {got:?} vs {want:?}"
         );
         for &kernel in kernels_under_test() {
+            DENSE_RAN.with_borrow_mut(|ran| ran.push(kernel));
             layer.prefix_on(kernel, &x[..k], &mut sums);
             for &ask in &asks {
                 let mut got = vec![f32::NAN; ask];
@@ -302,6 +314,26 @@ fn dense_kernels_match_the_oracle_on_subnormals_zeros_infinities_and_nan() {
     }
     // comparing to the oracle says something only if every class reached an output
     assert!(seen.iter().all(|&n| n > 0), "[infinite, NaN, subnormal, -0.0] outputs: {seen:?}");
+}
+
+#[test]
+fn the_dense_properties_run_on_every_instantiation_the_host_offers() {
+    let mut next = xorshift_unit(7);
+    let x: Vec<f32> = (0..5).map(|_| next()).collect();
+    for out_dim in DENSE_WIDTHS {
+        DENSE_RAN.with_borrow_mut(Vec::clear);
+        let w: Vec<f32> = (0..5 * out_dim).map(|_| next()).collect();
+        let bias: Vec<f32> = (0..out_dim).map(|_| next()).collect();
+        assert_dense_matches_oracle(&dense_layer(5, out_dim, Activation::Relu, &w, &bias), &w, &x);
+        let mut ran = DENSE_RAN.take();
+        ran.sort();
+        ran.dedup();
+        assert_eq!(ran, Kernel::available(), "{out_dim} outputs");
+    }
+    for &kernel in Kernel::available() {
+        // naming an instantiation the CPU has runs it, not a narrower one
+        assert_eq!(kernel.here(), kernel);
+    }
 }
 
 #[test]

@@ -10,6 +10,7 @@
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, ModelStoreBuilder};
 use crate::workload::{ReplayDriver, ReplayedRequest};
+use asdr_math::par::{parse_workers, MAX_WORKERS};
 use asdr_math::Image;
 use asdr_obs::{Bundle, JsonWriter};
 use std::path::{Path, PathBuf};
@@ -35,6 +36,13 @@ pub fn positive_usize(flag: &str, s: &str) -> usize {
         .ok()
         .filter(|&n| n > 0)
         .unwrap_or_else(|| die(&format!("{flag} needs a positive number")))
+}
+
+/// Parses a count of threads or processes to start — a whole number from 1
+/// to [`MAX_WORKERS`] ([`parse_workers`]) — or dies naming the flag.
+pub fn worker_count(flag: &str, s: &str) -> usize {
+    parse_workers(s)
+        .unwrap_or_else(|| die(&format!("{flag} needs a whole number from 1 to {MAX_WORKERS}")))
 }
 
 /// Parses a positive finite float or dies naming the flag.
@@ -110,8 +118,9 @@ impl Default for ServiceFlags {
 
 impl ServiceFlags {
     /// Tries to consume `argv[*i]` (and its value) as a service flag;
-    /// returns whether it did. Dies on an unknown scale, a non-positive
-    /// count, or both store flags.
+    /// returns whether it did. Dies on an unknown scale, a worker count
+    /// outside `1..=MAX_WORKERS`, a non-positive queue capacity, or both
+    /// store flags.
     pub fn accept(&mut self, argv: &[String], i: &mut usize) -> bool {
         match argv[*i].as_str() {
             "--scale" => {
@@ -120,7 +129,7 @@ impl ServiceFlags {
                     .unwrap_or_else(|| die(&format!("unknown scale {name:?}")));
                 self.scale = name.to_ascii_lowercase();
             }
-            "--workers" => self.workers = Some(positive_usize("--workers", &value(argv, i))),
+            "--workers" => self.workers = Some(worker_count("--workers", &value(argv, i))),
             "--queue" => self.queue = positive_usize("--queue", &value(argv, i)),
             "--store-dir" => self.store_dir = Some(PathBuf::from(value(argv, i))),
             "--no-store" => self.no_store = true,
@@ -178,10 +187,11 @@ impl OutputFlags {
 }
 
 /// Creates and activates a run bundle at `dir`, dying when it cannot. Its
-/// `config.json` also names the kernel instantiation this host runs (the
-/// MLP layer, the encoder and the occupancy pass; `"mlp_kernel"`),
-/// which the caller cannot set: a process slower than its neighbour, or a
-/// number recorded on another machine, is explained by what was written.
+/// `config.json` also names the kernel instantiation the MLP layers run on
+/// this host (`"mlp_kernel"`; the encoder and the occupancy pass run the
+/// same one, up to AVX2), which the caller cannot set: a process slower
+/// than its neighbour, or a number recorded on another machine, is
+/// explained by what was written.
 pub fn open_bundle(dir: &Path, kind: &str, config: &[(&str, String)]) -> Arc<Bundle> {
     let mut config = config.to_vec();
     config.push(("mlp_kernel", asdr_nerf::kernel::kernel_name().to_string()));
