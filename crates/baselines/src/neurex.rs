@@ -116,7 +116,8 @@ pub fn simulate_neurex(
 
 /// Returns a copy of `model` with its grid features quantized to `bits`
 /// (symmetric per-table scaling) — the quality model of NeuRex's 8-bit grid
-/// buffer and, at lower widths, a general precision-ablation tool.
+/// buffer and, at lower widths, a general precision-ablation tool. The
+/// copy's integer MLPs are calibrated again on the edited tables.
 ///
 /// # Panics
 ///
@@ -133,6 +134,7 @@ pub fn quantize_model_features(model: &NgpModel, bits: u32) -> NgpModel {
             *v = (*v / absmax * q_levels).round() / q_levels * absmax;
         }
     }
+    out.calibrate();
     out
 }
 
@@ -180,6 +182,26 @@ mod tests {
         let img4 = render(&n4, &cam, &fixed).image;
         let p4 = psnr(&img4, &reference);
         assert!(p4 < p8, "4-bit must hurt more: {p4} vs {p8}");
+    }
+
+    #[test]
+    fn a_quantized_model_renders_as_one_calibrated_from_its_edited_parts() {
+        let (model, cam) = setup();
+        let q = quantize_model_features(&model, 4);
+        let fresh = NgpModel::new(
+            q.encoder().clone(),
+            q.density_mlp().clone(),
+            q.color_mlp().clone(),
+            q.bounds(),
+            q.occupancy().clone(),
+        );
+        assert_eq!(q.scales(), fresh.scales());
+        assert_ne!(q.scales(), model.scales(), "the edit moved the encoded features' steps");
+        for opts in [RenderOptions::instant_ngp(48), RenderOptions::asdr_default(48)] {
+            let (a, b) = (render(&q, &cam, &opts), render(&fresh, &cam, &opts));
+            assert_eq!(a.image, b.image);
+            assert_eq!(a.stats, b.stats);
+        }
     }
 
     #[test]

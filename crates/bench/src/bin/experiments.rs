@@ -314,15 +314,21 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         id: "precision",
-        describe: "feature-bit and ADC/noise precision sweeps",
+        describe: "feature-bit, 8-bit MLP and ADC/noise precision sweeps",
         in_all: true,
         scene_aware: true,
         run: |h, sel| {
             let dev = precision::run_device_accuracy(&[3, 4, 5, 6, 7, 8], &[0.0, 0.05, 0.1]);
-            for scene in sel.each("Lego") {
-                let feat = precision::run_feature_bits(h, &scene, &[3, 4, 5, 6, 8, 10]);
-                precision::print_precision(&scene, &feat, &dev);
+            let scenes = sel.each("Lego");
+            for scene in &scenes {
+                let feat = precision::run_feature_bits(h, scene, &[3, 4, 5, 6, 8, 10]);
+                precision::print_precision(scene, &feat, &dev);
             }
+            let rows: Vec<_> = scenes
+                .into_iter()
+                .map(|s| (s.clone(), precision::run_mlp_precision(h, &s)))
+                .collect();
+            precision::print_mlp_precision(&rows);
         },
     },
     Experiment {

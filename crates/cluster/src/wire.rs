@@ -43,6 +43,10 @@ pub const VERSION: u8 = 5;
 /// prefix, not a legitimate message).
 pub const MAX_FRAME_BYTES: u64 = 1 << 28;
 
+/// Bytes [`read_frame`] reserves before a payload arrives: a whole frame up
+/// to this size, the start of a longer one.
+const PAYLOAD_RESERVE: usize = 1 << 16;
+
 /// Longest scene name / error string on the wire.
 const MAX_STRING: u64 = 4096;
 
@@ -876,8 +880,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Message>, String> {
     if len > MAX_FRAME_BYTES {
         return Err(ctx(format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} limit")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| ctx(e.to_string()))?;
+    // the buffer grows with what arrives, never to a length only claimed:
+    // a prefix of 256 MiB followed by nothing allocates next to nothing
+    let mut payload = Vec::with_capacity((len as usize).min(PAYLOAD_RESERVE));
+    let got = r.take(len).read_to_end(&mut payload).map_err(|e| ctx(e.to_string()))?;
+    if (got as u64) < len {
+        return Err(ctx(format!("short frame: the stream ended after {got} of {len} bytes")));
+    }
     Message::decode(&payload).map(Some)
 }
 
@@ -1046,6 +1055,17 @@ mod tests {
         let overflow = [0xffu8; 10];
         let e = read_frame(&mut &overflow[..]).unwrap_err();
         assert!(e.contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn a_claimed_length_is_not_allocated_before_its_bytes_arrive() {
+        // the largest admitted length, then three bytes and the end of the
+        // stream: an error naming the short frame, not 256 MiB of zeros
+        let mut buf = Vec::new();
+        push_varint(&mut buf, MAX_FRAME_BYTES);
+        buf.extend_from_slice(&[1, 2, 3]);
+        let e = read_frame(&mut &buf[..]).unwrap_err();
+        assert!(e.contains("short frame") && e.contains("after 3 of 268435456 bytes"), "{e}");
     }
 
     #[test]

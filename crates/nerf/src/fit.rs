@@ -21,7 +21,7 @@ use crate::embedding::EmbeddingSet;
 use crate::encoder::HashEncoder;
 use crate::grid::GridConfig;
 use crate::mlp::{Activation, Dense, Mlp};
-use crate::model::{NgpModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
+use crate::model::{MlpScales, NgpModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::interp::trilinear_weights;
 use asdr_math::par::{self, detected_workers};
@@ -389,8 +389,9 @@ pub fn fit_ngp(field: &dyn SceneField, cfg: &GridConfig) -> NgpModel {
     fit_ngp_on(field, cfg, detected_workers())
 }
 
-/// [`fit_ngp`] on `workers` threads (0 counts as 1). The model, and so its
-/// checkpoint bytes, is the same for every worker count.
+/// [`fit_ngp`] on `workers` threads (0 counts as 1), the integer MLPs'
+/// calibration included. The model, and so its checkpoint bytes, is the
+/// same for every worker count.
 #[doc(hidden)]
 pub fn fit_ngp_on(field: &dyn SceneField, cfg: &GridConfig, workers: usize) -> NgpModel {
     cfg.validate().expect("invalid grid config");
@@ -399,7 +400,8 @@ pub fn fit_ngp_on(field: &dyn SceneField, cfg: &GridConfig, workers: usize) -> N
     let density = build_density_mlp(cfg);
     let color = build_color_mlp(&fit_specular_sh());
     let occupancy = OccupancyGrid::build_on(field, OccupancyGrid::DEFAULT_RES, workers);
-    NgpModel::new(encoder, density, color, field.bounds(), occupancy)
+    let scales = MlpScales::calibrate_on(&encoder, &density, &color, &occupancy, workers);
+    NgpModel::with_scales(encoder, density, color, field.bounds(), occupancy, scales)
 }
 
 #[cfg(test)]

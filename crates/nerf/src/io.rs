@@ -8,15 +8,18 @@
 //! Version 2 embeds the scene's registry name as a length-prefixed string
 //! right after the version word, so a checkpoint of any registered scene —
 //! including custom ones added via `asdr_scenes::registry::register` —
-//! round-trips with enough information to find its scene again. Version 1
-//! (no name; last written by PR 1) is no longer read: such a file is a
+//! round-trips with enough information to find its scene again. Version 3
+//! adds the steps of the integer MLPs ([`MlpScales`]) after the two MLPs, so
+//! a load re-derives the `i8` weights from the `f32` ones without running
+//! the calibration; a version-2 file still loads, and is calibrated on read.
+//! Version 1 (no name) is no longer read: such a file is a
 //! [`LoadError::BadVersion`], which a model store answers by refitting.
 
 use crate::embedding::EmbeddingSet;
 use crate::encoder::HashEncoder;
 use crate::grid::GridConfig;
-use crate::mlp::{Activation, Dense, Mlp};
-use crate::model::NgpModel;
+use crate::mlp::{Activation, Dense, Mlp, MAX_INT_INPUTS, MAX_INT_OUTPUTS};
+use crate::model::{MlpScales, NgpModel, COLOR_IN_DIM, DENSITY_OUT_DIM};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::{Aabb, Vec3};
 use std::io::{self, Read, Write};
@@ -24,8 +27,8 @@ use std::path::Path;
 
 /// File magic: `ASDRNGP\0`.
 pub const MAGIC: [u8; 8] = *b"ASDRNGP\0";
-/// The format version, written and read.
-pub const VERSION: u32 = 2;
+/// The format version written; it and the one before are read.
+pub const VERSION: u32 = 3;
 /// Longest scene name (bytes) a checkpoint may carry; the reader treats
 /// longer length fields as corruption and the writer refuses to emit them.
 pub const MAX_SCENE_NAME: usize = 256;
@@ -142,19 +145,28 @@ fn write_mlp<W: Write>(w: &mut W, mlp: &Mlp) -> io::Result<()> {
     Ok(())
 }
 
+/// Reads an MLP: its hidden layers end in ReLU and its last in none, and no
+/// layer is wider than an integer layer — what the model's integer copies
+/// need.
 fn read_mlp<R: Read>(r: &mut R) -> Result<Mlp, LoadError> {
     let n_layers = r_u32(r)? as usize;
     if n_layers == 0 || n_layers > 16 {
         return Err(LoadError::Corrupt("implausible layer count"));
     }
     let mut layers = Vec::with_capacity(n_layers);
-    for _ in 0..n_layers {
+    for k in 0..n_layers {
         let in_dim = r_u32(r)? as usize;
         let out_dim = r_u32(r)? as usize;
-        if in_dim == 0 || out_dim == 0 || in_dim > 4096 || out_dim > 4096 {
+        if in_dim == 0 || out_dim == 0 || in_dim > MAX_INT_INPUTS || out_dim > MAX_INT_OUTPUTS {
             return Err(LoadError::Corrupt("implausible layer shape"));
         }
+        if layers.last().is_some_and(|l: &Dense| l.out_dim() != in_dim) {
+            return Err(LoadError::Corrupt("layer dimension mismatch"));
+        }
         let act = if r_u32(r)? != 0 { Activation::Relu } else { Activation::None };
+        if (act == Activation::Relu) != (k + 1 < n_layers) {
+            return Err(LoadError::Corrupt("hidden layers end in ReLU, the last in none"));
+        }
         let weights = r_f32s(r, in_dim * out_dim)?;
         let bias = r_f32s(r, out_dim)?;
         if weights.len() != in_dim * out_dim || bias.len() != out_dim {
@@ -201,6 +213,8 @@ pub fn save_model<W: Write>(model: &NgpModel, scene: &str, w: &mut W) -> io::Res
     // MLPs
     write_mlp(w, model.density_mlp())?;
     write_mlp(w, model.color_mlp())?;
+    w_f32s(w, model.scales().density())?;
+    w_f32s(w, model.scales().color())?;
     // bounds
     let b = model.bounds();
     for v in [b.min, b.max] {
@@ -228,7 +242,7 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
         return Err(LoadError::BadMagic);
     }
     let version = r_u32(r)?;
-    if version != VERSION {
+    if !(VERSION - 1..=VERSION).contains(&version) {
         return Err(LoadError::BadVersion(version));
     }
     let n = r_u32(r)? as usize;
@@ -257,6 +271,20 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
     }
     let density = read_mlp(r)?;
     let color = read_mlp(r)?;
+    if density.in_dim() != cfg.encoded_dim()
+        || density.out_dim() != DENSITY_OUT_DIM
+        || color.in_dim() != COLOR_IN_DIM
+        || color.out_dim() != 3
+    {
+        return Err(LoadError::Corrupt("MLP shapes do not fit the model"));
+    }
+    let scales = if version == VERSION {
+        let (d, c) = (r_f32s(r, density.layers().len())?, r_f32s(r, color.layers().len() + 1)?);
+        let scales = MlpScales::new(d, c, &density, &color);
+        Some(scales.ok_or(LoadError::Corrupt("invalid MLP steps"))?)
+    } else {
+        None
+    };
     let mut v = [0.0f32; 6];
     for x in &mut v {
         *x = r_f32(r)?;
@@ -278,7 +306,11 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
     let occupancy = OccupancyGrid::from_bits(res, bounds, bits)
         .map_err(|_| LoadError::Corrupt("occupancy rebuild failed"))?;
     let encoder = HashEncoder::new(cfg, set);
-    Ok(Checkpoint { model: NgpModel::new(encoder, density, color, bounds, occupancy), scene })
+    let model = match scales {
+        Some(s) => NgpModel::with_scales(encoder, density, color, bounds, occupancy, s),
+        None => NgpModel::new(encoder, density, color, bounds, occupancy),
+    };
+    Ok(Checkpoint { model, scene })
 }
 
 /// Saves a model to a file path, tagged with its scene's registry name.
@@ -445,6 +477,55 @@ mod tests {
             match load_model(&mut bad.as_slice()) {
                 Err(LoadError::Corrupt("invalid grid config")) => {}
                 other => panic!("{fields:?}: {:?}", other.map(|c| c.scene)),
+            }
+        }
+    }
+
+    /// `model`'s checkpoint as version 2 wrote it: no steps.
+    fn as_version_2(model: &NgpModel, scene: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save_model(model, scene, &mut buf).unwrap();
+        let occupancy = 4 + 4 + model.occupancy().res().pow(3).div_ceil(8);
+        let steps = 4 * (2 + model.scales().density().len() + model.scales().color().len());
+        let scales = buf.len() - occupancy - 6 * 4 - steps;
+        buf.drain(scales..scales + steps);
+        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn a_version_2_file_is_calibrated_on_read_to_the_steps_a_fit_stores() {
+        let model = fitted("Mic");
+        let loaded = load_model(&mut as_version_2(&model, "Mic").as_slice()).unwrap().model;
+        assert_eq!(loaded.scales(), model.scales());
+        assert_eq!(loaded.int_mlps(), model.int_mlps());
+        let mut buf = Vec::new();
+        save_model(&loaded, "Mic", &mut buf).unwrap();
+        let mut again = Vec::new();
+        save_model(&model, "Mic", &mut again).unwrap();
+        assert_eq!(buf, again, "a v2 file saves as the fit's v3 file");
+    }
+
+    #[test]
+    fn steps_that_are_not_positive_and_finite_are_rejected() {
+        let model = fitted("Mic");
+        let mut buf = Vec::new();
+        save_model(&model, "Mic", &mut buf).unwrap();
+        let occupancy = 4 + 4 + model.occupancy().res().pow(3).div_ceil(8);
+        // the colour MLP's last step sits right before the bounds
+        let last_step = buf.len() - occupancy - 6 * 4 - 4;
+        let step = f32::from_le_bytes(buf[last_step..last_step + 4].try_into().unwrap());
+        assert_eq!(step, *model.scales().color().last().unwrap());
+        for (bad, why) in [
+            (0.0f32, "invalid MLP steps"),
+            (-1.0, "invalid MLP steps"),
+            (f32::NAN, "non-finite parameter"),
+        ] {
+            let mut flipped = buf.clone();
+            flipped[last_step..last_step + 4].copy_from_slice(&bad.to_le_bytes());
+            match load_model(&mut flipped.as_slice()) {
+                Err(LoadError::Corrupt(w)) if w == why => {}
+                other => panic!("{bad}: {:?}", other.map(|c| c.scene)),
             }
         }
     }

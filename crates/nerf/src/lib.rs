@@ -10,9 +10,10 @@
 //! * [`encoder`] — multi-resolution hash encoding with trilinear
 //!   interpolation, plus the vertex/address introspection the architecture
 //!   simulator consumes,
-//! * [`mlp`] — dense MLPs with FLOP accounting,
-//! * [`kernel`] — which instantiation of the kernel bodies (the MLP layer,
-//!   the encoder, the occupancy pass) this CPU runs,
+//! * [`mlp`] — dense MLPs with FLOP accounting, in `f32` and as the 8-bit
+//!   integer layers every query runs,
+//! * [`kernel`] — which instantiation of the kernel bodies (the integer MLP
+//!   layer, the encoder, the occupancy pass) this CPU runs,
 //! * [`model`] — the combined NGP model (density MLP + color MLP),
 //! * [`fit`] — building a model from an analytic [`asdr_scenes::SceneField`]
 //!   (the offline substitute for training; see DESIGN.md §1) and an SGD
@@ -32,8 +33,9 @@
 //! assert!(sigma > 1.0); // inside the mic head
 //! ```
 
-// the one exception is `kernel::run_on`, the run-time choice of kernel
-// instantiation (DESIGN.md §8); its `unsafe` block must say why it is sound
+// the two exceptions are in `kernel`: `dispatch`, the run-time choice of
+// kernel instantiation, and `cast`, the integer layer's vector loads and
+// stores (DESIGN.md §8); each `unsafe` block must say why it is sound
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]

@@ -1,17 +1,19 @@
-//! Dense multilayer perceptrons with FLOP accounting.
+//! Dense multilayer perceptrons with FLOP accounting, in `f32` and at the
+//! chip's precision.
 //!
 //! The MLPs are executed as matrix-vector products — the same arithmetic
 //! the CIM crossbars of the architecture model perform — and report their
 //! exact MAC counts so the FLOPs-breakdown experiment (Fig. 5) and the
 //! roofline GPU models measure the real workload.
 //!
-//! Like a crossbar, [`Dense::forward`] drives one input at a time while
-//! every output accumulates in parallel: weights are stored input-major and
-//! the vector lanes run across outputs, never across the reduction, so each
-//! output is the same left-to-right sum a scalar row dot product gives
-//! (DESIGN.md §8).
+//! A model is built, and calibrated, in `f32` ([`Dense`], [`Mlp`]); it runs
+//! as the crossbars do, 8-bit inputs against 8-bit weights ([`IntDense`],
+//! [`IntMlp`]). Every integer sum is exact, so each instantiation of the
+//! integer body gives the same bits by construction (DESIGN.md §8). The `f32`
+//! layers stay as the fit's builder, the calibration's forward pass and the
+//! kept oracle.
 
-use crate::kernel::{run_on, Kernel};
+use crate::kernel::{cast, dispatch, run_on, Kernel};
 use std::fmt;
 
 /// Activation applied after a layer.
@@ -23,108 +25,18 @@ pub enum Activation {
     Relu,
 }
 
-impl Activation {
-    #[inline]
-    fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::None => x,
-            Activation::Relu => x.max(0.0),
-        }
-    }
-}
-
-/// Blocks the kernel body advances over each pass of the inputs: four
-/// independent add chains, each in one register.
-const BLOCKS: usize = 4;
-
-/// Outputs of one block of [`Dense::forward_from`] on the portable and AVX2
-/// instantiations, and on every instantiation for at most `2 * LANES`
-/// outputs (the 64→16 density tail, where two blocks cover the layer): one
-/// 256-bit register under AVX2, so a pass covers 32 outputs.
-const LANES: usize = 8;
-
-/// Block width on the AVX-512 instantiation above `2 * LANES` outputs: one
-/// 512-bit register, so a 64-output layer is one pass. Measured, not
-/// guessed: 32-wide blocks there no longer stay in registers, and a
-/// density plus a colour query ran over ten times slower (DESIGN.md §8).
-const WIDE_LANES: usize = 16;
-
-/// Block width when at most this many outputs are asked for (the 64→3 colour
-/// tail): one register does the work. The other three blocks are all
-/// padding, nothing writes them out, and the compiler drops their loops.
-const NARROW_LANES: usize = 4;
-
-/// Weights and bias rows start on a boundary of this many bytes, so a row is
-/// never split across cache lines by where the allocator put it.
-const ROW_ALIGN: usize = 64;
-
-/// A zeroed `f32` buffer whose first element sits on a [`ROW_ALIGN`]-byte
-/// boundary: a padded `Vec` and the offset of its first such boundary. A
-/// clone re-aligns (the copy lives elsewhere); equality compares the
-/// elements only.
-struct AlignedRow {
-    buf: Vec<f32>,
-    start: usize,
-    len: usize,
-}
-
-impl AlignedRow {
-    fn zeros(len: usize) -> Self {
-        let slack = ROW_ALIGN / size_of::<f32>() - 1;
-        let buf = vec![0.0; len + slack];
-        let misalign = buf.as_ptr().addr() % ROW_ALIGN;
-        let start = (ROW_ALIGN - misalign) % ROW_ALIGN / size_of::<f32>();
-        AlignedRow { buf, start, len }
-    }
-
-    fn as_slice(&self) -> &[f32] {
-        &self.buf[self.start..self.start + self.len]
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.buf[self.start..self.start + self.len]
-    }
-}
-
-impl Clone for AlignedRow {
-    fn clone(&self) -> Self {
-        let mut row = AlignedRow::zeros(self.len);
-        row.as_mut_slice().copy_from_slice(self.as_slice());
-        row
-    }
-}
-
-impl PartialEq for AlignedRow {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-/// What one pass of the kernel body reads: the running sums `init` after the
-/// first `skip` inputs, the inputs `x` left to add, the activation on the way out.
-struct Pass<'a> {
-    init: &'a [f32],
-    skip: usize,
-    x: &'a [f32],
-    act: Activation,
-}
-
-/// One dense layer `y = act(W x + b)`.
+/// One dense layer `y = act(W x + b)` in `f32`.
 ///
-/// Weights are stored input-major, `[in][stride]` with `stride` the output
-/// count rounded up to whole passes of the widest blocks any instantiation
-/// runs over them (16 up to 16 outputs, a multiple of 64 above); the padding
-/// columns (and padding biases) stay zero and are never written out, so
-/// every pass of [`Self::forward_from`] is the same fixed-width loop. The
-/// weights and the bias row each start on a 64-byte boundary, in a clone
-/// too; equal layers compare equal wherever they live.
+/// Weights are stored input-major, `[in][out]`, so [`Self::forward`] drives
+/// one input at a time while every output accumulates, as a crossbar does:
+/// each output is `bias + w₀x₀ + w₁x₁ + …` summed left to right, the vector
+/// lanes running across outputs, never across the sum.
 #[derive(Clone, PartialEq)]
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
-    stride: usize,
-    weights: AlignedRow,
-    bias: AlignedRow,
+    weights: Vec<f32>,
+    bias: Vec<f32>,
     act: Activation,
 }
 
@@ -146,18 +58,11 @@ impl Dense {
     /// Panics if either dimension is zero.
     pub fn zeros(in_dim: usize, out_dim: usize, act: Activation) -> Self {
         assert!(in_dim > 0 && out_dim > 0);
-        // whole passes of the widest blocks any instantiation runs on these outputs
-        let stride = if out_dim <= 2 * LANES {
-            2 * LANES
-        } else {
-            out_dim.next_multiple_of(BLOCKS * WIDE_LANES)
-        };
         Dense {
             in_dim,
             out_dim,
-            stride,
-            weights: AlignedRow::zeros(in_dim * stride),
-            bias: AlignedRow::zeros(stride),
+            weights: vec![0.0; in_dim * out_dim],
+            bias: vec![0.0; out_dim],
             act,
         }
     }
@@ -182,7 +87,7 @@ impl Dense {
     pub fn export_row_major(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.in_dim * self.out_dim);
         for row in 0..self.out_dim {
-            out.extend(self.weights.as_slice().iter().skip(row).step_by(self.stride));
+            out.extend(self.weights.iter().skip(row).step_by(self.out_dim));
         }
         out
     }
@@ -194,22 +99,21 @@ impl Dense {
     /// Panics if `weights.len() != in_dim × out_dim`.
     pub fn import_row_major(&mut self, weights: &[f32]) {
         assert_eq!(weights.len(), self.in_dim * self.out_dim, "weight count mismatch");
-        let dst = self.weights.as_mut_slice();
         for (row, src) in weights.chunks_exact(self.in_dim).enumerate() {
             for (col, &v) in src.iter().enumerate() {
-                dst[col * self.stride + row] = v;
+                self.weights[col * self.out_dim + row] = v;
             }
         }
     }
 
     /// Bias vector.
     pub fn bias(&self) -> &[f32] {
-        &self.bias.as_slice()[..self.out_dim]
+        &self.bias
     }
 
     /// Mutable bias.
     pub fn bias_mut(&mut self) -> &mut [f32] {
-        &mut self.bias.as_mut_slice()[..self.out_dim]
+        &mut self.bias
     }
 
     /// Sets weight `(row, col)`, i.e. from input `col` to output `row`.
@@ -219,174 +123,55 @@ impl Dense {
     /// Panics if out of range.
     pub fn set(&mut self, row: usize, col: usize, v: f32) {
         assert!(row < self.out_dim && col < self.in_dim);
-        self.weights.as_mut_slice()[col * self.stride + row] = v;
+        self.weights[col * self.out_dim + row] = v;
     }
 
-    /// Length of a running-sum row ([`Self::prefix`] writes one,
-    /// [`Self::forward_from`] starts from one): the output count rounded up
-    /// to whole passes.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Forward pass into `out`.
-    ///
-    /// Every output is `bias + w₀x₀ + w₁x₁ + …` summed in input order with
-    /// separate multiplies and adds: the lanes of a block run across
-    /// outputs, never across the sum.
+    /// Forward pass into `out`, which may ask for fewer outputs than the
+    /// layer has: every output is `bias + w₀x₀ + w₁x₁ + …` summed in input
+    /// order with separate multiplies and adds.
     ///
     /// # Panics
     ///
-    /// Panics if buffer lengths mismatch.
+    /// Panics if `x` is not `in_dim` long or `out` is longer than `out_dim`.
     pub fn forward(&self, x: &[f32], out: &mut [f32]) {
-        self.forward_from(self.bias.as_slice(), 0, x, out);
+        self.forward_on(Kernel::Avx2, x, out);
     }
 
-    /// The running sums `bias + w₀x₀ + … ` after the first `x_head.len()`
-    /// inputs, before any activation: what [`Self::forward_from`] resumes
-    /// from when the head of the input repeats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x_head` is longer than the input or `sums` is not
-    /// [`Self::stride`] long.
-    pub fn prefix(&self, x_head: &[f32], sums: &mut [f32]) {
-        self.prefix_on(Kernel::Avx512, x_head, sums);
-    }
-
-    /// [`Self::prefix`] on the instantiation named: for tests and benches, never the product.
+    /// [`Self::forward`] on the instantiation named: for tests, never the
+    /// product. The lanes never cross a sum and nothing fuses, so every
+    /// instantiation gives the same bits — which the calibration, and so a
+    /// checkpoint's bytes, rely on.
     #[doc(hidden)]
-    pub fn prefix_on(&self, kernel: Kernel, x_head: &[f32], sums: &mut [f32]) {
-        assert!(x_head.len() <= self.in_dim, "head longer than the input");
-        assert_eq!(sums.len(), self.stride, "running-sum row length mismatch");
-        let pass = Pass { init: self.bias.as_slice(), skip: 0, x: x_head, act: Activation::None };
-        self.run(kernel, pass, sums);
-    }
-
-    /// Forward pass resumed after `skip` inputs: `init` holds the running
-    /// sums so far (the bias row when `skip` is 0, a [`Self::prefix`] row
-    /// otherwise) and `x_rest` the remaining inputs. The sums continue left
-    /// to right from where `init` stopped, so the result is bit-identical to
-    /// [`Self::forward`] over the whole input. `out` may ask for fewer
-    /// outputs than the layer has.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths mismatch.
-    pub fn forward_from(&self, init: &[f32], skip: usize, x_rest: &[f32], out: &mut [f32]) {
-        self.forward_on(Kernel::Avx512, init, skip, x_rest, out);
-    }
-
-    /// [`Self::forward_from`] on the instantiation named (see [`Self::prefix_on`]).
-    #[doc(hidden)]
-    pub fn forward_on(&self, k: Kernel, init: &[f32], skip: usize, x: &[f32], out: &mut [f32]) {
-        assert_eq!(init.len(), self.stride, "running-sum row length mismatch");
-        assert_eq!(skip + x.len(), self.in_dim, "input length mismatch");
+    pub fn forward_on(&self, kernel: Kernel, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.in_dim, "input length mismatch");
         assert!(out.len() <= self.out_dim, "more outputs asked for than the layer has");
-        let pass = Pass { init, skip, x, act: self.act };
-        self.run(k, pass, out);
-    }
-
-    /// Runs the kernel body over `out` at the narrowest block width whose
-    /// blocks cover it, up to the widest `kernel` runs on this CPU: chosen from
-    /// `out.len()` and what the CPU reports, never from an option. The tails
-    /// (16 outputs or fewer) stop at AVX2: compiled for AVX-512 the 64→16
-    /// density tail measured 74 ns against 58 (DESIGN.md §8).
-    fn run(&self, kernel: Kernel, pass: Pass<'_>, out: &mut [f32]) {
-        let tail = kernel.min(Kernel::Avx2);
-        if out.len() <= NARROW_LANES {
-            self.run_at::<NARROW_LANES, NARROW_LANES>(tail, pass, out);
-        } else if out.len() <= 2 * LANES {
-            self.run_at::<LANES, { 2 * LANES }>(tail, pass, out);
-        } else if kernel.here() == Kernel::Avx512 {
-            self.run_at::<WIDE_LANES, { usize::MAX }>(kernel, pass, out);
-        } else {
-            self.run_at::<LANES, { usize::MAX }>(kernel, pass, out);
-        }
-    }
-
-    /// The kernel body at block width `N` on `kernel` (see [`run_on`]), for
-    /// at most `MAX` outputs.
-    fn run_at<const N: usize, const MAX: usize>(
-        &self,
-        kernel: Kernel,
-        pass: Pass<'_>,
-        out: &mut [f32],
-    ) {
         run_on(
             kernel,
             self,
-            pass,
+            x,
             out,
             #[inline(always)]
-            |layer, pass, out| layer.accumulate::<N, MAX>(pass, out),
+            |layer, x, out| layer.accumulate(x, out),
         );
     }
 
-    /// The one kernel body: `out[j] = act(init[j] + Σ w[skip + i][j]·x[i])`
-    /// for four `N`-output blocks per pass over the inputs — four add chains
-    /// in flight instead of one. The blocks are four named arrays: LLVM keeps
-    /// those in registers, and scalarises `[[f32; N]; 4]` or `[f32; 4 * N]`
-    /// (DESIGN.md §8). At most `MAX` outputs are written, a bound the
-    /// compiler sees: the blocks past it read no weights, and their loops go.
+    /// `out = act(bias + Σ w[i]·x[i])`, one input at a time across every output.
     #[inline(always)]
-    fn accumulate<const N: usize, const MAX: usize>(&self, pass: Pass<'_>, out: &mut [f32]) {
-        let Pass { init, skip, x, act } = pass;
-        let n = out.len().min(MAX);
-        // the columns a pass reads: four blocks, or fewer where `MAX` ends first
-        let span = (BLOCKS * N).min(MAX);
-        let weights = &self.weights.as_slice()[skip * self.stride..];
-        for (quad, dst) in out[..n].chunks_mut(BLOCKS * N).enumerate() {
-            let o = quad * BLOCKS * N;
-            let init = &init[o..o + span];
-            let [mut a, mut b, mut c, mut d] = [[0.0f32; N]; BLOCKS];
-            load(&mut a, block::<N>(init, 0));
-            load(&mut b, block::<N>(init, 1));
-            load(&mut c, block::<N>(init, 2));
-            load(&mut d, block::<N>(init, 3));
-            for (w_in, &v) in weights.chunks_exact(self.stride).zip(x) {
-                let w = &w_in[o..o + span];
-                mac(&mut a, block::<N>(w, 0), v);
-                mac(&mut b, block::<N>(w, 1), v);
-                mac(&mut c, block::<N>(w, 2), v);
-                mac(&mut d, block::<N>(w, 3), v);
+    fn accumulate(&self, x: &[f32], out: &mut [f32]) {
+        out.copy_from_slice(&self.bias[..out.len()]);
+        for (w_in, &v) in self.weights.chunks_exact(self.out_dim).zip(x) {
+            for (y, &w) in out.iter_mut().zip(w_in) {
+                *y += w * v;
             }
-            // out through one loop over the blocks laid end to end (the last
-            // pass may be narrower than its blocks): a loop per block was
-            // written with masked stores under AVX2, 5–15 % slower a layer
-            let sums = [a, b, c, d];
-            for (y, &s) in dst.iter_mut().zip(sums.as_flattened()) {
-                *y = act.apply(s);
-            }
+        }
+        if self.act == Activation::Relu {
+            out.iter_mut().for_each(|y| *y = y.max(0.0));
         }
     }
 
     /// Multiply-accumulate count of one forward pass.
     pub fn macs(&self) -> u64 {
         (self.in_dim * self.out_dim) as u64
-    }
-}
-
-/// Block `k` of the `N`-lane blocks `row` splits into: empty past its end,
-/// a whole block wherever the kernel body reads one.
-#[inline(always)]
-fn block<const N: usize>(row: &[f32], k: usize) -> &[f32] {
-    &row[(k * N).min(row.len())..((k + 1) * N).min(row.len())]
-}
-
-/// The running sums of a block start from `init`.
-#[inline(always)]
-fn load<const N: usize>(acc: &mut [f32; N], init: &[f32]) {
-    for (s, &v) in acc.iter_mut().zip(init) {
-        *s = v;
-    }
-}
-
-/// One input's step of a block: `acc[j] += w[j] · v`, a multiply then an add.
-#[inline(always)]
-fn mac<const N: usize>(acc: &mut [f32; N], w: &[f32], v: f32) {
-    for (s, &w) in acc.iter_mut().zip(w) {
-        *s += w * v;
     }
 }
 
@@ -443,32 +228,12 @@ impl Mlp {
     ///
     /// Panics if `x`, `out` or `scratch` have wrong lengths.
     pub fn forward_scratch(&self, x: &[f32], out: &mut [f32], scratch: &mut [f32]) {
-        self.forward_from(self.layers[0].bias.as_slice(), 0, x, out, scratch);
-    }
-
-    /// [`Self::forward_scratch`] with the first layer resumed after `skip`
-    /// inputs from the running sums `init` (see [`Dense::forward_from`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any buffer has the wrong length.
-    pub(crate) fn forward_from(
-        &self,
-        init: &[f32],
-        skip: usize,
-        x_rest: &[f32],
-        out: &mut [f32],
-        scratch: &mut [f32],
-    ) {
         assert_eq!(out.len(), self.out_dim(), "output length mismatch");
         assert!(scratch.len() >= self.scratch_len * 2, "scratch too small");
-        let (first, rest) = self.layers.split_first().expect("an MLP has at least one layer");
-        let Some((last, hidden)) = rest.split_last() else {
-            return first.forward_from(init, skip, x_rest, out);
-        };
+        let (last, hidden) = self.layers.split_last().expect("an MLP has at least one layer");
         // activations ping-pong between the two halves of the scratch
         let (mut src, mut dst) = scratch.split_at_mut(self.scratch_len);
-        first.forward_from(init, skip, x_rest, &mut src[..first.out_dim]);
+        src[..x.len()].copy_from_slice(x);
         for layer in hidden {
             layer.forward(&src[..layer.in_dim], &mut dst[..layer.out_dim]);
             std::mem::swap(&mut src, &mut dst);
@@ -500,6 +265,653 @@ impl Mlp {
     }
 }
 
+/// Inputs of a group: four bytes, one `vpdpbusd` operand per output.
+const GROUP: usize = 4;
+
+/// Outputs of a line: their `i32` sums, or one group of their weights, fill
+/// 64 bytes.
+const LINE: usize = 16;
+
+/// Lines of an integer layer, at most: four chains of `vpdpbusd`, 64
+/// outputs — the hidden width of both MLPs, in one pass.
+const LINES: usize = 4;
+
+/// The `i32` sums of a pass, line by line.
+type Sums = Aligned<[[i32; LINE]; LINES]>;
+
+/// The most outputs an integer layer may have: four lines of 16, one pass.
+pub const MAX_INT_OUTPUTS: usize = LINES * LINE;
+
+/// The byte of a zero input to a layer with signed inputs: a signed step `q`
+/// in `−127..=127` travels as the byte `q + 128`.
+const SIGNED_ZERO: u8 = 128;
+
+/// The most inputs an integer layer may have. Every sum then stays below 2²⁴
+/// in magnitude (256 · 255 · 128), exact in an `i32` and again as an `f32`.
+pub const MAX_INT_INPUTS: usize = 256;
+
+/// A value on a 64-byte boundary: a line of weights or sums never straddles
+/// two cache lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(64))]
+struct Aligned<T>(T);
+
+/// What a pass of an [`IntDense`] writes per output from the output's exact
+/// sum `s`: the sum itself (`i32`, a [`IntDense::prefix`]), the value
+/// `s·mul + add` (`f32`, the last layer), or that value requantised for the
+/// next layer (`u8`: [`requantise`]).
+pub trait Output: Copy {
+    /// The output of sum `s` under its multiplier and addend.
+    fn from_sum(s: i32, mul: f32, add: f32) -> Self;
+}
+
+impl Output for i32 {
+    #[inline(always)]
+    fn from_sum(s: i32, _: f32, _: f32) -> i32 {
+        s
+    }
+}
+
+impl Output for f32 {
+    #[inline(always)]
+    fn from_sum(s: i32, mul: f32, add: f32) -> f32 {
+        // |s| < 2²⁴: the conversion is exact, one rounding each after
+        s as f32 * mul + add
+    }
+}
+
+impl Output for u8 {
+    #[inline(always)]
+    fn from_sum(s: i32, mul: f32, add: f32) -> u8 {
+        requantise(s as f32 * mul + add)
+    }
+}
+
+/// `y` as a hidden activation: clamped into `0..=255` (the ReLU, and the top
+/// of the calibrated range) and rounded to the nearest whole number, ties to
+/// even.
+#[inline(always)]
+pub fn requantise(y: f32) -> u8 {
+    // 2²³: adding it rounds a value in 0..=255 to a whole number, ties to
+    // even, which the low mantissa bits then hold; `round_ties_even` is a
+    // libm call on the baseline target
+    const ROUND: f32 = 8_388_608.0;
+    let y = if y > 0.0 { y } else { 0.0 };
+    let y = if y < 255.0 { y } else { 255.0 };
+    ((y + ROUND).to_bits() - ROUND.to_bits()) as u8
+}
+
+/// `x` in steps of `1 / inv` as the input bytes of a layer with signed
+/// inputs: `round_ties_even(clamp(x·inv, −127, 127)) + 128` each.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than `x`.
+#[inline]
+pub fn quantize_signed(x: &[f32], inv: f32, out: &mut [u8]) {
+    // 1.5·2²³: adding it rounds a value in ±127 to a whole number, ties to
+    // even, in the binade whose unit in the last place is 1
+    const ROUND: f32 = 12_582_912.0;
+    for (b, &v) in out[..x.len()].iter_mut().zip(x) {
+        let v = v * inv;
+        let v = if v > -127.0 { v } else { -127.0 };
+        let v = if v < 127.0 { v } else { 127.0 };
+        *b = ((v + ROUND).to_bits().wrapping_sub(ROUND.to_bits()) as u8).wrapping_add(SIGNED_ZERO);
+    }
+}
+
+/// One dense layer at the chip's precision: `u8` inputs against `i8`
+/// weights, exact `i32` sums, and one `f32` step per output.
+///
+/// Inputs are bytes: `q + 128` for a signed step `q` in `−127..=127` when
+/// the layer takes signed inputs, the step `0..=255` itself otherwise. The
+/// weights are laid out `[in / 4][out][4]` in lines of 16 outputs (64
+/// bytes, so a line of one group of inputs is one `vpdpbusd` operand). A
+/// pass over the groups `a..b` starts each sum at `−zero · Σ w` over those
+/// groups (`zero` the byte of a zero input), so the sum is `Σ w·q` exactly
+/// however the groups are split, and the output is `sum · mul + add`.
+#[derive(Clone, PartialEq)]
+pub struct IntDense {
+    in_dim: usize,
+    out_dim: usize,
+    lines: usize,
+    zero: u8,
+    /// `[group][line]`: output `16·line + o`'s weights of the group's four
+    /// inputs at `4·o..4·o + 4`.
+    weights: Vec<Aligned<[i8; 64]>>,
+    /// `[group + 1][line]`: `−zero · Σ w` over the groups before, by output.
+    corr: Vec<Aligned<[i32; LINE]>>,
+    mul: Vec<f32>,
+    add: Vec<f32>,
+}
+
+impl fmt::Debug for IntDense {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IntDense")
+            .field("in_dim", &self.in_dim)
+            .field("out_dim", &self.out_dim)
+            .field("signed", &(self.zero == SIGNED_ZERO))
+            .finish()
+    }
+}
+
+/// What one pass of the integer bodies reads: the running sums `init` it
+/// resumes (none: zero), and the input groups `x` from group `first` on.
+#[derive(Clone, Copy)]
+struct IntPass<'a> {
+    init: Option<&'a [i32]>,
+    first: usize,
+    x: &'a [[u8; GROUP]],
+}
+
+/// The input bytes `x` of inputs `skip..` laid into whole groups, zero
+/// around them — unless they already are whole groups, which a pass reads
+/// where they lie.
+fn padded(zero: u8, skip: usize, x: &[u8]) -> Option<[[u8; GROUP]; MAX_INT_INPUTS / GROUP]> {
+    let whole = skip.is_multiple_of(GROUP) && x.len().is_multiple_of(GROUP);
+    (!whole).then(|| {
+        let mut groups = [[zero; GROUP]; MAX_INT_INPUTS / GROUP];
+        groups.as_flattened_mut()[skip..skip + x.len()].copy_from_slice(x);
+        groups
+    })
+}
+
+impl<'a> IntPass<'a> {
+    /// A pass over the inputs `skip..skip + x.len()`, from `padded(.., skip, x)`.
+    fn new(
+        init: Option<&'a [i32]>,
+        skip: usize,
+        x: &'a [u8],
+        padded: &'a Option<[[u8; GROUP]; MAX_INT_INPUTS / GROUP]>,
+    ) -> Self {
+        let first = skip / GROUP;
+        let x = match padded {
+            Some(groups) => &groups[first..(skip + x.len()).div_ceil(GROUP)],
+            None => x.as_chunks().0,
+        };
+        IntPass { init, first, x }
+    }
+
+    /// A pass over all of a hidden layer's input bytes, `x` padded to whole groups.
+    fn whole(x: &'a [u8]) -> Self {
+        IntPass { init: None, first: 0, x: x.as_chunks().0 }
+    }
+}
+
+impl IntDense {
+    /// A layer from row-major `[out][in]` weights and each output's
+    /// multiplier and addend; `signed` says how its input bytes read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `in_dim` is not in `1..=`[`MAX_INT_INPUTS`], `out_dim` not
+    /// in `1..=`[`MAX_INT_OUTPUTS`], or a slice length disagrees with them.
+    pub fn from_parts(
+        in_dim: usize,
+        out_dim: usize,
+        signed: bool,
+        weights: &[i8],
+        mul: &[f32],
+        add: &[f32],
+    ) -> Self {
+        assert!((1..=MAX_INT_INPUTS).contains(&in_dim), "inputs outside 1..={MAX_INT_INPUTS}");
+        assert!((1..=MAX_INT_OUTPUTS).contains(&out_dim), "outputs outside 1..={MAX_INT_OUTPUTS}");
+        assert_eq!(weights.len(), in_dim * out_dim, "weight count mismatch");
+        assert!(
+            mul.len() == out_dim && add.len() == out_dim,
+            "one multiplier and addend an output"
+        );
+        let (groups, lines) = (in_dim.div_ceil(GROUP), out_dim.div_ceil(LINE));
+        let mut rows = vec![Aligned([0i8; 64]); groups * lines];
+        for (j, row) in weights.chunks_exact(in_dim).enumerate() {
+            for (i, &w) in row.iter().enumerate() {
+                rows[i / GROUP * lines + j / LINE].0[j % LINE * GROUP + i % GROUP] = w;
+            }
+        }
+        let zero = if signed { SIGNED_ZERO } else { 0 };
+        let mut corr = vec![Aligned([0i32; LINE]); (groups + 1) * lines];
+        for k in 0..groups * lines {
+            let (w, before) = (&rows[k].0, corr[k].0);
+            for (o, c) in corr[k + lines].0.iter_mut().enumerate() {
+                let sum: i32 = w[o * GROUP..][..GROUP].iter().map(|&w| i32::from(w)).sum();
+                *c = before[o] - i32::from(zero) * sum;
+            }
+        }
+        let padded = |v: &[f32]| {
+            let mut row = vec![0.0; lines * LINE];
+            row[..out_dim].copy_from_slice(v);
+            row
+        };
+        IntDense {
+            in_dim,
+            out_dim,
+            lines,
+            zero,
+            weights: rows,
+            corr,
+            mul: padded(mul),
+            add: padded(add),
+        }
+    }
+
+    /// `dense` at 8 bits. `steps[i]` is the value of one step of input `i`
+    /// (signed inputs with `signed`, else `0..=255`); it is folded into the
+    /// weight column, and each output row of weights is then quantised to
+    /// ±127 steps of the row's largest magnitude. With `out_step` the layer
+    /// is a hidden one (its activation must be ReLU) whose outputs are
+    /// requantised to steps of `out_step`; without, it is the last layer
+    /// (no activation) and writes `f32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` is not `in_dim` long or the activation does not
+    /// match `out_step`.
+    pub fn quantize(dense: &Dense, steps: &[f32], signed: bool, out_step: Option<f32>) -> Self {
+        let (in_dim, out_dim) = (dense.in_dim, dense.out_dim);
+        assert_eq!(steps.len(), in_dim, "one step an input");
+        let want = if out_step.is_some() { Activation::Relu } else { Activation::None };
+        assert_eq!(dense.act, want, "hidden layers end in ReLU, the last in none");
+        let mut weights = vec![0i8; in_dim * out_dim];
+        let (mut mul, mut add) = (vec![0.0; out_dim], dense.bias.clone());
+        for ((row, dst), (m, a)) in dense
+            .export_row_major()
+            .chunks_exact(in_dim)
+            .zip(weights.chunks_exact_mut(in_dim))
+            .zip(mul.iter_mut().zip(&mut add))
+        {
+            let folded: Vec<f32> = row.iter().zip(steps).map(|(w, s)| w * s).collect();
+            let absmax = folded.iter().fold(0.0f32, |m, w| m.max(w.abs()));
+            let step = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
+            for (q, w) in dst.iter_mut().zip(&folded) {
+                *q = (w / step).round_ties_even().clamp(-127.0, 127.0) as i8;
+            }
+            *m = step;
+            if let Some(s) = out_step {
+                (*m, *a) = (step / s, *a / s);
+            }
+        }
+        IntDense::from_parts(in_dim, out_dim, signed, &weights, &mul, &add)
+    }
+
+    /// Input dimension.
+    pub fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    /// Output dimension.
+    pub fn out_dim(&self) -> usize {
+        self.out_dim
+    }
+
+    /// Length of a running-sum row ([`Self::prefix`] writes one,
+    /// [`Self::forward_from`] resumes from one): the outputs rounded up to
+    /// whole lines of 16.
+    pub fn sums_len(&self) -> usize {
+        self.lines * LINE
+    }
+
+    /// Forward pass of the input bytes `x` into `out`, which may ask for
+    /// fewer outputs than the layer has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is neither `in_dim` long nor that rounded up to whole
+    /// groups of four (see [`Self::forward_from`]), or `out` is longer than
+    /// `out_dim`.
+    pub fn forward<O: Output>(&self, x: &[u8], out: &mut [O]) {
+        self.forward_on(Kernel::Avx512Vnni, None, 0, x, out);
+    }
+
+    /// The running sums after the first `head.len()` inputs: what
+    /// [`Self::forward_from`] resumes from when the head of the input
+    /// repeats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `head` is longer than the input or `sums` is not
+    /// [`Self::sums_len`] long.
+    pub fn prefix(&self, head: &[u8], sums: &mut [i32]) {
+        self.prefix_on(Kernel::Avx512Vnni, head, sums);
+    }
+
+    /// [`Self::prefix`] on the instantiation named: for tests and benches, never the product.
+    #[doc(hidden)]
+    pub fn prefix_on(&self, kernel: Kernel, head: &[u8], sums: &mut [i32]) {
+        assert!(head.len() <= self.in_dim, "head longer than the input");
+        assert_eq!(sums.len(), self.sums_len(), "running-sum row length mismatch");
+        self.pass(kernel, None, 0, head, sums);
+    }
+
+    /// Forward pass resumed after `skip` inputs from the running sums
+    /// `init` (a [`Self::prefix`] row), with `rest` the remaining input
+    /// bytes: the same sums, so the same outputs, as [`Self::forward`] over
+    /// the whole input. `rest` may run on to the end of the last group of
+    /// four inputs: those bytes meet zero weights, and a whole group is
+    /// read where it lies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a length disagrees with the layer.
+    pub fn forward_from<O: Output>(&self, init: &[i32], skip: usize, rest: &[u8], out: &mut [O]) {
+        self.forward_on(Kernel::Avx512Vnni, Some(init), skip, rest, out);
+    }
+
+    /// [`Self::forward`] (no `init`) or [`Self::forward_from`] on the
+    /// instantiation named (see [`Self::prefix_on`]).
+    #[doc(hidden)]
+    pub fn forward_on<O: Output>(
+        &self,
+        kernel: Kernel,
+        init: Option<&[i32]>,
+        skip: usize,
+        rest: &[u8],
+        out: &mut [O],
+    ) {
+        assert!(init.is_none_or(|i| i.len() == self.sums_len()), "running-sum row length mismatch");
+        assert!(self.takes(skip, rest.len()), "input length mismatch");
+        assert!(out.len() <= self.out_dim, "more outputs asked for than the layer has");
+        self.pass(kernel, init, skip, rest, out);
+    }
+
+    /// Whether `len` bytes after `skip` inputs end the input: at `in_dim`,
+    /// or at the end of its last group.
+    fn takes(&self, skip: usize, len: usize) -> bool {
+        skip + len == self.in_dim || skip + len == self.in_dim.next_multiple_of(GROUP)
+    }
+
+    /// The inputs `skip..skip + x.len()` from the bytes `x`, every other
+    /// one zero, from `init` onwards into `out`, on `kernel`.
+    fn pass<O: Output>(
+        &self,
+        kernel: Kernel,
+        init: Option<&[i32]>,
+        skip: usize,
+        x: &[u8],
+        out: &mut [O],
+    ) {
+        let padded = padded(self.zero, skip, x);
+        let pass = IntPass::new(init, skip, x, &padded);
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, vnni) = (run_avx2::<O>, run_vnni::<O>);
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, vnni) = (run_portable::<O>, run_portable::<O>);
+        dispatch(kernel, self, pass, out, run_portable::<O>, avx2, vnni);
+    }
+
+    /// The sums of lines `0..n` start from: the resumed row (or zero),
+    /// plus `−zero · Σ w` over the pass's groups.
+    #[inline(always)]
+    fn start(&self, pass: IntPass<'_>, n: usize) -> Sums {
+        let (lo, hi) = (pass.first * self.lines, (pass.first + pass.x.len()) * self.lines);
+        let (lo, hi) = (&self.corr[lo..lo + n], &self.corr[hi..hi + n]);
+        let mut sums = Aligned([[0; LINE]; LINES]);
+        for ((s, lo), hi) in sums.0.iter_mut().zip(lo).zip(hi) {
+            *s = std::array::from_fn(|o| hi.0[o] - lo.0[o]);
+        }
+        if let Some(init) = pass.init {
+            for (s, row) in sums.0.iter_mut().zip(init.as_chunks::<LINE>().0) {
+                s.iter_mut().zip(row).for_each(|(s, i)| *s += i);
+            }
+        }
+        sums
+    }
+
+    /// The weights of the pass's groups, group after group, each its lines.
+    #[inline(always)]
+    fn rows(&self, pass: IntPass<'_>) -> &[Aligned<[i8; 64]>] {
+        &self.weights[pass.first * self.lines..][..pass.x.len() * self.lines]
+    }
+
+    /// The `f32` step: each output of `out` from its sum.
+    #[inline(always)]
+    fn finish<O: Output>(&self, sums: &Sums, out: &mut [O]) {
+        let sums = sums.0.as_flattened();
+        for (((y, &s), &m), &a) in out.iter_mut().zip(sums).zip(&self.mul).zip(&self.add) {
+            *y = O::from_sum(s, m, a);
+        }
+    }
+}
+
+/// The portable body: plain integer loops. Each line keeps a sum per pair
+/// of weights — `i16` products added in pairs, the shape of SSE2's
+/// `pmaddwd` — over the groups, and an output's two pairs are added at the
+/// end.
+#[inline]
+fn run_portable<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+    let n = out.len().div_ceil(LINE);
+    let mut sums = layer.start(pass, n);
+    let mut pairs = [[0i32; LINE * GROUP / 2]; LINES];
+    for (row, x) in layer.rows(pass).chunks_exact(layer.lines).zip(pass.x) {
+        let x: [i16; LINE * GROUP] = std::array::from_fn(|k| i16::from(x[k % GROUP]));
+        for (p, w) in pairs[..n].iter_mut().zip(row) {
+            let w: [i16; LINE * GROUP] = w.0.map(i16::from);
+            for ((p, w), x) in p.iter_mut().zip(w.as_chunks::<2>().0).zip(x.as_chunks::<2>().0) {
+                *p += i32::from(w[0]) * i32::from(x[0]) + i32::from(w[1]) * i32::from(x[1]);
+            }
+        }
+    }
+    for (s, p) in sums.0.iter_mut().zip(&pairs[..n]) {
+        for (s, p) in s.iter_mut().zip(p.as_chunks::<2>().0) {
+            *s += p[0] + p[1];
+        }
+    }
+    layer.finish(&sums, out);
+}
+
+/// The AVX2 body: the weights of four outputs widened to `i16`
+/// (`vpmovsxbw`), multiplied by the group's four bytes widened to `i16` and
+/// summed in pairs (`vpmaddwd`, no saturation: 255 · 128 · 2 < 2³¹); each
+/// output's two pair sums are added at the end of the line.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn run_avx2<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+    use std::arch::x86_64::*;
+    let n = out.len().div_ceil(LINE);
+    let mut sums = layer.start(pass, n);
+    let rows = layer.rows(pass);
+    for (l, s) in sums.0[..n].iter_mut().enumerate() {
+        let mut acc = [_mm256_setzero_si256(); 4];
+        for (row, x) in rows.chunks_exact(layer.lines).zip(pass.x) {
+            let wide = x.iter().rev().fold(0i64, |v, &b| v << 16 | i64::from(b));
+            let x = _mm256_set1_epi64x(wide);
+            let w: [__m128i; 4] = cast(&row[l].0);
+            for (a, w) in acc.iter_mut().zip(w) {
+                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_cvtepi8_epi16(w), x));
+            }
+        }
+        // [o0 o0 o1 o1 o2 o2 o3 o3] and the next four: added in pairs, then
+        // the 64-bit lanes put back in output order
+        let lo = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[0], acc[1]));
+        let hi = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[2], acc[3]));
+        let base: [__m256i; 2] = cast(s);
+        *s = cast(&[_mm256_add_epi32(base[0], lo), _mm256_add_epi32(base[1], hi)]);
+    }
+    layer.finish(&sums, out);
+}
+
+/// The AVX-512 VNNI body: one `vpdpbusd` per group and line, the group's
+/// four bytes against each output's four weights. Four lines run as four
+/// chains; a narrower pass (the 64→16 and 64→3 tails) splits each line's
+/// groups over four chains instead, which integer addition allows.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vnni")]
+#[inline]
+fn run_vnni<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+    use std::arch::x86_64::*;
+    let bytes = |x: &[u8; GROUP]| _mm512_set1_epi32(i32::from_le_bytes(*x));
+    let n = out.len().div_ceil(LINE);
+    let mut sums = layer.start(pass, n);
+    let (rows, lines) = (layer.rows(pass), layer.lines);
+    if n == LINES {
+        let mut acc: [__m512i; LINES] = std::array::from_fn(|l| cast(&sums.0[l]));
+        for (row, x) in rows.chunks_exact(lines).zip(pass.x) {
+            let x = bytes(x);
+            for (a, w) in acc.iter_mut().zip(&row[..LINES]) {
+                *a = _mm512_dpbusd_epi32(*a, x, cast(&w.0));
+            }
+        }
+        for (s, a) in sums.0.iter_mut().zip(&acc) {
+            *s = cast(a);
+        }
+    } else {
+        let (quads, rest) = pass.x.as_chunks::<4>();
+        let (quad_rows, rest_rows) = rows.split_at(quads.len() * 4 * lines);
+        for (l, s) in sums.0[..n].iter_mut().enumerate() {
+            let zero = _mm512_setzero_si512();
+            let mut acc = [cast(s), zero, zero, zero];
+            for (xs, ws) in quads.iter().zip(quad_rows.chunks_exact(4 * lines)) {
+                for (k, (a, x)) in acc.iter_mut().zip(xs).enumerate() {
+                    *a = _mm512_dpbusd_epi32(*a, bytes(x), cast(&ws[k * lines + l].0));
+                }
+            }
+            for (k, (a, x)) in acc.iter_mut().zip(rest).enumerate() {
+                *a = _mm512_dpbusd_epi32(*a, bytes(x), cast(&rest_rows[k * lines + l].0));
+            }
+            let [a, b, c, d] = acc;
+            *s = cast(&_mm512_add_epi32(_mm512_add_epi32(a, b), _mm512_add_epi32(c, d)));
+        }
+    }
+    layer.finish(&sums, out);
+}
+
+/// A stack of [`IntDense`] layers: the first takes the model's quantised
+/// inputs, each hidden layer's requantised bytes feed the next, and the last
+/// writes `f32`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IntMlp {
+    layers: Vec<IntDense>,
+    /// Bytes of a hidden activation: the widest, rounded up to whole groups.
+    scratch_len: usize,
+}
+
+impl IntMlp {
+    /// `mlp` at 8 bits: `inputs[i]` is the step of input `i` (signed), and
+    /// `hidden[k]` the step of hidden layer `k`'s outputs (`0..=255`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is not `mlp.in_dim()` long, `hidden` does not have
+    /// one step per hidden layer, or an activation is not ReLU on a hidden
+    /// layer and none on the last.
+    pub fn quantize(mlp: &Mlp, inputs: &[f32], hidden: &[f32]) -> Self {
+        let layers = mlp.layers();
+        assert_eq!(hidden.len() + 1, layers.len(), "one step a hidden layer");
+        let mut steps = inputs.to_vec();
+        let mut out = Vec::with_capacity(layers.len());
+        for (k, layer) in layers.iter().enumerate() {
+            let next = hidden.get(k).copied();
+            out.push(IntDense::quantize(layer, &steps, k == 0, next));
+            steps = vec![next.unwrap_or(1.0); layer.out_dim];
+        }
+        let scratch_len = out.iter().map(IntDense::out_dim).max().unwrap().next_multiple_of(GROUP);
+        IntMlp { layers: out, scratch_len }
+    }
+
+    /// The layers.
+    pub fn layers(&self) -> &[IntDense] {
+        &self.layers
+    }
+
+    /// Allocates a scratch buffer sized for [`Self::forward_from`].
+    pub fn make_scratch(&self) -> Vec<u8> {
+        vec![0; self.scratch_len * 2]
+    }
+
+    /// Forward pass of the input bytes `x_rest`, the first layer resumed
+    /// after `skip` inputs from the running sums `init` when given (see
+    /// [`IntDense::forward_from`]), into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any buffer has the wrong length.
+    pub fn forward_from(
+        &self,
+        init: Option<&[i32]>,
+        skip: usize,
+        x_rest: &[u8],
+        out: &mut [f32],
+        scratch: &mut [u8],
+    ) {
+        self.forward_on(Kernel::Avx512Vnni, init, skip, x_rest, out, scratch);
+    }
+
+    /// [`Self::forward_from`] with every layer on the instantiation named:
+    /// for tests and benches, never the product.
+    #[doc(hidden)]
+    pub fn forward_on(
+        &self,
+        kernel: Kernel,
+        init: Option<&[i32]>,
+        skip: usize,
+        x_rest: &[u8],
+        out: &mut [f32],
+        scratch: &mut [u8],
+    ) {
+        let first = &self.layers[0];
+        assert!(
+            init.is_none_or(|i| i.len() == first.sums_len()),
+            "running-sum row length mismatch"
+        );
+        assert!(first.takes(skip, x_rest.len()), "input length mismatch");
+        assert_eq!(out.len(), self.layers.last().unwrap().out_dim, "output length mismatch");
+        assert!(scratch.len() >= self.scratch_len * 2, "scratch too small");
+        let padded = padded(first.zero, skip, x_rest);
+        let pass = IntPass::new(init, skip, x_rest, &padded);
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, vnni) = (mlp_avx2, mlp_vnni);
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, vnni) = (mlp_portable, mlp_portable);
+        dispatch(kernel, self, (pass, scratch), out, mlp_portable, avx2, vnni);
+    }
+}
+
+/// The layers of `mlp` in turn: `hidden` runs every layer but the last,
+/// its bytes ping-ponging between the halves of the scratch, and `last`
+/// the last. One instantiation's whole MLP is one call. A layer reads its
+/// inputs in whole groups of four; the bytes past the layer before's
+/// outputs meet zero weights.
+#[inline(always)]
+fn mlp_body(
+    mlp: &IntMlp,
+    (pass, scratch): (IntPass<'_>, &mut [u8]),
+    out: &mut [f32],
+    hidden: impl Fn(&IntDense, IntPass<'_>, &mut [u8]),
+    last: impl Fn(&IntDense, IntPass<'_>, &mut [f32]),
+) {
+    let (first, rest) = mlp.layers.split_first().expect("an MLP has at least one layer");
+    let Some((tail, middle)) = rest.split_last() else {
+        return last(first, pass, out);
+    };
+    let (mut src, mut dst) = scratch.split_at_mut(mlp.scratch_len);
+    hidden(first, pass, &mut src[..first.out_dim]);
+    for layer in middle {
+        hidden(
+            layer,
+            IntPass::whole(&src[..layer.in_dim.next_multiple_of(GROUP)]),
+            &mut dst[..layer.out_dim],
+        );
+        std::mem::swap(&mut src, &mut dst);
+    }
+    last(tail, IntPass::whole(&src[..tail.in_dim.next_multiple_of(GROUP)]), out);
+}
+
+fn mlp_portable(mlp: &IntMlp, args: (IntPass<'_>, &mut [u8]), out: &mut [f32]) {
+    mlp_body(mlp, args, out, run_portable, run_portable);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn mlp_avx2(mlp: &IntMlp, args: (IntPass<'_>, &mut [u8]), out: &mut [f32]) {
+    mlp_body(mlp, args, out, |l, p, o| run_avx2(l, p, o), |l, p, o| run_avx2(l, p, o));
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vnni")]
+fn mlp_vnni(mlp: &IntMlp, args: (IntPass<'_>, &mut [u8]), out: &mut [f32]) {
+    mlp_body(mlp, args, out, |l, p, o| run_vnni(l, p, o), |l, p, o| run_vnni(l, p, o));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,30 +924,30 @@ mod tests {
         l
     }
 
-    /// Whether both of a layer's rows start on a `ROW_ALIGN`-byte boundary.
-    fn rows_aligned(l: &Dense) -> bool {
-        [l.weights.as_slice(), l.bias.as_slice()].iter().all(|r| r.as_ptr().addr() % ROW_ALIGN == 0)
+    /// Whether every row of weights and sums starts on a 64-byte boundary.
+    fn rows_aligned(l: &IntDense) -> bool {
+        l.weights.iter().all(|r| (r as *const Aligned<_>).addr() % 64 == 0)
+            && l.corr.iter().all(|r| (r as *const Aligned<_>).addr() % 64 == 0)
     }
 
     #[test]
-    fn weight_and_bias_rows_start_on_a_64_byte_boundary() {
-        // the odd-sized buffers kept alive between layers move where the next one lands
-        let mut keep = Vec::new();
-        for (in_dim, out_dim) in [(1, 1), (31, 64), (64, 16), (64, 3), (5, 33), (7, 65), (3, 17)] {
-            let mut l = Dense::zeros(in_dim, out_dim, Activation::Relu);
-            assert!(rows_aligned(&l), "zeros({in_dim}, {out_dim})");
-            let w: Vec<f32> = (0..in_dim * out_dim).map(|i| i as f32 * 0.25 - 1.0).collect();
-            l.import_row_major(&w);
-            assert!(rows_aligned(&l), "import_row_major on {in_dim}x{out_dim}");
-            let copy = l.clone();
-            assert!(rows_aligned(&copy), "clone of {in_dim}x{out_dim}");
-            assert_eq!(copy, l);
-            keep.push((l, copy, vec![0u8; 4 * in_dim + 4]));
+    fn integer_rows_start_on_a_64_byte_boundary() {
+        for (in_dim, out_dim) in [(1, 1), (31, 64), (64, 16), (64, 3), (5, 33)] {
+            let w = vec![1i8; in_dim * out_dim];
+            let l = IntDense::from_parts(
+                in_dim,
+                out_dim,
+                true,
+                &w,
+                &vec![1.0; out_dim],
+                &vec![0.0; out_dim],
+            );
+            assert!(rows_aligned(&l) && rows_aligned(&l.clone()), "{in_dim}x{out_dim}");
         }
     }
 
     #[test]
-    fn a_loaded_checkpoint_keeps_its_bytes_and_gets_aligned_rows() {
+    fn a_loaded_checkpoint_keeps_its_bytes_and_its_integer_layers() {
         use crate::fit::fit_ngp;
         use crate::grid::GridConfig;
         use crate::io::{load_model, save_model};
@@ -543,45 +955,14 @@ mod tests {
             fit_ngp(asdr_scenes::registry::handle("Lego").build().as_ref(), &GridConfig::tiny());
         let mut bytes = Vec::new();
         save_model(&model, "Lego", &mut bytes).unwrap();
-        // `nerf.ckpt_bytes`: how a layer is stored does not reach the file
-        assert_eq!(bytes.len(), 277_600);
+        // `nerf.ckpt_bytes`: the `f32` layers, then two length-prefixed rows
+        // of steps, 2 and 4 (VERSION 3)
+        assert_eq!(bytes.len(), 277_632);
         let loaded = load_model(&mut bytes.as_slice()).unwrap().model;
-        for (fitted, read) in
-            [(model.density_mlp(), loaded.density_mlp()), (model.color_mlp(), loaded.color_mlp())]
-        {
-            assert_eq!(fitted, read);
-            assert!(read.layers().iter().all(rows_aligned));
-        }
-    }
-
-    #[test]
-    fn equal_layers_compare_equal_wherever_their_rows_start() {
-        let mut a = Dense::zeros(5, 33, Activation::Relu);
-        a.set(32, 4, 1.5);
-        a.set(0, 0, -0.25);
-        a.bias_mut()[32] = -0.5;
-        // the same rows one float past a 64-byte boundary
-        let misaligned = |row: &AlignedRow| {
-            let mut moved = AlignedRow::zeros(row.len + 1);
-            moved.start += 1;
-            moved.len = row.len;
-            moved.as_mut_slice().copy_from_slice(row.as_slice());
-            moved
-        };
-        let b = Dense { weights: misaligned(&a.weights), bias: misaligned(&a.bias), ..a.clone() };
-        assert!(rows_aligned(&a) && !rows_aligned(&b));
-        assert_eq!(a, b);
-        let x = [0.5, -1.0, 2.0, 0.125, 3.0];
-        let (mut ya, mut yb) = ([0.0f32; 33], [0.0f32; 33]);
-        a.forward(&x, &mut ya);
-        b.forward(&x, &mut yb);
-        assert_eq!(ya.map(f32::to_bits), yb.map(f32::to_bits));
-        // a clone of the misaligned layer is aligned again, and still equal
-        assert!(rows_aligned(&b.clone()));
-        assert_eq!(b.clone(), a);
-        let mut c = b.clone();
-        c.set(32, 4, 1.0);
-        assert_ne!(c, a);
+        assert_eq!(model.density_mlp(), loaded.density_mlp());
+        assert_eq!(model.color_mlp(), loaded.color_mlp());
+        assert_eq!(model.scales(), loaded.scales());
+        assert_eq!(model.int_mlps(), loaded.int_mlps());
     }
 
     #[test]
@@ -636,6 +1017,55 @@ mod tests {
         let mut scratch = mlp.make_scratch();
         mlp.forward_scratch(&x, &mut y2, &mut scratch);
         assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn quantising_folds_the_input_steps_and_tracks_the_f32_layer() {
+        // 31 -> 64 -> 3 with two input steps, as the colour MLP's head and tail
+        let (mut l1, mut l2) =
+            (Dense::zeros(31, 64, Activation::Relu), Dense::zeros(64, 3, Activation::None));
+        let mut v = 0.3f32;
+        let mut next = || {
+            v = (v * 3.7 + 0.11) % 1.0;
+            v - 0.5
+        };
+        for l in [&mut l1, &mut l2] {
+            let w: Vec<f32> = (0..l.in_dim() * l.out_dim()).map(|_| next()).collect();
+            l.import_row_major(&w);
+            l.bias_mut().iter_mut().for_each(|b| *b = 0.1 * next());
+        }
+        let mlp = Mlp::new(vec![l1, l2]);
+        let steps: Vec<f32> =
+            (0..31).map(|i| if i < 16 { 0.8 / 127.0 } else { 0.5 / 127.0 }).collect();
+        let q = IntMlp::quantize(&mlp, &steps, &[6.0 / 255.0]);
+        let x: Vec<f32> = (0..31).map(|i| if i < 16 { 0.8 } else { 0.5 } * next()).collect();
+        let mut bytes = vec![0u8; 31];
+        for (i, (b, &v)) in bytes.iter_mut().zip(&x).enumerate() {
+            quantize_signed(&[v], 1.0 / steps[i], std::slice::from_mut(b));
+        }
+        let (mut got, mut scratch) = ([0.0f32; 3], q.make_scratch());
+        q.forward_from(None, 0, &bytes, &mut got, &mut scratch);
+        let want = mlp.forward(&x);
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() < 0.05, "{got:?} vs {want:?}");
+        }
+        // the head's sums resumed give the same bits
+        let mut sums = vec![0; q.layers()[0].sums_len()];
+        q.layers()[0].prefix(&bytes[..16], &mut sums);
+        let mut resumed = [0.0f32; 3];
+        q.forward_from(Some(&sums), 16, &bytes[16..], &mut resumed, &mut scratch);
+        assert_eq!(resumed.map(f32::to_bits), got.map(f32::to_bits));
+    }
+
+    #[test]
+    fn quantize_signed_rounds_ties_to_even_and_saturates() {
+        let mut out = [0u8; 8];
+        quantize_signed(&[0.5, 1.5, -0.5, -2.5, 200.0, -200.0, 0.0, 126.5], 1.0, &mut out);
+        assert_eq!(out, [128, 130, 128, 126, 255, 1, 128, 254]);
+        assert_eq!(
+            [0.5, 1.5, 2.5, 254.5, 255.5, -3.0, 300.0].map(requantise),
+            [0, 2, 2, 254, 255, 0, 255]
+        );
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! makes that optimization expressible.
 
 use crate::encoder::HashEncoder;
-use crate::mlp::Mlp;
+use crate::mlp::{quantize_signed, IntMlp, Mlp};
 use crate::occupancy::OccupancyGrid;
+use asdr_math::par::{self, detected_workers};
 use asdr_math::sh::{sh4, SH_DEGREE4_COEFFS};
 use asdr_math::{Aabb, Ray, Rgb, Vec3};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,13 +130,206 @@ pub const HIDDEN_DIM: usize = 64;
 pub struct Scratch {
     encoded: Vec<f32>,
     density_out: Vec<f32>,
-    /// Running sums of the first color layer after its SH inputs.
-    sh_sums: DirCache<Vec<f32>>,
+    /// A first layer's quantised inputs.
+    bytes: Vec<u8>,
+    /// The first colour layer's `i32` sums after its SH inputs.
+    sh_sums: DirCache<Vec<i32>>,
     color_out: Vec<f32>,
-    mlp: Vec<f32>,
+    mlp: Vec<u8>,
+}
+
+/// Occupied cells the calibration reads at most.
+const CALIBRATION_CELLS: usize = 4096;
+
+/// Slices the calibration's points are cut into, for its workers to claim.
+const CALIBRATION_SLICES: usize = 16;
+
+/// The static steps of the integer MLPs' inputs, one per layer input: an
+/// input byte's step `q` stands for `q · step`. Each is the magnitude its
+/// inputs reach, spread over ±127 steps (signed inputs) or 255 (a hidden
+/// layer's ReLU outputs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MlpScales {
+    /// The encoded features into the density MLP, then one step per hidden
+    /// layer.
+    density: Vec<f32>,
+    /// The SH head and the geometry tail of the colour MLP's input, then
+    /// one step per hidden layer.
+    color: Vec<f32>,
+}
+
+impl MlpScales {
+    /// Steps read back from a checkpoint: `None` unless they fit the MLPs
+    /// (one per density layer; one more for the colour MLP, whose input has
+    /// two parts) and each is finite and above zero.
+    pub(crate) fn new(
+        density: Vec<f32>,
+        color: Vec<f32>,
+        density_mlp: &Mlp,
+        color_mlp: &Mlp,
+    ) -> Option<Self> {
+        let fits = density.len() == density_mlp.layers().len()
+            && color.len() == color_mlp.layers().len() + 1;
+        let positive = density.iter().chain(&color).all(|s| s.is_finite() && *s > 0.0);
+        (fits && positive).then_some(MlpScales { density, color })
+    }
+
+    /// The density MLP's steps: encoded features, then its hidden layers.
+    pub fn density(&self) -> &[f32] {
+        &self.density
+    }
+
+    /// The colour MLP's steps: SH head, geometry tail, then its hidden layers.
+    pub fn color(&self) -> &[f32] {
+        &self.color
+    }
+
+    /// The steps of a model's parts, on the process's worker budget
+    /// ([`detected_workers`]). Exact bounds where they exist: an encoded
+    /// feature blends table rows with weights summing to one, so it never
+    /// exceeds the tables' largest magnitude, and no degree-4 SH coefficient
+    /// exceeds `√(7 / 4π)` (`Y₃₀` at the pole; the addition theorem bounds
+    /// every `|Y_lm|` by `√((2l + 1) / 4π)`). The rest — the geometry
+    /// feature's largest magnitude and each hidden layer's largest output —
+    /// are what the `f32` layers reach at the centres of at most 4 096
+    /// occupied cells, evenly strided through the grid, each seen along a
+    /// direction of a Fibonacci sphere: maxima, so the same on any number of
+    /// workers.
+    pub fn calibrate(
+        encoder: &HashEncoder,
+        density: &Mlp,
+        color: &Mlp,
+        occupancy: &OccupancyGrid,
+    ) -> Self {
+        Self::calibrate_on(encoder, density, color, occupancy, detected_workers())
+    }
+
+    /// [`Self::calibrate`] on `workers` threads (0 counts as 1).
+    pub(crate) fn calibrate_on(
+        encoder: &HashEncoder,
+        density: &Mlp,
+        color: &Mlp,
+        occupancy: &OccupancyGrid,
+        workers: usize,
+    ) -> Self {
+        let magnitude = |m: f32, v: &f32| m.max(v.abs());
+        let stride = occupancy.occupied_centres().count().div_ceil(CALIBRATION_CELLS).max(1);
+        let points: Vec<Vec3> = occupancy.occupied_centres().step_by(stride).collect();
+        // per slice of points: each density hidden layer's, the geometry
+        // feature's and each colour hidden layer's largest value, and the
+        // buffers to find them with (allocated here: a worker thread that
+        // allocates grows the heap by an arena)
+        let hidden = |mlp: &Mlp| vec![0.0f32; mlp.layers().len() - 1];
+        let mut slices: Vec<_> = (0..CALIBRATION_SLICES)
+            .map(|_| {
+                let buffers = (
+                    vec![0.0; encoder.encoded_dim()],
+                    density.make_scratch(),
+                    color.make_scratch(),
+                );
+                ((hidden(density), 0.0f32, hidden(color)), buffers)
+            })
+            .collect();
+        let slice = points.len().div_ceil(CALIBRATION_SLICES).max(1);
+        par::for_each_mut(workers.max(1), &mut slices, |k, (maxima, buffers)| {
+            let ((density_max, geo_max, color_max), (encoded, d_scratch, c_scratch)) =
+                (maxima, buffers);
+            for (i, &p01) in points.iter().enumerate().skip(k * slice).take(slice) {
+                encoder.encode(p01, encoded);
+                let out = forward_recording(density, encoded, density_max, d_scratch);
+                *geo_max = out[1..].iter().fold(*geo_max, magnitude);
+                let mut x = [0.0; COLOR_IN_DIM];
+                x[..SH_DEGREE4_COEFFS].copy_from_slice(&sh4(fibonacci_direction(i, points.len())));
+                x[SH_DEGREE4_COEFFS..].copy_from_slice(&out[1..]);
+                forward_recording(color, &x, color_max, c_scratch);
+            }
+        });
+        let mut maxima = slices.into_iter().map(|(maxima, _)| maxima);
+        let (mut density_max, mut geo_max, mut color_max) = maxima.next().expect("slices");
+        for (d, g, c) in maxima {
+            density_max.iter_mut().zip(d).for_each(|(m, v)| *m = m.max(v));
+            geo_max = geo_max.max(g);
+            color_max.iter_mut().zip(c).for_each(|(m, v)| *m = m.max(v));
+        }
+        let signed = |m: f32| if m > 0.0 { m / 127.0 } else { 1.0 };
+        let unsigned = |m: f32| if m > 0.0 { m / 255.0 } else { 1.0 };
+        let tables = encoder.tables().iter().flat_map(|t| t.params()).fold(0.0, magnitude);
+        let sh = sh4(Vec3::Z).iter().fold(0.0, magnitude);
+        MlpScales {
+            density: [signed(tables)]
+                .into_iter()
+                .chain(density_max.into_iter().map(unsigned))
+                .collect(),
+            color: [signed(sh), signed(geo_max)]
+                .into_iter()
+                .chain(color_max.into_iter().map(unsigned))
+                .collect(),
+        }
+    }
+}
+
+/// `mlp` at `x` in `f32` through `scratch` (an [`Mlp::make_scratch`]),
+/// raising each hidden layer's entry of `maxima` to the largest output it
+/// gave; returns the last layer's outputs.
+fn forward_recording<'s>(
+    mlp: &Mlp,
+    x: &[f32],
+    maxima: &mut [f32],
+    scratch: &'s mut [f32],
+) -> &'s [f32] {
+    let (mut src, mut dst) = scratch.split_at_mut(scratch.len() / 2);
+    src[..x.len()].copy_from_slice(x);
+    for (k, layer) in mlp.layers().iter().enumerate() {
+        let y = &mut dst[..layer.out_dim()];
+        layer.forward(&src[..layer.in_dim()], y);
+        if let Some(m) = maxima.get_mut(k) {
+            *m = y.iter().fold(*m, |m, &v| m.max(v));
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    let out: &'s [f32] = src;
+    &out[..mlp.out_dim()]
+}
+
+/// Direction `i` of `n` spread evenly over the sphere (a Fibonacci lattice).
+fn fibonacci_direction(i: usize, n: usize) -> Vec3 {
+    let k = i as f32 + 0.5;
+    let phi = std::f32::consts::PI * (1.0 + 5.0f32.sqrt()) * k;
+    let cos_theta = 1.0 - 2.0 * k / n as f32;
+    let sin_theta = (1.0 - cos_theta * cos_theta).max(0.0).sqrt();
+    Vec3::new(sin_theta * phi.cos(), cos_theta, sin_theta * phi.sin())
+}
+
+/// The integer copies of a model's MLPs, and the reciprocal steps their
+/// inputs are quantised with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IntMlps {
+    /// The density MLP at 8 bits.
+    pub density: IntMlp,
+    /// The colour MLP at 8 bits.
+    pub color: IntMlp,
+    /// `1 / step` of the encoded features, the SH head and the geometry tail.
+    inv: [f32; 3],
+}
+
+impl IntMlps {
+    fn quantize(density: &Mlp, color: &Mlp, scales: &MlpScales) -> Self {
+        let (d, c) = (&scales.density, &scales.color);
+        let color_steps: Vec<f32> =
+            (0..COLOR_IN_DIM).map(|i| if i < SH_DEGREE4_COEFFS { c[0] } else { c[1] }).collect();
+        IntMlps {
+            density: IntMlp::quantize(density, &vec![d[0]; density.in_dim()], &d[1..]),
+            color: IntMlp::quantize(color, &color_steps, &c[2..]),
+            inv: [1.0 / d[0], 1.0 / c[0], 1.0 / c[1]],
+        }
+    }
 }
 
 /// A fitted Instant-NGP model over a world-space bounding box.
+///
+/// It is built in `f32` and runs as the chip does: every query goes through
+/// integer copies of the two MLPs ([`IntMlp`]), quantised with the steps of
+/// [`MlpScales`].
 #[derive(Debug, Clone)]
 pub struct NgpModel {
     encoder: HashEncoder,
@@ -143,17 +337,22 @@ pub struct NgpModel {
     color_mlp: Mlp,
     bounds: Aabb,
     occupancy: OccupancyGrid,
+    scales: MlpScales,
+    int: IntMlps,
     /// Keys [`Scratch`]'s direction cache; a clone shares it with its
-    /// (identical, immutable) color MLP.
+    /// (identical, immutable) colour MLP, and [`Self::calibrate`] draws a
+    /// new one.
     id: u64,
 }
 
 impl NgpModel {
-    /// Assembles a model.
+    /// Assembles a model and calibrates its integer MLPs
+    /// ([`MlpScales::calibrate`]).
     ///
     /// # Panics
     ///
-    /// Panics if the MLP shapes do not match the expected layout.
+    /// Panics if the MLP shapes do not match the expected layout, or a
+    /// hidden layer's activation is not ReLU or the last layer's not none.
     pub fn new(
         encoder: HashEncoder,
         density_mlp: Mlp,
@@ -161,11 +360,62 @@ impl NgpModel {
         bounds: Aabb,
         occupancy: OccupancyGrid,
     ) -> Self {
+        let scales = MlpScales::calibrate(&encoder, &density_mlp, &color_mlp, &occupancy);
+        Self::with_scales(encoder, density_mlp, color_mlp, bounds, occupancy, scales)
+    }
+
+    /// Assembles a model whose integer MLPs take the steps `scales` (a
+    /// checkpoint's).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
+    pub(crate) fn with_scales(
+        encoder: HashEncoder,
+        density_mlp: Mlp,
+        color_mlp: Mlp,
+        bounds: Aabb,
+        occupancy: OccupancyGrid,
+        scales: MlpScales,
+    ) -> Self {
         assert_eq!(density_mlp.in_dim(), encoder.encoded_dim(), "density MLP input mismatch");
         assert_eq!(density_mlp.out_dim(), DENSITY_OUT_DIM, "density MLP must emit 1+15");
         assert_eq!(color_mlp.in_dim(), COLOR_IN_DIM, "color MLP input mismatch");
         assert_eq!(color_mlp.out_dim(), 3, "color MLP must emit RGB");
-        NgpModel { encoder, density_mlp, color_mlp, bounds, occupancy, id: next_model_id() }
+        let int = IntMlps::quantize(&density_mlp, &color_mlp, &scales);
+        NgpModel {
+            encoder,
+            density_mlp,
+            color_mlp,
+            bounds,
+            occupancy,
+            scales,
+            int,
+            id: next_model_id(),
+        }
+    }
+
+    /// Calibrates the integer MLPs again from the model's parts: what a
+    /// caller that edited the encoder ([`Self::encoder_mut`]) runs next.
+    pub fn calibrate(&mut self) {
+        self.scales = MlpScales::calibrate(
+            &self.encoder,
+            &self.density_mlp,
+            &self.color_mlp,
+            &self.occupancy,
+        );
+        self.int = IntMlps::quantize(&self.density_mlp, &self.color_mlp, &self.scales);
+        self.id = next_model_id();
+    }
+
+    /// The steps the integer MLPs' inputs are quantised with.
+    pub fn scales(&self) -> &MlpScales {
+        &self.scales
+    }
+
+    /// The integer MLPs every query runs.
+    pub fn int_mlps(&self) -> &IntMlps {
+        &self.int
     }
 
     /// The occupancy grid masking empty space (see [`OccupancyGrid`]).
@@ -178,7 +428,8 @@ impl NgpModel {
         &self.encoder
     }
 
-    /// Mutable access to the hash encoder (used by the SGD refinement pass).
+    /// Mutable access to the hash encoder. The integer MLPs keep the steps
+    /// they were calibrated with: run [`Self::calibrate`] after an edit.
     pub fn encoder_mut(&mut self) -> &mut HashEncoder {
         &mut self.encoder
     }
@@ -201,13 +452,14 @@ impl NgpModel {
     /// Allocates scratch buffers for the `_into` query variants.
     pub fn make_scratch(&self) -> Scratch {
         let mlp_len =
-            self.density_mlp.make_scratch().len().max(self.color_mlp.make_scratch().len());
+            self.int.density.make_scratch().len().max(self.int.color.make_scratch().len());
         Scratch {
             encoded: vec![0.0; self.encoder.encoded_dim()],
             density_out: vec![0.0; DENSITY_OUT_DIM],
-            sh_sums: DirCache::new(vec![0.0; self.color_mlp.layers()[0].stride()]),
+            bytes: vec![0; self.encoder.encoded_dim().max(COLOR_IN_DIM)],
+            sh_sums: DirCache::new(vec![0; self.int.color.layers()[0].sums_len()]),
             color_out: vec![0.0; 3],
-            mlp: vec![0.0; mlp_len],
+            mlp: vec![0; mlp_len],
         }
     }
 
@@ -225,11 +477,9 @@ impl NgpModel {
     pub fn query_density_into(&self, p_world: Vec3, scratch: &mut Scratch) -> f32 {
         let p01 = self.bounds.normalize(p_world);
         self.encoder.encode(p01, &mut scratch.encoded);
-        self.density_mlp.forward_scratch(
-            &scratch.encoded,
-            &mut scratch.density_out,
-            &mut scratch.mlp,
-        );
+        let bytes = &mut scratch.bytes[..scratch.encoded.len()];
+        quantize_signed(&scratch.encoded, self.int.inv[0], bytes);
+        self.int.density.forward_from(None, 0, bytes, &mut scratch.density_out, &mut scratch.mlp);
         if !self.occupancy.occupied_world(p_world) {
             return 0.0;
         }
@@ -251,19 +501,26 @@ impl NgpModel {
     /// Color query using the geometry feature left in `scratch` by the last
     /// [`Self::query_density_into`] call.
     ///
-    /// The first color layer sums its 16 SH inputs before the 15 geometry
-    /// inputs, so the sums after the SH part depend on `view_dir` alone:
-    /// they are computed once per direction and every later sample resumes
-    /// from them — same values, same order as a whole forward pass.
+    /// The first color layer sums its 16 SH inputs and its 15 geometry
+    /// inputs in separate groups, so the `i32` sums over the SH part depend
+    /// on `view_dir` alone: they are computed once per direction and every
+    /// later sample resumes from them — exact integers, so the same as a
+    /// whole forward pass.
     pub fn query_color_into(&self, view_dir: Vec3, scratch: &mut Scratch) -> Rgb {
-        let first = &self.color_mlp.layers()[0];
-        let sh_sums = scratch
-            .sh_sums
-            .get_or_fill(self.id, view_dir, |sums| first.prefix(&sh4(view_dir), sums));
-        self.color_mlp.forward_from(
-            sh_sums,
+        let first = &self.int.color.layers()[0];
+        let sh_sums = scratch.sh_sums.get_or_fill(self.id, view_dir, |sums| {
+            let mut head = [0; SH_DEGREE4_COEFFS];
+            quantize_signed(&sh4(view_dir), self.int.inv[1], &mut head);
+            first.prefix(&head, sums);
+        });
+        // the tail's 15 bytes and the one after them: a whole group of four
+        // each, the last read against zero weights
+        let geo = &mut scratch.bytes[..GEO_FEAT_DIM + 1];
+        quantize_signed(&scratch.density_out[1..], self.int.inv[2], geo);
+        self.int.color.forward_from(
+            Some(sh_sums),
             SH_DEGREE4_COEFFS,
-            &scratch.density_out[1..],
+            geo,
             &mut scratch.color_out,
             &mut scratch.mlp,
         );
@@ -364,6 +621,11 @@ mod tests {
         )
     }
 
+    /// `m` with other MLPs, calibrated afresh.
+    fn rebuilt(m: &NgpModel, density: Mlp, color: Mlp) -> NgpModel {
+        NgpModel::new(m.encoder.clone(), density, color, m.bounds, m.occupancy.clone())
+    }
+
     #[test]
     fn zero_model_returns_zero_density_black_color() {
         let m = dummy_model();
@@ -391,7 +653,7 @@ mod tests {
             let w: Vec<f32> = (0..n).map(|i| ((i % m) as f32 - (m / 2) as f32) * 0.05).collect();
             layer.import_row_major(&w);
         }
-        m.density_mlp = Mlp::new(layers);
+        let m = rebuilt(&m, Mlp::new(layers), m.color_mlp.clone());
 
         let p = Vec3::new(0.2, -0.3, 0.4);
         let (sig_a, feat_a) = m.query_density(p);
@@ -403,28 +665,28 @@ mod tests {
 
     #[test]
     fn density_is_clamped_nonnegative() {
-        let mut m = dummy_model();
+        let m = dummy_model();
         // bias the sigma output negative
         let mut layers = m.density_mlp.layers().to_vec();
         layers[1].bias_mut()[0] = -5.0;
-        m.density_mlp = Mlp::new(layers);
+        let m = rebuilt(&m, Mlp::new(layers), m.color_mlp.clone());
         let (sigma, _) = m.query_density(Vec3::ZERO);
         assert_eq!(sigma, 0.0);
     }
 
     #[test]
     fn color_is_clamped_to_unit_range() {
-        let mut m = dummy_model();
+        let m = dummy_model();
         let mut layers = m.color_mlp.layers().to_vec();
         layers[2].bias_mut().copy_from_slice(&[5.0, -5.0, 0.5]);
-        m.color_mlp = Mlp::new(layers);
+        let m = rebuilt(&m, m.density_mlp.clone(), Mlp::new(layers));
         let c = m.query_color(&[0.0; GEO_FEAT_DIM], Vec3::Z);
         assert_eq!(c, Rgb::new(1.0, 0.0, 0.5));
     }
 
     /// `dummy_model` with every MLP weight and bias drawn from `seed`.
     fn seeded_model(seed: u64) -> NgpModel {
-        let mut m = dummy_model();
+        let m = dummy_model();
         let mut rng = seeded("model-test", seed);
         let mut fill = |mlp: &Mlp| {
             let mut layers = mlp.layers().to_vec();
@@ -436,9 +698,8 @@ mod tests {
             }
             Mlp::new(layers)
         };
-        m.density_mlp = fill(&m.density_mlp);
-        m.color_mlp = fill(&m.color_mlp);
-        m
+        let density = fill(&m.density_mlp);
+        rebuilt(&m, density, fill(&m.color_mlp))
     }
 
     fn geo_feat(seed: usize) -> [f32; GEO_FEAT_DIM] {
@@ -465,7 +726,26 @@ mod tests {
             let params = m.encoder_mut().tables_mut().table_mut(l).params_mut();
             (0..).zip(params).for_each(|(i, v)| *v = ((i % 7) as f32 - 3.0) * 0.1);
         }
+        m.calibrate();
         assert_kept_scratch_matches_fresh(&m, Vec3::new(0.2, -0.3, 0.4));
+    }
+
+    #[test]
+    fn a_recalibrated_model_answers_as_one_built_from_its_parts() {
+        let mut m = seeded_model(6);
+        let (geo, dir) = (geo_feat(2), Vec3::new(0.3, -0.4, 0.866).normalized());
+        let mut s = m.make_scratch();
+        color_through(&m, &geo, dir, &mut s);
+        for l in 0..m.encoder().config().levels {
+            let params = m.encoder_mut().tables_mut().table_mut(l).params_mut();
+            (0..).zip(params).for_each(|(i, v)| *v = ((i % 5) as f32 - 2.0) * 0.4);
+        }
+        m.calibrate();
+        let fresh = rebuilt(&m, m.density_mlp.clone(), m.color_mlp.clone());
+        assert_eq!(m.scales(), fresh.scales());
+        assert_ne!(m.scales().density()[0], seeded_model(6).scales().density()[0]);
+        // the scratch that cached the old steps' SH sums misses
+        assert_eq!(color_through(&m, &geo, dir, &mut s), color_fresh(&fresh, &geo, dir));
     }
 
     #[test]

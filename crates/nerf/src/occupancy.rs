@@ -327,6 +327,23 @@ impl OccupancyGrid {
         (u32::from(self.bits[byte as usize]) >> shift) & 1 != 0
     }
 
+    /// The centre of every occupied cell in `[0,1]^3`, in cell-index order
+    /// (x fastest, then y, then z).
+    pub fn occupied_centres(&self) -> impl Iterator<Item = Vec3> + '_ {
+        let res = self.res;
+        let centre = move |c: usize| (c as f32 + 0.5) / res as f32;
+        (0..res * res * res)
+            .step_by(8)
+            .zip(&self.bits)
+            .filter(|&(_, &byte)| byte != 0)
+            .flat_map(|(base, &byte)| {
+                (0..8).filter(move |b| byte >> b & 1 != 0).map(move |b| base + b)
+            })
+            .map(move |i| {
+                Vec3::new(centre(i % res), centre(i / res % res), centre(i / (res * res)))
+            })
+    }
+
     /// Fraction of occupied cells.
     pub fn occupied_fraction(&self) -> f32 {
         let occupied: u32 = self.bits.iter().map(|b| b.count_ones()).sum();

@@ -8,7 +8,7 @@ use asdr_nerf::encoder::{HashEncoder, VertexAccess};
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::hash::{dense_index, spatial_hash};
 use asdr_nerf::kernel::Kernel;
-use asdr_nerf::mlp::{Activation, Dense, Mlp};
+use asdr_nerf::mlp::{Activation, Dense, IntDense, Mlp};
 use asdr_nerf::model::{RadianceModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
 use asdr_nerf::occupancy::OccupancyGrid;
 use asdr_nerf::tensorf::{TensoRfConfig, TensoRfModel};
@@ -139,24 +139,15 @@ fn assert_encode_matches_oracle(enc: &HashEncoder, p: Vec3) {
     }
 }
 
-/// Output widths of the `Dense` properties. The kernel body advances four
-/// blocks a pass (4, 8 or 16 lanes each, picked by how many outputs are asked
-/// for and by the instantiation: 16 only on AVX-512, above 16 outputs), so
-/// these end the outputs inside each of the four blocks, on a block's edge
-/// and past it where later blocks are all padding, at 8 lanes and at 16: one
-/// lane, around each block width, and a second pass of either.
-const DENSE_WIDTHS: [usize; 23] =
-    [1, 3, 4, 5, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 48, 56, 63, 64, 65, 80, 96, 127, 128];
+/// Output widths of the `Dense` properties.
+const DENSE_WIDTHS: [usize; 18] =
+    [1, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 80, 127, 128];
 
-/// The running-sum row length the kernel body needs: whole passes of the
-/// widest blocks any instantiation runs over `out_dim` outputs.
-fn expected_stride(out_dim: usize) -> usize {
-    if out_dim <= 16 {
-        16
-    } else {
-        out_dim.next_multiple_of(64)
-    }
-}
+/// Output widths of the `IntDense` properties. The integer bodies run lines
+/// of 16 outputs, up to four (the AVX2 one in quarters of a line), so these
+/// end the outputs inside a quarter and a line, on their edges, and at each
+/// line count.
+const INT_WIDTHS: [usize; 13] = [1, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33, 48, 64];
 
 fn dense_layer(in_dim: usize, out_dim: usize, act: Activation, w: &[f32], bias: &[f32]) -> Dense {
     let mut layer = Dense::zeros(in_dim, out_dim, act);
@@ -165,17 +156,17 @@ fn dense_layer(in_dim: usize, out_dim: usize, act: Activation, w: &[f32], bias: 
     layer
 }
 
-/// The instantiations of the kernel bodies the `Dense`, encoder and
+/// The instantiations of the kernel bodies the integer-layer, encoder and
 /// occupancy-pass properties run on (the encoder and the pass never run
-/// wider than AVX2, so their `Avx512` rows repeat the `Avx2` ones). A host
-/// without AVX2 or AVX-512 cannot run those; say so once instead of letting
-/// their rows pass unseen — straight to stderr, which the test harness does
-/// not capture, so a plain `cargo test` shows it.
+/// wider than AVX2, so their `Avx512Vnni` rows repeat the `Avx2` ones). A
+/// host without AVX2 or AVX-512 VNNI cannot run those; say so once instead
+/// of letting their rows pass unseen — straight to stderr, which the test
+/// harness does not capture, so a plain `cargo test` shows it.
 fn kernels_under_test() -> &'static [Kernel] {
     use std::io::Write;
     static SAY_ONCE: std::sync::Once = std::sync::Once::new();
     SAY_ONCE.call_once(|| {
-        for (kernel, name) in [(Kernel::Avx2, "AVX2"), (Kernel::Avx512, "AVX-512F")] {
+        for (kernel, name) in [(Kernel::Avx2, "AVX2"), (Kernel::Avx512Vnni, "AVX-512F and AVX-512 VNNI")] {
             if !Kernel::available().contains(&kernel) {
                 let _ = writeln!(
                     std::io::stderr(),
@@ -188,9 +179,8 @@ fn kernels_under_test() -> &'static [Kernel] {
 }
 
 thread_local! {
-    /// The instantiations [`assert_dense_matches_oracle`] ran the row-dot,
-    /// prefix and resume checks on, in this thread.
-    static DENSE_RAN: std::cell::RefCell<Vec<Kernel>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// The instantiations [`assert_int_matches_oracle`] ran on, in this thread.
+    static INT_RAN: std::cell::RefCell<Vec<Kernel>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// `got` is what the oracle computed: the same bits — or, where the oracle
@@ -205,11 +195,9 @@ fn same_floats(got: &[f32], want: &[f32]) -> bool {
 }
 
 /// `layer` (built from row-major `w`) at `x` against the oracle — one serial
-/// dot product per output row, `bias + w₀x₀ + w₁x₁ + …` — which it returns:
-/// `forward` as the product dispatches it, then, on every instantiation the
-/// host offers, the sum stopped after any head and resumed, for the whole
-/// layer or for fewer outputs than it has (which picks the block width, and
-/// may end the outputs inside either half of a pair).
+/// dot product per output row, `bias + w₀x₀ + w₁x₁ + …` — which it returns,
+/// for the whole layer and for fewer outputs than it has, as dispatched and
+/// on every instantiation the host offers.
 fn assert_dense_matches_oracle(layer: &Dense, w: &[f32], x: &[f32]) -> Vec<f32> {
     let (in_dim, out_dim, act) = (layer.in_dim(), layer.out_dim(), layer.activation());
     let want: Vec<f32> = w
@@ -223,31 +211,17 @@ fn assert_dense_matches_oracle(layer: &Dense, w: &[f32], x: &[f32]) -> Vec<f32> 
             }
         })
         .collect();
-    let shape = format!("{in_dim}x{out_dim} {act:?}");
-    let asks: Vec<usize> =
-        DENSE_WIDTHS.into_iter().filter(|&n| n < out_dim).chain([out_dim - 1, out_dim]).collect();
-    let mut got = vec![f32::NAN; out_dim];
-    layer.forward(x, &mut got);
-    assert!(same_floats(&got, &want), "{shape} as dispatched: {got:?} vs {want:?}");
-    let mut sums = vec![f32::NAN; layer.stride()];
-    for k in 0..=in_dim {
-        layer.prefix(&x[..k], &mut sums);
-        layer.forward_from(&sums, k, &x[k..], &mut got);
+    for ask in DENSE_WIDTHS.into_iter().filter(|&n| n < out_dim).chain([out_dim]) {
+        let mut got = vec![f32::NAN; ask];
+        layer.forward(x, &mut got);
         assert!(
-            same_floats(&got, &want),
-            "{shape} as dispatched, split at {k}: {got:?} vs {want:?}"
+            same_floats(&got, &want[..ask]),
+            "{in_dim}x{out_dim} {act:?}, {ask} outputs: {got:?} vs {want:?}"
         );
         for &kernel in kernels_under_test() {
-            DENSE_RAN.with_borrow_mut(|ran| ran.push(kernel));
-            layer.prefix_on(kernel, &x[..k], &mut sums);
-            for &ask in &asks {
-                let mut got = vec![f32::NAN; ask];
-                layer.forward_on(kernel, &sums, k, &x[k..], &mut got);
-                assert!(
-                    same_floats(&got, &want[..ask]),
-                    "{shape} on {kernel:?}, split at {k}, {ask} outputs: {got:?} vs {want:?}"
-                );
-            }
+            layer.forward_on(kernel, x, &mut got);
+            let same = same_floats(&got, &want[..ask]);
+            assert!(same, "{in_dim}x{out_dim} {act:?} on {kernel:?}, {ask} outputs");
         }
     }
     want
@@ -271,7 +245,7 @@ const SPECIALS: [f32; 12] = [
 ];
 
 #[test]
-fn dense_kernels_match_the_oracle_on_subnormals_zeros_infinities_and_nan() {
+fn dense_forward_matches_the_oracle_on_subnormals_zeros_infinities_and_nan() {
     // [infinite, NaN, subnormal, -0.0] outputs the oracle produced
     let mut seen = [0usize; 4];
     let mut check = |in_dim: usize, out_dim: usize, w: &[f32], bias: &[f32], x: &[f32]| {
@@ -316,16 +290,213 @@ fn dense_kernels_match_the_oracle_on_subnormals_zeros_infinities_and_nan() {
     assert!(seen.iter().all(|&n| n > 0), "[infinite, NaN, subnormal, -0.0] outputs: {seen:?}");
 }
 
+/// An integer layer and what built it: row-major `i8` weights, each
+/// output's multiplier and addend, and whether its inputs are signed.
+struct IntCase {
+    layer: IntDense,
+    w: Vec<i8>,
+    mul: Vec<f32>,
+    add: Vec<f32>,
+    signed: bool,
+}
+
+impl IntCase {
+    fn new(in_dim: usize, signed: bool, w: Vec<i8>, mul: Vec<f32>, add: Vec<f32>) -> Self {
+        let layer = IntDense::from_parts(in_dim, mul.len(), signed, &w, &mul, &add);
+        IntCase { layer, w, mul, add, signed }
+    }
+
+    /// `n` outputs of random weights in ±127, multipliers and addends.
+    fn random(in_dim: usize, n: usize, signed: bool, seed: u64) -> Self {
+        let mut next = xorshift_unit(seed);
+        let w = (0..in_dim * n).map(|_| (next() * 127.5).clamp(-127.0, 127.0) as i8).collect();
+        let mul = (0..n).map(|_| next() * 0.01).collect();
+        let add = (0..n).map(|_| next() * 100.0).collect();
+        IntCase::new(in_dim, signed, w, mul, add)
+    }
+
+    /// The byte a step `q` travels as: `q + 128` into signed inputs.
+    fn byte(&self, q: i32) -> u8 {
+        (q + if self.signed { 128 } else { 0 }) as u8
+    }
+
+    /// The scalar oracle: each output's `Σ w·q` in `i32`, row by row.
+    fn sums(&self, q: &[i32]) -> Vec<i32> {
+        let in_dim = self.layer.in_dim();
+        self.w
+            .chunks_exact(in_dim)
+            .map(|row| row.iter().zip(q).map(|(&w, &q)| i32::from(w) * q).sum())
+            .collect()
+    }
+
+    /// The oracle's `f32` step over `sums`: the value, and the value
+    /// requantised (clamped into 0..=255, rounded ties to even).
+    fn steps(&self, sums: &[i32]) -> (Vec<f32>, Vec<u8>) {
+        let y: Vec<f32> = sums
+            .iter()
+            .zip(&self.mul)
+            .zip(&self.add)
+            .map(|((&s, m), a)| s as f32 * m + a)
+            .collect();
+        let q = y.iter().map(|y| y.clamp(0.0, 255.0).round_ties_even() as u8).collect();
+        (y, q)
+    }
+}
+
+/// `case` at the steps `q` against the scalar `i32` oracle: the sums, the
+/// `f32` values and the requantised bytes, on every instantiation the host
+/// offers, for the whole layer and fewer outputs, whole and with the input
+/// split after every head (a prefix resumed). Returns the oracle's sums.
+fn assert_int_matches_oracle(case: &IntCase, q: &[i32]) -> Vec<i32> {
+    let layer = &case.layer;
+    let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
+    let x: Vec<u8> = q.iter().map(|&q| case.byte(q)).collect();
+    let sums = case.sums(q);
+    let (floats, bytes) = case.steps(&sums);
+    let shape = format!("{in_dim}x{out_dim} signed {}", case.signed);
+    let asks: Vec<usize> =
+        INT_WIDTHS.into_iter().filter(|&n| n < out_dim).chain([out_dim - 1, out_dim]).collect();
+    let (mut got_sums, mut got_floats) = (vec![0i32; out_dim], vec![0.0f32; out_dim]);
+    let mut got_bytes = vec![0u8; out_dim];
+    layer.forward(&x, &mut got_sums);
+    assert_eq!(got_sums, sums, "{shape} as dispatched");
+    let mut head = vec![i32::MIN; layer.sums_len()];
+    for &kernel in kernels_under_test() {
+        INT_RAN.with_borrow_mut(|ran| ran.push(kernel));
+        for &ask in &asks {
+            layer.forward_on(kernel, None, 0, &x, &mut got_sums[..ask]);
+            layer.forward_on(kernel, None, 0, &x, &mut got_floats[..ask]);
+            layer.forward_on(kernel, None, 0, &x, &mut got_bytes[..ask]);
+            assert_eq!(got_sums[..ask], sums[..ask], "{shape} on {kernel:?}, {ask} outputs");
+            assert!(
+                same_floats(&got_floats[..ask], &floats[..ask]),
+                "{shape} on {kernel:?}, {ask}: {got_floats:?} vs {floats:?}"
+            );
+            assert_eq!(got_bytes[..ask], bytes[..ask], "{shape} on {kernel:?}, {ask} outputs");
+        }
+        for k in 0..=in_dim {
+            layer.prefix_on(kernel, &x[..k], &mut head);
+            for &ask in &asks {
+                layer.forward_on(kernel, Some(&head), k, &x[k..], &mut got_floats[..ask]);
+                let ok = same_floats(&got_floats[..ask], &floats[..ask]);
+                assert!(ok, "{shape} on {kernel:?}, split at {k}, {ask} outputs");
+            }
+            layer.forward_on(kernel, Some(&head), k, &x[k..], &mut got_sums);
+            assert_eq!(got_sums, sums, "{shape} on {kernel:?}, split at {k}");
+            // the rest run on to the end of its last group: any byte there
+            // meets zero weights
+            let end = in_dim.next_multiple_of(4);
+            if end > in_dim {
+                let mut rest = x[k..].to_vec();
+                rest.resize(end - k, 0xa5);
+                layer.forward_on(kernel, Some(&head), k, &rest, &mut got_sums);
+                assert_eq!(got_sums, sums, "{shape} on {kernel:?}, split at {k}, rest to {end}");
+            }
+        }
+    }
+    sums
+}
+
 #[test]
-fn the_dense_properties_run_on_every_instantiation_the_host_offers() {
-    let mut next = xorshift_unit(7);
-    let x: Vec<f32> = (0..5).map(|_| next()).collect();
-    for out_dim in DENSE_WIDTHS {
-        DENSE_RAN.with_borrow_mut(Vec::clear);
-        let w: Vec<f32> = (0..5 * out_dim).map(|_| next()).collect();
-        let bias: Vec<f32> = (0..out_dim).map(|_| next()).collect();
-        assert_dense_matches_oracle(&dense_layer(5, out_dim, Activation::Relu, &w, &bias), &w, &x);
-        let mut ran = DENSE_RAN.take();
+fn int_layers_match_the_oracle_at_the_extremes_of_their_sums() {
+    // every input at the top of its range against ±127 weights, at 64
+    // inputs: 64 · 255 · 127 = 2 072 640 unsigned, 64 · 127 · 127 signed; a
+    // body that adds pairs of products in 16 bits (255 · 127 · 2 > 2¹⁵) fails
+    for (signed, top, bottom) in [(false, 255, 0), (true, 127, -127)] {
+        for in_dim in [1, 2, 31, 64, 65, 256] {
+            for out_dim in [3, 16, 33, 64] {
+                let row = |j: usize| -> Vec<i8> {
+                    (0..in_dim)
+                        .map(|i| match j % 4 {
+                            0 => 127,
+                            1 => -127,
+                            2 => {
+                                if i % 2 == 0 {
+                                    127
+                                } else {
+                                    -127
+                                }
+                            }
+                            _ => {
+                                if (i / 4) % 2 == 0 {
+                                    -127
+                                } else {
+                                    127
+                                }
+                            }
+                        })
+                        .collect()
+                };
+                let w: Vec<i8> = (0..out_dim).flat_map(row).collect();
+                let case = IntCase::new(
+                    in_dim,
+                    signed,
+                    w,
+                    vec![1.0 / 4096.0; out_dim],
+                    vec![-3.0; out_dim],
+                );
+                for q in [top, bottom] {
+                    let sums = assert_int_matches_oracle(&case, &vec![q; in_dim]);
+                    let extreme = in_dim as i32 * 127 * q.abs();
+                    assert!(sums.iter().any(|s| s.abs() == extreme), "{sums:?}");
+                }
+                let alternating: Vec<i32> =
+                    (0..in_dim).map(|i| if i % 2 == 0 { top } else { bottom }).collect();
+                assert_int_matches_oracle(&case, &alternating);
+            }
+        }
+    }
+}
+
+#[test]
+fn requantisation_rounds_ties_to_even() {
+    // one input through weight 1 and multiplier ½: every odd step is a tie,
+    // at every addend's whole offset; one output per offset
+    let offsets = [-2.0, 0.0, 1.0, 2.0, 7.0, 100.0, 254.0];
+    let n = offsets.len();
+    let case = IntCase::new(1, false, vec![1; n], vec![0.5; n], offsets.to_vec());
+    let mut ties = 0;
+    for q in 0..=255 {
+        let sums = assert_int_matches_oracle(&case, &[q]);
+        let (y, bytes) = case.steps(&sums);
+        for (y, b) in y.iter().zip(bytes) {
+            let tie = y.fract() == 0.5 && (0.0..255.0).contains(y);
+            ties += tie as usize;
+            assert!(b % 2 == 0 || !tie, "{y} → {b}");
+        }
+    }
+    assert!(ties > 500, "{ties} ties");
+}
+
+#[test]
+fn a_dense_layer_over_whole_numbers_gives_the_integer_sums() {
+    // the `f32` layer is the integer one's oracle too: whole weights and
+    // inputs make every partial sum a whole number below 2²⁴, exact in `f32`
+    for (in_dim, out_dim, signed, seed) in
+        [(16, 64, true, 1), (64, 16, false, 2), (31, 64, true, 3), (64, 3, false, 4)]
+    {
+        let case = IntCase::random(in_dim, out_dim, signed, seed);
+        let mut next = xorshift_unit(seed + 10);
+        let q: Vec<i32> = (0..in_dim)
+            .map(|_| if signed { (next() * 127.5) as i32 } else { ((next() + 1.0) * 127.5) as i32 })
+            .collect();
+        let w: Vec<f32> = case.w.iter().map(|&w| f32::from(w)).collect();
+        let dense = dense_layer(in_dim, out_dim, Activation::None, &w, &vec![0.0; out_dim]);
+        let x: Vec<f32> = q.iter().map(|&q| q as f32).collect();
+        let mut y = vec![0.0; out_dim];
+        dense.forward(&x, &mut y);
+        let sums = assert_int_matches_oracle(&case, &q);
+        assert_eq!(y, sums.iter().map(|&s| s as f32).collect::<Vec<_>>());
+    }
+}
+
+#[test]
+fn the_int_properties_run_on_every_instantiation_the_host_offers() {
+    for out_dim in INT_WIDTHS {
+        INT_RAN.with_borrow_mut(Vec::clear);
+        let case = IntCase::random(5, out_dim, out_dim % 2 == 0, out_dim as u64);
+        assert_int_matches_oracle(&case, &[1, 0, 127, 3, 99]);
+        let mut ran = INT_RAN.take();
         ran.sort();
         ran.dedup();
         assert_eq!(ran, Kernel::available(), "{out_dim} outputs");
@@ -446,8 +617,6 @@ proptest! {
             let bias: Vec<f32> = (0..out_dim).map(|_| next()).collect();
             for act in [Activation::None, Activation::Relu] {
                 let layer = dense_layer(in_dim, out_dim, act, &w, &bias);
-                // up to 16 outputs the splits below run on a 16-float row
-                prop_assert_eq!(layer.stride(), expected_stride(out_dim));
                 prop_assert!(layer.export_row_major() == w, "export ∘ import is not the identity");
                 // the same matrix entered one weight at a time
                 let mut by_set = Dense::zeros(in_dim, out_dim, act);
@@ -459,6 +628,22 @@ proptest! {
                 let want = assert_dense_matches_oracle(&layer, &w, &x);
                 prop_assert!(want.iter().all(|v| v.is_finite()), "finite in, non-finite out");
             }
+        }
+    }
+
+    #[test]
+    fn int_layers_match_the_i32_oracle_on_random_layers(
+        in_dim in 1usize..65,
+        signed in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        let signed = signed == 1;
+        let mut next = xorshift_unit(seed);
+        let q: Vec<i32> = (0..in_dim)
+            .map(|_| if signed { (next() * 127.5) as i32 } else { ((next() + 1.0) * 127.5) as i32 })
+            .collect();
+        for out_dim in [1, 3, 16, 17, 49, 64] {
+            assert_int_matches_oracle(&IntCase::random(in_dim, out_dim, signed, seed), &q);
         }
     }
 

@@ -47,7 +47,7 @@ done
 stage=$(cat "$bundle/last-stage")
 [[ "$stage" == "exit" ]] \
     || { echo "FAIL: bundle ends at stage '$stage', not the clean-exit marker"; exit 1; }
-grep -Eq '"mlp_kernel": "(avx512|avx2|portable)"' "$bundle/config.json" \
+grep -Eq '"mlp_kernel": "(avx512vnni|avx2|portable)"' "$bundle/config.json" \
     || { echo "FAIL: config.json does not name the MLP kernel that ran"; exit 1; }
 diff "$bundle/stats.json" "$out/serve-stats.json" \
     || { echo "FAIL: bundle stats.json differs from the --out artifact"; exit 1; }
