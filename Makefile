@@ -1,4 +1,6 @@
-# Local entry points, kept identical to .github/workflows/ci.yml.
+# The one task runner: every CI and nightly step that builds, tests or
+# smokes runs one of these recipes (.github/workflows/), so a recipe is
+# edited here and nowhere else.
 
 .PHONY: verify test-crates test-release fmt fmt-check clippy doc check-extras examples bench-build bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke ci
 
@@ -100,15 +102,10 @@ serve-smoke:
 # dir, cold then warm, pinning zero duplicate fits, then a hot scene that
 # must spill to its replica with frames equal to one shard's — once over
 # in-process shards and once over spawned asdr-shardd daemons, one flag
-# apart — then once with a cost budget admitting over remote shards (what
-# the nightly cluster-smoke job runs).
+# apart (what the nightly cluster-smoke job runs).
 cluster-smoke:
 	scripts/cluster_smoke.sh --shards 2
 	scripts/cluster_smoke.sh --remote spawn:2
-	cargo run --release -p asdr_cluster --bin asdr-cluster -- \
-		--workload scripts/cluster-workload-tiny.jsonl --scale tiny --remote spawn:2 \
-		--budget-ms 200 \
-		--store-dir target/cluster-store --out target/cluster-stats-budgeted.json
 
 # Replay the bundled tiny workload with --record, replay the captured
 # workload file, and assert the two frame dumps are byte-identical (what the

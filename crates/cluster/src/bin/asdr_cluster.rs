@@ -5,7 +5,7 @@
 //! asdr-cluster --workload FILE
 //!              [--shards N | --remote (spawn:N | ADDR[,ADDR...])]
 //!              [--scale tiny|small|paper]
-//!              [--workers N] [--budget-ms X] [--hedge-ms X]
+//!              [--workers N] [--hedge-ms X]
 //!              [--store-dir DIR | --no-store] [--queue N]
 //!              [--speed X] [--record PATH]
 //!              [--out STATS.json] [--dump-images DIR] [--bundle DIR]
@@ -15,8 +15,8 @@
 //! The shards are `--shards N` [`LocalShard`](asdr_cluster::LocalShard)s in
 //! this process, or — with `--remote` — `asdr-shardd` daemons: `spawn:N`
 //! launches N on Unix sockets, a comma-separated list attaches to running
-//! ones. Everything after that choice is one path: the same router,
-//! budget and hedging serve either kind, over `--workers N` per shard.
+//! ones. Everything after that choice is one path: the same router and
+//! hedging serve either kind, over `--workers N` per shard.
 //!
 //! With `--bundle DIR` the process writes its own diagnostic run bundle
 //! to `DIR/cluster` (config snapshot, span capture, periodic stats
@@ -58,7 +58,6 @@ struct Args {
     output: OutputFlags,
     service: ServiceFlags,
     shards: Option<usize>,
-    budget_ms: Option<f64>,
     remote: Option<String>,
     /// `N` of `--remote spawn:N`, checked when the flag is read.
     spawn: Option<usize>,
@@ -77,7 +76,7 @@ fn usage() -> ! {
         "usage: asdr-cluster --workload FILE\n\
          \u{20}                   [--shards N | --remote (spawn:N | ADDR[,ADDR...])]\n\
          \u{20}                   [--scale tiny|small|paper]\n\
-         \u{20}                   [--workers N] [--budget-ms X] [--hedge-ms X]\n\
+         \u{20}                   [--workers N] [--hedge-ms X]\n\
          \u{20}                   [--store-dir DIR | --no-store] [--queue N]\n\
          \u{20}                   [--speed X] [--record PATH]\n\
          \u{20}                   [--out STATS.json] [--dump-images DIR] [--bundle DIR]\n\
@@ -103,9 +102,6 @@ fn parse_args(argv: &[String]) -> Args {
             match argv[i].as_str() {
                 "--shards" => {
                     args.shards = Some(worker_count("--shards", &value(argv, &mut i)));
-                }
-                "--budget-ms" => {
-                    args.budget_ms = Some(flags::positive_f64("--budget-ms", &value(argv, &mut i)));
                 }
                 "--remote" => {
                     let spec = value(argv, &mut i);
@@ -218,7 +214,6 @@ fn build_fleet(args: &Args) -> (Fleet, Vec<Child>, String) {
     let profile = &args.service.profile;
     let cfg = FleetConfig {
         hedge_after: args.hedge_after.or(FleetConfig::default().hedge_after),
-        budget_ms: args.budget_ms.unwrap_or(f64::INFINITY),
         ..FleetConfig::default()
     };
     let Some(spec) = &args.remote else {

@@ -7,16 +7,16 @@
 //! request for it since it last joined — so no shard idles while another
 //! queues; beside an idle shard that is cold the request queues at home and
 //! a background prewarm makes the replica (counted in
-//! [`FleetStats::replications`], bounded by each shard's store LRU). Each
-//! try is admitted by **predicted cost**, not request count: a shard takes
-//! the request while its outstanding predicted milliseconds stay under
-//! [`FleetConfig::budget_ms`], and only when every one is over budget or
-//! full does the fleet refuse ([`ServeError::QueueFull`]). A reservation is
-//! taken at submit and released when the shard reports the request
-//! terminal ([`Done`]) — result, failure, refusal or lost connection —
-//! whether or not anyone has waited on the ticket, so a driver that submits
-//! a whole trace before waiting on any of it can never wedge the budget
-//! shut. A refusal reported so is routed again by the ticket ([`FleetTicket`]).
+//! [`FleetStats::replications`], bounded by each shard's store LRU). A
+//! shard refuses only through its own bounded queue
+//! ([`ServeError::QueueFull`], or [`ServeError::ShuttingDown`] while it
+//! drains), and only when every live shard refuses is the fleet full. A
+//! request counts as in flight on its shard from submit until the shard
+//! reports it terminal ([`Done`]) — result, failure, refusal or lost
+//! connection — whether or not anyone has waited on the ticket, so a driver
+//! that submits a whole trace before waiting on any of it never leaves a
+//! shard looking busy. A refusal reported so is routed again by the ticket
+//! ([`FleetTicket`]).
 //!
 //! Around that one admission path, whichever backend serves:
 //!
@@ -73,11 +73,6 @@ pub struct FleetConfig {
     /// Hedge a request to a replica after this long without a result
     /// (`None` disables hedging).
     pub hedge_after: Option<Duration>,
-    /// Per-shard predicted-cost admission budget, milliseconds. An idle
-    /// shard always admits one request regardless (a single request larger
-    /// than the budget must still be servable). Unset (∞), a live home never
-    /// refuses, and a request leaves it only for an idle warm shard.
-    pub budget_ms: f64,
 }
 
 impl Default for FleetConfig {
@@ -88,7 +83,6 @@ impl Default for FleetConfig {
             health_timeout: Duration::from_millis(1000),
             health_misses: 3,
             hedge_after: Some(Duration::from_millis(2000)),
-            budget_ms: f64::INFINITY,
         }
     }
 }
@@ -123,10 +117,9 @@ enum Warmth {
     Warm,
 }
 
-/// One shard's admitted-but-unfinished work (predicted milliseconds) and warm scenes.
+/// One shard's admitted-but-unfinished requests and warm scenes.
 #[derive(Debug, Default)]
 struct Load {
-    outstanding_ms: f64,
     in_flight: usize,
     spilled_in: u64,
     warm: HashMap<String, Warmth>,
@@ -139,8 +132,6 @@ pub struct ShardLoad {
     pub id: usize,
     /// Requests admitted and not yet terminal.
     pub in_flight: usize,
-    /// Their predicted cost, milliseconds.
-    pub outstanding_ms: f64,
     /// Whether the shard has answered for the routed scene since it last joined.
     pub warm: bool,
 }
@@ -149,8 +140,9 @@ pub struct ShardLoad {
 /// is decided. A busy home yields to an idle shard that is warm for the
 /// scene (the lowest id of several): two stations behind one queue serve
 /// 2 µ where two separate queues serve 1.6 µ. Then the home, then the
-/// rest by outstanding predicted cost, which is the budget spill. An idle
-/// home always keeps its scene, so one caller at a time never leaves it.
+/// rest by fewest in flight (the lower id of a tie): where a full home's
+/// queue spills. An idle home always keeps its scene, so one caller at a
+/// time never leaves it.
 pub fn spill_order(home: usize, loads: &[ShardLoad]) -> impl Iterator<Item = usize> + '_ {
     let home_row = loads.iter().find(|l| l.id == home);
     let home_busy = home_row.is_some_and(|l| l.in_flight > 0);
@@ -160,17 +152,16 @@ pub fn spill_order(home: usize, loads: &[ShardLoad]) -> impl Iterator<Item = usi
         .map(|l| l.id);
     let mut rest: Vec<&ShardLoad> =
         loads.iter().filter(|l| l.id != home && Some(l.id) != idle).collect();
-    rest.sort_by(|a, b| a.outstanding_ms.total_cmp(&b.outstanding_ms));
+    rest.sort_by_key(|l| (l.in_flight, l.id));
     idle.into_iter().chain(home_row.map(|l| l.id)).chain(rest.into_iter().map(|l| l.id))
 }
 
-/// The admission book: the cost model, every shard's [`Load`], and the
+/// The fleet's book: the cost model, every shard's [`Load`], and the
 /// completion pulse [`Fleet::wait_capacity`] parks on. Kept apart from the
 /// shards so a [`Reservation`] parked inside one holds no reference back
 /// to it.
 struct Book {
     cost: CostModel,
-    budget_ms: f64,
     loads: Vec<Mutex<Load>>,
     completions: Mutex<u64>,
     completed: Condvar,
@@ -178,38 +169,28 @@ struct Book {
 }
 
 impl Book {
-    /// Reserves `predicted_ms` of `shard`'s budget for one more submission
-    /// of `req`, or `None` when that would exceed it. The returned [`Done`]
-    /// owns the [`Reservation`] and is the submission's whole completion
-    /// path: the one call the shard makes teaches the cost model the actual
-    /// service time, releases the budget, and reports to `race` as the
-    /// returned attempt — in that order, so whoever the report wakes sees
-    /// the other two. Dropped uncalled it releases and reports a loss.
+    /// Counts one more submission of `req` in flight on `shard`. The
+    /// returned [`Done`] owns the [`Reservation`] and is the submission's
+    /// whole completion path: the one call the shard makes teaches the cost
+    /// model the actual service time, releases the slot, and reports to
+    /// `race` as the returned attempt — in that order, so whoever the report
+    /// wakes sees the other two. Dropped uncalled it releases and reports a
+    /// loss.
     fn reserve(
         self: &Arc<Self>,
         shard: usize,
         req: &RenderRequest,
-        predicted_ms: f64,
         race: &Race,
-    ) -> Option<(Attempt, Done)> {
-        {
-            let mut load = self.loads[shard].lock().unwrap();
-            // an idle shard always admits; otherwise the predicted cost
-            // must fit the budget
-            if load.in_flight > 0 && load.outstanding_ms + predicted_ms > self.budget_ms {
-                return None;
-            }
-            load.outstanding_ms += predicted_ms;
-            load.in_flight += 1;
-        }
+    ) -> (Attempt, Done) {
+        self.loads[shard].lock().unwrap().in_flight += 1;
         let attempt = self.attempts.fetch_add(1, Ordering::Relaxed);
         let (book, race) = (self.clone(), race.clone());
-        let reservation = Reservation { book, shard, predicted_ms, race, attempt, end: None };
+        let reservation = Reservation { book, shard, race, attempt, end: None };
         let (scene, resolution, frames) =
             (req.scene.name().to_string(), req.resolution, req.frames);
         let done = move |outcome: Outcome| {
             if let Ok(result) = &outcome {
-                // service time — latency minus queue wait — is what admission predicts
+                // service time — latency minus queue wait — is what the model predicts
                 let service_us = result.latency_us.saturating_sub(result.queue_wait_us);
                 let book = &reservation.book;
                 book.cost.observe(&scene, resolution, frames, service_us as f64 / 1e3);
@@ -217,26 +198,24 @@ impl Book {
             }
             reservation.settle(outcome);
         };
-        Some((attempt, Box::new(done)))
+        (attempt, Box::new(done))
     }
 
     /// `shard`'s row for `scene`. A snapshot, because completions mutate the
     /// loads concurrently and a comparator reading live state can violate the
-    /// total-order contract (a sort panic on the submit path); under one lock,
-    /// because a row read in two could pair an idle count with a busy cost.
+    /// total-order contract (a sort panic on the submit path).
     fn snapshot(&self, shard: usize, scene: &str) -> ShardLoad {
         let load = self.loads[shard].lock().unwrap();
         ShardLoad {
             id: shard,
             in_flight: load.in_flight,
-            outstanding_ms: load.outstanding_ms,
             warm: load.warm.get(scene) == Some(&Warmth::Warm),
         }
     }
 
     /// Waits until more than `seen` reservations have been released or
     /// `timeout` passes — completions are the only events that free queue
-    /// slots or budget.
+    /// slots.
     fn wait_release(&self, seen: u64, timeout: Duration) {
         let count = self.completions.lock().unwrap();
         drop(self.completed.wait_timeout_while(count, timeout, |count| *count == seen).unwrap());
@@ -262,13 +241,12 @@ type Report = (Attempt, Outcome);
 /// nothing and is skipped.
 type Race = Sender<Report>;
 
-/// A claim on one shard's budget and the report its submission owes the
-/// ticket's [`Race`], both settled on drop: the budget released, then the
-/// end posted — for a [`Done`] dropped uncalled, a lost connection.
+/// A submission's slot in one shard's in-flight count and the report it
+/// owes the ticket's [`Race`], both settled on drop: the slot released, then
+/// the end posted — for a [`Done`] dropped uncalled, a lost connection.
 struct Reservation {
     book: Arc<Book>,
     shard: usize,
-    predicted_ms: f64,
     race: Race,
     attempt: Attempt,
     end: Option<Outcome>,
@@ -282,16 +260,7 @@ impl Reservation {
 
 impl Drop for Reservation {
     fn drop(&mut self) {
-        {
-            let mut load = self.book.loads[self.shard].lock().unwrap();
-            load.in_flight -= 1;
-            // an empty book must read exactly idle, or float residue keeps
-            // the budget from clearing
-            load.outstanding_ms = match load.in_flight {
-                0 => 0.0,
-                _ => (load.outstanding_ms - self.predicted_ms).max(0.0),
-            };
-        }
+        self.book.loads[self.shard].lock().unwrap().in_flight -= 1;
         *self.book.completions.lock().unwrap() += 1;
         self.book.completed.notify_all();
         let lost = || Err(ServeError::Connection("the shard dropped the request".into()));
@@ -436,7 +405,6 @@ impl FleetInner {
     fn route(
         self: &Arc<Self>,
         req: &RenderRequest,
-        predicted_ms: f64,
         race: &Race,
         skip: &[usize],
     ) -> Result<Held, ServeError> {
@@ -466,12 +434,11 @@ impl FleetInner {
             if !self.is_live(id) {
                 continue;
             }
-            let reserved =
-                (!skip.contains(&id)).then(|| self.book.reserve(id, req, predicted_ms, race));
-            let Some((attempt, done)) = reserved.flatten() else {
+            if skip.contains(&id) {
                 busy = true;
                 continue;
-            };
+            }
+            let (attempt, done) = self.book.reserve(id, req, race);
             match self.shards[id].shard.submit(req, done) {
                 Ok(ticket) => {
                     if id == home {
@@ -483,7 +450,7 @@ impl FleetInner {
                     let why = match id {
                         _ if id == home => "home",
                         _ if Some(id) == idle => "idle",
-                        _ => "budget",
+                        _ => "spill",
                     };
                     asdr_obs::event!(
                         req.trace,
@@ -550,12 +517,10 @@ impl Fleet {
         if shards.is_empty() {
             return Err("a fleet needs at least one shard".into());
         }
-        let budget_ms = if cfg.budget_ms > 0.0 { cfg.budget_ms } else { f64::INFINITY };
         let inner = Arc::new(FleetInner {
             ring: Mutex::new(HashRing::new(shards.len())),
             book: Arc::new(Book {
                 cost: CostModel::new(profile),
-                budget_ms,
                 loads: shards.iter().map(|_| Mutex::default()).collect(),
                 completions: Mutex::new(0),
                 completed: Condvar::new(),
@@ -600,30 +565,28 @@ impl Fleet {
         self.inner.ring.lock().unwrap().clone()
     }
 
-    /// The shared cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.inner.book.cost
-    }
-
     /// Submits a request to the first shard of [`spill_order`] that admits
     /// it — its home, unless that is busy beside an idle warm shard, or full
-    /// or over budget — returning a ticket that owns hedging and failover.
+    /// — returning a ticket that owns hedging and failover.
     ///
     /// # Errors
     ///
-    /// [`ServeError::QueueFull`] when every live shard is momentarily full,
-    /// draining or over budget; otherwise why the request cannot be admitted
-    /// (the last shard's refusal, or no live shard).
+    /// [`ServeError::InvalidRequest`] for a request past the serving bounds
+    /// ([`RenderRequest::check_bounds`]), before any shard is asked: a
+    /// remote shard drops the connection a request it cannot decode came
+    /// on, and each failover would evict the next shard.
+    /// [`ServeError::QueueFull`] when every live shard is momentarily full
+    /// or draining; otherwise why the request cannot be admitted (the last
+    /// shard's refusal, or no live shard).
     pub fn submit(&self, mut req: RenderRequest) -> Result<FleetTicket, ServeError> {
+        req.check_bounds()?;
         // the client is the trace root: the id travels with the request
         // and joins this process's spans with the serving shard's
         if asdr_obs::enabled() && !req.trace.is_set() {
             req.trace = TraceId::fresh();
         }
-        let predicted_ms =
-            self.inner.book.cost.predict(req.scene.name(), req.resolution, req.frames);
         let (race, reported) = mpsc::channel();
-        let held = self.inner.route(&req, predicted_ms, &race, &[]).inspect_err(|e| {
+        let held = self.inner.route(&req, &race, &[]).inspect_err(|e| {
             if matches!(e, ServeError::QueueFull { .. }) {
                 self.inner.counters.rejected.inc();
             }
@@ -631,7 +594,6 @@ impl Fleet {
         Ok(FleetTicket {
             inner: self.inner.clone(),
             req,
-            predicted_ms,
             race,
             served_by: AtomicUsize::new(held.shard),
             admitted: Mutex::new(Some((held, reported))),
@@ -640,8 +602,8 @@ impl Fleet {
     }
 
     /// A statistics snapshot: per-shard stats (last known for dead
-    /// shards — the work they completed before dying), the admission
-    /// book, routing and failure counters, and the cost model.
+    /// shards — the work they completed before dying), what each has in
+    /// flight, routing and failure counters, and the cost model.
     pub fn stats(&self) -> ClusterStats {
         let inner = &self.inner;
         let mut shards = Vec::with_capacity(inner.shards.len());
@@ -656,7 +618,7 @@ impl Fleet {
             shards.push(ShardStats {
                 shard: id,
                 workers: snap.as_ref().map_or(0, |s| s.workers as usize),
-                outstanding_ms: load.outstanding_ms,
+                in_flight: load.in_flight,
                 spilled_in: load.spilled_in,
                 warm_scenes: load.warm.values().filter(|w| **w == Warmth::Warm).count(),
                 serve: snap.map(|s| s.serve).unwrap_or_default(),
@@ -754,7 +716,6 @@ struct Held {
 pub struct FleetTicket {
     inner: Arc<FleetInner>,
     req: RenderRequest,
-    predicted_ms: f64,
     /// Where every submission made for this ticket reports.
     race: Race,
     /// What `submit` was handed and where `wait` hears of it, until the
@@ -768,11 +729,6 @@ impl FleetTicket {
     /// The shard that served (or is currently serving) the request.
     pub fn shard(&self) -> usize {
         self.served_by.load(Ordering::SeqCst)
-    }
-
-    /// The cost model's predicted service time at submit, milliseconds.
-    pub fn predicted_ms(&self) -> f64 {
-        self.predicted_ms
     }
 
     /// Blocks until some shard completes the request.
@@ -886,11 +842,7 @@ impl FleetTicket {
             if id == primary_shard {
                 continue;
             }
-            let Some((attempt, done)) =
-                inner.book.reserve(id, &self.req, self.predicted_ms, &self.race)
-            else {
-                continue;
-            };
+            let (attempt, done) = inner.book.reserve(id, &self.req, &self.race);
             if let Ok(ticket) = inner.shards[id].shard.submit(&self.req, done) {
                 inner.counters.hedges.inc();
                 // the duplicate carries the same trace id, so the merged
@@ -909,7 +861,7 @@ impl FleetTicket {
     fn reroute(&self, mut skip: &[usize], failing: &str) -> Result<Held, String> {
         let inner = &self.inner;
         loop {
-            match inner.route(&self.req, self.predicted_ms, &self.race, skip) {
+            match inner.route(&self.req, &self.race, skip) {
                 Ok(held) => {
                     self.served_by.store(held.shard, Ordering::SeqCst);
                     return Ok(held);
@@ -943,8 +895,8 @@ impl FleetTicket {
 impl ReplayTarget for Fleet {
     type Ticket = FleetTicket;
 
-    /// A fleet replays like a single service: a full or over-budget fleet
-    /// is [`ServeError::QueueFull`] (the driver blocks the replay clock).
+    /// A fleet replays like a single service: a full fleet is
+    /// [`ServeError::QueueFull`] (the driver blocks the replay clock).
     fn try_submit(&self, req: RenderRequest) -> Result<FleetTicket, ServeError> {
         self.submit(req)
     }
@@ -959,10 +911,9 @@ impl ReplayTarget for Fleet {
 mod tests {
     use super::*;
 
-    fn book(budget_ms: f64) -> Arc<Book> {
+    fn book() -> Arc<Book> {
         Arc::new(Book {
             cost: CostModel::new(&RenderProfile::tiny()),
-            budget_ms,
             loads: vec![Mutex::default()],
             completions: Mutex::new(0),
             completed: Condvar::new(),
@@ -985,24 +936,25 @@ mod tests {
     }
 
     #[test]
-    fn reservations_round_trip_and_an_idle_shard_always_admits() {
-        let book = book(100.0);
+    fn reservations_round_trip() {
+        let book = book();
         let (race, reported) = mpsc::channel();
         let req = RenderRequest::frame(asdr_scenes::registry::handle("Mic"), 8);
-        let reserve = |ms| book.reserve(0, &req, ms, &race);
-        let (first, big) = reserve(160.0).expect("idle: admitted although over budget");
-        assert!(reserve(1.0).is_none(), "a busy shard over budget refuses");
-        assert_eq!(book.loads[0].lock().unwrap().outstanding_ms, 160.0);
+        let in_flight = || book.loads[0].lock().unwrap().in_flight;
+        let (first, served) = book.reserve(0, &req, &race);
+        assert_eq!(in_flight(), 1);
         // a result: the model learns service = latency - queue wait, the
-        // budget is released, the race hears of it
-        big(Ok(served_in(15_000, 3_000)));
+        // slot is released, the race hears of it
+        served(Ok(served_in(15_000, 3_000)));
+        assert_eq!(in_flight(), 0);
         assert_eq!(book.cost.stats().observations, 1);
         assert_eq!(book.cost.predict("Mic", 8, 1), 12.0, "the one observation is the estimate");
-        let ((second, a), (third, b)) = (reserve(0.1).unwrap(), reserve(0.2).unwrap());
+        let ((second, a), (third, b)) =
+            (book.reserve(0, &req, &race), book.reserve(0, &req, &race));
+        assert_eq!(in_flight(), 2);
         drop(a); // dropped uncalled (a refused submit, a cancel) releases too
         b(Err(ServeError::RenderFailed("boom".into()))); // a failure releases without teaching
-        let idle = book.loads[0].lock().unwrap().outstanding_ms;
-        assert_eq!(idle, 0.0, "an empty book reads exactly idle");
+        assert_eq!(in_flight(), 0, "every end releases its slot");
         assert_eq!(book.cost.stats().observations, 1);
         assert_eq!(*book.completions.lock().unwrap(), 3, "every release pulses wait_capacity");
         // each end was reported once, in the order it was learned, under its own attempt
@@ -1015,8 +967,8 @@ mod tests {
         assert_eq!(reported.try_iter().collect::<Vec<_>>(), ends);
     }
 
-    fn row(id: usize, in_flight: usize, outstanding_ms: f64, warm: bool) -> ShardLoad {
-        ShardLoad { id, in_flight, outstanding_ms, warm }
+    fn row(id: usize, in_flight: usize, warm: bool) -> ShardLoad {
+        ShardLoad { id, in_flight, warm }
     }
 
     fn order(home: usize, loads: &[ShardLoad]) -> Vec<usize> {
@@ -1026,24 +978,22 @@ mod tests {
     #[test]
     fn a_busy_home_yields_only_to_an_idle_warm_shard() {
         // an idle home keeps its scene whatever the others hold
-        let others_idle = [row(0, 0, 0.0, true), row(1, 0, 0.0, true), row(2, 0, 0.0, true)];
+        let others_idle = [row(0, 0, true), row(1, 0, true), row(2, 0, true)];
         assert_eq!(order(1, &others_idle), [1, 0, 2]);
         // a busy home beside an idle warm shard: that one first
-        let loads = [row(0, 1, 9.0, true), row(1, 2, 30.0, true), row(2, 0, 0.0, true)];
+        let loads = [row(0, 1, true), row(1, 2, true), row(2, 0, true)];
         assert_eq!(order(1, &loads), [2, 1, 0]);
-        // … beside an idle cold one: home first, then the budget spill's order
-        let cold = [row(0, 1, 9.0, true), row(1, 2, 30.0, true), row(2, 0, 0.0, false)];
+        // … beside an idle cold one: home first, then the rest by fewest in flight
+        let cold = [row(0, 1, true), row(1, 2, true), row(2, 0, false)];
         assert_eq!(order(1, &cold), [1, 2, 0]);
         // … beside a warm one that has work: it does not count as idle
-        let working = [row(0, 1, 9.0, true), row(1, 2, 30.0, true), row(2, 1, 1.0, true)];
+        let working = [row(0, 2, true), row(1, 2, true), row(2, 1, true)];
         assert_eq!(order(1, &working), [1, 2, 0]);
+        // … and of two with as many in flight, the lower id first
+        let tied = [row(0, 1, true), row(1, 2, true), row(2, 1, true), row(3, 0, false)];
+        assert_eq!(order(1, &tied), [1, 3, 0, 2]);
         // two idle warm others: the lower id, and the other keeps its place
-        let two = [
-            row(0, 3, 30.0, true),
-            row(1, 0, 0.0, false),
-            row(2, 0, 0.0, true),
-            row(3, 0, 0.0, true),
-        ];
+        let two = [row(0, 3, true), row(1, 0, false), row(2, 0, true), row(3, 0, true)];
         assert_eq!(order(0, &two), [2, 0, 1, 3]);
     }
 
@@ -1056,8 +1006,8 @@ mod tests {
                     .iter()
                     .enumerate()
                     .map(|(i, &id)| {
-                        let in_flight = (busy >> i & 1) as usize;
-                        row(id, in_flight, in_flight as f64 * (7 - i) as f64, i % 2 == 0)
+                        let in_flight = (busy >> i & 1) as usize * (7 - i);
+                        row(id, in_flight, i % 2 == 0)
                     })
                     .collect();
                 let mut tried = order(home, &loads);
@@ -1066,7 +1016,7 @@ mod tests {
             }
         }
         // a home that left the ring between the lookup and the snapshot
-        assert_eq!(order(1, &[row(0, 1, 2.0, true), row(2, 0, 0.0, true)]), [2, 0]);
+        assert_eq!(order(1, &[row(0, 1, true), row(2, 0, true)]), [2, 0]);
         assert_eq!(order(0, &[]), [0usize; 0]);
     }
 

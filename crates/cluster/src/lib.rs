@@ -7,9 +7,10 @@
 //! router whether the shards are threads or processes:
 //!
 //! * [`Fleet`] — consistent-hashes requests by scene name over the live
-//!   shards ([`HashRing`], 64 virtual nodes each), admits by predicted
-//!   cost against a per-shard budget, spills to the least-loaded shard,
-//!   and owns health/evict/rejoin, hedging, failover and ring re-warm.
+//!   shards ([`HashRing`], 64 virtual nodes each), spills a request off a
+//!   busy home to an idle warm shard and off a full one to the shard with
+//!   the fewest in flight, and owns health/evict/rejoin, hedging, failover
+//!   and ring re-warm.
 //!   Each shard's worker pool keeps the size it was built with.
 //! * [`Shard`] — the one seam the fleet reaches its members through, with
 //!   two backends: [`LocalShard`] (a `RenderService` in this process;
@@ -37,8 +38,7 @@
 //! let shards = LocalShards { shards: 3, workers: 2, store, ..LocalShards::new(profile.clone()) }
 //!     .build()
 //!     .unwrap();
-//! let cfg = FleetConfig { budget_ms: 200.0, ..FleetConfig::default() };
-//! let fleet = Fleet::new(shards, &profile, cfg).unwrap();
+//! let fleet = Fleet::new(shards, &profile, FleetConfig::default()).unwrap();
 //! let ticket = fleet.submit(RenderRequest::frame(registry::handle("Mic"), 48)).unwrap();
 //! let result = ticket.wait().expect("request completed");
 //! println!("shard {} rendered {} in {} us", ticket.shard(), result.scene, result.latency_us);

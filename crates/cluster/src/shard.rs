@@ -1,7 +1,7 @@
 //! The seam between the router and whatever renders: [`Shard`].
 //!
 //! [`Fleet`](crate::Fleet) reaches its shards only through this trait, so
-//! ring, spill, cost budget, hedge and failover are written once,
+//! ring, spill, hedge and failover are written once,
 //! over `dyn Shard`. Two backends ship: [`LocalShard`], a
 //! [`RenderService`] in this process, and
 //! [`RemoteShard`](crate::RemoteShard), the wire client of an
@@ -153,15 +153,15 @@ pub struct LocalShards {
     pub shards: usize,
     /// Workers per shard (at least 1), fixed for the shard's lifetime.
     pub workers: usize,
-    /// Per-shard admission-queue capacity (at least 1): the count-based
-    /// backstop behind the fleet's cost budget.
+    /// Per-shard admission-queue capacity (at least 1): the one bound a
+    /// shard refuses by, which is where the fleet spills to another shard.
     pub queue_capacity: usize,
     /// What each shard's own [`ModelStore`] is built from. Point it at a
     /// directory and all shards persist checkpoints there; the lock-file
     /// protocol deduplicates their fits.
     pub store: ModelStoreBuilder,
     /// Starts every shard's worker pool parked: submissions queue (and
-    /// reserve budget) but nothing renders until [`LocalShard::start`].
+    /// count as in flight) but nothing renders until [`LocalShard::start`].
     /// Used to stage bursts and by the admission tests to make routing
     /// decisions observable without racing completions.
     pub paused: bool,

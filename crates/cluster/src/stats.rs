@@ -1,5 +1,5 @@
 //! Cluster-wide statistics: per-shard serving snapshots, routing and
-//! admission counters, and cost-model accuracy — plus the hand-rolled
+//! refusal counters, and cost-model accuracy — plus the hand-rolled
 //! JSON artifact the `asdr-cluster` binary writes (no serde in this
 //! environment, same trade as the criterion shim).
 
@@ -14,11 +14,10 @@ pub struct ShardStats {
     pub shard: usize,
     /// Worker-pool size, fixed when the shard was built.
     pub workers: usize,
-    /// Predicted cost of the shard's admitted-but-unfinished requests,
-    /// milliseconds (the quantity the admission budget bounds).
-    pub outstanding_ms: f64,
+    /// Requests the fleet submitted to this shard that have not yet ended.
+    pub in_flight: usize,
     /// Requests this shard took from another home: that home was busy
-    /// and this shard idle and warm, or that home was full or over budget.
+    /// and this shard idle and warm, or that home was full.
     pub spilled_in: u64,
     /// Scenes the fleet holds this shard warm for: it answered a prewarm
     /// or a request for them since it last joined.
@@ -62,9 +61,10 @@ pub struct ClusterStats {
     /// Requests admitted to their consistent-hash home shard.
     pub routed_home: u64,
     /// Requests served off their home shard: the home was busy beside an
-    /// idle shard warm for the scene, or it was full or over budget.
+    /// idle shard warm for the scene, or it was full.
     pub spilled: u64,
-    /// Requests refused outright (every shard over its cost budget).
+    /// Routings every live shard refused, each full or draining: a refused
+    /// submit, or a ticket's re-route that then waited for a release.
     pub rejected: u64,
     /// Cost-model accuracy (predicted vs. actual).
     pub cost: CostStats,
@@ -176,7 +176,7 @@ impl ClusterStats {
             w.gap("\n    ").obj();
             w.key("shard").usize(s.shard);
             w.key("workers").usize(s.workers);
-            w.key("outstanding_ms").f64(s.outstanding_ms, 1);
+            w.key("in_flight").usize(s.in_flight);
             w.key("spilled_in").u64(s.spilled_in);
             w.key("warm_scenes").usize(s.warm_scenes);
             w.key("requests").u64(v.requests);
@@ -230,7 +230,7 @@ mod tests {
                 ShardStats {
                     shard: 0,
                     workers: 2,
-                    outstanding_ms: 12.5,
+                    in_flight: 3,
                     spilled_in: 1,
                     warm_scenes: 3,
                     serve: serve_stats(4, 2, 1, 2),
@@ -238,7 +238,7 @@ mod tests {
                 ShardStats {
                     shard: 1,
                     workers: 1,
-                    outstanding_ms: 0.0,
+                    in_flight: 0,
                     spilled_in: 0,
                     warm_scenes: 1,
                     serve: serve_stats(2, 2, 0, 1),

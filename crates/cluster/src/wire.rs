@@ -24,7 +24,7 @@ use asdr_math::{Image, Vec3};
 use asdr_obs::TraceId;
 use asdr_scenes::registry::OrbitCamera;
 use asdr_serve::service::{Priority, RenderRequest, RenderResult};
-use asdr_serve::workload::{MAX_DEADLINE_MS, MAX_FRAMES, MAX_RESOLUTION};
+use asdr_serve::workload::{check_pixels, MAX_DEADLINE_MS, MAX_FRAMES, MAX_PIXELS, MAX_RESOLUTION};
 use asdr_serve::{ServeError, ServeStats, StoreStats};
 use std::io::{Read, Write};
 
@@ -38,9 +38,8 @@ use std::io::{Read, Write};
 /// retired); `HealthOk` carries only its id, `Stats` no queue length.
 pub const VERSION: u8 = 5;
 
-/// Largest frame payload a peer will read (a 4096-frame result of
-/// 8192² f32 pixels doesn't fit anyway — this bounds a hostile length
-/// prefix, not a legitimate message).
+/// Largest frame payload a peer will read: it bounds a hostile length
+/// prefix, and the largest result a shard admits to render fits it.
 pub const MAX_FRAME_BYTES: u64 = 1 << 28;
 
 /// Bytes [`read_frame`] reserves before a payload arrives: a whole frame up
@@ -52,6 +51,18 @@ const MAX_STRING: u64 = 4096;
 
 /// Deadline bound, microseconds (the workload format's millisecond bound).
 const MAX_DEADLINE_US: u64 = MAX_DEADLINE_MS * 1000;
+
+/// Longest LEB128 varint: a `u64` in 7-bit groups.
+const MAX_VARINT: u64 = 10;
+
+// The largest `Result` a shard can owe — MAX_PIXELS pixels of three f32
+// channels over MAX_FRAMES images, each with its two dimension varints, a
+// longest scene name and every scalar at its widest — fits one frame, so
+// an admitted request's reply is never refused by `read_frame`.
+const _: () = assert!(
+    MAX_PIXELS * 12 + MAX_FRAMES * 2 * MAX_VARINT + (MAX_VARINT + MAX_STRING) + 2 + 8 * MAX_VARINT
+        <= MAX_FRAME_BYTES
+);
 
 /// Appends `v` LEB128-encoded (7 bits per byte, high bit = continue).
 pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -327,6 +338,7 @@ impl WireRequest {
         if frames == 0 {
             return Err("frames 0 out of range (min 1)".into());
         }
+        check_pixels(u64::from(resolution), frames)?;
         let azimuth_step_deg = r.finite_f32("azimuth step")?;
         let flags = r.u8()?;
         if flags & !0b11111 != 0 {
@@ -1085,6 +1097,21 @@ mod tests {
         push_f32(&mut out, 0.0);
         out.push(0);
         assert!(Message::decode(&out).unwrap_err().contains("frames 0"));
+        // one past MAX_PIXELS: one frame of 4097², two of 4096²
+        for (resolution, frames) in [(4097, 1), (4096, 2)] {
+            let req = WireRequest {
+                scene: "Mic".into(),
+                resolution,
+                frames,
+                azimuth_step_deg: 0.0,
+                priority: Priority::Normal,
+                deadline_us: None,
+                camera: None,
+                trace: TraceId::UNSET,
+            };
+            let e = Message::decode(&Message::Submit { id: 1, req }.encode()).unwrap_err();
+            assert!(e.contains("pixels, over the bound"), "{resolution}² x {frames}: {e}");
+        }
         // bad priority code
         let mut out = vec![2u8];
         push_varint(&mut out, 1);

@@ -1,7 +1,8 @@
-//! Cluster scheduling contracts: cost-budget admission (home → spill →
-//! reject), the retry classes a fleet reads off the service's own error,
-//! reservation release on completion, and the fleet-wide deadline-miss
-//! rate over the requests that carried a deadline.
+//! Cluster scheduling contracts: admission through the shards' own queue
+//! bounds (home → spill → reject), the retry classes a fleet reads off the
+//! service's own error, the in-flight count's release on completion, and
+//! the fleet-wide deadline-miss rate over the requests that carried a
+//! deadline.
 //!
 //! The shards here warm from a directory pre-populated with cheap blank
 //! models, so no test pays for a real fit; admission tests run against
@@ -56,17 +57,16 @@ fn warm_dir(name: &str, scenes: &[&str]) -> PathBuf {
 #[test]
 fn admission_goes_home_then_spills_then_rejects() {
     let dir = warm_dir("admission", &["Mic"]);
+    // paused, one queue slot each: a shard holds exactly one request, and
+    // no completion can race the routing decisions below
     let shards = LocalShards {
         store: ModelStore::builder().dir(&dir),
+        queue_capacity: 1,
         paused: true,
         ..LocalShards::new(test_profile())
     };
     let shards = shards.build().unwrap();
-    let cfg = FleetConfig { budget_ms: 100.0, ..FleetConfig::default() };
-    let cluster = Fleet::new(shards.clone(), &test_profile(), cfg).unwrap();
-    // teach the cost model that a Mic frame is enormous, so one request
-    // saturates a shard's budget deterministically
-    cluster.cost_model().observe("Mic", 16, 1, 60_000.0);
+    let cluster = Fleet::new(shards.clone(), &test_profile(), FleetConfig::default()).unwrap();
     let mic = registry::handle("Mic");
     let home = cluster.ring().home("Mic");
 
@@ -74,18 +74,17 @@ fn admission_goes_home_then_spills_then_rejects() {
     let hopeless = RenderRequest::frame(mic.clone(), 16).with_deadline(Duration::from_micros(1));
     let first = cluster.submit(hopeless).unwrap();
     assert_eq!(first.shard(), home, "an idle home shard takes its own scene");
-    assert!(first.predicted_ms() > 100.0, "admitted although over budget — idle shards must");
 
     let second = cluster.submit(RenderRequest::frame(mic.clone(), 16)).unwrap();
-    assert_ne!(second.shard(), home, "a saturated home shard spills to the least-loaded");
+    assert_ne!(second.shard(), home, "a full home shard spills to the other");
 
     let third = cluster.submit(RenderRequest::frame(mic.clone(), 16));
     let full = ServeError::QueueFull { capacity: 2 };
-    assert_eq!(third.err(), Some(full), "every shard is over budget");
+    assert_eq!(third.err(), Some(full), "every shard's queue is full");
 
     let staged = cluster.stats();
     assert_eq!((staged.routed_home, staged.spilled, staged.rejected), (1, 1, 1));
-    assert_eq!(staged.shards[home].outstanding_ms, 60_000.0);
+    assert_eq!((staged.shards[home].in_flight, staged.shards[1 - home].in_flight), (1, 1));
     assert_eq!(staged.shards[1 - home].spilled_in, 1);
 
     shards.iter().for_each(|s| s.start());
@@ -96,10 +95,10 @@ fn admission_goes_home_then_spills_then_rejects() {
     assert_eq!((stats.deadlined_requests(), stats.deadline_misses()), (1, 1));
     assert_eq!(stats.miss_rate(), 1.0, "only the deadlined request counts, and it missed");
     for s in &stats.shards {
-        assert_eq!(s.outstanding_ms, 0.0, "completions must release their reservations");
+        assert_eq!(s.in_flight, 0, "completions must release their in-flight slots");
     }
     assert_eq!(stats.total_fits(), 0, "everything warmed from the shared checkpoint dir");
-    assert!(stats.cost.observations >= 3, "completions feed the cost model");
+    assert_eq!(stats.cost.observations, 2, "completions feed the cost model");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -133,7 +132,7 @@ fn a_draining_home_is_passed_over_and_an_invalid_request_is_final() {
 }
 
 #[test]
-fn failed_requests_release_their_budget_reservation() {
+fn failed_requests_release_their_in_flight_slot() {
     use asdr_scenes::registry::SceneDef;
     if registry::get("cluster-panics").is_none() {
         registry::register(SceneDef::new("cluster-panics", || panic!("builder exploded"))).unwrap();
@@ -143,19 +142,19 @@ fn failed_requests_release_their_budget_reservation() {
         ..LocalShards::new(test_profile())
     };
     let shards = shards.build().unwrap();
-    let cfg = FleetConfig { budget_ms: 50_000.0, ..FleetConfig::default() };
-    let cluster = Fleet::new(shards, &test_profile(), cfg).unwrap();
+    let cluster = Fleet::new(shards, &test_profile(), FleetConfig::default()).unwrap();
     let doomed =
         cluster.submit(RenderRequest::frame(registry::handle("cluster-panics"), 16)).unwrap();
     assert!(doomed.wait().is_err(), "the panicking fit fails the ticket");
-    // the reservation must not leak, or the shard's budget wedges shut
+    // the slot must not leak, or the shard reads busy for good and its
+    // scene spills away from it
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let stats = cluster.stats();
-        if stats.shards.iter().all(|s| s.outstanding_ms == 0.0) {
+        if stats.shards.iter().all(|s| s.in_flight == 0) {
             break;
         }
-        assert!(Instant::now() < deadline, "reservation leaked: {stats:?}");
+        assert!(Instant::now() < deadline, "in-flight slot leaked: {stats:?}");
         std::thread::sleep(Duration::from_millis(10));
     }
     cluster.shutdown();

@@ -69,11 +69,14 @@ impl ShardTicket for FakeTicket {
     }
 }
 
-/// A shard that admits everything and renders nothing.
+/// A shard that admits everything (unless told its queue is full) and
+/// renders nothing.
 struct FakeShard {
     id: usize,
     admitted: Mutex<Sender<Handle>>,
     healthy: AtomicBool,
+    /// Refuses every submit at once, as a service whose queue is full.
+    full: AtomicBool,
     /// Ends every request inside `submit`, before the ticket exists.
     instant: AtomicBool,
     /// Every prewarm that reached a fake shard, failed ones included.
@@ -92,6 +95,7 @@ impl FakeShard {
             id,
             admitted: Mutex::new(admitted),
             healthy: AtomicBool::new(true),
+            full: AtomicBool::new(false),
             instant: AtomicBool::new(false),
             prewarmed,
             failing_prewarms: AtomicUsize::new(0),
@@ -101,6 +105,9 @@ impl FakeShard {
 
 impl Shard for FakeShard {
     fn submit(&self, _req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError> {
+        if self.full.load(Ordering::SeqCst) {
+            return Err(ServeError::QueueFull { capacity: 1 });
+        }
         let cancelled = Arc::new(AtomicBool::new(false));
         let mut handle = Handle { shard: self.id, done: Some(done), cancelled: cancelled.clone() };
         if self.instant.load(Ordering::SeqCst) {
@@ -188,7 +195,7 @@ impl InFlight {
     }
 
     /// Answers the request; when this returns the fleet has released its
-    /// reservation and knows the shard warm for the scene.
+    /// in-flight slot and knows the shard warm for the scene.
     fn complete(mut self) {
         self.handle.complete(frames_of(0.0));
         self.ticket.wait().unwrap();
@@ -288,9 +295,9 @@ fn the_first_end_reported_wins_the_race_whichever_submission_made_it() {
     let stats = f.fleet.stats();
     let fl = stats.fleet;
     assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 1, 1), "{fl:?}");
-    // both ends were reported: both taught the model, both reservations are back
+    // both ends were reported: both taught the model, both slots are back
     assert_eq!(stats.cost.observations, 2);
-    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
 }
 
 /// The hedge is already the replacement when the primary dies under it.
@@ -316,7 +323,7 @@ fn a_primary_that_dies_with_a_hedge_in_flight_is_replaced_by_it() {
     let fl = stats.fleet;
     assert_eq!((fl.evictions, fl.failovers), (1, 1), "{fl:?}");
     assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 0, 0), "{fl:?}");
-    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
 }
 
 /// At the parent a second `wait()` found the slot gone, read that as a
@@ -386,19 +393,19 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
         let mut replacement = f.next_admitted();
         assert_ne!(replacement.shard, victim);
         // between the resubmission and its answer: the victim is off the
-        // ring and the reservation sits on the shard that took over
+        // ring and the request is in flight on the shard that took over
         let stats = f.fleet.stats();
         assert_eq!(f.fleet.live_shards(), 2);
         assert_eq!((stats.fleet.evictions, stats.fleet.shards_lost), (1, 1), "{:?}", stats.fleet);
-        assert_eq!(stats.shards[victim].outstanding_ms, 0.0, "the dead shard kept the budget");
-        assert_eq!(stats.shards[replacement.shard].outstanding_ms, ticket.predicted_ms());
+        assert_eq!(stats.shards[victim].in_flight, 0, "the dead shard kept the request");
+        assert_eq!(stats.shards[replacement.shard].in_flight, 1);
         replacement.complete(frames_of(3.0));
         assert_eq!(waiter.join().unwrap().unwrap(), frames_of(3.0));
         assert_eq!(ticket.shard(), replacement.shard);
     });
     let stats = f.fleet.stats();
     assert_eq!((stats.fleet.failovers, stats.fleet.rejoins), (1, 0), "{:?}", stats.fleet);
-    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
     // the eviction re-warmed exactly the victim's scenes, elsewhere
     let moved_off = |log: &[(usize, String)]| -> BTreeSet<String> {
         log.iter().filter(|(shard, _)| *shard != victim).map(|(_, s)| s.clone()).collect()
@@ -433,27 +440,28 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
     assert_eq!((stats.fleet.evictions, stats.fleet.rejoins, stats.fleet.shards_lost), (1, 1, 0));
 }
 
-/// A failover that finds every surviving shard over budget waits for a
+/// A failover that finds every surviving shard full waits for a
 /// completion, not for luck: the replacement goes out on the release.
 #[test]
 fn a_failover_waits_out_a_fleet_that_is_busy() {
-    let cfg = FleetConfig {
-        hedge_after: None,
-        health_misses: u32::MAX,
-        budget_ms: 1e-6, // nothing fits beside a request in flight
-        ..FleetConfig::default()
-    };
+    // no health probe while the test runs: a re-route's only wake-up is a release
+    let cfg = FleetConfig { health_misses: u32::MAX, ..unprobed() };
     let f = fake_fleet(2, cfg);
     let mut doomed = f.admit(mic());
+    f.shards[doomed.shard()].full.store(true, Ordering::SeqCst);
     let mut other = f.admit(mic());
-    assert_ne!(other.shard(), doomed.shard(), "the over-budget home spills");
+    assert_ne!(other.shard(), doomed.shard(), "the full home spills");
     f.shards[doomed.shard()].healthy.store(false, Ordering::SeqCst);
+    f.shards[other.shard()].full.store(true, Ordering::SeqCst);
     std::thread::scope(|s| {
         let waiter = s.spawn(|| doomed.ticket.wait());
         doomed.handle.die();
-        // the survivor is over budget: the resubmission is refused `Busy`
+        // the survivor is full: the resubmission is refused `QueueFull`
         eventually("the failover meets a busy fleet", || f.fleet.stats().rejected >= 1);
-        assert!(f.admitted.try_recv().is_err(), "an over-budget shard admitted the failover");
+        assert!(f.admitted.try_recv().is_err(), "a full shard admitted the failover");
+        // room again, but nothing has told the waiting ticket so
+        f.shards[other.shard()].full.store(false, Ordering::SeqCst);
+        assert!(f.admitted.try_recv().is_err(), "the failover went out before a release");
         other.handle.complete(frames_of(0.0));
         let mut replacement = f.next_admitted();
         assert_eq!(replacement.shard, other.shard());
@@ -463,7 +471,7 @@ fn a_failover_waits_out_a_fleet_that_is_busy() {
     other.ticket.wait().unwrap();
     let stats = f.fleet.stats();
     assert_eq!((stats.fleet.evictions, stats.fleet.failovers), (1, 1), "{:?}", stats.fleet);
-    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
 }
 
 /// No hedging, and no health probe while the test runs: nothing but the
@@ -493,7 +501,7 @@ fn a_request_refused_after_submit_completes_on_the_other_shard() {
     assert_eq!(f.fleet.live_shards(), 2);
     assert_eq!(stats.fleet, FleetStats::default(), "a refusal counted as a failure");
     assert_eq!(stats.rejected, 0, "the other shard admitted at once");
-    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
 }
 
 #[test]
@@ -506,7 +514,26 @@ fn a_final_refusal_fails_the_ticket_with_its_reason() {
     assert!(f.admitted.try_recv().is_err(), "a final refusal was routed again");
     let stats = f.fleet.stats();
     assert_eq!((stats.fleet, f.fleet.live_shards()), (FleetStats::default(), 2));
-    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
+}
+
+/// A request past the serving bounds is refused before any shard sees it:
+/// a daemon cannot decode it and drops the connection it came on, so
+/// sending it would evict shard after shard as the request failed over.
+#[test]
+fn a_request_past_the_pixel_bound_is_refused_before_any_shard_is_asked() {
+    let f = fake_fleet(2, unprobed());
+    let mic = || registry::handle("Mic");
+    // one past MAX_PIXELS: one frame of 4097², two of 4096²
+    for req in [RenderRequest::frame(mic(), 4097), RenderRequest::sequence(mic(), 4096, 2)] {
+        match f.fleet.submit(req) {
+            Err(ServeError::InvalidRequest(why)) => assert!(why.contains("pixels"), "{why}"),
+            other => panic!("a request past MAX_PIXELS was not refused: {:?}", other.err()),
+        }
+    }
+    assert!(f.admitted.try_recv().is_err(), "a shard was asked");
+    let stats = f.fleet.stats();
+    assert_eq!((stats.fleet, stats.rejected, f.fleet.live_shards()), (FleetStats::default(), 0, 2));
 }
 
 #[test]
@@ -573,7 +600,7 @@ fn a_fleet_that_refuses_everywhere_costs_one_try_per_completion() {
     let stats = fleet.stats();
     assert_eq!(stats.rejected, COMPLETIONS as u64, "one wait per completion");
     assert_eq!((stats.fleet.evictions, stats.fleet.failovers), (0, 0), "{:?}", stats.fleet);
-    assert!(stats.shards.iter().all(|s| s.outstanding_ms == 0.0), "a reservation leaked");
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
 }
 
 /// No hedging, and probes fast enough to evict and rejoin while a test waits.

@@ -74,7 +74,7 @@ pub struct MissAttribution {
     /// Total measured phase time for the request, microseconds.
     pub total_us: u64,
     /// Where the fleet sent the request and why — the last `remote-submit`
-    /// detail (`shard=N home=M why=home|idle|budget`), empty for a run
+    /// detail (`shard=N home=M why=home|idle|spill`), empty for a run
     /// without a fleet. `why=home` under a dominant `queue` is a request
     /// that waited at its home with no warm replica standing idle.
     pub routed: String,

@@ -18,7 +18,7 @@
 use crate::config;
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, StoreStats};
-use crate::workload::{MAX_FRAMES, MAX_RESOLUTION};
+use crate::workload::{check_pixels, MAX_FRAMES, MAX_RESOLUTION};
 use asdr_core::algo::{ExecPolicy, FrameEngine, PlanPolicy, RenderStats, SequenceFrame};
 use asdr_math::Image;
 use asdr_nerf::NgpModel;
@@ -97,6 +97,43 @@ impl RenderRequest {
     /// experiment's slow orbit).
     pub const DEFAULT_AZIMUTH_STEP_DEG: f32 = 1.5;
 
+    /// Checks the request against the bounds the workload reader and the
+    /// fleet wire enforce: past them a worker's image allocation aborts the
+    /// process (which no `catch_unwind` survives), a remote result does not
+    /// fit one wire frame, or one request holds a worker for hours.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidRequest`] naming the first bound broken: frames
+    /// ([`MAX_FRAMES`]), resolution ([`MAX_RESOLUTION`]), their pixels
+    /// ([`MAX_PIXELS`](crate::workload::MAX_PIXELS)) or the orbit step.
+    pub fn check_bounds(&self) -> Result<(), ServeError> {
+        if self.frames == 0 || self.frames as u64 > MAX_FRAMES {
+            return Err(ServeError::InvalidRequest(format!(
+                "frames must be in 1..={MAX_FRAMES}, got {}",
+                self.frames
+            )));
+        }
+        if self.resolution == 0 || u64::from(self.resolution) > MAX_RESOLUTION {
+            return Err(ServeError::InvalidRequest(format!(
+                "resolution must be in 1..={MAX_RESOLUTION}, got {}",
+                self.resolution
+            )));
+        }
+        check_pixels(u64::from(self.resolution), self.frames as u64)
+            .map_err(ServeError::InvalidRequest)?;
+        // frame i orbits by i * step: an infinite step makes frame 0's
+        // 0 * inf a NaN azimuth, and a huge finite one overflows from
+        // frame 2 on — either way no camera exists for the frame
+        let step = self.azimuth_step_deg;
+        if !step.is_finite() || step.abs() > 360.0 {
+            return Err(ServeError::InvalidRequest(format!(
+                "azimuth_step_deg must be in -360..=360, got {step}"
+            )));
+        }
+        Ok(())
+    }
+
     /// A single-frame request at `resolution` with default scheduling.
     pub fn frame(scene: SceneHandle, resolution: u32) -> Self {
         RenderRequest {
@@ -154,8 +191,8 @@ impl RenderRequest {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// Momentarily at capacity — the admission queue, or every live shard
-    /// of a fleet (over its cost budget or full); retry after completions
-    /// drain.
+    /// of a fleet (each one's queue full, or draining); retry after
+    /// completions drain.
     QueueFull {
         /// The requests pending: the queue's configured capacity, or the
         /// fleet's requests in flight.
@@ -649,30 +686,7 @@ impl RenderService {
         mut req: RenderRequest,
         ticket: RenderTicket,
     ) -> Result<RenderTicket, ServeError> {
-        // the bounds the workload reader and the fleet wire enforce: past
-        // them a worker's image allocation aborts the process (which no
-        // catch_unwind survives) or one request holds a worker for hours
-        if req.frames == 0 || req.frames as u64 > MAX_FRAMES {
-            return Err(ServeError::InvalidRequest(format!(
-                "frames must be in 1..={MAX_FRAMES}, got {}",
-                req.frames
-            )));
-        }
-        if req.resolution == 0 || u64::from(req.resolution) > MAX_RESOLUTION {
-            return Err(ServeError::InvalidRequest(format!(
-                "resolution must be in 1..={MAX_RESOLUTION}, got {}",
-                req.resolution
-            )));
-        }
-        // frame i orbits by i * step: an infinite step makes frame 0's
-        // 0 * inf a NaN azimuth, and a huge finite one overflows from
-        // frame 2 on — either way no camera exists for the frame
-        let step = req.azimuth_step_deg;
-        if !step.is_finite() || step.abs() > 360.0 {
-            return Err(ServeError::InvalidRequest(format!(
-                "azimuth_step_deg must be in -360..=360, got {step}"
-            )));
-        }
+        req.check_bounds()?;
         self.shared
             .profile
             .options_for(req.resolution)

@@ -19,8 +19,10 @@
 //! Integer fields are strictly validated — duplicates, fractional values,
 //! and out-of-range numbers are line-numbered errors, with the ranges
 //! below ([`MAX_FRAMES`], [`MAX_RESOLUTION`], [`MAX_DEADLINE_MS`],
-//! [`MAX_AT_MS`]), which the fleet wire shares; `RenderService::submit`
-//! refuses frames and resolutions past the same bounds.
+//! [`MAX_AT_MS`]) and the one bound on frames × resolution²
+//! ([`MAX_PIXELS`], checked where a line sets its resolution), which the
+//! fleet wire shares; `RenderService::submit` refuses frames, resolutions
+//! and pixel counts past the same bounds.
 //!
 //! [`write_workload`] is the parser's inverse: what it writes parses back
 //! to the same requests (`origin` aside), an orbit step bit for bit. A
@@ -53,6 +55,27 @@ pub const MAX_DEADLINE_MS: u64 = 100_000_000;
 pub const MAX_FRAMES: u64 = 4096;
 /// Largest accepted square resolution.
 pub const MAX_RESOLUTION: u64 = 8192;
+/// Largest accepted pixel count summed over a request's frames (frames ×
+/// resolution²): 192 MiB of `f32` RGB. Past it a worker's image allocation
+/// can abort the process, which no `catch_unwind` survives, and a remote
+/// result no longer fits one wire frame.
+pub const MAX_PIXELS: u64 = 1 << 24;
+
+/// Checks `frames` frames of `resolution`² pixels against [`MAX_PIXELS`].
+///
+/// # Errors
+///
+/// Names the request's pixel count and the bound.
+pub fn check_pixels(resolution: u64, frames: u64) -> Result<(), String> {
+    let pixels = resolution.saturating_mul(resolution).saturating_mul(frames);
+    if pixels > MAX_PIXELS {
+        return Err(format!(
+            "{frames} frame(s) of {resolution}x{resolution} are {pixels} pixels, \
+             over the bound of {MAX_PIXELS}"
+        ));
+    }
+    Ok(())
+}
 
 /// One render request with its arrival time: a line of a workload file.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,10 +225,16 @@ fn parse_entry(line: &str, line_no: usize) -> Result<TimedRequest, String> {
             Some(n) => Ok(Some(n as u64)),
         }
     };
+    let frames = int_field("frames", 1, MAX_FRAMES)?.unwrap_or(1);
+    let resolution = int_field("resolution", 1, MAX_RESOLUTION)?;
+    // a line without a resolution takes the profile's, checked at submit
+    if let Some(resolution) = resolution {
+        check_pixels(resolution, frames)?;
+    }
     Ok(TimedRequest {
         scene,
-        frames: int_field("frames", 1, MAX_FRAMES)?.map_or(1, |n| n as usize),
-        resolution: int_field("resolution", 1, MAX_RESOLUTION)?.map(|n| n as u32),
+        frames: frames as usize,
+        resolution: resolution.map(|n| n as u32),
         priority,
         deadline_ms: int_field("deadline_ms", 1, MAX_DEADLINE_MS)?,
         at_ms: int_field("at_ms", 0, MAX_AT_MS)?.unwrap_or(0),
@@ -436,6 +465,12 @@ mod tests {
             ("{\"scene\": \"Mic\", \"frames\": 5000}", "\"frames\" must be in 1..=4096"),
             ("{\"scene\": \"Mic\", \"resolution\": 0}", "\"resolution\" must be in 1..=8192"),
             ("{\"scene\": \"Mic\", \"resolution\": 9000}", "\"resolution\" must be in 1..=8192"),
+            // one past MAX_PIXELS: one frame a pixel wider, two frames at the widest
+            ("{\"scene\": \"Mic\", \"resolution\": 4097}", "16785409 pixels, over the bound"),
+            (
+                "{\"scene\": \"Mic\", \"resolution\": 4096, \"frames\": 2}",
+                "33554432 pixels, over the bound",
+            ),
             ("{\"scene\": \"Mic\", \"deadline_ms\": 0}", "\"deadline_ms\" must be in"),
             ("{\"scene\": \"Mic\", \"deadline_ms\": 2e8}", "\"deadline_ms\" must be in"),
             ("{\"scene\": \"Mic\", \"at_ms\": 1e11}", "\"at_ms\" must be in"),
@@ -452,6 +487,8 @@ mod tests {
         .unwrap();
         assert_eq!(ok[0].frames, 4096);
         assert_eq!(ok[0].at_ms, 10_000_000_000);
+        let widest = parse_workload("{\"scene\": \"Mic\", \"resolution\": 4096}").unwrap();
+        assert_eq!(widest[0].resolution, Some(4096), "exactly MAX_PIXELS is accepted");
     }
 
     #[test]

@@ -163,6 +163,16 @@ fn invalid_requests_are_rejected_at_submit() {
         Err(ServeError::InvalidRequest(why)) => assert!(why.contains("resolution"), "{why}"),
         other => panic!("resolution > MAX_RESOLUTION must be refused, got {other:?}"),
     }
+    // one past MAX_PIXELS, each bound alone kept: one frame a pixel wider
+    // than 4096², and two frames of 4096²
+    let one_wider = RenderRequest::frame(mic.clone(), 4097);
+    let two_widest = RenderRequest::sequence(mic.clone(), 4096, 2);
+    for (req, pixels) in [(one_wider, "16785409 pixels"), (two_widest, "33554432 pixels")] {
+        match service.submit(req) {
+            Err(ServeError::InvalidRequest(why)) => assert!(why.contains(pixels), "{why}"),
+            other => panic!("more than MAX_PIXELS must be refused, got {other:?}"),
+        }
+    }
     // orbit steps that leave some frame without a camera (inf and NaN
     // poison frame 0's azimuth, 2 x 3e38 overflows f32) or pass a full turn
     for step in [f32::INFINITY, f32::NAN, 361.0, 3e38] {

@@ -5,7 +5,7 @@
 //! parses or fails naming the line the cut fell in.
 
 use asdr_serve::workload::{
-    parse_workload, write_workload, MAX_AT_MS, MAX_DEADLINE_MS, MAX_FRAMES, MAX_RESOLUTION,
+    parse_workload, write_workload, MAX_AT_MS, MAX_DEADLINE_MS, MAX_FRAMES, MAX_PIXELS,
 };
 use asdr_serve::{Priority, TimedRequest};
 use proptest::collection;
@@ -19,7 +19,8 @@ fn arb_request() -> impl Strategy<Value = TimedRequest> {
     (
         collection::vec(0..NAME_CHARS.len(), 1..12),
         (0u64..=MAX_AT_MS, 1u64..=MAX_FRAMES, 0u8..3),
-        (0u8..2, 1u64..=MAX_RESOLUTION),
+        // the widest side one frame may have: MAX_PIXELS, not MAX_RESOLUTION, binds
+        (0u8..2, 1u64..=MAX_PIXELS.isqrt()),
         (0u8..2, 1u64..=MAX_DEADLINE_MS),
         // every f32 bit pattern from +0 to 360 (positive floats order by
         // their bits), so subnormals and long decimals are drawn too
@@ -28,7 +29,13 @@ fn arb_request() -> impl Strategy<Value = TimedRequest> {
         .prop_map(|(name, (at_ms, frames, prio), res, deadline, step)| TimedRequest {
             at_ms,
             scene: name.into_iter().map(|c| NAME_CHARS[c]).collect(),
-            frames: frames as usize,
+            // frames and resolution are drawn apart, then held to the bound
+            // on their product, so its edge is drawn too (a line without a
+            // resolution meets that bound only at submit)
+            frames: match res {
+                (1, side) => frames.min(MAX_PIXELS / (side * side)),
+                _ => frames,
+            } as usize,
             resolution: (res.0 == 1).then_some(res.1 as u32),
             priority: match prio {
                 0 => Priority::Low,

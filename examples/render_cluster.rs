@@ -1,5 +1,5 @@
 //! Sharded serving demo: a [`Fleet`] of three in-process shards, each
-//! with a fixed two-worker pool, behind cost-based admission.
+//! with a fixed two-worker pool and a bounded queue.
 //!
 //! ```text
 //! cargo run --release --example render_cluster
@@ -45,17 +45,16 @@ fn main() {
                     RenderRequest::sequence(scene, RESOLUTION, 2),
                 ]
             })
-            .map(|req| cluster.submit(req).expect("budget open"))
+            .map(|req| cluster.submit(req).expect("the shards' queues have room"))
             .collect();
         for t in &tickets {
             let r = t.wait().expect("request completed");
             println!(
-                "shard {} {:>6}: {} frame(s) in {:>6.1} ms (predicted {:>6.1} ms){}",
+                "shard {} {:>6}: {} frame(s) in {:>6.1} ms{}",
                 t.shard(),
                 r.scene,
                 r.images.len(),
                 r.latency_us as f64 / 1e3,
-                t.predicted_ms(),
                 match r.deadline_met {
                     Some(false) => "  MISSED",
                     _ => "",
