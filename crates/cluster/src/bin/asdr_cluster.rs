@@ -5,7 +5,7 @@
 //! asdr-cluster --workload FILE
 //!              [--shards N | --remote (spawn:N | ADDR[,ADDR...])]
 //!              [--scale tiny|small|paper]
-//!              [--workers N] [--hedge-ms X]
+//!              [--workers N]
 //!              [--store-dir DIR | --no-store] [--queue N]
 //!              [--speed X] [--record PATH]
 //!              [--out STATS.json] [--dump-images DIR] [--bundle DIR]
@@ -15,8 +15,8 @@
 //! The shards are `--shards N` [`LocalShard`](asdr_cluster::LocalShard)s in
 //! this process, or — with `--remote` — `asdr-shardd` daemons: `spawn:N`
 //! launches N on Unix sockets, a comma-separated list attaches to running
-//! ones. Everything after that choice is one path: the same router and
-//! hedging serve either kind, over `--workers N` per shard.
+//! ones. Everything after that choice is one path: the same router,
+//! eviction and failover serve either kind, over `--workers N` per shard.
 //!
 //! With `--bundle DIR` the process writes its own diagnostic run bundle
 //! to `DIR/cluster` (config snapshot, span capture, periodic stats
@@ -25,7 +25,7 @@
 //! whole fleet's bundle tree for `asdr-cluster report --bundles DIR`, which
 //! merges the [`asdr_obs`] bundles under `DIR` (`asdr-serve`'s too) into one
 //! report: per-phase latency breakdown, cross-process `SPAN_JOIN` lines
-//! (trace ids followed across hedges and failovers), and a
+//! (trace ids followed across failovers), and a
 //! `MISS_ATTRIBUTION` line naming the dominant phase of every deadline
 //! miss — markdown, or the JSON artifact with `--json`.
 //!
@@ -61,7 +61,6 @@ struct Args {
     remote: Option<String>,
     /// `N` of `--remote spawn:N`, checked when the flag is read.
     spawn: Option<usize>,
-    hedge_after: Option<Duration>,
 }
 
 impl Args {
@@ -76,7 +75,7 @@ fn usage() -> ! {
         "usage: asdr-cluster --workload FILE\n\
          \u{20}                   [--shards N | --remote (spawn:N | ADDR[,ADDR...])]\n\
          \u{20}                   [--scale tiny|small|paper]\n\
-         \u{20}                   [--workers N] [--hedge-ms X]\n\
+         \u{20}                   [--workers N]\n\
          \u{20}                   [--store-dir DIR | --no-store] [--queue N]\n\
          \u{20}                   [--speed X] [--record PATH]\n\
          \u{20}                   [--out STATS.json] [--dump-images DIR] [--bundle DIR]\n\
@@ -109,12 +108,6 @@ fn parse_args(argv: &[String]) -> Args {
                         args.spawn = Some(worker_count("--remote spawn:N", n));
                     }
                     args.remote = Some(spec);
-                }
-                "--hedge-ms" => {
-                    let ms = flags::positive_f64("--hedge-ms", &value(argv, &mut i));
-                    let after = Duration::try_from_secs_f64(ms / 1e3)
-                        .unwrap_or_else(|_| die("--hedge-ms is too large for a duration"));
-                    args.hedge_after = Some(after);
                 }
                 "-h" | "--help" => usage(),
                 other => die(&format!("unknown argument {other:?} (see --help)")),
@@ -212,10 +205,7 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<Child>, Vec<ShardAddr>) {
 /// returning the daemons it spawned and a description for the banner.
 fn build_fleet(args: &Args) -> (Fleet, Vec<Child>, String) {
     let profile = &args.service.profile;
-    let cfg = FleetConfig {
-        hedge_after: args.hedge_after.or(FleetConfig::default().hedge_after),
-        ..FleetConfig::default()
-    };
+    let cfg = FleetConfig::default();
     let Some(spec) = &args.remote else {
         let shards = LocalShards {
             shards: args.shards.unwrap_or(2),
@@ -341,8 +331,8 @@ fn main() {
     );
     let fl = &stats.fleet;
     println!(
-        "fleet: {} evictions, {} rejoins, {} hedges ({} won, {} cancelled), {} failovers, {} re-warms",
-        fl.evictions, fl.rejoins, fl.hedges, fl.hedge_wins, fl.hedge_cancels, fl.failovers, fl.rewarms,
+        "fleet: {} evictions, {} rejoins, {} failovers, {} re-warms",
+        fl.evictions, fl.rejoins, fl.failovers, fl.rewarms,
     );
     for s in &stats.shards {
         println!(

@@ -25,16 +25,13 @@
 //!   the shard from the ring ([`HashRing::without`]), and a later
 //!   successful probe rejoins it. Connection errors on the submit or
 //!   wait path evict immediately — a refused connect is better evidence
-//!   than a timer.
-//! * **hedging** — when a request has waited longer than
-//!   [`FleetConfig::hedge_after`], a duplicate is submitted to another
-//!   live shard. First response wins; the loser's reply is cancelled
-//!   shard-side and the race is counted in [`FleetStats`]. Requests are
-//!   deterministic, so the winner's frames are byte-identical either way.
-//! * **failover** — in-flight requests on a shard that dies are
-//!   resubmitted, which is what makes the kill −9 acceptance test pass:
-//!   the run completes with zero wrong bytes and the failure is visible
-//!   only in the counters.
+//!   than a timer. An eviction also abandons what the shard holds
+//!   ([`Shard::abandon`]): a shard that hangs with its connections open
+//!   ends its requests as one that died does.
+//! * **failover** — in-flight requests on a shard that dies, or is
+//!   evicted, are resubmitted, which is what makes the kill −9 and the
+//!   SIGSTOP acceptance runs pass: the run completes with zero wrong bytes
+//!   and the failure is visible only in the counters.
 //! * **re-warm** — when the ring changes (eviction or rejoin), every
 //!   scene this fleet has routed whose home moved gets a prewarm on its
 //!   new home, pulling the model from the shared checkpoint directory
@@ -45,7 +42,7 @@
 use crate::net::ShardAddr;
 use crate::remote::RemoteShard;
 use crate::ring::HashRing;
-use crate::shard::{Done, Shard, ShardTicket};
+use crate::shard::{Done, Shard};
 use crate::stats::{ClusterStats, FleetStats, ShardStats};
 use crate::wire::{WireResult, WireStats};
 use crate::CostModel;
@@ -53,7 +50,7 @@ use asdr_obs::{Counter, TraceId};
 use asdr_serve::{RenderProfile, RenderRequest, ReplayTarget, ServeError};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,9 +67,6 @@ pub struct FleetConfig {
     pub health_timeout: Duration,
     /// Consecutive misses before a shard is evicted from the ring.
     pub health_misses: u32,
-    /// Hedge a request to a replica after this long without a result
-    /// (`None` disables hedging).
-    pub hedge_after: Option<Duration>,
 }
 
 impl Default for FleetConfig {
@@ -82,7 +76,6 @@ impl Default for FleetConfig {
             health_interval: Duration::from_millis(250),
             health_timeout: Duration::from_millis(1000),
             health_misses: 3,
-            hedge_after: Some(Duration::from_millis(2000)),
         }
     }
 }
@@ -225,8 +218,8 @@ impl Book {
 /// How one submission ended on its shard.
 type Outcome = Result<WireResult, ServeError>;
 
-/// Which submission a report is about — a ticket's primary, its hedge, a
-/// failover's replacement — numbered by the [`Book`] as they are made.
+/// Which submission a report is about — a ticket's first, or a re-route's
+/// or failover's replacement — numbered by the [`Book`] as they are made.
 type Attempt = u64;
 
 /// One submission's end, as its ticket's [`Race`] queues it.
@@ -236,9 +229,9 @@ type Report = (Attempt, Outcome);
 /// the order the ends were learned, that [`FleetTicket::wait`] blocks on. A
 /// report can arrive before `submit` has returned the ticket it is about (a
 /// shard that finishes at once), so it is queued under its attempt number
-/// and matched by the waiter, who by then knows which attempts it holds; one
-/// from a submission that was refused, replaced or has lost the race matches
-/// nothing and is skipped.
+/// and matched by the waiter, who by then knows which attempt it holds; one
+/// from a submission that was refused or replaced matches nothing and is
+/// skipped.
 type Race = Sender<Report>;
 
 /// A submission's slot in one shard's in-flight count and the report it
@@ -283,9 +276,6 @@ struct FleetCounters {
     rejected: Counter,
     evictions: Counter,
     rejoins: Counter,
-    hedges: Counter,
-    hedge_wins: Counter,
-    hedge_cancels: Counter,
     failovers: Counter,
     rewarms: Counter,
     replications: Counter,
@@ -312,8 +302,10 @@ impl FleetInner {
         (0..self.shards.len()).filter(|&id| self.is_live(id)).collect()
     }
 
-    /// Removes a failed shard from the ring and re-warms the scenes its
-    /// departure remapped. Idempotent per up-state.
+    /// Removes a failed shard from the ring, fails over every request it
+    /// holds ([`Shard::abandon`]: a hung shard's would otherwise wait for
+    /// it for ever) and re-warms the scenes its departure remapped.
+    /// Idempotent per up-state.
     fn evict(self: &Arc<Self>, id: usize, why: &str) {
         if !self.shards[id].live.swap(false, Ordering::SeqCst) {
             return;
@@ -326,6 +318,8 @@ impl FleetInner {
             let mut ring = self.ring.lock().unwrap();
             *ring = ring.without(id);
         }
+        // off the ring first, so no failover it causes is routed back here
+        self.shards[id].shard.abandon(&format!("evicted: {why}"));
         self.rewarm_remapped();
     }
 
@@ -440,7 +434,7 @@ impl FleetInner {
             }
             let (attempt, done) = self.book.reserve(id, req, race);
             match self.shards[id].shard.submit(req, done) {
-                Ok(ticket) => {
+                Ok(()) => {
                     if id == home {
                         self.counters.routed_home.inc();
                     } else {
@@ -457,7 +451,7 @@ impl FleetInner {
                         "remote-submit",
                         format!("shard={id} home={home} why={why}")
                     );
-                    return Ok(Held { attempt, shard: id, ticket });
+                    return Ok(Held { attempt, shard: id });
                 }
                 Err(ServeError::QueueFull { .. } | ServeError::ShuttingDown) => busy = true,
                 Err(ServeError::Connection(why)) => self.evict(id, &why),
@@ -567,7 +561,7 @@ impl Fleet {
 
     /// Submits a request to the first shard of [`spill_order`] that admits
     /// it — its home, unless that is busy beside an idle warm shard, or full
-    /// — returning a ticket that owns hedging and failover.
+    /// — returning a ticket that owns re-routing and failover.
     ///
     /// # Errors
     ///
@@ -635,9 +629,7 @@ impl Fleet {
                 shards_lost: (inner.shards.len() - inner.live_ids().len()) as u64,
                 evictions: c.evictions.get(),
                 rejoins: c.rejoins.get(),
-                hedges: c.hedges.get(),
-                hedge_wins: c.hedge_wins.get(),
-                hedge_cancels: c.hedge_cancels.get(),
+                hedges: 0,
                 failovers: c.failovers.get(),
                 rewarms: c.rewarms.get(),
                 replications: c.replications.get(),
@@ -699,20 +691,18 @@ fn health_loop(inner: &Arc<FleetInner>) {
     }
 }
 
-/// One admitted submission: which of its ticket's attempts it is, the ring
-/// id of the shard that took it, and that shard's ticket.
+/// One admitted submission: which of its ticket's attempts it is and the
+/// ring id of the shard that took it.
 struct Held {
     attempt: Attempt,
     shard: usize,
-    ticket: Arc<dyn ShardTicket>,
 }
 
 /// A fleet submission's completion handle. [`FleetTicket::wait`] owns the
-/// tail-tolerance machinery: hedging after the latency watermark,
-/// immediate eviction + resubmission when the serving shard dies, routing
-/// again when a shard refuses, and first-response-wins arbitration between
-/// primary and hedge. The ticket keeps its outcome — waiting again returns
-/// it again — and dropping it un-waited drops the shard's ticket, which cancels.
+/// tail-tolerance machinery: routing again when a shard refuses, and
+/// eviction + resubmission when the serving shard dies or is evicted. The
+/// ticket keeps its outcome — waiting again returns it again — and one
+/// dropped un-waited leaves its request to finish on the shard unheard.
 pub struct FleetTicket {
     inner: Arc<FleetInner>,
     req: RenderRequest,
@@ -738,120 +728,54 @@ impl FleetTicket {
     /// Returns a message when the request failed shard-side (render
     /// panic) or no live shard remains to serve it.
     pub fn wait(&self) -> Result<WireResult, String> {
-        // held across the arbitration: a second waiter gets the first's
-        // outcome instead of a race that has been run
+        // held across the resolution: a second waiter gets the first's
+        // outcome instead of a request that has been answered
         let mut outcome = self.outcome.lock().unwrap();
         outcome.get_or_insert_with(|| self.resolve()).clone()
     }
 
-    /// Runs the race: blocks on the ticket's [`Race`] and acts on each report
-    /// as it is made. The first result wins, whichever submission made it,
-    /// and the other is cancelled; a render failure or a final refusal of
-    /// the primary is final. A primary refused for now is replaced by the
-    /// hedge if one is in flight, or routed again past every shard that has
-    /// refused it; one lost with its connection evicts its shard, counts a
-    /// failover and is replaced the same way. The one clocked wait is the
-    /// hedge watermark, and when it passes the duplicate joins the same race.
+    /// Blocks on the ticket's [`Race`] for the end of the one submission it
+    /// holds, skipping reports of those it no longer holds. A result wins; a
+    /// render failure or a final refusal is final. A submission refused for
+    /// now is routed again past every shard that has refused it; one lost
+    /// with its connection, or abandoned by an eviction, evicts its shard,
+    /// counts a failover and is replaced the same way.
     fn resolve(&self) -> Result<WireResult, String> {
         let wait_t0 = Instant::now();
         let inner = &self.inner;
-        let counters = &inner.counters;
-        // a watermark past what an `Instant` can hold never passes: no hedge
-        let watermark =
-            |from: Instant| inner.cfg.hedge_after.and_then(|after| from.checked_add(after));
-        let (mut primary, reported) = self.admitted.lock().unwrap().take().expect("resolved once");
-        let mut hedge: Option<Held> = None;
-        // `None` once the one hedge has gone out (or with hedging off)
-        let mut hedge_at = watermark(wait_t0);
+        let (mut held, reported) = self.admitted.lock().unwrap().take().expect("resolved once");
         let mut refused: Vec<usize> = Vec::new();
         loop {
             // the ticket holds a sender: the queue cannot close under the wait
-            let report = match hedge_at {
-                Some(at) => reported.recv_timeout(at.saturating_duration_since(Instant::now())),
-                None => reported.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            let Ok((attempt, outcome)) = report else {
-                hedge_at = None;
-                hedge = self.spawn_hedge(primary.shard);
+            let (attempt, outcome) = reported.recv().expect("the ticket holds a sender");
+            if attempt != held.attempt {
                 continue;
-            };
-            if attempt == primary.attempt {
-                let replacement = match outcome {
-                    Ok(result) => {
-                        if let Some(hedge) = &hedge {
-                            hedge.ticket.cancel();
-                            counters.hedge_cancels.inc();
-                        }
-                        return Ok(self.win(primary.shard, result, wait_t0));
-                    }
-                    Err(e @ (ServeError::RenderFailed(_) | ServeError::InvalidRequest(_))) => {
-                        if let Some(hedge) = &hedge {
-                            hedge.ticket.cancel();
-                        }
-                        return Err(e.to_string());
-                    }
-                    // nothing is evicted and no failover counted
-                    Err(ServeError::QueueFull { .. } | ServeError::ShuttingDown) => {
-                        refused.retain(|&shard| shard != primary.shard);
-                        refused.push(primary.shard);
-                        match hedge.take() {
-                            Some(hedge) => hedge,
-                            None => self.reroute(&refused, "request refused")?,
-                        }
-                    }
-                    Err(e) => {
-                        // the primary died mid-request
-                        inner.evict(primary.shard, &e.to_string());
-                        let replacement = match hedge.take() {
-                            Some(hedge) => hedge,
-                            None => self.reroute(&[], "request lost its shard")?,
-                        };
-                        counters.failovers.inc();
-                        asdr_obs::event!(
-                            self.req.trace,
-                            "failover",
-                            format!("from={} to={}", primary.shard, replacement.shard)
-                        );
-                        replacement
-                    }
-                };
-                primary = replacement;
-                // an unspent hedge is timed against the replacement
-                hedge_at = hedge_at.and(watermark(Instant::now()));
-            } else if hedge.as_ref().is_some_and(|hedge| hedge.attempt == attempt) {
-                let hedge = hedge.take().expect("matched above");
-                match outcome {
-                    Ok(result) => {
-                        primary.ticket.cancel();
-                        counters.hedge_wins.inc();
-                        counters.hedge_cancels.inc();
-                        return Ok(self.win(hedge.shard, result, wait_t0));
-                    }
-                    Err(ServeError::Connection(why)) => inner.evict(hedge.shard, &why),
-                    // failed or refused on its own: the primary races on alone
-                    Err(_) => {}
+            }
+            held = match outcome {
+                Ok(result) => return Ok(self.win(held.shard, result, wait_t0)),
+                Err(e @ (ServeError::RenderFailed(_) | ServeError::InvalidRequest(_))) => {
+                    return Err(e.to_string())
                 }
-            }
+                // nothing is evicted and no failover counted
+                Err(ServeError::QueueFull { .. } | ServeError::ShuttingDown) => {
+                    refused.retain(|&shard| shard != held.shard);
+                    refused.push(held.shard);
+                    self.reroute(&refused, "request refused")?
+                }
+                Err(e) => {
+                    // the shard died, or was evicted, mid-request
+                    inner.evict(held.shard, &e.to_string());
+                    let replacement = self.reroute(&[], "request lost its shard")?;
+                    inner.counters.failovers.inc();
+                    asdr_obs::event!(
+                        self.req.trace,
+                        "failover",
+                        format!("from={} to={}", held.shard, replacement.shard)
+                    );
+                    replacement
+                }
+            };
         }
-    }
-
-    /// Submits the duplicate to the first other live shard that admits it.
-    fn spawn_hedge(&self, primary_shard: usize) -> Option<Held> {
-        let inner = &self.inner;
-        for id in inner.live_ids() {
-            if id == primary_shard {
-                continue;
-            }
-            let (attempt, done) = inner.book.reserve(id, &self.req, &self.race);
-            if let Ok(ticket) = inner.shards[id].shard.submit(&self.req, done) {
-                inner.counters.hedges.inc();
-                // the duplicate carries the same trace id, so the merged
-                // report sees both shards' server-side spans for this request
-                asdr_obs::event!(self.req.trace, "hedge", format!("shard={id}"));
-                return Some(Held { attempt, shard: id, ticket });
-            }
-        }
-        None
     }
 
     /// Routes the request again (rendering is deterministic: the frames do
@@ -952,7 +876,7 @@ mod tests {
         let ((second, a), (third, b)) =
             (book.reserve(0, &req, &race), book.reserve(0, &req, &race));
         assert_eq!(in_flight(), 2);
-        drop(a); // dropped uncalled (a refused submit, a cancel) releases too
+        drop(a); // dropped uncalled (a refused submit) releases too
         b(Err(ServeError::RenderFailed("boom".into()))); // a failure releases without teaching
         assert_eq!(in_flight(), 0, "every end releases its slot");
         assert_eq!(book.cost.stats().observations, 1);

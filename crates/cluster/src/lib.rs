@@ -9,8 +9,9 @@
 //! * [`Fleet`] — consistent-hashes requests by scene name over the live
 //!   shards ([`HashRing`], 64 virtual nodes each), spills a request off a
 //!   busy home to an idle warm shard and off a full one to the shard with
-//!   the fewest in flight, and owns health/evict/rejoin, hedging, failover
-//!   and ring re-warm.
+//!   the fewest in flight, and owns health/evict/rejoin, failover and ring
+//!   re-warm. An eviction fails over what the shard held, so a hung shard
+//!   is got past as a dead one is.
 //!   Each shard's worker pool keeps the size it was built with.
 //! * [`Shard`] — the one seam the fleet reaches its members through, with
 //!   two backends: [`LocalShard`] (a `RenderService` in this process;
@@ -62,8 +63,8 @@ pub use cost::{CostModel, CostStats};
 // `RemoteFleet` is the name the frozen `benchmark/` knows the fleet by
 pub use fleet::{Fleet, Fleet as RemoteFleet, FleetConfig, FleetTicket};
 pub use net::{Listener, ShardAddr, Stream};
-pub use remote::{RemoteShard, RemoteTicket};
+pub use remote::RemoteShard;
 pub use ring::HashRing;
 pub use server::Server;
-pub use shard::{Done, LocalShard, LocalShards, Shard, ShardTicket};
+pub use shard::{Done, LocalShard, LocalShards, Shard};
 pub use stats::{ClusterStats, FleetStats, ShardStats};

@@ -3,15 +3,16 @@
 //! A small pool of [`Stream`]s, each with a reader thread demultiplexing
 //! reply frames by correlation id, so any number of requests, health probes,
 //! and stats polls share a connection without head-of-line blocking on the
-//! client side. A submit is one frame out and nothing waited for: its
-//! ticket is returned once the `Submit` is written. A probe's or command's
-//! one reply goes to the caller parked on a one-shot channel. A request's
-//! end is nobody's to wait for: the reader reports the `Result` or
-//! `Failed` frame, or the connection dying under it, through the
-//! submission's [`Done`] when it happens.
+//! client side. A submit is one frame out and nothing waited for: it returns
+//! once the `Submit` is written. A probe's or command's one reply goes to the
+//! caller parked on a one-shot channel. A request's end is nobody's to wait
+//! for: the reader reports the `Result` or `Failed` frame, or the connection
+//! dying under it, through the submission's [`Done`] when it happens.
+//! [`Shard::abandon`] fails every pooled connection, so a shard that is
+//! connected but no longer answers ends what it holds as a dead one does.
 
 use crate::net::{ShardAddr, Stream};
-use crate::shard::{Done, Shard, ShardTicket};
+use crate::shard::{Done, Shard};
 use crate::wire::{self, Message, WireRequest, WireStats};
 use asdr_serve::{RenderRequest, ServeError};
 use std::collections::HashMap;
@@ -70,27 +71,17 @@ impl Conn {
     }
 
     /// Forgets `id`, returning whether it was still registered. A submit
-    /// abandoned before its end has its [`Done`] dropped uncalled: lost, as
-    /// far as this client will ever know.
+    /// whose frame could not be written has its [`Done`] dropped uncalled.
     fn unregister(&self, id: u64) -> bool {
         // a statement of its own: the `Done` drops after the lock is released
         let forgotten = self.pending.lock().unwrap().remove(&id);
         forgotten.is_some()
     }
 
-    /// Writes one frame; a connection that cannot take it is failed.
-    fn send(&self, msg: &Message) {
-        let written = wire::write_frame(&mut *self.writer.lock().unwrap(), msg);
-        if let Err(e) = written {
-            self.fail(&e.to_string());
-        }
-    }
-
     /// Routes one reply frame to its id, which it takes off the table:
     /// every id is owed one frame. A `Result` or `Failed` ends a request,
     /// and its [`Done`] is called here, on the reader thread.
-    /// Frames for unregistered ids (cancelled hedges, dropped tickets) are
-    /// dropped.
+    /// Frames for unregistered ids (a probe that timed out) are dropped.
     fn deliver(&self, id: u64, msg: Message) {
         // a statement of its own: the `Done` runs after the lock is released
         let pending = self.pending.lock().unwrap().remove(&id);
@@ -109,7 +100,7 @@ impl Conn {
 
     /// Marks the connection dead, ends every request in flight on it with
     /// the reason and wakes every caller still parked — the client-side
-    /// signal a kill −9 produces.
+    /// signal a kill −9 produces, and what an eviction does on purpose.
     fn fail(&self, why: &str) {
         if self.alive.swap(false, Ordering::SeqCst) {
             self.read_half.shutdown();
@@ -246,10 +237,17 @@ impl RemoteShard {
 }
 
 impl Shard for RemoteShard {
-    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError> {
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<(), ServeError> {
         let req = WireRequest::from_request(req);
-        let (conn, id) = self.request(Pending::End(done), |id| Message::Submit { id, req })?;
-        Ok(Arc::new(RemoteTicket { conn, id }))
+        self.request(Pending::End(done), |id| Message::Submit { id, req }).map(drop)
+    }
+
+    fn abandon(&self, why: &str) {
+        // failed outside the pool lock: each request's `Done` runs in `fail`
+        let pooled: Vec<Arc<Conn>> = self.pool.lock().unwrap().iter().flatten().cloned().collect();
+        for conn in pooled {
+            conn.fail(why);
+        }
     }
 
     fn health(&self, timeout: Duration) -> Result<(), ServeError> {
@@ -272,28 +270,6 @@ impl Shard for RemoteShard {
 
     fn drain(&self, timeout: Duration) {
         let _ = self.roundtrip(timeout, |id| Message::Drain { id });
-    }
-}
-
-/// A submitted remote request. Cancelling it — or dropping it — before its
-/// end arrived takes the id off the connection, which drops the request's
-/// [`Done`], and tells the shard to keep the reply.
-pub struct RemoteTicket {
-    conn: Arc<Conn>,
-    id: u64,
-}
-
-impl ShardTicket for RemoteTicket {
-    fn cancel(&self) {
-        if self.conn.unregister(self.id) {
-            self.conn.send(&Message::Cancel { id: self.id });
-        }
-    }
-}
-
-impl Drop for RemoteTicket {
-    fn drop(&mut self) {
-        self.cancel();
     }
 }
 
@@ -334,26 +310,28 @@ mod tests {
     }
 
     /// Every way a submitted request can end on this client reaches its
-    /// `Done` exactly once: a result, a render failure, a refusal, a cancel,
-    /// a dropped ticket (which must also leave nothing in `Conn::pending`
-    /// and tell the shard to keep the reply), and the connection dying. The
-    /// peer is scripted — each step blocks on the frame it expects — and
-    /// each end is received from a channel, so nothing here waits on a clock.
+    /// `Done` exactly once: a result, a render failure, a refusal, the
+    /// connection dying under it, and the shard being abandoned while the
+    /// connection is still up (an eviction). The peer is scripted — each
+    /// step blocks on the frame or the word it expects — and each end is
+    /// received from a channel, so nothing here waits on a clock.
     #[test]
     fn every_end_of_a_request_reaches_its_done_exactly_once() {
-        const NAMES: [&str; 6] =
-            ["rendered", "failed", "refused", "cancelled", "dropped", "orphaned"];
+        const NAMES: [&str; 5] = ["rendered", "failed", "refused", "orphaned", "abandoned"];
         let sock = std::env::temp_dir().join(format!("asdr-ends-{}.sock", std::process::id()));
         let (listener, addr) = Listener::bind(&ShardAddr::Unix(sock.clone())).unwrap();
         let (now, hang_up) = mpsc::channel();
         let peer = std::thread::spawn(move || {
-            let mut stream = listener.accept().unwrap();
             let send = |stream: &mut Stream, msg| wire::write_frame(stream, &msg).unwrap();
             let expect = |stream: &mut Stream| wire::read_frame(stream).unwrap().expect("a frame");
-            assert!(matches!(expect(&mut stream), Message::Hello { .. }));
-            send(&mut stream, Message::HelloOk { shard: 0 });
+            let greet = |stream: &mut Stream| {
+                assert!(matches!(expect(stream), Message::Hello { .. }));
+                send(stream, Message::HelloOk { shard: 0 });
+            };
+            let mut stream = listener.accept().unwrap();
+            greet(&mut stream);
             // nothing acknowledges a submit: the next frame is the next submit
-            let ids = NAMES.map(|_| expect(&mut stream).id().expect("a submit"));
+            let ids = [(); 4].map(|()| expect(&mut stream).id().expect("a submit"));
             let result = WireResult {
                 scene: "Mic".into(),
                 resolution: 8,
@@ -370,37 +348,41 @@ mod tests {
             send(&mut stream, Message::Failed { id: ids[1], error });
             let error = ServeError::QueueFull { capacity: 64 };
             send(&mut stream, Message::Failed { id: ids[2], error });
-            let cancels = [expect(&mut stream), expect(&mut stream)];
-            assert_eq!(cancels, [ids[3], ids[4]].map(|id| Message::Cancel { id }));
-            // returning closes the connection under the sixth request
+            // closing the connection ends the fourth request
+            hang_up.recv().unwrap();
+            drop(stream);
+            // the fifth comes on a fresh connection, which the client abandons
+            // while this end stays open
+            let mut stream = listener.accept().unwrap();
+            greet(&mut stream);
+            assert!(matches!(expect(&mut stream), Message::Submit { .. }));
             hang_up.recv().unwrap();
         });
         let shard = RemoteShard::connect(addr, 1).unwrap();
         let (ends, ended) = mpsc::channel();
-        let req = RenderRequest::frame(asdr_scenes::registry::handle("Mic"), 8);
-        let mut tickets: Vec<_> =
-            NAMES.iter().map(|name| shard.submit(&req, recorded(name, &ends)).unwrap()).collect();
+        let mut dones: Vec<Done> = NAMES.iter().map(|name| recorded(name, &ends)).collect();
         drop(ends);
+        let req = RenderRequest::frame(asdr_scenes::registry::handle("Mic"), 8);
+        let abandoned = dones.pop().expect("five ends");
+        dones.into_iter().for_each(|done| shard.submit(&req, done).unwrap());
         let next = || ended.recv_timeout(Duration::from_secs(30)).expect("a request never ended");
-        let first_three = [next(), next(), next()];
-        assert_eq!(first_three[0], ("rendered", "result of Mic".to_string()));
-        assert_eq!(first_three[1], ("failed", "error: render failed: boom".to_string()));
+        assert_eq!(next(), ("rendered", "result of Mic".to_string()));
+        assert_eq!(next(), ("failed", "error: render failed: boom".to_string()));
         let refusal = "error: admission queue full (64 pending)".to_string();
-        assert_eq!(first_three[2], ("refused", refusal));
+        assert_eq!(next(), ("refused", refusal));
         let conn = shard.conn().unwrap();
-        assert_eq!(conn.pending.lock().unwrap().len(), 3, "an ended request kept its id");
-        tickets[3].cancel();
-        tickets[3].cancel(); // nothing left to cancel: the peer sees one frame
-        assert_eq!(next(), ("cancelled", "dropped".to_string()));
-        drop(tickets.remove(4));
-        assert_eq!(next(), ("dropped", "dropped".to_string()));
-        assert_eq!(conn.pending.lock().unwrap().len(), 1, "the dropped ticket left its id behind");
+        assert_eq!(conn.pending.lock().unwrap().len(), 1, "an ended request kept its id");
         now.send(()).unwrap();
-        peer.join().unwrap();
         let (name, how) = next();
         assert_eq!(name, "orphaned");
         assert!(how.starts_with("error: connection: "), "{how}");
-        drop(tickets);
+        // the dead slot is dialled again for the next submit
+        shard.submit(&req, abandoned).unwrap();
+        shard.abandon("evicted");
+        assert_eq!(next(), ("abandoned", "error: connection: evicted".to_string()));
+        now.send(()).unwrap();
+        peer.join().unwrap();
+        shard.abandon("evicted again");
         assert!(ended.recv().is_err(), "a request ended twice");
         let _ = std::fs::remove_file(&sock);
     }

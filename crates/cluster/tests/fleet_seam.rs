@@ -1,6 +1,7 @@
-//! What the [`Shard`] seam makes testable: the fleet's hedge and failover
-//! arbitration, and the server's reply path, against a fake shard whose
-//! requests complete, stall or die when the test says so; and frames
+//! What the [`Shard`] seam makes testable: the fleet's re-route and
+//! failover paths, and the server's reply path, against a fake shard whose
+//! requests complete, stall or die when the test says so — in process, or
+//! behind a real `Server` reached by a `RemoteShard`; and frames
 //! byte-identical whichever real backend serves them.
 //!
 //! No process is spawned and nothing sleeps: the fake hands the test a
@@ -11,10 +12,10 @@
 use asdr_cluster::wire::{self, Message, WireRequest, WireResult, WireStats};
 use asdr_cluster::{
     Done, Fleet, FleetConfig, FleetStats, FleetTicket, Listener, LocalShards, RemoteShard, Server,
-    Shard, ShardAddr, ShardTicket, Stream,
+    Shard, ShardAddr, Stream,
 };
 use asdr_math::{Image, Rgb};
-use asdr_scenes::registry;
+use asdr_scenes::registry::{self, OrbitCamera};
 use asdr_serve::{
     ModelStore, Priority, RenderProfile, RenderRequest, RenderService, ServeError, ServeStats,
 };
@@ -33,7 +34,6 @@ const PATIENCE: Duration = Duration::from_secs(30);
 struct Handle {
     shard: usize,
     done: Option<Done>,
-    cancelled: Arc<AtomicBool>,
 }
 
 impl Handle {
@@ -56,16 +56,6 @@ impl Handle {
             true => ServeError::QueueFull { capacity: 1 },
             false => ServeError::InvalidRequest("the test is full".into()),
         }));
-    }
-}
-
-struct FakeTicket {
-    cancelled: Arc<AtomicBool>,
-}
-
-impl ShardTicket for FakeTicket {
-    fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
     }
 }
 
@@ -104,19 +94,22 @@ impl FakeShard {
 }
 
 impl Shard for FakeShard {
-    fn submit(&self, _req: &RenderRequest, done: Done) -> Result<Arc<dyn ShardTicket>, ServeError> {
+    fn submit(&self, _req: &RenderRequest, done: Done) -> Result<(), ServeError> {
         if self.full.load(Ordering::SeqCst) {
             return Err(ServeError::QueueFull { capacity: 1 });
         }
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let mut handle = Handle { shard: self.id, done: Some(done), cancelled: cancelled.clone() };
+        let mut handle = Handle { shard: self.id, done: Some(done) };
         if self.instant.load(Ordering::SeqCst) {
             handle.complete(frames_of(self.id as f32));
         } else {
             self.admitted.lock().unwrap().send(handle).expect("the test outlives its fleet");
         }
-        Ok(Arc::new(FakeTicket { cancelled }))
+        Ok(())
     }
+
+    /// The test holds what this shard admitted, and ends it: in process, an
+    /// eviction gives up nothing (behind a `Server`, the `RemoteShard` does).
+    fn abandon(&self, _why: &str) {}
 
     fn health(&self, _timeout: Duration) -> Result<(), ServeError> {
         if self.healthy.load(Ordering::SeqCst) {
@@ -233,130 +226,51 @@ fn eventually(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-fn hedging() -> FleetConfig {
-    FleetConfig { hedge_after: Some(Duration::from_millis(1)), ..FleetConfig::default() }
-}
-
+/// A ticket waits on the one submission it holds; a report about one it no
+/// longer holds is skipped. Here the failover's first try is refused at
+/// submit, whose dropped `Done` reports a lost request under its own attempt
+/// just before another shard admits the replacement: taken for the
+/// replacement's end, it would evict that shard too and fail over again.
 #[test]
-fn a_stalled_primary_loses_the_hedge_race_to_its_replica() {
-    let f = fake_fleet(3, hedging());
-    let ticket = f.fleet.submit(mic()).unwrap();
-    let primary = f.next_admitted();
-    std::thread::scope(|s| {
-        let waiter = s.spawn(|| ticket.wait());
-        // the primary stalls past the watermark: a duplicate goes out
-        let mut replica = f.next_admitted();
-        assert_ne!(replica.shard, primary.shard);
-        replica.complete(frames_of(2.0));
-        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(2.0), "the replica's frames");
-        assert!(primary.cancelled.load(Ordering::SeqCst), "the loser was not cancelled");
-        assert!(!replica.cancelled.load(Ordering::SeqCst));
-    });
-    let fl = f.fleet.stats().fleet;
-    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 1, 1), "{fl:?}");
-    assert_eq!((fl.evictions, fl.failovers), (0, 0), "{fl:?}");
-}
-
-#[test]
-fn a_primary_that_answers_first_wins_and_the_replica_is_cancelled() {
-    let f = fake_fleet(3, hedging());
-    let ticket = f.fleet.submit(mic()).unwrap();
-    let mut primary = f.next_admitted();
-    std::thread::scope(|s| {
-        let waiter = s.spawn(|| ticket.wait());
-        let replica = f.next_admitted();
-        primary.complete(frames_of(1.0));
-        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(1.0), "the primary's frames");
-        assert!(replica.cancelled.load(Ordering::SeqCst), "the loser was not cancelled");
-        assert!(!primary.cancelled.load(Ordering::SeqCst));
-    });
-    assert_eq!(ticket.shard(), primary.shard);
-    let fl = f.fleet.stats().fleet;
-    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 0, 1), "{fl:?}");
-}
-
-/// The race is decided by the order the ends are learned, not by whose turn
-/// it is to be asked: the replica ends first and the primary right behind
-/// it, and the replica's frames come back. (A waiter that polled the two
-/// in turn found both answers at its next look and took the primary's.)
-#[test]
-fn the_first_end_reported_wins_the_race_whichever_submission_made_it() {
-    let f = fake_fleet(2, hedging());
-    let ticket = f.fleet.submit(mic()).unwrap();
-    let mut primary = f.next_admitted();
-    std::thread::scope(|s| {
-        let waiter = s.spawn(|| ticket.wait());
-        let mut replica = f.next_admitted();
-        replica.complete(frames_of(2.0));
-        primary.complete(frames_of(1.0));
-        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(2.0), "the replica's frames");
-    });
-    assert_eq!(ticket.shard(), 1 - primary.shard);
-    let stats = f.fleet.stats();
-    let fl = stats.fleet;
-    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 1, 1), "{fl:?}");
-    // both ends were reported: both taught the model, both slots are back
-    assert_eq!(stats.cost.observations, 2);
-    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
-}
-
-/// The hedge is already the replacement when the primary dies under it.
-#[test]
-fn a_primary_that_dies_with_a_hedge_in_flight_is_replaced_by_it() {
-    let cfg = FleetConfig { health_misses: u32::MAX, ..hedging() };
+fn a_report_from_a_submission_the_ticket_no_longer_holds_is_skipped() {
+    let cfg = FleetConfig { health_misses: u32::MAX, ..unprobed() };
     let f = fake_fleet(3, cfg);
+    let ring = f.fleet.ring();
+    let victim = ring.home("Mic");
+    // where the failover tries first once the victim is off the ring
+    let refuser = ring.without(victim).home("Mic");
     let ticket = f.fleet.submit(mic()).unwrap();
     let mut primary = f.next_admitted();
-    f.shards[primary.shard].healthy.store(false, Ordering::SeqCst);
+    assert_eq!(primary.shard, victim, "an idle home keeps its scene");
+    f.shards[refuser].full.store(true, Ordering::SeqCst);
     std::thread::scope(|s| {
         let waiter = s.spawn(|| ticket.wait());
-        let mut replica = f.next_admitted();
         primary.die();
-        eventually("the dead primary is evicted", || f.fleet.live_shards() == 2);
-        assert!(f.admitted.try_recv().is_err(), "a promoted hedge needs no resubmission");
-        replica.complete(frames_of(2.0));
-        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(2.0));
-        assert_eq!(ticket.shard(), replica.shard);
-        assert!(!replica.cancelled.load(Ordering::SeqCst));
+        let mut replacement = f.next_admitted();
+        assert!(![victim, refuser].contains(&replacement.shard), "{}", replacement.shard);
+        replacement.complete(frames_of(3.0));
+        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(3.0), "the replacement's frames");
+        assert_eq!(ticket.shard(), replacement.shard);
     });
     let stats = f.fleet.stats();
-    let fl = stats.fleet;
-    assert_eq!((fl.evictions, fl.failovers), (1, 1), "{fl:?}");
-    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (1, 0, 0), "{fl:?}");
+    assert_eq!((stats.fleet.evictions, stats.fleet.failovers), (1, 1), "{:?}", stats.fleet);
+    assert_eq!(f.fleet.live_shards(), 2, "a shard besides the victim was evicted");
+    assert_eq!(stats.cost.observations, 1, "only the replacement's result teaches");
     assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
 }
 
-/// At the parent a second `wait()` found the slot gone, read that as a
-/// timeout and hedged — a duplicate render counted as a hedge win.
+/// A second `wait()` answers with the first's outcome and asks no shard.
 #[test]
 fn a_ticket_answers_every_wait_with_its_one_outcome() {
-    let f = fake_fleet(2, hedging());
+    let f = fake_fleet(2, unprobed());
     let ticket = f.fleet.submit(mic()).unwrap();
     f.next_admitted().complete(frames_of(1.0));
     assert_eq!(ticket.wait().unwrap(), frames_of(1.0));
     assert_eq!(ticket.wait().unwrap(), frames_of(1.0), "the second wait lost the outcome");
     assert!(f.admitted.try_recv().is_err(), "the second wait submitted a duplicate");
     let stats = f.fleet.stats();
-    assert_eq!(stats.fleet.hedges, 0);
+    assert_eq!(stats.fleet, FleetStats::default());
     assert_eq!(stats.cost.observations, 1, "one request, one observation");
-}
-
-/// A watermark past what an `Instant` can hold never passes: at the parent
-/// `wait()` panicked adding `Duration::MAX` to its start.
-#[test]
-fn an_unrepresentable_watermark_never_hedges() {
-    let f =
-        fake_fleet(2, FleetConfig { hedge_after: Some(Duration::MAX), ..FleetConfig::default() });
-    let ticket = f.fleet.submit(mic()).unwrap();
-    let mut primary = f.next_admitted();
-    std::thread::scope(|s| {
-        let waiter = s.spawn(|| ticket.wait());
-        primary.complete(frames_of(1.0));
-        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(1.0));
-    });
-    assert!(f.admitted.try_recv().is_err(), "a duplicate went out");
-    let fl = f.fleet.stats().fleet;
-    assert_eq!((fl.hedges, fl.hedge_wins, fl.hedge_cancels), (0, 0, 0), "{fl:?}");
 }
 
 #[test]
@@ -364,7 +278,6 @@ fn a_dead_primary_fails_over_with_its_reservation_and_rejoins_rewarming_what_mov
     const SCENES: [&str; 8] =
         ["Mic", "Lego", "Pulse", "Palace", "Fountain", "Family", "Chair", "Ship"];
     let cfg = FleetConfig {
-        hedge_after: None,
         health_interval: Duration::from_millis(1),
         health_misses: u32::MAX, // only the ticket's connection error may evict
         ..FleetConfig::default()
@@ -474,10 +387,10 @@ fn a_failover_waits_out_a_fleet_that_is_busy() {
     assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
 }
 
-/// No hedging, and no health probe while the test runs: nothing but the
-/// ticket's own routing can move a request.
+/// No health probe while the test runs: nothing but the ticket's own
+/// routing can move a request.
 fn unprobed() -> FleetConfig {
-    FleetConfig { hedge_after: None, health_interval: PATIENCE, ..FleetConfig::default() }
+    FleetConfig { health_interval: PATIENCE, ..FleetConfig::default() }
 }
 
 /// A refusal reported after `submit` has returned (a remote shard's
@@ -521,38 +434,34 @@ fn a_final_refusal_fails_the_ticket_with_its_reason() {
 /// a daemon cannot decode it and drops the connection it came on, so
 /// sending it would evict shard after shard as the request failed over.
 #[test]
-fn a_request_past_the_pixel_bound_is_refused_before_any_shard_is_asked() {
+fn a_request_past_the_serving_bounds_is_refused_before_any_shard_is_asked() {
     let f = fake_fleet(2, unprobed());
     let mic = || registry::handle("Mic");
     // one past MAX_PIXELS: one frame of 4097², two of 4096²
-    for req in [RenderRequest::frame(mic(), 4097), RenderRequest::sequence(mic(), 4096, 2)] {
+    let mut refused = vec![
+        (RenderRequest::frame(mic(), 4097), "pixels"),
+        (RenderRequest::sequence(mic(), 4096, 2), "pixels"),
+    ];
+    // a camera field the wire cannot carry
+    for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for camera in [
+            OrbitCamera { azimuth_deg: v, ..OrbitCamera::default() },
+            OrbitCamera { elevation_deg: v, ..OrbitCamera::default() },
+            OrbitCamera { radius: v, ..OrbitCamera::default() },
+        ] {
+            refused.push((RenderRequest::frame(mic(), 16).with_camera(camera), "camera"));
+        }
+    }
+    for (req, named) in refused {
+        let shown = format!("{} px, {:?}", req.resolution, req.camera);
         match f.fleet.submit(req) {
-            Err(ServeError::InvalidRequest(why)) => assert!(why.contains("pixels"), "{why}"),
-            other => panic!("a request past MAX_PIXELS was not refused: {:?}", other.err()),
+            Err(ServeError::InvalidRequest(why)) => assert!(why.contains(named), "{why}"),
+            other => panic!("{shown} was not refused: {:?}", other.err()),
         }
     }
     assert!(f.admitted.try_recv().is_err(), "a shard was asked");
     let stats = f.fleet.stats();
     assert_eq!((stats.fleet, stats.rejected, f.fleet.live_shards()), (FleetStats::default(), 0, 2));
-}
-
-#[test]
-fn a_refused_hedge_leaves_the_race_and_evicts_nobody() {
-    let cfg = FleetConfig { health_interval: PATIENCE, ..hedging() };
-    let f = fake_fleet(2, cfg);
-    let ticket = f.fleet.submit(mic()).unwrap();
-    let mut primary = f.next_admitted();
-    std::thread::scope(|s| {
-        let waiter = s.spawn(|| ticket.wait());
-        let mut replica = f.next_admitted();
-        replica.refuse(true);
-        primary.complete(frames_of(1.0));
-        assert_eq!(waiter.join().unwrap().unwrap(), frames_of(1.0), "the primary's frames");
-    });
-    assert!(f.admitted.try_recv().is_err(), "the refused hedge was replaced");
-    assert_eq!(f.fleet.live_shards(), 2);
-    let fl = f.fleet.stats().fleet;
-    assert_eq!(fl, FleetStats { hedges: 1, ..FleetStats::default() });
 }
 
 /// With every shard refusing each try the moment it is made, a ticket asks
@@ -603,10 +512,9 @@ fn a_fleet_that_refuses_everywhere_costs_one_try_per_completion() {
     assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
 }
 
-/// No hedging, and probes fast enough to evict and rejoin while a test waits.
+/// Probes fast enough to evict and rejoin while a test waits.
 fn quiet() -> FleetConfig {
     FleetConfig {
-        hedge_after: None,
         health_interval: Duration::from_millis(1),
         health_misses: 1,
         ..FleetConfig::default()
@@ -918,23 +826,43 @@ fn a_peer_that_stops_reading_delays_nobody_elses_reply() {
     served.stop();
 }
 
+/// A shard that stops answering its health probes while it holds a
+/// request — still connected, so nothing else ends the request — is
+/// evicted by the health loop, and the eviction abandons what its
+/// connections carry: the request fails over and completes on the other
+/// shard with that shard's frames. The hung shard's answer, when it comes
+/// at last, reaches nobody, and waiting again answers the same.
 #[test]
-fn a_wire_cancel_withholds_the_reply_and_reaches_the_shard() {
-    let served = serve("cancel");
-    let mut client = served.dial();
-    submit(&mut client, 1);
-    submit(&mut client, 2);
-    let (mut loser, mut winner) = (served.next_admitted(), served.next_admitted());
-    wire::write_frame(&mut client, &Message::Cancel { id: 1 }).unwrap();
-    // frames are answered in order: the health reply proves the cancel was read
-    wire::write_frame(&mut client, &Message::Health { id: 3 }).unwrap();
-    assert!(matches!(next_frame(&mut client), Message::HealthOk { id: 3, .. }));
-    assert!(loser.cancelled.load(Ordering::SeqCst), "the shard's ticket was not cancelled");
-    loser.complete(frames_of(1.0));
-    winner.complete(frames_of(2.0));
-    assert_eq!(next_frame(&mut client), Message::Result { id: 2, result: frames_of(2.0) });
-    drop(client);
-    served.stop();
+fn a_hung_shards_request_fails_over_once_its_health_evicts_it() {
+    let served = [serve("hung-0"), serve("hung-1")];
+    let shards: Vec<Arc<RemoteShard>> =
+        served.iter().map(|s| Arc::new(RemoteShard::connect(s.addr.clone(), 1).unwrap())).collect();
+    let cfg = FleetConfig { health_interval: Duration::from_millis(1), ..FleetConfig::default() };
+    let fleet = Fleet::new(shards, &RenderProfile::tiny(), cfg).unwrap();
+    let hung = fleet.ring().home("Mic");
+    let ticket = fleet.submit(mic()).unwrap();
+    let mut stalled = served[hung].next_admitted();
+    served[hung].shard.healthy.store(false, Ordering::SeqCst);
+    // not scoped: a request nothing frees would hold the test for ever
+    // instead of failing it at the deadline below
+    let waiter = std::thread::spawn(move || {
+        let answer = ticket.wait();
+        (ticket, answer)
+    });
+    // only the eviction can free the request: the hung shard never ends it
+    let mut replacement = served[1 - hung].next_admitted();
+    replacement.complete(frames_of(2.0));
+    let (ticket, answer) = waiter.join().unwrap();
+    assert_eq!(answer.unwrap(), frames_of(2.0), "the other shard's frames");
+    assert_eq!(ticket.shard(), 1 - hung);
+    // written to a connection the fleet has given up
+    stalled.complete(frames_of(1.0));
+    assert_eq!(ticket.wait().unwrap(), frames_of(2.0), "a second wait answered differently");
+    let stats = fleet.shutdown();
+    assert_eq!((stats.fleet.evictions, stats.fleet.failovers), (1, 1), "{:?}", stats.fleet);
+    assert_eq!(stats.cost.observations, 1, "the hung shard's late answer reached the fleet");
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
+    served.into_iter().for_each(Served::stop);
 }
 
 const E2E_SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];
@@ -1014,9 +942,7 @@ fn frames_are_byte_identical_local_remote_and_single_service() {
         let store = ModelStore::builder().dir(&dir);
         LocalShards { shards: 3, store, ..LocalShards::new(profile.clone()) }.build()
     };
-    // no hedging: on a stalled host a duplicate would load a fourth
-    // checkpoint and count a seventh request
-    let cfg = FleetConfig { hedge_after: None, ..FleetConfig::default() };
+    let cfg = FleetConfig::default();
     let local = Fleet::new(local_shards().unwrap(), &profile, cfg.clone()).unwrap();
     assert_matches_reference(local, &reference, "local");
 

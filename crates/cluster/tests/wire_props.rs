@@ -16,12 +16,13 @@ const SCENES: [&str; 4] = ["Mic", "Lego", "Pulse", "Palace"];
 
 /// Every tag no message has now: `Submitted` (3) until wire version 3
 /// stopped acknowledging a submit, the pool resize pair (16 and 17) until
-/// version 4 fixed each shard's pool at build, and `Refused` (4) until
-/// version 5 ended every request without a result with one `Failed`.
-const RETIRED_TAGS: [u8; 4] = [3, 4, 16, 17];
+/// version 4 fixed each shard's pool at build, `Refused` (4) until
+/// version 5 ended every request without a result with one `Failed`, and
+/// `Cancel` (7) until version 6, when the fleet stopped withdrawing replies.
+const RETIRED_TAGS: [u8; 5] = [3, 4, 7, 16, 17];
 
 /// The tags messages have now, one per kind [`build_message`] makes.
-const LIVE_TAGS: [u8; 14] = [0, 1, 2, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+const LIVE_TAGS: [u8; 13] = [0, 1, 2, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15];
 
 /// (scene, resolution, frames, azimuth, priority, deadline_us, camera?,
 /// trace seed — even seeds give the unset id, which must encode as the
@@ -151,7 +152,6 @@ fn build_message((kind, id, n, flag, req): MsgTuple) -> Message {
                 _ => ServeError::Protocol(why),
             },
         },
-        7 => Message::Cancel { id },
         8 => Message::StatsPoll { id },
         9 => Message::Stats { id, stats: build_stats(n) },
         10 => Message::Health { id },
@@ -366,10 +366,10 @@ proptest! {
 }
 
 /// A version-2 client waits for a `Submitted` no shard sends any more, a
-/// version-3 one may ask for a pool resize no shard answers, and a
-/// version-4 one expects a longer `HealthOk` than a shard sends: the
-/// handshake turns all three away, and a current client on the same server
-/// is answered.
+/// version-3 one may ask for a pool resize no shard answers, a version-4
+/// one expects a longer `HealthOk` than a shard sends, and a version-5 one
+/// may send a `Cancel` no shard reads: the handshake turns all four away,
+/// and a current client on the same server is answered.
 #[test]
 fn a_hello_at_version_2_is_turned_away() {
     let sock = std::env::temp_dir().join(format!("asdr-wire-v2-{}.sock", std::process::id()));
@@ -384,10 +384,11 @@ fn a_hello_at_version_2_is_turned_away() {
         wire::write_frame(&mut stream, &Message::Hello { version }).unwrap();
         wire::read_frame(&mut stream).unwrap()
     };
-    assert_eq!(wire::VERSION, 5);
+    assert_eq!(wire::VERSION, 6);
     assert_eq!(hello(2), None, "a version-2 peer was let in");
     assert_eq!(hello(3), None, "a version-3 peer was let in");
     assert_eq!(hello(4), None, "a version-4 peer was let in");
+    assert_eq!(hello(5), None, "a version-5 peer was let in");
     assert_eq!(hello(wire::VERSION), Some(Message::HelloOk { shard: 0 }));
     server.stop();
     run.join().unwrap().unwrap();

@@ -25,7 +25,7 @@
 //!   `spans.jsonl` line-by-line, so a SIGKILLed daemon still leaves its
 //!   timeline behind for the merged report.
 //! * [`report`] — merges the bundles of a fleet run into a per-phase
-//!   latency breakdown, the cross-process span joins (hedges, failovers),
+//!   latency breakdown, the cross-process span joins (spills, failovers),
 //!   and a dominant-phase attribution for every deadline miss.
 //!
 //! ```

@@ -1,5 +1,5 @@
 //! Merges the run bundles of a fleet run into one report: per-phase
-//! latency breakdown, cross-process span joins (the hedges and failovers
+//! latency breakdown, cross-process span joins (the spills and failovers
 //! made visible by wire-propagated trace ids), and a dominant-phase
 //! attribution for every deadline miss.
 //!
@@ -50,8 +50,8 @@ pub struct PhaseRow {
     pub max_us: u64,
 }
 
-/// A request whose spans came from more than one process — a hedge, a
-/// spill, or a failover made visible by wire trace-id propagation.
+/// A request whose spans came from more than one process — a spill or a
+/// failover made visible by wire trace-id propagation.
 #[derive(Debug, Clone)]
 pub struct SpanJoin {
     /// Trace id.
@@ -112,7 +112,7 @@ pub struct BundleReport {
 
 /// The request lifecycle order phases are reported in; unknown phases
 /// sort after these, alphabetically.
-const PHASE_ORDER: [&str; 11] = [
+const PHASE_ORDER: [&str; 10] = [
     "admit",
     "queue",
     "store",
@@ -120,7 +120,6 @@ const PHASE_ORDER: [&str; 11] = [
     "render",
     "reply",
     "remote-submit",
-    "hedge",
     "failover",
     "remote-wait",
     "deadline-miss",

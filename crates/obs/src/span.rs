@@ -15,8 +15,8 @@ use std::time::{Duration, Instant, SystemTime};
 
 /// A request-scoped trace identifier, propagated across process boundaries
 /// by the cluster wire protocol so one request's spans join across the
-/// fleet client and every daemon that touched it (hedges and failover
-/// resubmits reuse the original id).
+/// fleet client and every daemon that touched it (failover resubmits
+/// reuse the original id).
 ///
 /// Zero is the reserved "unset" value: spans for unset ids are never
 /// recorded, and the wire encodes "no trace" by omitting the field.

@@ -9,7 +9,7 @@
 
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, ModelStoreBuilder};
-use crate::workload::{ReplayDriver, ReplayedRequest};
+use crate::workload::{check_speed, ReplayDriver, ReplayedRequest};
 use asdr_math::par::{parse_workers, MAX_WORKERS};
 use asdr_math::Image;
 use asdr_obs::{Bundle, JsonWriter};
@@ -45,12 +45,15 @@ pub fn worker_count(flag: &str, s: &str) -> usize {
         .unwrap_or_else(|| die(&format!("{flag} needs a whole number from 1 to {MAX_WORKERS}")))
 }
 
-/// Parses a positive finite float or dies naming the flag.
-pub fn positive_f64(flag: &str, s: &str) -> f64 {
-    s.parse::<f64>()
-        .ok()
-        .filter(|x| x.is_finite() && *x > 0.0)
-        .unwrap_or_else(|| die(&format!("{flag} needs a positive number")))
+/// Parses a `--speed` factor, a number in
+/// [`SPEEDS`](crate::workload::SPEEDS).
+///
+/// # Errors
+///
+/// A message naming the flag.
+pub fn parse_speed(s: &str) -> Result<f64, String> {
+    let speed = s.parse::<f64>().map_err(|_| format!("--speed needs a number, got {s:?}"))?;
+    check_speed(speed).map(|()| speed)
 }
 
 /// The replay flag set shared by `asdr-serve` and `asdr-cluster`:
@@ -71,7 +74,9 @@ impl ReplayFlags {
     pub fn accept(&mut self, argv: &[String], i: &mut usize) -> bool {
         match argv[*i].as_str() {
             "--workload" => self.workload = Some(PathBuf::from(value(argv, i))),
-            "--speed" => self.speed = Some(positive_f64("--speed", &value(argv, i))),
+            "--speed" => {
+                self.speed = Some(parse_speed(&value(argv, i)).unwrap_or_else(|e| die(&e)))
+            }
             "--record" => self.record = Some(PathBuf::from(value(argv, i))),
             _ => return false,
         }
@@ -356,6 +361,25 @@ mod tests {
         assert_eq!(flags.speed, Some(4.0));
         assert_eq!(flags.workload.as_deref(), Some(Path::new("w.jsonl")));
         assert_eq!(flags.record.as_deref(), Some(Path::new("out.jsonl")));
+    }
+
+    /// Only parsed: nothing here replays, so no value can make a test sleep.
+    #[test]
+    fn speed_is_taken_inside_its_range_and_refused_outside_naming_the_flag() {
+        let (slowest, fastest) = (*crate::workload::SPEEDS.start(), *crate::workload::SPEEDS.end());
+        let below = f64::from_bits(slowest.to_bits() - 1);
+        let above = f64::from_bits(fastest.to_bits() + 1);
+        for taken in [slowest, fastest, 1.0] {
+            assert_eq!(parse_speed(&taken.to_string()), Ok(taken));
+        }
+        for refused in [below, above, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 1e-300]
+        {
+            let e = parse_speed(&refused.to_string()).unwrap_err();
+            assert!(e.contains("--speed"), "{refused}: {e}");
+        }
+        for garbage in ["", "fast", "1x"] {
+            assert!(parse_speed(garbage).unwrap_err().contains("--speed"), "{garbage:?}");
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub struct RenderRequest {
     /// capture is enabled, [`RenderService::submit`] assigns a fresh id to
     /// unset requests. The cluster layers set it before submission (and
     /// carry it over the wire) so one request's spans join across the
-    /// fleet client, hedged duplicates, and failover resubmits.
+    /// fleet client and failover resubmits.
     pub trace: TraceId,
 }
 
@@ -106,7 +106,8 @@ impl RenderRequest {
     ///
     /// [`ServeError::InvalidRequest`] naming the first bound broken: frames
     /// ([`MAX_FRAMES`]), resolution ([`MAX_RESOLUTION`]), their pixels
-    /// ([`MAX_PIXELS`](crate::workload::MAX_PIXELS)) or the orbit step.
+    /// ([`MAX_PIXELS`](crate::workload::MAX_PIXELS)), the orbit step, or a
+    /// camera override with a field that is not finite.
     pub fn check_bounds(&self) -> Result<(), ServeError> {
         if self.frames == 0 || self.frames as u64 > MAX_FRAMES {
             return Err(ServeError::InvalidRequest(format!(
@@ -130,6 +131,24 @@ impl RenderRequest {
             return Err(ServeError::InvalidRequest(format!(
                 "azimuth_step_deg must be in -360..=360, got {step}"
             )));
+        }
+        // the wire refuses the same fields: a daemon that cannot decode a
+        // request drops the connection it came on
+        if let Some(cam) = &self.camera {
+            let fields = [
+                ("azimuth_deg", cam.azimuth_deg),
+                ("elevation_deg", cam.elevation_deg),
+                ("radius", cam.radius),
+                ("fov_deg", cam.fov_deg),
+                ("center.x", cam.center.x),
+                ("center.y", cam.center.y),
+                ("center.z", cam.center.z),
+            ];
+            if let Some((name, v)) = fields.into_iter().find(|(_, v)| !v.is_finite()) {
+                return Err(ServeError::InvalidRequest(format!(
+                    "camera {name} must be finite, got {v}"
+                )));
+            }
         }
         Ok(())
     }

@@ -44,6 +44,7 @@ use crate::service::{Priority, RenderRequest, RenderService, RenderTicket, Serve
 use asdr_obs::json::{parse_flat_object, Value};
 use asdr_obs::JsonWriter;
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -60,6 +61,27 @@ pub const MAX_RESOLUTION: u64 = 8192;
 /// can abort the process, which no `catch_unwind` survives, and a remote
 /// result no longer fits one wire frame.
 pub const MAX_PIXELS: u64 = 1 << 24;
+/// Accepted replay time-warp factors (`--speed`). At the slowest the latest
+/// arrival offset ([`MAX_AT_MS`]) warps to 10¹³ ms, which a `u64` holds
+/// exactly; below it the warped offset saturates and the replay sleeps for
+/// as long as that says.
+pub const SPEEDS: RangeInclusive<f64> = 0.001..=1_000_000.0;
+
+/// Checks a replay time-warp factor against [`SPEEDS`].
+///
+/// # Errors
+///
+/// Names `--speed`, the range and the value.
+pub fn check_speed(speed: f64) -> Result<(), String> {
+    if SPEEDS.contains(&speed) {
+        return Ok(());
+    }
+    Err(format!(
+        "--speed must be a number from {} to {}, got {speed}",
+        SPEEDS.start(),
+        SPEEDS.end()
+    ))
+}
 
 /// Checks `frames` frames of `resolution`² pixels against [`MAX_PIXELS`].
 ///
@@ -325,7 +347,8 @@ impl ReplayDriver {
     }
 
     /// Time-warps the replay clock: arrival offsets are divided by
-    /// `speed`, so `2.0` replays twice as fast. Validated in [`run`](Self::run).
+    /// `speed`, so `2.0` replays twice as fast. Checked against [`SPEEDS`] in
+    /// [`run`](Self::run).
     pub fn speed(mut self, speed: f64) -> Self {
         self.speed = speed;
         self
@@ -354,9 +377,7 @@ impl ReplayDriver {
         entries: &[TimedRequest],
         target: &T,
     ) -> Result<Replay<T::Ticket>, String> {
-        if !self.speed.is_finite() || self.speed <= 0.0 {
-            return Err(format!("--speed must be a positive number, got {}", self.speed));
-        }
+        check_speed(self.speed)?;
         let started = Instant::now();
         let mut requests = Vec::with_capacity(entries.len());
         let mut recorded: Vec<TimedRequest> = Vec::new();

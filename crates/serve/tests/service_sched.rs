@@ -6,7 +6,7 @@
 //! pool so whole bursts are staged before anything runs, and
 //! `completed_seq` on each result as the observable execution order.
 
-use asdr_scenes::registry;
+use asdr_scenes::registry::{self, OrbitCamera};
 use asdr_serve::workload::{MAX_FRAMES, MAX_RESOLUTION};
 use asdr_serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService, ServeError};
 use std::sync::Arc;
@@ -182,6 +182,19 @@ fn invalid_requests_are_rejected_at_submit() {
             matches!(service.submit(orbit), Err(ServeError::InvalidRequest(_))),
             "azimuth_step_deg {step} must be refused at submit"
         );
+    }
+    // a camera override the wire could not carry: each field alone
+    let fields: [fn(&mut OrbitCamera, f32); 3] =
+        [|c, v| c.azimuth_deg = v, |c, v| c.elevation_deg = v, |c, v| c.radius = v];
+    for (field, set) in ["azimuth_deg", "elevation_deg", "radius"].into_iter().zip(fields) {
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut camera = OrbitCamera::default();
+            set(&mut camera, v);
+            match service.submit(RenderRequest::frame(mic.clone(), 16).with_camera(camera)) {
+                Err(ServeError::InvalidRequest(why)) => assert!(why.contains(field), "{why}"),
+                other => panic!("camera {field} = {v} must be refused at submit, got {other:?}"),
+            }
+        }
     }
 }
 

@@ -16,6 +16,12 @@
 #               survivors finished their bundles (the victim's last
 #               recorded stage proves the SIGKILL), and the merged
 #               bundle report joins request spans across processes
+#   hang      — replay it once more over three fresh daemons and SIGSTOP
+#               one mid-run: it keeps its connections open and answers
+#               nothing, so only the fleet's health eviction, which fails
+#               over what the daemon held, lets the run finish; frames
+#               byte-identical again, >= 1 eviction. The exit trap resumes
+#               and ends the stopped daemon whatever happens.
 #
 # usage: scripts/fleet_smoke.sh
 #
@@ -36,6 +42,41 @@ report() { cargo run --release -q -p asdr_cluster --bin asdr-cluster -- report "
 rm -rf "$out" "$store"
 mkdir -p "$out"
 
+# the one process this script freezes, once it has; the trap only ever
+# signals a pid this script took from the fresh daemons of its own replay
+stopped=""
+resume_stopped() {
+    [[ -n "$stopped" ]] || return 0
+    grep -qa 'asdr-shardd' "/proc/$stopped/cmdline" 2> /dev/null || return 0
+    kill -CONT "$stopped" 2> /dev/null || true
+    kill "$stopped" 2> /dev/null || true
+    for _ in $(seq 1 100); do
+        kill -0 "$stopped" 2> /dev/null || return 0
+        sleep 0.1
+    done
+    kill -9 "$stopped" 2> /dev/null || true
+}
+trap resume_stopped EXIT
+
+# Sets `fresh` to the three daemons the background replay `replay_pid`
+# spawned, ignoring the `stale` ones that were running before it.
+await_fresh_daemons() {
+    fresh=""
+    for _ in $(seq 1 600); do
+        fresh=$(pgrep -f 'asdr-[s]hardd' | grep -Fxv "$stale" || true)
+        [[ $(echo "$fresh" | grep -c .) -ge 3 ]] && return 0
+        kill -0 "$replay_pid" 2> /dev/null || { echo "FAIL: replay died before spawning shards"; exit 1; }
+        sleep 0.1
+    done
+    echo "FAIL: three asdr-shardd daemons never appeared"
+    exit 1
+}
+
+# The eviction count of the stats artifact `$1`.
+evictions_in() {
+    sed -n 's/.*"fleet": {"shards_lost": [0-9]*, "evictions": \([0-9]*\).*/\1/p' "$1"
+}
+
 echo "== build (spawn:N locates asdr-shardd next to asdr-cluster)"
 cargo build --release -q -p asdr_cluster --bin asdr-cluster --bin asdr-shardd
 
@@ -54,14 +95,7 @@ replay_pid=$!
 
 # wait for all three fresh daemons (ignoring any stale ones from earlier
 # runs), then SIGKILL one — no drain, no goodbye
-fresh=""
-for _ in $(seq 1 600); do
-    fresh=$(pgrep -f 'asdr-[s]hardd' | grep -Fxv "$stale" || true)
-    [[ $(echo "$fresh" | grep -c .) -ge 3 ]] && break
-    kill -0 "$replay_pid" 2> /dev/null || { echo "FAIL: replay died before spawning shards"; exit 1; }
-    sleep 0.1
-done
-[[ $(echo "$fresh" | grep -c .) -ge 3 ]] || { echo "FAIL: three asdr-shardd daemons never appeared"; exit 1; }
+await_fresh_daemons
 sleep 1.5
 # mid-replay, every daemon is its accept loop, its signal watcher, its
 # workers and a reader and a writer per connection — plus a prewarm or the
@@ -107,8 +141,7 @@ diff -r "$out/ref" "$out/fleet" \
     || { echo "FAIL: fleet frames differ from the single-process reference"; exit 1; }
 echo "frames byte-identical: $(ls "$out/ref" | wc -l) files"
 
-evictions=$(sed -n 's/.*"fleet": {"shards_lost": [0-9]*, "evictions": \([0-9]*\).*/\1/p' \
-    "$out/fleet-stats.json")
+evictions=$(evictions_in "$out/fleet-stats.json")
 [[ -n "$evictions" && "$evictions" -ge 1 ]] \
     || { echo "FAIL: stats artifact shows no eviction (got '${evictions:-none}')"; exit 1; }
 echo "failure visible in stats: $evictions eviction(s)"
@@ -124,4 +157,27 @@ joins=$(grep -c '^SPAN_JOIN' target/fleet-bundle-report.md || true)
 [[ "$joins" -ge 1 ]] \
     || { echo "FAIL: no request's spans joined across processes"; exit 1; }
 echo "cross-process span joins: $joins"
+
+echo "== hang replay (spawn:3, SIGSTOP one daemon mid-run)"
+stale=$(pgrep -f 'asdr-[s]hardd' || true)
+cluster --workload "$workload" --scale "$scale" --speed "$speed" \
+    --remote spawn:3 --store-dir "$store" --dump-images "$out/hang" \
+    --out "$out/hang-stats.json" > "$out/hang.log" 2> "$out/hang.err" &
+replay_pid=$!
+await_fresh_daemons
+sleep 1.5
+victim=$(echo "$fresh" | tail -1)
+kill -STOP "$victim" 2> /dev/null \
+    || { echo "FAIL: shardd $victim exited before the stop — nothing was tested"; exit 1; }
+stopped=$victim
+echo "stopped shardd pid $victim"
+wait "$replay_pid" \
+    || { echo "FAIL: fleet replay did not get past the hung daemon"; cat "$out/hang.err"; exit 1; }
+diff -r "$out/ref" "$out/hang" \
+    || { echo "FAIL: frames served around the hung daemon differ from the reference"; exit 1; }
+echo "frames byte-identical: $(ls "$out/hang" | wc -l) files"
+evictions=$(evictions_in "$out/hang-stats.json")
+[[ -n "$evictions" && "$evictions" -ge 1 ]] \
+    || { echo "FAIL: the hung daemon was never evicted (got '${evictions:-none}')"; exit 1; }
+echo "hung daemon evicted: $evictions eviction(s)"
 echo "fleet smoke OK"

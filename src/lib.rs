@@ -12,9 +12,10 @@
 //! * [`serve`] — the multi-tenant render service, checkpoint-backed
 //!   model store, and trace record/replay (a run captured as a JSON-lines
 //!   workload file that replays it verbatim),
-//! * [`cluster`] — sharded serving: consistent-hash routing, cost-based
-//!   admission, fixed worker pools, and the remote fleet (wire
-//!   protocol, `asdr-shardd` daemons, health-checked hedged clients),
+//! * [`cluster`] — sharded serving: consistent-hash routing, admission
+//!   through each shard's own queue, fixed worker pools, and the remote
+//!   fleet (wire protocol, `asdr-shardd` daemons, health-checked clients
+//!   that fail over what an evicted shard held),
 //! * [`baselines`] — GPU roofline models, NeuRex, Re-NeRF.
 //!
 //! See `examples/quickstart.rs` for the five-minute tour, `DESIGN.md` for

@@ -64,9 +64,7 @@ fn a_sharded_cluster_renders_byte_identical_to_one_service() {
         store: ModelStore::builder().dir(&dir),
         ..LocalShards::new(RenderProfile::tiny())
     };
-    // no hedging: on a stalled host a duplicate would load a fourth
-    // checkpoint and count a seventh request
-    let cfg = FleetConfig { hedge_after: None, ..FleetConfig::default() };
+    let cfg = FleetConfig::default();
     let cluster = Fleet::new(shards.build().unwrap(), &shards.profile, cfg).unwrap();
     // round after round until an overlap has met a finished replica (the
     // first round only makes them: a cold fleet keeps every scene at home)
@@ -93,7 +91,7 @@ fn a_sharded_cluster_renders_byte_identical_to_one_service() {
     let loads = stats.total_disk_hits();
     assert!((3..=9).contains(&loads), "{loads} loads: a (scene, shard) pair loads at most once");
     assert_eq!(stats.rejected, 0);
-    // nothing was lost or hedged here, but the fleet counters must still
+    // nothing was lost here, but the fleet counters must still
     // appear (zeroed) in the JSON artifact — scripts/fleet_smoke.sh
     // extracts evictions from exactly this shape
     let replications = stats.fleet.replications;
