@@ -25,9 +25,9 @@
 //!   the shard from the ring ([`HashRing::without`]), and a later
 //!   successful probe rejoins it. Connection errors on the submit or
 //!   wait path evict immediately — a refused connect is better evidence
-//!   than a timer. An eviction also abandons what the shard holds
-//!   ([`Shard::abandon`]): a shard that hangs with its connections open
-//!   ends its requests as one that died does.
+//!   than a timer. Each round a shard stays that silent, the loop also
+//!   abandons what it holds ([`Shard::abandon`]): a shard that hangs with
+//!   its connections open ends its requests as one that died does.
 //! * **failover** — in-flight requests on a shard that dies, or is
 //!   evicted, are resubmitted, which is what makes the kill −9 and the
 //!   SIGSTOP acceptance runs pass: the run completes with zero wrong bytes
@@ -302,10 +302,8 @@ impl FleetInner {
         (0..self.shards.len()).filter(|&id| self.is_live(id)).collect()
     }
 
-    /// Removes a failed shard from the ring, fails over every request it
-    /// holds ([`Shard::abandon`]: a hung shard's would otherwise wait for
-    /// it for ever) and re-warms the scenes its departure remapped.
-    /// Idempotent per up-state.
+    /// Removes a failed shard from the ring and re-warms the scenes its
+    /// departure remapped. Idempotent per up-state.
     fn evict(self: &Arc<Self>, id: usize, why: &str) {
         if !self.shards[id].live.swap(false, Ordering::SeqCst) {
             return;
@@ -318,8 +316,6 @@ impl FleetInner {
             let mut ring = self.ring.lock().unwrap();
             *ring = ring.without(id);
         }
-        // off the ring first, so no failover it causes is routed back here
-        self.shards[id].shard.abandon(&format!("evicted: {why}"));
         self.rewarm_remapped();
     }
 
@@ -669,6 +665,12 @@ impl Drop for Fleet {
     }
 }
 
+/// Probes every shard each interval. One that has missed `health_misses`
+/// probes in a row is evicted and, every round it stays silent, abandoned:
+/// off the ring first, so no failover is routed back to it, and again each
+/// round, so a request that reached it while it was being evicted is ended
+/// too. Only silence abandons: a shard evicted for one lost connection that
+/// still answers keeps, and finishes, what its other connections carry.
 fn health_loop(inner: &Arc<FleetInner>) {
     let mut misses = vec![0u32; inner.shards.len()];
     while !inner.stop.wait_interval(inner.cfg.health_interval) {
@@ -678,14 +680,14 @@ fn health_loop(inner: &Arc<FleetInner>) {
                     misses[id] = 0;
                     inner.rejoin(id);
                 }
-                Err(e) if inner.is_live(id) => {
+                Err(e) => {
                     misses[id] = misses[id].saturating_add(1);
                     if misses[id] >= inner.cfg.health_misses {
                         let why = format!("{} consecutive health misses ({e})", misses[id]);
                         inner.evict(id, &why);
+                        s.shard.abandon(&format!("evicted: {why}"));
                     }
                 }
-                Err(_) => {}
             }
         }
     }
@@ -738,8 +740,8 @@ impl FleetTicket {
     /// holds, skipping reports of those it no longer holds. A result wins; a
     /// render failure or a final refusal is final. A submission refused for
     /// now is routed again past every shard that has refused it; one lost
-    /// with its connection, or abandoned by an eviction, evicts its shard,
-    /// counts a failover and is replaced the same way.
+    /// with its connection, or abandoned by the health loop, evicts its
+    /// shard, counts a failover and is replaced the same way.
     fn resolve(&self) -> Result<WireResult, String> {
         let wait_t0 = Instant::now();
         let inner = &self.inner;

@@ -10,8 +10,8 @@
 //!   shards ([`HashRing`], 64 virtual nodes each), spills a request off a
 //!   busy home to an idle warm shard and off a full one to the shard with
 //!   the fewest in flight, and owns health/evict/rejoin, failover and ring
-//!   re-warm. An eviction fails over what the shard held, so a hung shard
-//!   is got past as a dead one is.
+//!   re-warm. A shard evicted for missed probes has what it held failed
+//!   over, so a hung shard is got past as a dead one is.
 //!   Each shard's worker pool keeps the size it was built with.
 //! * [`Shard`] — the one seam the fleet reaches its members through, with
 //!   two backends: [`LocalShard`] (a `RenderService` in this process;

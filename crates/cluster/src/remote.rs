@@ -8,8 +8,10 @@
 //! caller parked on a one-shot channel. A request's end is nobody's to wait
 //! for: the reader reports the `Result` or `Failed` frame, or the connection
 //! dying under it, through the submission's [`Done`] when it happens.
-//! [`Shard::abandon`] fails every pooled connection, so a shard that is
-//! connected but no longer answers ends what it holds as a dead one does.
+//! [`Shard::abandon`] ends every request the pooled connections carry and
+//! leaves the connections open, so a shard that is connected but no longer
+//! answers ends what it holds as a dead one does while its probes still go
+//! out on a connection bounded by their own timeout.
 
 use crate::net::{ShardAddr, Stream};
 use crate::shard::{Done, Shard};
@@ -98,9 +100,24 @@ impl Conn {
         }
     }
 
+    /// Ends every request in flight on this connection with `why` and
+    /// leaves the connection, and the probes parked on it, alone: a request's
+    /// late end finds its id gone and is dropped.
+    fn abandon(&self, why: &str) {
+        let ended: Vec<Pending> = (self.pending.lock().unwrap())
+            .extract_if(|_, p| matches!(p, Pending::End(_)))
+            .map(|(_, p)| p)
+            .collect();
+        for pending in ended {
+            if let Pending::End(done) = pending {
+                done(Err(ServeError::Connection(why.to_string())));
+            }
+        }
+    }
+
     /// Marks the connection dead, ends every request in flight on it with
     /// the reason and wakes every caller still parked — the client-side
-    /// signal a kill −9 produces, and what an eviction does on purpose.
+    /// signal a kill −9 produces.
     fn fail(&self, why: &str) {
         if self.alive.swap(false, Ordering::SeqCst) {
             self.read_half.shutdown();
@@ -243,10 +260,10 @@ impl Shard for RemoteShard {
     }
 
     fn abandon(&self, why: &str) {
-        // failed outside the pool lock: each request's `Done` runs in `fail`
+        // outside the pool lock: each request's `Done` runs in `Conn::abandon`
         let pooled: Vec<Arc<Conn>> = self.pool.lock().unwrap().iter().flatten().cloned().collect();
         for conn in pooled {
-            conn.fail(why);
+            conn.abandon(why);
         }
     }
 
@@ -312,9 +329,11 @@ mod tests {
     /// Every way a submitted request can end on this client reaches its
     /// `Done` exactly once: a result, a render failure, a refusal, the
     /// connection dying under it, and the shard being abandoned while the
-    /// connection is still up (an eviction). The peer is scripted — each
-    /// step blocks on the frame or the word it expects — and each end is
-    /// received from a channel, so nothing here waits on a clock.
+    /// connection is still up (a silent shard's eviction) — which leaves
+    /// that connection open for the next probe and drops the request's
+    /// late result. The peer is scripted — each step blocks on the frame or
+    /// the word it expects — and each end is received from a channel, so
+    /// nothing here waits on a clock.
     #[test]
     fn every_end_of_a_request_reaches_its_done_exactly_once() {
         const NAMES: [&str; 5] = ["rendered", "failed", "refused", "orphaned", "abandoned"];
@@ -343,7 +362,7 @@ mod tests {
                 images: Vec::new(),
                 trace: asdr_obs::TraceId::UNSET,
             };
-            send(&mut stream, Message::Result { id: ids[0], result });
+            send(&mut stream, Message::Result { id: ids[0], result: result.clone() });
             let error = ServeError::RenderFailed("boom".into());
             send(&mut stream, Message::Failed { id: ids[1], error });
             let error = ServeError::QueueFull { capacity: 64 };
@@ -352,11 +371,16 @@ mod tests {
             hang_up.recv().unwrap();
             drop(stream);
             // the fifth comes on a fresh connection, which the client abandons
-            // while this end stays open
+            // while this end stays open: its result comes too late, and the
+            // next probe comes on the same connection
             let mut stream = listener.accept().unwrap();
             greet(&mut stream);
-            assert!(matches!(expect(&mut stream), Message::Submit { .. }));
+            let id = expect(&mut stream).id().expect("a submit");
             hang_up.recv().unwrap();
+            let result = WireResult { scene: "Lego".into(), ..result };
+            send(&mut stream, Message::Result { id, result });
+            let Message::Health { id } = expect(&mut stream) else { panic!("a probe") };
+            send(&mut stream, Message::HealthOk { id });
         });
         let shard = RemoteShard::connect(addr, 1).unwrap();
         let (ends, ended) = mpsc::channel();
@@ -381,6 +405,9 @@ mod tests {
         shard.abandon("evicted");
         assert_eq!(next(), ("abandoned", "error: connection: evicted".to_string()));
         now.send(()).unwrap();
+        // the peer accepts no third connection: this probe is answered on
+        // the abandoned one, after the late result it drops
+        shard.health(Duration::from_secs(30)).expect("the abandoned connection was closed");
         peer.join().unwrap();
         shard.abandon("evicted again");
         assert!(ended.recv().is_err(), "a request ended twice");

@@ -50,9 +50,11 @@ pub trait Shard: Send + Sync {
 
     /// Gives up on every request the shard holds: each one's [`Done`] is
     /// called with [`ServeError::Connection`] (`why`), exactly as if the
-    /// shard had died under it, so the fleet fails it over. What the fleet
-    /// calls when it evicts the shard; a shard whose health cannot fail (one
-    /// in this process) is never evicted and holds nothing to give up.
+    /// shard had died under it, so the fleet fails it over. Its probes are
+    /// left as they were. What the fleet's health loop calls each round
+    /// the shard stays silent past eviction; a shard whose health cannot
+    /// fail (one in this process) is never silent and holds nothing to
+    /// give up.
     fn abandon(&self, why: &str);
 
     /// Probes liveness.

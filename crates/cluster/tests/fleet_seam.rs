@@ -73,6 +73,12 @@ struct FakeShard {
     prewarmed: Arc<Mutex<Vec<(usize, String)>>>,
     /// How many more prewarms this shard fails.
     failing_prewarms: AtomicUsize,
+    /// Set: `submit` stops answering health and admits only once the
+    /// eviction that follows has abandoned the shard, keeping the request
+    /// itself for the next abandon to end.
+    hangs_in_submit: AtomicBool,
+    /// How many abandons this shard has seen, and what it keeps.
+    kept: Mutex<(usize, Vec<Done>)>,
 }
 
 impl FakeShard {
@@ -89,6 +95,8 @@ impl FakeShard {
             instant: AtomicBool::new(false),
             prewarmed,
             failing_prewarms: AtomicUsize::new(0),
+            hangs_in_submit: AtomicBool::new(false),
+            kept: Mutex::default(),
         })
     }
 }
@@ -97,6 +105,12 @@ impl Shard for FakeShard {
     fn submit(&self, _req: &RenderRequest, done: Done) -> Result<(), ServeError> {
         if self.full.load(Ordering::SeqCst) {
             return Err(ServeError::QueueFull { capacity: 1 });
+        }
+        if self.hangs_in_submit.load(Ordering::SeqCst) {
+            self.healthy.store(false, Ordering::SeqCst);
+            eventually("the health loop abandons the shard", || self.kept.lock().unwrap().0 > 0);
+            self.kept.lock().unwrap().1.push(done);
+            return Ok(());
         }
         let mut handle = Handle { shard: self.id, done: Some(done) };
         if self.instant.load(Ordering::SeqCst) {
@@ -107,9 +121,19 @@ impl Shard for FakeShard {
         Ok(())
     }
 
-    /// The test holds what this shard admitted, and ends it: in process, an
-    /// eviction gives up nothing (behind a `Server`, the `RemoteShard` does).
-    fn abandon(&self, _why: &str) {}
+    /// Ends what a hanging shard keeps. The test holds everything else this
+    /// shard admitted, and ends it: in process, an abandon gives that up
+    /// nowhere (behind a `Server`, the `RemoteShard` does).
+    fn abandon(&self, why: &str) {
+        let kept = {
+            let mut kept = self.kept.lock().unwrap();
+            kept.0 += 1;
+            std::mem::take(&mut kept.1)
+        };
+        for done in kept {
+            done(Err(ServeError::Connection(why.to_string())));
+        }
+    }
 
     fn health(&self, _timeout: Duration) -> Result<(), ServeError> {
         if self.healthy.load(Ordering::SeqCst) {
@@ -828,8 +852,7 @@ fn a_peer_that_stops_reading_delays_nobody_elses_reply() {
 
 /// A shard that stops answering its health probes while it holds a
 /// request — still connected, so nothing else ends the request — is
-/// evicted by the health loop, and the eviction abandons what its
-/// connections carry: the request fails over and completes on the other
+/// evicted by the health loop, which abandons what its connections carry: the request fails over and completes on the other
 /// shard with that shard's frames. The hung shard's answer, when it comes
 /// at last, reaches nobody, and waiting again answers the same.
 #[test]
@@ -863,6 +886,78 @@ fn a_hung_shards_request_fails_over_once_its_health_evicts_it() {
     assert_eq!(stats.cost.observations, 1, "the hung shard's late answer reached the fleet");
     assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
     served.into_iter().for_each(Served::stop);
+}
+
+/// A request a shard admits while the health loop is evicting it — after
+/// the eviction's abandon has run — is ended too: the loop abandons a
+/// silent shard every round, not once, and the request fails over.
+#[test]
+fn a_request_admitted_by_a_shard_being_evicted_still_fails_over() {
+    let cfg = FleetConfig { health_interval: Duration::from_millis(1), ..FleetConfig::default() };
+    let f = fake_fleet(2, cfg);
+    let hung = f.fleet.ring().home("Mic");
+    f.shards[hung].hangs_in_submit.store(true, Ordering::SeqCst);
+    let ticket = f.fleet.submit(mic()).unwrap();
+    assert_eq!(f.shards[hung].kept.lock().unwrap().1.len(), 1, "the shard ended it in submit");
+    // not scoped: a request nothing frees would hold the test for ever
+    // instead of failing it at the deadline below
+    let waiter = std::thread::spawn(move || {
+        let answer = ticket.wait();
+        (ticket, answer)
+    });
+    let mut replacement = f.next_admitted();
+    assert_eq!(replacement.shard, 1 - hung);
+    replacement.complete(frames_of(2.0));
+    let (ticket, answer) = waiter.join().unwrap();
+    assert_eq!(answer.unwrap(), frames_of(2.0), "the other shard's frames");
+    assert_eq!(ticket.shard(), 1 - hung);
+    let stats = f.fleet.stats();
+    assert_eq!((stats.fleet.evictions, stats.fleet.failovers), (1, 1), "{:?}", stats.fleet);
+    assert!(stats.shards.iter().all(|s| s.in_flight == 0), "an in-flight slot leaked");
+}
+
+/// A silent shard's eviction costs the health loop no more than its probes'
+/// own timeout: the abandon leaves the connections open, so each round's
+/// probe goes out on one and gives up after `health_timeout`. A stopped
+/// daemon is played by a peer that answered one handshake and since reads
+/// without answering, and accepts no other dial: a connection the abandon
+/// closed would be dialled again, into a handshake that waits 5 s.
+#[test]
+fn an_evicted_silent_shard_is_probed_on_its_open_connection_each_round() {
+    let sock = std::env::temp_dir().join(format!("asdr-seam-silent-{}.sock", std::process::id()));
+    let (listener, addr) = Listener::bind(&ShardAddr::Unix(sock.clone())).unwrap();
+    let (probed, probes) = mpsc::channel();
+    let peer = std::thread::spawn(move || {
+        let mut stream = listener.accept().unwrap();
+        assert!(matches!(next_frame(&mut stream), Message::Hello { .. }));
+        wire::write_frame(&mut stream, &Message::HelloOk { shard: 0 }).unwrap();
+        while let Ok(Some(msg)) = wire::read_frame(&mut stream) {
+            if matches!(msg, Message::Health { .. }) && probed.send(Instant::now()).is_err() {
+                break;
+            }
+        }
+    });
+    let shard = Arc::new(RemoteShard::connect(addr, 1).unwrap());
+    let cfg = FleetConfig {
+        health_interval: Duration::from_millis(1),
+        health_timeout: Duration::from_millis(100),
+        ..FleetConfig::default()
+    };
+    let fleet = Fleet::new(vec![shard], &RenderProfile::tiny(), cfg).unwrap();
+    eventually("the silent shard is evicted", || fleet.live_shards() == 0);
+    probes.try_iter().for_each(drop);
+    let closed = "the evicted shard's connection was closed";
+    let mut last = probes.recv_timeout(PATIENCE).expect(closed);
+    for _ in 0..3 {
+        let next = probes.recv_timeout(PATIENCE).expect(closed);
+        assert!(next - last < Duration::from_secs(4), "a health round took {:?}", next - last);
+        last = next;
+    }
+    // the peer hangs up at the next probe, which ends the client's reader
+    drop(probes);
+    peer.join().unwrap();
+    drop(fleet);
+    let _ = std::fs::remove_file(&sock);
 }
 
 const E2E_SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];
