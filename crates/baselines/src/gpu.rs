@@ -100,11 +100,6 @@ impl GpuPerf {
     pub fn fps(&self) -> f64 {
         1.0 / self.total_s.max(1e-12)
     }
-
-    /// Frames per joule.
-    pub fn frames_per_joule(&self) -> f64 {
-        1.0 / self.energy_j.max(1e-18)
-    }
 }
 
 /// Bytes fetched per encoded point: 8 vertices × `feat_dim` features ×

@@ -80,11 +80,6 @@ impl NeurexPerf {
     pub fn fps(&self) -> f64 {
         1.0 / self.total_s.max(1e-12)
     }
-
-    /// Frames per joule.
-    pub fn frames_per_joule(&self) -> f64 {
-        1.0 / self.energy_j.max(1e-18)
-    }
 }
 
 /// Simulates one frame on NeuRex. `stats` must come from a *fixed-count,

@@ -331,8 +331,8 @@ fn main() {
     );
     let fl = &stats.fleet;
     println!(
-        "fleet: {} evictions, {} rejoins, {} failovers, {} re-warms",
-        fl.evictions, fl.rejoins, fl.failovers, fl.rewarms,
+        "fleet: {} evictions, {} rejoins, {} failovers",
+        fl.evictions, fl.rejoins, fl.failovers,
     );
     for s in &stats.shards {
         println!(
@@ -365,14 +365,16 @@ fn main() {
     }
     report.finish(wall, &stats.to_json());
 
-    // spawned daemons were asked to drain by fleet.shutdown(); give each a
-    // moment to exit on its own before forcing the issue
-    for child in &mut children {
+    // fleet.shutdown() asked the live daemons to drain; give each a moment
+    // to exit on its own before forcing the issue. One the fleet evicted was
+    // never asked (it may be hung), so it is killed at once.
+    let live = fleet.live_shards();
+    for (id, child) in children.iter_mut().enumerate() {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             match child.try_wait() {
                 Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => {
+                Ok(None) if live.contains(&id) && Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(25));
                 }
                 _ => {

@@ -21,7 +21,7 @@
 //! (with the assigned port for `tcp:HOST:0`), then serves until SIGTERM,
 //! SIGINT, or a wire `Drain` message, drains gracefully (see
 //! [`Server::drain`]) and exits 0. A kill −9 is the *un*graceful path the
-//! fleet's health checks and hedging exist to absorb.
+//! fleet's health checks and failover exist to absorb.
 
 use asdr_cluster::{Listener, LocalShards, Server, Shard, ShardAddr};
 use asdr_serve::flags::{die, open_bundle, value, ServiceFlags};

@@ -1,9 +1,9 @@
-//! The online render-cost model behind cost-based admission.
+//! The online render-cost model, which only reports.
 //!
-//! Count-based admission (PR 4's bounded queue) treats a 16×16 single
-//! frame and a 96×96 six-frame orbit as the same unit of work. The
-//! [`CostModel`] instead predicts each request's service time in
-//! milliseconds, keyed by **(scene name, resolution)**:
+//! A shard's bounded queue treats a 16×16 single frame and a 96×96
+//! six-frame orbit as the same unit of work. The [`CostModel`] predicts
+//! each request's service time in milliseconds, keyed by **(scene name,
+//! resolution)**, and `ClusterStats` reports how far off it was:
 //!
 //! * **Seeding.** An unseen key is predicted from its nominal probe-point
 //!   count — `resolution² rays × base_ns samples` — times the nanoseconds

@@ -31,13 +31,9 @@
 //! * **failover** — in-flight requests on a shard that dies, or is
 //!   evicted, are resubmitted, which is what makes the kill −9 and the
 //!   SIGSTOP acceptance runs pass: the run completes with zero wrong bytes
-//!   and the failure is visible only in the counters.
-//! * **re-warm** — when the ring changes (eviction or rejoin), every
-//!   scene this fleet has routed whose home moved gets a prewarm on its
-//!   new home, pulling the model from the shared checkpoint directory
-//!   before traffic lands there (the helper replicas use: a shard never has
-//!   two prewarms of one scene in flight). An evicted shard's replicas are
-//!   forgotten: whatever rejoins under its id is cold.
+//!   and the failure is visible only in the counters. A scene whose home
+//!   moved loads on its first request there; an evicted shard's replicas
+//!   are forgotten: whatever rejoins under its id is cold.
 
 use crate::net::ShardAddr;
 use crate::remote::RemoteShard;
@@ -277,14 +273,12 @@ struct FleetCounters {
     evictions: Counter,
     rejoins: Counter,
     failovers: Counter,
-    rewarms: Counter,
     replications: Counter,
 }
 
 struct FleetInner {
     shards: Vec<FleetShard>,
     ring: Mutex<HashRing>,
-    scene_homes: Mutex<HashMap<String, usize>>,
     book: Arc<Book>,
     counters: FleetCounters,
     /// The prewarm threads still to join; `None` once the fleet stopped.
@@ -302,9 +296,8 @@ impl FleetInner {
         (0..self.shards.len()).filter(|&id| self.is_live(id)).collect()
     }
 
-    /// Removes a failed shard from the ring and re-warms the scenes its
-    /// departure remapped. Idempotent per up-state.
-    fn evict(self: &Arc<Self>, id: usize, why: &str) {
+    /// Removes a failed shard from the ring. Idempotent per up-state.
+    fn evict(&self, id: usize, why: &str) {
         if !self.shards[id].live.swap(false, Ordering::SeqCst) {
             return;
         }
@@ -312,46 +305,19 @@ impl FleetInner {
         eprintln!("fleet: evicting shard {id}: {why}");
         // whatever comes back under this id (a restarted daemon) is cold
         self.book.loads[id].lock().unwrap().warm.clear();
-        {
-            let mut ring = self.ring.lock().unwrap();
-            *ring = ring.without(id);
-        }
-        self.rewarm_remapped();
+        let mut ring = self.ring.lock().unwrap();
+        *ring = ring.without(id);
     }
 
     /// Returns a recovered shard to the ring (a no-op for one already on it).
-    fn rejoin(self: &Arc<Self>, id: usize) {
+    fn rejoin(&self, id: usize) {
         if self.shards[id].live.swap(true, Ordering::SeqCst) {
             return;
         }
         self.counters.rejoins.inc();
         eprintln!("fleet: shard {id} rejoined");
-        {
-            let mut ring = self.ring.lock().unwrap();
-            *ring = HashRing::from_ids(self.live_ids());
-        }
-        self.rewarm_remapped();
-    }
-
-    /// Pre-fetches every routed scene whose home moved onto its new home
-    /// before traffic lands there. Runs the probes off-thread; the ring
-    /// is already updated, so racing traffic merely finds a warm (or
-    /// warming — the store single-flights) model.
-    fn rewarm_remapped(self: &Arc<Self>) {
-        let ring = self.ring.lock().unwrap().clone();
-        if ring.is_empty() {
-            return;
-        }
-        let mut homes = self.scene_homes.lock().unwrap();
-        for (scene, home) in homes.iter_mut() {
-            let now = ring.home(scene);
-            if now != *home {
-                *home = now;
-                if self.prewarm(now, scene) {
-                    self.counters.rewarms.inc();
-                }
-            }
-        }
+        let mut ring = self.ring.lock().unwrap();
+        *ring = HashRing::from_ids(self.live_ids());
     }
 
     /// Pre-fetches `scene` on shard `id` off the caller's thread and returns
@@ -392,12 +358,7 @@ impl FleetInner {
     /// is lost evicted; when none admits, the fleet is full
     /// ([`ServeError::QueueFull`]) if any was passed over, and otherwise
     /// fails with the last shard's own error.
-    fn route(
-        self: &Arc<Self>,
-        req: &RenderRequest,
-        race: &Race,
-        skip: &[usize],
-    ) -> Result<Held, ServeError> {
+    fn route(&self, req: &RenderRequest, race: &Race, skip: &[usize]) -> Result<Held, ServeError> {
         let scene = req.scene.name();
         let no_shard = || ServeError::Connection("no live shards".into());
         let home = {
@@ -407,7 +368,6 @@ impl FleetInner {
             }
             ring.home(scene)
         };
-        self.scene_homes.lock().unwrap().entry(scene.to_string()).or_insert(home);
         let loads: Vec<ShardLoad> =
             self.live_ids().into_iter().map(|id| self.book.snapshot(id, scene)).collect();
         let mut order = spill_order(home, &loads).peekable();
@@ -524,7 +484,6 @@ impl Fleet {
                     last_stats: Mutex::new(None),
                 })
                 .collect(),
-            scene_homes: Mutex::new(HashMap::new()),
             counters: FleetCounters::default(),
             prewarms: Mutex::new(Some(Vec::new())),
             cfg,
@@ -545,9 +504,9 @@ impl Fleet {
         self.inner.shards.len()
     }
 
-    /// Shards currently on the ring.
-    pub fn live_shards(&self) -> usize {
-        self.inner.live_ids().len()
+    /// The ids of the shards currently on the ring.
+    pub fn live_shards(&self) -> Vec<usize> {
+        self.inner.live_ids()
     }
 
     /// The ring as it routes right now (for tooling and tests).
@@ -627,7 +586,6 @@ impl Fleet {
                 rejoins: c.rejoins.get(),
                 hedges: 0,
                 failovers: c.failovers.get(),
-                rewarms: c.rewarms.get(),
                 replications: c.replications.get(),
             },
         }
@@ -653,7 +611,6 @@ impl Fleet {
                 eprintln!("fleet: a control thread panicked");
             }
         };
-        // the health thread first: an eviction it makes may still prewarm
         self.health.lock().unwrap().take().into_iter().for_each(join);
         self.inner.prewarms.lock().unwrap().take().into_iter().flatten().for_each(join);
     }

@@ -9,8 +9,8 @@
 //! * [`Fleet`] — consistent-hashes requests by scene name over the live
 //!   shards ([`HashRing`], 64 virtual nodes each), spills a request off a
 //!   busy home to an idle warm shard and off a full one to the shard with
-//!   the fewest in flight, and owns health/evict/rejoin, failover and ring
-//!   re-warm. A shard evicted for missed probes has what it held failed
+//!   the fewest in flight, and owns health/evict/rejoin and failover.
+//!   A shard evicted for missed probes has what it held failed
 //!   over, so a hung shard is got past as a dead one is.
 //!   Each shard's worker pool keeps the size it was built with.
 //! * [`Shard`] — the one seam the fleet reaches its members through, with

@@ -17,9 +17,7 @@
 
 use crate::wire::{WireResult, WireStats};
 use asdr_serve::store::ModelStoreBuilder;
-use asdr_serve::{
-    ModelStore, RenderProfile, RenderRequest, RenderResult, RenderService, ServeError,
-};
+use asdr_serve::{ModelStore, RenderProfile, RenderRequest, RenderService, ServeError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,8 +69,8 @@ pub trait Shard: Send + Sync {
     /// Connection or protocol errors.
     fn stats(&self, timeout: Duration) -> Result<WireStats, ServeError>;
 
-    /// Pre-fetches `scene`'s model (ring re-warm), returning whether the
-    /// shard knew the scene.
+    /// Pre-fetches `scene`'s model (a replica the fleet makes on demand),
+    /// returning whether the shard knew the scene.
     ///
     /// # Errors
     ///
@@ -103,13 +101,9 @@ impl LocalShard {
 
 impl Shard for LocalShard {
     fn submit(&self, req: &RenderRequest, done: Done) -> Result<(), ServeError> {
-        // the service observes every end, failures too, on the worker that
-        // reached it; the frames are copied there because the service's own
-        // ticket keeps the original
-        let on_done = Box::new(move |outcome: &Result<RenderResult, ServeError>| {
-            done(outcome.as_ref().map(WireResult::from_result).map_err(Clone::clone));
-        });
-        self.service.submit_observed(req.clone(), on_done).map(drop)
+        // every end, failures too, on the worker that reached it; the
+        // frames move into the wire result
+        self.service.submit_with(req.clone(), move |outcome| done(outcome.map(WireResult::from)))
     }
 
     fn abandon(&self, _why: &str) {}

@@ -41,8 +41,6 @@ pub struct FleetStats {
     pub hedges: u64,
     /// In-flight requests resubmitted after their shard died.
     pub failovers: u64,
-    /// Scene models pre-fetched on a new home after a ring change.
-    pub rewarms: u64,
     /// Scene models pre-fetched on an idle shard because a request queued
     /// at its busy home (the replica the next overlap spills to).
     pub replications: u64,
@@ -160,7 +158,6 @@ impl ClusterStats {
         w.key("evictions").u64(fl.evictions);
         w.key("rejoins").u64(fl.rejoins);
         w.key("failovers").u64(fl.failovers);
-        w.key("rewarms").u64(fl.rewarms);
         w.key("replications").u64(fl.replications);
         w.close_obj();
         w.gap("\n  ").key("per_shard").arr();
@@ -275,8 +272,7 @@ mod tests {
             "\"cost\": {\"tracked_keys\": 2",
             "\"mean_abs_pct_error\": 0.2500",
             "\"fleet\": {\"shards_lost\": 0, \"evictions\": 1",
-            "\"rejoins\": 0, \"failovers\": 2",
-            "\"rewarms\": 0, \"replications\": 0}",
+            "\"rejoins\": 0, \"failovers\": 2, \"replications\": 0}",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

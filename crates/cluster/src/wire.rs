@@ -406,22 +406,24 @@ pub struct WireResult {
     pub trace: TraceId,
 }
 
-impl WireResult {
-    /// Captures a shard-side result for the wire.
-    pub fn from_result(r: &RenderResult) -> WireResult {
+/// A shard-side result, as it travels: the frames move, not copy.
+impl From<RenderResult> for WireResult {
+    fn from(r: RenderResult) -> WireResult {
         WireResult {
-            scene: r.scene.clone(),
+            scene: r.scene,
             resolution: r.resolution,
             reused_frames: r.reused_frames as u64,
             queue_wait_us: r.queue_wait.as_micros() as u64,
             latency_us: r.latency.as_micros() as u64,
             deadline_met: r.deadline_met,
             completed_seq: r.completed_seq,
-            images: r.images.clone(),
+            images: r.images,
             trace: r.trace,
         }
     }
+}
 
+impl WireResult {
     fn encode(&self, out: &mut Vec<u8>) {
         push_string(out, &self.scene);
         push_varint(out, u64::from(self.resolution));
@@ -665,8 +667,8 @@ pub enum Message {
         /// Correlation id of the probe.
         id: u64,
     },
-    /// Pre-fetch a scene's model from the checkpoint directory (ring
-    /// re-warm before remapped traffic lands).
+    /// Pre-fetch a scene's model from the checkpoint directory (the
+    /// replica a busy home's next overlap spills to).
     Prewarm {
         /// Correlation id.
         id: u64,

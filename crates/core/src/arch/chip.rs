@@ -104,13 +104,6 @@ pub struct PerfReport {
     pub conflicts_per_point: f64,
 }
 
-impl PerfReport {
-    /// Frames per joule (the energy-efficiency metric of Fig. 19).
-    pub fn frames_per_joule(&self) -> f64 {
-        1.0 / self.total_energy_j.max(1e-18)
-    }
-}
-
 /// Simulates one rendered frame on the ASDR chip.
 ///
 /// `out` must be the [`RenderOutput`] of the same model/camera (its plan

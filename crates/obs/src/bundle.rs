@@ -1,5 +1,6 @@
 //! Diagnostic run bundles: one directory per process, written as the run
-//! progresses and sealed on exit.
+//! progresses and sealed on exit. A bundle is the process's active one, and
+//! span capture is on, from [`Bundle::create`] to [`Bundle::finish`].
 //!
 //! Layout (all files optional except `config.json`):
 //!
@@ -9,7 +10,6 @@
 //! <dir>/spans.jsonl          # span dump, write-through (one line per span)
 //! <dir>/stats-timeline.jsonl # periodic stats samples, appended
 //! <dir>/stats.json           # final stats artifact (at finish)
-//! <dir>/warnings.log         # bounded warnings ring (at finish)
 //! <dir>/meta.json            # pid, timing, clean-exit marker (at finish)
 //! ```
 //!
@@ -21,22 +21,12 @@
 
 use crate::json::JsonWriter;
 use crate::span::{self, SpanRecord};
-use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Instant, SystemTime};
-
-/// Warnings retained in the ring (older ones are counted, not kept).
-const WARNINGS_CAPACITY: usize = 256;
-
-#[derive(Default)]
-struct WarnRing {
-    ring: VecDeque<String>,
-    dropped: u64,
-}
 
 /// One process's diagnostic bundle (see the module docs for the layout).
 pub struct Bundle {
@@ -47,10 +37,6 @@ pub struct Bundle {
     started_unix_ms: u64,
     spans: Mutex<BufWriter<File>>,
     timeline: Mutex<File>,
-    warnings: Mutex<WarnRing>,
-    /// Set by [`Bundle::activate`]: spans stream through as recorded, so
-    /// `finish` must not also dump the ring (it would duplicate them).
-    streamed: AtomicBool,
     finished: AtomicBool,
 }
 
@@ -65,7 +51,7 @@ fn active_slot() -> &'static Mutex<Option<Arc<Bundle>>> {
     ACTIVE.get_or_init(|| Mutex::new(None))
 }
 
-/// The process's active bundle, if one was [`Bundle::activate`]d.
+/// The process's active bundle: the last one created and not yet finished.
 pub fn active() -> Option<Arc<Bundle>> {
     active_slot().lock().unwrap().clone()
 }
@@ -78,10 +64,12 @@ pub(crate) fn write_span(rec: &SpanRecord) {
 }
 
 impl Bundle {
-    /// Creates the bundle directory and writes its `config.json` snapshot.
-    /// `kind` names the process in merged reports ("serve", "cluster",
-    /// "shardd-2"); `config` is a flat key/value snapshot, typically the
-    /// parsed command line.
+    /// Creates the bundle directory, writes its `config.json` snapshot, and
+    /// makes it the process's active bundle with span capture on: from here
+    /// on every recorded span writes through to `spans.jsonl`. `kind` names
+    /// the process in merged reports ("serve", "cluster", "shardd-2");
+    /// `config` is a flat key/value snapshot, typically the parsed command
+    /// line.
     ///
     /// # Errors
     ///
@@ -118,11 +106,11 @@ impl Bundle {
             started_unix_ms,
             spans: Mutex::new(spans),
             timeline: Mutex::new(timeline),
-            warnings: Mutex::new(WarnRing::default()),
-            streamed: AtomicBool::new(false),
             finished: AtomicBool::new(false),
         });
         bundle.stage("created");
+        *active_slot().lock().unwrap() = Some(bundle.clone());
+        span::set_enabled(true);
         Ok(bundle)
     }
 
@@ -136,28 +124,10 @@ impl Bundle {
         &self.kind
     }
 
-    /// Makes this the process's active bundle and enables span capture:
-    /// from here on every recorded span writes through to `spans.jsonl`.
-    pub fn activate(self: &Arc<Self>) {
-        self.streamed.store(true, Ordering::Relaxed);
-        *active_slot().lock().unwrap() = Some(self.clone());
-        span::set_enabled(true);
-    }
-
     /// Overwrites the `last-stage` marker — a one-word breadcrumb of how
     /// far the process got ("fitting", "replaying", "draining", "exit").
     pub fn stage(&self, stage: &str) {
         let _ = fs::write(self.dir.join("last-stage"), format!("{stage}\n"));
-    }
-
-    /// Records a warning into the bounded ring (flushed at finish).
-    pub fn warn(&self, msg: &str) {
-        let mut w = self.warnings.lock().unwrap();
-        if w.ring.len() >= WARNINGS_CAPACITY {
-            w.ring.pop_front();
-            w.dropped += 1;
-        }
-        w.ring.push_back(msg.to_string());
     }
 
     /// Appends one labeled stats sample to the timeline (write-through).
@@ -196,8 +166,8 @@ impl Bundle {
         let _ = f.flush();
     }
 
-    /// Seals the bundle: final stats artifact, warnings ring, and the
-    /// `meta.json` clean-exit marker. Idempotent; also releases the
+    /// Seals the bundle: final stats artifact and the `meta.json`
+    /// clean-exit marker. Idempotent; also releases the
     /// active-bundle slot if this bundle held it.
     pub fn finish(&self, final_stats: Option<&str>) {
         if self.finished.swap(true, Ordering::SeqCst) {
@@ -206,25 +176,7 @@ impl Bundle {
         if let Some(stats) = final_stats {
             let _ = fs::write(self.dir.join("stats.json"), stats);
         }
-        // a bundle that never streamed still gets the ring's view
-        if !self.streamed.load(Ordering::Relaxed) {
-            for rec in span::snapshot() {
-                self.append_span(&rec);
-            }
-        }
         let _ = self.spans.lock().unwrap().flush();
-        {
-            let warn = self.warnings.lock().unwrap();
-            let mut log = String::new();
-            if warn.dropped > 0 {
-                log.push_str(&format!("({} earlier warnings dropped)\n", warn.dropped));
-            }
-            for m in &warn.ring {
-                log.push_str(m);
-                log.push('\n');
-            }
-            let _ = fs::write(self.dir.join("warnings.log"), log);
-        }
         let mut w = JsonWriter::new();
         w.obj();
         w.gap("\n  ").key("kind").str_val(&self.kind);
@@ -266,12 +218,10 @@ mod tests {
         span::clear();
         let dir = temp_dir("bundle");
         let b = Bundle::create(&dir, "test-proc", &[("workers", "2".to_string())]).unwrap();
-        b.activate();
         let id = TraceId::fresh();
         let t0 = Instant::now();
         crate::span!(id, "render", t0, Instant::now(), "unit".to_string());
         b.stage("replaying");
-        b.warn("something odd");
         b.stats_sample("mid", "{\n  \"requests\": 1\n}");
         b.finish(Some("{\"requests\": 1}\n"));
         assert!(!span::enabled(), "finish releases the capture gate");
@@ -284,28 +234,10 @@ mod tests {
         assert!(spans.contains("\"process\": \"test-proc\""));
         assert!(read("stats-timeline.jsonl").contains("\"label\": \"mid\""));
         assert!(read("stats.json").contains("\"requests\": 1"));
-        assert!(read("warnings.log").contains("something odd"));
         assert!(read("meta.json").contains("\"clean_exit\": true"));
         assert_eq!(read("last-stage"), "exit\n");
         // finish is idempotent
         b.finish(None);
-        span::clear();
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unstreamed_bundle_dumps_the_ring_at_finish() {
-        let _gate = span::test_gate().lock().unwrap();
-        span::clear();
-        span::set_enabled(true);
-        let id = TraceId::fresh();
-        crate::event!(id, "admit");
-        span::set_enabled(false);
-        let dir = temp_dir("ring");
-        let b = Bundle::create(&dir, "ringer", &[]).unwrap();
-        b.finish(None);
-        let spans = fs::read_to_string(dir.join("spans.jsonl")).unwrap();
-        assert!(spans.contains(&id.to_string()));
         span::clear();
         let _ = fs::remove_dir_all(&dir);
     }

@@ -10,8 +10,8 @@
 //!   bounded process-global ring. The [`span!`] / [`event!`]
 //!   macros are the only entry points: compiled out entirely without the
 //!   `span-capture` feature, and one relaxed atomic load when compiled in
-//!   but disabled at runtime (the default — [`set_enabled`] turns capture
-//!   on, usually via a run bundle).
+//!   but disabled at runtime (the default — creating a run bundle turns
+//!   capture on, as [`set_enabled`] does).
 //! * [`metrics`] — the relaxed-atomic [`Counter`] that the store and the
 //!   fleet keep as plain fields and read back into `StoreStats` /
 //!   `ClusterStats`.
@@ -20,10 +20,10 @@
 //!   through, so number formatting cannot drift between crates again, and
 //!   the one reader of the flat one-object-per-line formats it writes.
 //! * [`bundle`] — diagnostic run bundles: every binary writes a directory
-//!   on exit (config snapshot, periodic stats timeline, warnings ring,
-//!   last-stage marker, span dump). Spans write through to the bundle's
-//!   `spans.jsonl` line-by-line, so a SIGKILLed daemon still leaves its
-//!   timeline behind for the merged report.
+//!   from start to exit (config snapshot, periodic stats timeline,
+//!   last-stage marker, span stream). A bundle streams from creation: spans
+//!   write through to its `spans.jsonl` line-by-line, so a SIGKILLed daemon
+//!   still leaves its timeline behind for the merged report.
 //! * [`report`] — merges the bundles of a fleet run into a per-phase
 //!   latency breakdown, the cross-process span joins (spills, failovers),
 //!   and a dominant-phase attribution for every deadline miss.

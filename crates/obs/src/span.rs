@@ -122,8 +122,8 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns span capture on or off process-wide. Binaries call this when a
-/// run bundle is activated; tests call it directly.
+/// Turns span capture on or off process-wide. Creating a run bundle turns
+/// it on and finishing it off; tests call it directly.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

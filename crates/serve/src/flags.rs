@@ -191,7 +191,7 @@ impl OutputFlags {
     }
 }
 
-/// Creates and activates a run bundle at `dir`, dying when it cannot. Its
+/// Creates the process's run bundle at `dir`, dying when it cannot. Its
 /// `config.json` also names the kernel instantiation the MLP layers run on
 /// this host (`"mlp_kernel"`; the encoder and the occupancy pass run the
 /// same one, up to AVX2), which the caller cannot set: a process slower
@@ -200,10 +200,8 @@ impl OutputFlags {
 pub fn open_bundle(dir: &Path, kind: &str, config: &[(&str, String)]) -> Arc<Bundle> {
     let mut config = config.to_vec();
     config.push(("mlp_kernel", asdr_nerf::kernel::kernel_name().to_string()));
-    let bundle = Bundle::create(dir, kind, &config)
-        .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", dir.display())));
-    bundle.activate();
-    bundle
+    Bundle::create(dir, kind, &config)
+        .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", dir.display())))
 }
 
 /// What a replay binary prints and writes while and after it waits on its

@@ -56,8 +56,7 @@ pub mod workload;
 
 pub use profile::RenderProfile;
 pub use service::{
-    OnDone, Priority, RenderRequest, RenderResult, RenderService, RenderTicket, ServeError,
-    ServeStats,
+    Priority, RenderRequest, RenderResult, RenderService, RenderTicket, ServeError, ServeStats,
 };
 pub use store::{ModelStore, StoreKey, StoreStats};
 pub use workload::{parse_workload, ReplayDriver, ReplayTarget, TimedRequest};

@@ -278,14 +278,10 @@ pub struct RenderResult {
     pub trace: TraceId,
 }
 
-/// Observes one request's outcome ([`RenderService::submit_observed`]):
-/// runs on the worker thread after the request's statistics are folded in
-/// and before its ticket fills, so a cluster layer can release admission
-/// budget and feed its cost model without polling tickets, and whoever a
-/// `wait` wakes also sees what the observer did. Failures are observed
-/// too. It must be cheap; a panic in it is caught and swallowed (tickets
-/// must always fill), so whatever bookkeeping it was doing is lost.
-pub type OnDone = Box<dyn FnOnce(&Result<RenderResult, ServeError>) + Send>;
+/// How one admitted request ends ([`RenderService::submit_with`]): called
+/// once, on the worker thread, with the result or the failure, after the
+/// request's statistics are folded in.
+type End = Box<dyn FnOnce(Result<RenderResult, ServeError>) + Send>;
 
 /// A handle to a submitted request's eventual [`RenderResult`].
 #[derive(Clone)]
@@ -296,7 +292,6 @@ pub struct RenderTicket {
 struct TicketInner {
     state: Mutex<Option<Result<Arc<RenderResult>, ServeError>>>,
     cond: Condvar,
-    on_done: Mutex<Option<OnDone>>,
 }
 
 impl fmt::Debug for RenderTicket {
@@ -306,13 +301,9 @@ impl fmt::Debug for RenderTicket {
 }
 
 impl RenderTicket {
-    fn new(on_done: Option<OnDone>) -> Self {
+    fn new() -> Self {
         RenderTicket {
-            inner: Arc::new(TicketInner {
-                state: Mutex::new(None),
-                cond: Condvar::new(),
-                on_done: Mutex::new(on_done),
-            }),
+            inner: Arc::new(TicketInner { state: Mutex::new(None), cond: Condvar::new() }),
         }
     }
 
@@ -331,11 +322,6 @@ impl RenderTicket {
     }
 
     fn fill(&self, result: Result<RenderResult, ServeError>) {
-        if let Some(on_done) = self.inner.on_done.lock().unwrap().take() {
-            // guarded: an observer's panic escaping here would leave the
-            // ticket unfilled and hang its waiter forever
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_done(&result)));
-        }
         let mut state = self.inner.state.lock().unwrap();
         *state = Some(result.map(Arc::new));
         self.inner.cond.notify_all();
@@ -345,10 +331,13 @@ impl RenderTicket {
 /// How every worker's engine cuts a frame into tiles.
 const EXEC_POLICY: ExecPolicy = ExecPolicy::TileStealing { tile_size: 16 };
 
+/// A multi-frame request re-probes its sample plan every this many frames.
+const PLAN_REFRESH_EVERY: usize = 3;
+
 /// One queued admission.
 struct Queued {
     req: RenderRequest,
-    ticket: RenderTicket,
+    end: End,
     submitted: Instant,
     deadline_at: Option<Instant>,
     seq: u64,
@@ -510,7 +499,6 @@ pub struct RenderServiceBuilder {
     workers: Option<usize>,
     queue_capacity: usize,
     store: Option<Arc<ModelStore>>,
-    plan_refresh_every: usize,
     paused: bool,
 }
 
@@ -536,14 +524,6 @@ impl RenderServiceBuilder {
     #[must_use]
     pub fn store(mut self, store: Arc<ModelStore>) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Probe refresh period for multi-frame requests (clamped to >= 1;
-    /// plan state never crosses a request boundary).
-    #[must_use]
-    pub fn plan_refresh_every(mut self, n: usize) -> Self {
-        self.plan_refresh_every = n.max(1);
         self
     }
 
@@ -576,7 +556,6 @@ impl RenderServiceBuilder {
             cond: Condvar::new(),
             store,
             profile: self.profile,
-            plan_refresh_every: self.plan_refresh_every,
             queue_capacity: self.queue_capacity,
             stats: Mutex::new(StatsAccum::default()),
             completed: AtomicU64::new(0),
@@ -600,7 +579,6 @@ struct Shared {
     cond: Condvar,
     store: Arc<ModelStore>,
     profile: RenderProfile,
-    plan_refresh_every: usize,
     queue_capacity: usize,
     stats: Mutex<StatsAccum>,
     completed: AtomicU64,
@@ -633,7 +611,6 @@ impl RenderService {
             workers: None,
             queue_capacity: 64,
             store: None,
-            plan_refresh_every: 3,
             paused: false,
         }
     }
@@ -683,28 +660,26 @@ impl RenderService {
     /// [`ServeError::QueueFull`] at capacity, [`ServeError::ShuttingDown`]
     /// after shutdown began.
     pub fn submit(&self, req: RenderRequest) -> Result<RenderTicket, ServeError> {
-        self.admit(req, RenderTicket::new(None))
+        let ticket = RenderTicket::new();
+        let filled = ticket.clone();
+        self.submit_with(req, move |outcome| filled.fill(outcome))?;
+        Ok(ticket)
     }
 
-    /// [`submit`](Self::submit), with `on_done` observing the outcome (see
-    /// [`OnDone`]). A refused submission drops it uncalled.
+    /// Admits a request whose end is `end`: called once, on the worker
+    /// thread that reached it, with the result or the failure, after the
+    /// request's statistics are folded in — whether or not anyone waits. A
+    /// panic in it is caught, so the worker loses only that end. A refused
+    /// submission drops `end` uncalled.
     ///
     /// # Errors
     ///
     /// As [`submit`](Self::submit).
-    pub fn submit_observed(
-        &self,
-        req: RenderRequest,
-        on_done: OnDone,
-    ) -> Result<RenderTicket, ServeError> {
-        self.admit(req, RenderTicket::new(Some(on_done)))
-    }
-
-    fn admit(
+    pub fn submit_with(
         &self,
         mut req: RenderRequest,
-        ticket: RenderTicket,
-    ) -> Result<RenderTicket, ServeError> {
+        end: impl FnOnce(Result<RenderResult, ServeError>) + Send + 'static,
+    ) -> Result<(), ServeError> {
         req.check_bounds()?;
         self.shared
             .profile
@@ -731,13 +706,13 @@ impl RenderService {
             }
             let seq = q.next_seq;
             q.next_seq += 1;
-            q.queue.push_back(Queued { req, ticket: ticket.clone(), submitted, deadline_at, seq });
+            q.queue.push_back(Queued { req, end: Box::new(end), submitted, deadline_at, seq });
         }
         let mut stats = self.shared.stats.lock().unwrap();
         stats.first_submit.get_or_insert(submitted);
         drop(stats);
         self.shared.cond.notify_all();
-        Ok(ticket)
+        Ok(())
     }
 
     /// Unparks a paused worker pool (no-op when already running).
@@ -834,14 +809,15 @@ fn worker_loop(shared: &Shared) {
             }
         };
         // a panicking fit or render (reachable: registered scene builders
-        // are arbitrary user code) fails the ticket, never the worker —
-        // the client sees RenderFailed instead of hanging on a ticket
-        // nobody will fill
+        // are arbitrary user code) fails the request, never the worker —
+        // the client sees RenderFailed instead of hanging on an end nobody
+        // calls; a panicking end loses only itself
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             render_request(shared, &item)
         }))
         .map_err(|panic| ServeError::RenderFailed(panic_message(panic.as_ref())));
-        item.ticket.fill(outcome);
+        let end = item.end;
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| end(outcome)));
     }
 }
 
@@ -856,7 +832,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 
 /// Renders one claimed request: one store lookup, one engine session,
 /// plan reuse across its frames. Folds the outcome into the service
-/// statistics; the caller fills the ticket.
+/// statistics; the caller ends the request.
 fn render_request(shared: &Shared, item: &Queued) -> RenderResult {
     let claimed_at = Instant::now();
     let req = &item.req;
@@ -873,7 +849,7 @@ fn render_request(shared: &Shared, item: &Queued) -> RenderResult {
     // plan reuse stays within this request: every request re-probes its
     // first frame, so output is independent of scheduling
     let out = engine
-        .render_sequence(&frames, &PlanPolicy::Reuse { refresh_every: shared.plan_refresh_every })
+        .render_sequence(&frames, &PlanPolicy::Reuse { refresh_every: PLAN_REFRESH_EVERY })
         .expect("frames >= 1 validated at submit");
     let done = Instant::now();
     let latency = done - item.submitted;
@@ -966,7 +942,7 @@ mod tests {
         let now = Instant::now();
         let queued = |seq: u64, scene: &str| Queued {
             req: RenderRequest::frame(registry::handle(scene), 16),
-            ticket: RenderTicket::new(None),
+            end: Box::new(drop),
             submitted: now,
             deadline_at: None,
             seq,

@@ -23,7 +23,7 @@
 //! re-checks the disk under the lock, fits, publishes the checkpoint, and
 //! unlocks; losers poll for the checkpoint to appear instead of running a
 //! duplicate fit. A lock left behind by a dead process goes stale after
-//! [`ModelStoreBuilder::lock_stale_after`] and is broken by the next
+//! [`ModelStore::LOCK_STALE_AFTER`] and is broken by the next
 //! waiter, which then refits — serving degrades to a duplicate fit, never
 //! a deadlock.
 //!
@@ -174,7 +174,6 @@ impl StoreStats {
 pub struct ModelStoreBuilder {
     capacity: usize,
     dir: DirSetting,
-    lock_stale_after: Duration,
 }
 
 #[derive(Debug, Clone)]
@@ -189,11 +188,7 @@ enum DirSetting {
 
 impl Default for ModelStoreBuilder {
     fn default() -> Self {
-        ModelStoreBuilder {
-            capacity: ModelStore::DEFAULT_CAPACITY,
-            dir: DirSetting::FromEnv,
-            lock_stale_after: ModelStore::DEFAULT_LOCK_STALE_AFTER,
-        }
+        ModelStoreBuilder { capacity: ModelStore::DEFAULT_CAPACITY, dir: DirSetting::FromEnv }
     }
 }
 
@@ -221,16 +216,6 @@ impl ModelStoreBuilder {
         self
     }
 
-    /// Age past which another process's cold-fit lock file is presumed
-    /// abandoned (its owner died mid-fit) and broken by a waiter, which then
-    /// refits. Must exceed the longest expected fit, or two live processes
-    /// will duplicate work (clamped to >= 1 ms).
-    #[must_use]
-    pub fn lock_stale_after(mut self, age: Duration) -> Self {
-        self.lock_stale_after = age.max(Duration::from_millis(1));
-        self
-    }
-
     /// Builds the store.
     pub fn build(self) -> ModelStore {
         let dir = match self.dir {
@@ -243,7 +228,6 @@ impl ModelStoreBuilder {
             cond: Condvar::new(),
             capacity: self.capacity,
             dir,
-            lock_stale_after: self.lock_stale_after,
             counters: Counters::default(),
         }
     }
@@ -257,7 +241,6 @@ pub struct ModelStore {
     cond: Condvar,
     capacity: usize,
     dir: Option<PathBuf>,
-    lock_stale_after: Duration,
     counters: Counters,
 }
 
@@ -277,9 +260,11 @@ impl ModelStore {
     /// Default in-memory capacity (entries).
     pub const DEFAULT_CAPACITY: usize = 64;
 
-    /// Default [`ModelStoreBuilder::lock_stale_after`]: generous next to
-    /// any real fit, small next to a wedged deployment.
-    pub const DEFAULT_LOCK_STALE_AFTER: Duration = Duration::from_secs(120);
+    /// Age past which another process's cold-fit lock file is presumed
+    /// abandoned (its owner died mid-fit) and broken by a waiter, which then
+    /// refits: generous next to any real fit, small next to a wedged
+    /// deployment.
+    pub const LOCK_STALE_AFTER: Duration = Duration::from_secs(120);
 
     /// How often a waiter blocked on another process's lock re-checks the
     /// disk for the published checkpoint.
@@ -385,8 +370,8 @@ impl ModelStore {
                     return m; // _guard drop removes the lock file
                 }
                 TryLock::Busy { age } => {
-                    let stale = age.is_some_and(|a| a > self.lock_stale_after)
-                        || watching_since.elapsed() > self.lock_stale_after;
+                    let stale = age.is_some_and(|a| a > Self::LOCK_STALE_AFTER)
+                        || watching_since.elapsed() > Self::LOCK_STALE_AFTER;
                     if stale {
                         // the owner is presumed dead mid-fit; break its lock
                         // and contend for a fresh one (create_new keeps this

@@ -203,7 +203,6 @@ fn multi_frame_requests_reuse_their_sample_plan() {
     let service = RenderService::builder(test_profile())
         .store(warm_store(&["Mic"]))
         .workers(1)
-        .plan_refresh_every(4)
         .build()
         .unwrap();
     let r = service
@@ -212,12 +211,13 @@ fn multi_frame_requests_reuse_their_sample_plan() {
         .wait()
         .unwrap();
     assert_eq!(r.images.len(), 4);
-    assert_eq!(r.reused_frames, 3, "frames 1..3 reuse frame 0's plan");
+    // a plan is re-probed every 3 frames: 1 and 2 reuse frame 0's, 3 probes again
+    assert_eq!(r.reused_frames, 2, "frames 1 and 2 reuse frame 0's plan");
     let stats = service.shutdown();
     assert_eq!(stats.frames, 4);
-    assert_eq!(stats.reused_frames, 3);
+    assert_eq!(stats.reused_frames, 2);
     assert!(stats.probe_points_avoided_est > 0.0);
-    assert!((stats.reuse_fraction() - 0.75).abs() < 1e-12);
+    assert!((stats.reuse_fraction() - 0.5).abs() < 1e-12);
 }
 
 #[test]
@@ -321,23 +321,17 @@ fn deadline_misses_are_counted() {
 }
 
 #[test]
-fn observers_see_successes_and_failures_before_the_ticket_fills() {
-    use asdr_serve::{RenderResult, ServeError};
-    use std::sync::{Arc, Mutex};
+fn every_end_arrives_once_and_a_panicking_end_costs_only_itself() {
+    use asdr_serve::RenderResult;
+    use std::sync::mpsc;
     if registry::get("hook-panics").is_none() {
         use asdr_scenes::registry::SceneDef;
         registry::register(SceneDef::new("hook-panics", || panic!("builder exploded"))).unwrap();
     }
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let observer = |tag: &'static str| {
-        let seen = seen.clone();
-        Box::new(move |outcome: &Result<RenderResult, ServeError>| {
-            if let Ok(r) = outcome {
-                assert_eq!((r.scene.as_str(), r.resolution, r.images.len()), ("Mic", 16, 2));
-                assert!(r.latency >= r.queue_wait, "the observer sees a coherent latency split");
-            }
-            seen.lock().unwrap().push((tag, outcome.is_ok()));
-        })
+    let (tx, ends) = mpsc::channel();
+    let end = |tag: &'static str| {
+        let tx = tx.clone();
+        move |outcome: Result<RenderResult, ServeError>| tx.send((tag, outcome)).unwrap()
     };
     let service = RenderService::builder(test_profile())
         .store(warm_store(&["Mic"]))
@@ -345,19 +339,23 @@ fn observers_see_successes_and_failures_before_the_ticket_fills() {
         .build()
         .unwrap();
     let mic = RenderRequest::sequence(registry::handle("Mic"), 16, 2);
-    let ok = service.submit_observed(mic.clone(), observer("ok")).unwrap();
-    assert!(ok.wait().is_ok());
-    assert_eq!(*seen.lock().unwrap(), [("ok", true)], "observed before the waiter woke");
+    service.submit_with(mic.clone(), end("ok")).unwrap();
     let doomed = RenderRequest::frame(registry::handle("hook-panics"), 16);
-    let doomed = service.submit_observed(doomed, observer("doomed")).unwrap();
-    assert!(doomed.wait().is_err());
-    assert_eq!(
-        seen.lock().unwrap().last(),
-        Some(&("doomed", false)),
-        "failures are observed too (budget release depends on it)"
-    );
-    // an observer that panics loses its own bookkeeping, not the ticket
-    let rude = service.submit_observed(mic, Box::new(|_| panic!("observer exploded"))).unwrap();
-    assert!(rude.wait().is_ok());
-    assert_eq!(service.shutdown().requests, 2);
+    service.submit_with(doomed, end("doomed")).unwrap();
+    // an end that panics, then one more request on the same single worker
+    service.submit_with(mic.clone(), |_| panic!("end exploded")).unwrap();
+    service.submit_with(mic, end("after")).unwrap();
+    let timeout = Duration::from_secs(60);
+    let (tag, ok) = ends.recv_timeout(timeout).expect("the result's end arrives");
+    let r = ok.expect("Mic renders");
+    assert_eq!((tag, r.scene.as_str(), r.resolution, r.images.len()), ("ok", "Mic", 16, 2));
+    assert!(r.latency >= r.queue_wait, "the end sees a coherent latency split");
+    let (tag, failed) = ends.recv_timeout(timeout).expect("the failure's end arrives");
+    assert!(matches!((tag, failed), ("doomed", Err(ServeError::RenderFailed(_)))));
+    let (tag, after) = ends.recv_timeout(timeout).expect("the worker survived the panicking end");
+    assert_eq!(tag, "after");
+    assert!(after.is_ok());
+    assert_eq!(service.shutdown().requests, 3);
+    drop(tx);
+    assert!(ends.try_recv().is_err(), "each end arrives once");
 }

@@ -6,10 +6,11 @@
 use asdr_nerf::NgpModel;
 use asdr_scenes::registry;
 use asdr_serve::ModelStore;
+use std::fs::File;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 mod common;
 use common::{blank_model, test_grid};
@@ -77,8 +78,7 @@ fn a_stale_lock_from_a_dead_process_is_broken() {
     let scene = registry::handle("Lego");
     std::fs::create_dir_all(&dir).unwrap();
     // a dead process's leftover: a lock file nobody will ever remove
-    let survivor =
-        ModelStore::builder().dir(&dir).lock_stale_after(Duration::from_millis(60)).build();
+    let survivor = ModelStore::builder().dir(&dir).build();
     let lock: Vec<_> = {
         // fit once just to learn the checkpoint file name, then reset
         survivor.get_or_fit_with(&scene, &grid, || blank_model(&grid, 1.0));
@@ -89,9 +89,12 @@ fn a_stale_lock_from_a_dead_process_is_broken() {
         names.iter().map(|p| p.with_extension("ckpt.lock")).collect()
     };
     std::fs::write(&lock[0], b"pid 999999\n").unwrap();
-    // a second store (the survivor process, in spirit) must wait out the
-    // stale timeout, break the lock, and refit rather than hang
-    let store = ModelStore::builder().dir(&dir).lock_stale_after(Duration::from_millis(60)).build();
+    // left there longer ago than the stale timeout
+    let past = SystemTime::now() - ModelStore::LOCK_STALE_AFTER - Duration::from_secs(60);
+    File::options().write(true).open(&lock[0]).unwrap().set_modified(past).unwrap();
+    // a second store (the survivor process, in spirit) must see the lock is
+    // stale, break it, and refit rather than hang
+    let store = ModelStore::builder().dir(&dir).build();
     let m = store.get_or_fit_with(&scene, &grid, || blank_model(&grid, 33.0));
     assert_eq!(model_tag(&m), 33.0, "the survivor refits after breaking the stale lock");
     let stats = store.stats();

@@ -20,8 +20,10 @@
 #               one mid-run: it keeps its connections open and answers
 #               nothing, so only the fleet's health eviction, which fails
 #               over what the daemon held, lets the run finish; frames
-#               byte-identical again, >= 1 eviction. The exit trap resumes
-#               and ends the stopped daemon whatever happens.
+#               byte-identical again, >= 1 eviction, and the replay exits
+#               within 3 s of writing its stats (the evicted daemon is
+#               killed, not waited on). The exit trap resumes and ends the
+#               stopped daemon whatever happens.
 #
 # usage: scripts/fleet_smoke.sh
 #
@@ -145,7 +147,7 @@ evictions=$(evictions_in "$out/fleet-stats.json")
 [[ -n "$evictions" && "$evictions" -ge 1 ]] \
     || { echo "FAIL: stats artifact shows no eviction (got '${evictions:-none}')"; exit 1; }
 echo "failure visible in stats: $evictions eviction(s)"
-replications=$(sed -n 's/.*"rewarms": [0-9]*, "replications": \([0-9]*\)}.*/\1/p' \
+replications=$(sed -n 's/.*"failovers": [0-9]*, "replications": \([0-9]*\)}.*/\1/p' \
     "$out/fleet-stats.json")
 [[ -n "$replications" ]] \
     || { echo "FAIL: the fleet block carries no replications counter"; exit 1; }
@@ -173,6 +175,11 @@ stopped=$victim
 echo "stopped shardd pid $victim"
 wait "$replay_pid" \
     || { echo "FAIL: fleet replay did not get past the hung daemon"; cat "$out/hang.err"; exit 1; }
+# the evicted daemon is killed at exit, not waited on like the drained ones
+exit_lag=$(( $(date +%s) - $(stat -c %Y "$out/hang-stats.json") ))
+[[ "$exit_lag" -le 3 ]] \
+    || { echo "FAIL: the replay exited ${exit_lag} s after writing its stats"; exit 1; }
+echo "replay exited ${exit_lag} s after writing its stats"
 diff -r "$out/ref" "$out/hang" \
     || { echo "FAIL: frames served around the hung daemon differ from the reference"; exit 1; }
 echo "frames byte-identical: $(ls "$out/hang" | wc -l) files"

@@ -100,7 +100,7 @@ fn a_sharded_cluster_renders_byte_identical_to_one_service() {
     let json = stats.to_json();
     assert!(
         json.contains("\"fleet\": {\"shards_lost\": 0, \"evictions\": 0")
-            && json.contains(&format!("\"rewarms\": 0, \"replications\": {replications}}}")),
+            && json.contains(&format!("\"failovers\": 0, \"replications\": {replications}}}")),
         "local cluster stats must carry the fleet block, zeroed but for the replicas: {json}"
     );
 
