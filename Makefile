@@ -2,7 +2,7 @@
 # smokes runs one of these recipes (.github/workflows/), so a recipe is
 # edited here and nowhere else.
 
-.PHONY: verify test-crates test-release fmt fmt-check clippy doc check-extras examples bench-build bench-smoke bench-check serve-smoke cluster-smoke trace-smoke fleet-smoke obs-smoke ci
+.PHONY: verify test-crates test-release fmt fmt-check clippy doc check-extras examples bench-build bench-smoke bench-check cluster-smoke trace-smoke fleet-smoke obs-smoke ci
 
 # Tier-1 gate: what must stay green on every commit.
 verify:
@@ -85,24 +85,11 @@ bench-check:
 	cargo bench -p asdr_bench
 	BENCH_REQUIRE_ALL=1 scripts/bench_check.sh
 
-# Replay the bundled tiny workload through the render service, cold then
-# warm against the same checkpoint store (what the nightly workflow runs).
-serve-smoke:
-	rm -rf target/serve-store
-	cargo run --release -p asdr_serve --bin asdr-serve -- \
-		--workload scripts/serve-workload-tiny.jsonl --scale tiny \
-		--store-dir target/serve-store --out target/serve-stats-cold.json
-	cargo run --release -p asdr_serve --bin asdr-serve -- \
-		--workload scripts/serve-workload-tiny.jsonl --scale tiny \
-		--store-dir target/serve-store --out target/serve-stats.json
-	grep '"fits": 0' target/serve-stats.json
-	grep "\"requests\": `grep -c '^{' scripts/serve-workload-tiny.jsonl`," target/serve-stats.json
-
 # Replay the bundled clustered workload over 2 shards sharing one store
-# dir, cold then warm, pinning zero duplicate fits, then a hot scene that
-# must spill to its replica with frames equal to one shard's — once over
-# in-process shards and once over spawned asdr-shardd daemons, one flag
-# apart (what the nightly cluster-smoke job runs).
+# dir, cold then warm, pinning zero duplicate fits and every request served
+# warm, then a hot scene that must spill to its replica with frames equal to
+# one shard's — once over in-process shards and once over spawned asdr-shardd
+# daemons, one flag apart (what the nightly cluster-smoke job runs).
 cluster-smoke:
 	scripts/cluster_smoke.sh --shards 2
 	scripts/cluster_smoke.sh --remote spawn:2

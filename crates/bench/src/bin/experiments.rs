@@ -1,7 +1,8 @@
 //! Regenerates the ASDR paper's tables and figures.
 //!
 //! ```text
-//! experiments <id>... [--scale tiny|small|paper] [--scene NAME]... [--list]
+//! experiments <id>... [--scale tiny|small|paper] [--scene NAME]...
+//!             [--store-dir DIR] [--list]
 //! ```
 //!
 //! Every experiment lives in one row of [`EXPERIMENTS`]; id validation,
@@ -10,13 +11,16 @@
 //! scene-driven experiments to the named registry scenes — any registered
 //! scene works, including custom ones such as the zoo families. A few
 //! analyses are scene-fixed (marked in `--list`); they print a note and
-//! ignore the flag rather than silently dropping it.
+//! ignore the flag rather than silently dropping it. `--store-dir` keeps NGP
+//! fits as checkpoints in `DIR` for later runs to reload; else fits stay in memory.
 
 use asdr_bench::experiments::*;
 use asdr_bench::{Harness, Scale};
 use asdr_core::algo::RenderOptions;
 use asdr_core::arch::chip::{simulate_chip, ChipOptions};
 use asdr_scenes::{registry, SceneHandle};
+use asdr_serve::ModelStore;
+use std::sync::Arc;
 
 /// The scene selection an invocation runs on: either the paper defaults of
 /// each experiment or the `--scene` override.
@@ -392,6 +396,7 @@ fn main() {
     let mut scale = Scale::Small;
     let mut ids: Vec<String> = Vec::new();
     let mut scene_names: Vec<String> = Vec::new();
+    let mut store_dir = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -407,6 +412,10 @@ fn main() {
                 i += 1;
                 let arg = args.get(i).unwrap_or_else(|| die("--scene needs a scene name"));
                 scene_names.extend(arg.split(',').map(str::to_string));
+            }
+            "--store-dir" => {
+                i += 1;
+                store_dir = Some(args.get(i).unwrap_or_else(|| die("--store-dir needs a dir")));
             }
             "--list" => {
                 print_list();
@@ -447,7 +456,10 @@ fn main() {
         )
     };
     let sel = SceneSel { chosen };
-    let mut h = Harness::new(scale);
+    let mut h = match store_dir {
+        Some(dir) => Harness::with_store(scale, Arc::new(ModelStore::builder().dir(dir).build())),
+        None => Harness::new(scale),
+    };
     println!("# ASDR experiments (scale: {scale:?}, kernel: {})", asdr_nerf::kernel::kernel_name());
     for id in &ids {
         let e = find_experiment(id).expect("ids validated above");
@@ -465,7 +477,10 @@ fn die(msg: &str) -> ! {
 }
 
 fn print_usage() {
-    println!("usage: experiments <id>... [--scale tiny|small|paper] [--scene NAME]... [--list]");
+    println!(
+        "usage: experiments <id>... [--scale tiny|small|paper] [--scene NAME]... \
+         [--store-dir DIR] [--list]"
+    );
     println!("ids:");
     let all_ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
     for chunk in all_ids.chunks(12) {

@@ -10,7 +10,7 @@
 use crate::{print_header, print_row, Harness};
 use asdr_baselines::neurex::quantize_model_features;
 use asdr_cim::XbarGeometry;
-use asdr_core::algo::{ExecPolicy, FrameEngine, RenderOptions};
+use asdr_core::algo::RenderOptions;
 use asdr_math::metrics::psnr;
 use asdr_math::rng::seeded;
 use asdr_math::sh::sh4;
@@ -149,11 +149,7 @@ pub fn run_feature_bits(h: &mut Harness, id: &SceneHandle, bits: &[u32]) -> Vec<
     let base_ns = h.scale().base_ns();
     let model = h.model(id);
     let cam = h.camera(id);
-    let fixed = FrameEngine::new(
-        RenderOptions::instant_ngp(base_ns),
-        ExecPolicy::TileStealing { tile_size: 16 },
-    )
-    .expect("a harness scale's sample count is valid");
+    let fixed = h.engine(RenderOptions::instant_ngp(base_ns));
     let reference = fixed.render_frame(&*model, &cam).image;
     bits.iter()
         .map(|&b| {

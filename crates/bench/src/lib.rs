@@ -50,7 +50,7 @@ pub enum Scale {
 impl Scale {
     /// The serving profile of the same name: the one definition of what
     /// `tiny` / `small` / `paper` mean, so the harness evaluates exactly
-    /// what `asdr-serve --scale` renders.
+    /// what `asdr-cluster --scale` renders.
     fn profile(self) -> RenderProfile {
         match self {
             Scale::Tiny => RenderProfile::tiny(),
@@ -95,28 +95,26 @@ impl Scale {
 
 /// Caches fitted models and ground-truth renders across experiments.
 ///
-/// NGP fits go through a process-wide [`ModelStore`] shared by every
-/// harness instance (single-flight, keyed by scene name + grid
-/// fingerprint), so the many harnesses a test binary creates fit each
-/// scene once per process — and, when `ASDR_STORE_DIR` is set, once per
-/// *store directory*: fits persist as checkpoints and later processes
-/// reload instead of refitting. TensoRF models and ground-truth renders
-/// stay in per-harness maps keyed by scene name; every entry remembers the
-/// exact `SceneDef` it was computed from ([`SceneHandle`] equality is
-/// name-only), so a handle from an isolated registry that happens to reuse
-/// a name refits instead of aliasing the cached result (the store applies
-/// the same rule internally).
+/// NGP fits go through a [`ModelStore`] (single-flight, keyed by scene
+/// name + grid fingerprint): by default the process-wide one every harness
+/// shares, so the many harnesses a test binary creates fit each scene once
+/// per process; one built [`with_store`](Harness::with_store) over a store
+/// with a directory fits each scene once per *directory*, and later
+/// processes reload the checkpoints instead of refitting. TensoRF models
+/// and ground-truth renders stay in per-harness maps keyed by scene name;
+/// every entry remembers the exact `SceneDef` it was computed from
+/// ([`SceneHandle`] equality is name-only), so a handle from an isolated
+/// registry that happens to reuse a name refits instead of aliasing the
+/// cached result (the store applies the same rule internally).
 #[derive(Debug)]
 pub struct Harness {
     scale: Scale,
-    exec_policy: ExecPolicy,
     store: Arc<ModelStore>,
     tensorf_models: HashMap<&'static str, (SceneHandle, Arc<TensoRfModel>)>,
     gts: HashMap<&'static str, (SceneHandle, Image)>,
 }
 
-/// The process-wide fit store every [`Harness`] shares by default:
-/// in-memory always, checkpoint-backed when `ASDR_STORE_DIR` is set.
+/// The process-wide fit store every [`Harness::new`] shares, in memory.
 pub fn global_store() -> Arc<ModelStore> {
     static STORE: OnceLock<Arc<ModelStore>> = OnceLock::new();
     STORE.get_or_init(|| Arc::new(ModelStore::builder().build())).clone()
@@ -140,26 +138,21 @@ fn cached<T: Clone>(
 }
 
 impl Harness {
-    /// Default tile edge for the harness's work-stealing execution policy.
-    pub const DEFAULT_TILE: u32 = 16;
+    /// The execution policy every harness frame renders under: adaptive
+    /// sampling makes per-row cost uneven, and every policy is image- and
+    /// stats-identical anyway.
+    const EXEC_POLICY: ExecPolicy = ExecPolicy::TileStealing { tile_size: 16 };
 
-    /// Creates an empty harness at the given scale. Frames render under
-    /// [`ExecPolicy::TileStealing`] — adaptive sampling makes per-row cost
-    /// uneven, and every policy is image- and stats-identical anyway.
+    /// Creates an empty harness at the given scale, sharing the
+    /// process-wide fit store.
     pub fn new(scale: Scale) -> Self {
-        Harness::with_policy(scale, ExecPolicy::TileStealing { tile_size: Self::DEFAULT_TILE })
-    }
-
-    /// Creates an empty harness with an explicit execution policy, sharing
-    /// the process-wide fit store.
-    pub fn with_policy(scale: Scale, exec_policy: ExecPolicy) -> Self {
-        Harness::with_store(scale, exec_policy, global_store())
+        Harness::with_store(scale, global_store())
     }
 
     /// Creates a harness over an explicit model store (isolated tests,
-    /// services sharing their store with experiment code).
-    pub fn with_store(scale: Scale, exec_policy: ExecPolicy, store: Arc<ModelStore>) -> Self {
-        Harness { scale, exec_policy, store, tensorf_models: HashMap::new(), gts: HashMap::new() }
+    /// `experiments --store-dir`).
+    pub fn with_store(scale: Scale, store: Arc<ModelStore>) -> Self {
+        Harness { scale, store, tensorf_models: HashMap::new(), gts: HashMap::new() }
     }
 
     /// The fit store this harness resolves NGP models through.
@@ -172,11 +165,6 @@ impl Harness {
         self.scale
     }
 
-    /// The harness's Phase-II execution policy.
-    pub fn exec_policy(&self) -> ExecPolicy {
-        self.exec_policy
-    }
-
     /// A frame engine over `opts` at the harness's execution policy.
     ///
     /// # Panics
@@ -184,7 +172,7 @@ impl Harness {
     /// Panics if `opts` fail validation (harness option constructors always
     /// produce valid options).
     pub fn engine(&self, opts: RenderOptions) -> FrameEngine {
-        FrameEngine::new(opts, self.exec_policy).expect("invalid render options")
+        FrameEngine::new(opts, Self::EXEC_POLICY).expect("invalid render options")
     }
 
     /// Renders one frame through the harness's engine — the single render
@@ -274,12 +262,8 @@ mod tests {
     fn harness_cache_does_not_alias_same_name_different_def() {
         // an isolated store: publishing the impostor under "Mic" in the
         // process-global store would race parallel tests fitting Mic
-        let isolated_store = Arc::new(ModelStore::builder().in_memory_only().build());
-        let mut h = Harness::with_store(
-            Scale::Tiny,
-            ExecPolicy::TileStealing { tile_size: Harness::DEFAULT_TILE },
-            isolated_store,
-        );
+        let isolated_store = Arc::new(ModelStore::builder().build());
+        let mut h = Harness::with_store(Scale::Tiny, isolated_store);
         let global_mic = registry::handle("Mic");
         let cached_global = h.model(&global_mic);
         assert!(Arc::ptr_eq(&cached_global, &h.model(&global_mic)), "same handle must hit");

@@ -6,7 +6,7 @@
 //!              [--shards N | --remote (spawn:N | ADDR[,ADDR...])]
 //!              [--scale tiny|small|paper]
 //!              [--workers N]
-//!              [--store-dir DIR | --no-store] [--queue N]
+//!              [--store-dir DIR] [--queue N]
 //!              [--speed X] [--record PATH]
 //!              [--out STATS.json] [--dump-images DIR] [--bundle DIR]
 //! asdr-cluster report --bundles DIR [--json] [--out FILE]
@@ -17,20 +17,23 @@
 //! launches N on Unix sockets, a comma-separated list attaches to running
 //! ones. Everything after that choice is one path: the same router,
 //! eviction and failover serve either kind, over `--workers N` per shard.
+//! `--shards 1` is the in-process replay of a workload through one
+//! [`RenderService`](asdr_serve::RenderService). Fits persist only to a
+//! given `--store-dir`; without one each shard keeps them in memory.
 //!
 //! With `--bundle DIR` the process writes its own diagnostic run bundle
 //! to `DIR/cluster` (config snapshot, span capture, periodic stats
 //! samples, final stats) and — under `--remote spawn:N` — hands each
 //! spawned daemon `DIR/shard<i>` for its bundle, so one flag yields the
 //! whole fleet's bundle tree for `asdr-cluster report --bundles DIR`, which
-//! merges the [`asdr_obs`] bundles under `DIR` (`asdr-serve`'s too) into one
+//! merges the [`asdr_obs`] bundles under `DIR` into one
 //! report: per-phase latency breakdown, cross-process `SPAN_JOIN` lines
 //! (trace ids followed across failovers), and a
 //! `MISS_ATTRIBUTION` line naming the dominant phase of every deadline
 //! miss — markdown, or the JSON artifact with `--json`.
 //!
-//! The workload input is `asdr-serve`'s (see `asdr_serve::workload`); the
-//! submit loop is the same shared [`ReplayDriver`](asdr_serve::ReplayDriver)
+//! The workload input is a JSON-lines file (see `asdr_serve::workload`);
+//! the submit loop is the shared [`ReplayDriver`](asdr_serve::ReplayDriver)
 //! — an overloaded cluster blocks the replay clock rather than dropping
 //! work, `--speed` warps arrival offsets, and `--record` captures every
 //! admitted request as a workload file. The process waits for every
@@ -63,20 +66,13 @@ struct Args {
     spawn: Option<usize>,
 }
 
-impl Args {
-    /// Workers per shard.
-    fn workers(&self) -> usize {
-        self.service.workers.unwrap_or(1)
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: asdr-cluster --workload FILE\n\
          \u{20}                   [--shards N | --remote (spawn:N | ADDR[,ADDR...])]\n\
          \u{20}                   [--scale tiny|small|paper]\n\
          \u{20}                   [--workers N]\n\
-         \u{20}                   [--store-dir DIR | --no-store] [--queue N]\n\
+         \u{20}                   [--store-dir DIR] [--queue N]\n\
          \u{20}                   [--speed X] [--record PATH]\n\
          \u{20}                   [--out STATS.json] [--dump-images DIR] [--bundle DIR]\n\
          \u{20}      asdr-cluster report --bundles DIR [--json] [--out FILE]\n\
@@ -85,7 +81,7 @@ fn usage() -> ! {
          in-process shards: spawn:N launches N local daemons on Unix sockets;\n\
          a comma-separated list attaches to already-running shards\n\
          (unix:PATH or tcp:HOST:PORT). --shards, spawn:N and --workers\n\
-         each take 1 to 256."
+         each take 1 to 256, --queue 1 to 65536."
     );
     std::process::exit(2);
 }
@@ -141,7 +137,7 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<Child>, Vec<ShardAddr>) {
             .arg("--scale")
             .arg(&args.service.scale)
             .arg("--workers")
-            .arg(args.workers().to_string())
+            .arg(args.service.workers.to_string())
             .arg("--queue")
             .arg(args.service.queue.to_string())
             .arg("--shard-id")
@@ -154,8 +150,6 @@ fn spawn_shardds(n: usize, args: &Args) -> (Vec<Child>, Vec<ShardAddr>) {
         }
         if let Some(store) = &args.service.store_dir {
             cmd.arg("--store-dir").arg(store);
-        } else if args.service.no_store {
-            cmd.arg("--no-store");
         }
         let child =
             cmd.spawn().unwrap_or_else(|e| die(&format!("cannot spawn {}: {e}", exe.display())));
@@ -209,7 +203,7 @@ fn build_fleet(args: &Args) -> (Fleet, Vec<Child>, String) {
     let Some(spec) = &args.remote else {
         let shards = LocalShards {
             shards: args.shards.unwrap_or(2),
-            workers: args.workers(),
+            workers: args.service.workers,
             queue_capacity: args.service.queue,
             store: args.service.store(),
             ..LocalShards::new(profile.clone())
@@ -277,7 +271,7 @@ fn main() {
         let config = [
             ("scale", args.service.scale.clone()),
             ("shards", args.shards.unwrap_or(2).to_string()),
-            ("workers", args.workers().to_string()),
+            ("workers", args.service.workers.to_string()),
             ("remote", args.remote.clone().unwrap_or_else(|| "in-process".to_string())),
         ];
         flags::open_bundle(&root.join("cluster"), "cluster", &config)
@@ -292,7 +286,7 @@ fn main() {
         "# asdr-cluster: {} requests over {} shards ({listed}; {} workers/shard), store {}",
         entries.len(),
         fleet.shards(),
-        args.workers(),
+        args.service.workers,
         args.service.store_label(),
     );
 
@@ -303,14 +297,14 @@ fn main() {
     let replay = driver.run(&entries, &fleet);
     let replay = replay.unwrap_or_else(|e| die(&format!("{}: {e}", workload.display())));
 
-    let mut report = ReplayReport::begin(&args.output, bundle.as_deref(), "shard");
+    let mut report = ReplayReport::begin(&args.output, bundle.as_deref());
     for req in &replay.requests {
         let r = req
             .ticket
             .wait()
             .unwrap_or_else(|e| die(&format!("request {} ({}): {e}", req.index, req.scene)));
         let waits_ms = (r.queue_wait_us as f64 / 1e3, r.latency_us as f64 / 1e3);
-        report.row(req, &req.ticket.shard(), &r.images, waits_ms, r.deadline_met);
+        report.row(req, r.reused_frames, req.ticket.shard(), &r.images, waits_ms, r.deadline_met);
         report.sample(|| fleet.stats().to_json());
     }
     let wall = replay.started.elapsed();
@@ -320,9 +314,10 @@ fn main() {
     }
     let stats = fleet.shutdown();
     println!(
-        "\n{} requests, {} frames over {} shards ({} home, {} spilled, {} replications, {} rejected)",
+        "\n{} requests, {} frames ({} plan-reused) over {} shards ({} home, {} spilled, {} replications, {} rejected)",
         stats.requests(),
         stats.frames(),
+        stats.shards.iter().map(|s| s.serve.reused_frames).sum::<u64>(),
         stats.shards.len(),
         stats.routed_home,
         stats.spilled,

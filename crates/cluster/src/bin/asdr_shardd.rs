@@ -7,7 +7,7 @@
 //! ```text
 //! asdr-shardd --listen (unix:PATH | tcp:HOST:PORT)
 //!             [--scale tiny|small|paper] [--workers N] [--queue N]
-//!             [--store-dir DIR | --no-store] [--shard-id N]
+//!             [--store-dir DIR] [--shard-id N]
 //!             [--bundle DIR]
 //! ```
 //!
@@ -83,7 +83,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: asdr-shardd --listen (unix:PATH | tcp:HOST:PORT)\n\
          \u{20}                  [--scale tiny|small|paper] [--workers N] [--queue N]\n\
-         \u{20}                  [--store-dir DIR | --no-store] [--shard-id N]\n\
+         \u{20}                  [--store-dir DIR] [--shard-id N]\n\
          \u{20}                  [--bundle DIR]"
     );
     std::process::exit(2);
@@ -125,12 +125,11 @@ fn main() {
     install_signal_handlers(&signalled);
 
     let sized = &args.service;
-    let workers = sized.workers.unwrap_or(1);
     let bundle = args.bundle.as_ref().map(|dir| {
         let config = [
             ("listen", listen.to_string()),
             ("scale", sized.scale.clone()),
-            ("workers", workers.to_string()),
+            ("workers", sized.workers.to_string()),
             ("queue", sized.queue.to_string()),
             ("store", sized.store_label()),
             ("shard_id", args.shard_id.to_string()),
@@ -140,7 +139,7 @@ fn main() {
 
     let shard = LocalShards {
         shards: 1,
-        workers,
+        workers: sized.workers,
         queue_capacity: sized.queue,
         store: sized.store(),
         ..LocalShards::new(sized.profile.clone())

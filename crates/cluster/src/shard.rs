@@ -154,8 +154,8 @@ pub struct LocalShards {
 }
 
 impl LocalShards {
-    /// Two single-worker shards with 64-deep queues over the store
-    /// `ASDR_STORE_DIR` names.
+    /// Two single-worker shards with 64-deep queues, each over an
+    /// in-memory store.
     pub fn new(profile: RenderProfile) -> LocalShards {
         LocalShards {
             profile,

@@ -171,13 +171,18 @@ impl ClusterStats {
             w.key("warm_scenes").usize(s.warm_scenes);
             w.key("requests").u64(v.requests);
             w.key("frames").u64(v.frames);
+            w.key("reused_frames").u64(v.reused_frames);
             w.key("throughput_fps").f64(v.throughput_fps, 3);
             w.key("p50_latency_ms").f64(v.p50_latency_ms, 3);
             w.key("p95_latency_ms").f64(v.p95_latency_ms, 3);
+            w.key("mean_queue_wait_ms").f64(v.mean_queue_wait_ms, 3);
             w.key("deadlined_requests").u64(v.deadlined_requests);
             w.key("deadline_misses").u64(v.deadline_misses);
+            w.key("memory_hits").u64(v.store.memory_hits);
             w.key("fits").u64(v.store.fits);
             w.key("disk_hits").u64(v.store.disk_hits);
+            w.key("store_evictions").u64(v.store.evictions);
+            w.key("disk_errors").u64(v.store.disk_errors);
             w.key("lock_waits").u64(v.store.lock_waits);
             w.close_obj();
         }
@@ -210,7 +215,7 @@ mod tests {
             color_evals: 500 * requests,
             skipped_density: 700 * requests,
             skipped_color: 300 * requests,
-            store: StoreStats { fits, ..StoreStats::default() },
+            store: StoreStats { fits, memory_hits: 5, evictions: 1, ..StoreStats::default() },
         }
     }
 
@@ -273,6 +278,9 @@ mod tests {
             "\"mean_abs_pct_error\": 0.2500",
             "\"fleet\": {\"shards_lost\": 0, \"evictions\": 1",
             "\"rejoins\": 0, \"failovers\": 2, \"replications\": 0}",
+            "\"requests\": 4, \"frames\": 8, \"reused_frames\": 4, \"throughput_fps\"",
+            "\"mean_queue_wait_ms\": 2.000, \"deadlined_requests\"",
+            "\"memory_hits\": 5, \"fits\": 2, \"disk_hits\": 0, \"store_evictions\": 1",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -137,11 +137,7 @@ fn failed_requests_release_their_in_flight_slot() {
     if registry::get("cluster-panics").is_none() {
         registry::register(SceneDef::new("cluster-panics", || panic!("builder exploded"))).unwrap();
     }
-    let shards = LocalShards {
-        store: ModelStore::builder().in_memory_only(),
-        ..LocalShards::new(test_profile())
-    };
-    let shards = shards.build().unwrap();
+    let shards = LocalShards::new(test_profile()).build().unwrap();
     let cluster = Fleet::new(shards, &test_profile(), FleetConfig::default()).unwrap();
     let doomed =
         cluster.submit(RenderRequest::frame(registry::handle("cluster-panics"), 16)).unwrap();

@@ -1,10 +1,10 @@
 //! Cross-process cold-fit single-flight, with **real processes**: four
-//! `asdr-serve` binaries start cold and concurrently against one store
+//! `asdr-cluster --shards 1` binaries start cold and concurrently against one store
 //! directory, and across all of them each (scene, grid) key is fitted
 //! **exactly once** — the others wait on the advisory lock file and load
 //! the winner's checkpoint. This is the multi-process analogue of
-//! `store_props.rs::concurrent_requests_fit_exactly_once` (threads) and
-//! `store_lock.rs` (store instances): here nothing is shared but the
+//! `asdr_serve`'s `store_props.rs::concurrent_requests_fit_exactly_once`
+//! (threads) and `store_lock.rs` (store instances): here nothing is shared but the
 //! filesystem, exactly the deployment the ROADMAP's duplicate-fit gap
 //! described.
 
@@ -22,7 +22,8 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Reads `"key": <integer>` out of the stats JSON.
+/// Reads the first `"key": <integer>` out of the stats JSON (over one shard
+/// a per-shard key is unique in the artifact).
 fn json_u64(json: &str, key: &str) -> u64 {
     let needle = format!("\"{key}\": ");
     let at = json.find(&needle).unwrap_or_else(|| panic!("no {key:?} in {json}"));
@@ -35,14 +36,14 @@ fn json_u64(json: &str, key: &str) -> u64 {
 }
 
 fn spawn(workload: &Path, store: &Path, images: &Path, out: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_asdr-serve"))
+    Command::new(env!("CARGO_BIN_EXE_asdr-cluster"))
         .args(["--workload".as_ref(), workload.as_os_str()])
-        .args(["--scale", "tiny", "--workers", "2"])
+        .args(["--shards", "1", "--scale", "tiny", "--workers", "2"])
         .args(["--store-dir".as_ref(), store.as_os_str()])
         .args(["--dump-images".as_ref(), images.as_os_str()])
         .args(["--out".as_ref(), out.as_os_str()])
         .spawn()
-        .expect("spawn asdr-serve")
+        .expect("spawn asdr-cluster")
 }
 
 /// Every dumped frame, name -> bytes.
@@ -82,12 +83,12 @@ fn four_cold_processes_fit_each_key_exactly_once() {
     let mut disk_hits_total = 0;
     let mut lock_waits_total = 0;
     for (i, mut child) in children {
-        let status = child.wait().expect("join asdr-serve");
+        let status = child.wait().expect("join asdr-cluster");
         assert!(status.success(), "process {i} exited with {status}");
         let json = std::fs::read_to_string(root.join(format!("stats-{i}.json"))).unwrap();
         assert_eq!(json_u64(&json, "disk_errors"), 0, "process {i} saw a torn checkpoint");
-        fits_total += json_u64(&json, "fits");
-        disk_hits_total += json_u64(&json, "disk_hits");
+        fits_total += json_u64(&json, "total_fits");
+        disk_hits_total += json_u64(&json, "total_disk_hits");
         lock_waits_total += json_u64(&json, "lock_waits");
     }
     assert_eq!(

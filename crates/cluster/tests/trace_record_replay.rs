@@ -35,20 +35,20 @@ fn json_u64(json: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("unparsable {key:?} in {json}"))
 }
 
-/// Runs `asdr-serve` on the workload file `input`, returning the stats
-/// artifact text.
+/// Runs `asdr-cluster --shards 1` on the workload file `input`, returning
+/// the stats artifact text.
 fn run(input: &Path, store: &Path, images: &Path, out: &Path, record: Option<&Path>) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_asdr-serve"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_asdr-cluster"));
     cmd.args(["--workload".as_ref(), input.as_os_str()])
-        .args(["--scale", "tiny", "--workers", "2"])
+        .args(["--shards", "1", "--scale", "tiny", "--workers", "2"])
         .args(["--store-dir".as_ref(), store.as_os_str()])
         .args(["--dump-images".as_ref(), images.as_os_str()])
         .args(["--out".as_ref(), out.as_os_str()]);
     if let Some(r) = record {
         cmd.args(["--record".as_ref(), r.as_os_str()]);
     }
-    let status = cmd.status().expect("spawn asdr-serve");
-    assert!(status.success(), "asdr-serve exited with {status}");
+    let status = cmd.status().expect("spawn asdr-cluster");
+    assert!(status.success(), "asdr-cluster exited with {status}");
     std::fs::read_to_string(out).expect("stats artifact written")
 }
 
@@ -73,7 +73,7 @@ fn recorded_trace_replays_byte_identical_frames_and_equal_fits() {
     let workload = workload_path();
 
     let cold = run(&workload, &store, &cold_images, &scratch.join("cold.json"), Some(&capture));
-    assert_eq!(json_u64(&cold, "fits"), 3, "cold run fits each scene once: {cold}");
+    assert_eq!(json_u64(&cold, "total_fits"), 3, "cold run fits each scene once: {cold}");
     // the capture is the workload's requests in arrival order (at --speed 1
     // the warped offsets are the file's); only the line numbers differ
     let without_origin = |e: TimedRequest| TimedRequest { origin: 0, ..e };
@@ -91,7 +91,7 @@ fn recorded_trace_replays_byte_identical_frames_and_equal_fits() {
 
     // equal fit counts: both warm runs hit the store for everything
     for (label, stats) in [("jsonl", &warm_jsonl), ("capture", &warm_capture)] {
-        assert_eq!(json_u64(stats, "fits"), 0, "warm {label} run must fit nothing: {stats}");
+        assert_eq!(json_u64(stats, "total_fits"), 0, "warm {label} run must fit nothing: {stats}");
         assert_eq!(json_u64(stats, "disk_errors"), 0, "{label}: {stats}");
     }
     assert_eq!(

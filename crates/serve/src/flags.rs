@@ -1,15 +1,16 @@
 //! Small shared CLI helpers for the workspace binaries.
 //!
-//! `asdr-serve` and `asdr-cluster` parse argv by hand (no
-//! clap offline); this module keeps the shared pieces — fail-fast value
-//! parsing, the replay trio (`--workload` / `--speed` / `--record`), the
-//! output trio (`--out` / `--dump-images` / `--bundle`) and the
-//! per-request table, `TRACE_RESULT` line and artifacts a replay writes
-//! through them — in one place so the binaries hold only their own flags.
+//! `asdr-cluster` and `asdr-shardd` parse argv by hand (no clap offline);
+//! this module keeps the shared pieces — fail-fast value parsing, the
+//! service quartet (`--scale` / `--workers` / `--queue` / `--store-dir`),
+//! the replay trio (`--workload` / `--speed` / `--record`), the output trio
+//! (`--out` / `--dump-images` / `--bundle`) and the per-request table,
+//! `TRACE_RESULT` line and artifacts a replay writes through them — in one
+//! place so the binaries hold only their own flags.
 
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, ModelStoreBuilder};
-use crate::workload::{check_speed, ReplayDriver, ReplayedRequest};
+use crate::workload::{check_speed, ReplayDriver, ReplayedRequest, MAX_QUEUE};
 use asdr_math::par::{parse_workers, MAX_WORKERS};
 use asdr_math::Image;
 use asdr_obs::{Bundle, JsonWriter};
@@ -30,12 +31,13 @@ pub fn value(argv: &[String], i: &mut usize) -> String {
     argv.get(*i).cloned().unwrap_or_else(|| die(&format!("{} needs a value", argv[*i - 1])))
 }
 
-/// Parses a positive integer or dies naming the flag.
-pub fn positive_usize(flag: &str, s: &str) -> usize {
+/// Parses a `--queue` capacity, a whole number from 1 to [`MAX_QUEUE`],
+/// or dies naming the flag.
+fn queue_capacity(s: &str) -> usize {
     s.parse::<usize>()
         .ok()
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| die(&format!("{flag} needs a positive number")))
+        .filter(|n| (1..=MAX_QUEUE).contains(n))
+        .unwrap_or_else(|| die(&format!("--queue needs a whole number from 1 to {MAX_QUEUE}")))
 }
 
 /// Parses a count of threads or processes to start — a whole number from 1
@@ -56,8 +58,8 @@ pub fn parse_speed(s: &str) -> Result<f64, String> {
     check_speed(speed).map(|()| speed)
 }
 
-/// The replay flag set shared by `asdr-serve` and `asdr-cluster`:
-/// `--workload` plus `--speed` and `--record`.
+/// The replay flag set of `asdr-cluster`: `--workload` plus `--speed` and
+/// `--record`.
 #[derive(Debug, Default)]
 pub struct ReplayFlags {
     /// `--workload FILE`: the JSON-lines requests to replay.
@@ -90,22 +92,20 @@ impl ReplayFlags {
 }
 
 /// The flags that size a service and place its store, shared by every
-/// binary that builds one: `--scale`, `--workers`, `--queue`, and
-/// `--store-dir` / `--no-store`.
+/// binary that builds one: `--scale`, `--workers`, `--queue` and
+/// `--store-dir`.
 #[derive(Debug)]
 pub struct ServiceFlags {
     /// `--scale NAME`, resolved.
     pub profile: RenderProfile,
     /// `--scale NAME`, lowercased (for config snapshots and child processes).
     pub scale: String,
-    /// `--workers N` (`None`: the binary's default).
-    pub workers: Option<usize>,
+    /// `--workers N`: workers per shard (default 1).
+    pub workers: usize,
     /// `--queue N`: admission-queue capacity.
     pub queue: usize,
-    /// `--store-dir DIR`.
+    /// `--store-dir DIR`: the directory fits persist to (`None`: in memory).
     pub store_dir: Option<PathBuf>,
-    /// `--no-store`: in-memory only, whatever `ASDR_STORE_DIR` says.
-    pub no_store: bool,
 }
 
 impl Default for ServiceFlags {
@@ -113,10 +113,9 @@ impl Default for ServiceFlags {
         ServiceFlags {
             profile: RenderProfile::tiny(),
             scale: "tiny".to_string(),
-            workers: None,
+            workers: 1,
             queue: 64,
             store_dir: None,
-            no_store: false,
         }
     }
 }
@@ -124,8 +123,8 @@ impl Default for ServiceFlags {
 impl ServiceFlags {
     /// Tries to consume `argv[*i]` (and its value) as a service flag;
     /// returns whether it did. Dies on an unknown scale, a worker count
-    /// outside `1..=MAX_WORKERS`, a non-positive queue capacity, or both
-    /// store flags.
+    /// outside `1..=MAX_WORKERS` or a queue capacity outside
+    /// `1..=MAX_QUEUE`.
     pub fn accept(&mut self, argv: &[String], i: &mut usize) -> bool {
         match argv[*i].as_str() {
             "--scale" => {
@@ -134,38 +133,30 @@ impl ServiceFlags {
                     .unwrap_or_else(|| die(&format!("unknown scale {name:?}")));
                 self.scale = name.to_ascii_lowercase();
             }
-            "--workers" => self.workers = Some(worker_count("--workers", &value(argv, i))),
-            "--queue" => self.queue = positive_usize("--queue", &value(argv, i)),
+            "--workers" => self.workers = worker_count("--workers", &value(argv, i)),
+            "--queue" => self.queue = queue_capacity(&value(argv, i)),
             "--store-dir" => self.store_dir = Some(PathBuf::from(value(argv, i))),
-            "--no-store" => self.no_store = true,
             _ => return false,
-        }
-        if self.no_store && self.store_dir.is_some() {
-            die("--no-store and --store-dir are mutually exclusive");
         }
         true
     }
 
-    /// The store the flags place (unset: `ASDR_STORE_DIR` decides).
+    /// The store the flags place: persistent under `--store-dir`, else in
+    /// memory.
     pub fn store(&self) -> ModelStoreBuilder {
-        match (&self.store_dir, self.no_store) {
-            (Some(dir), _) => ModelStore::builder().dir(dir),
-            (None, true) => ModelStore::builder().in_memory_only(),
-            (None, false) => ModelStore::builder(),
+        match &self.store_dir {
+            Some(dir) => ModelStore::builder().dir(dir),
+            None => ModelStore::builder(),
         }
     }
 
     /// That placement in words, for banners and config snapshots.
     pub fn store_label(&self) -> String {
-        match (&self.store_dir, self.no_store) {
-            (Some(dir), _) => dir.display().to_string(),
-            (None, true) => "in-memory".to_string(),
-            (None, false) => "env".to_string(),
-        }
+        self.store_dir.as_ref().map_or("in-memory".to_string(), |d| d.display().to_string())
     }
 }
 
-/// Where a replay's results go, shared by `asdr-serve` and `asdr-cluster`.
+/// Where a replay's results go.
 #[derive(Debug, Default)]
 pub struct OutputFlags {
     /// `--out STATS.json`: the final statistics artifact.
@@ -204,7 +195,7 @@ pub fn open_bundle(dir: &Path, kind: &str, config: &[(&str, String)]) -> Arc<Bun
         .unwrap_or_else(|e| die(&format!("cannot create bundle {}: {e}", dir.display())))
 }
 
-/// What a replay binary prints and writes while and after it waits on its
+/// What a replay prints and writes while and after it waits on its
 /// tickets: the per-request table, `--dump-images` frames, bundle stats
 /// samples, the `TRACE_RESULT` line and the `--out` artifact.
 #[derive(Debug)]
@@ -216,11 +207,10 @@ pub struct ReplayReport<'a> {
 }
 
 impl<'a> ReplayReport<'a> {
-    /// Prints the table header; `column` names the one column that is the
-    /// binary's own.
-    pub fn begin(output: &'a OutputFlags, bundle: Option<&'a Bundle>, column: &str) -> Self {
-        println!("| req | scene | frames | {column} | queue ms | latency ms | deadline |");
-        println!("|---|---|---|---|---|---|---|");
+    /// Prints the table header.
+    pub fn begin(output: &'a OutputFlags, bundle: Option<&'a Bundle>) -> Self {
+        println!("| req | scene | frames | reused | shard | queue ms | latency ms | deadline |");
+        println!("|---|---|---|---|---|---|---|---|");
         ReplayReport {
             output,
             bundle,
@@ -229,18 +219,20 @@ impl<'a> ReplayReport<'a> {
         }
     }
 
-    /// Prints one completed request's row (`cell` fills the binary's own
-    /// column; the waits are shard-side milliseconds) and dumps its frames.
+    /// Prints one completed request's row (its frames that reused the
+    /// sample plan, the shard that served it; the waits are shard-side
+    /// milliseconds) and dumps its frames.
     pub fn row<T>(
         &mut self,
         req: &ReplayedRequest<T>,
-        cell: &dyn std::fmt::Display,
+        reused: u64,
+        shard: usize,
         images: &[Image],
         (queue_ms, latency_ms): (f64, f64),
         deadline_met: Option<bool>,
     ) {
         println!(
-            "| {} | {} | {} | {cell} | {queue_ms:.1} | {latency_ms:.1} | {} |",
+            "| {} | {} | {} | {reused} | {shard} | {queue_ms:.1} | {latency_ms:.1} | {} |",
             req.index,
             req.scene,
             images.len(),
@@ -285,7 +277,7 @@ impl<'a> ReplayReport<'a> {
 }
 
 /// Per-request counts collected while waiting on replayed tickets, and
-/// the machine-readable `TRACE_RESULT` summary both binaries print.
+/// the machine-readable `TRACE_RESULT` summary a replay prints.
 #[derive(Debug, Default)]
 struct ReplayMeasurements {
     requests: usize,
@@ -323,7 +315,7 @@ impl ReplayMeasurements {
 }
 
 /// Writes request `idx`'s frames as `reqNNN-fMM.ppm` under `dir`, dying
-/// on I/O errors — the `--dump-images` contract both binaries share.
+/// on I/O errors — the `--dump-images` contract.
 fn dump_frames(dir: &Path, idx: usize, images: &[Image]) {
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", dir.display())));

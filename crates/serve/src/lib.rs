@@ -17,8 +17,8 @@
 //!   sample plan via [`PlanPolicy::Reuse`](asdr_core::algo::PlanPolicy);
 //! * [`workload`] — the JSON-lines workload format, with its one reader
 //!   and one writer (what `--record` captures), and the one shared
-//!   [`ReplayDriver`] that both `asdr-serve` and `asdr-cluster` submit a
-//!   parsed `Vec<`[`TimedRequest`]`>` through;
+//!   [`ReplayDriver`] that `asdr-cluster` submits a parsed
+//!   `Vec<`[`TimedRequest`]`>` through;
 //! * [`ServeError`] — the one error vocabulary of the serving stack: the
 //!   service, the cluster's shard seam and its fleet all return it, and
 //!   each layer reads its own decision (wait, retry elsewhere, evict,
@@ -41,13 +41,13 @@
 //! println!("{} in {:?} (cache: {:?})", result.scene, result.latency, service.store().stats());
 //! ```
 //!
-//! The `ASDR_STORE_DIR` environment variable is read once per process; an
-//! explicit builder setting always wins — see [`config`].
+//! A store persists only to the directory its builder is given
+//! ([`ModelStoreBuilder::dir`](store::ModelStoreBuilder::dir)); without
+//! one it keeps its fits in memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod flags;
 pub mod profile;
 pub mod service;

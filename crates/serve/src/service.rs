@@ -15,7 +15,6 @@
 //!
 //! [`SamplePlan`]: asdr_core::algo::SamplePlan
 
-use crate::config;
 use crate::profile::RenderProfile;
 use crate::store::{ModelStore, StoreStats};
 use crate::workload::{check_pixels, MAX_FRAMES, MAX_RESOLUTION};
@@ -445,17 +444,10 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Fraction of frames that skipped Phase I.
-    pub fn reuse_fraction(&self) -> f64 {
-        if self.frames == 0 {
-            return 0.0;
-        }
-        self.reused_frames as f64 / self.frames as f64
-    }
-
-    /// Serializes the snapshot as a JSON object (the `asdr-serve` artifact
-    /// format) through the workspace-shared [`JsonWriter`], so number
-    /// formatting cannot drift from the cluster artifact again.
+    /// Serializes the snapshot as a JSON object (the stats an `asdr-shardd`
+    /// bundle samples and seals) through the workspace-shared
+    /// [`JsonWriter`], so number formatting cannot drift from the cluster
+    /// artifact again.
     pub fn to_json(&self) -> String {
         let s = &self.store;
         let mut w = JsonWriter::new();
@@ -504,7 +496,8 @@ pub struct RenderServiceBuilder {
 
 impl RenderServiceBuilder {
     /// Worker-pool size, fixed for the service's lifetime. Default, and
-    /// what zero means: the detected parallelism.
+    /// what zero means: [`detected_workers`](asdr_math::par::detected_workers)
+    /// (`ASDR_WORKERS`, else the detected parallelism).
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = (n > 0).then_some(n);
@@ -520,7 +513,7 @@ impl RenderServiceBuilder {
     }
 
     /// Shares an existing model store (several services, one warm cache).
-    /// Default: a fresh store honoring `ASDR_STORE_DIR`.
+    /// Default: a fresh in-memory store.
     #[must_use]
     pub fn store(mut self, store: Arc<ModelStore>) -> Self {
         self.store = Some(store);
@@ -544,7 +537,7 @@ impl RenderServiceBuilder {
     /// render options fail validation.
     pub fn build(self) -> Result<RenderService, String> {
         self.profile.options_for(self.profile.default_resolution).validate()?;
-        let workers = self.workers.unwrap_or_else(config::default_workers);
+        let workers = self.workers.unwrap_or_else(asdr_math::par::detected_workers);
         let store = self.store.unwrap_or_else(|| Arc::new(ModelStore::builder().build()));
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
@@ -628,23 +621,6 @@ impl RenderService {
     /// Worker-pool size the service was built with.
     pub fn workers(&self) -> usize {
         self.pool_size
-    }
-
-    /// Blocks until the admission queue has a free slot, the service stops
-    /// accepting, or `timeout` passes — the condvar the replay driver
-    /// parks on instead of spinning while the queue is full. Capacity
-    /// observed here is advisory: a racing submitter may take the slot, in
-    /// which case the next submit returns `QueueFull` and the caller waits
-    /// again.
-    pub fn wait_capacity(&self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.shared.queue.lock().unwrap();
-        while q.accepting && q.queue.len() >= self.shared.queue_capacity {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return;
-            };
-            q = self.shared.cond.wait_timeout(q, left).unwrap().0;
-        }
     }
 
     /// The admission-queue capacity.
@@ -796,9 +772,6 @@ fn worker_loop(shared: &Shared) {
             loop {
                 if !q.paused {
                     if let Some(item) = pop(&mut q) {
-                        // the claim just freed a queue slot: wake anyone
-                        // blocked in wait_capacity before going to render
-                        shared.cond.notify_all();
                         break item;
                     }
                     if !q.accepting {
@@ -1007,6 +980,7 @@ mod tests {
         let json = stats.to_json();
         for key in [
             "\"requests\"",
+            "\"frames\": 5, \"reused_frames\": 3",
             "\"p95_latency_ms\"",
             "\"throughput_fps\"",
             "\"density_evals\": 9000, \"skipped_density\": 7000",
@@ -1017,6 +991,5 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!((stats.reuse_fraction() - 0.6).abs() < 1e-12);
     }
 }

@@ -35,7 +35,6 @@
 //! the disk layer cannot see definitions and must trust registry names to
 //! be stable across processes.
 
-use crate::config;
 use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::io::{self, LoadError};
@@ -167,28 +166,17 @@ impl StoreStats {
     }
 }
 
-/// Configures and builds a [`ModelStore`]. Settings resolve with the
-/// documented precedence: explicit builder setting > environment > default
-/// (see [`crate::config`]).
+/// Configures and builds a [`ModelStore`]: a given [`dir`](Self::dir)
+/// persists fits there, no directory keeps them in memory only.
 #[derive(Debug, Clone)]
 pub struct ModelStoreBuilder {
     capacity: usize,
-    dir: DirSetting,
-}
-
-#[derive(Debug, Clone)]
-enum DirSetting {
-    /// Unset: fall back to `ASDR_STORE_DIR`.
-    FromEnv,
-    /// Explicitly disabled: in-memory only, regardless of the environment.
-    Disabled,
-    /// Explicit checkpoint directory.
-    Path(PathBuf),
+    dir: Option<PathBuf>,
 }
 
 impl Default for ModelStoreBuilder {
     fn default() -> Self {
-        ModelStoreBuilder { capacity: ModelStore::DEFAULT_CAPACITY, dir: DirSetting::FromEnv }
+        ModelStoreBuilder { capacity: ModelStore::DEFAULT_CAPACITY, dir: None }
     }
 }
 
@@ -201,33 +189,20 @@ impl ModelStoreBuilder {
         self
     }
 
-    /// Persists checkpoints under `dir` (created on first write). Takes
-    /// precedence over `ASDR_STORE_DIR`.
+    /// Persists checkpoints under `dir` (created on first write).
     #[must_use]
     pub fn dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.dir = DirSetting::Path(dir.into());
-        self
-    }
-
-    /// Forces in-memory-only operation even when `ASDR_STORE_DIR` is set.
-    #[must_use]
-    pub fn in_memory_only(mut self) -> Self {
-        self.dir = DirSetting::Disabled;
+        self.dir = Some(dir.into());
         self
     }
 
     /// Builds the store.
     pub fn build(self) -> ModelStore {
-        let dir = match self.dir {
-            DirSetting::Path(p) => Some(p),
-            DirSetting::Disabled => None,
-            DirSetting::FromEnv => config::env_store_dir().cloned(),
-        };
         ModelStore {
             inner: Mutex::new(Inner::default()),
             cond: Condvar::new(),
             capacity: self.capacity,
-            dir,
+            dir: self.dir,
             counters: Counters::default(),
         }
     }
@@ -673,8 +648,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_clamps_capacity_and_honors_in_memory_only() {
-        let store = ModelStore::builder().capacity(0).in_memory_only().build();
+    fn builder_clamps_capacity_and_persists_only_to_a_given_dir() {
+        let store = ModelStore::builder().capacity(0).build();
         assert_eq!(store.capacity(), 1);
         assert_eq!(store.dir(), None);
         let store = ModelStore::builder().dir("/tmp/asdr-store-test").build();

@@ -1,7 +1,7 @@
 //! Workload files and their replay: one JSON object per line, one render
 //! request each — the one format a replay reads and `--record` writes —
-//! and the one [`ReplayDriver`] both `asdr-serve` and `asdr-cluster`
-//! submit a parsed `Vec<`[`TimedRequest`]`>` through.
+//! and the one [`ReplayDriver`] `asdr-cluster` submits a parsed
+//! `Vec<`[`TimedRequest`]`>` through.
 //!
 //! ```text
 //! # mixed 3-scene burst (lines starting with '#' and blank lines skipped)
@@ -27,20 +27,21 @@
 //! [`write_workload`] is the parser's inverse: what it writes parses back
 //! to the same requests (`origin` aside), an orbit step bit for bit. A
 //! `--record` capture is such a file, so it replays with `--workload` and
-//! its frames repeat byte for byte (`crates/serve/tests/trace_record_replay.rs`).
+//! its frames repeat byte for byte (`crates/cluster/tests/trace_record_replay.rs`).
 //!
 //! The driver owns the open-loop clock (sleep until each request's arrival
 //! offset, optionally time-warped by `--speed`), the busy-retry policy (a
 //! full target blocks the replay clock rather than dropping work) and the
-//! `--record` capture. It is generic over a [`ReplayTarget`], so a
-//! single-node [`RenderService`] and a fleet replay identically.
+//! `--record` capture. It is generic over a [`ReplayTarget`]: the fleet
+//! (`asdr_cluster::Fleet`, one shard or many) is the one a program replays
+//! into.
 //!
 //! The environment has no registry access, hence no serde: the reader and
 //! the writer in [`asdr_obs::json`] cover exactly the flat
 //! string/number/bool objects this format needs.
 
 use crate::profile::RenderProfile;
-use crate::service::{Priority, RenderRequest, RenderService, RenderTicket, ServeError};
+use crate::service::{Priority, RenderRequest, ServeError};
 use asdr_obs::json::{parse_flat_object, Value};
 use asdr_obs::JsonWriter;
 use std::collections::BTreeMap;
@@ -66,6 +67,9 @@ pub const MAX_PIXELS: u64 = 1 << 24;
 /// exactly; below it the warped offset saturates and the replay sleeps for
 /// as long as that says.
 pub const SPEEDS: RangeInclusive<f64> = 0.001..=1_000_000.0;
+/// Largest accepted `--queue` capacity: pending requests a service admits
+/// before it refuses with `QueueFull`.
+pub const MAX_QUEUE: usize = 65_536;
 
 /// Checks a replay time-warp factor against [`SPEEDS`].
 ///
@@ -292,18 +296,6 @@ pub trait ReplayTarget {
     /// passes; called by the driver after a [`ServeError::QueueFull`], so
     /// an idle replay wakes the moment a slot frees.
     fn wait_capacity(&self, timeout: Duration);
-}
-
-impl ReplayTarget for RenderService {
-    type Ticket = RenderTicket;
-
-    fn try_submit(&self, req: RenderRequest) -> Result<RenderTicket, ServeError> {
-        self.submit(req)
-    }
-
-    fn wait_capacity(&self, timeout: Duration) {
-        RenderService::wait_capacity(self, timeout);
-    }
 }
 
 /// One admitted request, paired with where it came from.
@@ -570,10 +562,12 @@ mod tests {
         assert!(missing.is_err());
     }
 
-    /// A target that stays busy for the first `busy` submissions of each
-    /// request index, then admits, echoing the request back as a ticket.
+    /// A target that refuses the first `busy` submissions of each request
+    /// index with `refusal` (a full queue unless set), then admits, echoing
+    /// the request back as a ticket.
     struct MockTarget {
         busy: usize,
+        refusal: ServeError,
         attempts: Mutex<usize>,
         admitted: Mutex<Vec<String>>,
         waits: Mutex<usize>,
@@ -583,10 +577,15 @@ mod tests {
         fn new(busy: usize) -> Self {
             MockTarget {
                 busy,
+                refusal: ServeError::QueueFull { capacity: 1 },
                 attempts: Mutex::new(0),
                 admitted: Mutex::new(Vec::new()),
                 waits: Mutex::new(0),
             }
+        }
+
+        fn refusing(self, refusal: ServeError) -> Self {
+            MockTarget { refusal, ..self }
         }
     }
 
@@ -597,7 +596,7 @@ mod tests {
             let mut attempts = self.attempts.lock().unwrap();
             *attempts += 1;
             if *attempts <= self.busy {
-                return Err(ServeError::QueueFull { capacity: 1 });
+                return Err(self.refusal.clone());
             }
             self.admitted.lock().unwrap().push(req.scene.name().to_string());
             Ok(req)
@@ -638,36 +637,6 @@ mod tests {
         assert!(replay.requests[0].deadlined);
         // every full-queue refusal parked in wait_capacity exactly once
         assert_eq!(*target.waits.lock().unwrap(), 2);
-    }
-
-    #[test]
-    fn full_service_queues_wake_on_freed_slots() {
-        // capacity 1, workers parked: the queue fills with one request,
-        // wait_capacity must block while full and wake once a worker
-        // claims the queued request
-        let service = RenderService::builder(RenderProfile::tiny())
-            .store(std::sync::Arc::new(
-                crate::store::ModelStore::builder().in_memory_only().build(),
-            ))
-            .workers(1)
-            .queue_capacity(1)
-            .paused()
-            .build()
-            .unwrap();
-        let req = || entry(0, "Mic", 1).to_request(&RenderProfile::tiny()).unwrap();
-        let t0 = service.submit(req()).unwrap();
-        assert!(matches!(service.submit(req()), Err(ServeError::QueueFull { .. })));
-        // full queue: the bounded wait times out without a notify
-        let start = Instant::now();
-        ReplayTarget::wait_capacity(&service, Duration::from_millis(30));
-        assert!(start.elapsed() >= Duration::from_millis(25), "full queue must park");
-        // unpark: the worker claims the request, freeing the slot and
-        // notifying the waiter well before the generous timeout
-        service.start();
-        ReplayTarget::wait_capacity(&service, Duration::from_secs(30));
-        t0.wait().unwrap();
-        service.submit(req()).unwrap().wait().unwrap();
-        service.shutdown();
     }
 
     #[test]
@@ -715,37 +684,12 @@ mod tests {
     }
 
     #[test]
-    fn render_service_is_a_replay_target() {
-        let service = RenderService::builder(RenderProfile::tiny())
-            .store(std::sync::Arc::new(
-                crate::store::ModelStore::builder().in_memory_only().build(),
-            ))
-            .workers(1)
-            .build()
-            .unwrap();
-        let replay = driver().run(&[entry(0, "Mic", 1)], &service).unwrap();
-        let result = replay.requests.into_iter().next().unwrap().ticket.wait().unwrap();
-        assert_eq!(result.images.len(), 1);
-        service.shutdown();
-    }
-
-    #[test]
-    fn a_draining_service_ends_the_replay_naming_the_request() {
+    fn a_draining_target_ends_the_replay_naming_the_request() {
         // `ShuttingDown` is final to a replay: a driver that waited for
         // capacity here would spin forever on a queue that never reopens
-        let service = RenderService::builder(RenderProfile::tiny())
-            .store(std::sync::Arc::new(
-                crate::store::ModelStore::builder().in_memory_only().build(),
-            ))
-            .workers(1)
-            .build()
-            .unwrap();
-        service.drain();
-        let (ended, end) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            ended.send(driver().run(&[entry(0, "Mic", 1)], &service).map(|_| ())).unwrap();
-        });
-        let e = end.recv_timeout(Duration::from_secs(30)).expect("the replay kept waiting");
-        assert_eq!(e.unwrap_err(), format!("request 0: {}", ServeError::ShuttingDown));
+        let target = MockTarget::new(usize::MAX).refusing(ServeError::ShuttingDown);
+        let e = driver().run(&[entry(0, "Mic", 1)], &target).unwrap_err();
+        assert_eq!(e, format!("request 0: {}", ServeError::ShuttingDown));
+        assert_eq!(*target.waits.lock().unwrap(), 0, "a draining target is never waited on");
     }
 }

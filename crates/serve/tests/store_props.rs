@@ -31,7 +31,7 @@ fn fresh_dir(name: &str) -> PathBuf {
 
 #[test]
 fn concurrent_requests_fit_exactly_once() {
-    let store = Arc::new(ModelStore::builder().in_memory_only().build());
+    let store = Arc::new(ModelStore::builder().build());
     let scene = registry::handle("Mic");
     let grid = test_grid();
     let fits = Arc::new(AtomicUsize::new(0));
@@ -64,7 +64,7 @@ fn concurrent_requests_fit_exactly_once() {
 
 #[test]
 fn lru_eviction_drops_the_least_recent_ready_entry() {
-    let store = ModelStore::builder().capacity(2).in_memory_only().build();
+    let store = ModelStore::builder().capacity(2).build();
     let grid = test_grid();
     let (a, b, c) = (registry::handle("Mic"), registry::handle("Lego"), registry::handle("Chair"));
     store.get_or_fit_with(&a, &grid, || blank_model(&grid, 1.0));
@@ -84,7 +84,7 @@ fn lru_eviction_drops_the_least_recent_ready_entry() {
 
 #[test]
 fn eviction_never_drops_an_in_flight_entry() {
-    let store = Arc::new(ModelStore::builder().capacity(1).in_memory_only().build());
+    let store = Arc::new(ModelStore::builder().capacity(1).build());
     let grid = test_grid();
     let slow = registry::handle("Mic");
     let gate = Arc::new(Barrier::new(2));
@@ -115,7 +115,7 @@ fn eviction_never_drops_an_in_flight_entry() {
 
 #[test]
 fn a_panicking_fit_unwinds_cleanly() {
-    let store = Arc::new(ModelStore::builder().in_memory_only().build());
+    let store = Arc::new(ModelStore::builder().build());
     let scene = registry::handle("Mic");
     let grid = test_grid();
     let crashed = {
@@ -209,7 +209,7 @@ fn corrupt_checkpoints_degrade_to_a_refit() {
 
 #[test]
 fn same_name_different_def_refits_instead_of_aliasing() {
-    let store = ModelStore::builder().in_memory_only().build();
+    let store = ModelStore::builder().build();
     let grid = test_grid();
     let real = registry::handle("Mic");
     let from_real = store.get_or_fit_with(&real, &grid, || blank_model(&grid, 1.0));

@@ -12,7 +12,7 @@
 
 use asdr::cluster::{Fleet, FleetConfig, LocalShards};
 use asdr::scenes::registry;
-use asdr::serve::{ModelStore, RenderProfile, RenderRequest};
+use asdr::serve::{RenderProfile, RenderRequest};
 use std::time::Duration;
 
 const RESOLUTION: u32 = 32;
@@ -20,14 +20,9 @@ const SCENES: [&str; 3] = ["Mic", "Lego", "Pulse"];
 
 fn main() {
     let profile = RenderProfile::tiny();
-    let shards = LocalShards {
-        shards: 3,
-        workers: 2,
-        store: ModelStore::builder().in_memory_only(),
-        ..LocalShards::new(profile.clone())
-    }
-    .build()
-    .expect("valid render profile");
+    let shards = LocalShards { shards: 3, workers: 2, ..LocalShards::new(profile.clone()) }
+        .build()
+        .expect("valid render profile");
     let cluster = Fleet::new(shards, &profile, FleetConfig::default()).expect("at least one shard");
     for name in SCENES {
         println!("{name:>6} -> home shard {}", cluster.ring().home(name));

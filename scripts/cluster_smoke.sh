@@ -2,9 +2,9 @@
 # Cluster smoke: the bundled clustered workload over two shards sharing one
 # store dir, cold then warm, pinning zero duplicate fits. The workload holds
 # 3 scenes: "total_fits": 3 across both shards cold is fit dedup, 0 warm is
-# the checkpoints being shared. A replica the fleet makes while its home is
-# still fitting waits on the store's cross-process lock and loads: a disk
-# hit, never a fourth fit. Then a hot scene (cluster-workload-spill.jsonl)
+# the checkpoints being shared, and the warm run serves every request line.
+# A replica the fleet makes while its home is still fitting waits on the
+# store's cross-process lock and loads: a disk hit, never a fourth fit. Then a hot scene (cluster-workload-spill.jsonl)
 # over the warm store: requests overlap at its home, the fleet replicates
 # and spills, and the frames are a one-shard run's, byte for byte.
 #
@@ -31,6 +31,8 @@ cluster tiny "$@" --out target/cluster-stats-cold.json
 grep '"total_fits": 3' target/cluster-stats-cold.json
 cluster tiny "$@" --out target/cluster-stats.json
 grep '"total_fits": 0' target/cluster-stats.json
+# the warm run completes every request line of the workload
+grep "\"requests\": $(grep -c '^{' scripts/cluster-workload-tiny.jsonl)," target/cluster-stats.json
 
 rm -rf target/cluster-spill target/cluster-spill-ref
 cluster spill --shards 1 --dump-images target/cluster-spill-ref --out target/cluster-stats-spill-ref.json

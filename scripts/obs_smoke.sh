@@ -2,9 +2,9 @@
 # Observability smoke: the run-bundle and merged-report contract through
 # the real binaries.
 #
-#   serve    — replay scripts/serve-workload-miss.jsonl, a burst whose
-#              1 ms deadlines no request can meet, through asdr-serve,
-#              writing a run bundle
+#   replay   — replay scripts/serve-workload-miss.jsonl, a burst whose
+#              1 ms deadlines no request can meet, through
+#              asdr-cluster --shards 1, writing a run bundle
 #   asserts  — the bundle holds the full artifact set with the span
 #              timeline and no file the layout doc in
 #              crates/obs/src/bundle.rs does not list, its stats.json is byte-identical to the --out
@@ -17,22 +17,20 @@ set -euo pipefail
 
 out=target/obs-smoke
 
-serve() { cargo run --release -q -p asdr_serve --bin asdr-serve -- "$@"; }
-report() { cargo run --release -q -p asdr_cluster --bin asdr-cluster -- report "$@"; }
+cluster() { cargo run --release -q -p asdr_cluster --bin asdr-cluster -- "$@"; }
 
 rm -rf "$out"
 mkdir -p "$out"
 
 echo "== build"
-cargo build --release -q -p asdr_serve --bin asdr-serve
 cargo build --release -q -p asdr_cluster --bin asdr-cluster
 
-echo "== serve replay, bundle on"
-serve --workload scripts/serve-workload-miss.jsonl --scale tiny --no-store \
-    --bundle "$out/bundles/serve" --out "$out/serve-stats.json" > "$out/serve.log"
+echo "== one-shard replay, bundle on"
+cluster --workload scripts/serve-workload-miss.jsonl --shards 1 --scale tiny \
+    --bundle "$out/bundles" --out "$out/replay-stats.json" > "$out/replay.log"
 
 echo "== bundle asserts"
-bundle="$out/bundles/serve"
+bundle="$out/bundles/cluster"
 for f in config.json meta.json spans.jsonl stats.json stats-timeline.jsonl last-stage; do
     [[ -s "$bundle/$f" || "$f" == "stats-timeline.jsonl" && -f "$bundle/$f" ]] \
         || { echo "FAIL: bundle is missing $f"; exit 1; }
@@ -49,13 +47,13 @@ stage=$(cat "$bundle/last-stage")
     || { echo "FAIL: bundle ends at stage '$stage', not the clean-exit marker"; exit 1; }
 grep -Eq '"mlp_kernel": "(avx512vnni|avx2|portable)"' "$bundle/config.json" \
     || { echo "FAIL: config.json does not name the MLP kernel that ran"; exit 1; }
-diff "$bundle/stats.json" "$out/serve-stats.json" \
+diff "$bundle/stats.json" "$out/replay-stats.json" \
     || { echo "FAIL: bundle stats.json differs from the --out artifact"; exit 1; }
 spans=$(wc -l < "$bundle/spans.jsonl")
 echo "bundle complete: $spans span lines, final stage '$stage', stats byte-identical to --out"
 
 echo "== merged report asserts"
-report --bundles "$out/bundles" --out "$out/report.md"
+cluster report --bundles "$out/bundles" --out "$out/report.md"
 grep -q '^| render |' "$out/report.md" \
     || { echo "FAIL: per-phase table has no render row"; exit 1; }
 misses=$(grep -c '^MISS_ATTRIBUTION' "$out/report.md" || true)
@@ -65,7 +63,7 @@ if grep '^MISS_ATTRIBUTION' "$out/report.md" | grep -q 'phase=unattributed'; the
     echo "FAIL: a deadline miss has no dominant phase"
     exit 1
 fi
-report --bundles "$out/bundles" --json --out "$out/report.json"
+cluster report --bundles "$out/bundles" --json --out "$out/report.json"
 grep -q '"phases"' "$out/report.json" \
     || { echo "FAIL: JSON report has no phases array"; exit 1; }
 echo "merged report: $misses deadline misses, every one attributed"

@@ -2,10 +2,10 @@
 # Trace smoke: the record -> replay contract, end to end through the real
 # binaries.
 #
-#   record — the bundled workload through asdr-serve with --record,
-#            dumping its frames
-#   replay — the captured workload file through asdr-serve against the
-#            same store, dumping its frames
+#   record — the bundled workload through asdr-cluster --shards 1 with
+#            --record, dumping its frames
+#   replay — the captured workload file through asdr-cluster --shards 1
+#            against the same store, dumping its frames
 #
 # and asserts the two frame dumps are byte-identical and both TRACE_RESULT
 # lines count the same requests (the capture holds every one).
@@ -16,7 +16,7 @@ set -euo pipefail
 out=target/trace-smoke
 store=target/trace-store
 
-serve() { cargo run --release -q -p asdr_serve --bin asdr-serve -- "$@"; }
+replay() { cargo run --release -q -p asdr_cluster --bin asdr-cluster -- --shards 1 "$@"; }
 
 rm -rf "$out" "$store"
 mkdir -p "$out"
@@ -24,7 +24,7 @@ mkdir -p "$out"
 run() { # label, then the input flags
     local label=$1
     shift
-    serve "$@" --scale tiny --store-dir "$store" --dump-images "$out/$label" \
+    replay "$@" --scale tiny --store-dir "$store" --dump-images "$out/$label" \
         --out "$out/$label-stats.json" > "$out/$label.log"
     sed -n 's/^TRACE_RESULT //p' "$out/$label.log" > "$out/$label.json"
     [[ -s "$out/$label.json" ]] || { echo "error: no TRACE_RESULT line in $out/$label.log" >&2; exit 1; }

@@ -2,7 +2,7 @@
 //! checkpoint directory fits each scene exactly once; a second service over
 //! the same directory performs zero fits and renders byte-identical images.
 //! (The same contract crosses real process boundaries in
-//! `crates/serve/tests/cold_warm_bin.rs`.)
+//! `crates/cluster/tests/cold_warm_bin.rs`.)
 
 use asdr::scenes::registry;
 use asdr::serve::{ModelStore, Priority, RenderProfile, RenderRequest, RenderService};
