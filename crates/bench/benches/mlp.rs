@@ -57,10 +57,9 @@ fn bench_on(c: &mut Criterion, name: &str, mlp: &IntMlp, kernel: Kernel) {
     let first = &mlp.layers()[0];
     let x: Vec<u8> = (0..first.in_dim()).map(|i| 128 + (i % 29) as u8).collect();
     let mut y = vec![0.0f32; mlp.layers().last().unwrap().out_dim()];
-    let mut s = mlp.make_scratch();
     c.bench_function(name, |b| {
         b.iter(|| {
-            mlp.forward_on(kernel, None, 0, black_box(&x), &mut y, &mut s);
+            mlp.forward_on(kernel, None, 0, black_box(&x), &mut y);
             black_box(&y);
         })
     });

@@ -19,7 +19,7 @@ use crate::embedding::EmbeddingSet;
 use crate::encoder::HashEncoder;
 use crate::grid::GridConfig;
 use crate::mlp::{Activation, Dense, Mlp, MAX_INT_INPUTS, MAX_INT_OUTPUTS};
-use crate::model::{MlpScales, NgpModel, COLOR_IN_DIM, DENSITY_OUT_DIM};
+use crate::model::{MlpScales, NgpModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::{Aabb, Vec3};
 use std::io::{self, Read, Write};
@@ -271,10 +271,15 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
     }
     let density = read_mlp(r)?;
     let color = read_mlp(r)?;
+    // the integer MLPs run every hidden layer at the models' one width
+    let hidden_fit =
+        |mlp: &Mlp| mlp.layers().iter().rev().skip(1).all(|l| l.out_dim() == HIDDEN_DIM);
     if density.in_dim() != cfg.encoded_dim()
         || density.out_dim() != DENSITY_OUT_DIM
         || color.in_dim() != COLOR_IN_DIM
         || color.out_dim() != 3
+        || !hidden_fit(&density)
+        || !hidden_fit(&color)
     {
         return Err(LoadError::Corrupt("MLP shapes do not fit the model"));
     }
@@ -394,6 +399,27 @@ mod tests {
         let model = fitted("Mic");
         let ckpt = roundtrip(&model, "my-custom-scene");
         assert_eq!(ckpt.scene.as_deref(), Some("my-custom-scene"));
+    }
+
+    #[test]
+    fn a_hidden_layer_of_another_width_is_rejected_as_corrupt() {
+        let model = fitted("Mic");
+        let mut buf = Vec::new();
+        save_model(&model, "Mic", &mut buf).unwrap();
+        let mut density = Vec::new();
+        write_mlp(&mut density, model.density_mlp()).unwrap();
+        // the same density MLP, its hidden layer 32 wide instead of 64
+        let enc = model.encoder().encoded_dim();
+        let narrow = Mlp::new(vec![
+            Dense::zeros(enc, 32, Activation::Relu),
+            Dense::zeros(32, DENSITY_OUT_DIM, Activation::None),
+        ]);
+        let mut patch = Vec::new();
+        write_mlp(&mut patch, &narrow).unwrap();
+        let at = buf.windows(density.len()).position(|w| w == density).unwrap();
+        buf.splice(at..at + density.len(), patch);
+        let err = load_model(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, LoadError::Corrupt("MLP shapes do not fit the model")), "{err}");
     }
 
     #[test]

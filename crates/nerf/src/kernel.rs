@@ -7,10 +7,11 @@
 //! across a ray's samples. The encoder and the pass are each written once, as
 //! plain safe Rust that LLVM vectorises, and `run_on` compiles them for the
 //! build's baseline target and inlined into a function with AVX2 enabled.
-//! The integer layer has one body per instantiation (portable `i32` loops,
-//! AVX2 `vpmaddwd`, AVX-512 VNNI `vpdpbusd`), bit-identical because every
-//! sum is an exact `i32`. `dispatch` picks the instantiation per call from
-//! what the CPU reports (DESIGN.md §8).
+//! The integer layer has one pair of line kernels per instantiation
+//! (portable `i32` loops, AVX2 `vpmaddwd`, AVX-512 VNNI `vpdpbusd`), which a
+//! single layer's pass and a whole MLP's body both inline, bit-identical
+//! because every sum is an exact `i32`. `dispatch` picks the instantiation
+//! per call from what the CPU reports (DESIGN.md §8).
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{__m128i, __m256i, __m512i};

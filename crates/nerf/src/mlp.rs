@@ -272,12 +272,13 @@ const GROUP: usize = 4;
 /// 64 bytes.
 const LINE: usize = 16;
 
-/// Lines of an integer layer, at most: four chains of `vpdpbusd`, 64
-/// outputs — the hidden width of both MLPs, in one pass.
+/// Lines of an integer layer: 64 outputs — the hidden width of both MLPs,
+/// in one pass. A narrower layer keeps all four, its outputs past `out_dim`
+/// against zero weights.
 const LINES: usize = 4;
 
-/// The `i32` sums of a pass, line by line.
-type Sums = Aligned<[[i32; LINE]; LINES]>;
+/// The groups a hidden layer's 64 output bytes make as the next layer's input.
+const HIDDEN_GROUPS: usize = LINES * LINE / GROUP;
 
 /// The most outputs an integer layer may have: four lines of 16, one pass.
 pub const MAX_INT_OUTPUTS: usize = LINES * LINE;
@@ -295,6 +296,13 @@ pub const MAX_INT_INPUTS: usize = 256;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C, align(64))]
 struct Aligned<T>(T);
+
+/// One line of one group: the weights of the group's four inputs into the
+/// line's 16 outputs, output `o`'s at `4·o..4·o + 4` — one `vpdpbusd` operand.
+type Row = Aligned<[i8; 64]>;
+
+/// The `i32` sums of a pass, line by line.
+type Sums = [[i32; LINE]; LINES];
 
 /// What a pass of an [`IntDense`] writes per output from the output's exact
 /// sum `s`: the sum itself (`i32`, a [`IntDense::prefix`]), the value
@@ -365,24 +373,25 @@ pub fn quantize_signed(x: &[f32], inv: f32, out: &mut [u8]) {
 ///
 /// Inputs are bytes: `q + 128` for a signed step `q` in `−127..=127` when
 /// the layer takes signed inputs, the step `0..=255` itself otherwise. The
-/// weights are laid out `[in / 4][out][4]` in lines of 16 outputs (64
-/// bytes, so a line of one group of inputs is one `vpdpbusd` operand). A
-/// pass over the groups `a..b` starts each sum at `−zero · Σ w` over those
-/// groups (`zero` the byte of a zero input), so the sum is `Σ w·q` exactly
-/// however the groups are split, and the output is `sum · mul + add`.
+/// weights are laid out `[in / 4][line][16][4]`, four lines of 16 outputs
+/// a group (64 bytes each, so a line of one group of inputs is one
+/// `vpdpbusd` operand). A pass over the groups `a..b` starts each sum at
+/// `−zero · Σ w` over those groups (`zero` the byte of a zero input), so
+/// the sum is `Σ w·q` exactly however the groups are split, and the output
+/// is `sum · mul + add`.
 #[derive(Clone, PartialEq)]
 pub struct IntDense {
     in_dim: usize,
     out_dim: usize,
-    lines: usize,
     zero: u8,
     /// `[group][line]`: output `16·line + o`'s weights of the group's four
     /// inputs at `4·o..4·o + 4`.
-    weights: Vec<Aligned<[i8; 64]>>,
-    /// `[group + 1][line]`: `−zero · Σ w` over the groups before, by output.
-    corr: Vec<Aligned<[i32; LINE]>>,
-    mul: Vec<f32>,
-    add: Vec<f32>,
+    weights: Vec<[Row; LINES]>,
+    /// `[group]`: `−zero · Σ w` over the groups before, by output; empty
+    /// for unsigned inputs, whose every row would be zero.
+    corr: Vec<Aligned<Sums>>,
+    mul: Aligned<[[f32; LINE]; LINES]>,
+    add: Aligned<[[f32; LINE]; LINES]>,
 }
 
 impl fmt::Debug for IntDense {
@@ -395,11 +404,11 @@ impl fmt::Debug for IntDense {
     }
 }
 
-/// What one pass of the integer bodies reads: the running sums `init` it
-/// resumes (none: zero), and the input groups `x` from group `first` on.
+/// What one pass of a layer reads: the running sums `init` it resumes
+/// (none: zero), and the input groups `x` from group `first` on.
 #[derive(Clone, Copy)]
 struct IntPass<'a> {
-    init: Option<&'a [i32]>,
+    init: Option<&'a [i32; MAX_INT_OUTPUTS]>,
     first: usize,
     x: &'a [[u8; GROUP]],
 }
@@ -424,17 +433,13 @@ impl<'a> IntPass<'a> {
         x: &'a [u8],
         padded: &'a Option<[[u8; GROUP]; MAX_INT_INPUTS / GROUP]>,
     ) -> Self {
+        let init = init.map(|i| i.try_into().expect("running-sum row length mismatch"));
         let first = skip / GROUP;
         let x = match padded {
             Some(groups) => &groups[first..(skip + x.len()).div_ceil(GROUP)],
             None => x.as_chunks().0,
         };
         IntPass { init, first, x }
-    }
-
-    /// A pass over all of a hidden layer's input bytes, `x` padded to whole groups.
-    fn whole(x: &'a [u8]) -> Self {
-        IntPass { init: None, first: 0, x: x.as_chunks().0 }
     }
 }
 
@@ -461,37 +466,34 @@ impl IntDense {
             mul.len() == out_dim && add.len() == out_dim,
             "one multiplier and addend an output"
         );
-        let (groups, lines) = (in_dim.div_ceil(GROUP), out_dim.div_ceil(LINE));
-        let mut rows = vec![Aligned([0i8; 64]); groups * lines];
+        let mut rows = vec![[Aligned([0i8; 64]); LINES]; in_dim.div_ceil(GROUP)];
         for (j, row) in weights.chunks_exact(in_dim).enumerate() {
             for (i, &w) in row.iter().enumerate() {
-                rows[i / GROUP * lines + j / LINE].0[j % LINE * GROUP + i % GROUP] = w;
+                rows[i / GROUP][j / LINE].0[j % LINE * GROUP + i % GROUP] = w;
             }
         }
         let zero = if signed { SIGNED_ZERO } else { 0 };
-        let mut corr = vec![Aligned([0i32; LINE]); (groups + 1) * lines];
-        for k in 0..groups * lines {
-            let (w, before) = (&rows[k].0, corr[k].0);
-            for (o, c) in corr[k + lines].0.iter_mut().enumerate() {
-                let sum: i32 = w[o * GROUP..][..GROUP].iter().map(|&w| i32::from(w)).sum();
-                *c = before[o] - i32::from(zero) * sum;
+        // unsigned inputs (`zero` 0) would make every row zero: none is kept
+        let mut corr = Vec::with_capacity(if signed { rows.len() + 1 } else { 0 });
+        if signed {
+            corr.push(Aligned([[0i32; LINE]; LINES]));
+            for group in &rows {
+                let before = corr.last().expect("the first row is zero").0;
+                corr.push(Aligned(std::array::from_fn(|l| {
+                    std::array::from_fn(|o| {
+                        let w = &group[l].0[o * GROUP..][..GROUP];
+                        before[l][o]
+                            - i32::from(zero) * w.iter().map(|&w| i32::from(w)).sum::<i32>()
+                    })
+                })));
             }
         }
         let padded = |v: &[f32]| {
-            let mut row = vec![0.0; lines * LINE];
-            row[..out_dim].copy_from_slice(v);
-            row
+            let mut lines = Aligned([[0.0; LINE]; LINES]);
+            lines.0.as_flattened_mut()[..out_dim].copy_from_slice(v);
+            lines
         };
-        IntDense {
-            in_dim,
-            out_dim,
-            lines,
-            zero,
-            weights: rows,
-            corr,
-            mul: padded(mul),
-            add: padded(add),
-        }
+        IntDense { in_dim, out_dim, zero, weights: rows, corr, mul: padded(mul), add: padded(add) }
     }
 
     /// `dense` at 8 bits. `steps[i]` is the value of one step of input `i`
@@ -544,10 +546,10 @@ impl IntDense {
     }
 
     /// Length of a running-sum row ([`Self::prefix`] writes one,
-    /// [`Self::forward_from`] resumes from one): the outputs rounded up to
-    /// whole lines of 16.
+    /// [`Self::forward_from`] resumes from one): every line's 16 outputs,
+    /// [`MAX_INT_OUTPUTS`] whatever the layer's width.
     pub fn sums_len(&self) -> usize {
-        self.lines * LINE
+        MAX_INT_OUTPUTS
     }
 
     /// Forward pass of the input bytes `x` into `out`, which may ask for
@@ -632,168 +634,327 @@ impl IntDense {
         let padded = padded(self.zero, skip, x);
         let pass = IntPass::new(init, skip, x, &padded);
         #[cfg(target_arch = "x86_64")]
-        let (avx2, vnni) = (run_avx2::<O>, run_vnni::<O>);
+        let (avx2, vnni) = (pass_avx2::<O>, pass_vnni::<O>);
         #[cfg(not(target_arch = "x86_64"))]
-        let (avx2, vnni) = (run_portable::<O>, run_portable::<O>);
-        dispatch(kernel, self, pass, out, run_portable::<O>, avx2, vnni);
+        let (avx2, vnni) = (pass_portable::<O>, pass_portable::<O>);
+        dispatch(kernel, self, pass, out, pass_portable::<O>, avx2, vnni);
     }
 
-    /// The sums of lines `0..n` start from: the resumed row (or zero),
-    /// plus `−zero · Σ w` over the pass's groups.
+    /// The sums a pass starts from: the resumed row (or zero), plus
+    /// `−zero · Σ w` over the pass's groups.
     #[inline(always)]
-    fn start(&self, pass: IntPass<'_>, n: usize) -> Sums {
-        let (lo, hi) = (pass.first * self.lines, (pass.first + pass.x.len()) * self.lines);
-        let (lo, hi) = (&self.corr[lo..lo + n], &self.corr[hi..hi + n]);
-        let mut sums = Aligned([[0; LINE]; LINES]);
-        for ((s, lo), hi) in sums.0.iter_mut().zip(lo).zip(hi) {
-            *s = std::array::from_fn(|o| hi.0[o] - lo.0[o]);
-        }
+    fn start(&self, pass: IntPass<'_>) -> Sums {
+        let mut sums = [[0; LINE]; LINES];
         if let Some(init) = pass.init {
-            for (s, row) in sums.0.iter_mut().zip(init.as_chunks::<LINE>().0) {
-                s.iter_mut().zip(row).for_each(|(s, i)| *s += i);
+            sums.as_flattened_mut().copy_from_slice(init);
+        }
+        let span = (self.corr.get(pass.first), self.corr.get(pass.first + pass.x.len()));
+        if let (Some(lo), Some(hi)) = span {
+            let span = hi.0.as_flattened().iter().zip(lo.0.as_flattened());
+            for (s, (hi, lo)) in sums.as_flattened_mut().iter_mut().zip(span) {
+                *s += hi - lo;
             }
         }
         sums
     }
 
-    /// The weights of the pass's groups, group after group, each its lines.
+    /// The weights of the pass's groups.
     #[inline(always)]
-    fn rows(&self, pass: IntPass<'_>) -> &[Aligned<[i8; 64]>] {
-        &self.weights[pass.first * self.lines..][..pass.x.len() * self.lines]
+    fn rows(&self, pass: IntPass<'_>) -> &[[Row; LINES]] {
+        &self.weights[pass.first..][..pass.x.len()]
     }
 
-    /// The `f32` step: each output of `out` from its sum.
+    /// The weights of a layer after a hidden one: its 16 groups, checked
+    /// once ([`IntMlp::new`] admits no other width).
     #[inline(always)]
-    fn finish<O: Output>(&self, sums: &Sums, out: &mut [O]) {
-        let sums = sums.0.as_flattened();
-        for (((y, &s), &m), &a) in out.iter_mut().zip(sums).zip(&self.mul).zip(&self.add) {
+    fn hidden_rows(&self) -> &[[Row; LINES]; HIDDEN_GROUPS] {
+        self.weights.first_chunk().expect("a layer after a hidden one has 64 inputs")
+    }
+
+    /// The `f32` step of a pass: each output of `out` from its sum, the
+    /// sums line after line.
+    #[inline(always)]
+    fn finish<O: Output>(&self, sums: &[i32], out: &mut [O]) {
+        let (mul, add) = (self.mul.0.as_flattened(), self.add.0.as_flattened());
+        for (((y, &s), &m), &a) in out.iter_mut().zip(sums).zip(mul).zip(add) {
             *y = O::from_sum(s, m, a);
         }
     }
+
+    /// The `f32` step of a hidden layer: all 64 outputs requantised, as the
+    /// 16 groups of the next layer's input.
+    #[inline(always)]
+    fn requantised(&self, sums: &Sums) -> [[u8; GROUP]; HIDDEN_GROUPS] {
+        let mut x = [[0; GROUP]; HIDDEN_GROUPS];
+        self.finish(sums.as_flattened(), x.as_flattened_mut());
+        x
+    }
 }
 
-/// The portable body: plain integer loops. Each line keeps a sum per pair
-/// of weights — `i16` products added in pairs, the shape of SSE2's
-/// `pmaddwd` — over the groups, and an output's two pairs are added at the
-/// end.
-#[inline]
-fn run_portable<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
-    let n = out.len().div_ceil(LINE);
-    let mut sums = layer.start(pass, n);
-    let mut pairs = [[0i32; LINE * GROUP / 2]; LINES];
-    for (row, x) in layer.rows(pass).chunks_exact(layer.lines).zip(pass.x) {
-        let x: [i16; LINE * GROUP] = std::array::from_fn(|k| i16::from(x[k % GROUP]));
-        for (p, w) in pairs[..n].iter_mut().zip(row) {
-            let w: [i16; LINE * GROUP] = w.0.map(i16::from);
-            for ((p, w), x) in p.iter_mut().zip(w.as_chunks::<2>().0).zip(x.as_chunks::<2>().0) {
-                *p += i32::from(w[0]) * i32::from(x[0]) + i32::from(w[1]) * i32::from(x[1]);
+/// The sums of a pass's four lines, from their start sums `Sums`, over the
+/// input groups against each group's rows.
+trait Four: Fn(Sums, &[[u8; GROUP]], &[[Row; LINES]]) -> Sums {}
+impl<F: Fn(Sums, &[[u8; GROUP]], &[[Row; LINES]]) -> Sums> Four for F {}
+
+/// The sums of a pass's line 0 alone, as [`Four`] for one line.
+trait One: Fn([i32; LINE], &[[u8; GROUP]], &[[Row; LINES]]) -> [i32; LINE] {}
+impl<F: Fn([i32; LINE], &[[u8; GROUP]], &[[Row; LINES]]) -> [i32; LINE]> One for F {}
+
+/// A single layer's pass (a prefix, or [`IntDense::forward_on`]) on one
+/// instantiation's line kernels: line 0 alone when at most 16 outputs are
+/// asked for, else all four.
+#[inline(always)]
+fn pass_body<O: Output>(
+    layer: &IntDense,
+    pass: IntPass<'_>,
+    out: &mut [O],
+    (four, one): (impl Four, impl One),
+) {
+    let (start, rows) = (layer.start(pass), layer.rows(pass));
+    if out.len() <= LINE {
+        layer.finish(&one(start[0], pass.x, rows), out);
+    } else {
+        layer.finish(four(start, pass.x, rows).as_flattened(), out);
+    }
+}
+
+/// A whole MLP on one instantiation's line kernels, one straight-line body:
+/// the first layer over the pass's groups (a runtime count), each hidden
+/// layer after it over the 16 groups of the bytes before, and the last
+/// layer's one line, every sum and byte a local. [`IntMlp::new`] fixed the
+/// shapes this reads: nothing here divides or calls a function, and a
+/// layer's sums go from the kernels through the `f32` step into the next
+/// layer's bytes without a store.
+#[inline(always)]
+fn mlp_body(mlp: &IntMlp, pass: IntPass<'_>, out: &mut [f32], (four, one): (impl Four, impl One)) {
+    let (first, rest) = mlp.layers.split_first().expect("an MLP has at least one layer");
+    let (start, rows) = (first.start(pass), first.rows(pass));
+    let Some((last, middle)) = rest.split_last() else {
+        return first.finish(&one(start[0], pass.x, rows), out);
+    };
+    // a layer after the first takes unsigned bytes: its sums start at zero
+    let mut x = first.requantised(&four(start, pass.x, rows));
+    for layer in middle {
+        x = layer.requantised(&four([[0; LINE]; LINES], &x, layer.hidden_rows()));
+    }
+    last.finish(&one([0; LINE], &x, last.hidden_rows()), out);
+}
+
+/// [`Four`] and [`One`] from a kernel of one line `l` at a time.
+#[inline(always)]
+fn by_line(
+    line: impl Fn([i32; LINE], &[[u8; GROUP]], &[[Row; LINES]], usize) -> [i32; LINE] + Copy,
+) -> (impl Four, impl One) {
+    (
+        #[inline(always)]
+        move |mut sums: Sums, x: &[[u8; GROUP]], rows: &[[Row; LINES]]| {
+            for (l, s) in sums.iter_mut().enumerate() {
+                *s = line(*s, x, rows, l);
             }
-        }
-    }
-    for (s, p) in sums.0.iter_mut().zip(&pairs[..n]) {
-        for (s, p) in s.iter_mut().zip(p.as_chunks::<2>().0) {
-            *s += p[0] + p[1];
-        }
-    }
-    layer.finish(&sums, out);
+            sums
+        },
+        #[inline(always)]
+        move |start, x: &[[u8; GROUP]], rows: &[[Row; LINES]]| line(start, x, rows, 0),
+    )
 }
 
-/// The AVX2 body: the weights of four outputs widened to `i16`
-/// (`vpmovsxbw`), multiplied by the group's four bytes widened to `i16` and
-/// summed in pairs (`vpmaddwd`, no saturation: 255 · 128 · 2 < 2³¹); each
-/// output's two pair sums are added at the end of the line.
+/// The portable line kernels: plain integer loops, one line at a time. Each
+/// line keeps a sum per pair of weights — `i16` products added in pairs, the
+/// shape of SSE2's `pmaddwd` — over the groups, and an output's two pairs
+/// are added at the end.
+#[inline(always)]
+fn portable() -> (impl Four, impl One) {
+    by_line(
+        #[inline(always)]
+        |start: [i32; LINE], x: &[[u8; GROUP]], rows: &[[Row; LINES]], l: usize| {
+            let mut pairs = [0i32; LINE * GROUP / 2];
+            for (x, row) in x.iter().zip(rows) {
+                let x = [x.map(i16::from); LINE];
+                let w: [i16; LINE * GROUP] = row[l].0.map(i16::from);
+                for ((p, w), x) in pairs
+                    .iter_mut()
+                    .zip(w.as_chunks::<2>().0)
+                    .zip(x.as_flattened().as_chunks::<2>().0)
+                {
+                    *p += i32::from(w[0]) * i32::from(x[0]) + i32::from(w[1]) * i32::from(x[1]);
+                }
+            }
+            let mut sums = start;
+            for (s, p) in sums.iter_mut().zip(pairs.as_chunks::<2>().0) {
+                *s += p[0] + p[1];
+            }
+            sums
+        },
+    )
+}
+
+/// The AVX2 line kernels, one line at a time: the weights of four outputs
+/// widened to `i16` (`vpmovsxbw`), multiplied by the group's four bytes
+/// widened to `i16` and summed in pairs (`vpmaddwd`, no saturation: 255 ·
+/// 128 · 2 < 2³¹); each output's two pair sums are added at the end of the
+/// line. Four lines at once would want 16 accumulators, every register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn run_avx2<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+fn avx2() -> (impl Four, impl One) {
     use std::arch::x86_64::*;
-    let n = out.len().div_ceil(LINE);
-    let mut sums = layer.start(pass, n);
-    let rows = layer.rows(pass);
-    for (l, s) in sums.0[..n].iter_mut().enumerate() {
-        let mut acc = [_mm256_setzero_si256(); 4];
-        for (row, x) in rows.chunks_exact(layer.lines).zip(pass.x) {
-            let wide = x.iter().rev().fold(0i64, |v, &b| v << 16 | i64::from(b));
-            let x = _mm256_set1_epi64x(wide);
-            let w: [__m128i; 4] = cast(&row[l].0);
-            for (a, w) in acc.iter_mut().zip(w) {
-                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_cvtepi8_epi16(w), x));
+    by_line(
+        #[inline(always)]
+        |start: [i32; LINE], x: &[[u8; GROUP]], rows: &[[Row; LINES]], l: usize| {
+            let mut acc = [_mm256_setzero_si256(); 4];
+            for (x, row) in x.iter().zip(rows) {
+                let wide = x.iter().rev().fold(0i64, |v, &b| v << 16 | i64::from(b));
+                let x = _mm256_set1_epi64x(wide);
+                let w: [__m128i; 4] = cast(&row[l].0);
+                for (a, w) in acc.iter_mut().zip(w) {
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_cvtepi8_epi16(w), x));
+                }
             }
-        }
-        // [o0 o0 o1 o1 o2 o2 o3 o3] and the next four: added in pairs, then
-        // the 64-bit lanes put back in output order
-        let lo = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[0], acc[1]));
-        let hi = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[2], acc[3]));
-        let base: [__m256i; 2] = cast(s);
-        *s = cast(&[_mm256_add_epi32(base[0], lo), _mm256_add_epi32(base[1], hi)]);
-    }
-    layer.finish(&sums, out);
+            // [o0 o0 o1 o1 o2 o2 o3 o3] and the next four: added in pairs, then
+            // the 64-bit lanes put back in output order
+            let lo = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[0], acc[1]));
+            let hi = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[2], acc[3]));
+            let base: [__m256i; 2] = cast(&start);
+            cast(&[_mm256_add_epi32(base[0], lo), _mm256_add_epi32(base[1], hi)])
+        },
+    )
 }
 
-/// The AVX-512 VNNI body: one `vpdpbusd` per group and line, the group's
-/// four bytes against each output's four weights. Four lines run as four
-/// chains; a narrower pass (the 64→16 and 64→3 tails) splits each line's
-/// groups over four chains instead, which integer addition allows.
+/// The AVX-512 VNNI line kernels: one `vpdpbusd` per group and line, the
+/// group's four bytes against each output's four weights. Four lines run as
+/// eight chains, even and odd groups apart; one line alone (the 64→16 and
+/// 64→3 tails) splits its groups over four chains. Integer addition allows
+/// either: the chains are added at the end.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512vnni")]
 #[inline]
-fn run_vnni<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+fn vnni() -> (impl Four, impl One) {
     use std::arch::x86_64::*;
-    let bytes = |x: &[u8; GROUP]| _mm512_set1_epi32(i32::from_le_bytes(*x));
-    let n = out.len().div_ceil(LINE);
-    let mut sums = layer.start(pass, n);
-    let (rows, lines) = (layer.rows(pass), layer.lines);
-    if n == LINES {
-        let mut acc: [__m512i; LINES] = std::array::from_fn(|l| cast(&sums.0[l]));
-        for (row, x) in rows.chunks_exact(lines).zip(pass.x) {
-            let x = bytes(x);
-            for (a, w) in acc.iter_mut().zip(&row[..LINES]) {
-                *a = _mm512_dpbusd_epi32(*a, x, cast(&w.0));
-            }
-        }
-        for (s, a) in sums.0.iter_mut().zip(&acc) {
-            *s = cast(a);
-        }
-    } else {
-        let (quads, rest) = pass.x.as_chunks::<4>();
-        let (quad_rows, rest_rows) = rows.split_at(quads.len() * 4 * lines);
-        for (l, s) in sums.0[..n].iter_mut().enumerate() {
+    let bytes = {
+        #[inline(always)]
+        |x: &[u8; GROUP]| _mm512_set1_epi32(i32::from_le_bytes(*x))
+    };
+    (
+        #[inline(always)]
+        move |start: Sums, x: &[[u8; GROUP]], rows: &[[Row; LINES]]| {
             let zero = _mm512_setzero_si512();
-            let mut acc = [cast(s), zero, zero, zero];
-            for (xs, ws) in quads.iter().zip(quad_rows.chunks_exact(4 * lines)) {
-                for (k, (a, x)) in acc.iter_mut().zip(xs).enumerate() {
-                    *a = _mm512_dpbusd_epi32(*a, bytes(x), cast(&ws[k * lines + l].0));
+            let mut acc: [[__m512i; LINES]; 2] = [start.map(|s| cast(&s)), [zero; LINES]];
+            let (pairs, rest) = x.as_chunks::<2>();
+            let (pair_rows, rest_rows) = rows.as_chunks::<2>();
+            for (xs, ws) in pairs.iter().zip(pair_rows) {
+                for ((acc, x), row) in acc.iter_mut().zip(xs).zip(ws) {
+                    let x = bytes(x);
+                    for (a, w) in acc.iter_mut().zip(row) {
+                        *a = _mm512_dpbusd_epi32(*a, x, cast(&w.0));
+                    }
                 }
             }
-            for (k, (a, x)) in acc.iter_mut().zip(rest).enumerate() {
-                *a = _mm512_dpbusd_epi32(*a, bytes(x), cast(&rest_rows[k * lines + l].0));
+            for ((acc, x), row) in acc.iter_mut().zip(rest).zip(rest_rows) {
+                let x = bytes(x);
+                for (a, w) in acc.iter_mut().zip(row) {
+                    *a = _mm512_dpbusd_epi32(*a, x, cast(&w.0));
+                }
+            }
+            let [mut a, b] = acc;
+            for (a, b) in a.iter_mut().zip(b) {
+                *a = _mm512_add_epi32(*a, b);
+            }
+            a.map(|a| cast(&a))
+        },
+        #[inline(always)]
+        move |start: [i32; LINE], x: &[[u8; GROUP]], rows: &[[Row; LINES]]| {
+            let zero = _mm512_setzero_si512();
+            let mut acc = [cast(&start), zero, zero, zero];
+            let (quads, rest) = x.as_chunks::<4>();
+            let (quad_rows, rest_rows) = rows.as_chunks::<4>();
+            for (xs, ws) in quads.iter().zip(quad_rows) {
+                for ((a, x), w) in acc.iter_mut().zip(xs).zip(ws) {
+                    *a = _mm512_dpbusd_epi32(*a, bytes(x), cast(&w[0].0));
+                }
+            }
+            for ((a, x), w) in acc.iter_mut().zip(rest).zip(rest_rows) {
+                *a = _mm512_dpbusd_epi32(*a, bytes(x), cast(&w[0].0));
             }
             let [a, b, c, d] = acc;
-            *s = cast(&_mm512_add_epi32(_mm512_add_epi32(a, b), _mm512_add_epi32(c, d)));
-        }
-    }
-    layer.finish(&sums, out);
+            cast(&_mm512_add_epi32(_mm512_add_epi32(a, b), _mm512_add_epi32(c, d)))
+        },
+    )
+}
+
+#[inline]
+fn pass_portable<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+    pass_body(layer, pass, out, portable());
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pass_avx2<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+    pass_body(layer, pass, out, avx2());
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vnni")]
+fn pass_vnni<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+    pass_body(layer, pass, out, vnni());
+}
+
+fn mlp_portable(mlp: &IntMlp, pass: IntPass<'_>, out: &mut [f32]) {
+    mlp_body(mlp, pass, out, portable());
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn mlp_avx2(mlp: &IntMlp, pass: IntPass<'_>, out: &mut [f32]) {
+    mlp_body(mlp, pass, out, avx2());
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vnni")]
+fn mlp_vnni(mlp: &IntMlp, pass: IntPass<'_>, out: &mut [f32]) {
+    mlp_body(mlp, pass, out, vnni());
 }
 
 /// A stack of [`IntDense`] layers: the first takes the model's quantised
 /// inputs, each hidden layer's requantised bytes feed the next, and the last
-/// writes `f32`.
+/// writes `f32`. The shapes are the models' own: every hidden layer has 64
+/// outputs and the last at most 16, so a whole MLP runs as one body whose
+/// only runtime trip count is the first layer's groups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntMlp {
     layers: Vec<IntDense>,
-    /// Bytes of a hidden activation: the widest, rounded up to whole groups.
-    scratch_len: usize,
 }
 
 impl IntMlp {
+    /// An MLP of `layers`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty, a hidden layer does not have
+    /// [`MAX_INT_OUTPUTS`] outputs, the last has more than 16, or a layer
+    /// after the first does not take its 64 inputs unsigned.
+    pub fn new(layers: Vec<IntDense>) -> Self {
+        let (last, hidden) = layers.split_last().expect("an MLP has at least one layer");
+        assert!(last.out_dim <= LINE, "the last layer has at most {LINE} outputs");
+        for layer in hidden {
+            assert_eq!(layer.out_dim, MAX_INT_OUTPUTS, "a hidden layer's width");
+        }
+        for layer in &layers[1..] {
+            assert!(
+                layer.in_dim == MAX_INT_OUTPUTS && layer.zero == 0,
+                "a layer after a hidden one takes its bytes unsigned"
+            );
+        }
+        IntMlp { layers }
+    }
+
     /// `mlp` at 8 bits: `inputs[i]` is the step of input `i` (signed), and
     /// `hidden[k]` the step of hidden layer `k`'s outputs (`0..=255`).
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is not `mlp.in_dim()` long, `hidden` does not have
-    /// one step per hidden layer, or an activation is not ReLU on a hidden
-    /// layer and none on the last.
+    /// one step per hidden layer, an activation is not ReLU on a hidden
+    /// layer and none on the last, or a shape is one [`Self::new`] refuses.
     pub fn quantize(mlp: &Mlp, inputs: &[f32], hidden: &[f32]) -> Self {
         let layers = mlp.layers();
         assert_eq!(hidden.len() + 1, layers.len(), "one step a hidden layer");
@@ -804,18 +965,12 @@ impl IntMlp {
             out.push(IntDense::quantize(layer, &steps, k == 0, next));
             steps = vec![next.unwrap_or(1.0); layer.out_dim];
         }
-        let scratch_len = out.iter().map(IntDense::out_dim).max().unwrap().next_multiple_of(GROUP);
-        IntMlp { layers: out, scratch_len }
+        IntMlp::new(out)
     }
 
     /// The layers.
     pub fn layers(&self) -> &[IntDense] {
         &self.layers
-    }
-
-    /// Allocates a scratch buffer sized for [`Self::forward_from`].
-    pub fn make_scratch(&self) -> Vec<u8> {
-        vec![0; self.scratch_len * 2]
     }
 
     /// Forward pass of the input bytes `x_rest`, the first layer resumed
@@ -825,19 +980,12 @@ impl IntMlp {
     /// # Panics
     ///
     /// Panics if any buffer has the wrong length.
-    pub fn forward_from(
-        &self,
-        init: Option<&[i32]>,
-        skip: usize,
-        x_rest: &[u8],
-        out: &mut [f32],
-        scratch: &mut [u8],
-    ) {
-        self.forward_on(Kernel::Avx512Vnni, init, skip, x_rest, out, scratch);
+    pub fn forward_from(&self, init: Option<&[i32]>, skip: usize, x_rest: &[u8], out: &mut [f32]) {
+        self.forward_on(Kernel::Avx512Vnni, init, skip, x_rest, out);
     }
 
-    /// [`Self::forward_from`] with every layer on the instantiation named:
-    /// for tests and benches, never the product.
+    /// [`Self::forward_from`] on the instantiation named: for tests and
+    /// benches, never the product.
     #[doc(hidden)]
     pub fn forward_on(
         &self,
@@ -846,70 +994,18 @@ impl IntMlp {
         skip: usize,
         x_rest: &[u8],
         out: &mut [f32],
-        scratch: &mut [u8],
     ) {
         let first = &self.layers[0];
-        assert!(
-            init.is_none_or(|i| i.len() == first.sums_len()),
-            "running-sum row length mismatch"
-        );
         assert!(first.takes(skip, x_rest.len()), "input length mismatch");
         assert_eq!(out.len(), self.layers.last().unwrap().out_dim, "output length mismatch");
-        assert!(scratch.len() >= self.scratch_len * 2, "scratch too small");
         let padded = padded(first.zero, skip, x_rest);
         let pass = IntPass::new(init, skip, x_rest, &padded);
         #[cfg(target_arch = "x86_64")]
         let (avx2, vnni) = (mlp_avx2, mlp_vnni);
         #[cfg(not(target_arch = "x86_64"))]
         let (avx2, vnni) = (mlp_portable, mlp_portable);
-        dispatch(kernel, self, (pass, scratch), out, mlp_portable, avx2, vnni);
+        dispatch(kernel, self, pass, out, mlp_portable, avx2, vnni);
     }
-}
-
-/// The layers of `mlp` in turn: `hidden` runs every layer but the last,
-/// its bytes ping-ponging between the halves of the scratch, and `last`
-/// the last. One instantiation's whole MLP is one call. A layer reads its
-/// inputs in whole groups of four; the bytes past the layer before's
-/// outputs meet zero weights.
-#[inline(always)]
-fn mlp_body(
-    mlp: &IntMlp,
-    (pass, scratch): (IntPass<'_>, &mut [u8]),
-    out: &mut [f32],
-    hidden: impl Fn(&IntDense, IntPass<'_>, &mut [u8]),
-    last: impl Fn(&IntDense, IntPass<'_>, &mut [f32]),
-) {
-    let (first, rest) = mlp.layers.split_first().expect("an MLP has at least one layer");
-    let Some((tail, middle)) = rest.split_last() else {
-        return last(first, pass, out);
-    };
-    let (mut src, mut dst) = scratch.split_at_mut(mlp.scratch_len);
-    hidden(first, pass, &mut src[..first.out_dim]);
-    for layer in middle {
-        hidden(
-            layer,
-            IntPass::whole(&src[..layer.in_dim.next_multiple_of(GROUP)]),
-            &mut dst[..layer.out_dim],
-        );
-        std::mem::swap(&mut src, &mut dst);
-    }
-    last(tail, IntPass::whole(&src[..tail.in_dim.next_multiple_of(GROUP)]), out);
-}
-
-fn mlp_portable(mlp: &IntMlp, args: (IntPass<'_>, &mut [u8]), out: &mut [f32]) {
-    mlp_body(mlp, args, out, run_portable, run_portable);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn mlp_avx2(mlp: &IntMlp, args: (IntPass<'_>, &mut [u8]), out: &mut [f32]) {
-    mlp_body(mlp, args, out, |l, p, o| run_avx2(l, p, o), |l, p, o| run_avx2(l, p, o));
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f,avx512vnni")]
-fn mlp_vnni(mlp: &IntMlp, args: (IntPass<'_>, &mut [u8]), out: &mut [f32]) {
-    mlp_body(mlp, args, out, |l, p, o| run_vnni(l, p, o), |l, p, o| run_vnni(l, p, o));
 }
 
 #[cfg(test)]
@@ -926,8 +1022,8 @@ mod tests {
 
     /// Whether every row of weights and sums starts on a 64-byte boundary.
     fn rows_aligned(l: &IntDense) -> bool {
-        l.weights.iter().all(|r| (r as *const Aligned<_>).addr() % 64 == 0)
-            && l.corr.iter().all(|r| (r as *const Aligned<_>).addr() % 64 == 0)
+        l.weights.as_flattened().iter().all(|r| (r as *const Row).addr().is_multiple_of(64))
+            && l.corr.iter().all(|r| (r as *const Aligned<_>).addr().is_multiple_of(64))
     }
 
     #[test]
@@ -1043,8 +1139,8 @@ mod tests {
         for (i, (b, &v)) in bytes.iter_mut().zip(&x).enumerate() {
             quantize_signed(&[v], 1.0 / steps[i], std::slice::from_mut(b));
         }
-        let (mut got, mut scratch) = ([0.0f32; 3], q.make_scratch());
-        q.forward_from(None, 0, &bytes, &mut got, &mut scratch);
+        let mut got = [0.0f32; 3];
+        q.forward_from(None, 0, &bytes, &mut got);
         let want = mlp.forward(&x);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 0.05, "{got:?} vs {want:?}");
@@ -1053,7 +1149,7 @@ mod tests {
         let mut sums = vec![0; q.layers()[0].sums_len()];
         q.layers()[0].prefix(&bytes[..16], &mut sums);
         let mut resumed = [0.0f32; 3];
-        q.forward_from(Some(&sums), 16, &bytes[16..], &mut resumed, &mut scratch);
+        q.forward_from(Some(&sums), 16, &bytes[16..], &mut resumed);
         assert_eq!(resumed.map(f32::to_bits), got.map(f32::to_bits));
     }
 

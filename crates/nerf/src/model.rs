@@ -135,7 +135,6 @@ pub struct Scratch {
     /// The first colour layer's `i32` sums after its SH inputs.
     sh_sums: DirCache<Vec<i32>>,
     color_out: Vec<f32>,
-    mlp: Vec<u8>,
 }
 
 /// Occupied cells the calibration reads at most.
@@ -451,15 +450,12 @@ impl NgpModel {
 
     /// Allocates scratch buffers for the `_into` query variants.
     pub fn make_scratch(&self) -> Scratch {
-        let mlp_len =
-            self.int.density.make_scratch().len().max(self.int.color.make_scratch().len());
         Scratch {
             encoded: vec![0.0; self.encoder.encoded_dim()],
             density_out: vec![0.0; DENSITY_OUT_DIM],
             bytes: vec![0; self.encoder.encoded_dim().max(COLOR_IN_DIM)],
             sh_sums: DirCache::new(vec![0; self.int.color.layers()[0].sums_len()]),
             color_out: vec![0.0; 3],
-            mlp: vec![0; mlp_len],
         }
     }
 
@@ -479,7 +475,7 @@ impl NgpModel {
         self.encoder.encode(p01, &mut scratch.encoded);
         let bytes = &mut scratch.bytes[..scratch.encoded.len()];
         quantize_signed(&scratch.encoded, self.int.inv[0], bytes);
-        self.int.density.forward_from(None, 0, bytes, &mut scratch.density_out, &mut scratch.mlp);
+        self.int.density.forward_from(None, 0, bytes, &mut scratch.density_out);
         if !self.occupancy.occupied_world(p_world) {
             return 0.0;
         }
@@ -517,13 +513,7 @@ impl NgpModel {
         // each, the last read against zero weights
         let geo = &mut scratch.bytes[..GEO_FEAT_DIM + 1];
         quantize_signed(&scratch.density_out[1..], self.int.inv[2], geo);
-        self.int.color.forward_from(
-            Some(sh_sums),
-            SH_DEGREE4_COEFFS,
-            geo,
-            &mut scratch.color_out,
-            &mut scratch.mlp,
-        );
+        self.int.color.forward_from(Some(sh_sums), SH_DEGREE4_COEFFS, geo, &mut scratch.color_out);
         Rgb::new(scratch.color_out[0], scratch.color_out[1], scratch.color_out[2]).clamp01()
     }
 

@@ -8,7 +8,7 @@ use asdr_nerf::encoder::{HashEncoder, VertexAccess};
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::hash::{dense_index, spatial_hash};
 use asdr_nerf::kernel::Kernel;
-use asdr_nerf::mlp::{Activation, Dense, IntDense, Mlp};
+use asdr_nerf::mlp::{Activation, Dense, IntDense, IntMlp, Mlp};
 use asdr_nerf::model::{RadianceModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
 use asdr_nerf::occupancy::OccupancyGrid;
 use asdr_nerf::tensorf::{TensoRfConfig, TensoRfModel};
@@ -397,6 +397,23 @@ fn assert_int_matches_oracle(case: &IntCase, q: &[i32]) -> Vec<i32> {
     sums
 }
 
+/// Rows of ±127 weights: all 127, all −127, alternating by input, and
+/// alternating by group of four, output after output.
+fn extreme_weights(in_dim: usize, out_dim: usize) -> Vec<i8> {
+    let row = |j: usize| -> Vec<i8> {
+        (0..in_dim)
+            .map(|i| match j % 4 {
+                0 => 127,
+                1 => -127,
+                2 if i % 2 == 0 => 127,
+                3 if (i / 4) % 2 != 0 => 127,
+                _ => -127,
+            })
+            .collect()
+    };
+    (0..out_dim).flat_map(row).collect()
+}
+
 #[test]
 fn int_layers_match_the_oracle_at_the_extremes_of_their_sums() {
     // every input at the top of its range against ±127 weights, at 64
@@ -405,29 +422,7 @@ fn int_layers_match_the_oracle_at_the_extremes_of_their_sums() {
     for (signed, top, bottom) in [(false, 255, 0), (true, 127, -127)] {
         for in_dim in [1, 2, 31, 64, 65, 256] {
             for out_dim in [3, 16, 33, 64] {
-                let row = |j: usize| -> Vec<i8> {
-                    (0..in_dim)
-                        .map(|i| match j % 4 {
-                            0 => 127,
-                            1 => -127,
-                            2 => {
-                                if i % 2 == 0 {
-                                    127
-                                } else {
-                                    -127
-                                }
-                            }
-                            _ => {
-                                if (i / 4) % 2 == 0 {
-                                    -127
-                                } else {
-                                    127
-                                }
-                            }
-                        })
-                        .collect()
-                };
-                let w: Vec<i8> = (0..out_dim).flat_map(row).collect();
+                let w = extreme_weights(in_dim, out_dim);
                 let case = IntCase::new(
                     in_dim,
                     signed,
@@ -505,6 +500,155 @@ fn the_int_properties_run_on_every_instantiation_the_host_offers() {
         // naming an instantiation the CPU has runs it, not a narrower one
         assert_eq!(kernel.here(), kernel);
     }
+}
+
+/// The shapes of the models' integer MLPs: density on `tiny()` (16 inputs)
+/// and on `small()` / `paper()` (32), and colour (31).
+const INT_MLP_SHAPES: [&[usize]; 3] = [&[16, 64, 16], &[32, 64, 16], &[31, 64, 64, 3]];
+
+/// An integer MLP and the cases of its layers.
+struct IntMlpCase {
+    mlp: IntMlp,
+    layers: Vec<IntCase>,
+}
+
+impl IntMlpCase {
+    fn new(layers: Vec<IntCase>) -> Self {
+        let mlp = IntMlp::new(layers.iter().map(|c| c.layer.clone()).collect());
+        IntMlpCase { mlp, layers }
+    }
+
+    /// Layers of `dims` (the inputs, then each layer's outputs) from
+    /// `layer(k, in_dim, out_dim)`, the first's inputs `signed`.
+    fn build(
+        dims: &[usize],
+        signed: bool,
+        mut layer: impl FnMut(usize, usize, usize) -> (Vec<i8>, Vec<f32>, Vec<f32>),
+    ) -> Self {
+        let layers = dims
+            .windows(2)
+            .enumerate()
+            .map(|(k, d)| {
+                let (w, mul, add) = layer(k, d[0], d[1]);
+                IntCase::new(d[0], signed && k == 0, w, mul, add)
+            })
+            .collect();
+        IntMlpCase::new(layers)
+    }
+
+    /// Random weights in ±127; each layer's multipliers scaled so that a
+    /// hidden layer's outputs spread over `0..=255` more than they saturate.
+    fn random(dims: &[usize], signed: bool, seed: u64) -> Self {
+        let mut next = xorshift_unit(seed);
+        IntMlpCase::build(dims, signed, |_, in_dim, out_dim| {
+            let w = (0..in_dim * out_dim)
+                .map(|_| (next() * 127.5).clamp(-127.0, 127.0) as i8)
+                .collect();
+            // a sum of `in_dim` products of random sign, up to 127 · 128 each
+            let scale = 255.0 / ((in_dim as f32).sqrt() * 127.0 * 64.0);
+            let mul = (0..out_dim).map(|_| next() * scale).collect();
+            let add = (0..out_dim).map(|_| next() * 128.0).collect();
+            (w, mul, add)
+        })
+    }
+
+    /// The oracle chain: each layer's scalar `i32` sums and `f32` step, a
+    /// hidden layer's outputs requantised as the next layer's steps; the last
+    /// layer's values, and how many hidden outputs were ties.
+    fn oracle(&self, q: &[i32]) -> (Vec<f32>, usize) {
+        let (last, hidden) = self.layers.split_last().unwrap();
+        let (mut q, mut ties) = (q.to_vec(), 0);
+        for case in hidden {
+            let (y, bytes) = case.steps(&case.sums(&q));
+            ties += y.iter().filter(|y| y.fract() == 0.5 && (0.0..255.0).contains(*y)).count();
+            q = bytes.into_iter().map(i32::from).collect();
+        }
+        (last.steps(&last.sums(&q)).0, ties)
+    }
+}
+
+/// `case` at the first layer's steps `q` against the oracle chain, on every
+/// instantiation the host offers and as dispatched: whole, and resumed from
+/// the first layer's prefix after every head (the colour MLP resumes after
+/// its 16 SH inputs), its rest also run on to the end of its last group.
+/// Returns the oracle's hidden ties.
+fn assert_int_mlp_matches_oracle(case: &IntMlpCase, q: &[i32]) -> usize {
+    let first = &case.layers[0];
+    let x: Vec<u8> = q.iter().map(|&q| first.byte(q)).collect();
+    let (want, ties) = case.oracle(q);
+    let shape: Vec<usize> = case.layers.iter().map(|c| c.layer.out_dim()).collect();
+    let shape = format!("{} -> {shape:?} signed {}", x.len(), first.signed);
+    let mut got = vec![0.0f32; want.len()];
+    case.mlp.forward_from(None, 0, &x, &mut got);
+    assert!(same_floats(&got, &want), "{shape} as dispatched: {got:?} vs {want:?}");
+    let mut head = vec![i32::MIN; first.layer.sums_len()];
+    let end = x.len().next_multiple_of(4);
+    for &kernel in kernels_under_test() {
+        case.mlp.forward_on(kernel, None, 0, &x, &mut got);
+        assert!(same_floats(&got, &want), "{shape} on {kernel:?}: {got:?} vs {want:?}");
+        for k in 0..=x.len() {
+            first.layer.prefix_on(kernel, &x[..k], &mut head);
+            case.mlp.forward_on(kernel, Some(&head), k, &x[k..], &mut got);
+            assert!(same_floats(&got, &want), "{shape} on {kernel:?}, split at {k}");
+            let mut rest = x[k..].to_vec();
+            rest.resize(end - k, 0xa5);
+            case.mlp.forward_on(kernel, Some(&head), k, &rest, &mut got);
+            assert!(same_floats(&got, &want), "{shape} on {kernel:?}, split at {k}, rest to {end}");
+        }
+    }
+    ties
+}
+
+/// Steps a first layer takes: ±127 signed, `0..=255` unsigned.
+fn random_steps(n: usize, signed: bool, seed: u64) -> Vec<i32> {
+    let mut next = xorshift_unit(seed);
+    (0..n)
+        .map(|_| if signed { (next() * 127.5) as i32 } else { ((next() + 1.0) * 127.5) as i32 })
+        .collect()
+}
+
+#[test]
+fn int_mlps_match_the_oracle_chain_at_the_extremes_of_their_sums() {
+    // ±127 weights against the top of the first layer's range; each hidden
+    // layer's step maps its most extreme sum to 255, or (`add` 1000) every
+    // sum to 255, so the layer after it reads all 64 bytes at 255
+    for dims in INT_MLP_SHAPES {
+        for (signed, top) in [(false, 255i32), (true, 127), (true, -127)] {
+            for hidden_add in [0.0, 1000.0] {
+                let case = IntMlpCase::build(dims, signed, |k, in_dim, out_dim| {
+                    let input = if k == 0 { top.abs() } else { 255 };
+                    let extreme = in_dim as f32 * 127.0 * input as f32;
+                    let last = k + 2 == dims.len();
+                    let (mul, add) =
+                        if last { (1.0 / 4096.0, -3.0) } else { (255.0 / extreme, hidden_add) };
+                    (extreme_weights(in_dim, out_dim), vec![mul; out_dim], vec![add; out_dim])
+                });
+                assert_int_mlp_matches_oracle(&case, &vec![top; dims[0]]);
+                let alternating: Vec<i32> =
+                    (0..dims[0]).map(|i| if i % 2 == 0 { top } else { 0 }).collect();
+                assert_int_mlp_matches_oracle(&case, &alternating);
+            }
+        }
+    }
+}
+
+#[test]
+fn int_mlps_requantise_hidden_ties_to_even() {
+    // small weights and multiplier ½: every odd sum a hidden layer makes in
+    // range is a tie, and the next layer reads the byte it rounds to
+    let mut ties = 0;
+    for (seed, dims) in INT_MLP_SHAPES.into_iter().enumerate() {
+        let mut next = xorshift_unit(seed as u64 + 40);
+        let case = IntMlpCase::build(dims, true, |_, in_dim, out_dim| {
+            let w = (0..in_dim * out_dim).map(|_| (next() * 3.5) as i8).collect();
+            let add = (0..out_dim).map(|_| (next() * 64.0).round() + 64.0).collect();
+            (w, vec![0.5; out_dim], add)
+        });
+        for s in 0..16 {
+            ties += assert_int_mlp_matches_oracle(&case, &random_steps(dims[0], true, s));
+        }
+    }
+    assert!(ties > 400, "{ties} ties");
 }
 
 #[test]
@@ -644,6 +788,15 @@ proptest! {
             .collect();
         for out_dim in [1, 3, 16, 17, 49, 64] {
             assert_int_matches_oracle(&IntCase::random(in_dim, out_dim, signed, seed), &q);
+        }
+    }
+
+    #[test]
+    fn int_mlps_match_the_oracle_chain_on_random_layers(seed in 0u64..1000, signed in 0u8..2) {
+        let signed = signed == 1;
+        for dims in INT_MLP_SHAPES {
+            let q = random_steps(dims[0], signed, seed + 1);
+            assert_int_mlp_matches_oracle(&IntMlpCase::random(dims, signed, seed), &q);
         }
     }
 

@@ -3,14 +3,14 @@
 # the real binaries.
 #
 #   replay   — replay scripts/serve-workload-miss.jsonl, a burst whose
-#              1 ms deadlines no request can meet, through
+#              1 ms deadlines no request can meet (65 536 pixels each), through
 #              asdr-cluster --shards 1, writing a run bundle
 #   asserts  — the bundle holds the full artifact set with the span
 #              timeline and no file the layout doc in
 #              crates/obs/src/bundle.rs does not list, its stats.json is byte-identical to the --out
 #              artifact (one JSON writer serves both), and the merged
-#              `asdr-cluster report --bundles` attributes every deadline
-#              miss to a dominant phase
+#              `asdr-cluster report --bundles` attributes every request's
+#              deadline miss, one line each, to a dominant phase
 #
 # usage: scripts/obs_smoke.sh
 set -euo pipefail
@@ -57,8 +57,9 @@ cluster report --bundles "$out/bundles" --out "$out/report.md"
 grep -q '^| render |' "$out/report.md" \
     || { echo "FAIL: per-phase table has no render row"; exit 1; }
 misses=$(grep -c '^MISS_ATTRIBUTION' "$out/report.md" || true)
-[[ "$misses" -ge 1 ]] \
-    || { echo "FAIL: unmeetable deadlines produced no MISS_ATTRIBUTION lines"; exit 1; }
+requests=$(grep -c '^{' scripts/serve-workload-miss.jsonl)
+[[ "$misses" -eq "$requests" ]] \
+    || { echo "FAIL: $requests unmeetable deadlines produced $misses MISS_ATTRIBUTION lines"; exit 1; }
 if grep '^MISS_ATTRIBUTION' "$out/report.md" | grep -q 'phase=unattributed'; then
     echo "FAIL: a deadline miss has no dominant phase"
     exit 1
