@@ -1,5 +1,6 @@
 //! Wall-clock benchmark of the density/color queries and MLP forward passes.
 
+use asdr_math::sh::SH_DEGREE4_COEFFS;
 use asdr_math::Vec3;
 use asdr_nerf::fit::fit_ngp;
 use asdr_nerf::grid::GridConfig;
@@ -39,28 +40,49 @@ fn bench_mlp(c: &mut Criterion) {
     // (`_raw`: VNNI on a host that has it) and on the narrower ones by name,
     // so a run on a VNNI host still fails when the AVX2 or the portable body
     // slows down — and, set beside `_raw`, shows whether each still runs
-    // its own body: rows that read the same say one no longer does
+    // its own body: rows that read the same say one no longer does. The
+    // colour MLP resumes after its 16 SH inputs, as every colour query does
     let int = model.int_mlps();
+    let sh = SH_DEGREE4_COEFFS;
     for (kernel, density, color) in [
         (Kernel::Avx512Vnni, "density_mlp_forward_raw", "color_mlp_forward_raw"),
         (Kernel::Avx2, "density_mlp_forward_avx2", "color_mlp_forward_avx2"),
         (Kernel::Portable, "density_mlp_forward_portable", "color_mlp_forward_portable"),
     ] {
-        bench_on(c, density, &int.density, kernel);
-        bench_on(c, color, &int.color, kernel);
+        bench_on(c, density, &int.density, 0, kernel, false);
+        bench_on(c, color, &int.color, sh, kernel, false);
     }
+    // two inputs in one body: `scripts/bench_check.sh` holds each below a
+    // bound × its single row, so a body that stops interleaving fails there
+    bench_on(c, "density_mlp_pair_raw", &int.density, 0, Kernel::Avx512Vnni, true);
+    bench_on(c, "color_mlp_pair_raw", &int.color, sh, Kernel::Avx512Vnni, true);
 }
 
 /// `mlp`'s forward pass over input bytes a little above zero, every layer
-/// on `kernel` (or the widest the CPU has below it).
-fn bench_on(c: &mut Criterion, name: &str, mlp: &IntMlp, kernel: Kernel) {
+/// on `kernel` (or the widest the CPU has below it): resumed after the
+/// first `skip` inputs from their running sums (made once, untimed), the
+/// rest run on to the end of its last group as the queries do — for one
+/// input, or (`pair`) two in one body.
+fn bench_on(c: &mut Criterion, name: &str, mlp: &IntMlp, skip: usize, kernel: Kernel, pair: bool) {
     let first = &mlp.layers()[0];
-    let x: Vec<u8> = (0..first.in_dim()).map(|i| 128 + (i % 29) as u8).collect();
-    let mut y = vec![0.0f32; mlp.layers().last().unwrap().out_dim()];
+    let bytes = |m: usize| -> Vec<u8> {
+        (0..first.in_dim().next_multiple_of(4)).map(|i| 128 + (i % m) as u8).collect()
+    };
+    let (x, x2) = (bytes(29), bytes(31));
+    let mut sums = vec![0; first.sums_len()];
+    first.prefix(&x[..skip], &mut sums);
+    let init = (skip > 0).then_some(&sums[..]);
+    let out_dim = mlp.layers().last().unwrap().out_dim();
+    let (mut y, mut y2) = (vec![0.0f32; out_dim], vec![0.0f32; out_dim]);
     c.bench_function(name, |b| {
         b.iter(|| {
-            mlp.forward_on(kernel, None, 0, black_box(&x), &mut y);
-            black_box(&y);
+            if pair {
+                let rests = [black_box(&x[skip..]), black_box(&x2[skip..])];
+                mlp.forward_pair_on(kernel, init, skip, rests, [&mut y, &mut y2]);
+            } else {
+                mlp.forward_on(kernel, init, skip, black_box(&x[skip..]), &mut y);
+            }
+            black_box((&y, &y2));
         })
     });
 }

@@ -15,7 +15,7 @@ use asdr_math::metrics::psnr;
 use asdr_math::rng::seeded;
 use asdr_math::sh::sh4;
 use asdr_math::{Aabb, Ray, Rgb, Vec3};
-use asdr_nerf::model::{RadianceModel, GEO_FEAT_DIM};
+use asdr_nerf::model::{RadianceModel, GEO_FEAT_DIM, MAX_IN_FLIGHT};
 use asdr_nerf::NgpModel;
 use asdr_scenes::SceneHandle;
 use rand::Rng;
@@ -27,11 +27,11 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy)]
 pub struct Fp32Ngp<'a>(pub &'a NgpModel);
 
-/// [`Fp32Ngp`]'s per-thread buffers.
+/// [`Fp32Ngp`]'s per-thread buffers, one density output per slot.
 #[derive(Debug, Clone)]
 pub struct Fp32Scratch {
     encoded: Vec<f32>,
-    density_out: Vec<f32>,
+    density_out: [Vec<f32>; MAX_IN_FLIGHT],
     color_in: Vec<f32>,
     color_out: Vec<f32>,
     mlp: Vec<f32>,
@@ -45,7 +45,7 @@ impl RadianceModel for Fp32Ngp<'_> {
         let mlp = m.density_mlp().make_scratch().len().max(m.color_mlp().make_scratch().len());
         Fp32Scratch {
             encoded: vec![0.0; m.encoder().encoded_dim()],
-            density_out: vec![0.0; m.density_mlp().out_dim()],
+            density_out: std::array::from_fn(|_| vec![0.0; m.density_mlp().out_dim()]),
             color_in: vec![0.0; m.color_mlp().in_dim()],
             color_out: vec![0.0; 3],
             mlp: vec![0.0; mlp],
@@ -60,22 +60,24 @@ impl RadianceModel for Fp32Ngp<'_> {
         self.0.occupancy().occupied_along(ray, ts, out);
     }
 
-    fn density_into(&self, p_world: Vec3, s: &mut Fp32Scratch) -> f32 {
+    /// A pair is two single evaluations.
+    fn density_into(&self, points: &[Vec3], s: &mut Fp32Scratch, sigma: &mut [f32]) {
         let m = self.0;
-        m.encoder().encode(m.bounds().normalize(p_world), &mut s.encoded);
-        m.density_mlp().forward_scratch(&s.encoded, &mut s.density_out, &mut s.mlp);
-        if !m.occupancy().occupied_world(p_world) {
-            return 0.0;
+        for ((&p_world, out), sigma) in points.iter().zip(&mut s.density_out).zip(sigma) {
+            m.encoder().encode(m.bounds().normalize(p_world), &mut s.encoded);
+            m.density_mlp().forward_scratch(&s.encoded, out, &mut s.mlp);
+            *sigma = out[0].max(0.0);
         }
-        s.density_out[0].max(0.0)
     }
 
-    fn color_into(&self, view_dir: Vec3, s: &mut Fp32Scratch) -> Rgb {
+    fn color_into(&self, view_dir: Vec3, slots: &[usize], s: &mut Fp32Scratch, colors: &mut [Rgb]) {
         let sh = sh4(view_dir);
-        s.color_in[..sh.len()].copy_from_slice(&sh);
-        s.color_in[sh.len()..].copy_from_slice(&s.density_out[1..1 + GEO_FEAT_DIM]);
-        self.0.color_mlp().forward_scratch(&s.color_in, &mut s.color_out, &mut s.mlp);
-        Rgb::new(s.color_out[0], s.color_out[1], s.color_out[2]).clamp01()
+        for (&slot, c) in slots.iter().zip(colors) {
+            s.color_in[..sh.len()].copy_from_slice(&sh);
+            s.color_in[sh.len()..].copy_from_slice(&s.density_out[slot][1..1 + GEO_FEAT_DIM]);
+            self.0.color_mlp().forward_scratch(&s.color_in, &mut s.color_out, &mut s.mlp);
+            *c = Rgb::new(s.color_out[0], s.color_out[1], s.color_out[2]).clamp01();
+        }
     }
 
     fn stage_flops(&self) -> (u64, u64, u64) {
@@ -244,14 +246,18 @@ mod tests {
         let (p, dir) = (Vec3::new(0.0, 0.45, 0.0), Vec3::new(0.3, -0.5, 0.8).normalized());
         let fp32 = Fp32Ngp(&model);
         let mut s = fp32.make_query_scratch();
-        let sigma = fp32.density_into(p, &mut s);
+        let mut sigma = [0.0];
+        fp32.density_into(&[p], &mut s, &mut sigma);
+        let sigma = sigma[0];
         let mut enc = vec![0.0; model.encoder().encoded_dim()];
         model.encoder().encode(model.bounds().normalize(p), &mut enc);
         let out = model.density_mlp().forward(&enc);
         assert_eq!(sigma, out[0].max(0.0));
         let (q, _) = model.query_density(p);
         assert!((q - sigma).abs() < 0.05 * sigma.max(1.0), "{q} vs {sigma}");
-        let c = fp32.color_into(dir, &mut s);
+        let mut c = [Rgb::BLACK];
+        fp32.color_into(dir, &[0], &mut s, &mut c);
+        let c = c[0];
         assert!(c.max_channel_abs_diff(model.query_color(&out[1..], dir)) < 0.02);
         let row = run_mlp_precision(&mut h, &id);
         assert!(row.int8_vs_fp32.iter().all(|&db| db > 40.0), "{row:?}");

@@ -700,7 +700,12 @@ mod tests {
             out.extend(ts.into_iter().map(|_| true));
         }
 
-        fn density_into(&self, p: asdr_math::Vec3, scratch: &mut Self::Scratch) -> f32 {
+        fn density_into(
+            &self,
+            points: &[asdr_math::Vec3],
+            scratch: &mut Self::Scratch,
+            sigma: &mut [f32],
+        ) {
             let id = std::thread::current().id();
             let arrival = {
                 let mut seen = self.seen.lock().unwrap();
@@ -713,11 +718,17 @@ mod tests {
             if arrival.is_some_and(|nth| nth <= self.parties) {
                 self.barrier.wait();
             }
-            self.inner.density_into(p, scratch)
+            self.inner.density_into(points, scratch, sigma);
         }
 
-        fn color_into(&self, dir: asdr_math::Vec3, scratch: &mut Self::Scratch) -> Rgb {
-            self.inner.color_into(dir, scratch)
+        fn color_into(
+            &self,
+            dir: asdr_math::Vec3,
+            slots: &[usize],
+            scratch: &mut Self::Scratch,
+            colors: &mut [Rgb],
+        ) {
+            self.inner.color_into(dir, slots, scratch, colors);
         }
 
         fn stage_flops(&self) -> (u64, u64, u64) {

@@ -23,8 +23,9 @@
 use crate::algo::adaptive::{choose_count_validated, AdaptiveConfig, SamplePlan};
 use crate::algo::engine::PhaseTimings;
 use crate::algo::volrend::{composite_span, saturated, SamplePoint, EARLY_TERM_TRANSMITTANCE};
-use asdr_math::{Camera, Image, Ray, Rgb};
-use asdr_nerf::model::RadianceModel;
+use asdr_math::{Camera, Image, Ray, Rgb, Vec3};
+use asdr_nerf::model::{RadianceModel, MAX_IN_FLIGHT};
+use std::ops::Range;
 
 /// Renderer configuration: which ASDR optimizations are active.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,24 +238,29 @@ pub(crate) enum Stop {
 ///
 /// A sample that cannot change the pixel is not evaluated. The ray's samples
 /// are classified against the model's occupancy grid in one pass
-/// ([`RadianceModel::occupied_along`]) before any is evaluated. A `σ ≤ 0`
-/// sample adds exactly `+0` and leaves the transmittance bit-equal, so
-/// within a group the followers go first and the leader last: an empty
+/// ([`RadianceModel::occupied_along`]) before any is evaluated, and that bit
+/// masks each density the model returns: no model tests occupancy again. A
+/// `σ ≤ 0` sample adds exactly `+0` and leaves the transmittance bit-equal,
+/// so within a group the followers go first and the leader last: an empty
 /// follower makes no call; the leader runs its density if its cell is
 /// occupied or a follower read `σ > 0` (its colour is then held by that
-/// follower), and `color_into`, straight after that density whose geometry
-/// feature it reads, only if some member of the group has `σ > 0`. Only
-/// `σ > 0` samples are composited, and a `Stop::Saturated` ray marches no
-/// further once nothing can move the pixel.
+/// follower), and its colour, reading the geometry feature its density left,
+/// only if some member of the group has `σ > 0`. Only `σ > 0` samples are
+/// composited, and a `Stop::Saturated` ray marches no further once nothing
+/// can move the pixel.
 ///
-/// Groups without an occupied sample are not even visited. While the group
-/// waiting to be composited has no `σ > 0`, compositing it adds `+0` and the
-/// stop test would repeat its last `false`, so the march jumps to the next
-/// group with an occupied sample and charges the ones in between
-/// arithmetically; the group right after one with `σ > 0` is always
-/// visited, so every stop is tested at the group it always was. The counted
-/// work (`density_points`, `color_points`, …) is charged for every sample
-/// the plan asks for regardless; what the host did not run of it is
+/// Each turn evaluates two neighbouring groups, the first with an occupied
+/// sample and the one after it, and then composites them in order with the
+/// stop test after each (`Turn::evaluate`): the model is asked for two points
+/// a call and up to two leaders' colours a call, and no group is evaluated
+/// that the march one group late — evaluating a group before compositing
+/// the one before it — would not have evaluated. Groups without an occupied
+/// sample are not visited: they make no call and add `+0`, and the stop test
+/// after them would repeat its last `false`. The counted work
+/// (`density_points`, `color_points`, …) is charged for every sample the
+/// plan asks for regardless — to the end of the ray, or under early
+/// termination to the end of the group after the one that made the ray
+/// opaque; what the host did not ask the model for of it is
 /// `skipped_density` / `skipped_color`.
 ///
 /// `probe`, if given, is what a probe march of this same ray left in its
@@ -263,7 +269,7 @@ pub(crate) enum Stop {
 /// again for what the probe already knows: its occupancy mask, an occupied
 /// sample's `σ`, and the colour of a leader with `σ > 0`. Only a leader with
 /// `σ ≤ 0` in a group with positive density — which the probe never
-/// coloured — still runs `density_into` and `color_into`. A model's answers
+/// coloured — is still asked for its density and colour. A model's answers
 /// depend only on the point and direction asked (`RadianceModel`), so the
 /// pixel, the buffer and every counted field are what they are without the
 /// probe; what was read from it is charged to `skipped_*`.
@@ -301,111 +307,181 @@ pub(crate) fn march<M: RadianceModel>(
             occupied
         }
     };
+    let mut turn = Turn { model, ray, occupied, probe, points, scratch, asked: [0, 0] };
     let mut integral = (Rgb::BLACK, 1.0f32);
-    // `prev..lo` is the group evaluated by the previous turn and composited
-    // by this one, a group late: its followers' colours may then depend on
-    // the leader at `lo`, already evaluated. `pending` says whether it has a
-    // sample with σ > 0. The turn at `lo == count` evaluates nothing and
-    // composites the last group
-    let (mut prev, mut lo, mut pending) = (0, 0, false);
-    loop {
-        if !pending {
-            // `prev..lo` and every group from `lo` without an occupied
-            // sample make no call and add +0: charged here, not visited
-            let next =
-                occupied[lo..].iter().position(|&o| o).map_or(count, |i| (lo + i) / group * group);
-            let (samples, groups) = ((next - lo) as u64, (next - lo).div_ceil(group) as u64);
-            stats.density_points += samples;
-            stats.color_points += groups;
-            stats.skipped_density += samples;
-            stats.skipped_color += groups;
-            // their followers hold a black leader's black
-            stats.interpolated_points += (next - prev) as u64 - groups - u64::from(lo > prev);
-            (prev, lo) = (next, next);
-            if lo == count {
-                break;
-            }
+    // where early termination stopped the ray: the end of the group that
+    // made it opaque
+    let mut terminated = None;
+    let mut lo = 0;
+    'ray: loop {
+        // the next group with an occupied sample
+        lo = occupied[lo..].iter().position(|&o| o).map_or(count, |i| (lo + i) / group * group);
+        if lo == count {
+            break;
         }
-        let hi = (lo + group).min(count);
-        let mut dense = false;
-        if let Some((leader, followers)) = points[lo..hi].split_first_mut() {
-            stats.density_points += 1 + followers.len() as u64;
-            stats.color_points += 1;
-            let kept = probe.map(|probe| &probe.points[lo..hi]);
-            for (i, (f, &o)) in followers.iter_mut().zip(&occupied[lo + 1..hi]).enumerate() {
-                if !o {
-                    stats.skipped_density += 1;
-                    continue;
-                }
-                f.sigma = match kept {
-                    Some(kept) => {
-                        stats.skipped_density += 1;
-                        kept[1 + i].sigma
-                    }
-                    None => model.density_into(ray.at(f.t), scratch),
-                };
-                dense |= f.sigma > 0.0;
+        let mid = (lo + group).min(count);
+        let groups = [lo..mid, mid..(mid + group).min(count)];
+        let (dense, next) = (turn.evaluate(&groups), groups[1].end);
+        for (span, dense) in groups.into_iter().zip(dense) {
+            if !dense {
+                continue;
             }
-            match kept.map(|kept| kept[0]) {
-                // the sample as the probe left it: its σ, and its colour
-                // where σ > 0 (black elsewhere, as it is left here)
-                Some(k) if occupied[lo] && (k.sigma > 0.0 || !dense) => {
-                    *leader = k;
-                    dense |= k.sigma > 0.0;
-                    stats.skipped_density += 1;
-                    stats.skipped_color += 1;
-                }
-                _ => {
-                    // last, so its geometry feature is the one the colour
-                    // query reads
-                    if dense || occupied[lo] {
-                        leader.sigma = model.density_into(ray.at(leader.t), scratch);
-                        dense |= leader.sigma > 0.0;
-                    } else {
-                        stats.skipped_density += 1;
-                    }
-                    if dense {
-                        leader.color = model.color_into(ray.dir, scratch);
-                    } else {
-                        stats.skipped_color += 1;
-                    }
-                }
-            }
-        }
-        if pending {
             // the colour approximation: followers hold their own leader's colour
-            let (leader, followers) = points[prev..lo].split_first_mut().expect("a group");
+            let (leader, followers) = turn.points[span.clone()].split_first_mut().expect("a group");
             followers.iter_mut().for_each(|f| f.color = leader.color);
-            stats.interpolated_points += followers.len() as u64;
-            integral = composite_span(points, prev..lo, integral);
-            // never after the last group: nothing is left to stop. And only
-            // here, where the integral may have moved: anywhere else the
-            // test would repeat its last `false`
-            if lo == count {
-                break;
+            integral = composite_span(turn.points, span.clone(), integral);
+            // never after the last group: nothing is left to stop
+            if span.end == count {
+                break 'ray;
             }
             match stop {
                 Stop::Threshold if integral.1 < EARLY_TERM_TRANSMITTANCE => {
-                    stats.et_terminated_rays += 1;
-                    break;
+                    terminated = Some(span.end);
+                    break 'ray;
                 }
-                Stop::Saturated if saturated(integral.0, integral.1) => {
-                    // counted as the whole ray, run only up to the group at `lo`
-                    let rest = (count - hi) as u64;
-                    let rest_groups = (count - hi).div_ceil(group) as u64;
-                    stats.density_points += rest;
-                    stats.color_points += rest_groups;
-                    stats.interpolated_points += (count - lo) as u64 - (1 + rest_groups);
-                    stats.skipped_density += rest;
-                    stats.skipped_color += rest_groups;
-                    break;
+                Stop::Saturated if saturated(integral.0, integral.1) => break 'ray,
+                _ => {}
+            }
+        }
+        lo = next;
+    }
+    // counted: the whole ray, or under early termination every group up to
+    // the opaque one composited and the one after it evaluated
+    let (evaluated, composited) =
+        terminated.map_or((count, count), |end| ((end + group).min(count), end));
+    let groups = |samples: usize| samples.div_ceil(group) as u64;
+    stats.density_points += evaluated as u64;
+    stats.color_points += groups(evaluated);
+    stats.interpolated_points += composited as u64 - groups(composited);
+    stats.et_terminated_rays += u64::from(terminated.is_some());
+    stats.skipped_density += evaluated as u64 - turn.asked[0];
+    stats.skipped_color += groups(evaluated) - turn.asked[1];
+    integral.0.clamp01()
+}
+
+/// What one ray's turns share: the model and the ray, the occupancy bits,
+/// the probe's buffers if read, the samples, and how many densities and
+/// colours the model was asked for.
+struct Turn<'a, M: RadianceModel> {
+    model: &'a M,
+    ray: &'a Ray,
+    occupied: &'a [bool],
+    probe: Option<&'a RayBuffers>,
+    points: &'a mut [SamplePoint],
+    scratch: &'a mut M::Scratch,
+    asked: [u64; 2],
+}
+
+impl<M: RadianceModel> Turn<'_, M> {
+    /// Evaluates the samples of two neighbouring groups (the second may be
+    /// empty) that can change the pixel, and says whether each group has a
+    /// sample with `σ > 0`. Densities are asked two at a time: the occupied
+    /// followers of both groups first, then the leaders, so that both
+    /// leaders' geometry features are in the scratch for one colour call.
+    fn evaluate(&mut self, groups: &[Range<usize>; 2]) -> [bool; 2] {
+        let probe = self.probe;
+        let kept = move |i: usize| probe.map(|probe| probe.points[i]);
+        let mut followers = Asks::default();
+        for i in groups.iter().flat_map(|g| g.start + 1..g.end) {
+            if !self.occupied[i] {
+                continue;
+            }
+            match kept(i) {
+                Some(k) => self.points[i].sigma = k.sigma,
+                None => {
+                    followers.push(i);
+                    if followers.len == MAX_IN_FLIGHT {
+                        self.densities(followers.take());
+                    }
+                }
+            }
+        }
+        self.densities(followers.take());
+        let mut dense =
+            groups.each_ref().map(|g| self.points[g.clone()].iter().any(|p| p.sigma > 0.0));
+        let mut leaders = Asks::default();
+        for (g, dense) in groups.iter().zip(&mut dense) {
+            let Some(l) = (!g.is_empty()).then_some(g.start) else { continue };
+            match kept(l) {
+                // the sample as the probe left it: its σ, and its colour
+                // where σ > 0 (black elsewhere, as it is left here)
+                Some(k) if self.occupied[l] && (k.sigma > 0.0 || !*dense) => {
+                    self.points[l] = k;
+                    *dense |= k.sigma > 0.0;
+                }
+                _ if self.occupied[l] || *dense => {
+                    leaders.push(l);
                 }
                 _ => {}
             }
         }
-        (prev, lo, pending) = (lo, hi, dense);
+        let asked = leaders.take();
+        self.densities(asked);
+        let mut slots = Asks::default();
+        for (slot, &l) in asked.iter().enumerate() {
+            let g = usize::from(l >= groups[1].start);
+            dense[g] |= self.points[l].sigma > 0.0;
+            if dense[g] {
+                slots.push(slot);
+            }
+        }
+        self.colors(asked, slots.take());
+        dense
     }
-    integral.0.clamp01()
+
+    /// Asks the model for the density of the samples `which` (none to
+    /// two) and masks each with its occupancy bit.
+    fn densities(&mut self, which: &[usize]) {
+        if which.is_empty() {
+            return;
+        }
+        let mut at = [Vec3::ZERO; MAX_IN_FLIGHT];
+        for (at, &i) in at.iter_mut().zip(which) {
+            *at = self.ray.at(self.points[i].t);
+        }
+        let mut sigma = [0.0; MAX_IN_FLIGHT];
+        let n = which.len();
+        self.model.density_into(&at[..n], self.scratch, &mut sigma[..n]);
+        for (&i, sigma) in which.iter().zip(sigma) {
+            self.points[i].sigma = if self.occupied[i] { sigma } else { 0.0 };
+        }
+        self.asked[0] += n as u64;
+    }
+
+    /// Asks the model for the colours of the leaders `leaders[slot]` of
+    /// `slots` (none to two), the slots of the last density call.
+    fn colors(&mut self, leaders: &[usize], slots: &[usize]) {
+        if slots.is_empty() {
+            return;
+        }
+        let mut colors = [Rgb::BLACK; MAX_IN_FLIGHT];
+        let n = slots.len();
+        self.model.color_into(self.ray.dir, slots, self.scratch, &mut colors[..n]);
+        for (&slot, color) in slots.iter().zip(colors) {
+            self.points[leaders[slot]].color = color;
+        }
+        self.asked[1] += n as u64;
+    }
+}
+
+/// Up to two sample indices (or slots) waiting for one model call.
+#[derive(Default)]
+struct Asks {
+    which: [usize; MAX_IN_FLIGHT],
+    len: usize,
+}
+
+impl Asks {
+    fn push(&mut self, i: usize) {
+        self.which[self.len] = i;
+        self.len += 1;
+    }
+
+    /// What is waiting, which no longer waits.
+    fn take(&mut self) -> &[usize] {
+        let len = std::mem::take(&mut self.len);
+        &self.which[..len]
+    }
 }
 
 #[cfg(test)]
@@ -423,6 +499,7 @@ mod tests {
     use asdr_nerf::NgpModel;
     use asdr_scenes::registry;
     use reference::reference_ray;
+    use std::collections::BTreeMap;
 
     fn model(name: &str) -> NgpModel {
         fit_ngp(registry::handle(name).build().as_ref(), &GridConfig::tiny())
@@ -516,12 +593,13 @@ mod tests {
         assert!(would_stop > 0, "no ray saturated in Phase II");
     }
 
-    /// What `march` asked a [`Cells`] model, in order.
-    #[derive(Debug, Clone, Copy, PartialEq)]
+    /// What `march` asked a [`Cells`] model, in order: each density call's
+    /// cells, and each colour call's cells — those its slots held.
+    #[derive(Debug, Clone, PartialEq)]
     enum Call {
         Occupancy,
-        Density(usize),
-        Color,
+        Density(Vec<usize>),
+        Color(Vec<usize>),
     }
 
     /// What one of [`Cells`]' cells holds.
@@ -594,11 +672,11 @@ mod tests {
     }
 
     impl RadianceModel for Cells {
-        /// The cell of the last `density_into`: the geometry feature.
-        type Scratch = usize;
+        /// Each slot's cell: the geometry feature.
+        type Scratch = [usize; MAX_IN_FLIGHT];
 
-        fn make_query_scratch(&self) -> usize {
-            usize::MAX
+        fn make_query_scratch(&self) -> [usize; MAX_IN_FLIGHT] {
+            [usize::MAX; MAX_IN_FLIGHT]
         }
 
         fn model_bounds(&self) -> asdr_math::Aabb {
@@ -617,16 +695,27 @@ mod tests {
             out.extend(ts.into_iter().map(|t| self.occupied(ray.at(t))));
         }
 
-        fn density_into(&self, p: Vec3, cell: &mut usize) -> f32 {
-            *cell = p.x as usize;
-            self.calls.borrow_mut().push(Call::Density(*cell));
-            self.sigma(*cell)
+        /// Unmasked, as every model: an empty cell's σ is the caller's to
+        /// mask, so it answers as though occupied (1 + its index).
+        fn density_into(&self, points: &[Vec3], slots: &mut [usize; 2], sigma: &mut [f32]) {
+            let cells: Vec<usize> = points.iter().map(|p| p.x as usize).collect();
+            for ((slot, s), &cell) in slots.iter_mut().zip(sigma).zip(&cells) {
+                *slot = cell;
+                *s = match self.cells[cell] {
+                    Cell::Empty => 1.0 + cell as f32,
+                    _ => self.sigma(cell),
+                };
+            }
+            self.calls.borrow_mut().push(Call::Density(cells));
         }
 
-        fn color_into(&self, _: Vec3, cell: &mut usize) -> Rgb {
-            self.calls.borrow_mut().push(Call::Color);
-            let c = (*cell % 8) as f32;
-            Rgb::new(0.1 * (c + 1.0), 0.9 - 0.1 * c, 0.5)
+        fn color_into(&self, _: Vec3, read: &[usize], slots: &mut [usize; 2], colors: &mut [Rgb]) {
+            let cells: Vec<usize> = read.iter().map(|&slot| slots[slot]).collect();
+            for (color, &cell) in colors.iter_mut().zip(&cells) {
+                let c = (cell % 8) as f32;
+                *color = Rgb::new(0.1 * (c + 1.0), 0.9 - 0.1 * c, 0.5);
+            }
+            self.calls.borrow_mut().push(Call::Color(cells));
         }
 
         fn stage_flops(&self) -> (u64, u64, u64) {
@@ -659,10 +748,10 @@ mod tests {
         (pixel, buffers.points, stats)
     }
 
-    /// `march` as it was before it classified a ray in one pass: the same
-    /// loop, but asking for each sample's bit as it comes to it and visiting
-    /// every group up to the stop. What `march` must call, in this order,
-    /// and charge.
+    /// `march` as it was before it classified a ray in one pass and asked
+    /// for two samples a call: one group late, asking for each sample's bit
+    /// as it comes to it, one point a call, and visiting every group up to
+    /// the stop. What `march` must ask for, group by group, and charge.
     fn march_cells_per_sample(
         m: &Cells,
         group: usize,
@@ -683,22 +772,34 @@ mod tests {
                 stats.density_points += 1 + followers.len() as u64;
                 stats.color_points += 1;
                 let mut dense = false;
+                // one point a call, masked with the point's own bit
+                let mut density = |t: f32| {
+                    let mut sigma = [0.0];
+                    m.density_into(&[ray.at(t)], &mut scratch, &mut sigma);
+                    if m.occupied(ray.at(t)) {
+                        sigma[0]
+                    } else {
+                        0.0
+                    }
+                };
                 for f in followers {
                     if m.occupied(ray.at(f.t)) {
-                        f.sigma = m.density_into(ray.at(f.t), &mut scratch);
+                        f.sigma = density(f.t);
                         dense |= f.sigma > 0.0;
                     } else {
                         stats.skipped_density += 1;
                     }
                 }
                 if dense || m.occupied(ray.at(leader.t)) {
-                    leader.sigma = m.density_into(ray.at(leader.t), &mut scratch);
+                    leader.sigma = density(leader.t);
                     dense |= leader.sigma > 0.0;
                 } else {
                     stats.skipped_density += 1;
                 }
                 if dense {
-                    leader.color = m.color_into(ray.dir, &mut scratch);
+                    let mut color = [Rgb::BLACK];
+                    m.color_into(ray.dir, &[0], &mut scratch, &mut color);
+                    leader.color = color[0];
                 } else {
                     stats.skipped_color += 1;
                 }
@@ -733,25 +834,47 @@ mod tests {
         (integral.0.clamp01(), points, stats)
     }
 
+    /// Each group's density cells (sorted) and colour cells, from `calls`.
+    fn points_per_group(calls: &[Call], group: usize) -> BTreeMap<usize, [Vec<usize>; 2]> {
+        let mut per_group: BTreeMap<usize, [Vec<usize>; 2]> = BTreeMap::new();
+        for call in calls {
+            let (kind, cells) = match call {
+                Call::Occupancy => continue,
+                Call::Density(cells) => (0, cells),
+                Call::Color(cells) => (1, cells),
+            };
+            for &c in cells {
+                per_group.entry(c / group).or_default()[kind].push(c);
+            }
+        }
+        per_group.values_mut().for_each(|[d, _]| d.sort_unstable());
+        per_group
+    }
+
     /// Marches `cells()` at `group`, with early termination or the saturated
     /// stop, and checks it against the kept scalar reference (pixel and every
-    /// counted field) and against `march_cells_per_sample` (the same calls in
-    /// the same order, the same buffer, every field including `skipped_*`):
-    /// one occupancy pass, made first; no call into a group without an
-    /// occupied sample; colour only for a group with a positive σ and only
-    /// directly after its own leader's density; calls + skipped = counted.
-    /// Then marches the cells once more, offered the buffers a probe of them
-    /// left (group 1, `Stop::Never`): pixel, buffer and every counted field
-    /// repeat, and the only calls are a `Density(leader), Color` pair for each
-    /// leader with `σ ≤ 0` of a group with positive density; a probe at any
-    /// other count is not read. Returns the march's stats, whether it stopped
-    /// before its end, and how many leaders the reusing march coloured.
+    /// counted field) and against `march_cells_per_sample` (one point a call):
+    /// the same points per group for every group the march asked anything
+    /// of, and of the copy's groups only its last may go unasked — the group
+    /// a march one group late evaluated past its stop — whose samples the
+    /// buffer then holds as initialised; every other sample the same. Also:
+    /// one occupancy pass, made first; no density asked in a group without
+    /// an occupied sample; one or two points a density call and one or two
+    /// leaders a colour call; colour only for a group with a positive σ,
+    /// reading its own leader's slot of the density call just before;
+    /// points asked + skipped = counted. Then marches the cells once more,
+    /// offered the buffers a probe of them left (group 1, `Stop::Never`):
+    /// pixel, buffer and every counted field repeat, and the only calls are
+    /// the density and then the colour of leaders with `σ ≤ 0` of groups with
+    /// positive density; a probe at any other count is not read. Returns the
+    /// march's stats, whether it stopped before its end, how many leaders the
+    /// reusing march coloured, and how many calls asked for two.
     fn assert_marches_like_the_reference(
         cells: impl Fn() -> Cells,
         group: usize,
         et: bool,
         what: &str,
-    ) -> (RenderStats, bool, u64) {
+    ) -> (RenderStats, bool, u64, u64) {
         let m = cells();
         let stop = if et { Stop::Threshold } else { Stop::Saturated };
         let (pixel, points, stats) = march_cells(&m, group, stop);
@@ -767,41 +890,64 @@ mod tests {
         let (parent_pixel, parent_points, parent_stats) =
             march_cells_per_sample(&parent, group, stop);
         assert_eq!(rgb_bits(pixel), rgb_bits(parent_pixel), "{what}");
-        assert_eq!(stats, parent_stats, "{what}");
+        let parent_counted = RenderStats { skipped_density: 0, skipped_color: 0, ..parent_stats };
+        assert_eq!(marched, parent_counted, "{what}");
+        let calls = m.calls.borrow();
+        let asked = points_per_group(&calls, group);
+        let mut parent_asked = points_per_group(&parent.calls.borrow(), group);
+        let unasked = parent_asked.last_key_value().filter(|(g, _)| !asked.contains_key(g));
+        let unasked = unasked.map(|(&g, _)| g * group..((g + 1) * group).min(n));
+        if let Some(span) = &unasked {
+            assert!(stats.skipped_density > parent_stats.skipped_density, "{what}: {span:?}");
+            parent_asked.pop_last();
+        }
+        assert_eq!(asked, parent_asked, "{what}: the points asked per group");
         let bits = |points: &[SamplePoint]| points.iter().map(sample_bits).collect::<Vec<_>>();
+        let mut parent_points = parent_points;
+        for i in unasked.into_iter().flatten() {
+            parent_points[i] = SamplePoint { sigma: 0.0, color: Rgb::BLACK, ..parent_points[i] };
+        }
         assert_eq!(bits(&points), bits(&parent_points), "{what}");
 
-        let calls = m.calls.borrow();
         assert_eq!(calls.first(), Some(&Call::Occupancy), "{what}: {calls:?}");
-        assert_eq!(calls[1..], parent.calls.borrow()[..], "{what}");
+        let (mut density, mut color, mut pairs) = (0, 0, 0);
         for (i, call) in calls.iter().enumerate() {
-            match *call {
+            match call {
                 Call::Occupancy => assert_eq!(i, 0, "{what}: a second occupancy pass"),
-                Call::Density(cell) => {
-                    let lo = cell / group * group;
-                    let members = lo..(lo + group).min(n);
-                    assert!(
-                        members.clone().any(|c| m.cells[c] != Cell::Empty),
-                        "{what}: a call into {members:?}, which has no occupied cell"
-                    );
+                Call::Density(asked) => {
+                    assert!((1..=2).contains(&asked.len()), "{what}: {calls:?}");
+                    for &cell in asked {
+                        let lo = cell / group * group;
+                        let members = lo..(lo + group).min(n);
+                        assert!(
+                            members.clone().any(|c| m.cells[c] != Cell::Empty),
+                            "{what}: a call into {members:?}, which has no occupied cell"
+                        );
+                    }
+                    density += asked.len() as u64;
+                    pairs += u64::from(asked.len() == 2);
                 }
-                Call::Color => {
-                    let Call::Density(leader) = calls[i - 1] else {
+                Call::Color(read) => {
+                    assert!((1..=2).contains(&read.len()), "{what}: {calls:?}");
+                    let Call::Density(slots) = &calls[i - 1] else {
                         panic!("{what}: colour after {:?}", calls[i - 1]);
                     };
-                    assert_eq!(leader % group, 0, "{what}: colour after a follower");
-                    let members = leader..(leader + group).min(n);
-                    assert!(members.clone().any(|c| m.sigma(c) > 0.0), "{what}: {members:?}");
+                    for leader in read {
+                        assert!(
+                            slots.contains(leader),
+                            "{what}: colour of {leader} after {slots:?}"
+                        );
+                        assert_eq!(leader % group, 0, "{what}: colour of a follower");
+                        let members = *leader..(leader + group).min(n);
+                        assert!(members.clone().any(|c| m.sigma(c) > 0.0), "{what}: {members:?}");
+                    }
+                    color += read.len() as u64;
+                    pairs += u64::from(read.len() == 2);
                 }
             }
         }
-        let ran = |want: fn(&Call) -> bool| calls.iter().filter(|c| want(c)).count() as u64;
-        assert_eq!(
-            ran(|c| matches!(c, Call::Density(_))) + stats.skipped_density,
-            stats.density_points,
-            "{what}"
-        );
-        assert_eq!(ran(|c| *c == Call::Color) + stats.skipped_color, stats.color_points, "{what}");
+        assert_eq!(density + stats.skipped_density, stats.density_points, "{what}");
+        assert_eq!(color + stats.skipped_color, stats.color_points, "{what}");
 
         let (_, probe, _) = march_cells_at(&cells(), n, 1, Stop::Never, None);
         let reusing = cells();
@@ -812,18 +958,22 @@ mod tests {
         let counted = RenderStats { skipped_density: 0, skipped_color: 0, ..reused_stats };
         assert_eq!(counted, marched, "{what}: reusing the probe");
         let reused_calls = reusing.calls.borrow();
+        let mut recoloured = 0;
         for pair in reused_calls.chunks(2) {
-            let &[Call::Density(leader), Call::Color] = pair else {
+            let [Call::Density(leaders), Call::Color(read)] = pair else {
                 panic!("{what}: reusing the probe made {reused_calls:?}");
             };
-            let members = leader..(leader + group).min(n);
-            assert_eq!(leader % group, 0, "{what}: colour after a follower");
-            assert!(m.sigma(leader) <= 0.0, "{what}: the probe coloured {leader}");
-            assert!(members.clone().any(|c| m.sigma(c) > 0.0), "{what}: {members:?}");
+            assert_eq!(leaders, read, "{what}: reusing the probe made {reused_calls:?}");
+            for &leader in leaders {
+                let members = leader..(leader + group).min(n);
+                assert_eq!(leader % group, 0, "{what}: colour of a follower");
+                assert!(m.sigma(leader) <= 0.0, "{what}: the probe coloured {leader}");
+                assert!(members.clone().any(|c| m.sigma(c) > 0.0), "{what}: {members:?}");
+            }
+            recoloured += leaders.len() as u64;
         }
-        let pairs = reused_calls.len() as u64 / 2;
-        assert_eq!(pairs + reused_stats.skipped_density, stats.density_points, "{what}");
-        assert_eq!(pairs + reused_stats.skipped_color, stats.color_points, "{what}");
+        assert_eq!(recoloured + reused_stats.skipped_density, stats.density_points, "{what}");
+        assert_eq!(recoloured + reused_stats.skipped_color, stats.color_points, "{what}");
 
         // at another count the probe's samples are not this march's
         let plain = cells();
@@ -838,7 +988,7 @@ mod tests {
 
         // a ray that stopped skipped what a never-stopped one evaluates
         let (_, _, never) = march_cells(&cells(), group, Stop::Never);
-        (stats, stats.skipped_density > never.skipped_density, pairs)
+        (stats, stats.skipped_density > never.skipped_density, recoloured, pairs)
     }
 
     #[test]
@@ -848,18 +998,18 @@ mod tests {
         // groups of 2: (empty, dense) (empty, empty) (zero, zero) (dense, zero)
         let m = Cells::new(vec![E, D, E, E, Z, Z, D, Z]);
         let (_, points, stats) = march_cells(&m, 2, Stop::Saturated);
+        // a turn asks the followers of two groups, then their leaders, then
+        // the colours of the leaders of groups with σ > 0, two a call
         assert_eq!(
             m.calls.borrow()[..],
             [
                 Occupancy,
-                Density(1),
-                Density(0),
-                Color,
-                Density(5),
-                Density(4),
-                Density(7),
-                Density(6),
-                Color
+                Density(vec![1]),
+                Density(vec![0]),
+                Color(vec![0]),
+                Density(vec![5, 7]),
+                Density(vec![4, 6]),
+                Color(vec![6]),
             ]
         );
         assert_eq!(
@@ -867,7 +1017,8 @@ mod tests {
             (8, 4, 4)
         );
         assert_eq!((stats.skipped_density, stats.skipped_color), (2, 2));
-        // the dense follower holds the colour its empty leader computed
+        // the dense follower holds the colour its empty leader computed, and
+        // the empty leader's σ is masked to 0 though the model answered 1
         assert_eq!(points[0].sigma, 0.0);
         assert!(points[1].sigma > 0.0);
         assert_eq!(points[1].color, Rgb::new(0.1, 0.9, 0.5));
@@ -883,20 +1034,22 @@ mod tests {
     /// and again reading a probe's buffers.
     #[test]
     fn every_pattern_equals_the_reference_with_colour_only_after_positive_density() {
-        let (mut terminated, mut stopped, mut recoloured) = (0, 0, 0);
+        let (mut terminated, mut stopped, mut recoloured, mut pairs) = (0, 0, 0, 0);
         for index in 0..3u32.pow(8) {
             for (group, et) in (1..=8).flat_map(|g| [(g, false), (g, true)]) {
                 let what = format!("pattern {index} group {group} et {et}");
-                let (stats, stop, pairs) =
+                let (stats, stop, leaders, paired) =
                     assert_marches_like_the_reference(|| Cells::pattern(index), group, et, &what);
                 terminated += stats.et_terminated_rays;
                 stopped += u64::from(!et && stop);
-                recoloured += pairs;
+                recoloured += leaders;
+                pairs += paired;
             }
         }
         assert!(terminated > 0, "no pattern was dense enough to terminate early");
         assert!(stopped > 0, "no pattern saturated a ray before its last group");
         assert!(recoloured > 0, "no leader with σ ≤ 0 led a group with positive density");
+        assert!(pairs > 0, "no call asked for two points");
     }
 
     /// Islands of occupied cells apart by long empty runs — what the march
@@ -904,20 +1057,22 @@ mod tests {
     /// reading a probe's buffers.
     #[test]
     fn islands_apart_by_empty_runs_equal_the_reference_and_the_per_sample_calls() {
-        let (mut terminated, mut stopped, mut recoloured) = (0, 0, 0);
+        let (mut terminated, mut stopped, mut recoloured, mut pairs) = (0, 0, 0, 0);
         for seed in 0..2000 {
             for (group, et) in (1..=3).flat_map(|g| [(g, false), (g, true)]) {
                 let what = format!("islands {seed} group {group} et {et}");
-                let (stats, stop, pairs) =
+                let (stats, stop, leaders, paired) =
                     assert_marches_like_the_reference(|| Cells::islands(seed), group, et, &what);
                 terminated += stats.et_terminated_rays;
                 stopped += u64::from(!et && stop);
-                recoloured += pairs;
+                recoloured += leaders;
+                pairs += paired;
             }
         }
         assert!(terminated > 0, "no island terminated a ray early");
         assert!(stopped > 0, "no island saturated a ray before its last group");
         assert!(recoloured > 0, "no leader with σ ≤ 0 led a group with positive density");
+        assert!(pairs > 0, "no call asked for two points");
     }
 
     #[test]

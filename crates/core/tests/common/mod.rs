@@ -15,7 +15,8 @@ use asdr_nerf::model::RadianceModel;
 use reference::reference_ray;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// `inner`, counting the density and colour queries made through it.
+/// `inner`, counting the points whose density and colour were asked through
+/// it (a call asking for two counts two).
 struct Counting<'a, M> {
     inner: &'a M,
     density: AtomicU64,
@@ -37,14 +38,20 @@ impl<M: RadianceModel> RadianceModel for Counting<'_, M> {
         self.inner.occupied_along(ray, ts, out);
     }
 
-    fn density_into(&self, p_world: Vec3, scratch: &mut M::Scratch) -> f32 {
-        self.density.fetch_add(1, Ordering::Relaxed);
-        self.inner.density_into(p_world, scratch)
+    fn density_into(&self, points: &[Vec3], scratch: &mut M::Scratch, sigma: &mut [f32]) {
+        self.density.fetch_add(points.len() as u64, Ordering::Relaxed);
+        self.inner.density_into(points, scratch, sigma);
     }
 
-    fn color_into(&self, view_dir: Vec3, scratch: &mut M::Scratch) -> Rgb {
-        self.color.fetch_add(1, Ordering::Relaxed);
-        self.inner.color_into(view_dir, scratch)
+    fn color_into(
+        &self,
+        view_dir: Vec3,
+        slots: &[usize],
+        scratch: &mut M::Scratch,
+        colors: &mut [Rgb],
+    ) {
+        self.color.fetch_add(slots.len() as u64, Ordering::Relaxed);
+        self.inner.color_into(view_dir, slots, scratch, colors);
     }
 
     fn stage_flops(&self) -> (u64, u64, u64) {

@@ -10,8 +10,9 @@ use asdr_math::{Ray, Rgb};
 use asdr_nerf::model::RadianceModel;
 
 /// Marches `ray` at `count` midpoints of its intersection with the model:
-/// density for every sample, colour for the first of each `group` (its
-/// leader) held by the rest, then Eq. (1) term by term over every sample,
+/// density for every sample (zero where the model's occupancy pass calls the
+/// point empty), colour for the first of each `group` (its leader) held by
+/// the rest, then Eq. (1) term by term over every sample,
 /// with early termination (if asked) tested after each group but the last.
 /// Returns the clamped pixel, every evaluated sample, and the counted work
 /// — which, as the two-phase dataflow charges it, includes the one group an
@@ -29,13 +30,27 @@ pub fn reference_ray<M: RadianceModel>(
         .intersect(ray)
         .filter(|r| !r.is_empty())
         .map_or(Vec::new(), |r| r.midpoints(count));
+    // one point a call, masked with the point's own occupancy bit
+    let mut occupied = Vec::new();
+    let mut density = |t: f32, scratch: &mut M::Scratch| {
+        let mut sigma = [0.0];
+        model.density_into(&[ray.at(t)], scratch, &mut sigma);
+        model.occupied_along(ray, [t], &mut occupied);
+        if occupied[0] {
+            sigma[0]
+        } else {
+            0.0
+        }
+    };
     let mut points = Vec::with_capacity(ts.len());
     for members in ts.chunks(group) {
-        let sigma = model.density_into(ray.at(members[0]), scratch);
-        let color = model.color_into(ray.dir, scratch);
+        let sigma = density(members[0], scratch);
+        let mut color = [Rgb::BLACK];
+        model.color_into(ray.dir, &[0], scratch, &mut color);
+        let color = color[0];
         points.push(SamplePoint { t: members[0], sigma, color });
         for &t in &members[1..] {
-            points.push(SamplePoint { t, sigma: model.density_into(ray.at(t), scratch), color });
+            points.push(SamplePoint { t, sigma: density(t, scratch), color });
         }
     }
     let n = points.len();

@@ -9,7 +9,7 @@
 //! hash (so no aliasing artifacts and no irregular addressing).
 
 use crate::fit::{eval_specular_sh, fit_specular_sh, SIGMA_SCALE};
-use crate::model::{next_model_id, DirCache, RadianceModel};
+use crate::model::{next_model_id, DirCache, RadianceModel, MAX_IN_FLIGHT};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::interp::{trilinear_weights, CORNER_OFFSETS};
 use asdr_math::sh::SH_DEGREE4_COEFFS;
@@ -123,7 +123,8 @@ impl DenseLevel {
 /// Query scratch for [`DvgoModel`].
 #[derive(Debug, Clone)]
 pub struct DvgoScratch {
-    channels: [f32; DVGO_CHANNELS],
+    /// A slot's summed channels: density, then the diffuse colour.
+    channels: [[f32; DVGO_CHANNELS]; MAX_IN_FLIGHT],
     spec: DirCache<f32>,
 }
 
@@ -210,7 +211,7 @@ impl RadianceModel for DvgoModel {
     type Scratch = DvgoScratch;
 
     fn make_query_scratch(&self) -> DvgoScratch {
-        DvgoScratch { channels: [0.0; DVGO_CHANNELS], spec: DirCache::new(0.0) }
+        DvgoScratch { channels: [[0.0; DVGO_CHANNELS]; MAX_IN_FLIGHT], spec: DirCache::new(0.0) }
     }
 
     fn model_bounds(&self) -> Aabb {
@@ -221,28 +222,36 @@ impl RadianceModel for DvgoModel {
         self.occupancy.occupied_along(ray, ts, out);
     }
 
-    fn density_into(&self, p_world: Vec3, scratch: &mut DvgoScratch) -> f32 {
-        let p01 = self.bounds.normalize(p_world);
-        let mut acc = [0.0f32; DVGO_CHANNELS];
-        scratch.channels = [0.0; DVGO_CHANNELS];
-        for l in &self.levels {
-            l.sample(p01, &mut acc);
-            for (ch, a) in scratch.channels.iter_mut().zip(&acc) {
-                *ch += a;
+    /// A pair is two single evaluations.
+    fn density_into(&self, points: &[Vec3], scratch: &mut DvgoScratch, sigma: &mut [f32]) {
+        for ((&p_world, channels), sigma) in points.iter().zip(&mut scratch.channels).zip(sigma) {
+            let p01 = self.bounds.normalize(p_world);
+            let mut acc = [0.0f32; DVGO_CHANNELS];
+            *channels = [0.0; DVGO_CHANNELS];
+            for l in &self.levels {
+                l.sample(p01, &mut acc);
+                for (ch, a) in channels.iter_mut().zip(&acc) {
+                    *ch += a;
+                }
             }
+            *sigma = (channels[0] * SIGMA_SCALE).max(0.0);
         }
-        if !self.occupancy.occupied_world(p_world) {
-            return 0.0;
-        }
-        (scratch.channels[0] * SIGMA_SCALE).max(0.0)
     }
 
-    fn color_into(&self, view_dir: Vec3, scratch: &mut DvgoScratch) -> Rgb {
+    fn color_into(
+        &self,
+        view_dir: Vec3,
+        slots: &[usize],
+        scratch: &mut DvgoScratch,
+        colors: &mut [Rgb],
+    ) {
         let spec = *scratch.spec.get_or_fill(self.id, view_dir, |spec| {
             *spec = eval_specular_sh(&self.spec_sh, view_dir);
         });
-        Rgb::new(scratch.channels[1] + spec, scratch.channels[2] + spec, scratch.channels[3] + spec)
-            .clamp01()
+        for (&slot, c) in slots.iter().zip(colors) {
+            let [_, r, g, b] = scratch.channels[slot];
+            *c = Rgb::new(r + spec, g + spec, b + spec).clamp01();
+        }
     }
 
     fn stage_flops(&self) -> (u64, u64, u64) {
@@ -257,6 +266,7 @@ impl RadianceModel for DvgoModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{color_of, density_of};
     use asdr_scenes::registry;
 
     #[test]
@@ -273,9 +283,11 @@ mod tests {
         let model = DvgoModel::fit(scene.as_ref(), &DvgoConfig::tiny());
         let mut s = model.make_query_scratch();
         let inside = Vec3::new(0.0, 0.45, 0.0);
-        let sigma = model.density_into(inside, &mut s);
+        let sigma = density_of(&model, inside, &mut s);
         assert!(sigma > 0.3 * scene.density(inside), "{sigma}");
-        assert_eq!(model.density_into(Vec3::new(0.9, 0.9, 0.9), &mut s), 0.0);
+        assert!(model.occupancy().occupied_world(inside));
+        // the caller masks the density of empty space to 0
+        assert!(!model.occupancy().occupied_world(Vec3::new(0.9, 0.9, 0.9)));
     }
 
     #[test]
@@ -296,7 +308,7 @@ mod tests {
             if !model.occupancy().occupied_world(pw) {
                 continue;
             }
-            let sigma = model.density_into(pw, &mut s);
+            let sigma = density_of(&model, pw, &mut s);
             max_err = max_err.max((sigma - scene.density(pw)).abs());
         }
         assert!(max_err < 0.5, "dense vertices must be exact: err {max_err}");
@@ -308,8 +320,8 @@ mod tests {
         let model = DvgoModel::fit(scene.as_ref(), &DvgoConfig::tiny());
         let mut s = model.make_query_scratch();
         let p = Vec3::new(0.0, -0.18, -0.05); // lego body (yellow)
-        let _ = model.density_into(p, &mut s);
-        let c = model.color_into(Vec3::Z, &mut s);
+        density_of(&model, p, &mut s);
+        let c = color_of(&model, Vec3::Z, &mut s);
         assert!(c.r > c.b, "body should be yellow-ish: {c}");
     }
 

@@ -404,42 +404,46 @@ impl fmt::Debug for IntDense {
     }
 }
 
-/// What one pass of a layer reads: the running sums `init` it resumes
-/// (none: zero), and the input groups `x` from group `first` on.
+/// What one pass of a layer reads for each of `N` inputs in flight: the
+/// running sums `init` every input resumes (none: zero), and each input's
+/// groups `x` from group `first` on, as many for every input.
 #[derive(Clone, Copy)]
-struct IntPass<'a> {
+struct IntPass<'a, const N: usize> {
     init: Option<&'a [i32; MAX_INT_OUTPUTS]>,
     first: usize,
-    x: &'a [[u8; GROUP]],
+    x: [&'a [[u8; GROUP]]; N],
 }
 
-/// The input bytes `x` of inputs `skip..` laid into whole groups, zero
-/// around them — unless they already are whole groups, which a pass reads
-/// where they lie.
-fn padded(zero: u8, skip: usize, x: &[u8]) -> Option<[[u8; GROUP]; MAX_INT_INPUTS / GROUP]> {
-    let whole = skip.is_multiple_of(GROUP) && x.len().is_multiple_of(GROUP);
-    (!whole).then(|| {
-        let mut groups = [[zero; GROUP]; MAX_INT_INPUTS / GROUP];
-        groups.as_flattened_mut()[skip..skip + x.len()].copy_from_slice(x);
-        groups
-    })
-}
-
-impl<'a> IntPass<'a> {
-    /// A pass over the inputs `skip..skip + x.len()`, from `padded(.., skip, x)`.
-    fn new(
+impl<'a, const N: usize> IntPass<'a, N> {
+    /// `body` over a pass of the inputs `skip..skip + x.len()` of each `x`
+    /// (all of one length) resumed from `init`: the bytes read where they
+    /// lie when they are whole groups, as every query's are, or else laid
+    /// into whole groups on the stack, `zero` around them.
+    #[inline(always)]
+    fn with<R>(
+        zero: u8,
         init: Option<&'a [i32]>,
         skip: usize,
-        x: &'a [u8],
-        padded: &'a Option<[[u8; GROUP]; MAX_INT_INPUTS / GROUP]>,
-    ) -> Self {
+        x: [&'a [u8]; N],
+        body: impl FnOnce(IntPass<'_, N>) -> R,
+    ) -> R {
         let init = init.map(|i| i.try_into().expect("running-sum row length mismatch"));
         let first = skip / GROUP;
-        let x = match padded {
-            Some(groups) => &groups[first..(skip + x.len()).div_ceil(GROUP)],
-            None => x.as_chunks().0,
-        };
-        IntPass { init, first, x }
+        if skip.is_multiple_of(GROUP) && x.iter().all(|x| x.len().is_multiple_of(GROUP)) {
+            return body(IntPass { init, first, x: x.map(|x| x.as_chunks().0) });
+        }
+        let padded = x.map(|x| {
+            let mut groups = [[zero; GROUP]; MAX_INT_INPUTS / GROUP];
+            groups.as_flattened_mut()[skip..skip + x.len()].copy_from_slice(x);
+            groups
+        });
+        let end = (skip + x[0].len()).div_ceil(GROUP);
+        body(IntPass { init, first, x: std::array::from_fn(|n| &padded[n][first..end]) })
+    }
+
+    /// The groups the pass reads of each input.
+    fn groups(&self) -> usize {
+        self.x[0].len()
     }
 }
 
@@ -631,24 +635,24 @@ impl IntDense {
         x: &[u8],
         out: &mut [O],
     ) {
-        let padded = padded(self.zero, skip, x);
-        let pass = IntPass::new(init, skip, x, &padded);
         #[cfg(target_arch = "x86_64")]
         let (avx2, vnni) = (pass_avx2::<O>, pass_vnni::<O>);
         #[cfg(not(target_arch = "x86_64"))]
         let (avx2, vnni) = (pass_portable::<O>, pass_portable::<O>);
-        dispatch(kernel, self, pass, out, pass_portable::<O>, avx2, vnni);
+        IntPass::with(self.zero, init, skip, [x], |pass| {
+            dispatch(kernel, self, pass, out, pass_portable::<O>, avx2, vnni)
+        });
     }
 
-    /// The sums a pass starts from: the resumed row (or zero), plus
-    /// `−zero · Σ w` over the pass's groups.
+    /// The sums each input of a pass starts from: the resumed row (or
+    /// zero), plus `−zero · Σ w` over the pass's groups.
     #[inline(always)]
-    fn start(&self, pass: IntPass<'_>) -> Sums {
+    fn start<const N: usize>(&self, pass: IntPass<'_, N>) -> Sums {
         let mut sums = [[0; LINE]; LINES];
         if let Some(init) = pass.init {
             sums.as_flattened_mut().copy_from_slice(init);
         }
-        let span = (self.corr.get(pass.first), self.corr.get(pass.first + pass.x.len()));
+        let span = (self.corr.get(pass.first), self.corr.get(pass.first + pass.groups()));
         if let (Some(lo), Some(hi)) = span {
             let span = hi.0.as_flattened().iter().zip(lo.0.as_flattened());
             for (s, (hi, lo)) in sums.as_flattened_mut().iter_mut().zip(span) {
@@ -660,8 +664,8 @@ impl IntDense {
 
     /// The weights of the pass's groups.
     #[inline(always)]
-    fn rows(&self, pass: IntPass<'_>) -> &[[Row; LINES]] {
-        &self.weights[pass.first..][..pass.x.len()]
+    fn rows<const N: usize>(&self, pass: IntPass<'_, N>) -> &[[Row; LINES]] {
+        &self.weights[pass.first..][..pass.groups()]
     }
 
     /// The weights of a layer after a hidden one: its 16 groups, checked
@@ -691,14 +695,23 @@ impl IntDense {
     }
 }
 
-/// The sums of a pass's four lines, from their start sums `Sums`, over the
-/// input groups against each group's rows.
-trait Four: Fn(Sums, &[[u8; GROUP]], &[[Row; LINES]]) -> Sums {}
-impl<F: Fn(Sums, &[[u8; GROUP]], &[[Row; LINES]]) -> Sums> Four for F {}
+/// The sums of a pass's four lines for each of `N` inputs, from their start
+/// sums `Sums`, over each input's groups against the groups' rows.
+trait Four<const N: usize>: Fn([Sums; N], [&[[u8; GROUP]]; N], &[[Row; LINES]]) -> [Sums; N] {}
+impl<const N: usize, F> Four<N> for F where
+    F: Fn([Sums; N], [&[[u8; GROUP]]; N], &[[Row; LINES]]) -> [Sums; N]
+{
+}
 
 /// The sums of a pass's line 0 alone, as [`Four`] for one line.
-trait One: Fn([i32; LINE], &[[u8; GROUP]], &[[Row; LINES]]) -> [i32; LINE] {}
-impl<F: Fn([i32; LINE], &[[u8; GROUP]], &[[Row; LINES]]) -> [i32; LINE]> One for F {}
+trait One<const N: usize>:
+    Fn([[i32; LINE]; N], [&[[u8; GROUP]]; N], &[[Row; LINES]]) -> [[i32; LINE]; N]
+{
+}
+impl<const N: usize, F> One<N> for F where
+    F: Fn([[i32; LINE]; N], [&[[u8; GROUP]]; N], &[[Row; LINES]]) -> [[i32; LINE]; N]
+{
+}
 
 /// A single layer's pass (a prefix, or [`IntDense::forward_on`]) on one
 /// instantiation's line kernels: line 0 alone when at most 16 outputs are
@@ -706,82 +719,135 @@ impl<F: Fn([i32; LINE], &[[u8; GROUP]], &[[Row; LINES]]) -> [i32; LINE]> One for
 #[inline(always)]
 fn pass_body<O: Output>(
     layer: &IntDense,
-    pass: IntPass<'_>,
+    pass: IntPass<'_, 1>,
     out: &mut [O],
-    (four, one): (impl Four, impl One),
+    (four, one): (impl Four<1>, impl One<1>),
 ) {
     let (start, rows) = (layer.start(pass), layer.rows(pass));
     if out.len() <= LINE {
-        layer.finish(&one(start[0], pass.x, rows), out);
+        layer.finish(&one([start[0]], pass.x, rows)[0], out);
     } else {
-        layer.finish(four(start, pass.x, rows).as_flattened(), out);
+        layer.finish(four([start], pass.x, rows)[0].as_flattened(), out);
     }
 }
 
-/// A whole MLP on one instantiation's line kernels, one straight-line body:
-/// the first layer over the pass's groups (a runtime count), each hidden
-/// layer after it over the 16 groups of the bytes before, and the last
-/// layer's one line, every sum and byte a local. [`IntMlp::new`] fixed the
-/// shapes this reads: nothing here divides or calls a function, and a
-/// layer's sums go from the kernels through the `f32` step into the next
-/// layer's bytes without a store.
+/// A whole MLP on one instantiation's line kernels, one straight-line body
+/// for `N` inputs in flight: the first layer over the pass's groups (a
+/// runtime count), each hidden layer after it over the 16 groups of the
+/// bytes before, and the last layer's one line, every sum a local. The
+/// inputs' chains interleave layer by layer: each row of weights is loaded
+/// once for all of them, and while one input's sums wait on a multiply-add
+/// the others' run. [`IntMlp::new`] fixed the shapes this reads: nothing
+/// here divides or calls a function.
+///
+/// A hidden layer's requantised bytes go through memory to the next layer:
+/// a group's four bytes broadcast from a load take no shuffle port, which
+/// the multiply-adds share. Kept in registers, the compiler broadcast them
+/// with a shuffle (`vpextrd` into a general register and back, at two
+/// inputs) and a pair of colour calls cost 2.0× one call, where through
+/// memory it costs 1.4×.
 #[inline(always)]
-fn mlp_body(mlp: &IntMlp, pass: IntPass<'_>, out: &mut [f32], (four, one): (impl Four, impl One)) {
+fn mlp_body<const N: usize>(
+    mlp: &IntMlp,
+    pass: IntPass<'_, N>,
+    out: &mut [&mut [f32]; N],
+    (four, one): (impl Four<N>, impl One<N>),
+) {
     let (first, rest) = mlp.layers.split_first().expect("an MLP has at least one layer");
     let (start, rows) = (first.start(pass), first.rows(pass));
     let Some((last, middle)) = rest.split_last() else {
-        return first.finish(&one(start[0], pass.x, rows), out);
+        let sums = one([start[0]; N], pass.x, rows);
+        for (out, s) in out.iter_mut().zip(&sums) {
+            first.finish(s, out);
+        }
+        return;
     };
     // a layer after the first takes unsigned bytes: its sums start at zero
-    let mut x = first.requantised(&four(start, pass.x, rows));
+    let bytes = [[0; GROUP]; HIDDEN_GROUPS];
+    let mut x: [_; N] = each(four([start; N], pass.x, rows), bytes, |s| first.requantised(&s));
     for layer in middle {
-        x = layer.requantised(&four([[0; LINE]; LINES], &x, layer.hidden_rows()));
+        let sums = four([[[0; LINE]; LINES]; N], in_memory(&x), layer.hidden_rows());
+        x = each(sums, bytes, |s| layer.requantised(&s));
     }
-    last.finish(&one([0; LINE], &x, last.hidden_rows()), out);
+    let sums = one([[0; LINE]; N], in_memory(&x), last.hidden_rows());
+    for (out, s) in out.iter_mut().zip(&sums) {
+        last.finish(s, out);
+    }
+}
+
+/// Each input's hidden bytes as groups the kernels read from memory:
+/// `black_box` keeps the compiler from carrying them in registers.
+#[inline(always)]
+fn in_memory<const N: usize>(x: &[[[u8; GROUP]; HIDDEN_GROUPS]; N]) -> [&[[u8; GROUP]]; N] {
+    each(std::hint::black_box(x), &[][..], |x| &x[..])
+}
+
+/// `f` of each item of `items` (`N` of them), `init` where there are fewer:
+/// a loop the kernel bodies inline. (`array::map` is a call the compiler may
+/// leave out of line, and what it maps then runs compiled for the baseline
+/// target: the `f32` step between layers read 1.5–2× slower.)
+#[inline(always)]
+fn each<T, U: Copy, const N: usize>(
+    items: impl IntoIterator<Item = T>,
+    init: U,
+    f: impl Fn(T) -> U,
+) -> [U; N] {
+    let mut out = [init; N];
+    for (o, item) in out.iter_mut().zip(items) {
+        *o = f(item);
+    }
+    out
 }
 
 /// [`Four`] and [`One`] from a kernel of one line `l` at a time.
 #[inline(always)]
-fn by_line(
-    line: impl Fn([i32; LINE], &[[u8; GROUP]], &[[Row; LINES]], usize) -> [i32; LINE] + Copy,
-) -> (impl Four, impl One) {
+fn by_line<const N: usize>(
+    line: impl Fn([[i32; LINE]; N], [&[[u8; GROUP]]; N], &[[Row; LINES]], usize) -> [[i32; LINE]; N]
+        + Copy,
+) -> (impl Four<N>, impl One<N>) {
     (
         #[inline(always)]
-        move |mut sums: Sums, x: &[[u8; GROUP]], rows: &[[Row; LINES]]| {
-            for (l, s) in sums.iter_mut().enumerate() {
-                *s = line(*s, x, rows, l);
+        move |mut sums: [Sums; N], x: [&[[u8; GROUP]]; N], rows: &[[Row; LINES]]| {
+            for l in 0..LINES {
+                let line_sums = line(each(&sums, [0; LINE], |s| s[l]), x, rows, l);
+                for (s, line_sums) in sums.iter_mut().zip(line_sums) {
+                    s[l] = line_sums;
+                }
             }
             sums
         },
         #[inline(always)]
-        move |start, x: &[[u8; GROUP]], rows: &[[Row; LINES]]| line(start, x, rows, 0),
+        move |start, x: [&[[u8; GROUP]]; N], rows: &[[Row; LINES]]| line(start, x, rows, 0),
     )
 }
 
-/// The portable line kernels: plain integer loops, one line at a time. Each
-/// line keeps a sum per pair of weights — `i16` products added in pairs, the
-/// shape of SSE2's `pmaddwd` — over the groups, and an output's two pairs
-/// are added at the end.
+/// The portable line kernels: plain integer loops, one line and one input
+/// at a time (without wide registers, running the inputs side by side only
+/// spills). Each line keeps a sum per pair of weights — `i16` products added
+/// in pairs, the shape of SSE2's `pmaddwd` — over the groups, and an
+/// output's two pairs are added at the end.
 #[inline(always)]
-fn portable() -> (impl Four, impl One) {
+fn portable<const N: usize>() -> (impl Four<N>, impl One<N>) {
     by_line(
         #[inline(always)]
-        |start: [i32; LINE], x: &[[u8; GROUP]], rows: &[[Row; LINES]], l: usize| {
-            let mut pairs = [0i32; LINE * GROUP / 2];
-            for (x, row) in x.iter().zip(rows) {
-                let x = [x.map(i16::from); LINE];
-                let w: [i16; LINE * GROUP] = row[l].0.map(i16::from);
-                for ((p, w), x) in pairs
-                    .iter_mut()
-                    .zip(w.as_chunks::<2>().0)
-                    .zip(x.as_flattened().as_chunks::<2>().0)
-                {
-                    *p += i32::from(w[0]) * i32::from(x[0]) + i32::from(w[1]) * i32::from(x[1]);
-                }
-            }
+        |start: [[i32; LINE]; N], x: [&[[u8; GROUP]]; N], rows: &[[Row; LINES]], l: usize| {
             let mut sums = start;
-            for (s, p) in sums.iter_mut().zip(pairs.as_chunks::<2>().0) {
-                *s += p[0] + p[1];
+            for (sums, x) in sums.iter_mut().zip(x) {
+                let mut pairs = [0i32; LINE * GROUP / 2];
+                for (x, row) in x.iter().zip(rows) {
+                    let x = [x.map(i16::from); LINE];
+                    let w: [i16; LINE * GROUP] = row[l].0.map(i16::from);
+                    for ((p, w), x) in pairs
+                        .iter_mut()
+                        .zip(w.as_chunks::<2>().0)
+                        .zip(x.as_flattened().as_chunks::<2>().0)
+                    {
+                        *p += i32::from(w[0]) * i32::from(x[0]) + i32::from(w[1]) * i32::from(x[1]);
+                    }
+                }
+                for (s, p) in sums.iter_mut().zip(pairs.as_chunks::<2>().0) {
+                    *s += p[0] + p[1];
+                }
             }
             sums
         },
@@ -789,46 +855,60 @@ fn portable() -> (impl Four, impl One) {
 }
 
 /// The AVX2 line kernels, one line at a time: the weights of four outputs
-/// widened to `i16` (`vpmovsxbw`), multiplied by the group's four bytes
-/// widened to `i16` and summed in pairs (`vpmaddwd`, no saturation: 255 ·
-/// 128 · 2 < 2³¹); each output's two pair sums are added at the end of the
-/// line. Four lines at once would want 16 accumulators, every register.
+/// widened to `i16` (`vpmovsxbw`) once a group for every input, multiplied
+/// by the input's four bytes widened to `i16` and summed in pairs
+/// (`vpmaddwd`, no saturation: 255 · 128 · 2 < 2³¹); each output's two pair
+/// sums are added at the end of the line. Four lines at once would want 16
+/// accumulators an input, every register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn avx2() -> (impl Four, impl One) {
+fn avx2<const N: usize>() -> (impl Four<N>, impl One<N>) {
     use std::arch::x86_64::*;
     by_line(
         #[inline(always)]
-        |start: [i32; LINE], x: &[[u8; GROUP]], rows: &[[Row; LINES]], l: usize| {
-            let mut acc = [_mm256_setzero_si256(); 4];
-            for (x, row) in x.iter().zip(rows) {
-                let wide = x.iter().rev().fold(0i64, |v, &b| v << 16 | i64::from(b));
-                let x = _mm256_set1_epi64x(wide);
+        |start: [[i32; LINE]; N], x: [&[[u8; GROUP]]; N], rows: &[[Row; LINES]], l: usize| {
+            let x: [_; N] = each(x, &[][..], |x| &x[..rows.len()]);
+            let mut acc = [[_mm256_setzero_si256(); 4]; N];
+            for (g, row) in rows.iter().enumerate() {
                 let w: [__m128i; 4] = cast(&row[l].0);
-                for (a, w) in acc.iter_mut().zip(w) {
-                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_cvtepi8_epi16(w), x));
+                let mut wide = [_mm256_setzero_si256(); 4];
+                for (wide, w) in wide.iter_mut().zip(w) {
+                    *wide = _mm256_cvtepi8_epi16(w);
+                }
+                for (acc, x) in acc.iter_mut().zip(x) {
+                    let x = _mm256_set1_epi64x(
+                        x[g].iter().rev().fold(0i64, |v, &b| v << 16 | i64::from(b)),
+                    );
+                    for (a, &w) in acc.iter_mut().zip(&wide) {
+                        *a = _mm256_add_epi32(*a, _mm256_madd_epi16(w, x));
+                    }
                 }
             }
-            // [o0 o0 o1 o1 o2 o2 o3 o3] and the next four: added in pairs, then
-            // the 64-bit lanes put back in output order
-            let lo = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[0], acc[1]));
-            let hi = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[2], acc[3]));
-            let base: [__m256i; 2] = cast(&start);
-            cast(&[_mm256_add_epi32(base[0], lo), _mm256_add_epi32(base[1], hi)])
+            let mut sums = start;
+            for (sums, acc) in sums.iter_mut().zip(acc) {
+                // [o0 o0 o1 o1 o2 o2 o3 o3] and the next four: added in
+                // pairs, then the 64-bit lanes put back in output order
+                let lo = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[0], acc[1]));
+                let hi = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(acc[2], acc[3]));
+                let base: [__m256i; 2] = cast(&*sums);
+                *sums = cast(&[_mm256_add_epi32(base[0], lo), _mm256_add_epi32(base[1], hi)]);
+            }
+            sums
         },
     )
 }
 
-/// The AVX-512 VNNI line kernels: one `vpdpbusd` per group and line, the
-/// group's four bytes against each output's four weights. Four lines run as
-/// eight chains, even and odd groups apart; one line alone (the 64→16 and
-/// 64→3 tails) splits its groups over four chains. Integer addition allows
-/// either: the chains are added at the end.
+/// The AVX-512 VNNI line kernels: one `vpdpbusd` per group, line and input,
+/// the input's four bytes against each output's four weights, each row of
+/// weights loaded once for every input. Four lines run as eight chains an
+/// input, even and odd groups apart; one line alone (the 64→16 and 64→3
+/// tails) splits its groups over four chains an input. Integer addition
+/// allows either: the chains are added at the end.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512vnni")]
 #[inline]
-fn vnni() -> (impl Four, impl One) {
+fn vnni<const N: usize>() -> (impl Four<N>, impl One<N>) {
     use std::arch::x86_64::*;
     let bytes = {
         #[inline(always)]
@@ -836,81 +916,116 @@ fn vnni() -> (impl Four, impl One) {
     };
     (
         #[inline(always)]
-        move |start: Sums, x: &[[u8; GROUP]], rows: &[[Row; LINES]]| {
+        move |start: [Sums; N], x: [&[[u8; GROUP]]; N], rows: &[[Row; LINES]]| {
             let zero = _mm512_setzero_si512();
-            let mut acc: [[__m512i; LINES]; 2] = [start.map(|s| cast(&s)), [zero; LINES]];
-            let (pairs, rest) = x.as_chunks::<2>();
-            let (pair_rows, rest_rows) = rows.as_chunks::<2>();
-            for (xs, ws) in pairs.iter().zip(pair_rows) {
-                for ((acc, x), row) in acc.iter_mut().zip(xs).zip(ws) {
-                    let x = bytes(x);
-                    for (a, w) in acc.iter_mut().zip(row) {
-                        *a = _mm512_dpbusd_epi32(*a, x, cast(&w.0));
+            // [even or odd groups][line][input]
+            let mut acc = [[[zero; N]; LINES]; 2];
+            for (l, acc) in acc[0].iter_mut().enumerate() {
+                for (a, start) in acc.iter_mut().zip(&start) {
+                    *a = cast(&start[l]);
+                }
+            }
+            let step = {
+                #[inline(always)]
+                |acc: &mut [[__m512i; N]; LINES], x: [&[u8; GROUP]; N], row: &[Row; LINES]| {
+                    let mut xs = [zero; N];
+                    for (b, x) in xs.iter_mut().zip(x) {
+                        *b = bytes(x);
+                    }
+                    for (acc, w) in acc.iter_mut().zip(row) {
+                        let w = cast(&w.0);
+                        for (a, &b) in acc.iter_mut().zip(&xs) {
+                            *a = _mm512_dpbusd_epi32(*a, b, w);
+                        }
                     }
                 }
-            }
-            for ((acc, x), row) in acc.iter_mut().zip(rest).zip(rest_rows) {
-                let x = bytes(x);
-                for (a, w) in acc.iter_mut().zip(row) {
-                    *a = _mm512_dpbusd_epi32(*a, x, cast(&w.0));
+            };
+            let (pairs, rest) = rows.as_chunks::<2>();
+            let x: [_; N] = each(x, (&[][..], &[][..]), |x| x[..rows.len()].as_chunks::<2>());
+            for (k, ws) in pairs.iter().enumerate() {
+                for (h, (acc, row)) in acc.iter_mut().zip(ws).enumerate() {
+                    step(acc, each(x, &[0; GROUP], |x| &x.0[k][h]), row);
                 }
             }
-            let [mut a, b] = acc;
-            for (a, b) in a.iter_mut().zip(b) {
-                *a = _mm512_add_epi32(*a, b);
+            if let Some(row) = rest.first() {
+                step(&mut acc[0], each(x, &[0; GROUP], |x| &x.1[0]), row);
             }
-            a.map(|a| cast(&a))
+            let [even, odd] = acc;
+            let mut sums = [[[0; LINE]; LINES]; N];
+            for (l, (even, odd)) in even.iter().zip(&odd).enumerate() {
+                for ((s, &a), &b) in sums.iter_mut().zip(even).zip(odd) {
+                    s[l] = cast(&_mm512_add_epi32(a, b));
+                }
+            }
+            sums
         },
         #[inline(always)]
-        move |start: [i32; LINE], x: &[[u8; GROUP]], rows: &[[Row; LINES]]| {
+        move |start: [[i32; LINE]; N], x: [&[[u8; GROUP]]; N], rows: &[[Row; LINES]]| {
             let zero = _mm512_setzero_si512();
-            let mut acc = [cast(&start), zero, zero, zero];
-            let (quads, rest) = x.as_chunks::<4>();
-            let (quad_rows, rest_rows) = rows.as_chunks::<4>();
-            for (xs, ws) in quads.iter().zip(quad_rows) {
-                for ((a, x), w) in acc.iter_mut().zip(xs).zip(ws) {
-                    *a = _mm512_dpbusd_epi32(*a, bytes(x), cast(&w[0].0));
+            // [chain][input]
+            let mut acc = [[zero; N]; 4];
+            for (a, start) in acc[0].iter_mut().zip(&start) {
+                *a = cast(start);
+            }
+            let step = {
+                #[inline(always)]
+                |acc: &mut [__m512i; N], x: [&[u8; GROUP]; N], row: &[Row; LINES]| {
+                    let w = cast(&row[0].0);
+                    for (a, x) in acc.iter_mut().zip(x) {
+                        *a = _mm512_dpbusd_epi32(*a, bytes(x), w);
+                    }
+                }
+            };
+            let (quads, rest) = rows.as_chunks::<4>();
+            let x: [_; N] = each(x, (&[][..], &[][..]), |x| x[..rows.len()].as_chunks::<4>());
+            for (k, ws) in quads.iter().enumerate() {
+                for (c, (acc, row)) in acc.iter_mut().zip(ws).enumerate() {
+                    step(acc, each(x, &[0; GROUP], |x| &x.0[k][c]), row);
                 }
             }
-            for ((a, x), w) in acc.iter_mut().zip(rest).zip(rest_rows) {
-                *a = _mm512_dpbusd_epi32(*a, bytes(x), cast(&w[0].0));
+            for (c, (acc, row)) in acc.iter_mut().zip(rest).enumerate() {
+                step(acc, each(x, &[0; GROUP], |x| &x.1[c]), row);
             }
             let [a, b, c, d] = acc;
-            cast(&_mm512_add_epi32(_mm512_add_epi32(a, b), _mm512_add_epi32(c, d)))
+            let mut sums = [[0; LINE]; N];
+            for (s, (((&a, &b), &c), &d)) in sums.iter_mut().zip(a.iter().zip(&b).zip(&c).zip(&d)) {
+                *s = cast(&_mm512_add_epi32(_mm512_add_epi32(a, b), _mm512_add_epi32(c, d)));
+            }
+            sums
         },
     )
 }
 
 #[inline]
-fn pass_portable<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+fn pass_portable<O: Output>(layer: &IntDense, pass: IntPass<'_, 1>, out: &mut [O]) {
     pass_body(layer, pass, out, portable());
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn pass_avx2<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+fn pass_avx2<O: Output>(layer: &IntDense, pass: IntPass<'_, 1>, out: &mut [O]) {
     pass_body(layer, pass, out, avx2());
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512vnni")]
-fn pass_vnni<O: Output>(layer: &IntDense, pass: IntPass<'_>, out: &mut [O]) {
+fn pass_vnni<O: Output>(layer: &IntDense, pass: IntPass<'_, 1>, out: &mut [O]) {
     pass_body(layer, pass, out, vnni());
 }
 
-fn mlp_portable(mlp: &IntMlp, pass: IntPass<'_>, out: &mut [f32]) {
+fn mlp_portable<const N: usize>(mlp: &IntMlp, pass: IntPass<'_, N>, out: &mut [&mut [f32]; N]) {
     mlp_body(mlp, pass, out, portable());
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn mlp_avx2(mlp: &IntMlp, pass: IntPass<'_>, out: &mut [f32]) {
+fn mlp_avx2<const N: usize>(mlp: &IntMlp, pass: IntPass<'_, N>, out: &mut [&mut [f32]; N]) {
     mlp_body(mlp, pass, out, avx2());
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512vnni")]
-fn mlp_vnni(mlp: &IntMlp, pass: IntPass<'_>, out: &mut [f32]) {
+fn mlp_vnni<const N: usize>(mlp: &IntMlp, pass: IntPass<'_, N>, out: &mut [&mut [f32]; N]) {
     mlp_body(mlp, pass, out, vnni());
 }
 
@@ -981,7 +1096,7 @@ impl IntMlp {
     ///
     /// Panics if any buffer has the wrong length.
     pub fn forward_from(&self, init: Option<&[i32]>, skip: usize, x_rest: &[u8], out: &mut [f32]) {
-        self.forward_on(Kernel::Avx512Vnni, init, skip, x_rest, out);
+        self.run(Kernel::Avx512Vnni, init, skip, [x_rest], [out]);
     }
 
     /// [`Self::forward_from`] on the instantiation named: for tests and
@@ -995,16 +1110,63 @@ impl IntMlp {
         x_rest: &[u8],
         out: &mut [f32],
     ) {
+        self.run(kernel, init, skip, [x_rest], [out]);
+    }
+
+    /// [`Self::forward_from`] of two inputs in one body, both resumed from
+    /// the same `init`: `outs[i]` is bit for bit what a call with
+    /// `x_rests[i]` alone writes, and the two inputs' chains interleave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any buffer has the wrong length.
+    pub fn forward_pair_from(
+        &self,
+        init: Option<&[i32]>,
+        skip: usize,
+        x_rests: [&[u8]; 2],
+        outs: [&mut [f32]; 2],
+    ) {
+        self.run(Kernel::Avx512Vnni, init, skip, x_rests, outs);
+    }
+
+    /// [`Self::forward_pair_from`] on the instantiation named: for tests
+    /// and benches, never the product.
+    #[doc(hidden)]
+    pub fn forward_pair_on(
+        &self,
+        kernel: Kernel,
+        init: Option<&[i32]>,
+        skip: usize,
+        x_rests: [&[u8]; 2],
+        outs: [&mut [f32]; 2],
+    ) {
+        self.run(kernel, init, skip, x_rests, outs);
+    }
+
+    /// The MLP over `N` inputs in flight on `kernel`.
+    fn run<const N: usize>(
+        &self,
+        kernel: Kernel,
+        init: Option<&[i32]>,
+        skip: usize,
+        x_rests: [&[u8]; N],
+        mut outs: [&mut [f32]; N],
+    ) {
         let first = &self.layers[0];
-        assert!(first.takes(skip, x_rest.len()), "input length mismatch");
-        assert_eq!(out.len(), self.layers.last().unwrap().out_dim, "output length mismatch");
-        let padded = padded(first.zero, skip, x_rest);
-        let pass = IntPass::new(init, skip, x_rest, &padded);
+        let len = x_rests[0].len();
+        for x in x_rests {
+            assert!(first.takes(skip, x.len()) && x.len() == len, "input length mismatch");
+        }
+        let out_dim = self.layers.last().unwrap().out_dim;
+        assert!(outs.iter().all(|o| o.len() == out_dim), "output length mismatch");
         #[cfg(target_arch = "x86_64")]
-        let (avx2, vnni) = (mlp_avx2, mlp_vnni);
+        let (avx2, vnni) = (mlp_avx2::<N>, mlp_vnni::<N>);
         #[cfg(not(target_arch = "x86_64"))]
-        let (avx2, vnni) = (mlp_portable, mlp_portable);
-        dispatch(kernel, self, pass, out, mlp_portable, avx2, vnni);
+        let (avx2, vnni) = (mlp_portable::<N>, mlp_portable::<N>);
+        IntPass::with(first.zero, init, skip, x_rests, |pass| {
+            dispatch(kernel, self, pass, &mut outs, mlp_portable::<N>, avx2, vnni)
+        });
     }
 }
 

@@ -29,13 +29,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// for only one sample per group — and [`RadianceModel::occupied_along`] lets
 /// a caller not pay for either where the answer is already known to be zero.
 ///
+/// A call asks for one point or for two ([`MAX_IN_FLIGHT`]): a model may run
+/// a pair through one body (the NGP MLPs interleave the two), and answers
+/// each exactly as a call with that point alone would. The scratch keeps
+/// one geometry feature per slot: a density call leaves point `i`'s in slot
+/// `i`, and a colour call names the slots it reads.
+///
 /// The bits of an answer depend only on the question: `density_into` on the
-/// point, `color_into` on the direction and the point of the last
-/// `density_into` through the same scratch — never on what else was asked
-/// through that scratch before (a cache in it, such as a direction prefix,
-/// must return exactly what recomputing would). A renderer relies on it to
-/// keep an answer and use it again instead of asking twice: the probe's
-/// samples are read back when the same pixel is rendered, on any thread.
+/// point, `color_into` on the direction and the point whose feature the
+/// slot holds — never on what else was asked through that scratch before,
+/// nor on whether the point was asked alone or in a pair (a cache in it,
+/// such as a direction prefix, must return exactly what recomputing would).
+/// A renderer relies on it to keep an answer and use it again instead of
+/// asking twice: the probe's samples are read back when the same pixel is
+/// rendered, on any thread.
 pub trait RadianceModel {
     /// Reusable per-thread scratch for query state.
     type Scratch;
@@ -49,27 +56,41 @@ pub trait RadianceModel {
     /// For every `t` of `ts`, in order, whether `ray.at(t)` lies in a cell
     /// of the model's empty-space mask that may hold density, into `out`
     /// (cleared first) — one pass over a ray's samples, not a call per
-    /// sample. `false` is a promise: [`Self::density_into`] returns exactly
-    /// `0.0` at that point, so a caller that needs neither its density nor
-    /// its colour may skip both calls. The three grid models answer with
+    /// sample. `false` means the point's density is `0.0`, whatever
+    /// [`Self::density_into`] returns there: the caller masks with this bit
+    /// (a caller that needs neither density nor colour of such a point may
+    /// skip both calls). The three grid models answer with
     /// [`OccupancyGrid::occupied_along`], each entry bit-equal to
-    /// [`OccupancyGrid::occupied_world`] — the test their density is masked
-    /// with.
+    /// [`OccupancyGrid::occupied_world`].
     fn occupied_along(&self, ray: &Ray, ts: impl IntoIterator<Item = f32>, out: &mut Vec<bool>);
 
-    /// Density query — the full evaluation wherever it is asked, masked to
-    /// `0.0` where [`Self::occupied_along`] says the point is unoccupied;
-    /// leaves the geometry feature in `scratch`.
-    fn density_into(&self, p_world: Vec3, scratch: &mut Self::Scratch) -> f32;
+    /// Density of each of `points` (one or two) into `sigma`, as long: the
+    /// full evaluation, clamped to `≥ 0` and *not* masked — the caller
+    /// holds the [`Self::occupied_along`] bit and masks with it, so no model
+    /// tests occupancy again. Leaves point `i`'s geometry feature in slot
+    /// `i` of `scratch`.
+    fn density_into(&self, points: &[Vec3], scratch: &mut Self::Scratch, sigma: &mut [f32]);
 
-    /// Color query for the point of the last [`Self::density_into`] call.
-    /// Every channel lies in `[0, 1]`: a renderer may rely on it to know
-    /// when no later sample can change a pixel.
-    fn color_into(&self, view_dir: Vec3, scratch: &mut Self::Scratch) -> Rgb;
+    /// Colour along `view_dir` of the point whose geometry feature each of
+    /// `slots` (one or two) holds, into `colors`, as long: slot `i` holds
+    /// point `i` of the last [`Self::density_into`] call that asked for at
+    /// least `i + 1` points. Every channel lies in `[0, 1]`: a renderer may
+    /// rely on it to know when no later sample can change a pixel.
+    fn color_into(
+        &self,
+        view_dir: Vec3,
+        slots: &[usize],
+        scratch: &mut Self::Scratch,
+        colors: &mut [Rgb],
+    );
 
     /// Per-point FLOPs of `(encoding, density, color)` stages.
     fn stage_flops(&self) -> (u64, u64, u64);
 }
+
+/// The most points one [`RadianceModel`] query asks for, and the geometry
+/// feature slots a scratch keeps.
+pub const MAX_IN_FLIGHT: usize = 2;
 
 /// A process-unique identity for a fitted model: what a [`DirCache`] is keyed
 /// on besides the direction. Never 0, so a new cache belongs to no model.
@@ -125,16 +146,22 @@ pub const COLOR_IN_DIM: usize = SH_DEGREE4_COEFFS + GEO_FEAT_DIM;
 /// Hidden width of both MLPs (Instant-NGP uses 64).
 pub const HIDDEN_DIM: usize = 64;
 
-/// Reusable scratch buffers for model queries (avoids per-point allocation).
+/// Reusable scratch buffers for model queries (avoids per-point allocation),
+/// one slot per point in flight.
 #[derive(Debug, Clone)]
 pub struct Scratch {
     encoded: Vec<f32>,
-    density_out: Vec<f32>,
-    /// A first layer's quantised inputs.
-    bytes: Vec<u8>,
+    /// A slot's density-MLP input bytes.
+    bytes: [Vec<u8>; MAX_IN_FLIGHT],
+    /// A slot's density-MLP outputs: `σ` before the clamp, then the
+    /// geometry feature.
+    density_out: [[f32; DENSITY_OUT_DIM]; MAX_IN_FLIGHT],
     /// The first colour layer's `i32` sums after its SH inputs.
     sh_sums: DirCache<Vec<i32>>,
-    color_out: Vec<f32>,
+    /// A colour input's tail: the 15 geometry bytes and the one after them,
+    /// a whole group of four each, the last read against zero weights.
+    geo: [[u8; GEO_FEAT_DIM + 1]; MAX_IN_FLIGHT],
+    color_out: [[f32; 3]; MAX_IN_FLIGHT],
 }
 
 /// Occupied cells the calibration reads at most.
@@ -452,10 +479,11 @@ impl NgpModel {
     pub fn make_scratch(&self) -> Scratch {
         Scratch {
             encoded: vec![0.0; self.encoder.encoded_dim()],
-            density_out: vec![0.0; DENSITY_OUT_DIM],
-            bytes: vec![0; self.encoder.encoded_dim().max(COLOR_IN_DIM)],
+            bytes: std::array::from_fn(|_| vec![0; self.encoder.encoded_dim()]),
+            density_out: [[0.0; DENSITY_OUT_DIM]; MAX_IN_FLIGHT],
             sh_sums: DirCache::new(vec![0; self.int.color.layers()[0].sums_len()]),
-            color_out: vec![0.0; 3],
+            geo: [[0; GEO_FEAT_DIM + 1]; MAX_IN_FLIGHT],
+            color_out: [[0.0; 3]; MAX_IN_FLIGHT],
         }
     }
 
@@ -464,22 +492,19 @@ impl NgpModel {
     pub fn query_density(&self, p_world: Vec3) -> (f32, Vec<f32>) {
         let mut s = self.make_scratch();
         let sigma = self.query_density_into(p_world, &mut s);
-        (sigma, s.density_out[1..].to_vec())
+        (sigma, s.density_out[0][1..].to_vec())
     }
 
-    /// Density query into caller scratch; the geometry feature is left in
-    /// `scratch.density_out[1..]` for a subsequent
-    /// [`Self::query_color_into`].
+    /// Density query into caller scratch, masked to `0.0` where the
+    /// occupancy grid calls the point empty; the geometry feature is left
+    /// in the scratch for a subsequent [`Self::query_color_into`].
     pub fn query_density_into(&self, p_world: Vec3, scratch: &mut Scratch) -> f32 {
-        let p01 = self.bounds.normalize(p_world);
-        self.encoder.encode(p01, &mut scratch.encoded);
-        let bytes = &mut scratch.bytes[..scratch.encoded.len()];
-        quantize_signed(&scratch.encoded, self.int.inv[0], bytes);
-        self.int.density.forward_from(None, 0, bytes, &mut scratch.density_out);
+        let mut sigma = [0.0];
+        self.densities(&[p_world], scratch, &mut sigma);
         if !self.occupancy.occupied_world(p_world) {
             return 0.0;
         }
-        scratch.density_out[0].max(0.0)
+        sigma[0]
     }
 
     /// Color query from an explicit geometry feature.
@@ -490,31 +515,16 @@ impl NgpModel {
     pub fn query_color(&self, geo_feat: &[f32], view_dir: Vec3) -> Rgb {
         assert_eq!(geo_feat.len(), GEO_FEAT_DIM);
         let mut s = self.make_scratch();
-        s.density_out[1..].copy_from_slice(geo_feat);
+        s.density_out[0][1..].copy_from_slice(geo_feat);
         self.query_color_into(view_dir, &mut s)
     }
 
     /// Color query using the geometry feature left in `scratch` by the last
     /// [`Self::query_density_into`] call.
-    ///
-    /// The first color layer sums its 16 SH inputs and its 15 geometry
-    /// inputs in separate groups, so the `i32` sums over the SH part depend
-    /// on `view_dir` alone: they are computed once per direction and every
-    /// later sample resumes from them — exact integers, so the same as a
-    /// whole forward pass.
     pub fn query_color_into(&self, view_dir: Vec3, scratch: &mut Scratch) -> Rgb {
-        let first = &self.int.color.layers()[0];
-        let sh_sums = scratch.sh_sums.get_or_fill(self.id, view_dir, |sums| {
-            let mut head = [0; SH_DEGREE4_COEFFS];
-            quantize_signed(&sh4(view_dir), self.int.inv[1], &mut head);
-            first.prefix(&head, sums);
-        });
-        // the tail's 15 bytes and the one after them: a whole group of four
-        // each, the last read against zero weights
-        let geo = &mut scratch.bytes[..GEO_FEAT_DIM + 1];
-        quantize_signed(&scratch.density_out[1..], self.int.inv[2], geo);
-        self.int.color.forward_from(Some(sh_sums), SH_DEGREE4_COEFFS, geo, &mut scratch.color_out);
-        Rgb::new(scratch.color_out[0], scratch.color_out[1], scratch.color_out[2]).clamp01()
+        let mut color = [Rgb::BLACK];
+        self.colors(view_dir, &[0], scratch, &mut color);
+        color[0]
     }
 
     /// Combined density + color query (full per-point evaluation).
@@ -522,6 +532,57 @@ impl NgpModel {
         let sigma = self.query_density_into(p_world, scratch);
         let color = self.query_color_into(view_dir, scratch);
         (sigma, color)
+    }
+
+    /// The unmasked `σ ≥ 0` of each of `points` (one or two), its geometry
+    /// feature left in its slot; a pair runs the density MLP once over both.
+    fn densities(&self, points: &[Vec3], scratch: &mut Scratch, sigma: &mut [f32]) {
+        let Scratch { encoded, bytes, density_out, .. } = scratch;
+        for (&p, bytes) in points.iter().zip(bytes.iter_mut()) {
+            self.encoder.encode(self.bounds.normalize(p), encoded);
+            quantize_signed(encoded, self.int.inv[0], bytes);
+        }
+        let [d0, d1] = density_out;
+        match points.len() {
+            1 => self.int.density.forward_from(None, 0, &bytes[0], d0),
+            2 => self.int.density.forward_pair_from(None, 0, [&bytes[0], &bytes[1]], [d0, d1]),
+            n => panic!("{n} points in one query, not 1 or 2"),
+        }
+        for (s, out) in sigma.iter_mut().zip(density_out.iter()) {
+            *s = out[0].max(0.0);
+        }
+    }
+
+    /// The colour of each of `slots` (one or two) along `view_dir`.
+    ///
+    /// The first color layer sums its 16 SH inputs and its 15 geometry
+    /// inputs in separate groups, so the `i32` sums over the SH part depend
+    /// on `view_dir` alone: they are computed once per direction and every
+    /// later sample resumes from them — exact integers, so the same as a
+    /// whole forward pass. A pair resumes both from the same sums.
+    fn colors(&self, view_dir: Vec3, slots: &[usize], scratch: &mut Scratch, colors: &mut [Rgb]) {
+        let Scratch { sh_sums, geo, density_out, color_out, .. } = scratch;
+        let first = &self.int.color.layers()[0];
+        let sh_sums = sh_sums.get_or_fill(self.id, view_dir, |sums| {
+            let mut head = [0; SH_DEGREE4_COEFFS];
+            quantize_signed(&sh4(view_dir), self.int.inv[1], &mut head);
+            first.prefix(&head, sums);
+        });
+        for (&slot, geo) in slots.iter().zip(geo.iter_mut()) {
+            quantize_signed(&density_out[slot][1..], self.int.inv[2], geo);
+        }
+        let [c0, c1] = color_out;
+        let skip = SH_DEGREE4_COEFFS;
+        match slots.len() {
+            1 => self.int.color.forward_from(Some(sh_sums), skip, &geo[0], c0),
+            2 => {
+                self.int.color.forward_pair_from(Some(sh_sums), skip, [&geo[0], &geo[1]], [c0, c1])
+            }
+            n => panic!("{n} colours in one query, not 1 or 2"),
+        }
+        for (c, out) in colors.iter_mut().zip(color_out.iter()) {
+            *c = Rgb::new(out[0], out[1], out[2]).clamp01();
+        }
     }
 
     /// Per-point FLOPs of the three stages `(encoding, density, color)` —
@@ -546,12 +607,18 @@ impl RadianceModel for NgpModel {
         self.occupancy.occupied_along(ray, ts, out);
     }
 
-    fn density_into(&self, p_world: Vec3, scratch: &mut Scratch) -> f32 {
-        self.query_density_into(p_world, scratch)
+    fn density_into(&self, points: &[Vec3], scratch: &mut Scratch, sigma: &mut [f32]) {
+        self.densities(points, scratch, sigma);
     }
 
-    fn color_into(&self, view_dir: Vec3, scratch: &mut Scratch) -> Rgb {
-        self.query_color_into(view_dir, scratch)
+    fn color_into(
+        &self,
+        view_dir: Vec3,
+        slots: &[usize],
+        scratch: &mut Scratch,
+        colors: &mut [Rgb],
+    ) {
+        self.colors(view_dir, slots, scratch, colors);
     }
 
     fn stage_flops(&self) -> (u64, u64, u64) {
@@ -559,11 +626,30 @@ impl RadianceModel for NgpModel {
     }
 }
 
+/// `model`'s density at `p` alone, its geometry feature left in slot 0.
+#[cfg(test)]
+pub(crate) fn density_of<M: RadianceModel>(model: &M, p: Vec3, scratch: &mut M::Scratch) -> f32 {
+    let mut sigma = [0.0];
+    model.density_into(&[p], scratch, &mut sigma);
+    sigma[0]
+}
+
+/// `model`'s colour along `dir` of the point in slot 0.
+#[cfg(test)]
+pub(crate) fn color_of<M: RadianceModel>(model: &M, dir: Vec3, scratch: &mut M::Scratch) -> Rgb {
+    let mut color = [Rgb::BLACK];
+    model.color_into(dir, &[0], scratch, &mut color);
+    color[0]
+}
+
 /// The contract every model pins ([`RadianceModel`]: an answer depends only
 /// on its question): samples along `p + i·x̂` whose direction repeats, then
 /// changes, and then `p` again after another point (`p, q, p`), read bit for
 /// bit the same through one kept scratch as through a fresh scratch each
-/// time.
+/// time — asked alone, and asked as pairs of neighbours through the same
+/// kept scratch, in either order and with both points equal, each pair's
+/// colours read in slot order, swapped and one slot alone, and a single
+/// call after every pair.
 #[cfg(test)]
 pub(crate) fn assert_kept_scratch_matches_fresh<M: RadianceModel>(model: &M, p: Vec3) {
     let bits = |c: Rgb| [c.r, c.g, c.b].map(f32::to_bits);
@@ -571,13 +657,34 @@ pub(crate) fn assert_kept_scratch_matches_fresh<M: RadianceModel>(model: &M, p: 
     let along = (0..12).map(|i| (p + Vec3::X * (0.01 * i as f32), dirs[(i / 2) % 2]));
     let q = p + Vec3::new(0.03, -0.02, 0.05);
     let revisit = [(p, dirs[0]), (q, dirs[0]), (p, dirs[0]), (q, dirs[1]), (p, dirs[0])];
-    let mut kept = model.make_query_scratch();
-    for (i, (p, dir)) in along.chain(revisit).enumerate() {
+    let samples: Vec<(Vec3, Vec3)> = along.chain(revisit).collect();
+    let fresh = |p: Vec3, dir: Vec3| {
         let mut fresh = model.make_query_scratch();
-        let (got, want) = (model.density_into(p, &mut kept), model.density_into(p, &mut fresh));
-        assert_eq!(got.to_bits(), want.to_bits(), "sample {i}");
-        let (got, want) = (model.color_into(dir, &mut kept), model.color_into(dir, &mut fresh));
-        assert_eq!(bits(got), bits(want), "sample {i}");
+        (density_of(model, p, &mut fresh).to_bits(), bits(color_of(model, dir, &mut fresh)))
+    };
+    let mut kept = model.make_query_scratch();
+    let single = |kept: &mut M::Scratch, p: Vec3, dir: Vec3| {
+        (density_of(model, p, kept).to_bits(), bits(color_of(model, dir, kept)))
+    };
+    for (i, &(p, dir)) in samples.iter().enumerate() {
+        assert_eq!(single(&mut kept, p, dir), fresh(p, dir), "sample {i}");
+    }
+    for (i, w) in samples.windows(2).enumerate() {
+        let ((a, dir), (b, _)) = (w[0], w[1]);
+        for pair in [[a, b], [b, a], [a, a]] {
+            let want = pair.map(|p| fresh(p, dir));
+            let mut sigma = [0.0; 2];
+            model.density_into(&pair, &mut kept, &mut sigma);
+            assert_eq!(sigma.map(f32::to_bits), want.map(|w| w.0), "pair {i}");
+            let mut colors = [Rgb::BLACK; 2];
+            model.color_into(dir, &[0, 1], &mut kept, &mut colors);
+            assert_eq!(colors.map(bits), want.map(|w| w.1), "pair {i}");
+            model.color_into(dir, &[1, 0], &mut kept, &mut colors);
+            assert_eq!(colors.map(bits), [want[1].1, want[0].1], "pair {i}, slots swapped");
+            model.color_into(dir, &[1], &mut kept, &mut colors[..1]);
+            assert_eq!(bits(colors[0]), want[1].1, "pair {i}, slot 1 alone");
+        }
+        assert_eq!(single(&mut kept, a, dir), fresh(a, dir), "a single call after pair {i}");
     }
 }
 
@@ -650,7 +757,7 @@ mod tests {
         let mut s = m.make_scratch();
         let sig_b = m.query_density_into(p, &mut s);
         assert_eq!(sig_a, sig_b);
-        assert_eq!(&feat_a[..], &s.density_out[1..]);
+        assert_eq!(&feat_a[..], &s.density_out[0][1..]);
     }
 
     #[test]
@@ -698,7 +805,7 @@ mod tests {
 
     /// The color through `scratch`, which keeps whatever direction it saw.
     fn color_through(m: &NgpModel, geo: &[f32], dir: Vec3, scratch: &mut Scratch) -> [u32; 3] {
-        scratch.density_out[1..].copy_from_slice(geo);
+        scratch.density_out[0][1..].copy_from_slice(geo);
         let c = m.query_color_into(dir, scratch);
         [c.r, c.g, c.b].map(f32::to_bits)
     }

@@ -13,7 +13,7 @@
 //! trainability.
 
 use crate::fit::{eval_specular_sh, fit_specular_sh, SIGMA_SCALE};
-use crate::model::{next_model_id, DirCache, RadianceModel};
+use crate::model::{next_model_id, DirCache, RadianceModel, MAX_IN_FLIGHT};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::interp::bilinear;
 use asdr_math::rng::seeded;
@@ -178,11 +178,12 @@ impl VmFactor {
     }
 }
 
-/// Query scratch for [`TensoRfModel`] (holds the diffuse color between the
-/// density and color queries plus the specular term of the last direction).
+/// Query scratch for [`TensoRfModel`] (holds each slot's diffuse color
+/// between the density and color queries plus the specular term of the last
+/// direction).
 #[derive(Debug, Clone)]
 pub struct TensoRfScratch {
-    diffuse: [f32; 3],
+    diffuse: [[f32; 3]; MAX_IN_FLIGHT],
     spec: DirCache<f32>,
 }
 
@@ -293,7 +294,7 @@ impl RadianceModel for TensoRfModel {
     type Scratch = TensoRfScratch;
 
     fn make_query_scratch(&self) -> TensoRfScratch {
-        TensoRfScratch { diffuse: [0.0; 3], spec: DirCache::new(0.0) }
+        TensoRfScratch { diffuse: [[0.0; 3]; MAX_IN_FLIGHT], spec: DirCache::new(0.0) }
     }
 
     fn model_bounds(&self) -> Aabb {
@@ -304,23 +305,31 @@ impl RadianceModel for TensoRfModel {
         self.occupancy.occupied_along(ray, ts, out);
     }
 
-    fn density_into(&self, p_world: Vec3, scratch: &mut TensoRfScratch) -> f32 {
-        let p01 = self.bounds.normalize(p_world);
-        for c in 0..3 {
-            scratch.diffuse[c] = self.color[c].eval(p01);
+    /// A pair is two single evaluations.
+    fn density_into(&self, points: &[Vec3], scratch: &mut TensoRfScratch, sigma: &mut [f32]) {
+        for ((&p_world, diffuse), sigma) in points.iter().zip(&mut scratch.diffuse).zip(sigma) {
+            let p01 = self.bounds.normalize(p_world);
+            for (d, c) in diffuse.iter_mut().zip(&self.color) {
+                *d = c.eval(p01);
+            }
+            *sigma = (self.sigma.eval(p01) * SIGMA_SCALE).max(0.0);
         }
-        if !self.occupancy.occupied_world(p_world) {
-            return 0.0;
-        }
-        (self.sigma.eval(p01) * SIGMA_SCALE).max(0.0)
     }
 
-    fn color_into(&self, view_dir: Vec3, scratch: &mut TensoRfScratch) -> Rgb {
+    fn color_into(
+        &self,
+        view_dir: Vec3,
+        slots: &[usize],
+        scratch: &mut TensoRfScratch,
+        colors: &mut [Rgb],
+    ) {
         let spec = *scratch.spec.get_or_fill(self.id, view_dir, |spec| {
             *spec = eval_specular_sh(&self.spec_sh, view_dir);
         });
-        Rgb::new(scratch.diffuse[0] + spec, scratch.diffuse[1] + spec, scratch.diffuse[2] + spec)
-            .clamp01()
+        for (&slot, c) in slots.iter().zip(colors) {
+            let [r, g, b] = scratch.diffuse[slot];
+            *c = Rgb::new(r + spec, g + spec, b + spec).clamp01();
+        }
     }
 
     fn stage_flops(&self) -> (u64, u64, u64) {
@@ -337,6 +346,7 @@ impl RadianceModel for TensoRfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{color_of, density_of};
     use asdr_scenes::registry;
 
     #[test]
@@ -380,11 +390,12 @@ mod tests {
         let mut s = model.make_query_scratch();
         // inside the sausage
         let inside = Vec3::new(0.0, -0.34, 0.0);
-        let sig = model.density_into(inside, &mut s);
+        let sig = density_of(&model, inside, &mut s);
         assert!(sig > 5.0, "inside density {sig}");
-        // far corner
-        let sig_out = model.density_into(Vec3::new(0.9, 0.9, 0.9), &mut s);
-        assert_eq!(sig_out, 0.0, "occupancy must mask empty space");
+        assert!(model.occupancy().occupied_world(inside));
+        // far corner: the caller masks its density to 0
+        let out = Vec3::new(0.9, 0.9, 0.9);
+        assert!(!model.occupancy().occupied_world(out), "occupancy must mask empty space");
     }
 
     #[test]
@@ -393,11 +404,11 @@ mod tests {
         let model = TensoRfModel::fit(scene.as_ref(), &TensoRfConfig::tiny(), 0);
         let mut s = model.make_query_scratch();
         let p = Vec3::new(0.0, -0.1, 0.0);
-        let _ = model.density_into(p, &mut s);
+        density_of(&model, p, &mut s);
         let toward_light = Vec3::new(-0.5, -0.8, -0.3).normalized();
         let away = Vec3::Y;
-        let c1 = model.color_into(toward_light, &mut s);
-        let c2 = model.color_into(away, &mut s);
+        let c1 = color_of(&model, toward_light, &mut s);
+        let c2 = color_of(&model, away, &mut s);
         assert!(c1.luminance() > c2.luminance(), "specular should brighten {c1} vs {c2}");
     }
 

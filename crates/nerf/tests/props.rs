@@ -571,7 +571,8 @@ impl IntMlpCase {
 /// instantiation the host offers and as dispatched: whole, and resumed from
 /// the first layer's prefix after every head (the colour MLP resumes after
 /// its 16 SH inputs), its rest also run on to the end of its last group.
-/// Returns the oracle's hidden ties.
+/// Then two inputs at a time through the pair body ([`assert_pairs_match`]),
+/// `q` beside `q` turned by one step. Returns the oracle's hidden ties.
 fn assert_int_mlp_matches_oracle(case: &IntMlpCase, q: &[i32]) -> usize {
     let first = &case.layers[0];
     let x: Vec<u8> = q.iter().map(|&q| first.byte(q)).collect();
@@ -596,7 +597,64 @@ fn assert_int_mlp_matches_oracle(case: &IntMlpCase, q: &[i32]) -> usize {
             assert!(same_floats(&got, &want), "{shape} on {kernel:?}, split at {k}, rest to {end}");
         }
     }
+    let mut turned = q.to_vec();
+    turned.rotate_left(1);
+    assert_pairs_match(case, q, &turned, &shape);
     ties
+}
+
+/// Two inputs at a time through the pair body on every instantiation the
+/// host offers and as dispatched, each slot against the oracle chain and
+/// bit for bit what a call with that input alone gives: `q` and `r`, in
+/// either order and each beside itself, whole; then resumed from the prefix
+/// of `q`'s head after every head (both inputs share it, as a pair of colour
+/// calls shares its direction's), the second input `r`'s rest after that
+/// head, each rest also run on to the end of its last group.
+fn assert_pairs_match(case: &IntMlpCase, q: &[i32], r: &[i32], shape: &str) {
+    let first = &case.layers[0];
+    let bytes = |q: &[i32]| -> Vec<u8> { q.iter().map(|&q| first.byte(q)).collect() };
+    let n = case.layers.last().unwrap().layer.out_dim();
+    let bits = |y: &[f32]| -> Vec<u32> { y.iter().map(|y| y.to_bits()).collect() };
+    let (mut single, mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
+    let end = q.len().next_multiple_of(4);
+    let mut head = vec![i32::MIN; first.layer.sums_len()];
+    for &kernel in kernels_under_test() {
+        for (u, v) in [(q, r), (r, q), (q, q), (r, r)] {
+            let (xu, xv) = (bytes(u), bytes(v));
+            case.mlp.forward_pair_on(kernel, None, 0, [&xu, &xv], [&mut a, &mut b]);
+            for (got, input) in [(&a, u), (&b, v)] {
+                let what = format!("{shape} pair on {kernel:?}");
+                assert!(same_floats(got, &case.oracle(input).0), "{what}: {got:?}");
+                case.mlp.forward_on(kernel, None, 0, &bytes(input), &mut single);
+                assert_eq!(bits(got), bits(&single), "{what}: not what one input alone gives");
+            }
+        }
+        for k in 0..=q.len() {
+            let r: Vec<i32> = q[..k].iter().chain(&r[k..]).copied().collect();
+            let (xq, xr) = (bytes(q), bytes(&r));
+            first.layer.prefix_on(kernel, &xq[..k], &mut head);
+            let rests = [&xq[k..], &xr[k..]];
+            let what = format!("{shape} pair on {kernel:?}, split at {k}");
+            case.mlp.forward_pair_on(kernel, Some(&head), k, rests, [&mut a, &mut b]);
+            for ((got, input), rest) in [(&a, q), (&b, &r[..])].into_iter().zip(rests) {
+                assert!(same_floats(got, &case.oracle(input).0), "{what}: {got:?}");
+                case.mlp.forward_on(kernel, Some(&head), k, rest, &mut single);
+                assert_eq!(bits(got), bits(&single), "{what}: not what one input alone gives");
+            }
+            let (mut rest_q, mut rest_r) = (xq[k..].to_vec(), xr[k..].to_vec());
+            rest_q.resize(end - k, 0xa5);
+            rest_r.resize(end - k, 0x5a);
+            case.mlp.forward_pair_on(kernel, Some(&head), k, [&rest_q, &rest_r], [&mut a, &mut b]);
+            assert!(
+                same_floats(&a, &case.oracle(q).0),
+                "{shape} on {kernel:?}, split at {k}, rest to {end}"
+            );
+            assert!(
+                same_floats(&b, &case.oracle(&r).0),
+                "{shape} on {kernel:?}, split at {k}, rest to {end}"
+            );
+        }
+    }
 }
 
 /// Steps a first layer takes: ±127 signed, `0..=255` unsigned.

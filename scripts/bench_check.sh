@@ -9,6 +9,17 @@
 #                        2.0 — wall-clock benches on shared CI runners are
 #                        noisy; this catches order-of-magnitude regressions,
 #                        not 10%).
+#   BENCH_PAIR_BOUND     max allowed mean_ns ratio of each `_pair_` row to
+#                        its `_forward_` row (the same MLP, one input) in
+#                        the *current* dump (default 1.8). Within one run, so
+#                        it holds on any host speed: the interleaved pair
+#                        body read 1.24-1.61x one call over five runs on the
+#                        VNNI host (AVX2 body: about 1.6x), and two calls in
+#                        a row read 2x — what a pair body that stopped
+#                        interleaving reads, and what the 2x-against-baseline
+#                        gate cannot see. A host without AVX2 runs the
+#                        portable body, which does not interleave: its
+#                        pairs read 2x and fail here.
 #   BENCH_REQUIRE_ALL    set to 1 to FAIL on baseline benches absent from
 #                        the current dump. Default: missing entries WARN
 #                        only, so a partial run (`--bench adaptive`) or an
@@ -62,6 +73,27 @@ while read -r name base_mean; do
     fi
 done < /tmp/bench_base.$$
 
+# within the current run: a pair of inputs through one body against one
+# input through the same MLP, so a body that stops interleaving fails
+pair_bound="${BENCH_PAIR_BOUND:-1.8}"
+while read -r name pair_mean; do
+    single="${name/_pair_/_forward_}"
+    single_mean=$(awk -v n="$single" '$1 == n { print $2 }' /tmp/bench_cur.$$)
+    if [[ -z "$single_mean" ]]; then
+        echo "FAIL  $name: no $single in the same run to hold it to"
+        fail=$((fail + 1))
+        continue
+    fi
+    ratio=$(awk -v p="$pair_mean" -v s="$single_mean" 'BEGIN { printf "%.3f", p / s }')
+    over=$(awk -v r="$ratio" -v t="$pair_bound" 'BEGIN { print (r > t) ? 1 : 0 }')
+    if [[ "$over" == "1" ]]; then
+        echo "FAIL  $name: ${ratio}x $single in the same run (> ${pair_bound}x): the pair no longer interleaves"
+        fail=$((fail + 1))
+    else
+        echo "ok    $name: ${ratio}x $single in the same run (bound ${pair_bound}x)"
+    fi
+done < <(awk '$1 ~ /_pair_/' /tmp/bench_cur.$$)
+
 new=$(awk 'NR == FNR { seen[$1]; next } !($1 in seen) { print $1 }' /tmp/bench_base.$$ /tmp/bench_cur.$$)
 for name in $new; do
     echo "NEW   $name: not in baseline (add it by refreshing scripts/bench-baseline.json)"
@@ -85,7 +117,7 @@ summary=$(awk '
 
 echo
 if [[ $fail -gt 0 ]]; then
-    echo "$fail benchmark(s) regressed past ${tolerance}x — $summary"
+    echo "$fail benchmark(s) regressed past ${tolerance}x or their pair bound — $summary"
     exit 1
 fi
 if [[ $missing -gt 0 && "${BENCH_REQUIRE_ALL:-0}" == "1" ]]; then
