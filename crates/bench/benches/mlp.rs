@@ -78,9 +78,9 @@ fn bench_on(c: &mut Criterion, name: &str, mlp: &IntMlp, skip: usize, kernel: Ke
         b.iter(|| {
             if pair {
                 let rests = [black_box(&x[skip..]), black_box(&x2[skip..])];
-                mlp.forward_pair_on(kernel, init, skip, rests, [&mut y, &mut y2]);
+                mlp.forward_on(kernel, init, skip, rests, [&mut y, &mut y2]);
             } else {
-                mlp.forward_on(kernel, init, skip, black_box(&x[skip..]), &mut y);
+                mlp.forward_on(kernel, init, skip, [black_box(&x[skip..])], [&mut y]);
             }
             black_box((&y, &y2));
         })

@@ -1088,64 +1088,30 @@ impl IntMlp {
         &self.layers
     }
 
-    /// Forward pass of the input bytes `x_rest`, the first layer resumed
-    /// after `skip` inputs from the running sums `init` when given (see
-    /// [`IntDense::forward_from`]), into `out`.
+    /// Forward pass of each of the `N` inputs `x_rests` into its `outs`,
+    /// the first layer resumed after `skip` inputs from the running sums
+    /// `init` when given (see [`IntDense::forward_from`]), every input from
+    /// the same `init`. The queries ask for one input or two: at two, the
+    /// inputs' chains interleave in one body, and `outs[i]` is bit for bit
+    /// what a call with `x_rests[i]` alone writes.
     ///
     /// # Panics
     ///
     /// Panics if any buffer has the wrong length.
-    pub fn forward_from(&self, init: Option<&[i32]>, skip: usize, x_rest: &[u8], out: &mut [f32]) {
-        self.run(Kernel::Avx512Vnni, init, skip, [x_rest], [out]);
+    pub fn forward_from<const N: usize>(
+        &self,
+        init: Option<&[i32]>,
+        skip: usize,
+        x_rests: [&[u8]; N],
+        outs: [&mut [f32]; N],
+    ) {
+        self.forward_on(Kernel::Avx512Vnni, init, skip, x_rests, outs);
     }
 
     /// [`Self::forward_from`] on the instantiation named: for tests and
     /// benches, never the product.
     #[doc(hidden)]
-    pub fn forward_on(
-        &self,
-        kernel: Kernel,
-        init: Option<&[i32]>,
-        skip: usize,
-        x_rest: &[u8],
-        out: &mut [f32],
-    ) {
-        self.run(kernel, init, skip, [x_rest], [out]);
-    }
-
-    /// [`Self::forward_from`] of two inputs in one body, both resumed from
-    /// the same `init`: `outs[i]` is bit for bit what a call with
-    /// `x_rests[i]` alone writes, and the two inputs' chains interleave.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any buffer has the wrong length.
-    pub fn forward_pair_from(
-        &self,
-        init: Option<&[i32]>,
-        skip: usize,
-        x_rests: [&[u8]; 2],
-        outs: [&mut [f32]; 2],
-    ) {
-        self.run(Kernel::Avx512Vnni, init, skip, x_rests, outs);
-    }
-
-    /// [`Self::forward_pair_from`] on the instantiation named: for tests
-    /// and benches, never the product.
-    #[doc(hidden)]
-    pub fn forward_pair_on(
-        &self,
-        kernel: Kernel,
-        init: Option<&[i32]>,
-        skip: usize,
-        x_rests: [&[u8]; 2],
-        outs: [&mut [f32]; 2],
-    ) {
-        self.run(kernel, init, skip, x_rests, outs);
-    }
-
-    /// The MLP over `N` inputs in flight on `kernel`.
-    fn run<const N: usize>(
+    pub fn forward_on<const N: usize>(
         &self,
         kernel: Kernel,
         init: Option<&[i32]>,
@@ -1302,7 +1268,7 @@ mod tests {
             quantize_signed(&[v], 1.0 / steps[i], std::slice::from_mut(b));
         }
         let mut got = [0.0f32; 3];
-        q.forward_from(None, 0, &bytes, &mut got);
+        q.forward_from(None, 0, [&bytes], [&mut got]);
         let want = mlp.forward(&x);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 0.05, "{got:?} vs {want:?}");
@@ -1311,7 +1277,7 @@ mod tests {
         let mut sums = vec![0; q.layers()[0].sums_len()];
         q.layers()[0].prefix(&bytes[..16], &mut sums);
         let mut resumed = [0.0f32; 3];
-        q.forward_from(Some(&sums), 16, &bytes[16..], &mut resumed);
+        q.forward_from(Some(&sums), 16, [&bytes[16..]], [&mut resumed]);
         assert_eq!(resumed.map(f32::to_bits), got.map(f32::to_bits));
     }
 

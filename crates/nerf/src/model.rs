@@ -544,8 +544,8 @@ impl NgpModel {
         }
         let [d0, d1] = density_out;
         match points.len() {
-            1 => self.int.density.forward_from(None, 0, &bytes[0], d0),
-            2 => self.int.density.forward_pair_from(None, 0, [&bytes[0], &bytes[1]], [d0, d1]),
+            1 => self.int.density.forward_from(None, 0, [&bytes[0]], [d0]),
+            2 => self.int.density.forward_from(None, 0, [&bytes[0], &bytes[1]], [d0, d1]),
             n => panic!("{n} points in one query, not 1 or 2"),
         }
         for (s, out) in sigma.iter_mut().zip(density_out.iter()) {
@@ -574,10 +574,8 @@ impl NgpModel {
         let [c0, c1] = color_out;
         let skip = SH_DEGREE4_COEFFS;
         match slots.len() {
-            1 => self.int.color.forward_from(Some(sh_sums), skip, &geo[0], c0),
-            2 => {
-                self.int.color.forward_pair_from(Some(sh_sums), skip, [&geo[0], &geo[1]], [c0, c1])
-            }
+            1 => self.int.color.forward_from(Some(sh_sums), skip, [&geo[0]], [c0]),
+            2 => self.int.color.forward_from(Some(sh_sums), skip, [&geo[0], &geo[1]], [c0, c1]),
             n => panic!("{n} colours in one query, not 1 or 2"),
         }
         for (c, out) in colors.iter_mut().zip(color_out.iter()) {

@@ -580,20 +580,20 @@ fn assert_int_mlp_matches_oracle(case: &IntMlpCase, q: &[i32]) -> usize {
     let shape: Vec<usize> = case.layers.iter().map(|c| c.layer.out_dim()).collect();
     let shape = format!("{} -> {shape:?} signed {}", x.len(), first.signed);
     let mut got = vec![0.0f32; want.len()];
-    case.mlp.forward_from(None, 0, &x, &mut got);
+    case.mlp.forward_from(None, 0, [&x], [&mut got]);
     assert!(same_floats(&got, &want), "{shape} as dispatched: {got:?} vs {want:?}");
     let mut head = vec![i32::MIN; first.layer.sums_len()];
     let end = x.len().next_multiple_of(4);
     for &kernel in kernels_under_test() {
-        case.mlp.forward_on(kernel, None, 0, &x, &mut got);
+        case.mlp.forward_on(kernel, None, 0, [&x], [&mut got]);
         assert!(same_floats(&got, &want), "{shape} on {kernel:?}: {got:?} vs {want:?}");
         for k in 0..=x.len() {
             first.layer.prefix_on(kernel, &x[..k], &mut head);
-            case.mlp.forward_on(kernel, Some(&head), k, &x[k..], &mut got);
+            case.mlp.forward_on(kernel, Some(&head), k, [&x[k..]], [&mut got]);
             assert!(same_floats(&got, &want), "{shape} on {kernel:?}, split at {k}");
             let mut rest = x[k..].to_vec();
             rest.resize(end - k, 0xa5);
-            case.mlp.forward_on(kernel, Some(&head), k, &rest, &mut got);
+            case.mlp.forward_on(kernel, Some(&head), k, [&rest], [&mut got]);
             assert!(same_floats(&got, &want), "{shape} on {kernel:?}, split at {k}, rest to {end}");
         }
     }
@@ -621,11 +621,11 @@ fn assert_pairs_match(case: &IntMlpCase, q: &[i32], r: &[i32], shape: &str) {
     for &kernel in kernels_under_test() {
         for (u, v) in [(q, r), (r, q), (q, q), (r, r)] {
             let (xu, xv) = (bytes(u), bytes(v));
-            case.mlp.forward_pair_on(kernel, None, 0, [&xu, &xv], [&mut a, &mut b]);
+            case.mlp.forward_on(kernel, None, 0, [&xu, &xv], [&mut a, &mut b]);
             for (got, input) in [(&a, u), (&b, v)] {
                 let what = format!("{shape} pair on {kernel:?}");
                 assert!(same_floats(got, &case.oracle(input).0), "{what}: {got:?}");
-                case.mlp.forward_on(kernel, None, 0, &bytes(input), &mut single);
+                case.mlp.forward_on(kernel, None, 0, [&bytes(input)], [&mut single]);
                 assert_eq!(bits(got), bits(&single), "{what}: not what one input alone gives");
             }
         }
@@ -635,16 +635,16 @@ fn assert_pairs_match(case: &IntMlpCase, q: &[i32], r: &[i32], shape: &str) {
             first.layer.prefix_on(kernel, &xq[..k], &mut head);
             let rests = [&xq[k..], &xr[k..]];
             let what = format!("{shape} pair on {kernel:?}, split at {k}");
-            case.mlp.forward_pair_on(kernel, Some(&head), k, rests, [&mut a, &mut b]);
+            case.mlp.forward_on(kernel, Some(&head), k, rests, [&mut a, &mut b]);
             for ((got, input), rest) in [(&a, q), (&b, &r[..])].into_iter().zip(rests) {
                 assert!(same_floats(got, &case.oracle(input).0), "{what}: {got:?}");
-                case.mlp.forward_on(kernel, Some(&head), k, rest, &mut single);
+                case.mlp.forward_on(kernel, Some(&head), k, [rest], [&mut single]);
                 assert_eq!(bits(got), bits(&single), "{what}: not what one input alone gives");
             }
             let (mut rest_q, mut rest_r) = (xq[k..].to_vec(), xr[k..].to_vec());
             rest_q.resize(end - k, 0xa5);
             rest_r.resize(end - k, 0x5a);
-            case.mlp.forward_pair_on(kernel, Some(&head), k, [&rest_q, &rest_r], [&mut a, &mut b]);
+            case.mlp.forward_on(kernel, Some(&head), k, [&rest_q, &rest_r], [&mut a, &mut b]);
             assert!(
                 same_floats(&a, &case.oracle(q).0),
                 "{shape} on {kernel:?}, split at {k}, rest to {end}"

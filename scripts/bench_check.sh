@@ -9,17 +9,6 @@
 #                        2.0 — wall-clock benches on shared CI runners are
 #                        noisy; this catches order-of-magnitude regressions,
 #                        not 10%).
-#   BENCH_PAIR_BOUND     max allowed mean_ns ratio of each `_pair_` row to
-#                        its `_forward_` row (the same MLP, one input) in
-#                        the *current* dump (default 1.8). Within one run, so
-#                        it holds on any host speed: the interleaved pair
-#                        body read 1.24-1.61x one call over five runs on the
-#                        VNNI host (AVX2 body: about 1.6x), and two calls in
-#                        a row read 2x — what a pair body that stopped
-#                        interleaving reads, and what the 2x-against-baseline
-#                        gate cannot see. A host without AVX2 runs the
-#                        portable body, which does not interleave: its
-#                        pairs read 2x and fail here.
 #   BENCH_REQUIRE_ALL    set to 1 to FAIL on baseline benches absent from
 #                        the current dump. Default: missing entries WARN
 #                        only, so a partial run (`--bench adaptive`) or an
@@ -73,26 +62,44 @@ while read -r name base_mean; do
     fi
 done < /tmp/bench_base.$$
 
-# within the current run: a pair of inputs through one body against one
-# input through the same MLP, so a body that stops interleaving fails
-pair_bound="${BENCH_PAIR_BOUND:-1.8}"
-while read -r name pair_mean; do
-    single="${name/_pair_/_forward_}"
-    single_mean=$(awk -v n="$single" '$1 == n { print $2 }' /tmp/bench_cur.$$)
-    if [[ -z "$single_mean" ]]; then
-        echo "FAIL  $name: no $single in the same run to hold it to"
-        fail=$((fail + 1))
-        continue
-    fi
-    ratio=$(awk -v p="$pair_mean" -v s="$single_mean" 'BEGIN { printf "%.3f", p / s }')
-    over=$(awk -v r="$ratio" -v t="$pair_bound" 'BEGIN { print (r > t) ? 1 : 0 }')
-    if [[ "$over" == "1" ]]; then
-        echo "FAIL  $name: ${ratio}x $single in the same run (> ${pair_bound}x): the pair no longer interleaves"
-        fail=$((fail + 1))
-    else
-        echo "ok    $name: ${ratio}x $single in the same run (bound ${pair_bound}x)"
-    fi
-done < <(awk '$1 ~ /_pair_/' /tmp/bench_cur.$$)
+# Within the current run: each `_pair_` row (two inputs through one MLP
+# body) against its `_forward_` row (one input through the same MLP), so a
+# pair body that stops interleaving fails on any host speed, which the 2x
+# gate against the baseline cannot see. Five runs of `cargo bench --bench
+# mlp` on a VNNI host read 1.24-1.50x (density) and 1.31-1.61x (colour); a
+# pair that makes two one-input calls read 2.22x / 2.31x there. Held only
+# where the MLP runs its VNNI body, which `Kernel::available` picks when the
+# CPU reports avx2, avx512f and avx512vnni (`avx512_vnni` in cpuinfo): the
+# bound was set from that body alone.
+pair_bound=1.8
+vnni_host() {
+    local flags
+    flags=$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null) || return 1
+    for f in avx2 avx512f avx512_vnni; do
+        [[ " $flags " == *" $f "* ]] || return 1
+    done
+}
+if vnni_host; then
+    while read -r name pair_mean; do
+        single="${name/_pair_/_forward_}"
+        single_mean=$(awk -v n="$single" '$1 == n { print $2 }' /tmp/bench_cur.$$)
+        if [[ -z "$single_mean" ]]; then
+            echo "FAIL  $name: no $single in the same run to hold it to"
+            fail=$((fail + 1))
+            continue
+        fi
+        ratio=$(awk -v p="$pair_mean" -v s="$single_mean" 'BEGIN { printf "%.3f", p / s }')
+        over=$(awk -v r="$ratio" -v t="$pair_bound" 'BEGIN { print (r > t) ? 1 : 0 }')
+        if [[ "$over" == "1" ]]; then
+            echo "FAIL  $name: ${ratio}x $single in the same run (> ${pair_bound}x): the pair no longer interleaves"
+            fail=$((fail + 1))
+        else
+            echo "ok    $name: ${ratio}x $single in the same run (bound ${pair_bound}x)"
+        fi
+    done < <(awk '$1 ~ /_pair_/' /tmp/bench_cur.$$)
+else
+    echo "SKIPPED pair bound: the MLP runs no VNNI body here (cpuinfo lacks avx2, avx512f or avx512_vnni)"
+fi
 
 new=$(awk 'NR == FNR { seen[$1]; next } !($1 in seen) { print $1 }' /tmp/bench_base.$$ /tmp/bench_cur.$$)
 for name in $new; do
