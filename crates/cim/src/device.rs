@@ -6,38 +6,6 @@ pub const TECH_NODE_NM: u32 = 28;
 /// Clock frequency of the digital logic (the paper synthesizes at 1 GHz).
 pub const CLOCK_HZ: f64 = 1.0e9;
 
-/// ReRAM single-level-cell device parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReramCell {
-    /// Low-resistance state (Ω).
-    pub r_lrs: f64,
-    /// High-resistance state (Ω).
-    pub r_hrs: f64,
-    /// Read voltage (V).
-    pub v_read: f64,
-    /// Write voltage (V).
-    pub v_write: f64,
-    /// Bits stored per cell (1 for SLC).
-    pub bits: u32,
-}
-
-impl ReramCell {
-    /// Typical 28 nm HfO₂ SLC device.
-    pub fn slc() -> Self {
-        ReramCell { r_lrs: 10e3, r_hrs: 1e6, v_read: 0.2, v_write: 2.0, bits: 1 }
-    }
-
-    /// On/off resistance ratio.
-    pub fn on_off_ratio(&self) -> f64 {
-        self.r_hrs / self.r_lrs
-    }
-
-    /// Read current through an LRS cell (A).
-    pub fn read_current_lrs(&self) -> f64 {
-        self.v_read / self.r_lrs
-    }
-}
-
 /// Memory technology backing a CIM macro (paper §6.9 compares all three
 /// hardware configurations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,14 +46,6 @@ impl MemTech {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slc_has_healthy_on_off_ratio() {
-        let c = ReramCell::slc();
-        assert!(c.on_off_ratio() >= 10.0, "need distinguishable states");
-        assert!(c.read_current_lrs() > 0.0);
-        assert_eq!(c.bits, 1);
-    }
 
     #[test]
     fn tech_ordering_matches_paper_section_6_9() {

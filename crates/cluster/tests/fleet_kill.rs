@@ -20,7 +20,7 @@ use asdr_math::{Aabb, Image, Vec3};
 use asdr_nerf::embedding::EmbeddingSet;
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::mlp::{Activation, Dense, Mlp};
-use asdr_nerf::model::{COLOR_IN_DIM, DENSITY_OUT_DIM};
+use asdr_nerf::model::{COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
 use asdr_nerf::occupancy::OccupancyGrid;
 use asdr_nerf::{HashEncoder, NgpModel};
 use asdr_scenes::registry;
@@ -42,9 +42,14 @@ const MIN_HELD: usize = 10;
 
 fn blank_model(grid: &GridConfig) -> NgpModel {
     let encoder = HashEncoder::new(grid.clone(), EmbeddingSet::new(grid));
-    let density =
-        Mlp::new(vec![Dense::zeros(grid.encoded_dim(), DENSITY_OUT_DIM, Activation::None)]);
-    let color = Mlp::new(vec![Dense::zeros(COLOR_IN_DIM, 3, Activation::None)]);
+    let density = Mlp::new(vec![
+        Dense::zeros(grid.encoded_dim(), HIDDEN_DIM, Activation::Relu),
+        Dense::zeros(HIDDEN_DIM, DENSITY_OUT_DIM, Activation::None),
+    ]);
+    let color = Mlp::new(vec![
+        Dense::zeros(COLOR_IN_DIM, HIDDEN_DIM, Activation::Relu),
+        Dense::zeros(HIDDEN_DIM, 3, Activation::None),
+    ]);
     let bounds = Aabb::new(Vec3::new(-1.0, -1.0, -1.0), Vec3::new(1.0, 1.0, 1.0));
     let occ = OccupancyGrid::from_cells(4, bounds, vec![true; 64]).expect("valid cells");
     NgpModel::new(encoder, density, color, bounds, occ)

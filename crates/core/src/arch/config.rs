@@ -199,15 +199,6 @@ impl AsdrConfig {
         self.table2_rows().iter().map(|r| r.area_mm2).sum()
     }
 
-    /// Sum of the per-component static power rows in watts. Note the
-    /// paper's published *total* (5.77 W / 1.44 W) exceeds this sum — it
-    /// additionally includes the CIM arrays' dynamic compute power, which
-    /// Table 2 does not break out per component. [`Self::total_power_w`]
-    /// returns the published total.
-    pub fn component_power_w(&self) -> f64 {
-        self.table2_rows().iter().map(|r| r.power_mw).sum::<f64>() / 1e3
-    }
-
     /// The published total power (Table 2 bottom row).
     pub fn total_power_w(&self) -> f64 {
         if self.name.ends_with("Server") {
@@ -263,7 +254,6 @@ mod tests {
         let s = AsdrConfig::server();
         assert!((s.total_area_mm2() - 15.09).abs() < 0.35, "server area {}", s.total_area_mm2());
         assert_eq!(s.total_power_w(), 5.77);
-        assert!(s.component_power_w() > 0.2 && s.component_power_w() < s.total_power_w());
         let e = AsdrConfig::edge();
         assert!((e.total_area_mm2() - 3.77).abs() < 0.15, "edge area {}", e.total_area_mm2());
         assert_eq!(e.total_power_w(), 1.44);

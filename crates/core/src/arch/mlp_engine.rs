@@ -26,11 +26,6 @@ impl MlpEngineModel {
         MlpEngineModel { layer_dims, xbar, tech }
     }
 
-    /// Crossbars needed to hold all layer weights.
-    pub fn xbars_needed(&self) -> usize {
-        self.layer_dims.iter().map(|&(o, i)| self.xbar.xbars_for(o, i)).sum()
-    }
-
     /// Latency of one point through the pipeline (all layers).
     pub fn latency_cycles(&self) -> u64 {
         match self.tech {
@@ -94,14 +89,6 @@ mod tests {
             Dense::zeros(64, 64, Activation::Relu),
             Dense::zeros(64, 3, Activation::None),
         ])
-    }
-
-    #[test]
-    fn color_engine_needs_more_xbars_than_density() {
-        let x = XbarGeometry::paper();
-        let d = MlpEngineModel::new(&density_like(), x, MemTech::Reram);
-        let c = MlpEngineModel::new(&color_like(), x, MemTech::Reram);
-        assert!(c.xbars_needed() > d.xbars_needed());
     }
 
     #[test]

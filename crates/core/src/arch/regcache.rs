@@ -93,12 +93,6 @@ impl RegCache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Resets statistics but keeps contents.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -161,14 +155,5 @@ mod tests {
         assert!(run(4) >= run(2));
         assert!(run(8) >= run(4));
         assert!(run(16) > 0.9, "full working set fits: {}", run(16));
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = RegCache::new(2);
-        c.access(5);
-        c.reset_stats();
-        assert_eq!(c.misses(), 0);
-        assert!(c.access(5), "content must survive the reset");
     }
 }

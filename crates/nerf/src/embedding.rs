@@ -121,14 +121,6 @@ impl EmbeddingTable {
     pub fn params_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
-
-    /// Iterates all vertex coordinates of this level (dense levels only;
-    /// hashed levels would enumerate the full fine grid).
-    pub fn dense_vertices(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        let v = self.vertex_res();
-        debug_assert!(self.plan.is_dense());
-        (0..v).flat_map(move |z| (0..v).flat_map(move |y| (0..v).map(move |x| (x, y, z))))
-    }
 }
 
 /// The full multi-level embedding set.
@@ -220,15 +212,6 @@ mod tests {
             assert_eq!(t.level(), l);
             assert_eq!(t.feat_dim(), cfg.feat_dim);
         }
-    }
-
-    #[test]
-    fn dense_vertices_enumerates_all() {
-        let cfg = GridConfig::tiny();
-        let t = EmbeddingTable::new(&cfg, 0);
-        let n = t.dense_vertices().count();
-        let v = cfg.level_vertex_res(0) as usize;
-        assert_eq!(n, v * v * v);
     }
 
     #[test]

@@ -170,12 +170,6 @@ impl GridConfig {
     pub fn total_params(&self) -> usize {
         (0..self.levels).map(|l| self.level_entries(l) as usize * self.feat_dim).sum()
     }
-
-    /// Total embedding-table bytes assuming `f32` entries (the paper quotes
-    /// ≈60 MB for 16 × 2^19 × F=2 at half precision; we store f32).
-    pub fn total_bytes(&self) -> usize {
-        self.total_params() * std::mem::size_of::<f32>()
-    }
 }
 
 /// One level's geometry, resolved once: where a point falls and which table
@@ -416,14 +410,6 @@ mod tests {
         assert!(avg > 0.4 && avg < 0.8, "average utilization {avg} out of plausible band");
         assert!(c.level_utilization(0) < 0.01, "coarsest level wastes nearly the whole table");
         assert!((c.level_utilization(c.levels - 1) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_size_is_tens_of_mb_for_paper_config() {
-        let c = GridConfig::paper();
-        let mb = c.total_bytes() as f64 / (1024.0 * 1024.0);
-        // paper says ~60 MB at fp16 ⇒ ~2× that in f32, minus dense savings
-        assert!(mb > 20.0 && mb < 130.0, "unexpected table footprint {mb} MB");
     }
 
     #[test]

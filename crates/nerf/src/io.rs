@@ -271,9 +271,12 @@ pub fn load_model<R: Read>(r: &mut R) -> Result<Checkpoint, LoadError> {
     }
     let density = read_mlp(r)?;
     let color = read_mlp(r)?;
-    // the integer MLPs run every hidden layer at the models' one width
-    let hidden_fit =
-        |mlp: &Mlp| mlp.layers().iter().rev().skip(1).all(|l| l.out_dim() == HIDDEN_DIM);
+    // the integer MLPs have at least one hidden layer, each at the models'
+    // one width
+    let hidden_fit = |mlp: &Mlp| {
+        let (_, hidden) = mlp.layers().split_last().expect("read_mlp reads at least one layer");
+        !hidden.is_empty() && hidden.iter().all(|l| l.out_dim() == HIDDEN_DIM)
+    };
     if density.in_dim() != cfg.encoded_dim()
         || density.out_dim() != DENSITY_OUT_DIM
         || color.in_dim() != COLOR_IN_DIM
@@ -418,6 +421,31 @@ mod tests {
         write_mlp(&mut patch, &narrow).unwrap();
         let at = buf.windows(density.len()).position(|w| w == density).unwrap();
         buf.splice(at..at + density.len(), patch);
+        let err = load_model(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, LoadError::Corrupt("MLP shapes do not fit the model")), "{err}");
+    }
+
+    #[test]
+    fn a_one_layer_mlp_is_rejected_as_corrupt() {
+        let model = fitted("Mic");
+        let mut buf = Vec::new();
+        save_model(&model, "Mic", &mut buf).unwrap();
+        // the density MLP and its steps, then the same with one layer
+        // straight to the 16 outputs and only the input step: a file whose
+        // every length agrees, which the integer MLPs cannot run
+        let mlp_and_steps = |mlp: &Mlp, steps: &[f32]| {
+            let mut bytes = Vec::new();
+            write_mlp(&mut bytes, mlp).unwrap();
+            write_mlp(&mut bytes, model.color_mlp()).unwrap();
+            w_f32s(&mut bytes, steps).unwrap();
+            bytes
+        };
+        let steps = model.scales().density();
+        let whole = mlp_and_steps(model.density_mlp(), steps);
+        let enc = model.encoder().encoded_dim();
+        let one = Mlp::new(vec![Dense::zeros(enc, DENSITY_OUT_DIM, Activation::None)]);
+        let at = buf.windows(whole.len()).position(|w| w == whole).unwrap();
+        buf.splice(at..at + whole.len(), mlp_and_steps(&one, &steps[..1]));
         let err = load_model(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, LoadError::Corrupt("MLP shapes do not fit the model")), "{err}");
     }

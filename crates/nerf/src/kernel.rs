@@ -1,7 +1,7 @@
 //! The run-time choice of kernel instantiation, and what the lane bodies share.
 //!
 //! Three kernel bodies run with vector lanes across independent items:
-//! [`IntDense`](crate::mlp::IntDense) across a layer's outputs,
+//! [`IntMlp`](crate::mlp::IntMlp) across a layer's outputs,
 //! [`HashEncoder`](crate::encoder::HashEncoder) across resolution levels and
 //! [`OccupancyGrid::occupied_along`](crate::occupancy::OccupancyGrid::occupied_along)
 //! across a ray's samples. The encoder and the pass are each written once, as
@@ -9,7 +9,7 @@
 //! build's baseline target and inlined into a function with AVX2 enabled.
 //! The integer layer has one pair of line kernels per instantiation
 //! (portable `i32` loops, AVX2 `vpmaddwd`, AVX-512 VNNI `vpdpbusd`), which a
-//! single layer's pass and a whole MLP's body both inline, bit-identical
+//! layer's prefix and a whole MLP's body both inline, bit-identical
 //! because every sum is an exact `i32`. `dispatch` picks the instantiation
 //! per call from what the CPU reports (DESIGN.md §8).
 
@@ -23,7 +23,8 @@ pub(crate) const LANES: usize = 8;
 /// An instantiation of the kernel bodies, narrowest first. The product runs
 /// the widest the CPU offers up to the one its call site names; tests and
 /// benches name one through the `_on` methods
-/// ([`IntDense::forward_on`](crate::mlp::IntDense::forward_on),
+/// ([`IntMlp::forward_on`](crate::mlp::IntMlp::forward_on),
+/// [`IntDense::prefix_on`](crate::mlp::IntDense::prefix_on),
 /// [`HashEncoder::encode_on`](crate::encoder::HashEncoder::encode_on),
 /// [`OccupancyGrid::occupied_along_on`](crate::occupancy::OccupancyGrid::occupied_along_on))
 /// to hold each to the same oracle.

@@ -269,8 +269,8 @@ impl Mlp {
 const GROUP: usize = 4;
 
 /// Outputs of a line: their `i32` sums, or one group of their weights, fill
-/// 64 bytes.
-const LINE: usize = 16;
+/// 64 bytes. An [`IntMlp`]'s last layer is one line, and writes all of it.
+pub const LINE: usize = 16;
 
 /// Lines of an integer layer: 64 outputs — the hidden width of both MLPs,
 /// in one pass. A narrower layer keeps all four, its outputs past `out_dim`
@@ -303,37 +303,6 @@ type Row = Aligned<[i8; 64]>;
 
 /// The `i32` sums of a pass, line by line.
 type Sums = [[i32; LINE]; LINES];
-
-/// What a pass of an [`IntDense`] writes per output from the output's exact
-/// sum `s`: the sum itself (`i32`, a [`IntDense::prefix`]), the value
-/// `s·mul + add` (`f32`, the last layer), or that value requantised for the
-/// next layer (`u8`: [`requantise`]).
-pub trait Output: Copy {
-    /// The output of sum `s` under its multiplier and addend.
-    fn from_sum(s: i32, mul: f32, add: f32) -> Self;
-}
-
-impl Output for i32 {
-    #[inline(always)]
-    fn from_sum(s: i32, _: f32, _: f32) -> i32 {
-        s
-    }
-}
-
-impl Output for f32 {
-    #[inline(always)]
-    fn from_sum(s: i32, mul: f32, add: f32) -> f32 {
-        // |s| < 2²⁴: the conversion is exact, one rounding each after
-        s as f32 * mul + add
-    }
-}
-
-impl Output for u8 {
-    #[inline(always)]
-    fn from_sum(s: i32, mul: f32, add: f32) -> u8 {
-        requantise(s as f32 * mul + add)
-    }
-}
 
 /// `y` as a hidden activation: clamped into `0..=255` (the ReLU, and the top
 /// of the calibrated range) and rounded to the nearest whole number, ties to
@@ -415,30 +384,13 @@ struct IntPass<'a, const N: usize> {
 }
 
 impl<'a, const N: usize> IntPass<'a, N> {
-    /// `body` over a pass of the inputs `skip..skip + x.len()` of each `x`
-    /// (all of one length) resumed from `init`: the bytes read where they
-    /// lie when they are whole groups, as every query's are, or else laid
-    /// into whole groups on the stack, `zero` around them.
+    /// A pass over the inputs `skip..skip + x.len()` of each `x` (all of
+    /// one length) resumed from `init`, its bytes read where they lie. The
+    /// caller has checked that `skip` and each length are whole groups.
     #[inline(always)]
-    fn with<R>(
-        zero: u8,
-        init: Option<&'a [i32]>,
-        skip: usize,
-        x: [&'a [u8]; N],
-        body: impl FnOnce(IntPass<'_, N>) -> R,
-    ) -> R {
+    fn new(init: Option<&'a [i32]>, skip: usize, x: [&'a [u8]; N]) -> Self {
         let init = init.map(|i| i.try_into().expect("running-sum row length mismatch"));
-        let first = skip / GROUP;
-        if skip.is_multiple_of(GROUP) && x.iter().all(|x| x.len().is_multiple_of(GROUP)) {
-            return body(IntPass { init, first, x: x.map(|x| x.as_chunks().0) });
-        }
-        let padded = x.map(|x| {
-            let mut groups = [[zero; GROUP]; MAX_INT_INPUTS / GROUP];
-            groups.as_flattened_mut()[skip..skip + x.len()].copy_from_slice(x);
-            groups
-        });
-        let end = (skip + x[0].len()).div_ceil(GROUP);
-        body(IntPass { init, first, x: std::array::from_fn(|n| &padded[n][first..end]) })
+        IntPass { init, first: skip / GROUP, x: x.map(|x| x.as_chunks().0) }
     }
 
     /// The groups the pass reads of each input.
@@ -550,32 +502,21 @@ impl IntDense {
     }
 
     /// Length of a running-sum row ([`Self::prefix`] writes one,
-    /// [`Self::forward_from`] resumes from one): every line's 16 outputs,
+    /// [`IntMlp::forward_from`] resumes from one): every line's 16 outputs,
     /// [`MAX_INT_OUTPUTS`] whatever the layer's width.
     pub fn sums_len(&self) -> usize {
         MAX_INT_OUTPUTS
     }
 
-    /// Forward pass of the input bytes `x` into `out`, which may ask for
-    /// fewer outputs than the layer has.
+    /// The running sums after the first `head.len()` inputs, whole groups
+    /// of four: what [`IntMlp::forward_from`] resumes from when the head of
+    /// the input repeats. A head may run on to the end of the last group:
+    /// those bytes meet zero weights.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is neither `in_dim` long nor that rounded up to whole
-    /// groups of four (see [`Self::forward_from`]), or `out` is longer than
-    /// `out_dim`.
-    pub fn forward<O: Output>(&self, x: &[u8], out: &mut [O]) {
-        self.forward_on(Kernel::Avx512Vnni, None, 0, x, out);
-    }
-
-    /// The running sums after the first `head.len()` inputs: what
-    /// [`Self::forward_from`] resumes from when the head of the input
-    /// repeats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `head` is longer than the input or `sums` is not
-    /// [`Self::sums_len`] long.
+    /// Panics if `head` is not a whole number of groups within the input
+    /// rounded up to whole groups, or `sums` is not [`Self::sums_len`] long.
     pub fn prefix(&self, head: &[u8], sums: &mut [i32]) {
         self.prefix_on(Kernel::Avx512Vnni, head, sums);
     }
@@ -583,65 +524,22 @@ impl IntDense {
     /// [`Self::prefix`] on the instantiation named: for tests and benches, never the product.
     #[doc(hidden)]
     pub fn prefix_on(&self, kernel: Kernel, head: &[u8], sums: &mut [i32]) {
-        assert!(head.len() <= self.in_dim, "head longer than the input");
-        assert_eq!(sums.len(), self.sums_len(), "running-sum row length mismatch");
-        self.pass(kernel, None, 0, head, sums);
-    }
-
-    /// Forward pass resumed after `skip` inputs from the running sums
-    /// `init` (a [`Self::prefix`] row), with `rest` the remaining input
-    /// bytes: the same sums, so the same outputs, as [`Self::forward`] over
-    /// the whole input. `rest` may run on to the end of the last group of
-    /// four inputs: those bytes meet zero weights, and a whole group is
-    /// read where it lies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a length disagrees with the layer.
-    pub fn forward_from<O: Output>(&self, init: &[i32], skip: usize, rest: &[u8], out: &mut [O]) {
-        self.forward_on(Kernel::Avx512Vnni, Some(init), skip, rest, out);
-    }
-
-    /// [`Self::forward`] (no `init`) or [`Self::forward_from`] on the
-    /// instantiation named (see [`Self::prefix_on`]).
-    #[doc(hidden)]
-    pub fn forward_on<O: Output>(
-        &self,
-        kernel: Kernel,
-        init: Option<&[i32]>,
-        skip: usize,
-        rest: &[u8],
-        out: &mut [O],
-    ) {
-        assert!(init.is_none_or(|i| i.len() == self.sums_len()), "running-sum row length mismatch");
-        assert!(self.takes(skip, rest.len()), "input length mismatch");
-        assert!(out.len() <= self.out_dim, "more outputs asked for than the layer has");
-        self.pass(kernel, init, skip, rest, out);
-    }
-
-    /// Whether `len` bytes after `skip` inputs end the input: at `in_dim`,
-    /// or at the end of its last group.
-    fn takes(&self, skip: usize, len: usize) -> bool {
-        skip + len == self.in_dim || skip + len == self.in_dim.next_multiple_of(GROUP)
-    }
-
-    /// The inputs `skip..skip + x.len()` from the bytes `x`, every other
-    /// one zero, from `init` onwards into `out`, on `kernel`.
-    fn pass<O: Output>(
-        &self,
-        kernel: Kernel,
-        init: Option<&[i32]>,
-        skip: usize,
-        x: &[u8],
-        out: &mut [O],
-    ) {
+        let len = head.len();
+        assert!(len.is_multiple_of(GROUP) && len <= self.end(), "head is not whole groups");
+        let sums: &mut [i32; MAX_INT_OUTPUTS] =
+            sums.try_into().expect("running-sum row length mismatch");
         #[cfg(target_arch = "x86_64")]
-        let (avx2, vnni) = (pass_avx2::<O>, pass_vnni::<O>);
+        let (avx2, vnni) = (prefix_avx2, prefix_vnni);
         #[cfg(not(target_arch = "x86_64"))]
-        let (avx2, vnni) = (pass_portable::<O>, pass_portable::<O>);
-        IntPass::with(self.zero, init, skip, [x], |pass| {
-            dispatch(kernel, self, pass, out, pass_portable::<O>, avx2, vnni)
-        });
+        let (avx2, vnni) = (prefix_portable, prefix_portable);
+        let pass = IntPass::new(None, 0, [head]);
+        dispatch(kernel, self, pass, sums, prefix_portable, avx2, vnni);
+    }
+
+    /// The end of the input's last group of four, where a forward pass's
+    /// bytes end.
+    fn end(&self) -> usize {
+        self.in_dim.next_multiple_of(GROUP)
     }
 
     /// The sums each input of a pass starts from: the resumed row (or
@@ -675,23 +573,31 @@ impl IntDense {
         self.weights.first_chunk().expect("a layer after a hidden one has 64 inputs")
     }
 
-    /// The `f32` step of a pass: each output of `out` from its sum, the
-    /// sums line after line.
-    #[inline(always)]
-    fn finish<O: Output>(&self, sums: &[i32], out: &mut [O]) {
-        let (mul, add) = (self.mul.0.as_flattened(), self.add.0.as_flattened());
-        for (((y, &s), &m), &a) in out.iter_mut().zip(sums).zip(mul).zip(add) {
-            *y = O::from_sum(s, m, a);
-        }
-    }
-
-    /// The `f32` step of a hidden layer: all 64 outputs requantised, as the
-    /// 16 groups of the next layer's input.
+    /// The `f32` step of a hidden layer: each of its 64 sums `s` as
+    /// `s·mul + add` requantised, the 16 groups of the next layer's input.
     #[inline(always)]
     fn requantised(&self, sums: &Sums) -> [[u8; GROUP]; HIDDEN_GROUPS] {
         let mut x = [[0; GROUP]; HIDDEN_GROUPS];
-        self.finish(sums.as_flattened(), x.as_flattened_mut());
+        let (mul, add) = (self.mul.0.as_flattened(), self.add.0.as_flattened());
+        let steps = sums.as_flattened().iter().zip(mul).zip(add);
+        for (y, ((&s, &m), &a)) in x.as_flattened_mut().iter_mut().zip(steps) {
+            *y = requantise(s as f32 * m + a);
+        }
         x
+    }
+
+    /// The `f32` step of the last layer: each of line 0's 16 sums `s` as
+    /// `s·mul + add` (|s| < 2²⁴: the conversion is exact, one rounding each
+    /// after), zero past `out_dim`. A whole line, so the step runs in vector
+    /// lanes and is stored whole whatever the layer's width.
+    #[inline(always)]
+    fn finish(&self, sums: &[i32; LINE]) -> [f32; LINE] {
+        let mut y = [0.0; LINE];
+        let steps = sums.iter().zip(&self.mul.0[0]).zip(&self.add.0[0]);
+        for (y, ((&s, &m), &a)) in y.iter_mut().zip(steps) {
+            *y = s as f32 * m + a;
+        }
+        y
     }
 }
 
@@ -713,22 +619,17 @@ impl<const N: usize, F> One<N> for F where
 {
 }
 
-/// A single layer's pass (a prefix, or [`IntDense::forward_on`]) on one
-/// instantiation's line kernels: line 0 alone when at most 16 outputs are
-/// asked for, else all four.
+/// A layer's prefix on one instantiation's line kernels: the sums of all
+/// four lines.
 #[inline(always)]
-fn pass_body<O: Output>(
+fn prefix_body(
     layer: &IntDense,
     pass: IntPass<'_, 1>,
-    out: &mut [O],
-    (four, one): (impl Four<1>, impl One<1>),
+    sums: &mut [i32; MAX_INT_OUTPUTS],
+    (four, _): (impl Four<1>, impl One<1>),
 ) {
-    let (start, rows) = (layer.start(pass), layer.rows(pass));
-    if out.len() <= LINE {
-        layer.finish(&one([start[0]], pass.x, rows)[0], out);
-    } else {
-        layer.finish(four([start], pass.x, rows)[0].as_flattened(), out);
-    }
+    let [s] = four([layer.start(pass)], pass.x, layer.rows(pass));
+    sums.copy_from_slice(s.as_flattened());
 }
 
 /// A whole MLP on one instantiation's line kernels, one straight-line body
@@ -750,18 +651,12 @@ fn pass_body<O: Output>(
 fn mlp_body<const N: usize>(
     mlp: &IntMlp,
     pass: IntPass<'_, N>,
-    out: &mut [&mut [f32]; N],
+    out: &mut [&mut [f32; LINE]; N],
     (four, one): (impl Four<N>, impl One<N>),
 ) {
-    let (first, rest) = mlp.layers.split_first().expect("an MLP has at least one layer");
+    let (first, rest) = mlp.layers.split_first().expect("an MLP has at least two layers");
+    let (last, middle) = rest.split_last().expect("an MLP has at least two layers");
     let (start, rows) = (first.start(pass), first.rows(pass));
-    let Some((last, middle)) = rest.split_last() else {
-        let sums = one([start[0]; N], pass.x, rows);
-        for (out, s) in out.iter_mut().zip(&sums) {
-            first.finish(s, out);
-        }
-        return;
-    };
     // a layer after the first takes unsigned bytes: its sums start at zero
     let bytes = [[0; GROUP]; HIDDEN_GROUPS];
     let mut x: [_; N] = each(four([start; N], pass.x, rows), bytes, |s| first.requantised(&s));
@@ -771,7 +666,7 @@ fn mlp_body<const N: usize>(
     }
     let sums = one([[0; LINE]; N], in_memory(&x), last.hidden_rows());
     for (out, s) in out.iter_mut().zip(&sums) {
-        last.finish(s, out);
+        **out = last.finish(s);
     }
 }
 
@@ -997,35 +892,39 @@ fn vnni<const N: usize>() -> (impl Four<N>, impl One<N>) {
 }
 
 #[inline]
-fn pass_portable<O: Output>(layer: &IntDense, pass: IntPass<'_, 1>, out: &mut [O]) {
-    pass_body(layer, pass, out, portable());
+fn prefix_portable(layer: &IntDense, pass: IntPass<'_, 1>, sums: &mut [i32; MAX_INT_OUTPUTS]) {
+    prefix_body(layer, pass, sums, portable());
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn pass_avx2<O: Output>(layer: &IntDense, pass: IntPass<'_, 1>, out: &mut [O]) {
-    pass_body(layer, pass, out, avx2());
+fn prefix_avx2(layer: &IntDense, pass: IntPass<'_, 1>, sums: &mut [i32; MAX_INT_OUTPUTS]) {
+    prefix_body(layer, pass, sums, avx2());
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512vnni")]
-fn pass_vnni<O: Output>(layer: &IntDense, pass: IntPass<'_, 1>, out: &mut [O]) {
-    pass_body(layer, pass, out, vnni());
+fn prefix_vnni(layer: &IntDense, pass: IntPass<'_, 1>, sums: &mut [i32; MAX_INT_OUTPUTS]) {
+    prefix_body(layer, pass, sums, vnni());
 }
 
-fn mlp_portable<const N: usize>(mlp: &IntMlp, pass: IntPass<'_, N>, out: &mut [&mut [f32]; N]) {
+fn mlp_portable<const N: usize>(
+    mlp: &IntMlp,
+    pass: IntPass<'_, N>,
+    out: &mut [&mut [f32; LINE]; N],
+) {
     mlp_body(mlp, pass, out, portable());
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn mlp_avx2<const N: usize>(mlp: &IntMlp, pass: IntPass<'_, N>, out: &mut [&mut [f32]; N]) {
+fn mlp_avx2<const N: usize>(mlp: &IntMlp, pass: IntPass<'_, N>, out: &mut [&mut [f32; LINE]; N]) {
     mlp_body(mlp, pass, out, avx2());
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512vnni")]
-fn mlp_vnni<const N: usize>(mlp: &IntMlp, pass: IntPass<'_, N>, out: &mut [&mut [f32]; N]) {
+fn mlp_vnni<const N: usize>(mlp: &IntMlp, pass: IntPass<'_, N>, out: &mut [&mut [f32; LINE]; N]) {
     mlp_body(mlp, pass, out, vnni());
 }
 
@@ -1044,11 +943,12 @@ impl IntMlp {
     ///
     /// # Panics
     ///
-    /// Panics if `layers` is empty, a hidden layer does not have
-    /// [`MAX_INT_OUTPUTS`] outputs, the last has more than 16, or a layer
-    /// after the first does not take its 64 inputs unsigned.
+    /// Panics if `layers` has fewer than two layers, a hidden layer does not
+    /// have [`MAX_INT_OUTPUTS`] outputs, the last has more than 16, or a
+    /// layer after the first does not take its 64 inputs unsigned.
     pub fn new(layers: Vec<IntDense>) -> Self {
-        let (last, hidden) = layers.split_last().expect("an MLP has at least one layer");
+        assert!(layers.len() >= 2, "an MLP has at least two layers");
+        let (last, hidden) = layers.split_last().expect("an MLP has at least two layers");
         assert!(last.out_dim <= LINE, "the last layer has at most {LINE} outputs");
         for layer in hidden {
             assert_eq!(layer.out_dim, MAX_INT_OUTPUTS, "a hidden layer's width");
@@ -1088,22 +988,27 @@ impl IntMlp {
         &self.layers
     }
 
-    /// Forward pass of each of the `N` inputs `x_rests` into its `outs`,
-    /// the first layer resumed after `skip` inputs from the running sums
-    /// `init` when given (see [`IntDense::forward_from`]), every input from
-    /// the same `init`. The queries ask for one input or two: at two, the
-    /// inputs' chains interleave in one body, and `outs[i]` is bit for bit
-    /// what a call with `x_rests[i]` alone writes.
+    /// Forward pass of each of the `N` inputs `x_rests` into its line of
+    /// `outs` (the last layer's outputs, zero past them), the first layer
+    /// resumed after `skip` inputs from the running sums `init` when given
+    /// (an [`IntDense::prefix`] row), every input from the same `init`: the
+    /// same sums, so the same outputs, as a pass over the whole input.
+    /// `skip` is a whole number of groups of four, and each rest runs on to
+    /// the end of the input's last group (those bytes meet zero weights).
+    /// The queries ask for one input or two: at two, the inputs' chains
+    /// interleave in one body, and `outs[i]` is bit for bit what a call
+    /// with `x_rests[i]` alone writes.
     ///
     /// # Panics
     ///
-    /// Panics if any buffer has the wrong length.
+    /// Panics if `skip` is not whole groups, a rest does not end at the end
+    /// of the input's last group, or `init` is not [`MAX_INT_OUTPUTS`] long.
     pub fn forward_from<const N: usize>(
         &self,
         init: Option<&[i32]>,
         skip: usize,
         x_rests: [&[u8]; N],
-        outs: [&mut [f32]; N],
+        outs: [&mut [f32; LINE]; N],
     ) {
         self.forward_on(Kernel::Avx512Vnni, init, skip, x_rests, outs);
     }
@@ -1117,22 +1022,17 @@ impl IntMlp {
         init: Option<&[i32]>,
         skip: usize,
         x_rests: [&[u8]; N],
-        mut outs: [&mut [f32]; N],
+        mut outs: [&mut [f32; LINE]; N],
     ) {
         let first = &self.layers[0];
-        let len = x_rests[0].len();
-        for x in x_rests {
-            assert!(first.takes(skip, x.len()) && x.len() == len, "input length mismatch");
-        }
-        let out_dim = self.layers.last().unwrap().out_dim;
-        assert!(outs.iter().all(|o| o.len() == out_dim), "output length mismatch");
+        let whole = skip.is_multiple_of(GROUP);
+        assert!(whole && x_rests.iter().all(|x| skip + x.len() == first.end()), "input mismatch");
         #[cfg(target_arch = "x86_64")]
         let (avx2, vnni) = (mlp_avx2::<N>, mlp_vnni::<N>);
         #[cfg(not(target_arch = "x86_64"))]
         let (avx2, vnni) = (mlp_portable::<N>, mlp_portable::<N>);
-        IntPass::with(first.zero, init, skip, x_rests, |pass| {
-            dispatch(kernel, self, pass, &mut outs, mlp_portable::<N>, avx2, vnni)
-        });
+        let pass = IntPass::new(init, skip, x_rests);
+        dispatch(kernel, self, pass, &mut outs, mlp_portable::<N>, avx2, vnni);
     }
 }
 
@@ -1263,11 +1163,11 @@ mod tests {
             (0..31).map(|i| if i < 16 { 0.8 / 127.0 } else { 0.5 / 127.0 }).collect();
         let q = IntMlp::quantize(&mlp, &steps, &[6.0 / 255.0]);
         let x: Vec<f32> = (0..31).map(|i| if i < 16 { 0.8 } else { 0.5 } * next()).collect();
-        let mut bytes = vec![0u8; 31];
+        let mut bytes = vec![0u8; 32];
         for (i, (b, &v)) in bytes.iter_mut().zip(&x).enumerate() {
             quantize_signed(&[v], 1.0 / steps[i], std::slice::from_mut(b));
         }
-        let mut got = [0.0f32; 3];
+        let mut got = [0.0f32; LINE];
         q.forward_from(None, 0, [&bytes], [&mut got]);
         let want = mlp.forward(&x);
         for (g, w) in got.iter().zip(&want) {
@@ -1276,7 +1176,7 @@ mod tests {
         // the head's sums resumed give the same bits
         let mut sums = vec![0; q.layers()[0].sums_len()];
         q.layers()[0].prefix(&bytes[..16], &mut sums);
-        let mut resumed = [0.0f32; 3];
+        let mut resumed = [0.0f32; LINE];
         q.forward_from(Some(&sums), 16, [&bytes[16..]], [&mut resumed]);
         assert_eq!(resumed.map(f32::to_bits), got.map(f32::to_bits));
     }

@@ -12,7 +12,7 @@
 //! makes that optimization expressible.
 
 use crate::encoder::HashEncoder;
-use crate::mlp::{quantize_signed, IntMlp, Mlp};
+use crate::mlp::{quantize_signed, IntMlp, Mlp, LINE};
 use crate::occupancy::OccupancyGrid;
 use asdr_math::par::{self, detected_workers};
 use asdr_math::sh::{sh4, SH_DEGREE4_COEFFS};
@@ -151,7 +151,9 @@ pub const HIDDEN_DIM: usize = 64;
 #[derive(Debug, Clone)]
 pub struct Scratch {
     encoded: Vec<f32>,
-    /// A slot's density-MLP input bytes.
+    /// A slot's density-MLP input bytes, run on to the end of the last
+    /// group of four (an odd width's pad bytes stay zero, against zero
+    /// weights).
     bytes: [Vec<u8>; MAX_IN_FLIGHT],
     /// A slot's density-MLP outputs: `σ` before the clamp, then the
     /// geometry feature.
@@ -161,7 +163,8 @@ pub struct Scratch {
     /// A colour input's tail: the 15 geometry bytes and the one after them,
     /// a whole group of four each, the last read against zero weights.
     geo: [[u8; GEO_FEAT_DIM + 1]; MAX_IN_FLIGHT],
-    color_out: [[f32; 3]; MAX_IN_FLIGHT],
+    /// A slot's colour-MLP line: RGB, then zeros.
+    color_out: [[f32; LINE]; MAX_IN_FLIGHT],
 }
 
 /// Occupied cells the calibration reads at most.
@@ -479,11 +482,11 @@ impl NgpModel {
     pub fn make_scratch(&self) -> Scratch {
         Scratch {
             encoded: vec![0.0; self.encoder.encoded_dim()],
-            bytes: std::array::from_fn(|_| vec![0; self.encoder.encoded_dim()]),
+            bytes: std::array::from_fn(|_| vec![0; self.encoder.encoded_dim().next_multiple_of(4)]),
             density_out: [[0.0; DENSITY_OUT_DIM]; MAX_IN_FLIGHT],
             sh_sums: DirCache::new(vec![0; self.int.color.layers()[0].sums_len()]),
             geo: [[0; GEO_FEAT_DIM + 1]; MAX_IN_FLIGHT],
-            color_out: [[0.0; 3]; MAX_IN_FLIGHT],
+            color_out: [[0.0; LINE]; MAX_IN_FLIGHT],
         }
     }
 
@@ -756,6 +759,47 @@ mod tests {
         let sig_b = m.query_density_into(p, &mut s);
         assert_eq!(sig_a, sig_b);
         assert_eq!(&feat_a[..], &s.density_out[0][1..]);
+    }
+
+    #[test]
+    fn an_odd_encoded_width_runs_its_bytes_on_to_a_whole_group() {
+        // three levels of one feature: three density inputs, read as one
+        // group of four whose last byte meets zero weights
+        let cfg = GridConfig { levels: 3, feat_dim: 1, ..GridConfig::tiny() };
+        let mut set = EmbeddingSet::new(&cfg);
+        for l in 0..cfg.levels {
+            for (i, v) in set.table_mut(l).params_mut().iter_mut().enumerate() {
+                *v = ((i % 7) as f32 - 3.0) * 0.1;
+            }
+        }
+        let mut density = Mlp::new(vec![
+            Dense::zeros(cfg.encoded_dim(), HIDDEN_DIM, Activation::Relu),
+            Dense::zeros(HIDDEN_DIM, DENSITY_OUT_DIM, Activation::None),
+        ]);
+        for (layer, m) in density.layers_mut().iter_mut().zip([5, 3]) {
+            let n = layer.in_dim() * layer.out_dim();
+            let w: Vec<f32> = (0..n).map(|i| ((i % m) as f32 - (m / 2) as f32) * 0.3).collect();
+            layer.import_row_major(&w);
+            layer.bias_mut().fill(0.1);
+        }
+        let zero = dummy_model();
+        let enc = HashEncoder::new(cfg, set);
+        let m = NgpModel::new(enc, density, zero.color_mlp, zero.bounds, zero.occupancy);
+        let (mut s, mut encoded, mut positive) = (m.make_scratch(), [0.0; 3], 0);
+        for i in 0..32 {
+            let p = Vec3::new((i as f32 * 0.37).sin(), (i as f32 * 0.23).cos(), 0.5) * 0.9;
+            let sigma = m.query_density_into(p, &mut s);
+            // the same bytes, their group run on with a byte other than zero
+            m.encoder.encode(m.bounds.normalize(p), &mut encoded);
+            let mut x = [0xa5; 4];
+            quantize_signed(&encoded, m.int.inv[0], &mut x);
+            let mut out = [0.0; DENSITY_OUT_DIM];
+            m.int.density.forward_from(None, 0, [&x], [&mut out]);
+            assert_eq!(sigma.to_bits(), out[0].max(0.0).to_bits(), "{p}");
+            assert_eq!(out[1..], s.density_out[0][1..], "{p}");
+            positive += (sigma > 0.0) as usize;
+        }
+        assert!(positive > 0, "every density zero: the comparison says nothing");
     }
 
     #[test]

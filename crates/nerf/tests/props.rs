@@ -8,7 +8,7 @@ use asdr_nerf::encoder::{HashEncoder, VertexAccess};
 use asdr_nerf::grid::GridConfig;
 use asdr_nerf::hash::{dense_index, spatial_hash};
 use asdr_nerf::kernel::Kernel;
-use asdr_nerf::mlp::{Activation, Dense, IntDense, IntMlp, Mlp};
+use asdr_nerf::mlp::{requantise, Activation, Dense, IntDense, IntMlp, Mlp, LINE};
 use asdr_nerf::model::{RadianceModel, COLOR_IN_DIM, DENSITY_OUT_DIM, HIDDEN_DIM};
 use asdr_nerf::occupancy::OccupancyGrid;
 use asdr_nerf::tensorf::{TensoRfConfig, TensoRfModel};
@@ -343,58 +343,30 @@ impl IntCase {
     }
 }
 
-/// `case` at the steps `q` against the scalar `i32` oracle: the sums, the
-/// `f32` values and the requantised bytes, on every instantiation the host
-/// offers, for the whole layer and fewer outputs, whole and with the input
-/// split after every head (a prefix resumed). Returns the oracle's sums.
+/// `case` at the steps `q` against the scalar `i32` oracle: the prefix over
+/// the whole input, run on to the end of its last group with bytes that
+/// meet zero weights, as dispatched and on every instantiation the host
+/// offers; every output past `out_dim` sums to zero. Returns the oracle's
+/// sums.
 fn assert_int_matches_oracle(case: &IntCase, q: &[i32]) -> Vec<i32> {
     let layer = &case.layer;
     let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
-    let x: Vec<u8> = q.iter().map(|&q| case.byte(q)).collect();
-    let sums = case.sums(q);
-    let (floats, bytes) = case.steps(&sums);
+    let mut x: Vec<u8> = q.iter().map(|&q| case.byte(q)).collect();
+    x.resize(in_dim.next_multiple_of(4), 0xa5);
+    let mut want = case.sums(q);
+    want.resize(layer.sums_len(), 0);
     let shape = format!("{in_dim}x{out_dim} signed {}", case.signed);
-    let asks: Vec<usize> =
-        INT_WIDTHS.into_iter().filter(|&n| n < out_dim).chain([out_dim - 1, out_dim]).collect();
-    let (mut got_sums, mut got_floats) = (vec![0i32; out_dim], vec![0.0f32; out_dim]);
-    let mut got_bytes = vec![0u8; out_dim];
-    layer.forward(&x, &mut got_sums);
-    assert_eq!(got_sums, sums, "{shape} as dispatched");
-    let mut head = vec![i32::MIN; layer.sums_len()];
+    let mut got = vec![i32::MIN; layer.sums_len()];
+    layer.prefix(&x, &mut got);
+    assert_eq!(got, want, "{shape} as dispatched");
     for &kernel in kernels_under_test() {
         INT_RAN.with_borrow_mut(|ran| ran.push(kernel));
-        for &ask in &asks {
-            layer.forward_on(kernel, None, 0, &x, &mut got_sums[..ask]);
-            layer.forward_on(kernel, None, 0, &x, &mut got_floats[..ask]);
-            layer.forward_on(kernel, None, 0, &x, &mut got_bytes[..ask]);
-            assert_eq!(got_sums[..ask], sums[..ask], "{shape} on {kernel:?}, {ask} outputs");
-            assert!(
-                same_floats(&got_floats[..ask], &floats[..ask]),
-                "{shape} on {kernel:?}, {ask}: {got_floats:?} vs {floats:?}"
-            );
-            assert_eq!(got_bytes[..ask], bytes[..ask], "{shape} on {kernel:?}, {ask} outputs");
-        }
-        for k in 0..=in_dim {
-            layer.prefix_on(kernel, &x[..k], &mut head);
-            for &ask in &asks {
-                layer.forward_on(kernel, Some(&head), k, &x[k..], &mut got_floats[..ask]);
-                let ok = same_floats(&got_floats[..ask], &floats[..ask]);
-                assert!(ok, "{shape} on {kernel:?}, split at {k}, {ask} outputs");
-            }
-            layer.forward_on(kernel, Some(&head), k, &x[k..], &mut got_sums);
-            assert_eq!(got_sums, sums, "{shape} on {kernel:?}, split at {k}");
-            // the rest run on to the end of its last group: any byte there
-            // meets zero weights
-            let end = in_dim.next_multiple_of(4);
-            if end > in_dim {
-                let mut rest = x[k..].to_vec();
-                rest.resize(end - k, 0xa5);
-                layer.forward_on(kernel, Some(&head), k, &rest, &mut got_sums);
-                assert_eq!(got_sums, sums, "{shape} on {kernel:?}, split at {k}, rest to {end}");
-            }
-        }
+        got.fill(i32::MIN);
+        layer.prefix_on(kernel, &x, &mut got);
+        assert_eq!(got, want, "{shape} on {kernel:?}");
     }
-    sums
+    want.truncate(out_dim);
+    want
 }
 
 /// Rows of ±127 weights: all 127, all −127, alternating by input, and
@@ -445,22 +417,26 @@ fn int_layers_match_the_oracle_at_the_extremes_of_their_sums() {
 
 #[test]
 fn requantisation_rounds_ties_to_even() {
-    // one input through weight 1 and multiplier ½: every odd step is a tie,
-    // at every addend's whole offset; one output per offset
-    let offsets = [-2.0, 0.0, 1.0, 2.0, 7.0, 100.0, 254.0];
-    let n = offsets.len();
-    let case = IntCase::new(1, false, vec![1; n], vec![0.5; n], offsets.to_vec());
+    // every half step from below the range to above it, and the floats
+    // either side of each: the ties in 0..255 go to the even neighbour, the
+    // rest to the nearest whole step, clamped into 0..=255 as the oracle
+    // chain does (NaN and the infinities at the clamps)
     let mut ties = 0;
-    for q in 0..=255 {
-        let sums = assert_int_matches_oracle(&case, &[q]);
-        let (y, bytes) = case.steps(&sums);
-        for (y, b) in y.iter().zip(bytes) {
-            let tie = y.fract() == 0.5 && (0.0..255.0).contains(y);
-            ties += tie as usize;
-            assert!(b % 2 == 0 || !tie, "{y} → {b}");
+    let mut ys = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e9, -1e9];
+    for h in -8..=2 * 255 + 8 {
+        let y = h as f32 / 2.0;
+        ys.extend([y.next_down(), y, y.next_up()]);
+    }
+    for y in ys {
+        let b = requantise(y);
+        let want = y.clamp(0.0, 255.0).round_ties_even() as u8;
+        assert_eq!(b, want, "{y} → {b}");
+        if y.fract() == 0.5 && (0.0..255.0).contains(&y) {
+            ties += 1;
+            assert!(b.is_multiple_of(2), "{y} → {b}");
         }
     }
-    assert!(ties > 500, "{ties} ties");
+    assert_eq!(ties, 255);
 }
 
 #[test]
@@ -554,7 +530,8 @@ impl IntMlpCase {
 
     /// The oracle chain: each layer's scalar `i32` sums and `f32` step, a
     /// hidden layer's outputs requantised as the next layer's steps; the last
-    /// layer's values, and how many hidden outputs were ties.
+    /// layer's values as a whole line (zero past its outputs), and how many
+    /// hidden outputs were ties.
     fn oracle(&self, q: &[i32]) -> (Vec<f32>, usize) {
         let (last, hidden) = self.layers.split_last().unwrap();
         let (mut q, mut ties) = (q.to_vec(), 0);
@@ -563,38 +540,44 @@ impl IntMlpCase {
             ties += y.iter().filter(|y| y.fract() == 0.5 && (0.0..255.0).contains(*y)).count();
             q = bytes.into_iter().map(i32::from).collect();
         }
-        (last.steps(&last.sums(&q)).0, ties)
+        let mut line = last.steps(&last.sums(&q)).0;
+        line.resize(LINE, 0.0);
+        (line, ties)
     }
+}
+
+/// The bytes of the first layer's steps `q`, run on to the end of the last
+/// group of four with `pad`, which meets zero weights.
+fn group_bytes(case: &IntMlpCase, q: &[i32], pad: u8) -> Vec<u8> {
+    let first = &case.layers[0];
+    let mut x: Vec<u8> = q.iter().map(|&q| first.byte(q)).collect();
+    x.resize(q.len().next_multiple_of(4), pad);
+    x
 }
 
 /// `case` at the first layer's steps `q` against the oracle chain, on every
 /// instantiation the host offers and as dispatched: whole, and resumed from
-/// the first layer's prefix after every head (the colour MLP resumes after
-/// its 16 SH inputs), its rest also run on to the end of its last group.
-/// Then two inputs at a time through the pair body ([`assert_pairs_match`]),
-/// `q` beside `q` turned by one step. Returns the oracle's hidden ties.
+/// the first layer's prefix at every group boundary (the colour MLP resumes
+/// after its 16 SH inputs). Then two inputs at a time through the pair body
+/// ([`assert_pairs_match`]), `q` beside `q` turned by one step. Returns the
+/// oracle's hidden ties.
 fn assert_int_mlp_matches_oracle(case: &IntMlpCase, q: &[i32]) -> usize {
     let first = &case.layers[0];
-    let x: Vec<u8> = q.iter().map(|&q| first.byte(q)).collect();
+    let x = group_bytes(case, q, 0xa5);
     let (want, ties) = case.oracle(q);
     let shape: Vec<usize> = case.layers.iter().map(|c| c.layer.out_dim()).collect();
-    let shape = format!("{} -> {shape:?} signed {}", x.len(), first.signed);
-    let mut got = vec![0.0f32; want.len()];
+    let shape = format!("{} -> {shape:?} signed {}", q.len(), first.signed);
+    let mut got = [0.0f32; LINE];
     case.mlp.forward_from(None, 0, [&x], [&mut got]);
     assert!(same_floats(&got, &want), "{shape} as dispatched: {got:?} vs {want:?}");
     let mut head = vec![i32::MIN; first.layer.sums_len()];
-    let end = x.len().next_multiple_of(4);
     for &kernel in kernels_under_test() {
         case.mlp.forward_on(kernel, None, 0, [&x], [&mut got]);
         assert!(same_floats(&got, &want), "{shape} on {kernel:?}: {got:?} vs {want:?}");
-        for k in 0..=x.len() {
+        for k in (0..=x.len()).step_by(4) {
             first.layer.prefix_on(kernel, &x[..k], &mut head);
             case.mlp.forward_on(kernel, Some(&head), k, [&x[k..]], [&mut got]);
             assert!(same_floats(&got, &want), "{shape} on {kernel:?}, split at {k}");
-            let mut rest = x[k..].to_vec();
-            rest.resize(end - k, 0xa5);
-            case.mlp.forward_on(kernel, Some(&head), k, [&rest], [&mut got]);
-            assert!(same_floats(&got, &want), "{shape} on {kernel:?}, split at {k}, rest to {end}");
         }
     }
     let mut turned = q.to_vec();
@@ -607,31 +590,29 @@ fn assert_int_mlp_matches_oracle(case: &IntMlpCase, q: &[i32]) -> usize {
 /// host offers and as dispatched, each slot against the oracle chain and
 /// bit for bit what a call with that input alone gives: `q` and `r`, in
 /// either order and each beside itself, whole; then resumed from the prefix
-/// of `q`'s head after every head (both inputs share it, as a pair of colour
-/// calls shares its direction's), the second input `r`'s rest after that
-/// head, each rest also run on to the end of its last group.
+/// of `q`'s head at every group boundary (both inputs share it, as a pair of
+/// colour calls shares its direction's), the second input `r`'s rest after
+/// that head. The two inputs' last groups run on with different bytes.
 fn assert_pairs_match(case: &IntMlpCase, q: &[i32], r: &[i32], shape: &str) {
     let first = &case.layers[0];
-    let bytes = |q: &[i32]| -> Vec<u8> { q.iter().map(|&q| first.byte(q)).collect() };
-    let n = case.layers.last().unwrap().layer.out_dim();
     let bits = |y: &[f32]| -> Vec<u32> { y.iter().map(|y| y.to_bits()).collect() };
-    let (mut single, mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
-    let end = q.len().next_multiple_of(4);
+    let (mut single, mut a, mut b) = ([0.0f32; LINE], [0.0f32; LINE], [0.0f32; LINE]);
     let mut head = vec![i32::MIN; first.layer.sums_len()];
     for &kernel in kernels_under_test() {
         for (u, v) in [(q, r), (r, q), (q, q), (r, r)] {
-            let (xu, xv) = (bytes(u), bytes(v));
+            let (xu, xv) = (group_bytes(case, u, 0xa5), group_bytes(case, v, 0x5a));
             case.mlp.forward_on(kernel, None, 0, [&xu, &xv], [&mut a, &mut b]);
-            for (got, input) in [(&a, u), (&b, v)] {
+            for (got, input, x) in [(&a, u, &xu), (&b, v, &xv)] {
                 let what = format!("{shape} pair on {kernel:?}");
                 assert!(same_floats(got, &case.oracle(input).0), "{what}: {got:?}");
-                case.mlp.forward_on(kernel, None, 0, [&bytes(input)], [&mut single]);
+                case.mlp.forward_on(kernel, None, 0, [x], [&mut single]);
                 assert_eq!(bits(got), bits(&single), "{what}: not what one input alone gives");
             }
         }
-        for k in 0..=q.len() {
-            let r: Vec<i32> = q[..k].iter().chain(&r[k..]).copied().collect();
-            let (xq, xr) = (bytes(q), bytes(&r));
+        for k in (0..=q.len().next_multiple_of(4)).step_by(4) {
+            let h = k.min(q.len());
+            let r: Vec<i32> = q[..h].iter().chain(&r[h..]).copied().collect();
+            let (xq, xr) = (group_bytes(case, q, 0xa5), group_bytes(case, &r, 0x5a));
             first.layer.prefix_on(kernel, &xq[..k], &mut head);
             let rests = [&xq[k..], &xr[k..]];
             let what = format!("{shape} pair on {kernel:?}, split at {k}");
@@ -641,18 +622,6 @@ fn assert_pairs_match(case: &IntMlpCase, q: &[i32], r: &[i32], shape: &str) {
                 case.mlp.forward_on(kernel, Some(&head), k, [rest], [&mut single]);
                 assert_eq!(bits(got), bits(&single), "{what}: not what one input alone gives");
             }
-            let (mut rest_q, mut rest_r) = (xq[k..].to_vec(), xr[k..].to_vec());
-            rest_q.resize(end - k, 0xa5);
-            rest_r.resize(end - k, 0x5a);
-            case.mlp.forward_on(kernel, Some(&head), k, [&rest_q, &rest_r], [&mut a, &mut b]);
-            assert!(
-                same_floats(&a, &case.oracle(q).0),
-                "{shape} on {kernel:?}, split at {k}, rest to {end}"
-            );
-            assert!(
-                same_floats(&b, &case.oracle(&r).0),
-                "{shape} on {kernel:?}, split at {k}, rest to {end}"
-            );
         }
     }
 }

@@ -41,6 +41,29 @@ extract "$baseline" > /tmp/bench_base.$$
 extract "$current" > /tmp/bench_cur.$$
 trap 'rm -f /tmp/bench_base.$$ /tmp/bench_cur.$$ /tmp/bench_ratio.$$' EXIT
 
+# Whether the CPU reports every one of the flags given (cpuinfo spelling).
+cpu_has() {
+    local flags
+    flags=$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null) || return 1
+    for f in "$@"; do
+        [[ " $flags " == *" $f "* ]] || return 1
+    done
+}
+
+# The MLP body the dispatched (`_raw`) rows run: the one `Kernel::available`
+# picks, VNNI where the CPU reports avx2, avx512f and avx512vnni, else AVX2,
+# else portable. The baseline's `_raw` rows were recorded on a VNNI host, so
+# elsewhere each is held to the baseline row of the body that runs: a
+# `_forward_raw` row to its `_forward_avx2` / `_forward_portable` row, a
+# `_pair_raw` row (two inputs) to twice that.
+if cpu_has avx2 avx512f avx512_vnni; then
+    mlp_body=raw
+elif cpu_has avx2; then
+    mlp_body=avx2
+else
+    mlp_body=portable
+fi
+
 fail=0
 missing=0
 : > /tmp/bench_ratio.$$
@@ -51,14 +74,30 @@ while read -r name base_mean; do
         missing=$((missing + 1))
         continue
     fi
+    held=""
+    if [[ "$name" == *_mlp_*_raw && "$mlp_body" != raw ]]; then
+        row="${name/_pair_raw/_forward_raw}"
+        row="${row%_raw}_$mlp_body"
+        base_mean=$(awk -v n="$row" '$1 == n { print $2 }' /tmp/bench_base.$$)
+        if [[ -z "$base_mean" ]]; then
+            echo "FAIL  $name: no baseline row $row for the $mlp_body body that runs here"
+            fail=$((fail + 1))
+            continue
+        fi
+        held=" of $row"
+        if [[ "$name" == *_pair_raw ]]; then
+            base_mean=$(awk -v b="$base_mean" 'BEGIN { printf "%.2f", 2 * b }')
+            held=" of 2x $row"
+        fi
+    fi
     ratio=$(awk -v c="$cur_mean" -v b="$base_mean" 'BEGIN { printf "%.3f", c / b }')
     echo "$name $ratio" >> /tmp/bench_ratio.$$
     over=$(awk -v r="$ratio" -v t="$tolerance" 'BEGIN { print (r > t) ? 1 : 0 }')
     if [[ "$over" == "1" ]]; then
-        echo "FAIL  $name: ${cur_mean}ns vs baseline ${base_mean}ns (${ratio}x > ${tolerance}x)"
+        echo "FAIL  $name: ${cur_mean}ns vs baseline ${base_mean}ns${held} (${ratio}x > ${tolerance}x)"
         fail=$((fail + 1))
     else
-        echo "ok    $name: ${cur_mean}ns vs ${base_mean}ns (${ratio}x)"
+        echo "ok    $name: ${cur_mean}ns vs ${base_mean}ns${held} (${ratio}x)"
     fi
 done < /tmp/bench_base.$$
 
@@ -72,14 +111,7 @@ done < /tmp/bench_base.$$
 # CPU reports avx2, avx512f and avx512vnni (`avx512_vnni` in cpuinfo): the
 # bound was set from that body alone.
 pair_bound=1.8
-vnni_host() {
-    local flags
-    flags=$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null) || return 1
-    for f in avx2 avx512f avx512_vnni; do
-        [[ " $flags " == *" $f "* ]] || return 1
-    done
-}
-if vnni_host; then
+if [[ "$mlp_body" == raw ]]; then
     while read -r name pair_mean; do
         single="${name/_pair_/_forward_}"
         single_mean=$(awk -v n="$single" '$1 == n { print $2 }' /tmp/bench_cur.$$)
